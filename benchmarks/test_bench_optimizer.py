@@ -119,24 +119,35 @@ def _median_seconds(fn, repeats: int) -> float:
 
 
 def test_plancache_cold_vs_warm(benchmark, tmp_path):
-    """Warm ``optimize(cache=...)`` must be ≥10× faster than cold planning."""
+    """What the cache owes: a warm ``optimize(cache=...)`` (trace replay)
+    beats a cold search on every shape, and hit/miss counts are exact.
+
+    Both medians and their ratio are recorded per shape, but the ratio
+    has no floor: a faster planner shrinks it at nobody's loss (it was
+    asserted >= 10x until the search core made cold planning cheaper).
+    The wall-clock headline of planning and of cache hits lives in
+    ``benchmarks/e2e`` (``plan_cold`` vs ``serve_hot``).
+    """
     params = MACHINES["parsytec"]
     cache = PlanCache(path=tmp_path / "plans.json")
     series = []
     for label, build in WORKLOAD_SHAPES.items():
+        # every request brings its own program object, as a parsed text
+        # does: per-stage and per-program memos must not flatter a repeat
+        fresh = iter([build() for _ in range(COLD_REPEATS + WARM_REPEATS)])
         prog = build()
 
-        def cold(prog=prog):
+        def cold():
             # a cold request sees no planner state at all: drop the match
-            # LRU too, or cached rule scans would flatter the cold numbers
+            # memo too, or remembered windows would flatter the cold numbers
             clear_planner_caches()
-            return optimize(prog, params, strategy="beam")
+            return optimize(next(fresh), params, strategy="beam")
 
         cold_s = _median_seconds(cold, COLD_REPEATS)
         optimize(prog, params, strategy="beam", cache=cache)  # prime
         warm_s = _median_seconds(
-            lambda prog=prog: optimize(prog, params, strategy="beam",
-                                       cache=cache),
+            lambda: optimize(next(fresh), params, strategy="beam",
+                             cache=cache),
             WARM_REPEATS)
         series.append({
             "shape": label,
@@ -179,5 +190,8 @@ def test_plancache_cold_vs_warm(benchmark, tmp_path):
     })
     assert stats["hits"] == expected_hits
     assert stats["misses"] == len(shapes)
-    assert overall >= 10.0, (
-        f"warm serving only {overall:.1f}x faster than cold planning")
+    for row in series:
+        assert row["warm_median_s"] < row["cold_median_s"], (
+            f"{row['shape']}: replaying a cached plan "
+            f"({row['warm_median_s']:.2e}s) is not faster than searching "
+            f"for it ({row['cold_median_s']:.2e}s)")

@@ -5,28 +5,30 @@ consider every applicable rule, and apply those whose Table-1 condition
 holds on the target machine.  This module automates that:
 
 * :func:`optimize` — explore the rewrite graph (exhaustive Dijkstra-style
-  search, or greedy steepest descent) and return the cheapest program
-  reachable under the machine parameters, together with the derivation.
+  search, greedy steepest descent, or beam search) and return the cheapest
+  program reachable under the machine parameters, together with the
+  derivation.
 * :class:`OptimizationResult` — before/after costs, the step trace, and a
   human-readable report.
 
-The search is exact for the exhaustive strategy: the rewrite graph of a
-program with a handful of collectives is tiny (rules only ever shrink or
-preserve the number of collective stages).
+Every strategy is a selection policy over one search core
+(:class:`repro.core.search.Search`), which alone matches, rewrites and
+costs programs.  The search is exact for the exhaustive strategy: the
+rewrite graph of a program with a handful of collectives is tiny.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable
 
-from repro.core.cost import MachineParams, program_cost
-from repro.core.rewrite import Derivation, Match, apply_match, find_matches
-from repro.core.rules import ALL_RULES, Rule, RuleApplication
+from repro.core.cost import MachineParams
+from repro.core.rewrite import Derivation
+from repro.core.rules import ALL_RULES, Rule
+from repro.core.search import _MATCH_CACHE, _MATCH_CACHE_LOCK, Node, Search
 from repro.core.stages import Program
 
 __all__ = ["OptimizationResult", "optimize", "greedy_optimize",
@@ -65,38 +67,12 @@ class OptimizationResult:
         return "\n".join(lines)
 
 
-def _signature(program: Program) -> tuple[str, ...]:
-    return tuple(stage.pretty() for stage in program.stages)
-
-
-# ---------------------------------------------------------------------------
-# Match-scan cache
-# ---------------------------------------------------------------------------
-#
-# The oracle and the benchmark sweeps optimize the *same* program many times
-# (per machine size, per parameter sample), and every optimize() call walks
-# the whole rewrite graph running every rule's match() against every stage
-# window.  Matching is purely syntactic/algebraic — it depends only on the
-# stage shapes (captured by the program signature, which includes operator
-# names and map labels) and the rule set, never on the machine parameters —
-# so the scan results can be memoized across calls.  The cache is a bounded
-# LRU; rules are keyed by class identity plus declared name, both stable
-# for the module-level rule singletons (ALL_RULES / FULL_RULES).
-#
-# The LRU is shared by every optimize() call in the process — including
-# the serving runtime's concurrent worker threads — so all structural
-# mutation (lookup+move_to_end, insert, eviction) happens under one lock.
-# OrderedDict.move_to_end racing a popitem corrupts the order book (or
-# KeyErrors outright); a lost duplicate find_matches computation outside
-# the lock is merely redundant work, never a wrong answer.
-
-_MATCH_CACHE: OrderedDict = OrderedDict()
-_MATCH_CACHE_MAX = 4096
-_MATCH_CACHE_LOCK = threading.Lock()
-
-
 def clear_match_cache() -> None:
-    """Drop every memoized match scan (tests; rule-registry mutation)."""
+    """Drop every memoized window match (tests; rule-registry mutation).
+
+    The memo itself, its bound and its lock live with the search core
+    (:mod:`repro.core.search`).
+    """
     with _MATCH_CACHE_LOCK:
         _MATCH_CACHE.clear()
 
@@ -114,9 +90,9 @@ def register_planner_cache_reset(reset) -> None:
 
 
 def clear_planner_caches() -> None:
-    """Reset *all* planner state: the match LRU and every live plan cache.
+    """Reset *all* planner state: the match memo and every live plan cache.
 
-    ``clear_match_cache()`` alone only empties the rule-match LRU; plan
+    ``clear_match_cache()`` alone only empties the window-match memo; plan
     caches (:class:`repro.core.plancache.PlanCache`) keep replayable
     traces and hit/miss counters in memory, which idempotence-style
     tests must not leak between cases.  This clears both.
@@ -126,33 +102,34 @@ def clear_planner_caches() -> None:
         reset()
 
 
-def _rules_key(rules: Sequence[Rule]) -> tuple:
-    return tuple((type(r).__module__, type(r).__qualname__, r.name)
-                 for r in rules)
+_COST = attrgetter("cost")
 
 
-def _cached_matches(program: Program, rules: tuple[Rule, ...]) -> tuple[Match, ...]:
-    """Memoized ``find_matches`` (the p-filter only applies when the
-    generalized Local extension is disabled, which the optimizer never
-    does, so cached matches are machine-independent)."""
-    key = (_signature(program), _rules_key(rules))
-    with _MATCH_CACHE_LOCK:
-        hit = _MATCH_CACHE.get(key)
-        if hit is not None:
-            _MATCH_CACHE.move_to_end(key)
-            return hit
-    # scan outside the lock: concurrent threads may redundantly compute
-    # the same (idempotent) result, but never block each other on it
-    matches = tuple(find_matches(program, rules))
-    with _MATCH_CACHE_LOCK:
-        _MATCH_CACHE[key] = matches
-        while len(_MATCH_CACHE) > _MATCH_CACHE_MAX:
-            _MATCH_CACHE.popitem(last=False)
-    return matches
+def _descend(search: Search, only_improving: bool = True) -> tuple[Node, int]:
+    """Steepest descent from the root: ``(final node, programs explored)``."""
+    current, explored = search.root, 1
+    while True:
+        children = search.children(current)
+        if not children:
+            break
+        explored += len(children)
+        best = min(children, key=_COST)  # the first of the cheapest
+        if only_improving and best.cost >= current.cost:
+            break
+        current = best
+    return current, explored
 
 
-def _usable(match: Match, allow_lossy: bool) -> bool:
-    return match.safe or allow_lossy
+def _result(search: Search, node: Node, explored: int) -> OptimizationResult:
+    root = search.root
+    return OptimizationResult(
+        derivation=Derivation(initial=root.program, final=node.program,
+                              steps=node.steps),
+        cost_before=root.cost,
+        cost_after=node.cost,
+        params=search.params,
+        programs_explored=explored,
+    )
 
 
 def greedy_optimize(
@@ -167,35 +144,8 @@ def greedy_optimize(
     With ``only_improving`` (the default, matching the paper's guidance),
     a match is taken only if it lowers the model cost at ``params``.
     """
-    rules = tuple(rules)
-    current = program
-    steps: list[RuleApplication] = []
-    explored = 1
-    while True:
-        candidates = []
-        for match in _cached_matches(current, rules):
-            if not _usable(match, allow_lossy):
-                continue
-            nxt, step = apply_match(current, match, p=params.p,
-                                    force_unsafe=allow_lossy)
-            explored += 1
-            candidates.append((program_cost(nxt, params), nxt, step))
-        if not candidates:
-            break
-        candidates.sort(key=lambda t: t[0])
-        best_cost, best_prog, best_step = candidates[0]
-        if only_improving and best_cost >= program_cost(current, params):
-            break
-        current = best_prog
-        steps.append(best_step)
-    derivation = Derivation(initial=program, final=current, steps=tuple(steps))
-    return OptimizationResult(
-        derivation=derivation,
-        cost_before=program_cost(program, params),
-        cost_after=program_cost(current, params),
-        params=params,
-        programs_explored=explored,
-    )
+    search = Search(program, params, rules, allow_lossy)
+    return _result(search, *_descend(search, only_improving))
 
 
 def exhaustive_optimize(
@@ -212,43 +162,23 @@ def exhaustive_optimize(
     cost-increasing intermediate programs when a later fusion more than
     pays them back (e.g. SS2-Scan enabling a subsequent fusion).
     """
-    rules = tuple(rules)
-    start_cost = program_cost(program, params)
-    best_prog, best_cost = program, start_cost
-    best_steps: tuple[RuleApplication, ...] = ()
-
-    seen: set[tuple[str, ...]] = {_signature(program)}
+    search = Search(program, params, rules, allow_lossy)
+    best = search.root
+    seen = {best.renderings}
     counter = itertools.count()
-    frontier: list = [(start_cost, next(counter), program, ())]
+    frontier = [(best.cost, next(counter), best)]
     explored = 1
-
     while frontier and explored < max_states:
-        cost, _, prog, steps = heapq.heappop(frontier)
-        if cost < best_cost:
-            best_prog, best_cost, best_steps = prog, cost, steps
-        for match in _cached_matches(prog, rules):
-            if not _usable(match, allow_lossy):
+        cost, _, node = heapq.heappop(frontier)
+        if cost < best.cost:
+            best = node
+        for child in search.children(node):
+            if child.renderings in seen:
                 continue
-            nxt, step = apply_match(prog, match, p=params.p,
-                                    force_unsafe=allow_lossy)
-            sig = _signature(nxt)
-            if sig in seen:
-                continue
-            seen.add(sig)
+            seen.add(child.renderings)
             explored += 1
-            heapq.heappush(
-                frontier,
-                (program_cost(nxt, params), next(counter), nxt, steps + (step,)),
-            )
-
-    derivation = Derivation(initial=program, final=best_prog, steps=best_steps)
-    return OptimizationResult(
-        derivation=derivation,
-        cost_before=start_cost,
-        cost_after=best_cost,
-        params=params,
-        programs_explored=explored,
-    )
+            heapq.heappush(frontier, (child.cost, next(counter), child))
+    return _result(search, best, explored)
 
 
 def optimize(

@@ -20,11 +20,12 @@ Layers:
   counters, and
 * an optional write-through on-disk JSON store (one versioned document,
   atomically rewritten), so plans survive across processes —
-  ``python -m repro plan`` serves from it.
+  ``python -m repro plan`` serves from it.  Without a store path the LRU
+  is all there is: an evicted plan is forgotten.
 
 Every live cache registers itself with the optimizer's
 ``clear_planner_caches`` hook, so test suites can reset planner state
-(match LRU *and* plan caches) in one call.
+(match memo *and* plan caches) in one call.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class PlanCache:
     ``path`` is the on-disk store (created on first write; loaded eagerly
     when it exists).  ``capacity`` bounds only the in-memory LRU — the
     disk store keeps every plan ever written, so a cold process re-warms
-    from disk on the first request per shape.
+    from disk on the first request per shape.  With ``path=None`` nothing
+    outlives the LRU, so a long-lived memory-only cache stays bounded.
     """
 
     def __init__(self, path: str | os.PathLike | None = None,
@@ -128,6 +130,7 @@ class PlanCache:
         # get/put nest through _record/_remember/_evict_bad.
         self._lock = threading.RLock()
         self._memory: "OrderedDict[str, PlanRecord]" = OrderedDict()
+        #: mirror of the on-disk store; stays empty when there is no path
         self._disk: dict[str, PlanRecord] = {}
         self.hits = 0
         self.misses = 0
@@ -153,8 +156,6 @@ class PlanCache:
 
     def _flush(self) -> None:
         """Atomically rewrite the on-disk store (tmp file + rename)."""
-        if self.path is None:
-            return
         doc = {
             "version": PLANCACHE_JSON_VERSION,
             "entries": {
@@ -181,7 +182,18 @@ class PlanCache:
     def key_for(self, program: Program, params: MachineParams,
                 rules: Iterable[Rule] = ALL_RULES, strategy: str = "beam",
                 allow_lossy: bool = False) -> str:
-        return cache_key(program, params, tuple(rules), strategy, allow_lossy)
+        """``cache_key`` of this request.
+
+        The key of the latest request for a program is kept beside the
+        (immutable) program, so the ``put`` that follows a missed ``get``
+        in ``optimize(cache=...)`` does not derive it a second time.
+        """
+        request = (params, tuple(rules), strategy, allow_lossy)
+        last = program.__dict__.get("_plan_key")
+        if last is None or last[0] != request:
+            last = program.__dict__["_plan_key"] = (
+                request, cache_key(program, *request))
+        return last[1]
 
     def _record(self, key: str) -> PlanRecord | None:
         record = self._memory.get(key)
@@ -211,7 +223,6 @@ class PlanCache:
         so a stale or corrupted entry is dropped (and counted in
         ``replay_failures``) instead of served.
         """
-        rules = tuple(rules)
         key = self.key_for(program, params, rules, strategy, allow_lossy)
         with self._lock:
             record = self._record(key)
@@ -254,7 +265,6 @@ class PlanCache:
             rules: Iterable[Rule] = ALL_RULES, strategy: str = "beam",
             allow_lossy: bool = False) -> PlanRecord:
         """Store ``result``'s trace under this request's key (write-through)."""
-        rules = tuple(rules)
         key = self.key_for(program, params, rules, strategy, allow_lossy)
         record = PlanRecord(
             key=key,
@@ -267,8 +277,9 @@ class PlanCache:
         )
         with self._lock:
             self._remember(record)
-            self._disk[key] = record
-            self._flush()
+            if self.path is not None:
+                self._disk[key] = record
+                self._flush()
         return record
 
     # -- maintenance ---------------------------------------------------------
@@ -304,25 +315,23 @@ class PlanCache:
         """Counters + sizes, the ``plan stats`` CLI payload."""
         with self._lock:
             total = self.hits + self.misses
-            return self._stats_locked(total)
-
-    def _stats_locked(self, total: int) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "replay_failures": self.replay_failures,
-            "hit_rate": (self.hits / total) if total else 0.0,
-            "memory_entries": len(self._memory),
-            "disk_entries": len(self._disk),
-            "capacity": self.capacity,
-            "path": str(self.path) if self.path is not None else None,
-        }
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "replay_failures": self.replay_failures,
+                "hit_rate": (self.hits / total) if total else 0.0,
+                "stored": len(self),
+                "memory_entries": len(self._memory),
+                "disk_entries": len(self._disk),
+                "capacity": self.capacity,
+                "path": str(self.path) if self.path is not None else None,
+            }
 
     def describe(self) -> str:
         s = self.stats()
         lines = [
-            f"plan cache: {s['disk_entries']} stored plan(s), "
+            f"plan cache: {s['stored']} stored plan(s), "
             f"{s['memory_entries']}/{s['capacity']} in memory",
             f"  hits={s['hits']} misses={s['misses']} "
             f"hit_rate={s['hit_rate']:.2%} evictions={s['evictions']} "

@@ -28,9 +28,12 @@ needs:
   (:mod:`repro.core.plancache`) stores *traces*, not programs, and
   replays them against the request's own program on a hit.
 
-Termination needs no fuel: every rule in the catalogue strictly reduces
-the number of collective stages, so derivations are at most
-``collective_count`` steps long and the reachable graph is finite.
+Termination needs no fuel, but not because rewrites shrink programs:
+``Decompose-Allreduce`` turns one collective into two and
+``Compose-Allreduce`` turns them back.  Beam and exhaustive search stop
+because every program is expanded at most once (the ``seen`` set) and the
+reachable graph is finite; greedy stops because each step strictly lowers
+the cost.
 """
 
 from __future__ import annotations
@@ -40,36 +43,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.cost import MachineParams, program_cost
-from repro.core.operators import BinOp
-from repro.core.optimizer import (
-    OptimizationResult,
-    _cached_matches,
-    _usable,
-    greedy_optimize,
-)
-from repro.core.rewrite import Derivation, apply_match, find_matches
+from repro.core.cost import MachineParams
+from repro.core.optimizer import _COST, OptimizationResult, _descend
+from repro.core.rewrite import Derivation, _usable, apply_match, match_at
 from repro.core.rules import ALL_RULES, Rule, RuleApplication, rule_by_name
-from repro.core.stages import (
-    AllGatherStage,
-    AllGatherVStage,
-    AllReduceStage,
-    BalancedReduceStage,
-    BalancedScanStage,
-    BcastStage,
-    ComcastStage,
-    GatherStage,
-    IterStage,
-    Map2Stage,
-    MapIndexedStage,
-    MapStage,
-    Program,
-    ReduceScatterStage,
-    ReduceStage,
-    ScanStage,
-    ScatterStage,
-    Stage,
-)
+from repro.core.search import Search, op_signature, plan_signature
+from repro.core.stages import Program
 
 __all__ = [
     "BeamResult",
@@ -86,81 +65,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Canonical signatures
+# Cache-key identities (plan_signature itself lives with the search core)
 # ---------------------------------------------------------------------------
-#
-# Rule matching is purely syntactic/algebraic: it sees stage shapes and
-# operator identities (name + declared algebra), never map labels, map
-# callables, or Map2 captured constants.  The cost model additionally sees
-# ops_per_element, operator widths and op counts.  The canonical signature
-# captures exactly this observable set — nothing else — so renaming a map
-# ("map f" vs "map g" with the same per-element cost) or swapping the
-# captured coefficient list of a map2 cannot change it, while changing an
-# operator or a per-element op count must.
-
-
-def op_signature(op) -> tuple:
-    """Canonical identity of a stage operator.
-
-    For a :class:`~repro.core.operators.BinOp` this is the name plus the
-    algebraic/cost metadata rule matching and costing observe; composed
-    operators (``kind``/``parts``) recurse so structurally equal
-    compositions agree.  Derived operators (``SRTreeOp`` etc.) are
-    identified by class and name.
-    """
-    if isinstance(op, BinOp):
-        sig = ("op", op.name, op.associative, op.commutative,
-               op.op_count, op.width)
-        if op.kind:
-            return sig + (op.kind, tuple(op_signature(p) for p in op.parts))
-        return sig
-    # derived non-BinOp operators (SRTreeOp, SSButterflyOp, ComcastOp, IterOp)
-    name = getattr(op, "name", repr(op))
-    return ("derived", type(op).__name__, name)
-
-
-def _stage_token(stage: Stage) -> tuple:
-    """One stage's contribution to the canonical signature."""
-    if isinstance(stage, MapStage):
-        return ("map", stage.ops_per_element)
-    if isinstance(stage, MapIndexedStage):
-        return ("map#", stage.ops_per_element)
-    if isinstance(stage, Map2Stage):
-        return ("map2", stage.indexed, stage.ops_per_element)
-    if isinstance(stage, ScanStage):
-        return ("scan", op_signature(stage.op))
-    if isinstance(stage, AllReduceStage):  # before ReduceStage: not a subclass,
-        return ("allreduce", op_signature(stage.op))  # but keep kinds distinct
-    if isinstance(stage, ReduceStage):
-        return ("reduce", op_signature(stage.op))
-    if isinstance(stage, BcastStage):
-        return ("bcast",)
-    if isinstance(stage, AllGatherStage):
-        return ("allgather", stage.width)
-    if isinstance(stage, ReduceScatterStage):
-        return ("reduce_scatter", stage.counts, op_signature(stage.op))
-    if isinstance(stage, AllGatherVStage):
-        return ("allgatherv", stage.counts, stage.width)
-    if isinstance(stage, ScatterStage):
-        return ("scatter", stage.width)
-    if isinstance(stage, GatherStage):
-        return ("gather", stage.width)
-    if isinstance(stage, BalancedReduceStage):
-        return ("reduce_balanced", stage.to_all, op_signature(stage.tree_op))
-    if isinstance(stage, BalancedScanStage):
-        return ("scan_balanced", op_signature(stage.bfly_op))
-    if isinstance(stage, ComcastStage):
-        return ("comcast", stage.impl, op_signature(stage.comcast_op))
-    if isinstance(stage, IterStage):
-        return ("iter", stage.general, stage.then_bcast,
-                op_signature(stage.iter_op))
-    # unknown stage kinds fall back to their pretty form (still deterministic)
-    return ("stage", type(stage).__name__, stage.pretty())
-
-
-def plan_signature(program: Program) -> tuple[tuple, ...]:
-    """Canonical signature of ``program`` (see module docstring)."""
-    return tuple(_stage_token(s) for s in program.stages)
 
 
 def params_signature(params: MachineParams) -> tuple:
@@ -229,8 +135,8 @@ def replay_trace(
 ) -> tuple[Program, tuple[RuleApplication, ...]]:
     """Re-apply a recorded trace step by step.
 
-    Every step re-checks the rule's match through
-    :func:`~repro.core.rewrite.find_matches`, so a stale plan (wrong
+    Every step re-checks the rule's match at the recorded site through
+    :func:`~repro.core.rewrite.match_at`, so a stale plan (wrong
     program shape, violated side condition, unsafe lossy site) raises
     :class:`PlanReplayError` instead of silently producing a wrong
     program — the plan cache turns that into a miss.
@@ -242,8 +148,7 @@ def replay_trace(
             rule = rule_by_name(str(rule_name))
         except KeyError as exc:
             raise PlanReplayError(str(exc)) from exc
-        site = next((m for m in find_matches(current, (rule,), p=p)
-                     if m.start == start), None)
+        site = match_at(current, rule, start)
         if site is None:
             raise PlanReplayError(
                 f"{rule.name} no longer matches at stage {start} of "
@@ -306,7 +211,8 @@ def beam_optimize(
     cost-neutral/increasing setup moves (e.g. SS2-Scan's ``map pair``
     adjustment at unfavourable ``ts``) that a later fusion pays back.
 
-    The greedy plan is computed first (same match cache) and used as the
+    The greedy plan is computed first, on the same search (so what it
+    rewrote and costed is not rewritten or costed again), and used as the
     incumbent: the final answer is whichever of {greedy, best beam node}
     is cheaper, so ``beam.cost_after <= greedy.cost_after`` holds on
     every input.  With ``pruned == 0`` the search visited the whole
@@ -314,61 +220,42 @@ def beam_optimize(
     """
     if width < 1:
         raise ValueError("beam width must be at least 1")
-    rules = tuple(rules)
-    incumbent = greedy_optimize(program, params, rules,
-                                allow_lossy=allow_lossy)
-    start_cost = incumbent.cost_before
+    search = Search(program, params, rules, allow_lossy)
+    incumbent, greedy_explored = _descend(search)
 
-    sig0 = plan_signature(program)
-    seen: set[tuple] = {sig0}
-    frontier: list[tuple[float, Program, tuple[RuleApplication, ...]]] = [
-        (start_cost, program, ())
-    ]
-    best_cost, best_prog, best_steps = start_cost, program, ()
+    best = root = search.root
+    seen = {root.tokens}
+    frontier = [root]
     explored = 1
     pruned = 0
     levels = 0
-
     while frontier:
-        candidates: list[tuple[float, Program, tuple[RuleApplication, ...]]] = []
-        for _cost, prog, steps in frontier:
-            for match in _cached_matches(prog, rules):
-                if not _usable(match, allow_lossy):
-                    continue
-                nxt, step = apply_match(prog, match, p=params.p,
-                                        force_unsafe=allow_lossy)
-                sig = plan_signature(nxt)
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                explored += 1
-                candidates.append((program_cost(nxt, params), nxt,
-                                   steps + (step,)))
+        candidates = []
+        for node in frontier:
+            for child in search.children(node):
+                if child.tokens not in seen:
+                    seen.add(child.tokens)
+                    candidates.append(child)
         if not candidates:
             break
+        explored += len(candidates)
         levels += 1
-        for cost, prog, steps in candidates:
-            if cost < best_cost:
-                best_cost, best_prog, best_steps = cost, prog, steps
-        candidates.sort(key=lambda t: t[0])
-        if len(candidates) > width:
-            pruned += len(candidates) - width
-            candidates = candidates[:width]
-        frontier = candidates
+        for child in candidates:
+            if child.cost < best.cost:
+                best = child
+        candidates.sort(key=_COST)
+        pruned += max(0, len(candidates) - width)
+        frontier = candidates[:width]
 
-    if best_cost < incumbent.cost_after - 1e-12:
-        derivation = Derivation(initial=program, final=best_prog,
-                                steps=best_steps)
-        cost_after = best_cost
-    else:  # greedy already found something at least as cheap — keep its trace
-        derivation = incumbent.derivation
-        cost_after = incumbent.cost_after
+    if not best.cost < incumbent.cost - 1e-12:
+        best = incumbent  # greedy found something at least as cheap: keep its trace
     return BeamResult(
-        derivation=derivation,
-        cost_before=start_cost,
-        cost_after=cost_after,
+        derivation=Derivation(initial=program, final=best.program,
+                              steps=best.steps),
+        cost_before=root.cost,
+        cost_after=best.cost,
         params=params,
-        programs_explored=explored + incumbent.programs_explored,
+        programs_explored=explored + greedy_explored,
         width=width,
         pruned=pruned,
         levels=levels,

@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 from repro.core.rules import ALL_RULES, Rule, RuleApplication
 from repro.core.stages import BcastStage, Program, Stage
 
-__all__ = ["Match", "find_matches", "apply_match", "Derivation", "fuse_local_stages"]
+__all__ = ["Match", "match_at", "find_matches", "apply_match", "Derivation",
+           "fuse_local_stages"]
 
 
 @dataclass(frozen=True)
@@ -37,17 +38,34 @@ class Match:
         return f"{self.rule.name} @ stage {self.start}{marker}"
 
 
-def _lossy_site_is_safe(program: Program, start: int, window: int) -> bool:
-    """May a lossy (Local-class) rule fire at this site?
+def _lossy_site_is_safe(stages: Sequence[Stage], end: int) -> bool:
+    """May a lossy (Local-class) rule fire on a window ending at ``end``?
 
     Safe iff nothing after the window can observe non-root blocks: either
     the window is a suffix of the program, or the very next stage is a
     broadcast (which only reads the root block and re-defines the rest).
     """
-    end = start + window
-    if end == len(program.stages):
-        return True
-    return isinstance(program.stages[end], BcastStage)
+    return end == len(stages) or isinstance(stages[end], BcastStage)
+
+
+def match_at(program: Program, rule: Rule, start: int) -> Match | None:
+    """Does ``rule`` fire on the window starting at stage ``start``?
+
+    The one place that decides it — ``rule.match`` on the window plus the
+    lossy-site safety flag; :func:`find_matches`, the search core
+    (:mod:`repro.core.search`) and trace replay all ask here.  ``None``
+    when the window runs off the program or the rule does not match.
+    """
+    stages = program.stages
+    end = start + rule.window
+    if start < 0 or end > len(stages) or not rule.match(stages[start:end]):
+        return None
+    return Match(rule, start, not rule.lossy_nonroot
+                 or _lossy_site_is_safe(stages, end))
+
+
+def _usable(match: Match, allow_lossy: bool) -> bool:
+    return match.safe or allow_lossy
 
 
 def find_matches(
@@ -56,27 +74,23 @@ def find_matches(
     p: int | None = None,
     allow_general: bool = True,
 ) -> list[Match]:
-    """Every rule application site in ``program``.
+    """Every rule application site in ``program``, in ``(rule order,
+    start)`` order.
 
     ``p`` (the machine size) filters out power-of-two-only rules on
     machines where the restriction fails, unless ``allow_general`` permits
     the generalized Local extension.
     """
     matches: list[Match] = []
-    stages = program.stages
     for rule in rules:
         if rule.requires_power_of_two and p is not None:
             pow2 = p > 0 and (p & (p - 1)) == 0
             if not pow2 and not allow_general:
                 continue
-        w = rule.window
-        for start in range(len(stages) - w + 1):
-            window = stages[start : start + w]
-            if rule.match(window):
-                safe = (not rule.lossy_nonroot) or _lossy_site_is_safe(
-                    program, start, w
-                )
-                matches.append(Match(rule, start, safe))
+        for start in range(len(program.stages) - rule.window + 1):
+            match = match_at(program, rule, start)
+            if match is not None:
+                matches.append(match)
     return matches
 
 

@@ -71,9 +71,12 @@ ALL_RULES: tuple[Rule, ...] = (
 FULL_RULES: tuple[Rule, ...] = ALL_RULES + EXTENSION_RULES + BANDWIDTH_RULES
 
 
+_BY_NAME = {rule.name: rule for rule in FULL_RULES}
+
+
 def rule_by_name(name: str) -> Rule:
     """Look a rule up by its name (paper rules and extensions)."""
-    for rule in FULL_RULES:
-        if rule.name == name:
-            return rule
-    raise KeyError(f"unknown rule {name!r}")
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise KeyError(f"unknown rule {name!r}") from None

@@ -1,0 +1,311 @@
+"""The search core: the rewrite graph with every fact kept where it is local.
+
+The paper's method is "consider every applicable rule, apply those whose
+Table-1 condition holds on the target machine", and everything that
+method looks at is local: a rule's ``match`` sees only its 1–3-stage
+window, a stage's cost only that stage and the machine, and a rewrite
+replaces one window and shares every other stage object with its parent.
+:class:`Search` is the one place that expands programs — greedy descent,
+beam search and exhaustive search (:mod:`repro.core.optimizer`,
+:mod:`repro.core.planner`) are selection policies over its
+:meth:`~Search.children` — and it keys each fact by what the fact
+depends on:
+
+* **which rules match a window** — a bounded process-wide memo from the
+  window's stage renderings to the rules that match it (below).  A
+  child's site list is its parent's with the untouched sites re-indexed;
+  only windows that overlap the rewritten region, or end exactly where it
+  starts, are looked at again (a lossy rule's ``safe`` flag reads the
+  stage *after* its window);
+* **a stage's signature token and rendering** — memoised on the
+  immutable stage object, so a child's signature is
+  ``parent[:s] + tokens(inserted) + parent[s + w:]``;
+* **a stage's cost** — computed once per search and stage, and summed
+  left to right over the stage tuple exactly as
+  :func:`~repro.core.cost.program_cost` does, so costs are bit-identical;
+* **a program's children** — built once per node, in ``(rule order,
+  start)`` order, whichever policy asks first; site lists are derived
+  only for programs that are actually expanded.
+
+Every check of the rewrite engine stays: :func:`~repro.core.rewrite.apply_match`
+re-runs ``rule.match`` and the safety test on every rewrite.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Iterable
+
+from repro.core.cost import MachineParams, stage_cost
+from repro.core.operators import BinOp
+from repro.core.rewrite import (
+    Match,
+    _lossy_site_is_safe,
+    _usable,
+    apply_match,
+    match_at,
+)
+from repro.core.rules import Rule, RuleApplication
+from repro.core.stages import (
+    AllGatherStage,
+    AllGatherVStage,
+    AllReduceStage,
+    BalancedReduceStage,
+    BalancedScanStage,
+    BcastStage,
+    ComcastStage,
+    GatherStage,
+    IterStage,
+    Map2Stage,
+    MapIndexedStage,
+    MapStage,
+    Program,
+    ReduceScatterStage,
+    ReduceStage,
+    ScanStage,
+    ScatterStage,
+    Stage,
+)
+
+__all__ = ["Search", "Node", "plan_signature", "op_signature"]
+
+
+# ---------------------------------------------------------------------------
+# Per-stage facts: canonical signature token and rendering
+# ---------------------------------------------------------------------------
+#
+# Rule matching is purely syntactic/algebraic: it sees stage shapes and
+# operator identities (name + declared algebra), never map labels, map
+# callables, or Map2 captured constants.  The cost model additionally sees
+# ops_per_element, operator widths and op counts.  The canonical signature
+# captures exactly this observable set — nothing else — so renaming a map
+# ("map f" vs "map g" with the same per-element cost) or swapping the
+# captured coefficient list of a map2 cannot change it, while changing an
+# operator or a per-element op count must.
+
+
+def op_signature(op) -> tuple:
+    """Canonical identity of a stage operator.
+
+    For a :class:`~repro.core.operators.BinOp` this is the name plus the
+    algebraic/cost metadata rule matching and costing observe; composed
+    operators (``kind``/``parts``) recurse so structurally equal
+    compositions agree.  Derived operators (``SRTreeOp`` etc.) are
+    identified by class and name.
+    """
+    if isinstance(op, BinOp):
+        sig = ("op", op.name, op.associative, op.commutative,
+               op.op_count, op.width)
+        if op.kind:
+            return sig + (op.kind, tuple(op_signature(p) for p in op.parts))
+        return sig
+    # derived non-BinOp operators (SRTreeOp, SSButterflyOp, ComcastOp, IterOp)
+    name = getattr(op, "name", None)
+    return ("derived", type(op).__name__, repr(op) if name is None else name)
+
+
+def _stage_token(stage: Stage) -> tuple:
+    """One stage's contribution to the canonical signature."""
+    if isinstance(stage, MapStage):
+        return ("map", stage.ops_per_element)
+    if isinstance(stage, MapIndexedStage):
+        return ("map#", stage.ops_per_element)
+    if isinstance(stage, Map2Stage):
+        return ("map2", stage.indexed, stage.ops_per_element)
+    if isinstance(stage, ScanStage):
+        return ("scan", op_signature(stage.op))
+    if isinstance(stage, AllReduceStage):  # before ReduceStage: not a subclass,
+        return ("allreduce", op_signature(stage.op))  # but keep kinds distinct
+    if isinstance(stage, ReduceStage):
+        return ("reduce", op_signature(stage.op))
+    if isinstance(stage, BcastStage):
+        return ("bcast",)
+    if isinstance(stage, AllGatherStage):
+        return ("allgather", stage.width)
+    if isinstance(stage, ReduceScatterStage):
+        return ("reduce_scatter", stage.counts, op_signature(stage.op))
+    if isinstance(stage, AllGatherVStage):
+        return ("allgatherv", stage.counts, stage.width)
+    if isinstance(stage, ScatterStage):
+        return ("scatter", stage.width)
+    if isinstance(stage, GatherStage):
+        return ("gather", stage.width)
+    if isinstance(stage, BalancedReduceStage):
+        return ("reduce_balanced", stage.to_all, op_signature(stage.tree_op))
+    if isinstance(stage, BalancedScanStage):
+        return ("scan_balanced", op_signature(stage.bfly_op))
+    if isinstance(stage, ComcastStage):
+        return ("comcast", stage.impl, op_signature(stage.comcast_op))
+    if isinstance(stage, IterStage):
+        return ("iter", stage.general, stage.then_bcast,
+                op_signature(stage.iter_op))
+    # unknown stage kinds fall back to their pretty form (still deterministic)
+    return ("stage", type(stage).__name__, stage.pretty())
+
+
+def _facts(stage: Stage) -> tuple[tuple, str]:
+    """``(signature token, rendering)`` of a stage, computed once per
+    stage object (stages are frozen; the memo sits beside their fields
+    and is invisible to dataclass equality, ``repr`` and ``replace``)."""
+    facts = stage.__dict__.get("_search_facts")
+    if facts is None:
+        facts = stage.__dict__["_search_facts"] = (_stage_token(stage),
+                                                   stage.pretty())
+    return facts
+
+
+def plan_signature(program: Program) -> tuple[tuple, ...]:
+    """Canonical signature of ``program``: stage structure and operator
+    identities only, independent of map labels and captured constants."""
+    return tuple(_facts(stage)[0] for stage in program.stages)
+
+
+# ---------------------------------------------------------------------------
+# Window-match memo
+# ---------------------------------------------------------------------------
+#
+# Whether a rule matches a window is purely syntactic/algebraic — it
+# depends on the window's stage shapes and operator names, which the
+# stage renderings capture, and on the rule set; never on the rest of the
+# program or on the machine.  So one answer serves every program that
+# contains the window, in every search of the process: the memo maps
+# (rule set, renderings of a 1–3-stage window) to the positions, within
+# that rule set, of the rules that match it.  The rule set is identified
+# by its rules' classes and declared names in order, both stable for the
+# module-level singletons (ALL_RULES / FULL_RULES).
+#
+# The memo is shared by every optimize() call in the process — including
+# the serving runtime's concurrent worker threads.  Hits only read it
+# (one dict lookup, no lock, no re-ordering); inserts evict first-in
+# first-out under one lock, which also covers clear_match_cache().  Two
+# threads that miss on the same window both compute the same answer.
+
+_MATCH_CACHE: OrderedDict = OrderedDict()
+_MATCH_CACHE_MAX = 4096
+_MATCH_CACHE_LOCK = threading.Lock()
+
+
+def _remember_window(key: tuple, found: tuple[int, ...]) -> None:
+    with _MATCH_CACHE_LOCK:
+        if key not in _MATCH_CACHE and len(_MATCH_CACHE) >= _MATCH_CACHE_MAX:
+            _MATCH_CACHE.popitem(last=False)
+        _MATCH_CACHE[key] = found
+
+
+# ---------------------------------------------------------------------------
+# The rewrite graph
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False, slots=True)
+class Node:
+    """One program of the rewrite graph with its per-stage facts.
+
+    ``tokens`` is the canonical :func:`plan_signature`, ``renderings`` the
+    per-stage ``pretty()`` strings, ``costs`` the per-stage model costs
+    and ``cost`` their sum; ``steps`` derives the program from the root.
+    """
+
+    program: Program
+    tokens: tuple
+    renderings: tuple
+    costs: tuple
+    cost: float
+    steps: tuple[RuleApplication, ...] = ()
+    #: the rewrite that made it: (parent, start, stages removed, inserted)
+    origin: tuple | None = None
+    #: filled by Search.sites / Search.children on first use
+    sites: list | None = None
+    children: list | None = None
+
+
+class Search:
+    """The rewrite graph of ``program`` under ``rules`` on one machine."""
+
+    def __init__(self, program: Program, params: MachineParams,
+                 rules: Iterable[Rule], allow_lossy: bool = False) -> None:
+        self.params = params
+        self.rules = tuple(rules)
+        self.allow_lossy = allow_lossy
+        self._ruleset = ";".join(
+            f"{type(r).__module__}.{type(r).__qualname__}:{r.name}"
+            for r in self.rules)
+        self._widths = sorted({rule.window for rule in self.rules})
+        self.root = self._node(program)
+
+    def _node(self, program: Program, parent: Node | None = None,
+              step: RuleApplication | None = None) -> Node:
+        """The node of ``program``: the root, or ``parent`` rewritten by
+        ``step`` — whose per-stage facts are spliced as its stages were."""
+        inserted = program.stages if step is None else step.inserted
+        facts = [_facts(stage) for stage in inserted]
+        tokens = tuple(f[0] for f in facts)
+        renderings = tuple(f[1] for f in facts)
+        costs = tuple(stage_cost(stage, self.params) for stage in inserted)
+        if step is None:
+            return Node(program, tokens, renderings, costs, sum(costs))
+        start, end = step.start, step.start + len(step.removed)
+        costs = parent.costs[:start] + costs + parent.costs[end:]
+        return Node(program,
+                    parent.tokens[:start] + tokens + parent.tokens[end:],
+                    parent.renderings[:start] + renderings
+                    + parent.renderings[end:],
+                    costs, sum(costs), parent.steps + (step,),
+                    (parent, start, end - start, len(inserted)))
+
+    def _scan(self, node: Node, first: int, stop: int) -> list[tuple]:
+        """``(rule position, start, safe)`` of every match whose window
+        starts before ``stop`` and ends at or after ``first``."""
+        rules, program = self.rules, node.program
+        stages, renderings = program.stages, node.renderings
+        sites = []
+        for width in self._widths:
+            for start in range(max(0, first - width),
+                               min(stop, len(stages) - width + 1)):
+                end = start + width
+                key = (self._ruleset, renderings[start:end])
+                found = _MATCH_CACHE.get(key)
+                if found is None:
+                    found = tuple(
+                        i for i, rule in enumerate(rules)
+                        if rule.window == width
+                        and match_at(program, rule, start) is not None)
+                    _remember_window(key, found)
+                for i in found:
+                    sites.append((i, start, not rules[i].lossy_nonroot
+                                  or _lossy_site_is_safe(stages, end)))
+        return sites
+
+    def sites(self, node: Node) -> list[tuple[int, int, bool]]:
+        """Every rule application site of ``node`` as ``(rule position,
+        start, safe)``, in ``find_matches`` order."""
+        if node.sites is None:
+            if node.origin is None:
+                sites = self._scan(node, 0, len(node.renderings))
+            else:
+                parent, at, removed, inserted = node.origin
+                sites = self._scan(node, at, at + inserted)
+                for i, start, safe in parent.sites:
+                    if start + self.rules[i].window < at:
+                        sites.append((i, start, safe))
+                    elif start >= at + removed:
+                        sites.append((i, start + inserted - removed, safe))
+            sites.sort()
+            node.sites = sites
+        return node.sites
+
+    def children(self, node: Node) -> list[Node]:
+        """One rewrite of ``node`` per usable site, in site order."""
+        if node.children is None:
+            children = []
+            for i, start, safe in self.sites(node):
+                match = Match(self.rules[i], start, safe)
+                if _usable(match, self.allow_lossy):
+                    program, step = apply_match(
+                        node.program, match, p=self.params.p,
+                        force_unsafe=self.allow_lossy)
+                    children.append(self._node(program, node, step))
+            node.children = children
+        return node.children

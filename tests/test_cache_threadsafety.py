@@ -1,13 +1,14 @@
 """Optimizer caches under thread contention: the serving-tier hammer.
 
 The serving worker pool calls ``optimize`` from many threads at once,
-which makes the process-global match-cache LRU and any shared
-:class:`PlanCache` instance concurrency hot spots.  OrderedDict LRUs
+which makes the process-global window-match memo and any shared
+:class:`PlanCache` instance concurrency hot spots.  OrderedDicts
 corrupt silently under unlocked concurrent mutation (lost entries,
 ``KeyError`` during ``move_to_end``, broken links), so both caches
-serialize mutations behind a lock.  These tests hammer each cache from
-8 threads and assert nothing corrupts, no exception escapes, and the
-results stay bit-identical to single-threaded optimization.
+serialize mutations behind a lock (the match memo's hits only read).
+These tests hammer each cache from 8 threads and assert nothing
+corrupts, no exception escapes, and the results stay bit-identical to
+single-threaded optimization.
 """
 
 from __future__ import annotations
@@ -87,27 +88,40 @@ def test_match_cache_hammer_is_bit_identical():
         assert results[tid] == expected, f"thread {tid} diverged"
 
 
-def test_match_cache_hammer_with_concurrent_clears():
+def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
     """clear_match_cache racing 8 optimizing threads: clears are a
     legal (if unhelpful) concurrent operation and must never corrupt
-    the LRU or crash an optimize in flight."""
+    the memo or crash an optimize in flight.  The bound is squeezed
+    below the working set so inserts evict under contention too, and
+    the memo never outgrows it."""
+    from repro.core import search as search_mod
+
+    monkeypatch.setattr(search_mod, "_MATCH_CACHE_MAX", 6)
     clear_match_cache()
+    expected = {prog.name: optimize(prog, PARAMS[0]).program.pretty()
+                for prog in PROGRAMS}
     stop = threading.Event()
+    sizes = []
 
     def work(tid):
         if tid == 0:
             while not stop.is_set():
                 clear_match_cache()
+                sizes.append(len(search_mod._MATCH_CACHE))
         else:
             try:
                 for _ in range(ROUNDS):
-                    for prog in PROGRAMS[:2]:
-                        optimize(prog, PARAMS[0])
+                    for prog in PROGRAMS:
+                        res = optimize(prog, PARAMS[0])
+                        assert res.program.pretty() == expected[prog.name]
+                        sizes.append(len(search_mod._MATCH_CACHE))
             finally:
                 if tid == 1:
                     stop.set()
 
     _hammer(work)
+    assert max(sizes) <= 6
+    clear_match_cache()
 
 
 def test_plancache_hammer_counters_and_entries_consistent(tmp_path):

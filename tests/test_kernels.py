@@ -348,17 +348,28 @@ class TestOracleBackend:
 class TestMatchCache:
     def test_repeated_optimization_hits_cache(self):
         from repro.core import optimizer as opt_mod
+        from repro.core import search as search_mod
 
         clear_match_cache()
         prog = Program([ScanStage(MUL), ReduceStage(ADD)])
         params = MachineParams(p=8, ts=10.0, tw=1.0, m=16)
         first = optimize(prog, params)
         populated = len(opt_mod._MATCH_CACHE)
-        assert populated > 0
-        # a second run over the same rewrite graph adds no new entries
+        assert 0 < populated <= search_mod._MATCH_CACHE_MAX
+        # window matches do not depend on the machine: a second run over
+        # the same rewrite graph at other parameters adds no new entries
         second = optimize(prog, MachineParams(p=16, ts=5.0, tw=2.0, m=8))
         assert len(opt_mod._MATCH_CACHE) == populated
         assert first.program.pretty() == second.program.pretty()
+        # ... and neither does another program made of the same windows
+        optimize(Program([ScanStage(MUL), ReduceStage(ADD),
+                          ScanStage(MUL), ReduceStage(ADD)]), params,
+                 strategy="greedy")
+        assert len(opt_mod._MATCH_CACHE) > populated  # the seam is new,
+        seam = len(opt_mod._MATCH_CACHE)
+        optimize(Program([ScanStage(MUL), ReduceStage(ADD)] * 3), params,
+                 strategy="greedy")
+        assert len(opt_mod._MATCH_CACHE) == seam      # a third copy is not
         clear_match_cache()
         assert len(opt_mod._MATCH_CACHE) == 0
 

@@ -110,6 +110,39 @@ class TestRoundTrip:
         assert len(cache) == 1
         assert cache.stats()["evictions"] == 1
 
+    def test_memory_only_cache_forgets_what_it_evicts(self):
+        """Without a store path nothing outlives the LRU: an evicted plan
+        misses (it used to be served from an unbounded shadow dict)."""
+        cache = PlanCache(capacity=1)
+        params = GOLDEN_PARAMS
+        progs = [golden_program(), Program([ScanStage(MUL), ScanStage(ADD)]),
+                 Program([BcastStage(), ScanStage(ADD)])]
+        for prog in progs:
+            cache.put(prog, params, beam_optimize(prog, params, ALL_RULES))
+        stats = cache.stats()
+        assert stats["evictions"] == 2
+        assert stats["disk_entries"] == 0
+        assert stats["stored"] == stats["memory_entries"] == len(cache) == 1
+        assert "1 stored plan(s)" in cache.describe()
+        assert cache.get(progs[0], params) is None  # evicted means gone
+        assert cache.get(progs[2], params) is not None
+        assert cache.stats()["misses"] == 1
+
+    def test_key_is_derived_once_per_missed_optimize(self, monkeypatch):
+        from repro.core import plancache as plancache_mod
+
+        calls = []
+        real = plancache_mod.cache_key
+        monkeypatch.setattr(plancache_mod, "cache_key",
+                            lambda *a: calls.append(a) or real(*a))
+        cache = PlanCache()
+        prog = golden_program()
+        optimize(prog, GOLDEN_PARAMS, rules=ALL_RULES, strategy="beam",
+                 cache=cache)  # a miss: get, search, put
+        assert len(calls) == 1
+        other = GOLDEN_PARAMS.with_(ts=1.0)  # same program, another request
+        assert cache.key_for(prog, other) != cache.key_for(prog, GOLDEN_PARAMS)
+
 
 class TestGoldenFile:
     def test_golden_is_version_1(self):
