@@ -38,7 +38,9 @@ Subcommands
 ``jit ACTION [FILE]``
     The whole-program JIT tier: ``stats`` prints compile-cache and
     kernel-dispatch counters (with a program file, compiles and
-    demo-runs it first, showing which steps run as raw fused kernels),
+    demo-runs it first, showing which steps run as raw fused kernels
+    and which rung of the engine ladder ``simulate_program(jit=True)``
+    would take for it, and why),
     ``clear`` drops the compile cache and resets the counters.
 ``bench summary``
     Aggregate ``benchmarks/results/BENCH_*.json`` into top-level
@@ -212,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --chaos: add an engine to the comparison "
                            "deck (repeatable; default machine+threaded; "
                            "'machine' is always included as the reference; "
-                           "'jit' is the cooperative engine with the "
-                           "raw-kernel swap)")
+                           "'jit' is the cooperative engine under "
+                           "jit=True)")
 
     p_pl = subs.add_parser(
         "plan",
@@ -248,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_jt.add_argument("action", choices=("stats", "clear"),
                       help="'stats': print compile-cache and dispatch "
                            "counters (with FILE: compile + demo-run the "
-                           "program first and show its compiled plan); "
+                           "program first, show its compiled plan and "
+                           "the engine rung jit=True would take); "
                            "'clear': drop compiled kernels and reset "
                            "counters")
     p_jt.add_argument("file", nargs="?", default=None,
@@ -627,7 +630,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_jit(args: argparse.Namespace) -> int:
     from repro.jit import STATS, clear_jit_cache, compiled_program, \
-        reset_stats, run_jit
+        engine_lower, reset_stats, run_jit
     from repro.kernels import KernelUnsupported
 
     if args.action == "clear":
@@ -658,6 +661,10 @@ def _cmd_jit(args: argparse.Namespace) -> int:
                   for _ in range(params.p)]
             run_jit(program, xs)
             print(f"\ndemo run: p={params.p}, block={params.m} int64")
+            low = engine_lower(program, xs, params)
+            print(f"engine rung under jit=True: {low.rung}"
+                  + (f" (declined the rung above: {low.why})"
+                     if low.why else ""))
         print()
     print(STATS.describe())
     return 0

@@ -18,9 +18,11 @@ composed NumPy/ufunc callable per local segment:
 
 Entry points: :func:`run_jit` (the evaluator — also ``mode="jit"`` in
 ``run_program``, ``Program.run_jit``, and the seventh oracle backend)
-and :func:`engine_lower` (the checked→raw kernel swap behind
-``simulate_program(..., jit=True)`` — simulated time is bit-identical
-to ``vectorize=True``; JIT changes wall-clock only).
+and :func:`engine_lower` / :func:`run_engine_ladder` (how
+``simulate_program(..., jit=True)`` runs: fused kernels for the values
+plus a token run for the schedule, else the checked→raw kernel swap —
+simulated time is bit-identical to ``vectorize=True``; JIT changes
+wall-clock only).
 
 Results are bit-identical to the vectorized tier by construction:
 anything unproven or unsupported falls back per step to the checked
@@ -36,9 +38,11 @@ from repro.core.optimizer import register_planner_cache_reset
 
 from .compiler import (
     CompiledProgram,
+    EngineLowering,
     clear_jit_cache,
     compiled_program,
     engine_lower,
+    run_engine_ladder,
 )
 from .errors import JitUnsupported
 from .evaluator import run_jit
@@ -47,6 +51,8 @@ from .stats import STATS, JitStats, reset_stats
 __all__ = [
     "run_jit",
     "engine_lower",
+    "run_engine_ladder",
+    "EngineLowering",
     "compiled_program",
     "CompiledProgram",
     "JitUnsupported",

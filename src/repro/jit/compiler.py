@@ -25,17 +25,23 @@ Anything the compiler cannot prove or lower falls back *per step* to
 the checked kernelized ``PlanStep.run`` — bit-identical by construction
 — and every fallback bumps a reason counter in :mod:`repro.jit.stats`.
 
-The module also provides :func:`engine_lower` for the simulated engines:
-an all-or-nothing swap of checked kernels for raw ones inside a
-kernelized program, preserving every ``op_count``/``ops_per_element``
-cost annotation so simulated time is identical — JIT changes wall-clock
-only.
+The module also decides how the simulated engines run under
+``jit=True`` (:func:`engine_lower`, :func:`run_engine_ladder`).  The
+machine model charges time by ``(p, m, ts, tw)`` and by which blocks are
+defined, never by what they hold, so the first rung computes the
+*values* with the step kernels above and lets the engine schedule the
+same kernelized stages on definedness tokens; below it sit the
+all-or-nothing swap of checked kernels for raw ones, the checked
+kernels, and the object-mode replay.  Every rung keeps each
+``op_count``/``ops_per_element`` annotation, so simulated time is
+identical — JIT changes wall-clock only.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -51,7 +57,13 @@ from repro.core.stages import (
     ScanStage,
     Stage,
 )
-from repro.kernels.blocks import is_vector_block, vectorize_block
+from repro.kernels.blocks import (
+    KernelFallback,
+    KernelUnsupported,
+    devectorize_block,
+    is_vector_block,
+    vectorize_block,
+)
 from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan
 from repro.kernels.lowering import vectorize_program
 from repro.kernels.registry import registry_version
@@ -59,7 +71,6 @@ from repro.semantics.functional import UNDEF
 
 from .bounds import analyze_stages, slot_count
 from .errors import JitUnsupported
-from .numba_backend import fold_kernel
 from .stats import STATS
 
 __all__ = [
@@ -67,7 +78,9 @@ __all__ = [
     "MapTape",
     "CompiledProgram",
     "compiled_program",
+    "EngineLowering",
     "engine_lower",
+    "run_engine_ladder",
     "clear_jit_cache",
     "DEFAULT_LOCAL_PARAMS",
 ]
@@ -201,15 +214,19 @@ def emit_map(label: str, in_slots: int) -> MapTape:
     return MapTape(in_slots=in_slots, instrs=tuple(instrs), out=tuple(refs))
 
 
-def _run_map_tape(tape: MapTape, slots: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Whole-array tape application (allocating — for local/bcast steps)."""
-    tmps: list[np.ndarray] = []
+def _run_map_tape(
+    tape: MapTape, slots: Sequence[np.ndarray], tmps: Optional[list] = None
+) -> list[np.ndarray]:
+    """Apply ``tape``; instruction ``j`` writes ``tmps[j]`` (a chunk-sized
+    scratch view), or a fresh array when no scratch is given."""
+    tmps = [None] * len(tape.instrs) if tmps is None else tmps
 
     def res(ref: tuple[str, int]) -> np.ndarray:
         return slots[ref[1]] if ref[0] == "i" else tmps[ref[1]]
 
-    for u, src, const in tape.instrs:
-        tmps.append(u(res(src)) if const is None else u(res(src), const))
+    for j, (u, src, const) in enumerate(tape.instrs):
+        args = (res(src),) if const is None else (res(src), const)
+        tmps[j] = u(*args, out=tmps[j])
     return [res(r) for r in tape.out]
 
 
@@ -266,9 +283,9 @@ def _conform(blocks: Sequence[Any], n: int) -> Optional[list[list[np.ndarray]]]:
 
 
 def _chunk_slices(shape: tuple, params: MachineParams) -> list:
-    """Chunk index ranges (None = the whole 0-d array)."""
+    """Chunk index ranges (``...`` = the whole 0-d array)."""
     if len(shape) == 0:
-        return [None]
+        return [...]
     n = shape[0]
     if n <= 2 * _MIN_CHUNK:
         return [slice(0, n)]
@@ -286,17 +303,18 @@ class _Scratch:
         self.bufs = [np.empty(shape, dtype) for _ in range(count)]
 
     def views(self, length: Optional[int]) -> list[np.ndarray]:
-        if length is None:
-            return self.bufs
-        return [b[:length] for b in self.bufs]
+        return [b[...] if length is None else b[:length] for b in self.bufs]
 
 
 def _run_combine(
     tape: CombineTape,
     acc: Sequence[np.ndarray],
     rhs: Sequence[np.ndarray],
-    tmps: Sequence[np.ndarray],
+    tmps: list,
 ) -> list[np.ndarray]:
+    """One combine; instruction ``dst`` writes ``tmps[dst]`` (None: a
+    fresh array)."""
+
     def res(ref: tuple[str, int]) -> np.ndarray:
         tag, i = ref
         if tag == "a":
@@ -306,21 +324,7 @@ def _run_combine(
         return tmps[i]
 
     for u, sa, sb, dst in tape.instrs:
-        u(res(sa), res(sb), out=tmps[dst])
-    return [res(r) for r in tape.out]
-
-
-def _run_map_chunk(
-    tape: MapTape, slots: Sequence[np.ndarray], tmps: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    def res(ref: tuple[str, int]) -> np.ndarray:
-        return slots[ref[1]] if ref[0] == "i" else tmps[ref[1]]
-
-    for j, (u, src, const) in enumerate(tape.instrs):
-        if const is None:
-            u(res(src), out=tmps[j])
-        else:
-            u(res(src), const, out=tmps[j])
+        tmps[dst] = u(res(sa), res(sb), out=tmps[dst])
     return [res(r) for r in tape.out]
 
 
@@ -345,19 +349,27 @@ class CompiledStep:
 
 
 class _TapeMemo:
-    """Per-step memo of map tapes keyed by the observed input arity."""
+    """One map label's raw tapes, memoised by the observed input arity."""
 
     def __init__(self, label: str) -> None:
         self.label = label
         self.tapes: dict[int, Optional[MapTape]] = {}
 
-    def get(self, in_slots: int) -> Optional[MapTape]:
-        if in_slots not in self.tapes:
+    def apply(self, block: Any) -> Any:
+        """The label applied to one defined block (allocating), or None
+        when the label has no tape or the block does not conform."""
+        arity = len(block) if isinstance(block, tuple) else 1
+        if arity not in self.tapes:
             try:
-                self.tapes[in_slots] = emit_map(self.label, in_slots)
+                self.tapes[arity] = emit_map(self.label, arity)
             except JitUnsupported:
-                self.tapes[in_slots] = None
-        return self.tapes[in_slots]
+                self.tapes[arity] = None
+        tape = self.tapes[arity]
+        row = _conform([block], arity) if tape is not None else None
+        if row is None:
+            return None
+        vals = _run_map_tape(tape, row[0])
+        return vals[0] if len(vals) == 1 else tuple(vals)
 
 
 def _compile_local(step: PlanStep) -> Optional[CompiledStep]:
@@ -367,21 +379,8 @@ def _compile_local(step: PlanStep) -> Optional[CompiledStep]:
     memo = _TapeMemo(stage.label)
 
     def run(data: list) -> Optional[list]:
-        out: list = []
-        for b in data:
-            if b is UNDEF:
-                out.append(UNDEF)
-                continue
-            arity = len(b) if isinstance(b, tuple) else 1
-            tape = memo.get(arity)
-            if tape is None:
-                return None
-            row = _conform([b], arity)
-            if row is None:
-                return None
-            vals = _run_map_tape(tape, row[0])
-            out.append(vals[0] if len(vals) == 1 else tuple(vals))
-        return out
+        out = [b if b is UNDEF else memo.apply(b) for b in data]
+        return None if any(v is None for v in out) else out
 
     return CompiledStep(step, run, covered=len(step.stages))
 
@@ -402,25 +401,18 @@ def _split_sandwich(
 def _compile_bcast(
     step: PlanStep, pre: Optional[MapStage], post: Optional[MapStage]
 ) -> Optional[CompiledStep]:
-    labels = [s.label for s in (pre, post) if s is not None]
+    memos = [_TapeMemo(s.label) for s in (pre, post) if s is not None]
 
     def run(data: list) -> Optional[list]:
         if not data:
             return None
         root = data[0]
-        for label in labels:
+        for memo in memos:
             if root is UNDEF:
                 break
-            arity = len(root) if isinstance(root, tuple) else 1
-            try:
-                tape = emit_map(label, arity)
-            except JitUnsupported:
+            root = memo.apply(root)
+            if root is None:
                 return None
-            row = _conform([root], arity)
-            if row is None:
-                return None
-            vals = _run_map_tape(tape, row[0])
-            root = vals[0] if len(vals) == 1 else tuple(vals)
         return [root] * len(data)
 
     return CompiledStep(step, run, covered=len(step.stages))
@@ -442,20 +434,13 @@ def _compile_fold(step: PlanStep, params: MachineParams) -> Optional[CompiledSte
     except JitUnsupported:
         return None
     n_in = 1 if pre_tape is not None else tape.slots
-    out_refs = post_tape.out if post_tape is not None else tuple(
-        ("i", k) for k in range(tape.slots)
-    )
-    out_n = len(out_refs)
+    out_n = len(post_tape.out) if post_tape is not None else tape.slots
     is_scan = isinstance(coll, ScanStage)
     is_reduce = isinstance(coll, ReduceStage)
-    # plain scalar reduce/allreduce may additionally go through the
-    # opt-in numba fold (same left-fold order: bit-identical)
-    numba_name = (
-        coll.op.name
-        if not is_scan and tape.slots == 1 and len(tape.instrs) == 1
-        and pre_tape is None and post_tape is None
-        else None
-    )
+    # a scan without a post map writes every combine straight into its
+    # output row (each tape output is a fresh instruction result), and
+    # the next combine reads that row back while it is cache-hot
+    direct = is_scan and post_tape is None
 
     def _wrap(blocks: list, p: int) -> list:
         if is_scan:
@@ -471,24 +456,11 @@ def _compile_fold(step: PlanStep, params: MachineParams) -> Optional[CompiledSte
         p = len(rows)
         ref = rows[0][0]
         shape, dtype = ref.shape, ref.dtype
-        if numba_name is not None and len(shape) == 1 and p > 1:
-            kern = fold_kernel(numba_name)
-            if kern is not None:
-                try:
-                    out_arr = np.empty(shape, dtype)
-                    kern(np.stack([r[0] for r in rows]), out_arr)
-                except Exception:
-                    pass  # never fail: use the ufunc tape below
-                else:
-                    return _wrap([out_arr], p)
         slices = _chunk_slices(shape, params)
-        max_len = None if not slices or slices[0] is None else (
-            slices[0].stop - slices[0].start
-        )
-        n_ranks_out = p if is_scan else 1
+        max_len = None if slices[0] is ... else slices[0].stop - slices[0].start
         outs = [
             [np.empty(shape, dtype) for _ in range(out_n)]
-            for _ in range(n_ranks_out)
+            for _ in range(p if is_scan else 1)
         ]
         pre_scratch = [
             _Scratch(len(pre_tape.instrs), max_len, dtype) for _ in range(2)
@@ -501,34 +473,35 @@ def _compile_fold(step: PlanStep, params: MachineParams) -> Optional[CompiledSte
         )
 
         for sl in slices:
-            length = None if sl is None else sl.stop - sl.start
+            length = None if sl is ... else sl.stop - sl.start
 
             def leaf(i: int, parity: int) -> list[np.ndarray]:
-                views = [a if sl is None else a[sl] for a in rows[i]]
+                views = [a[sl] for a in rows[i]]
                 if pre_tape is None:
                     return views
-                return _run_map_chunk(
+                return _run_map_tape(
                     pre_tape, views, pre_scratch[parity].views(length)
                 )
 
             def write(rank: int, slots: Sequence[np.ndarray]) -> None:
                 if post_tape is not None:
-                    slots = _run_map_chunk(
+                    slots = _run_map_tape(
                         post_tape, slots, post_scratch.views(length)
                     )
                 for j, a in enumerate(slots):
-                    if sl is None:
-                        outs[rank][j][...] = a
-                    else:
-                        outs[rank][j][sl] = a
+                    outs[rank][j][sl] = a
 
             acc = leaf(0, 0)
             if is_scan:
                 write(0, acc)
             for i in range(1, p):
                 rhs = leaf(i, i % 2)
-                acc = _run_combine(tape, acc, rhs, cmb_scratch[i % 2].views(length))
-                if is_scan:
+                tmps = cmb_scratch[i % 2].views(length)
+                if direct:
+                    for j, (_tag, dst) in enumerate(tape.out):
+                        tmps[dst] = outs[i][j][sl]
+                acc = _run_combine(tape, acc, rhs, tmps)
+                if is_scan and not direct:
                     write(i, acc)
             if not is_scan:
                 write(0, acc)
@@ -584,13 +557,15 @@ def _input_profile(vec: Sequence[Any]) -> tuple[str, tuple[int, int]]:
     return "other", (0, 0)
 
 
-def _proven_safe(stages: Sequence[Stage], vec: Sequence[Any]) -> tuple[bool, str]:
+def _proven_safe(
+    stages: Sequence[Stage], profile: tuple[str, tuple[int, int]], p: int
+) -> tuple[bool, str]:
     """One static range check per program: may every guard be dropped?"""
-    regime, iv = _input_profile(vec)
+    regime, iv = profile
     if regime in ("float", "empty"):
         return True, ""
     if regime == "int":
-        if analyze_stages(stages, iv, max(len(vec), 1)):
+        if analyze_stages(stages, iv, max(p, 1)):
             return True, ""
         return False, "bounds-unproven"
     return False, "dtype-unproven"
@@ -606,6 +581,10 @@ class CompiledProgram:
         self.fused_stages = sum(
             s.covered for s in self.steps if s.compiled is not None
         )
+        #: why the first kernelized-only step has no closure ("" = none)
+        self.uncompiled = next(
+            (s.reason for s in self.steps if s.compiled is None), ""
+        )
 
     def pretty(self) -> str:
         lines = []
@@ -620,7 +599,9 @@ class CompiledProgram:
         May raise :class:`~repro.kernels.blocks.KernelOverflow` from a
         kernelized fallback step — callers replay in object mode.
         """
-        proven, why = _proven_safe(self.plan.program.stages, vec)
+        proven, why = _proven_safe(
+            self.plan.program.stages, _input_profile(vec), len(vec)
+        )
         if not proven:
             STATS.fallbacks[why] += 1
         data = list(vec)
@@ -644,6 +625,32 @@ class CompiledProgram:
             STATS.full_jit_runs += 1
         return data
 
+    def run_compiled(self, vec: Sequence[Any]) -> Optional[list]:
+        """Every step through its closure, or None once one declines —
+        for callers that have proven the run overflow-free and hold a
+        lower rung to drop to (the engines' fused rung): no profiling, no
+        checked fallback, never raises ``KernelFallback``."""
+        data: Optional[list] = list(vec)
+        for st in self.steps:
+            if st.compiled is None:
+                return None
+            data = st.compiled(data)
+            if data is None:
+                return None
+            STATS.compiled_steps += 1
+        return data
+
+    @cached_property
+    def engine_programs(self) -> Optional[tuple[Program, Program]]:
+        """``(raw, token)`` forms of the kernelized program for the engines:
+        the checked→raw kernel swap, and the same stages with every
+        function reduced to definedness bookkeeping.  None when some
+        stage has no raw form."""
+        vprog = self.plan.program
+        raw = _swap_fns(vprog, lambda st: _raw_map_fn(st.label, st.fn), _raw_binop_fn)
+        token = _swap_fns(vprog, lambda st: _token_map, lambda op: _token_op)
+        return None if raw is None or token is None else (raw, token)
+
 
 # ---------------------------------------------------------------------------
 # Compile cache (reset via clear_planner_caches)
@@ -651,31 +658,11 @@ class CompiledProgram:
 
 _CACHE_MAX = 256
 _COMPILE_CACHE: OrderedDict = OrderedDict()
-_ENGINE_CACHE: OrderedDict = OrderedDict()
 
 
 def clear_jit_cache() -> None:
-    """Drop every compiled program (both evaluator- and engine-level)."""
+    """Drop every compiled program (with its engine forms)."""
     _COMPILE_CACHE.clear()
-    _ENGINE_CACHE.clear()
-
-
-def _cache_get(cache: OrderedDict, key: Any) -> Any:
-    try:
-        entry = cache[key]
-    except (KeyError, TypeError):  # TypeError: unhashable program part
-        return None
-    cache.move_to_end(key)
-    return entry
-
-
-def _cache_put(cache: OrderedDict, key: Any, entry: Any) -> None:
-    try:
-        cache[key] = entry
-    except TypeError:
-        return
-    while len(cache) > _CACHE_MAX:
-        cache.popitem(last=False)
 
 
 def compiled_program(
@@ -689,9 +676,13 @@ def compiled_program(
     stale compile can never be served after either changes.
     """
     params = params if params is not None else DEFAULT_LOCAL_PARAMS
-    key = ("eval", program, params, registry_version())
-    hit = _cache_get(_COMPILE_CACHE, key)
+    key = (program, params, registry_version())
+    try:
+        hit = _COMPILE_CACHE[key]
+    except (KeyError, TypeError):  # TypeError: unhashable program part
+        hit = None
     if hit is not None:
+        _COMPILE_CACHE.move_to_end(key)
         STATS.cache_hits += 1
         return hit
     STATS.cache_misses += 1
@@ -699,12 +690,17 @@ def compiled_program(
     cp = CompiledProgram(plan, params)
     STATS.compiles += 1
     STATS.fused_stages += cp.fused_stages
-    _cache_put(_COMPILE_CACHE, key, cp)
+    try:
+        _COMPILE_CACHE[key] = cp
+    except TypeError:
+        return cp
+    while len(_COMPILE_CACHE) > _CACHE_MAX:
+        _COMPILE_CACHE.popitem(last=False)
     return cp
 
 
 # ---------------------------------------------------------------------------
-# Engine lowering: checked -> raw kernel swap for the simulators
+# Engine lowering: how a simulated engine runs under jit=True
 # ---------------------------------------------------------------------------
 
 
@@ -720,17 +716,12 @@ def _raw_map_fn(label: str, checked_fn: Callable) -> Callable:
     memo = _TapeMemo(label)
 
     def fn(x: Any) -> Any:
-        if not is_vector_block(x):
+        v = memo.apply(x) if is_vector_block(x) else None
+        if v is None:
             return checked_fn(x)
-        arity = len(x) if isinstance(x, tuple) else 1
-        tape = memo.get(arity)
-        if tape is None:
-            return checked_fn(x)
-        row = _conform([x], arity)
-        if row is None:
-            return checked_fn(x)
-        vals = [_as_scalar(v) for v in _run_map_tape(tape, row[0])]
-        return vals[0] if len(vals) == 1 else tuple(vals)
+        if isinstance(v, tuple):
+            return tuple(_as_scalar(c) for c in v)
+        return _as_scalar(v)
 
     return fn
 
@@ -746,83 +737,176 @@ def _raw_binop_fn(op: BinOp) -> Callable:
         rows = _conform([a, b], tape.slots)
         if rows is None:
             return checked_fn(a, b)
-        acc, rhs = rows
-        tmps: list[Optional[np.ndarray]] = [None] * len(tape.instrs)
-
-        def res(ref: tuple[str, int]) -> np.ndarray:
-            tag, i = ref
-            if tag == "a":
-                return acc[i]
-            if tag == "b":
-                return rhs[i]
-            return tmps[i]  # type: ignore[return-value]
-
-        for u, sa, sb, dst in tape.instrs:
-            tmps[dst] = u(res(sa), res(sb))
-        out = [_as_scalar(res(r)) for r in tape.out]
+        vals = _run_combine(tape, rows[0], rows[1], [None] * len(tape.instrs))
+        out = [_as_scalar(v) for v in vals]
         return out[0] if len(out) == 1 else tuple(out)
 
     return fn
 
 
-def _raw_program(vprog: Program) -> Optional[Program]:
-    """All-or-nothing swap of checked kernels for raw ones.
+#: the one payload of a token run: "this block is defined"
+DEFINED = "<defined>"
 
-    Keeps every stage's cost annotations (``ops_per_element``,
-    ``op_count``) untouched, so simulated time is bit-identical to the
-    vectorized run.  Returns None when any stage has no raw form.
-    """
-    raw_stages: list[Stage] = []
-    for st in vprog.stages:
-        if isinstance(st, MapStage):
-            raw_stages.append(replace(st, fn=_raw_map_fn(st.label, st.fn)))
-        elif isinstance(st, (ScanStage, ReduceStage, AllReduceStage)):
-            try:
-                raw_op = replace(st.op, fn=_raw_binop_fn(st.op))
-            except JitUnsupported:
+
+def _token_map(x: Any) -> Any:
+    return x
+
+
+def _token_op(a: Any, b: Any) -> Any:
+    return a
+
+
+def _swap_fns(
+    vprog: Program,
+    map_fn: Callable[[MapStage], Callable],
+    binop_fn: Callable[[BinOp], Callable],
+) -> Optional[Program]:
+    """``vprog`` with every map and combine function replaced, or None
+    when a stage has no replacement.  Every cost annotation
+    (``ops_per_element``, ``op_count``, ``width``) is kept, so simulated
+    time is bit-identical to the vectorized run."""
+    stages: list[Stage] = []
+    try:
+        for st in vprog.stages:
+            if isinstance(st, MapStage):
+                stages.append(replace(st, fn=map_fn(st)))
+            elif isinstance(st, (ScanStage, ReduceStage, AllReduceStage)):
+                stages.append(replace(st, op=replace(st.op, fn=binop_fn(st.op))))
+            elif isinstance(st, BcastStage):
+                stages.append(st)  # pure movement
+            else:
                 return None
-            raw_stages.append(replace(st, op=raw_op))
-        elif isinstance(st, BcastStage):
-            raw_stages.append(st)  # pure movement
-        else:
-            return None
-    return Program(raw_stages, name=vprog.name)
+    except JitUnsupported:
+        return None
+    return Program(stages, name=vprog.name)
+
+
+@dataclass(frozen=True)
+class EngineLowering:
+    """What a simulated engine is handed under ``jit=True``, and why.
+
+    ``rung`` is ``"fused"`` (values from the compiled step kernels while
+    the engine schedules ``program`` on :data:`DEFINED` tokens), ``"raw"``
+    (the engine carries the blocks through raw kernels) or ``"checked"``
+    (through the overflow-checked kernels); ``why`` is the reason the
+    rung above was declined.  A fused lowering also holds the compiled
+    program and, in ``below``, the raw rung to drop to.
+    """
+
+    rung: str
+    why: str
+    program: Program
+    inputs: list
+    compiled: Optional[CompiledProgram] = None
+    below: Optional["EngineLowering"] = None
 
 
 def engine_lower(
     program: Program, inputs: Sequence[Any], params: Optional[MachineParams] = None
-) -> tuple[Program, list]:
-    """Lower ``program`` for a simulated engine run with ``jit=True``.
+) -> EngineLowering:
+    """Decide how a simulated engine runs ``program`` under ``jit=True``.
 
-    Returns ``(program_to_run, vectorized_inputs)``: the raw-kernel swap
-    when every stage lowers *and* the bounds analysis proves the whole
-    run overflow-free, else the plain checked kernelized program.
-    Raises :class:`~repro.kernels.blocks.KernelUnsupported` when not
-    even kernelizable (callers fall back to object mode).
+    The first rung whose conditions the program and these inputs meet:
+
+    * ``"fused"`` — every plan step has a compiled closure and every
+      input is a defined, conforming int64 array whose hull the bounds
+      analysis proves overflow-free.  Then every combining tree yields
+      the same int64, so the kernels' left fold and the engine's
+      butterfly agree bit for bit and the engine need only schedule.
+    * ``"raw"`` — every stage has a raw form and the run is proven
+      overflow-free (floats included: the engine keeps its own order).
+    * ``"checked"`` — the plain kernelized program.
+
+    What only the run can tell — a non-empty fault plan, a closure
+    declining its runtime blocks — is settled by
+    :func:`run_engine_ladder`, which then drops ``"fused"`` to ``below``.
+
+    ``params`` is the machine model, which says nothing about ufunc
+    dispatch: it is not consulted, and the kernels chunk by
+    :data:`DEFAULT_LOCAL_PARAMS`.  Raises
+    :class:`~repro.kernels.blocks.KernelUnsupported` when not even
+    kernelizable (callers fall back to object mode).
     """
-    del params  # engine chunking is governed by the machine model itself
+
+    def decline(rung: str, why: str, prog: Program) -> EngineLowering:
+        STATS.fallbacks[why] += 1
+        return EngineLowering(rung, why, prog, vec)
+
     STATS.runs += 1
     vec = [vectorize_block(x) for x in inputs]  # may raise KernelUnsupported
-    key = ("engine", program, registry_version())
-    entry = _cache_get(_ENGINE_CACHE, key)
-    if entry is None:
-        STATS.cache_misses += 1
-        vprog = vectorize_program(program)  # may raise KernelUnsupported
-        raw = _raw_program(vprog)
-        entry = (vprog, raw)
-        STATS.compiles += 1
-        if raw is not None:
-            STATS.fused_stages += len(raw.stages)
-        _cache_put(_ENGINE_CACHE, key, entry)
-    else:
-        STATS.cache_hits += 1
-    vprog, raw = entry
-    if raw is None:
-        STATS.fallbacks["uncompiled:engine"] += 1
-        return vprog, vec
-    proven, why = _proven_safe(vprog.stages, vec)
+    cp = compiled_program(program)  # may raise KernelUnsupported
+    vprog = cp.plan.program
+    if cp.engine_programs is None:
+        return decline("checked", "uncompiled:engine", vprog)
+    raw, token = cp.engine_programs
+    profile = _input_profile(vec)
+    proven, why = _proven_safe(vprog.stages, profile, len(vec))
     if not proven:
-        STATS.fallbacks[why] += 1
-        return vprog, vec
+        return decline("checked", why, vprog)
     STATS.full_jit_runs += 1
-    return raw, vec
+    if cp.uncompiled:
+        return decline("raw", cp.uncompiled, raw)
+    if profile[0] != "int":
+        return decline("raw", f"{profile[0]}-blocks", raw)
+    if _conform(vec, 1) is None:
+        return decline("raw", "nonconforming-input", raw)
+    return EngineLowering("fused", "", token, [DEFINED] * len(vec), cp,
+                          EngineLowering("raw", "", raw, vec))
+
+
+def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:
+    """Kernel values joined with a token run's schedule — or None, reason
+    counted, where only the run can tell the fused rung does not apply:
+    a fault plan makes definedness depend on the schedule, a closure may
+    decline its runtime blocks, and the token run must leave ``UNDEF``
+    exactly where the kernels do."""
+    if faults is not None and not faults.is_empty:
+        why = "fault-plan"
+    else:
+        values = low.compiled.run_compiled(low.below.inputs)
+        if values is None:
+            why = "runtime-shape"
+        else:
+            result = run(low.program, low.inputs)
+            if all((t is UNDEF) == (v is UNDEF)
+                   for t, v in zip(result.values, values)):
+                return replace(result, values=tuple(map(devectorize_block, values)))
+            why = "schedule-mismatch"
+    STATS.fallbacks[why] += 1
+    return None
+
+
+def run_engine_ladder(
+    run: Callable[[Program, Sequence[Any]], Any],
+    program: Program,
+    inputs: Sequence[Any],
+    params: Optional[MachineParams],
+    faults: Any,
+    jit: bool,
+) -> Any:
+    """The kernel ladder every engine shares (``vectorize=`` / ``jit=``).
+
+    ``run(program, inputs)`` is the engine's plain run of exactly what
+    it is given.  Returns its :class:`~repro.machine.engine.SimResult`
+    with object-mode values, or None when no kernel rung applies — not
+    kernelizable, or a checked kernel met an int64 overflow — and the
+    caller must run ``program`` itself in object mode.
+    """
+    try:
+        if jit:
+            low = engine_lower(program, inputs, params)
+        else:
+            low = EngineLowering("checked", "", vectorize_program(program),
+                                 [vectorize_block(x) for x in inputs])
+    except KernelUnsupported:
+        return None
+    if low.below is not None:
+        result = _run_fused(run, low, faults)
+        if result is not None:
+            return result
+        low = low.below
+    try:
+        result = run(low.program, low.inputs)
+    except KernelFallback:
+        return None  # e.g. int64 overflow: replay exactly in object mode
+    return replace(result, values=tuple(map(devectorize_block, result.values)))

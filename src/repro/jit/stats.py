@@ -16,6 +16,10 @@ from typing import Any
 
 __all__ = ["JitStats", "STATS", "reset_stats"]
 
+#: the integer counters, in the order ``describe`` prints them
+_COUNTERS = ("compiles", "cache_hits", "cache_misses", "runs", "full_jit_runs",
+             "compiled_steps", "kernelized_steps", "fused_stages")
+
 
 @dataclass
 class JitStats:
@@ -28,7 +32,8 @@ class JitStats:
     cache_misses: int = 0
     #: ``run_jit`` / ``engine_lower`` invocations
     runs: int = 0
-    #: runs where every step executed through compiled code
+    #: runs with no checked kernel: every ``run_jit`` step compiled, or an
+    #: engine run lowered to its fused or raw rung (at most one per run)
     full_jit_runs: int = 0
     #: plan steps executed through a compiled kernel
     compiled_steps: int = 0
@@ -36,29 +41,19 @@ class JitStats:
     kernelized_steps: int = 0
     #: stages covered by compiled steps across all compiles (fusion win)
     fused_stages: int = 0
-    #: reason -> count for every fallback decision (static and dynamic)
+    #: reason -> count for every fallback decision (static and dynamic),
+    #: including each rung of the engine ladder that was declined
     fallbacks: Counter = field(default_factory=Counter)
 
     def snapshot(self) -> dict[str, Any]:
-        return {
-            "compiles": self.compiles,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "runs": self.runs,
-            "full_jit_runs": self.full_jit_runs,
-            "compiled_steps": self.compiled_steps,
-            "kernelized_steps": self.kernelized_steps,
-            "fused_stages": self.fused_stages,
-            "fallbacks": dict(sorted(self.fallbacks.items())),
-        }
+        snap: dict[str, Any] = {key: getattr(self, key) for key in _COUNTERS}
+        snap["fallbacks"] = dict(sorted(self.fallbacks.items()))
+        return snap
 
     def describe(self) -> str:
-        snap = self.snapshot()
         lines = ["JIT tier stats:"]
-        for key in ("compiles", "cache_hits", "cache_misses", "runs",
-                    "full_jit_runs", "compiled_steps", "kernelized_steps",
-                    "fused_stages"):
-            lines.append(f"  {key.replace('_', ' '):18}: {snap[key]}")
+        for key in _COUNTERS:
+            lines.append(f"  {key.replace('_', ' '):18}: {getattr(self, key)}")
         if self.fallbacks:
             lines.append("  fallback reasons  :")
             for reason, count in sorted(self.fallbacks.items()):
@@ -68,14 +63,8 @@ class JitStats:
         return "\n".join(lines)
 
     def reset(self) -> None:
-        self.compiles = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.runs = 0
-        self.full_jit_runs = 0
-        self.compiled_steps = 0
-        self.kernelized_steps = 0
-        self.fused_stages = 0
+        for key in _COUNTERS:
+            setattr(self, key, 0)
         self.fallbacks.clear()
 
 

@@ -12,7 +12,6 @@ the two pillars the paper's Table 1 stands on.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -192,13 +191,17 @@ def simulate_program(
     a checked integer overflow — automatically fall back to the exact
     object-mode simulation.
 
-    ``jit=True`` additionally swaps the checked kernels for raw compiled
-    ones when :mod:`repro.jit` proves the whole run overflow-free (the
-    static range check hoisted out of every combine).  Every cost
-    annotation is preserved, so simulated time is bit-identical to
-    ``vectorize=True`` — JIT changes wall-clock only; anything unproven
-    runs the checked kernels, and overflow/unsupported cases fall back
-    exactly like ``vectorize=True``.
+    ``jit=True`` lets :func:`repro.jit.engine_lower` pick the cheapest
+    exact way to run: on defined int64 blocks it proves overflow-free
+    (the static range check hoisted out of every combine) the values
+    come from the fused whole-program kernels while the engine schedules
+    the same stages on definedness tokens; otherwise the checked kernels
+    are swapped for raw ones, and anything unproven runs the checked
+    kernels.  Every cost annotation is preserved on every rung, so
+    simulated time, clocks and statistics are bit-identical to
+    ``vectorize=True`` — JIT changes wall-clock only — and
+    overflow/unsupported cases fall back exactly like ``vectorize=True``
+    (the ladder is tabulated in ``docs/PERFORMANCE.md``).
 
     ``engine`` selects the execution machinery — results, simulated
     clocks and statistics are identical across all three (the conformance
@@ -221,7 +224,7 @@ def simulate_program(
     if engine == "process":
         from repro.parallel import simulate_program_process
 
-        # the process backend has no raw-kernel swap; its vectorized
+        # the process backend has no JIT ladder; its vectorized
         # path honors the same results contract (JIT is a wall-clock
         # optimization, so downgrading is always sound)
         return simulate_program_process(program, inputs, params,
@@ -230,53 +233,15 @@ def simulate_program(
     if engine != "cooperative":
         raise ValueError(f"unknown engine {engine!r} (expected 'cooperative',"
                          f" 'threaded', or 'process')")
-    if jit:
-        from repro.jit import engine_lower
-        from repro.kernels import (
-            KernelFallback,
-            KernelUnsupported,
-            devectorize_block,
-        )
+    if jit or vectorize:
+        from repro.jit import run_engine_ladder
 
-        try:
-            jprog, jinputs = engine_lower(program, inputs, params)
-        except KernelUnsupported:
-            jprog = None
-        if jprog is not None:
-            try:
-                result = simulate_program(jprog, jinputs, params, faults=faults)
-            except KernelFallback:
-                pass  # e.g. int64 overflow: replay exactly in object mode
-            else:
-                return dataclasses.replace(
-                    result,
-                    values=tuple(devectorize_block(v) for v in result.values),
-                )
-        vectorize = False  # fall through to the exact object-mode run
-    if vectorize:
-        from repro.kernels import (
-            KernelFallback,
-            KernelUnsupported,
-            devectorize_block,
-            vectorize_block,
-            vectorize_program,
-        )
-
-        try:
-            vprog = vectorize_program(program)
-            vinputs = [vectorize_block(x) for x in inputs]
-        except KernelUnsupported:
-            vprog = None
-        if vprog is not None:
-            try:
-                result = simulate_program(vprog, vinputs, params, faults=faults)
-            except KernelFallback:
-                pass  # e.g. int64 overflow: replay exactly in object mode
-            else:
-                return dataclasses.replace(
-                    result,
-                    values=tuple(devectorize_block(v) for v in result.values),
-                )
+        result = run_engine_ladder(
+            lambda prog, xs: simulate_program(prog, xs, params, faults=faults),
+            program, inputs, params, faults, jit)
+        if result is not None:
+            return result
+        # no kernel rung applies: the exact object-mode run below
 
     def rank_fn(ctx: RankContext, x: Any):
         for stage in program.stages:

@@ -543,66 +543,27 @@ def simulate_program_threaded(program, inputs, params=None, faults=None,
     boxed Python values.  Results are devectorized; programs, inputs, or
     runs the kernels cannot handle exactly fall back to object mode.
 
-    ``jit=True`` further swaps checked kernels for raw compiled ones when
-    the whole run is statically proven overflow-free (:mod:`repro.jit`);
-    simulated clocks are bit-identical to ``vectorize=True`` — only
-    wall-clock changes — and the fallback ladder is the same.
+    ``jit=True`` takes the same ladder as the cooperative engine
+    (:func:`repro.jit.run_engine_ladder`): fused kernels for the values
+    while the rank threads exchange definedness tokens, else raw
+    kernels, else checked ones.  Simulated clocks are bit-identical to
+    ``vectorize=True`` — only wall-clock changes.
     """
     from repro.machine.run import execute_stage
 
     if params is None:
         params = MachineParams(p=len(inputs), ts=0.0, tw=0.0, m=1)
 
-    if jit:
-        from repro.jit import engine_lower
-        from repro.kernels import (
-            KernelFallback,
-            KernelUnsupported,
-            devectorize_block,
-        )
+    if jit or vectorize:
+        from repro.jit import run_engine_ladder
 
-        try:
-            jprog, jinputs = engine_lower(program, inputs, params)
-        except KernelUnsupported:
-            jprog = None
-        if jprog is not None:
-            try:
-                result = simulate_program_threaded(jprog, jinputs, params,
-                                                   faults=faults)
-            except KernelFallback:
-                pass  # e.g. int64 overflow: replay exactly in object mode
-            else:
-                return dataclasses.replace(
-                    result,
-                    values=tuple(devectorize_block(v) for v in result.values),
-                )
-        vectorize = False  # fall through to the exact object-mode run
-
-    if vectorize:
-        from repro.kernels import (
-            KernelFallback,
-            KernelUnsupported,
-            devectorize_block,
-            vectorize_block,
-            vectorize_program,
-        )
-
-        try:
-            vprog = vectorize_program(program)
-            vinputs = [vectorize_block(x) for x in inputs]
-        except KernelUnsupported:
-            vprog = None
-        if vprog is not None:
-            try:
-                result = simulate_program_threaded(vprog, vinputs, params,
-                                                   faults=faults)
-            except KernelFallback:
-                pass  # e.g. int64 overflow: replay exactly in object mode
-            else:
-                return dataclasses.replace(
-                    result,
-                    values=tuple(devectorize_block(v) for v in result.values),
-                )
+        result = run_engine_ladder(
+            lambda prog, xs: simulate_program_threaded(prog, xs, params,
+                                                       faults=faults),
+            program, inputs, params, faults, jit)
+        if result is not None:
+            return result
+        # no kernel rung applies: the exact object-mode run below
 
     def rank_program(comm: ThreadedComm, x: Any) -> Any:
         ctx = comm._ctx

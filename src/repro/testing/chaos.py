@@ -83,8 +83,9 @@ def faulted_run(engine: str, program, xs: Sequence[Any],
     ``"process"`` runs the plan on real forked workers (faults fire
     inside the children; a planned crash is an actual child exit) — the
     typed-error and agreement contracts are identical.  ``"jit"`` runs
-    the cooperative engine with the raw-kernel swap
-    (``simulate_program(..., jit=True)``): like the vectorized tier it
+    the cooperative engine on the JIT ladder
+    (``simulate_program(..., jit=True)``; a non-empty plan declines the
+    fused rung, so the raw kernels carry the blocks): like the vectorized tier it
     must produce the same typed errors, UNDEF holes, and exact clocks —
     never wrong answers.
     """

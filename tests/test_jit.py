@@ -12,14 +12,17 @@ the cost model).
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.cost import MachineParams
-from repro.core.operators import ADD, CONCAT, FADD, FMUL, MAX, MUL
+from repro.core.derived_ops import sr2_op
+from repro.core.operators import ADD, CONCAT, FADD, FMUL, MAX, MUL, BinOp
 from repro.core.optimizer import clear_planner_caches, optimize
+from repro.core.rules.base import pair_stage, projection_stage
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
@@ -33,9 +36,11 @@ from repro.jit import (
     JitUnsupported,
     clear_jit_cache,
     compiled_program,
+    engine_lower,
     reset_stats,
     run_jit,
 )
+from repro.faults import FaultPlan, RankCrash
 from repro.kernels import (
     KernelUnsupported,
     run_vectorized,
@@ -49,7 +54,12 @@ from repro.machine.run import simulate_program
 from repro.semantics.evaluator import run_program
 from repro.semantics.functional import UNDEF, defined_equal
 from repro.testing.chaos import run_chaos
-from repro.testing.generator import GeneratedProgram
+from repro.testing.generator import (
+    INT_DOMAIN,
+    VEC_DOMAIN,
+    GeneratedProgram,
+    generate_random,
+)
 from repro.testing.oracle import SKIPPED, differential_check, run_backend
 
 P = 8
@@ -280,6 +290,196 @@ class TestEngines:
             assert np.array_equal(np.asarray(o), np.asarray(j))
 
 
+def _assert_same_run(a, b, ordered_events=True):
+    """Two SimResults agree in values (bitwise, dtype and Python type)
+    and in every clock and counter the machine model produces."""
+    _assert_bitwise(a.values, b.values)
+    assert [type(v) for v in a.values] == [type(v) for v in b.values]
+    assert a.time == b.time
+    assert a.stats.clocks == b.stats.clocks
+    assert a.stats.messages == b.stats.messages
+    assert a.stats.words == b.stats.words
+    assert a.stats.compute_ops == b.stats.compute_ops
+    assert a.stats.timeline == b.stats.timeline
+    if ordered_events:
+        assert a.stats.events == b.stats.events
+    else:  # rank threads deliver in any wall-clock order
+        assert sorted(a.stats.events) == sorted(b.stats.events)
+    assert a.faults == b.faults
+
+
+def _both(prog, xs, params, engine="cooperative", faults=None):
+    """The same run under ``vectorize=True`` and under ``jit=True``."""
+    def run(**mode):
+        return simulate_program(prog, [x.copy() if isinstance(x, np.ndarray)
+                                       else x for x in xs],
+                                params, faults=faults, engine=engine, **mode)
+
+    return run(vectorize=True), run(jit=True)
+
+
+_REDUCE_BCAST = Program([ReduceStage(ADD), BcastStage()], name="reduce;bcast")
+
+
+class TestEngineLadder:
+    """``simulate_program(jit=True)``: the fused rung is exact, and every
+    decline takes the rung below and says why."""
+
+    @pytest.mark.parametrize("engine", ["cooperative", "threaded"])
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_generated_programs_match_vectorized(self, p, engine):
+        params = MachineParams(p=p, ts=10.0, tw=1.0, m=4)
+        rng = random.Random(100 + p)
+        cases = [(generate_random(rng, domain).program, domain.value_gen)
+                 for domain in (INT_DOMAIN, VEC_DOMAIN) for _ in range(12)]
+        cases += [
+            (_REDUCE_BCAST, INT_DOMAIN.value_gen),
+            (_REDUCE_BCAST, VEC_DOMAIN.value_gen),
+            (_REDUCE_BCAST, lambda _rng: np.zeros(0, dtype=np.int64)),
+            (_sr2_program(block=4, p=8), lambda _rng: np.zeros(0, dtype=np.int64)),
+            (_sr2_program(block=4, p=8), lambda _rng: np.asarray(2)),
+        ]
+        fused = 0
+        for prog, value_gen in cases:
+            xs = [value_gen(rng) for _ in range(p)]
+            fused += engine_lower(prog, xs, params).rung == "fused"
+            vec, jit = _both(prog, xs, params, engine)
+            _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        assert fused >= len(cases) // 2  # the rung under test was taken
+        assert "schedule-mismatch" not in STATS.fallbacks
+        assert "runtime-shape" not in STATS.fallbacks
+
+    def test_no_operator_sees_an_array_on_the_fused_rung(self, monkeypatch):
+        seen = []
+        call = BinOp.__call__
+
+        def spy(self, a, b):
+            seen.append((type(a), type(b)))
+            return call(self, a, b)
+
+        monkeypatch.setattr(BinOp, "__call__", spy)
+        prog = Program([ScanStage(MUL), AllReduceStage(ADD)])
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=256)
+        for engine in ("cooperative", "threaded"):
+            seen.clear()
+            simulate_program(prog, _arrays(block=256, seed=20), params,
+                             jit=True, engine=engine)
+            assert seen  # the engine did run its combines ...
+            assert not any(issubclass(t, (np.ndarray, np.generic))
+                           for pair in seen for t in pair)  # ... on tokens
+        assert not STATS.fallbacks
+        assert STATS.full_jit_runs == STATS.runs == 2
+        assert STATS.cache_hits + STATS.cache_misses == 2
+        # the contrast: float blocks keep the raw swap, which carries arrays
+        seen.clear()
+        fprog = Program([AllReduceStage(FADD)])
+        simulate_program(fprog, [np.ones(4) for _ in range(P)], params, jit=True)
+        assert any(issubclass(t, np.ndarray) for pair in seen for t in pair)
+
+    def test_float_blocks_keep_the_engines_combining_order(self):
+        # butterfly ((a+b)+(c+d)) and left fold (((a+b)+c)+d) round apart
+        prog = Program([AllReduceStage(FADD)])
+        xs = [np.array([v]) for v in (1e16, 1.0, -1e16, 1.0, 3.0, 1e-3, 7.0, 1.0)]
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=1)
+        assert engine_lower(prog, xs, params).rung == "raw"
+        for engine in ("cooperative", "threaded"):
+            vec, jit = _both(prog, xs, params, engine)
+            _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        fold = run_jit(prog, [a.copy() for a in xs], strict=True)
+        assert not np.array_equal(fold[0], jit.values[0])
+        assert STATS.fallbacks["float-blocks"] == 3
+
+    @pytest.mark.parametrize("engine", ["cooperative", "threaded"])
+    def test_fault_plan_declines_with_identical_summary(self, engine):
+        prog = _sr2_program(block=64)
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=64)
+        plan = FaultPlan(crashes=(RankCrash(rank=5, at_clock=0.0),),
+                         jitter=0.5, seed=3)
+        vec, jit = _both(prog, _arrays(block=64, seed=21), params, engine,
+                         faults=plan)
+        assert jit.faults is not None and jit.faults == vec.faults
+        _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        assert STATS.fallbacks == {"fault-plan": 1}
+        # an empty plan is no plan
+        reset_stats()
+        vec, jit = _both(prog, _arrays(block=64, seed=21), params, engine,
+                         faults=FaultPlan())
+        _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        assert not STATS.fallbacks
+
+    def test_undef_input_block_declines(self):
+        prog = Program([MapStage(_inc, label="inc"), ScanStage(ADD)])
+        xs = _arrays(block=16, seed=22)
+        xs[3] = UNDEF
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=16)
+        low = engine_lower(prog, xs, params)
+        assert (low.rung, low.why) == ("raw", "nonconforming-input")
+        vec, jit = _both(prog, xs, params)
+        _assert_same_run(vec, jit)
+        assert jit.values[3] is UNDEF
+
+    def test_unproven_hull_runs_checked_kernels(self):
+        # one large element: the hull cannot be proven, the run is fine
+        prog = Program([ReduceStage(MUL), BcastStage()])
+        xs = [np.ones(8, dtype=np.int64) for _ in range(P)]
+        xs[2][5] = 2 ** 40
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=8)
+        low = engine_lower(prog, xs, params)
+        assert (low.rung, low.why) == ("checked", "bounds-unproven")
+        vec, jit = _both(prog, xs, params)
+        _assert_same_run(vec, jit)
+        assert jit.values[0][5] == 2 ** 40
+
+    def test_overflow_replays_in_object_mode(self):
+        # Python-int blocks: the replay is object mode, hence exact
+        prog = Program([AllReduceStage(MUL)])
+        xs = [2 ** 20] * P
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=1)
+        vec, jit = _both(prog, xs, params)
+        _assert_same_run(vec, jit)
+        assert jit.values == (2 ** 160,) * P
+        assert STATS.fallbacks["bounds-unproven"] == 1
+        assert STATS.full_jit_runs == 0
+
+
+class TestDirectWriteScan:
+    """A scan without a post map combines straight into its output rows."""
+
+    @pytest.mark.parametrize("block", [None, 0, 7, 5000])
+    def test_one_slot_and_sr2_tapes(self, block):
+        rng = np.random.default_rng(30)
+        shape = () if block is None else (block,)
+        xs = [rng.integers(-3, 4, shape).astype(np.int64) for _ in range(5)]
+        originals = [a.copy() for a in xs]
+
+        # 1-slot tape: against NumPy's own running fold
+        out = compiled_program(Program([ScanStage(ADD)])).run(list(xs))
+        want = np.add.accumulate(np.stack(originals), axis=0)
+        for row, w in zip(out, want):
+            assert np.array_equal(row, w) and row.dtype == np.int64
+
+        # SR2 2-slot tape: slot 0 against the scratch path, which the
+        # pi_1 post map still takes, and both against the checked kernels
+        op = sr2_op(MUL, ADD)
+        direct_prog = Program([pair_stage("t"), ScanStage(op)])
+        scratch_prog = Program([pair_stage("t"), ScanStage(op),
+                                projection_stage("t")])
+        direct = compiled_program(direct_prog).run(list(xs))
+        scratch = compiled_program(scratch_prog).run(list(xs))
+        checked = run_vectorized(direct_prog, list(xs), strict=True)
+        for d, s, c in zip(direct, scratch, checked):
+            assert np.array_equal(d[0], s)
+            assert np.array_equal(d[0], c[0]) and np.array_equal(d[1], c[1])
+        assert STATS.kernelized_steps == 0
+
+        for a, o in zip(xs, originals):
+            assert np.array_equal(a, o)  # inputs not mutated
+        rows = list(out) + [c for d in direct for c in d]
+        for i, a in enumerate(rows):  # no row aliases an input or a row
+            assert not any(np.shares_memory(a, b)
+                           for b in xs + rows[:i] if a.size)
+
+
 class TestOracleAndChaos:
     def test_seventh_backend_agrees_with_functional(self):
         prog = Program([ScanStage(MUL), ReduceStage(ADD)])
@@ -414,6 +614,7 @@ class TestStatsAndCli:
         assert "BENCH_demo.json" in out
 
     def test_numba_flag_is_inert_without_numba(self, monkeypatch):
+        # the numba path is gone; the variable is simply unread
         monkeypatch.setenv("REPRO_JIT_NUMBA", "1")
         prog = Program([ReduceStage(ADD)])
         xs = _arrays(seed=15)
