@@ -13,25 +13,47 @@ A second assertion pins the simulated-time contract: ``jit=True`` on
 the machine engine must report exactly the same clock as
 ``vectorize=True`` (JIT changes wall-clock only, never the cost model).
 
+A third is a gate, not a headline — *never ship a modelled loser*: on
+the four ``exec_block`` deck shapes (p = 8, 131 072-element int64
+blocks) ``simulate_program(jit=True)`` of the program as the planner
+serves it may take at most 1.25× the wall clock of the program as
+written.  The rules save simulated time; they must not cost the real
+kind (a ``comcast`` the JIT could not compile once cost 2.4×).
+
 Results go to ``benchmarks/results/BENCH_jit.json`` (same schema as
-BENCH_vectorized.json).  CI runs this file as the jit perf smoke with
-``REPRO_BENCH_JIT_BLOCK`` shrunk to fit the runner.
+BENCH_vectorized.json; the gate adds ``planned_vs_written``).  CI runs
+this file as the jit perf smoke with ``REPRO_BENCH_JIT_BLOCK`` shrunk
+to fit the runner.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import statistics
 import time
 
 import numpy as np
 
-from conftest import emit, emit_json
+from conftest import RESULTS_DIR, emit, emit_json
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD, MUL
 from repro.core.optimizer import optimize
-from repro.core.stages import Program, ReduceStage, ScanStage
-from repro.jit import STATS, clear_jit_cache, reset_stats, run_jit
+from repro.core.rules import FULL_RULES
+from repro.core.stages import (
+    AllReduceStage,
+    BcastStage,
+    Program,
+    ReduceStage,
+    ScanStage,
+)
+from repro.jit import (
+    STATS,
+    clear_jit_cache,
+    engine_lower,
+    reset_stats,
+    run_jit,
+)
 from repro.kernels import run_vectorized
 from repro.machine.run import simulate_program
 from repro.testing.generator import GeneratedProgram
@@ -41,6 +63,17 @@ P = 8
 BLOCK = int(os.environ.get("REPRO_BENCH_JIT_BLOCK", "1000000"))
 REPEATS = int(os.environ.get("REPRO_BENCH_JIT_REPEATS", "7"))
 CHECK_BLOCK = min(BLOCK, 4096)  # differential oracle at a tractable size
+
+#: the ``exec_block`` workload's deck (benchmarks/e2e/workloads.py), as
+#: written; its block size is fixed — the gate is about that workload
+DECK_BLOCK = 131_072
+DECK = (
+    ("sr2", (ScanStage(MUL), ReduceStage(ADD))),
+    ("ss", (ScanStage(MUL), ScanStage(ADD))),
+    ("comcast", (BcastStage(), ScanStage(ADD))),
+    ("allreduce", (AllReduceStage(ADD),)),
+)
+MAX_PLANNED_OVER_WRITTEN = 1.25
 
 
 def _timed(fn, repeats: int) -> tuple[float, float]:
@@ -152,3 +185,53 @@ def test_jit_identical_simulated_time():
     assert jit.time == vec.time
     for v, j in zip(vec.values, jit.values):
         assert np.array_equal(np.asarray(v), np.asarray(j))
+
+
+def test_planned_is_no_slower_than_written():
+    """Never ship a modelled loser: under ``simulate_program(jit=True)``
+    the planned form of every ``exec_block`` deck shape costs at most
+    1.25× the wall clock of the program as written."""
+    params = MachineParams(p=P, ts=10.0, tw=1.0, m=DECK_BLOCK)
+    xs = _inputs(DECK_BLOCK, seed=3)
+    repeats = max(REPEATS, 9)
+    shapes, lines = [], [
+        f"exec_block deck under simulate_program(jit=True), p={P}, "
+        f"block={DECK_BLOCK}",
+        f"{'shape':>10} {'form':>8} {'rung':>8} {'median_ms':>10} "
+        f"{'sim_time':>12}  program",
+    ]
+    for name, stages in DECK:
+        written = Program(stages, name=name)
+        planned = optimize(written, params, rules=FULL_RULES,
+                           strategy="beam").program
+        shape = {"shape": name, "p": P, "block": DECK_BLOCK}
+        for form, prog in (("written", written), ("planned", planned)):
+            low = engine_lower(prog, xs, params)
+            res = simulate_program(prog, xs, params, jit=True)  # warm
+            median, stdev = _timed(
+                lambda: simulate_program(prog, xs, params, jit=True), repeats)
+            shape[form] = {"program": prog.pretty(), "rung": low.rung,
+                           "why": low.why, "median_s": median,
+                           "stdev_s": stdev, "repeats": repeats,
+                           "sim_time": res.time}
+            lines.append(f"{name:>10} {form:>8} {low.rung:>8} "
+                         f"{median * 1e3:>10.2f} {res.time:>12.0f}  "
+                         f"{prog.pretty()}")
+        shape["planned_over_written"] = (shape["planned"]["median_s"]
+                                         / shape["written"]["median_s"])
+        lines.append(f"{name:>10} planned/written wall clock: "
+                     f"{shape['planned_over_written']:.2f}x")
+        shapes.append(shape)
+    emit("jit_planned_vs_written", lines)
+    path = RESULTS_DIR / "BENCH_jit.json"
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload.pop("host", None)  # re-stamped: this run is this host's
+    emit_json("jit", {**payload, "planned_vs_written": shapes})
+    for shape in shapes:
+        planned = shape["planned"]
+        assert planned["sim_time"] <= shape["written"]["sim_time"]
+        assert shape["planned_over_written"] <= MAX_PLANNED_OVER_WRITTEN, (
+            f"{shape['shape']}: planned {planned['program']!r} takes "
+            f"{shape['planned_over_written']:.2f}x the wall clock of the "
+            f"program as written (rung {planned['rung']}, "
+            f"declined: {planned['why'] or '-'})")

@@ -38,7 +38,9 @@ Subcommands
 ``jit ACTION [FILE]``
     The whole-program JIT tier: ``stats`` prints compile-cache and
     kernel-dispatch counters (with a program file, compiles and
-    demo-runs it first, showing which steps run as raw fused kernels
+    demo-runs it first — as written and as the planner would serve it,
+    ``optimize(rules=FULL_RULES, strategy="beam")`` at the given
+    machine — showing for each which steps run as raw fused kernels
     and which rung of the engine ladder ``simulate_program(jit=True)``
     would take for it, and why),
     ``clear`` drops the compile cache and resets the counters.
@@ -250,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_jt.add_argument("action", choices=("stats", "clear"),
                       help="'stats': print compile-cache and dispatch "
                            "counters (with FILE: compile + demo-run the "
-                           "program first, show its compiled plan and "
-                           "the engine rung jit=True would take); "
+                           "program first, as written and as planned, "
+                           "show each compiled plan and the engine rung "
+                           "jit=True would take); "
                            "'clear': drop compiled kernels and reset "
                            "counters")
     p_jt.add_argument("file", nargs="?", default=None,
@@ -648,22 +651,27 @@ def _cmd_jit(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         params = _machine(args)
-        try:
-            cp = compiled_program(program)
-        except KernelUnsupported as exc:
-            print(f"not JIT-compilable (static skip): {exc}")
-        else:
+        rng = np.random.default_rng(0)
+        xs = [rng.integers(0, 4, params.m).astype(np.int64)
+              for _ in range(params.p)]
+        print(f"demo run: p={params.p}, block={params.m} int64")
+        planned = optimize(program, params, rules=FULL_RULES,
+                           strategy="beam").program
+        for title, prog in (("as written", program),
+                            ("as planned (FULL_RULES, beam)", planned)):
+            print(f"\n{title}: {prog.pretty()}")
+            try:
+                cp = compiled_program(prog)
+            except KernelUnsupported as exc:
+                print(f"not JIT-compilable (static skip): {exc}")
+                continue
             print("compiled plan ('jit' steps run raw fused kernels, "
                   "'kern' steps the checked fallback):")
             print(cp.pretty())
-            rng = np.random.default_rng(0)
-            xs = [rng.integers(0, 4, params.m).astype(np.int64)
-                  for _ in range(params.p)]
-            run_jit(program, xs)
-            print(f"\ndemo run: p={params.p}, block={params.m} int64")
-            low = engine_lower(program, xs, params)
+            run_jit(prog, xs)
+            low = engine_lower(prog, xs, params)
             print(f"engine rung under jit=True: {low.rung}"
-                  + (f" (declined the rung above: {low.why})"
+                  + (f" (declined the fused rung: {low.why})"
                      if low.why else ""))
         print()
     print(STATS.describe())

@@ -69,6 +69,14 @@ class Stage:
         """Reference semantics of this stage on a distributed list."""
         raise NotImplementedError
 
+    def definition(self) -> "tuple[Stage, ...] | None":
+        """The primitive pipeline this stage equals by definition — the
+        left-hand side of the rule that introduces it — or None for a
+        stage that is primitive itself (every stage but ``comcast`` and
+        ``iter``).  ``Program(stage.definition()).run`` and
+        ``stage.apply`` agree on every input."""
+        return None
+
     def pretty(self) -> str:
         raise NotImplementedError
 
@@ -391,6 +399,22 @@ class BalancedScanStage(Stage):
         return f"scan_balanced ({self.bfly_op.name})"
 
 
+#: ``kind`` of a comcast / iter operator -> which of its ``parts`` each
+#: fold of the defining pipeline combines with (see the operator
+#: builders' docstrings in :mod:`repro.core.derived_ops`): a comcast is
+#: ``bcast`` followed by one scan per entry, an iter the same with the
+#: last scan a reduce
+_DEFINING_FOLDS = {
+    "bs": (0,), "bss2": (0, 1), "bss": (0, 0),
+    "br": (0,), "bsr2": (0, 1), "bsr": (0, 0),
+}
+
+
+def _defining_ops(op: Any) -> tuple[BinOp, ...] | None:
+    folds = _DEFINING_FOLDS.get(op.kind)
+    return None if folds is None else tuple(op.parts[i] for i in folds)
+
+
 @dataclass(frozen=True)
 class ComcastStage(Stage):
     """``comcast`` — the Comcast rules' target pattern (§3.4, Fig 6).
@@ -399,7 +423,12 @@ class ComcastStage(Stage):
     ``"repeat"`` (broadcast, then local ``repeat(e,o)`` per processor — the
     faster one) and ``"doubling"`` (the cost-optimal successive-doubling
     pipeline that ships tuple states and loses on communication volume).
-    Both have identical semantics.
+    Both have identical semantics, and both equal the stage's
+    :meth:`definition` — ``bcast ; scan (⊕)`` for BS-Comcast,
+    ``bcast ; scan (⊗) ; scan (⊕)`` for BSS2, ``bcast ; scan (⊕) ;
+    scan (⊕)`` for BSS — rebuilt from the operator's ``kind``/``parts``
+    (None for a hand-made operator without them).  The JIT compiles and
+    bounds-checks a comcast through that pipeline.
     """
 
     comcast_op: ComcastOp
@@ -418,6 +447,10 @@ class ComcastStage(Stage):
         b = xs[0]
         return [self.comcast_op.compute(k, b) for k in range(len(xs))]
 
+    def definition(self) -> tuple[Stage, ...] | None:
+        ops = _defining_ops(self.comcast_op)
+        return None if ops is None else (BcastStage(), *map(ScanStage, ops))
+
     def pretty(self) -> str:
         return f"comcast[{self.impl}] ({self.comcast_op.name})"
 
@@ -430,6 +463,13 @@ class IterStage(Stage):
     all other processors' blocks become undefined.  ``general=True`` uses
     the non-power-of-two extension (binary digits of ``p-1``).
     ``then_bcast`` realizes CR-Alllocal's trailing broadcast.
+
+    Its :meth:`definition` is the Local rule's left-hand side —
+    ``bcast ; reduce (⊕)`` for BR, ``bcast ; scan (⊗) ; reduce (⊕)`` for
+    BSR2, ``bcast ; scan (⊕) ; reduce (⊕)`` for BSR, the reduce an
+    ``allreduce`` under ``then_bcast`` — defined for every ``p`` (the
+    non-``general`` doubling itself only for powers of two).  The JIT
+    compiles and bounds-checks an iter through that pipeline.
     """
 
     iter_op: IterOp
@@ -451,6 +491,13 @@ class IterStage(Stage):
         if self.then_bcast:
             return [root] * p
         return [root] + [F.UNDEF] * (p - 1)
+
+    def definition(self) -> tuple[Stage, ...] | None:
+        ops = _defining_ops(self.iter_op)
+        if ops is None:
+            return None
+        last = AllReduceStage if self.then_bcast else ReduceStage
+        return (BcastStage(), *map(ScanStage, ops[:-1]), last(ops[-1]))
 
     def pretty(self) -> str:
         suffix = " ; bcast" if self.then_bcast else ""

@@ -267,11 +267,17 @@ def map_intervals(
 def analyze_stages(stages: Sequence[Stage], input_iv: Interval, p: int) -> bool:
     """True iff no execution of ``stages`` over ``p`` int blocks whose
     values lie in ``input_iv`` can exceed ``MAX_SAFE_INT`` anywhere —
-    including intermediates inside collectives and combines."""
+    including intermediates inside collectives and combines.
+
+    A stage with a :meth:`~repro.core.stages.Stage.definition` (comcast,
+    iter) is analyzed as that pipeline, which is what its compiled
+    closure executes — *not* what the engines' digit traversal computes
+    (``b^(2^step)`` may leave the hull of the folds), so the proof
+    licenses the closure and no raw engine form."""
     ctx = BoundsCtx()
     ctx.note(input_iv)
     slots: Optional[tuple[Interval, ...]] = (input_iv,)
-    for stage in stages:
+    for stage in (d for s in stages for d in s.definition() or (s,)):
         if slots is None:
             return False
         if isinstance(stage, MapStage):
@@ -283,7 +289,7 @@ def analyze_stages(stages: Sequence[Stage], input_iv: Interval, p: int) -> bool:
         elif isinstance(stage, BcastStage):
             pass  # pure movement
         else:
-            return False  # gather/scatter/balanced/comcast/iter: not analyzed
+            return False  # gather/scatter/balanced/...: not analyzed
         if not ctx.safe:
             return False
     return slots is not None and ctx.safe

@@ -21,6 +21,10 @@ compiled to a closure that runs the *whole local segment* as one unit:
   run time (one min/max pass per input plus exact bigint interval
   propagation) that no intermediate can leave the int64-safe range.
 
+A ``comcast``/``iter`` stage has no kernel of its own: it compiles to the
+closures of the pipeline it is defined by
+(:meth:`~repro.core.stages.Stage.definition`, its rule's left-hand side).
+
 Anything the compiler cannot prove or lower falls back *per step* to
 the checked kernelized ``PlanStep.run`` — bit-identical by construction
 — and every fallback bumps a reason counter in :mod:`repro.jit.stats`.
@@ -51,6 +55,7 @@ from repro.core.operators import BinOp
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
+    IterStage,
     MapStage,
     Program,
     ReduceStage,
@@ -65,7 +70,7 @@ from repro.kernels.blocks import (
     vectorize_block,
 )
 from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan
-from repro.kernels.lowering import vectorize_program
+from repro.kernels.lowering import rebuild_stage, vectorize_program
 from repro.kernels.registry import registry_version
 from repro.semantics.functional import UNDEF
 
@@ -346,6 +351,8 @@ class CompiledStep:
     compiled: Optional[Callable[[list], Optional[list]]]
     reason: str = ""
     covered: int = 0
+    #: the closure is exact on int64 blocks only and declines the rest
+    ints_only: bool = False
 
 
 class _TapeMemo:
@@ -372,10 +379,7 @@ class _TapeMemo:
         return vals[0] if len(vals) == 1 else tuple(vals)
 
 
-def _compile_local(step: PlanStep) -> Optional[CompiledStep]:
-    (stage,) = step.stages
-    if not isinstance(stage, MapStage):
-        return None
+def _compile_local(step: PlanStep, stage: MapStage) -> CompiledStep:
     memo = _TapeMemo(stage.label)
 
     def run(data: list) -> Optional[list]:
@@ -418,11 +422,11 @@ def _compile_bcast(
     return CompiledStep(step, run, covered=len(step.stages))
 
 
-def _compile_fold(step: PlanStep, params: MachineParams) -> Optional[CompiledStep]:
+def _compile_fold(
+    step: PlanStep, pre: Optional[MapStage], coll: Stage,
+    post: Optional[MapStage], params: MachineParams,
+) -> Optional[CompiledStep]:
     """Compile a scan/reduce/allreduce (with optional pre/post maps)."""
-    pre, coll, post = _split_sandwich(step)
-    if isinstance(coll, BcastStage):
-        return _compile_bcast(step, pre, post)
     if not isinstance(coll, (ScanStage, ReduceStage, AllReduceStage)):
         return None
     try:
@@ -512,12 +516,60 @@ def _compile_fold(step: PlanStep, params: MachineParams) -> Optional[CompiledSte
     return CompiledStep(step, run, covered=len(step.stages))
 
 
+def _is_int64_block(block: Any) -> bool:
+    comps = block if isinstance(block, tuple) else (block,)
+    return all(isinstance(c, (np.ndarray, np.generic)) and c.dtype == np.int64
+               for c in comps)
+
+
+def _compile_derived(
+    step: PlanStep, pre: Optional[MapStage], coll: Stage,
+    post: Optional[MapStage], params: MachineParams,
+) -> Optional[CompiledStep]:
+    """Compile a comcast/iter stage as the composition of the closures its
+    definition compiles to (the pre map rides the bcast, the post map the
+    last fold) — no kernel and no tape of its own.
+
+    Exact where the definition's left folds and the stage's digit
+    traversal compute the same values: on int64 blocks proven
+    overflow-free (the caller's gate, as for every closure).  Floats
+    round by combining order, so the closure declines them itself."""
+    groups = [[s] for s in coll.definition()]
+    if pre is not None:
+        groups[0].insert(0, pre)
+    if post is not None:
+        groups[-1].append(post)
+    subs = [_compile_step(PlanStep("collective", tuple(g), step.label),
+                          params).compiled for g in groups]
+    if None in subs:
+        return None
+    # the doubling iteration exists for powers of two only: elsewhere the
+    # stage raises, and so must the checked step this closure defers to
+    pow2_only = isinstance(coll, IterStage) and not coll.general
+
+    def run(data: list) -> Optional[list]:
+        p = len(data)
+        if not p or not _is_int64_block(data[0]) or (pow2_only and p & (p - 1)):
+            return None
+        for sub in subs:
+            data = sub(data)
+            if data is None:
+                return None
+        return data
+
+    return CompiledStep(step, run, covered=len(step.stages), ints_only=True)
+
+
 def _compile_step(step: PlanStep, params: MachineParams) -> CompiledStep:
-    compiled: Optional[CompiledStep] = None
-    if step.kind == "local":
-        compiled = _compile_local(step)
-    elif step.kind in ("collective", "fused-collective"):
-        compiled = _compile_fold(step, params)
+    pre, coll, post = _split_sandwich(step)
+    if isinstance(coll, MapStage):
+        compiled = _compile_local(step, coll)
+    elif isinstance(coll, BcastStage):
+        compiled = _compile_bcast(step, pre, post)
+    elif coll.definition() is not None:
+        compiled = _compile_derived(step, pre, coll, post, params)
+    else:
+        compiled = _compile_fold(step, pre, coll, post, params)
     if compiled is not None:
         return compiled
     return CompiledStep(step, None, reason=f"uncompiled:{step.label}")
@@ -599,9 +651,8 @@ class CompiledProgram:
         May raise :class:`~repro.kernels.blocks.KernelOverflow` from a
         kernelized fallback step — callers replay in object mode.
         """
-        proven, why = _proven_safe(
-            self.plan.program.stages, _input_profile(vec), len(vec)
-        )
+        profile = _input_profile(vec)
+        proven, why = _proven_safe(self.plan.program.stages, profile, len(vec))
         if not proven:
             STATS.fallbacks[why] += 1
         data = list(vec)
@@ -610,7 +661,9 @@ class CompiledProgram:
             out = None
             if proven and st.compiled is not None:
                 out = st.compiled(data)
-                if out is None:
+                if out is None and st.ints_only and profile[0] != "int":
+                    STATS.fallbacks[f"{profile[0]}-blocks"] += 1
+                elif out is None:
                     STATS.fallbacks["runtime-shape"] += 1
             elif st.compiled is None:
                 STATS.fallbacks[st.reason] += 1
@@ -641,15 +694,30 @@ class CompiledProgram:
         return data
 
     @cached_property
-    def engine_programs(self) -> Optional[tuple[Program, Program]]:
+    def engine_programs(self) -> tuple[Optional[Program], Program]:
         """``(raw, token)`` forms of the kernelized program for the engines:
         the checked→raw kernel swap, and the same stages with every
-        function reduced to definedness bookkeeping.  None when some
-        stage has no raw form."""
-        vprog = self.plan.program
-        raw = _swap_fns(vprog, lambda st: _raw_map_fn(st.label, st.fn), _raw_binop_fn)
-        token = _swap_fns(vprog, lambda st: _token_map, lambda op: _token_op)
-        return None if raw is None or token is None else (raw, token)
+        function reduced to definedness bookkeeping.  ``raw`` is None
+        when an operator has no raw tape or a stage has a definition:
+        the bounds proof covers that pipeline, not the digit traversal
+        the engine would carry the blocks through."""
+        stages = self.plan.program.stages
+
+        def swapped(map_fn: Callable, op_fn: Callable) -> Program:
+            return Program(
+                [rebuild_stage(st, map_fn,
+                               lambda op: replace(op, fn=op_fn(op)))
+                 for st in stages], name=self.plan.program.name)
+
+        token = swapped(lambda st: _token_map, lambda op: _token_op)
+        raw = None
+        if all(st.definition() is None for st in stages):
+            try:
+                raw = swapped(lambda st: _raw_map_fn(st.label, st.fn),
+                              _raw_binop_fn)
+            except JitUnsupported:
+                pass
+        return raw, token
 
 
 # ---------------------------------------------------------------------------
@@ -756,31 +824,6 @@ def _token_op(a: Any, b: Any) -> Any:
     return a
 
 
-def _swap_fns(
-    vprog: Program,
-    map_fn: Callable[[MapStage], Callable],
-    binop_fn: Callable[[BinOp], Callable],
-) -> Optional[Program]:
-    """``vprog`` with every map and combine function replaced, or None
-    when a stage has no replacement.  Every cost annotation
-    (``ops_per_element``, ``op_count``, ``width``) is kept, so simulated
-    time is bit-identical to the vectorized run."""
-    stages: list[Stage] = []
-    try:
-        for st in vprog.stages:
-            if isinstance(st, MapStage):
-                stages.append(replace(st, fn=map_fn(st)))
-            elif isinstance(st, (ScanStage, ReduceStage, AllReduceStage)):
-                stages.append(replace(st, op=replace(st.op, fn=binop_fn(st.op))))
-            elif isinstance(st, BcastStage):
-                stages.append(st)  # pure movement
-            else:
-                return None
-    except JitUnsupported:
-        return None
-    return Program(stages, name=vprog.name)
-
-
 @dataclass(frozen=True)
 class EngineLowering:
     """What a simulated engine is handed under ``jit=True``, and why.
@@ -789,8 +832,8 @@ class EngineLowering:
     the engine schedules ``program`` on :data:`DEFINED` tokens), ``"raw"``
     (the engine carries the blocks through raw kernels) or ``"checked"``
     (through the overflow-checked kernels); ``why`` is the reason the
-    rung above was declined.  A fused lowering also holds the compiled
-    program and, in ``below``, the raw rung to drop to.
+    fused rung was declined.  A fused lowering also holds the compiled
+    program and, in ``below``, the rung to drop to.
     """
 
     rung: str
@@ -808,13 +851,16 @@ def engine_lower(
 
     The first rung whose conditions the program and these inputs meet:
 
-    * ``"fused"`` — every plan step has a compiled closure and every
-      input is a defined, conforming int64 array whose hull the bounds
-      analysis proves overflow-free.  Then every combining tree yields
-      the same int64, so the kernels' left fold and the engine's
-      butterfly agree bit for bit and the engine need only schedule.
+    * ``"fused"`` — every plan step has a compiled closure (a
+      map/scan/reduce/allreduce/bcast, or a comcast/iter stage through
+      its definition) and every input is a defined, conforming int64
+      array whose hull the bounds analysis proves overflow-free.  Then
+      every combining order yields the same int64, so the kernels' left
+      fold agrees bit for bit with the engine's butterfly or digit
+      traversal and the engine need only schedule.
     * ``"raw"`` — every stage has a raw form and the run is proven
       overflow-free (floats included: the engine keeps its own order).
+      A comcast/iter stage has none: its proof is of the definition.
     * ``"checked"`` — the plain kernelized program.
 
     What only the run can tell — a non-empty fault plan, a closure
@@ -827,31 +873,31 @@ def engine_lower(
     :class:`~repro.kernels.blocks.KernelUnsupported` when not even
     kernelizable (callers fall back to object mode).
     """
-
-    def decline(rung: str, why: str, prog: Program) -> EngineLowering:
-        STATS.fallbacks[why] += 1
-        return EngineLowering(rung, why, prog, vec)
-
     STATS.runs += 1
     vec = [vectorize_block(x) for x in inputs]  # may raise KernelUnsupported
     cp = compiled_program(program)  # may raise KernelUnsupported
     vprog = cp.plan.program
-    if cp.engine_programs is None:
-        return decline("checked", "uncompiled:engine", vprog)
     raw, token = cp.engine_programs
     profile = _input_profile(vec)
-    proven, why = _proven_safe(vprog.stages, profile, len(vec))
-    if not proven:
-        return decline("checked", why, vprog)
-    STATS.full_jit_runs += 1
-    if cp.uncompiled:
-        return decline("raw", cp.uncompiled, raw)
-    if profile[0] != "int":
-        return decline("raw", f"{profile[0]}-blocks", raw)
-    if _conform(vec, 1) is None:
-        return decline("raw", "nonconforming-input", raw)
-    return EngineLowering("fused", "", token, [DEFINED] * len(vec), cp,
-                          EngineLowering("raw", "", raw, vec))
+    proven, unproven = _proven_safe(vprog.stages, profile, len(vec))
+    if proven and raw is not None:
+        low = EngineLowering("raw", "", raw, vec)
+    else:
+        low = EngineLowering("checked", "", vprog, vec)
+    if cp.uncompiled or unproven:
+        why = cp.uncompiled or unproven
+    elif profile[0] != "int":
+        why = f"{profile[0]}-blocks"
+    elif _conform(vec, 1) is None:
+        why = "nonconforming-input"
+    else:
+        why = ""
+        low = EngineLowering("fused", "", token, [DEFINED] * len(vec), cp, low)
+    if why:
+        STATS.fallbacks[why] += 1
+        low = replace(low, why=why)
+    STATS.full_jit_runs += low.rung != "checked"
+    return low
 
 
 def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:

@@ -6,7 +6,8 @@ vectorized evaluator (:mod:`repro.kernels.evaluator`), the machine engine
 It first runs the local-stage fusion pass (``map f; map g → map (g∘f)``,
 collapsing the ``map pair; collective; map π₁`` sandwiches the rewrite
 rules emit into at most one local stage on each side), then rebuilds each
-stage around its array kernel:
+stage around its array kernel (:func:`rebuild_stage`, the walk the JIT's
+raw and token engine forms reuse with other leaf functions):
 
 * ``map`` stages get a dispatching function composed from the per-label
   kernels of their (fused) label;
@@ -23,6 +24,7 @@ stage around its array kernel:
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable
 
 from repro.core.derived_ops import (
     SRTreeOp,
@@ -34,6 +36,7 @@ from repro.core.derived_ops import (
     bsr2_iter_op,
     bsr_iter_op,
 )
+from repro.core.operators import BinOp
 from repro.core.rewrite import fuse_local_stages
 from repro.core.stages import (
     AllGatherStage,
@@ -56,7 +59,7 @@ from repro.core.stages import (
 from repro.kernels.blocks import KernelUnsupported
 from repro.kernels.registry import kernelize_binop, kernelize_map
 
-__all__ = ["kernelize_stage", "vectorize_program"]
+__all__ = ["rebuild_stage", "kernelize_stage", "vectorize_program"]
 
 _COMCAST_BUILDERS = {
     "bs": bs_comcast_op,
@@ -70,6 +73,12 @@ _ITER_BUILDERS = {
     "bsr": bsr_iter_op,
 }
 
+#: the rule-introduced stages rebuilt through their operator's builder
+_DERIVED = (
+    (ComcastStage, "comcast_op", _COMCAST_BUILDERS),
+    (IterStage, "iter_op", _ITER_BUILDERS),
+)
+
 #: stages that only move blocks around — valid for any representation
 #: (allgatherv concatenates segments, which np.concatenate handles on
 #: array blocks — its semantics never applies an operator)
@@ -77,38 +86,45 @@ _PASSTHROUGH = (BcastStage, AllGatherStage, AllGatherVStage, ScatterStage,
                 GatherStage)
 
 
-def kernelize_stage(stage: Stage) -> Stage:
-    """Rebuild one stage around array kernels (or raise KernelUnsupported)."""
+def rebuild_stage(
+    stage: Stage,
+    map_fn: Callable[[MapStage], Callable],
+    binop_fn: Callable[[BinOp], BinOp],
+) -> Stage:
+    """``stage`` with its map function replaced by ``map_fn(stage)`` and
+    every base operator by ``binop_fn(op)`` — the one walk over the stage
+    vocabulary that the kernels (:func:`kernelize_stage`) and the JIT's
+    raw and token engine forms share.  Every cost annotation
+    (``ops_per_element``, ``op_count``, ``width``) is kept.  Raises
+    :class:`KernelUnsupported` for a stage it cannot rebuild."""
     if isinstance(stage, MapStage):
-        return replace(stage, fn=kernelize_map(stage.fn, stage.label))
+        return replace(stage, fn=map_fn(stage))
     if isinstance(stage, (ScanStage, ReduceStage, AllReduceStage,
                           ReduceScatterStage)):
-        return replace(stage, op=kernelize_binop(stage.op))
+        return replace(stage, op=binop_fn(stage.op))
     if isinstance(stage, _PASSTHROUGH):
         return stage
     if isinstance(stage, BalancedReduceStage):
-        return replace(stage, tree_op=SRTreeOp(kernelize_binop(stage.tree_op.op)))
+        return replace(stage, tree_op=SRTreeOp(binop_fn(stage.tree_op.op)))
     if isinstance(stage, BalancedScanStage):
-        return replace(stage, bfly_op=SSButterflyOp(kernelize_binop(stage.bfly_op.op)))
-    if isinstance(stage, ComcastStage):
-        builder = _COMCAST_BUILDERS.get(stage.comcast_op.kind)
-        if builder is None:
-            raise KernelUnsupported(
-                f"comcast operator {stage.comcast_op.name!r} has no "
-                "structural metadata to rebuild from"
-            )
-        parts = tuple(kernelize_binop(p) for p in stage.comcast_op.parts)
-        return replace(stage, comcast_op=builder(*parts))
-    if isinstance(stage, IterStage):
-        builder = _ITER_BUILDERS.get(stage.iter_op.kind)
-        if builder is None:
-            raise KernelUnsupported(
-                f"iter operator {stage.iter_op.name!r} has no "
-                "structural metadata to rebuild from"
-            )
-        parts = tuple(kernelize_binop(p) for p in stage.iter_op.parts)
-        return replace(stage, iter_op=builder(*parts))
+        return replace(stage, bfly_op=SSButterflyOp(binop_fn(stage.bfly_op.op)))
+    for cls, attr, builders in _DERIVED:
+        if isinstance(stage, cls):
+            op = getattr(stage, attr)
+            builder = builders.get(op.kind)
+            if builder is None:
+                raise KernelUnsupported(
+                    f"operator {op.name!r} has no structural metadata "
+                    "to rebuild from"
+                )
+            return replace(stage, **{attr: builder(*map(binop_fn, op.parts))})
     raise KernelUnsupported(f"no lowering for stage {stage.pretty()!r}")
+
+
+def kernelize_stage(stage: Stage) -> Stage:
+    """Rebuild one stage around array kernels (or raise KernelUnsupported)."""
+    return rebuild_stage(
+        stage, lambda st: kernelize_map(st.fn, st.label), kernelize_binop)
 
 
 def vectorize_program(program: Program) -> Program:

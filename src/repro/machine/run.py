@@ -194,10 +194,12 @@ def simulate_program(
     ``jit=True`` lets :func:`repro.jit.engine_lower` pick the cheapest
     exact way to run: on defined int64 blocks it proves overflow-free
     (the static range check hoisted out of every combine) the values
-    come from the fused whole-program kernels while the engine schedules
-    the same stages on definedness tokens; otherwise the checked kernels
-    are swapped for raw ones, and anything unproven runs the checked
-    kernels.  Every cost annotation is preserved on every rung, so
+    come from the fused whole-program kernels — the planner's
+    ``comcast``/``iter`` stages included, compiled through the
+    pipelines they are defined by — while the engine schedules the same
+    stages on definedness tokens; otherwise the checked kernels are
+    swapped for raw ones (not for ``comcast``/``iter``, which have no
+    raw form), and anything unproven runs the checked kernels.  Every cost annotation is preserved on every rung, so
     simulated time, clocks and statistics are bit-identical to
     ``vectorize=True`` — JIT changes wall-clock only — and
     overflow/unsupported cases fall back exactly like ``vectorize=True``

@@ -13,24 +13,39 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.cost import MachineParams
-from repro.core.derived_ops import sr2_op
-from repro.core.operators import ADD, CONCAT, FADD, FMUL, MAX, MUL, BinOp
+from repro.core.derived_ops import (
+    bs_comcast_op,
+    bss2_comcast_op,
+    bss_comcast_op,
+    br_iter_op,
+    bsr2_iter_op,
+    bsr_iter_op,
+    sr2_op,
+)
+from repro.core.operators import ADD, CONCAT, FADD, FMUL, MAX, MIN, MUL, BinOp
 from repro.core.optimizer import clear_planner_caches, optimize
+from repro.core.rules import FULL_RULES
 from repro.core.rules.base import pair_stage, projection_stage
+from repro.core.rules.reduction import SRReduction
+from repro.core.rules.scan import SSScan
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
+    ComcastStage,
+    IterStage,
     MapStage,
     Program,
     ReduceStage,
     ScanStage,
 )
+from repro.jit.bounds import analyze_stages
 from repro.jit import (
     STATS,
     JitUnsupported,
@@ -55,9 +70,13 @@ from repro.semantics.evaluator import run_program
 from repro.semantics.functional import UNDEF, defined_equal
 from repro.testing.chaos import run_chaos
 from repro.testing.generator import (
+    EW_ADD,
+    EW_MAX,
     INT_DOMAIN,
     VEC_DOMAIN,
     GeneratedProgram,
+    RuleCase,
+    generate_from_case,
     generate_random,
 )
 from repro.testing.oracle import SKIPPED, differential_check, run_backend
@@ -442,6 +461,268 @@ class TestEngineLadder:
         assert STATS.full_jit_runs == 0
 
 
+# ---------------------------------------------------------------------------
+# Derived stages: comcast / iter through their defining pipelines
+# ---------------------------------------------------------------------------
+
+#: left-hand sides of every Comcast and Local rule, per generator domain
+_DERIVED_WINDOWS = [
+    ("int", lambda: (BcastStage(), ScanStage(ADD))),
+    ("int", lambda: (BcastStage(), ScanStage(MIN))),
+    ("int", lambda: (BcastStage(), ScanStage(MUL), ScanStage(ADD))),
+    ("int", lambda: (BcastStage(), ScanStage(ADD), ScanStage(ADD))),
+    ("int", lambda: (BcastStage(), ReduceStage(MUL))),
+    ("int", lambda: (BcastStage(), AllReduceStage(MAX))),
+    ("int", lambda: (BcastStage(), ScanStage(ADD), ReduceStage(MAX))),
+    ("int", lambda: (BcastStage(), ScanStage(ADD), ReduceStage(ADD))),
+    ("vec", lambda: (BcastStage(), ScanStage(EW_ADD))),
+    ("vec", lambda: (BcastStage(), ScanStage(EW_ADD), ScanStage(EW_MAX))),
+    ("vec", lambda: (BcastStage(), ReduceStage(EW_MAX))),
+    ("vec", lambda: (BcastStage(), AllReduceStage(EW_ADD))),
+    ("vec", lambda: (BcastStage(), ScanStage(EW_ADD), ReduceStage(EW_ADD))),
+]
+
+_SR2 = sr2_op(MUL, ADD)
+
+#: hand-made ``map pair ; stage ; map π₁`` sandwiches around derived
+#: stages (the planner emits them only behind a reduce, where the blocks
+#: are no longer all defined) and the doubling pipeline
+_DERIVED_SANDWICHES = [
+    Program([pair_stage("t"), ComcastStage(bs_comcast_op(_SR2)),
+             projection_stage("t")], name="pair;comcast;pi1"),
+    Program([pair_stage("t"), ComcastStage(bs_comcast_op(_SR2), impl="doubling"),
+             projection_stage("t"), ScanStage(ADD)], name="pair;doubling;pi1"),
+    Program([MapStage(_inc, label="inc"), pair_stage("t"),
+             IterStage(br_iter_op(_SR2), general=True, then_bcast=True),
+             projection_stage("t")], name="pair;iter;bcast;pi1"),
+    Program([pair_stage("t"), IterStage(br_iter_op(_SR2), general=True),
+             projection_stage("t"), BcastStage()], name="pair;iter;pi1"),
+    Program([ComcastStage(bss_comcast_op(ADD), impl="doubling"),
+             IterStage(bsr_iter_op(ADD), general=True)], name="bss;bsr"),
+]
+
+
+def _has_derived(prog):
+    return any(st.definition() is not None for st in prog.stages)
+
+
+def _planned_derived_cases(rng, p, rounds):
+    """Planner-optimized random int/vec programs containing comcast/iter
+    stages (some switched to the doubling pipeline), with their value
+    generators, plus the hand-made sandwiches."""
+    # nothing pays at p = 1: take the plan of the nearest real machine
+    params = MachineParams(p=max(p, 2), ts=10.0, tw=1.0, m=4)
+    cases = []
+    for _ in range(rounds):
+        for domain, window in _DERIVED_WINDOWS:
+            gen = generate_from_case(rng, RuleCase("derived", True, domain,
+                                                   window))
+            prog = optimize(gen.program, params, rules=FULL_RULES,
+                            strategy="beam").program
+            if not _has_derived(prog):
+                continue
+            if rng.random() < 0.3:
+                prog = Program([replace(st, impl="doubling")
+                                if isinstance(st, ComcastStage) else st
+                                for st in prog.stages], name=prog.name)
+            cases.append((prog, gen.domain.value_gen))
+    for domain in (INT_DOMAIN, VEC_DOMAIN):
+        cases += [(prog, domain.value_gen) for prog in _DERIVED_SANDWICHES]
+    return cases
+
+
+class TestDerivedStages:
+    """comcast/iter stages take the fused rung through their definitions:
+    exact there, and every decline keeps the path it had and says why."""
+
+    @pytest.mark.parametrize("engine", ["cooperative", "threaded"])
+    @pytest.mark.parametrize("p", [1, 3, 4, 8])
+    def test_planned_programs_match_vectorized(self, p, engine, monkeypatch):
+        arrays_seen = []
+        call = BinOp.__call__
+
+        def spy(self, a, b):
+            if isinstance(a, (np.ndarray, np.generic)) \
+                    or isinstance(b, (np.ndarray, np.generic)):
+                arrays_seen.append(self.name)
+            return call(self, a, b)
+
+        params = MachineParams(p=p, ts=10.0, tw=1.0, m=4)
+        rng = random.Random(1400 + p)
+        cases = _planned_derived_cases(rng, p, rounds=20)
+        assert len(cases) >= 200
+        fused = 0
+        for prog, value_gen in cases:
+            xs = [value_gen(rng) for _ in range(p)]
+            on_fused = engine_lower(prog, xs, params).rung == "fused"
+            fused += on_fused
+            vec = simulate_program(prog, xs, params, vectorize=True,
+                                   engine=engine)
+            with monkeypatch.context() as patch:
+                patch.setattr(BinOp, "__call__", spy)
+                arrays_seen.clear()
+                jit = simulate_program(prog, xs, params, jit=True,
+                                       engine=engine)
+                if on_fused:  # the engine ran on tokens only
+                    assert not arrays_seen, prog.pretty()
+            _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+            assert defined_equal(jit.values, prog.run(xs)), prog.pretty()
+        assert fused >= len(cases) * 2 // 3  # the rung under test was taken
+        assert "schedule-mismatch" not in STATS.fallbacks
+        assert "runtime-shape" not in STATS.fallbacks
+
+    @pytest.mark.parametrize("p", [1, 3, 4, 8])
+    def test_run_jit_matches_vectorized(self, p):
+        rng = random.Random(1500 + p)
+        for prog, value_gen in _planned_derived_cases(rng, p, rounds=2):
+            xs = [value_gen(rng) for _ in range(p)]
+            _assert_bitwise(run_jit(prog, xs, strict=True),
+                            run_vectorized(prog, xs, strict=True))
+        assert STATS.full_jit_runs >= STATS.runs * 2 // 3
+
+    def test_exec_block_comcast_is_a_full_jit_run(self):
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=1000)
+        prog = optimize(Program([BcastStage(), ScanStage(ADD)]), params,
+                        rules=FULL_RULES, strategy="beam").program
+        assert prog.pretty() == "comcast[repeat] (op_comp_bs[add])"
+        cp = compiled_program(prog)
+        assert cp.uncompiled == "" and cp.pretty().startswith("[jit ]")
+        xs = _arrays(seed=40)
+        low = engine_lower(prog, xs, params)
+        assert (low.rung, low.why, low.below.rung) == ("fused", "", "checked")
+        vec, jit = _both(prog, xs, params)
+        _assert_same_run(vec, jit)
+        assert not STATS.fallbacks
+        assert STATS.full_jit_runs == STATS.runs == 2
+
+    def test_non_general_iter_still_raises_off_powers_of_two(self):
+        prog = Program([IterStage(br_iter_op(ADD))])
+        xs = _arrays(block=8, p=3, seed=41)
+        with pytest.raises(ValueError):
+            run_vectorized(prog, xs, strict=True)
+        with pytest.raises(ValueError):
+            run_jit(prog, xs, strict=True)
+        # the engines compute the general form there, under every mode
+        params = MachineParams(p=3, ts=10.0, tw=1.0, m=8)
+        vec, jit = _both(prog, xs, params)
+        _assert_same_run(vec, jit)
+        assert np.array_equal(jit.values[0], xs[0] * 3)
+
+    @pytest.mark.parametrize("stage", [
+        ComcastStage(bs_comcast_op(FADD)),
+        ComcastStage(bs_comcast_op(FADD), impl="doubling"),
+        IterStage(br_iter_op(FADD), general=True, then_bcast=True),
+    ], ids=lambda st: st.pretty())
+    def test_float_blocks_keep_the_digit_order(self, stage):
+        prog = Program([stage])
+        p = 7
+        xs = [np.array([0.1, 1e16, 1.0 / 3.0]) for _ in range(p)]
+        params = MachineParams(p=p, ts=10.0, tw=1.0, m=3)
+        low = engine_lower(prog, xs, params)
+        assert (low.rung, low.why) == ("checked", "float-blocks")
+        assert STATS.full_jit_runs == 0
+        for engine in ("cooperative", "threaded"):
+            vec, jit = _both(prog, xs, params, engine)
+            _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        reset_stats()
+        _assert_bitwise(run_jit(prog, xs, strict=True),
+                        run_vectorized(prog, xs, strict=True))
+        # the closure declined, and the decline is filed under its reason
+        assert STATS.fallbacks == {"float-blocks": 1}
+        assert STATS.full_jit_runs == 0
+        # the left fold of the definition rounds differently: not exact here
+        fold = Program(stage.definition()).run(xs)
+        assert not all(np.array_equal(f, v)
+                       for f, v in zip(fold, jit.values) if f is not UNDEF)
+
+    @pytest.mark.parametrize("engine", ["cooperative", "threaded"])
+    @pytest.mark.parametrize("stage", [
+        ComcastStage(bss2_comcast_op(MUL, ADD)),
+        IterStage(bsr2_iter_op(MUL, ADD), then_bcast=True),
+    ], ids=lambda st: st.pretty())
+    def test_fault_plan_declines_with_identical_summary(self, stage, engine):
+        # (one collective per program: the threaded engine sums a longer
+        # run's jitter in arrival order, which is not bit-stable)
+        prog = Program([stage])
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=64)
+        plan = FaultPlan(crashes=(RankCrash(rank=5, at_clock=0.0),),
+                         jitter=0.5, seed=3)
+        xs = _arrays(block=64, lo=0, hi=2, seed=42)
+        vec, jit = _both(prog, xs, params, engine, faults=plan)
+        assert jit.faults is not None and jit.faults == vec.faults
+        _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        assert STATS.fallbacks == {"fault-plan": 1}
+        reset_stats()
+        vec, jit = _both(prog, xs, params, engine, faults=FaultPlan())
+        _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        assert not STATS.fallbacks
+
+    def test_unproven_hull_runs_checked_kernels(self):
+        prog = Program([ComcastStage(bs_comcast_op(MUL))])
+        xs = [np.ones(8, dtype=np.int64) for _ in range(P)]
+        xs[0][5] = 2 ** 7  # root^8 = 2^56 is fine; the hull of [1, 2^7] is not
+        xs[3][1] = 2 ** 40
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=8)
+        low = engine_lower(prog, xs, params)
+        assert (low.rung, low.why) == ("checked", "bounds-unproven")
+        assert STATS.full_jit_runs == 0
+        vec, jit = _both(prog, xs, params)
+        _assert_same_run(vec, jit)
+        assert jit.values[7][5] == 2 ** 56
+
+    def test_overflow_replays_in_object_mode(self):
+        prog = Program([IterStage(br_iter_op(MUL), then_bcast=True)])
+        xs = [2 ** 20] * P
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=1)
+        vec, jit = _both(prog, xs, params)
+        _assert_same_run(vec, jit)
+        assert jit.values == (2 ** 160,) * P
+        assert STATS.fallbacks["bounds-unproven"] == 1
+        assert STATS.full_jit_runs == 0
+
+    @pytest.mark.parametrize("rule,window", [
+        (SRReduction(), (ScanStage(ADD), ReduceStage(ADD))),
+        (SRReduction(), (ScanStage(ADD), AllReduceStage(ADD))),
+        (SSScan(), (ScanStage(ADD), ScanStage(ADD))),
+    ], ids=["reduce_balanced", "allreduce_balanced", "scan_balanced"])
+    def test_balanced_stages_stay_uncompiled(self, rule, window):
+        # their definition exists only inside the pair … π₁ sandwich
+        assert rule.match(window)
+        prog = Program(rule.rewrite(window))
+        (balanced,) = [st for st in prog.stages if st.is_collective]
+        assert balanced.definition() is None
+        why = f"uncompiled:{balanced.pretty()}"
+        assert compiled_program(prog).uncompiled == why
+        params = MachineParams(p=P, ts=10.0, tw=1.0, m=64)
+        xs = _arrays(block=64, seed=43)
+        low = engine_lower(prog, xs, params)
+        assert (low.rung, low.why) == ("checked", why)
+        vec, jit = _both(prog, xs, params)
+        _assert_same_run(vec, jit)
+        assert STATS.full_jit_runs == 0
+
+    @pytest.mark.parametrize("stage", [
+        ComcastStage(bs_comcast_op(MUL)),
+        ComcastStage(bss2_comcast_op(MUL, ADD), impl="doubling"),
+        ComcastStage(bss_comcast_op(ADD)),
+        IterStage(br_iter_op(MUL)),
+        IterStage(bsr2_iter_op(MUL, ADD), general=True),
+        IterStage(bsr_iter_op(ADD), then_bcast=True),
+    ], ids=lambda st: st.pretty())
+    def test_bounds_are_the_definitions(self, stage):
+        around = ([MapStage(_dbl, label="dbl")], [ScanStage(ADD)])
+        derived = [*around[0], stage, *around[1]]
+        spliced = [*around[0], *stage.definition(), *around[1]]
+        verdicts = set()
+        for p in (1, 2, 5, 8):
+            for hi in (1, 3, 40, 2 ** 6, 2 ** 10, 2 ** 20, 2 ** 61):
+                for lo in (-hi, 0, hi):
+                    got = analyze_stages(derived, (lo, hi), p)
+                    assert got == analyze_stages(spliced, (lo, hi), p)
+                    verdicts.add(got)
+        assert verdicts == {True, False}  # the sweep crosses the boundary
+
+
 class TestDirectWriteScan:
     """A scan without a post map combines straight into its output rows."""
 
@@ -583,6 +864,27 @@ class TestStatsAndCli:
         assert code == 0
         assert "[jit ]" in out
         assert "full jit runs" in out
+
+    def test_cli_jit_stats_shows_the_program_as_written_and_as_planned(
+            self, capsys, tmp_path):
+        f = tmp_path / "prog.mpi"
+        f.write_text("Program P (x);\nMPI_Bcast (x);\nMPI_Scan (x, y, add);\n")
+        code = cli_main(["jit", "stats", str(f), "--p", "8", "--m", "64"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "as written: bcast ; scan (add)" in out
+        assert ("as planned (FULL_RULES, beam): "
+                "comcast[repeat] (op_comp_bs[add])") in out
+        assert out.count("engine rung under jit=True: fused") == 2
+        # a decline names its reason: the balanced scan has no closure
+        f.write_text("Program P (x);\nMPI_Scan (x, y, add);\n"
+                     "MPI_Scan (y, z, add);\n")
+        code = cli_main(["jit", "stats", str(f), "--p", "8", "--m", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "scan_balanced" in out
+        assert ("engine rung under jit=True: checked (declined the fused "
+                "rung: uncompiled:scan_balanced (op_ss[add]))") in out
 
     def test_cli_jit_clear(self, capsys):
         code = cli_main(["jit", "clear"])

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from repro.core.derived_ops import bs_comcast_op, br_iter_op
-from repro.core.operators import ADD, CONCAT, MUL
+from repro.core import stages as stages_module
+from repro.core.derived_ops import (
+    bs_comcast_op,
+    bss2_comcast_op,
+    bss_comcast_op,
+    br_iter_op,
+    bsr2_iter_op,
+    bsr_iter_op,
+)
+from repro.core.operators import ADD, CONCAT, MAX, MUL
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
@@ -17,8 +28,19 @@ from repro.core.stages import (
     Program,
     ReduceStage,
     ScanStage,
+    Stage,
 )
-from repro.semantics.functional import UNDEF
+from repro.semantics.functional import UNDEF, defined_equal
+from repro.testing.generator import (
+    EW_ADD,
+    EW_MAX,
+    INT_DOMAIN,
+    LIST_DOMAIN,
+    SEG_ADD,
+    SEG_DOMAIN,
+    SEG_MAX,
+    VEC_DOMAIN,
+)
 
 
 class TestStageSemantics:
@@ -121,3 +143,85 @@ class TestProgram:
         s = ScanStage(ADD).with_origin("TestRule")
         assert s.origin == "TestRule"
         assert s.op is ADD
+
+
+#: per generator domain: (comcast builder, iter builder, operator parts)
+#: for every derived-operator kind that is *valid* there — bss2/bsr2 need
+#: ⊗ distributing over ⊕, bss/bsr a commutative ⊕, so the non-commutative
+#: segmented and ``concat`` operators get bs/br only
+_BS, _BSS2, _BSS = ((bs_comcast_op, br_iter_op),
+                    (bss2_comcast_op, bsr2_iter_op),
+                    (bss_comcast_op, bsr_iter_op))
+_DERIVED_OPS = [
+    (INT_DOMAIN, _BS, (ADD,)), (INT_DOMAIN, _BS, (MUL,)),
+    (INT_DOMAIN, _BSS2, (MUL, ADD)), (INT_DOMAIN, _BSS2, (ADD, MAX)),
+    (INT_DOMAIN, _BSS, (ADD,)), (INT_DOMAIN, _BSS, (MAX,)),
+    (VEC_DOMAIN, _BS, (EW_MAX,)), (VEC_DOMAIN, _BSS2, (EW_ADD, EW_MAX)),
+    (VEC_DOMAIN, _BSS, (EW_ADD,)),
+    (SEG_DOMAIN, _BS, (SEG_ADD,)), (SEG_DOMAIN, _BS, (SEG_MAX,)),
+    (LIST_DOMAIN, _BS, (CONCAT,)),
+]
+
+
+class TestDefinition:
+    """``Stage.definition``: the rule's left-hand side *is* the stage."""
+
+    @staticmethod
+    def _agree(stage, xs):
+        want = stage.apply(xs)
+        got = Program(stage.definition()).run(xs)
+        assert defined_equal(got, want), stage.pretty()
+        assert [v is UNDEF for v in got] == [v is UNDEF for v in want]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize(
+        "domain,builders,parts", _DERIVED_OPS,
+        ids=[f"{d.name}-{b[0].__name__.removesuffix('_comcast_op')}-{'-'.join(o.name for o in ops)}"
+             for d, b, ops in _DERIVED_OPS])
+    def test_definition_is_semantics(self, domain, builders, parts, p):
+        rng = random.Random(p)
+        comcast, iter_ = builders
+        for _ in range(5):
+            xs = [domain.value_gen(rng) for _ in range(p)]
+            for impl in ("repeat", "doubling"):
+                self._agree(ComcastStage(comcast(*parts), impl=impl), xs)
+            for then_bcast in (False, True):
+                for general in (False, True):
+                    if general or p & (p - 1) == 0:  # doubling: powers of 2
+                        self._agree(IterStage(iter_(*parts), general=general,
+                                              then_bcast=then_bcast), xs)
+
+    def test_definitions_are_the_rules_left_hand_sides(self):
+        def shape(stage):
+            return " ; ".join(s.pretty() for s in stage.definition())
+
+        assert shape(ComcastStage(bs_comcast_op(ADD))) == "bcast ; scan (add)"
+        assert shape(ComcastStage(bss2_comcast_op(MUL, ADD))) == \
+            "bcast ; scan (mul) ; scan (add)"
+        assert shape(ComcastStage(bss_comcast_op(ADD))) == \
+            "bcast ; scan (add) ; scan (add)"
+        assert shape(IterStage(br_iter_op(ADD))) == "bcast ; reduce (add)"
+        assert shape(IterStage(br_iter_op(ADD), then_bcast=True)) == \
+            "bcast ; allreduce (add)"
+        assert shape(IterStage(bsr2_iter_op(MUL, ADD))) == \
+            "bcast ; scan (mul) ; reduce (add)"
+        assert shape(IterStage(bsr_iter_op(ADD), general=True)) == \
+            "bcast ; scan (add) ; reduce (add)"
+
+    def test_every_other_stage_is_primitive(self):
+        derived = {ComcastStage, IterStage}
+        classes = [getattr(stages_module, name)
+                   for name in stages_module.__all__]
+        stage_classes = [c for c in classes
+                         if isinstance(c, type) and issubclass(c, Stage)]
+        assert derived < set(stage_classes) and len(stage_classes) >= 17
+        for cls in stage_classes:
+            if cls not in derived:
+                assert cls.definition is Stage.definition, cls.__name__
+        assert Stage.definition(BcastStage()) is None
+        assert ScanStage(ADD).definition() is None
+
+    def test_operator_without_metadata_has_no_definition(self):
+        bare = replace(bs_comcast_op(ADD), kind="", parts=())
+        assert ComcastStage(bare).definition() is None
+        assert IterStage(replace(br_iter_op(ADD), kind="")).definition() is None
