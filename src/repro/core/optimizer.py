@@ -198,8 +198,9 @@ def optimize(
 
     ``cache`` is an optional plan cache
     (:class:`repro.core.plancache.PlanCache` or anything with its
-    ``get``/``put`` protocol).  A hit replays the stored rule trace
-    against ``program`` and skips the search entirely; a miss runs the
+    ``get``/``put`` protocol).  A hit skips the search entirely: the
+    first hit of a program value replays the stored rule trace against
+    ``program``, later ones return that checked plan; a miss runs the
     search and writes the plan through.
     """
     if cache is not None:

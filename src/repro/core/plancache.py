@@ -8,14 +8,19 @@ identities, independent of map labels and captured constants) together
 with the machine parameters, rule set, strategy and lossiness flag.
 
 What is cached is **not** the optimized program — programs contain
-callables — but the *rule-application trace* plus its cost ledger.  On a
-hit the trace is replayed step by step against the request's own program
-(:func:`repro.core.planner.replay_trace`), which re-checks every match,
-so a hit either reconstructs a bit-identical plan or degrades to a miss;
-it can never silently return a wrong program.
+callables — but the *rule-application trace* plus its cost ledger.  The
+first hit of a program value replays the trace step by step against the
+request's own program (:func:`repro.core.planner.replay_trace`), which
+re-checks every match, so a hit either reconstructs a bit-identical plan
+or degrades to a miss; it can never silently return a wrong program.
+Later hits of a value-equal program are served *resident*: the plan that
+replay built and checked, returned for as long as the record it was
+replayed from is the one the LRU holds under that key.
 
 Layers:
 
+* a resident tier (request value → checked plan, at most ``capacity``
+  entries), filled only by a checked replay and consulted first,
 * an in-memory LRU (``capacity`` entries) with hit/miss/eviction
   counters, and
 * an optional write-through on-disk JSON store (one versioned document,
@@ -115,6 +120,11 @@ class PlanCache:
     disk store keeps every plan ever written, so a cold process re-warms
     from disk on the first request per shape.  With ``path=None`` nothing
     outlives the LRU, so a long-lived memory-only cache stays bounded.
+
+    A request that repeats a hashable program *value* (a fresh but equal
+    ``Program``, same params, rules, strategy and lossiness) is served
+    from the resident tier without deriving a key or replaying; see
+    :meth:`get`.
     """
 
     def __init__(self, path: str | os.PathLike | None = None,
@@ -132,7 +142,11 @@ class PlanCache:
         self._memory: "OrderedDict[str, PlanRecord]" = OrderedDict()
         #: mirror of the on-disk store; stays empty when there is no path
         self._disk: dict[str, PlanRecord] = {}
+        #: request value -> (key, the record replayed, the checked plan);
+        #: an entry is served only while ``_memory[key] is record``
+        self._resident: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.hits = 0
+        self.resident_hits = 0
         self.misses = 0
         self.evictions = 0
         self.replay_failures = 0
@@ -215,14 +229,37 @@ class PlanCache:
     def get(self, program: Program, params: MachineParams,
             rules: Iterable[Rule] = ALL_RULES, strategy: str = "beam",
             allow_lossy: bool = False) -> OptimizationResult | None:
-        """Replay the cached plan for this request, or ``None`` on a miss.
+        """The cached plan for this request, or ``None`` on a miss.
 
-        A hit reconstructs the full :class:`OptimizationResult` by
-        replaying the stored trace against ``program``; the replayed
-        plan's cost is recomputed and checked against the stored ledger,
-        so a stale or corrupted entry is dropped (and counted in
-        ``replay_failures``) instead of served.
+        The first hit of a program value reconstructs the full
+        :class:`OptimizationResult` by replaying the stored trace against
+        ``program``; the replayed plan's cost is recomputed and checked
+        against the stored ledger, so a stale or corrupted entry is
+        dropped (and counted in ``replay_failures``) instead of served.
+        A plan that passed both checks stays resident under the request's
+        value, and a later value-equal request gets that same result
+        (``derivation.initial == program``) while the LRU still holds the
+        very record it was replayed from; both kinds count in ``hits``.
         """
+        rules = tuple(rules)
+        request = (program, params, rules, strategy, allow_lossy)
+        with self._lock:
+            try:
+                entry = self._resident.get(request)
+            except TypeError:
+                # captured list or array blocks do not hash: such a
+                # program replays on every hit
+                request = entry = None
+            if entry is not None:
+                key, record, result = entry
+                if self._memory.get(key) is record:
+                    self._memory.move_to_end(key)
+                    self._resident.move_to_end(request)
+                    self.hits += 1
+                    self.resident_hits += 1
+                    return result
+                # evicted, dropped as bad, rewritten or reset since
+                del self._resident[request]
         key = self.key_for(program, params, rules, strategy, allow_lossy)
         with self._lock:
             record = self._record(key)
@@ -244,15 +281,20 @@ class PlanCache:
                 self._evict_bad(key)
                 self.misses += 1
             return None
-        with self._lock:
-            self.hits += 1
-        return OptimizationResult(
+        result = OptimizationResult(
             derivation=Derivation(initial=program, final=final, steps=steps),
             cost_before=program_cost(program, params),
             cost_after=cost_after,
             params=params,
             programs_explored=record.programs_explored,
         )
+        with self._lock:
+            self.hits += 1
+            if request is not None:
+                self._resident[request] = (key, record, result)
+                while len(self._resident) > self.capacity:
+                    self._resident.popitem(last=False)
+        return result
 
     def _evict_bad(self, key: str) -> None:
         self.replay_failures += 1
@@ -292,7 +334,9 @@ class PlanCache:
         """
         with self._lock:
             self._memory.clear()
+            self._resident.clear()
             self.hits = 0
+            self.resident_hits = 0
             self.misses = 0
             self.evictions = 0
             self.replay_failures = 0
@@ -317,12 +361,16 @@ class PlanCache:
             total = self.hits + self.misses
             return {
                 "hits": self.hits,
+                "resident_hits": self.resident_hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "replay_failures": self.replay_failures,
                 "hit_rate": (self.hits / total) if total else 0.0,
                 "stored": len(self),
                 "memory_entries": len(self._memory),
+                "resident_entries": sum(
+                    self._memory.get(key) is record
+                    for key, record, _ in self._resident.values()),
                 "disk_entries": len(self._disk),
                 "capacity": self.capacity,
                 "path": str(self.path) if self.path is not None else None,
@@ -332,8 +380,10 @@ class PlanCache:
         s = self.stats()
         lines = [
             f"plan cache: {s['stored']} stored plan(s), "
-            f"{s['memory_entries']}/{s['capacity']} in memory",
-            f"  hits={s['hits']} misses={s['misses']} "
+            f"{s['memory_entries']}/{s['capacity']} in memory, "
+            f"{s['resident_entries']} resident",
+            f"  hits={s['hits']} (resident_hits={s['resident_hits']}) "
+            f"misses={s['misses']} "
             f"hit_rate={s['hit_rate']:.2%} evictions={s['evictions']} "
             f"replay_failures={s['replay_failures']}",
         ]

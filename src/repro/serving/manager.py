@@ -219,11 +219,14 @@ class ServingManager:
             raise
         try:
             self.queue.push(job)
-        except QueueFullError:
+        except (QueueFullError, ManagerClosedError) as exc:
+            # closed: another thread ran close() after the check above
+            reason = ("queue_full" if isinstance(exc, QueueFullError)
+                      else "closed")
             self.quotas.release(tenant)
             self._count("rejected")
             self.events.emit("reject", job=job.job_id, tenant=tenant,
-                             reason="queue_full")
+                             reason=reason)
             raise
         self._count("submitted")
         self.events.emit("admit", job=job.job_id, tenant=tenant,
@@ -308,6 +311,9 @@ class ServingManager:
         """
         with self._lock:
             already = self._closed
+            # the queue closes before the flag shows: a worker that sees
+            # "closed and empty" and exits cannot be followed by a push
+            self.queue.close()
             self._closed = True
         if not already and not drain:
             self._abort.set()
@@ -315,7 +321,6 @@ class ServingManager:
                 self.fail_job(job, ManagerClosedError(
                     f"job {job.job_id} cancelled: manager closed "
                     f"without drain"))
-        self.queue.close()
         done = self.workers.join(timeout)
         if done:
             self.pool.close()

@@ -18,7 +18,7 @@ import threading
 from collections import OrderedDict, deque
 from typing import Callable, Iterator
 
-from repro.serving.job import Job, QueueFullError
+from repro.serving.job import Job, ManagerClosedError, QueueFullError
 
 __all__ = ["FairQueue"]
 
@@ -41,8 +41,14 @@ class FairQueue:
     def push(self, job: Job) -> None:
         """Enqueue ``job`` or raise :class:`QueueFullError` (typed, never
         blocking: admission control decides *now*, the caller decides
-        whether to retry later)."""
+        whether to retry later).  A closed queue raises
+        :class:`ManagerClosedError`: the workers may already have seen
+        "closed and empty" and gone, so a job parked now would never run.
+        """
         with self._cond:
+            if self._closed:
+                raise ManagerClosedError(
+                    "queue is closed; no further jobs are accepted")
             if self._depth >= self.capacity:
                 raise QueueFullError(self._depth, self.capacity)
             self._fifos.setdefault(job.tenant, deque()).append(job)
@@ -118,8 +124,8 @@ class FairQueue:
     # -- shutdown ------------------------------------------------------------
 
     def close(self) -> None:
-        """Wake every blocked ``pop``; the queue drains but accepts no
-        new pushes via the manager (the manager gates ``submit``)."""
+        """Wake every blocked ``pop``; the queue drains (retries may
+        still ``requeue``) but every later ``push`` raises."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()

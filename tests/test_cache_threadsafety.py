@@ -13,6 +13,7 @@ single-threaded optimization.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 from repro.core.cost import MachineParams
@@ -41,6 +42,13 @@ PROGRAMS = [
              AllReduceStage(MUL)], name="map-allred"),
     Program([ScanStage(ADD), ScanStage(MUL)], name="scan-scan"),
 ]
+
+
+def _fresh(prog):
+    """A value-equal program made of new objects, as a front end that
+    parses every request's text would bring."""
+    return Program([dataclasses.replace(s) for s in prog.stages],
+                   name=prog.name)
 
 
 def _hammer(work, threads=THREADS):
@@ -126,22 +134,33 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
 
 def test_plancache_hammer_counters_and_entries_consistent(tmp_path):
     """8 threads hitting one PlanCache: every get/put survives, the LRU
-    length respects capacity, and hits + misses add up."""
+    length respects capacity, and hits + misses add up.  Odd threads
+    bring a fresh value-equal program per request, so resident hits,
+    replayed hits and puts (which rebind the record and so retire the
+    resident plan) interleave on the same keys."""
     cache = PlanCache(tmp_path / "plans.json", capacity=16)
     params = PARAMS[0]
+    expected = {prog.name: optimize(prog, params).program.pretty()
+                for prog in PROGRAMS}
 
     def work(tid):
         for round_no in range(ROUNDS):
             for prog in PROGRAMS:
-                plan = cache.get(prog, params)
+                mine = _fresh(prog) if tid % 2 else prog
+                plan = cache.get(mine, params)
                 if plan is None:
-                    res = optimize(prog, params)
-                    cache.put(prog, params, res)
+                    res = optimize(mine, params)
+                    cache.put(mine, params, res)
+                else:
+                    assert plan.derivation.initial == mine
+                    assert plan.program.pretty() == expected[prog.name]
 
     _hammer(work)
     stats = cache.stats()
     assert stats["memory_entries"] <= 16
-    assert stats["hits"] + stats["misses"] >= THREADS * ROUNDS * len(PROGRAMS)
+    assert stats["resident_entries"] <= stats["memory_entries"]
+    assert stats["hits"] + stats["misses"] == THREADS * ROUNDS * len(PROGRAMS)
+    assert 0 < stats["resident_hits"] <= stats["hits"]
     # after the stampede settles, every program is served from cache
     for prog in PROGRAMS:
         assert cache.get(prog, params) is not None
@@ -149,17 +168,29 @@ def test_plancache_hammer_counters_and_entries_consistent(tmp_path):
 
 def test_plancache_hammer_with_eviction_pressure(tmp_path):
     """Capacity far below the working set: constant eviction churn from
-    8 threads must not corrupt the LRU's internal order."""
+    8 threads must not corrupt the LRU's internal order — nor let the
+    resident tier (odd threads bring fresh value-equal programs) serve a
+    plan whose record was evicted, or outgrow the capacity."""
     cache = PlanCache(tmp_path / "plans.json", capacity=3)
+    expected = {(prog.name, params): optimize(prog, params).program.pretty()
+                for prog in PROGRAMS for params in PARAMS[:4]}
 
     def work(tid):
         for round_no in range(ROUNDS // 2):
             for prog in PROGRAMS:
                 for params in PARAMS[:4]:
-                    if cache.get(prog, params) is None:
-                        cache.put(prog, params, optimize(prog, params))
+                    mine = _fresh(prog) if tid % 2 else prog
+                    plan = cache.get(mine, params)
+                    if plan is None:
+                        cache.put(mine, params, optimize(mine, params))
+                    else:
+                        assert plan.params == params
+                        assert (plan.program.pretty()
+                                == expected[prog.name, params])
+                    assert len(cache._resident) <= 3
 
     _hammer(work)
     stats = cache.stats()
     assert stats["memory_entries"] <= 3
+    assert stats["resident_entries"] <= 3
     assert stats["evictions"] > 0  # the pressure was real

@@ -220,6 +220,57 @@ class TestCodegenCommand:
         assert main(["codegen", "/no/such/file"]) == 1
 
 
+class TestPlanCommand:
+    def test_plan_round_trip_reports_resident_counters(
+            self, capsys, tmp_path, example_file):
+        store = str(tmp_path / "plans.json")
+        code, out = run_cli(capsys, "plan", "optimize", example_file,
+                            "--store", store, "--p", "16")
+        assert code == 0 and "planned and cached" in out
+        assert "1 stored plan(s), 1/256 in memory, 0 resident" in out
+        assert "hits=0 (resident_hits=0) misses=1" in out
+
+        # a new process replays from the store: a hit, but not by value
+        code, out = run_cli(capsys, "plan", "optimize", example_file,
+                            "--store", store, "--p", "16")
+        assert code == 0 and "served from cache" in out
+        assert "1/256 in memory, 1 resident" in out
+        assert "hits=1 (resident_hits=0) misses=0" in out
+
+        code, out = run_cli(capsys, "plan", "lookup", example_file,
+                            "--store", store, "--p", "16")
+        assert code == 0 and "hit: replayed cached plan" in out
+
+        code, out = run_cli(capsys, "plan", "stats", "--store", store)
+        assert code == 0
+        assert "1 stored plan(s), 0/256 in memory, 0 resident" in out
+        assert "hits=0 (resident_hits=0) misses=0" in out
+
+        code, out = run_cli(capsys, "plan", "clear", "--store", store)
+        assert code == 0 and "cleared 1 plan(s)" in out
+        code, out = run_cli(capsys, "plan", "lookup", example_file,
+                            "--store", store, "--p", "16")
+        assert code == 1 and "miss:" in out
+
+    def test_describe_tells_a_by_value_hit_from_a_replayed_one(self):
+        from repro.core.cost import MachineParams
+        from repro.core.optimizer import optimize
+        from repro.core.plancache import PlanCache
+        from repro.lang import parse_program
+
+        cache = PlanCache()
+        params = MachineParams(p=16, ts=600.0, tw=2.0, m=1)
+        env = default_env()  # one environment: equal texts, equal programs
+        for _ in range(4):  # miss, replayed hit, two by-value hits
+            program = parse_program(EXAMPLE_SRC).to_program(env)
+            optimize(program, params, strategy="beam", cache=cache)
+        stats = cache.stats()
+        assert (stats["misses"], stats["hits"], stats["resident_hits"],
+                stats["resident_entries"]) == (1, 3, 2, 1)
+        assert "1/256 in memory, 1 resident" in cache.describe()
+        assert "hits=3 (resident_hits=2) misses=1" in cache.describe()
+
+
 class TestServeCommand:
     def test_serve_demo(self, capsys, tmp_path):
         log = tmp_path / "serving.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.operators import ADD, MUL
@@ -15,6 +17,7 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
 )
+from repro.lang import parser as parser_mod
 from repro.lang import (
     LexError,
     ParseError,
@@ -129,6 +132,87 @@ MPI_Scan (x, z, op1);
     def test_collective_requires_two_buffers(self):
         with pytest.raises(ParseError):
             parse_program("Program P (x);\nMPI_Scan (x);\n")
+
+
+def _numbered(k: int) -> str:
+    return f"Program P{k} (x);\ny = f ( x );\nMPI_Scan (y, z, op1);\n"
+
+
+class TestParseMemo:
+    """``parse_program`` keeps the declaration of a text it has seen: a
+    served front end pays for lexing a repeated text once."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        parser_mod._PARSE_MEMO.clear()
+        yield
+        parser_mod._PARSE_MEMO.clear()
+
+    def test_same_text_gives_the_identical_declaration(self):
+        first = parse_program(PAPER_SOURCE)
+        assert parse_program(PAPER_SOURCE) is first
+        assert parse_program(str(PAPER_SOURCE.encode(), "ascii")) is first
+        assert parse_program(PAPER_SOURCE + " ") is not first  # by text
+        parser_mod._PARSE_MEMO.clear()
+        cold = parse_program(PAPER_SOURCE)
+        assert cold is not first and cold == first
+
+    def test_shared_declaration_resolves_per_environment(self):
+        decl = parse_program(PAPER_SOURCE)
+        a, b = decl.to_program(ENV), parse_program(PAPER_SOURCE).to_program(ENV)
+        assert a is not b and a == b and hash(a) == hash(b)
+        swapped = parse_program(PAPER_SOURCE).to_program(
+            {**ENV, "op1": ADD, "op2": MUL})
+        assert swapped != a
+        assert swapped.stages[1].op is ADD and a.stages[1].op is MUL
+
+    @pytest.mark.parametrize("bad", [
+        "Prog P (x);",                          # parser error
+        "Program P (x);\ny = f ( x ) @;\n",     # lexer error
+    ])
+    def test_a_failing_text_is_never_remembered(self, bad):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse_program(bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and messages[0]
+        assert bad not in parser_mod._PARSE_MEMO
+
+    def test_memo_is_bounded_first_in_first_out(self):
+        bound = parser_mod._PARSE_MEMO_MAX
+        decls = [parse_program(_numbered(k)) for k in range(bound + 40)]
+        assert len(parser_mod._PARSE_MEMO) == bound
+        assert _numbered(0) not in parser_mod._PARSE_MEMO
+        assert parse_program(_numbered(bound + 39)) is decls[-1]
+        again = parse_program(_numbered(0))  # evicted: parsed anew
+        assert again is not decls[0] and again == decls[0]
+        assert len(parser_mod._PARSE_MEMO) == bound
+
+    def test_memo_stays_bounded_and_right_under_threads(self, monkeypatch):
+        monkeypatch.setattr(parser_mod, "_PARSE_MEMO_MAX", 5)
+        texts = [_numbered(k) for k in range(12)]
+        expected = [parse_program(t) for t in texts]
+        errors, sizes = [], []
+
+        def work(tid):
+            try:
+                for round_no in range(60):
+                    for k in range(tid, tid + len(texts)):
+                        k %= len(texts)
+                        assert parse_program(texts[k]) == expected[k]
+                        sizes.append(len(parser_mod._PARSE_MEMO))
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert max(sizes) <= 5
 
 
 class TestPrinter:

@@ -29,7 +29,13 @@ from repro.core.optimizer import (
 from repro.core.plancache import PLANCACHE_JSON_VERSION, PlanCache, PlanRecord
 from repro.core.planner import beam_optimize, cache_key, plan_signature
 from repro.core.rules import ALL_RULES
-from repro.core.stages import BcastStage, MapStage, Program, ScanStage
+from repro.core.stages import (
+    BcastStage,
+    Map2Stage,
+    MapStage,
+    Program,
+    ScanStage,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "plancache_v1.json"
 
@@ -142,6 +148,206 @@ class TestRoundTrip:
         assert len(calls) == 1
         other = GOLDEN_PARAMS.with_(ts=1.0)  # same program, another request
         assert cache.key_for(prog, other) != cache.key_for(prog, GOLDEN_PARAMS)
+
+
+class TestResidentTier:
+    """A repeated request resolves by value: the plan a checked replay
+    built is served again for a value-equal program, for exactly as long
+    as the LRU holds the record it was replayed from."""
+
+    @staticmethod
+    def _warm(cache, params=GOLDEN_PARAMS):
+        """put + one replayed hit: the plan is now resident."""
+        prog = golden_program()
+        cache.put(prog, params, beam_optimize(prog, params, ALL_RULES))
+        first = cache.get(golden_program(), params)
+        assert first is not None
+        return first
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from repro.core import plancache as plancache_mod
+
+        calls = {"replay_trace": 0, "cache_key": 0}
+
+        def counting(name):
+            real = getattr(plancache_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(plancache_mod, name, wrapper)
+
+        counting("replay_trace")
+        counting("cache_key")
+        return calls
+
+    def test_value_equal_program_skips_key_and_replay(self, monkeypatch):
+        cache = PlanCache()
+        calls = self._spy(monkeypatch)
+        first = self._warm(cache)
+        assert calls == {"replay_trace": 1, "cache_key": 2}  # put + 1st get
+        fresh = golden_program()
+        assert fresh is not first.derivation.initial
+        again = cache.get(fresh, GOLDEN_PARAMS)
+        assert calls == {"replay_trace": 1, "cache_key": 2}
+        assert again is first
+        assert again.derivation.initial == fresh
+        stats = cache.stats()
+        assert stats["hits"] == 2 and stats["misses"] == 0
+        assert stats["resident_hits"] == 1
+        assert stats["resident_entries"] == 1
+
+    def test_put_alone_never_populates_the_tier(self):
+        cache = PlanCache()
+        prog = golden_program()
+        cache.put(prog, GOLDEN_PARAMS,
+                  beam_optimize(prog, GOLDEN_PARAMS, ALL_RULES))
+        assert cache.get(golden_program(), GOLDEN_PARAMS.with_(p=8)) is None
+        assert cache.stats()["resident_entries"] == 0
+
+    def test_another_request_for_the_same_program_is_not_served(self):
+        cache = PlanCache()
+        self._warm(cache)
+        for other in (dict(params=GOLDEN_PARAMS.with_(ts=6.0)),
+                      dict(strategy="greedy"), dict(allow_lossy=True),
+                      dict(rules=ALL_RULES[:3])):
+            request = {"params": GOLDEN_PARAMS, **other}
+            assert cache.get(golden_program(), **request) is None
+        renamed = Program(golden_program().stages, name="other")
+        hit = cache.get(renamed, GOLDEN_PARAMS)  # same signature: replayed
+        assert hit.derivation.initial is renamed
+        assert cache.stats()["resident_hits"] == 0
+
+    def test_record_swapped_after_a_resident_hit_degrades_to_miss(self):
+        cache = PlanCache()
+        self._warm(cache)
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is not None
+        assert cache.stats()["resident_hits"] == 1
+        (key, record), = cache._memory.items()
+        cache._memory[key] = PlanRecord(
+            key=key, program_pretty=record.program_pretty,
+            strategy=record.strategy,
+            trace=(("SR2-Reduction", 0),),  # does not match here
+            cost_before=record.cost_before, cost_after=record.cost_after,
+            programs_explored=record.programs_explored)
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is None
+        stats = cache.stats()
+        assert stats["replay_failures"] == 1 and stats["misses"] == 1
+        assert stats["resident_entries"] == 0
+
+    def test_rewritten_record_is_replayed_again(self, monkeypatch):
+        cache = PlanCache()
+        self._warm(cache)
+        calls = self._spy(monkeypatch)
+        prog = golden_program()
+        cache.put(prog, GOLDEN_PARAMS,
+                  beam_optimize(prog, GOLDEN_PARAMS, ALL_RULES))
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is not None
+        assert calls["replay_trace"] == 1  # new record object: checked anew
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is not None
+        assert calls["replay_trace"] == 1
+        assert cache.stats()["resident_hits"] == 1
+
+    def test_evicted_key_misses_although_its_plan_was_resident(self):
+        cache = PlanCache(capacity=1)
+        self._warm(cache)
+        assert cache.stats()["resident_entries"] == 1
+        other = Program([ScanStage(MUL), ScanStage(ADD)])
+        cache.put(other, GOLDEN_PARAMS,
+                  beam_optimize(other, GOLDEN_PARAMS, ALL_RULES))
+        assert cache.stats()["evictions"] == 1
+        assert cache.stats()["resident_entries"] == 0
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is None
+        assert cache.stats()["misses"] == 1
+        assert len(cache._resident) == 0
+
+    def test_tier_is_bounded_by_capacity(self):
+        """Many values can share one record (same signature, other
+        names), so the tier has its own bound: the cache's capacity."""
+        cache = PlanCache(capacity=2)
+        self._warm(cache)
+        for k in range(5):
+            renamed = Program(golden_program().stages, name=f"copy{k}")
+            assert cache.get(renamed, GOLDEN_PARAMS) is not None
+        assert len(cache._resident) == 2
+        assert cache.stats()["resident_entries"] == 2
+        assert cache.stats()["memory_entries"] == 1
+
+    def test_resident_hit_refreshes_the_lru(self):
+        cache = PlanCache(capacity=2)
+        self._warm(cache)
+        others = [Program([ScanStage(MUL), ScanStage(ADD)]),
+                  Program([BcastStage(), ScanStage(ADD)])]
+        cache.put(others[0], GOLDEN_PARAMS,
+                  beam_optimize(others[0], GOLDEN_PARAMS, ALL_RULES))
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is not None
+        cache.put(others[1], GOLDEN_PARAMS,
+                  beam_optimize(others[1], GOLDEN_PARAMS, ALL_RULES))
+        # the resident hit made the golden plan the most recently used
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is not None
+        assert cache.get(others[0], GOLDEN_PARAMS) is None
+
+    def test_clear_planner_caches_empties_the_tier(self):
+        cache = PlanCache()
+        self._warm(cache)
+        clear_planner_caches()
+        assert len(cache._resident) == 0
+        stats = cache.stats()
+        assert stats["resident_entries"] == stats["resident_hits"] == 0
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is None
+
+    def test_clear_empties_the_tier_and_disk_rewarms_by_replay(
+            self, tmp_path, monkeypatch):
+        cache = PlanCache(path=tmp_path / "plans.json")
+        self._warm(cache)
+        cache.clear()
+        assert len(cache._resident) == 0
+        calls = self._spy(monkeypatch)
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is not None
+        assert calls["replay_trace"] == 1
+        cache.clear(disk=True)
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is None
+
+    def test_unhashable_program_hits_through_replay(self, monkeypatch):
+        """map2 over list blocks: the program does not hash, so every hit
+        replays — and nothing raises."""
+        def build():
+            return Program([Map2Stage(_keep_x, other=([1, 2], [3, 4],
+                                                            [5, 6], [7, 8])),
+                            ScanStage(ADD), ScanStage(ADD)], name="coeffs")
+
+        with pytest.raises(TypeError):
+            hash(build())
+        cache = PlanCache()
+        cold = optimize(build(), GOLDEN_PARAMS, strategy="beam", cache=cache)
+        calls = self._spy(monkeypatch)
+        for n in (1, 2):
+            hit = cache.get(build(), GOLDEN_PARAMS)
+            assert hit.program.pretty() == cold.program.pretty()
+            assert calls["replay_trace"] == n
+        stats = cache.stats()
+        assert stats["hits"] == 2 and stats["resident_hits"] == 0
+        assert stats["resident_entries"] == 0
+
+    def test_optimize_serves_the_resident_plan(self):
+        cache = PlanCache()
+        cold = optimize(golden_program(), GOLDEN_PARAMS, strategy="beam",
+                        cache=cache)
+        replayed = optimize(golden_program(), GOLDEN_PARAMS, strategy="beam",
+                            cache=cache)
+        resident = optimize(golden_program(), GOLDEN_PARAMS, strategy="beam",
+                            cache=cache)
+        assert resident is replayed
+        assert resident.program.pretty() == cold.program.pretty()
+        assert resident.cost_after == cold.cost_after
+        assert resident.derivation.describe() == cold.derivation.describe()
+        xs = [1.0, 2.0, 3.0, 4.0]
+        assert resident.program.run(xs) == golden_program().run(xs)
+
+
+def _keep_x(x, ys):
+    return x
 
 
 class TestGoldenFile:

@@ -81,6 +81,16 @@ class TestFairQueue:
         assert exc_info.value.capacity == 2
         assert "2" in str(exc_info.value)
 
+    def test_push_on_a_closed_queue_is_typed_but_requeue_still_lands(self):
+        q = FairQueue(capacity=4)
+        q.close()
+        with pytest.raises(ManagerClosedError):
+            q.push(_job())
+        assert len(q) == 0
+        retried = _job()
+        q.requeue(retried)  # an admitted job's retry must not be dropped
+        assert q.pop(timeout=0.01) is retried
+
     def test_requeue_bypasses_capacity_and_jumps_the_line(self):
         """Retries re-enter at the *front* of their tenant's FIFO and are
         exempt from the admission cap (the job was already admitted)."""
@@ -384,6 +394,27 @@ class TestServingManager:
         assert mgr.close(drain=True, timeout=30.0)
         with pytest.raises(ManagerClosedError):
             mgr.submit(SCAN, [1.0] * P, PARAMS)
+
+    def test_close_racing_a_submit_is_refused_not_stranded(self, monkeypatch):
+        """A submit that passed the open check while another thread
+        closed the manager used to push after the last worker had seen
+        "closed and empty": the handle never resolved.  The close is
+        forced into that window from inside ``quotas.admit``."""
+        mgr = ServingManager(_cfg(workers=1, tenant_quota=1))
+        admit = mgr.quotas.admit
+
+        def close_then_admit(tenant):
+            assert mgr.close(drain=True, timeout=30.0)  # workers are gone
+            admit(tenant)
+
+        monkeypatch.setattr(mgr.quotas, "admit", close_then_admit)
+        with pytest.raises(ManagerClosedError):
+            mgr.submit(SCAN, [1.0] * P, PARAMS, tenant="t")
+        assert len(mgr.queue) == 0
+        assert mgr.quotas.snapshot().get("t", 0) == 0  # quota handed back
+        assert mgr.events.of_kind("reject")[0]["reason"] == "closed"
+        assert mgr.stats()["rejected"] == 1
+        assert mgr.stats()["submitted"] == 0
 
     def test_abort_close_fails_queued_jobs_typed(self):
         """close(drain=False) cancels queued work with ManagerClosedError
