@@ -60,7 +60,9 @@ Subcommands
 ``serve demo``
     Walkthrough of the multi-tenant job-service runtime: a worker pool
     serving a stream of tenant jobs with admission control, quotas,
-    deadlines and the retry/quarantine ladder.  ``--chaos`` runs the
+    deadlines and the retry/quarantine ladder; prints each job's
+    simulated time (``sim_time``, from its handle) and the manager's
+    resident-schedule hits and bypasses.  ``--chaos`` runs the
     SIGKILL roulette instead (workers killed mid-job; surviving tenants
     must stay bit-identical).  ``--log PATH`` writes the job-lifecycle
     event log.  Long-running commands (``serve``, ``conformance
@@ -826,7 +828,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 for t in range(args.tenants):
                     handles.append(mgr.submit(
                         programs[j % len(programs)],
-                        [float(r + j) for r in range(4)],
+                        [r + j for r in range(4)],
                         params, tenant=f"tenant-{t}"))
             lines.append(f"submitted {len(handles)} job(s) across "
                          f"{args.tenants} tenant(s)")
@@ -834,6 +836,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                        if h.result(timeout=120.0) is not None)
             lines.append(f"completed {done} job(s); sample result: "
                          f"{handles[0].result()}")
+            # the model's verdict rides on the handle (the process
+            # substrate's runner returns values only)
+            lines.extend(
+                f"  {h.job_id} [{h.tenant}]: sim_time="
+                + ("n/a" if h.sim is None else f"{h.sim.time:g}")
+                for h in handles)
             interrupted = interrupted or stop.stopped()
 
             if not interrupted:

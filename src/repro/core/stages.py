@@ -25,7 +25,7 @@ so optimization reports can explain where every stage came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Sequence
 
 from repro.core.derived_ops import ComcastOp, IterOp, SRTreeOp, SSButterflyOp
 from repro.core.operators import BinOp
@@ -60,6 +60,12 @@ class Stage:
 
     #: Which rewrite rule created this stage ("" for user-written stages).
     origin: str = field(default="", kw_only=True)
+
+    #: Whether the machine charges this stage's messages by ``len(block)``
+    #: at run time rather than by the declared ``m * width`` — the one
+    #: way a fault-free simulated schedule can depend on more than
+    #: (program, machine, which blocks are defined).
+    words_follow_block: ClassVar[bool] = False
 
     @property
     def is_collective(self) -> bool:
@@ -268,6 +274,7 @@ class ReduceScatterStage(Stage):
 
     op: BinOp
     counts: tuple[int, ...] | None = None
+    words_follow_block: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.counts is not None:
@@ -300,6 +307,7 @@ class AllGatherVStage(Stage):
 
     counts: tuple[int, ...] | None = None
     width: int = 1
+    words_follow_block: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.counts is not None:

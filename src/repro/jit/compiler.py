@@ -72,6 +72,7 @@ from repro.kernels.blocks import (
 from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan
 from repro.kernels.lowering import rebuild_stage, vectorize_program
 from repro.kernels.registry import registry_version
+from repro.machine.run import DEFINED
 from repro.semantics.functional import UNDEF
 
 from .bounds import analyze_stages, slot_count
@@ -812,10 +813,6 @@ def _raw_binop_fn(op: BinOp) -> Callable:
     return fn
 
 
-#: the one payload of a token run: "this block is defined"
-DEFINED = "<defined>"
-
-
 def _token_map(x: Any) -> Any:
     return x
 
@@ -905,7 +902,9 @@ def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:
     counted, where only the run can tell the fused rung does not apply:
     a fault plan makes definedness depend on the schedule, a closure may
     decline its runtime blocks, and the token run must leave ``UNDEF``
-    exactly where the kernels do."""
+    exactly where the kernels do.  An engine that keeps token schedules
+    resident (``run.resident``, the cooperative one) answers without
+    running; any other runs the tokens itself."""
     if faults is not None and not faults.is_empty:
         why = "fault-plan"
     else:
@@ -913,11 +912,18 @@ def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:
         if values is None:
             why = "runtime-shape"
         else:
-            result = run(low.program, low.inputs)
-            if all((t is UNDEF) == (v is UNDEF)
-                   for t, v in zip(result.values, values)):
-                return replace(result, values=tuple(map(devectorize_block, values)))
-            why = "schedule-mismatch"
+            values = tuple(map(devectorize_block, values))
+            resident = getattr(run, "resident", None)
+            if resident is not None:
+                result, why = resident(low.program, low.inputs, lambda: values)
+                if why in ("hit", "miss"):
+                    return result
+            else:
+                result = run(low.program, low.inputs)
+                if all((t is UNDEF) == (v is UNDEF)
+                       for t, v in zip(result.values, values)):
+                    return replace(result, values=values)
+                why = "schedule-mismatch"
     STATS.fallbacks[why] += 1
     return None
 
@@ -933,10 +939,14 @@ def run_engine_ladder(
     """The kernel ladder every engine shares (``vectorize=`` / ``jit=``).
 
     ``run(program, inputs)`` is the engine's plain run of exactly what
-    it is given.  Returns its :class:`~repro.machine.engine.SimResult`
-    with object-mode values, or None when no kernel rung applies — not
-    kernelizable, or a checked kernel met an int64 overflow — and the
-    caller must run ``program`` itself in object mode.
+    it is given; an engine that keeps resident schedules also offers
+    ``run.resident(program, inputs, evaluate)`` →
+    :func:`~repro.machine.run.resident_run`'s ``(result, outcome)``,
+    which the fused rung takes for its token run.  Returns the engine's
+    :class:`~repro.machine.engine.SimResult` with object-mode values, or
+    None when no kernel rung applies — not kernelizable, or a checked
+    kernel met an int64 overflow — and the caller must run ``program``
+    itself in object mode.
     """
     try:
         if jit:

@@ -12,10 +12,13 @@ the two pillars the paper's Table 1 stands on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
+from repro.core.optimizer import register_planner_cache_reset
 from repro.faults import FaultPlan
 from repro.core.stages import (
     AllGatherStage,
@@ -51,123 +54,96 @@ from repro.machine.collectives import (
     comcast_doubling,
     reduce_balanced_tree,
     reduce_binomial,
+    scan_balanced_butterfly,
     scan_butterfly,
 )
-from repro.machine.engine import SimResult, run_spmd
+from repro.machine.engine import SimResult, SimStats, run_spmd
 from repro.machine.primitives import RankContext
-from repro.semantics.functional import UNDEF
+from repro.semantics.functional import UNDEF, defined_equal
 
-__all__ = ["simulate_program", "execute_stage", "stage_breakdown", "StageTiming"]
+__all__ = ["simulate_program", "execute_stage", "stage_breakdown", "StageTiming",
+           "resident_run", "clear_resident_schedules", "DEFINED"]
+
+
+def _map(ctx: RankContext, stage: MapStage, x: Any):
+    yield from ctx.compute(stage.ops_per_element * ctx.params.m)
+    return UNDEF if x is UNDEF else stage.fn(x)
+
+
+def _map_indexed(ctx: RankContext, stage: MapIndexedStage, x: Any):
+    yield from ctx.compute(stage.ops_per_element * ctx.params.m)
+    return UNDEF if x is UNDEF else stage.fn(ctx.rank, x)
+
+
+def _map2(ctx: RankContext, stage: Map2Stage, x: Any):
+    yield from ctx.compute(stage.ops_per_element * ctx.params.m)
+    if x is UNDEF:
+        return UNDEF
+    y = stage.other[ctx.rank]
+    return stage.fn(ctx.rank, x, y) if stage.indexed else stage.fn(x, y)
+
+
+def _allgather(ctx: RankContext, stage: AllGatherStage, x: Any):
+    algorithm = allgather_ring if ctx.size & (ctx.size - 1) else allgather_doubling
+    return tuple((yield from algorithm(ctx, x, width=stage.width)))
+
+
+def _gather(ctx: RankContext, stage: GatherStage, x: Any):
+    value = yield from gather_binomial(ctx, x, width=stage.width)
+    return value if value is UNDEF else tuple(value)
+
+
+def _iter(ctx: RankContext, stage: IterStage, x: Any):
+    op, p = stage.iter_op, ctx.size
+    value = UNDEF  # off the root, or a degraded input: nothing to iterate on
+    if ctx.rank == 0 and x is not UNDEF:
+        general = stage.general or bool(p & (p - 1))
+        steps = max(p - 1, 0).bit_length() if general else p.bit_length() - 1
+        yield from ctx.compute(steps * op.op_count * ctx.params.m)
+        value = op.compute_general(p, x) if general else op.compute(p, x)
+    if stage.then_bcast:
+        value = yield from bcast_binomial(ctx, value, root=0, width=1)
+    return value
+
+
+#: stage class -> its SPMD algorithm, a generator function of
+#: ``(ctx, stage, x)``; the algorithm selection a stage implies (ring or
+#: doubling, tree or butterfly, repeat or doubling) is part of the entry
+_MACHINE: dict[type, Callable[[RankContext, Any, Any], Any]] = {
+    MapStage: _map,
+    MapIndexedStage: _map_indexed,
+    Map2Stage: _map2,
+    BcastStage: lambda ctx, stage, x: bcast_binomial(ctx, x, root=0, width=1),
+    AllGatherStage: _allgather,
+    ScatterStage: lambda ctx, stage, x: scatter_binomial(ctx, x, width=stage.width),
+    GatherStage: _gather,
+    ScanStage: lambda ctx, stage, x: scan_butterfly(ctx, x, stage.op),
+    ReduceStage: lambda ctx, stage, x: reduce_binomial(ctx, x, stage.op),
+    AllReduceStage: lambda ctx, stage, x: allreduce_butterfly(ctx, x, stage.op),
+    ReduceScatterStage: lambda ctx, stage, x: reduce_scatter_machine(
+        ctx, x, stage.op, stage.counts),
+    AllGatherVStage: lambda ctx, stage, x: allgatherv_machine(
+        ctx, x, stage.counts, stage.width),
+    BalancedReduceStage: lambda ctx, stage, x: (
+        allreduce_balanced_machine if stage.to_all else reduce_balanced_tree)(
+            ctx, x, stage.tree_op),
+    BalancedScanStage: lambda ctx, stage, x: scan_balanced_butterfly(
+        ctx, x, stage.bfly_op),
+    ComcastStage: lambda ctx, stage, x: (
+        comcast_bcast_repeat if stage.impl == "repeat" else comcast_doubling)(
+            ctx, x, stage.comcast_op),
+    IterStage: _iter,
+}
 
 
 def execute_stage(ctx: RankContext, stage: Stage, x: Any):
-    """One stage of SPMD execution on rank ``ctx.rank`` (generator)."""
-    m = ctx.params.m
-
-    if isinstance(stage, MapStage):
-        yield from ctx.compute(stage.ops_per_element * m)
-        return UNDEF if x is UNDEF else stage.fn(x)
-
-    if isinstance(stage, MapIndexedStage):
-        yield from ctx.compute(stage.ops_per_element * m)
-        return UNDEF if x is UNDEF else stage.fn(ctx.rank, x)
-
-    if isinstance(stage, Map2Stage):
-        yield from ctx.compute(stage.ops_per_element * m)
-        if x is UNDEF:
-            return UNDEF
-        y = stage.other[ctx.rank]
-        if stage.indexed:
-            return stage.fn(ctx.rank, x, y)
-        return stage.fn(x, y)
-
-    if isinstance(stage, BcastStage):
-        value = yield from bcast_binomial(ctx, x, root=0, width=1)
-        return value
-
-    if isinstance(stage, AllGatherStage):
-        if ctx.size & (ctx.size - 1) == 0:
-            value = yield from allgather_doubling(ctx, x, width=stage.width)
-        else:
-            value = yield from allgather_ring(ctx, x, width=stage.width)
-        return tuple(value)
-
-    if isinstance(stage, ScatterStage):
-        value = yield from scatter_binomial(ctx, x, width=stage.width)
-        return value
-
-    if isinstance(stage, GatherStage):
-        value = yield from gather_binomial(ctx, x, width=stage.width)
-        return value if value is UNDEF else tuple(value)
-
-    if isinstance(stage, ScanStage):
-        value = yield from scan_butterfly(ctx, x, stage.op)
-        return value
-
-    if isinstance(stage, ReduceStage):
-        value = yield from reduce_binomial(ctx, x, stage.op)
-        return value
-
-    if isinstance(stage, AllReduceStage):
-        value = yield from allreduce_butterfly(ctx, x, stage.op)
-        return value
-
-    if isinstance(stage, ReduceScatterStage):
-        value = yield from reduce_scatter_machine(ctx, x, stage.op,
-                                                  stage.counts)
-        return value
-
-    if isinstance(stage, AllGatherVStage):
-        value = yield from allgatherv_machine(ctx, x, stage.counts,
-                                              stage.width)
-        return value
-
-    if isinstance(stage, BalancedReduceStage):
-        if stage.to_all:
-            value = yield from allreduce_balanced_machine(ctx, x, stage.tree_op)
-        else:
-            value = yield from reduce_balanced_tree(ctx, x, stage.tree_op)
-        return value
-
-    if isinstance(stage, BalancedScanStage):
-        value = yield from scan_balanced_butterfly_entry(ctx, x, stage)
-        return value
-
-    if isinstance(stage, ComcastStage):
-        if stage.impl == "repeat":
-            value = yield from comcast_bcast_repeat(ctx, x, stage.comcast_op)
-        else:
-            value = yield from comcast_doubling(ctx, x, stage.comcast_op)
-        return value
-
-    if isinstance(stage, IterStage):
-        op = stage.iter_op
-        p = ctx.size
-        if ctx.rank == 0:
-            if x is UNDEF:
-                value = UNDEF  # degraded input: nothing to iterate on
-            elif stage.general or (p & (p - 1)):
-                steps = max(p - 1, 0).bit_length()
-                yield from ctx.compute(steps * op.op_count * m)
-                value = op.compute_general(p, x)
-            else:
-                steps = p.bit_length() - 1
-                yield from ctx.compute(steps * op.op_count * m)
-                value = op.compute(p, x)
-        else:
-            value = UNDEF
-        if stage.then_bcast:
-            value = yield from bcast_binomial(ctx, value, root=0, width=1)
-        return value
-
-    raise TypeError(f"no machine implementation for stage {stage!r}")
-
-
-def scan_balanced_butterfly_entry(ctx: RankContext, x: Any, stage: BalancedScanStage):
-    from repro.machine.collectives import scan_balanced_butterfly
-
-    value = yield from scan_balanced_butterfly(ctx, x, stage.bfly_op)
-    return value
+    """One stage of SPMD execution on rank ``ctx.rank``: the generator of
+    the stage class's entry in the machine table."""
+    try:
+        algorithm = _MACHINE[type(stage)]
+    except KeyError:
+        raise TypeError(f"no machine implementation for stage {stage!r}") from None
+    return algorithm(ctx, stage, x)
 
 
 def simulate_program(
@@ -238,12 +214,22 @@ def simulate_program(
     if jit or vectorize:
         from repro.jit import run_engine_ladder
 
-        result = run_engine_ladder(
-            lambda prog, xs: simulate_program(prog, xs, params, faults=faults),
-            program, inputs, params, faults, jit)
+        def run(prog: Program, xs: Sequence[Any]) -> SimResult:
+            return _run_cooperative(prog, xs, params, faults)
+
+        # what the fused rung takes in place of a token run of its own
+        run.resident = lambda prog, xs, evaluate: resident_run(
+            prog, xs, params, evaluate, faults=faults)
+        result = run_engine_ladder(run, program, inputs, params, faults, jit)
         if result is not None:
             return result
         # no kernel rung applies: the exact object-mode run below
+    return _run_cooperative(program, inputs, params, faults)
+
+
+def _run_cooperative(program: Program, inputs: Sequence[Any],
+                     params: MachineParams, faults: FaultPlan | None) -> SimResult:
+    """The object-mode run: every stage's machine algorithm on real payloads."""
 
     def rank_fn(ctx: RankContext, x: Any):
         for stage in program.stages:
@@ -251,6 +237,151 @@ def simulate_program(
         return x
 
     return run_spmd(rank_fn, inputs, params, faults=faults)
+
+
+# ---------------------------------------------------------------------------
+# Resident schedules
+# ---------------------------------------------------------------------------
+
+# The machine prices a message by the declared ``m * width`` words and a
+# combine by ``op_count * m`` operations — never by block values — so a
+# fault-free run's clocks, messages, words, timeline and events are a
+# function of (program, params, which inputs are UNDEF).  The latest
+# ``_SCHEDULES_MAX`` such keys keep their engine result, values reduced
+# to the definedness pattern and statistics held in tuples.  Reads take
+# no lock (two threads that miss on one key both run the engine, to equal
+# entries); inserts evict first-in-first-out under the lock.  The store
+# counts nothing: :func:`resident_run` returns an outcome and the caller
+# records it in the dialect it already has.
+
+#: the one payload of a token run: "this block is defined"
+DEFINED = "<defined>"
+
+_SCHEDULES: "OrderedDict[tuple, SimResult]" = OrderedDict()
+_SCHEDULES_MAX = 256
+_SCHEDULES_LOCK = threading.Lock()
+_EXACT_LEAVES = frozenset((int, bool))
+
+
+def clear_resident_schedules() -> None:
+    """Drop every resident schedule (``clear_planner_caches()`` does)."""
+    with _SCHEDULES_LOCK:
+        _SCHEDULES.clear()
+
+
+register_planner_cache_reset(clear_resident_schedules)
+
+
+def _exact(block: Any) -> bool:
+    """Python ints and bools inside tuple/list nests: the blocks on which
+    every combining order of a declared-associative operator agrees bit
+    for bit (a float keeps the order of whoever combined it)."""
+    kind = type(block)
+    if kind in _EXACT_LEAVES:
+        return True
+    if kind is tuple or kind is list:
+        return set(map(type, block)) <= _EXACT_LEAVES or all(map(_exact, block))
+    return False
+
+
+def _all_exact(blocks: Sequence[Any]) -> bool:
+    return all(x is UNDEF or _exact(x) for x in blocks)
+
+
+def _undef_at(values: Sequence[Any]) -> tuple[bool, ...]:
+    return tuple(v is UNDEF for v in values)
+
+
+def _evaluated(evaluate: Callable[[], Sequence[Any]], pattern: tuple[bool, ...],
+               tokens: bool) -> tuple[tuple, str]:
+    """The evaluator's values, and why a schedule with ``UNDEF`` at
+    ``pattern`` cannot carry them ("" when it can)."""
+    try:
+        values = tuple(evaluate())
+    except Exception:  # the engine, which degrades where this raised, decides
+        return (), "evaluator-raised"
+    if _undef_at(values) != pattern:
+        return values, "schedule-mismatch"
+    if not (tokens or _all_exact(values)):
+        return values, "inexact-value"
+    return values, ""
+
+
+def resident_run(
+    program: Program, inputs: Sequence[Any], params: MachineParams,
+    evaluate: Callable[[], Sequence[Any]], faults: FaultPlan | None = None,
+) -> tuple[SimResult, str]:
+    """A cooperative run of ``program`` whose values come from ``evaluate``.
+
+    ``evaluate()`` is the caller's exact evaluator of the same program on
+    the same blocks: the reference semantics, or the fused kernels when
+    ``inputs`` are :data:`DEFINED` tokens (then the engine's values are
+    their own definedness pattern and there is nothing to compare).
+    Returns ``(result, outcome)``:
+
+    * ``"hit"`` — the schedule was resident: ``evaluate()``'s values,
+      ``UNDEF`` where the schedule leaves it, on a fresh copy of the
+      stored time and statistics; the engine did not run.
+    * ``"miss"`` — the engine ran on ``inputs`` as ever, ``evaluate()``'s
+      values were ``defined_equal`` to its own with ``UNDEF`` in the same
+      positions, and the schedule was admitted; the values returned are
+      the evaluator's, as on every later hit.
+    * anything else — the reason the store cannot vouch for this run,
+      with the engine's own result, exactly :func:`simulate_program`'s:
+      ``"fault-plan"`` (definedness then depends on the schedule; a live
+      ``fault_state`` or ``initial_clocks`` only reach :func:`run_spmd`,
+      never this function), ``"shape-priced-stage"`` (a stage whose
+      ``words_follow_block``), ``"inexact-input"`` / ``"inexact-value"``
+      (a leaf going in or coming out that is not a Python int or bool,
+      nested ``UNDEF`` included), ``"unhashable-program"``,
+      ``"evaluator-raised"`` (the reference semantics raise on an
+      ``UNDEF`` the machine degrades through; the engine's result, or
+      its own exception, is the answer), ``"schedule-mismatch"`` (the
+      evaluator leaves ``UNDEF`` elsewhere than the schedule) and
+      ``"values-disagree"`` (at admission).
+    """
+    tokens = all(x is DEFINED or x is UNDEF for x in inputs)
+    entry = None
+    if faults is not None and not faults.is_empty:
+        why = "fault-plan"
+    elif not (tokens or _all_exact(inputs)):
+        why = "inexact-input"
+    else:
+        why = ""
+        key = (program, params, _undef_at(inputs))
+        try:
+            entry = _SCHEDULES.get(key)
+        except TypeError:
+            why = "unhashable-program"
+    if why:
+        return _run_cooperative(program, inputs, params, faults), why
+
+    if entry is not None:
+        values, why = _evaluated(evaluate, entry.values, tokens)
+        if why:
+            return _run_cooperative(program, inputs, params, faults), why
+        stats = entry.stats
+        return SimResult(values, entry.time, SimStats(
+            stats.messages, stats.words, stats.compute_ops, stats.clocks,
+            list(stats.timeline), list(stats.events))), "hit"
+
+    result = _run_cooperative(program, inputs, params, faults)
+    if any(stage.words_follow_block for stage in program.stages):
+        return result, "shape-priced-stage"  # never admitted, so never hit
+    pattern = _undef_at(result.values)
+    values, why = _evaluated(evaluate, pattern, tokens)
+    if not (why or tokens or defined_equal(values, result.values)):
+        why = "values-disagree"
+    if why:
+        return result, why
+    stats = result.stats
+    entry = SimResult(pattern, result.time, replace(
+        stats, timeline=tuple(stats.timeline), events=tuple(stats.events)))
+    with _SCHEDULES_LOCK:
+        if key not in _SCHEDULES and len(_SCHEDULES) >= _SCHEDULES_MAX:
+            _SCHEDULES.popitem(last=False)
+        _SCHEDULES[key] = entry
+    return replace(result, values=values), "miss"
 
 
 @dataclass(frozen=True)

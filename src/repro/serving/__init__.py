@@ -18,6 +18,12 @@ persistent worker pool with
   by killing the attempt, capped-exponential-backoff retries after
   worker incidents, poison-job quarantine with forensics, and a circuit
   breaker degrading ``process → threaded → cooperative`` loudly;
+* **the model's verdict in the reply** — a completed handle carries the
+  job's ``SimResult`` (simulated time, clocks, messages, words); on the
+  cooperative substrate a repeated (program, machine, definedness)
+  answers from its resident schedule
+  (:func:`repro.machine.run.resident_run`) instead of re-running the
+  engine, every outcome counted in ``ServingManager.stats()``;
 * **one flight recorder** — every lifecycle event lands in the shared
   :class:`~repro.recovery.events.RecoveryLog` vocabulary (schema v2).
 

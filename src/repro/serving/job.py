@@ -19,6 +19,7 @@ from typing import Any, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
+from repro.machine.engine import SimResult
 
 __all__ = [
     "ServingError", "ManagerClosedError", "QueueFullError",
@@ -131,8 +132,12 @@ class JobHandle:
 
     :meth:`result` blocks (optionally bounded) until the job reaches a
     terminal state, then returns the per-rank value tuple or re-raises
-    the typed failure.  Handles are thread-safe; one handle may be
-    awaited from many threads.
+    the typed failure.  :attr:`sim` is then the job's
+    :class:`~repro.machine.engine.SimResult` — the model's verdict:
+    ``time``, ``stats.clocks`` / ``messages`` / ``words`` — or ``None``
+    for a failed job and on the process substrate, whose runner returns
+    values only.  Handles are thread-safe; one handle may be awaited
+    from many threads.
     """
 
     def __init__(self, job_id: str, tenant: str) -> None:
@@ -141,6 +146,7 @@ class JobHandle:
         self.state = PENDING
         self._done = threading.Event()
         self._values: tuple | None = None
+        self._sim: SimResult | None = None
         self._error: BaseException | None = None
 
     def done(self) -> bool:
@@ -149,6 +155,10 @@ class JobHandle:
     @property
     def error(self) -> BaseException | None:
         return self._error
+
+    @property
+    def sim(self) -> SimResult | None:
+        return self._sim
 
     def result(self, timeout: float | None = None) -> tuple:
         if not self._done.wait(timeout):
@@ -161,8 +171,9 @@ class JobHandle:
 
     # -- fulfilment (manager/worker side) ------------------------------------
 
-    def _fulfill(self, values: tuple) -> None:
+    def _fulfill(self, values: tuple, sim: SimResult | None = None) -> None:
         self._values = values
+        self._sim = sim
         self.state = DONE
         self._done.set()
 

@@ -25,11 +25,13 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
+from repro.machine.engine import SimResult
 from repro.parallel.backend import ProcessJobRunner, process_fallback_reason
 from repro.parallel.shm import ArenaPool
 from repro.recovery.events import RecoveryLog
@@ -182,7 +184,9 @@ class ServingManager:
         self.counters = {
             "submitted": 0, "completed": 0, "failed": 0, "rejected": 0,
             "quarantined": 0, "deadline_misses": 0, "retries": 0,
+            "resident_hits": 0,
         }
+        self._resident_bypasses: Counter = Counter()
         self.workers = WorkerPool(self, self.config.workers)
         self.workers.start()
 
@@ -254,12 +258,23 @@ class ServingManager:
     def count_retry(self) -> None:
         self._count("retries")
 
-    def complete_job(self, job: Job, values: tuple) -> None:
+    def record_schedule(self, outcome: str) -> None:
+        """Count one :func:`~repro.machine.run.resident_run` outcome: a
+        hit, or the reason the engine ran without admitting a schedule
+        (a ``"miss"`` is neither: completed - hits - bypasses)."""
+        if outcome == "hit":
+            self._count("resident_hits")
+        elif outcome != "miss":
+            with self._lock:
+                self._resident_bypasses[outcome] += 1
+
+    def complete_job(self, job: Job, values: tuple,
+                     sim: SimResult | None = None) -> None:
         self.events.emit("complete", job=job.job_id, tenant=job.tenant,
                          status="ok", attempts=job.attempts)
         self._count("completed")
         self.quotas.release(job.tenant)
-        job.handle._fulfill(values)
+        job.handle._fulfill(values, sim)
 
     def fail_job(self, job: Job, error: BaseException,
                  counter: str = "failed") -> None:
@@ -338,8 +353,10 @@ class ServingManager:
         """Counters + live state, the ``serve`` CLI / bench payload."""
         with self._lock:
             counters = dict(self.counters)
+            bypasses = dict(sorted(self._resident_bypasses.items()))
         return {
             **counters,
+            "resident_bypasses": bypasses,
             "queue_depth": len(self.queue),
             "inflight": self.quotas.snapshot(),
             "substrate": self.breaker.substrate,
@@ -357,4 +374,6 @@ class ServingManager:
                 f"{s['retries']} retries\n"
                 f"  substrate={s['substrate']} (demotions={s['demotions']}) "
                 f"queue_depth={s['queue_depth']} "
-                f"arenas={s['arena_pool']}")
+                f"arenas={s['arena_pool']}\n"
+                f"  resident schedules: hits={s['resident_hits']} "
+                f"bypasses={s['resident_bypasses']}")

@@ -4,8 +4,13 @@ Each worker is one daemon thread looping pop → execute → fulfil.  On the
 ``"process"`` substrate a worker greedily extends its job into a batch of
 same-tenant, same-``(p, params)`` batch-mates and runs them in **one fork
 generation** through the shared :class:`~repro.parallel.backend.\
-ProcessJobRunner`; on ``"threaded"``/``"cooperative"`` it executes jobs
-singly through :func:`~repro.machine.run.simulate_program`.
+ProcessJobRunner`; on ``"threaded"`` it executes jobs singly through
+:func:`~repro.machine.run.simulate_program`, and on ``"cooperative"``
+through :func:`~repro.machine.run.resident_run` with the planned
+program's reference semantics as the evaluator — a repeated (program,
+machine, definedness) answers from its resident schedule, and every
+outcome lands in the manager's ``resident_hits`` / ``resident_bypasses``.
+Either way the job's handle carries the ``SimResult``.
 
 Failure handling is the three-armed ladder of :mod:`repro.serving.\
 deadline`, with one batching wrinkle: when a *batch* attempt dies (an
@@ -21,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.machine.run import simulate_program
+from repro.machine.run import resident_run, simulate_program
 from repro.parallel.errors import ProcessIncidentError, WorkerDeadlineError
 from repro.serving.deadline import remaining_budget
 from repro.serving.job import Job, ManagerClosedError
@@ -139,12 +144,19 @@ class WorkerPool:
             mgr.events.emit("start", job=job.job_id, tenant=job.tenant,
                             worker=worker_id, substrate=substrate,
                             attempt=job.attempts)
+            sim = None
             try:
                 if substrate == "process":
                     values = mgr.runner.run_jobs(
                         [(job.program, job.inputs)], job.params,
                         deadline=job.deadline_at,
                         meta={"jobs": [job.job_id], "tenant": job.tenant})[0]
+                elif substrate == "cooperative":
+                    sim, outcome = resident_run(
+                        job.program, job.inputs, job.params,
+                        lambda: job.program.run(job.inputs))
+                    mgr.record_schedule(outcome)
+                    values = sim.values
                 else:
                     sim = simulate_program(job.program, list(job.inputs),
                                            job.params, engine=substrate)
@@ -175,4 +187,4 @@ class WorkerPool:
                 return mgr.fail_deterministic(job, exc)
             else:
                 mgr.record_success()
-                return mgr.complete_job(job, values)
+                return mgr.complete_job(job, values, sim)

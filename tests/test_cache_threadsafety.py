@@ -194,3 +194,61 @@ def test_plancache_hammer_with_eviction_pressure(tmp_path):
     assert stats["memory_entries"] <= 3
     assert stats["resident_entries"] <= 3
     assert stats["evictions"] > 0  # the pressure was real
+
+
+def test_resident_schedule_hammer_one_key_and_evictions(monkeypatch):
+    """8 threads on one (program, machine, definedness), each with its
+    own values, while another thread's stream of machines evicts under a
+    squeezed bound: every result is a fresh engine run's, nobody's
+    mutation of a returned result reaches anybody else, and the store
+    never outgrows its bound.  The switch interval is shortened so
+    lookups and inserts interleave mid-operation."""
+    import sys
+
+    from repro.machine import run as machine_run
+    from repro.machine.run import (
+        clear_resident_schedules,
+        resident_run,
+        simulate_program,
+    )
+
+    monkeypatch.setattr(machine_run, "_SCHEDULES_MAX", 4)
+    clear_resident_schedules()
+    prog = Program([ScanStage(ADD), ReduceStage(ADD), BcastStage()],
+                   name="one-key")
+    params = PARAMS[4]  # p = 8
+    churn = [MachineParams(p=2, ts=float(k), tw=1.0, m=1) for k in range(12)]
+    outcomes: dict[int, list] = {}
+    sizes = []
+
+    def work(tid):
+        mine = outcomes.setdefault(tid, [])
+        for round_no in range(ROUNDS * 4):
+            if tid == 0:
+                machine = churn[round_no % len(churn)]
+                xs = [round_no, 1]
+            else:
+                machine = params
+                xs = [tid * 100 + round_no + r for r in range(8)]
+            ref = simulate_program(prog, xs, machine)
+            got, outcome = resident_run(prog, xs, machine,
+                                        lambda: prog.run(xs))
+            assert outcome in ("hit", "miss")
+            assert got.values == ref.values
+            assert got.time == ref.time
+            assert got.stats == ref.stats
+            got.stats.events.clear()
+            got.stats.timeline.append(tid)
+            mine.append(outcome)
+            sizes.append(len(machine_run._SCHEDULES))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _hammer(work)
+    finally:
+        sys.setswitchinterval(old)
+        clear_resident_schedules()
+    assert max(sizes) <= 4
+    assert sum(o.count("hit") for o in outcomes.values()) > 0
+    assert outcomes[0].count("miss") > len(churn)  # the churn evicted

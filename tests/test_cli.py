@@ -288,6 +288,27 @@ class TestServeCommand:
         events = RecoveryLog.read(log)
         assert {"submit", "admit", "start", "complete"} <= set(events.kinds())
 
+    def test_serve_demo_prints_the_models_verdict(self, capsys):
+        """Each job's simulated time, and one line of resident-schedule
+        hits and bypasses from ``stats()``: 2 program shapes x 2 tenants
+        x 3 rounds is 12 jobs, at most one miss a shape."""
+        from repro.machine.run import clear_resident_schedules, simulate_program
+        from repro.core.cost import MachineParams
+        from repro.core.operators import ADD
+        from repro.core.stages import Program, ScanStage
+
+        clear_resident_schedules()
+        code, out = run_cli(capsys, "serve", "demo", "--jobs", "6",
+                            "--tenants", "2", "--workers", "1")
+        assert code == 0
+        verdicts = [line for line in out.splitlines() if "sim_time=" in line]
+        assert len(verdicts) == 12
+        scan = simulate_program(
+            Program([ScanStage(ADD)]), [0, 1, 2, 3],
+            MachineParams(p=4, ts=600.0, tw=2.0, m=1024))
+        assert verdicts[0].endswith(f"sim_time={scan.time:g}")
+        assert "resident schedules: hits=10 bypasses={}" in out
+
     def test_serve_demo_threaded_substrate(self, capsys):
         code, out = run_cli(capsys, "serve", "demo", "--jobs", "4",
                             "--substrate", "threaded")

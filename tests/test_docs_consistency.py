@@ -82,3 +82,19 @@ class TestReadme:
 
         for match in re.finditer(r"`examples/([\w.]+\.py)`", README):
             assert (ROOT / "examples" / match.group(1)).exists(), match.group(1)
+
+
+class TestBenchNumbers:
+    def test_root_bench_files_are_their_results_twins(self):
+        """``benchmarks/results/`` is the one source of truth: a root
+        ``BENCH_*.json`` is what ``python -m repro bench summary`` copies
+        out of it, so the two are byte-identical — a number (or the host
+        stamp it was measured under) edited in one place fails here."""
+        roots = sorted(ROOT.glob("BENCH_*.json"))
+        assert roots, "no root BENCH_*.json files"
+        for path in roots:
+            twin = ROOT / "benchmarks" / "results" / path.name
+            assert twin.exists(), f"{path.name} has no benchmarks/results twin"
+            assert path.read_text() == twin.read_text(), (
+                f"{path.name} differs from benchmarks/results/{path.name}; "
+                f"re-run `python -m repro bench summary`")

@@ -19,7 +19,8 @@ import pytest
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD
 from repro.core.stages import MapStage, Program, ReduceStage, ScanStage
-from repro.machine.run import simulate_program
+from repro.machine.run import clear_resident_schedules, simulate_program
+from repro.parallel import process_fallback_reason
 from repro.serving import (
     CircuitBreaker,
     DeadlineExceededError,
@@ -449,6 +450,84 @@ class TestServingManager:
             handle = mgr.submit(SCAN, [1.0, 2.0, 3.0, 4.0], PARAMS)
             assert handle.result(timeout=60.0) == (1.0, 3.0, 6.0, 10.0)
 
+    def test_handle_carries_the_models_verdict(self):
+        """``handle.sim`` is the unserved run's SimResult — on a miss, on
+        a hit and on the threaded substrate — while ``result()`` is
+        still the value tuple."""
+        clear_resident_schedules()
+        prog = Program([ScanStage(ADD), ReduceStage(ADD)], name="verdict")
+        streams = [[r + j for r in range(P)] for j in range(3)]
+        with ServingManager(_cfg(workers=1)) as coop, \
+                ServingManager(_cfg(workers=1, substrate="threaded")) as thr:
+            for mgr in (coop, thr):
+                for xs in streams:
+                    ref = simulate_program(prog, xs, PARAMS)
+                    handle = mgr.submit(prog, xs, PARAMS)
+                    assert handle.result(timeout=60.0) == ref.values
+                    sim = handle.sim
+                    assert sim.values == handle.result()
+                    assert sim.time == ref.time
+                    assert sim.stats.clocks == ref.stats.clocks
+                    assert sim.stats.messages == ref.stats.messages
+                    assert sim.stats.words == ref.stats.words
+            assert coop.stats()["resident_hits"] == 2  # miss, hit, hit
+            assert coop.stats()["resident_bypasses"] == {}
+            assert thr.stats()["resident_hits"] == 0
+            assert thr.stats()["resident_bypasses"] == {}
+
+    @pytest.mark.skipif(
+        process_fallback_reason(P) is not None,
+        reason=f"process backend unavailable: {process_fallback_reason(P)}")
+    def test_process_substrate_returns_values_only(self):
+        with ServingManager(_cfg(workers=1, substrate="process")) as mgr:
+            handle = mgr.submit(SCAN, [1, 2, 3, 4], PARAMS)
+            assert handle.result(timeout=120.0) == (1, 3, 6, 10)
+            assert mgr.stats()["substrate"] == "process"
+        assert handle.sim is None
+
+    def test_failed_job_has_no_verdict(self):
+        with ServingManager(_cfg()) as mgr:
+            handle = mgr.submit(SCAN, [1] * P, PARAMS, deadline=0.0)
+            with pytest.raises(DeadlineExceededError):
+                handle.result(timeout=30.0)
+        assert handle.sim is None
+
+    def test_float_stream_bypasses_and_stays_bit_identical(self):
+        """Floats keep the machine's own combining order: every job runs
+        the engine, counted, and matches the unserved run bit for bit."""
+        params = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
+        prog = Program([ReduceStage(ADD)], name="float-reduce")
+        streams = [[0.1 * (r + 1) + j for r in range(8)] for j in range(20)]
+        assert any(simulate_program(prog, xs, params).values[0]
+                   != prog.run(xs)[0] for xs in streams)
+        with ServingManager(_cfg(workers=2)) as mgr:
+            handles = [mgr.submit(prog, xs, params) for xs in streams]
+            got = [h.result(timeout=60.0) for h in handles]
+        for xs, values, handle in zip(streams, got, handles):
+            ref = simulate_program(prog, xs, params)
+            assert values == ref.values
+            assert handle.sim.time == ref.time
+        stats = mgr.stats()
+        assert stats["resident_bypasses"] == {"inexact-input": len(streams)}
+        assert stats["resident_hits"] == 0
+
+    def test_resident_schedules_add_no_event(self):
+        """A miss and a hit leave the same four-event trail a bypass does."""
+        clear_resident_schedules()
+        with ServingManager(_cfg(workers=1)) as mgr:
+            handles = [mgr.submit(SCAN, xs, PARAMS) for xs in
+                       ([1, 2, 3, 4], [5, 6, 7, 8], [1.0, 2.0, 3.0, 4.0])]
+            for handle in handles:
+                handle.result(timeout=30.0)
+            stats = mgr.stats()
+            assert stats["resident_hits"] == 1
+            assert stats["resident_bypasses"] == {"inexact-input": 1}
+            for handle in handles:
+                trail = [e["event"] for e in mgr.events.log.events
+                         if e.get("job") == handle.job_id]
+                assert trail == ["submit", "admit", "start", "complete"]
+            assert stats["events"] == 4 * len(handles)
+
     def test_describe_and_stats_shape(self):
         with ServingManager(_cfg()) as mgr:
             mgr.submit(SCAN, [1.0] * P, PARAMS).result(timeout=30.0)
@@ -457,9 +536,12 @@ class TestServingManager:
         assert stats["substrate"] == "cooperative"
         assert set(stats) >= {
             "submitted", "completed", "failed", "rejected",
-            "quarantined", "deadline_misses", "retries"}
+            "quarantined", "deadline_misses", "retries",
+            "resident_hits", "resident_bypasses"}
         assert "arena_pool" in stats
         assert "cooperative" in text
+        assert "resident schedules: hits=0 bypasses={'inexact-input': 1}" \
+            in text
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
