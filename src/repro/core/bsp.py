@@ -7,21 +7,21 @@ built on collective operations.  BSP prices a *superstep* as
 
 where ``w`` is the maximum local work, ``h`` the maximum words any
 processor sends or receives (an h-relation), ``g`` the gap (per-word
-cost) and ``l`` the barrier latency.  Mapping each collective stage to
-its standard BSP realization gives an alternative cost model for the
-same programs:
+cost) and ``l`` the barrier latency.  Under the binomial/butterfly
+superstep structure the stages of this library use — ``log p``
+supersteps of ``h = m * width`` plus the stage's local operations — a
+superstep is one phase of the butterfly model with the barrier as the
+start-up and the gap as the per-word time:
 
-* ``bcast``      — log p supersteps, h = m per step (binomial), or one
-  superstep with h = (p-1)*m from the root (direct); we price the
-  binomial variant, consistent with the butterfly model;
-* ``scan`` / ``[all]reduce`` — log p supersteps of h = m (+ local ops);
-* local maps — pure ``w``.
+    l = ts,    g = tw.
 
-The module mirrors :mod:`repro.core.cost`'s interface
-(:func:`bsp_stage_cost`, :func:`bsp_program_cost`) so the optimizer can
-run under either model; a test shows the two models agree on *which*
-rules improve (their conditions differ only in the constant in front of
-the start-up-like term, ``l`` vs ``ts``).
+So the BSP cost of a stage *is* its :func:`~repro.core.cost.stage_cost`
+on :meth:`BSPParams.as_machine`, and the two models agree on which
+rules improve by construction.  (They part only where BSP would price
+an algorithm the machine does not run: a textbook BSP ``reduce_scatter``
+/ ``allgatherv`` is recursive halving/doubling for every ``p``, while
+the machine folds excess ranks or falls back to a segment ring when
+``p`` is not a power of two — and this module prices what runs.)
 """
 
 from __future__ import annotations
@@ -30,24 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.stages import (
-    AllGatherStage,
-    AllGatherVStage,
-    AllReduceStage,
-    BalancedReduceStage,
-    BalancedScanStage,
-    BcastStage,
-    ComcastStage,
-    IterStage,
-    Map2Stage,
-    MapIndexedStage,
-    MapStage,
-    Program,
-    ReduceScatterStage,
-    ReduceStage,
-    ScanStage,
-    Stage,
-)
+from repro.core.cost import MachineParams, program_cost, stage_cost
+from repro.core.stages import Program, Stage
 
 __all__ = ["BSPParams", "bsp_stage_cost", "bsp_program_cost"]
 
@@ -74,73 +58,16 @@ class BSPParams:
     def log_p(self) -> float:
         return math.log2(self.p) if self.p > 1 else 0.0
 
-
-def _supersteps(count: float, h_words: float, work: float, params: BSPParams) -> float:
-    """``count`` supersteps, each an h-relation of ``h_words`` plus work."""
-    return count * (work + h_words * params.g + params.l)
+    def as_machine(self) -> MachineParams:
+        """The butterfly-model machine these parameters describe."""
+        return MachineParams(p=self.p, ts=self.l, tw=self.g, m=self.m)
 
 
 def bsp_stage_cost(stage: Stage, params: BSPParams) -> float:
     """BSP time of one stage (binomial/butterfly superstep structure)."""
-    log_p, m = params.log_p, params.m
-
-    if isinstance(stage, (MapStage, MapIndexedStage, Map2Stage)):
-        return m * stage.ops_per_element  # pure local work, no superstep
-
-    if isinstance(stage, BcastStage):
-        return _supersteps(log_p, m, 0.0, params)
-
-    if isinstance(stage, ScanStage):
-        w, c = stage.op.width, stage.op.op_count
-        return _supersteps(log_p, m * w, 2 * c * m, params)
-
-    if isinstance(stage, (ReduceStage, AllReduceStage)):
-        w, c = stage.op.width, stage.op.op_count
-        return _supersteps(log_p, m * w, c * m, params)
-
-    if isinstance(stage, BalancedReduceStage):
-        op = stage.tree_op
-        return _supersteps(log_p, m * op.comm_width, op.op_count * m, params)
-
-    if isinstance(stage, BalancedScanStage):
-        op = stage.bfly_op
-        return _supersteps(log_p, m * op.comm_width, op.op_count * m, params)
-
-    if isinstance(stage, ComcastStage):
-        op = stage.comcast_op
-        if stage.impl == "repeat":
-            return _supersteps(log_p, m, 0.0, params) + log_p * op.op_count * m
-        return _supersteps(log_p, m * op.state_width, op.op_count * m, params)
-
-    if isinstance(stage, IterStage):
-        local = log_p * m * stage.iter_op.op_count
-        if stage.then_bcast:
-            local += _supersteps(log_p, m, 0.0, params)
-        return local
-
-    if isinstance(stage, AllGatherStage):
-        p = params.p
-        # recursive doubling: log p supersteps, h doubling up to (p-1)m
-        return log_p * params.l + (p - 1) * m * stage.width * params.g
-
-    if isinstance(stage, ReduceScatterStage):
-        p = params.p
-        w, c = stage.op.width, stage.op.op_count
-        # recursive halving: log p supersteps, h halving from m/2 down to
-        # m/p — total volume m*(1 - 1/p) words combined as they arrive
-        frac = m * (1.0 - 1.0 / p) if p > 1 else 0.0
-        return log_p * params.l + frac * (w * params.g + c)
-
-    if isinstance(stage, AllGatherVStage):
-        p = params.p
-        # recursive doubling over segments: h doubling from m/p to m/2
-        frac = m * (1.0 - 1.0 / p) if p > 1 else 0.0
-        return log_p * params.l + frac * stage.width * params.g
-
-    raise TypeError(f"no BSP cost model for stage {stage!r}")
+    return stage_cost(stage, params.as_machine())
 
 
 def bsp_program_cost(program: Program | Iterable[Stage], params: BSPParams) -> float:
     """Total BSP time (supersteps are additive by definition)."""
-    stages = program.stages if isinstance(program, Program) else tuple(program)
-    return sum(bsp_stage_cost(s, params) for s in stages)
+    return program_cost(program, params.as_machine())

@@ -14,7 +14,10 @@ This module provides
 * :class:`MachineParams` — the model parameters (p, ts, tw, m);
 * :func:`stage_cost` / :func:`program_cost` — generic cost of any stage
   AST, parametric in operator widths and op-counts (this is what the
-  optimizer minimizes);
+  optimizer minimizes).  What one stage costs is that stage class's own
+  ``cost`` / ``rounds`` / ``formula`` facet (:mod:`repro.core.stages`,
+  which imports the closed forms below — so this module names no stage
+  class);
 * :class:`CostFormula` — a symbolic ``a*ts + m*(b*tw + c)`` (per ``log p``)
   form, used to regenerate Table 1 exactly and to solve crossovers.
 
@@ -27,28 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.stages import (
-    AllGatherStage,
-    AllGatherVStage,
-    AllReduceStage,
-    GatherStage,
-    ReduceScatterStage,
-    ScatterStage,
-    BalancedReduceStage,
-    BalancedScanStage,
-    BcastStage,
-    ComcastStage,
-    IterStage,
-    Map2Stage,
-    MapIndexedStage,
-    MapStage,
-    Program,
-    ReduceStage,
-    ScanStage,
-    Stage,
-)
+if TYPE_CHECKING:
+    from repro.core.stages import Program, Stage
 
 __all__ = [
     "MachineParams",
@@ -204,6 +189,18 @@ def pipeline_chunk_count(params: MachineParams, words: float,
 # ---------------------------------------------------------------------------
 
 
+def _facet(stage: Any, name: str) -> Callable:
+    """``stage``'s facet method ``name``; an object that is no stage at
+    all is a ``TypeError`` (a stage *class* lacking the facet raises
+    :class:`~repro.core.stages.StageFacetError` from the default)."""
+    try:
+        return getattr(stage, name)
+    except AttributeError:
+        raise TypeError(
+            f"{type(stage).__name__} object is not a stage: it has no "
+            f"{name!r} facet") from None
+
+
 def stage_rounds(stage: Stage, params: MachineParams) -> int:
     """Number of communication rounds (synchronous phases) of one stage.
 
@@ -216,45 +213,13 @@ def stage_rounds(stage: Stage, params: MachineParams) -> int:
     rule-fused forms (fewer collectives, hence fewer rounds) win after a
     quarantine.
     """
-    p = params.p
-    if p <= 1:
-        return 0
-    log_rounds = (p - 1).bit_length()  # ceil(log2 p)
-
-    if isinstance(stage, (MapStage, MapIndexedStage, Map2Stage)):
-        return 0
-    if isinstance(stage, AllGatherStage):
-        if p & (p - 1) == 0:
-            return log_rounds
-        return 2 * (p - 1) if p % 2 == 0 else 2 * p
-    if isinstance(stage, AllGatherVStage):
-        if p & (p - 1) == 0:
-            return log_rounds  # recursive doubling over segments
-        return 2 * (p - 1) if p % 2 == 0 else 2 * p  # segment ring
-    if isinstance(stage, ReduceScatterStage):
-        if not stage.op.commutative:
-            # rank-ordered binomial reduce, then binomial scatterv
-            return 2 * log_rounds
-        if p & (p - 1) == 0:
-            return log_rounds  # recursive halving
-        # rank folding: one fold round, the power-of-two core, one unfold
-        return (p.bit_length() - 1) + 2
-    if isinstance(stage, (ScatterStage, GatherStage)):
-        return log_rounds
-    if isinstance(stage, IterStage):
-        return log_rounds if stage.then_bcast else 0
-    if isinstance(stage, (BcastStage, ScanStage, ReduceStage, AllReduceStage,
-                          BalancedReduceStage, BalancedScanStage,
-                          ComcastStage)):
-        return log_rounds
-    raise TypeError(f"no round count for stage {stage!r}")
+    return _facet(stage, "rounds")(params.p)
 
 
 def program_rounds(program: Program | Iterable[Stage],
                    params: MachineParams) -> int:
     """Total communication rounds of a program (its fault surface)."""
-    stages = program.stages if isinstance(program, Program) else tuple(program)
-    return sum(stage_rounds(s, params) for s in stages)
+    return sum(stage_rounds(s, params) for s in program)
 
 
 def stage_cost(stage: Stage, params: MachineParams) -> float:
@@ -268,83 +233,14 @@ def stage_cost(stage: Stage, params: MachineParams) -> float:
     runtime uses; it is exactly zero-cost at the default ``0.0``.
     """
     if params.round_penalty:
-        return (_base_stage_cost(stage, params)
+        return (_facet(stage, "cost")(params)
                 + params.round_penalty * stage_rounds(stage, params))
-    return _base_stage_cost(stage, params)
-
-
-def _base_stage_cost(stage: Stage, params: MachineParams) -> float:
-    log_p, ts, tw, m = params.log_p, params.ts, params.tw, params.m
-
-    if isinstance(stage, (MapStage, MapIndexedStage, Map2Stage)):
-        return m * stage.ops_per_element
-
-    if isinstance(stage, BcastStage):
-        return log_p * (ts + m * tw)
-
-    if isinstance(stage, AllGatherStage):
-        p = params.p
-        if p & (p - 1) == 0:
-            # recursive doubling: log p start-ups, (p-1) block volumes
-            return log_p * ts + (p - 1) * m * stage.width * tw
-        # ring: p-1 rounds; synchronous (rendezvous) links mean each
-        # round needs two communication slots — plus one extra slot per
-        # round pair on odd rings (odd cycles are not 2-edge-colorable)
-        slots = 2 * (p - 1) if p % 2 == 0 else 2 * p
-        return slots * (ts + m * stage.width * tw)
-
-    if isinstance(stage, (ScatterStage, GatherStage)):
-        # binomial halving/doubling: ceil(log p) messages through the
-        # root carrying (p-1) blocks in total — exact for every p
-        p = params.p
-        phases = (p - 1).bit_length()
-        return phases * ts + (p - 1) * m * stage.width * tw
-
-    if isinstance(stage, ReduceScatterStage):
-        return reduce_scatter_cost(params, stage.op)
-
-    if isinstance(stage, AllGatherVStage):
-        return allgatherv_cost(params, stage.width)
-
-    if isinstance(stage, ScanStage):
-        w, c = stage.op.width, stage.op.op_count
-        return log_p * (ts + m * (w * tw + 2 * c))
-
-    if isinstance(stage, (ReduceStage, AllReduceStage)):
-        w, c = stage.op.width, stage.op.op_count
-        return log_p * (ts + m * (w * tw + c))
-
-    if isinstance(stage, BalancedReduceStage):
-        op = stage.tree_op
-        return log_p * (ts + m * (op.comm_width * tw + op.op_count))
-
-    if isinstance(stage, BalancedScanStage):
-        op = stage.bfly_op
-        return log_p * (ts + m * (op.comm_width * tw + op.op_count))
-
-    if isinstance(stage, ComcastStage):
-        op = stage.comcast_op
-        if stage.impl == "repeat":
-            # broadcast + local repeat: log p phases of (ts + m tw), then
-            # log p digit steps of m * op_count local work.
-            return log_p * (ts + m * (tw + op.op_count))
-        # cost-optimal doubling: log p phases shipping whole tuple states;
-        # every processor applies exactly one digit function per phase.
-        return log_p * (ts + m * (op.state_width * tw + op.op_count))
-
-    if isinstance(stage, IterStage):
-        local = log_p * m * stage.iter_op.op_count
-        if stage.then_bcast:
-            local += log_p * (ts + m * tw)
-        return local
-
-    raise TypeError(f"no cost model for stage {stage!r}")
+    return _facet(stage, "cost")(params)
 
 
 def program_cost(program: Program | Iterable[Stage], params: MachineParams) -> float:
     """Total model time of a program (sum of stage costs)."""
-    stages = program.stages if isinstance(program, Program) else tuple(program)
-    return sum(stage_cost(s, params) for s in stages)
+    return sum(stage_cost(s, params) for s in program)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +249,7 @@ def program_cost(program: Program | Iterable[Stage], params: MachineParams) -> f
 #
 # These costs carry (1 - 1/p) volume factors, which the per-log-p
 # CostFormula shape of Table 1 cannot express — so they live as exact
-# closed forms here, shared by _base_stage_cost, the decomposition
+# closed forms here, shared by the two stages' ``cost`` facets, the decomposition
 # rewrite rules' improvement predicates, the golden cost tests, and the
 # crossover benchmark.  Irregular ``counts`` redistribute the same total
 # volume, so the balanced forms price the v-variants too.
@@ -389,6 +285,14 @@ def reduce_scatter_cost(params: MachineParams, op) -> float:
     return fold + halving + unfold
 
 
+def ring_slots(p: int) -> int:
+    """Communication slots of a ``p``-rank ring allgather: ``p - 1``
+    rounds, each needing two slots on synchronous (rendezvous) links —
+    plus one extra slot per round pair on odd rings (odd cycles are not
+    2-edge-colorable)."""
+    return 2 * (p - 1) if p % 2 == 0 else 2 * p
+
+
 def allgatherv_cost(params: MachineParams, width: int = 1) -> float:
     """Model time of ``allgatherv`` re-assembling an ``m``-element block.
 
@@ -403,8 +307,7 @@ def allgatherv_cost(params: MachineParams, width: int = 1) -> float:
         return 0.0
     if p & (p - 1) == 0:
         return params.log_p * ts + m * width * tw * (1.0 - 1.0 / p)
-    slots = 2 * (p - 1) if p % 2 == 0 else 2 * p
-    return slots * (ts + (m / p) * width * tw)
+    return ring_slots(p) * (ts + (m / p) * width * tw)
 
 
 def decomposed_allreduce_cost(params: MachineParams, op) -> float:
@@ -553,45 +456,12 @@ class SymbolicCost:
 
 def stage_formula(stage: Stage) -> SymbolicCost:
     """Symbolic cost of one stage (exact-arithmetic coefficients)."""
-    zero = CostFormula.of(0, 0, 0)
-
-    if isinstance(stage, (MapStage, MapIndexedStage, Map2Stage)):
-        return SymbolicCost(zero, Fraction(stage.ops_per_element))
-    if isinstance(stage, BcastStage):
-        return SymbolicCost(bcast_formula(), Fraction(0))
-    if isinstance(stage, ScanStage):
-        return SymbolicCost(scan_formula(stage.op.op_count, stage.op.width),
-                            Fraction(0))
-    if isinstance(stage, (ReduceStage, AllReduceStage)):
-        return SymbolicCost(reduce_formula(stage.op.op_count, stage.op.width),
-                            Fraction(0))
-    if isinstance(stage, BalancedReduceStage):
-        op = stage.tree_op
-        return SymbolicCost(CostFormula.of(1, op.comm_width, op.op_count),
-                            Fraction(0))
-    if isinstance(stage, BalancedScanStage):
-        op = stage.bfly_op
-        return SymbolicCost(CostFormula.of(1, op.comm_width, op.op_count),
-                            Fraction(0))
-    if isinstance(stage, ComcastStage):
-        op = stage.comcast_op
-        if stage.impl == "repeat":
-            return SymbolicCost(CostFormula.of(1, 1, op.op_count), Fraction(0))
-        return SymbolicCost(CostFormula.of(1, op.state_width, op.op_count),
-                            Fraction(0))
-    if isinstance(stage, IterStage):
-        # iter's doubling runs log p times: model it in the log p part
-        coll = CostFormula.of(0, 0, stage.iter_op.op_count)
-        if stage.then_bcast:
-            coll = coll + bcast_formula()
-        return SymbolicCost(coll, Fraction(0))
-    raise TypeError(f"no symbolic cost for stage {stage!r}")
+    return _facet(stage, "formula")()
 
 
 def program_formula(program: Program | Iterable[Stage]) -> SymbolicCost:
     """Symbolic total cost of a program; evaluates to :func:`program_cost`."""
-    stages = program.stages if isinstance(program, Program) else tuple(program)
     total = SymbolicCost(CostFormula.of(0, 0, 0), Fraction(0))
-    for stage in stages:
+    for stage in program:
         total = total + stage_formula(stage)
     return total

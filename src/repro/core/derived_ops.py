@@ -50,6 +50,9 @@ __all__ = [
     "br_iter_op",
     "bsr2_iter_op",
     "bsr_iter_op",
+    "DERIVED_KINDS",
+    "defining_ops",
+    "rebuild_derived_op",
 ]
 
 
@@ -428,3 +431,36 @@ def bsr_iter_op(op: BinOp) -> IterOp:
         kind="bsr",
         parts=(op,),
     )
+
+
+# ---------------------------------------------------------------------------
+# The comcast / iter operator kinds, in one table
+# ---------------------------------------------------------------------------
+
+#: ``kind`` of a comcast / iter operator -> (its builder, which of its
+#: ``parts`` each fold of the defining pipeline combines with — see the
+#: builders' docstrings): a comcast is ``bcast`` followed by one scan per
+#: entry, an iter the same with the last scan a reduce
+DERIVED_KINDS: dict[str, tuple[Callable, tuple[int, ...]]] = {
+    "bs": (bs_comcast_op, (0,)),
+    "bss2": (bss2_comcast_op, (0, 1)),
+    "bss": (bss_comcast_op, (0, 0)),
+    "br": (br_iter_op, (0,)),
+    "bsr2": (bsr2_iter_op, (0, 1)),
+    "bsr": (bsr_iter_op, (0, 0)),
+}
+
+
+def defining_ops(op: "ComcastOp | IterOp") -> tuple[BinOp, ...] | None:
+    """The operators of the folds ``op``'s stage is defined by, in
+    pipeline order; None for a hand-made operator without a ``kind``."""
+    entry = DERIVED_KINDS.get(op.kind)
+    return None if entry is None else tuple(op.parts[i] for i in entry[1])
+
+
+def rebuild_derived_op(op: "ComcastOp | IterOp",
+                       binop_fn: Callable[[BinOp], BinOp]):
+    """``op`` rebuilt by its builder over ``binop_fn`` of each component
+    operator; None for a hand-made operator without a ``kind``."""
+    entry = DERIVED_KINDS.get(op.kind)
+    return None if entry is None else entry[0](*map(binop_fn, op.parts))

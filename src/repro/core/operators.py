@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
     "BinOp",
+    "op_signature",
     "OpPropertyError",
     "declare_distributes",
     "distributes_over",
@@ -147,6 +148,26 @@ class BinOp:
             base = self.fn(base, base)
             n >>= 1
         return result
+
+
+def op_signature(op) -> tuple:
+    """Canonical identity of a stage operator.
+
+    For a :class:`BinOp` this is the name plus the algebraic/cost
+    metadata rule matching and costing observe; composed operators
+    (``kind``/``parts``) recurse so structurally equal compositions
+    agree.  Derived operators (``SRTreeOp`` etc.) are identified by class
+    and name.
+    """
+    if isinstance(op, BinOp):
+        sig = ("op", op.name, op.associative, op.commutative,
+               op.op_count, op.width)
+        if op.kind:
+            return sig + (op.kind, tuple(op_signature(p) for p in op.parts))
+        return sig
+    # derived non-BinOp operators (SRTreeOp, SSButterflyOp, ComcastOp, IterOp)
+    name = getattr(op, "name", None)
+    return ("derived", type(op).__name__, repr(op) if name is None else name)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.cost import MachineParams, stage_cost
-from repro.core.operators import BinOp
+from repro.core.operators import op_signature
 from repro.core.rewrite import (
     Match,
     _lossy_site_is_safe,
@@ -48,26 +48,7 @@ from repro.core.rewrite import (
     match_at,
 )
 from repro.core.rules import Rule, RuleApplication
-from repro.core.stages import (
-    AllGatherStage,
-    AllGatherVStage,
-    AllReduceStage,
-    BalancedReduceStage,
-    BalancedScanStage,
-    BcastStage,
-    ComcastStage,
-    GatherStage,
-    IterStage,
-    Map2Stage,
-    MapIndexedStage,
-    MapStage,
-    Program,
-    ReduceScatterStage,
-    ReduceStage,
-    ScanStage,
-    ScatterStage,
-    Stage,
-)
+from repro.core.stages import Program, Stage
 
 __all__ = ["Search", "Node", "plan_signature", "op_signature"]
 
@@ -83,66 +64,9 @@ __all__ = ["Search", "Node", "plan_signature", "op_signature"]
 # captures exactly this observable set — nothing else — so renaming a map
 # ("map f" vs "map g" with the same per-element cost) or swapping the
 # captured coefficient list of a map2 cannot change it, while changing an
-# operator or a per-element op count must.
-
-
-def op_signature(op) -> tuple:
-    """Canonical identity of a stage operator.
-
-    For a :class:`~repro.core.operators.BinOp` this is the name plus the
-    algebraic/cost metadata rule matching and costing observe; composed
-    operators (``kind``/``parts``) recurse so structurally equal
-    compositions agree.  Derived operators (``SRTreeOp`` etc.) are
-    identified by class and name.
-    """
-    if isinstance(op, BinOp):
-        sig = ("op", op.name, op.associative, op.commutative,
-               op.op_count, op.width)
-        if op.kind:
-            return sig + (op.kind, tuple(op_signature(p) for p in op.parts))
-        return sig
-    # derived non-BinOp operators (SRTreeOp, SSButterflyOp, ComcastOp, IterOp)
-    name = getattr(op, "name", None)
-    return ("derived", type(op).__name__, repr(op) if name is None else name)
-
-
-def _stage_token(stage: Stage) -> tuple:
-    """One stage's contribution to the canonical signature."""
-    if isinstance(stage, MapStage):
-        return ("map", stage.ops_per_element)
-    if isinstance(stage, MapIndexedStage):
-        return ("map#", stage.ops_per_element)
-    if isinstance(stage, Map2Stage):
-        return ("map2", stage.indexed, stage.ops_per_element)
-    if isinstance(stage, ScanStage):
-        return ("scan", op_signature(stage.op))
-    if isinstance(stage, AllReduceStage):  # before ReduceStage: not a subclass,
-        return ("allreduce", op_signature(stage.op))  # but keep kinds distinct
-    if isinstance(stage, ReduceStage):
-        return ("reduce", op_signature(stage.op))
-    if isinstance(stage, BcastStage):
-        return ("bcast",)
-    if isinstance(stage, AllGatherStage):
-        return ("allgather", stage.width)
-    if isinstance(stage, ReduceScatterStage):
-        return ("reduce_scatter", stage.counts, op_signature(stage.op))
-    if isinstance(stage, AllGatherVStage):
-        return ("allgatherv", stage.counts, stage.width)
-    if isinstance(stage, ScatterStage):
-        return ("scatter", stage.width)
-    if isinstance(stage, GatherStage):
-        return ("gather", stage.width)
-    if isinstance(stage, BalancedReduceStage):
-        return ("reduce_balanced", stage.to_all, op_signature(stage.tree_op))
-    if isinstance(stage, BalancedScanStage):
-        return ("scan_balanced", op_signature(stage.bfly_op))
-    if isinstance(stage, ComcastStage):
-        return ("comcast", stage.impl, op_signature(stage.comcast_op))
-    if isinstance(stage, IterStage):
-        return ("iter", stage.general, stage.then_bcast,
-                op_signature(stage.iter_op))
-    # unknown stage kinds fall back to their pretty form (still deterministic)
-    return ("stage", type(stage).__name__, stage.pretty())
+# operator or a per-element op count must.  Each stage class states its
+# own token (``Stage.token``, with ``operators.op_signature`` for the
+# operator identities); a class without one is a ``StageFacetError``.
 
 
 def _facts(stage: Stage) -> tuple[tuple, str]:
@@ -151,7 +75,7 @@ def _facts(stage: Stage) -> tuple[tuple, str]:
     and is invisible to dataclass equality, ``repr`` and ``replace``)."""
     facts = stage.__dict__.get("_search_facts")
     if facts is None:
-        facts = stage.__dict__["_search_facts"] = (_stage_token(stage),
+        facts = stage.__dict__["_search_facts"] = (stage.token(),
                                                    stage.pretty())
     return facts
 

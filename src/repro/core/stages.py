@@ -12,11 +12,20 @@ Two kinds of stages exist (paper Section 2.1):
 * **collective** stages, which communicate (:class:`ScanStage`,
   :class:`ReduceStage`, :class:`AllReduceStage`, :class:`BcastStage`,
   :class:`BalancedReduceStage`, :class:`BalancedScanStage`,
-  :class:`ComcastStage`).
+  :class:`ComcastStage`, and the movement / bandwidth vocabulary).
 
-Each stage implements ``apply(xs)``, the reference semantics, so a Program
-can be run directly as its own specification.  Cost accounting lives in
-:mod:`repro.core.cost`; the machine simulation in :mod:`repro.machine`.
+**A stage is its class.**  Everything the core layers ask of a stage is
+a *facet* the class owns — the methods and ``ClassVar``s :class:`Stage`
+lists: ``apply`` (the reference semantics, so a Program can be run
+directly as its own specification), ``pretty``, ``definition``, the
+model ``cost`` / ``rounds`` / ``formula`` behind :mod:`repro.core.cost`,
+the planner's ``token``, the ``mpi_text`` surface form and ``rebuild``
+for the array backends.  Every driver is a generic walk that calls the
+facet; none tests for a class.  A class without a facet raises
+:class:`StageFacetError` naming both.  The two lowerings ``core`` may
+not import — the machine algorithm (:mod:`repro.machine.run`) and the
+mpi4py emission (:mod:`repro.codegen.mpi4py_gen`) — are tables keyed by
+stage class in their own layer.
 
 Stages constructed by rewrite rules record their ``origin`` (the rule name)
 so optimization reports can explain where every stage came from.
@@ -25,15 +34,33 @@ so optimization reports can explain where every stage came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Sequence
 
-from repro.core.derived_ops import ComcastOp, IterOp, SRTreeOp, SSButterflyOp
-from repro.core.operators import BinOp
+from repro.core.cost import (
+    CostFormula,
+    MachineParams,
+    SymbolicCost,
+    allgatherv_cost,
+    bcast_formula,
+    reduce_scatter_cost,
+    ring_slots,
+)
+from repro.core.derived_ops import (
+    ComcastOp,
+    IterOp,
+    SRTreeOp,
+    SSButterflyOp,
+    defining_ops,
+    rebuild_derived_op,
+)
+from repro.core.operators import BinOp, op_signature
 from repro.semantics import functional as F
 from repro.semantics.balanced import reduce_balanced, allreduce_balanced, scan_balanced
 
 __all__ = [
     "Stage",
+    "StageFacetError",
     "MapStage",
     "MapIndexedStage",
     "Map2Stage",
@@ -54,9 +81,24 @@ __all__ = [
 ]
 
 
+class StageFacetError(TypeError):
+    """A layer asked a stage for a facet its class does not implement."""
+
+    def __init__(self, stage_class: type, facet: str) -> None:
+        super().__init__(
+            f"stage class {stage_class.__name__} has no {facet!r} facet")
+        self.stage_class = stage_class
+        self.facet = facet
+
+
 @dataclass(frozen=True)
 class Stage:
-    """Base class of all program stages."""
+    """Base class of all program stages, and the list of their facets.
+
+    A concrete stage class implements every method below (sharing them
+    through the small bases that follow where several classes agree);
+    each default raises :class:`StageFacetError`.
+    """
 
     #: Which rewrite rule created this stage ("" for user-written stages).
     origin: str = field(default="", kw_only=True)
@@ -67,13 +109,18 @@ class Stage:
     #: (program, machine, which blocks are defined).
     words_follow_block: ClassVar[bool] = False
 
+    #: Whether the MPI surface form overwrites its source buffer instead
+    #: of writing a fresh variable (``MPI_Bcast``).
+    mpi_in_place: ClassVar[bool] = False
+
     @property
     def is_collective(self) -> bool:
-        raise NotImplementedError
+        """Whether the stage communicates (a ``ClassVar`` on the bases)."""
+        raise StageFacetError(type(self), "is_collective")
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         """Reference semantics of this stage on a distributed list."""
-        raise NotImplementedError
+        raise StageFacetError(type(self), "apply")
 
     def definition(self) -> "tuple[Stage, ...] | None":
         """The primitive pipeline this stage equals by definition — the
@@ -84,10 +131,55 @@ class Stage:
         return None
 
     def pretty(self) -> str:
-        raise NotImplementedError
+        """The stage in the paper's composition notation."""
+        raise StageFacetError(type(self), "pretty")
+
+    def cost(self, params: MachineParams) -> float:
+        """Model time under the butterfly cost model, without the
+        resilience term (:func:`repro.core.cost.stage_cost` adds it)."""
+        raise StageFacetError(type(self), "cost")
+
+    def rounds(self, p: int) -> int:
+        """Communication rounds on ``p`` processors — the fault surface
+        behind :func:`repro.core.cost.stage_rounds`."""
+        raise StageFacetError(type(self), "rounds")
+
+    def formula(self) -> SymbolicCost:
+        """Table-1 symbolic cost (exact coefficients).  The movement and
+        bandwidth stages keep this default: their ``(1 - 1/p)`` volume
+        factors have no per-``log p`` form."""
+        raise StageFacetError(type(self), "formula")
+
+    def token(self) -> tuple:
+        """Contribution to the planner's canonical signature: exactly
+        what rule matching and the cost model observe of the stage.
+        Tokens are on-disk ``PlanCache`` keys."""
+        raise StageFacetError(type(self), "token")
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        """The MPI-like surface statement reading ``src``, writing ``dst``
+        (``dst == src`` for an :attr:`mpi_in_place` stage)."""
+        raise StageFacetError(type(self), "mpi_text")
+
+    def rebuild(self, map_fn: Callable[["MapStage"], Callable],
+                binop_fn: Callable[[BinOp], BinOp]) -> "Stage | None":
+        """This stage with its map function replaced by ``map_fn(self)``
+        and every base operator by ``binop_fn(op)``, every cost
+        annotation kept; None for a stage without an array form."""
+        raise StageFacetError(type(self), "rebuild")
 
     def with_origin(self, origin: str) -> "Stage":
         return replace(self, origin=origin)
+
+
+def _butterfly_cost(params: MachineParams, words: float, ops: float) -> float:
+    """``log p`` phases, each exchanging ``words`` and computing ``ops``
+    per element (paper eqs. 16-17 with the stage's own volume/count)."""
+    return params.log_p * (params.ts + params.m * (words * params.tw + ops))
+
+
+def _butterfly_formula(words: int, ops: int) -> SymbolicCost:
+    return SymbolicCost(CostFormula.of(1, words, ops), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +188,27 @@ class Stage:
 
 
 @dataclass(frozen=True)
-class MapStage(Stage):
+class _LocalMap(Stage):
+    """What the three maps share: ``m * ops_per_element`` of local work."""
+
+    is_collective: ClassVar[bool] = False
+
+    def cost(self, params: MachineParams) -> float:
+        return params.m * self.ops_per_element
+
+    def rounds(self, p: int) -> int:
+        return 0
+
+    def formula(self) -> SymbolicCost:
+        return SymbolicCost(CostFormula.of(0, 0, 0),
+                            Fraction(self.ops_per_element))
+
+    def rebuild(self, map_fn, binop_fn) -> "Stage | None":
+        return None  # only a plain ``map`` has per-label array kernels
+
+
+@dataclass(frozen=True)
+class MapStage(_LocalMap):
     """``map f`` — paper eq. (4).
 
     ``ops_per_element`` is the (estimated) number of elementary operations
@@ -108,28 +220,29 @@ class MapStage(Stage):
     label: str = "f"
     ops_per_element: int = 0
 
-    @property
-    def is_collective(self) -> bool:
-        return False
-
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.map_fn(self.fn, xs)
 
     def pretty(self) -> str:
         return f"map {self.label}"
 
+    def token(self) -> tuple:
+        return ("map", self.ops_per_element)
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"{dst} = {self.label} ({src});"
+
+    def rebuild(self, map_fn, binop_fn) -> Stage:
+        return replace(self, fn=map_fn(self))
+
 
 @dataclass(frozen=True)
-class MapIndexedStage(Stage):
+class MapIndexedStage(_LocalMap):
     """``map# f`` — paper eq. (13): ``f`` also receives the rank."""
 
     fn: Callable[[int, Any], Any]
     label: str = "f"
     ops_per_element: int = 0
-
-    @property
-    def is_collective(self) -> bool:
-        return False
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.map_indexed(self.fn, xs)
@@ -137,9 +250,15 @@ class MapIndexedStage(Stage):
     def pretty(self) -> str:
         return f"map# {self.label}"
 
+    def token(self) -> tuple:
+        return ("map#", self.ops_per_element)
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"{dst} = {self.label} (rank, {src});"
+
 
 @dataclass(frozen=True)
-class Map2Stage(Stage):
+class Map2Stage(_LocalMap):
     """``map2 f ys`` — binary map against a captured distributed constant.
 
     Used by the polynomial case study where the coefficient list ``as`` is
@@ -152,10 +271,6 @@ class Map2Stage(Stage):
     indexed: bool = False
     ops_per_element: int = 0
 
-    @property
-    def is_collective(self) -> bool:
-        return False
-
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         if self.indexed:
             return F.map2_indexed(self.fn, xs, self.other)
@@ -165,6 +280,13 @@ class Map2Stage(Stage):
         hash_ = "#" if self.indexed else ""
         return f"map2{hash_} {self.label}"
 
+    def token(self) -> tuple:
+        return ("map2", self.indexed, self.ops_per_element)
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        hash_ = "#" if self.indexed else ""
+        return f"{dst} = map2{hash_} {self.label} ({src}, as);"
+
 
 # ---------------------------------------------------------------------------
 # Collective stages (paper eqs. 5-8)
@@ -172,63 +294,103 @@ class Map2Stage(Stage):
 
 
 @dataclass(frozen=True)
-class ScanStage(Stage):
-    """``scan (⊕)`` — MPI_Scan, inclusive prefix (eq. 7)."""
+class _Collective(Stage):
+    """A communicating stage; butterfly/binomial unless it says otherwise:
+    ``ceil(log2 p)`` rounds."""
+
+    is_collective: ClassVar[bool] = True
+
+    def rounds(self, p: int) -> int:
+        return (p - 1).bit_length()
+
+
+@dataclass(frozen=True)
+class _Fold(_Collective):
+    """``scan`` / ``reduce`` / ``allreduce`` over one operator ``op``
+    (paper eqs. 16-17, generalized to wide/composite operators)."""
 
     op: BinOp
 
-    @property
-    def is_collective(self) -> bool:
-        return True
+    #: the stage's name in the paper's notation / as the MPI call
+    #: (``reduce`` writes its own call: it alone names a root)
+    kind: ClassVar[str]
+    mpi_call: ClassVar[str]
+    #: operator applications per phase: a scan combines twice
+    applications: ClassVar[int] = 1
+
+    def pretty(self) -> str:
+        return f"{self.kind} ({self.op.name})"
+
+    def cost(self, params: MachineParams) -> float:
+        return _butterfly_cost(params, self.op.width,
+                               self.applications * self.op.op_count)
+
+    def formula(self) -> SymbolicCost:
+        return _butterfly_formula(self.op.width,
+                                  self.applications * self.op.op_count)
+
+    def token(self) -> tuple:
+        return (self.kind, op_signature(self.op))
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"{self.mpi_call} ({src}, {dst}, {self.op.name});"
+
+    def rebuild(self, map_fn, binop_fn) -> Stage:
+        return replace(self, op=binop_fn(self.op))
+
+
+@dataclass(frozen=True)
+class ScanStage(_Fold):
+    """``scan (⊕)`` — MPI_Scan, inclusive prefix (eq. 7)."""
+
+    kind: ClassVar[str] = "scan"
+    mpi_call: ClassVar[str] = "MPI_Scan"
+    applications: ClassVar[int] = 2
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.scan_fn(self.op, xs)
 
-    def pretty(self) -> str:
-        return f"scan ({self.op.name})"
-
 
 @dataclass(frozen=True)
-class ReduceStage(Stage):
+class ReduceStage(_Fold):
     """``reduce (⊕)`` — MPI_Reduce to the first processor (eq. 5)."""
 
-    op: BinOp
-
-    @property
-    def is_collective(self) -> bool:
-        return True
+    kind: ClassVar[str] = "reduce"
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.reduce_fn(self.op, xs)
 
-    def pretty(self) -> str:
-        return f"reduce ({self.op.name})"
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"MPI_Reduce ({src}, {dst}, {self.op.name}, root);"
 
 
 @dataclass(frozen=True)
-class AllReduceStage(Stage):
+class AllReduceStage(_Fold):
     """``allreduce (⊕)`` — MPI_Allreduce (eq. 6)."""
 
-    op: BinOp
-
-    @property
-    def is_collective(self) -> bool:
-        return True
+    kind: ClassVar[str] = "allreduce"
+    mpi_call: ClassVar[str] = "MPI_Allreduce"
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.allreduce_fn(self.op, xs)
 
-    def pretty(self) -> str:
-        return f"allreduce ({self.op.name})"
+
+@dataclass(frozen=True)
+class _Movement(_Collective):
+    """Stages that only move blocks around — valid for any block
+    representation (``allgatherv`` concatenates segments, which
+    ``np.concatenate`` handles on array blocks; no operator is applied),
+    so they rebuild as themselves."""
+
+    def rebuild(self, map_fn, binop_fn) -> Stage:
+        return self
 
 
 @dataclass(frozen=True)
-class BcastStage(Stage):
+class BcastStage(_Movement):
     """``bcast`` — MPI_Bcast from the first processor (eq. 8)."""
 
-    @property
-    def is_collective(self) -> bool:
-        return True
+    mpi_in_place: ClassVar[bool] = True
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.bcast_fn(xs)
@@ -236,9 +398,27 @@ class BcastStage(Stage):
     def pretty(self) -> str:
         return "bcast"
 
+    def cost(self, params: MachineParams) -> float:
+        return params.log_p * (params.ts + params.m * params.tw)
+
+    def formula(self) -> SymbolicCost:
+        return SymbolicCost(bcast_formula(), Fraction(0))
+
+    def token(self) -> tuple:
+        return ("bcast",)
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"MPI_Bcast ({src}, root);"
+
+
+def _ring_or_doubling_rounds(p: int) -> int:
+    """Rounds of an allgather[v]: recursive doubling on power-of-two
+    machines, the (segment) ring's slots otherwise."""
+    return (p - 1).bit_length() if p & (p - 1) == 0 else ring_slots(p)
+
 
 @dataclass(frozen=True)
-class AllGatherStage(Stage):
+class AllGatherStage(_Movement):
     """``allgather`` — MPI_Allgather: the full list on every processor.
 
     Not the subject of any paper rule, but needed to express the
@@ -249,19 +429,31 @@ class AllGatherStage(Stage):
 
     width: int = 1
 
-    @property
-    def is_collective(self) -> bool:
-        return True
-
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.allgather_fn(xs)
 
     def pretty(self) -> str:
         return "allgather"
 
+    def cost(self, params: MachineParams) -> float:
+        p, ts, tw, m = params.p, params.ts, params.tw, params.m
+        if p & (p - 1) == 0:
+            # recursive doubling: log p start-ups, (p-1) block volumes
+            return params.log_p * ts + (p - 1) * m * self.width * tw
+        return ring_slots(p) * (ts + m * self.width * tw)
+
+    def rounds(self, p: int) -> int:
+        return _ring_or_doubling_rounds(p)
+
+    def token(self) -> tuple:
+        return ("allgather", self.width)
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"MPI_Allgather ({src}, {dst});"
+
 
 @dataclass(frozen=True)
-class ReduceScatterStage(Stage):
+class ReduceScatterStage(_Collective):
     """``reduce_scatter (⊕ew)`` — MPI_Reduce_scatter(_block).
 
     The bandwidth-optimal half of the allreduce decomposition: combine
@@ -280,10 +472,6 @@ class ReduceScatterStage(Stage):
         if self.counts is not None:
             object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
-    @property
-    def is_collective(self) -> bool:
-        return True
-
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         from repro.semantics.vocabulary import reduce_scatter_fn
 
@@ -293,9 +481,33 @@ class ReduceScatterStage(Stage):
         v = "" if self.counts is None else "v" + repr(list(self.counts))
         return f"reduce_scatter{v} ({self.op.name})"
 
+    def cost(self, params: MachineParams) -> float:
+        return reduce_scatter_cost(params, self.op)
+
+    def rounds(self, p: int) -> int:
+        log_rounds = (p - 1).bit_length()
+        if not self.op.commutative:
+            # rank-ordered binomial reduce, then binomial scatterv
+            return 2 * log_rounds
+        if p & (p - 1) == 0:
+            return log_rounds  # recursive halving
+        # rank folding: one fold round, the power-of-two core, one unfold
+        return (p.bit_length() - 1) + 2
+
+    def token(self) -> tuple:
+        return ("reduce_scatter", self.counts, op_signature(self.op))
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        counts = "counts" if self.counts is None else list(self.counts)
+        return (f"MPI_Reduce_scatter ({src}, {dst}, {counts}, "
+                f"{self.op.name});")
+
+    def rebuild(self, map_fn, binop_fn) -> Stage:
+        return replace(self, op=binop_fn(self.op))
+
 
 @dataclass(frozen=True)
-class AllGatherVStage(Stage):
+class AllGatherVStage(_Movement):
     """``allgatherv`` — MPI_Allgatherv: concatenate irregular segments.
 
     The inverse half of the decomposition: every rank contributes its
@@ -313,10 +525,6 @@ class AllGatherVStage(Stage):
         if self.counts is not None:
             object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
-    @property
-    def is_collective(self) -> bool:
-        return True
-
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         from repro.semantics.vocabulary import allgatherv_fn
 
@@ -326,6 +534,19 @@ class AllGatherVStage(Stage):
         v = "" if self.counts is None else repr(list(self.counts))
         return f"allgatherv{v}"
 
+    def cost(self, params: MachineParams) -> float:
+        return allgatherv_cost(params, self.width)
+
+    def rounds(self, p: int) -> int:
+        return _ring_or_doubling_rounds(p)
+
+    def token(self) -> tuple:
+        return ("allgatherv", self.counts, self.width)
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        counts = "counts" if self.counts is None else list(self.counts)
+        return f"MPI_Allgatherv ({src}, {dst}, {counts});"
+
 
 # ---------------------------------------------------------------------------
 # Rule-introduced collective stages (paper Section 3)
@@ -333,52 +554,62 @@ class AllGatherVStage(Stage):
 
 
 @dataclass(frozen=True)
-class ScatterStage(Stage):
+class _RootTree(_Movement):
+    """``scatter`` / ``gather``: binomial halving/doubling through the
+    root — ``ceil(log p)`` messages carrying ``(p-1)`` blocks of
+    ``width`` words per element in total, exact for every ``p``."""
+
+    width: int = 1
+
+    kind: ClassVar[str]
+    mpi_call: ClassVar[str]
+
+    def pretty(self) -> str:
+        return self.kind
+
+    def cost(self, params: MachineParams) -> float:
+        p = params.p
+        phases = (p - 1).bit_length()
+        return phases * params.ts + (p - 1) * params.m * self.width * params.tw
+
+    def token(self) -> tuple:
+        return (self.kind, self.width)
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"{self.mpi_call} ({src}, {dst}, root);"
+
+
+@dataclass(frozen=True)
+class ScatterStage(_RootTree):
     """``scatter`` — MPI_Scatter: deal the root's list out, one block each.
 
     ``width`` is the per-element word count of one dealt block.
     """
 
-    width: int = 1
-
-    @property
-    def is_collective(self) -> bool:
-        return True
+    kind: ClassVar[str] = "scatter"
+    mpi_call: ClassVar[str] = "MPI_Scatter"
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.scatter_fn(xs)
 
-    def pretty(self) -> str:
-        return "scatter"
-
 
 @dataclass(frozen=True)
-class GatherStage(Stage):
+class GatherStage(_RootTree):
     """``gather`` — MPI_Gather: rank-ordered list to the root, ``_`` elsewhere."""
 
-    width: int = 1
-
-    @property
-    def is_collective(self) -> bool:
-        return True
+    kind: ClassVar[str] = "gather"
+    mpi_call: ClassVar[str] = "MPI_Gather"
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.gather_fn(xs)
 
-    def pretty(self) -> str:
-        return "gather"
-
 
 @dataclass(frozen=True)
-class BalancedReduceStage(Stage):
+class BalancedReduceStage(_Collective):
     """``[all]reduce_balanced (op_sr)`` — SR-Reduction's target (Fig 4)."""
 
     tree_op: SRTreeOp
     to_all: bool = False
-
-    @property
-    def is_collective(self) -> bool:
-        return True
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         if self.to_all:
@@ -389,16 +620,30 @@ class BalancedReduceStage(Stage):
         kind = "allreduce_balanced" if self.to_all else "reduce_balanced"
         return f"{kind} ({self.tree_op.name})"
 
+    def cost(self, params: MachineParams) -> float:
+        return _butterfly_cost(params, self.tree_op.comm_width,
+                               self.tree_op.op_count)
+
+    def formula(self) -> SymbolicCost:
+        return _butterfly_formula(self.tree_op.comm_width,
+                                  self.tree_op.op_count)
+
+    def token(self) -> tuple:
+        return ("reduce_balanced", self.to_all, op_signature(self.tree_op))
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        call = "MPI_Allreduce_balanced" if self.to_all else "MPI_Reduce_balanced"
+        return f"{call} ({src}, {dst}, {self.tree_op.name});"
+
+    def rebuild(self, map_fn, binop_fn) -> Stage:
+        return replace(self, tree_op=SRTreeOp(binop_fn(self.tree_op.op)))
+
 
 @dataclass(frozen=True)
-class BalancedScanStage(Stage):
+class BalancedScanStage(_Collective):
     """``scan_balanced (op_ss)`` — SS-Scan's target (Fig 5)."""
 
     bfly_op: SSButterflyOp
-
-    @property
-    def is_collective(self) -> bool:
-        return True
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return scan_balanced(self.bfly_op, xs)
@@ -406,25 +651,26 @@ class BalancedScanStage(Stage):
     def pretty(self) -> str:
         return f"scan_balanced ({self.bfly_op.name})"
 
+    def cost(self, params: MachineParams) -> float:
+        return _butterfly_cost(params, self.bfly_op.comm_width,
+                               self.bfly_op.op_count)
 
-#: ``kind`` of a comcast / iter operator -> which of its ``parts`` each
-#: fold of the defining pipeline combines with (see the operator
-#: builders' docstrings in :mod:`repro.core.derived_ops`): a comcast is
-#: ``bcast`` followed by one scan per entry, an iter the same with the
-#: last scan a reduce
-_DEFINING_FOLDS = {
-    "bs": (0,), "bss2": (0, 1), "bss": (0, 0),
-    "br": (0,), "bsr2": (0, 1), "bsr": (0, 0),
-}
+    def formula(self) -> SymbolicCost:
+        return _butterfly_formula(self.bfly_op.comm_width,
+                                  self.bfly_op.op_count)
 
+    def token(self) -> tuple:
+        return ("scan_balanced", op_signature(self.bfly_op))
 
-def _defining_ops(op: Any) -> tuple[BinOp, ...] | None:
-    folds = _DEFINING_FOLDS.get(op.kind)
-    return None if folds is None else tuple(op.parts[i] for i in folds)
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"MPI_Scan_balanced ({src}, {dst}, {self.bfly_op.name});"
+
+    def rebuild(self, map_fn, binop_fn) -> Stage:
+        return replace(self, bfly_op=SSButterflyOp(binop_fn(self.bfly_op.op)))
 
 
 @dataclass(frozen=True)
-class ComcastStage(Stage):
+class ComcastStage(_Collective):
     """``comcast`` — the Comcast rules' target pattern (§3.4, Fig 6).
 
     ``impl`` selects between the two implementations the paper compares:
@@ -446,21 +692,43 @@ class ComcastStage(Stage):
         if self.impl not in ("repeat", "doubling"):
             raise ValueError(f"unknown comcast implementation {self.impl!r}")
 
-    @property
-    def is_collective(self) -> bool:
-        return True
-
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         # Both implementations realize: bcast; map# (λk b. op_comp k b).
         b = xs[0]
         return [self.comcast_op.compute(k, b) for k in range(len(xs))]
 
     def definition(self) -> tuple[Stage, ...] | None:
-        ops = _defining_ops(self.comcast_op)
+        ops = defining_ops(self.comcast_op)
         return None if ops is None else (BcastStage(), *map(ScanStage, ops))
 
     def pretty(self) -> str:
         return f"comcast[{self.impl}] ({self.comcast_op.name})"
+
+    def cost(self, params: MachineParams) -> float:
+        op = self.comcast_op
+        if self.impl == "repeat":
+            # broadcast + local repeat: log p phases of (ts + m tw), then
+            # log p digit steps of m * op_count local work.
+            return params.log_p * (
+                params.ts + params.m * (params.tw + op.op_count))
+        # cost-optimal doubling: log p phases shipping whole tuple states;
+        # every processor applies exactly one digit function per phase.
+        return _butterfly_cost(params, op.state_width, op.op_count)
+
+    def formula(self) -> SymbolicCost:
+        op = self.comcast_op
+        words = 1 if self.impl == "repeat" else op.state_width
+        return _butterfly_formula(words, op.op_count)
+
+    def token(self) -> tuple:
+        return ("comcast", self.impl, op_signature(self.comcast_op))
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        return f"Comcast[{self.impl}] ({src}, {dst}, {self.comcast_op.name});"
+
+    def rebuild(self, map_fn, binop_fn) -> Stage | None:
+        op = rebuild_derived_op(self.comcast_op, binop_fn)
+        return None if op is None else replace(self, comcast_op=op)
 
 
 @dataclass(frozen=True)
@@ -501,7 +769,7 @@ class IterStage(Stage):
         return [root] + [F.UNDEF] * (p - 1)
 
     def definition(self) -> tuple[Stage, ...] | None:
-        ops = _defining_ops(self.iter_op)
+        ops = defining_ops(self.iter_op)
         if ops is None:
             return None
         last = AllReduceStage if self.then_bcast else ReduceStage
@@ -511,6 +779,35 @@ class IterStage(Stage):
         suffix = " ; bcast" if self.then_bcast else ""
         gen = "_general" if self.general else ""
         return f"iter{gen} ({self.iter_op.name}){suffix}"
+
+    def cost(self, params: MachineParams) -> float:
+        log_p, m = params.log_p, params.m
+        local = log_p * m * self.iter_op.op_count
+        if self.then_bcast:
+            local += log_p * (params.ts + m * params.tw)
+        return local
+
+    def rounds(self, p: int) -> int:
+        return (p - 1).bit_length() if self.then_bcast else 0
+
+    def formula(self) -> SymbolicCost:
+        # iter's doubling runs log p times: model it in the log p part
+        coll = CostFormula.of(0, 0, self.iter_op.op_count)
+        if self.then_bcast:
+            coll = coll + bcast_formula()
+        return SymbolicCost(coll, Fraction(0))
+
+    def token(self) -> tuple:
+        return ("iter", self.general, self.then_bcast,
+                op_signature(self.iter_op))
+
+    def mpi_text(self, src: str, dst: str) -> str:
+        tail = "; MPI_Bcast" if self.then_bcast else ""
+        return f"{dst} = Iter ({self.iter_op.name}, {src}){tail};"
+
+    def rebuild(self, map_fn, binop_fn) -> Stage | None:
+        op = rebuild_derived_op(self.iter_op, binop_fn)
+        return None if op is None else replace(self, iter_op=op)
 
 
 # ---------------------------------------------------------------------------

@@ -3,30 +3,14 @@
 Round-trips the stages the parser produces; rule-introduced stages print
 as the "new collective operations" the paper's conclusions describe
 (``MPI_Reduce_balanced``, ``MPI_Scan_balanced``, ``Comcast``, ``Iter``),
-annotated with the rule that created them.
+annotated with the rule that created them.  Each statement is the stage
+class's own ``mpi_text`` facet; a class without one is a
+``StageFacetError``.
 """
 
 from __future__ import annotations
 
-from repro.core.stages import (
-    AllGatherStage,
-    AllGatherVStage,
-    GatherStage,
-    ReduceScatterStage,
-    ScatterStage,
-    AllReduceStage,
-    BalancedReduceStage,
-    BalancedScanStage,
-    BcastStage,
-    ComcastStage,
-    IterStage,
-    Map2Stage,
-    MapIndexedStage,
-    MapStage,
-    Program,
-    ReduceStage,
-    ScanStage,
-)
+from repro.core.stages import Program
 
 __all__ = ["to_mpi_text"]
 
@@ -45,73 +29,8 @@ def to_mpi_text(program: Program) -> str:
     cur = 0
     for stage in program.stages:
         src = _var(cur)
+        if not stage.mpi_in_place:
+            cur += 1
         comment = f"  // introduced by {stage.origin}" if stage.origin else ""
-        if isinstance(stage, MapStage):
-            cur += 1
-            lines.append(f"{_var(cur)} = {stage.label} ({src});{comment}")
-        elif isinstance(stage, MapIndexedStage):
-            cur += 1
-            lines.append(f"{_var(cur)} = {stage.label} (rank, {src});{comment}")
-        elif isinstance(stage, Map2Stage):
-            cur += 1
-            hash_ = "#" if stage.indexed else ""
-            lines.append(f"{_var(cur)} = map2{hash_} {stage.label} ({src}, as);{comment}")
-        elif isinstance(stage, ScanStage):
-            cur += 1
-            lines.append(f"MPI_Scan ({src}, {_var(cur)}, {stage.op.name});{comment}")
-        elif isinstance(stage, ReduceStage):
-            cur += 1
-            lines.append(f"MPI_Reduce ({src}, {_var(cur)}, {stage.op.name}, root);{comment}")
-        elif isinstance(stage, AllReduceStage):
-            cur += 1
-            lines.append(f"MPI_Allreduce ({src}, {_var(cur)}, {stage.op.name});{comment}")
-        elif isinstance(stage, BcastStage):
-            lines.append(f"MPI_Bcast ({src}, root);{comment}")
-        elif isinstance(stage, AllGatherStage):
-            cur += 1
-            lines.append(f"MPI_Allgather ({src}, {_var(cur)});{comment}")
-        elif isinstance(stage, ReduceScatterStage):
-            cur += 1
-            counts = ("counts" if stage.counts is None
-                      else list(stage.counts))
-            lines.append(
-                f"MPI_Reduce_scatter ({src}, {_var(cur)}, {counts}, "
-                f"{stage.op.name});{comment}"
-            )
-        elif isinstance(stage, AllGatherVStage):
-            cur += 1
-            counts = ("counts" if stage.counts is None
-                      else list(stage.counts))
-            lines.append(
-                f"MPI_Allgatherv ({src}, {_var(cur)}, {counts});{comment}"
-            )
-        elif isinstance(stage, ScatterStage):
-            cur += 1
-            lines.append(f"MPI_Scatter ({src}, {_var(cur)}, root);{comment}")
-        elif isinstance(stage, GatherStage):
-            cur += 1
-            lines.append(f"MPI_Gather ({src}, {_var(cur)}, root);{comment}")
-        elif isinstance(stage, BalancedReduceStage):
-            cur += 1
-            call = "MPI_Allreduce_balanced" if stage.to_all else "MPI_Reduce_balanced"
-            lines.append(f"{call} ({src}, {_var(cur)}, {stage.tree_op.name});{comment}")
-        elif isinstance(stage, BalancedScanStage):
-            cur += 1
-            lines.append(
-                f"MPI_Scan_balanced ({src}, {_var(cur)}, {stage.bfly_op.name});{comment}"
-            )
-        elif isinstance(stage, ComcastStage):
-            cur += 1
-            lines.append(
-                f"Comcast[{stage.impl}] ({src}, {_var(cur)}, "
-                f"{stage.comcast_op.name});{comment}"
-            )
-        elif isinstance(stage, IterStage):
-            cur += 1
-            tail = "; MPI_Bcast" if stage.then_bcast else ""
-            lines.append(
-                f"{_var(cur)} = Iter ({stage.iter_op.name}, {src}){tail};{comment}"
-            )
-        else:  # pragma: no cover - future stages
-            lines.append(f"// unprintable stage: {stage.pretty()}")
+        lines.append(stage.mpi_text(src, _var(cur)) + comment)
     return "\n".join(lines)

@@ -35,7 +35,7 @@ from repro.core.planner import (
 )
 from repro.core.rewrite import find_matches, match_at
 from repro.core.rules import FULL_RULES, rule_by_name
-from repro.core.search import Search, _stage_token
+from repro.core.search import Search
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
@@ -85,7 +85,7 @@ def _check_expanded_nodes(program, params, rules) -> int:
         scratch = [(m.rule, m.start, m.safe)
                    for m in find_matches(node.program, rules)]
         assert derived == scratch, node.program.pretty()
-        assert node.tokens == tuple(_stage_token(s) for s in stages)
+        assert node.tokens == tuple(s.token() for s in stages)
         assert node.tokens == plan_signature(node.program)
         assert node.renderings == tuple(s.pretty() for s in stages)
         cost = program_cost(node.program, params)

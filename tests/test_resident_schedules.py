@@ -6,8 +6,8 @@ timeline, events — and joins it with values from an exact evaluator.
 These tests hold it to the engine it replaces: a differential run over
 the generated corpus (as written and as planned, with ``UNDEF`` holes),
 one test per reason it steps aside, result aliasing, the cache-reset
-hook, and the table :func:`~repro.machine.run.execute_stage` now looks
-stages up in.
+hook, and the typed error of the table
+:func:`~repro.machine.run.execute_stage` looks stages up in.
 """
 
 from __future__ import annotations
@@ -210,7 +210,8 @@ def test_bypass_shape_priced_stage(stage, long):
 
 
 def test_only_the_two_vocabulary_stages_are_shape_priced():
-    priced = {cls.__name__ for cls in _stage_classes() if cls.words_follow_block}
+    priced = {name for name, cls in inspect.getmembers(stages_module, inspect.isclass)
+              if issubclass(cls, Stage) and cls.words_follow_block}
     assert priced == {"ReduceScatterStage", "AllGatherVStage"}
 
 
@@ -375,19 +376,7 @@ def test_simulate_program_itself_carries_real_payloads():
     assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4, 4]
 
 
-# -- execute_stage: one table, every stage ------------------------------------
-
-def _stage_classes():
-    return [cls for _name, cls in inspect.getmembers(stages_module, inspect.isclass)
-            if issubclass(cls, Stage) and cls is not Stage]
-
-
-def test_every_stage_class_has_a_machine_entry():
-    missing = [cls.__name__ for cls in _stage_classes()
-               if cls not in machine_run._MACHINE]
-    assert not missing, f"no machine algorithm for {missing}"
-    assert set(machine_run._MACHINE) == set(_stage_classes())
-
+# -- execute_stage: one table (its exhaustiveness: test_stages.TestFacets) -----
 
 def test_a_stage_without_an_entry_is_a_typed_error(monkeypatch):
     entries = dict(machine_run._MACHINE)
@@ -395,5 +384,3 @@ def test_a_stage_without_an_entry_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(machine_run, "_MACHINE", entries)
     with pytest.raises(TypeError, match="no machine implementation"):
         execute_stage(RankContext(0, 2, PARAMS), BcastStage(), 1)
-    with pytest.raises(AssertionError, match="BcastStage"):
-        test_every_stage_class_has_a_machine_entry()

@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import pytest
 
+from test_stage_facets_golden import _vocabulary
+
+from repro.codegen import mpi4py_gen
+from repro.codegen.mpi4py_gen import CodegenError, generate_mpi4py
 from repro.core import stages as stages_module
+from repro.core.cost import (
+    MachineParams,
+    stage_cost,
+    stage_formula,
+    stage_rounds,
+)
 from repro.core.derived_ops import (
     bs_comcast_op,
     bss2_comcast_op,
@@ -17,6 +28,8 @@ from repro.core.derived_ops import (
     bsr_iter_op,
 )
 from repro.core.operators import ADD, CONCAT, MAX, MUL
+from repro.core.optimizer import optimize
+from repro.core.planner import plan_signature
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
@@ -29,7 +42,12 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
     Stage,
+    StageFacetError,
 )
+from repro.kernels.lowering import rebuild_stage, vectorize_program
+from repro.lang.printer import to_mpi_text
+from repro.machine import run as machine_run
+from repro.machine.run import simulate_program
 from repro.semantics.functional import UNDEF, defined_equal
 from repro.testing.generator import (
     EW_ADD,
@@ -225,3 +243,207 @@ class TestDefinition:
         bare = replace(bs_comcast_op(ADD), kind="", parts=())
         assert ComcastStage(bare).definition() is None
         assert IterStage(replace(br_iter_op(ADD), kind="")).definition() is None
+
+
+# -- what a stage is: the facets its class owns -------------------------------
+
+#: every name a layer may ask a stage for; ``Stage``'s default raises
+FACETS = ("is_collective", "apply", "pretty", "cost", "rounds", "formula",
+          "token", "mpi_text", "rebuild")
+
+#: the movement / bandwidth stages: their ``(1 - 1/p)`` volume factors
+#: have no per-``log p`` Table-1 form, so ``formula`` stays the refusal
+NO_TABLE1_FORM = {"AllGatherStage", "AllGatherVStage", "ReduceScatterStage",
+                  "ScatterStage", "GatherStage"}
+
+PARAMS = MachineParams(p=4, ts=600.0, tw=2.0, m=3)
+
+
+def _stage_classes():
+    return [getattr(stages_module, name) for name in stages_module.__all__
+            if name not in ("Stage", "Program", "StageFacetError")]
+
+
+@dataclass(frozen=True)
+class SwapStage(Stage):
+    """``swap`` — ranks ``2k`` and ``2k + 1`` exchange blocks: a stage no
+    file under ``src/`` has heard of."""
+
+    is_collective: ClassVar[bool] = True
+
+    def apply(self, xs):
+        return [xs[i ^ 1] if i ^ 1 < len(xs) else xs[i]
+                for i in range(len(xs))]
+
+    def pretty(self):
+        return "swap"
+
+    def cost(self, params):
+        return params.ts + params.m * params.tw if params.p > 1 else 0.0
+
+    def rounds(self, p):
+        return int(p > 1)
+
+    def token(self):
+        return ("swap",)
+
+    def mpi_text(self, src, dst):
+        return f"MPI_Sendrecv ({src}, {dst}, rank ^ 1);"
+
+    def rebuild(self, map_fn, binop_fn):
+        return self
+
+
+def _swap_machine(ctx, stage, x):
+    partner = ctx.rank ^ 1
+    if partner >= ctx.size:
+        return x
+    return (yield from ctx.sendrecv(partner, x, words=ctx.params.m))
+
+
+class TestFacets:
+    def test_the_facet_list_is_all_stage_declares(self):
+        declared = {name for name in vars(Stage)
+                    if not name.startswith("_")}
+        assert declared == set(FACETS) | {
+            "origin", "with_origin", "definition",
+            "words_follow_block", "mpi_in_place"}
+
+    @pytest.mark.parametrize("cls", _stage_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_every_stage_class_implements_every_facet(self, cls):
+        assert issubclass(cls, Stage)
+        missing = {facet for facet in FACETS
+                   if getattr(cls, facet) is getattr(Stage, facet)}
+        refused = {"formula"} if cls.__name__ in NO_TABLE1_FORM else set()
+        assert missing == refused
+
+    def test_every_stage_class_has_an_entry_in_both_outer_tables(self):
+        classes = set(_stage_classes())
+        assert len(classes) == 16
+        for table in (machine_run._MACHINE, mpi4py_gen._MPI4PY):
+            missing = [cls.__name__ for cls in classes if cls not in table]
+            assert not missing, f"no entry for {missing}"
+            assert set(table) == classes
+
+    @pytest.mark.parametrize("module,table", [(machine_run, "_MACHINE"),
+                                              (mpi4py_gen, "_MPI4PY")])
+    def test_a_table_lacking_a_class_fails_the_check(self, monkeypatch,
+                                                     module, table):
+        entries = dict(getattr(module, table))
+        del entries[BcastStage]
+        monkeypatch.setattr(module, table, entries)
+        with pytest.raises(AssertionError, match="BcastStage"):
+            self.test_every_stage_class_has_an_entry_in_both_outer_tables()
+
+    def test_every_shipped_stage_answers_every_driver(self):
+        reached = set()
+        for prog in _vocabulary()[:-1]:
+            (stage,) = prog.stages
+            reached.add(type(stage))
+            assert plan_signature(prog) == (stage.token(),)
+            assert to_mpi_text(prog).count("\n") == 1
+            assert stage_cost(stage, PARAMS) >= 0
+            assert stage_rounds(stage, PARAMS) >= stage.is_collective
+            if type(stage).__name__ in NO_TABLE1_FORM:
+                with pytest.raises(StageFacetError, match="'formula'"):
+                    stage_formula(stage)
+            else:
+                assert (stage_formula(stage).evaluate(PARAMS)
+                        == pytest.approx(stage_cost(stage, PARAMS)))
+        assert reached == set(_stage_classes())
+
+    def test_a_default_names_the_class_and_the_facet(self):
+        @dataclass(frozen=True)
+        class Bare(Stage):
+            pass
+
+        for facet, call in [
+            ("is_collective", lambda s: s.is_collective),
+            ("apply", lambda s: s.apply([1])),
+            ("pretty", lambda s: s.pretty()),
+            ("cost", lambda s: stage_cost(s, PARAMS)),
+            ("rounds", lambda s: stage_rounds(s, PARAMS)),
+            ("formula", stage_formula),
+            ("token", lambda s: s.token()),
+            ("mpi_text", lambda s: s.mpi_text("x", "y")),
+            ("rebuild", lambda s: rebuild_stage(s, None, None)),
+        ]:
+            with pytest.raises(StageFacetError) as err:
+                call(Bare())
+            assert (err.value.stage_class, err.value.facet) == (Bare, facet)
+            assert "Bare" in str(err.value) and facet in str(err.value)
+        assert issubclass(StageFacetError, TypeError)
+
+    def test_a_stage_without_a_token_does_not_plan_under_a_made_up_one(
+            self, monkeypatch):
+        """No ``("stage", type, pretty)`` fallback: a signature is an
+        on-disk cache key, so a class that does not say what the planner
+        may observe of it has none — shipped classes included."""
+        @dataclass(frozen=True)
+        class Mute(SwapStage):
+            token = Stage.token
+
+        with pytest.raises(StageFacetError, match="Mute.*'token'"):
+            plan_signature(Program([BcastStage(), Mute()]))
+        assert plan_signature(Program([BcastStage()])) == (("bcast",),)
+        monkeypatch.delattr(BcastStage, "token")
+        with pytest.raises(StageFacetError, match="BcastStage.*'token'"):
+            plan_signature(Program([BcastStage()]))
+
+    def test_a_stage_without_mpi_text_is_not_printed_as_a_comment(
+            self, monkeypatch):
+        @dataclass(frozen=True)
+        class Mute(SwapStage):
+            mpi_text = Stage.mpi_text
+
+        with pytest.raises(StageFacetError, match="Mute.*'mpi_text'"):
+            to_mpi_text(Program([BcastStage(), Mute()]))
+        assert "MPI_Bcast (x, root);" in to_mpi_text(Program([BcastStage()]))
+        monkeypatch.delattr(BcastStage, "mpi_text")
+        with pytest.raises(StageFacetError, match="BcastStage.*'mpi_text'"):
+            to_mpi_text(Program([BcastStage()]))
+
+    def test_a_toy_stage_needs_no_edit_under_src(self, monkeypatch):
+        swap = SwapStage()
+        prog = Program([BcastStage(), ScanStage(ADD), swap], name="toy")
+        xs = [3, 0, 0, 0]
+        want = [6, 3, 12, 9]
+
+        # costs, counts rounds, tokens, prints, rebuilds
+        assert stage_cost(swap, PARAMS) == 600.0 + 3 * 2.0
+        assert stage_cost(swap, PARAMS.with_(round_penalty=5.0)) == 611.0
+        assert stage_rounds(swap, PARAMS) == 1
+        assert plan_signature(prog)[-1] == ("swap",)
+        assert to_mpi_text(prog).splitlines()[-1] == (
+            "MPI_Sendrecv (y, z, rank ^ 1);")
+        assert rebuild_stage(swap, None, None) is swap
+        assert vectorize_program(prog).stages[-1] is swap
+        with pytest.raises(StageFacetError, match="SwapStage.*'formula'"):
+            stage_formula(swap)
+
+        # runs and plans: the rules rewrite around it
+        assert prog.run(xs) == want
+        for strategy in ("greedy", "beam", "exhaustive"):
+            planned = optimize(prog, PARAMS, strategy=strategy)
+            assert planned.derivation.rules_used == ("BS-Comcast",)
+            assert planned.program.stages[-1] is swap
+            assert planned.program.run(xs) == want
+            assert planned.cost_after < planned.cost_before
+
+        # the two outer layers refuse by name until given one entry each
+        with pytest.raises(TypeError, match="no machine implementation.*SwapStage"):
+            simulate_program(prog, xs, PARAMS)
+        with pytest.raises(CodegenError, match="no mpi4py lowering.*SwapStage"):
+            generate_mpi4py(prog)
+        monkeypatch.setitem(machine_run._MACHINE, SwapStage, _swap_machine)
+        monkeypatch.setitem(
+            mpi4py_gen._MPI4PY, SwapStage, lambda stage, ops, table: [
+                "x = comm.sendrecv(x, dest=rank ^ 1, source=rank ^ 1)"])
+        for program in (prog, planned.program):
+            assert list(simulate_program(program, xs, PARAMS).values) == want
+        assert (simulate_program(Program([swap]), xs, PARAMS).time
+                == stage_cost(swap, PARAMS))
+        script = generate_mpi4py(prog)
+        assert "x = comm.sendrecv(x, dest=rank ^ 1" in script
+        compile(script, "toy.py", "exec")
