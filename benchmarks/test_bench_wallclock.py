@@ -91,8 +91,6 @@ def test_sample_sort_walltime(benchmark):
 def test_threaded_engine_overhead(benchmark):
     """Wall-clock cost of the thread-per-rank engine vs. the cooperative
     one on the same program (documentation, not a paper claim)."""
-    from repro.mpi.threaded import simulate_program_threaded
-
     from repro.apps import build_example
 
     prog = build_example()
@@ -100,7 +98,8 @@ def test_threaded_engine_overhead(benchmark):
     xs = list(range(1, 17))
     coop = simulate_program(prog, xs, params)
 
-    threaded = benchmark(lambda: simulate_program_threaded(prog, xs, params))
+    threaded = benchmark(lambda: simulate_program(prog, xs, params,
+                                                  engine="threaded"))
     assert threaded.values == coop.values
     assert threaded.time == coop.time
 

@@ -88,6 +88,7 @@ from repro.core.operators import ADD, CONCAT, MAX, MIN, MUL, mod_add, mod_mul
 from repro.core.optimizer import optimize
 from repro.core.rules import ALL_RULES, FULL_RULES
 from repro.lang import ParseError, parse_program, to_mpi_text
+from repro.machine import ENGINES
 
 __all__ = ["main", "build_parser", "default_env"]
 
@@ -169,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bd.add_argument("--gantt", action="store_true",
                       help="also draw the communication timeline")
     p_bd.add_argument("--engine",
-                      choices=("cooperative", "threaded", "process"),
-                      default="cooperative",
+                      choices=ENGINES, default="cooperative",
                       help="also execute on this engine and cross-check the "
                            "simulated total (per-stage rows always come from "
                            "the cooperative engine's probe timeline)")
@@ -213,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "checkpoint/restart supervisor and check the "
                            "recovery contract (see docs/FAULTS.md)")
     p_cf.add_argument("--engine", action="append", dest="engines",
-                      choices=("machine", "threaded", "process", "jit"),
+                      choices=(*ENGINES, "jit"),
                       metavar="ENGINE",
                       help="with --chaos: add an engine to the comparison "
-                           "deck (repeatable; default machine+threaded; "
-                           "'machine' is always included as the reference; "
-                           "'jit' is the cooperative engine under "
-                           "jit=True)")
+                           "deck (repeatable; default cooperative+threaded; "
+                           "'cooperative' is always included as the "
+                           "reference; 'jit' is the cooperative engine "
+                           "under jit=True)")
 
     p_pl = subs.add_parser(
         "plan",
@@ -291,11 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write the quarantine scenario's JSON "
                            "recovery event log to PATH")
     p_rc.add_argument("--engine",
-                      choices=("machine", "threaded", "process"),
-                      default="machine",
+                      choices=ENGINES, default="cooperative",
                       help="execution engine for the walkthrough; 'process' "
                            "adds a real SIGKILL/respawn scenario on forked "
-                           "workers (default machine)")
+                           "workers (default cooperative)")
 
     p_sv = subs.add_parser(
         "serve",
@@ -318,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--workers", type=int, default=2,
                       help="worker threads (default 2)")
     p_sv.add_argument("--substrate",
-                      choices=("cooperative", "threaded", "process"),
-                      default="cooperative",
+                      choices=ENGINES, default="cooperative",
                       help="initial execution substrate for the demo "
                            "(default cooperative; chaos always uses "
                            "process)")
@@ -532,7 +530,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         print("error: --recover requires --chaos", file=sys.stderr)
         return 2
     if args.chaos:
-        engines = ["machine"]
+        engines = ["cooperative"]
         for eng in args.engines or ["threaded"]:
             if eng not in engines:
                 engines.append(eng)

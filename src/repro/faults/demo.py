@@ -14,7 +14,6 @@ from repro.core.operators import ADD
 from repro.core.stages import AllReduceStage, Program, ScanStage
 from repro.faults import FaultPlan, FaultTimeoutError, LinkFault, RankCrash
 from repro.machine.run import simulate_program
-from repro.mpi.threaded import simulate_program_threaded
 
 __all__ = ["run_demo"]
 
@@ -72,7 +71,8 @@ def run_demo(params: MachineParams | None = None) -> str:
 
     # -- 4. both engines observe the same faulted world ----------------------
     out(_banner("4. engine agreement under the same plan"))
-    thr = simulate_program_threaded(scan, xs8, params, faults=crash)
+    thr = simulate_program(scan, xs8, params, faults=crash,
+                           engine="threaded")
     out(f"cooperative: values={list(degraded.values)} "
         f"clocks={list(degraded.stats.clocks)}")
     out(f"threaded   : values={list(thr.values)} "

@@ -17,6 +17,7 @@ dead — never a hang.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -94,7 +95,8 @@ class FaultState:
         self.timeouts: list[tuple[int, int]] = []
         self.retries = 0
         self.duplicates = 0
-        self.extra_delay = 0.0
+        #: extra model time charged, per matched ``(src, dst)`` pair
+        self._extra: dict[tuple[int, int], float] = {}
         self.rerouted = 0
         #: replay epoch (0 = original run); bumped by reset_for_replay()
         self.epoch = 0
@@ -119,7 +121,7 @@ class FaultState:
         self.timeouts = []
         self.retries = 0
         self.duplicates = 0
-        self.extra_delay = 0.0
+        self._extra = {}
         self.rerouted = 0
         self.epoch += 1
 
@@ -138,10 +140,10 @@ class FaultState:
         return FaultSummary(
             deaths=tuple(sorted(self.dead.items())),
             drops=tuple(sorted(merged_drops.items())),
-            timeouts=tuple(timeouts),
+            timeouts=tuple(sorted(timeouts)),
             retries=sum(s.retries for s in epochs),
             duplicates=sum(s.duplicates for s in epochs),
-            extra_delay=sum(s.extra_delay for s in epochs),
+            extra_delay=math.fsum(s.extra_delay for s in epochs),
             rerouted=sum(s.rerouted for s in epochs),
             epoch=self.epoch,
         )
@@ -191,8 +193,8 @@ class FaultState:
     def _note_reroute(self, n: int) -> None:
         self.rerouted += n
 
-    def _charge_extra(self, extra: float) -> None:
-        self.extra_delay += extra
+    def _charge_extra(self, pair: tuple[int, int], extra: float) -> None:
+        self._extra[pair] = self._extra.get(pair, 0.0) + extra
 
     def _host_dead(self, rank: int) -> bool:
         return rank in self.dead
@@ -229,7 +231,19 @@ class FaultState:
         used for adaptive retry penalties and duplicate charges.  For an
         ``exchange`` (SendRecv pair) both directed links are consulted; a
         drop on either direction drops the whole exchange.
+
+        The extra time is filed under the pair of ranks that matched: a
+        rank's actions are sequential, so the matches between two fixed
+        ranks come in one order on every engine and each pair's running
+        sum is the same float whichever thread or process performed it.
         """
+        outcome = self._play(src, dst, base_cost, exchange)
+        if outcome.extra_delay:
+            self._charge_extra((src, dst), outcome.extra_delay)
+        return outcome
+
+    def _play(self, src: int, dst: int, base_cost: float,
+              exchange: bool) -> Delivery:
         plan = self.plan
         extra = 0.0
         drops_here = 0
@@ -249,12 +263,10 @@ class FaultState:
                     extra += base_cost
                 extra += plan.jitter_for(a, b, n)
             if not dropped:
-                self._charge_extra(extra)
                 return Delivery(extra_delay=extra, drops=drops_here,
                                 timed_out=False)
             if drops_here >= plan.max_retries:
                 self._note_timeout((src, dst))
-                self._charge_extra(extra)
                 return Delivery(extra_delay=extra, drops=drops_here + 1,
                                 timed_out=True)
             extra += plan.retry_penalty(drops_here, base_cost)
@@ -263,14 +275,23 @@ class FaultState:
 
     # -- forensics -----------------------------------------------------------
 
+    @property
+    def extra_delay(self) -> float:
+        """Extra model time charged this epoch: the exactly rounded
+        ``math.fsum`` of the per-pair charges, so the total does not
+        depend on the order in which concurrent pairs matched."""
+        return math.fsum(v for _pair, v in sorted(self._extra.items()))
+
     def summary(self) -> FaultSummary:
         """Forensic record of the *current* epoch (the whole run when no
-        replay ever happened, i.e. for every unsupervised run)."""
+        replay ever happened, i.e. for every unsupervised run).  Order-
+        free: drops, timeouts and deaths sorted, ``extra_delay`` an
+        ``fsum`` — every engine reports the same record."""
         deaths = tuple(sorted(list(self.dead.items())[self._death_mark:]))
         return FaultSummary(
             deaths=deaths,
             drops=tuple(sorted(self.drops.items())),
-            timeouts=tuple(self.timeouts),
+            timeouts=tuple(sorted(self.timeouts)),
             retries=self.retries,
             duplicates=self.duplicates,
             extra_delay=self.extra_delay,

@@ -18,6 +18,7 @@ from repro.core.cost import (
 )
 from repro.machine.engine import DeadlockError, SimResult, SimStats, run_spmd
 from repro.machine.primitives import RankContext
+from repro.machine.rendezvous import ENGINES
 from repro.machine.run import simulate_program
 
 __all__ = [
@@ -30,5 +31,6 @@ __all__ = [
     "SimResult",
     "SimStats",
     "DeadlockError",
+    "ENGINES",
     "simulate_program",
 ]

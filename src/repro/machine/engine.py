@@ -1,14 +1,18 @@
-"""Discrete-event SPMD machine simulator.
+"""Discrete-event SPMD machine simulator: the cooperative engine.
 
 Simulates the paper's machine model (§4.1): ``p`` processors, a virtual
 fully connected network with bidirectional links, message cost
 ``ts + words*tw``, unit-cost computation.  Rank programs are generators
 over the actions in :mod:`repro.machine.primitives`.
 
-The engine keeps one virtual clock per processor and advances matched
-communication pairs to ``max(t_sender, t_receiver) + ts + words*tw``
-(synchronous rendezvous — both sides block, which is how the paper's
-butterfly phase estimates compose).  The simulated run time of a program
+The model itself — one virtual clock per processor, matched pairs
+advanced to ``max(t_sender, t_receiver) + ts + words*tw`` (synchronous
+rendezvous: both sides block, which is how the paper's butterfly phase
+estimates compose), the fault verdicts, deaths and deadlock forensics —
+is the shared kernel's (:mod:`repro.machine.rendezvous`).  This module
+adds the cooperative *store* (a blocked rank is a suspended generator,
+woken by resuming it in place) and the *driver*: :func:`run_spmd`'s
+deterministic sweep over the ranks.  The simulated run time of a program
 is the maximum clock over all processors after every rank returns.
 
 The simulator carries real payloads, so it checks *semantics* and
@@ -28,129 +32,60 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 from repro.core.cost import MachineParams
-from repro.faults import (
-    FaultPlan,
-    FaultState,
-    FaultSummary,
-    FaultTimeoutError,
-    PeerDeadError,
-)
+from repro.faults import FaultPlan, FaultState
 from repro.machine.primitives import (
     Action,
-    Compute,
-    Probe,
     RankContext,
     Recv,
     Send,
-    SendRecv,
     comm_partner,
-    pending_info,
+)
+from repro.machine.rendezvous import (
+    DeadlockError,
+    Rendezvous,
+    SimResult,
+    SimStats,
+    describe_ranks,
+    live_fault_state,
 )
 from repro.semantics.functional import UNDEF
 
 __all__ = ["SimStats", "SimResult", "DeadlockError", "describe_ranks", "run_spmd"]
 
 
-class DeadlockError(RuntimeError):
-    """No rank can make progress but some have not terminated."""
+class _Cooperative(Rendezvous):
+    """The kernel's list store; waking a rank resumes its generator in
+    place, up to its next communication action."""
 
+    def __init__(self, rank_fn, inputs, params, fstate, initial_clocks) -> None:
+        p = len(inputs)
+        super().__init__(p, params, fstate, initial_clocks)
+        self.gens = [rank_fn(RankContext(r, p, params), inputs[r])
+                     for r in range(p)]
+        self.values: list[Any] = [None] * p
 
-def describe_ranks(entries: Iterable[tuple[int, Any, float, bool]]) -> str:
-    """Unified per-rank forensic report used by both execution engines.
+    def _wake(self, rank: int, value: Any = None,
+              failure: BaseException | None = None) -> None:
+        # a failure is thrown at the suspended yield; if the program does
+        # not catch it, it propagates to the engine's caller
+        gen = self.gens[rank]
+        try:
+            action = gen.send(value) if failure is None else gen.throw(failure)
+            while self.local(rank, action):
+                action = gen.send(None)
+            self.pending[rank] = action
+        except StopIteration as stop:
+            self.values[rank] = stop.value
+            self.alive[rank] = False
 
-    ``entries`` yields ``(rank, pending_action, clock, done)`` tuples.
-    Blocked ranks are shown with their pending transfer ``(src, dst,
-    words)``; finished ranks are listed so a partial deadlock is easy to
-    localize.
-    """
-    lines = []
-    for rank, action, clock, done in entries:
-        if done:
-            lines.append(f"rank {rank}: finished at t={clock:g}")
-            continue
-        pend = pending_info(rank, action)
-        if pend is None:
-            lines.append(f"rank {rank}: running at t={clock:g}")
-            continue
-        src, dst, words = pend
-        words_txt = "?" if words is None else f"{words:g}"
-        lines.append(
-            f"rank {rank}: blocked on {action!r} at t={clock:g} "
-            f"[pending src={src} dst={dst} words={words_txt}]"
-        )
-    return "\n".join(lines)
-
-
-@dataclass
-class SimStats:
-    """Aggregate communication/computation counters for one run."""
-
-    messages: int = 0
-    words: float = 0.0
-    compute_ops: float = 0.0
-    #: clock value of every processor at termination
-    clocks: tuple[float, ...] = ()
-    #: (rank, tag, clock) records emitted by Probe actions
-    timeline: list = field(default_factory=list)
-    #: (src, dst, end_time, words) for every delivered message
-    events: list = field(default_factory=list)
-
-    @property
-    def makespan(self) -> float:
-        return max(self.clocks) if self.clocks else 0.0
-
-
-@dataclass(frozen=True)
-class SimResult:
-    """Final per-rank values plus the simulated time and statistics."""
-
-    values: tuple[Any, ...]
-    time: float
-    stats: SimStats
-    #: forensic record of injected faults (None for fault-free runs)
-    faults: FaultSummary | None = None
-
-
-@dataclass
-class _RankState:
-    gen: Generator[Action, Any, Any]
-    clock: float = 0.0
-    waiting: Action | None = None
-    done: bool = False
-    result: Any = None
-    inbox_value: Any = None  # payload to feed on next resume
-
-
-def _advance(state: _RankState, stats: SimStats, value: Any = None,
-             rank: int | None = None,
-             throw: BaseException | None = None) -> None:
-    """Resume a rank generator, consuming Compute/Probe actions inline.
-
-    ``throw`` injects an exception at the suspended yield instead of a
-    value (used for fault delivery); if the program does not catch it,
-    the exception propagates to the engine's caller.
-    """
-    try:
-        if throw is not None:
-            action = state.gen.throw(throw)
-        else:
-            action = state.gen.send(value)
-        while isinstance(action, (Compute, Probe)):
-            if isinstance(action, Compute):
-                state.clock += action.ops
-                stats.compute_ops += action.ops
-            else:
-                stats.timeline.append((rank, action.tag, state.clock))
-            action = state.gen.send(None)
-        state.waiting = action
-    except StopIteration as stop:
-        state.done = True
-        state.waiting = None
-        state.result = stop.value
+    def kill(self, rank: int) -> None:
+        """A crashed rank abandons its program; its result is UNDEF."""
+        super().kill(rank)
+        self.gens[rank].close()
+        self.values[rank] = UNDEF
 
 
 def run_spmd(
@@ -177,175 +112,54 @@ def run_spmd(
     checkpointed value rather than 0 (the two hooks together make a
     resumed stage observationally identical to the same stage inside one
     uninterrupted run).
+
+    This function is the *driver*: a deterministic sweep deciding which
+    rank initiates a match and in which order (and so the order in which
+    a hierarchical machine's contention domains serialise).  Every match,
+    clock advance, kill and verdict is the kernel's
+    (:mod:`repro.machine.rendezvous`).
     """
-    p = len(inputs)
-    if p == 0:
-        raise ValueError("cannot simulate an empty machine")
-    if fault_state is not None:
-        fstate: FaultState | None = fault_state
-    else:
-        fstate = (FaultState(faults)
-                  if faults is not None and not faults.is_empty else None)
-    stats = SimStats()
-    states = [
-        _RankState(gen=rank_fn(RankContext(r, p, params), inputs[r]),
-                   clock=0.0 if initial_clocks is None else initial_clocks[r])
-        for r in range(p)
-    ]
-    for r, st in enumerate(states):
-        _advance(st, stats, rank=r)
-
-    link = params.link
-    domains = params.contention_domains
-    domain_free: dict = {}
-
-    def comm_complete(r: int, q: int, words: float, extra: float = 0.0) -> float:
-        ts, tw = link(r, q)
-        keys = domains(r, q)
-        start = max(states[r].clock, states[q].clock,
-                    *(domain_free.get(k, 0.0) for k in keys)) \
-            if keys else max(states[r].clock, states[q].clock)
-        t = start + ts + tw * words + extra
-        for k in keys:
-            domain_free[k] = t
-        return t
-
-    def _kill(r: int) -> None:
-        """Crash rank ``r`` at its current clock; its result is UNDEF."""
-        st = states[r]
-        fstate.record_death(r, st.clock)
-        st.gen.close()
-        st.done = True
-        st.waiting = None
-        st.result = UNDEF
-
-    def _resolve(r: int, q: int, words: float, exchange: bool):
-        """Match-time fault resolution; raises into both ranks on timeout."""
-        ts, tw = link(r, q)
-        outcome = fstate.resolve(r, q, ts + tw * words, exchange=exchange)
-        if not outcome.timed_out:
-            return outcome.extra_delay
-        t = max(states[r].clock, states[q].clock) + outcome.extra_delay
-        states[r].clock = states[q].clock = t
-        states[r].waiting = states[q].waiting = None
-        detail = describe_ranks(
-            (i, s.waiting, s.clock, s.done) for i, s in enumerate(states))
-        # both endpoints observe the dead link; an uncaught error aborts
-        # the run with the typed, seed-replayable exception
-        _advance(states[q], stats, rank=q, throw=FaultTimeoutError(
-            r, q, words, outcome.drops, t, detail))
-        _advance(states[r], stats, rank=r, throw=FaultTimeoutError(
-            r, q, words, outcome.drops, t, detail))
-        return None
-
-    def _crash_due(r: int) -> bool:
-        # A rank past its crash clock must never take part in a match:
-        # it may acquire a fresh action mid-sweep (after an earlier match
-        # advanced its clock) and would otherwise deliver one message the
-        # threaded engine — which checks at every submission — would not.
-        return fstate is not None and fstate.should_crash(r, states[r].clock)
+    rdv = _Cooperative(rank_fn, inputs, params,
+                       live_fault_state(faults, fault_state), initial_clocks)
+    ranks, pending = range(rdv.size), rdv.pending
+    for r in ranks:
+        rdv._wake(r)
+    faulty = rdv.fstate is not None
 
     while True:
         progressed = False
-
-        if fstate is not None:
-            # 1. scheduled crashes: take effect at the next comm action
-            for r, st in enumerate(states):
-                if (not st.done and st.waiting is not None
-                        and fstate.should_crash(r, st.clock)):
-                    _kill(r)
+        if faulty:
+            # scheduled crashes take effect at the victim's next
+            # communication action; then every rank blocked on a dead
+            # peer gets its PeerDeadError.  Crashes are re-checked before
+            # anything the woken ranks posted may match.
+            for r in ranks:
+                if pending[r] is not None and rdv.crash_due(r):
+                    rdv.kill(r)
                     progressed = True
-            # 2. deliver PeerDeadError to ranks blocked on a crashed peer
-            for r, st in enumerate(states):
-                if st.waiting is None:
-                    continue
-                peer = comm_partner(st.waiting)
-                if peer is not None and fstate.is_dead(peer):
-                    pending = repr(st.waiting)
-                    st.waiting = None
-                    _advance(st, stats, rank=r, throw=PeerDeadError(
-                        r, peer, fstate.death_clock(peer), pending))
-                    progressed = True
-            if progressed:
-                continue  # re-check crashes before matching new actions
-
-        for r, st in enumerate(states):
-            act = st.waiting
-            if act is None or _crash_due(r):
+            if rdv.wake_waiters() or progressed:
                 continue
 
-            if isinstance(act, SendRecv):
-                q = act.partner
-                other = states[q].waiting
-                if (
-                    isinstance(other, SendRecv)
-                    and other.partner == r
-                    and q > r  # handle each pair once
-                    and not _crash_due(q)
-                ):
-                    words = max(act.words, other.words)
-                    extra = 0.0
-                    if fstate is not None:
-                        delay = _resolve(r, q, words, exchange=True)
-                        if delay is None:  # timed out; both sides resumed
-                            progressed = True
-                            continue
-                        extra = delay
-                    t = comm_complete(r, q, words, extra)
-                    st.clock = states[q].clock = t
-                    stats.messages += 2
-                    stats.words += act.words + other.words
-                    stats.events.append((r, q, t, act.words))
-                    stats.events.append((q, r, t, other.words))
-                    a_payload, b_payload = act.payload, other.payload
-                    st.waiting = states[q].waiting = None
-                    _advance(st, stats, b_payload, rank=r)
-                    _advance(states[q], stats, a_payload, rank=q)
-                    progressed = True
-
-            elif isinstance(act, Send):
-                q = act.dst
-                other = states[q].waiting
-                if isinstance(other, Recv) and other.src == r \
-                        and not _crash_due(q):
-                    extra = 0.0
-                    if fstate is not None:
-                        delay = _resolve(r, q, act.words, exchange=False)
-                        if delay is None:
-                            progressed = True
-                            continue
-                        extra = delay
-                    t = comm_complete(r, q, act.words, extra)
-                    st.clock = states[q].clock = t
-                    stats.messages += 1
-                    stats.words += act.words
-                    stats.events.append((r, q, t, act.words))
-                    payload = act.payload
-                    st.waiting = states[q].waiting = None
-                    _advance(st, stats, rank=r)
-                    _advance(states[q], stats, payload, rank=q)
-                    progressed = True
-
-            # Recv is passive: completed from the Send side.
-
+        for r in ranks:
+            act = pending[r]
+            # Recv is passive (completed from the Send side) and an
+            # exchange is initiated by its lower rank, once per pair
+            if act is None or isinstance(act, Recv):
+                continue
+            q = comm_partner(act)
+            if not (isinstance(act, Send) or q > r):
+                continue
+            # A rank past its crash clock must never take part in a
+            # match: it may have acquired this action mid-sweep, after an
+            # earlier match advanced its clock, and a blocking engine —
+            # which checks at every submission — would not deliver it.
+            if faulty and (rdv.crash_due(r) or rdv.crash_due(q)):
+                continue
+            if rdv.try_match(r):
+                progressed = True
         if not progressed:
-            if fstate is not None and any(
-                    not st.done and st.waiting is not None
-                    and fstate.should_crash(r, st.clock)
-                    for r, st in enumerate(states)):
-                continue  # the crash sweep fires on the next iteration
             break
 
-    unfinished = [r for r, st in enumerate(states) if not st.done]
-    if unfinished:
-        detail = describe_ranks(
-            (r, st.waiting, st.clock, st.done) for r, st in enumerate(states))
-        raise DeadlockError(f"simulation deadlocked\n{detail}")
-
-    stats.clocks = tuple(st.clock for st in states)
-    return SimResult(
-        values=tuple(st.result for st in states),
-        time=stats.makespan,
-        stats=stats,
-        faults=fstate.summary() if fstate is not None else None,
-    )
+    if any(rdv.alive):
+        raise rdv.deadlock_error()
+    return rdv.result(rdv.values)

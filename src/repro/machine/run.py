@@ -58,10 +58,12 @@ from repro.machine.collectives import (
     scan_butterfly,
 )
 from repro.machine.engine import SimResult, SimStats, run_spmd
+from repro.machine.rendezvous import ENGINES
 from repro.machine.primitives import RankContext
 from repro.semantics.functional import UNDEF, defined_equal
 
 __all__ = ["simulate_program", "execute_stage", "stage_breakdown", "StageTiming",
+           "rank_program", "run_ranks",
            "resident_run", "clear_resident_schedules", "DEFINED"]
 
 
@@ -181,62 +183,81 @@ def simulate_program(
     overflow/unsupported cases fall back exactly like ``vectorize=True``
     (the ladder is tabulated in ``docs/PERFORMANCE.md``).
 
-    ``engine`` selects the execution machinery — results, simulated
-    clocks and statistics are identical across all three (the conformance
-    harness checks this):
+    ``engine`` selects the execution machinery (:data:`ENGINES`).  All
+    three run the same collective algorithms over one rendezvous kernel
+    (:mod:`repro.machine.rendezvous`), so results, simulated clocks and
+    the message / word / operation counts are identical (the conformance
+    harness checks this); what each *keeps* of the per-message record
+    differs:
 
     * ``"cooperative"`` (default) — all ranks as coroutines in one
-      discrete-event loop (deterministic, cheapest, full timelines);
-    * ``"threaded"`` — one OS thread per rank, blocking rendezvous;
+      discrete-event loop (deterministic, cheapest; ``stats.events`` in
+      sweep order, probe ``timeline``);
+    * ``"threaded"`` — one OS thread per rank, blocking rendezvous; the
+      same ``events`` in arrival order;
     * ``"process"`` — one OS *process* per rank, payloads through
       shared-memory rings (:mod:`repro.parallel`); real parallelism for
       GIL-bound workloads, degrading to ``"threaded"`` with a logged
-      notice where the platform cannot support it.
+      notice where the platform cannot support it.  Keeps neither
+      ``events`` nor ``timeline`` (its counters are shared-memory cells).
+
+    ``vectorize`` / ``jit`` take the same ladder
+    (:func:`repro.jit.run_engine_ladder`) on every engine.
     """
-    if engine == "threaded":
-        from repro.mpi.threaded import simulate_program_threaded
+    def run(prog: Program, xs: Sequence[Any]) -> SimResult:
+        return run_ranks(engine, rank_program(prog.stages), xs, params,
+                         faults=faults)
 
-        return simulate_program_threaded(program, inputs, params,
-                                         faults=faults, vectorize=vectorize,
-                                         jit=jit)
-    if engine == "process":
-        from repro.parallel import simulate_program_process
-
-        # the process backend has no JIT ladder; its vectorized
-        # path honors the same results contract (JIT is a wall-clock
-        # optimization, so downgrading is always sound)
-        return simulate_program_process(program, inputs, params,
-                                        faults=faults,
-                                        vectorize=vectorize or jit)
-    if engine != "cooperative":
-        raise ValueError(f"unknown engine {engine!r} (expected 'cooperative',"
-                         f" 'threaded', or 'process')")
     if jit or vectorize:
         from repro.jit import run_engine_ladder
 
-        def run(prog: Program, xs: Sequence[Any]) -> SimResult:
-            return _run_cooperative(prog, xs, params, faults)
-
-        # what the fused rung takes in place of a token run of its own
-        run.resident = lambda prog, xs, evaluate: resident_run(
-            prog, xs, params, evaluate, faults=faults)
+        if engine == "cooperative":
+            # what the fused rung takes in place of a token run of its own
+            run.resident = lambda prog, xs, evaluate: resident_run(
+                prog, xs, params, evaluate, faults=faults)
         result = run_engine_ladder(run, program, inputs, params, faults, jit)
         if result is not None:
             return result
         # no kernel rung applies: the exact object-mode run below
-    return _run_cooperative(program, inputs, params, faults)
+    return run(program, inputs)
+
+
+def rank_program(stages: Sequence[Stage], probe: bool = False):
+    """The SPMD rank generator function running ``stages`` in order on
+    real payloads (``probe`` marks each stage's end on the timeline)."""
+
+    def rank_fn(ctx: RankContext, x: Any):
+        for idx, stage in enumerate(stages):
+            x = yield from execute_stage(ctx, stage, x)
+            if probe:
+                yield from ctx.probe(idx)
+        return x
+
+    return rank_fn
+
+
+def run_ranks(engine: str, rank_fn, inputs: Sequence[Any],
+              params: MachineParams, **resume: Any) -> SimResult:
+    """Run generator ``rank_fn`` on every rank of ``engine``; ``resume``
+    is ``faults`` / ``fault_state`` / ``initial_clocks`` as
+    :func:`~repro.machine.engine.run_spmd` takes them."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if engine == "cooperative":
+        return run_spmd(rank_fn, inputs, params, **resume)
+    from repro.mpi.threaded import blocking, threaded_spmd_run
+
+    if engine == "threaded":
+        return threaded_spmd_run(blocking(rank_fn), inputs, params, **resume)
+    from repro.parallel import process_spmd_run
+
+    return process_spmd_run(blocking(rank_fn), inputs, params, **resume)
 
 
 def _run_cooperative(program: Program, inputs: Sequence[Any],
                      params: MachineParams, faults: FaultPlan | None) -> SimResult:
     """The object-mode run: every stage's machine algorithm on real payloads."""
-
-    def rank_fn(ctx: RankContext, x: Any):
-        for stage in program.stages:
-            x = yield from execute_stage(ctx, stage, x)
-        return x
-
-    return run_spmd(rank_fn, inputs, params, faults=faults)
+    return run_spmd(rank_program(program.stages), inputs, params, faults=faults)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +426,8 @@ def stage_breakdown(
 ) -> tuple[SimResult, list[StageTiming]]:
     """Simulate with per-stage probes; returns (result, stage timings)."""
 
-    def rank_fn(ctx: RankContext, x: Any):
-        for idx, stage in enumerate(program.stages):
-            x = yield from execute_stage(ctx, stage, x)
-            yield from ctx.probe(idx)
-        return x
-
-    result = run_spmd(rank_fn, inputs, params, faults=faults)
+    result = run_spmd(rank_program(program.stages, probe=True), inputs,
+                      params, faults=faults)
     ends: dict[int, float] = {}
     for _rank, tag, clock in result.stats.timeline:
         ends[tag] = max(ends.get(tag, 0.0), clock)

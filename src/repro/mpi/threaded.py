@@ -13,29 +13,29 @@
 Under the hood each blocking call drives the *same* generator-based
 collective algorithms as the cooperative simulator
 (:mod:`repro.machine.collectives`), executing every primitive action
-through a thread rendezvous engine that keeps the identical virtual
-clocks (``ts + words*tw`` per matched message, unit-cost ops).  The two
-front ends therefore agree on results *and* on simulated times — a fact
-the test suite checks.
+through the *same* rendezvous kernel (:mod:`repro.machine.rendezvous`:
+``ts + words*tw`` per matched message, unit-cost ops) — here under one
+lock, each rank blocking on its own ``threading.Event``, the match made
+in whichever rank posts second.  The front ends therefore agree on
+results, simulated times and statistics — a fact the test suite checks.
 
 Deadlocks (mismatched protocols) are detected — when every live rank is
 blocked and no pending pair matches, all threads raise
 :class:`repro.machine.engine.DeadlockError` carrying the shared
 per-rank forensic report (:func:`repro.machine.engine.describe_ranks`).
 
-Fault injection mirrors the cooperative engine exactly: a ``FaultPlan``
-is interpreted by the same :class:`repro.faults.FaultState` at the same
-observable points — crashes at the victim's next communication action,
-drop/retry resolution when a rendezvous pair matches — so clocks, typed
-errors, and degraded results are identical across engines (the chaos
-harness checks this).
+Fault injection is the kernel's too: a ``FaultPlan`` is interpreted by
+the same :class:`repro.faults.FaultState` at the same observable points
+— crashes at the victim's next communication action, drop/retry
+resolution when a rendezvous pair matches — so clocks, typed errors,
+degraded results and the fault summary are identical across engines
+(the chaos harness checks this).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
@@ -57,258 +57,65 @@ from repro.machine.collectives import (
     scan_butterfly,
     scatter_binomial,
 )
-from repro.machine.engine import DeadlockError, SimResult, SimStats, describe_ranks
 from repro.kernels.messages import PackedBlock, pack_block, unpack_block
-from repro.machine.primitives import (
-    Compute,
-    Probe,
-    Recv,
-    Send,
-    SendRecv,
-    comm_partner,
+from repro.machine.primitives import RankContext, Send, SendRecv
+from repro.machine.rendezvous import (
+    Rendezvous,
+    SimResult,
+    live_fault_state,
+    raise_root_cause,
 )
 from repro.semantics.functional import UNDEF
 
-__all__ = ["ThreadedComm", "threaded_spmd_run", "simulate_program_threaded"]
+__all__ = ["ThreadedComm", "threaded_spmd_run", "blocking"]
 
 
-@dataclass
-class _RankSlot:
-    action: Any = None           # pending communication action
-    result: Any = None
-    event: threading.Event = field(default_factory=threading.Event)
-    clock: float = 0.0
-    waiting: bool = False
-    alive: bool = True
-    fail_exc: BaseException | None = None  # raised by the woken thread
-
-
-class _Rendezvous:
-    """Thread-safe matcher implementing the paper's timing model."""
+class _Rendezvous(Rendezvous):
+    """The kernel's list store under one lock; each rank blocks on its own
+    ``threading.Event`` and is woken with a value or a failure."""
 
     def __init__(self, size: int, params: MachineParams,
-                 fstate: FaultState | None = None) -> None:
-        self.size = size
-        self.params = params
-        self.fstate = fstate
+                 fstate: FaultState | None = None,
+                 initial_clocks: Sequence[float] | None = None) -> None:
+        super().__init__(size, params, fstate, initial_clocks)
         self.lock = threading.Lock()
-        self.slots = [_RankSlot() for _ in range(size)]
-        self.stats = SimStats()
-        self._domain_free: dict = {}
+        self._events = [threading.Event() for _ in range(size)]
+        self._inbox: list = [None] * size
 
-    # -- matching ----------------------------------------------------------
-
-    def _comm_complete(self, r: int, q: int, words: float,
-                       extra: float = 0.0) -> float:
-        ts, tw = self.params.link(r, q)
-        keys = self.params.contention_domains(r, q)
-        start = max(self.slots[r].clock, self.slots[q].clock,
-                    *(self._domain_free.get(k, 0.0) for k in keys)) \
-            if keys else max(self.slots[r].clock, self.slots[q].clock)
-        t = start + ts + tw * words + extra
-        for k in keys:
-            self._domain_free[k] = t
-        return t
-
-    def _describe(self) -> str:
-        return describe_ranks(
-            (i, s.action if s.waiting else None, s.clock, not s.alive)
-            for i, s in enumerate(self.slots)
-        )
-
-    def _fault_resolve(self, src: int, dst: int, words: float,
-                       exchange: bool) -> float | None:
-        """Under the lock: match-time fault resolution (mirrors engine.py).
-
-        Returns the extra delay to charge, or None when the message timed
-        out — in which case both endpoints have been woken with a
-        :class:`FaultTimeoutError` and the match must be abandoned.
-        """
-        ts, tw = self.params.link(src, dst)
-        outcome = self.fstate.resolve(src, dst, ts + tw * words,
-                                      exchange=exchange)
-        if not outcome.timed_out:
-            return outcome.extra_delay
-        t = max(self.slots[src].clock, self.slots[dst].clock) \
-            + outcome.extra_delay
-        self.slots[src].clock = self.slots[dst].clock = t
-        for i in (src, dst):
-            slot = self.slots[i]
-            slot.action = None
-            slot.waiting = False
-        detail = self._describe()
-        for i in (src, dst):
-            slot = self.slots[i]
-            slot.fail_exc = FaultTimeoutError(src, dst, words,
-                                              outcome.drops, t, detail)
-            slot.event.set()
-        return None
-
-    def _try_match(self, rank: int) -> bool:
-        """Under the lock: match ``rank``'s pending action if possible."""
-        me = self.slots[rank]
-        act = me.action
-
-        if isinstance(act, SendRecv):
-            q = act.partner
-            other = self.slots[q]
-            if other.waiting and isinstance(other.action, SendRecv) \
-                    and other.action.partner == rank:
-                words = max(act.words, other.action.words)
-                extra = 0.0
-                if self.fstate is not None:
-                    lo, hi = (rank, q) if rank < q else (q, rank)
-                    delay = self._fault_resolve(lo, hi, words, exchange=True)
-                    if delay is None:
-                        return True
-                    extra = delay
-                t = self._comm_complete(rank, q, words, extra)
-                me.result, other.result = other.action.payload, act.payload
-                me.clock = other.clock = t
-                self.stats.messages += 2
-                self.stats.words += act.words + other.action.words
-                self._release(rank)
-                self._release(q)
-                return True
-        elif isinstance(act, Send):
-            q = act.dst
-            other = self.slots[q]
-            if other.waiting and isinstance(other.action, Recv) \
-                    and other.action.src == rank:
-                extra = 0.0
-                if self.fstate is not None:
-                    delay = self._fault_resolve(rank, q, act.words,
-                                                exchange=False)
-                    if delay is None:
-                        return True
-                    extra = delay
-                t = self._comm_complete(rank, q, act.words, extra)
-                other.result, me.result = act.payload, None
-                me.clock = other.clock = t
-                self.stats.messages += 1
-                self.stats.words += act.words
-                self._release(rank)
-                self._release(q)
-                return True
-        elif isinstance(act, Recv):
-            q = act.src
-            other = self.slots[q]
-            if other.waiting and isinstance(other.action, Send) \
-                    and other.action.dst == rank:
-                extra = 0.0
-                if self.fstate is not None:
-                    delay = self._fault_resolve(q, rank, other.action.words,
-                                                exchange=False)
-                    if delay is None:
-                        return True
-                    extra = delay
-                t = self._comm_complete(rank, q, other.action.words, extra)
-                me.result, other.result = other.action.payload, None
-                me.clock = other.clock = t
-                self.stats.messages += 1
-                self.stats.words += other.action.words
-                self._release(rank)
-                self._release(q)
-                return True
-        return False
-
-    def _release(self, rank: int) -> None:
-        slot = self.slots[rank]
-        slot.action = None
-        slot.waiting = False
-        slot.event.set()
-
-    def _deadlocked(self) -> bool:
-        """Under the lock: every live rank waiting and nothing matches."""
-        live = [s for s in self.slots if s.alive]
-        return bool(live) and all(s.waiting for s in live)
-
-    def _fail_all(self) -> None:
-        detail = self._describe()
-        for slot in self.slots:
-            if slot.waiting:
-                slot.fail_exc = DeadlockError(
-                    f"no progress possible (protocol mismatch)\n{detail}"
-                )
-                slot.waiting = False
-                slot.action = None
-                slot.event.set()
-
-    def _wake_waiters_on(self, rank: int) -> None:
-        """Under the lock: fail every slot blocked on the dead ``rank``."""
-        death = self.fstate.death_clock(rank)
-        for i, slot in enumerate(self.slots):
-            if slot.waiting and comm_partner(slot.action) == rank:
-                slot.fail_exc = PeerDeadError(i, rank, death,
-                                              repr(slot.action))
-                slot.waiting = False
-                slot.action = None
-                slot.event.set()
-
-    # -- public API used by ThreadedComm ------------------------------------
+    def _wake(self, rank: int, value: Any = None,
+              failure: BaseException | None = None) -> None:
+        self._inbox[rank] = (value, failure)
+        self._events[rank].set()
 
     def execute(self, rank: int, action: Any) -> Any:
         """Perform one primitive action on behalf of ``rank`` (blocking)."""
-        slot = self.slots[rank]
-        if isinstance(action, Probe):
-            with self.lock:
-                self.stats.timeline.append((rank, action.tag, slot.clock))
-            return None
-        if isinstance(action, Compute):
-            if action.ops < 0:
-                raise ValueError("negative computation cost")
-            with self.lock:
-                slot.clock += action.ops
-                self.stats.compute_ops += action.ops
-            return None
-
+        event = self._events[rank]
         with self.lock:
-            if self.fstate is not None:
-                # Crashes take effect at the next communication action —
-                # the same observable point as the cooperative engine.
-                if self.fstate.should_crash(rank, slot.clock):
-                    self.fstate.record_death(rank, slot.clock)
-                    self._wake_waiters_on(rank)
-                    raise RankCrashedError(rank, slot.clock)
-                peer = comm_partner(action)
-                if peer is not None and self.fstate.is_dead(peer):
-                    raise PeerDeadError(rank, peer,
-                                        self.fstate.death_clock(peer),
-                                        repr(action))
-            slot.action = action
-            slot.waiting = True
-            slot.fail_exc = None
-            slot.event.clear()
-            matched = self._try_match(rank)
-            if not matched and self._deadlocked():
-                self._fail_all()
-        slot.event.wait()
-        if slot.fail_exc is not None:
-            exc = slot.fail_exc
-            slot.fail_exc = None
-            raise exc
-        return slot.result
+            if self.local(rank, action):
+                return None
+            event.clear()
+            self.post(rank, action)
+        event.wait()
+        value, failure = self._inbox[rank]
+        if failure is not None:
+            raise failure
+        return value
 
     def finish(self, rank: int) -> None:
         with self.lock:
-            self.slots[rank].alive = False
-            if self._deadlocked():
-                self._fail_all()
+            super().finish(rank)
 
 
-class _ThreadContext:
-    """Duck-typed RankContext whose primitives block via the rendezvous.
+class _ThreadContext(RankContext):
+    """A :class:`RankContext` whose primitives block via the rendezvous.
 
     The generator collectives only call ``send``/``recv``/``sendrecv``/
-    ``compute`` (as sub-generators) plus ``rank``/``size``/``params`` —
-    this class satisfies the same protocol while executing each yielded
-    action synchronously.
+    ``compute`` (as sub-generators) plus ``rank``/``size``/``params``;
+    :meth:`drive` executes each action they yield synchronously.
     """
 
-    def __init__(self, rank: int, size: int, rdv: _Rendezvous) -> None:
-        self.rank = rank
-        self.size = size
-        self.params = rdv.params
+    def __init__(self, rank: int, size: int, rdv: Rendezvous) -> None:
+        super().__init__(rank, size, rdv.params)
         self._rdv = rdv
 
     def _run(self, action):
@@ -324,27 +131,6 @@ class _ThreadContext:
         if isinstance(result, PackedBlock):
             return unpack_block(result)
         return result
-
-    # generator-protocol shims (driven by _drive below)
-    def send(self, dst: int, payload: Any, words: float):
-        if not (0 <= dst < self.size) or dst == self.rank:
-            raise ValueError(f"rank {self.rank}: invalid send destination {dst}")
-        yield Send(dst, payload, words)
-
-    def recv(self, src: int):
-        if not (0 <= src < self.size) or src == self.rank:
-            raise ValueError(f"rank {self.rank}: invalid receive source {src}")
-        result = yield Recv(src)
-        return result
-
-    def sendrecv(self, partner: int, payload: Any, words: float):
-        if not (0 <= partner < self.size) or partner == self.rank:
-            raise ValueError(f"rank {self.rank}: invalid exchange partner {partner}")
-        result = yield SendRecv(partner, payload, words)
-        return result
-
-    def compute(self, ops: float):
-        yield Compute(ops)
 
     def drive(self, gen) -> Any:
         """Run a generator collective, executing each action blockingly.
@@ -367,6 +153,13 @@ class _ThreadContext:
                 action = gen.send(result)
         except StopIteration as stop:
             return stop.value
+
+
+def blocking(rank_fn: Callable[[RankContext, Any], Any]
+             ) -> Callable[["ThreadedComm", Any], Any]:
+    """A generator rank function as the plain ``program(comm, x)`` the
+    blocking engines run: each rank drives its own generator."""
+    return lambda comm, x: comm._ctx.drive(rank_fn(comm._ctx, x))
 
 
 class ThreadedComm:
@@ -478,20 +271,10 @@ def threaded_spmd_run(
     cooperative engine.
     """
     p = len(inputs)
-    if p == 0:
-        raise ValueError("cannot run an empty machine")
     if params is None:
         params = MachineParams(p=p, ts=0.0, tw=0.0, m=1)
-
-    if fault_state is not None:
-        fstate: FaultState | None = fault_state
-    else:
-        fstate = (FaultState(faults)
-                  if faults is not None and not faults.is_empty else None)
-    rdv = _Rendezvous(p, params, fstate)
-    if initial_clocks is not None:
-        for slot, clock in zip(rdv.slots, initial_clocks):
-            slot.clock = clock
+    rdv = _Rendezvous(p, params, live_fault_state(faults, fault_state),
+                      initial_clocks)
     results: list[Any] = [None] * p
     errors: list[BaseException | None] = [None] * p
 
@@ -513,62 +296,5 @@ def threaded_spmd_run(
     for t in threads:
         t.join()
 
-    # surface root causes before secondary deadlocks (a rank that died
-    # with a user exception makes its partners' waits fail too)
-    real = [e for e in errors if e is not None and not isinstance(e, DeadlockError)]
-    dead = [e for e in errors if isinstance(e, DeadlockError)]
-    if real:
-        raise real[0]
-    if dead:
-        raise dead[0]
-
-    rdv.stats.clocks = tuple(slot.clock for slot in rdv.slots)
-    return SimResult(values=tuple(results), time=rdv.stats.makespan,
-                     stats=rdv.stats,
-                     faults=fstate.summary() if fstate is not None else None)
-
-
-def simulate_program_threaded(program, inputs, params=None, faults=None,
-                              vectorize=False, jit=False) -> SimResult:
-    """Run a stage :class:`~repro.core.stages.Program` on the threaded engine.
-
-    The blocking counterpart of :func:`repro.machine.run.simulate_program`:
-    every rank executes the same per-stage collective algorithms, driven
-    through the thread rendezvous.  Results and virtual times match the
-    cooperative engine (property-tested), with or without a fault plan.
-
-    ``vectorize=True`` lowers the program and blocks to NumPy kernels
-    (:mod:`repro.kernels`); every rank then sends whole array buffers —
-    tuple states travel as one contiguous packed message — instead of
-    boxed Python values.  Results are devectorized; programs, inputs, or
-    runs the kernels cannot handle exactly fall back to object mode.
-
-    ``jit=True`` takes the same ladder as the cooperative engine
-    (:func:`repro.jit.run_engine_ladder`): fused kernels for the values
-    while the rank threads exchange definedness tokens, else raw
-    kernels, else checked ones.  Simulated clocks are bit-identical to
-    ``vectorize=True`` — only wall-clock changes.
-    """
-    from repro.machine.run import execute_stage
-
-    if params is None:
-        params = MachineParams(p=len(inputs), ts=0.0, tw=0.0, m=1)
-
-    if jit or vectorize:
-        from repro.jit import run_engine_ladder
-
-        result = run_engine_ladder(
-            lambda prog, xs: simulate_program_threaded(prog, xs, params,
-                                                       faults=faults),
-            program, inputs, params, faults, jit)
-        if result is not None:
-            return result
-        # no kernel rung applies: the exact object-mode run below
-
-    def rank_program(comm: ThreadedComm, x: Any) -> Any:
-        ctx = comm._ctx
-        for stage in program.stages:
-            x = ctx.drive(execute_stage(ctx, stage, x))
-        return x
-
-    return threaded_spmd_run(rank_program, inputs, params, faults=faults)
+    raise_root_cause(errors)
+    return rdv.result(results)

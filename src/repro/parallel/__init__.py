@@ -10,9 +10,9 @@ bit-identical to every other engine.
 
 Entry points:
 
-* :func:`process_spmd_run` — blocking SPMD programs, one process/rank;
-* :func:`simulate_program_process` — stage ``Program`` objects
-  (``simulate_program(..., engine="process")`` routes here);
+* :func:`process_spmd_run` — blocking SPMD programs, one process/rank
+  (stage ``Program`` objects run through it as
+  ``simulate_program(..., engine="process")``);
 * :func:`process_backend_available` / :func:`process_fallback_reason` —
   platform capability probes (used by the conformance oracle to report
   SKIPPED instead of FAIL where shared memory is unavailable).
@@ -22,7 +22,6 @@ from repro.parallel.backend import (
     process_backend_available,
     process_fallback_reason,
     process_spmd_run,
-    simulate_program_process,
 )
 from repro.parallel.shm import (
     DEFAULT_SLOT_BYTES,
@@ -39,5 +38,4 @@ __all__ = [
     "process_backend_available",
     "process_fallback_reason",
     "process_spmd_run",
-    "simulate_program_process",
 ]

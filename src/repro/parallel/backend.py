@@ -9,13 +9,14 @@ collective algorithms (:mod:`repro.machine.collectives`) driven through
 the same blocking context as the threaded engine — which is what keeps
 the simulated clocks bit-identical across all engines (property-tested).
 
-The cross-process rendezvous mirrors ``repro.mpi.threaded._Rendezvous``
-field for field: pending actions, virtual clocks, liveness and statistics
-live in shared arrays; matching happens under one ``multiprocessing``
-lock in whichever rank posts second; completion times use the identical
-``max(clocks) + ts + words*tw`` formula (including the contention-domain
-serialization of hierarchical machines, via a pre-enumerated shared
-domain table).  Payload bytes then stream outside the lock through the
+The cross-process rendezvous is the shared kernel
+(:mod:`repro.machine.rendezvous`) over a different store: pending
+actions, virtual clocks, liveness and counters live in shared arrays;
+matching happens under one ``multiprocessing`` lock in whichever rank
+posts second; completion times are the kernel's ``max(clocks) + ts +
+words*tw`` (including the contention-domain serialization of
+hierarchical machines, via a pre-enumerated shared domain table).
+Payload bytes then stream outside the lock through the
 sender's outbox ring, chunked per the Lowery & Langou crossover
 (:func:`repro.core.cost.pipeline_chunk_count`) so a large transfer's
 sender-side writes overlap the receiver-side reads.
@@ -41,9 +42,11 @@ the remaining children of the attempt and raises a typed
 rendezvous forensics.  The arena's **epoch** counter makes respawns
 safe: a straggler from a killed generation exits the moment a tick
 observes the bumped epoch, so it can never corrupt the next attempt.
-:class:`ProcessStageRunner` packages the per-attempt lifecycle (epoch
-bump, fresh lock/events, fault-cell seeding, watchdog, tally merge) for
-the recovery supervisor.
+One fork generation — fresh lock/events, fault-cell seeding, fork,
+watchdog, tally merge, join — is :func:`_run_generation`, shared by the
+plain run, the recovery supervisor's :class:`ProcessStageRunner` (which
+bumps the epoch per attempt) and the serving tier's
+:class:`ProcessJobRunner` (which pools arenas and batches jobs).
 
 Graceful degradation, never a crash: platforms without ``fork`` or
 ``multiprocessing.shared_memory``, single-core hosts (where real
@@ -55,7 +58,7 @@ cap all fall back to the threaded engine with one logged notice
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import logging
 import multiprocessing
 import os
@@ -65,14 +68,15 @@ import time
 from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams, pipeline_chunk_count
-from repro.faults import (
-    FaultState,
-    FaultTimeoutError,
-    PeerDeadError,
-    RankCrashedError,
+from repro.faults import FaultState, RankCrashedError
+from repro.machine.primitives import Recv, Send, SendRecv, comm_partner
+from repro.machine.rendezvous import (
+    Rendezvous,
+    SimResult,
+    SimStats,
+    live_fault_state,
+    raise_root_cause,
 )
-from repro.machine.engine import DeadlockError, SimResult, SimStats, describe_ranks
-from repro.machine.primitives import Compute, Probe, Recv, Send, SendRecv, comm_partner
 from repro.parallel import payload as _payload
 from repro.parallel.errors import (
     ProcessIncidentError,
@@ -94,14 +98,15 @@ __all__ = [
     "process_backend_available",
     "process_fallback_reason",
     "process_spmd_run",
-    "simulate_program_process",
     "ProcessStageRunner",
     "ProcessJobRunner",
 ]
 
 log = logging.getLogger("repro.parallel")
 
-_K_NONE, _K_SEND, _K_RECV, _K_SENDRECV = 0, 1, 2, 3
+#: ``arena.kind`` codes of a pending action (0: the rank is not waiting)
+_KINDS = {Send: 1, Recv: 2, SendRecv: 3}
+_ACTIONS = {code: cls for cls, code in _KINDS.items()}
 _MIN_CHUNK_BYTES = 4096
 _WORD_BYTES = 8.0
 
@@ -150,15 +155,12 @@ def _hb_timeout_default() -> float:
     return 30.0
 
 
-def process_fallback_reason(p: int, faults=None, fault_state=None) -> str | None:
+def process_fallback_reason(p: int) -> str | None:
     """Why ``process_spmd_run`` would degrade to the threaded engine.
 
-    ``None`` means the process backend will genuinely run.  ``faults``
-    and ``fault_state`` are accepted for API compatibility but no longer
-    force a fallback: fault plans (including crashes) run on real
-    processes through the shared-arena fault cells.
+    ``None`` means the process backend will genuinely run — fault plans
+    (crashes included) do too, through the shared-arena fault cells.
     """
-    del faults, fault_state  # injected faults now run on real processes
     if sys.platform == "win32":
         return "no fork start method on this platform"
     try:
@@ -194,65 +196,149 @@ def process_backend_available(p: int = 1) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _ProcessRendezvous:
-    """Shared-memory rendezvous matcher (mirrors the threaded engine's)."""
+def _domain_keys(params: MachineParams, p: int) -> list:
+    """Every contention domain of a ``p``-rank machine, enumerated pre-fork
+    so all processes agree on the shared ``domain_free`` indices."""
+    return sorted({k for a in range(p) for b in range(a + 1, p)
+                   for k in params.contention_domains(a, b)}, key=repr)
+
+
+@functools.lru_cache(maxsize=1024)
+def _decode(kind: int, partner: int, words: float):
+    """A pending action from its cells.  Memoised: every deadlock check
+    reads all ranks' cells under the cross-process lock, and a run posts
+    few distinct ``(kind, partner, words)``."""
+    cls = _ACTIONS[kind]
+    return Recv(partner) if cls is Recv else cls(partner, "<shm>", words)
+
+
+class _PendingCells:
+    """``arena.waiting`` / ``kind`` / ``partner`` / ``words`` as the
+    kernel's ``pending`` store: a rank's cells read back as the action it
+    posted (the payload is staged beside them, never through the kernel)."""
+
+    def __init__(self, arena: SharedArena) -> None:
+        self._arena = arena
+
+    def __getitem__(self, rank: int):
+        a = self._arena
+        if not a.waiting[rank]:
+            return None
+        return _decode(int(a.kind[rank]), int(a.partner[rank]),
+                       float(a.words[rank]))
+
+    def __setitem__(self, rank: int, action: Any) -> None:
+        a = self._arena
+        if action is not None:
+            a.kind[rank] = _KINDS[type(action)]
+            a.partner[rank] = comm_partner(action)
+            a.words[rank] = 0.0 if isinstance(action, Recv) else action.words
+        a.waiting[rank] = action is not None
+
+
+class _Cells:
+    """One arena array as a kernel store, read back as Python numbers.
+
+    The array is looked up per access — a closed arena has dropped its
+    views — and ``index`` maps the kernel's keys onto cell positions
+    (ranks index their cells directly).
+    """
+
+    def __init__(self, arena: SharedArena, name: str,
+                 index: dict | None = None) -> None:
+        self._arena, self._name, self._index = arena, name, index
+
+    def _at(self, key: Any) -> int:
+        return key if self._index is None else self._index[key]
+
+    def __getitem__(self, key: Any):
+        return getattr(self._arena, self._name)[self._at(key)].item()
+
+    def __setitem__(self, key: Any, value) -> None:
+        getattr(self._arena, self._name)[self._at(key)] = value
+
+
+class _ProcessRendezvous(Rendezvous):
+    """The rendezvous kernel over shared-memory cells.
+
+    Pending actions, clocks, liveness, contention-domain free times and
+    the counters live in the :class:`SharedArena`, under one
+    ``multiprocessing`` lock; a rank is woken through its
+    ``multiprocessing`` event, with a failure parked in its fail cell.
+    Payloads never pass through the kernel: a delivered message pins the
+    sender's transfer descriptor onto the receiver, and the bytes stream
+    outside the lock (:meth:`_transfer`).
+
+    **Tallies this store does not keep:** ``SimStats.events`` and
+    ``SimStats.timeline`` — a per-message record in shared memory would
+    need an unbounded cell; ``messages``, ``words``, ``compute_ops`` and
+    the clocks are kept and equal the other engines'.
+    """
 
     def __init__(self, size: int, params: MachineParams,
                  arena: SharedArena, lock, events,
-                 fstate: FaultState | None = None) -> None:
-        self.size = size
-        self.params = params
+                 fstate: FaultState | None = None,
+                 initial_clocks: Sequence[float] | None = None) -> None:
         self.arena = arena
         self.lock = lock
         self.events = events
-        self.fstate = fstate
         #: per-process liveness hook (heartbeat + epoch check in children);
         #: each forked child installs its own after the fork
         self._tick: Callable[[], None] | None = None
-        # contention domains enumerated pre-fork so every process agrees
-        # on the shared ``domain_free`` indices
-        keys = sorted({k for a in range(size) for b in range(a + 1, size)
-                       for k in params.contention_domains(a, b)}, key=repr)
-        self._domain_idx = {k: i for i, k in enumerate(keys)}
+        super().__init__(size, params, fstate, initial_clocks)
 
-    # -- matching (lock held) ----------------------------------------------
+    # -- storage primitives on arena cells (lock held) ---------------------
 
-    def _comm_complete(self, r: int, q: int, words: float,
-                       extra: float = 0.0) -> float:
+    def _open_store(self, initial_clocks: Sequence[float] | None) -> None:
         a = self.arena
-        ts, tw = self.params.link(r, q)
-        keys = self.params.contention_domains(r, q)
-        start = max(float(a.clock[r]), float(a.clock[q]))
-        idxs = [self._domain_idx[k] for k in keys]
-        for i in idxs:
-            start = max(start, float(a.domain_free[i]))
-        t = start + ts + tw * words + extra
-        for i in idxs:
-            a.domain_free[i] = t
-        return t
+        if initial_clocks is not None:
+            a.clock[:self.size] = initial_clocks
+        self.clock = _Cells(a, "clock")
+        self.pending = _PendingCells(a)
+        self.alive = _Cells(a, "alive")
+        domains = _domain_keys(self.params, self.size)
+        self.domain_free = _Cells(a, "domain_free",
+                                  {k: i for i, k in enumerate(domains)})
 
-    def _pending_action(self, rank: int):
-        a = self.arena
-        kind = int(a.kind[rank])
-        partner = int(a.partner[rank])
-        words = float(a.words[rank])
-        if kind == _K_SEND:
-            return Send(partner, "<shm>", words)
-        if kind == _K_RECV:
-            return Recv(partner)
-        if kind == _K_SENDRECV:
-            return SendRecv(partner, "<shm>", words)
-        return None
+    def _count(self, messages: int, words: float) -> None:
+        self.arena.messages[0] += messages
+        self.arena.stat_words[0] += words
 
-    def _describe(self) -> str:
+    def _deliver(self, src: int, dst: int, t: float, words: float) -> None:
+        """Pin the sender's payload descriptor onto the receiver's slot.
+
+        The sender may post (and re-stage) its *next* message the moment
+        it wakes; copying under the matching lock, before the wake-up,
+        gives the receiver a stable descriptor regardless of scheduling.
+        """
         a = self.arena
-        return describe_ranks(
-            (i,
-             self._pending_action(i) if a.waiting[i] else None,
-             float(a.clock[i]),
-             not bool(a.alive[i]))
-            for i in range(self.size)
-        )
+        a.xfer_out[src] = dst
+        a.xfer_in[dst] = src
+        a.xfer_base[dst] = int(a.wseq[src])
+        a.in_kind[dst] = a.meta_kind[src]
+        a.in_nbytes[dst] = a.meta_nbytes[src]
+        a.in_k[dst] = a.meta_k[src]
+        a.in_ndim[dst] = a.meta_ndim[src]
+        a.in_shape[dst, :] = a.meta_shape[src, :]
+        a.in_dtype[dst, :] = a.meta_dtype[src, :]
+
+    def _tally_compute(self, ops: float) -> None:
+        self.arena.compute_ops[0] += ops
+
+    def _tally_probe(self, rank: int, tag: Any, clock: float) -> None:
+        pass
+
+    def _wake(self, rank: int, value: Any = None,
+              failure: BaseException | None = None) -> None:
+        if failure is not None:
+            self.arena.deliver_failure(rank, failure)
+        self.events[rank].set()
+
+    def result(self, values, fstate: FaultState | None = None) -> SimResult:
+        a = self.arena
+        self.stats = SimStats(int(a.messages[0]), float(a.stat_words[0]),
+                              float(a.compute_ops[0]))
+        return super().result(values, fstate)
 
     def describe_safely(self) -> str:
         """Rendezvous forensics without requiring the lock to be free.
@@ -263,176 +349,10 @@ class _ProcessRendezvous:
         """
         got = self.lock.acquire(timeout=1.0)
         try:
-            return self._describe()
+            return self.describe()
         finally:
             if got:
                 self.lock.release()
-
-    def _copy_incoming_meta(self, src: int, dst: int) -> None:
-        """Pin the sender's payload descriptor onto the receiver's slot.
-
-        The sender may post (and re-stage) its *next* message the moment
-        it wakes; copying under the matching lock gives the receiver a
-        stable descriptor regardless of scheduling.
-        """
-        a = self.arena
-        a.in_kind[dst] = a.meta_kind[src]
-        a.in_nbytes[dst] = a.meta_nbytes[src]
-        a.in_k[dst] = a.meta_k[src]
-        a.in_ndim[dst] = a.meta_ndim[src]
-        a.in_shape[dst, :] = a.meta_shape[src, :]
-        a.in_dtype[dst, :] = a.meta_dtype[src, :]
-
-    def _release(self, rank: int) -> None:
-        a = self.arena
-        a.waiting[rank] = 0
-        a.kind[rank] = _K_NONE
-        self.events[rank].set()
-
-    def _fault_resolve(self, src: int, dst: int, words: float,
-                       exchange: bool) -> float | None:
-        """Under the lock: match-time fault resolution (mirrors threaded).
-
-        Returns the extra delay to charge, or ``None`` when the message
-        timed out — in which case both endpoints have been woken with a
-        :class:`FaultTimeoutError` and the match must be abandoned.
-        """
-        a = self.arena
-        ts, tw = self.params.link(src, dst)
-        outcome = self.fstate.resolve(src, dst, ts + tw * words,
-                                      exchange=exchange)
-        if not outcome.timed_out:
-            return outcome.extra_delay
-        t = max(float(a.clock[src]), float(a.clock[dst])) \
-            + outcome.extra_delay
-        a.clock[src] = a.clock[dst] = t
-        for i in (src, dst):
-            a.waiting[i] = 0
-            a.kind[i] = _K_NONE
-        detail = self._describe()
-        for i in (src, dst):
-            a.deliver_failure(i, FaultTimeoutError(src, dst, words,
-                                                   outcome.drops, t, detail))
-            self.events[i].set()
-        return None
-
-    def _try_match(self, rank: int) -> bool:
-        a = self.arena
-        kind = int(a.kind[rank])
-        q = int(a.partner[rank])
-
-        if kind == _K_SENDRECV:
-            if a.waiting[q] and int(a.kind[q]) == _K_SENDRECV \
-                    and int(a.partner[q]) == rank:
-                words = max(float(a.words[rank]), float(a.words[q]))
-                extra = 0.0
-                if self.fstate is not None:
-                    lo, hi = (rank, q) if rank < q else (q, rank)
-                    delay = self._fault_resolve(lo, hi, words, exchange=True)
-                    if delay is None:
-                        return True
-                    extra = delay
-                t = self._comm_complete(rank, q, words, extra)
-                a.clock[rank] = a.clock[q] = t
-                a.messages[0] += 2
-                a.stat_words[0] += float(a.words[rank]) + float(a.words[q])
-                a.xfer_out[rank] = q
-                a.xfer_in[rank] = q
-                a.xfer_base[rank] = int(a.wseq[q])
-                a.xfer_out[q] = rank
-                a.xfer_in[q] = rank
-                a.xfer_base[q] = int(a.wseq[rank])
-                self._copy_incoming_meta(q, rank)
-                self._copy_incoming_meta(rank, q)
-                self._release(rank)
-                self._release(q)
-                return True
-        elif kind == _K_SEND:
-            if a.waiting[q] and int(a.kind[q]) == _K_RECV \
-                    and int(a.partner[q]) == rank:
-                words = float(a.words[rank])
-                extra = 0.0
-                if self.fstate is not None:
-                    delay = self._fault_resolve(rank, q, words,
-                                                exchange=False)
-                    if delay is None:
-                        return True
-                    extra = delay
-                t = self._comm_complete(rank, q, words, extra)
-                a.clock[rank] = a.clock[q] = t
-                a.messages[0] += 1
-                a.stat_words[0] += words
-                a.xfer_out[rank] = q
-                a.xfer_in[q] = rank
-                a.xfer_base[q] = int(a.wseq[rank])
-                self._copy_incoming_meta(rank, q)
-                self._release(rank)
-                self._release(q)
-                return True
-        elif kind == _K_RECV:
-            if a.waiting[q] and int(a.kind[q]) == _K_SEND \
-                    and int(a.partner[q]) == rank:
-                words = float(a.words[q])
-                extra = 0.0
-                if self.fstate is not None:
-                    delay = self._fault_resolve(q, rank, words,
-                                                exchange=False)
-                    if delay is None:
-                        return True
-                    extra = delay
-                t = self._comm_complete(rank, q, words, extra)
-                a.clock[rank] = a.clock[q] = t
-                a.messages[0] += 1
-                a.stat_words[0] += words
-                a.xfer_out[q] = rank
-                a.xfer_in[rank] = q
-                a.xfer_base[rank] = int(a.wseq[q])
-                self._copy_incoming_meta(q, rank)
-                self._release(rank)
-                self._release(q)
-                return True
-        return False
-
-    def _deadlocked(self) -> bool:
-        a = self.arena
-        live = [i for i in range(self.size) if a.alive[i]]
-        return bool(live) and all(a.waiting[i] for i in live)
-
-    def _fail_all(self) -> None:
-        a = self.arena
-        detail = self._describe()
-        for i in range(self.size):
-            if a.waiting[i]:
-                a.waiting[i] = 0
-                a.kind[i] = _K_NONE
-                self.arena.deliver_failure(i, DeadlockError(
-                    f"no progress possible (protocol mismatch)\n{detail}"))
-                self.events[i].set()
-
-    def _wake_waiters_on(self, rank: int) -> None:
-        """Lock held: fail every rank blocked on the (dead) ``rank``."""
-        a = self.arena
-        death = self.fstate.death_clock(rank)
-        for i in range(self.size):
-            if not a.waiting[i]:
-                continue
-            pending = self._pending_action(i)
-            if comm_partner(pending) == rank:
-                a.waiting[i] = 0
-                a.kind[i] = _K_NONE
-                self.arena.deliver_failure(
-                    i, PeerDeadError(i, rank, death, repr(pending)))
-                self.events[i].set()
-
-    def fail_waiters_on(self, rank: int, exc_factory) -> None:
-        """Lock held: fail every rank blocked on the (lost) ``rank``."""
-        a = self.arena
-        for i in range(self.size):
-            if a.waiting[i] and comm_partner(self._pending_action(i)) == rank:
-                a.waiting[i] = 0
-                a.kind[i] = _K_NONE
-                self.arena.deliver_failure(i, exc_factory(i))
-                self.events[i].set()
 
     # -- payload movement (lock NOT held) ----------------------------------
 
@@ -502,58 +422,21 @@ class _ProcessRendezvous:
         if self._tick is not None:
             self._tick()
         a = self.arena
-        if isinstance(action, Probe):
-            return None  # per-action timelines are engine-local; see docs
-        if isinstance(action, Compute):
-            if action.ops < 0:
-                raise ValueError("negative computation cost")
-            with self.lock:
-                a.clock[rank] += action.ops
-                a.compute_ops[0] += action.ops
-            return None
-
-        staged = None
-        if isinstance(action, Send):
-            kind, partner, words = _K_SEND, action.dst, action.words
-        elif isinstance(action, Recv):
-            kind, partner, words = _K_RECV, action.src, 0.0
-        elif isinstance(action, SendRecv):
-            kind, partner, words = _K_SENDRECV, action.partner, action.words
-        else:  # pragma: no cover - exhaustive over primitives
-            raise TypeError(f"unknown action {action!r}")
-        if kind != _K_RECV:
-            wk, nbytes, k, ndim, shape, dtype, buffers = \
-                _payload.encode_payload(action.payload)
-            staged = (nbytes, buffers)
-
+        meta = staged = None
+        if isinstance(action, (Send, SendRecv)):  # stages its bytes
+            *meta, buffers = _payload.encode_payload(action.payload)
+            staged = (meta[1], buffers)
         event = self.events[rank]
         with self.lock:
-            if self.fstate is not None:
-                # Crashes take effect at the next communication action —
-                # the same observable point as the other engines.  The
-                # death bookkeeping happens here, under the lock, because
-                # the dying child exits the interpreter without unwinding
-                # (os._exit skips finally blocks).
-                clock = float(a.clock[rank])
-                if self.fstate.should_crash(rank, clock):
-                    self.fstate.record_death(rank, clock)
-                    self._wake_waiters_on(rank)
-                    raise RankCrashedError(rank, clock)
-                peer = comm_partner(action)
-                if peer is not None and self.fstate.is_dead(peer):
-                    raise PeerDeadError(rank, peer,
-                                        self.fstate.death_clock(peer),
-                                        repr(action))
+            if self.local(rank, action):
+                return None
             event.clear()
-            if staged is not None:
-                _payload.stage_meta(a, rank, wk, nbytes, k, ndim, shape, dtype)
-            a.kind[rank] = kind
-            a.partner[rank] = partner
-            a.words[rank] = words
-            a.waiting[rank] = 1
-            matched = self._try_match(rank)
-            if not matched and self._deadlocked():
-                self._fail_all()
+            if meta is not None:
+                _payload.stage_meta(a, rank, *meta)
+            # a crash's bookkeeping happens in post(), under the lock: the
+            # dying child exits the interpreter without unwinding
+            # (os._exit skips finally blocks)
+            self.post(rank, action)
         event.wait()
         if a.fail_len[rank]:
             raise a.take_failure(rank)
@@ -561,9 +444,7 @@ class _ProcessRendezvous:
 
     def finish(self, rank: int) -> None:
         with self.lock:
-            self.arena.alive[rank] = 0
-            if self._deadlocked():
-                self._fail_all()
+            super().finish(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -769,39 +650,79 @@ def _watch_ranks(rdv: _ProcessRendezvous, procs,
     return states, values
 
 
-def _collect(arena: SharedArena, states: Sequence[int],
-             values: Sequence[Any], faults_summary) -> SimResult:
-    """Turn drained per-rank states into a SimResult (threaded precedence)."""
-    p = len(states)
-    results: list[Any] = [None] * p
-    errors: list[BaseException | None] = [None] * p
-    for rank in range(p):
-        if states[rank] == 2:
-            errors[rank] = values[rank]
-        elif states[rank] == 3:
-            results[rank] = UNDEF
-        else:
-            results[rank] = values[rank]
-    real = [e for e in errors
-            if e is not None and not isinstance(e, DeadlockError)]
-    dead = [e for e in errors if isinstance(e, DeadlockError)]
-    if real:
-        raise real[0]
-    if dead:
-        raise dead[0]
-    stats = SimStats(
-        messages=int(arena.messages[0]),
-        words=float(arena.stat_words[0]),
-        compute_ops=float(arena.compute_ops[0]),
-        clocks=tuple(float(c) for c in arena.clock),
-    )
-    return SimResult(values=tuple(results), time=stats.makespan,
-                     stats=stats, faults=faults_summary)
+def _rank_values(states: Sequence[int], values: Sequence[Any]) -> list:
+    """Per-rank results of drained states (a planned crash is ``UNDEF``);
+    raises what a rank raised, with the threaded engine's precedence."""
+    raise_root_cause(v for st, v in zip(states, values) if st == 2)
+    return [UNDEF if st == 3 else v for st, v in zip(states, values)]
 
 
-def _enum_domains(params: MachineParams, p: int) -> int:
-    return len({k for a in range(p) for b in range(a + 1, p)
-                for k in params.contention_domains(a, b)})
+def _run_generation(arena: SharedArena, params: MachineParams, program,
+                    inputs: Sequence[Any], hb_timeout: float | None,
+                    spawn_hook, meta: dict,
+                    master: FaultState | None = None,
+                    initial_clocks: Sequence[float] | None = None,
+                    deadline: float | None = None):
+    """One fork generation in ``arena``'s current epoch: fork a child per
+    rank → ``spawn_hook`` → watchdog → join.
+
+    Fresh lock and events every time (a SIGKILLed child may have died
+    holding the old lock).  ``master``'s cursors and deaths seed the
+    shared fault cells, and the generation's outcome is merged back
+    whether it succeeds or raises — the supervisor reads it to decide
+    quarantine/shrink.  ``deadline`` (absolute ``time.monotonic()``)
+    arms a timer that kills the generation.  No child survives the call.
+    Returns ``(rendezvous, states, values)`` as drained by
+    :func:`_watch_ranks`.
+    """
+    from repro.parallel.faultshare import ArenaFaultState
+
+    p = len(inputs)
+    ctx = multiprocessing.get_context("fork")
+    afs = None if master is None else ArenaFaultState.from_master(master, arena)
+    rdv = _ProcessRendezvous(p, params, arena, ctx.Lock(),
+                             [ctx.Event() for _ in range(p)], afs,
+                             initial_clocks)
+    epoch = int(arena.epoch[0])
+    procs = [ctx.Process(target=_child_main,
+                         args=(rdv, program, inputs, rank, epoch), daemon=True)
+             for rank in range(p)]
+    deadline_hit = threading.Event()
+    timer = None
+    if deadline is not None:
+        budget = deadline - time.monotonic()
+        if budget <= 0:
+            raise WorkerDeadlineError(0.0, "expired before start")
+
+        def _expire() -> None:
+            deadline_hit.set()
+            _kill_all(procs)
+
+        timer = threading.Timer(budget, _expire)
+        timer.daemon = True
+    for proc in procs:
+        proc.start()
+    if timer is not None:
+        timer.start()
+    if spawn_hook is not None:
+        spawn_hook(procs, {"epoch": epoch, **meta})
+    try:
+        states, values = _watch_ranks(
+            rdv, procs,
+            hb_timeout if hb_timeout is not None else _hb_timeout_default())
+    except ProcessIncidentError as exc:
+        if deadline_hit.is_set():
+            raise WorkerDeadlineError(budget, rdv.describe_safely()) from exc
+        raise
+    finally:
+        if timer is not None:
+            timer.cancel()
+        if afs is not None:
+            afs.merge_into(master)
+        for proc in procs:
+            proc.join(timeout=5.0)
+        _kill_all(procs)
+    return rdv, states, values
 
 
 def process_spmd_run(
@@ -869,54 +790,15 @@ def process_spmd_run(
 def _process_spmd_run(program, inputs, params, faults, fault_state,
                       initial_clocks, slot_bytes, slots, hb_timeout,
                       spawn_hook) -> SimResult:
-    from repro.parallel.faultshare import ArenaFaultState
-
     p = len(inputs)
-    ctx = multiprocessing.get_context("fork")
-    master = fault_state
-    if master is None and faults is not None and not faults.is_empty:
-        master = FaultState(faults)
-    arena = SharedArena(p, n_domains=_enum_domains(params, p),
+    master = live_fault_state(faults, fault_state)
+    arena = SharedArena(p, n_domains=len(_domain_keys(params, p)),
                         slot_bytes=slot_bytes, slots=slots)
     try:
-        afs = None
-        if master is not None:
-            afs = ArenaFaultState.from_master(master, arena)
-        lock = ctx.Lock()
-        events = [ctx.Event() for _ in range(p)]
-        rdv = _ProcessRendezvous(p, params, arena, lock, events, fstate=afs)
-        if initial_clocks is not None:
-            for r, clock in enumerate(initial_clocks):
-                arena.clock[r] = clock
-        epoch = int(arena.epoch[0])
-
-        procs = [ctx.Process(target=_child_main,
-                             args=(rdv, program, inputs, rank, epoch),
-                             daemon=True)
-                 for rank in range(p)]
-        for proc in procs:
-            proc.start()
-        if spawn_hook is not None:
-            spawn_hook(procs, {"stage": None, "attempt": 1, "epoch": epoch})
-
-        try:
-            states, values = _watch_ranks(
-                rdv, procs,
-                hb_timeout if hb_timeout is not None else _hb_timeout_default())
-        finally:
-            # the caller's fault state must reflect this attempt's deaths
-            # and cursor motion even when we raise (the supervisor reads
-            # it to decide quarantine/shrink)
-            if afs is not None:
-                afs.merge_into(master)
-        for proc in procs:
-            proc.join(timeout=30.0)
-            if proc.is_alive():  # pragma: no cover - stuck child backstop
-                proc.terminate()
-                proc.join(timeout=5.0)
-
-        return _collect(arena, states, values,
-                        master.summary() if master is not None else None)
+        rdv, states, values = _run_generation(
+            arena, params, program, inputs, hb_timeout, spawn_hook,
+            {"stage": None, "attempt": 1}, master, initial_clocks)
+        return rdv.result(_rank_values(states, values), master)
     finally:
         arena.close()
 
@@ -941,13 +823,11 @@ class ProcessStageRunner:
                  spawn_hook: Callable[[list, dict], None] | None = None) -> None:
         self.params = params
         self.p = p
-        self.ctx = multiprocessing.get_context("fork")
-        self.hb_timeout = (hb_timeout if hb_timeout is not None
-                           else _hb_timeout_default())
+        self.hb_timeout = hb_timeout
         self.spawn_hook = spawn_hook
         # OSError (shm exhausted) propagates: the supervisor degrades to
         # the threaded engine with a loud "fallback" event
-        self.arena = SharedArena(p, n_domains=_enum_domains(params, p),
+        self.arena = SharedArena(p, n_domains=len(_domain_keys(params, p)),
                                  slot_bytes=slot_bytes, slots=slots)
         self.last_epoch = int(self.arena.epoch[0])
 
@@ -955,47 +835,19 @@ class ProcessStageRunner:
                   clocks: Sequence[float], fstate,
                   stage_index: int, attempt: int, log=None) -> SimResult:
         """Execute one stage on real processes from checkpointed state."""
-        from repro.machine.run import execute_stage
-        from repro.parallel.faultshare import ArenaFaultState
+        from repro.machine.run import rank_program
+        from repro.mpi.threaded import blocking
 
-        arena = self.arena
-        epoch = arena.reset_for_epoch()
-        self.last_epoch = epoch
+        self.last_epoch = epoch = self.arena.reset_for_epoch()
         if log is not None:
             log.emit("epoch_bump", stage=stage_index, attempt=attempt,
                      epoch=epoch)
-        afs = ArenaFaultState.from_master(fstate, arena)
-        lock = self.ctx.Lock()
-        events = [self.ctx.Event() for _ in range(self.p)]
-        rdv = _ProcessRendezvous(self.p, self.params, arena, lock, events,
-                                 fstate=afs)
-        for r, clock in enumerate(clocks):
-            arena.clock[r] = clock
-
-        def rank_program(comm, x: Any) -> Any:
-            c = comm._ctx
-            return c.drive(execute_stage(c, stage, x))
-
-        procs = [self.ctx.Process(
-                     target=_child_main,
-                     args=(rdv, rank_program, blocks, rank, epoch),
-                     daemon=True)
-                 for rank in range(self.p)]
-        for proc in procs:
-            proc.start()
-        if self.spawn_hook is not None:
-            self.spawn_hook(procs, {"stage": stage_index, "attempt": attempt,
-                                    "epoch": epoch,
-                                    "hosts": list(fstate.hosts)})
-        try:
-            states, values = _watch_ranks(rdv, procs, self.hb_timeout)
-        finally:
-            afs.merge_into(fstate)
-            # no child of this epoch may survive into the next
-            for proc in procs:
-                proc.join(timeout=5.0)
-            _kill_all(procs)
-        return _collect(arena, states, values, fstate.summary())
+        rdv, states, values = _run_generation(
+            self.arena, self.params, blocking(rank_program([stage])), blocks,
+            self.hb_timeout, self.spawn_hook,
+            {"stage": stage_index, "attempt": attempt,
+             "hosts": list(fstate.hosts)}, fstate, clocks)
+        return rdv.result(_rank_values(states, values), fstate)
 
     def close(self) -> None:
         self.arena.close()
@@ -1034,10 +886,8 @@ WorkerDeadlineError`.  On any failure the whole batch is abandoned — the
     def __init__(self, pool, hb_timeout: float | None = None,
                  spawn_hook: Callable[[list, dict], None] | None = None) -> None:
         self.pool = pool
-        self.hb_timeout = (hb_timeout if hb_timeout is not None
-                           else _hb_timeout_default())
+        self.hb_timeout = hb_timeout
         self.spawn_hook = spawn_hook
-        self.ctx = multiprocessing.get_context("fork")
 
     def run_jobs(self, entries: Sequence[tuple], params: MachineParams,
                  deadline: float | None = None,
@@ -1049,130 +899,30 @@ WorkerDeadlineError`.  On any failure the whole batch is abandoned — the
         ``time.monotonic()`` instant.  ``meta`` is forwarded to the
         ``spawn_hook`` (the chaos harness samples kill offsets from it).
         """
-        from repro.machine.run import execute_stage
+        from repro.machine.run import rank_program
 
         if not entries:
             return []
         p = len(entries[0][1])
         if any(len(inputs) != p for _prog, inputs in entries):
             raise ValueError("batched jobs must agree on the rank count")
-        programs = [prog for prog, _inputs in entries]
+        rank_fns = [rank_program(prog.stages) for prog, _inputs in entries]
 
-        def rank_program(comm, xs: Any) -> Any:
+        def batch(comm, xs: Any) -> Any:
             c = comm._ctx
-            out = []
-            for prog, x in zip(programs, xs):
-                for stage in prog.stages:
-                    x = c.drive(execute_stage(c, stage, x))
-                out.append(x)
-            return out
+            return [c.drive(fn(c, x)) for fn, x in zip(rank_fns, xs)]
 
         binputs = [tuple(inputs[rank] for _prog, inputs in entries)
                    for rank in range(p)]
-        arena = self.pool.acquire(p, _enum_domains(params, p))
+        arena = self.pool.acquire(p, len(_domain_keys(params, p)))
         try:
-            epoch = int(arena.epoch[0])
-            lock = self.ctx.Lock()
-            events = [self.ctx.Event() for _ in range(p)]
-            rdv = _ProcessRendezvous(p, params, arena, lock, events)
-            procs = [self.ctx.Process(target=_child_main,
-                                      args=(rdv, rank_program, binputs,
-                                            rank, epoch),
-                                      daemon=True)
-                     for rank in range(p)]
-            deadline_hit = threading.Event()
-            timer = None
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    raise WorkerDeadlineError(0.0, "expired before start")
-
-                def _expire() -> None:
-                    deadline_hit.set()
-                    _kill_all(procs)
-
-                timer = threading.Timer(budget, _expire)
-                timer.daemon = True
-            for proc in procs:
-                proc.start()
-            if timer is not None:
-                timer.start()
-            if self.spawn_hook is not None:
-                self.spawn_hook(procs, {"epoch": epoch, "jobs": len(entries),
-                                        **(meta or {})})
-            try:
-                states, values = _watch_ranks(rdv, procs, self.hb_timeout)
-            except ProcessIncidentError as exc:
-                if deadline_hit.is_set():
-                    raise WorkerDeadlineError(budget,
-                                              rdv.describe_safely()) from exc
-                raise
-            finally:
-                if timer is not None:
-                    timer.cancel()
-                for proc in procs:
-                    proc.join(timeout=5.0)
-                _kill_all(procs)
-            errors = [values[r] for r in range(p) if states[r] == 2]
-            if errors:
-                raise errors[0]
+            _rdv, states, values = _run_generation(
+                arena, params, batch, binputs, self.hb_timeout,
+                self.spawn_hook, {"jobs": len(entries), **(meta or {})},
+                deadline=deadline)
+            values = _rank_values(states, values)
             # transpose per-rank job lists into per-job rank tuples
             return [tuple(values[rank][j] for rank in range(p))
                     for j in range(len(entries))]
         finally:
             self.pool.release(arena)
-
-
-def simulate_program_process(program, inputs, params=None, faults=None,
-                             vectorize: bool = False) -> SimResult:
-    """Run a stage :class:`~repro.core.stages.Program` process-per-rank.
-
-    The process-backend counterpart of
-    :func:`repro.mpi.threaded.simulate_program_threaded`: every rank
-    executes the same per-stage collective algorithms; results and
-    virtual times match the cooperative engine bit for bit
-    (property-tested), while the payloads genuinely cross address spaces
-    through shared memory.  Fault plans run on the real processes too —
-    planned crashes become actual child exits.  ``vectorize=True``
-    lowers the program to the NumPy block kernels first (with the usual
-    exact object-mode fallback); packed tuple states travel as one
-    contiguous stream.
-    """
-    from repro.machine.run import execute_stage
-
-    if params is None:
-        params = MachineParams(p=len(inputs), ts=0.0, tw=0.0, m=1)
-
-    if vectorize:
-        from repro.kernels import (
-            KernelFallback,
-            KernelUnsupported,
-            devectorize_block,
-            vectorize_block,
-            vectorize_program,
-        )
-
-        try:
-            vprog = vectorize_program(program)
-            vinputs = [vectorize_block(x) for x in inputs]
-        except KernelUnsupported:
-            vprog = None
-        if vprog is not None:
-            try:
-                result = simulate_program_process(vprog, vinputs, params,
-                                                  faults=faults)
-            except KernelFallback:
-                pass  # e.g. int64 overflow: replay exactly in object mode
-            else:
-                return dataclasses.replace(
-                    result,
-                    values=tuple(devectorize_block(v) for v in result.values),
-                )
-
-    def rank_program(comm, x: Any) -> Any:
-        ctx = comm._ctx
-        for stage in program.stages:
-            x = ctx.drive(execute_stage(ctx, stage, x))
-        return x
-
-    return process_spmd_run(rank_program, inputs, params, faults=faults)

@@ -50,8 +50,11 @@ class ArenaFaultState(SupervisedFaultState):
                     p: int | None = None) -> "ArenaFaultState":
         """Seed an arena-backed view of ``master`` for one attempt.
 
-        Permanent state (cursors, deaths) is copied in; tallies are
-        zeroed so the attempt accumulates deltas for :meth:`merge_into`.
+        Permanent state (cursors, deaths) is copied in, and so are the
+        per-pair extra-delay sums (each pair's running sum must see its
+        charges in one order across stage attempts); the other tallies
+        are zeroed so the attempt accumulates deltas for
+        :meth:`merge_into`.
         """
         if p is None:
             p = getattr(master, "nphys", arena.p)
@@ -68,7 +71,9 @@ class ArenaFaultState(SupervisedFaultState):
         a.f_retries[0] = 0
         a.f_dups[0] = 0
         a.f_rerouted[0] = 0
-        a.f_extra[0] = 0.0
+        a.f_extra[:] = 0.0
+        for pair, extra in master._extra.items():
+            a.f_extra[pair] = extra
         a.f_dead[:] = 0
         a.f_death_clock[:] = 0.0
         for rank, clock in master.dead.items():
@@ -82,9 +87,10 @@ class ArenaFaultState(SupervisedFaultState):
     def merge_into(self, master: FaultState) -> None:
         """Fold this attempt's outcome back into the parent's master state.
 
-        Cursors and deaths overwrite (they are absolute positions);
-        tallies add (they are per-attempt deltas, zeroed by
-        :meth:`from_master`, so replay attempts never double-count).
+        Cursors, deaths and per-pair extra-delay sums overwrite (they
+        are absolute); the other tallies add (they are per-attempt
+        deltas, zeroed by :meth:`from_master`, so replay attempts never
+        double-count).
         """
         a = self._arena
         p = a.p
@@ -108,10 +114,12 @@ class ArenaFaultState(SupervisedFaultState):
                 t = int(a.f_timeouts[x, y])
                 if t:
                     master.timeouts.extend([(x, y)] * t)
+                extra = float(a.f_extra[x, y])
+                if extra:
+                    master._extra[(x, y)] = extra
         master.retries += int(a.f_retries[0])
         master.duplicates += int(a.f_dups[0])
         master.rerouted += int(a.f_rerouted[0])
-        master.extra_delay += float(a.f_extra[0])
 
     # -- storage primitives on arena cells -----------------------------------
     # All callers hold the single rendezvous lock, so plain read-modify-
@@ -138,8 +146,8 @@ class ArenaFaultState(SupervisedFaultState):
     def _note_reroute(self, n: int) -> None:
         self._arena.f_rerouted[0] += n
 
-    def _charge_extra(self, extra: float) -> None:
-        self._arena.f_extra[0] += extra
+    def _charge_extra(self, pair: tuple[int, int], extra: float) -> None:
+        self._arena.f_extra[pair] += extra
 
     def _host_dead(self, rank: int) -> bool:
         return bool(self._arena.f_dead[rank])

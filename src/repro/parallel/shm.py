@@ -102,7 +102,7 @@ class SharedArena:
 
         i64, f64 = np.dtype(np.int64), np.dtype(np.float64)
         fields = [
-            # -- rendezvous slots (mirrors mpi.threaded._RankSlot) ---------
+            # -- rendezvous store (machine.rendezvous storage primitives) ---
             ("kind", i64, p),        # 0 none, 1 send, 2 recv, 3 sendrecv
             ("partner", i64, p),
             ("words", f64, p),
@@ -155,7 +155,7 @@ class SharedArena:
             ("f_retries", i64, 1),
             ("f_dups", i64, 1),
             ("f_rerouted", i64, 1),
-            ("f_extra", f64, 1),
+            ("f_extra", f64, (p, p)),        # extra delay per matched pair
         ]
         offset = 0
         layout = []

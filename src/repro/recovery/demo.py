@@ -48,7 +48,7 @@ def _kill_once(rank: int, at_stage: int):
 
 
 def demo_event_log(params: MachineParams | None = None,
-                   engine: str = "machine"):
+                   engine: str = "cooperative"):
     """A scenario's structured event log (for ``--log``/CI).
 
     Deterministic: the same quarantine/replan/restore decisions every
@@ -72,7 +72,7 @@ def demo_event_log(params: MachineParams | None = None,
 
 
 def run_demo(params: MachineParams | None = None,
-             engine: str = "machine") -> str:
+             engine: str = "cooperative") -> str:
     """Render the recovery walkthrough (deterministic text).
 
     ``engine="process"`` runs every scenario on real forked workers and
@@ -87,7 +87,7 @@ def run_demo(params: MachineParams | None = None,
     clean = simulate_program(prog, xs, params)
     lines: list[str] = []
     out = lines.append
-    if engine != "machine":
+    if engine != "cooperative":
         out(f"engine    : {engine}")
 
     # -- 1. zero faults: supervision never changes values --------------------

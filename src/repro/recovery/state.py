@@ -114,8 +114,8 @@ class SupervisedFaultState(FaultState):
     def death_clock(self, rank: int) -> float:
         return self._host_death_clock(self.hosts[rank])
 
-    def resolve(self, src: int, dst: int, base_cost: float,
-                exchange: bool = False) -> Delivery:
+    def _play(self, src: int, dst: int, base_cost: float,
+              exchange: bool) -> Delivery:
         a, b = self.hosts[src], self.hosts[dst]
         if a == b:
             # co-hosted after a shrink: a local move, no wire, no faults
@@ -134,6 +134,5 @@ class SupervisedFaultState(FaultState):
                     return Delivery(extra_delay=0.0, drops=0, timed_out=True)
                 extra += base_cost  # one extra hop through the relay
             self._note_reroute(len(qdirs))
-            self._charge_extra(extra)
             return Delivery(extra_delay=extra, drops=0, timed_out=False)
-        return super().resolve(a, b, base_cost, exchange=exchange)
+        return super()._play(a, b, base_cost, exchange)

@@ -42,9 +42,9 @@ from repro.core.cost import MachineParams, program_rounds
 from repro.core.stages import Program, Stage
 from repro.faults import FaultPlan, FaultSummary
 from repro.faults.errors import FaultError
-from repro.machine.engine import DeadlockError, SimResult, run_spmd
-from repro.machine.primitives import RankContext
-from repro.machine.run import execute_stage
+from repro.machine.engine import DeadlockError, SimResult
+from repro.machine.rendezvous import ENGINES
+from repro.machine.run import rank_program, run_ranks
 from repro.recovery.checkpoint import Checkpoint, digest_state
 from repro.recovery.errors import UnrecoverableError
 from repro.recovery.events import RecoveryLog
@@ -55,10 +55,6 @@ from repro.recovery.state import SupervisedFaultState
 __all__ = ["RecoveryResult", "supervise"]
 
 Link = tuple[int, int]
-
-#: engines a supervised run may execute on
-ENGINES = ("machine", "threaded", "process")
-
 
 @dataclass(frozen=True)
 class RecoveryResult:
@@ -92,7 +88,7 @@ def supervise(
     params: MachineParams,
     faults: FaultPlan | None = None,
     policy: RecoveryPolicy | None = None,
-    engine: str = "machine",
+    engine: str = "cooperative",
     vectorize: bool = False,
     log: RecoveryLog | None = None,
     spawn_hook=None,
@@ -100,10 +96,11 @@ def supervise(
 ) -> RecoveryResult:
     """Run ``program`` under checkpoint/restart supervision.
 
-    ``engine`` selects the execution substrate (``"machine"``
-    cooperative, ``"threaded"`` blocking, or ``"process"`` — one real OS
-    process per rank); all produce the same values and the same recovery
-    decisions for the same plan.  ``vectorize=True`` runs local stages
+    ``engine`` selects the execution substrate
+    (:data:`repro.machine.ENGINES`: ``"cooperative"``, ``"threaded"``
+    blocking, or ``"process"`` — one real OS process per rank); all
+    produce the same values and the same recovery decisions for the same
+    plan.  ``vectorize=True`` runs local stages
     as NumPy block kernels with checkpoints taken over the packed arrays
     (restored bit-identically); programs the kernels cannot lower fall
     back to object mode, and resilience replanning is skipped in
@@ -158,27 +155,12 @@ def _run_stage(engine: str, stage: Stage, blocks: Sequence[Any],
                stage_index: int = 0, attempt: int = 1,
                log: RecoveryLog | None = None) -> SimResult:
     """Execute one stage on every rank, resuming checkpointed clocks."""
-    if engine == "machine":
-        def rank_fn(ctx: RankContext, x: Any):
-            value = yield from execute_stage(ctx, stage, x)
-            return value
-
-        return run_spmd(rank_fn, blocks, params,
-                        fault_state=fstate, initial_clocks=clocks)
-
     if engine == "process":
         return runner.run_stage(stage, blocks, clocks, fstate,
                                 stage_index=stage_index, attempt=attempt,
                                 log=log)
-
-    from repro.mpi.threaded import ThreadedComm, threaded_spmd_run
-
-    def rank_program(comm: ThreadedComm, x: Any) -> Any:
-        ctx = comm._ctx
-        return ctx.drive(execute_stage(ctx, stage, x))
-
-    return threaded_spmd_run(rank_program, blocks, params,
-                             fault_state=fstate, initial_clocks=clocks)
+    return run_ranks(engine, rank_program([stage]), blocks, params,
+                     fault_state=fstate, initial_clocks=clocks)
 
 
 def _replan(stages: list[Stage], i: int, params: MachineParams,

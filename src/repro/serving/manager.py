@@ -31,6 +31,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
+from repro.machine import ENGINES
 from repro.machine.engine import SimResult
 from repro.parallel.backend import ProcessJobRunner, process_fallback_reason
 from repro.parallel.shm import ArenaPool
@@ -54,8 +55,9 @@ __all__ = ["ServingConfig", "ServingManager", "CircuitBreaker", "SUBSTRATES"]
 
 logger = logging.getLogger("repro.serving")
 
-#: the degradation ladder, most parallel first
+#: the degradation ladder: the engines, most parallel first
 SUBSTRATES = ("process", "threaded", "cooperative")
+assert sorted(SUBSTRATES) == sorted(ENGINES)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ from repro.core.optimizer import optimize
 from repro.core.rules import ALL_RULES, Rule
 from repro.faults import FaultError, FaultPlan
 from repro.machine.engine import DeadlockError
+from repro.machine.rendezvous import ENGINES
 from repro.machine.run import simulate_program
-from repro.mpi.threaded import simulate_program_threaded
 from repro.semantics.functional import UNDEF, defined_equal
 from repro.testing.generator import (
     RULE_CASES,
@@ -89,17 +89,10 @@ def faulted_run(engine: str, program, xs: Sequence[Any],
     must produce the same typed errors, UNDEF holes, and exact clocks —
     never wrong answers.
     """
-    if engine == "process":
-        runner: Callable = lambda *a, **kw: simulate_program(  # noqa: E731
-            *a, engine="process", **kw)
-    elif engine == "jit":
-        runner = lambda *a, **kw: simulate_program(  # noqa: E731
-            *a, jit=True, **kw)
-    else:
-        runner = (simulate_program if engine == "machine"
-                  else simulate_program_threaded)
+    # "jit" is a tier of the cooperative engine, not an engine
+    how = {"jit": True} if engine == "jit" else {"engine": engine}
     try:
-        res = runner(program, list(xs), params, faults=plan)
+        res = simulate_program(program, list(xs), params, faults=plan, **how)
     except FaultError as exc:
         return Outcome(kind=type(exc).__name__, detail=str(exc))
     except DeadlockError as exc:
@@ -186,14 +179,15 @@ def _outcome_summary(label: str, outcome: Outcome) -> str:
     return f"{label:<9}: {outcome.kind} ({outcome.detail.splitlines()[0]})"
 
 
-DEFAULT_ENGINES = ("machine", "threaded")
+DEFAULT_ENGINES = ("cooperative", "threaded")
+assert set(DEFAULT_ENGINES) <= set(ENGINES)
 
 
 def _engine_flags(engines: Sequence[str]) -> str:
     """Replay flags for a non-default engine deck."""
     if tuple(engines) == DEFAULT_ENGINES:
         return ""
-    return "".join(f" --engine {e}" for e in engines if e != "machine")
+    return "".join(f" --engine {e}" for e in engines if e != "cooperative")
 
 
 def _check_plan(gp: GeneratedProgram, label: str, xs: Sequence[Any],

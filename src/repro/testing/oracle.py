@@ -6,16 +6,16 @@ One generated program is executed on every available substrate:
   specification;
 * ``machine``    — the discrete-event SPMD engine
   (:func:`repro.machine.run.simulate_program`);
-* ``threaded``   — the blocking thread-per-rank MPI facade
-  (:func:`repro.mpi.threaded.simulate_program_threaded`);
+* ``threaded``   — the same, one blocking thread per rank
+  (``simulate_program(engine="threaded")``);
 * ``codegen``    — the emitted mpi4py script executed against the fake
   MPI module (:func:`repro.codegen.simulated_backend.run_generated`);
 * ``vectorized`` — the NumPy block-kernel evaluator
   (:func:`repro.kernels.run_vectorized`), which lowers blocks to arrays
   and operators to whole-block kernels;
-* ``process``    — the process-per-rank shared-memory backend
-  (:func:`repro.parallel.simulate_program_process`), which moves every
-  payload across real address-space boundaries;
+* ``process``    — the same, one process per rank over shared memory
+  (``simulate_program(engine="process")``), which moves every payload
+  across real address-space boundaries;
 * ``jit``        — the whole-program JIT tier (:func:`repro.jit.run_jit`),
   which compiles fused plans into single raw-ufunc segment kernels with
   overflow guards hoisted to one static range check.
@@ -48,7 +48,6 @@ from repro.core.cost import MachineParams
 from repro.core.stages import Program
 from repro.kernels import KernelUnsupported, run_vectorized
 from repro.machine.run import simulate_program
-from repro.mpi.threaded import simulate_program_threaded
 from repro.semantics.functional import UNDEF, defined_equal
 from repro.testing.generator import GeneratedProgram
 
@@ -84,7 +83,8 @@ def run_backend(name: str, gp: GeneratedProgram, xs: Sequence[Any],
     if name == "machine":
         return list(simulate_program(program, list(xs), params).values)
     if name == "threaded":
-        return list(simulate_program_threaded(program, list(xs), params).values)
+        return list(simulate_program(program, list(xs), params,
+                                     engine="threaded").values)
     if name == "codegen":
         try:
             src = generate_mpi4py(program, p_hint=len(xs))
@@ -105,11 +105,12 @@ def run_backend(name: str, gp: GeneratedProgram, xs: Sequence[Any],
         except KernelUnsupported:
             return SKIPPED
     if name == "process":
-        from repro.parallel import process_backend_available, simulate_program_process
+        from repro.parallel import process_backend_available
 
         if not process_backend_available(len(xs)):
             return SKIPPED
-        return list(simulate_program_process(program, list(xs), params).values)
+        return list(simulate_program(program, list(xs), params,
+                                     engine="process").values)
     raise ValueError(f"unknown backend {name!r}")
 
 

@@ -61,7 +61,7 @@ class TestFaultedRun:
     SCAN = Program([ScanStage(ADD)])
 
     def test_clean_outcome(self):
-        out = faulted_run("machine", self.SCAN, [1, 2, 3, 4], self.PARAMS,
+        out = faulted_run("cooperative", self.SCAN, [1, 2, 3, 4], self.PARAMS,
                           FaultPlan())
         assert out.ok
         assert out.values == (1, 3, 6, 10)
@@ -69,7 +69,7 @@ class TestFaultedRun:
 
     def test_degraded_outcome_masks_undef(self):
         plan = FaultPlan(crashes=(RankCrash(rank=2, at_clock=0.0),))
-        out = faulted_run("machine", self.SCAN, [1, 2, 3, 4], self.PARAMS,
+        out = faulted_run("cooperative", self.SCAN, [1, 2, 3, 4], self.PARAMS,
                           plan)
         assert out.ok
         assert out.undef_mask[2]
@@ -77,16 +77,18 @@ class TestFaultedRun:
 
     def test_error_outcome_is_typed(self):
         plan = FaultPlan(link_faults=(LinkFault(0, 1, "drop", count=None),))
-        out = faulted_run("machine", self.SCAN, [1, 2, 3, 4], self.PARAMS,
+        out = faulted_run("cooperative", self.SCAN, [1, 2, 3, 4], self.PARAMS,
                           plan)
         assert not out.ok
         assert out.kind == "FaultTimeoutError"
 
-    @pytest.mark.parametrize("engine", ["machine", "threaded"])
+    # the id is the name the tier-1 floor list knows this case by
+    @pytest.mark.parametrize(
+        "engine", [pytest.param("cooperative", id="machine"), "threaded"])
     def test_engines_agree_per_outcome(self, engine):
         plan = FaultPlan(crashes=(RankCrash(rank=1, at_clock=5.0),),
                          jitter=0.5, seed=3)
-        base = faulted_run("machine", self.SCAN, [1, 2, 3, 4], self.PARAMS,
+        base = faulted_run("cooperative", self.SCAN, [1, 2, 3, 4], self.PARAMS,
                            plan)
         out = faulted_run(engine, self.SCAN, [1, 2, 3, 4], self.PARAMS, plan)
         assert out.kind == base.kind

@@ -32,7 +32,7 @@ from repro.faults import (
 from repro.machine.engine import DeadlockError, run_spmd
 from repro.machine.run import simulate_program
 from repro.mpi import Comm, spmd_run
-from repro.mpi.threaded import ThreadedComm, simulate_program_threaded, threaded_spmd_run
+from repro.mpi.threaded import ThreadedComm, threaded_spmd_run
 from repro.semantics.functional import UNDEF, defined_equal
 
 PARAMS = MachineParams(p=8, ts=10.0, tw=1.0, m=4)
@@ -74,9 +74,10 @@ class TestZeroOverhead:
 
     def test_disabled_injection_threaded(self):
         xs = [3, 1, 4, 1, 5, 9, 2, 6]
-        baseline = simulate_program_threaded(MIXED, xs, PARAMS)
+        baseline = simulate_program(MIXED, xs, PARAMS, engine="threaded")
         for faults in (None, FaultPlan()):
-            res = simulate_program_threaded(MIXED, xs, PARAMS, faults=faults)
+            res = simulate_program(MIXED, xs, PARAMS, faults=faults,
+                                   engine="threaded")
             assert res.values == baseline.values
             assert res.stats.clocks == baseline.stats.clocks
             assert res.stats.compute_ops == baseline.stats.compute_ops
@@ -235,7 +236,8 @@ class TestEngineAgreement:
         prog = COLLECTIVES[name]
         xs = list(range(1, 9))
         mach = simulate_program(prog, xs, PARAMS, faults=MESSY_PLAN)
-        thr = simulate_program_threaded(prog, xs, PARAMS, faults=MESSY_PLAN)
+        thr = simulate_program(prog, xs, PARAMS, faults=MESSY_PLAN,
+                               engine="threaded")
         assert mach.values == thr.values
         assert mach.stats.clocks == thr.stats.clocks
         assert mach.faults == thr.faults
@@ -243,7 +245,8 @@ class TestEngineAgreement:
     def test_agreement_on_multi_stage_program(self):
         xs = list(range(1, 9))
         mach = simulate_program(MIXED, xs, PARAMS, faults=MESSY_PLAN)
-        thr = simulate_program_threaded(MIXED, xs, PARAMS, faults=MESSY_PLAN)
+        thr = simulate_program(MIXED, xs, PARAMS, faults=MESSY_PLAN,
+                               engine="threaded")
         assert mach.values == thr.values
         assert mach.stats.clocks == thr.stats.clocks
 

@@ -21,7 +21,6 @@ from repro.core.stages import (
     ScanStage,
 )
 from repro.machine import simulate_program
-from repro.mpi.threaded import simulate_program_threaded
 
 OPS = st.sampled_from([ADD, MUL, MAX])
 
@@ -65,7 +64,7 @@ def test_both_engines_agree(prog, p, seed):
     xs = [rng.randint(-3, 3) for _ in range(p)]
     params = MachineParams(p=p, ts=123.0, tw=2.5, m=16)
     a = simulate_program(prog, xs, params)
-    b = simulate_program_threaded(prog, xs, params)
+    b = simulate_program(prog, xs, params, engine="threaded")
     assert a.values == b.values
     assert a.time == pytest.approx(b.time)
     assert a.stats.messages == b.stats.messages
@@ -81,4 +80,5 @@ def test_engine_propagates_user_exceptions():
     with pytest.raises(RuntimeError, match="stage blew up"):
         simulate_program(prog, [1, 2], MachineParams(p=2, ts=1, tw=1))
     with pytest.raises(RuntimeError, match="stage blew up"):
-        simulate_program_threaded(prog, [1, 2], MachineParams(p=2, ts=1, tw=1))
+        simulate_program(prog, [1, 2], MachineParams(p=2, ts=1, tw=1),
+                         engine="threaded")

@@ -296,8 +296,8 @@ class TestEngines:
         assert defined_equal(list(obj.values), list(jit.values))
 
     def test_process_engine_accepts_jit_flag(self):
-        # no raw swap in worker processes: jit downgrades to vectorize,
-        # which is sound (JIT is a wall-clock optimization only)
+        # the one ladder serves every engine: forked ranks schedule the
+        # tokens while the parent's fused kernels produce the values
         prog = _sr2_program(block=32, p=2)
         xs = _arrays(block=32, p=2, seed=11)
         params = MachineParams(p=2, ts=10.0, tw=1.0, m=32)
@@ -641,9 +641,7 @@ class TestDerivedStages:
         IterStage(bsr2_iter_op(MUL, ADD), then_bcast=True),
     ], ids=lambda st: st.pretty())
     def test_fault_plan_declines_with_identical_summary(self, stage, engine):
-        # (one collective per program: the threaded engine sums a longer
-        # run's jitter in arrival order, which is not bit-stable)
-        prog = Program([stage])
+        prog = Program([stage, ScanStage(ADD), BcastStage()])
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=64)
         plan = FaultPlan(crashes=(RankCrash(rank=5, at_clock=0.0),),
                          jitter=0.5, seed=3)
@@ -789,7 +787,7 @@ class TestOracleAndChaos:
 
     def test_chaos_with_jit_engine(self):
         report = run_chaos(seed=11, iters=4, plans_per_case=2,
-                           engines=("machine", "jit"))
+                           engines=("cooperative", "jit"))
         assert report.ok, report.describe()
 
 

@@ -45,7 +45,6 @@ from repro.kernels import (
     vectorize_program,
 )
 from repro.machine.run import simulate_program
-from repro.mpi.threaded import simulate_program_threaded
 from repro.semantics.functional import UNDEF, defined_equal
 
 INT_XS = [3, -1, 2, 0, 1, -2, 3, 1]
@@ -269,8 +268,9 @@ class TestEngines:
 
     def test_threaded_engine_vectorized_parity(self):
         prog, params = self._opt()
-        base = simulate_program_threaded(prog, INT_XS, params)
-        vec = simulate_program_threaded(prog, INT_XS, params, vectorize=True)
+        base = simulate_program(prog, INT_XS, params, engine="threaded")
+        vec = simulate_program(prog, INT_XS, params, vectorize=True,
+                               engine="threaded")
         assert defined_equal(vec.values, base.values)
         assert vec.time == base.time
 

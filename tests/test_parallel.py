@@ -24,7 +24,6 @@ from repro.parallel import (
     process_backend_available,
     process_fallback_reason,
     process_spmd_run,
-    simulate_program_process,
 )
 from repro.parallel.shm import SharedArena
 
@@ -239,14 +238,20 @@ class TestFallback:
         assert any("falling back to the threaded engine" in r.message
                    for r in caplog.records)
 
-    def test_fault_plans_no_longer_fall_back(self):
+    def test_fault_plans_no_longer_fall_back(self, caplog):
         # fault injection used to be engine-local state; it now runs on
         # real processes through the shared-arena fault cells
         from repro.faults import FaultPlan, LinkFault
 
+        if process_fallback_reason(2) is not None:
+            pytest.skip("process backend unavailable here")
         plan = FaultPlan(link_faults=(LinkFault(src=0, dst=1),))
-        assert process_fallback_reason(2, faults=plan) == \
-            process_fallback_reason(2)
+        with caplog.at_level(logging.WARNING, logger="repro.parallel"):
+            result = process_spmd_run(lambda comm, x: comm.bcast(x), [7, None],
+                                      MachineParams(p=2, ts=0, tw=0, m=1),
+                                      faults=plan)
+        assert result.values == (7, 7) and result.faults.retries == 1
+        assert not caplog.records
 
     def test_single_core_host_falls_back(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL_FORCE", raising=False)
@@ -299,7 +304,8 @@ class TestEngineSelection:
         program = Program([ScanStage(MUL), ReduceStage(ADD)])
         inputs = [1, 2, 1, 2]
         rc = simulate_program(program, inputs, PARAMS4)
-        rp = simulate_program_process(program, inputs, PARAMS4, vectorize=True)
+        rp = simulate_program(program, inputs, PARAMS4, vectorize=True,
+                              engine="process")
         assert rc.values == rp.values
         assert rc.stats.clocks == rp.stats.clocks
 

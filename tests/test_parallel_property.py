@@ -16,11 +16,9 @@ import pytest
 
 from repro.core.cost import MachineParams
 from repro.machine.run import simulate_program
-from repro.mpi.threaded import simulate_program_threaded
 from repro.parallel import (
     process_backend_available,
     process_fallback_reason,
-    simulate_program_process,
 )
 from repro.testing.generator import DOMAINS, generate_random
 
@@ -37,8 +35,8 @@ def _check_case(gp, p: int, rng: random.Random) -> None:
                            tw=rng.choice([0.0, 0.5, 2.0]),
                            m=rng.choice([1, 4, 1024]))
     inputs = gp.inputs(rng, p)
-    rt = simulate_program_threaded(gp.program, inputs, params)
-    rp = simulate_program_process(gp.program, inputs, params)
+    rt = simulate_program(gp.program, inputs, params, engine="threaded")
+    rp = simulate_program(gp.program, inputs, params, engine="process")
     assert rp.stats.clocks == rt.stats.clocks, (
         f"clock divergence on {gp.program.pretty()} (p={p})")
     assert repr(rp.values) == repr(rt.values), (
@@ -83,7 +81,7 @@ def test_empty_tuple_blocks_cross_intact():
                           domain=LIST_DOMAIN)
     params = MachineParams(p=8, ts=1.0, tw=0.5, m=1)
     inputs = [()] * 8
-    rt = simulate_program_threaded(gp.program, inputs, params)
-    rp = simulate_program_process(gp.program, inputs, params)
+    rt = simulate_program(gp.program, inputs, params, engine="threaded")
+    rp = simulate_program(gp.program, inputs, params, engine="process")
     assert rp.values == rt.values == ((),) * 8
     assert rp.stats.clocks == rt.stats.clocks

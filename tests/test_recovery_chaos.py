@@ -73,7 +73,7 @@ class TestRecoveredRun:
 
     def test_classifies_recovery(self):
         plan = FaultPlan(link_faults=(LinkFault(0, 2, "drop", count=None),))
-        out = recovered_run("machine", self.PROG, [1, 2, 3, 4],
+        out = recovered_run("cooperative", self.PROG, [1, 2, 3, 4],
                             self.PARAMS, plan)
         assert out.ok
         assert out.values == (1, 3, 6, 10)
@@ -82,7 +82,7 @@ class TestRecoveredRun:
     def test_classifies_refusal(self):
         params = MachineParams(p=2, ts=10.0, tw=1.0, m=4)
         plan = FaultPlan(link_faults=(LinkFault(0, 1, "drop", count=None),))
-        out = recovered_run("machine", self.PROG, [1, 2], params, plan)
+        out = recovered_run("cooperative", self.PROG, [1, 2], params, plan)
         assert out.kind == "UnrecoverableError"
         assert "[link-quarantine]" in out.detail
 
