@@ -28,7 +28,7 @@ from typing import Iterable
 from repro.core.cost import MachineParams
 from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
-from repro.core.search import _MATCH_CACHE, _MATCH_CACHE_LOCK, Node, Search
+from repro.core.search import _MATCH_CACHE, Node, Search
 from repro.core.stages import Program
 
 __all__ = ["OptimizationResult", "optimize", "greedy_optimize",
@@ -70,11 +70,10 @@ class OptimizationResult:
 def clear_match_cache() -> None:
     """Drop every memoized window match (tests; rule-registry mutation).
 
-    The memo itself, its bound and its lock live with the search core
+    The memo itself and its bound live with the search core
     (:mod:`repro.core.search`).
     """
-    with _MATCH_CACHE_LOCK:
-        _MATCH_CACHE.clear()
+    _MATCH_CACHE.clear()
 
 
 # Plan caches (repro.core.plancache) register a reset hook here at import

@@ -33,8 +33,6 @@ re-runs ``rule.match`` and the safety test on every rewrite.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -49,6 +47,7 @@ from repro.core.rewrite import (
 )
 from repro.core.rules import Rule, RuleApplication
 from repro.core.stages import Program, Stage
+from repro.core.store import BoundedStore
 
 __all__ = ["Search", "Node", "plan_signature", "op_signature"]
 
@@ -101,21 +100,10 @@ def plan_signature(program: Program) -> tuple[tuple, ...]:
 # module-level singletons (ALL_RULES / FULL_RULES).
 #
 # The memo is shared by every optimize() call in the process — including
-# the serving runtime's concurrent worker threads.  Hits only read it
-# (one dict lookup, no lock, no re-ordering); inserts evict first-in
-# first-out under one lock, which also covers clear_match_cache().  Two
-# threads that miss on the same window both compute the same answer.
+# the serving runtime's concurrent worker threads — under the one
+# discipline of :class:`~repro.core.store.BoundedStore`.
 
-_MATCH_CACHE: OrderedDict = OrderedDict()
-_MATCH_CACHE_MAX = 4096
-_MATCH_CACHE_LOCK = threading.Lock()
-
-
-def _remember_window(key: tuple, found: tuple[int, ...]) -> None:
-    with _MATCH_CACHE_LOCK:
-        if key not in _MATCH_CACHE and len(_MATCH_CACHE) >= _MATCH_CACHE_MAX:
-            _MATCH_CACHE.popitem(last=False)
-        _MATCH_CACHE[key] = found
+_MATCH_CACHE = BoundedStore(4096)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +184,7 @@ class Search:
                         i for i, rule in enumerate(rules)
                         if rule.window == width
                         and match_at(program, rule, start) is not None)
-                    _remember_window(key, found)
+                    _MATCH_CACHE.put(key, found)
                 for i in found:
                     sites.append((i, start, not rules[i].lossy_nonroot
                                   or _lossy_site_is_safe(stages, end)))

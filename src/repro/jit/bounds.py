@@ -12,6 +12,14 @@ could produce.  If the worst magnitude stays within
 ``np.add``/``np.multiply`` ufuncs are bit-identical to the checked
 kernels and the compiled code may drop all runtime guards.
 
+What is interpreted here is **the tape the compiler runs**
+(``repro.jit.compiler.emit_combine`` / ``emit_map``), bound to the
+``interval`` reading of each primitive's row
+(:class:`repro.kernels.registry.Primitive`) instead of the ``raw`` one:
+this module knows no operator name, no ``kind`` and no map label, so
+every write the raw tape makes has its interval recorded, instruction
+for instruction.
+
 Soundness for collectives
 -------------------------
 Machine collectives (binomial trees, butterflies, Rabenseifner splits)
@@ -38,31 +46,19 @@ cannot overflow.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from repro.core.operators import BinOp
-from repro.core.stages import (
-    AllReduceStage,
-    BcastStage,
-    MapStage,
-    ReduceStage,
-    ScanStage,
-    Stage,
-)
 from repro.kernels.blocks import MAX_SAFE_INT
+from repro.kernels.registry import Interval
 
 __all__ = [
     "Interval",
     "BoundsCtx",
-    "slot_count",
     "combine_intervals",
     "fold_intervals",
     "map_intervals",
-    "analyze_stages",
+    "prove",
 ]
-
-#: inclusive (lo, hi) over exact Python ints
-Interval = tuple[int, int]
 
 #: refuse pathologically wide machines rather than burn O(p^2) bigint ops
 _MAX_ANALYZED_P = 4096
@@ -91,128 +87,45 @@ def hull(a: Interval, b: Interval) -> Interval:
     return (min(a[0], b[0]), max(a[1], b[1]))
 
 
-# -- interval primitives (each records its result) --------------------------
-
-
-def _iadd(ctx: BoundsCtx, a: Interval, b: Interval) -> Interval:
-    return ctx.note((a[0] + b[0], a[1] + b[1]))
-
-
-def _imul(ctx: BoundsCtx, a: Interval, b: Interval) -> Interval:
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return ctx.note((min(ps), max(ps)))
-
-
-def _imax(ctx: BoundsCtx, a: Interval, b: Interval) -> Interval:
-    return ctx.note((max(a[0], b[0]), max(a[1], b[1])))
-
-
-def _imin(ctx: BoundsCtx, a: Interval, b: Interval) -> Interval:
-    return ctx.note((min(a[0], b[0]), min(a[1], b[1])))
-
-
-#: BinOp name -> interval extension.  ``fadd``/``fmul`` only ever see
-#: int intervals here when a float op is (harmlessly) applied to ints.
-_IOPS: dict[str, Callable[[BoundsCtx, Interval, Interval], Interval]] = {
-    "add": _iadd,
-    "fadd": _iadd,
-    "mul": _imul,
-    "fmul": _imul,
-    "max": _imax,
-    "min": _imin,
-}
-
-
-# -- structural combine over slot tuples ------------------------------------
-
-
-def slot_count(op: BinOp) -> Optional[int]:
-    """Flat component count of ``op``'s values, or None if not analyzable."""
-    if op.name in _IOPS:
-        return 1
-    kind = getattr(op, "kind", "")
-    parts = getattr(op, "parts", ())
-    if kind == "ew" and parts:
-        return slot_count(parts[0])
-    if kind == "sr2" and len(parts) == 2:
-        a = slot_count(parts[0])
-        b = slot_count(parts[1])
-        if a == 1 and b == 1:
-            return 2
-        return None
-    if kind == "product" and parts:
-        counts = [slot_count(p) for p in parts]
-        if any(c is None for c in counts):
-            return None
-        return sum(counts)  # type: ignore[arg-type]
-    return None
+# -- the interval reading of the two tape forms -----------------------------
 
 
 def combine_intervals(
-    ctx: BoundsCtx, op: BinOp, a: Sequence[Interval], b: Sequence[Interval]
-) -> Optional[tuple[Interval, ...]]:
-    """Interval extension of one ``op(a, b)`` combine over flat slots.
+    ctx: BoundsCtx, tape: Any, a: Sequence[Interval], b: Sequence[Interval]
+) -> tuple[Interval, ...]:
+    """One ``op(a, b)`` combine over flat slots: ``tape`` (an
+    ``emit_combine`` tape bound to interval rows) run on intervals, every
+    instruction's result recorded — ``otimes(r1, s2)`` inside an SR2
+    combine included, because the raw tape writes it too."""
+    tmps: list[Interval] = []
 
-    Mirrors the tape the compiler emits (and the structural recursion in
-    ``kernels.registry.binop_kernel``), recording every intermediate —
-    including ``otimes(r1, s2)`` inside an SR2 combine.
-    """
-    iop = _IOPS.get(op.name)
-    if iop is not None:
-        if len(a) != 1 or len(b) != 1:
-            return None
-        return (iop(ctx, a[0], b[0]),)
-    kind = getattr(op, "kind", "")
-    parts = getattr(op, "parts", ())
-    if kind == "ew" and parts:
-        return combine_intervals(ctx, parts[0], a, b)
-    if kind == "sr2" and len(parts) == 2:
-        otimes, oplus = parts
-        if len(a) != 2 or len(b) != 2:
-            return None
-        t = combine_intervals(ctx, otimes, (a[1],), (b[0],))  # otimes(r1, s2)
-        if t is None:
-            return None
-        s = combine_intervals(ctx, oplus, (a[0],), t)
-        r = combine_intervals(ctx, otimes, (a[1],), (b[1],))
-        if s is None or r is None:
-            return None
-        return (s[0], r[0])
-    if kind == "product" and parts:
-        counts = [slot_count(p) for p in parts]
-        if any(c is None for c in counts) or sum(counts) != len(a) or len(a) != len(b):  # type: ignore[arg-type]
-            return None
-        out: list[Interval] = []
-        lo = 0
-        for part, c in zip(parts, counts):
-            sub = combine_intervals(ctx, part, a[lo : lo + c], b[lo : lo + c])
-            if sub is None:
-                return None
-            out.extend(sub)
-            lo += c
-        return tuple(out)
-    return None
+    def res(ref: tuple[str, int]) -> Interval:
+        tag, i = ref
+        return a[i] if tag == "a" else b[i] if tag == "b" else tmps[i]
+
+    for iv, sa, sb, _dst in tape.instrs:
+        tmps.append(ctx.note(iv(res(sa), res(sb))))
+    return tuple(res(r) for r in tape.out)
 
 
 def fold_intervals(
-    ctx: BoundsCtx, op: BinOp, leaf: Sequence[Interval], p: int
+    ctx: BoundsCtx, tape: Any, leaf: Sequence[Interval], p: int
 ) -> Optional[tuple[Interval, ...]]:
     """Hull over every subset fold of 1..p leaves (any combine tree).
 
     ``C(k) = hull over a+b=k of op#(C(a), C(b))``; returns
     ``hull(C(1)..C(p))`` — a sound interval for every value a scan,
     reduce, or allreduce over ``p`` blocks can hold or pass through.
+    None for a leaf of another width than the tape's, or too wide a
+    machine.
     """
-    if p > _MAX_ANALYZED_P:
+    if p > _MAX_ANALYZED_P or len(leaf) != tape.slots:
         return None
-    n = len(leaf)
     table: list[tuple[Interval, ...]] = [tuple(leaf)]
     for k in range(2, p + 1):
         acc: Optional[tuple[Interval, ...]] = None
         for a in range(1, k // 2 + 1):
-            combined = combine_intervals(ctx, op, table[a - 1], table[k - a - 1])
-            if combined is None:
-                return None
+            combined = combine_intervals(ctx, tape, table[a - 1], table[k - a - 1])
             if acc is None:
                 acc = combined
             else:
@@ -222,74 +135,44 @@ def fold_intervals(
     out = table[0]
     for row in table[1:]:
         out = tuple(hull(x, y) for x, y in zip(out, row))
-    if len(out) != n:
-        return None
     return out
 
 
-# -- map labels -------------------------------------------------------------
-
-
 def map_intervals(
-    ctx: BoundsCtx, label: str, slots: tuple[Interval, ...]
-) -> Optional[tuple[Interval, ...]]:
-    """Propagate intervals through a (possibly ``;``-fused) map label."""
-    for part in label.split(";"):
-        if part in ("pair", "triple", "quadruple"):
-            if len(slots) != 1:
-                return None
-            reps = {"pair": 2, "triple": 3, "quadruple": 4}[part]
-            slots = (slots[0],) * reps
-        elif part == "pi_1":
-            if len(slots) < 2:
-                return None
-            slots = (slots[0],)
-        elif part == "inc":
-            if len(slots) != 1:
-                return None
-            slots = (_iadd(ctx, slots[0], (1, 1)),)
-        elif part == "dbl":
-            if len(slots) != 1:
-                return None
-            slots = (_imul(ctx, slots[0], (2, 2)),)
-        elif part == "neg":
-            if len(slots) != 1:
-                return None
-            slots = (ctx.note((-slots[0][1], -slots[0][0])),)
-        else:
-            return None
-    return slots
+    ctx: BoundsCtx, tape: Any, slots: Sequence[Interval], p: int = 1
+) -> tuple[Interval, ...]:
+    """A (possibly ``;``-fused) map label: ``tape`` (an ``emit_map`` tape bound
+    to interval rows) run on the block's slot intervals.  A map is per
+    block, so ``p`` is not consulted."""
+    tmps: list[Interval] = []
+
+    def res(ref: tuple[str, int]) -> Interval:
+        return slots[ref[1]] if ref[0] == "i" else tmps[ref[1]]
+
+    for iv, src, const in tape.instrs:
+        args = (res(src),) if const is None else (res(src), (const, const))
+        tmps.append(ctx.note(iv(*args)))
+    return tuple(res(r) for r in tape.out)
 
 
-# -- whole-program analysis -------------------------------------------------
+# -- whole-program proof ----------------------------------------------------
 
 
-def analyze_stages(stages: Sequence[Stage], input_iv: Interval, p: int) -> bool:
-    """True iff no execution of ``stages`` over ``p`` int blocks whose
+def prove(
+    steps: Sequence[tuple[Callable, Any]], input_iv: Interval, p: int
+) -> bool:
+    """True iff no execution of ``steps`` over ``p`` int blocks whose
     values lie in ``input_iv`` can exceed ``MAX_SAFE_INT`` anywhere —
     including intermediates inside collectives and combines.
 
-    A stage with a :meth:`~repro.core.stages.Stage.definition` (comcast,
-    iter) is analyzed as that pipeline, which is what its compiled
-    closure executes — *not* what the engines' digit traversal computes
-    (``b^(2^step)`` may leave the hull of the folds), so the proof
-    licenses the closure and no raw engine form."""
+    ``steps`` is a program's proof as the compiler states it
+    (``repro.jit.compiler``'s stage table): per value-changing stage, in
+    run order, one of the readings above and the interval-bound tape it
+    reads, widths already matched."""
     ctx = BoundsCtx()
-    ctx.note(input_iv)
-    slots: Optional[tuple[Interval, ...]] = (input_iv,)
-    for stage in (d for s in stages for d in s.definition() or (s,)):
-        if slots is None:
+    slots: Optional[tuple[Interval, ...]] = (ctx.note(input_iv),)
+    for read, tape in steps:
+        slots = read(ctx, tape, slots, p)
+        if slots is None or not ctx.safe:
             return False
-        if isinstance(stage, MapStage):
-            slots = map_intervals(ctx, stage.label, slots)
-        elif isinstance(stage, (ScanStage, ReduceStage, AllReduceStage)):
-            if slot_count(stage.op) != len(slots):
-                return False
-            slots = fold_intervals(ctx, stage.op, slots, p)
-        elif isinstance(stage, BcastStage):
-            pass  # pure movement
-        else:
-            return False  # gather/scatter/balanced/...: not analyzed
-        if not ctx.safe:
-            return False
-    return slots is not None and ctx.safe
+    return ctx.safe

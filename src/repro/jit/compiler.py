@@ -43,9 +43,9 @@ identical — JIT changes wall-clock only.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -55,6 +55,7 @@ from repro.core.operators import BinOp
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
+    ComcastStage,
     IterStage,
     MapStage,
     Program,
@@ -62,26 +63,28 @@ from repro.core.stages import (
     ScanStage,
     Stage,
 )
+from repro.core.store import BoundedStore
 from repro.kernels.blocks import (
-    KernelFallback,
-    KernelUnsupported,
     devectorize_block,
     is_vector_block,
     vectorize_block,
 )
-from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan
+from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan, run_lowered
 from repro.kernels.lowering import rebuild_stage, vectorize_program
-from repro.kernels.registry import registry_version
+from repro.kernels.registry import map_rows, primitive, registry_version
 from repro.machine.run import DEFINED
 from repro.semantics.functional import UNDEF
 
-from .bounds import analyze_stages, slot_count
+from .bounds import Interval, fold_intervals, map_intervals, prove
 from .errors import JitUnsupported
 from .stats import STATS
 
 __all__ = [
-    "CombineTape",
-    "MapTape",
+    "Tape",
+    "emit_combine",
+    "emit_map",
+    "bind",
+    "analyze_stages",
     "CompiledProgram",
     "compiled_program",
     "EngineLowering",
@@ -90,26 +93,6 @@ __all__ = [
     "clear_jit_cache",
     "DEFAULT_LOCAL_PARAMS",
 ]
-
-#: raw (unchecked) ufuncs for scalar BinOps — bit-identical to the
-#: checked kernels whenever the bounds analysis proves safety
-_RAW_BINOPS: dict[str, Any] = {
-    "add": np.add,
-    "fadd": np.add,
-    "mul": np.multiply,
-    "fmul": np.multiply,
-    "max": np.maximum,
-    "min": np.minimum,
-}
-
-#: raw unary map parts: label -> (ufunc, second operand or None)
-_RAW_UNARY: dict[str, tuple[Any, Optional[int]]] = {
-    "inc": (np.add, 1),
-    "dbl": (np.multiply, 2),
-    "neg": (np.negative, None),
-}
-
-_REPLICATE = {"pair": 2, "triple": 3, "quadruple": 4}
 
 #: chunking model for local compute: ts plays the per-ufunc-dispatch
 #: overhead, tw the per-element cost.  At 1M elements this yields ~32
@@ -129,99 +112,99 @@ _OK_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
 @dataclass(frozen=True)
-class CombineTape:
-    """One ``op(acc, rhs)`` combine as straight-line raw ufunc code.
+class Tape:
+    """Straight-line primitive code over the ``slots`` flat slots of a block.
 
-    Instructions are ``(ufunc, src_a, src_b, dst)`` where sources are
-    ``("a", i)`` acc slot, ``("b", i)`` rhs slot, or ``("t", j)`` the
-    result of instruction ``j``; ``dst`` is always a fresh scratch index
-    (one per instruction).  ``out`` names the refs forming the combined
-    value's flat slots.
-    """
-
-    slots: int
-    instrs: tuple[tuple[Any, tuple[str, int], tuple[str, int], int], ...]
-    out: tuple[tuple[str, int], ...]
-
-
-def emit_combine(op: BinOp) -> CombineTape:
-    """Flatten ``op`` to a :class:`CombineTape` (or raise JitUnsupported)."""
-    n = slot_count(op)
-    if n is None:
-        raise JitUnsupported(f"no raw kernel for op {op.name!r}")
-    instrs: list[tuple[Any, tuple[str, int], tuple[str, int], int]] = []
-
-    def emit(op: BinOp, a: list, b: list) -> list:
-        u = _RAW_BINOPS.get(op.name)
-        if u is not None:
-            dst = len(instrs)
-            instrs.append((u, a[0], b[0], dst))
-            return [("t", dst)]
-        kind = getattr(op, "kind", "")
-        parts = getattr(op, "parts", ())
-        if kind == "ew" and parts:
-            return emit(parts[0], a, b)
-        if kind == "sr2" and len(parts) == 2:
-            otimes, oplus = parts
-            t = emit(otimes, [a[1]], [b[0]])  # otimes(r1, s2)
-            s = emit(oplus, [a[0]], t)
-            r = emit(otimes, [a[1]], [b[1]])
-            return s + r
-        if kind == "product" and parts:
-            out: list = []
-            lo = 0
-            for part in parts:
-                c = slot_count(part)
-                assert c is not None  # guaranteed by slot_count(op) above
-                out.extend(emit(part, a[lo : lo + c], b[lo : lo + c]))
-                lo += c
-            return out
-        raise JitUnsupported(f"no raw kernel for op {op.name!r}")
-
-    out = emit(op, [("a", i) for i in range(n)], [("b", i) for i in range(n)])
-    return CombineTape(slots=n, instrs=tuple(instrs), out=tuple(out))
-
-
-@dataclass(frozen=True)
-class MapTape:
-    """A (possibly ``;``-fused) map label as slot shuffling + raw ufuncs.
-
-    ``instrs`` are ``(ufunc, src, const)``; instruction ``j`` writes
-    scratch slot ``j``.  ``out`` refs are ``("i", k)`` input slot or
-    ``("t", j)`` scratch — replication (``pair``) and projection
+    ``instrs`` carry a primitive's *name* first (:func:`bind` replaces it
+    with one reading of its row) and instruction ``j`` writes scratch
+    ``j``; ``out`` names the refs forming the result's slots.  The tape
+    of a combine ``op(acc, rhs)`` (:func:`emit_combine`) has instructions
+    ``(name, src_a, src_b, j)`` over ``("a", i)`` acc slots, ``("b", i)``
+    rhs slots and ``("t", j)`` earlier results.  The tape of a map label
+    (:func:`emit_map`) has ``(name, src, const)`` over ``("i", k)`` input
+    slots and ``("t", j)`` — replication (``pair``) and projection
     (``π₁``) are pure ref manipulation, no data movement.
     """
 
-    in_slots: int
-    instrs: tuple[tuple[Any, tuple[str, int], Optional[int]], ...]
+    slots: int
+    instrs: tuple[tuple, ...]
     out: tuple[tuple[str, int], ...]
 
 
-def emit_map(label: str, in_slots: int) -> MapTape:
-    refs: list[tuple[str, int]] = [("i", k) for k in range(in_slots)]
-    instrs: list[tuple[Any, tuple[str, int], Optional[int]]] = []
-    for part in label.split(";"):
-        if part in _REPLICATE:
-            if len(refs) != 1:
-                raise JitUnsupported(f"{part} needs a scalar slot")
-            refs = refs * _REPLICATE[part]
-        elif part == "pi_1":
-            if len(refs) < 2:
-                raise JitUnsupported("pi_1 needs a tuple block")
-            refs = [refs[0]]
-        elif part in _RAW_UNARY:
-            if len(refs) != 1:
-                raise JitUnsupported(f"{part} needs a scalar slot")
-            u, const = _RAW_UNARY[part]
-            instrs.append((u, refs[0], const))
+def emit_combine(op: BinOp) -> Tape:
+    """Flatten ``op`` to a :class:`Tape` (or raise JitUnsupported).
+
+    The one walk over ``kind`` / ``parts`` under ``repro.jit``: a name
+    with a row is one instruction on one slot, and each argument's slots
+    are numbered in the order the walk reaches them."""
+    instrs: list[tuple] = []
+
+    def emit(op: BinOp, a: Any, b: Any) -> list:
+        if primitive(op.name) is not None:
+            instrs.append((op.name, next(a), next(b), len(instrs)))
+            return [("t", len(instrs) - 1)]
+        if op.kind == "ew":
+            return emit(op.parts[0], a, b)
+        if op.kind == "sr2":
+            otimes, oplus = op.parts
+            s1, r1, s2, r2 = next(a), next(a), next(b), next(b)
+            return [scalar(oplus, s1, scalar(otimes, r1, s2)),
+                    scalar(otimes, r1, r2)]
+        if op.kind == "product":
+            return [ref for part in op.parts for ref in emit(part, a, b)]
+        raise JitUnsupported(f"no-raw:{op.name}")
+
+    def scalar(op: BinOp, x: tuple, y: tuple) -> tuple:
+        (ref,) = emit(op, iter((x,)), iter((y,)))
+        return ref
+
+    try:
+        out = emit(op, zip(itertools.repeat("a"), itertools.count()),
+                   zip(itertools.repeat("b"), itertools.count()))
+    except StopIteration:  # an SR2 part wider than the one slot it is given
+        raise JitUnsupported(f"slot-shape:{op.name}") from None
+    return Tape(slots=len(out), instrs=tuple(instrs), out=tuple(out))
+
+
+def emit_map(label: str, slots: int) -> Tape:
+    """The tape of ``label`` on blocks of ``slots`` slots: each fused
+    part's :class:`~repro.kernels.registry.MapRow` effect in turn."""
+    refs: list[tuple[str, int]] = [("i", k) for k in range(slots)]
+    instrs: list[tuple] = []
+    for part, row in map_rows(label):
+        if row is None or row.effect is None:
+            raise JitUnsupported(f"no-tape:{part}")
+        kind, *args = row.effect
+        if kind == "replicate" and len(refs) == 1:
+            refs = refs * args[0]
+        elif kind == "project" and len(refs) > 1:
+            refs = refs[:1]
+        elif kind == "apply" and len(refs) == 1:
+            instrs.append((args[0], refs[0], args[1]))
             refs = [("t", len(instrs) - 1)]
         else:
-            raise JitUnsupported(f"no raw kernel for map {part!r}")
-    return MapTape(in_slots=in_slots, instrs=tuple(instrs), out=tuple(refs))
+            raise JitUnsupported(f"slot-shape:{part}")
+    return Tape(slots=slots, instrs=tuple(instrs), out=tuple(refs))
+
+
+def bind(tape: Tape, reading: str) -> Tape:
+    """``tape`` with every primitive name replaced by one reading of its
+    row: ``"raw"`` (the ufuncs :func:`_run_combine` / :func:`_run_map_tape`
+    call) or ``"interval"`` (what :mod:`repro.jit.bounds` interprets).
+    Raises :class:`JitUnsupported` naming the row that does not state it."""
+
+    def read(name: str) -> Callable:
+        fn = getattr(primitive(name), reading, None)
+        if fn is None:
+            raise JitUnsupported(f"no-{reading}:{name}")
+        return fn
+
+    return replace(tape, instrs=tuple(
+        (read(name), *rest) for name, *rest in tape.instrs))
 
 
 def _run_map_tape(
-    tape: MapTape, slots: Sequence[np.ndarray], tmps: Optional[list] = None
+    tape: Tape, slots: Sequence[np.ndarray], tmps: Optional[list] = None
 ) -> list[np.ndarray]:
     """Apply ``tape``; instruction ``j`` writes ``tmps[j]`` (a chunk-sized
     scratch view), or a fresh array when no scratch is given."""
@@ -313,7 +296,7 @@ class _Scratch:
 
 
 def _run_combine(
-    tape: CombineTape,
+    tape: Tape,
     acc: Sequence[np.ndarray],
     rhs: Sequence[np.ndarray],
     tmps: list,
@@ -361,7 +344,7 @@ class _TapeMemo:
 
     def __init__(self, label: str) -> None:
         self.label = label
-        self.tapes: dict[int, Optional[MapTape]] = {}
+        self.tapes: dict[int, Optional[Tape]] = {}
 
     def apply(self, block: Any) -> Any:
         """The label applied to one defined block (allocating), or None
@@ -369,7 +352,7 @@ class _TapeMemo:
         arity = len(block) if isinstance(block, tuple) else 1
         if arity not in self.tapes:
             try:
-                self.tapes[arity] = emit_map(self.label, arity)
+                self.tapes[arity] = bind(emit_map(self.label, arity), "raw")
             except JitUnsupported:
                 self.tapes[arity] = None
         tape = self.tapes[arity]
@@ -380,7 +363,9 @@ class _TapeMemo:
         return vals[0] if len(vals) == 1 else tuple(vals)
 
 
-def _compile_local(step: PlanStep, stage: MapStage) -> CompiledStep:
+def _compile_local(
+    step: PlanStep, pre: None, stage: MapStage, post: None, params: MachineParams,
+) -> CompiledStep:
     memo = _TapeMemo(stage.label)
 
     def run(data: list) -> Optional[list]:
@@ -404,8 +389,9 @@ def _split_sandwich(
 
 
 def _compile_bcast(
-    step: PlanStep, pre: Optional[MapStage], post: Optional[MapStage]
-) -> Optional[CompiledStep]:
+    step: PlanStep, pre: Optional[MapStage], coll: Stage,
+    post: Optional[MapStage], params: MachineParams,
+) -> CompiledStep:
     memos = [_TapeMemo(s.label) for s in (pre, post) if s is not None]
 
     def run(data: list) -> Optional[list]:
@@ -424,35 +410,26 @@ def _compile_bcast(
 
 
 def _compile_fold(
+    spread: Optional[Callable[[list, int], list]],
     step: PlanStep, pre: Optional[MapStage], coll: Stage,
     post: Optional[MapStage], params: MachineParams,
-) -> Optional[CompiledStep]:
-    """Compile a scan/reduce/allreduce (with optional pre/post maps)."""
-    if not isinstance(coll, (ScanStage, ReduceStage, AllReduceStage)):
-        return None
-    try:
-        tape = emit_combine(coll.op)
-        pre_tape = emit_map(pre.label, 1) if pre is not None else None
-        if pre_tape is not None and len(pre_tape.out) != tape.slots:
-            return None
-        post_tape = emit_map(post.label, tape.slots) if post is not None else None
-    except JitUnsupported:
-        return None
+) -> CompiledStep:
+    """Compile a fold of ``coll.op`` over the ranks (with optional pre/post
+    maps).  ``spread`` places the one folded block on ``p`` ranks (a
+    reduce, an allreduce); None keeps every prefix on its rank — a scan."""
+    tape = bind(emit_combine(coll.op), "raw")
+    pre_tape = bind(emit_map(pre.label, 1), "raw") if pre is not None else None
+    if pre_tape is not None and len(pre_tape.out) != tape.slots:
+        raise JitUnsupported(f"slot-shape:{pre.label}")
+    post_tape = (bind(emit_map(post.label, tape.slots), "raw")
+                 if post is not None else None)
     n_in = 1 if pre_tape is not None else tape.slots
     out_n = len(post_tape.out) if post_tape is not None else tape.slots
-    is_scan = isinstance(coll, ScanStage)
-    is_reduce = isinstance(coll, ReduceStage)
+    is_scan = spread is None
     # a scan without a post map writes every combine straight into its
     # output row (each tape output is a fresh instruction result), and
     # the next combine reads that row back while it is cache-hot
     direct = is_scan and post_tape is None
-
-    def _wrap(blocks: list, p: int) -> list:
-        if is_scan:
-            return blocks
-        if is_reduce:
-            return blocks + [UNDEF] * (p - 1)
-        return blocks * p  # allreduce: same block object on every rank
 
     def run(data: list) -> Optional[list]:
         rows = _conform(data, n_in)
@@ -512,7 +489,7 @@ def _compile_fold(
                 write(0, acc)
 
         blocks = [s[0] if out_n == 1 else tuple(s) for s in outs]
-        return _wrap(blocks, p)
+        return blocks if is_scan else spread(blocks, p)
 
     return CompiledStep(step, run, covered=len(step.stages))
 
@@ -526,7 +503,7 @@ def _is_int64_block(block: Any) -> bool:
 def _compile_derived(
     step: PlanStep, pre: Optional[MapStage], coll: Stage,
     post: Optional[MapStage], params: MachineParams,
-) -> Optional[CompiledStep]:
+) -> CompiledStep:
     """Compile a comcast/iter stage as the composition of the closures its
     definition compiles to (the pre map rides the bcast, the post map the
     last fold) — no kernel and no tape of its own.
@@ -535,15 +512,18 @@ def _compile_derived(
     traversal compute the same values: on int64 blocks proven
     overflow-free (the caller's gate, as for every closure).  Floats
     round by combining order, so the closure declines them itself."""
-    groups = [[s] for s in coll.definition()]
+    groups = [[s] for s in coll.definition() or ()]
+    if not groups:
+        raise JitUnsupported(f"uncompiled:{step.label}")
     if pre is not None:
         groups[0].insert(0, pre)
     if post is not None:
         groups[-1].append(post)
     subs = [_compile_step(PlanStep("collective", tuple(g), step.label),
-                          params).compiled for g in groups]
-    if None in subs:
-        return None
+                          params) for g in groups]
+    for sub in subs:
+        if sub.compiled is None:
+            raise JitUnsupported(sub.reason)
     # the doubling iteration exists for powers of two only: elsewhere the
     # stage raises, and so must the checked step this closure defers to
     pow2_only = isinstance(coll, IterStage) and not coll.general
@@ -553,7 +533,7 @@ def _compile_derived(
         if not p or not _is_int64_block(data[0]) or (pow2_only and p & (p - 1)):
             return None
         for sub in subs:
-            data = sub(data)
+            data = sub.compiled(data)
             if data is None:
                 return None
         return data
@@ -561,19 +541,86 @@ def _compile_derived(
     return CompiledStep(step, run, covered=len(step.stages), ints_only=True)
 
 
+@dataclass(frozen=True)
+class _Jit:
+    """How one stage class compiles and how it is proven.
+
+    ``compile(step, pre, stage, post, params)`` builds the step's closure
+    or raises :class:`JitUnsupported` with the reason to count.
+    ``tape(stage, slots)`` emits what the stage does to a block of
+    ``slots`` slots (None: it only moves blocks) and ``read`` is the
+    :mod:`repro.jit.bounds` reading of it; a class with neither is
+    proven as the pipeline it is defined by."""
+
+    compile: Callable[..., CompiledStep]
+    tape: Optional[Callable[[Any, int], Any]] = None
+    read: Optional[Callable] = None
+
+
+def _fold(spread: Optional[Callable[[list, int], list]]) -> _Jit:
+    return _Jit(partial(_compile_fold, spread),
+                lambda stage, slots: emit_combine(stage.op), fold_intervals)
+
+
+#: stage class -> its entry (the ``machine.run._MACHINE`` pattern); a
+#: class without one runs the checked kernels (``uncompiled:<stage>``)
+_JIT: dict[type, _Jit] = {
+    MapStage: _Jit(_compile_local,
+                   lambda stage, slots: emit_map(stage.label, slots),
+                   map_intervals),
+    BcastStage: _Jit(_compile_bcast, lambda stage, slots: None),
+    ScanStage: _fold(None),
+    ReduceStage: _fold(lambda blocks, p: blocks + [UNDEF] * (p - 1)),
+    AllReduceStage: _fold(lambda blocks, p: blocks * p),  # one object, p ranks
+    ComcastStage: _Jit(_compile_derived),
+    IterStage: _Jit(_compile_derived),
+}
+
+
 def _compile_step(step: PlanStep, params: MachineParams) -> CompiledStep:
     pre, coll, post = _split_sandwich(step)
-    if isinstance(coll, MapStage):
-        compiled = _compile_local(step, coll)
-    elif isinstance(coll, BcastStage):
-        compiled = _compile_bcast(step, pre, post)
-    elif coll.definition() is not None:
-        compiled = _compile_derived(step, pre, coll, post, params)
-    else:
-        compiled = _compile_fold(step, pre, coll, post, params)
-    if compiled is not None:
-        return compiled
-    return CompiledStep(step, None, reason=f"uncompiled:{step.label}")
+    entry = _JIT.get(type(coll))
+    if entry is None:
+        return CompiledStep(step, None, reason=f"uncompiled:{step.label}")
+    try:
+        return entry.compile(step, pre, coll, post, params)
+    except JitUnsupported as exc:
+        return CompiledStep(step, None, reason=str(exc))
+
+
+def proof_steps(stages: Sequence[Stage]) -> tuple[tuple[Callable, Any], ...]:
+    """What :func:`repro.jit.bounds.prove` reads for ``stages``: per
+    value-changing stage its table reading and its tape bound to interval
+    rows, slot widths threaded from the one-slot input blocks.
+
+    A stage with a :meth:`~repro.core.stages.Stage.definition` (comcast,
+    iter) is proven as that pipeline, which is what its compiled closure
+    executes — *not* what the engines' digit traversal computes
+    (``b^(2^step)`` may leave the hull of the folds), so the proof
+    licenses the closure and no raw engine form.  Raises
+    :class:`JitUnsupported` where a stage or a row states no proof."""
+    slots, steps = 1, []
+    for stage in (d for s in stages for d in s.definition() or (s,)):
+        entry = _JIT.get(type(stage))
+        if entry is None or entry.tape is None:
+            raise JitUnsupported("bounds-unproven")
+        tape = entry.tape(stage, slots)
+        if tape is None:
+            continue  # pure movement
+        if tape.slots != slots:
+            raise JitUnsupported("bounds-unproven")
+        steps.append((entry.read, bind(tape, "interval")))
+        slots = len(tape.out)
+    return tuple(steps)
+
+
+def analyze_stages(stages: Sequence[Stage], input_iv: Interval, p: int) -> bool:
+    """True iff no execution of ``stages`` over ``p`` int blocks whose
+    values lie in ``input_iv`` can exceed ``MAX_SAFE_INT`` anywhere."""
+    try:
+        return prove(proof_steps(stages), input_iv, p)
+    except JitUnsupported:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -610,20 +657,6 @@ def _input_profile(vec: Sequence[Any]) -> tuple[str, tuple[int, int]]:
     return "other", (0, 0)
 
 
-def _proven_safe(
-    stages: Sequence[Stage], profile: tuple[str, tuple[int, int]], p: int
-) -> tuple[bool, str]:
-    """One static range check per program: may every guard be dropped?"""
-    regime, iv = profile
-    if regime in ("float", "empty"):
-        return True, ""
-    if regime == "int":
-        if analyze_stages(stages, iv, max(p, 1)):
-            return True, ""
-        return False, "bounds-unproven"
-    return False, "dtype-unproven"
-
-
 class CompiledProgram:
     """A vector plan with compiled closures for every supported step."""
 
@@ -638,6 +671,25 @@ class CompiledProgram:
         self.uncompiled = next(
             (s.reason for s in self.steps if s.compiled is None), ""
         )
+        #: the interval reading of the program's tapes, emitted once here —
+        #: or why a stage or a row states no proof
+        try:
+            self.proof, self.unprovable = proof_steps(plan.program.stages), ""
+        except JitUnsupported as exc:
+            self.proof, self.unprovable = (), str(exc)
+
+    def proven_safe(
+        self, profile: tuple[str, tuple[int, int]], p: int
+    ) -> tuple[bool, str]:
+        """One static range check per program: may every guard be dropped?"""
+        regime, iv = profile
+        if regime in ("float", "empty"):
+            return True, ""
+        if regime != "int":
+            return False, "dtype-unproven"
+        if not self.unprovable and prove(self.proof, iv, max(p, 1)):
+            return True, ""
+        return False, self.unprovable or "bounds-unproven"
 
     def pretty(self) -> str:
         lines = []
@@ -653,7 +705,7 @@ class CompiledProgram:
         kernelized fallback step — callers replay in object mode.
         """
         profile = _input_profile(vec)
-        proven, why = _proven_safe(self.plan.program.stages, profile, len(vec))
+        proven, why = self.proven_safe(profile, len(vec))
         if not proven:
             STATS.fallbacks[why] += 1
         data = list(vec)
@@ -725,8 +777,7 @@ class CompiledProgram:
 # Compile cache (reset via clear_planner_caches)
 # ---------------------------------------------------------------------------
 
-_CACHE_MAX = 256
-_COMPILE_CACHE: OrderedDict = OrderedDict()
+_COMPILE_CACHE = BoundedStore(256)
 
 
 def clear_jit_cache() -> None:
@@ -747,11 +798,10 @@ def compiled_program(
     params = params if params is not None else DEFAULT_LOCAL_PARAMS
     key = (program, params, registry_version())
     try:
-        hit = _COMPILE_CACHE[key]
-    except (KeyError, TypeError):  # TypeError: unhashable program part
-        hit = None
+        hit = _COMPILE_CACHE.get(key)
+    except TypeError:  # unhashable program part: compiled, never resident
+        hit = key = None
     if hit is not None:
-        _COMPILE_CACHE.move_to_end(key)
         STATS.cache_hits += 1
         return hit
     STATS.cache_misses += 1
@@ -759,12 +809,8 @@ def compiled_program(
     cp = CompiledProgram(plan, params)
     STATS.compiles += 1
     STATS.fused_stages += cp.fused_stages
-    try:
-        _COMPILE_CACHE[key] = cp
-    except TypeError:
-        return cp
-    while len(_COMPILE_CACHE) > _CACHE_MAX:
-        _COMPILE_CACHE.popitem(last=False)
+    if key is not None:
+        _COMPILE_CACHE.put(key, cp)
     return cp
 
 
@@ -797,7 +843,7 @@ def _raw_map_fn(label: str, checked_fn: Callable) -> Callable:
 
 def _raw_binop_fn(op: BinOp) -> Callable:
     """Whole-block raw combine; falls back to the checked op per call."""
-    tape = emit_combine(op)  # raises JitUnsupported if not lowerable
+    tape = bind(emit_combine(op), "raw")  # JitUnsupported if not lowerable
     checked_fn = op.fn
 
     def fn(a: Any, b: Any) -> Any:
@@ -876,7 +922,7 @@ def engine_lower(
     vprog = cp.plan.program
     raw, token = cp.engine_programs
     profile = _input_profile(vec)
-    proven, unproven = _proven_safe(vprog.stages, profile, len(vec))
+    proven, unproven = cp.proven_safe(profile, len(vec))
     if proven and raw is not None:
         low = EngineLowering("raw", "", raw, vec)
     else:
@@ -948,21 +994,20 @@ def run_engine_ladder(
     kernel met an int64 overflow — and the caller must run ``program``
     itself in object mode.
     """
-    try:
+    def lower() -> EngineLowering:
         if jit:
-            low = engine_lower(program, inputs, params)
-        else:
-            low = EngineLowering("checked", "", vectorize_program(program),
-                                 [vectorize_block(x) for x in inputs])
-    except KernelUnsupported:
-        return None
-    if low.below is not None:
-        result = _run_fused(run, low, faults)
-        if result is not None:
-            return result
-        low = low.below
-    try:
+            return engine_lower(program, inputs, params)
+        return EngineLowering("checked", "", vectorize_program(program),
+                              [vectorize_block(x) for x in inputs])
+
+    def descend(low: EngineLowering) -> Any:
+        if low.below is not None:
+            result = _run_fused(run, low, faults)
+            if result is not None:
+                return result
+            low = low.below
         result = run(low.program, low.inputs)
-    except KernelFallback:
-        return None  # e.g. int64 overflow: replay exactly in object mode
-    return replace(result, values=tuple(map(devectorize_block, result.values)))
+        return replace(result,
+                       values=tuple(map(devectorize_block, result.values)))
+
+    return run_lowered({"unsupported": lower}, descend, lambda: None)

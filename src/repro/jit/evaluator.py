@@ -1,15 +1,12 @@
 """``run_jit`` — the JIT tier's front-end evaluator.
 
 Same contract as :func:`repro.kernels.evaluator.run_vectorized` (it is
-the seventh conformance backend), same fallback discipline:
-
-* **static** — no kernel lowering for the program, or inputs without an
-  array representation: :class:`~repro.kernels.blocks.KernelUnsupported`
-  propagates under ``strict=True`` (the oracle reports SKIPPED), else
-  the program just runs in object mode.
-* **dynamic** — a checked fallback step raising
-  :class:`~repro.kernels.blocks.KernelOverflow` triggers the exact
-  object-mode (Python bigint) replay, even under ``strict=True``.
+the seventh conformance backend) through the same
+:func:`~repro.kernels.evaluator.run_lowered`, with each decline counted
+in :data:`~repro.jit.stats.STATS`: ``unsupported-program`` /
+``unsupported-input`` (static; propagated under ``strict=True``, where
+the oracle reports SKIPPED) and ``overflow-replay`` (dynamic; always the
+exact object-mode replay).
 
 Everything in between — unprovable bounds, non-conforming blocks,
 steps the compiler can't lower — silently executes through the checked
@@ -23,12 +20,8 @@ from typing import Any, Optional, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
-from repro.kernels.blocks import (
-    KernelFallback,
-    KernelUnsupported,
-    devectorize_block,
-    vectorize_block,
-)
+from repro.kernels.blocks import devectorize_block, vectorize_block
+from repro.kernels.evaluator import run_lowered
 
 from .compiler import compiled_program
 from .stats import STATS
@@ -49,23 +42,9 @@ def run_jit(
     it); ``strict=True`` propagates the static skip for the oracle.
     """
     STATS.runs += 1
-    try:
-        cp = compiled_program(program, params)
-    except KernelUnsupported:
-        STATS.fallbacks["unsupported-program"] += 1
-        if strict:
-            raise
-        return program.run(list(xs))
-    try:
-        vec = [vectorize_block(x) for x in xs]
-    except KernelUnsupported:
-        STATS.fallbacks["unsupported-input"] += 1
-        if strict:
-            raise
-        return program.run(list(xs))
-    try:
-        out = cp.run(vec)
-    except KernelFallback:
-        STATS.fallbacks["overflow-replay"] += 1
-        return program.run(list(xs))
-    return [devectorize_block(v) for v in out]
+    return run_lowered(
+        {"unsupported-program": lambda: compiled_program(program, params),
+         "unsupported-input": lambda: [vectorize_block(x) for x in xs]},
+        lambda cp, vec: [devectorize_block(v) for v in cp.run(vec)],
+        lambda: program.run(list(xs)), strict=strict,
+        declined=lambda why: STATS.fallbacks.update((why,)))

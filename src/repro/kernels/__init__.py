@@ -22,10 +22,18 @@ from repro.kernels.blocks import (
     is_vector_block,
     vectorize_block,
 )
-from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan, run_vectorized
+from repro.kernels.evaluator import (
+    PlanStep,
+    VectorPlan,
+    build_plan,
+    run_lowered,
+    run_vectorized,
+)
 from repro.kernels.lowering import kernelize_stage, vectorize_program
 from repro.kernels.messages import PackedBlock, pack_block, unpack_block
 from repro.kernels.registry import (
+    MapRow,
+    Primitive,
     binop_kernel,
     has_binop_kernel,
     kernelize_binop,
@@ -51,12 +59,15 @@ __all__ = [
     "PlanStep",
     "VectorPlan",
     "build_plan",
+    "run_lowered",
     "run_vectorized",
     "kernelize_stage",
     "vectorize_program",
     "PackedBlock",
     "pack_block",
     "unpack_block",
+    "Primitive",
+    "MapRow",
     "binop_kernel",
     "has_binop_kernel",
     "kernelize_binop",

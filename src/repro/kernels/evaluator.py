@@ -27,7 +27,7 @@ Fallback contract (exactness over speed):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.stages import MapStage, Program, Stage
 from repro.kernels.blocks import (
@@ -37,11 +37,10 @@ from repro.kernels.blocks import (
     vectorize_block,
 )
 from repro.kernels.lowering import vectorize_program
+from repro.kernels.registry import map_rows
 
-__all__ = ["PlanStep", "VectorPlan", "build_plan", "run_vectorized"]
-
-#: labels of the rules' pre-adjustment maps (possibly as last fused part)
-_PRE_ADJUST = ("pair", "triple", "quadruple")
+__all__ = ["PlanStep", "VectorPlan", "build_plan", "run_lowered",
+           "run_vectorized"]
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,13 @@ class VectorPlan:
         return "\n".join(step.pretty() for step in self.steps)
 
 
-def _ends_with_pre_adjust(stage: Stage) -> bool:
-    return isinstance(stage, MapStage) and \
-        stage.label.split(";")[-1] in _PRE_ADJUST
-
-
-def _starts_with_projection(stage: Stage) -> bool:
-    return isinstance(stage, MapStage) and \
-        stage.label.split(";")[0] == "pi_1"
+def _edge_effect(stage: Stage, at: int) -> str:
+    """The tape effect of a map stage's first (0) or last (-1) fused part:
+    the rules' pre-adjustments replicate, their post-adjustment projects."""
+    if not isinstance(stage, MapStage):
+        return ""
+    _part, row = map_rows(stage.label)[at]
+    return row.effect[0] if row is not None and row.effect else ""
 
 
 def build_plan(program: Program) -> VectorPlan:
@@ -109,46 +107,57 @@ def build_plan(program: Program) -> VectorPlan:
     i = 0
     while i < len(stages):
         stage = stages[i]
+        kind, group = "local", (stage,)
         if stage.is_collective:
+            kind = "collective"
             # try to absorb the rule sandwich around a collective
             pre = steps[-1] if steps else None
-            absorb_pre = (
-                pre is not None and pre.kind == "local"
-                and len(pre.stages) == 1
-                and _ends_with_pre_adjust(pre.stages[0])
-            )
+            if (pre is not None and pre.kind == "local"
+                    and _edge_effect(pre.stages[0], -1) == "replicate"):
+                kind, group = "fused-collective", pre.stages + group
+                steps.pop()
             post = stages[i + 1] if i + 1 < len(stages) else None
-            absorb_post = post is not None and _starts_with_projection(post)
-            if absorb_pre or absorb_post:
-                group: tuple[Stage, ...] = (stage,)
-                if absorb_pre:
-                    group = pre.stages + group
-                    steps.pop()
-                if absorb_post:
-                    group = group + (post,)
-                    i += 1
-                steps.append(PlanStep(
-                    kind="fused-collective",
-                    stages=group,
-                    label=stage.pretty(),
-                    origin=stage.origin,
-                ))
-            else:
-                steps.append(PlanStep(
-                    kind="collective",
-                    stages=(stage,),
-                    label=stage.pretty(),
-                    origin=stage.origin,
-                ))
-        else:
-            steps.append(PlanStep(
-                kind="local",
-                stages=(stage,),
-                label=stage.pretty(),
-                origin=stage.origin,
-            ))
+            if post is not None and _edge_effect(post, 0) == "project":
+                kind, group = "fused-collective", group + (post,)
+                i += 1
+        steps.append(PlanStep(kind=kind, stages=group, label=stage.pretty(),
+                              origin=stage.origin))
         i += 1
     return VectorPlan(program=lowered, steps=tuple(steps))
+
+
+def run_lowered(
+    lower: Mapping[str, Callable[[], Any]],
+    run: Callable[..., Any],
+    replay: Callable[[], Any],
+    *,
+    strict: bool = False,
+    declined: Callable[[str], None] = lambda why: None,
+) -> Any:
+    """The one fallback contract of every kernel tier (module docstring).
+
+    ``lower`` is the static part, in order: each thunk lowers one thing
+    (the program, the inputs) and is keyed by the reason to report when
+    it raises :class:`KernelUnsupported` — then ``replay()``, the exact
+    object-mode run, answers instead, unless ``strict`` propagates the
+    skip.  ``run(*lowered)`` is the dynamic part and devectorizes its own
+    result; any :class:`KernelFallback` out of it (a checked kernel met
+    an int64 overflow) is ``"overflow-replay"`` and always replays.
+    """
+    lowered = []
+    try:
+        for why, thunk in lower.items():
+            lowered.append(thunk())
+    except KernelUnsupported:
+        declined(why)
+        if strict:
+            raise
+        return replay()
+    try:
+        return run(*lowered)
+    except KernelFallback:
+        declined("overflow-replay")
+        return replay()
 
 
 def run_vectorized(
@@ -162,15 +171,8 @@ def run_vectorized(
     the oracle uses this to report SKIPPED); dynamic overflow always
     falls back to the exact object-mode replay.
     """
-    try:
-        plan = build_plan(program)
-        vec = [vectorize_block(x) for x in xs]
-    except KernelUnsupported:
-        if strict:
-            raise
-        return program.run(list(xs))
-    try:
-        out = plan.run(vec)
-    except KernelFallback:
-        return program.run(list(xs))
-    return [devectorize_block(v) for v in out]
+    return run_lowered(
+        {"unsupported-program": lambda: build_plan(program),
+         "unsupported-input": lambda: [vectorize_block(x) for x in xs]},
+        lambda plan, vec: [devectorize_block(v) for v in plan.run(vec)],
+        lambda: program.run(list(xs)), strict=strict)

@@ -1,18 +1,21 @@
-"""Kernel registry: lowering operators and map labels to array kernels.
+"""Kernel registry: one row per numeric primitive, three readings of it.
 
-Two tables drive the vectorized execution layer:
+Every numeric tier reads the same two tables:
 
-* ``binop kernels`` — map a :class:`~repro.core.operators.BinOp` to a
-  whole-block array implementation.  Resolution is by *name* for the base
-  scalar operators (``add``, ``mul``, ``max``, ...) and then *structurally*
-  via the operator's ``kind``/``parts`` metadata for the composed operators
-  the rewrite rules build (``op_sr2`` pairs, componentwise products,
-  segmented operators), so a kernelized ``op_sr2[mul,add]`` combines its
-  pair states with two fused array ops instead of 2·m Python calls.
+* ``primitives`` — a :class:`~repro.core.operators.BinOp` *name*
+  (``add``, ``mul``, ``max``, ...) to its :class:`Primitive` row: the
+  overflow-**checked** whole-block kernel, the **raw** ufunc the JIT's
+  tapes run once a program is proven safe, and the **interval**
+  extension that proof is made with.  Composed operators (``op_sr2``
+  pairs, componentwise products, ``ew`` lifts, segmented operators)
+  resolve *structurally* through ``kind``/``parts`` down to these names
+  — :func:`binop_kernel` for the checked reading,
+  ``repro.jit.compiler.emit_combine`` for the tape the other two share.
 
-* ``map kernels`` — map a ``MapStage`` *label* to a whole-block function.
-  Labels compose under local-stage fusion (``"pair;inc"``), and so do the
-  kernels.
+* ``maps`` — a ``MapStage`` *label* to its :class:`MapRow`: the checked
+  kernel and the label's *tape effect*.  Labels compose under local-stage
+  fusion (``"pair;inc"``), and so do the rows (:func:`map_rows` is the
+  one place a fused label is split).
 
 Kernelized operators/maps keep exact object-mode semantics: they
 *dispatch* on the block representation (array blocks take the kernel,
@@ -22,14 +25,16 @@ raises :class:`~repro.kernels.blocks.KernelOverflow` instead of silently
 wrapping (callers then replay in object mode, where Python bigints are
 exact).
 
-``register_binop_kernel`` / ``register_map_kernel`` extend the tables for
-user-defined operators (see ``docs/PERFORMANCE.md``).
+``register_binop_kernel`` / ``register_map_kernel`` replace a **whole**
+row: a bare kernel is a row with a checked reading only, so the name has
+no raw form and no proof — and the JIT declines it by name — until a
+full row states them (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -44,6 +49,10 @@ from repro.kernels.blocks import (
 from repro.semantics.functional import UNDEF
 
 __all__ = [
+    "Primitive",
+    "MapRow",
+    "primitive",
+    "map_rows",
     "register_binop_kernel",
     "register_map_kernel",
     "binop_kernel",
@@ -56,6 +65,40 @@ __all__ = [
 
 Kernel = Callable[[Any, Any], Any]
 MapKernel = Callable[[Any], Any]
+#: inclusive (lo, hi) over exact Python ints
+Interval = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Primitive:
+    """One named numeric primitive.
+
+    ``raw`` must agree bit for bit with ``checked`` on int64 and float64
+    blocks wherever ``interval`` — the exact extension of the primitive
+    to ``(lo, hi)`` bounds over Python ints — stays inside
+    :data:`~repro.kernels.blocks.MAX_SAFE_INT`.  A row without them runs
+    checked on every tier.
+    """
+
+    checked: Callable[..., Any]
+    raw: Optional[Callable[..., Any]] = None
+    interval: Optional[Callable[..., Interval]] = None
+
+
+@dataclass(frozen=True)
+class MapRow:
+    """One map label: its checked kernel and what it does to a tape.
+
+    ``effect`` is ``("replicate", n)`` (one slot becomes ``n`` refs to
+    it), ``("project",)`` (a tuple block keeps its first slot) or
+    ``("apply", name, const)`` (the :class:`Primitive` named ``name`` on
+    the slot and ``const``; unary when ``const`` is None).  None: the
+    label has a checked kernel only.
+    """
+
+    checked: MapKernel
+    effect: Optional[tuple] = None
+
 
 #: bumped on every (re-)registration; compiled-kernel caches (the JIT
 #: tier's, notably) key on it so a stale compile is never served after
@@ -82,38 +125,40 @@ def _xor_kernel(a: Any, b: Any) -> Any:
     return np.not_equal(np.asarray(a) != 0, np.asarray(b) != 0)
 
 
-#: name -> whole-block kernel for the base scalar operators
-_BINOP_KERNELS: dict[str, Kernel] = {
-    "add": checked_add,
-    "fadd": checked_add,
-    "mul": checked_mul,
-    "fmul": checked_mul,
-    "max": np.maximum,
-    "min": np.minimum,
-    "and": _and_kernel,
-    "or": _or_kernel,
-    "xor": _xor_kernel,
+def _imul(a: Interval, b: Interval) -> Interval:
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(ps), max(ps))
+
+
+_ADD = Primitive(checked_add, np.add, lambda a, b: (a[0] + b[0], a[1] + b[1]))
+_MUL = Primitive(checked_mul, np.multiply, _imul)
+
+#: name -> row.  ``fadd``/``fmul`` only ever see int intervals when a
+#: float op is (harmlessly) applied to ints; ``neg`` is the one unary row.
+_PRIMITIVES: dict[str, Primitive] = {
+    "add": _ADD,
+    "fadd": _ADD,
+    "mul": _MUL,
+    "fmul": _MUL,
+    "max": Primitive(np.maximum, np.maximum,
+                     lambda a, b: (max(a[0], b[0]), max(a[1], b[1]))),
+    "min": Primitive(np.minimum, np.minimum,
+                     lambda a, b: (min(a[0], b[0]), min(a[1], b[1]))),
+    "neg": Primitive(checked_neg, np.negative, lambda a: (-a[1], -a[0])),
+    "and": Primitive(_and_kernel),
+    "or": Primitive(_or_kernel),
+    "xor": Primitive(_xor_kernel),
 }
 
 
-def _inc_kernel(x: Any) -> Any:
-    return checked_add(x, np.int64(1))
+def _apply_row(name: str, const: int) -> MapRow:
+    """``x -> name(x, const)``, every reading taken from the primitive's row."""
+    checked, c = _PRIMITIVES[name].checked, np.int64(const)
+    return MapRow(lambda x: checked(x, c), ("apply", name, const))
 
 
-def _dbl_kernel(x: Any) -> Any:
-    return checked_mul(x, np.int64(2))
-
-
-def _pair_kernel(x: Any) -> Any:
-    return (x, x)
-
-
-def _triple_kernel(x: Any) -> Any:
-    return (x, x, x)
-
-
-def _quadruple_kernel(x: Any) -> Any:
-    return (x, x, x, x)
+def _replicate_row(n: int) -> MapRow:
+    return MapRow(lambda x: (x,) * n, ("replicate", n))
 
 
 def _pi1_kernel(t: Any) -> Any:
@@ -122,31 +167,44 @@ def _pi1_kernel(t: Any) -> Any:
     return t[0]
 
 
-#: MapStage label -> whole-block kernel
-_MAP_KERNELS: dict[str, MapKernel] = {
-    "inc": _inc_kernel,
-    "dbl": _dbl_kernel,
-    "neg": checked_neg,
-    "pair": _pair_kernel,
-    "triple": _triple_kernel,
-    "quadruple": _quadruple_kernel,
-    "pi_1": _pi1_kernel,
+#: MapStage label -> row
+_MAPS: dict[str, MapRow] = {
+    "inc": _apply_row("add", 1),
+    "dbl": _apply_row("mul", 2),
+    "neg": MapRow(checked_neg, ("apply", "neg", None)),
+    "pair": _replicate_row(2),
+    "triple": _replicate_row(3),
+    "quadruple": _replicate_row(4),
+    "pi_1": MapRow(_pi1_kernel, ("project",)),
 }
 
 
-def register_binop_kernel(name: str, kernel: Kernel) -> None:
-    """Register (or override) the array kernel for the BinOp named ``name``."""
+def primitive(name: str) -> Optional[Primitive]:
+    """The row registered under the operator name ``name``, or None."""
+    return _PRIMITIVES.get(name)
+
+
+def map_rows(label: str) -> list[tuple[str, Optional[MapRow]]]:
+    """``(part, row)`` for each part of a (possibly ``;``-fused) label."""
+    return [(part, _MAPS.get(part)) for part in label.split(";")]
+
+
+def register_binop_kernel(name: str, kernel: Kernel | Primitive) -> None:
+    """Replace the row of the BinOp named ``name``: a full
+    :class:`Primitive`, or a bare array kernel (checked reading only)."""
     global _REGISTRY_VERSION
-    _BINOP_KERNELS[name] = kernel
+    _PRIMITIVES[name] = (kernel if isinstance(kernel, Primitive)
+                         else Primitive(kernel))
     _REGISTRY_VERSION += 1
 
 
-def register_map_kernel(label: str, kernel: MapKernel) -> None:
-    """Register (or override) the array kernel for the map label ``label``."""
+def register_map_kernel(label: str, kernel: MapKernel | MapRow) -> None:
+    """Replace the row of the map label ``label``: a full :class:`MapRow`,
+    or a bare array kernel (no tape effect)."""
     if ";" in label:
         raise ValueError("register the unfused labels; fusion composes them")
     global _REGISTRY_VERSION
-    _MAP_KERNELS[label] = kernel
+    _MAPS[label] = kernel if isinstance(kernel, MapRow) else MapRow(kernel)
     _REGISTRY_VERSION += 1
 
 
@@ -172,9 +230,9 @@ def binop_kernel(op: BinOp) -> Kernel | None:
     Name lookup first (base operators and user registrations), then the
     structural ``kind``/``parts`` metadata for composed operators.
     """
-    k = _BINOP_KERNELS.get(op.name)
-    if k is not None:
-        return k
+    row = _PRIMITIVES.get(op.name)
+    if row is not None:
+        return row.checked
 
     if op.kind == "ew":
         # an elementwise lift acts per element of a list block; on an
@@ -256,10 +314,10 @@ def kernelize_binop(op: BinOp) -> BinOp:
 
 def map_kernel(label: str) -> MapKernel | None:
     """Resolve the kernel for a (possibly fused, ``;``-joined) map label."""
-    parts = label.split(";")
-    kernels = [_MAP_KERNELS.get(part) for part in parts]
-    if any(k is None for k in kernels):
+    rows = [row for _part, row in map_rows(label)]
+    if None in rows:
         return None
+    kernels = [row.checked for row in rows]
     if len(kernels) == 1:
         return kernels[0]
 

@@ -21,12 +21,11 @@ through a user environment into a :class:`repro.core.stages.Program`.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.operators import BinOp
+from repro.core.store import BoundedStore
 from repro.core.stages import (
     AllGatherStage,
     GatherStage,
@@ -291,22 +290,18 @@ class _Parser:
 
 
 # A served front end sees the same texts again and again, and a
-# declaration depends on nothing but its text, so the latest
-# ``_PARSE_MEMO_MAX`` distinct texts keep theirs.  A ProgramDecl is a
-# frozen dataclass of strings and tuples: every caller may share one.
-# Reads take no lock (two threads that miss on one text both parse it to
-# equal declarations); inserts evict first-in-first-out under the lock.
-# A text that does not parse is never remembered, so it raises afresh.
+# declaration depends on nothing but its text, so the latest 256 distinct
+# texts keep theirs.  A ProgramDecl is a frozen dataclass of strings and
+# tuples: every caller may share one.  A text that does not parse is
+# never remembered, so it raises afresh.
 
-_PARSE_MEMO: "OrderedDict[str, ProgramDecl]" = OrderedDict()
-_PARSE_MEMO_MAX = 256
-_PARSE_MEMO_LOCK = threading.Lock()
+_PARSE_MEMO = BoundedStore(256)
 
 
 def parse_program(source: str) -> ProgramDecl:
     """Parse MPI-like program text into a :class:`ProgramDecl`.
 
-    A text parsed before (among the latest ``_PARSE_MEMO_MAX`` distinct
+    A text parsed before (among the latest ``_PARSE_MEMO.bound`` distinct
     ones) returns the declaration it produced then — the same object.
     """
     decl = _PARSE_MEMO.get(source)
@@ -317,9 +312,5 @@ def parse_program(source: str) -> ProgramDecl:
     except LexError as exc:
         raise ParseError(str(exc)) from exc
     decl = _Parser(tokens).parse()
-    with _PARSE_MEMO_LOCK:
-        if (source not in _PARSE_MEMO
-                and len(_PARSE_MEMO) >= _PARSE_MEMO_MAX):
-            _PARSE_MEMO.popitem(last=False)
-        _PARSE_MEMO[source] = decl
+    _PARSE_MEMO.put(source, decl)
     return decl

@@ -12,13 +12,12 @@ the two pillars the paper's Table 1 stands on.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.optimizer import register_planner_cache_reset
+from repro.core.store import BoundedStore
 from repro.faults import FaultPlan
 from repro.core.stages import (
     AllGatherStage,
@@ -267,27 +266,22 @@ def _run_cooperative(program: Program, inputs: Sequence[Any],
 # The machine prices a message by the declared ``m * width`` words and a
 # combine by ``op_count * m`` operations — never by block values — so a
 # fault-free run's clocks, messages, words, timeline and events are a
-# function of (program, params, which inputs are UNDEF).  The latest
-# ``_SCHEDULES_MAX`` such keys keep their engine result, values reduced
-# to the definedness pattern and statistics held in tuples.  Reads take
-# no lock (two threads that miss on one key both run the engine, to equal
-# entries); inserts evict first-in-first-out under the lock.  The store
-# counts nothing: :func:`resident_run` returns an outcome and the caller
-# records it in the dialect it already has.
+# function of (program, params, which inputs are UNDEF).  The latest 256
+# such keys keep their engine result, values reduced to the definedness
+# pattern and statistics held in tuples.  The store counts nothing:
+# :func:`resident_run` returns an outcome and the caller records it in
+# the dialect it already has.
 
 #: the one payload of a token run: "this block is defined"
 DEFINED = "<defined>"
 
-_SCHEDULES: "OrderedDict[tuple, SimResult]" = OrderedDict()
-_SCHEDULES_MAX = 256
-_SCHEDULES_LOCK = threading.Lock()
+_SCHEDULES = BoundedStore(256)
 _EXACT_LEAVES = frozenset((int, bool))
 
 
 def clear_resident_schedules() -> None:
     """Drop every resident schedule (``clear_planner_caches()`` does)."""
-    with _SCHEDULES_LOCK:
-        _SCHEDULES.clear()
+    _SCHEDULES.clear()
 
 
 register_planner_cache_reset(clear_resident_schedules)
@@ -398,10 +392,7 @@ def resident_run(
     stats = result.stats
     entry = SimResult(pattern, result.time, replace(
         stats, timeline=tuple(stats.timeline), events=tuple(stats.events)))
-    with _SCHEDULES_LOCK:
-        if key not in _SCHEDULES and len(_SCHEDULES) >= _SCHEDULES_MAX:
-            _SCHEDULES.popitem(last=False)
-        _SCHEDULES[key] = entry
+    _SCHEDULES.put(key, entry)
     return replace(result, values=values), "miss"
 
 

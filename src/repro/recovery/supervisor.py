@@ -117,36 +117,36 @@ def supervise(
         log = RecoveryLog()
     policy = (policy or RecoveryPolicy()).resolved(params)
 
-    if vectorize:
-        from repro.kernels import (
-            KernelFallback,
-            KernelUnsupported,
-            devectorize_block,
-            vectorize_block,
-            vectorize_program,
-        )
+    mark = len(log.events)
 
-        try:
-            vprog = vectorize_program(program)
-            vinputs = [vectorize_block(x) for x in inputs]
-        except KernelUnsupported:
-            vprog = None
-        if vprog is not None:
-            try:
-                result = _supervise(vprog, vinputs, params, faults, policy,
-                                    engine, log, allow_replan=False,
-                                    spawn_hook=spawn_hook,
-                                    hb_timeout=hb_timeout)
-            except KernelFallback:
-                log = RecoveryLog()  # replay exactly in object mode
-            else:
-                values = tuple(devectorize_block(v) for v in result.values)
-                return dataclasses.replace(
-                    result, values=values, digest=digest_state(values))
+    def attempt(prog: Program, xs: Sequence[Any], replan: bool) -> RecoveryResult:
+        return _supervise(prog, xs, params, faults, policy, engine, log,
+                          allow_replan=replan, spawn_hook=spawn_hook,
+                          hb_timeout=hb_timeout)
 
-    return _supervise(program, inputs, params, faults, policy, engine, log,
-                      allow_replan=True, spawn_hook=spawn_hook,
-                      hb_timeout=hb_timeout)
+    def object_mode() -> RecoveryResult:
+        del log.events[mark:]  # what a kernel attempt logged before it fell back
+        return attempt(program, inputs, True)
+
+    if not vectorize:
+        return object_mode()
+    from repro.kernels import (
+        devectorize_block,
+        run_lowered,
+        vectorize_block,
+        vectorize_program,
+    )
+
+    def kernels(vprog: Program, vinputs: list) -> RecoveryResult:
+        result = attempt(vprog, vinputs, False)
+        values = tuple(devectorize_block(v) for v in result.values)
+        return dataclasses.replace(
+            result, values=values, digest=digest_state(values))
+
+    return run_lowered(
+        {"unsupported-program": lambda: vectorize_program(program),
+         "unsupported-input": lambda: [vectorize_block(x) for x in inputs]},
+        kernels, object_mode)
 
 
 def _run_stage(engine: str, stage: Stage, blocks: Sequence[Any],

@@ -104,7 +104,7 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
     the memo never outgrows it."""
     from repro.core import search as search_mod
 
-    monkeypatch.setattr(search_mod, "_MATCH_CACHE_MAX", 6)
+    monkeypatch.setattr(search_mod._MATCH_CACHE, "bound", 6)
     clear_match_cache()
     expected = {prog.name: optimize(prog, PARAMS[0]).program.pretty()
                 for prog in PROGRAMS}
@@ -212,7 +212,7 @@ def test_resident_schedule_hammer_one_key_and_evictions(monkeypatch):
         simulate_program,
     )
 
-    monkeypatch.setattr(machine_run, "_SCHEDULES_MAX", 4)
+    monkeypatch.setattr(machine_run._SCHEDULES, "bound", 4)
     clear_resident_schedules()
     prog = Program([ScanStage(ADD), ReduceStage(ADD), BcastStage()],
                    name="one-key")
@@ -252,3 +252,43 @@ def test_resident_schedule_hammer_one_key_and_evictions(monkeypatch):
     assert max(sizes) <= 4
     assert sum(o.count("hit") for o in outcomes.values()) > 0
     assert outcomes[0].count("miss") > len(churn)  # the churn evicted
+
+
+def test_compile_cache_hammer_hits_and_evictions(monkeypatch):
+    """8 threads compiling 40 programs through a compile cache squeezed
+    to 8 entries: hits on one thread race evictions on another (the
+    cache was an ``OrderedDict`` read without a lock and re-ordered by
+    ``move_to_end`` on every hit — a ``KeyError`` whenever the key was
+    evicted in between).  Every call returns a plan of its own program,
+    and the store never outgrows its bound."""
+    import sys
+
+    from repro.jit import clear_jit_cache, compiled_program
+    from repro.jit import compiler as jit_compiler
+
+    monkeypatch.setattr(jit_compiler._COMPILE_CACHE, "bound", 8)
+    clear_jit_cache()
+    programs = [Program([MapStage(lambda x: x + 1, label="inc")] * (k % 5)
+                        + [ScanStage(ADD if k % 2 else MUL)]
+                        + [BcastStage()] * (k // 10), name=f"prog-{k}")
+                for k in range(40)]
+    assert len(set(programs)) == 40
+    sizes = []
+
+    def work(tid):
+        for round_no in range(ROUNDS * 75):
+            # eight sweeps out of phase: one thread's hit is on the entry
+            # another's miss is about to evict
+            k = (tid * 7 + round_no) % 40
+            plan = compiled_program(programs[k])
+            assert plan.plan.program.name == programs[k].name
+            sizes.append(len(jit_compiler._COMPILE_CACHE))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _hammer(work)
+    finally:
+        sys.setswitchinterval(old)
+        clear_jit_cache()
+    assert max(sizes) <= 8

@@ -45,7 +45,7 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
 )
-from repro.jit.bounds import analyze_stages
+from repro.jit.compiler import analyze_stages
 from repro.jit import (
     STATS,
     JitUnsupported,
@@ -61,8 +61,10 @@ from repro.kernels import (
     run_vectorized,
 )
 from repro.kernels.registry import (
-    binop_kernel,
+    map_rows,
+    primitive,
     register_binop_kernel,
+    register_map_kernel,
     registry_version,
 )
 from repro.machine.run import simulate_program
@@ -815,10 +817,69 @@ class TestCaches:
         compiled_program(prog)
         assert STATS.compiles == 1
         version = registry_version()
-        register_binop_kernel("add", binop_kernel(ADD))  # same kernel, new version
+        register_binop_kernel("add", primitive("add"))  # same row, new version
         assert registry_version() == version + 1
         compiled_program(prog)
         assert STATS.compiles == 2  # stale entry not served
+
+    def test_registration_replaces_the_whole_row(self):
+        """A kernel registered under a built-in name re-points every tier:
+        the name has no raw form and no proof until a full row states
+        them, so the JIT declines it — by name — rather than running
+        ``np.add`` under a name that no longer means addition.  (Before
+        the rows were one table, ``run_jit`` answered ``[12, 15]`` here
+        where ``run_vectorized`` answered ``[10, 10]``.)"""
+        add_row, ((_, inc_row),) = primitive("add"), map_rows("inc")
+
+        def saturating(a, b):
+            return np.minimum(a + b, 10)
+
+        def inc2(x):
+            return x + 2
+
+        xs = [np.array([4, 5], dtype=np.int64) for _ in range(3)]
+        params = MachineParams(p=3, ts=10.0, tw=1.0, m=2)
+        plain = Program([MapStage(_inc, label="inc"), ScanStage(ADD)])
+        cases = [
+            (lambda: register_binop_kernel("add", saturating),
+             lambda: register_binop_kernel("add", add_row),
+             Program([ScanStage(BinOp("add", saturating, commutative=True))]),
+             "no-raw:add", [[4, 5], [8, 10], [10, 10]]),
+            (lambda: register_map_kernel("inc", inc2),
+             lambda: register_map_kernel("inc", inc_row),
+             Program([MapStage(inc2, label="inc"), ScanStage(ADD)]),
+             "no-tape:inc", [[6, 7], [12, 14], [18, 21]]),
+        ]
+        for register, restore, prog, why, want in cases:
+            register()
+            try:
+                assert [v.tolist() for v in prog.run(list(xs))] == want
+                for got in (run_vectorized(prog, list(xs), strict=True),
+                            run_jit(prog, list(xs), strict=True),
+                            simulate_program(prog, list(xs), params,
+                                             jit=True).values):
+                    _assert_bitwise(prog.run(list(xs)), got)
+                reset_stats()
+                low = engine_lower(prog, list(xs), params)
+                assert (low.rung, low.why) == ("checked", why)
+                assert dict(STATS.fallbacks) == {why: 1}
+            finally:
+                restore()
+            # the original row back under the name: every reading returns
+            assert engine_lower(plain, list(xs), params).rung == "fused"
+            assert STATS.fallbacks == {why: 1}
+        # ``inc`` is add∘1 on its tape and keeps a checked kernel of its
+        # own: with ``add`` re-pointed it declines rather than follow
+        only_inc = Program([MapStage(_inc, label="inc")])
+        register_binop_kernel("add", saturating)
+        try:
+            for got in (run_vectorized(only_inc, list(xs), strict=True),
+                        run_jit(only_inc, list(xs), strict=True)):
+                _assert_bitwise(only_inc.run(list(xs)), got)
+            low = engine_lower(only_inc, list(xs), params)
+            assert (low.rung, low.why) == ("checked", "no-interval:add")
+        finally:
+            register_binop_kernel("add", add_row)
 
     def test_clear_planner_caches_resets_jit_cache(self):
         # satellite regression: the JIT compile cache participates in

@@ -355,7 +355,7 @@ class TestMatchCache:
         params = MachineParams(p=8, ts=10.0, tw=1.0, m=16)
         first = optimize(prog, params)
         populated = len(opt_mod._MATCH_CACHE)
-        assert 0 < populated <= search_mod._MATCH_CACHE_MAX
+        assert 0 < populated <= search_mod._MATCH_CACHE.bound
         # window matches do not depend on the machine: a second run over
         # the same rewrite graph at other parameters adds no new entries
         second = optimize(prog, MachineParams(p=16, ts=5.0, tw=2.0, m=8))

@@ -180,7 +180,7 @@ class TestParseMemo:
         assert bad not in parser_mod._PARSE_MEMO
 
     def test_memo_is_bounded_first_in_first_out(self):
-        bound = parser_mod._PARSE_MEMO_MAX
+        bound = parser_mod._PARSE_MEMO.bound
         decls = [parse_program(_numbered(k)) for k in range(bound + 40)]
         assert len(parser_mod._PARSE_MEMO) == bound
         assert _numbered(0) not in parser_mod._PARSE_MEMO
@@ -190,7 +190,7 @@ class TestParseMemo:
         assert len(parser_mod._PARSE_MEMO) == bound
 
     def test_memo_stays_bounded_and_right_under_threads(self, monkeypatch):
-        monkeypatch.setattr(parser_mod, "_PARSE_MEMO_MAX", 5)
+        monkeypatch.setattr(parser_mod._PARSE_MEMO, "bound", 5)
         texts = [_numbered(k) for k in range(12)]
         expected = [parse_program(t) for t in texts]
         errors, sizes = [], []

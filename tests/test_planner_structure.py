@@ -100,13 +100,13 @@ def _check_expanded_nodes(program, params, rules) -> int:
 @pytest.mark.parametrize("memo", ["cold-then-warm", "squeezed"])
 def test_derived_sites_and_spliced_facts_equal_from_scratch(memo, monkeypatch):
     if memo == "squeezed":  # every search evicts: hits, misses and re-misses
-        monkeypatch.setattr(search_mod, "_MATCH_CACHE_MAX", 8)
+        monkeypatch.setattr(search_mod._MATCH_CACHE, "bound", 8)
     clear_match_cache()
     corpus = _structure_corpus()
     for _pass in range(2):  # the second pass answers from the memo
         expanded = sum(_check_expanded_nodes(*spec) for spec in corpus)
         assert expanded > 2 * len(corpus)  # children were expanded too
-        assert 0 < len(search_mod._MATCH_CACHE) <= search_mod._MATCH_CACHE_MAX
+        assert 0 < len(search_mod._MATCH_CACHE) <= search_mod._MATCH_CACHE.bound
     clear_match_cache()
 
 

@@ -350,7 +350,7 @@ def test_clear_planner_caches_empties_the_store():
 
 
 def test_the_store_is_bounded_first_in_first_out(monkeypatch):
-    monkeypatch.setattr(machine_run, "_SCHEDULES_MAX", 3)
+    monkeypatch.setattr(machine_run._SCHEDULES, "bound", 3)
     machines = [MachineParams(p=P, ts=float(k), tw=1.0, m=1) for k in range(5)]
     for params in machines:
         assert _served(SCANRED, [1, 2, 3, 4], params)[1] == "miss"
