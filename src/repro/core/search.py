@@ -23,12 +23,20 @@ depends on:
 * **a stage's cost** — computed once per search and stage, and summed
   left to right over the stage tuple exactly as
   :func:`~repro.core.cost.program_cost` does, so costs are bit-identical;
+* **a rewrite** — a function of the window and ``p``, kept once per
+  search and (rule, window stage objects): the first site that fires a
+  rule on a window hands :func:`~repro.core.rewrite.apply_match` that
+  window and nothing else, every later site over the same objects reuses
+  the inserted stage *objects* (siblings share them as they share the
+  untouched stages) with their tokens, renderings and costs;
 * **a program's children** — built once per node, in ``(rule order,
-  start)`` order, whichever policy asks first; site lists are derived
-  only for programs that are actually expanded.
+  start)`` order, whichever policy asks first, as stage tuples with
+  spliced facts: a :class:`~repro.core.stages.Program` and a trace are
+  derived for the nodes somebody reads them from, and site lists only
+  for programs that are actually expanded.
 
-Every check of the rewrite engine stays: :func:`~repro.core.rewrite.apply_match`
-re-runs ``rule.match`` and the safety test on every rewrite.
+Every check of the rewrite engine stays: the safety test and
+``rule.match`` run at every site, reused rewrite or not.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from repro.core.operators import op_signature
 from repro.core.rewrite import (
     Match,
     _lossy_site_is_safe,
-    _usable,
     apply_match,
     match_at,
 )
@@ -115,22 +122,42 @@ _MATCH_CACHE = BoundedStore(4096)
 class Node:
     """One program of the rewrite graph with its per-stage facts.
 
-    ``tokens`` is the canonical :func:`plan_signature`, ``renderings`` the
-    per-stage ``pretty()`` strings, ``costs`` the per-stage model costs
-    and ``cost`` their sum; ``steps`` derives the program from the root.
+    ``stages`` is the program's stage tuple, ``tokens`` the canonical
+    :func:`plan_signature`, ``renderings`` the per-stage ``pretty()``
+    strings, ``costs`` the per-stage model costs and ``cost`` their sum.
+    ``program`` and ``steps`` (the trace from the root) are derived from
+    ``origin`` when read.
     """
 
-    program: Program
+    stages: tuple[Stage, ...]
     tokens: tuple
     renderings: tuple
     costs: tuple
     cost: float
-    steps: tuple[RuleApplication, ...] = ()
-    #: the rewrite that made it: (parent, start, stages removed, inserted)
+    #: the rewrite that made it: (parent, start, window, inserted, rule)
     origin: tuple | None = None
     #: filled by Search.sites / Search.children on first use
     sites: list | None = None
     children: list | None = None
+    _program: Program | None = None
+
+    @property
+    def program(self) -> Program:
+        """The node as a :class:`Program`, built on first read."""
+        if self._program is None:
+            parent, start, window, inserted, _ = self.origin
+            self._program = parent.program.replaced(start, len(window),
+                                                    inserted)
+        return self._program
+
+    @property
+    def steps(self) -> tuple[RuleApplication, ...]:
+        """The rule applications that derive the node from the root."""
+        steps, node = [], self
+        while node.origin is not None:
+            node, start, window, inserted, rule = node.origin
+            steps.append(RuleApplication(rule, start, window, inserted))
+        return tuple(reversed(steps))
 
 
 class Search:
@@ -145,33 +172,48 @@ class Search:
             f"{type(r).__module__}.{type(r).__qualname__}:{r.name}"
             for r in self.rules)
         self._widths = sorted({rule.window for rule in self.rules})
-        self.root = self._node(program)
+        #: (rule position, ids of the window's stages) -> (window, *facts
+        #: of the inserted stages); the entry keeps the window alive, so
+        #: the ids stay its own for as long as the search does
+        self._rewrites: dict[tuple, tuple] = {}
+        tokens, renderings, costs = self._stage_facts(program.stages)
+        self.root = Node(program.stages, tokens, renderings, costs,
+                         sum(costs), _program=program)
 
-    def _node(self, program: Program, parent: Node | None = None,
-              step: RuleApplication | None = None) -> Node:
-        """The node of ``program``: the root, or ``parent`` rewritten by
-        ``step`` — whose per-stage facts are spliced as its stages were."""
-        inserted = program.stages if step is None else step.inserted
-        facts = [_facts(stage) for stage in inserted]
-        tokens = tuple(f[0] for f in facts)
-        renderings = tuple(f[1] for f in facts)
-        costs = tuple(stage_cost(stage, self.params) for stage in inserted)
-        if step is None:
-            return Node(program, tokens, renderings, costs, sum(costs))
-        start, end = step.start, step.start + len(step.removed)
-        costs = parent.costs[:start] + costs + parent.costs[end:]
-        return Node(program,
-                    parent.tokens[:start] + tokens + parent.tokens[end:],
-                    parent.renderings[:start] + renderings
-                    + parent.renderings[end:],
-                    costs, sum(costs), parent.steps + (step,),
-                    (parent, start, end - start, len(inserted)))
+    def _stage_facts(self, stages: tuple[Stage, ...]) -> tuple:
+        """``(tokens, renderings, costs)`` of ``stages``, stage by stage."""
+        facts = [_facts(stage) for stage in stages]
+        return (tuple(f[0] for f in facts), tuple(f[1] for f in facts),
+                tuple(stage_cost(stage, self.params) for stage in stages))
+
+    def _child(self, node: Node, i: int, start: int, safe: bool) -> Node:
+        """``node`` with rule ``i`` fired on the window at ``start``."""
+        rule = self.rules[i]
+        end = start + rule.window
+        window = node.stages[start:end]
+        key = (i, *map(id, window))
+        entry = self._rewrites.get(key)
+        if entry is None:
+            # the rewrite sees its window and p, nothing else
+            _, step = apply_match(Program(window), Match(rule, 0, safe),
+                                  p=self.params.p,
+                                  force_unsafe=self.allow_lossy)
+            entry = self._rewrites[key] = (
+                window, step.inserted, *self._stage_facts(step.inserted))
+        elif not rule.match(window):
+            raise ValueError(f"{rule.name} does not match at stage {start}")
+        _, inserted, tokens, renderings, costs = entry
+        costs = node.costs[:start] + costs + node.costs[end:]
+        return Node(node.stages[:start] + inserted + node.stages[end:],
+                    node.tokens[:start] + tokens + node.tokens[end:],
+                    node.renderings[:start] + renderings
+                    + node.renderings[end:],
+                    costs, sum(costs), (node, start, window, inserted, rule))
 
     def _scan(self, node: Node, first: int, stop: int) -> list[tuple]:
         """``(rule position, start, safe)`` of every match whose window
         starts before ``stop`` and ends at or after ``first``."""
-        rules, program = self.rules, node.program
-        stages, renderings = program.stages, node.renderings
+        rules, stages, renderings = self.rules, node.stages, node.renderings
         sites = []
         for width in self._widths:
             for start in range(max(0, first - width),
@@ -183,7 +225,7 @@ class Search:
                     found = tuple(
                         i for i, rule in enumerate(rules)
                         if rule.window == width
-                        and match_at(program, rule, start) is not None)
+                        and match_at(node.program, rule, start) is not None)
                     _MATCH_CACHE.put(key, found)
                 for i in found:
                     sites.append((i, start, not rules[i].lossy_nonroot
@@ -197,7 +239,8 @@ class Search:
             if node.origin is None:
                 sites = self._scan(node, 0, len(node.renderings))
             else:
-                parent, at, removed, inserted = node.origin
+                parent, at, window, new, _ = node.origin
+                removed, inserted = len(window), len(new)
                 sites = self._scan(node, at, at + inserted)
                 for i, start, safe in parent.sites:
                     if start + self.rules[i].window < at:
@@ -211,13 +254,7 @@ class Search:
     def children(self, node: Node) -> list[Node]:
         """One rewrite of ``node`` per usable site, in site order."""
         if node.children is None:
-            children = []
-            for i, start, safe in self.sites(node):
-                match = Match(self.rules[i], start, safe)
-                if _usable(match, self.allow_lossy):
-                    program, step = apply_match(
-                        node.program, match, p=self.params.p,
-                        force_unsafe=self.allow_lossy)
-                    children.append(self._node(program, node, step))
-            node.children = children
+            node.children = [self._child(node, i, start, safe)
+                             for i, start, safe in self.sites(node)
+                             if safe or self.allow_lossy]
         return node.children

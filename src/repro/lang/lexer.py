@@ -17,8 +17,7 @@ This lexer tokenizes exactly that surface (plus our extensions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 __all__ = ["Token", "LexError", "tokenize", "TOKEN_KINDS"]
 
@@ -40,8 +39,7 @@ _SINGLE = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

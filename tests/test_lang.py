@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
 import threading
+from dataclasses import dataclass
 
 import pytest
+
+import planner_corpus
 
 from repro.core.operators import ADD, MUL
 from repro.core.optimizer import optimize
@@ -21,6 +25,7 @@ from repro.lang import parser as parser_mod
 from repro.lang import (
     LexError,
     ParseError,
+    Token,
     parse_program,
     to_mpi_text,
     tokenize,
@@ -61,6 +66,116 @@ class TestLexer:
     def test_invalid_character(self):
         with pytest.raises(LexError, match="line 1"):
             tokenize("a @ b")
+
+
+@dataclass(frozen=True)
+class _OracleToken:
+    """The token class of the lexer before ``Token`` became a tuple."""
+
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+_ORACLE_SINGLE = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ";": "SEMI",
+                  ":": "COLON", "=": "EQUALS"}
+
+
+def _oracle_tokenize(source: str) -> list[_OracleToken]:
+    """That lexer's loop, kept as the reference for ``tokenize``."""
+    tokens: list[_OracleToken] = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "/":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        kind = _ORACLE_SINGLE.get(ch)
+        if kind:
+            tokens.append(_OracleToken(kind, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            tokens.append(_OracleToken("NAME", source[start:i], line, col))
+            col += i - start
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and source[i].isdigit():
+                i += 1
+            tokens.append(_OracleToken("NUMBER", source[start:i], line, col))
+            col += i - start
+            continue
+        raise LexError(f"line {line}, column {col}: unexpected character {ch!r}")
+    tokens.append(_OracleToken("EOF", "", line, col))
+    return tokens
+
+
+def _lexer_sources() -> list[str]:
+    rng = random.Random("lexer-differential")
+    texts = [planner_corpus.mpi_text(rng, f"lex{i}", rng.randint(1, 9))
+             for i in range(60)]
+    return texts + [
+        PAPER_SOURCE,
+        "",
+        "\ty\t=\tf ( x ) ;\n\t\tMPI_Bcast (y, 1);",
+        "Program P (x: input, y: output);\r\ny = f (x);\r\n",
+        "a = f (x); // trailing comment, no newline",
+        "// only a comment",
+        "é1 = f (_x9, 007);",
+        "1abc",
+        "a = f (x);\nb = g (a);\n  c = $ (b);\n",
+        "x = f (y) # z",
+        "a / b",
+    ]
+
+
+class TestLexerDifferential:
+    """``tokenize`` against the lexer it replaced: the same streams and
+    the same errors, positions included."""
+
+    @pytest.mark.parametrize("source", _lexer_sources())
+    def test_same_stream_or_same_error(self, source):
+        try:
+            want = _oracle_tokenize(source)
+        except LexError as exc:
+            with pytest.raises(LexError) as got:
+                tokenize(source)
+            assert str(got.value) == str(exc)
+            return
+        got = tokenize(source)
+        assert all(type(tok) is Token for tok in got)
+        assert ([(t.kind, t.text, t.line, t.column) for t in got]
+                == [(t.kind, t.text, t.line, t.column) for t in want])
+
+    def test_the_error_cases_are_errors(self):
+        with pytest.raises(LexError, match=r"line 3, column 7: .*'\$'"):
+            tokenize("a = f (x);\nb = g (a);\n  c = $ (b);\n")
+        assert [t.text for t in tokenize("1abc")[:-1]] == ["1", "abc"]
+        assert tokenize("") == [Token("EOF", "", 1, 1)]
+
+    def test_token_value_semantics(self):
+        tok = Token("NAME", "é1", 2, 5)
+        assert tok == Token(kind="NAME", text="é1", line=2, column=5)
+        assert tok != Token("NAME", "é1", 2, 6)
+        assert repr(tok) == "NAME('é1')@2:5"
+        assert Token._fields == ("kind", "text", "line", "column")
 
 
 class TestParser:

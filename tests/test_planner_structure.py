@@ -9,13 +9,22 @@
   scratch (same rules, starts, ``safe`` flags, order), and the spliced
   signature, renderings and cost equal the ones recomputed from the
   stages — with the window memo cold, warm, and squeezed to 8 entries.
+* **Window-local rewrites**: every child the core builds — from a fresh
+  rewrite or from one it kept — equals a fresh ``apply_match`` on its
+  materialised parent, stage for stage, fact for fact and step for step;
+  sites over the same window objects share the inserted stage objects;
+  ``rule.match`` runs for every child, ``rule.rewrite`` once per (rule,
+  window objects); a search builds fewer ``Program``s than children; and
+  a returned plan holds no node of the search that found it.
 * **Termination** under rules that grow programs, ``match_at`` and the
   replay errors that rest on it.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,18 +33,24 @@ import planner_corpus
 from test_planner_property import _specs
 
 from repro.core import search as search_mod
-from repro.core.cost import MachineParams, program_cost
-from repro.core.operators import ADD, EW_ADD, MUL
-from repro.core.optimizer import clear_match_cache, exhaustive_optimize
+from repro.core.cost import MachineParams, program_cost, stage_cost
+from repro.core.operators import ADD, EW_ADD, MAX, MUL
+from repro.core.optimizer import (
+    _result,
+    clear_match_cache,
+    exhaustive_optimize,
+    optimize,
+)
 from repro.core.planner import (
     PlanReplayError,
     beam_optimize,
     plan_signature,
     replay_trace,
+    trace_of,
 )
-from repro.core.rewrite import find_matches, match_at
-from repro.core.rules import FULL_RULES, rule_by_name
-from repro.core.search import Search
+from repro.core.rewrite import Match, apply_match, find_matches, match_at
+from repro.core.rules import ALL_RULES, FULL_RULES, RuleApplication, rule_by_name
+from repro.core.search import Node, Search
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
@@ -108,6 +123,192 @@ def test_derived_sites_and_spliced_facts_equal_from_scratch(memo, monkeypatch):
         assert expanded > 2 * len(corpus)  # children were expanded too
         assert 0 < len(search_mod._MATCH_CACHE) <= search_mod._MATCH_CACHE.bound
     clear_match_cache()
+
+
+# ---------------------------------------------------------------------------
+# Window-local rewrites
+# ---------------------------------------------------------------------------
+
+#: expansions checked per (program, machine, rule set) of the rewrite walk
+MAX_REWRITE_EXPANSIONS = 40
+
+
+def _shape(stages) -> list[tuple]:
+    """What two rewrites of one window agree on.  Stages compare their
+    callables by identity and a rule builds fresh closures on every
+    ``rewrite``, so the stages a second rewrite inserts are never ``==``
+    the first's: class, token, rendering and origin are."""
+    return [(type(s), s.token(), s.pretty(), s.origin) for s in stages]
+
+
+def _step_shapes(steps) -> list[tuple]:
+    return [(s.rule, s.start, _shape(s.removed), _shape(s.inserted))
+            for s in steps]
+
+
+def _same_objects(left, right) -> bool:
+    return len(left) == len(right) and all(
+        a is b for a, b in zip(left, right))
+
+
+def _check_child(search, node, child, site) -> None:
+    """``child`` against a fresh rewrite of ``node``'s program at ``site``."""
+    i, start, safe = site
+    rule, params = search.rules[i], search.params
+    end = start + rule.window
+    fresh, step = apply_match(node.program, Match(rule, start, safe),
+                              p=params.p)
+    program = child.program
+    assert program.name == node.program.name == search.root.program.name
+    assert _same_objects(program.stages, child.stages)
+    assert _shape(program.stages) == _shape(fresh.stages)
+    # everything outside the window is the parent's, object for object
+    tail = len(fresh.stages) - (len(node.stages) - end)
+    assert _same_objects(program.stages[:start], node.stages[:start])
+    assert _same_objects(program.stages[tail:], node.stages[end:])
+    assert child.tokens == plan_signature(fresh)
+    assert child.renderings == tuple(s.pretty() for s in fresh.stages)
+    assert child.costs == tuple(stage_cost(s, params) for s in fresh.stages)
+    cost = program_cost(fresh, params)
+    assert child.cost == cost and type(child.cost) is type(cost)
+    # the trace: the parent's, then this rewrite
+    inserted = program.stages[start:tail]
+    assert child.steps == node.steps + (
+        RuleApplication(rule, start, node.stages[start:end], inserted),)
+    last = child.steps[-1]
+    assert last.rule is step.rule and last.start == step.start
+    assert _same_objects(last.removed, step.removed)
+    assert _shape(last.inserted) == _shape(step.inserted)
+    replayed, steps = replay_trace(
+        search.root.program, trace_of(_result(search, child, 0)), p=params.p)
+    assert _shape(replayed.stages) == _shape(program.stages)
+    assert _step_shapes(steps) == _step_shapes(child.steps)
+
+
+def _walk_rewrites(program, params, rules) -> tuple[int, int]:
+    """Breadth-first over the rewrite graph, every child checked;
+    ``(children built, distinct (rule, window objects) among them)``."""
+    search = Search(program, params, rules)
+    queue, seen, expanded = [search.root], {search.root.tokens}, 0
+    inserted_by_window: dict[tuple, tuple] = {}
+    built = 0
+    while queue and expanded < MAX_REWRITE_EXPANSIONS:
+        node = queue.pop(0)
+        children = search.children(node)
+        expanded += 1
+        sites = [site for site in search.sites(node) if site[2]]
+        assert len(children) == len(sites)
+        for child, site in zip(children, sites):
+            _check_child(search, node, child, site)
+            parent, start, window, inserted, rule = child.origin
+            assert parent is node and rule is search.rules[site[0]]
+            key = (rule, *map(id, window))
+            first = inserted_by_window.setdefault(key, inserted)
+            assert _same_objects(first, inserted)  # one rewrite per window
+            built += 1
+            if child.tokens not in seen:
+                seen.add(child.tokens)
+                queue.append(child)
+    return built, len(inserted_by_window)
+
+
+def test_children_equal_a_fresh_rewrite_of_the_materialised_parent():
+    clear_match_cache()
+    built = distinct = 0
+    for program, _rules in planner_corpus.programs():
+        for params in planner_corpus.PRESETS:
+            for rules in (ALL_RULES, FULL_RULES):
+                b, d = _walk_rewrites(program, params, rules)
+                built, distinct = built + b, distinct + d
+    assert distinct < built  # kept rewrites were reused, and checked
+    clear_match_cache()
+
+
+#: nine stages, four disjoint rule windows: a wide graph whose orders of
+#: application converge, so most children are duplicates
+NINE = (ScanStage(MUL), ReduceStage(ADD), BcastStage(), ScanStage(ADD),
+        ScanStage(ADD), AllReduceStage(MAX), BcastStage(), ScanStage(MUL),
+        ScanStage(ADD))
+NINE_PARAMS = MachineParams(p=8, ts=5.0, tw=0.5, m=16)
+#: one beam search of it: 110 children from 12 distinct (rule, window
+#: objects); ``Program``s built: a window and its rewrite per distinct
+#: rewrite and the 4 of the returned plan's chain, plus, with the match
+#: memo cold, the 21 nodes ``match_at`` asked for their program
+NINE_CHILDREN, NINE_PROGRAMS_COLD, NINE_PROGRAMS_WARM = 110, 49, 28
+
+
+def _counting(monkeypatch, owner, name, key=lambda *args: None,
+              calls=None) -> list:
+    """Wrap ``owner.name`` to append ``key(*args)`` to ``calls`` (a new
+    list by default, returned) on every call."""
+    calls, original = [] if calls is None else calls, getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_every_check_runs_at_every_site_and_a_rewrite_once(monkeypatch):
+    clear_match_cache()
+    matched, rewritten = [], []  # (rule, ids of the window's stages)
+    for rule in FULL_RULES:
+        def key(stages, *_, rule=rule):
+            return (rule, *map(id, stages))
+        _counting(monkeypatch, rule, "match", key, matched)
+        _counting(monkeypatch, rule, "rewrite", key, rewritten)
+    search = Search(Program(NINE, name="nine"), NINE_PARAMS, FULL_RULES)
+    queue, seen, built = [search.root], {search.root.tokens}, []
+    while queue:
+        node = queue.pop(0)
+        before = len(matched)
+        children = search.children(node)
+        keys = [(child.origin[4], *map(id, child.origin[2]))
+                for child in children]
+        # a match per child, at least: match_at on a memo miss matches too
+        assert not Counter(keys) - Counter(matched[before:])
+        built += keys
+        for child in children:
+            if child.tokens not in seen:
+                seen.add(child.tokens)
+                queue.append(child)
+    assert len(rewritten) == len(set(rewritten))  # once per (rule, window)
+    assert set(rewritten) == set(built) and len(rewritten) < len(built)
+    clear_match_cache()
+
+
+def test_a_search_builds_fewer_programs_than_children(monkeypatch):
+    clear_match_cache()
+    program = Program(NINE, name="nine")
+    children = _counting(monkeypatch, Search, "_child")
+    programs = _counting(monkeypatch, Program, "__init__")
+    for built in (NINE_PROGRAMS_COLD, NINE_PROGRAMS_WARM):
+        del children[:], programs[:]
+        result = beam_optimize(program, NINE_PARAMS, FULL_RULES)
+        assert (len(children), len(programs)) == (NINE_CHILDREN, built)
+        assert len(result.derivation.steps) == 4
+    clear_match_cache()
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "beam", "exhaustive"])
+def test_a_returned_plan_holds_no_node_of_its_search(strategy):
+    def alive() -> int:
+        gc.collect()
+        return sum(isinstance(o, (Node, Search)) for o in gc.get_objects())
+
+    program = Program(NINE, name="nine")
+    before = alive()
+    result = optimize(program, NINE_PARAMS, FULL_RULES, strategy=strategy)
+    assert alive() == before  # the search and every node of it are gone
+    final, steps = result.derivation.final, result.derivation.steps
+    assert type(final) is Program and final.name == "nine"
+    assert type(steps) is tuple and steps
+    assert all(type(step) is RuleApplication for step in steps)
+    replayed, _ = replay_trace(program, trace_of(result), p=NINE_PARAMS.p)
+    assert _shape(replayed.stages) == _shape(final.stages)
+    assert program_cost(final, NINE_PARAMS) == result.cost_after
 
 
 def test_search_terminates_where_rules_grow_programs():
