@@ -15,8 +15,12 @@ import pytest
 
 from conftest import emit
 from repro.core.cost import MachineParams
-from repro.core.operators import ADD
-from repro.machine.collectives import allreduce_butterfly, allreduce_rabenseifner
+from repro.core.operators import ADD, EW_ADD
+from repro.machine.collectives import (
+    allgatherv_machine,
+    allreduce_butterfly,
+    reduce_scatter_machine,
+)
 from repro.machine.engine import run_spmd
 
 P = 16
@@ -24,12 +28,16 @@ TS, TW = 600.0, 2.0
 BLOCKS = [4, 16, 64, 256, 1024, 4096, 16384, 65536]
 
 
-def _run(fn, blocks, params):
-    def prog(ctx, x):
-        out = yield from fn(ctx, x, ADD)
-        return out
+def _butterfly(ctx, x):
+    out = yield from allreduce_butterfly(ctx, x, ADD)
+    return out
 
-    return run_spmd(prog, blocks, params)
+
+def _decomposed(ctx, x):
+    """The pair the planner reaches through Decompose-Allreduce."""
+    segment = yield from reduce_scatter_machine(ctx, x, EW_ADD)
+    out = yield from allgatherv_machine(ctx, segment)
+    return out
 
 
 def sweep():
@@ -37,10 +45,12 @@ def sweep():
     for m in BLOCKS:
         params = MachineParams(p=P, ts=TS, tw=TW, m=m)
         # semantic payloads stay small; the model's m drives the timing
-        t_bfly = _run(allreduce_butterfly, list(range(P)), params).time
-        t_rab = _run(allreduce_rabenseifner, [[r] * 8 for r in range(P)],
-                     params).time
-        rows.append((m, t_bfly, t_rab))
+        # (one element per rank, so every segment of the partition is
+        # 1/p of the block, as the closed form assumes)
+        t_bfly = run_spmd(_butterfly, list(range(P)), params).time
+        t_dec = run_spmd(_decomposed, [[r] * P for r in range(P)],
+                         params).time
+        rows.append((m, t_bfly, t_dec))
     return rows
 
 
@@ -48,18 +58,18 @@ def test_allreduce_crossover(benchmark):
     rows = benchmark(sweep)
     lines = [
         f"p = {P}, ts = {TS}, tw = {TW}",
-        f"{'m':>8} {'butterfly':>14} {'rabenseifner':>14} {'winner':>14}",
+        f"{'m':>8} {'butterfly':>14} {'decomposed':>14} {'winner':>14}",
     ]
     winners = []
     for m, t_b, t_r in rows:
-        winner = "butterfly" if t_b < t_r else "rabenseifner"
+        winner = "butterfly" if t_b < t_r else "decomposed"
         winners.append(winner)
         lines.append(f"{m:>8} {t_b:>14.0f} {t_r:>14.0f} {winner:>14}")
     emit("ablation_allreduce", lines)
 
-    # the crossover shape: butterfly first, rabenseifner eventually, and
-    # once rabenseifner wins it keeps winning (single crossover)
+    # the crossover shape: butterfly first, decomposed eventually, and
+    # once decomposed wins it keeps winning (single crossover)
     assert winners[0] == "butterfly"
-    assert winners[-1] == "rabenseifner"
+    assert winners[-1] == "decomposed"
     flips = sum(1 for a, b in zip(winners, winners[1:]) if a != b)
     assert flips == 1

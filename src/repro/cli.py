@@ -523,7 +523,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    from repro.testing import run_chaos, run_conformance
+    from repro.testing import run_chaos, run_chaos_recovery, run_conformance
 
     rules = FULL_RULES if args.extensions else ALL_RULES
     if args.recover and not args.chaos:
@@ -535,21 +535,12 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
             if eng not in engines:
                 engines.append(eng)
         with _GracefulStop() as stop:
-            if args.recover:
-                from repro.testing import run_chaos_recovery
-
-                chaos = run_chaos_recovery(seed=args.seed, iters=args.iters,
-                                           plans_per_case=args.plans,
-                                           max_failures=args.max_failures,
-                                           engines=engines,
-                                           should_stop=stop.stopped)
-            else:
-                chaos = run_chaos(seed=args.seed, iters=args.iters,
-                                  rules=rules,
-                                  plans_per_case=args.plans,
-                                  max_failures=args.max_failures,
-                                  engines=engines,
-                                  should_stop=stop.stopped)
+            deck = dict(seed=args.seed, iters=args.iters,
+                        plans_per_case=args.plans,
+                        max_failures=args.max_failures, engines=engines,
+                        should_stop=stop.stopped)
+            chaos = (run_chaos_recovery(**deck) if args.recover
+                     else run_chaos(rules=rules, **deck))
         print(chaos.describe())
         if chaos.aborted:
             return 130

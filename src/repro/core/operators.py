@@ -392,7 +392,7 @@ def elementwise_op(base: BinOp, array_fn: Callable[[Any, Any], Any] | None = Non
 
     ``elementwise_op(ADD)([1, 2], [10, 20]) == [11, 22]`` — the block
     shape the bandwidth-optimal collectives (``reduce_scatter``,
-    ``allgatherv``, Rabenseifner allreduce) operate on.  The lift is
+    ``allgatherv``, the decomposed allreduce) operate on.  The lift is
     *strict*: mismatched block lengths raise instead of silently
     truncating, because a dropped tail in a reduce_scatter segment is a
     wrong answer, not a shorter one.  The container type of the left

@@ -847,24 +847,6 @@ class Program:
             data = stage.apply(data)
         return data
 
-    def run_vectorized(self, xs: Sequence[Any]) -> list[Any]:
-        """Run with NumPy block kernels, falling back to :meth:`run` for
-        blocks or operators without an array lowering (identical results;
-        see :mod:`repro.kernels`)."""
-        from repro.kernels import run_vectorized
-
-        return run_vectorized(self, xs)
-
-    def run_jit(self, xs: Sequence[Any], *, params=None) -> list[Any]:
-        """Run through the JIT tier (fused plans compiled to single raw
-        ufunc kernels per segment), falling back to checked kernels or
-        :meth:`run` wherever needed — identical results, lower
-        wall-clock (see :mod:`repro.jit`).  ``params`` tunes local
-        chunk sizing only."""
-        from repro.jit import run_jit
-
-        return run_jit(self, xs, params=params)
-
     def then(self, other: "Program") -> "Program":
         """Sequential composition — how cross-program fusion points arise."""
         return Program(self.stages + other.stages, name=f"{self.name};{other.name}")

@@ -16,9 +16,8 @@ composed NumPy/ufunc callable per local segment:
 * chunk sizes come from the same :func:`core.cost.pipeline_chunk_count`
   model the communication layer uses.
 
-Entry points: :func:`run_jit` (the evaluator — also ``mode="jit"`` in
-``run_program``, ``Program.run_jit``, and the seventh oracle backend)
-and :func:`engine_lower` / :func:`run_engine_ladder` (how
+Entry points: :func:`run_jit` (the evaluator, and the seventh oracle
+backend) and :func:`engine_lower` / :func:`run_engine_ladder` (how
 ``simulate_program(..., jit=True)`` runs: fused kernels for the values
 plus a token run for the schedule, else the checked→raw kernel swap —
 simulated time is bit-identical to ``vectorize=True``; JIT changes

@@ -15,7 +15,7 @@ The JIT mirrors the vectorized tier's fallback discipline exactly
 
 ``JitUnsupported`` subclasses ``KernelUnsupported`` so every call site
 that already skips-not-fails on the vectorized tier (the oracle, the
-engines, ``run_program``) handles the JIT tier with no new except
+engines) handles the JIT tier with no new except
 clauses.
 """
 

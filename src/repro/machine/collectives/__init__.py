@@ -23,7 +23,6 @@ from repro.machine.collectives.gather import (
     gather_binomial,
     scatter_binomial,
 )
-from repro.machine.collectives.rabenseifner import allreduce_rabenseifner
 from repro.machine.collectives.vocabulary import (
     allgatherv_machine,
     reduce_scatter_machine,
@@ -47,7 +46,6 @@ __all__ = [
     "allgather_ring",
     "allgather_doubling",
     "alltoall_pairwise",
-    "allreduce_rabenseifner",
     "reduce_scatter_machine",
     "allgatherv_machine",
     "scatterv_binomial",

@@ -8,8 +8,7 @@ first-class collectives so the rewrite engine can pick them per machine:
   partition for commutative operators (``log p`` start-ups, volumes
   ``m/2 + m/4 + ... = m*(1 - 1/p)`` words and combines).  Non-power-of-two
   machines fold the ``r = p - 2^k`` excess ranks pairwise into a
-  power-of-two core first and unfold one segment afterwards — the same
-  rank-folding trick that lifts the Rabenseifner restriction.  Merely
+  power-of-two core first and unfold one segment afterwards.  Merely
   associative operators must combine in true rank order, which recursive
   halving cannot guarantee over an arbitrary partition, so they pay a
   rank-ordered binomial reduce plus :func:`scatterv_binomial` instead.
@@ -23,9 +22,9 @@ outputs to ``UNDEF`` while survivors keep the unchanged schedule, so the
 collectives terminate and the chaos oracle can check them bit-for-bit
 against the reference semantics.
 
-Message costs are volume-weighted exactly like the Rabenseifner kernel:
-a payload of ``e`` block elements charges ``e * m * width / n`` words,
-where ``n`` is the (full) block length and ``m`` the modelled block size.
+Message costs are volume-weighted: a payload of ``e`` block elements
+charges ``e * m * width / n`` words, where ``n`` is the (full) block
+length and ``m`` the modelled block size.
 """
 
 from __future__ import annotations

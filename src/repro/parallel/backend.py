@@ -43,7 +43,8 @@ rendezvous forensics.  The arena's **epoch** counter makes respawns
 safe: a straggler from a killed generation exits the moment a tick
 observes the bumped epoch, so it can never corrupt the next attempt.
 One fork generation — fresh lock/events, fault-cell seeding, fork,
-watchdog, tally merge, join — is :func:`_run_generation`, shared by the
+``spawn_hook``, start gate, watchdog, join, tally merge — is
+:func:`_run_generation`, shared by the
 plain run, the recovery supervisor's :class:`ProcessStageRunner` (which
 bumps the epoch per attempt) and the serving tier's
 :class:`ProcessJobRunner` (which pools arenas and batches jobs).
@@ -341,11 +342,12 @@ class _ProcessRendezvous(Rendezvous):
         return super().result(values, fstate)
 
     def describe_safely(self) -> str:
-        """Rendezvous forensics without requiring the lock to be free.
+        """Rendezvous forensics from inside a live generation (a child).
 
-        A killed child may have died holding the lock; a bounded acquire
+        A killed sibling may have died holding the lock; a bounded acquire
         attempt keeps the diagnosis lock-consistent when possible and
-        merely racy (never hanging) when not.
+        merely racy (never hanging) when not.  The parent never waits
+        here: it reads :meth:`describe` after :func:`_kill_all`.
         """
         got = self.lock.acquire(timeout=1.0)
         try:
@@ -458,6 +460,13 @@ def _child_main(rdv: _ProcessRendezvous, program, inputs, rank: int,
     from repro.mpi.threaded import ThreadedComm, _ThreadContext
 
     arena = rdv.arena
+    # start gate: park until the parent has run its spawn_hook and released
+    # this epoch.  A parked rank beats no heartbeat, touches no lock and
+    # publishes nothing, so one killed "at spawn" has provably done nothing.
+    while int(arena.go[0]) != epoch:
+        if int(arena.epoch[0]) != epoch:
+            os._exit(_EXIT_STALE)
+        time.sleep(1e-4)
 
     def tick() -> None:
         # liveness beat (watchdog food) + stale-epoch self-destruct: a
@@ -550,18 +559,15 @@ def _read_result(rdv: _ProcessRendezvous, rank: int, proc,
         # after death separates "exited having published everything"
         # from "died mid-stream".
         if dead_seen:
-            raise WorkerCrashError(
-                rank, proc.exitcode,
-                "died while streaming its result\n" + rdv.describe_safely())
+            raise WorkerCrashError(rank, proc.exitcode,
+                                   "died while streaming its result")
         dead_seen = True
 
     try:
         reader.run(tick=tick)
     except RingTimeout as exc:
-        raise WorkerHangError(
-            rank, SPIN_TIMEOUT,
-            f"result stream stalled ({exc})\n" + rdv.describe_safely(),
-        ) from exc
+        raise WorkerHangError(rank, SPIN_TIMEOUT,
+                              f"result stream stalled ({exc})") from exc
     return state, _payload.finish_destination(in_kind, dest_obj)
 
 
@@ -585,6 +591,9 @@ def _watch_ranks(rdv: _ProcessRendezvous, procs,
     On any incident every remaining child of the attempt is killed
     before the error propagates: recovery happens by respawning into a
     fresh arena epoch, never by surgical repair of a half-dead ring.
+    The forensics are read after the kill: with no child alive nobody
+    can hold, take or release the lock or move a cell, so the report is
+    consistent without the lock its victim may have died holding.
     """
     a = rdv.arena
     p = rdv.size
@@ -603,8 +612,7 @@ def _watch_ranks(rdv: _ProcessRendezvous, procs,
             # never be mistaken for a crash
             if a.result_state[rank] or proc.exitcode == _EXIT_CRASHED:
                 return
-            raise WorkerCrashError(rank, proc.exitcode,
-                                   rdv.describe_safely())
+            raise WorkerCrashError(rank, proc.exitcode)
         if a.result_state[rank]:
             return  # protocol done; only its result stream remains
         hb = int(a.hb[rank])
@@ -613,7 +621,7 @@ def _watch_ranks(rdv: _ProcessRendezvous, procs,
         if hb != last:
             hb_seen[rank] = (hb, now)
         elif not a.waiting[rank] and now - since > hb_timeout:
-            raise WorkerHangError(rank, now - since, rdv.describe_safely())
+            raise WorkerHangError(rank, now - since)
 
     def liveness_tick() -> None:
         for rank in range(p):
@@ -644,9 +652,14 @@ def _watch_ranks(rdv: _ProcessRendezvous, procs,
             else:
                 time.sleep(delay)
                 delay = min(delay * 2 or 1e-6, 1e-3)
-    except ProcessIncidentError:
+    except ProcessIncidentError as exc:
         _kill_all(procs)
-        raise
+        # the incident again, the report appended to its detail (the last
+        # constructor argument of every incident type)
+        cls, (*fields, detail) = exc.__reduce__()
+        report = rdv.describe()
+        raise cls(*fields, f"{detail}\n{report}" if detail else report) \
+            from exc
     return states, values
 
 
@@ -664,7 +677,9 @@ def _run_generation(arena: SharedArena, params: MachineParams, program,
                     initial_clocks: Sequence[float] | None = None,
                     deadline: float | None = None):
     """One fork generation in ``arena``'s current epoch: fork a child per
-    rank → ``spawn_hook`` → watchdog → join.
+    rank → ``spawn_hook`` → open the start gate → watchdog → join.
+    The forked ranks park on the arena's ``go`` cell until the hook has
+    returned: what it does to a child precedes that child's first action.
 
     Fresh lock and events every time (a SIGKILLed child may have died
     holding the old lock).  ``master``'s cursors and deaths seed the
@@ -704,24 +719,25 @@ def _run_generation(arena: SharedArena, params: MachineParams, program,
         proc.start()
     if timer is not None:
         timer.start()
-    if spawn_hook is not None:
-        spawn_hook(procs, {"epoch": epoch, **meta})
     try:
+        if spawn_hook is not None:
+            spawn_hook(procs, {"epoch": epoch, **meta})
+        arena.go[0] = epoch
         states, values = _watch_ranks(
             rdv, procs,
             hb_timeout if hb_timeout is not None else _hb_timeout_default())
+        for proc in procs:  # results drained: let the ranks exit cleanly
+            proc.join(timeout=5.0)
     except ProcessIncidentError as exc:
         if deadline_hit.is_set():
-            raise WorkerDeadlineError(budget, rdv.describe_safely()) from exc
+            raise WorkerDeadlineError(budget, rdv.describe()) from exc
         raise
     finally:
         if timer is not None:
             timer.cancel()
+        _kill_all(procs)  # parked, running or already gone
         if afs is not None:
             afs.merge_into(master)
-        for proc in procs:
-            proc.join(timeout=5.0)
-        _kill_all(procs)
     return rdv, states, values
 
 
@@ -752,8 +768,10 @@ def process_spmd_run(
     mapped back to ``UNDEF`` results, and a passed ``fault_state`` is
     mutated in place (deaths, cursors, tallies) exactly as the threaded
     engine would, even when the run raises.  ``spawn_hook(procs, meta)``
-    is called once the children are started — the chaos harness uses it
-    to SIGKILL real ranks mid-run.  ``hb_timeout`` bounds how long a
+    is called once the children are forked and before any of them runs
+    (they park on the arena's start gate until it returns) — the chaos
+    harness uses it to SIGKILL real ranks at spawn or, from a timer it
+    arms, mid-run.  ``hb_timeout`` bounds how long a
     runnable rank may go silent before the watchdog raises a typed
     :class:`~repro.parallel.errors.ProcessIncidentError`.
 

@@ -39,6 +39,10 @@ attempts the parent calls :meth:`SharedArena.reset_for_epoch`, which
 zeroes all control state and bumps the epoch; a straggler child from a
 killed generation notices the mismatch on its next tick and exits
 immediately, so a stale writer can never corrupt a respawned run.
+The **start gate** (``go``) holds the epoch the parent has released:
+forked ranks park until it equals theirs, which the parent arranges only
+after its ``spawn_hook`` returned.  It is never reset — an older epoch's
+value cannot equal a newer epoch.
 Shared fault-interpreter cells (message cursors, death records, tallies)
 live here too — see :mod:`repro.parallel.faultshare`.
 """
@@ -144,6 +148,7 @@ class SharedArena:
             ("domain_free", f64, max(n_domains, 1)),
             # -- liveness layer (parent watchdog) --------------------------
             ("epoch", i64, 1),       # arena generation; bumped per attempt
+            ("go", i64, 1),          # start gate: the epoch released to run
             ("hb", i64, p),          # per-rank heartbeat counters
             # -- shared fault-interpreter cells (see parallel/faultshare) --
             ("f_cursor", i64, (p, p)),       # per-directed-link msg index
@@ -181,6 +186,7 @@ class SharedArena:
         self.alive[:] = 1
         self.xfer_out[:] = -1
         self.xfer_in[:] = -1
+        self.go[0] = -1  # no epoch released yet (epochs count up from 0)
         self._fail_views = [
             np.frombuffer(buf, dtype=np.uint8, count=FAIL_BYTES,
                           offset=self._fail_off + r * FAIL_BYTES)

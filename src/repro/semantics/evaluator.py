@@ -39,36 +39,10 @@ class StageTrace:
         return "\n".join(lines)
 
 
-def run_program(program: Program, xs: Sequence[Any],
-                mode: str = "object") -> list[Any]:
-    """Run ``program`` on distributed list ``xs`` (reference semantics).
-
-    ``mode`` selects the execution substrate:
-
-    * ``"object"`` (default) — per-block Python evaluation, the paper's
-      specification semantics;
-    * ``"vectorized"`` — the NumPy block-kernel layer
-      (:func:`repro.kernels.run_vectorized`); raises
-      :class:`repro.kernels.KernelUnsupported` for domains without an
-      array representation;
-    * ``"auto"`` — vectorized when the program and inputs lower to
-      kernels, object mode otherwise (bit-for-bit identical results);
-    * ``"jit"`` — the whole-program JIT tier (:func:`repro.jit.run_jit`):
-      fused plans compiled to single raw-ufunc segment kernels, checked
-      or object fallback per step; raises
-      :class:`repro.kernels.KernelUnsupported` like ``"vectorized"``.
-    """
-    if mode == "object":
-        return program.run(xs)
-    if mode in ("vectorized", "auto"):
-        from repro.kernels import run_vectorized
-
-        return run_vectorized(program, xs, strict=(mode == "vectorized"))
-    if mode == "jit":
-        from repro.jit import run_jit
-
-        return run_jit(program, xs, strict=True)
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+def run_program(program: Program, xs: Sequence[Any]) -> list[Any]:
+    """Run ``program`` on distributed list ``xs`` (reference semantics:
+    per-block Python evaluation, the paper's specification)."""
+    return program.run(xs)
 
 
 def run_with_trace(program: Program, xs: Sequence[Any]) -> StageTrace:

@@ -30,6 +30,7 @@ Every failure carries the case seed and plan seed; replay with
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,16 +47,14 @@ from repro.semantics.functional import UNDEF, defined_equal
 from repro.testing.generator import (
     RULE_CASES,
     GeneratedProgram,
-    generate_from_case,
-    generate_random,
+    deal_cases,
+    derive_seed,
 )
 from repro.testing.soundness import sample_machine_params
 
 __all__ = ["ChaosFailure", "ChaosReport", "Outcome", "faulted_run",
            "recovered_run", "run_chaos", "run_chaos_recovery",
            "ServingChaosReport", "run_serving_chaos"]
-
-_CYCLE = len(RULE_CASES) + 1  # mirror the fault-free conformance deck
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,18 @@ class Outcome:
         return tuple(v is UNDEF for v in self.values)
 
 
+def _classified(run: Callable[[], Outcome]) -> Outcome:
+    """``run()``'s outcome, or the kind of error it raised: the type name
+    of a fault error or a deadlock, ``"untyped"`` for anything else."""
+    try:
+        return run()
+    except (FaultError, DeadlockError) as exc:
+        return Outcome(kind=type(exc).__name__, detail=str(exc))
+    except Exception as exc:  # noqa: BLE001 - the property under test
+        return Outcome(kind="untyped",
+                       detail=f"{type(exc).__name__}: {exc}")
+
+
 def faulted_run(engine: str, program, xs: Sequence[Any],
                 params: MachineParams, plan: FaultPlan) -> Outcome:
     """Run one engine under a plan, classifying the outcome.
@@ -91,17 +102,36 @@ def faulted_run(engine: str, program, xs: Sequence[Any],
     """
     # "jit" is a tier of the cooperative engine, not an engine
     how = {"jit": True} if engine == "jit" else {"engine": engine}
-    try:
+
+    def run() -> Outcome:
         res = simulate_program(program, list(xs), params, faults=plan, **how)
-    except FaultError as exc:
-        return Outcome(kind=type(exc).__name__, detail=str(exc))
-    except DeadlockError as exc:
-        return Outcome(kind="DeadlockError", detail=str(exc))
-    except Exception as exc:  # noqa: BLE001 - the property under test
-        return Outcome(kind="untyped",
-                       detail=f"{type(exc).__name__}: {exc}")
-    return Outcome(kind="ok", values=tuple(res.values),
-                   clocks=tuple(res.stats.clocks))
+        return Outcome(kind="ok", values=tuple(res.values),
+                       clocks=tuple(res.stats.clocks))
+
+    return _classified(run)
+
+
+def recovered_run(engine: str, program, xs: Sequence[Any],
+                  params: MachineParams, plan: FaultPlan,
+                  policy=None) -> Outcome:
+    """Run one engine under supervision, classifying the outcome.
+
+    Legal outcomes are exactly two: ``"ok"`` (recovered — values must
+    equal the fault-free reference) and ``"UnrecoverableError"`` (the
+    supervisor refused with a typed, policy-naming error).  A raw fault
+    error, a deadlock, or anything untyped escaping :func:`supervise`
+    is a contract violation the caller reports.
+    """
+    from repro.recovery import supervise
+
+    def run() -> Outcome:
+        res = supervise(program, list(xs), params, faults=plan,
+                        policy=policy, engine=engine)
+        return Outcome(kind="ok", values=tuple(res.values),
+                       clocks=(res.time,),
+                       detail=f"attempts={res.attempts} replays={res.replays}")
+
+    return _classified(run)
 
 
 @dataclass(frozen=True)
@@ -161,16 +191,23 @@ class ChaosReport:
             f"  completed         : {self.completed} "
             f"({self.degraded} degraded to UNDEF holes)",
         ]
-        for kind in sorted(self.error_kinds):
-            lines.append(f"  {kind:<18}: {self.error_kinds[kind]}")
-        if self.failures:
-            lines.append(f"  FAILURES: {len(self.failures)}")
-            for failure in self.failures:
-                lines.append("")
-                lines.append(failure.describe())
-        else:
-            lines.append("  all chaos checks passed")
-        return "\n".join(lines)
+        return _report(lines, self.error_kinds,
+                       [f.describe() for f in self.failures], "chaos")
+
+
+def _report(lines: list[str], error_kinds: Counter, failures: list[str],
+            what: str) -> str:
+    """A report's counters (``lines``) followed by its error kinds and
+    its failures, or the all-clear."""
+    lines += [f"  {kind:<18}: {error_kinds[kind]}"
+              for kind in sorted(error_kinds)]
+    if failures:
+        lines.append(f"  FAILURES: {len(failures)}")
+        for failure in failures:
+            lines += ["", failure]
+    else:
+        lines.append(f"  all {what} checks passed")
+    return "\n".join(lines)
 
 
 def _outcome_summary(label: str, outcome: Outcome) -> str:
@@ -183,45 +220,63 @@ DEFAULT_ENGINES = ("cooperative", "threaded")
 assert set(DEFAULT_ENGINES) <= set(ENGINES)
 
 
-def _engine_flags(engines: Sequence[str]) -> str:
-    """Replay flags for a non-default engine deck."""
-    if tuple(engines) == DEFAULT_ENGINES:
-        return ""
-    return "".join(f" --engine {e}" for e in engines if e != "cooperative")
+@dataclass(frozen=True)
+class _Deck:
+    """What one chaos deck asks of every (program, plan) run."""
+
+    #: ``runner(engine, program, xs, params, plan) -> Outcome``
+    runner: Callable[..., Outcome]
+    #: the outcome kinds a run may end in besides ``"ok"``; None admits
+    #: every typed error (anything but ``"untyped"``)
+    legal: tuple[str, ...] | None
+    #: engines must agree on the per-rank virtual clocks, not only on values
+    clocks_agree: bool
+    #: the rules whose planned form runs under the same plans and must
+    #: agree with the program as written; None: no cross-check
+    optimize_with: tuple[Rule, ...] | None
+    #: a completed run must keep the reference's UNDEF mask: supervision
+    #: masks faults completely, a bare faulted run may widen holes
+    exact: bool
+    #: kind and wording of a completed-but-wrong run: (failure kind, what
+    #: the engine did, the label of its values)
+    wrong: tuple[str, str, str]
 
 
-def _check_plan(gp: GeneratedProgram, label: str, xs: Sequence[Any],
-                params: MachineParams, plan: FaultPlan,
-                reference: tuple[Any, ...],
-                report: ChaosReport, record, i: int, k: int,
-                case_seed: int, plan_seed: int,
-                engines: Sequence[str] = DEFAULT_ENGINES) -> Outcome:
+def _check_plan(deck: _Deck, engines: Sequence[str], gp: GeneratedProgram,
+                label: str, xs: Sequence[Any], params: MachineParams,
+                plan: FaultPlan, reference: tuple[Any, ...],
+                report: ChaosReport, fail) -> Outcome:
     """Run one program under one plan on every engine in the deck;
     returns the first engine's outcome (for the LHS/RHS cross-check).
-    Agreement is checked pairwise against the first engine."""
-    outcomes = [(e, faulted_run(e, gp.program, xs, params, plan))
+    Agreement is checked pairwise against the first engine, and
+    ``fail(kind, detail)`` records a violation."""
+    outcomes = [(e, deck.runner(e, gp.program, xs, params, plan))
                 for e in engines]
     report.plan_runs += len(outcomes)
-    flags = _engine_flags(engines)
-    header = (f"program  : {label}: {gp.program.pretty()}\n"
+    header = (f"program  : {label}{gp.program.pretty()}\n"
               f"inputs   : {list(xs)}  (p={len(xs)})\n"
               f"plan     : {plan.describe()}")
+    want_mask = tuple(v is UNDEF for v in reference)
+    wrong_kind, wrong_verb, wrong_noun = deck.wrong
 
     for engine, outcome in outcomes:
         if outcome.ok:
             report.completed += 1
             if any(outcome.undef_mask):
                 report.degraded += 1
-        else:
-            report.error_kinds[outcome.kind] += 1
-        if outcome.kind == "untyped":
-            record(ChaosFailure(
-                kind="typed-errors", iteration=i, plan_index=k,
-                case_seed=case_seed, plan_seed=plan_seed,
-                base_seed=report.seed, flags=flags,
-                detail=f"{header}\n{engine} engine raised a non-fault "
-                       f"error: {outcome.detail}",
-            ))
+            if not (defined_equal(outcome.values, reference)
+                    and (not deck.exact or outcome.undef_mask == want_mask)):
+                fail(wrong_kind,
+                     f"{header}\n{engine} {wrong_verb}:\n"
+                     f"{wrong_noun:<9}: {list(outcome.values)}\n"
+                     f"reference: {list(reference)}")
+            continue
+        report.error_kinds[outcome.kind] += 1
+        if outcome.kind == "untyped" or (deck.legal is not None
+                                         and outcome.kind not in deck.legal):
+            fail("typed-errors",
+                 f"{header}\n{engine} ended in {outcome.kind}, which this "
+                 f"deck does not allow: {outcome.detail}")
 
     first_name, first = outcomes[0]
     for other_name, other in outcomes[1:]:
@@ -229,31 +284,86 @@ def _check_plan(gp: GeneratedProgram, label: str, xs: Sequence[Any],
         if agree and first.ok:
             agree = (first.undef_mask == other.undef_mask
                      and defined_equal(first.values, other.values)
-                     and first.clocks == other.clocks)
+                     and (not deck.clocks_agree
+                          or first.clocks == other.clocks))
         if not agree:
-            record(ChaosFailure(
-                kind="engine-agreement", iteration=i, plan_index=k,
-                case_seed=case_seed, plan_seed=plan_seed,
-                base_seed=report.seed, flags=flags,
-                detail=(f"{header}\n"
-                        f"{_outcome_summary(first_name, first)}\n"
-                        f"{_outcome_summary(other_name, other)}\n"
-                        f"clocks   : {first_name}={list(first.clocks)} "
-                        f"{other_name}={list(other.clocks)}"),
-            ))
-
-    for engine, outcome in outcomes:
-        if outcome.ok and not defined_equal(outcome.values, reference):
-            record(ChaosFailure(
-                kind="degradation", iteration=i, plan_index=k,
-                case_seed=case_seed, plan_seed=plan_seed,
-                base_seed=report.seed, flags=flags,
-                detail=(f"{header}\n"
-                        f"{engine} returned a defined-but-wrong block:\n"
-                        f"faulted  : {list(outcome.values)}\n"
-                        f"reference: {list(reference)}"),
-            ))
+            detail = (f"{header}\n"
+                      f"{_outcome_summary(first_name, first)}\n"
+                      f"{_outcome_summary(other_name, other)}")
+            if deck.clocks_agree:
+                detail += (f"\nclocks   : {first_name}={list(first.clocks)} "
+                           f"{other_name}={list(other.clocks)}")
+            fail("engine-agreement", detail)
     return first
+
+
+def _run_deck(deck: _Deck, report: ChaosReport, engines: Sequence[str],
+              machine_sizes: Sequence[int], max_failures: int,
+              should_stop: Callable[[], bool] | None) -> ChaosReport:
+    """Deal ``report.iters`` cases and put each through ``deck`` under
+    ``report.plans_per_case`` sampled plans on every engine.
+
+    Stops early after ``max_failures``; ``should_stop`` is polled
+    between cases (the CLI's SIGINT/SIGTERM seam): a true return marks
+    the report ``aborted`` and returns what was gathered so far.
+    """
+    engines = tuple(engines)
+    flags = " --recover" if report.recover else ""
+    if engines != DEFAULT_ENGINES:  # replay needs the non-default deck
+        flags += "".join(f" --engine {e}" for e in engines
+                         if e != "cooperative")
+    seen: set[tuple[str, str]] = set()
+
+    def record(at: tuple[int, int, int, int], kind: str, detail: str) -> None:
+        # the same violation often recurs across plans; report it once
+        if (kind, detail) not in seen:
+            seen.add((kind, detail))
+            report.failures.append(ChaosFailure(
+                kind, *at, report.seed, detail, flags))
+
+    sizes = [s for s in machine_sizes if s >= 2] or [2]
+    # the fault-free deck's rule templates (its planner traps plan, they
+    # do not communicate differently), then one random case
+    for i, case_seed, rng, gp, _template in deal_cases(
+            report.seed, report.iters, RULE_CASES):
+        if should_stop is not None and should_stop():
+            report.aborted = True
+            break
+        report.cases += 1
+        n = rng.choice(sizes)
+        params = sample_machine_params(rng).with_(p=n)
+        xs = gp.inputs(rng, n)
+
+        forms = [("" if deck.optimize_with is None else "original: ", gp)]
+        if deck.optimize_with is not None:
+            opt = optimize(gp.program, params, rules=deck.optimize_with)
+            if opt.derivation.steps:
+                forms.append(("optimized: ", gp.with_program(
+                    opt.program, f"optimized:{gp.note}")))
+        # fault-free references (the first also calibrates crash clocks
+        # and delays)
+        refs = [simulate_program(form.program, list(xs), params)
+                for _label, form in forms]
+
+        for k in range(report.plans_per_case):
+            plan_seed = case_seed * 7919 + k
+            fail = functools.partial(record, (i, k, case_seed, plan_seed))
+            plan = FaultPlan.sample(plan_seed, n, horizon=refs[0].time)
+            firsts = [_check_plan(deck, engines, form, label, xs, params,
+                                  plan, ref.values, report, fail)
+                      for (label, form), ref in zip(forms, refs)]
+            if len(firsts) == 2 and all(o.ok for o in firsts) \
+                    and not defined_equal(firsts[0].values, firsts[1].values):
+                fail("optimized",
+                     f"plan     : {plan.describe()}\n"
+                     f"original : {list(firsts[0].values)}\n"
+                     f"optimized: {list(firsts[1].values)}\n"
+                     f"LHS and RHS survived the same plan but "
+                     f"disagree on defined blocks")
+
+        if len(report.failures) >= max_failures:
+            break
+    return report
 
 
 def run_chaos(
@@ -271,79 +381,50 @@ def run_chaos(
     ``engines`` is the comparison deck: every plan runs on each engine
     and all outcomes must agree with the first (the reference).  Add
     ``"process"`` to stress real forked workers under the same plans.
-    ``should_stop`` is polled between cases (the CLI's SIGINT/SIGTERM
-    seam): a true return finishes the current case, marks the report
-    ``aborted`` and returns what was gathered so far.
+    ``should_stop`` is polled between cases (see :func:`_run_deck`).
     """
-    rules = tuple(rules)
-    engines = tuple(engines)
-    report = ChaosReport(seed=seed, iters=iters,
-                         plans_per_case=plans_per_case)
-    seen: set[tuple[str, str]] = set()
+    deck = _Deck(
+        runner=faulted_run, legal=None, clocks_agree=True,
+        optimize_with=tuple(rules), exact=False,
+        wrong=("degradation", "returned a defined-but-wrong block",
+               "faulted"))
+    return _run_deck(deck, ChaosReport(seed, iters, plans_per_case), engines,
+                     machine_sizes, max_failures, should_stop)
 
-    def record(failure: ChaosFailure) -> None:
-        key = (failure.kind, failure.detail)
-        if key not in seen:
-            seen.add(key)
-            report.failures.append(failure)
 
-    sizes = [s for s in machine_sizes if s >= 2] or [2]
-    for i in range(iters):
-        if should_stop is not None and should_stop():
-            report.aborted = True
-            break
-        case_seed = seed * 1_000_003 + i
-        rng = random.Random(case_seed)
-        slot = i % _CYCLE
-        if slot < len(RULE_CASES):
-            gp = generate_from_case(rng, RULE_CASES[slot])
-        else:
-            gp = generate_random(rng)
-        report.cases += 1
+def run_chaos_recovery(
+    seed: int = 0,
+    iters: int = 25,
+    plans_per_case: int = 4,
+    machine_sizes: Sequence[int] = (2, 3, 4, 5, 8),
+    max_failures: int = 5,
+    policy=None,
+    engines: Sequence[str] = DEFAULT_ENGINES,
+    should_stop: Callable[[], bool] | None = None,
+) -> ChaosReport:
+    """Chaos with the recovery runtime in the loop (``--chaos --recover``).
 
-        n = rng.choice(sizes)
-        params = sample_machine_params(rng).with_(p=n)
-        xs = gp.inputs(rng, n)
-
-        # fault-free reference (also calibrates crash clocks / delays)
-        ref = simulate_program(gp.program, list(xs), params)
-
-        opt = optimize(gp.program, params, rules=rules)
-        optimized = None
-        if opt.derivation.steps:
-            optimized = GeneratedProgram(
-                program=opt.program, domain=gp.domain,
-                functions=gp.functions, note=f"optimized:{gp.note}",
-            )
-            opt_ref = simulate_program(optimized.program, list(xs), params)
-
-        for k in range(plans_per_case):
-            plan_seed = case_seed * 7919 + k
-            plan = FaultPlan.sample(plan_seed, n, horizon=ref.time)
-            lhs = _check_plan(gp, "original", xs, params, plan, ref.values,
-                              report, record, i, k, case_seed, plan_seed,
-                              engines=engines)
-            if optimized is not None:
-                rhs = _check_plan(optimized, "optimized", xs, params, plan,
-                                  opt_ref.values, report, record, i, k,
-                                  case_seed, plan_seed, engines=engines)
-                if lhs.ok and rhs.ok and not defined_equal(lhs.values,
-                                                           rhs.values):
-                    record(ChaosFailure(
-                        kind="optimized", iteration=i, plan_index=k,
-                        case_seed=case_seed, plan_seed=plan_seed,
-                        base_seed=seed, flags=_engine_flags(engines),
-                        detail=(f"plan     : {plan.describe()}\n"
-                                f"original : {list(lhs.values)}\n"
-                                f"optimized: {list(rhs.values)}\n"
-                                f"LHS and RHS survived the same plan but "
-                                f"disagree on defined blocks"),
-                    ))
-
-        if len(report.failures) >= max_failures:
-            break
-
-    return report
+    Same deck of generated programs and sampled plans as :func:`run_chaos`,
+    but every faulted run goes through :func:`repro.recovery.supervise` on
+    both engines.  The headline invariant: a *survivable* plan produces
+    values ``defined_equal`` to the fault-free run (same ``UNDEF`` mask —
+    recovery masks faults completely, it never widens holes); an
+    unsurvivable plan ends in a typed ``UnrecoverableError`` naming the
+    exhausted policy.  Never a hang, never defined-but-wrong.  Both
+    engines must agree on the outcome kind and, when recovered, on every
+    block (virtual times and attempt counts may differ — the engines can
+    observe simultaneous faults in different orders).  ``engines`` is the
+    comparison deck (first entry is the reference); add ``"process"`` to
+    run supervision over real forked workers.
+    """
+    deck = _Deck(
+        runner=functools.partial(recovered_run, policy=policy),
+        legal=("UnrecoverableError",), clocks_agree=False,
+        optimize_with=None, exact=True,
+        wrong=("recovery", "recovered to wrong values", "recovered"))
+    return _run_deck(
+        deck, ChaosReport(seed, iters, plans_per_case, recover=True),
+        engines, machine_sizes, max_failures, should_stop)
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +467,8 @@ class ServingChaosReport:
             f"  retries observed  : {self.retries}",
             f"  demotions         : {self.demotions}",
         ]
-        for kind in sorted(self.error_kinds):
-            lines.append(f"  {kind:<18}: {self.error_kinds[kind]}")
-        if self.failures:
-            lines.append(f"  FAILURES: {len(self.failures)}")
-            for failure in self.failures:
-                lines.append("")
-                lines.append(failure)
-        else:
-            lines.append("  all serving chaos checks passed")
-        return "\n".join(lines)
+        return _report(lines, self.error_kinds, self.failures,
+                       "serving chaos")
 
 
 def run_serving_chaos(
@@ -464,7 +537,7 @@ def run_serving_chaos(
         if should_stop is not None and should_stop():
             report.aborted = True
             break
-        rng = random.Random(seed * 1_000_003 + run)
+        rng = random.Random(derive_seed(seed, run))
         p = rng.choice((2, 4))
         params = sample_machine_params(rng).with_(p=p)
         poison_run = rng.random() < poison_prob
@@ -599,162 +672,6 @@ def run_serving_chaos(
         with kill_lock:
             report.kills += kill_count[0]
         report.last_events = mgr.events.kinds()
-
-        if len(report.failures) >= max_failures:
-            break
-
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Chaos with recovery (--recover): supervised runs must recover or refuse
-# ---------------------------------------------------------------------------
-
-def recovered_run(engine: str, program, xs: Sequence[Any],
-                  params: MachineParams, plan: FaultPlan,
-                  policy=None) -> Outcome:
-    """Run one engine under supervision, classifying the outcome.
-
-    Legal outcomes are exactly two: ``"ok"`` (recovered — values must
-    equal the fault-free reference) and ``"UnrecoverableError"`` (the
-    supervisor refused with a typed, policy-naming error).  A raw fault
-    error, a deadlock, or anything untyped escaping :func:`supervise`
-    is a contract violation the caller reports.
-    """
-    from repro.recovery import UnrecoverableError, supervise
-
-    try:
-        res = supervise(program, list(xs), params, faults=plan,
-                        policy=policy, engine=engine)
-    except UnrecoverableError as exc:
-        return Outcome(kind="UnrecoverableError",
-                       detail=f"[{exc.policy}] {exc}")
-    except FaultError as exc:  # raw fault escaped the supervisor
-        return Outcome(kind=type(exc).__name__, detail=str(exc))
-    except DeadlockError as exc:
-        return Outcome(kind="DeadlockError", detail=str(exc))
-    except Exception as exc:  # noqa: BLE001 - the property under test
-        return Outcome(kind="untyped",
-                       detail=f"{type(exc).__name__}: {exc}")
-    return Outcome(kind="ok", values=tuple(res.values),
-                   clocks=(res.time,),
-                   detail=f"attempts={res.attempts} replays={res.replays}")
-
-
-def run_chaos_recovery(
-    seed: int = 0,
-    iters: int = 25,
-    plans_per_case: int = 4,
-    machine_sizes: Sequence[int] = (2, 3, 4, 5, 8),
-    max_failures: int = 5,
-    policy=None,
-    engines: Sequence[str] = DEFAULT_ENGINES,
-    should_stop: Callable[[], bool] | None = None,
-) -> ChaosReport:
-    """Chaos with the recovery runtime in the loop (``--chaos --recover``).
-
-    Same deck of generated programs and sampled plans as :func:`run_chaos`,
-    but every faulted run goes through :func:`repro.recovery.supervise` on
-    both engines.  The headline invariant: a *survivable* plan produces
-    values ``defined_equal`` to the fault-free run (same ``UNDEF`` mask —
-    recovery masks faults completely, it never widens holes); an
-    unsurvivable plan ends in a typed ``UnrecoverableError`` naming the
-    exhausted policy.  Never a hang, never defined-but-wrong.  Both
-    engines must agree on the outcome kind and, when recovered, on every
-    block (virtual times and attempt counts may differ — the engines can
-    observe simultaneous faults in different orders).  ``engines`` is the
-    comparison deck (first entry is the reference); add ``"process"`` to
-    run supervision over real forked workers.
-    """
-    engines = tuple(engines)
-    flags = " --recover" + _engine_flags(engines)
-    report = ChaosReport(seed=seed, iters=iters,
-                         plans_per_case=plans_per_case, recover=True)
-    seen: set[tuple[str, str]] = set()
-
-    def record(failure: ChaosFailure) -> None:
-        key = (failure.kind, failure.detail)
-        if key not in seen:
-            seen.add(key)
-            report.failures.append(failure)
-
-    sizes = [s for s in machine_sizes if s >= 2] or [2]
-    for i in range(iters):
-        if should_stop is not None and should_stop():
-            report.aborted = True
-            break
-        case_seed = seed * 1_000_003 + i
-        rng = random.Random(case_seed)
-        slot = i % _CYCLE
-        if slot < len(RULE_CASES):
-            gp = generate_from_case(rng, RULE_CASES[slot])
-        else:
-            gp = generate_random(rng)
-        report.cases += 1
-
-        n = rng.choice(sizes)
-        params = sample_machine_params(rng).with_(p=n)
-        xs = gp.inputs(rng, n)
-        ref = simulate_program(gp.program, list(xs), params)
-
-        for k in range(plans_per_case):
-            plan_seed = case_seed * 7919 + k
-            plan = FaultPlan.sample(plan_seed, n, horizon=ref.time)
-            header = (f"program  : {gp.program.pretty()}\n"
-                      f"inputs   : {list(xs)}  (p={n})\n"
-                      f"plan     : {plan.describe()}")
-
-            outcomes = [(e, recovered_run(e, gp.program, xs, params, plan,
-                                          policy=policy))
-                        for e in engines]
-            report.plan_runs += len(outcomes)
-
-            for engine, outcome in outcomes:
-                if outcome.ok:
-                    report.completed += 1
-                    if any(outcome.undef_mask):
-                        report.degraded += 1
-                else:
-                    report.error_kinds[outcome.kind] += 1
-                # contract: ok or UnrecoverableError, nothing else
-                if not outcome.ok and outcome.kind != "UnrecoverableError":
-                    record(ChaosFailure(
-                        kind="typed-errors", iteration=i, plan_index=k,
-                        case_seed=case_seed, plan_seed=plan_seed,
-                        base_seed=seed, flags=flags,
-                        detail=f"{header}\n{engine} supervision leaked "
-                               f"{outcome.kind}: {outcome.detail}",
-                    ))
-                # headline invariant: recovered == fault-free, exactly
-                if outcome.ok and not (
-                        outcome.undef_mask
-                        == tuple(v is UNDEF for v in ref.values)
-                        and defined_equal(outcome.values, ref.values)):
-                    record(ChaosFailure(
-                        kind="recovery", iteration=i, plan_index=k,
-                        case_seed=case_seed, plan_seed=plan_seed,
-                        base_seed=seed, flags=flags,
-                        detail=(f"{header}\n"
-                                f"{engine} recovered to wrong values:\n"
-                                f"recovered: {list(outcome.values)}\n"
-                                f"reference: {list(ref.values)}"),
-                    ))
-
-            first_name, first = outcomes[0]
-            for other_name, other in outcomes[1:]:
-                agree = first.kind == other.kind
-                if agree and first.ok:
-                    agree = (first.undef_mask == other.undef_mask
-                             and defined_equal(first.values, other.values))
-                if not agree:
-                    record(ChaosFailure(
-                        kind="engine-agreement", iteration=i, plan_index=k,
-                        case_seed=case_seed, plan_seed=plan_seed,
-                        base_seed=seed, flags=flags,
-                        detail=(f"{header}\n"
-                                f"{_outcome_summary(first_name, first)}\n"
-                                f"{_outcome_summary(other_name, other)}"),
-                    ))
 
         if len(report.failures) >= max_failures:
             break

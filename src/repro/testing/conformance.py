@@ -15,9 +15,10 @@ One *case* = one generated program put through the full gauntlet:
    implementations of the rule-introduced stages (balanced collectives,
    comcast, iter) face the same oracle.
 
-Cases cycle deterministically through :data:`repro.testing.generator.RULE_CASES`
-(one positive + one negative template per paper rule) interleaved with
-purely random programs, so ``--iters 15`` already covers every paper rule
+Cases come from :func:`repro.testing.generator.deal_cases`: a cycle through
+:data:`~repro.testing.generator.RULE_CASES` (one positive + one negative
+template per paper rule) and the planner traps, then one purely random
+program, so ``--iters 15`` already covers every paper rule
 both ways.  Everything derives from ``--seed``: case ``i`` of seed ``N``
 is reproducible with ``--seed N --iters i+1``.
 """
@@ -35,9 +36,8 @@ from repro.testing.generator import (
     PLANNER_CASES,
     RULE_CASES,
     GeneratedProgram,
-    generate_from_case,
-    generate_planner_case,
-    generate_random,
+    RuleCase,
+    deal_cases,
 )
 from repro.testing.planner import check_planner_agreement
 from repro.testing.oracle import (
@@ -64,9 +64,6 @@ PAPER_RULES: tuple[str, ...] = (
     "BSS2-Comcast",
     "BSS-Comcast",
 )
-
-# every rule template once, every planner trap once, then one random case
-_CYCLE = len(RULE_CASES) + len(PLANNER_CASES) + 1
 
 
 @dataclass(frozen=True)
@@ -192,18 +189,11 @@ def run_conformance(
             seen_failures.add(key)
             report.failures.append(failure)
 
-    for i in range(iters):
-        case_seed = seed * 1_000_003 + i
-        rng = random.Random(case_seed)
-        slot = i % _CYCLE
-        if slot < len(RULE_CASES):
-            case = RULE_CASES[slot]
-            gp = generate_from_case(rng, case)
+    # every rule template once, every planner trap once, then one random case
+    for i, case_seed, rng, gp, case in deal_cases(
+            seed, iters, RULE_CASES + PLANNER_CASES):
+        if isinstance(case, RuleCase):
             _check_template_coverage(gp, case, report, i, case_seed)
-        elif slot < len(RULE_CASES) + len(PLANNER_CASES):
-            gp = generate_planner_case(PLANNER_CASES[slot - len(RULE_CASES)])
-        else:
-            gp = generate_random(rng)
         report.cases += 1
 
         # -- differential oracle over every backend ------------------------
@@ -267,10 +257,7 @@ def _check_optimized_differential(gp, rng, rules, backends, report,
     result = optimize(gp.program, params, rules=rules)
     if not result.derivation.steps:
         return
-    optimized = GeneratedProgram(
-        program=result.program, domain=gp.domain,
-        functions=gp.functions, note=f"optimized:{gp.note}",
-    )
+    optimized = gp.with_program(result.program, f"optimized:{gp.note}")
     n = min(params.p, 8)
     xs = optimized.inputs(rng, n)
     report.backend_runs += len(backends)
@@ -289,17 +276,12 @@ def _shrink_mismatch(gp: GeneratedProgram, mismatch: BackendMismatch,
                      backends: Sequence[str]) -> BackendMismatch:
     """Minimize a differential counterexample, preserving the report shape."""
 
-    def still_fails(prog, xs):
-        candidate = GeneratedProgram(program=prog, domain=gp.domain,
-                                     functions=gp.functions, note=gp.note)
-        return differential_check(candidate, xs,
-                                  params.with_(p=max(len(xs), 1)),
-                                  backends) is not None
+    def check(prog, xs):
+        return differential_check(gp.with_program(prog), xs,
+                                  params.with_(p=max(len(xs), 1)), backends)
 
     small_prog, small_xs = shrink_counterexample(
-        gp.program, list(mismatch.inputs), still_fails)
-    candidate = GeneratedProgram(program=small_prog, domain=gp.domain,
-                                 functions=gp.functions, note=gp.note)
-    final = differential_check(candidate, small_xs,
-                               params.with_(p=max(len(small_xs), 1)), backends)
+        gp.program, list(mismatch.inputs),
+        lambda prog, xs: check(prog, xs) is not None)
+    final = check(small_prog, small_xs)
     return final if final is not None else mismatch

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.operators import (
@@ -70,6 +70,8 @@ __all__ = [
     "PLANNER_CASES",
     "RuleCase",
     "RULE_CASES",
+    "deal_cases",
+    "derive_seed",
     "generate_from_case",
     "generate_planner_case",
     "generate_random",
@@ -174,6 +176,13 @@ class GeneratedProgram:
     note: str = "random"
     #: the template window, when built from a RuleCase (for coverage checks)
     window: tuple[Stage, ...] = ()
+
+    def with_program(self, program: Program,
+                     note: str | None = None) -> "GeneratedProgram":
+        """The same domain and functions around another program — a
+        planned or a shrunk form of this one."""
+        return GeneratedProgram(program, self.domain, self.functions,
+                                note or self.note)
 
     def value_gen(self, rng: random.Random) -> Any:
         return self.domain.value_gen(rng)
@@ -417,3 +426,37 @@ def generate_from_case(rng: random.Random, case: RuleCase,
     return GeneratedProgram(program=program, domain=domain,
                             functions=_functions_of(domain),
                             note=case.describe(), window=tuple(window))
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """The seed of draw ``index`` under ``seed``.
+
+    Every deck, roulette and trial loop mixes its seeds this way, which
+    is what makes case ``i`` of ``--seed N`` replayable as ``--seed N
+    --iters i+1`` from any of them.
+    """
+    return seed * 1_000_003 + index
+
+
+def deal_cases(seed: int, iters: int,
+               templates: Sequence[RuleCase | PlannerCase]) -> Iterator[tuple]:
+    """The case deck the conformance and chaos harnesses all draw from.
+
+    Yields ``(i, case_seed, rng, program, template)`` for ``i < iters``:
+    every one of ``templates`` once, then one purely random program
+    (``template`` is None), cyclically.  ``rng`` is seeded with
+    ``case_seed`` and has already drawn the program; the caller draws
+    sizes, parameters and inputs from it next.
+    """
+    for i in range(iters):
+        case_seed = derive_seed(seed, i)
+        rng = random.Random(case_seed)
+        slot = i % (len(templates) + 1)
+        template = templates[slot] if slot < len(templates) else None
+        if template is None:
+            gp = generate_random(rng)
+        elif isinstance(template, RuleCase):
+            gp = generate_from_case(rng, template)
+        else:
+            gp = generate_planner_case(template)
+        yield i, case_seed, rng, gp, template

@@ -28,7 +28,7 @@ from repro.core.rewrite import apply_match, find_matches
 from repro.core.rules import ALL_RULES, Rule
 from repro.core.stages import Program
 from repro.semantics.functional import defined_equal
-from repro.testing.generator import GeneratedProgram
+from repro.testing.generator import GeneratedProgram, derive_seed
 from repro.testing.oracle import shrink_counterexample
 
 __all__ = [
@@ -139,7 +139,7 @@ def check_rule_soundness(
             rewritten, _ = apply_match(program, match, p=n)
             checked += 1
             for trial in range(trials):
-                trial_rng = random.Random(case_seed * 1_000_003 + n * 1_009 + trial)
+                trial_rng = random.Random(derive_seed(case_seed, n * 1_009 + trial))
                 xs = gp.inputs(trial_rng, n)
                 expected = program.run(list(xs))
                 actual = rewritten.run(list(xs))
@@ -222,7 +222,7 @@ def check_cost_monotonicity(
             ))
             continue
         for trial in range(trials):
-            trial_rng = random.Random(case_seed * 1_000_003 + params.p * 1_009 + trial)
+            trial_rng = random.Random(derive_seed(case_seed, params.p * 1_009 + trial))
             xs = gp.inputs(trial_rng, min(params.p, 8))
             expected = program.run(list(xs))
             actual = result.program.run(list(xs))

@@ -68,7 +68,6 @@ from repro.kernels.registry import (
     registry_version,
 )
 from repro.machine.run import simulate_program
-from repro.semantics.evaluator import run_program
 from repro.semantics.functional import UNDEF, defined_equal
 from repro.testing.chaos import run_chaos
 from repro.testing.generator import (
@@ -249,9 +248,11 @@ class TestFallbacks:
     def test_mode_jit_run_program_and_method(self):
         prog = _sr2_program()
         xs = _arrays(seed=7)
-        via_mode = run_program(prog, [a.copy() for a in xs], mode="jit")
-        via_method = prog.run_jit([a.copy() for a in xs])
-        _assert_bitwise(via_mode, via_method)
+        # the doors this test is named after forwarded to exactly these
+        # two calls; they are gone, the calls must still agree
+        strict = run_jit(prog, [a.copy() for a in xs], strict=True)
+        lenient = run_jit(prog, [a.copy() for a in xs])
+        _assert_bitwise(strict, lenient)
 
 
 class TestEngines:

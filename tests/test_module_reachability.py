@@ -1,0 +1,142 @@
+"""Every module under ``src/repro`` is reached from a front door, or listed.
+
+An ``ast`` walk of the import statements (module level and lazy, absolute
+and relative) starting at the package's front doors.  A module nothing
+reaches is either wired in, deleted, or entered in :data:`UNREACHED` with
+the reason it stays — the ``NO_TABLE1_FORM`` / ``JIT_UNCOMPILED``
+precedent: the exception is a table someone has to edit, not a silence.
+``DESIGN.md`` ("Unreached modules") carries the keep / move / delete
+decision for each entry.
+
+The second half holds what the same PR deleted as deleted: a duplicate
+path comes back most easily as an alias "for convenience".
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(repro.__file__).parent
+REPO = Path(__file__).parent.parent
+
+FRONT_DOORS = ("repro", "repro.__main__", "repro.cli", "repro.serving",
+               "repro.testing", "repro.apps")
+
+#: module -> why it may stay although no front door reaches it
+UNREACHED = {
+    "repro.core.bsp":
+        "BSPParams.as_machine(); tests/test_bsp_calibration.py only",
+    "repro.machine.topologies":
+        "ring / mesh / hypercube link costs; tests/test_topologies.py only",
+    "repro.machine.hierarchical":
+        "two-level collectives: examples/smp_cluster.py, one bench, four "
+        "test files (the strongest keep)",
+    "repro.semantics.homomorphisms":
+        "list-homomorphism view of the rules; tests/test_homomorphisms.py only",
+    "repro.semantics.equivalence":
+        "randomized equivalence helper of two test files; belongs in testing/",
+    "repro.analysis.calibration":
+        "(ts, tw) fit on the simulator; ROADMAP item 5 points it at the real "
+        "substrates or deletes it",
+    "repro.apps.vectorops":
+        "elementwise vector app; its own test and two wall-clock benches",
+}
+
+
+def _modules() -> dict[str, Path]:
+    found = {}
+    for path in ROOT.rglob("*.py"):
+        parts = ("repro",) + path.relative_to(ROOT).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        found[".".join(parts)] = path
+    return found
+
+
+def _imports(name: str, path: Path, modules: dict[str, Path]) -> set[str]:
+    """The ``repro`` modules ``name`` imports, packages on the way included."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            targets.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: climb level - 1 packages up
+                pkg = package.split(".")
+                base = ".".join(pkg[:len(pkg) - node.level + 1]
+                                + ([base] if base else []))
+            targets.add(base)
+            # ``from package import submodule``
+            targets.update(f"{base}.{alias.name}" for alias in node.names)
+    reached = set()
+    for target in targets:
+        parts = target.split(".")
+        for n in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:n])
+            if prefix in modules:
+                reached.add(prefix)
+    return reached
+
+
+@pytest.fixture(scope="module")
+def walk() -> tuple[set[str], dict[str, Path]]:
+    """(modules a front door reaches, every module under ``src/repro``)."""
+    modules = _modules()
+    seen: set[str] = set()
+    todo = list(FRONT_DOORS)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        todo.extend(_imports(name, modules[name], modules))
+    return seen, modules
+
+
+def test_every_module_is_reached_or_listed(walk):
+    seen, modules = walk
+    unlisted = sorted(set(modules) - seen - set(UNREACHED))
+    assert not unlisted, (
+        f"no front door imports {unlisted}: wire it in, delete it, or list "
+        f"it in UNREACHED with the reason it stays")
+
+
+def test_no_stale_entry(walk):
+    seen, modules = walk
+    gone = sorted(set(UNREACHED) - set(modules))
+    assert not gone, f"UNREACHED names modules that no longer exist: {gone}"
+    wired = sorted(set(UNREACHED) & seen)
+    assert not wired, f"UNREACHED names modules a front door now reaches: {wired}"
+
+
+# -- deleted surface stays deleted ---------------------------------------------
+
+def _sources_and_prose() -> list[Path]:
+    return [*sorted((REPO / "src").rglob("*.py")),
+            *sorted((REPO / "docs").glob("*.md")),
+            REPO / "README.md", REPO / "DESIGN.md"]
+
+
+@pytest.mark.parametrize("pattern", [
+    pytest.param(r"rabenseifner", id="second-halving-doubling-kernel"),
+    pytest.param(r"run_vectorized\(self", id="Program.run_vectorized"),
+    pytest.param(r"run_jit\(self", id="Program.run_jit"),
+    pytest.param(r"run_program\([^)]*mode=", id="run_program-mode"),
+])
+def test_deleted_doors_stay_deleted(pattern):
+    hits = [str(path.relative_to(REPO)) for path in _sources_and_prose()
+            if re.search(pattern, path.read_text())]
+    assert not hits, f"/{pattern}/ is back in {hits}"
+
+
+def test_every_deck_mixes_its_seeds_in_one_place():
+    hits = [path.name for path in sorted((ROOT / "testing").glob("*.py"))
+            for _ in re.findall("1_000_003", path.read_text())]
+    assert hits == ["generator.py"], hits

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost import MachineParams, pipeline_chunk_count
-from repro.core.operators import ADD, BinOp, CONCAT, MUL
+from repro.core.operators import ADD, BinOp, CONCAT, EW_ADD, MUL
 from repro.machine.engine import DeadlockError
 from repro.machine.hierarchical import TwoLevelParams
 from repro.machine.run import simulate_program
@@ -363,5 +363,67 @@ class TestArenaAndChunks:
                 if not reader.done and reader.ready():
                     reader.step()
             assert np.array_equal(src, dest)
+        finally:
+            arena.close()
+
+
+@needs_processes
+class TestStartGate:
+    """Forked ranks park until ``spawn_hook`` has returned, so what a
+    hook does to a child happens before that child has done anything."""
+
+    P = 4
+    BLOCKS = [[1, 2, 3, 4]] * 4
+
+    @staticmethod
+    def scan(comm, x):
+        return comm.scan(x, op=EW_ADD)
+
+    def generation(self, arena, hook):
+        from repro.parallel.backend import _run_generation
+
+        return _run_generation(arena, PARAMS4, self.scan, self.BLOCKS,
+                               None, hook, {})
+
+    def test_no_rank_moves_before_the_hook_returns(self):
+        import time
+
+        arena = SharedArena(self.P)
+        seen = []
+
+        def hook(procs, meta):
+            # a p = 4 scan of a 4-element block is over in far less
+            time.sleep(0.05)
+            seen.append((arena.hb[:].tolist(),
+                         arena.result_state[:].tolist()))
+
+        try:
+            _rdv, states, values = self.generation(arena, hook)
+        finally:
+            arena.close()
+        assert seen == [([0] * self.P, [0] * self.P)]
+        assert states == [1] * self.P
+        assert values[-1] == [4, 8, 12, 16]
+
+    def test_parked_ranks_of_a_stale_epoch_leave_without_a_trace(self):
+        from repro.parallel.backend import _EXIT_STALE
+        from repro.parallel.errors import WorkerCrashError
+
+        arena = SharedArena(self.P)
+        exits = []
+
+        def hook(procs, meta):
+            arena.epoch[0] += 1
+            for proc in procs:
+                proc.join(timeout=10.0)
+            exits.extend(proc.exitcode for proc in procs)
+
+        try:
+            with pytest.raises(WorkerCrashError) as caught:
+                self.generation(arena, hook)
+            assert exits == [_EXIT_STALE] * self.P
+            assert caught.value.exitcode == _EXIT_STALE
+            assert not arena.hb.any() and not arena.result_state.any()
+            assert not arena.waiting.any()
         finally:
             arena.close()

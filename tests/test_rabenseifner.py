@@ -1,4 +1,11 @@
-"""Rabenseifner (reduce-scatter + allgather) allreduce tests."""
+"""Rabenseifner (reduce-scatter + allgather) allreduce tests.
+
+The allreduce under test is the pair the planner reaches through
+Decompose-Allreduce — ``reduce_scatter_machine`` then
+``allgatherv_machine`` over ``elementwise_op(op)`` — which is what every
+case here ran against once the hand-written second copy of that schedule
+(``machine/collectives/rabenseifner.py``) was deleted.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +13,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cost import MachineParams
-from repro.core.operators import ADD, CONCAT, MATMUL2
-from repro.machine.collectives import allreduce_butterfly, allreduce_rabenseifner
+from repro.core.operators import ADD, CONCAT, MATMUL2, elementwise_op
+from repro.machine.collectives import (
+    allgatherv_machine,
+    allreduce_butterfly,
+    reduce_scatter_machine,
+)
 from repro.machine.engine import run_spmd
 
 PARAMS = MachineParams(p=8, ts=100.0, tw=2.0, m=8)
+
+
+def allreduce_rabenseifner(ctx, block, op):
+    """``reduce_scatter ; allgatherv`` of an m-element block under the
+    elementwise lift of ``op``, default (balanced) partition."""
+    segment = yield from reduce_scatter_machine(ctx, block, elementwise_op(op))
+    out = yield from allgatherv_machine(ctx, segment, width=op.width)
+    return out
 
 
 def run(fn, blocks, op, params=PARAMS):
@@ -61,8 +80,8 @@ class TestSemantics:
 
     @pytest.mark.parametrize("p", [3, 5, 6, 7, 12])
     def test_non_power_of_two_folds(self, p):
-        # the former ValueError restriction is lifted: excess ranks fold
-        # pairwise into a power-of-two core and unfold afterwards
+        # excess ranks fold pairwise into a power-of-two core and unfold
+        # afterwards; the allgatherv half runs its segment ring
         n = 6
         blocks = [[(r * 13 + j) % 11 for j in range(n)] for r in range(p)]
         res = run(allreduce_rabenseifner, blocks, ADD,
