@@ -37,9 +37,9 @@ def sweep() -> list[tuple[float, float, float]]:
 
 
 def _sr2_only():
-    from repro.core.rules import SR2Reduction
+    from repro.core.rules import SR2_REDUCTION
 
-    return [SR2Reduction()]
+    return [SR2_REDUCTION]
 
 
 def test_fig3_sr2_on_example(benchmark):

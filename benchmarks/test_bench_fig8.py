@@ -9,22 +9,24 @@ in m — exactly what the MPICH measurements in the paper show.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import emit, emit_json
 from repro.core.cost import MachineParams
-from repro.core.operators import ADD
-from repro.core.rules.comcast import BSComcast
-from repro.core.stages import BcastStage, Program, ScanStage
+from repro.core.rules.comcast import BS_COMCAST
+from repro.core.stages import Program
 from repro.machine import simulate_program
 
 P = 64
 BLOCKS = [1000, 5000, 10_000, 15_000, 20_000, 25_000, 30_000, 35_000]
 TS, TW = 600.0, 2.0
 
-LHS = Program([BcastStage(), ScanStage(ADD)], name="bcast;scan")
-REPEAT = Program(BSComcast(impl="repeat").rewrite(LHS.stages), name="bcast;repeat")
-DOUBLING = Program(BSComcast(impl="doubling").rewrite(LHS.stages), name="comcast")
+LHS = Program(BS_COMCAST.exemplar, name="bcast;scan")
+(_COMCAST,) = BS_COMCAST.rewrite(LHS.stages)
+REPEAT = Program([_COMCAST], name="bcast;repeat")
+DOUBLING = Program([replace(_COMCAST, impl="doubling")], name="comcast")
 
 
 def sweep() -> list[tuple[int, float, float, float]]:

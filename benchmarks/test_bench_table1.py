@@ -18,33 +18,12 @@ import pytest
 
 from conftest import emit
 from repro.core.cost import MachineParams, program_cost
-from repro.core.operators import ADD, MUL
 from repro.core.rewrite import apply_match, find_matches
 from repro.core.rules import rule_by_name
-from repro.core.stages import (
-    AllReduceStage,
-    BcastStage,
-    Program,
-    ReduceStage,
-    ScanStage,
-)
+from repro.core.stages import Program
 from repro.machine import simulate_program
 
 PARAMS = MachineParams(p=16, ts=600.0, tw=2.0, m=128)
-
-RULE_LHS = {
-    "SR2-Reduction": Program([ScanStage(MUL), ReduceStage(ADD)]),
-    "SR-Reduction": Program([ScanStage(ADD), ReduceStage(ADD)]),
-    "SS2-Scan": Program([ScanStage(MUL), ScanStage(ADD)]),
-    "SS-Scan": Program([ScanStage(ADD), ScanStage(ADD)]),
-    "BS-Comcast": Program([BcastStage(), ScanStage(ADD)]),
-    "BSS2-Comcast": Program([BcastStage(), ScanStage(MUL), ScanStage(ADD)]),
-    "BSS-Comcast": Program([BcastStage(), ScanStage(ADD), ScanStage(ADD)]),
-    "BR-Local": Program([BcastStage(), ReduceStage(ADD)]),
-    "BSR2-Local": Program([BcastStage(), ScanStage(MUL), ReduceStage(ADD)]),
-    "BSR-Local": Program([BcastStage(), ScanStage(ADD), ReduceStage(ADD)]),
-    "CR-Alllocal": Program([BcastStage(), AllReduceStage(ADD)]),
-}
 
 ORDER = [
     "SR2-Reduction", "SR-Reduction", "SS2-Scan", "SS-Scan", "BS-Comcast",
@@ -58,7 +37,7 @@ def measure_all() -> list[tuple[str, float, float, float, float, bool, bool]]:
     xs = [2] * PARAMS.p
     for name in ORDER:
         rule = rule_by_name(name)
-        lhs = RULE_LHS[name]
+        lhs = Program(rule.exemplar)
         (match,) = [m for m in find_matches(lhs, p=PARAMS.p) if m.rule.name == name]
         rhs, _ = apply_match(lhs, match, p=PARAMS.p, force_unsafe=True)
         pred_before = rule.before_formula().evaluate(PARAMS)

@@ -27,7 +27,9 @@ def ts_threshold(rule: Rule, tw: float, m: int) -> float:
     """Start-up time above which ``rule`` strictly improves performance.
 
     Returns 0.0 if the rule improves for every ts (Table 1's "always"),
-    ``inf`` if it never improves at these ``tw``/``m``.
+    ``inf`` if it never improves at these ``tw``/``m``.  A rule without
+    Table-1 columns (the bandwidth rows) raises
+    :class:`~repro.core.rules.NoTable1Form`: its crossover depends on ``p``.
     """
     margin = rule.improvement_margin()
     a = float(margin.a)
@@ -46,7 +48,8 @@ def m_threshold(rule: Rule, ts: float, tw: float) -> float:
     """Block size below which ``rule`` strictly improves performance.
 
     Returns ``inf`` when the rule wins for every block size and 0.0 when
-    it never wins.
+    it never wins; raises like :func:`ts_threshold` for a rule without
+    Table-1 columns.
     """
     margin = rule.improvement_margin()
     a_ts = float(margin.a) * ts

@@ -14,39 +14,24 @@ import math
 from repro.analysis.regions import improving_rules, ts_threshold
 from repro.core.cost import MachineParams
 from repro.core.rules import ALL_RULES, Rule
+from repro.core.rules.base import FOLD
 
 __all__ = ["rule_catalogue", "machine_advice"]
 
-#: LHS → RHS schemata, verbatim from the paper's rule boxes.
-_SCHEMATA = {
-    "SR2-Reduction": ("scan (⊗) ; [all]reduce (⊕)",
-                      "map pair ; [all]reduce (op_sr2) ; map π1"),
-    "SR-Reduction": ("scan (⊕) ; [all]reduce (⊕)",
-                     "map pair ; [all]reduce_balanced (op_sr) ; map π1"),
-    "SS2-Scan": ("scan (⊗) ; scan (⊕)",
-                 "map pair ; scan (op_sr2) ; map π1"),
-    "SS-Scan": ("scan (⊕) ; scan (⊕)",
-                "map quadruple ; scan_balanced (op_ss) ; map π1"),
-    "BS-Comcast": ("bcast ; scan (⊕)", "bcast ; map# op_comp"),
-    "BSS2-Comcast": ("bcast ; scan (⊗) ; scan (⊕)", "bcast ; map# op_comp"),
-    "BSS-Comcast": ("bcast ; scan (⊕) ; scan (⊕)", "bcast ; map# op_comp"),
-    "BR-Local": ("bcast ; reduce (⊕)", "iter (op_br)"),
-    "BSR2-Local": ("bcast ; scan (⊗) ; reduce (⊕)",
-                   "map pair ; iter (op_bsr2) ; map π1"),
-    "BSR-Local": ("bcast ; scan (⊕) ; reduce (⊕)",
-                  "map pair ; iter (op_bsr) ; map π1"),
-    "CR-Alllocal": ("bcast ; allreduce (⊕)", "iter (op_br) ; bcast"),
-    # extension rules (beyond the paper)
-    "RB-Allreduce": ("reduce (⊕) ; bcast", "allreduce (⊕)"),
-    "AB-Allreduce": ("allreduce (⊕) ; bcast", "allreduce (⊕)"),
-    "SB-Bcast": ("scan (⊕) ; bcast", "bcast"),
-    "BB-Bcast": ("bcast ; bcast", "bcast"),
-    # bandwidth vocabulary (allreduce ⇄ reduce_scatter ; allgatherv)
-    "Decompose-Allreduce": ("allreduce (⊕ew)",
-                            "reduce_scatter (⊕ew) ; allgatherv"),
-    "Compose-Allreduce": ("reduce_scatter (⊕ew) ; allgatherv",
-                          "allreduce (⊕ew)"),
-}
+#: how the rule boxes write the unit operators of a rule's exemplar
+_SYMBOLS = {"mul": "⊗", "add": "⊕", "ew[add]": "⊕ew"}
+
+
+def _lhs_text(rule: Rule) -> str:
+    """The left-hand side in the rule boxes' notation, from the row's
+    ``lhs`` and its exemplar."""
+    parts = []
+    for classes, stage in zip(rule.lhs, rule.exemplar):
+        text = stage.pretty()
+        if hasattr(stage, "op"):
+            text = text.replace(stage.op.name, _SYMBOLS[stage.op.name])
+        parts.append("[all]" + text if classes == FOLD else text)
+    return " ; ".join(parts)
 
 
 def rule_catalogue(include_extensions: bool = True) -> str:
@@ -58,16 +43,19 @@ def rule_catalogue(include_extensions: bool = True) -> str:
     if include_extensions:
         blocks.append("== The paper's catalogue, then extensions ==")
     for rule in rules:
-        lhs, rhs = _SCHEMATA[rule.name]
+        if rule.exact is None:
+            cost = (f"{rule.before_formula().pretty()}  ->  "
+                    f"{rule.after_formula().pretty()}   (x log p)")
+        else:
+            cost = "exact closed forms"
         blocks.append(
             "\n".join(
                 [
                     rule.name,
-                    f"    {lhs}",
+                    f"    {_lhs_text(rule)}",
                     f"      --{{ {rule.condition_text} }}-->",
-                    f"    {rhs}",
-                    f"    cost: {rule.before_formula().pretty()}  ->  "
-                    f"{rule.after_formula().pretty()}   (x log p)",
+                    f"    {rule.rhs_text}",
+                    f"    cost: {cost}",
                     f"    improves: {rule.improvement_text}"
                     + ("   [destroys non-root blocks]" if rule.lossy_nonroot else "")
                     + ("   [p must be a power of two; general-p extension available]"

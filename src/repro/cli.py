@@ -395,14 +395,16 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.core.operators import ADD as _ADD
-    from repro.core.rules.comcast import BSComcast
-    from repro.core.stages import BcastStage, Program, ScanStage
+    from dataclasses import replace
+
+    from repro.core.rules import BS_COMCAST
+    from repro.core.stages import Program
     from repro.machine import simulate_program
 
-    lhs = Program([BcastStage(), ScanStage(_ADD)])
-    repeat = Program(BSComcast(impl="repeat").rewrite(lhs.stages))
-    doubling = Program(BSComcast(impl="doubling").rewrite(lhs.stages))
+    lhs = Program(BS_COMCAST.exemplar)
+    (comcast,) = BS_COMCAST.rewrite(lhs.stages)
+    repeat = Program([comcast])
+    doubling = Program([replace(comcast, impl="doubling")])
 
     procs = [2, 4, 8, 16, 32, 64]
     series7: dict[str, list[float]] = {"bcast;scan": [], "comcast": [],
@@ -502,10 +504,10 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
         return 1
     if not args.no_optimize:
         # only rules whose targets plain MPI can express
-        from repro.core.rules import BSComcast, SR2Reduction, SS2Scan
+        from repro.core.rules import BS_COMCAST, SR2_REDUCTION, SS2_SCAN
         from repro.core.rules.extensions import EXTENSION_RULES
 
-        rules = (SR2Reduction(), SS2Scan(), BSComcast()) + EXTENSION_RULES
+        rules = (SR2_REDUCTION, SS2_SCAN, BS_COMCAST) + EXTENSION_RULES
         result = optimize(program, _machine(args), rules=rules)
         program = result.program
     try:

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.rules import ALL_RULES, Rule, RuleApplication
-from repro.core.stages import BcastStage, Program, Stage
+from repro.core.stages import (
+    BcastStage,
+    Map2Stage,
+    MapIndexedStage,
+    MapStage,
+    Program,
+    Stage,
+    _LocalMap,
+)
 
 __all__ = ["Match", "match_at", "find_matches", "apply_match", "Derivation",
            "fuse_local_stages"]
@@ -162,61 +170,26 @@ def _fused_origin(first: Stage, second: Stage) -> str:
 
 def _fuse_pair(first: Stage, second: Stage) -> Stage | None:
     """Fuse two adjacent local stages into one, or None if not fusible."""
-    from repro.core.stages import Map2Stage, MapIndexedStage, MapStage
-
-    map_like = (MapStage, MapIndexedStage, Map2Stage)
-    if not (isinstance(first, map_like) and isinstance(second, map_like)):
+    if not (isinstance(first, _LocalMap) and isinstance(second, _LocalMap)):
         return None  # e.g. IterStage is local but not a fusible map
-    label = f"{first.label};{second.label}"
-    ops = first.ops_per_element + second.ops_per_element
-    origin = _fused_origin(first, second)
+    (f, f_rank, f_other), (g, g_rank, g_other) = (first.normal_form(),
+                                                  second.normal_form())
+    if f_other is not None and (g_rank or g_other is not None):
+        return None  # map2 ; map# and map2 ; map2 have no fused form
+    rank, other = f_rank or g_rank, g_other if f_other is None else f_other
+    facts = dict(label=f"{first.label};{second.label}",
+                 ops_per_element=first.ops_per_element + second.ops_per_element,
+                 origin=_fused_origin(first, second))
 
-    if isinstance(first, MapStage) and isinstance(second, MapStage):
-        f, g = first.fn, second.fn
-        return MapStage(lambda x: g(f(x)), label=label, ops_per_element=ops,
-                        origin=origin)
-    if isinstance(first, MapStage) and isinstance(second, MapIndexedStage):
-        f, g = first.fn, second.fn
-        return MapIndexedStage(lambda k, x: g(k, f(x)), label=label,
-                               ops_per_element=ops, origin=origin)
-    if isinstance(first, MapIndexedStage) and isinstance(second, MapStage):
-        f, g = first.fn, second.fn
-        return MapIndexedStage(lambda k, x: g(f(k, x)), label=label,
-                               ops_per_element=ops, origin=origin)
-    if isinstance(first, MapIndexedStage) and isinstance(second, MapIndexedStage):
-        f, g = first.fn, second.fn
-        return MapIndexedStage(lambda k, x: g(k, f(k, x)), label=label,
-                               ops_per_element=ops, origin=origin)
-    if isinstance(first, MapStage) and isinstance(second, Map2Stage):
-        f = first.fn
-        if second.indexed:
-            g = second.fn
-            return Map2Stage(lambda k, x, y: g(k, f(x), y), other=second.other,
-                             label=label, indexed=True, ops_per_element=ops,
-                             origin=origin)
-        g = second.fn
-        return Map2Stage(lambda x, y: g(f(x), y), other=second.other,
-                         label=label, ops_per_element=ops, origin=origin)
-    if isinstance(first, MapIndexedStage) and isinstance(second, Map2Stage):
-        f = first.fn
-        if second.indexed:
-            g = second.fn
-            return Map2Stage(lambda k, x, y: g(k, f(k, x), y),
-                             other=second.other, label=label, indexed=True,
-                             ops_per_element=ops, origin=origin)
-        g = second.fn
-        return Map2Stage(lambda k, x, y: g(f(k, x), y), other=second.other,
-                         label=label, indexed=True, ops_per_element=ops,
-                         origin=origin)
-    if isinstance(first, Map2Stage) and isinstance(second, MapStage):
-        f, g = first.fn, second.fn
-        if first.indexed:
-            return Map2Stage(lambda k, x, y: g(f(k, x, y)), other=first.other,
-                             label=label, indexed=True, ops_per_element=ops,
-                             origin=origin)
-        return Map2Stage(lambda x, y: g(f(x, y)), other=first.other,
-                         label=label, ops_per_element=ops, origin=origin)
-    return None
+    def call(k, x, y):
+        return g(k, f(k, x, y), y)
+
+    if other is not None:
+        fn = call if rank else lambda x, y: call(None, x, y)
+        return Map2Stage(fn, other=other, indexed=rank, **facts)
+    if rank:
+        return MapIndexedStage(lambda k, x: call(k, x, None), **facts)
+    return MapStage(lambda x: call(None, x, None), **facts)
 
 
 def fuse_local_stages(program: Program) -> Program:

@@ -1,68 +1,52 @@
 """The paper's complete rule catalogue (Section 3).
 
-``ALL_RULES`` lists one instance of every optimization rule, ordered so
-that longer windows come first — the rewrite engine tries triple fusions
+``ALL_RULES`` lists every optimization rule's row, ordered so that longer
+windows come first — the rewrite engine tries triple fusions
 (BSS2/BSS-Comcast, BSR2/BSR-Local) before the pair rules they subsume.
 """
 
-from repro.core.rules.base import Rule, RuleApplication
+from repro.core.rules.base import NoTable1Form, Rule, RuleApplication
 from repro.core.rules.bandwidth import (
     BANDWIDTH_RULES,
-    ComposeAllReduce,
-    DecomposeAllReduce,
+    COMPOSE_ALLREDUCE,
+    DECOMPOSE_ALLREDUCE,
 )
-from repro.core.rules.comcast import BSComcast, BSS2Comcast, BSSComcast
+from repro.core.rules.comcast import BS_COMCAST, BSS2_COMCAST, BSS_COMCAST
 from repro.core.rules.extensions import (
-    ABAllreduce,
-    BBBcast,
+    AB_ALLREDUCE,
+    BB_BCAST,
     EXTENSION_RULES,
-    RBAllreduce,
-    SBBcast,
+    RB_ALLREDUCE,
+    SB_BCAST,
 )
-from repro.core.rules.local import BRLocal, BSR2Local, BSRLocal, CRAllLocal
-from repro.core.rules.reduction import SR2Reduction, SRReduction
-from repro.core.rules.scan import SS2Scan, SSScan
+from repro.core.rules.local import BR_LOCAL, BSR2_LOCAL, BSR_LOCAL, CR_ALLLOCAL
+from repro.core.rules.reduction import SR2_REDUCTION, SR_REDUCTION
+from repro.core.rules.scan import SS2_SCAN, SS_SCAN
 
 __all__ = [
-    "Rule",
-    "RuleApplication",
-    "SR2Reduction",
-    "SRReduction",
-    "SS2Scan",
-    "SSScan",
-    "BSComcast",
-    "BSS2Comcast",
-    "BSSComcast",
-    "BRLocal",
-    "BSR2Local",
-    "BSRLocal",
-    "CRAllLocal",
-    "ALL_RULES",
-    "EXTENSION_RULES",
-    "BANDWIDTH_RULES",
-    "FULL_RULES",
-    "RBAllreduce",
-    "ABAllreduce",
-    "SBBcast",
-    "BBBcast",
-    "DecomposeAllReduce",
-    "ComposeAllReduce",
+    "Rule", "RuleApplication", "NoTable1Form",
+    "SR2_REDUCTION", "SR_REDUCTION", "SS2_SCAN", "SS_SCAN",
+    "BS_COMCAST", "BSS2_COMCAST", "BSS_COMCAST",
+    "BR_LOCAL", "BSR2_LOCAL", "BSR_LOCAL", "CR_ALLLOCAL",
+    "RB_ALLREDUCE", "AB_ALLREDUCE", "SB_BCAST", "BB_BCAST",
+    "DECOMPOSE_ALLREDUCE", "COMPOSE_ALLREDUCE",
+    "ALL_RULES", "EXTENSION_RULES", "BANDWIDTH_RULES", "FULL_RULES",
     "rule_by_name",
 ]
 
 #: every rule, triple-window fusions first
 ALL_RULES: tuple[Rule, ...] = (
-    BSR2Local(),
-    BSRLocal(),
-    BSS2Comcast(),
-    BSSComcast(),
-    BRLocal(),
-    CRAllLocal(),
-    BSComcast(),
-    SR2Reduction(),
-    SRReduction(),
-    SS2Scan(),
-    SSScan(),
+    BSR2_LOCAL,
+    BSR_LOCAL,
+    BSS2_COMCAST,
+    BSS_COMCAST,
+    BR_LOCAL,
+    CR_ALLLOCAL,
+    BS_COMCAST,
+    SR2_REDUCTION,
+    SR_REDUCTION,
+    SS2_SCAN,
+    SS_SCAN,
 )
 
 

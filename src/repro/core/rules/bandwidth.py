@@ -25,121 +25,74 @@ costs (:func:`repro.core.cost.reduce_scatter_cost` /
 :func:`~repro.core.cost.allgatherv_cost`, which carry the ``(1 - 1/p)``
 volume factors Table 1's per-``log p`` formula shape cannot express)
 make ``program_cost`` price both forms, and greedy/beam/exhaustive pick
-the winner for the given ``(p, m, ts, tw)``.  The ``before_formula`` /
-``after_formula`` entries below are the closest per-``log p``
-*upper-bound* renderings for the rule catalogue display; ``improves``
-is overridden with the exact comparison.
+the winner for the given ``(p, m, ts, tw)``.  The two rows therefore
+state no Table-1 columns: they carry ``exact=``, the comparison of the
+exact closed forms at unit width/op-count, which ``improves`` asks;
+``before_formula`` / ``after_formula`` / ``improvement_margin`` raise
+:class:`~repro.core.rules.base.NoTable1Form`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from repro.core.cost import MachineParams, decomposed_allreduce_cost, stage_cost
+from repro.core.operators import EW_ADD
+from repro.core.rules.base import ALLREDUCE, Rule
+from repro.core.stages import AllGatherVStage, AllReduceStage, ReduceScatterStage
 
-from repro.core.cost import (
-    CostFormula,
-    MachineParams,
-    decomposed_allreduce_cost,
-    stage_cost,
-)
-from repro.core.rules.base import Rule
-from repro.core.stages import (
-    AllGatherVStage,
-    AllReduceStage,
-    ReduceScatterStage,
-    Stage,
-)
-
-__all__ = ["DecomposeAllReduce", "ComposeAllReduce", "BANDWIDTH_RULES"]
+__all__ = ["DECOMPOSE_ALLREDUCE", "COMPOSE_ALLREDUCE", "BANDWIDTH_RULES"]
 
 
-def _is_elementwise_allreduce(stage: Stage) -> bool:
-    return isinstance(stage, AllReduceStage) and stage.op.kind == "ew"
+def _elementwise(window) -> bool:
+    return window[0].op.kind == "ew"
 
 
-class DecomposeAllReduce(Rule):
-    """allreduce(⊕ew)  →  reduce_scatter(⊕ew); allgatherv."""
-
-    name = "Decompose-Allreduce"
-    window = 1
-    condition_text = "⊕ elementwise over equal-length blocks"
-    improvement_text = "m*tw + m > 2*log p*ts/(log p - 2 + 2/p)  (bandwidth regime)"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        return _is_elementwise_allreduce(stages[0])
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        (a,) = stages
-        return (
-            ReduceScatterStage(a.op, origin=self.name),
-            AllGatherVStage(width=a.op.width, origin=self.name),
-        )
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 1)  # T_allreduce (butterfly)
-
-    def after_formula(self) -> CostFormula:
-        # per-log-p upper bound of the decomposition (the exact cost has
-        # (1 - 1/p) volume factors; see improves())
-        return CostFormula.of(2, 2, 1)
-
-    def improves(self, params: MachineParams) -> bool:
-        """Exact: decomposed vs butterfly at unit width/op-count."""
-        from repro.core.operators import EW_ADD
-
-        before = stage_cost(AllReduceStage(EW_ADD), params)
-        return decomposed_allreduce_cost(params, EW_ADD) < before
-
-    def always_improves(self) -> bool:
-        return False  # butterfly wins the latency regime (small m)
+def _elementwise_same_partition(window) -> bool:
+    # Composing is sound for *any* counts — the segments form a
+    # contiguous rank-ordered partition of the reduced block, so
+    # reassembling them is exactly the allreduce — but only applied when
+    # the allgatherv has no explicit counts or the two stages agree, so a
+    # deliberately irregular pipeline is left alone.
+    rs, ag = window
+    return rs.op.kind == "ew" and (ag.counts is None or ag.counts == rs.counts)
 
 
-class ComposeAllReduce(Rule):
-    """reduce_scatter(⊕ew); allgatherv  →  allreduce(⊕ew).
+def _decompose(rule, window, general):
+    op = window[0].op
+    return (ReduceScatterStage(op, origin=rule.name),
+            AllGatherVStage(width=op.width, origin=rule.name))
 
-    Sound for *any* counts — the segments form a contiguous rank-ordered
-    partition of the reduced block, so reassembling them is exactly the
-    allreduce — but only applied when the allgatherv has no explicit
-    counts or the two stages agree, so a deliberately irregular pipeline
-    is left alone.
-    """
 
-    name = "Compose-Allreduce"
-    window = 2
-    condition_text = "⊕ elementwise; matching (or default) partitions"
-    improvement_text = "m*tw + m < 2*log p*ts/(log p - 2 + 2/p)  (latency regime)"
+def _compose(rule, window, general):
+    return (AllReduceStage(window[0].op, origin=rule.name),)
 
-    def match(self, stages: Sequence[Stage]) -> bool:
-        rs, ag = stages
-        if not (isinstance(rs, ReduceScatterStage)
-                and isinstance(ag, AllGatherVStage)):
-            return False
-        if rs.op.kind != "ew":
-            return False
-        return ag.counts is None or ag.counts == rs.counts
 
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        rs, _ag = stages
-        return (AllReduceStage(rs.op, origin=self.name),)
+def _decomposed_wins(params: MachineParams) -> bool:
+    """Exact: decomposed vs butterfly at unit width/op-count."""
+    before = stage_cost(AllReduceStage(EW_ADD), params)
+    return decomposed_allreduce_cost(params, EW_ADD) < before
 
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 1)
 
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 1)
+def _butterfly_wins(params: MachineParams) -> bool:
+    """Exact: butterfly vs decomposed at unit width/op-count."""
+    after = stage_cost(AllReduceStage(EW_ADD), params)
+    return after < decomposed_allreduce_cost(params, EW_ADD)
 
-    def improves(self, params: MachineParams) -> bool:
-        """Exact: butterfly vs decomposed at unit width/op-count."""
-        from repro.core.operators import EW_ADD
 
-        after = stage_cost(AllReduceStage(EW_ADD), params)
-        return after < decomposed_allreduce_cost(params, EW_ADD)
+#: never "always": butterfly wins the latency regime (small m)
+DECOMPOSE_ALLREDUCE = Rule(
+    "Decompose-Allreduce", (ALLREDUCE,), _decompose,
+    "reduce_scatter (⊕ew) ; allgatherv",
+    "⊕ elementwise over equal-length blocks",
+    "m*tw + m > 2*log p*ts/(log p - 2 + 2/p)  (bandwidth regime)",
+    when=_elementwise, units=(EW_ADD,), exact=_decomposed_wins)
 
-    def always_improves(self) -> bool:
-        return False  # the decomposition wins the bandwidth regime
-
+#: never "always": the decomposition wins the bandwidth regime
+COMPOSE_ALLREDUCE = Rule(
+    "Compose-Allreduce", ((ReduceScatterStage,), (AllGatherVStage,)), _compose,
+    "allreduce (⊕ew)",
+    "⊕ elementwise; matching (or default) partitions",
+    "m*tw + m < 2*log p*ts/(log p - 2 + 2/p)  (latency regime)",
+    when=_elementwise_same_partition, units=(EW_ADD,), exact=_butterfly_wins)
 
 #: the bandwidth-vocabulary catalogue; part of FULL_RULES.
-BANDWIDTH_RULES: tuple[Rule, ...] = (
-    DecomposeAllReduce(),
-    ComposeAllReduce(),
-)
+BANDWIDTH_RULES: tuple[Rule, ...] = (DECOMPOSE_ALLREDUCE, COMPOSE_ALLREDUCE)

@@ -27,117 +27,46 @@ functions (Figure 6).
 
   Table 1: 3ts + m(3tw+4) → ts + m(tw+8); improves iff **tw + ts/m > 2**.
 
-Each rule's :meth:`rewrite` accepts ``impl="repeat"`` (default, faster) or
-``impl="doubling"`` (the cost-optimal pipeline the paper shows to be slower
-due to shipping tuple states); Figures 7/8 benchmark both.
+The rules build the ``repeat`` form of :class:`ComcastStage` (the faster
+one); ``dataclasses.replace(stage, impl="doubling")`` of a rule's output
+is the cost-optimal pipeline the paper shows to be slower due to shipping
+tuple states.  Figures 7/8 benchmark both.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.cost import CostFormula
 from repro.core.derived_ops import bs_comcast_op, bss2_comcast_op, bss_comcast_op
-from repro.core.rules.base import Rule
-from repro.core.stages import ComcastStage, Stage
+from repro.core.operators import ADD, MUL
+from repro.core.rules.base import BCAST, SCAN, Rule, commutative, distributive
+from repro.core.stages import ComcastStage
 
-__all__ = ["BSComcast", "BSS2Comcast", "BSSComcast"]
-
-
-class _ComcastRule(Rule):
-    """Shared rewrite plumbing for the three Comcast rules."""
-
-    impl: str = "repeat"
-
-    def __init__(self, impl: str = "repeat") -> None:
-        if impl not in ("repeat", "doubling"):
-            raise ValueError(f"unknown comcast implementation {impl!r}")
-        self.impl = impl
-
-    def _make_op(self, stages: Sequence[Stage]):
-        raise NotImplementedError
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        op = self._make_op(stages)
-        return (ComcastStage(op, impl=self.impl, origin=self.name),)
+__all__ = ["BS_COMCAST", "BSS2_COMCAST", "BSS_COMCAST"]
 
 
-class BSComcast(_ComcastRule):
-    """bcast; scan(⊕)  →  bcast; map# op_comp  (Figure 6)."""
-
-    name = "BS-Comcast"
-    window = 2
-    condition_text = "⊕ associative (no extra condition)"
-    improvement_text = "always"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        b, s = stages
-        return self._is_bcast(b) and self._is_scan(s)
-
-    def _make_op(self, stages: Sequence[Stage]):
-        _b, s = stages
-        return bs_comcast_op(s.op)
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 2)  # T_bcast + T_scan
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 2)  # bcast + log p repeat steps of 2 ops
+def _comcast(make_op, *scans):
+    """The builder of ``comcast`` over ``make_op`` of the operators at the
+    window's ``scans``."""
+    def rhs(rule, window, general):
+        op = make_op(*(window[i].op for i in scans))
+        return (ComcastStage(op, origin=rule.name),)
+    return rhs
 
 
-class BSS2Comcast(_ComcastRule):
-    """bcast; scan(⊗); scan(⊕)  →  bcast; map# op_comp (triples)."""
+#: Figure 6: pair states
+BS_COMCAST = Rule(
+    "BS-Comcast", (BCAST, SCAN), _comcast(bs_comcast_op, 1),
+    "bcast ; map# op_comp",
+    "⊕ associative (no extra condition)", "always", units=(ADD,))
 
-    name = "BSS2-Comcast"
-    window = 3
-    condition_text = "⊗ distributes over ⊕"
-    improvement_text = "tw + ts/m > 1/2"
+#: triple states
+BSS2_COMCAST = Rule(
+    "BSS2-Comcast", (BCAST, SCAN, SCAN), _comcast(bss2_comcast_op, 1, 2),
+    "bcast ; map# op_comp",
+    "⊗ distributes over ⊕", "tw + ts/m > 1/2",
+    when=distributive, units=(MUL, ADD))
 
-    def match(self, stages: Sequence[Stage]) -> bool:
-        b, s1, s2 = stages
-        return (
-            self._is_bcast(b)
-            and self._is_scan(s1)
-            and self._is_scan(s2)
-            and s1.op.name != s2.op.name
-            and self._distributes(s1.op, s2.op)
-        )
-
-    def _make_op(self, stages: Sequence[Stage]):
-        _b, s1, s2 = stages
-        return bss2_comcast_op(s1.op, s2.op)
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(3, 3, 4)  # bcast + 2 scans
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 5)
-
-
-class BSSComcast(_ComcastRule):
-    """bcast; scan(⊕); scan(⊕)  →  bcast; map# op_comp (quadruples)."""
-
-    name = "BSS-Comcast"
-    window = 3
-    condition_text = "⊕ is commutative"
-    improvement_text = "tw + ts/m > 2"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        b, s1, s2 = stages
-        return (
-            self._is_bcast(b)
-            and self._is_scan(s1)
-            and self._is_scan(s2)
-            and s1.op.name == s2.op.name
-            and s1.op.commutative
-        )
-
-    def _make_op(self, stages: Sequence[Stage]):
-        _b, s1, _s2 = stages
-        return bss_comcast_op(s1.op)
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(3, 3, 4)
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 8)
+#: quadruple states
+BSS_COMCAST = Rule(
+    "BSS-Comcast", (BCAST, SCAN, SCAN), _comcast(bss_comcast_op, 1),
+    "bcast ; map# op_comp",
+    "⊕ is commutative", "tw + ts/m > 2", when=commutative, units=(ADD, ADD))

@@ -25,122 +25,47 @@ paper rules.
 
 from __future__ import annotations
 
-from typing import Sequence
+from repro.core.operators import ADD
+from repro.core.rules.base import ALLREDUCE, BCAST, REDUCE, SCAN, Rule
+from repro.core.stages import AllReduceStage, BcastStage
 
-from repro.core.cost import CostFormula
-from repro.core.rules.base import Rule
-from repro.core.stages import (
-    AllReduceStage,
-    BcastStage,
-    ReduceStage,
-    ScanStage,
-    Stage,
-)
-
-__all__ = ["RBAllreduce", "ABAllreduce", "SBBcast", "BBBcast", "EXTENSION_RULES"]
+__all__ = ["RB_ALLREDUCE", "AB_ALLREDUCE", "SB_BCAST", "BB_BCAST",
+           "EXTENSION_RULES"]
 
 
-class RBAllreduce(Rule):
-    """reduce(⊕); bcast  →  allreduce(⊕)."""
-
-    name = "RB-Allreduce"
-    window = 2
-    condition_text = "⊕ associative (no extra condition)"
-    improvement_text = "always"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        r, b = stages
-        return isinstance(r, ReduceStage) and self._is_bcast(b)
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        r, _b = stages
-        return (AllReduceStage(r.op, origin=self.name),)
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 1)  # T_reduce + T_bcast
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 1)  # T_allreduce
+def _allreduce(rule, window, general):
+    return (AllReduceStage(window[0].op, origin=rule.name),)
 
 
-class ABAllreduce(Rule):
-    """allreduce(⊕); bcast  →  allreduce(⊕)  (dead broadcast)."""
-
-    name = "AB-Allreduce"
-    window = 2
-    condition_text = "none (the value is already replicated)"
-    improvement_text = "always"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        a, b = stages
-        return isinstance(a, AllReduceStage) and self._is_bcast(b)
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        a, _b = stages
-        return (AllReduceStage(a.op, origin=self.name),)
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 1)
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 1)
+def _bcast(rule, window, general):
+    return (BcastStage(origin=rule.name),)
 
 
-class SBBcast(Rule):
-    """scan(⊕); bcast  →  bcast  (the scan's output is never read).
+RB_ALLREDUCE = Rule(
+    "RB-Allreduce", (REDUCE, BCAST), _allreduce,
+    "allreduce (⊕)",
+    "⊕ associative (no extra condition)", "always", units=(ADD,))
 
-    An inclusive scan leaves processor 0's block unchanged, and the
-    broadcast reads only that block and overwrites every other one, so
-    the scan is dead code.  NOTE: this rule is *lossy on non-roots* in
-    the same sense as the Local rules — the broadcast itself redefines
-    every block, so the rewrite is a strict equality.
-    """
+#: a dead broadcast
+AB_ALLREDUCE = Rule(
+    "AB-Allreduce", (ALLREDUCE, BCAST), _allreduce,
+    "allreduce (⊕)",
+    "none (the value is already replicated)", "always", units=(ADD,))
 
-    name = "SB-Bcast"
-    window = 2
-    condition_text = "none (inclusive scan fixes processor 0's block)"
-    improvement_text = "always"
+#: the scan's output is never read; *lossy on non-roots* in the same
+#: sense as the Local rules, but the broadcast itself redefines every
+#: block, so the rewrite is a strict equality
+SB_BCAST = Rule(
+    "SB-Bcast", (SCAN, BCAST), _bcast,
+    "bcast",
+    "none (inclusive scan fixes processor 0's block)", "always", units=(ADD,))
 
-    def match(self, stages: Sequence[Stage]) -> bool:
-        s, b = stages
-        return self._is_scan(s) and self._is_bcast(b)
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        return (BcastStage(origin=self.name),)
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 2)  # T_scan + T_bcast
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 0)  # T_bcast
-
-
-class BBBcast(Rule):
-    """bcast; bcast  →  bcast  (idempotence)."""
-
-    name = "BB-Bcast"
-    window = 2
-    condition_text = "none"
-    improvement_text = "always"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        a, b = stages
-        return self._is_bcast(a) and self._is_bcast(b)
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        return (BcastStage(origin=self.name),)
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 0)
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 0)
-
+#: idempotence
+BB_BCAST = Rule(
+    "BB-Bcast", (BCAST, BCAST), _bcast,
+    "bcast",
+    "none", "always")
 
 #: the extension catalogue; combine with ALL_RULES for the full rule set.
 EXTENSION_RULES: tuple[Rule, ...] = (
-    RBAllreduce(),
-    ABAllreduce(),
-    SBBcast(),
-    BBBcast(),
-)
+    RB_ALLREDUCE, AB_ALLREDUCE, SB_BCAST, BB_BCAST)

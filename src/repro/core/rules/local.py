@@ -31,133 +31,55 @@ Caveats faithfully carried over from the paper:
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.cost import CostFormula
 from repro.core.derived_ops import br_iter_op, bsr2_iter_op, bsr_iter_op
-from repro.core.rules.base import Rule
-from repro.core.stages import AllReduceStage, IterStage, ReduceStage, Stage
+from repro.core.operators import ADD, MUL
+from repro.core.rules.base import (
+    ALLREDUCE,
+    BCAST,
+    FOLD,
+    REDUCE,
+    SCAN,
+    Rule,
+    commutative,
+    distributive,
+    is_all,
+)
+from repro.core.stages import IterStage
 
-__all__ = ["BRLocal", "BSR2Local", "BSRLocal", "CRAllLocal"]
-
-
-class _LocalRule(Rule):
-    lossy_nonroot = True
-    requires_power_of_two = True
-
-
-class BRLocal(_LocalRule):
-    """bcast; reduce(⊕)  →  iter(op_br)."""
-
-    name = "BR-Local"
-    window = 2
-    condition_text = "⊕ associative (no extra condition)"
-    improvement_text = "always"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        b, r = stages
-        return self._is_bcast(b) and isinstance(r, ReduceStage)
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        _b, r = stages
-        return (IterStage(br_iter_op(r.op), general=general, origin=self.name),)
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 1)  # T_bcast + T_reduce
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(0, 0, 1)  # log p doublings of m elements
+__all__ = ["BR_LOCAL", "BSR2_LOCAL", "BSR_LOCAL", "CR_ALLLOCAL"]
 
 
-class CRAllLocal(_LocalRule):
-    """bcast; allreduce(⊕)  →  iter(op_br); bcast."""
-
-    name = "CR-Alllocal"
-    window = 2
-    condition_text = "⊕ associative (no extra condition)"
-    improvement_text = "always"
-    # the trailing bcast re-defines every block: not lossy after all
-    lossy_nonroot = False
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        b, r = stages
-        return self._is_bcast(b) and isinstance(r, AllReduceStage)
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        _b, r = stages
-        return (
-            IterStage(br_iter_op(r.op), general=general, then_bcast=True,
-                      origin=self.name),
-        )
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 1)  # T_bcast + T_allreduce
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 1, 1)  # local doubling + final bcast
+def _iter(make_op, *folds):
+    """The builder of ``iter`` over ``make_op`` of the operators at the
+    window's ``folds``; an ``allreduce`` keeps its trailing broadcast."""
+    def rhs(rule, window, general):
+        op = make_op(*(window[i].op for i in folds))
+        return (IterStage(op, general=general, then_bcast=is_all(window[-1]),
+                          origin=rule.name),)
+    return rhs
 
 
-class BSR2Local(_LocalRule):
-    """bcast; scan(⊗); [all]reduce(⊕)  →  map pair; iter(op_bsr2); map π1."""
+BR_LOCAL = Rule(
+    "BR-Local", (BCAST, REDUCE), _iter(br_iter_op, 1),
+    "iter (op_br)",
+    "⊕ associative (no extra condition)", "always",
+    units=(ADD,), lossy_nonroot=True, requires_power_of_two=True)
 
-    name = "BSR2-Local"
-    window = 3
-    condition_text = "⊗ distributes over ⊕"
-    improvement_text = "always"
+#: the trailing bcast re-defines every block: not lossy after all
+CR_ALLLOCAL = Rule(
+    "CR-Alllocal", (BCAST, ALLREDUCE), _iter(br_iter_op, 1),
+    "iter (op_br) ; bcast",
+    "⊕ associative (no extra condition)", "always",
+    units=(ADD,), requires_power_of_two=True)
 
-    def match(self, stages: Sequence[Stage]) -> bool:
-        b, s, r = stages
-        return (
-            self._is_bcast(b)
-            and self._is_scan(s)
-            and self._is_reduce(r)
-            and s.op.name != r.op.name
-            and self._distributes(s.op, r.op)
-        )
+BSR2_LOCAL = Rule(
+    "BSR2-Local", (BCAST, SCAN, FOLD), _iter(bsr2_iter_op, 1, 2),
+    "map pair ; iter (op_bsr2) ; map π1",
+    "⊗ distributes over ⊕", "always", when=distributive, units=(MUL, ADD),
+    lossy_nonroot=True, requires_power_of_two=True)
 
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        _b, s, r = stages
-        to_all = isinstance(r, AllReduceStage)
-        return (
-            IterStage(bsr2_iter_op(s.op, r.op), general=general,
-                      then_bcast=to_all, origin=self.name),
-        )
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(3, 3, 3)  # bcast + scan + reduce
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(0, 0, 3)  # log p steps of 3 ops per element
-
-
-class BSRLocal(_LocalRule):
-    """bcast; scan(⊕); [all]reduce(⊕)  →  map pair; iter(op_bsr); map π1."""
-
-    name = "BSR-Local"
-    window = 3
-    condition_text = "⊕ is commutative"
-    improvement_text = "tw + ts/m >= 1/3"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        b, s, r = stages
-        return (
-            self._is_bcast(b)
-            and self._is_scan(s)
-            and self._is_reduce(r)
-            and s.op.name == r.op.name
-            and s.op.commutative
-        )
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        _b, s, r = stages
-        to_all = isinstance(r, AllReduceStage)
-        return (
-            IterStage(bsr_iter_op(s.op), general=general,
-                      then_bcast=to_all, origin=self.name),
-        )
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(3, 3, 3)
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(0, 0, 4)  # log p steps of 4 ops per element
+BSR_LOCAL = Rule(
+    "BSR-Local", (BCAST, SCAN, FOLD), _iter(bsr_iter_op, 1),
+    "map pair ; iter (op_bsr) ; map π1",
+    "⊕ is commutative", "tw + ts/m >= 1/3", when=commutative, units=(ADD, ADD),
+    lossy_nonroot=True, requires_power_of_two=True)

@@ -24,85 +24,41 @@ Two rules:
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.cost import CostFormula
 from repro.core.derived_ops import SRTreeOp, sr2_op
-from repro.core.rules.base import Rule, pair_stage, projection_stage
-from repro.core.stages import (
-    AllReduceStage,
-    BalancedReduceStage,
-    ReduceStage,
-    ScanStage,
-    Stage,
+from repro.core.operators import ADD, MUL
+from repro.core.rules.base import (
+    FOLD,
+    SCAN,
+    Rule,
+    adjusted,
+    commutative,
+    distributive,
+    is_all,
 )
+from repro.core.stages import BalancedReduceStage
 
-__all__ = ["SR2Reduction", "SRReduction"]
-
-
-class SR2Reduction(Rule):
-    """scan(⊗); [all]reduce(⊕)  →  map pair; [all]reduce(op_sr2); map π1."""
-
-    name = "SR2-Reduction"
-    window = 2
-    condition_text = "⊗ distributes over ⊕"
-    improvement_text = "always"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        scan, red = stages
-        return (
-            self._is_scan(scan)
-            and self._is_reduce(red)
-            and scan.op.name != red.op.name
-            and self._distributes(scan.op, red.op)
-        )
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        scan, red = stages
-        fused = sr2_op(scan.op, red.op)
-        target_cls = AllReduceStage if isinstance(red, AllReduceStage) else ReduceStage
-        return (
-            pair_stage(self.name),
-            target_cls(fused, origin=self.name),
-            projection_stage(self.name),
-        )
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 3)  # T_scan + T_reduce
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 2, 3)  # one reduction of pairs, 3 ops/elem
+__all__ = ["SR2_REDUCTION", "SR_REDUCTION", "sr2_rhs"]
 
 
-class SRReduction(Rule):
-    """scan(⊕); [all]reduce(⊕)  →  map pair; [all]reduce_balanced(op_sr); map π1."""
+def sr2_rhs(rule, window, general):
+    """SR2-Reduction's builder, and SS2-Scan's: the window's second
+    collective over ``op_sr2`` of both operators."""
+    scan, last = window
+    return adjusted(rule, type(last)(sr2_op(scan.op, last.op), origin=rule.name))
 
-    name = "SR-Reduction"
-    window = 2
-    condition_text = "⊕ is commutative"
-    improvement_text = "ts > m"
 
-    def match(self, stages: Sequence[Stage]) -> bool:
-        scan, red = stages
-        return (
-            self._is_scan(scan)
-            and self._is_reduce(red)
-            and scan.op.name == red.op.name
-            and scan.op.commutative
-        )
+def _sr(rule, window, general):
+    scan, red = window
+    return adjusted(rule, BalancedReduceStage(
+        SRTreeOp(scan.op), to_all=is_all(red), origin=rule.name))
 
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        scan, red = stages
-        tree_op = SRTreeOp(scan.op)
-        to_all = isinstance(red, AllReduceStage)
-        return (
-            pair_stage(self.name),
-            BalancedReduceStage(tree_op, to_all=to_all, origin=self.name),
-            projection_stage(self.name),
-        )
 
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 3)
+SR2_REDUCTION = Rule(
+    "SR2-Reduction", (SCAN, FOLD), sr2_rhs,
+    "map pair ; [all]reduce (op_sr2) ; map π1",
+    "⊗ distributes over ⊕", "always", when=distributive, units=(MUL, ADD))
 
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 2, 4)  # balanced reduction, 4 ops/elem
+SR_REDUCTION = Rule(
+    "SR-Reduction", (SCAN, FOLD), _sr,
+    "map pair ; [all]reduce_balanced (op_sr) ; map π1",
+    "⊕ is commutative", "ts > m", when=commutative, units=(ADD, ADD))

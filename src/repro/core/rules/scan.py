@@ -23,77 +23,34 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from repro.core.derived_ops import SSButterflyOp
+from repro.core.operators import ADD, MUL
+from repro.core.rules.base import (
+    SCAN,
+    Rule,
+    adjusted,
+    commutative,
+    distributive,
+    quadruple_stage,
+)
+from repro.core.rules.reduction import sr2_rhs
+from repro.core.stages import BalancedScanStage
 
-from repro.core.cost import CostFormula
-from repro.core.derived_ops import SSButterflyOp, sr2_op
-from repro.core.rules.base import Rule, pair_stage, projection_stage, quadruple_stage
-from repro.core.stages import BalancedScanStage, ScanStage, Stage
-
-__all__ = ["SS2Scan", "SSScan"]
-
-
-class SS2Scan(Rule):
-    """scan(⊗); scan(⊕)  →  map pair; scan(op_sr2); map π1."""
-
-    name = "SS2-Scan"
-    window = 2
-    condition_text = "⊗ distributes over ⊕"
-    improvement_text = "ts > 2m"
-
-    def match(self, stages: Sequence[Stage]) -> bool:
-        first, second = stages
-        return (
-            self._is_scan(first)
-            and self._is_scan(second)
-            and first.op.name != second.op.name
-            and self._distributes(first.op, second.op)
-        )
-
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        first, second = stages
-        fused = sr2_op(first.op, second.op)
-        return (
-            pair_stage(self.name),
-            ScanStage(fused, origin=self.name),
-            projection_stage(self.name),
-        )
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 4)  # two butterfly scans
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 2, 6)  # one scan of pairs, 2*3 ops/elem
+__all__ = ["SS2_SCAN", "SS_SCAN"]
 
 
-class SSScan(Rule):
-    """scan(⊕); scan(⊕)  →  map quadruple; scan_balanced(op_ss); map π1."""
+def _ss(rule, window, general):
+    first, _second = window
+    return adjusted(rule, BalancedScanStage(SSButterflyOp(first.op),
+                                            origin=rule.name), quadruple_stage)
 
-    name = "SS-Scan"
-    window = 2
-    condition_text = "⊕ is commutative"
-    improvement_text = "ts > m*(tw + 4)"
 
-    def match(self, stages: Sequence[Stage]) -> bool:
-        first, second = stages
-        return (
-            self._is_scan(first)
-            and self._is_scan(second)
-            and first.op.name == second.op.name
-            and first.op.commutative
-        )
+SS2_SCAN = Rule(
+    "SS2-Scan", (SCAN, SCAN), sr2_rhs,
+    "map pair ; scan (op_sr2) ; map π1",
+    "⊗ distributes over ⊕", "ts > 2m", when=distributive, units=(MUL, ADD))
 
-    def rewrite(self, stages: Sequence[Stage], general: bool = False) -> tuple[Stage, ...]:
-        first, _second = stages
-        bfly = SSButterflyOp(first.op)
-        return (
-            quadruple_stage(self.name),
-            BalancedScanStage(bfly, origin=self.name),
-            projection_stage(self.name),
-        )
-
-    def before_formula(self) -> CostFormula:
-        return CostFormula.of(2, 2, 4)
-
-    def after_formula(self) -> CostFormula:
-        return CostFormula.of(1, 3, 8)  # 3 words exchanged, 8 ops/elem
+SS_SCAN = Rule(
+    "SS-Scan", (SCAN, SCAN), _ss,
+    "map quadruple ; scan_balanced (op_ss) ; map π1",
+    "⊕ is commutative", "ts > m*(tw + 4)", when=commutative, units=(ADD, ADD))

@@ -103,8 +103,8 @@ def plan_signature(program: Program) -> tuple[tuple, ...]:
 # contains the window, in every search of the process: the memo maps
 # (rule set, renderings of a 1–3-stage window) to the positions, within
 # that rule set, of the rules that match it.  The rule set is identified
-# by its rules' classes and declared names in order, both stable for the
-# module-level singletons (ALL_RULES / FULL_RULES).
+# by its rows' serials in order — one string, hashed once — so a doctored
+# copy of a catalogue row never reads the catalogue row's answers.
 #
 # The memo is shared by every optimize() call in the process — including
 # the serving runtime's concurrent worker threads — under the one
@@ -168,9 +168,7 @@ class Search:
         self.params = params
         self.rules = tuple(rules)
         self.allow_lossy = allow_lossy
-        self._ruleset = ";".join(
-            f"{type(r).__module__}.{type(r).__qualname__}:{r.name}"
-            for r in self.rules)
+        self._ruleset = ",".join(str(r.serial) for r in self.rules)
         self._widths = sorted({rule.window for rule in self.rules})
         #: (rule position, ids of the window's stages) -> (window, *facts
         #: of the inserted stages); the entry keeps the window alive, so

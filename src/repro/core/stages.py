@@ -206,6 +206,14 @@ class _LocalMap(Stage):
     def rebuild(self, map_fn, binop_fn) -> "Stage | None":
         return None  # only a plain ``map`` has per-label array kernels
 
+    def normal_form(self) -> tuple[Callable[[int, Any, Any], Any], bool,
+                                   "tuple[Any, ...] | None"]:
+        """The map as ``(call, reads_rank, other)``: ``call(k, x, y)`` is
+        its function of the rank, the block and the rank's share of
+        ``other`` (None for a unary map) — the one shape in which any two
+        maps compose (:func:`repro.core.rewrite.fuse_local_stages`)."""
+        raise StageFacetError(type(self), "normal_form")
+
 
 @dataclass(frozen=True)
 class MapStage(_LocalMap):
@@ -235,6 +243,10 @@ class MapStage(_LocalMap):
     def rebuild(self, map_fn, binop_fn) -> Stage:
         return replace(self, fn=map_fn(self))
 
+    def normal_form(self):
+        fn = self.fn
+        return (lambda k, x, y: fn(x)), False, None
+
 
 @dataclass(frozen=True)
 class MapIndexedStage(_LocalMap):
@@ -255,6 +267,10 @@ class MapIndexedStage(_LocalMap):
 
     def mpi_text(self, src: str, dst: str) -> str:
         return f"{dst} = {self.label} (rank, {src});"
+
+    def normal_form(self):
+        fn = self.fn
+        return (lambda k, x, y: fn(k, x)), True, None
 
 
 @dataclass(frozen=True)
@@ -286,6 +302,12 @@ class Map2Stage(_LocalMap):
     def mpi_text(self, src: str, dst: str) -> str:
         hash_ = "#" if self.indexed else ""
         return f"{dst} = map2{hash_} {self.label} ({src}, as);"
+
+    def normal_form(self):
+        fn = self.fn
+        if self.indexed:
+            return fn, True, self.other
+        return (lambda k, x, y: fn(x, y)), False, self.other
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ soundness violation with a shrunk, seed-replayable counterexample.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.core.operators import ADD, MUL
 from repro.core.rules import ALL_RULES
-from repro.core.rules.reduction import SR2Reduction
+from repro.core.rules.reduction import SR2_REDUCTION
 from repro.core.stages import BcastStage, MapStage, Program, ReduceStage, ScanStage
 from repro.semantics.functional import defined_equal
 from repro.testing import (
@@ -70,12 +71,10 @@ class TestSmoke:
             ga.domain.name != gb.domain.name
 
 
-class _BrokenSR2(SR2Reduction):
-    """SR2 with a semantically wrong rewrite: drops the scan contribution."""
-
-    def rewrite(self, window, general=False):
-        _scan, red = window
-        return (ReduceStage(red.op),)
+#: SR2 with a semantically wrong rewrite: drops the scan contribution
+_BROKEN_SR2 = replace(
+    SR2_REDUCTION,
+    rhs=lambda rule, window, general: (ReduceStage(window[1].op),))
 
 
 class TestBrokenRuleIsCaught:
@@ -85,7 +84,7 @@ class TestBrokenRuleIsCaught:
                     if c.rule_name == "SR2-Reduction" and c.positive)
         gp = generate_from_case(rng, case)
         violations, fired, checked = check_rule_soundness(
-            gp, rng, rules=(_BrokenSR2(),))
+            gp, rng, rules=(_BROKEN_SR2,))
         assert "SR2-Reduction" in fired
         assert checked > 0
         assert violations, "broken rewrite was not caught"
@@ -100,7 +99,7 @@ class TestBrokenRuleIsCaught:
         case = next(c for c in RULE_CASES
                     if c.rule_name == "SR2-Reduction" and c.positive)
         gp = generate_from_case(rng, case, max_extra=2)
-        violations, _, _ = check_rule_soundness(gp, rng, rules=(_BrokenSR2(),))
+        violations, _, _ = check_rule_soundness(gp, rng, rules=(_BROKEN_SR2,))
         assert violations
         v = violations[0]
         # shrinking strips context down to the two-stage window, p=2
@@ -110,7 +109,7 @@ class TestBrokenRuleIsCaught:
     def test_broken_rule_caught_end_to_end(self):
         """run_conformance with a poisoned rule set must fail and replay."""
         rules = tuple(r for r in ALL_RULES
-                      if r.name != "SR2-Reduction") + (_BrokenSR2(),)
+                      if r.name != "SR2-Reduction") + (_BROKEN_SR2,)
         report = run_conformance(seed=0, iters=25, rules=rules)
         assert not report.ok
         kinds = {f.kind for f in report.failures}

@@ -98,3 +98,14 @@ class TestBenchNumbers:
             assert path.read_text() == twin.read_text(), (
                 f"{path.name} differs from benchmarks/results/{path.name}; "
                 f"re-run `python -m repro bench summary`")
+
+
+class TestRulesPage:
+    def test_rules_page_is_the_generated_catalogue(self):
+        """``docs/RULES.md`` is ``python -m repro catalogue``, byte for
+        byte: a rule added, reworded or re-costed without regenerating
+        the page fails here (CI diffs the two as well)."""
+        from repro.analysis.report import rule_catalogue
+
+        page = (ROOT / "docs" / "RULES.md").read_text()
+        assert page == rule_catalogue() + "\n"

@@ -85,11 +85,7 @@ class TestBBBcast:
 
 class TestCostsAndSimulation:
     @pytest.mark.parametrize("rule_name,prog", [
-        ("RB-Allreduce", Program([ReduceStage(ADD), BcastStage()])),
-        ("AB-Allreduce", Program([AllReduceStage(ADD), BcastStage()])),
-        ("SB-Bcast", Program([ScanStage(ADD), BcastStage()])),
-        ("BB-Bcast", Program([BcastStage(), BcastStage()])),
-    ])
+        (rule.name, Program(rule.exemplar)) for rule in EXTENSION_RULES])
     def test_simulated_improvement(self, rule_name, prog):
         p = 16
         params = MachineParams(p=p, ts=300.0, tw=2.0, m=64)

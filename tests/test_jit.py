@@ -33,8 +33,8 @@ from repro.core.operators import ADD, CONCAT, FADD, FMUL, MAX, MIN, MUL, BinOp
 from repro.core.optimizer import clear_planner_caches, optimize
 from repro.core.rules import FULL_RULES
 from repro.core.rules.base import pair_stage, projection_stage
-from repro.core.rules.reduction import SRReduction
-from repro.core.rules.scan import SSScan
+from repro.core.rules.reduction import SR_REDUCTION
+from repro.core.rules.scan import SS_SCAN
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
@@ -682,9 +682,9 @@ class TestDerivedStages:
         assert STATS.full_jit_runs == 0
 
     @pytest.mark.parametrize("rule,window", [
-        (SRReduction(), (ScanStage(ADD), ReduceStage(ADD))),
-        (SRReduction(), (ScanStage(ADD), AllReduceStage(ADD))),
-        (SSScan(), (ScanStage(ADD), ScanStage(ADD))),
+        (SR_REDUCTION, (ScanStage(ADD), ReduceStage(ADD))),
+        (SR_REDUCTION, (ScanStage(ADD), AllReduceStage(ADD))),
+        (SS_SCAN, (ScanStage(ADD), ScanStage(ADD))),
     ], ids=["reduce_balanced", "allreduce_balanced", "scan_balanced"])
     def test_balanced_stages_stay_uncompiled(self, rule, window):
         # their definition exists only inside the pair … π₁ sandwich

@@ -49,7 +49,13 @@ from repro.core.planner import (
     trace_of,
 )
 from repro.core.rewrite import Match, apply_match, find_matches, match_at
-from repro.core.rules import ALL_RULES, FULL_RULES, RuleApplication, rule_by_name
+from repro.core.rules import (
+    ALL_RULES,
+    FULL_RULES,
+    Rule,
+    RuleApplication,
+    rule_by_name,
+)
 from repro.core.search import Node, Search
 from repro.core.stages import (
     AllReduceStage,
@@ -253,12 +259,12 @@ def _counting(monkeypatch, owner, name, key=lambda *args: None,
 
 def test_every_check_runs_at_every_site_and_a_rewrite_once(monkeypatch):
     clear_match_cache()
-    matched, rewritten = [], []  # (rule, ids of the window's stages)
-    for rule in FULL_RULES:
-        def key(stages, *_, rule=rule):
-            return (rule, *map(id, stages))
-        _counting(monkeypatch, rule, "match", key, matched)
-        _counting(monkeypatch, rule, "rewrite", key, rewritten)
+    # (rule, ids of the window's stages); rows are frozen, so the two
+    # methods are wrapped on ``Rule`` itself and the key names the row
+    def key(rule, stages, *_):
+        return (rule, *map(id, stages))
+    matched = _counting(monkeypatch, Rule, "match", key)
+    rewritten = _counting(monkeypatch, Rule, "rewrite", key)
     search = Search(Program(NINE, name="nine"), NINE_PARAMS, FULL_RULES)
     queue, seen, built = [search.root], {search.root.tokens}, []
     while queue:

@@ -67,6 +67,41 @@ class TestFusionPairs:
         assert fused.run([5]) == [(5 + 1) * 2 - 3]
 
 
+#: the four map kinds, and what each ordered pair fuses to
+_KINDS = {
+    "map": lambda: MapStage(lambda x: 2 * x + 1, label="m"),
+    "map#": lambda: MapIndexedStage(lambda k, x: 3 * x + k, label="i"),
+    "map2": lambda: Map2Stage(lambda x, y: 5 * x + y, other=(10, 20, 30),
+                              label="b"),
+    "map2#": lambda: Map2Stage(lambda k, x, y: 7 * x + k * y, other=(1, 2, 3),
+                               label="B", indexed=True),
+}
+_FUSED = {
+    ("map", "map"): "map", ("map", "map#"): "map#",
+    ("map", "map2"): "map2", ("map", "map2#"): "map2#",
+    ("map#", "map"): "map#", ("map#", "map#"): "map#",
+    ("map#", "map2"): "map2#", ("map#", "map2#"): "map2#",
+    ("map2", "map"): "map2", ("map2#", "map"): "map2#",
+}
+
+
+@pytest.mark.parametrize("second", _KINDS)
+@pytest.mark.parametrize("first", _KINDS)
+def test_every_pair_of_map_kinds(first, second):
+    prog = Program([_KINDS[first](), _KINDS[second]()])
+    fused = fuse_local_stages(prog)
+    xs = [4, 5, 6]
+    assert fused.run(xs) == prog.run(xs)
+    if (first, second) not in _FUSED:  # a map2 takes only a plain map after it
+        assert len(fused) == 2
+        return
+    (stage,) = fused.stages
+    assert stage.pretty().split()[0] == _FUSED[first, second]
+    assert stage.label == f"{prog.stages[0].label};{prog.stages[1].label}"
+    assert getattr(stage, "other", None) == next(
+        (s.other for s in prog.stages if hasattr(s, "other")), None)
+
+
 class TestFusionBoundaries:
     def test_collectives_never_fused(self):
         prog = Program([MapStage(lambda x: x), ScanStage(ADD),

@@ -180,12 +180,14 @@ class TestComcastImplEquivalence:
     @given(b=st.integers(-20, 20), n=st.integers(1, 33))
     @settings(max_examples=40)
     def test_bs_doubling_equals_repeat(self, b, n):
-        from repro.core.rules.comcast import BSComcast
+        from dataclasses import replace
+
+        from repro.core.rules.comcast import BS_COMCAST
 
         prog = Program([BcastStage(), ScanStage(ADD)])
-        window = prog.stages
-        fast = Program(BSComcast(impl="repeat").rewrite(window))
-        slow = Program(BSComcast(impl="doubling").rewrite(window))
+        (comcast,) = BS_COMCAST.rewrite(prog.stages)
+        fast = Program([comcast])
+        slow = Program([replace(comcast, impl="doubling")])
         xs = [b] * n
         assert fast.run(xs) == slow.run(xs) == prog.run(xs)
 
