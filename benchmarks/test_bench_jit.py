@@ -20,6 +20,14 @@ serves it may take at most 1.25× the wall clock of the program as
 written.  The rules save simulated time; they must not cost the real
 kind (a ``comcast`` the JIT could not compile once cost 2.4×).
 
+Beside each deck form's wall clock go the two readings that say what
+the clock is made of — ``minor_faults_per_run`` and ``sys_share`` (the
+``sys`` part of the runs' CPU time), from ``resource.getrusage`` around
+the same runs with each reply dropped: the compiled folds' rows come
+from a recycling pool, so both sit near zero (``null`` where the
+platform has no ``resource``).  The gate on them is tier-1's
+``tests/test_block_pool.py::TestFaultGate``.
+
 Results go to ``benchmarks/results/BENCH_jit.json`` (same schema as
 BENCH_vectorized.json; the gate adds ``planned_vs_written``).  CI runs
 this file as the jit perf smoke with ``REPRO_BENCH_JIT_BLOCK`` shrunk
@@ -32,8 +40,14 @@ import json
 import os
 import statistics
 import time
+from functools import partial
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # no getrusage here: the two readings are null
+    resource = None
 
 from conftest import RESULTS_DIR, emit, emit_json
 from repro.core.cost import MachineParams
@@ -84,6 +98,23 @@ def _timed(fn, repeats: int) -> tuple[float, float]:
         times.append(time.perf_counter() - t0)
     stdev = statistics.stdev(times) if len(times) > 1 else 0.0
     return statistics.median(times), stdev
+
+
+def _what_the_clock_is_made_of(fn, repeats: int) -> dict:
+    """Minor page faults per run and the ``sys`` share of the CPU time of
+    ``repeats`` runs of ``fn``, each result dropped."""
+    if resource is None:
+        return {"minor_faults_per_run": None, "sys_share": None}
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    for _ in range(repeats):
+        fn()
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    sys_s = after.ru_stime - before.ru_stime
+    cpu_s = sys_s + after.ru_utime - before.ru_utime
+    return {
+        "minor_faults_per_run": (after.ru_minflt - before.ru_minflt) / repeats,
+        "sys_share": sys_s / cpu_s if cpu_s else 0.0,
+    }
 
 
 def _inputs(block: int, seed: int = 0) -> list[np.ndarray]:
@@ -198,7 +229,7 @@ def test_planned_is_no_slower_than_written():
         f"exec_block deck under simulate_program(jit=True), p={P}, "
         f"block={DECK_BLOCK}",
         f"{'shape':>10} {'form':>8} {'rung':>8} {'median_ms':>10} "
-        f"{'sim_time':>12}  program",
+        f"{'sim_time':>12} {'minflt/run':>10} {'sys_share':>9}  program",
     ]
     for name, stages in DECK:
         written = Program(stages, name=name)
@@ -208,15 +239,19 @@ def test_planned_is_no_slower_than_written():
         for form, prog in (("written", written), ("planned", planned)):
             low = engine_lower(prog, xs, params)
             res = simulate_program(prog, xs, params, jit=True)  # warm
-            median, stdev = _timed(
-                lambda: simulate_program(prog, xs, params, jit=True), repeats)
+            run = partial(simulate_program, prog, xs, params, jit=True)
+            median, stdev = _timed(run, repeats)
             shape[form] = {"program": prog.pretty(), "rung": low.rung,
                            "why": low.why, "median_s": median,
                            "stdev_s": stdev, "repeats": repeats,
-                           "sim_time": res.time}
+                           "sim_time": res.time,
+                           **_what_the_clock_is_made_of(run, 4 * repeats)}
+            faults, sys_share = (
+                "-" if shape[form][key] is None else f"{shape[form][key]:.2f}"
+                for key in ("minor_faults_per_run", "sys_share"))
             lines.append(f"{name:>10} {form:>8} {low.rung:>8} "
-                         f"{median * 1e3:>10.2f} {res.time:>12.0f}  "
-                         f"{prog.pretty()}")
+                         f"{median * 1e3:>10.2f} {res.time:>12.0f} "
+                         f"{faults:>10} {sys_share:>9}  {prog.pretty()}")
         shape["planned_over_written"] = (shape["planned"]["median_s"]
                                          / shape["written"]["median_s"])
         lines.append(f"{name:>10} planned/written wall clock: "

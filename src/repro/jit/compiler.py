@@ -65,6 +65,7 @@ from repro.core.stages import (
 )
 from repro.core.store import BoundedStore
 from repro.kernels.blocks import (
+    BlockPool,
     devectorize_block,
     is_vector_block,
     vectorize_block,
@@ -100,6 +101,10 @@ __all__ = [
 DEFAULT_LOCAL_PARAMS = MachineParams(p=1, ts=2048.0, tw=1.0, m=1)
 
 _MIN_CHUNK = 1024
+
+#: where the compiled folds' output rows come from — the only block-sized
+#: allocation on the compiled path (scratch is chunk-sized and reused)
+_BLOCKS = BlockPool(STATS)
 
 #: dtypes the raw tapes accept: the only ones where raw and checked
 #: kernels (and their scalar promotions) agree bit-for-bit
@@ -441,7 +446,7 @@ def _compile_fold(
         slices = _chunk_slices(shape, params)
         max_len = None if slices[0] is ... else slices[0].stop - slices[0].start
         outs = [
-            [np.empty(shape, dtype) for _ in range(out_n)]
+            [_BLOCKS.empty(shape, dtype) for _ in range(out_n)]
             for _ in range(p if is_scan else 1)
         ]
         pre_scratch = [
@@ -677,6 +682,9 @@ class CompiledProgram:
             self.proof, self.unprovable = proof_steps(plan.program.stages), ""
         except JitUnsupported as exc:
             self.proof, self.unprovable = (), str(exc)
+        #: (input hull, p) -> prove(self.proof, hull, p), a pure function of
+        #: the two: a repeated input skips the interval run
+        self._verdicts = BoundedStore(64)
 
     def proven_safe(
         self, profile: tuple[str, tuple[int, int]], p: int
@@ -687,9 +695,14 @@ class CompiledProgram:
             return True, ""
         if regime != "int":
             return False, "dtype-unproven"
-        if not self.unprovable and prove(self.proof, iv, max(p, 1)):
-            return True, ""
-        return False, self.unprovable or "bounds-unproven"
+        if self.unprovable:
+            return False, self.unprovable
+        key = (iv, max(p, 1))
+        safe = self._verdicts.get(key)
+        if safe is None:
+            safe = prove(self.proof, *key)
+            self._verdicts.put(key, safe)
+        return (True, "") if safe else (False, "bounds-unproven")
 
     def pretty(self) -> str:
         lines = []
@@ -781,8 +794,10 @@ _COMPILE_CACHE = BoundedStore(256)
 
 
 def clear_jit_cache() -> None:
-    """Drop every compiled program (with its engine forms)."""
+    """Drop every compiled program (with its engine forms) and every
+    idle block buffer."""
     _COMPILE_CACHE.clear()
+    _BLOCKS.clear()
 
 
 def compiled_program(

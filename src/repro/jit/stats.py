@@ -18,7 +18,12 @@ __all__ = ["JitStats", "STATS", "reset_stats"]
 
 #: the integer counters, in the order ``describe`` prints them
 _COUNTERS = ("compiles", "cache_hits", "cache_misses", "runs", "full_jit_runs",
-             "compiled_steps", "kernelized_steps", "fused_stages")
+             "compiled_steps", "kernelized_steps", "fused_stages",
+             "pool_hits", "pool_misses")
+
+#: levels, printed after the counters and never reset: the block pool
+#: writes them, and zeroing one would misstate what the pool holds
+_LEVELS = ("pool_idle_bytes",)
 
 
 @dataclass
@@ -41,18 +46,25 @@ class JitStats:
     kernelized_steps: int = 0
     #: stages covered by compiled steps across all compiles (fusion win)
     fused_stages: int = 0
+    #: block-sized output rows the compiled folds drew from the block pool
+    #: (:class:`repro.kernels.blocks.BlockPool`): recycled / freshly mapped
+    pool_hits: int = 0
+    pool_misses: int = 0
+    #: bytes idle in the pool (recounted at each draw; see the class)
+    pool_idle_bytes: int = 0
     #: reason -> count for every fallback decision (static and dynamic),
     #: including each rung of the engine ladder that was declined
     fallbacks: Counter = field(default_factory=Counter)
 
     def snapshot(self) -> dict[str, Any]:
-        snap: dict[str, Any] = {key: getattr(self, key) for key in _COUNTERS}
+        snap: dict[str, Any] = {key: getattr(self, key)
+                                for key in _COUNTERS + _LEVELS}
         snap["fallbacks"] = dict(sorted(self.fallbacks.items()))
         return snap
 
     def describe(self) -> str:
         lines = ["JIT tier stats:"]
-        for key in _COUNTERS:
+        for key in _COUNTERS + _LEVELS:
             lines.append(f"  {key.replace('_', ' '):18}: {getattr(self, key)}")
         if self.fallbacks:
             lines.append("  fallback reasons  :")

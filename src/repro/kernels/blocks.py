@@ -26,6 +26,11 @@ bit-equal to object mode.
 
 from __future__ import annotations
 
+import math
+import mmap
+import threading
+import weakref
+from collections import deque
 from typing import Any, Callable
 
 import numpy as np
@@ -45,6 +50,7 @@ __all__ = [
     "checked_mul",
     "checked_neg",
     "elementwise",
+    "BlockPool",
 ]
 
 
@@ -212,6 +218,117 @@ def devectorize_block(v: Any) -> Any:
     if isinstance(v, tuple):
         return tuple(devectorize_block(c) for c in v)
     return v
+
+
+# ---------------------------------------------------------------------------
+# Block memory
+# ---------------------------------------------------------------------------
+
+#: blocks of fewer bytes are plain ``np.empty``: the allocator mostly
+#: serves them from warm heap pages, and a draw (a finalizer, ~6 µs) costs
+#: more than the faults it saves — at 64 KB the two measured equal
+_POOL_FLOOR = 1 << 16
+
+#: how many draws back the pool's demand reaches
+_POOL_WINDOW = 256
+
+#: private on every platform: anonymous, and copy-on-write across a fork
+#: (the POSIX default is ``MAP_SHARED``, which forked rank processes
+#: would write through)
+_PRIVATE = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+            if hasattr(mmap, "MAP_PRIVATE") else {})
+
+
+class BlockPool:
+    """Uninitialised block-sized arrays over recycled private memory.
+
+    :meth:`empty` is ``np.empty`` for a caller that writes every element
+    before it reads one.  A large block is an array over an anonymous
+    private mapping, and when the last reference to it dies — the array,
+    or any slice, reshape or ``memoryview`` of it, all of which hold the
+    array because its ``base`` is the mapping and not an ndarray — the
+    mapping goes back on the idle shelf of its byte size, where the next
+    draw of that size finds its pages already touched.  A fresh array of
+    that size would be zero-filled by the kernel page by page as it is
+    written, because the allocator hands memory that large back to the
+    system on every free.
+
+    Retention follows observed demand, and nothing sets it: at every
+    draw each shelf is cut, longest idle first, to the number of draws
+    of its size among the pool's last :data:`_POOL_WINDOW`, so idle
+    bytes never exceed what those draws took, and a size no recent draw
+    asked for is unmapped — on the spot, and whenever one more of it
+    comes back.  Between draws the shelves only fill with what callers
+    have held.
+
+    Draws from any thread serialise on one lock; an array may die on any
+    thread, at any point (a collection can run inside a draw), so giving
+    back is a single ``deque.append`` and takes no lock.
+    ``stats`` receives the ``pool_hits`` / ``pool_misses`` counts and the
+    ``pool_idle_bytes`` level: recounted at every draw and :meth:`clear`,
+    and raised in between by each buffer that comes back (unlocked, so a
+    concurrent return can go uncounted until the next draw).
+    """
+
+    def __init__(self, stats: Any) -> None:
+        self._stats = stats
+        self._lock = threading.Lock()
+        #: byte size -> idle buffers of that size, longest idle first
+        self._shelves: dict[int, deque] = {}
+        #: the byte sizes of the last draws
+        self._recent: deque[int] = deque(maxlen=_POOL_WINDOW)
+
+    def empty(self, shape: tuple, dtype: Any) -> np.ndarray:
+        """An uninitialised ``shape`` array of ``dtype``; the caller must
+        write every element (a recycled buffer holds an earlier block)."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        if size < _POOL_FLOOR:
+            return np.empty(shape, dtype)
+        with self._lock:
+            buf = self._draw(size)
+        if buf is None:
+            buf = mmap.mmap(-1, size, **_PRIVATE)
+        block = np.ndarray(shape, dtype, buffer=buf)
+        # not at exit: the process's memory goes with it
+        weakref.finalize(block, self._give_back, buf).atexit = False
+        return block
+
+    def _draw(self, size: int) -> Any:
+        """Record one draw of ``size`` bytes, cut every shelf to its
+        demand, and take the most recently idle buffer of that size."""
+        recent, shelves = self._recent, self._shelves
+        recent.append(size)
+        idle = 0
+        for held, shelf in list(shelves.items()):
+            keep = recent.count(held)
+            while len(shelf) > keep:
+                shelf.popleft()
+            if not keep:
+                del shelves[held]
+            idle += held * len(shelf)
+        shelf = shelves.setdefault(size, deque())
+        buf = shelf.pop() if shelf else None
+        if buf is None:
+            self._stats.pool_misses += 1
+        else:
+            self._stats.pool_hits += 1
+            idle -= size
+        self._stats.pool_idle_bytes = idle
+        return buf
+
+    def _give_back(self, buf: Any) -> None:
+        shelf = self._shelves.get(len(buf))
+        if shelf is not None:  # else: nothing recent drew this size
+            shelf.append(buf)
+            self._stats.pool_idle_bytes += len(buf)
+
+    def clear(self) -> None:
+        """Unmap every idle buffer and forget the demand."""
+        with self._lock:
+            self._shelves.clear()
+            self._recent.clear()
+            self._stats.pool_idle_bytes = 0
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,9 @@ def _repack_base(payload: tuple) -> np.ndarray | None:
     not pay a second ``np.stack``.
     """
     base = payload[0].base
-    if base is None or base.shape != (len(payload),) + payload[0].shape \
+    # a block drawn from a BlockPool has its mapping, not an array, as base
+    if not isinstance(base, np.ndarray) \
+            or base.shape != (len(payload),) + payload[0].shape \
             or base.dtype != payload[0].dtype or not base.flags.c_contiguous:
         return None
     for i, c in enumerate(payload):

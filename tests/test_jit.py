@@ -804,6 +804,26 @@ class TestCaches:
         assert STATS.compiles == compiles  # served from cache
         assert STATS.cache_hits >= 1
 
+    def test_the_bounds_verdict_is_proven_once_per_hull(self, monkeypatch):
+        from repro.jit import compiler
+
+        calls = []
+
+        def counting(steps, iv, p):
+            calls.append((iv, p))
+            return prove(steps, iv, p)
+
+        prove = compiler.prove
+        monkeypatch.setattr(compiler, "prove", counting)
+        cp = compiled_program(Program([ScanStage(MUL)]))
+        for _ in range(3):
+            assert cp.proven_safe(("int", (1, 3)), P) == (True, "")
+            assert cp.proven_safe(("int", (1, 2 ** 40)), P) == (
+                False, "bounds-unproven")
+        assert calls == [((1, 3), P), ((1, 2 ** 40), P)]
+        assert cp.proven_safe(("int", (1, 3)), 2 * P) == (True, "")
+        assert len(calls) == 3  # the verdict depends on p too
+
     def test_params_change_is_a_cache_miss(self):
         prog = _sr2_program()
         xs = _arrays(seed=13)
@@ -909,6 +929,8 @@ class TestStatsAndCli:
         run_jit(prog, _arrays(seed=14), strict=True)
         text = STATS.describe()
         assert "compiles" in text and "fused stages" in text
+        for line in ("pool hits", "pool misses", "pool idle bytes"):
+            assert line in text
         snap = STATS.snapshot()
         assert snap["runs"] == 1
         reset_stats()
