@@ -172,16 +172,6 @@ class Stage:
         return replace(self, origin=origin)
 
 
-def _butterfly_cost(params: MachineParams, words: float, ops: float) -> float:
-    """``log p`` phases, each exchanging ``words`` and computing ``ops``
-    per element (paper eqs. 16-17 with the stage's own volume/count)."""
-    return params.log_p * (params.ts + params.m * (words * params.tw + ops))
-
-
-def _butterfly_formula(words: int, ops: int) -> SymbolicCost:
-    return SymbolicCost(CostFormula.of(1, words, ops), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # Local stages
 # ---------------------------------------------------------------------------
@@ -327,7 +317,27 @@ class _Collective(Stage):
 
 
 @dataclass(frozen=True)
-class _Fold(_Collective):
+class _Butterfly(_Collective):
+    """``log p`` phases, each exchanging ``words`` and computing ``ops``
+    per element (paper eqs. 16-17 with the stage's own volume/count): the
+    class states the pair once, ``cost`` and ``formula`` are its two
+    readings."""
+
+    def butterfly(self) -> tuple[float, float]:
+        """``(words, ops)`` per element of one phase."""
+        raise StageFacetError(type(self), "butterfly")
+
+    def cost(self, params: MachineParams) -> float:
+        words, ops = self.butterfly()
+        return params.log_p * (params.ts + params.m * (words * params.tw + ops))
+
+    def formula(self) -> SymbolicCost:
+        words, ops = self.butterfly()
+        return SymbolicCost(CostFormula.of(1, words, ops), Fraction(0))
+
+
+@dataclass(frozen=True)
+class _Fold(_Butterfly):
     """``scan`` / ``reduce`` / ``allreduce`` over one operator ``op``
     (paper eqs. 16-17, generalized to wide/composite operators)."""
 
@@ -343,13 +353,8 @@ class _Fold(_Collective):
     def pretty(self) -> str:
         return f"{self.kind} ({self.op.name})"
 
-    def cost(self, params: MachineParams) -> float:
-        return _butterfly_cost(params, self.op.width,
-                               self.applications * self.op.op_count)
-
-    def formula(self) -> SymbolicCost:
-        return _butterfly_formula(self.op.width,
-                                  self.applications * self.op.op_count)
+    def butterfly(self) -> tuple[float, float]:
+        return self.op.width, self.applications * self.op.op_count
 
     def token(self) -> tuple:
         return (self.kind, op_signature(self.op))
@@ -627,7 +632,7 @@ class GatherStage(_RootTree):
 
 
 @dataclass(frozen=True)
-class BalancedReduceStage(_Collective):
+class BalancedReduceStage(_Butterfly):
     """``[all]reduce_balanced (op_sr)`` — SR-Reduction's target (Fig 4)."""
 
     tree_op: SRTreeOp
@@ -642,13 +647,8 @@ class BalancedReduceStage(_Collective):
         kind = "allreduce_balanced" if self.to_all else "reduce_balanced"
         return f"{kind} ({self.tree_op.name})"
 
-    def cost(self, params: MachineParams) -> float:
-        return _butterfly_cost(params, self.tree_op.comm_width,
-                               self.tree_op.op_count)
-
-    def formula(self) -> SymbolicCost:
-        return _butterfly_formula(self.tree_op.comm_width,
-                                  self.tree_op.op_count)
+    def butterfly(self) -> tuple[float, float]:
+        return self.tree_op.comm_width, self.tree_op.op_count
 
     def token(self) -> tuple:
         return ("reduce_balanced", self.to_all, op_signature(self.tree_op))
@@ -662,7 +662,7 @@ class BalancedReduceStage(_Collective):
 
 
 @dataclass(frozen=True)
-class BalancedScanStage(_Collective):
+class BalancedScanStage(_Butterfly):
     """``scan_balanced (op_ss)`` — SS-Scan's target (Fig 5)."""
 
     bfly_op: SSButterflyOp
@@ -673,13 +673,8 @@ class BalancedScanStage(_Collective):
     def pretty(self) -> str:
         return f"scan_balanced ({self.bfly_op.name})"
 
-    def cost(self, params: MachineParams) -> float:
-        return _butterfly_cost(params, self.bfly_op.comm_width,
-                               self.bfly_op.op_count)
-
-    def formula(self) -> SymbolicCost:
-        return _butterfly_formula(self.bfly_op.comm_width,
-                                  self.bfly_op.op_count)
+    def butterfly(self) -> tuple[float, float]:
+        return self.bfly_op.comm_width, self.bfly_op.op_count
 
     def token(self) -> tuple:
         return ("scan_balanced", op_signature(self.bfly_op))
@@ -692,7 +687,7 @@ class BalancedScanStage(_Collective):
 
 
 @dataclass(frozen=True)
-class ComcastStage(_Collective):
+class ComcastStage(_Butterfly):
     """``comcast`` — the Comcast rules' target pattern (§3.4, Fig 6).
 
     ``impl`` selects between the two implementations the paper compares:
@@ -726,21 +721,13 @@ class ComcastStage(_Collective):
     def pretty(self) -> str:
         return f"comcast[{self.impl}] ({self.comcast_op.name})"
 
-    def cost(self, params: MachineParams) -> float:
+    def butterfly(self) -> tuple[float, float]:
+        # repeat: broadcast + local repeat — log p phases of (ts + m tw),
+        # then log p digit steps of m * op_count local work.  doubling:
+        # the cost-optimal pipeline ships whole tuple states; every
+        # processor applies exactly one digit function per phase.
         op = self.comcast_op
-        if self.impl == "repeat":
-            # broadcast + local repeat: log p phases of (ts + m tw), then
-            # log p digit steps of m * op_count local work.
-            return params.log_p * (
-                params.ts + params.m * (params.tw + op.op_count))
-        # cost-optimal doubling: log p phases shipping whole tuple states;
-        # every processor applies exactly one digit function per phase.
-        return _butterfly_cost(params, op.state_width, op.op_count)
-
-    def formula(self) -> SymbolicCost:
-        op = self.comcast_op
-        words = 1 if self.impl == "repeat" else op.state_width
-        return _butterfly_formula(words, op.op_count)
+        return (1 if self.impl == "repeat" else op.state_width), op.op_count
 
     def token(self) -> tuple:
         return ("comcast", self.impl, op_signature(self.comcast_op))

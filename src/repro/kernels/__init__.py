@@ -18,7 +18,6 @@ from repro.kernels.blocks import (
     checked_neg,
     devectorize_block,
     elementwise,
-    elementwise_map,
     is_vector_block,
     vectorize_block,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "checked_neg",
     "devectorize_block",
     "elementwise",
-    "elementwise_map",
     "is_vector_block",
     "vectorize_block",
     "PlanStep",

@@ -31,7 +31,7 @@ import mmap
 import threading
 import weakref
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -358,12 +358,3 @@ def elementwise(op: BinOp) -> BinOp:
         kind="ew",
         parts=(op,),
     )
-
-
-def elementwise_map(fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """Lift a scalar map function to a per-element loop over a list block."""
-
-    def lifted(block: Any) -> Any:
-        return [fn(x) for x in block]
-
-    return lifted

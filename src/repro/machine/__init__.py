@@ -17,12 +17,19 @@ from repro.core.cost import (
     PARSYTEC_LIKE,
 )
 from repro.machine.engine import DeadlockError, SimResult, SimStats, run_spmd
+from repro.machine.hierarchical import (
+    TwoLevelParams,
+    allreduce_hierarchical,
+    bcast_hierarchical,
+    reduce_hierarchical,
+)
 from repro.machine.primitives import RankContext
 from repro.machine.rendezvous import ENGINES
 from repro.machine.run import simulate_program
 
 __all__ = [
     "MachineParams",
+    "TwoLevelParams",
     "PARSYTEC_LIKE",
     "LOW_LATENCY",
     "HIGH_LATENCY",
@@ -33,4 +40,7 @@ __all__ = [
     "DeadlockError",
     "ENGINES",
     "simulate_program",
+    "bcast_hierarchical",
+    "reduce_hierarchical",
+    "allreduce_hierarchical",
 ]

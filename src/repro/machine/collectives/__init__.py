@@ -19,6 +19,7 @@ from repro.machine.collectives.alltoall import alltoall_pairwise
 from repro.machine.collectives.comcast import comcast_bcast_repeat, comcast_doubling
 from repro.machine.collectives.gather import (
     allgather_doubling,
+    allgather_machine,
     allgather_ring,
     gather_binomial,
     scatter_binomial,
@@ -45,6 +46,7 @@ __all__ = [
     "scatter_binomial",
     "allgather_ring",
     "allgather_doubling",
+    "allgather_machine",
     "alltoall_pairwise",
     "reduce_scatter_machine",
     "allgatherv_machine",

@@ -33,6 +33,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.operators import BinOp
 from repro.faults import PeerDeadError
+from repro.machine.collectives.gather import allgather_blocks, scatter_tree
 from repro.machine.collectives.reduce import reduce_binomial
 from repro.machine.primitives import RankContext
 from repro.semantics.functional import UNDEF
@@ -46,59 +47,20 @@ from repro.semantics.vocabulary import (
 __all__ = ["reduce_scatter_machine", "allgatherv_machine", "scatterv_binomial"]
 
 
+def _per_element(scale: float) -> Callable[[Any], float]:
+    """The volume-weighted price: ``scale`` words per element actually
+    carried (an undefined block weighs nothing)."""
+    return lambda carried: scale * sum(len(b) for b in carried
+                                       if b is not UNDEF)
+
+
 def scatterv_binomial(ctx: RankContext, values: Any, scale: float,
                       root: int = 0):
     """Scatter the root's list of (irregular) segments; rank ``i`` gets
-    ``values[i]``.
-
-    Halving binomial tree like
-    :func:`repro.machine.collectives.gather.scatter_binomial`, but each
-    message is charged by the *actual* elements it carries (``scale``
-    words per element), so irregular distributions price correctly.  An
-    undefined root list degrades every rank's segment to ``UNDEF``.
-    """
-    p, rank = ctx.size, ctx.rank
-    if not (0 <= root < p):
-        raise ValueError(f"invalid scatter root {root} for {p} ranks")
-    rel = (rank - root) % p
-    if rank == root:
-        if values is UNDEF:
-            values = [UNDEF] * p
-        if len(values) != p:
-            raise ValueError("scatterv root needs exactly one segment per rank")
-        segment: dict[int, Any] | None = {i: v for i, v in enumerate(values)}
-    else:
-        segment = None
-
-    top = 1
-    while top * 2 < p:
-        top *= 2
-
-    def rel_of(i: int) -> int:
-        return (i - root) % p
-
-    d = top
-    while d >= 1:
-        if segment is not None and rel % (2 * d) == 0:
-            dst = rel + d
-            if dst < p:
-                to_send = {i: v for i, v in segment.items() if rel_of(i) >= dst}
-                segment = {i: v for i, v in segment.items() if rel_of(i) < dst}
-                if to_send:
-                    words = scale * sum(len(v) for v in to_send.values()
-                                        if v is not UNDEF)
-                    try:
-                        yield from ctx.send((dst + root) % p, to_send, words)
-                    except PeerDeadError:
-                        pass  # that subtree's segments are lost with it
-        elif segment is None and rel % (2 * d) == d:
-            try:
-                segment = yield from ctx.recv((rel - d + root) % p)
-            except PeerDeadError:
-                segment = {rank: UNDEF}  # parent died before our subtree
-        d //= 2
-    assert segment is not None
-    return segment.get(rank, UNDEF)
+    ``values[i]``.  The halving tree of ``scatter_binomial``, each message
+    charged by the *actual* elements it carries (``scale`` words each),
+    so irregular distributions price correctly."""
+    return (yield from scatter_tree(ctx, values, root, _per_element(scale)))
 
 
 def _halving_reduce(ctx: RankContext, op: BinOp, parts: list | Any,
@@ -252,9 +214,9 @@ def allgatherv_machine(ctx: RankContext, segment: Any,
                        counts: Sequence[int] | None = None, width: int = 1):
     """Concatenate the per-rank segments; every rank returns the full block.
 
-    Recursive doubling over the segments on power-of-two machines, a
-    segment ring otherwise.  Any undefined or lost segment leaves a hole
-    of unknown extent, so the assembled block degrades to ``UNDEF``.
+    ``allgather``'s exchange (doubling on power-of-two machines, the ring
+    otherwise) charged by the elements carried.  Any undefined or lost
+    segment leaves a hole of unknown extent, so the block degrades to ``UNDEF``.
     """
     p, rank = ctx.size, ctx.rank
     m = ctx.params.m
@@ -269,54 +231,7 @@ def allgatherv_machine(ctx: RankContext, segment: Any,
     if p == 1:
         return segment
 
-    blocks: dict[int, Any] = {rank: segment}
-    if p & (p - 1) == 0:
-        d = 1
-        while d < p:
-            partner = rank ^ d
-            words = scale * sum(len(b) for b in blocks.values()
-                                if b is not UNDEF)
-            try:
-                # snapshot: the live dict is mutated below, and in-process
-                # payloads travel by reference — the partner must see the
-                # pre-exchange state on either engine
-                received = yield from ctx.sendrecv(partner, dict(blocks), words)
-            except PeerDeadError:
-                received = None  # the partner's half never arrives
-            if received is not None:
-                blocks.update(received)
-            d *= 2
-    else:
-        right = (rank + 1) % p
-        left = (rank - 1) % p
-        carry_idx = rank
-        for step in range(p - 1):
-            carry = blocks.get(carry_idx, UNDEF)
-            payload = (carry_idx, carry)
-            words = 0.0 if carry is UNDEF else scale * len(carry)
-            expect = (left - step) % p  # the block the left neighbour carries
-            if rank % 2 == 0:
-                try:
-                    yield from ctx.send(right, payload, words)
-                except PeerDeadError:
-                    pass
-                try:
-                    idx, blk = yield from ctx.recv(left)
-                except PeerDeadError:
-                    idx, blk = expect, UNDEF
-            else:
-                try:
-                    idx, blk = yield from ctx.recv(left)
-                except PeerDeadError:
-                    idx, blk = expect, UNDEF
-                try:
-                    yield from ctx.send(right, payload, words)
-                except PeerDeadError:
-                    pass
-            blocks[idx] = blk
-            carry_idx = idx
-
-    gathered = [blocks.get(i, UNDEF) for i in range(p)]
+    gathered = yield from allgather_blocks(ctx, segment, _per_element(scale))
     if any(b is UNDEF for b in gathered):
         return UNDEF
     return concat_blocks(gathered)

@@ -4,15 +4,18 @@ The paper notes (§2.2) that its program format also covers "multithreaded
 computations in the symmetric multiprocessor nodes of clusters of SMPs"
 (the SIMPLE methodology, its reference [3]).  This module supplies that
 substrate: a two-level machine in which intra-node links are much faster
-than inter-node links, plus hierarchical collective algorithms that
-communicate across the slow network only once per node:
+than inter-node links, plus hierarchical collectives that cross the slow
+network only once per node.  They contain no communication loop of their
+own: each is the flat algorithm (:mod:`repro.machine.collectives`) run
+over *groups* — the node's ranks, and on leaders the leaders' ranks — so
+values, clocks and fault degradation are the flat algorithms':
 
-* :func:`bcast_hierarchical` — inter-node binomial broadcast among node
-  leaders, then intra-node binomial broadcast;
-* :func:`reduce_hierarchical` — intra-node reduce to the leader, then
-  inter-node reduce among leaders;
-* :func:`allreduce_hierarchical` — intra reduce, inter allreduce among
-  leaders, intra broadcast.
+* :func:`bcast_hierarchical` — ``bcast_binomial`` among node leaders,
+  then inside each node;
+* :func:`reduce_hierarchical` — ``reduce_binomial`` to the leader, then
+  among leaders;
+* :func:`allreduce_hierarchical` — intra reduce, ``allreduce_butterfly``
+  among leaders, intra broadcast.
 
 Ranks are laid out node-major: node ``i`` owns ranks
 ``[i*cores, (i+1)*cores)``; rank ``i*cores`` is its leader.  The flat
@@ -28,7 +31,8 @@ from typing import Any
 from repro.core.cost import MachineParams
 from repro.core.operators import BinOp
 from repro.machine.collectives.bcast import bcast_binomial
-from repro.machine.primitives import RankContext
+from repro.machine.collectives.reduce import allreduce_butterfly, reduce_binomial
+from repro.machine.primitives import GroupContext, RankContext
 from repro.semantics.functional import UNDEF
 
 __all__ = [
@@ -76,118 +80,26 @@ class TwoLevelParams(MachineParams):
         return (("nic", na), ("nic", nb))
 
 
-def _layout(ctx: RankContext) -> tuple[int, int, int, int]:
-    """(node, local rank, leader rank, cores) for this rank."""
+def _groups(ctx: RankContext) -> tuple[GroupContext, GroupContext | None]:
+    """This rank's node group and, on a node leader, the leaders' group —
+    read off the layout, so forming them costs no message."""
     params = ctx.params
     if not isinstance(params, TwoLevelParams):
         raise TypeError("hierarchical collectives need TwoLevelParams")
     cores = params.cores
-    node = ctx.rank // cores
-    local = ctx.rank % cores
-    leader = node * cores
-    return node, local, leader, cores
-
-
-def _intra_bcast(ctx: RankContext, value: Any, width: int = 1):
-    """Binomial broadcast inside this rank's node (leader is the source)."""
-    _node, local, leader, cores = _layout(ctx)
-    words = ctx.params.m * width
-    d = 1
-    while d < cores:
-        if local < d:
-            dst = local + d
-            if dst < cores:
-                yield from ctx.send(leader + dst, value, words)
-        elif local < 2 * d:
-            value = yield from ctx.recv(leader + local - d)
-        d *= 2
-    return value
-
-
-def _intra_reduce(ctx: RankContext, value: Any, op: BinOp, width: int | None = None):
-    """Binomial reduce to this rank's node leader (rank order preserved)."""
-    _node, local, leader, cores = _layout(ctx)
-    w = (op.width if width is None else width) * ctx.params.m
-    d = 1
-    while d < cores:
-        if local % (2 * d) == 0:
-            src = local + d
-            if src < cores:
-                other = yield from ctx.recv(leader + src)
-                yield from ctx.compute(op.op_count * ctx.params.m)
-                value = op(value, other)
-        elif local % (2 * d) == d:
-            yield from ctx.send(leader + local - d, value, w)
-            return UNDEF
-        d *= 2
-    return value if local == 0 else UNDEF
-
-
-def _leader_exchange_reduce(ctx: RankContext, value: Any, op: BinOp,
-                            width: int | None = None, to_all: bool = False):
-    """[All]reduce among node leaders over the inter-node network."""
-    params: TwoLevelParams = ctx.params  # type: ignore[assignment]
-    node, local, _leader, cores = _layout(ctx)
-    assert local == 0
-    w = (op.width if width is None else width) * params.m
-    nodes = params.nodes
-    if to_all and nodes & (nodes - 1) == 0:
-        # power-of-two leader count: recursive-doubling butterfly, half
-        # the start-ups of fold + broadcast
-        d = 1
-        while d < nodes:
-            partner_node = node ^ d
-            other = yield from ctx.sendrecv(partner_node * cores, value, w)
-            yield from ctx.compute(op.op_count * params.m)
-            value = op(value, other) if node < partner_node else op(other, value)
-            d *= 2
-        return value
-    # binomial fold to node 0 in node order (non-commutative safe)
-    d = 1
-    while d < nodes:
-        if node % (2 * d) == 0:
-            src = node + d
-            if src < nodes:
-                other = yield from ctx.recv(src * cores)
-                yield from ctx.compute(op.op_count * params.m)
-                value = op(value, other)
-        elif node % (2 * d) == d:
-            yield from ctx.send((node - d) * cores, value, w)
-            value = UNDEF
-            break
-        d *= 2
-    if to_all:
-        # broadcast back along the leader tree
-        d = 1
-        while d < nodes:
-            if node < d:
-                dst = node + d
-                if dst < nodes:
-                    yield from ctx.send(dst * cores, value, w)
-            elif node < 2 * d:
-                value = yield from ctx.recv((node - d) * cores)
-            d *= 2
-    return value
+    leader = ctx.rank - ctx.rank % cores
+    node = GroupContext(ctx, range(leader, leader + cores))
+    if ctx.rank != leader:
+        return node, None
+    return node, GroupContext(ctx, range(0, ctx.size, cores))
 
 
 def bcast_hierarchical(ctx: RankContext, value: Any, width: int = 1):
     """Two-phase broadcast: across node leaders, then inside each node."""
-    params: TwoLevelParams = ctx.params  # type: ignore[assignment]
-    node, local, _leader, cores = _layout(ctx)
-    words = params.m * width
-    if local == 0:
-        nodes = params.nodes
-        d = 1
-        while d < nodes:
-            if node < d:
-                dst = node + d
-                if dst < nodes:
-                    yield from ctx.send(dst * cores, value, words)
-            elif node < 2 * d:
-                value = yield from ctx.recv((node - d) * cores)
-            d *= 2
-    value = yield from _intra_bcast(ctx, value, width)
-    return value
+    node, leaders = _groups(ctx)
+    if leaders is not None:
+        value = yield from bcast_binomial(leaders, value, width=width)
+    return (yield from bcast_binomial(node, value, width=width))
 
 
 def reduce_hierarchical(ctx: RankContext, value: Any, op: BinOp,
@@ -197,22 +109,19 @@ def reduce_hierarchical(ctx: RankContext, value: Any, op: BinOp,
     Node-major layout keeps rank order, so non-commutative associative
     operators are safe.  Non-roots return the undefined block.
     """
-    _node, local, _leader, _cores = _layout(ctx)
-    value = yield from _intra_reduce(ctx, value, op, width)
-    if local != 0:
+    node, leaders = _groups(ctx)
+    value = yield from reduce_binomial(node, value, op, width)
+    if leaders is None:
         return UNDEF
-    value = yield from _leader_exchange_reduce(ctx, value, op, width)
-    return value if ctx.rank == 0 else UNDEF
+    return (yield from reduce_binomial(leaders, value, op, width))
 
 
 def allreduce_hierarchical(ctx: RankContext, value: Any, op: BinOp,
                            width: int | None = None):
     """Intra reduce → leader allreduce → intra broadcast."""
-    _node, local, _leader, _cores = _layout(ctx)
-    value = yield from _intra_reduce(ctx, value, op, width)
-    if local == 0:
-        value = yield from _leader_exchange_reduce(ctx, value, op, width,
-                                                   to_all=True)
-    value = yield from _intra_bcast(
-        ctx, value, op.width if width is None else width)
-    return value
+    node, leaders = _groups(ctx)
+    value = yield from reduce_binomial(node, value, op, width)
+    if leaders is not None:
+        value = yield from allreduce_butterfly(leaders, value, op, width)
+    return (yield from bcast_binomial(
+        node, value, width=op.width if width is None else width))

@@ -29,7 +29,7 @@ paper's model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 __all__ = [
     "Send",
@@ -38,6 +38,7 @@ __all__ = [
     "Compute",
     "Action",
     "RankContext",
+    "GroupContext",
     "comm_partner",
     "pending_info",
 ]
@@ -157,3 +158,54 @@ class RankContext:
     def probe(self, tag: Any):
         """Record this rank's current virtual clock under ``tag``."""
         yield Probe(tag)
+
+
+class GroupContext:
+    """A view of a parent context restricted to ``members`` (global ranks)
+    — how a collective runs on part of the machine.
+
+    It satisfies the same duck-typed protocol as :class:`RankContext`, so
+    every collective algorithm runs unchanged inside a group.  Local
+    ranks are indices into the sorted member list; all primitive
+    operations translate to the parent's global ranks, so the engine
+    (and its link/contention model) is unchanged.
+    """
+
+    def __init__(self, parent, members: Sequence[int]) -> None:
+        members = sorted(members)
+        if parent.rank not in members:
+            raise ValueError("this rank is not a member of the group")
+        self._parent = parent
+        self._members = members
+        self.rank = members.index(parent.rank)
+        self.size = len(members)
+        self.params = parent.params
+
+    def _global(self, local_rank: int) -> int:
+        if not (0 <= local_rank < self.size):
+            raise ValueError(f"invalid group rank {local_rank}")
+        return self._members[local_rank]
+
+    # primitive protocol (generators, like RankContext) -------------------
+
+    def send(self, dst: int, payload: Any, words: float):
+        yield from self._parent.send(self._global(dst), payload, words)
+
+    def recv(self, src: int):
+        value = yield from self._parent.recv(self._global(src))
+        return value
+
+    def sendrecv(self, partner: int, payload: Any, words: float):
+        value = yield from self._parent.sendrecv(
+            self._global(partner), payload, words)
+        return value
+
+    def compute(self, ops: float):
+        yield from self._parent.compute(ops)
+
+    def probe(self, tag: Any):
+        yield from self._parent.probe(tag)
+
+    def drive(self, gen):
+        """Blocking execution delegate (threaded front end)."""
+        return self._parent.drive(gen)

@@ -40,8 +40,7 @@ from repro.core.stages import (
     Stage,
 )
 from repro.machine.collectives import (
-    allgather_doubling,
-    allgather_ring,
+    allgather_machine,
     allgatherv_machine,
     gather_binomial,
     reduce_scatter_machine,
@@ -85,8 +84,7 @@ def _map2(ctx: RankContext, stage: Map2Stage, x: Any):
 
 
 def _allgather(ctx: RankContext, stage: AllGatherStage, x: Any):
-    algorithm = allgather_ring if ctx.size & (ctx.size - 1) else allgather_doubling
-    return tuple((yield from algorithm(ctx, x, width=stage.width)))
+    return tuple((yield from allgather_machine(ctx, x, width=stage.width)))
 
 
 def _gather(ctx: RankContext, stage: GatherStage, x: Any):

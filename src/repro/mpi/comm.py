@@ -30,7 +30,7 @@ from repro.core.cost import MachineParams
 from repro.core.operators import BinOp
 from repro.faults import FaultPlan
 from repro.machine.collectives import (
-    allgather_ring,
+    allgather_machine,
     alltoall_pairwise,
     allreduce_butterfly,
     bcast_binomial,
@@ -43,7 +43,13 @@ from repro.machine.engine import SimResult, run_spmd
 from repro.machine.primitives import RankContext
 from repro.semantics.functional import UNDEF
 
-__all__ = ["Comm", "spmd_run"]
+__all__ = ["Comm", "COMMUNICATION", "spmd_run"]
+
+#: the :class:`Comm` methods that communicate — generators here, blocking
+#: calls on :class:`repro.mpi.threaded.ThreadedComm`, which wraps exactly these
+COMMUNICATION = ("send", "recv", "sendrecv", "bcast", "scatter", "gather",
+                 "allgather", "alltoall", "reduce", "allreduce", "scan",
+                 "exscan", "split", "barrier")
 
 
 class Comm:
@@ -105,7 +111,7 @@ class Comm:
 
     def allgather(self, sendobj: Any):
         """MPI_Allgather: the full rank-ordered list on every rank."""
-        value = yield from allgather_ring(self._ctx, sendobj)
+        value = yield from allgather_machine(self._ctx, sendobj)
         return value
 
     def alltoall(self, sendobjs: Sequence[Any]):
@@ -162,7 +168,7 @@ class Comm:
         from repro.mpi.groups import split_context
 
         group_ctx = yield from split_context(self._ctx, color, key)
-        return None if group_ctx is None else Comm(group_ctx)
+        return None if group_ctx is None else type(self)(group_ctx)
 
     def barrier(self):
         """Synchronize all ranks (allreduce of a zero-word token)."""

@@ -5,10 +5,10 @@ the cluster-of-SMPs algorithms are the classic use (a per-node
 communicator plus a leaders' communicator).  This module adds groups to
 both front ends:
 
-* :class:`GroupContext` — a rank-translating adapter satisfying the same
-  duck-typed protocol as :class:`~repro.machine.primitives.RankContext`,
-  so *every* collective algorithm in the library runs unchanged inside a
-  group;
+* :class:`~repro.machine.primitives.GroupContext` — the rank-translating
+  adapter every collective algorithm runs unchanged inside (it lives
+  with ``RankContext``: the two-level collectives of
+  :mod:`repro.machine.hierarchical` build their groups from it directly);
 * :func:`comm_split` — the collective split (an allgather of colors,
   like real implementations), returning a group communicator.
 
@@ -18,60 +18,13 @@ splits and checks it against :mod:`repro.machine.hierarchical`.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from repro.machine.collectives import allgather_ring
+from repro.machine.primitives import GroupContext
 from repro.mpi.comm import Comm
 
 __all__ = ["GroupContext", "comm_split", "split_context"]
-
-
-class GroupContext:
-    """A view of a parent context restricted to ``members`` (global ranks).
-
-    Local ranks are indices into the sorted member list; all primitive
-    operations translate to the parent's global ranks, so the engine
-    (and its link/contention model) is unchanged.
-    """
-
-    def __init__(self, parent, members: Sequence[int]) -> None:
-        members = sorted(members)
-        if parent.rank not in members:
-            raise ValueError("this rank is not a member of the group")
-        self._parent = parent
-        self._members = members
-        self.rank = members.index(parent.rank)
-        self.size = len(members)
-        self.params = parent.params
-
-    def _global(self, local_rank: int) -> int:
-        if not (0 <= local_rank < self.size):
-            raise ValueError(f"invalid group rank {local_rank}")
-        return self._members[local_rank]
-
-    # primitive protocol (generators, like RankContext) -------------------
-
-    def send(self, dst: int, payload: Any, words: float):
-        yield from self._parent.send(self._global(dst), payload, words)
-
-    def recv(self, src: int):
-        value = yield from self._parent.recv(self._global(src))
-        return value
-
-    def sendrecv(self, partner: int, payload: Any, words: float):
-        value = yield from self._parent.sendrecv(
-            self._global(partner), payload, words)
-        return value
-
-    def compute(self, ops: float):
-        yield from self._parent.compute(ops)
-
-    def probe(self, tag: Any):
-        yield from self._parent.probe(tag)
-
-    def drive(self, gen):
-        """Blocking execution delegate (threaded front end)."""
-        return self._parent.drive(gen)
 
 
 def split_context(ctx, color: Any, key: int | None = None):
@@ -102,5 +55,4 @@ def comm_split(comm: Comm, color: Any, key: int | None = None):
     the new group (default: global rank order).  Must be called by every
     rank of ``comm``.  Generator — use with ``yield from``.
     """
-    group_ctx = yield from split_context(comm._ctx, color, key)
-    return None if group_ctx is None else Comm(group_ctx)
+    return (yield from Comm.split(comm, color, key))

@@ -10,9 +10,10 @@
 
     result = threaded_spmd_run(program, inputs=[1, 2, 3, 4], params=params)
 
-Under the hood each blocking call drives the *same* generator-based
-collective algorithms as the cooperative simulator
-(:mod:`repro.machine.collectives`), executing every primitive action
+:class:`ThreadedComm` *is* :class:`repro.mpi.comm.Comm`: each blocking
+call drives the generator method of the same name — and with it the
+*same* collective algorithms as the cooperative simulator
+(:mod:`repro.machine.collectives`) — executing every primitive action
 through the *same* rendezvous kernel (:mod:`repro.machine.rendezvous`:
 ``ts + words*tw`` per matched message, unit-cost ops) — here under one
 lock, each rank blocking on its own ``threading.Event``, the match made
@@ -35,27 +36,17 @@ degraded results and the fault summary are identical across engines
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
-from repro.core.operators import BinOp
 from repro.faults import (
     FaultPlan,
     FaultState,
     FaultTimeoutError,
     PeerDeadError,
     RankCrashedError,
-)
-from repro.machine.collectives import (
-    allgather_ring,
-    alltoall_pairwise,
-    allreduce_butterfly,
-    bcast_binomial,
-    gather_binomial,
-    reduce_binomial,
-    scan_butterfly,
-    scatter_binomial,
 )
 from repro.kernels.messages import PackedBlock, pack_block, unpack_block
 from repro.machine.primitives import RankContext, Send, SendRecv
@@ -65,6 +56,7 @@ from repro.machine.rendezvous import (
     live_fault_state,
     raise_root_cause,
 )
+from repro.mpi.comm import COMMUNICATION, Comm
 from repro.semantics.functional import UNDEF
 
 __all__ = ["ThreadedComm", "threaded_spmd_run", "blocking"]
@@ -162,90 +154,29 @@ def blocking(rank_fn: Callable[[RankContext, Any], Any]
     return lambda comm, x: comm._ctx.drive(rank_fn(comm._ctx, x))
 
 
-class ThreadedComm:
-    """Blocking mpi4py-style communicator for thread-per-rank programs."""
+def _driven(name: str):
+    """``Comm.<name>`` as a blocking call: the calling rank drives the
+    generator to its value."""
+    method = getattr(Comm, name)
 
-    def __init__(self, ctx: _ThreadContext) -> None:
-        self._ctx = ctx
+    @functools.wraps(method)
+    def call(self, *args: Any, **kwargs: Any) -> Any:
+        return self._ctx.drive(method(self, *args, **kwargs))
 
-    @property
-    def rank(self) -> int:
-        return self._ctx.rank
+    return call
 
-    @property
-    def size(self) -> int:
-        return self._ctx.size
 
-    # -- point to point ------------------------------------------------------
-
-    def send(self, obj: Any, dest: int, words: float | None = None) -> None:
-        """Blocking synchronous send (cost ``ts + words*tw``)."""
-        w = self._ctx.params.m if words is None else words
-        self._ctx.drive(self._ctx.send(dest, obj, w))
-
-    def recv(self, source: int) -> Any:
-        """Blocking receive; returns the payload."""
-        return self._ctx.drive(self._ctx.recv(source))
-
-    def sendrecv(self, obj: Any, dest: int, words: float | None = None) -> Any:
-        """Simultaneous exchange with ``dest``; returns its payload."""
-        w = self._ctx.params.m if words is None else words
-        return self._ctx.drive(self._ctx.sendrecv(dest, obj, w))
+class ThreadedComm(Comm):
+    """Blocking mpi4py-style communicator for thread-per-rank programs:
+    :class:`Comm` with every method of :data:`COMMUNICATION` driven."""
 
     def compute(self, ops: float) -> None:
         """Charge local computation time (for realistic local stages)."""
         self._ctx.drive(self._ctx.compute(ops))
 
-    # -- collectives (reusing the simulator's algorithms) ----------------------
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """MPI_Bcast: replicate the root's object to every rank."""
-        return self._ctx.drive(bcast_binomial(self._ctx, obj, root=root))
-
-    def scatter(self, sendobj: Sequence[Any] | None, root: int = 0) -> Any:
-        """MPI_Scatter: deal the root's list out, one element per rank."""
-        return self._ctx.drive(scatter_binomial(self._ctx, sendobj, root=root))
-
-    def gather(self, sendobj: Any, root: int = 0) -> Any:
-        """MPI_Gather: rank-ordered list on the root; ``None`` elsewhere."""
-        out = self._ctx.drive(gather_binomial(self._ctx, sendobj, root=root))
-        return None if out is UNDEF else out
-
-    def allgather(self, sendobj: Any) -> list:
-        """MPI_Allgather: the full rank-ordered list on every rank."""
-        return self._ctx.drive(allgather_ring(self._ctx, sendobj))
-
-    def alltoall(self, sendobjs: Sequence[Any]) -> list:
-        """Personalized exchange: ``sendobjs[i]`` goes to rank ``i``."""
-        return self._ctx.drive(alltoall_pairwise(self._ctx, sendobjs))
-
-    def reduce(self, sendobj: Any, op: BinOp, root: int = 0) -> Any:
-        """MPI_Reduce: combined value on the root, ``None`` elsewhere.
-
-        Any root works: commutative operators rotate the binomial
-        schedule; merely associative ones fold at rank 0 and relay.
-        """
-        out = self._ctx.drive(reduce_binomial(self._ctx, sendobj, op, root=root))
-        return None if out is UNDEF else out
-
-    def allreduce(self, sendobj: Any, op: BinOp) -> Any:
-        """MPI_Allreduce: the ⊕-combination of all blocks, everywhere."""
-        return self._ctx.drive(allreduce_butterfly(self._ctx, sendobj, op))
-
-    def scan(self, sendobj: Any, op: BinOp) -> Any:
-        """MPI_Scan: inclusive prefix over ranks."""
-        return self._ctx.drive(scan_butterfly(self._ctx, sendobj, op))
-
-    def split(self, color: Any, key: int | None = None) -> "ThreadedComm | None":
-        """``MPI_Comm_split`` (blocking): a sub-communicator per color."""
-        from repro.mpi.groups import split_context
-
-        group_ctx = self._ctx.drive(split_context(self._ctx, color, key))
-        return None if group_ctx is None else ThreadedComm(group_ctx)
-
-    def barrier(self) -> None:
-        """Synchronize all ranks."""
-        self.allreduce(0, BinOp("barrier", lambda a, b: 0, commutative=True))
+for _name in COMMUNICATION:
+    setattr(ThreadedComm, _name, _driven(_name))
 
 
 def threaded_spmd_run(

@@ -33,7 +33,7 @@ from repro.kernels.messages import PackedBlock
 from repro.semantics.functional import UNDEF
 
 __all__ = ["ARRAY", "PACKED", "PICKLE", "encode_payload", "stage_meta",
-           "read_meta", "alloc_destination", "finish_destination",
+           "alloc_destination", "finish_destination",
            "dumps", "loads"]
 
 ARRAY, PACKED, PICKLE = 1, 2, 3
@@ -103,18 +103,6 @@ def stage_meta(arena, rank: int, kind: int, nbytes: int, k: int, ndim: int,
     enc = dtype.encode("ascii")[:16]
     arena.meta_dtype[rank, :] = 0
     arena.meta_dtype[rank, : len(enc)] = np.frombuffer(enc, dtype=np.uint8)
-
-
-def read_meta(arena, rank: int) -> tuple[int, int, int, int, tuple, str]:
-    """Read ``rank``'s outbox descriptor → same tuple as the encoder."""
-    kind = int(arena.meta_kind[rank])
-    nbytes = int(arena.meta_nbytes[rank])
-    k = int(arena.meta_k[rank])
-    ndim = int(arena.meta_ndim[rank])
-    shape = tuple(int(s) for s in arena.meta_shape[rank, :ndim])
-    raw = bytes(arena.meta_dtype[rank])
-    dtype = raw.rstrip(b"\x00").decode("ascii")
-    return kind, nbytes, k, ndim, shape, dtype
 
 
 def alloc_destination(kind: int, nbytes: int, k: int, shape: tuple,

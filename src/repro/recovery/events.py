@@ -79,8 +79,9 @@ class RecoveryLog:
         return [e for e in self.events if e["event"] == event]
 
     def to_json(self, indent: int | None = 2) -> str:
+        # list(): the serving bus keeps a bounded deque in ``events``
         return json.dumps({"version": RECOVERYLOG_JSON_VERSION,
-                           "events": self.events},
+                           "events": list(self.events)},
                           indent=indent, sort_keys=True)
 
     @classmethod

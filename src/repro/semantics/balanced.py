@@ -195,7 +195,3 @@ def scan_balanced(
         if trace is not None:
             trace.append(list(states))
     return [op.project(s) for s in states]
-
-
-def _is_undef(x: Any) -> bool:
-    return x is UNDEF

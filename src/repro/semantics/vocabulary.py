@@ -34,7 +34,6 @@ from repro.semantics.functional import UNDEF
 
 __all__ = [
     "balanced_counts",
-    "counts_offsets",
     "resolve_counts",
     "split_by_counts",
     "concat_blocks",
@@ -56,16 +55,6 @@ def balanced_counts(n: int, p: int) -> tuple[int, ...]:
         raise ValueError(f"negative block length {n}")
     base, rem = divmod(n, p)
     return tuple(base + (1 if i < rem else 0) for i in range(p))
-
-
-def counts_offsets(counts: Sequence[int]) -> tuple[int, ...]:
-    """Exclusive prefix sums of ``counts`` (rank ``i``'s segment start)."""
-    offs = []
-    acc = 0
-    for c in counts:
-        offs.append(acc)
-        acc += c
-    return tuple(offs)
 
 
 def resolve_counts(counts: Sequence[int] | None, n: int, p: int) -> tuple[int, ...]:

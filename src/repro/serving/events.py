@@ -9,16 +9,25 @@ for the single-threaded supervisor; the serving manager's submitters and
 workers emit concurrently, so this bus serializes every append under one
 lock and adds a monotonic sequence number to each event (concurrent
 emission has no other global order to lean on).
+
+A flight recorder keeps the recent past, not the life of the manager:
+the log retains the latest :data:`RETAINED_EVENTS` records, while
+``len(bus)`` stays the number *emitted* — the bus's own ``seq``.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Any
 
 from repro.recovery.events import RecoveryLog
 
-__all__ = ["EventBus"]
+__all__ = ["EventBus", "RETAINED_EVENTS"]
+
+#: records the log keeps: the 16 384 most recent jobs' four-event
+#: lifecycles (an unbounded list cost ~1.1 KB of RSS a job, for ever)
+RETAINED_EVENTS = 65_536
 
 
 class EventBus:
@@ -26,6 +35,7 @@ class EventBus:
 
     def __init__(self, log: RecoveryLog | None = None) -> None:
         self.log = log if log is not None else RecoveryLog()
+        self.log.events = deque(self.log.events, maxlen=RETAINED_EVENTS)
         self._lock = threading.Lock()
         self._seq = 0
 
@@ -52,5 +62,5 @@ class EventBus:
             return self.log.describe()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self.log.events)
+        """Events emitted — not the (bounded) number retained."""
+        return self._seq

@@ -15,12 +15,14 @@ import pytest
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD, CONCAT, MUL
 from repro.core.stages import (
+    AllGatherStage,
     AllReduceStage,
     BcastStage,
     MapStage,
     Program,
     ReduceStage,
     ScanStage,
+    ScatterStage,
 )
 from repro.faults import (
     FaultPlan,
@@ -29,6 +31,8 @@ from repro.faults import (
     PeerDeadError,
     RankCrash,
 )
+from repro.machine import ENGINES
+from repro.machine.collectives import scatter_binomial, scatterv_binomial
 from repro.machine.engine import DeadlockError, run_spmd
 from repro.machine.run import simulate_program
 from repro.mpi import Comm, spmd_run
@@ -170,6 +174,57 @@ class TestCrashDegradation:
         assert defined_equal(res.values, ref.values)
         assert any(v is UNDEF for v in res.values)
         assert any(v is not UNDEF for v in res.values)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("p", [pytest.param(6, id="ring"),
+                                   pytest.param(8, id="doubling")])
+    @pytest.mark.parametrize("victim", [0, 3])
+    def test_allgather_crash_leaves_holes_in_the_gathered_list(
+            self, victim, p, engine):
+        prog, xs = Program([AllGatherStage()]), list(range(1, p + 1))
+        plan = FaultPlan(crashes=(RankCrash(rank=victim, at_clock=0.0),))
+        params = PARAMS.with_(p=p)
+        ref = simulate_program(prog, xs, params, engine=engine)
+        res = simulate_program(prog, xs, params, faults=plan, engine=engine)
+        assert res.values[victim] is UNDEF
+        for r in set(range(p)) - {victim}:
+            assert res.values[r][victim] is UNDEF  # never forwarded
+            assert res.values[r][r] == xs[r]
+            assert defined_equal(res.values[r], ref.values[r])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("victim,lost", [
+        pytest.param(0, range(8), id="root"),
+        pytest.param(4, range(4, 8), id="half"),
+        pytest.param(6, (6, 7), id="pair"),
+        pytest.param(5, (5,), id="leaf")])
+    def test_scatter_crash_degrades_the_subtree_below_it(
+            self, victim, lost, engine):
+        prog = Program([ScatterStage()])
+        xs = [list(range(10, 18))] + [None] * 7
+        plan = FaultPlan(crashes=(RankCrash(rank=victim, at_clock=0.0),))
+        res = simulate_program(prog, xs, PARAMS, faults=plan, engine=engine)
+        assert res.values == tuple(UNDEF if r in lost else 10 + r
+                                   for r in range(8))
+
+    @pytest.mark.parametrize("scatter", [
+        pytest.param(lambda ctx, x: scatter_binomial(ctx, x), id="scatter"),
+        pytest.param(lambda ctx, x: scatterv_binomial(ctx, x, 1.0), id="scatterv"),
+    ])
+    def test_scatter_below_a_dead_parent_keeps_the_schedule(self, scatter):
+        """Rank 4 dies holding ranks 5-7's blocks: 6 still forwards the
+        hole to 7 (the v-variant used to skip the empty message and leave
+        7 waiting: a ``DeadlockError``), and an undefined root list
+        degrades every block."""
+        def prog(ctx, x):
+            return (yield from scatter(ctx, x))
+
+        plan = FaultPlan(crashes=(RankCrash(rank=4, at_clock=0.0),))
+        xs = [[[r] for r in range(8)]] + [None] * 7
+        res = run_spmd(prog, xs, PARAMS, faults=plan)
+        assert res.values == ([0], [1], [2], [3], UNDEF, UNDEF, UNDEF, UNDEF)
+        res = run_spmd(prog, [UNDEF] + [None] * 7, PARAMS)
+        assert res.values == (UNDEF,) * 8
 
     def test_uncaught_peer_death_is_typed_not_a_hang(self):
         # a raw point-to-point program does not catch PeerDeadError

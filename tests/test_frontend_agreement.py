@@ -82,3 +82,46 @@ def test_engine_propagates_user_exceptions():
     with pytest.raises(RuntimeError, match="stage blew up"):
         simulate_program(prog, [1, 2], MachineParams(p=2, ts=1, tw=1),
                          engine="threaded")
+
+
+@pytest.mark.parametrize("p", range(2, 10))
+def test_one_selection_one_price_for_allgather(p):
+    """``scan (+) ; allgather`` costs one simulated time however it is
+    written: as stages, through ``Comm``, through ``ThreadedComm`` and as
+    the generated mpi4py script.  The ring-or-doubling choice is made in
+    one place, so the facades cannot price the program differently from
+    the stage table (they took the ring at every p: 1 860 against the
+    stages' 704 units at p = 8)."""
+    from repro.codegen import generate_mpi4py
+    from repro.codegen.simulated_backend import run_generated
+    from repro.core.stages import AllGatherStage
+    from repro.mpi import spmd_run, threaded_spmd_run
+
+    prog = Program([ScanStage(ADD), AllGatherStage()])
+    params = MachineParams(p=p, ts=100.0, tw=2.0, m=4)
+    xs = list(range(1, p + 1))
+
+    def generator(comm, x):
+        y = yield from comm.scan(x, op=ADD)
+        return tuple((yield from comm.allgather(y)))
+
+    def blocking(comm, x):
+        return tuple(comm.allgather(comm.scan(x, op=ADD)))
+
+    runs = {
+        "stages": simulate_program(prog, xs, params),
+        "stages-threaded": simulate_program(prog, xs, params, engine="threaded"),
+        "Comm": spmd_run(generator, xs, params),
+        "ThreadedComm": threaded_spmd_run(blocking, xs, params),
+        "generated": run_generated(generate_mpi4py(prog), xs, params),
+    }
+    want = runs["stages"]
+    assert want.values == tuple(prog.run(xs))
+    for name, res in runs.items():
+        assert res.values == want.values, name
+        assert res.time == want.time, name
+        assert res.stats.clocks == want.stats.clocks, name
+        assert (res.stats.messages, res.stats.words) == (
+            want.stats.messages, want.stats.words), name
+    if p == 8:
+        assert want.time == 704.0

@@ -5,15 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core.operators import ADD, CONCAT
+from repro.faults import FaultPlan, RankCrash
+from repro.machine import ENGINES
 from repro.machine.collectives import allreduce_butterfly, bcast_binomial, reduce_binomial
 from repro.machine.engine import run_spmd
+from repro.machine.run import run_ranks
 from repro.machine.hierarchical import (
     TwoLevelParams,
     allreduce_hierarchical,
     bcast_hierarchical,
     reduce_hierarchical,
 )
-from repro.semantics.functional import UNDEF
+from repro.semantics.functional import UNDEF, defined_equal
 
 #: 4 nodes x 4 cores; network start-up 100x the intra-node one
 CLUSTER = TwoLevelParams(p=16, ts=1000.0, tw=4.0, m=32,
@@ -133,3 +136,43 @@ class TestHierarchicalWins:
         xs = [5] + [0] * 15
         t = run(bcast_binomial, xs, params=flat).time
         assert t == pytest.approx(4 * (100.0 + 32 * 2.0))
+
+
+class TestCrashDegradation:
+    """The two-level collectives are the flat algorithms over groups, so a
+    crash degrades them the flat way: ``UNDEF`` blocks on every engine,
+    never a ``PeerDeadError`` out of the run (the hand-written copies had
+    no fault handling and raised)."""
+
+    SMALL = TwoLevelParams(p=8, ts=100.0, tw=2.0, m=4, nodes=4, cores=2,
+                           ts_intra=5.0, tw_intra=0.5)
+    CASES = {
+        "bcast": (bcast_hierarchical, (), [7] + [0] * 7),
+        "reduce": (reduce_hierarchical, (ADD,), list(range(1, 9))),
+        "allreduce": (allreduce_hierarchical, (ADD,), list(range(1, 9))),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("victim", [pytest.param(5, id="non-leader"),
+                                        pytest.param(4, id="leader")])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_crash_at_clock_zero_ends_in_undef_blocks(self, name, victim, engine):
+        fn, args, xs = self.CASES[name]
+
+        def rank_fn(ctx, x):
+            out = yield from fn(ctx, x, *args)
+            return out
+
+        plan = FaultPlan(crashes=(RankCrash(rank=victim, at_clock=0.0),))
+        ref = run_ranks(engine, rank_fn, xs, self.SMALL)
+        res = run_ranks(engine, rank_fn, xs, self.SMALL, faults=plan)
+        assert res.values[victim] is UNDEF
+        assert defined_equal(res.values, ref.values)  # holes, never lies
+        assert [r for r, _t in res.faults.deaths] == [victim]
+        if name == "bcast":
+            # the hole is confined to what hung below the victim
+            lost = {5} if victim == 5 else {4, 5}
+            assert {r for r, v in enumerate(res.values) if v is UNDEF} == lost
+        else:
+            # a lost contribution poisons the fold, as in the flat reduce
+            assert all(v is UNDEF for v in res.values)

@@ -9,12 +9,15 @@ precedent: the exception is a table someone has to edit, not a silence.
 decision for each entry.
 
 The second half holds what the same PR deleted as deleted: a duplicate
-path comes back most easily as an alias "for convenience".
+path comes back most easily as an alias "for convenience".  The third
+holds the communication loops to one copy each: the two-level collectives
+and the blocking communicator are callers, not restatements.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -34,9 +37,6 @@ UNREACHED = {
         "BSPParams.as_machine(); tests/test_bsp_calibration.py only",
     "repro.machine.topologies":
         "ring / mesh / hypercube link costs; tests/test_topologies.py only",
-    "repro.machine.hierarchical":
-        "two-level collectives: examples/smp_cluster.py, one bench, four "
-        "test files (the strongest keep)",
     "repro.semantics.homomorphisms":
         "list-homomorphism view of the rules; tests/test_homomorphisms.py only",
     "repro.semantics.equivalence":
@@ -140,3 +140,45 @@ def test_every_deck_mixes_its_seeds_in_one_place():
     hits = [path.name for path in sorted((ROOT / "testing").glob("*.py"))
             for _ in re.findall("1_000_003", path.read_text())]
     assert hits == ["generator.py"], hits
+
+
+# -- a communication loop is written once --------------------------------------
+
+def test_the_two_level_collectives_contain_no_loop_of_their_own():
+    """``machine/hierarchical.py`` composes the flat algorithms over
+    groups: it sends, receives and iterates nothing itself."""
+    tree = ast.parse((ROOT / "machine" / "hierarchical.py").read_text())
+    primitives = [node.func.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("send", "recv", "sendrecv")]
+    assert primitives == []
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.While, ast.For))]
+
+
+def test_the_blocking_communicator_is_the_generator_one_driven():
+    from repro.mpi.comm import COMMUNICATION, Comm
+    from repro.mpi.threaded import ThreadedComm
+
+    tree = ast.parse((ROOT / "mpi" / "threaded.py").read_text())
+    (cls,) = [node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "ThreadedComm"]
+    own = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert not own & set(COMMUNICATION), own
+    for name in COMMUNICATION:
+        generator = vars(Comm)[name]
+        assert inspect.isgeneratorfunction(generator), name
+        blocking = vars(ThreadedComm)[name]
+        assert blocking.__wrapped__ is generator, name
+        assert not inspect.isgeneratorfunction(blocking), name
+    # the tuple misses no method of Comm that communicates
+    assert {name for name, fn in vars(Comm).items()
+            if inspect.isgeneratorfunction(fn)} == set(COMMUNICATION)
+
+
+def test_the_payload_snapshot_is_taken_once():
+    hits = [path.name
+            for path in sorted((ROOT / "machine" / "collectives").glob("*.py"))
+            for _ in re.findall(r"dict\(blocks\)", path.read_text())]
+    assert hits == ["gather.py"], hits

@@ -528,6 +528,29 @@ class TestServingManager:
                 assert trail == ["submit", "admit", "start", "complete"]
             assert stats["events"] == 4 * len(handles)
 
+    def test_the_flight_recorder_keeps_the_recent_past_only(self):
+        """The bus retains the latest ``RETAINED_EVENTS`` records (it used
+        to keep all of them: ~1.1 KB of RSS a job for the manager's life);
+        what it *counts* is still every event emitted."""
+        from repro.serving.events import RETAINED_EVENTS
+
+        jobs, window = 20_000, 250
+        with ServingManager(_cfg(workers=1)) as mgr:
+            for _ in range(jobs // window):
+                handles = [mgr.submit(SCAN, [1, 2, 3, 4], PARAMS)
+                           for _ in range(window)]
+                for handle in handles:
+                    handle.result(timeout=30.0)
+            stats = mgr.stats()
+            retained = list(mgr.events.log.events)
+        assert stats["events"] == len(mgr.events) == 4 * jobs == 80_000
+        assert len(retained) <= RETAINED_EVENTS
+        newest = retained[-1]
+        assert (newest["event"], newest["seq"], newest["job"]) == (
+            "complete", 4 * jobs, handles[-1].job_id)
+        assert [e["seq"] for e in retained] == list(
+            range(4 * jobs - len(retained) + 1, 4 * jobs + 1))
+
     def test_describe_and_stats_shape(self):
         with ServingManager(_cfg()) as mgr:
             mgr.submit(SCAN, [1.0] * P, PARAMS).result(timeout=30.0)
