@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.derived_ops import SRTreeOp, SSButterflyOp
-from repro.faults import PeerDeadError
 from repro.machine.collectives.bcast import bcast_binomial
-from repro.machine.primitives import RankContext
+from repro.machine.primitives import RankContext, recv_or, send_or_lose, sendrecv_or
 from repro.semantics.functional import UNDEF
 
 __all__ = [
@@ -74,16 +73,12 @@ def reduce_balanced_tree(ctx: RankContext, state: Any, tree_op: SRTreeOp):
         for left, right in pairs:
             new_positions.append(left)
             if rank == right:
-                try:
-                    yield from ctx.send(left, state, words)
-                except PeerDeadError:
-                    pass  # our parent died; the subtree degrades at the root
+                # our parent died; the subtree degrades at the root
+                yield from send_or_lose(ctx, left, state, words)
                 state = UNDEF
             elif rank == left:
-                try:
-                    other = yield from ctx.recv(right)
-                except PeerDeadError:
-                    other = _POISONED  # right sibling's subtree is lost
+                # right sibling's subtree is lost
+                other = yield from recv_or(ctx, right, _POISONED)
                 if state is _POISONED or other is _POISONED:
                     state = _POISONED
                 else:
@@ -118,10 +113,8 @@ def allreduce_balanced_machine(ctx: RankContext, state: Any, tree_op: SRTreeOp):
     d = 1
     while d < p:
         partner = rank ^ d
-        try:
-            other = yield from ctx.sendrecv(partner, state, words)
-        except PeerDeadError:
-            other = _POISONED  # partner's half of the butterfly is lost
+        # partner's half of the butterfly is lost
+        other = yield from sendrecv_or(ctx, partner, state, words, _POISONED)
         if state is _POISONED or other is _POISONED:
             state = _POISONED
         else:
@@ -156,10 +149,9 @@ def scan_balanced_butterfly(ctx: RankContext, state: Any, bfly_op: SSButterflyOp
         else:
             payload = (_POISONED if state is _POISONED
                        else state[1:])  # share only (t, u, v)
-            try:
-                received = yield from ctx.sendrecv(partner, payload, words)
-            except PeerDeadError:
-                received = _POISONED  # partner's block range is lost
+            # partner's block range is lost
+            received = yield from sendrecv_or(ctx, partner, payload, words,
+                                              _POISONED)
             if state is _POISONED or received is _POISONED:
                 state = _POISONED
             else:

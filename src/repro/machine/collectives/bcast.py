@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.faults import PeerDeadError
-from repro.machine.primitives import RankContext
+from repro.machine.primitives import RankContext, recv_or, send_or_lose
 from repro.semantics.functional import UNDEF
 
 __all__ = ["bcast_binomial"]
@@ -37,14 +36,10 @@ def bcast_binomial(ctx: RankContext, value: Any, root: int = 0, width: int = 1):
         if rel < d:
             dst = rel + d
             if dst < p:
-                try:
-                    yield from ctx.send((dst + root) % p, value, words)
-                except PeerDeadError:
-                    pass  # the subtree head died; its subtree degrades
+                # the subtree head died; its subtree degrades
+                yield from send_or_lose(ctx, (dst + root) % p, value, words)
         elif rel < 2 * d:
-            try:
-                value = yield from ctx.recv((rel - d + root) % p)
-            except PeerDeadError:
-                value = UNDEF  # block lost; forward the hole, don't stall
+            # block lost; forward the hole, don't stall
+            value = yield from recv_or(ctx, (rel - d + root) % p, UNDEF)
         d *= 2
     return value

@@ -26,9 +26,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.derived_ops import ComcastOp
-from repro.faults import PeerDeadError
 from repro.machine.collectives.bcast import bcast_binomial
-from repro.machine.primitives import RankContext
+from repro.machine.primitives import RankContext, recv_or, send_or_lose
 from repro.semantics.functional import UNDEF, repeat_fn
 
 __all__ = ["comcast_bcast_repeat", "comcast_doubling"]
@@ -64,18 +63,14 @@ def comcast_doubling(ctx: RankContext, value: Any, op: ComcastOp):
         if rank < d:
             dst = rank + d
             if dst < p:
-                try:
-                    yield from ctx.send(dst, state, words)
-                except PeerDeadError:
-                    pass  # the receiving half of the pipeline degrades
+                # the receiving half of the pipeline degrades
+                yield from send_or_lose(ctx, dst, state, words)
             if state is not UNDEF:
                 yield from ctx.compute(op.op_count * m)
                 state = op.even(state)   # own digit d is 0
         elif rank < 2 * d:
-            try:
-                state = yield from ctx.recv(rank - d)
-            except PeerDeadError:
-                state = UNDEF  # our pipeline ancestor died
+            # our pipeline ancestor died
+            state = yield from recv_or(ctx, rank - d, UNDEF)
             if state is not UNDEF:
                 yield from ctx.compute(op.op_count * m)
                 state = op.odd(state)    # own digit d is 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.faults import PeerDeadError
-from repro.machine.primitives import RankContext
+from repro.machine.primitives import RankContext, recv_or, send_or_lose, sendrecv_or
 from repro.semantics.functional import UNDEF
 
 __all__ = ["gather_binomial", "scatter_binomial", "allgather_ring",
@@ -34,14 +34,6 @@ def per_block(ctx: RankContext, width: int) -> Callable[[Any], float]:
     """The uniform price: ``m * width`` words a block, whatever it holds."""
     m = ctx.params.m
     return lambda carried: len(carried) * m * width
-
-
-def _send(ctx: RankContext, dst: int, payload: Any, words: float):
-    """Send; a dead receiver is its own loss, not the sender's."""
-    try:
-        yield from ctx.send(dst, payload, words)
-    except PeerDeadError:
-        pass
 
 
 def gather_binomial(ctx: RankContext, value: Any, width: int = 1, root: int = 0):
@@ -102,14 +94,12 @@ def scatter_tree(ctx: RankContext, values: Any, root: int, charge: Callable):
             to_send = {i: v for i, v in segment.items()
                        if (i - root) % p >= rel + d}
             segment = {i: v for i, v in segment.items() if i not in to_send}
-            yield from _send(ctx, (rel + d + root) % p, to_send,
-                             charge(to_send.values()))
+            yield from send_or_lose(ctx, (rel + d + root) % p, to_send,
+                                    charge(to_send.values()))
         elif segment is None and rel % (2 * d) == d:
-            try:
-                segment = yield from ctx.recv((rel - d + root) % p)
-            except PeerDeadError:
-                segment = {(r + root) % p: UNDEF
-                           for r in range(rel, min(rel + d, p))}
+            segment = yield from recv_or(
+                ctx, (rel - d + root) % p,
+                {(r + root) % p: UNDEF for r in range(rel, min(rel + d, p))})
         d //= 2
     return segment[rank]
 
@@ -128,14 +118,14 @@ def ring_exchange(ctx: RankContext, value: Any, charge: Callable):
     for step in range(p - 1):
         carry, words = (idx, blocks[idx]), charge((blocks[idx],))
         if rank % 2 == 0:
-            yield from _send(ctx, right, carry, words)
+            yield from send_or_lose(ctx, right, carry, words)
         try:
             idx, blk = yield from ctx.recv(left)
             blocks[idx] = blk
         except PeerDeadError:
             idx = (left - step) % p  # what the neighbour would have carried
         if rank % 2:
-            yield from _send(ctx, right, carry, words)
+            yield from send_or_lose(ctx, right, carry, words)
     return blocks
 
 
@@ -150,14 +140,11 @@ def doubling_exchange(ctx: RankContext, value: Any, charge: Callable):
     blocks: dict[int, Any] = {rank: value}
     d = 1
     while d < p:
-        try:
-            # snapshot: the live dict is mutated below, and in-process
-            # payloads travel by reference — the partner must see the
-            # pre-exchange state on either engine
-            received = yield from ctx.sendrecv(rank ^ d, dict(blocks),
-                                               charge(blocks.values()))
-        except PeerDeadError:
-            received = {}
+        # snapshot: the live dict is mutated below, and in-process
+        # payloads travel by reference — the partner must see the
+        # pre-exchange state on either engine
+        received = yield from sendrecv_or(ctx, rank ^ d, dict(blocks),
+                                          charge(blocks.values()), {})
         blocks.update(received)
         d *= 2
     return [blocks.get(i, UNDEF) for i in range(p)]

@@ -26,9 +26,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.operators import BinOp
-from repro.faults import PeerDeadError
 from repro.machine.collectives.bcast import bcast_binomial
-from repro.machine.primitives import RankContext
+from repro.machine.primitives import RankContext, recv_or, send_or_lose, sendrecv_or
 from repro.semantics.functional import UNDEF
 
 __all__ = ["reduce_binomial", "allreduce_butterfly"]
@@ -58,20 +57,16 @@ def reduce_binomial(ctx: RankContext, value: Any, op: BinOp,
             if rel % (2 * d) == 0:
                 src = rel + d
                 if src < p:
-                    try:
-                        other = yield from ctx.recv((src + root) % p)
-                    except PeerDeadError:
-                        other = UNDEF  # child subtree lost
+                    # child subtree lost
+                    other = yield from recv_or(ctx, (src + root) % p, UNDEF)
                     if value is UNDEF or other is UNDEF:
                         value = UNDEF
                     else:
                         yield from ctx.compute(op.op_count * m)
                         value = op(value, other)
             elif rel % (2 * d) == d:
-                try:
-                    yield from ctx.send((rel - d + root) % p, value, w)
-                except PeerDeadError:
-                    pass  # parent died; our subtree degrades at the root
+                # parent died; our subtree degrades at the root
+                yield from send_or_lose(ctx, (rel - d + root) % p, value, w)
                 return UNDEF
             d *= 2
         return value if rank == root else UNDEF
@@ -80,16 +75,10 @@ def reduce_binomial(ctx: RankContext, value: Any, op: BinOp,
     # rank 0, then relay the result (one extra ts + w*tw message).
     value = yield from reduce_binomial(ctx, value, op, width, root=0)
     if rank == 0:
-        try:
-            yield from ctx.send(root, value, w)
-        except PeerDeadError:
-            pass
+        yield from send_or_lose(ctx, root, value, w)
         return UNDEF
     if rank == root:
-        try:
-            value = yield from ctx.recv(0)
-        except PeerDeadError:
-            value = UNDEF
+        value = yield from recv_or(ctx, 0, UNDEF)
         return value
     return UNDEF
 
@@ -115,10 +104,8 @@ def allreduce_butterfly(ctx: RankContext, value: Any, op: BinOp, width: int | No
     d = 1
     while d < p:
         partner = rank ^ d
-        try:
-            other = yield from ctx.sendrecv(partner, value, w)
-        except PeerDeadError:
-            other = UNDEF  # partner's half of the butterfly is lost
+        # partner's half of the butterfly is lost
+        other = yield from sendrecv_or(ctx, partner, value, w, UNDEF)
         if value is UNDEF or other is UNDEF:
             value = UNDEF
         else:

@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.operators import BinOp
-from repro.faults import PeerDeadError
-from repro.machine.primitives import RankContext
+from repro.machine.primitives import RankContext, sendrecv_or
 from repro.semantics.functional import UNDEF
 
 __all__ = ["scan_butterfly", "scan_hillis_steele", "scan_blelloch"]
@@ -44,10 +43,8 @@ def scan_butterfly(ctx: RankContext, value: Any, op: BinOp, width: int | None = 
     while d < p:
         partner = rank ^ d
         if partner < p:
-            try:
-                other_total = yield from ctx.sendrecv(partner, total, w)
-            except PeerDeadError:
-                other_total = UNDEF  # partner's block range is lost
+            # partner's block range is lost
+            other_total = yield from sendrecv_or(ctx, partner, total, w, UNDEF)
             if partner < rank:
                 if other_total is UNDEF or prefix is UNDEF or total is UNDEF:
                     # poison only what depends on a lost value: a defined

@@ -32,10 +32,9 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.core.operators import BinOp
-from repro.faults import PeerDeadError
 from repro.machine.collectives.gather import allgather_blocks, scatter_tree
 from repro.machine.collectives.reduce import reduce_binomial
-from repro.machine.primitives import RankContext
+from repro.machine.primitives import RankContext, recv_or, send_or_lose, sendrecv_or
 from repro.semantics.functional import UNDEF
 from repro.semantics.vocabulary import (
     balanced_counts,
@@ -94,10 +93,9 @@ def _halving_reduce(ctx: RankContext, op: BinOp, parts: list | Any,
         else:
             outgoing = parts[send_lo:send_hi]
             words = scale * sum(len(s) for seg in outgoing for s in seg)
-        try:
-            incoming = yield from ctx.sendrecv(to_true(partner), outgoing, words)
-        except PeerDeadError:
-            incoming = UNDEF  # partner's half of the partition is lost
+        # partner's half of the partition is lost
+        incoming = yield from sendrecv_or(ctx, to_true(partner), outgoing,
+                                          words, UNDEF)
         if parts is UNDEF or incoming is UNDEF:
             parts = UNDEF
         else:
@@ -159,22 +157,14 @@ def reduce_scatter_machine(ctx: RankContext, block: Any, op: BinOp,
     r = p - core
     if rank < 2 * r and rank % 2 == 1:
         # odd partner: contribute the whole block, receive our segment back
-        try:
-            yield from ctx.send(rank - 1, segs,
+        # (a dead even partner: its whole partition degrades)
+        yield from send_or_lose(ctx, rank - 1, segs,
                                 0.0 if segs is UNDEF else scale * n)
-        except PeerDeadError:
-            pass  # the even partner's whole partition degrades
-        try:
-            segment = yield from ctx.recv(rank - 1)
-        except PeerDeadError:
-            segment = UNDEF
+        segment = yield from recv_or(ctx, rank - 1, UNDEF)
         return segment
 
     if rank < 2 * r:
-        try:
-            theirs = yield from ctx.recv(rank + 1)
-        except PeerDeadError:
-            theirs = UNDEF
+        theirs = yield from recv_or(ctx, rank + 1, UNDEF)
         if segs is UNDEF or theirs is UNDEF:
             segs = UNDEF
         else:
@@ -201,11 +191,8 @@ def reduce_scatter_machine(ctx: RankContext, block: Any, op: BinOp,
     if core_rank < r:
         # unfold: ship the odd partner's segment back
         theirs = UNDEF if mine is UNDEF else mine[1]
-        try:
-            yield from ctx.send(rank + 1, theirs,
+        yield from send_or_lose(ctx, rank + 1, theirs,
                                 0.0 if theirs is UNDEF else scale * len(theirs))
-        except PeerDeadError:
-            pass
         return mine if mine is UNDEF else mine[0]
     return mine if mine is UNDEF else mine[0]
 

@@ -120,7 +120,8 @@ def run_spmd(
     (:mod:`repro.machine.rendezvous`).
     """
     rdv = _Cooperative(rank_fn, inputs, params,
-                       live_fault_state(faults, fault_state), initial_clocks)
+                       live_fault_state(faults, fault_state, len(inputs)),
+                       initial_clocks)
     ranks, pending = range(rdv.size), rdv.pending
     for r in ranks:
         rdv._wake(r)

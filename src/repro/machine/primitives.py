@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.faults.errors import PeerDeadError
+
 __all__ = [
     "Send",
     "Recv",
@@ -41,6 +43,9 @@ __all__ = [
     "GroupContext",
     "comm_partner",
     "pending_info",
+    "send_or_lose",
+    "recv_or",
+    "sendrecv_or",
 ]
 
 
@@ -158,6 +163,32 @@ class RankContext:
     def probe(self, tag: Any):
         """Record this rank's current virtual clock under ``tag``."""
         yield Probe(tag)
+
+
+# The lost-peer idiom of the self-stabilizing collectives, on any context.
+
+def send_or_lose(ctx, dst: int, payload: Any, words: float):
+    """Send; a dead receiver is its own loss, not the sender's."""
+    try:
+        yield from ctx.send(dst, payload, words)
+    except PeerDeadError:
+        pass
+
+
+def recv_or(ctx, src: int, lost: Any):
+    """Receive from ``src``, or ``lost`` when ``src`` is dead."""
+    try:
+        return (yield from ctx.recv(src))
+    except PeerDeadError:
+        return lost
+
+
+def sendrecv_or(ctx, partner: int, payload: Any, words: float, lost: Any):
+    """Exchange with ``partner``, or ``lost`` when ``partner`` is dead."""
+    try:
+        return (yield from ctx.sendrecv(partner, payload, words))
+    except PeerDeadError:
+        return lost
 
 
 class GroupContext:

@@ -10,9 +10,9 @@ fault resolution and the timeout hand-off, the message / word / event
 tallies, death bookkeeping, deadlock detection and the final
 :class:`SimResult`.  Callers hold whatever lock their substrate needs.
 
-The kernel is written over a handful of **storage primitives** (the
-idiom of :class:`repro.faults.FaultState` →
-:class:`repro.parallel.faultshare.ArenaFaultState`):
+The kernel is written over a handful of **storage primitives** — the
+idiom of :class:`repro.faults.FaultState`'s stores: Python containers by
+default, opened on arena cells by the process engine:
 
 =========================  ==========================================
 primitive                  what it stores
@@ -140,15 +140,17 @@ class SimResult:
 
 
 def live_fault_state(faults: FaultPlan | None,
-                     fault_state: FaultState | None) -> FaultState | None:
-    """The interpreter a run consults: the caller's live ``fault_state``
-    (the recovery runtime carries cursors and deaths across stages), a
-    fresh one for a non-empty plan, or None — the fault layer is then
-    never consulted and timing is bit-identical to the paper's model."""
+                     fault_state: FaultState | None,
+                     p: int) -> FaultState | None:
+    """The interpreter a ``p``-rank run consults: the caller's live
+    ``fault_state`` (the recovery runtime carries cursors and deaths
+    across stages), a fresh one for a non-empty plan, or None — the fault
+    layer is then never consulted and timing is bit-identical to the
+    paper's model."""
     if fault_state is not None:
         return fault_state
     if faults is not None and not faults.is_empty:
-        return FaultState(faults)
+        return FaultState(faults, p)
     return None
 
 

@@ -204,7 +204,7 @@ def threaded_spmd_run(
     p = len(inputs)
     if params is None:
         params = MachineParams(p=p, ts=0.0, tw=0.0, m=1)
-    rdv = _Rendezvous(p, params, live_fault_state(faults, fault_state),
+    rdv = _Rendezvous(p, params, live_fault_state(faults, fault_state, p),
                       initial_clocks)
     results: list[Any] = [None] * p
     errors: list[BaseException | None] = [None] * p

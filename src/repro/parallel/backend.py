@@ -21,9 +21,9 @@ sender's outbox ring, chunked per the Lowery & Langou crossover
 (:func:`repro.core.cost.pipeline_chunk_count`) so a large transfer's
 sender-side writes overlap the receiver-side reads.
 
-**Fault injection runs on real processes.**  The deterministic fault
-interpreter's mutable cells live in the arena
-(:class:`repro.parallel.faultshare.ArenaFaultState`), so match-time
+**Fault injection runs on real processes.**  The parent's fault
+interpreter is opened on the arena's cells
+(:meth:`repro.faults.FaultState.on_cells`), so match-time
 verdict resolution — drops, retries, delays, duplicates, jitter,
 timeouts — happens under the rendezvous lock in whichever child arrives
 second, exactly as in the threaded engine.  A planned *crash* is
@@ -43,7 +43,7 @@ rendezvous forensics.  The arena's **epoch** counter makes respawns
 safe: a straggler from a killed generation exits the moment a tick
 observes the bumped epoch, so it can never corrupt the next attempt.
 One fork generation — fresh lock/events, fault-cell seeding, fork,
-``spawn_hook``, start gate, watchdog, join, tally merge — is
+``spawn_hook``, start gate, watchdog, join, fault-store adoption — is
 :func:`_run_generation`, shared by the
 plain run, the recovery supervisor's :class:`ProcessStageRunner` (which
 bumps the epoch per attempt) and the serving tier's
@@ -115,6 +115,11 @@ _WORD_BYTES = 8.0
 _EXIT_CRASHED = 77
 #: a straggler from a dead arena epoch noticed the bump and left
 _EXIT_STALE = 78
+#: watchdog interval (seconds): how long a *runnable* rank may go silent
+#: unless ``hb_timeout`` says otherwise.  Generous — heartbeats tick on
+#: every primitive action and every ring-spin iteration, so only a
+#: genuinely stopped or livelocked child ever approaches it.
+HB_TIMEOUT = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +142,6 @@ def _max_ranks() -> int:
         except ValueError:
             log.warning("ignoring malformed REPRO_PARALLEL_MAX_RANKS=%r", env)
     return max(8, 4 * (os.cpu_count() or 1))
-
-
-def _hb_timeout_default() -> float:
-    """Watchdog interval: how long a *runnable* rank may go silent.
-
-    Generous by default — heartbeats tick on every primitive action and
-    every ring-spin iteration, so only a genuinely stopped or livelocked
-    child ever approaches it.  Override with ``REPRO_PARALLEL_HB_TIMEOUT``
-    (seconds) or the ``hb_timeout`` parameter.
-    """
-    env = os.environ.get("REPRO_PARALLEL_HB_TIMEOUT")
-    if env:
-        try:
-            return max(0.1, float(env))
-        except ValueError:
-            log.warning("ignoring malformed REPRO_PARALLEL_HB_TIMEOUT=%r", env)
-    return 30.0
 
 
 def process_fallback_reason(p: int) -> str | None:
@@ -682,21 +670,19 @@ def _run_generation(arena: SharedArena, params: MachineParams, program,
     returned: what it does to a child precedes that child's first action.
 
     Fresh lock and events every time (a SIGKILLed child may have died
-    holding the old lock).  ``master``'s cursors and deaths seed the
-    shared fault cells, and the generation's outcome is merged back
-    whether it succeeds or raises — the supervisor reads it to decide
+    holding the old lock).  ``master``'s stores are opened on the
+    arena's fault cells, and adopted back whether the generation
+    succeeds or raises — the supervisor reads them to decide
     quarantine/shrink.  ``deadline`` (absolute ``time.monotonic()``)
     arms a timer that kills the generation.  No child survives the call.
     Returns ``(rendezvous, states, values)`` as drained by
     :func:`_watch_ranks`.
     """
-    from repro.parallel.faultshare import ArenaFaultState
-
     p = len(inputs)
     ctx = multiprocessing.get_context("fork")
-    afs = None if master is None else ArenaFaultState.from_master(master, arena)
+    view = None if master is None else master.on_cells(arena.fault_cell)
     rdv = _ProcessRendezvous(p, params, arena, ctx.Lock(),
-                             [ctx.Event() for _ in range(p)], afs,
+                             [ctx.Event() for _ in range(p)], view,
                              initial_clocks)
     epoch = int(arena.epoch[0])
     procs = [ctx.Process(target=_child_main,
@@ -725,7 +711,7 @@ def _run_generation(arena: SharedArena, params: MachineParams, program,
         arena.go[0] = epoch
         states, values = _watch_ranks(
             rdv, procs,
-            hb_timeout if hb_timeout is not None else _hb_timeout_default())
+            hb_timeout if hb_timeout is not None else HB_TIMEOUT)
         for proc in procs:  # results drained: let the ranks exit cleanly
             proc.join(timeout=5.0)
     except ProcessIncidentError as exc:
@@ -736,8 +722,8 @@ def _run_generation(arena: SharedArena, params: MachineParams, program,
         if timer is not None:
             timer.cancel()
         _kill_all(procs)  # parked, running or already gone
-        if afs is not None:
-            afs.merge_into(master)
+        if view is not None:
+            master.adopt(view)
     return rdv, states, values
 
 
@@ -809,7 +795,7 @@ def _process_spmd_run(program, inputs, params, faults, fault_state,
                       initial_clocks, slot_bytes, slots, hb_timeout,
                       spawn_hook) -> SimResult:
     p = len(inputs)
-    master = live_fault_state(faults, fault_state)
+    master = live_fault_state(faults, fault_state, p)
     arena = SharedArena(p, n_domains=len(_domain_keys(params, p)),
                         slot_bytes=slot_bytes, slots=slots)
     try:
@@ -828,10 +814,10 @@ class ProcessStageRunner:
     supervised run.  Each :meth:`run_stage` call starts a fresh **arena
     epoch** (so stragglers of a killed previous attempt self-destruct),
     builds fresh lock/events (a SIGKILLed child may have died holding
-    the old lock), seeds the shared fault cells from the supervisor's
-    master fault state, forks one child per rank resuming the
-    checkpointed clocks, and watches them — merging the attempt's fault
-    deltas back into the master whether the attempt succeeds or raises.
+    the old lock), opens the supervisor's fault state on the shared
+    fault cells, forks one child per rank resuming the checkpointed
+    clocks, and watches them — adopting the cells back into the fault
+    state whether the attempt succeeds or raises.
     """
 
     def __init__(self, params: MachineParams, p: int,

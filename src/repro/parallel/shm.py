@@ -43,8 +43,9 @@ The **start gate** (``go``) holds the epoch the parent has released:
 forked ranks park until it equals theirs, which the parent arranges only
 after its ``spawn_hook`` returned.  It is never reset — an older epoch's
 value cannot equal a newer epoch.
-Shared fault-interpreter cells (message cursors, death records, tallies)
-live here too — see :mod:`repro.parallel.faultshare`.
+The fault interpreter's stores (message cursors, death records, tallies)
+live here too, one array per row of :data:`repro.faults.state.CELLS` —
+see :meth:`SharedArena.fault_cell`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ import time
 from multiprocessing import shared_memory
 
 import numpy as np
+
+from repro.faults.state import cell_layout
 
 __all__ = ["SharedArena", "ArenaPool", "RingTimeout",
            "DEFAULT_SLOT_BYTES", "DEFAULT_SLOTS"]
@@ -150,17 +153,9 @@ class SharedArena:
             ("epoch", i64, 1),       # arena generation; bumped per attempt
             ("go", i64, 1),          # start gate: the epoch released to run
             ("hb", i64, p),          # per-rank heartbeat counters
-            # -- shared fault-interpreter cells (see parallel/faultshare) --
-            ("f_cursor", i64, (p, p)),       # per-directed-link msg index
-            ("f_drops", i64, (p, p)),
-            ("f_timeouts", i64, (p, p)),
-            ("f_dead", i64, p),              # physical hosts down (0/1)
-            ("f_dead_virtual", i64, p),      # virtual ranks down (0/1)
-            ("f_death_clock", f64, p),
-            ("f_retries", i64, 1),
-            ("f_dups", i64, 1),
-            ("f_rerouted", i64, 1),
-            ("f_extra", f64, (p, p)),        # extra delay per matched pair
+            # -- the fault interpreter's stores (repro.faults.state.CELLS) --
+            *((f"fault_{name}", np.dtype(dtype), shape)
+              for name, dtype, shape in cell_layout(p)),
         ]
         offset = 0
         layout = []
@@ -209,9 +204,9 @@ class SharedArena:
         generation are told it at fork time and ``os._exit`` the moment
         a tick observes a mismatch, so a straggler from a dead epoch can
         never publish into a live one.  Fault-interpreter cells are not
-        touched here — :meth:`ArenaFaultState.from_master
-        <repro.parallel.faultshare.ArenaFaultState.from_master>` re-seeds
-        them from the parent's master state per attempt.
+        touched here — :meth:`FaultState.on_cells
+        <repro.faults.state.FaultState.on_cells>` re-seeds them from the
+        parent's fault state per attempt.
         """
         self.kind[:] = 0
         self.partner[:] = -1
@@ -256,6 +251,11 @@ class SharedArena:
             self._shm.unlink()
         except (FileNotFoundError, OSError):  # pragma: no cover - best effort
             pass
+
+    def fault_cell(self, name: str) -> np.ndarray:
+        """The array holding the fault store ``name``
+        (:data:`repro.faults.state.CELLS`)."""
+        return getattr(self, f"fault_{name}")
 
     # -- failure delivery ----------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.recovery.errors import UnrecoverableError
 from repro.recovery.events import RecoveryLog
 from repro.recovery.health import LinkHealthBoard
 from repro.recovery.policy import RecoveryPolicy
-from repro.recovery.state import SupervisedFaultState
 from repro.recovery.supervisor import RecoveryResult, supervise
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "RecoveryLog",
     "LinkHealthBoard",
     "RecoveryPolicy",
-    "SupervisedFaultState",
     "RecoveryResult",
     "supervise",
 ]

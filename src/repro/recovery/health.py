@@ -3,7 +3,7 @@
 Counts fault strikes (timeouts surfaced to the supervisor) per directed
 link and decides when a link has crossed the quarantine threshold.
 Purely bookkeeping — the routing consequences of a quarantine live in
-:class:`~repro.recovery.state.SupervisedFaultState`.
+:class:`~repro.faults.state.FaultState` (``quarantine`` / ``find_relay``).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from typing import Any, Sequence
 
 from repro.core.cost import MachineParams, program_rounds
 from repro.core.stages import Program, Stage
-from repro.faults import FaultPlan, FaultSummary
+from repro.faults import FaultPlan, FaultState, FaultSummary
 from repro.faults.errors import FaultError
 from repro.machine.engine import DeadlockError, SimResult
 from repro.machine.rendezvous import ENGINES
@@ -50,7 +50,6 @@ from repro.recovery.errors import UnrecoverableError
 from repro.recovery.events import RecoveryLog
 from repro.recovery.health import LinkHealthBoard
 from repro.recovery.policy import RecoveryPolicy
-from repro.recovery.state import SupervisedFaultState
 
 __all__ = ["RecoveryResult", "supervise"]
 
@@ -151,7 +150,7 @@ def supervise(
 
 def _run_stage(engine: str, stage: Stage, blocks: Sequence[Any],
                clocks: Sequence[float], params: MachineParams,
-               fstate: SupervisedFaultState, runner=None,
+               fstate: FaultState, runner=None,
                stage_index: int = 0, attempt: int = 1,
                log: RecoveryLog | None = None) -> SimResult:
     """Execute one stage on every rank, resuming checkpointed clocks."""
@@ -240,7 +239,7 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
     from repro.parallel.errors import ProcessIncidentError, WorkerCrashError
 
     p = len(inputs)
-    fstate = SupervisedFaultState(faults if faults is not None else FaultPlan(), p)
+    fstate = FaultState(faults if faults is not None else FaultPlan(), p)
     board = LinkHealthBoard(policy.quarantine_after)
     stages: list[Stage] = list(program.stages)
 
@@ -261,7 +260,7 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
 
     while i < len(stages):
         stage = stages[i]
-        known_dead = set(fstate.dead)
+        known_dead = fstate.dead_hosts()
         failure: FaultError | None = None
         total_attempts += 1
         attempts += 1
@@ -296,7 +295,7 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
                 # permanently dead so shrink-recovery adopts its blocks
                 fstate.record_death(victim, max(clocks))
 
-        new_dead = sorted(h for h in fstate.dead if h not in known_dead)
+        new_dead = sorted(fstate.dead_hosts() - known_dead)
 
         if failure is None and not new_dead:
             # committed: snapshot the stage boundary (checkpoint cost is
@@ -313,7 +312,7 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
             continue
 
         # ---- failed attempt: diagnose, adapt, roll back, replay ----------
-        timeouts = sorted(set(fstate.timeouts))
+        timeouts = sorted(fstate.timeouts)
         log.emit("fault", stage=i, attempt=attempts,
                  error=type(failure).__name__ if failure is not None else None,
                  timeouts=[list(t) for t in timeouts],

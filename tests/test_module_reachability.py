@@ -11,7 +11,9 @@ decision for each entry.
 The second half holds what the same PR deleted as deleted: a duplicate
 path comes back most easily as an alias "for convenience".  The third
 holds the communication loops to one copy each: the two-level collectives
-and the blocking communicator are callers, not restatements.
+and the blocking communicator are callers, not restatements.  The fourth
+holds the fault verdict to one interpreter: no subclass re-homes its
+stores, and the process substrate opens them without the recovery runtime.
 """
 
 from __future__ import annotations
@@ -182,3 +184,59 @@ def test_the_payload_snapshot_is_taken_once():
             for path in sorted((ROOT / "machine" / "collectives").glob("*.py"))
             for _ in re.findall(r"dict\(blocks\)", path.read_text())]
     assert hits == ["gather.py"], hits
+
+
+def test_a_lost_peer_is_handled_by_the_primitives():
+    """``send_or_lose`` / ``recv_or`` / ``sendrecv_or`` carry the idiom;
+    only the ring, whose ``try`` also stores the block, keeps its own."""
+    handlers = [path.name
+                for path in sorted((ROOT / "machine" / "collectives").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ExceptHandler)
+                and isinstance(node.type, ast.Name)
+                and node.type.id == "PeerDeadError"]
+    assert len(handlers) <= 1, handlers
+
+
+# -- one fault interpreter -----------------------------------------------------
+
+def _trees() -> dict[str, ast.Module]:
+    return {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+            for path in sorted(ROOT.rglob("*.py"))}
+
+
+def test_nothing_derives_from_the_fault_interpreter():
+    found = [(name, node.name) for name, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             and any("FaultState" in ast.unparse(base) for base in node.bases)]
+    assert not found, found
+    defs = [(name, node.name) for name, tree in _trees().items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and node.name in ("resolve", "_play")]
+    assert defs == [("faults/state.py", "resolve"),
+                    ("faults/state.py", "_play")], defs
+
+
+def test_the_fault_stores_have_no_storage_hooks():
+    hooks = [(name, node.name) for name, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and (node.name.startswith("_note_")
+                  or node.name in ("_advance_cursor", "_record_host_death"))]
+    assert not hooks, hooks
+
+
+def test_the_arena_lists_no_fault_field_by_hand():
+    tree = ast.parse((ROOT / "parallel" / "shm.py").read_text())
+    literals = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and node.value.startswith("f_")]
+    assert not literals, literals
+
+
+def test_the_process_substrate_does_not_import_recovery(walk):
+    _seen, modules = walk
+    found = {name: sorted(target for target in _imports(name, path, modules)
+                          if target.startswith("repro.recovery"))
+             for name, path in modules.items()
+             if name.startswith("repro.parallel")}
+    assert not any(found.values()), found

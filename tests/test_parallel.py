@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.cost import MachineParams, pipeline_chunk_count
 from repro.core.operators import ADD, BinOp, CONCAT, EW_ADD, MUL
+from repro.faults import FaultPlan, FaultState, FaultSummary, LinkFault
 from repro.machine.engine import DeadlockError
 from repro.machine.hierarchical import TwoLevelParams
 from repro.machine.run import simulate_program
@@ -241,8 +242,6 @@ class TestFallback:
     def test_fault_plans_no_longer_fall_back(self, caplog):
         # fault injection used to be engine-local state; it now runs on
         # real processes through the shared-arena fault cells
-        from repro.faults import FaultPlan, LinkFault
-
         if process_fallback_reason(2) is not None:
             pytest.skip("process backend unavailable here")
         plan = FaultPlan(link_faults=(LinkFault(src=0, dst=1),))
@@ -363,6 +362,37 @@ class TestArenaAndChunks:
                 if not reader.done and reader.ready():
                     reader.step()
             assert np.array_equal(src, dest)
+        finally:
+            arena.close()
+
+    @needs_processes
+    def test_fault_stores_open_on_cells_and_come_back(self):
+        plan = FaultPlan(link_faults=(LinkFault(0, 1, "drop", first=0,
+                                                count=1),))
+        state = FaultState(plan, 2)
+        state.resolve(0, 1, 10.0)  # one drop, one retry, then delivered
+        state.record_death(1, 4.5)
+        arena = SharedArena(2)
+        try:
+            view = state.on_cells(arena.fault_cell)
+            # seeded from the parent
+            assert arena.fault_cell("next_msg")[0, 1] == 2
+            assert arena.fault_cell("drops")[0, 1] == 1
+            assert arena.fault_cell("died_at")[1] == 4.5
+            # the view's writes land in the cells, not in the parent
+            view.resolve(1, 0, 10.0)
+            assert arena.fault_cell("next_msg")[1, 0] == 1
+            assert state.next_msg[1, 0] == 0
+            state.adopt(view)
+            assert state.next_msg == {(0, 1): 2, (1, 0): 1}
+            assert state.cursor() == (((0, 1), 2), ((1, 0), 1))
+            assert all(type(n) is int for n in state.next_msg.values())
+            assert type(state.died_at[1]) is float
+            assert state.summary() == FaultSummary(
+                deaths=((1, 4.5),), drops=(((0, 1), 1),), retries=1,
+                extra_delay=state.extra_delay)
+            # the view let go of the arrays: the segment can close
+            arena.close()
         finally:
             arena.close()
 

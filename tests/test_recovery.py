@@ -37,7 +37,6 @@ from repro.recovery import (
     LinkHealthBoard,
     RecoveryLog,
     RecoveryPolicy,
-    SupervisedFaultState,
     UnrecoverableError,
     digest_state,
     snapshot_block,
@@ -288,19 +287,20 @@ class TestVectorizedRecovery:
 class TestReplayEpochs:
     def test_reset_for_replay_archives_and_zeroes(self):
         plan = FaultPlan(link_faults=(LinkFault(0, 1, "drop", count=None),))
-        state = FaultState(plan)
+        state = FaultState(plan, 2)
         state.resolve(0, 1, 10.0)  # times out after the retry budget
-        assert state.timeouts and state.retries > 0
         first = state.summary()
+        assert first.timeouts and first.retries > 0
         state.reset_for_replay()
         assert state.epoch == 1
-        assert state.timeouts == [] and state.retries == 0
-        assert state.drops == {} and state.extra_delay == 0.0
+        now = state.summary()
+        assert now.timeouts == () and now.retries == 0
+        assert now.drops == () and state.extra_delay == 0.0
         assert state.epoch_summaries() == (first, state.summary())
 
     def test_reset_keeps_cursor_and_deaths(self):
         plan = FaultPlan(link_faults=(LinkFault(0, 1, "drop", first=0, count=1),))
-        state = FaultState(plan)
+        state = FaultState(plan, 3)
         state.resolve(0, 1, 10.0)
         state.record_death(2, 5.0)
         cursor = state.cursor()
@@ -313,7 +313,7 @@ class TestReplayEpochs:
         plan = FaultPlan(link_faults=(LinkFault(0, 1, "drop", first=0, count=5),
                                       ),
                          max_retries=1)
-        state = FaultState(plan)
+        state = FaultState(plan, 2)
         state.resolve(0, 1, 10.0)
         state.reset_for_replay()
         state.restore_cursor(())
@@ -333,7 +333,7 @@ class TestReplayEpochs:
 
 class TestSupervisedFaultState:
     def test_cohosted_delivery_is_fault_free(self):
-        state = SupervisedFaultState(
+        state = FaultState(
             FaultPlan(link_faults=(LinkFault(0, 1, "drop", count=None),)), 4)
         state.rehost(1, 0)  # virtual 1 now lives on physical 0
         out = state.resolve(0, 1, 10.0)
@@ -341,28 +341,28 @@ class TestSupervisedFaultState:
         assert state.cursor() == ()  # plan never consulted
 
     def test_quarantined_link_reroutes(self):
-        state = SupervisedFaultState(FaultPlan(), 4)
+        state = FaultState(FaultPlan(), 4)
         state.quarantine((0, 1))
         out = state.resolve(0, 1, 7.0)
         assert not out.timed_out and out.extra_delay == 7.0
-        assert state.rerouted == 1
+        assert state.summary().rerouted == 1
 
     def test_no_relay_times_out(self):
-        state = SupervisedFaultState(FaultPlan(), 2)
+        state = FaultState(FaultPlan(), 2)
         state.quarantine((0, 1))
         out = state.resolve(0, 1, 7.0)
         assert out.timed_out
-        assert (0, 1) in state.timeouts
+        assert (0, 1) in state.summary().timeouts
 
     def test_relay_skips_dead_and_quarantined(self):
-        state = SupervisedFaultState(FaultPlan(), 5)
+        state = FaultState(FaultPlan(), 5)
         state.quarantine((0, 1))
         state.record_death(2, 0.0)
         state.quarantine((0, 3))
         assert state.find_relay(0, 1) == 4  # 2 dead, 3 unreachable from 0
 
     def test_rehost_revives_virtual(self):
-        state = SupervisedFaultState(FaultPlan(), 3)
+        state = FaultState(FaultPlan(), 3)
         state.record_death(1, 4.0)
         assert state.is_dead(1)
         moved = state.rehost(1, 2)
@@ -371,7 +371,7 @@ class TestSupervisedFaultState:
         assert state.hosts == [0, 2, 2]
 
     def test_rehost_moves_cohosted_group(self):
-        state = SupervisedFaultState(FaultPlan(), 4)
+        state = FaultState(FaultPlan(), 4)
         state.rehost(1, 2)          # 1 -> 2
         state.record_death(2, 9.0)  # virtual 2 dies, host 2 is down
         # co-hosted virtual 1 must die at its next comm action; virtual 2

@@ -58,7 +58,7 @@ class Recording(Rendezvous):
 
 
 def _faulty(plan: FaultPlan, size: int = 4, **kw) -> Recording:
-    return Recording(size, PARAMS, FaultState(plan), **kw)
+    return Recording(size, PARAMS, FaultState(plan, size), **kw)
 
 
 class TestPairing:
