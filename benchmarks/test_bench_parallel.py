@@ -41,7 +41,7 @@ from repro.core.optimizer import optimize
 from repro.core.stages import Program, ReduceStage, ScanStage
 from repro.kernels import elementwise
 from repro.machine.run import simulate_program
-from repro.parallel import process_backend_available, process_fallback_reason
+from repro.parallel import process_fallback_reason
 
 P = 8
 BLOCK = int(os.environ.get("REPRO_BENCH_PARALLEL_BLOCK", 1_000_000))
@@ -93,7 +93,7 @@ def test_process_vs_threaded_speedup():
     program = _optimized_pipeline()
     params = MachineParams(p=P, ts=10.0, tw=1.0, m=BLOCK)
     cpu_count = os.cpu_count() or 1
-    multicore = cpu_count >= 4 and process_backend_available(P)
+    multicore = cpu_count >= 4 and process_fallback_reason(P) is None
 
     series = []
     speedups = {}
@@ -161,7 +161,7 @@ def test_process_vs_threaded_speedup():
 
 def test_process_large_array_transfer_smoke():
     """Zero-copy array path: results identical through real processes."""
-    if not process_backend_available(4):
+    if process_fallback_reason(4) is not None:
         return
     from repro.core.operators import BinOp
     from repro.parallel import process_spmd_run

@@ -550,13 +550,13 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     report = run_conformance(seed=args.seed, iters=args.iters, rules=rules,
                              max_failures=args.max_failures)
     print(report.describe())
-    from repro.parallel import process_backend_available, process_fallback_reason
+    from repro.parallel import process_fallback_reason
 
-    if not process_backend_available(2):
+    reason = process_fallback_reason(2)
+    if reason is not None:
         # mirrored skip semantics: the oracle reports the process backend
         # as SKIPPED (not failed) where real rank processes cannot run
-        print(f"note: process backend skipped "
-              f"({process_fallback_reason(2)})", file=sys.stderr)
+        print(f"note: process backend skipped ({reason})", file=sys.stderr)
     if not report.covered_both_ways():
         print("warning: not every paper rule was covered both ways "
               "(increase --iters)", file=sys.stderr)

@@ -41,13 +41,15 @@ class FaultTimeoutError(FaultError, TimeoutError):
 
     Carries the dead link for forensics: ``src``/``dst`` are the ranks of
     the unmatched rendezvous, ``attempts`` how many deliveries were tried.
+    A whole ``words`` count is an ``int`` on every engine (the process
+    engine reads it back from a float cell).
     """
 
     def __init__(self, src: int, dst: int, words: float, attempts: int,
                  clock: float, detail: str = "") -> None:
         self.src = src
         self.dst = dst
-        self.words = words
+        self.words = int(words) if words == int(words) else words
         self.attempts = attempts
         self.clock = clock
         self.detail = detail

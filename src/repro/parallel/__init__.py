@@ -13,16 +13,12 @@ Entry points:
 * :func:`process_spmd_run` — blocking SPMD programs, one process/rank
   (stage ``Program`` objects run through it as
   ``simulate_program(..., engine="process")``);
-* :func:`process_backend_available` / :func:`process_fallback_reason` —
-  platform capability probes (used by the conformance oracle to report
-  SKIPPED instead of FAIL where shared memory is unavailable).
+* :func:`process_fallback_reason` — the platform capability probe
+  (``None`` where real rank processes run; the conformance oracle
+  reports SKIPPED instead of FAIL elsewhere).
 """
 
-from repro.parallel.backend import (
-    process_backend_available,
-    process_fallback_reason,
-    process_spmd_run,
-)
+from repro.parallel.backend import process_fallback_reason, process_spmd_run
 from repro.parallel.shm import (
     DEFAULT_SLOT_BYTES,
     DEFAULT_SLOTS,
@@ -35,7 +31,6 @@ __all__ = [
     "DEFAULT_SLOTS",
     "RingTimeout",
     "SharedArena",
-    "process_backend_available",
     "process_fallback_reason",
     "process_spmd_run",
 ]

@@ -52,9 +52,11 @@ bumps the epoch per attempt) and the serving tier's
 Graceful degradation, never a crash: platforms without ``fork`` or
 ``multiprocessing.shared_memory``, single-core hosts (where real
 processes only time-slice and lose to threads — override with
-``REPRO_PARALLEL_FORCE=1``), and rank counts beyond the oversubscription
-cap all fall back to the threaded engine with one logged notice
-(``repro.parallel`` logger).
+``REPRO_PARALLEL_FORCE=1``), rank counts beyond the oversubscription
+cap, and a ``/dev/shm`` that refuses an arena all step one rung down
+:data:`SUBSTRATES` to the threaded engine through :meth:`Ladder.demote`
+— the one warning (``repro.parallel`` logger) and, where the caller
+keeps an event log, the one ``fallback`` event.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from repro.core.cost import MachineParams, pipeline_chunk_count
 from repro.faults import FaultState, RankCrashedError
 from repro.machine.primitives import Recv, Send, SendRecv, comm_partner
 from repro.machine.rendezvous import (
+    ENGINES,
     Rendezvous,
     SimResult,
     SimStats,
@@ -96,7 +99,9 @@ from repro.parallel.shm import (
 from repro.semantics.functional import UNDEF
 
 __all__ = [
-    "process_backend_available",
+    "SUBSTRATES",
+    "Ladder",
+    "open_arena",
     "process_fallback_reason",
     "process_spmd_run",
     "ProcessStageRunner",
@@ -123,8 +128,12 @@ HB_TIMEOUT = 30.0
 
 
 # ---------------------------------------------------------------------------
-# Availability / fallback policy
+# The substrate ladder
 # ---------------------------------------------------------------------------
+
+#: the degradation ladder: the engines, most parallel first
+SUBSTRATES = ("process", "threaded", "cooperative")
+assert sorted(SUBSTRATES) == sorted(ENGINES)
 
 
 def _max_ranks() -> int:
@@ -175,9 +184,71 @@ def process_fallback_reason(p: int) -> str | None:
     return None
 
 
-def process_backend_available(p: int = 1) -> bool:
-    """Can ``p``-rank programs run as real processes here?"""
-    return process_fallback_reason(p) is None
+class Ladder:
+    """A rung of :data:`SUBSTRATES` that only ever moves down, loudly.
+
+    :meth:`demote` is the one place a substrate is given up: one warning
+    on the ``repro.parallel`` logger and, given an event ``log`` (a
+    :class:`~repro.recovery.events.RecoveryLog` or the serving bus), one
+    ``fallback`` event ``{**where, source, target, reason}``.  It steps
+    only from ``source`` — a caller that saw an older rung finds the
+    ladder already moved — and never below the last rung.  :meth:`gate`
+    is the one reader of :func:`process_fallback_reason`.
+    ``where`` fields given here go into every event.
+    """
+
+    def __init__(self, rung: str = SUBSTRATES[0], log=None, **where) -> None:
+        self.rung = rung
+        self.demotions = 0
+        self._log = log
+        self._where = where
+        self._lock = threading.Lock()
+
+    def demote(self, source: str, reason: str, **where) -> str:
+        """Step down from ``source`` because of ``reason``; the rung now."""
+        with self._lock:
+            if self.rung != source or source == SUBSTRATES[-1]:
+                return self.rung
+            self.rung = target = SUBSTRATES[SUBSTRATES.index(source) + 1]
+            self.demotions += 1
+        log.warning("%s engine demoted (%s); falling back to the %s engine",
+                    source, reason, target)
+        if self._log is not None:
+            self._log.emit("fallback", **self._where, **where, source=source,
+                           target=target, reason=reason)
+        return target
+
+    def gate(self, p: int, **where) -> str:
+        """The rung a ``p``-rank run takes: the current one, after the
+        platform check when that is the process engine."""
+        rung = self.rung
+        if rung == "process":
+            reason = process_fallback_reason(p)
+            if reason is not None:
+                return self.demote(rung, reason, **where)
+        return rung
+
+
+def open_arena(ladder: Ladder, p: int, params: MachineParams, pool=None,
+               slot_bytes: int = DEFAULT_SLOT_BYTES,
+               slots: int = DEFAULT_SLOTS, **where) -> SharedArena | None:
+    """A shared arena for a ``p``-rank run on ``params`` (from ``pool``
+    when given), or ``None`` once ``/dev/shm`` refused one and ``ladder``
+    stepped below the process engine.
+
+    The process substrate's one ``OSError`` catch: any other — a
+    :class:`~repro.faults.FaultTimeoutError` is one — belongs to the run.
+    """
+    n_domains = len(_domain_keys(params, p))
+    try:
+        if pool is not None:
+            return pool.acquire(p, n_domains)
+        return SharedArena(p, n_domains=n_domains, slot_bytes=slot_bytes,
+                           slots=slots)
+    except OSError as exc:
+        ladder.demote("process", f"shared-memory setup failed ({exc})",
+                      **where)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +835,10 @@ def process_spmd_run(
     Degrades to :func:`threaded_spmd_run` — with one logged notice, never
     an error — when the platform lacks ``fork``/``shared_memory``, on
     single-core hosts (processes only time-slice there; force with
-    ``REPRO_PARALLEL_FORCE=1``), or when ``len(inputs)`` exceeds the
-    oversubscription cap (see :func:`process_fallback_reason`).
+    ``REPRO_PARALLEL_FORCE=1``), when ``len(inputs)`` exceeds the
+    oversubscription cap (see :func:`process_fallback_reason`), or when
+    no shared arena can be set up.  Anything the run itself raises —
+    a fault plan's ``FaultTimeoutError`` included — is raised.
     """
     p = len(inputs)
     if p == 0:
@@ -773,32 +846,19 @@ def process_spmd_run(
     if params is None:
         params = MachineParams(p=p, ts=0.0, tw=0.0, m=1)
 
-    reason = process_fallback_reason(p)
-    if reason is None:
-        try:
-            return _process_spmd_run(program, inputs, params, faults,
-                                     fault_state, initial_clocks,
-                                     slot_bytes, slots, hb_timeout,
-                                     spawn_hook)
-        except OSError as exc:
-            reason = f"shared-memory setup failed ({exc})"
-    log.warning("process backend unavailable (%s); "
-                "falling back to the threaded engine", reason)
-    from repro.mpi.threaded import threaded_spmd_run
+    ladder = Ladder()
+    arena = None
+    if ladder.gate(p) == "process":
+        arena = open_arena(ladder, p, params, slot_bytes=slot_bytes,
+                           slots=slots)
+    if arena is None:
+        from repro.mpi.threaded import threaded_spmd_run
 
-    return threaded_spmd_run(program, inputs, params, faults=faults,
-                             fault_state=fault_state,
-                             initial_clocks=initial_clocks)
-
-
-def _process_spmd_run(program, inputs, params, faults, fault_state,
-                      initial_clocks, slot_bytes, slots, hb_timeout,
-                      spawn_hook) -> SimResult:
-    p = len(inputs)
-    master = live_fault_state(faults, fault_state, p)
-    arena = SharedArena(p, n_domains=len(_domain_keys(params, p)),
-                        slot_bytes=slot_bytes, slots=slots)
+        return threaded_spmd_run(program, inputs, params, faults=faults,
+                                 fault_state=fault_state,
+                                 initial_clocks=initial_clocks)
     try:
+        master = live_fault_state(faults, fault_state, p)
         rdv, states, values = _run_generation(
             arena, params, program, inputs, hb_timeout, spawn_hook,
             {"stage": None, "attempt": 1}, master, initial_clocks)
@@ -810,9 +870,10 @@ def _process_spmd_run(program, inputs, params, faults, fault_state,
 class ProcessStageRunner:
     """Per-attempt process-backend lifecycle for the recovery supervisor.
 
-    Owns one :class:`SharedArena` reused across every stage attempt of a
-    supervised run.  Each :meth:`run_stage` call starts a fresh **arena
-    epoch** (so stragglers of a killed previous attempt self-destruct),
+    Owns one :class:`SharedArena` (from :func:`open_arena`) reused across
+    every stage attempt of a supervised run.  Each :meth:`run_stage` call
+    starts a fresh **arena epoch** (so stragglers of a killed previous
+    attempt self-destruct),
     builds fresh lock/events (a SIGKILLed child may have died holding
     the old lock), opens the supervisor's fault state on the shared
     fault cells, forks one child per rank resuming the checkpointed
@@ -820,20 +881,13 @@ class ProcessStageRunner:
     state whether the attempt succeeds or raises.
     """
 
-    def __init__(self, params: MachineParams, p: int,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES,
-                 slots: int = DEFAULT_SLOTS,
+    def __init__(self, arena: SharedArena, params: MachineParams,
                  hb_timeout: float | None = None,
                  spawn_hook: Callable[[list, dict], None] | None = None) -> None:
+        self.arena = arena
         self.params = params
-        self.p = p
         self.hb_timeout = hb_timeout
         self.spawn_hook = spawn_hook
-        # OSError (shm exhausted) propagates: the supervisor degrades to
-        # the threaded engine with a loud "fallback" event
-        self.arena = SharedArena(p, n_domains=len(_domain_keys(params, p)),
-                                 slot_bytes=slot_bytes, slots=slots)
-        self.last_epoch = int(self.arena.epoch[0])
 
     def run_stage(self, stage, blocks: Sequence[Any],
                   clocks: Sequence[float], fstate,
@@ -842,7 +896,7 @@ class ProcessStageRunner:
         from repro.machine.run import rank_program
         from repro.mpi.threaded import blocking
 
-        self.last_epoch = epoch = self.arena.reset_for_epoch()
+        epoch = self.arena.reset_for_epoch()
         if log is not None:
             log.emit("epoch_bump", stage=stage_index, attempt=attempt,
                      epoch=epoch)
@@ -887,21 +941,24 @@ WorkerDeadlineError`.  On any failure the whole batch is abandoned — the
     a poison job from its batch-mates.
     """
 
-    def __init__(self, pool, hb_timeout: float | None = None,
+    def __init__(self, pool, ladder: Ladder, hb_timeout: float | None = None,
                  spawn_hook: Callable[[list, dict], None] | None = None) -> None:
         self.pool = pool
+        self.ladder = ladder
         self.hb_timeout = hb_timeout
         self.spawn_hook = spawn_hook
 
     def run_jobs(self, entries: Sequence[tuple], params: MachineParams,
                  deadline: float | None = None,
-                 meta: dict | None = None) -> list[tuple]:
+                 meta: dict | None = None) -> list[tuple] | None:
         """Run ``entries`` (a batch of ``(program, inputs)``) to completion.
 
         All entries must agree on ``len(inputs)``; returns one per-rank
-        value tuple per entry, in order.  ``deadline`` is an absolute
-        ``time.monotonic()`` instant.  ``meta`` is forwarded to the
-        ``spawn_hook`` (the chaos harness samples kill offsets from it).
+        value tuple per entry, in order — or ``None`` when no arena could
+        be set up and ``ladder`` stepped below the process engine.
+        ``deadline`` is an absolute ``time.monotonic()`` instant.
+        ``meta`` is forwarded to the ``spawn_hook`` (the chaos harness
+        samples kill offsets from it).
         """
         from repro.machine.run import rank_program
 
@@ -918,7 +975,9 @@ WorkerDeadlineError`.  On any failure the whole batch is abandoned — the
 
         binputs = [tuple(inputs[rank] for _prog, inputs in entries)
                    for rank in range(p)]
-        arena = self.pool.acquire(p, len(_domain_keys(params, p)))
+        arena = open_arena(self.ladder, p, params, pool=self.pool)
+        if arena is None:
+            return None
         try:
             _rdv, states, values = _run_generation(
                 arena, params, batch, binputs, self.hb_timeout,

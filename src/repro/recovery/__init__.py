@@ -9,8 +9,8 @@ errors, UNDEF degradation, forensics.  This package makes programs
   block snapshots + virtual clocks + the fault-state message cursor);
 * bounded **retry with capped exponential backoff** from the last
   checkpoint for transient faults;
-* a per-link health scoreboard that **quarantines** persistently failing
-  links and deterministically reroutes their traffic through a relay;
+* per-link strikes that **quarantine** persistently failing links and
+  deterministically reroute their traffic through a relay;
 * **shrink-recovery** for crashed ranks — virtual ranks are re-hosted
   onto survivors and the stage replays from checkpoint state;
 * **resilience-aware replanning** — after a quarantine the remaining
@@ -28,7 +28,7 @@ contract over sampled fault plans on both engines.
 from repro.recovery.checkpoint import Checkpoint, digest_state, snapshot_block
 from repro.recovery.errors import UnrecoverableError
 from repro.recovery.events import RecoveryLog
-from repro.recovery.health import LinkHealthBoard
+from repro.recovery.health import Strikes, backoff
 from repro.recovery.policy import RecoveryPolicy
 from repro.recovery.supervisor import RecoveryResult, supervise
 
@@ -38,7 +38,8 @@ __all__ = [
     "snapshot_block",
     "UnrecoverableError",
     "RecoveryLog",
-    "LinkHealthBoard",
+    "Strikes",
+    "backoff",
     "RecoveryPolicy",
     "RecoveryResult",
     "supervise",

@@ -1,50 +1,46 @@
-"""Per-link health scoreboard.
+"""Strikes and backoff: the two halves of "this keeps failing, what now?".
 
-Counts fault strikes (timeouts surfaced to the supervisor) per directed
-link and decides when a link has crossed the quarantine threshold.
-Purely bookkeeping — the routing consequences of a quarantine live in
-:class:`~repro.faults.state.FaultState` (``quarantine`` / ``find_relay``).
+Every escalation of the runtime is a :class:`Strikes` counter crossing
+its threshold — a link struck into quarantine, a rank's incidents into
+a permanent death, a stage's incidents into the threaded engine, a
+served job's crashes into poison, a substrate's incident streak into a
+demotion — and every retry waits :func:`backoff`.  Only the clock that
+charges the wait differs: supervision adds it to the simulated clocks,
+serving sleeps it.  The consequences live with the callers (a
+quarantine in :class:`~repro.faults.state.FaultState`, a demotion on
+:class:`~repro.parallel.backend.Ladder`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from typing import Hashable
 
-__all__ = ["LinkHealthBoard"]
-
-Link = tuple[int, int]
+__all__ = ["Strikes", "backoff"]
 
 
-class LinkHealthBoard:
-    """Strike counter with a fixed quarantine threshold."""
+class Strikes:
+    """Keyed strike counter with one threshold.
 
-    def __init__(self, quarantine_after: int = 1) -> None:
-        if quarantine_after < 1:
-            raise ValueError("quarantine threshold must be >= 1")
-        self.quarantine_after = quarantine_after
-        self.strikes: Counter = Counter()
-        self.quarantined: set[Link] = set()
+    :meth:`hit` is True once ``key`` has been struck ``threshold`` times;
+    :meth:`clear` forgets its strikes.  ``counts`` holds the strikes so far.
+    """
 
-    def strike(self, link: Link) -> bool:
-        """Record one fault on ``link``; True iff it just got quarantined."""
-        if link in self.quarantined:
-            return False
-        self.strikes[link] += 1
-        if self.strikes[link] >= self.quarantine_after:
-            self.quarantined.add(link)
-            return True
-        return False
+    def __init__(self, threshold: int) -> None:
+        self.threshold = threshold
+        self.counts: Counter = Counter()
 
-    def strike_all(self, links: Iterable[Link]) -> list[Link]:
-        """Strike a batch (deduplicated, sorted); returns newly quarantined
-        links.  Sorting makes the outcome independent of the order the two
-        engines happened to observe simultaneous timeouts in."""
-        return [link for link in sorted(set(links)) if self.strike(link)]
+    def hit(self, key: Hashable = None) -> bool:
+        self.counts[key] += 1
+        return self.counts[key] >= self.threshold
 
-    def snapshot(self) -> dict:
-        return {
-            "strikes": {f"{a}->{b}": n
-                        for (a, b), n in sorted(self.strikes.items())},
-            "quarantined": sorted(f"{a}->{b}" for a, b in self.quarantined),
-        }
+    def clear(self, key: Hashable = None) -> None:
+        self.counts.pop(key, None)
+
+
+def backoff(n: int, base: float, cap: float) -> float:
+    """Wait before retry ``n`` (1-based): ``base`` doubling per retry,
+    capped at ``cap``; nothing before the first."""
+    if n < 1:
+        return 0.0
+    return min(cap, base * 2.0 ** (n - 1))

@@ -1,7 +1,7 @@
 """Tunable knobs of the supervision runtime.
 
 A :class:`RecoveryPolicy` is pure configuration — how many times a stage
-may be replayed, how fast the backoff grows, when a flaky link is
+may be replayed, where the backoff starts and stops, when a flaky link is
 quarantined, whether a crashed rank triggers shrink-recovery — shared by
 both execution engines.  Several knobs default to ``None`` meaning
 *derive from the machine parameters*, so one policy object works across
@@ -23,8 +23,9 @@ class RecoveryPolicy:
     """Knobs for checkpoint/restart supervision (see docs/FAULTS.md).
 
     The retry ladder: a failed stage attempt is replayed from the last
-    checkpoint after a capped exponential backoff charged to every
-    rank's virtual clock.  ``max_stage_attempts`` bounds total attempts
+    checkpoint after :func:`~repro.recovery.health.backoff` (doubling from
+    ``backoff_base``, capped at ``backoff_cap``) charged to every rank's
+    virtual clock.  ``max_stage_attempts`` bounds total attempts
     per stage — faults that keep recurring past it (after quarantine and
     shrink have had their chance) raise ``UnrecoverableError`` with
     policy ``"retry-budget"``.  The budget is deliberately generous: the
@@ -37,8 +38,6 @@ class RecoveryPolicy:
     #: model time charged for the first replay backoff
     #: (None: ``2 * (ts + m*tw)`` — twice a full-block message)
     backoff_base: float | None = None
-    #: growth factor per further replay of the same stage
-    backoff_factor: float = 2.0
     #: backoff ceiling (None: ``8 *`` resolved base)
     backoff_cap: float | None = None
     #: timeouts observed on a link before it is quarantined; 1 strike by
@@ -71,8 +70,6 @@ class RecoveryPolicy:
             raise ValueError("need at least one stage attempt")
         if self.backoff_base is not None and self.backoff_base < 0:
             raise ValueError("negative backoff base")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
         if self.backoff_cap is not None and self.backoff_cap < 0:
             raise ValueError("negative backoff cap")
         if self.quarantine_after < 1:
@@ -104,9 +101,3 @@ class RecoveryPolicy:
             checkpoint_ops=params.m / 8.0 if self.checkpoint_ops is None
             else self.checkpoint_ops,
         )
-
-    def backoff_for(self, attempt: int) -> float:
-        """Backoff before replay number ``attempt`` (1-based); resolved only."""
-        assert self.backoff_base is not None and self.backoff_cap is not None
-        raw = self.backoff_base * (self.backoff_factor ** max(attempt - 1, 0))
-        return min(raw, self.backoff_cap)

@@ -48,7 +48,7 @@ from repro.machine.run import rank_program, run_ranks
 from repro.recovery.checkpoint import Checkpoint, digest_state
 from repro.recovery.errors import UnrecoverableError
 from repro.recovery.events import RecoveryLog
-from repro.recovery.health import LinkHealthBoard
+from repro.recovery.health import Strikes, backoff
 from repro.recovery.policy import RecoveryPolicy
 
 __all__ = ["RecoveryResult", "supervise"]
@@ -201,32 +201,22 @@ def _supervise(program: Program, inputs: Sequence[Any], params: MachineParams,
     p = len(inputs)
     if p == 0:
         raise ValueError("cannot supervise an empty machine")
+    from repro.parallel.backend import Ladder, ProcessStageRunner, open_arena
 
-    # Process engine: build the per-run stage runner (one shared arena,
-    # fresh epoch per attempt).  When the backend cannot run here, the
-    # degradation is *loud* — a "fallback" event — and the rest of the
-    # run uses the threaded engine, same values, same recovery decisions.
+    # Process engine: one shared arena for the run, a fresh epoch per
+    # attempt.  Where the backend cannot run, the ladder steps down loudly
+    # — a "fallback" event — and the run goes on threaded, same values,
+    # same recovery decisions.
+    ladder = Ladder(engine, log)
     runner = None
-    if engine == "process":
-        from repro.parallel.backend import (
-            ProcessStageRunner,
-            process_fallback_reason,
-        )
-
-        reason = process_fallback_reason(p)
-        if reason is None:
-            try:
-                runner = ProcessStageRunner(params, p, hb_timeout=hb_timeout,
-                                            spawn_hook=spawn_hook)
-            except OSError as exc:
-                reason = f"shared-memory setup failed ({exc})"
-        if runner is None:
-            log.emit("fallback", stage=-1, engine="threaded", reason=reason)
-            engine = "threaded"
-
+    if ladder.gate(p, stage=-1) == "process":
+        arena = open_arena(ladder, p, params, stage=-1)
+        if arena is not None:
+            runner = ProcessStageRunner(arena, params, hb_timeout=hb_timeout,
+                                        spawn_hook=spawn_hook)
     try:
         return _supervise_loop(program, inputs, params, faults, policy,
-                               engine, log, allow_replan, runner)
+                               ladder, log, allow_replan, runner)
     finally:
         if runner is not None:
             runner.close()
@@ -234,13 +224,16 @@ def _supervise(program: Program, inputs: Sequence[Any], params: MachineParams,
 
 def _supervise_loop(program: Program, inputs: Sequence[Any],
                     params: MachineParams, faults: FaultPlan | None,
-                    policy: RecoveryPolicy, engine: str, log: RecoveryLog,
+                    policy: RecoveryPolicy, ladder, log: RecoveryLog,
                     allow_replan: bool, runner) -> RecoveryResult:
     from repro.parallel.errors import ProcessIncidentError, WorkerCrashError
 
     p = len(inputs)
+    engine = ladder.rung
     fstate = FaultState(faults if faults is not None else FaultPlan(), p)
-    board = LinkHealthBoard(policy.quarantine_after)
+    links = Strikes(policy.quarantine_after)  # timeouts per directed link
+    respawns = Strikes(policy.max_respawns + 1)  # incidents per rank
+    incidents = Strikes(policy.process_fallback_after)  # ... per stage
     stages: list[Stage] = list(program.stages)
 
     ckpt = Checkpoint.capture(-1, inputs, [0.0] * p, fstate.cursor())
@@ -251,12 +244,10 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
     blocks: list[Any] = ckpt.restore_blocks()
     clocks: list[float] = list(ckpt.clocks)
     shrinks: list[tuple[int, int]] = []
-    respawns: dict[int, int] = {}  # rank -> unplanned incidents so far
     total_attempts = 0
     replays = 0
     i = 0
     attempts = 0  # attempts of the *current* stage
-    stage_incidents = 0  # unplanned process incidents of the current stage
 
     while i < len(stages):
         stage = stages[i]
@@ -278,19 +269,20 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
 
         # ---- unplanned process incident: account, maybe promote ----------
         incident = isinstance(failure, ProcessIncidentError)
+        storm = False
         if incident:
-            stage_incidents += 1
             victim = failure.rank
-            respawns[victim] = respawns.get(victim, 0) + 1
+            storm = incidents.hit(i)
+            dead = respawns.hit(victim)
             log.emit(
                 "child_exit" if isinstance(failure, WorkerCrashError)
                 else "heartbeat_miss",
                 stage=i, attempt=attempts, rank=victim,
                 exitcode=getattr(failure, "exitcode", None),
                 silence=getattr(failure, "silence", None),
-                respawns=respawns[victim],
+                respawns=respawns.counts[victim],
             )
-            if respawns[victim] > policy.max_respawns:
+            if dead:
                 # the rank keeps dying for real: declare its host
                 # permanently dead so shrink-recovery adopts its blocks
                 fstate.record_death(victim, max(clocks))
@@ -308,7 +300,6 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
                      clock=max(clocks), attempt=attempts)
             i += 1
             attempts = 0
-            stage_incidents = 0
             continue
 
         # ---- failed attempt: diagnose, adapt, roll back, replay ----------
@@ -328,13 +319,18 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
                     f"link {link[0]}->{link[1]} is quarantined and no healthy "
                     f"relay path around it exists",
                 ) from failure
-            if board.strike(link):
+            if links.hit(link):
                 fstate.quarantine(link)
                 quarantined_now = True
                 relay = fstate.find_relay(*link)
+                health = {
+                    "strikes": {f"{a}->{b}": n for (a, b), n
+                                in sorted(links.counts.items())},
+                    "quarantined": sorted(f"{a}->{b}"
+                                          for a, b in fstate.quarantined)}
                 log.emit("quarantine", stage=i,
-                         link=list(link), strikes=board.strikes[link],
-                         relay=relay, health=board.snapshot())
+                         link=list(link), strikes=links.counts[link],
+                         relay=relay, health=health)
 
         # shrink-recovery: re-host the dead rank's blocks onto a survivor
         for host in new_dead:
@@ -370,14 +366,12 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
         # process engine last resort: a stage that keeps producing real
         # incidents degrades the rest of the run to the threaded engine,
         # loudly, replaying from the latest checkpoint
-        if runner is not None and stage_incidents >= policy.process_fallback_after:
-            log.emit("fallback", stage=i, engine="threaded",
-                     reason=(f"{stage_incidents} process incidents on one "
-                             f"stage (threshold "
-                             f"{policy.process_fallback_after})"))
+        if storm and runner is not None:
+            engine = ladder.demote(
+                "process", f"{incidents.counts[i]} process incidents on one "
+                f"stage (threshold {policy.process_fallback_after})", stage=i)
             runner.close()
             runner = None
-            engine = "threaded"
 
         if attempts >= policy.max_stage_attempts:
             raise UnrecoverableError(
@@ -387,22 +381,22 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
             ) from failure
 
         # roll back to the last committed boundary: blocks, clocks (plus
-        # capped exponential backoff), and the fault cursor — replay is a
-        # pure function of the checkpoint on either engine
-        backoff = policy.backoff_for(attempts)
+        # the backoff, charged in simulated time), and the fault cursor —
+        # replay is a pure function of the checkpoint on either engine
+        wait = backoff(attempts, policy.backoff_base, policy.backoff_cap)
         blocks = ckpt.restore_blocks()
-        clocks = [c + backoff for c in ckpt.clocks]
+        clocks = [c + wait for c in ckpt.clocks]
         fstate.restore_cursor(ckpt.cursor)
         fstate.reset_for_replay()
         replays += 1
-        log.emit("restore", stage=i, attempt=attempts + 1, backoff=backoff,
+        log.emit("restore", stage=i, attempt=attempts + 1, backoff=wait,
                  from_stage=ckpt.stage, digest=ckpt.digest)
         if incident and runner is not None:
             # the next attempt forks the crashed rank's process anew into
             # a fresh arena epoch, resuming the checkpointed blocks
             log.emit("respawn", stage=i, rank=failure.rank,
-                     attempt=attempts + 1, respawns=respawns[failure.rank],
-                     backoff=backoff)
+                     attempt=attempts + 1,
+                     respawns=respawns.counts[failure.rank], backoff=wait)
 
     time = max(clocks) if clocks else 0.0
     final_digest = digest_state(blocks)

@@ -16,8 +16,9 @@ persistent worker pool with
   (:class:`~repro.parallel.backend.ProcessJobRunner`);
 * **the full robustness ladder** — per-job wall-clock deadlines enforced
   by killing the attempt, capped-exponential-backoff retries after
-  worker incidents, poison-job quarantine with forensics, and a circuit
-  breaker degrading ``process → threaded → cooperative`` loudly;
+  worker incidents, poison-job quarantine with forensics, and the
+  engines' one substrate ladder degrading ``process → threaded →
+  cooperative`` loudly;
 * **the model's verdict in the reply** — a completed handle carries the
   job's ``SimResult`` (simulated time, clocks, messages, words); on the
   cooperative substrate a repeated (program, machine, definedness)
@@ -43,17 +44,12 @@ from repro.serving.job import (
     ServingError,
     TenantQuotaError,
 )
-from repro.serving.manager import (
-    SUBSTRATES,
-    CircuitBreaker,
-    ServingConfig,
-    ServingManager,
-)
+from repro.serving.manager import SUBSTRATES, ServingConfig, ServingManager
 from repro.serving.queue import FairQueue
 from repro.serving.quota import TenantQuotas
 
 __all__ = [
-    "ServingManager", "ServingConfig", "CircuitBreaker", "SUBSTRATES",
+    "ServingManager", "ServingConfig", "SUBSTRATES",
     "Job", "JobHandle", "RetryPolicy", "remaining_budget",
     "EventBus", "FairQueue", "TenantQuotas",
     "ServingError", "ManagerClosedError", "QueueFullError",

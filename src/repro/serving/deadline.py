@@ -32,25 +32,17 @@ class RetryPolicy:
     """Knobs of the incident-retry ladder.
 
     ``quarantine_after`` — worker incidents a single job may cause
-    before it is quarantined as poison.  ``backoff_base`` doubles per
-    incident up to ``backoff_cap`` (capped exponential), so a flapping
-    substrate is not hammered, but a one-off kill retries almost
+    before it is quarantined as poison (the manager's ``crashes``
+    :class:`~repro.recovery.health.Strikes`).  The wait before the retry
+    after crash ``n`` is :func:`~repro.recovery.health.backoff` of
+    ``backoff_base`` and ``backoff_cap``, slept on the wall clock, so a
+    flapping substrate is not hammered, but a one-off kill retries almost
     immediately.
     """
 
     quarantine_after: int = 3
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-
-    def backoff(self, crashes: int) -> float:
-        """Seconds to wait before the retry following crash #``crashes``."""
-        if crashes < 1:
-            return 0.0
-        return min(self.backoff_cap,
-                   self.backoff_base * (2.0 ** (crashes - 1)))
-
-    def should_quarantine(self, job: Job) -> bool:
-        return job.crashes >= self.quarantine_after
 
 
 def remaining_budget(job: Job, now: float | None = None) -> float | None:

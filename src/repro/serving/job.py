@@ -192,10 +192,11 @@ class Job:
     """One unit of serving work: a program, its inputs, and its machine.
 
     ``deadline_at`` is an absolute ``time.monotonic()`` instant (``None``
-    = no deadline).  ``crashes``/``forensics`` accumulate across retry
-    attempts; ``no_batch`` marks a job that must run in its own fork
-    generation (set after a batch incident, so the poison job among the
-    batch-mates identifies itself).
+    = no deadline).  ``forensics`` accumulates one line per crashed
+    attempt (the manager's ``crashes`` strikes count them); ``no_batch``
+    marks a job that must run in its own fork generation (set after a
+    batch incident, so the poison job among the batch-mates identifies
+    itself).
     """
 
     job_id: str
@@ -207,7 +208,6 @@ class Job:
     deadline_at: float | None = None
     budget: float | None = None
     attempts: int = 0
-    crashes: int = 0
     no_batch: bool = False
     forensics: list[str] = field(default_factory=list)
 

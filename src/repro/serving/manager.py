@@ -9,20 +9,21 @@ then parks the job on the fair queue and returns a
 pooled-arena process runner or the in-process engines, running the
 deadline/retry/quarantine ladder per job.
 
-The :class:`CircuitBreaker` guards the execution substrate the way
-``RecoveryPolicy.process_fallback_after`` guards a supervised run: after
-``demote_after`` *consecutive* worker incidents the manager drops one
-rung down the ladder ``process → threaded → cooperative`` — loudly (a
-``fallback`` event plus a warning log), never silently, and never the
-reverse direction mid-stream (flapping between substrates would make
-incident attribution meaningless).  Results are engine-independent by
-the conformance contract, so degradation trades wall-clock for
-stability, never correctness.
+The substrate is a rung of the engines' one
+:class:`~repro.parallel.backend.Ladder` (``process → threaded →
+cooperative``), guarded the way ``RecoveryPolicy.process_fallback_after``
+guards a supervised run: ``demote_after`` *consecutive* worker incidents
+(a :class:`~repro.recovery.health.Strikes` streak), a platform that
+cannot fork, or a ``/dev/shm`` that refuses an arena drop it one rung —
+loudly (a ``fallback`` event plus a warning log), never silently, and
+never the reverse direction mid-stream (flapping between substrates
+would make incident attribution meaningless).  Results are
+engine-independent by the conformance contract, so degradation trades
+wall-clock for stability, never correctness.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from collections import Counter
@@ -31,11 +32,11 @@ from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
-from repro.machine import ENGINES
 from repro.machine.engine import SimResult
-from repro.parallel.backend import ProcessJobRunner, process_fallback_reason
+from repro.parallel.backend import SUBSTRATES, Ladder, ProcessJobRunner
 from repro.parallel.shm import ArenaPool
 from repro.recovery.events import RecoveryLog
+from repro.recovery.health import Strikes
 from repro.serving.deadline import RetryPolicy
 from repro.serving.events import EventBus
 from repro.serving.job import (
@@ -51,13 +52,7 @@ from repro.serving.job import (
 from repro.serving.queue import FairQueue
 from repro.serving.quota import TenantQuotas
 
-__all__ = ["ServingConfig", "ServingManager", "CircuitBreaker", "SUBSTRATES"]
-
-logger = logging.getLogger("repro.serving")
-
-#: the degradation ladder: the engines, most parallel first
-SUBSTRATES = ("process", "threaded", "cooperative")
-assert sorted(SUBSTRATES) == sorted(ENGINES)
+__all__ = ["ServingConfig", "ServingManager", "SUBSTRATES"]
 
 
 @dataclass(frozen=True)
@@ -98,65 +93,6 @@ class ServingConfig:
                 raise ValueError(f"{knob} must be at least 1")
 
 
-class CircuitBreaker:
-    """Consecutive-incident counter driving substrate demotion."""
-
-    def __init__(self, initial: str, demote_after: int,
-                 events: EventBus) -> None:
-        self._ladder = SUBSTRATES[SUBSTRATES.index(initial):]
-        self._rung = 0
-        self._streak = 0
-        self.demote_after = max(1, demote_after)
-        self.demotions = 0
-        self.events = events
-        self._lock = threading.Lock()
-
-    @property
-    def substrate(self) -> str:
-        with self._lock:
-            return self._ladder[self._rung]
-
-    def record_incident(self, exc: BaseException | None = None) -> None:
-        with self._lock:
-            self._streak += 1
-            if (self._streak < self.demote_after
-                    or self._rung >= len(self._ladder) - 1):
-                return
-            src = self._ladder[self._rung]
-            self._rung += 1
-            self._streak = 0
-            self.demotions += 1
-            dst = self._ladder[self._rung]
-        reason = (f"{type(exc).__name__}: {str(exc).splitlines()[0]}"
-                  if exc is not None else "incident streak")
-        self.events.emit("fallback", scope="serving", source=src,
-                         target=dst, reason=reason)
-        logger.warning("serving substrate demoted %s -> %s after %d "
-                       "consecutive incidents (%s)", src, dst,
-                       self.demote_after, reason)
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._streak = 0
-
-    def force(self, substrate: str, reason: str) -> None:
-        """Jump straight to ``substrate`` (platform can't do better)."""
-        with self._lock:
-            if substrate not in self._ladder:
-                return
-            rung = self._ladder.index(substrate)
-            if rung <= self._rung:
-                return
-            src = self._ladder[self._rung]
-            self._rung = rung
-            self._streak = 0
-            self.demotions += 1
-        self.events.emit("fallback", scope="serving", source=src,
-                         target=substrate, reason=reason)
-        logger.warning("serving substrate forced %s -> %s (%s)",
-                       src, substrate, reason)
-
-
 class ServingManager:
     """Accepts a stream of jobs and serves them to completion.
 
@@ -174,10 +110,14 @@ class ServingManager:
         self.queue = FairQueue(self.config.queue_capacity)
         self.quotas = TenantQuotas(self.config.tenant_quota,
                                    self.config.tenant_limits)
-        self.breaker = CircuitBreaker(self.config.substrate,
-                                      self.config.demote_after, self.events)
+        self.ladder = Ladder(self.config.substrate, self.events,
+                             scope="serving")
+        #: consecutive worker incidents (under ``_lock``), and each job's
+        #: crashes (a job is struck only by the one worker running it)
+        self.streak = Strikes(self.config.demote_after)
+        self.crashes = Strikes(self.config.retry.quarantine_after)
         self.pool = ArenaPool(max_idle=self.config.max_idle_arenas)
-        self.runner = ProcessJobRunner(self.pool,
+        self.runner = ProcessJobRunner(self.pool, self.ladder,
                                        hb_timeout=self.config.hb_timeout,
                                        spawn_hook=self.config.spawn_hook)
         self._lock = threading.Lock()
@@ -243,19 +183,22 @@ class ServingManager:
 
     def substrate_for(self, job: Job) -> str:
         """The current rung, after the platform gate for process jobs."""
-        substrate = self.breaker.substrate
-        if substrate == "process":
-            reason = process_fallback_reason(job.p)
-            if reason is not None:
-                self.breaker.force("threaded", reason=reason)
-                substrate = self.breaker.substrate
-        return substrate
+        return self.ladder.gate(job.p)
 
-    def record_incident(self, exc: BaseException) -> None:
-        self.breaker.record_incident(exc)
+    def record_incident(self, substrate: str, exc: BaseException) -> None:
+        """A worker incident on ``substrate``; ``demote_after`` of them in
+        a row step the ladder down from it."""
+        with self._lock:
+            if not self.streak.hit():
+                return
+            self.streak.clear()
+        self.ladder.demote(
+            substrate, f"{type(exc).__name__}: {str(exc).splitlines()[0]}")
 
     def record_success(self) -> None:
-        self.breaker.record_success()
+        if self.streak.counts:  # a streak to break: the hot path locks nothing
+            with self._lock:
+                self.streak.clear()
 
     def count_retry(self) -> None:
         self._count("retries")
@@ -275,7 +218,7 @@ class ServingManager:
         self.events.emit("complete", job=job.job_id, tenant=job.tenant,
                          status="ok", attempts=job.attempts)
         self._count("completed")
-        self.quotas.release(job.tenant)
+        self._release(job)
         job.handle._fulfill(values, sim)
 
     def fail_job(self, job: Job, error: BaseException,
@@ -284,8 +227,12 @@ class ServingManager:
                          status="failed", error=type(error).__name__,
                          attempts=job.attempts)
         self._count(counter)
-        self.quotas.release(job.tenant)
+        self._release(job)
         job.handle._fail(error)
+
+    def _release(self, job: Job) -> None:
+        self.quotas.release(job.tenant)
+        self.crashes.clear(job.job_id)
 
     def fail_deterministic(self, job: Job, cause: BaseException) -> None:
         self.fail_job(job, JobFailedError(job.job_id, cause))
@@ -298,11 +245,11 @@ class ServingManager:
             job.job_id, job.budget or 0.0, detail))
 
     def quarantine_job(self, job: Job) -> None:
+        crashes = self.crashes.counts[job.job_id]
         self._count("quarantined")
         self.events.emit("quarantine", job=job.job_id, tenant=job.tenant,
-                         crashes=job.crashes, forensics=list(job.forensics))
-        self.fail_job(job, PoisonJobError(job.job_id, job.crashes,
-                                          job.forensics))
+                         crashes=crashes, forensics=list(job.forensics))
+        self.fail_job(job, PoisonJobError(job.job_id, crashes, job.forensics))
 
     def aborting(self) -> bool:
         return self._abort.is_set()
@@ -361,8 +308,8 @@ class ServingManager:
             "resident_bypasses": bypasses,
             "queue_depth": len(self.queue),
             "inflight": self.quotas.snapshot(),
-            "substrate": self.breaker.substrate,
-            "demotions": self.breaker.demotions,
+            "substrate": self.ladder.rung,
+            "demotions": self.ladder.demotions,
             "arena_pool": self.pool.stats(),
             "events": len(self.events),
         }

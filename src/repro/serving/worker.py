@@ -18,7 +18,9 @@ incident or one job's deterministic failure aborts the shared fork
 generation), the whole batch is requeued for **individual** execution
 (``no_batch``) without charging anyone's crash counter — the solo
 re-runs are what attribute the failure to the one poison job and let its
-batch-mates complete bit-identically.
+batch-mates complete bit-identically.  A process attempt that gets no
+shared arena has stepped the substrate ladder down; its jobs go back to
+the queue for the rung below, charging nobody.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import time
 
 from repro.machine.run import resident_run, simulate_program
 from repro.parallel.errors import ProcessIncidentError, WorkerDeadlineError
+from repro.recovery.health import backoff
 from repro.serving.deadline import remaining_budget
 from repro.serving.job import Job, ManagerClosedError
 
@@ -116,17 +119,21 @@ class WorkerPool:
             # blame lands on the one job that deserves it; batch failures
             # charge no crash counters.
             if isinstance(exc, ProcessIncidentError):
-                mgr.record_incident(exc)
+                mgr.record_incident("process", exc)
             for job in live:
                 job.no_batch = True
                 mgr.count_retry()
                 mgr.events.emit("retry", job=job.job_id, tenant=job.tenant,
                                 scope="batch", reason=type(exc).__name__)
                 mgr.queue.requeue(job)
-        else:
-            mgr.record_success()
-            for job, values in zip(live, results):
-                mgr.complete_job(job, values)
+            return
+        if results is None:  # no arena: the ladder stepped down
+            for job in live:
+                mgr.queue.requeue(job)
+            return
+        mgr.record_success()
+        for job, values in zip(live, results):
+            mgr.complete_job(job, values)
 
     # -- single-job execution (the retry ladder) -----------------------------
 
@@ -147,10 +154,13 @@ class WorkerPool:
             sim = None
             try:
                 if substrate == "process":
-                    values = mgr.runner.run_jobs(
+                    done = mgr.runner.run_jobs(
                         [(job.program, job.inputs)], job.params,
                         deadline=job.deadline_at,
-                        meta={"jobs": [job.job_id], "tenant": job.tenant})[0]
+                        meta={"jobs": [job.job_id], "tenant": job.tenant})
+                    if done is None:  # no arena: the ladder stepped down
+                        return mgr.queue.requeue(job)
+                    values = done[0]
                 elif substrate == "cooperative":
                     sim, outcome = resident_run(
                         job.program, job.inputs, job.params,
@@ -164,24 +174,24 @@ class WorkerPool:
             except WorkerDeadlineError as exc:
                 return mgr.deadline_miss(job, detail=str(exc).splitlines()[0])
             except ProcessIncidentError as exc:
-                mgr.record_incident(exc)
-                job.crashes += 1
+                mgr.record_incident(substrate, exc)
                 job.forensics.append(
                     f"attempt {job.attempts}: {type(exc).__name__}: "
                     + str(exc).splitlines()[0])
-                if policy.should_quarantine(job):
+                if mgr.crashes.hit(job.job_id):
                     return mgr.quarantine_job(job)
-                backoff = policy.backoff(job.crashes)
+                crashes = mgr.crashes.counts[job.job_id]
+                wait = backoff(crashes, policy.backoff_base,
+                               policy.backoff_cap)
                 budget = remaining_budget(job)
-                if budget is not None and budget <= backoff:
+                if budget is not None and budget <= wait:
                     return mgr.deadline_miss(
                         job, detail="budget exhausted by retry backoff")
                 mgr.count_retry()
                 mgr.events.emit("retry", job=job.job_id, tenant=job.tenant,
-                                crashes=job.crashes,
-                                backoff=round(backoff, 4))
-                time.sleep(backoff)
-                substrate = mgr.substrate_for(job)  # breaker may have demoted
+                                crashes=crashes, backoff=round(wait, 4))
+                time.sleep(wait)
+                substrate = mgr.substrate_for(job)  # the ladder may have moved
                 continue
             except Exception as exc:
                 return mgr.fail_deterministic(job, exc)

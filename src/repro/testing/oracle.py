@@ -105,9 +105,9 @@ def run_backend(name: str, gp: GeneratedProgram, xs: Sequence[Any],
         except KernelUnsupported:
             return SKIPPED
     if name == "process":
-        from repro.parallel import process_backend_available
+        from repro.parallel import process_fallback_reason
 
-        if not process_backend_available(len(xs)):
+        if process_fallback_reason(len(xs)) is not None:
             return SKIPPED
         return list(simulate_program(program, list(xs), params,
                                      engine="process").values)

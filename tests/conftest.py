@@ -6,7 +6,7 @@ only time-slice there, so the threaded engine wins — see
 single-core, which would silently skip every real-process test; forcing
 the backend keeps the process suite exercised everywhere.  Set before
 any test module imports, because skip markers evaluate
-``process_backend_available`` at import time.
+``process_fallback_reason`` at import time.
 """
 
 import os

@@ -14,6 +14,9 @@ holds the communication loops to one copy each: the two-level collectives
 and the blocking communicator are callers, not restatements.  The fourth
 holds the fault verdict to one interpreter: no subclass re-homes its
 stores, and the process substrate opens them without the recovery runtime.
+The fifth holds escalation to one ladder: one backoff formula, one
+``fallback`` emitter, the one platform check read in one place, and an
+``OSError`` caught around arena construction only.
 """
 
 from __future__ import annotations
@@ -240,3 +243,80 @@ def test_the_process_substrate_does_not_import_recovery(walk):
              for name, path in modules.items()
              if name.startswith("repro.parallel")}
     assert not any(found.values()), found
+
+
+# -- one escalation ladder -----------------------------------------------------
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == name]
+
+
+def test_one_backoff_formula():
+    """Every retry wait is ``recovery.health.backoff``; only the clock that
+    charges it differs.  (``FaultPlan.retry_penalty`` is the simulated
+    link's own retry cost — part of the fault model, not a policy.)"""
+    trees = _trees()
+    defs = [(name, node.name) for name, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and "backoff" in node.name]
+    assert defs == [("recovery/health.py", "backoff")], defs
+    powers = [(name, ast.unparse(node)) for name, tree in trees.items()
+              if name.startswith(("recovery/", "serving/", "parallel/"))
+              for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
+    assert powers == [("recovery/health.py", "2.0 ** (n - 1)")], powers
+
+
+def test_one_fallback_emitter_and_one_platform_check():
+    trees = _trees()
+    emits = [name for name, tree in trees.items()
+             for node in _calls(tree, "emit")
+             if node.args and isinstance(node.args[0], ast.Constant)
+             and node.args[0].value == "fallback"]
+    assert emits == ["parallel/backend.py"], emits
+    checks = [name for name, tree in trees.items()
+              if name.startswith(("recovery/", "serving/", "parallel/"))
+              for _ in _calls(tree, "process_fallback_reason")]
+    assert checks == ["parallel/backend.py"], checks
+
+
+def _catches_oserror(handler: ast.ExceptHandler) -> bool:
+    names = ({ast.unparse(t) for t in handler.type.elts}
+             if isinstance(handler.type, ast.Tuple)
+             else {ast.unparse(handler.type)} if handler.type else set())
+    return bool(names & {"OSError", "IOError", "EnvironmentError"})
+
+
+def test_oserror_is_caught_around_arena_construction_only():
+    """A ``FaultTimeoutError`` is an ``OSError``: a catch wider than the
+    arena's construction takes a run's own failure for ``/dev/shm``.
+    (``parallel/shm.py`` keeps its best-effort unlink of a closing arena.)"""
+    trees = _trees()
+    guarded = [(name, node) for name, tree in trees.items()
+               if name == "parallel/backend.py"
+               or name.startswith(("recovery/", "serving/"))
+               for node in ast.walk(tree) if isinstance(node, ast.Try)
+               and any(_catches_oserror(h) for h in node.handlers)]
+    assert [name for name, _ in guarded] == ["parallel/backend.py"], guarded
+    (_, node), = guarded
+    calls = {ast.unparse(call.func) for stmt in node.body
+             for call in ast.walk(stmt) if isinstance(call, ast.Call)}
+    assert calls == {"SharedArena", "pool.acquire"}, calls
+
+
+def test_the_hand_written_counters_are_gone():
+    gone = {"LinkHealthBoard", "_streak", "CircuitBreaker", "backoff_for",
+            "should_quarantine", "process_backend_available"}
+    found = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            ident = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(
+                         node, (ast.ClassDef, ast.FunctionDef, ast.alias))
+                     else node.value if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str) else None)
+            if ident in gone:
+                found.add((name, ident))
+    assert not found, sorted(found)

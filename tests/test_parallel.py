@@ -21,15 +21,11 @@ from repro.machine.engine import DeadlockError
 from repro.machine.hierarchical import TwoLevelParams
 from repro.machine.run import simulate_program
 from repro.mpi.threaded import threaded_spmd_run
-from repro.parallel import (
-    process_backend_available,
-    process_fallback_reason,
-    process_spmd_run,
-)
+from repro.parallel import process_fallback_reason, process_spmd_run
 from repro.parallel.shm import SharedArena
 
 needs_processes = pytest.mark.skipif(
-    not process_backend_available(4),
+    process_fallback_reason(4) is not None,
     reason=process_fallback_reason(4) or "",
 )
 
@@ -252,6 +248,32 @@ class TestFallback:
         assert result.values == (7, 7) and result.faults.retries == 1
         assert not caplog.records
 
+    def test_a_dead_link_is_the_runs_own_error(self, monkeypatch, caplog):
+        """A ``FaultTimeoutError`` is an ``OSError``; it used to be taken
+        for a failed shared-memory set-up and the job rerun on threads.
+        Only the arena's construction may demote the run."""
+        if process_fallback_reason(2) is not None:
+            pytest.skip("process backend unavailable here")
+        import repro.mpi.threaded
+
+        def no_rerun(*args, **kwargs):
+            raise AssertionError("the run was repeated on the threaded engine")
+
+        monkeypatch.setattr(repro.mpi.threaded, "threaded_spmd_run", no_rerun)
+        from repro.core.stages import BcastStage, Program
+        from repro.faults import FaultTimeoutError
+
+        plan = FaultPlan(link_faults=(LinkFault(0, 1, "drop", 0, None),))
+        with caplog.at_level(logging.WARNING, logger="repro.parallel"), \
+                pytest.raises(FaultTimeoutError) as exc_info:
+            simulate_program(Program([BcastStage()]), [1, 2],
+                             MachineParams(p=2, ts=1, tw=1, m=1),
+                             engine="process", faults=plan)
+        err = exc_info.value
+        assert (err.src, err.dst) == (0, 1)
+        assert type(err.words) is int and "(1 words)" in str(err)
+        assert not caplog.records
+
     def test_single_core_host_falls_back(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL_FORCE", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -263,13 +285,15 @@ class TestFallback:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert process_fallback_reason(2) is None
 
-    def test_fallback_reason_none_when_available(self):
-        if process_backend_available(2):
+    def test_fallback_reason_none_when_available(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
+        monkeypatch.delenv("REPRO_PARALLEL_MAX_RANKS", raising=False)
+        if hasattr(os, "fork"):
             assert process_fallback_reason(2) is None
 
     def test_env_cap_override_enables(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_MAX_RANKS", "64")
-        if process_backend_available(1):
+        if process_fallback_reason(1) is None:
             assert process_fallback_reason(32) is None
 
 

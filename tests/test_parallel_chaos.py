@@ -212,6 +212,13 @@ def test_omnicidal_killer_falls_back_loudly():
     except UnrecoverableError:
         return  # all hosts murdered before the fallback tripped: typed
     assert list(res.values) == list(REFS[p].values)
+    (event,) = res.log.of_kind("fallback")
+    stage = event["stage"]
+    assert event == {
+        "event": "fallback", "stage": stage, "source": "process",
+        "target": "threaded",
+        "reason": "2 process incidents on one stage (threshold 2)"}
+    assert res.log.of_kind("start")[0]["engine"] == "process"
 
 
 class TestUnsupervised:

@@ -16,14 +16,11 @@ import pytest
 
 from repro.core.cost import MachineParams
 from repro.machine.run import simulate_program
-from repro.parallel import (
-    process_backend_available,
-    process_fallback_reason,
-)
+from repro.parallel import process_fallback_reason
 from repro.testing.generator import DOMAINS, generate_random
 
 needs_processes = pytest.mark.skipif(
-    not process_backend_available(8),
+    process_fallback_reason(8) is not None,
     reason=process_fallback_reason(8) or "",
 )
 

@@ -6,7 +6,7 @@ checkpoints; dead links are quarantined and rerouted; crashed ranks
 shrink onto survivors; resilience replanning prefers fused forms;
 unsurvivable plans end in a typed ``UnrecoverableError`` — never a hang,
 never defined-but-wrong.  Plus the building blocks: checkpoints and
-digests, the health board, the policy knobs, forensic replay epochs, and
+digests, the link strikes, the policy knobs, forensic replay epochs, and
 the structured event log.
 """
 
@@ -34,10 +34,11 @@ from repro.faults import FaultPlan, FaultState, LinkFault, RankCrash
 from repro.machine.run import simulate_program
 from repro.recovery import (
     Checkpoint,
-    LinkHealthBoard,
     RecoveryLog,
     RecoveryPolicy,
+    Strikes,
     UnrecoverableError,
+    backoff,
     digest_state,
     snapshot_block,
     supervise,
@@ -401,17 +402,23 @@ class TestBuildingBlocks:
             digest_state([object()])
 
     def test_health_board_threshold(self):
-        board = LinkHealthBoard(quarantine_after=2)
-        assert board.strike((0, 1)) is False
-        assert board.strike((0, 1)) is True
-        assert board.strike((0, 1)) is False  # already quarantined
-        assert board.quarantined == {(0, 1)}
+        links = Strikes(threshold=2)
+        assert links.hit((0, 1)) is False
+        assert links.hit((1, 0)) is False  # one count per directed link
+        assert links.hit((0, 1)) is True
+        links.clear((0, 1))
+        assert links.counts == {(1, 0): 1}
 
     def test_health_board_strike_all_deduplicates(self):
-        board = LinkHealthBoard()
-        newly = board.strike_all([(1, 0), (0, 1), (1, 0)])
-        assert newly == [(0, 1), (1, 0)]
-        assert board.strikes[(1, 0)] == 1
+        """An attempt strikes each timed-out link once, however many
+        messages on it timed out; the quarantine event carries the
+        strikes and the quarantined links as before."""
+        res = supervise(PROG, XS, PARAMS, faults=FaultPlan(
+            link_faults=(LinkFault(0, 4, "drop", count=None),)))
+        (event,) = res.log.of_kind("quarantine")
+        assert event["strikes"] == 1
+        assert event["health"] == {"strikes": {"0->4": 1},
+                                   "quarantined": ["0->4"]}
 
     def test_policy_resolution(self):
         policy = RecoveryPolicy().resolved(PARAMS)
@@ -419,18 +426,21 @@ class TestBuildingBlocks:
         assert policy.backoff_cap == 8 * policy.backoff_base
         assert policy.max_shrinks == PARAMS.p - 1
         assert policy.checkpoint_ops == PARAMS.m / 8
-        # backoff ladder grows then saturates at the cap
-        ladder = [policy.backoff_for(a) for a in range(1, 8)]
-        assert ladder == sorted(ladder)
-        assert ladder[-1] == policy.backoff_cap
+        # the backoff doubles from the base, then saturates at the cap
+        ladder = [backoff(a, policy.backoff_base, policy.backoff_cap)
+                  for a in range(1, 8)]
+        assert ladder[:4] == [policy.backoff_base * 2 ** k for k in range(4)]
+        assert ladder[3:] == [policy.backoff_cap] * 4
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(max_stage_attempts=0)
         with pytest.raises(ValueError):
-            RecoveryPolicy(backoff_factor=0.5)
+            RecoveryPolicy(backoff_base=-1.0)
         with pytest.raises(ValueError):
             RecoveryPolicy(quarantine_after=0)
+        with pytest.raises(TypeError):
+            RecoveryPolicy(backoff_factor=3.0)  # the growth is doubling
 
     def test_event_log_schema(self, tmp_path):
         log = RecoveryLog()

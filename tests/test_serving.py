@@ -1,7 +1,7 @@
 """The multi-tenant serving runtime: admission, fairness, the ladder.
 
 Unit coverage for the :mod:`repro.serving` building blocks (fair queue,
-tenant quotas, retry policy, event bus, circuit breaker) plus end-to-end
+tenant quotas, retry policy, event bus, the substrate ladder) plus end-to-end
 manager runs on the cooperative substrate: a concurrent multi-tenant
 stream completes bit-identically to unserved execution, every refusal
 and failure is a *typed* error, and the v2 event log tells each job's
@@ -20,9 +20,9 @@ from repro.core.cost import MachineParams
 from repro.core.operators import ADD
 from repro.core.stages import MapStage, Program, ReduceStage, ScanStage
 from repro.machine.run import clear_resident_schedules, simulate_program
-from repro.parallel import process_fallback_reason
+from repro.parallel import backend, process_fallback_reason, shm
+from repro.recovery import Strikes, backoff
 from repro.serving import (
-    CircuitBreaker,
     DeadlineExceededError,
     EventBus,
     FairQueue,
@@ -197,18 +197,19 @@ class TestTenantQuotas:
 class TestRetryPolicy:
     def test_backoff_caps_exponential(self):
         policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.5)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.4)
-        assert policy.backoff(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff(10) == pytest.approx(0.5)
+        ladder = [backoff(n, policy.backoff_base, policy.backoff_cap)
+                  for n in (0, 1, 2, 3, 4, 10)]
+        assert ladder == pytest.approx([0.0, 0.1, 0.2, 0.4, 0.5, 0.5])
 
     def test_should_quarantine(self):
         policy = RetryPolicy(quarantine_after=2)
-        job = _job()
-        assert not policy.should_quarantine(job)
-        job.crashes = 2
-        assert policy.should_quarantine(job)
+        crashes = Strikes(policy.quarantine_after)
+        job, other = _job(), _job()
+        assert not crashes.hit(job.job_id)
+        assert not crashes.hit(other.job_id)  # strikes are per job
+        assert crashes.hit(job.job_id)
+        crashes.clear(job.job_id)
+        assert crashes.counts == {other.job_id: 1}
 
     def test_remaining_budget(self):
         job = _job()
@@ -238,43 +239,113 @@ def test_eventbus_sequences_are_gapless_under_contention():
     assert seqs == list(range(1, 1601))  # no gaps, no dups, ordered
 
 
-# -- CircuitBreaker -----------------------------------------------------------
+# -- the substrate ladder ------------------------------------------------------
+
+class _Incident(RuntimeError):
+    pass
+
 
 class TestCircuitBreaker:
+    """``demote_after`` consecutive incidents step the manager's ladder
+    down one rung from the substrate they happened on."""
+
     def test_demotes_down_the_ladder(self):
-        breaker = CircuitBreaker("process", demote_after=2, events=EventBus())
-        assert breaker.substrate == "process"
-        breaker.record_incident()
-        assert breaker.substrate == "process"   # streak of 1: hold
-        breaker.record_incident()
-        assert breaker.substrate == "threaded"  # demoted, loudly
-        breaker.record_incident()
-        breaker.record_incident()
-        assert breaker.substrate == "cooperative"
-        breaker.record_incident()
-        breaker.record_incident()
-        assert breaker.substrate == "cooperative"  # floor: nowhere lower
-        assert breaker.demotions == 2
+        with ServingManager(_cfg(substrate="process", demote_after=2)) as mgr:
+            assert mgr.stats()["substrate"] == "process"
+            mgr.record_incident("process", _Incident("one"))
+            assert mgr.stats()["substrate"] == "process"  # streak 1: hold
+            mgr.record_incident("process", _Incident("two"))
+            assert mgr.stats()["substrate"] == "threaded"  # demoted, loudly
+            for _ in range(2):
+                mgr.record_incident("threaded", _Incident("x"))
+            assert mgr.stats()["substrate"] == "cooperative"
+            for _ in range(2):
+                mgr.record_incident("cooperative", _Incident("x"))
+            stats = mgr.stats()
+        assert stats["substrate"] == "cooperative"  # floor: nowhere lower
+        assert stats["demotions"] == 2
 
     def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker("process", demote_after=2, events=EventBus())
-        breaker.record_incident()
-        breaker.record_success()
-        breaker.record_incident()
-        assert breaker.substrate == "process"  # streak never reached 2
+        with ServingManager(_cfg(substrate="process", demote_after=2)) as mgr:
+            mgr.record_incident("process", _Incident("one"))
+            mgr.record_success()
+            mgr.record_incident("process", _Incident("two"))
+            assert mgr.stats()["substrate"] == "process"  # never reached 2
 
     def test_demotion_is_logged(self):
-        bus = EventBus()
-        breaker = CircuitBreaker("threaded", demote_after=1, events=bus)
-        breaker.record_incident()
-        (event,) = bus.of_kind("fallback")
-        assert event["target"] == "cooperative"
+        with ServingManager(_cfg(substrate="threaded", demote_after=1)) as mgr:
+            mgr.record_incident("threaded", _Incident("boom\ndetail"))
+            (event,) = mgr.events.of_kind("fallback")
+        assert event["scope"] == "serving"
         assert event["source"] == "threaded"
+        assert event["target"] == "cooperative"
+        assert event["reason"] == "_Incident: boom"
 
-    def test_force(self):
-        breaker = CircuitBreaker("process", demote_after=99, events=EventBus())
-        breaker.force("threaded", "process backend unavailable")
-        assert breaker.substrate == "threaded"
+    def test_force(self, monkeypatch):
+        """A platform that cannot run processes jumps the ladder at the
+        first process job, once, whatever ``demote_after`` says."""
+        monkeypatch.setattr(backend, "process_fallback_reason",
+                            lambda p: "process backend unavailable")
+        with ServingManager(_cfg(substrate="process",
+                                 demote_after=99)) as mgr:
+            assert mgr.substrate_for(_job()) == "threaded"
+            assert mgr.substrate_for(_job()) == "threaded"
+            stats = mgr.stats()
+            (event,) = mgr.events.of_kind("fallback")
+        assert stats["substrate"] == "threaded" and stats["demotions"] == 1
+        assert event["reason"] == "process backend unavailable"
+
+    def test_concurrent_incidents_on_one_rung_demote_it_once(self):
+        """Workers that all failed on ``process`` step the ladder down from
+        ``process`` once, however many of their streaks cross together;
+        a lost update would demote twice or leave a second event."""
+        import sys
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingManager(_cfg(substrate="process",
+                                     demote_after=1)) as mgr:
+                threads = [threading.Thread(
+                    target=lambda: [mgr.record_incident("process",
+                                                        _Incident("kill"))
+                                    for _ in range(50)])
+                    for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in threads)
+                stats = mgr.stats()
+                events = mgr.events.of_kind("fallback")
+        finally:
+            sys.setswitchinterval(switch)
+        assert stats["substrate"] == "threaded" and stats["demotions"] == 1
+        assert len(events) == 1
+
+
+def test_a_refused_arena_reruns_the_job_on_threaded(monkeypatch):
+    """``/dev/shm`` refusing an arena is the substrate's failure, not the
+    job's: the ladder steps down once, loudly, and the job completes on
+    the threaded engine bit-identically."""
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(backend, "process_fallback_reason", lambda p: None)
+    monkeypatch.setattr(shm, "SharedArena", no_space)
+    xs = [1, 2, 3, 4]
+    ref = simulate_program(SCAN, xs, PARAMS, engine="threaded")
+    with ServingManager(_cfg(workers=1, substrate="process")) as mgr:
+        handle = mgr.submit(SCAN, xs, PARAMS)
+        assert handle.result(timeout=60.0) == ref.values
+        stats = mgr.stats()
+        (event,) = mgr.events.of_kind("fallback")
+    assert handle.sim.time == ref.time
+    assert handle.sim.stats.clocks == ref.stats.clocks
+    assert stats["demotions"] == 1 and stats["substrate"] == "threaded"
+    assert (event["source"], event["target"]) == ("process", "threaded")
+    assert event["reason"].startswith("shared-memory setup failed")
+    assert stats["completed"] == 1 and stats["failed"] == 0
 
 
 # -- end-to-end on the cooperative substrate ----------------------------------
