@@ -831,6 +831,11 @@ class Program:
     Programs are immutable; rewriting produces new Programs.  ``run`` is the
     reference semantics; use :func:`repro.machine.run.simulate_program` to
     execute on the simulated machine with timing.
+
+    A program is hashed once, for the three stores keyed on it (plan
+    cache, resident schedules, JIT compile cache): the value is kept
+    beside it, and left out of a pickle since a ``str`` hashes per
+    interpreter.  An unhashable program raises ``TypeError`` every time.
     """
 
     stages: tuple[Stage, ...]
@@ -839,6 +844,15 @@ class Program:
     def __init__(self, stages: Iterable[Stage], name: str = "program") -> None:
         object.__setattr__(self, "stages", tuple(stages))
         object.__setattr__(self, "name", name)
+
+    def __hash__(self) -> int:
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash((self.stages, self.name))
+        return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __iter__(self) -> Iterator[Stage]:
         return iter(self.stages)

@@ -297,12 +297,18 @@ def _exact(block: Any) -> bool:
     return False
 
 
-def _all_exact(blocks: Sequence[Any]) -> bool:
-    return all(x is UNDEF or _exact(x) for x in blocks)
-
-
-def _undef_at(values: Sequence[Any]) -> tuple[bool, ...]:
-    return tuple(v is UNDEF for v in values)
+def _read(blocks: Sequence[Any]) -> tuple[bool, bool, tuple[bool, ...]]:
+    """One pass: are all blocks :data:`DEFINED` / ``UNDEF`` tokens, are
+    all ``UNDEF`` or :func:`_exact`, and where is ``UNDEF``."""
+    tokens = exact = True
+    undef_at = []
+    for x in blocks:
+        undef = x is UNDEF
+        undef_at.append(undef)
+        if not undef:
+            tokens = tokens and x is DEFINED
+            exact = exact and _exact(x)
+    return tokens, exact, tuple(undef_at)
 
 
 def _evaluated(evaluate: Callable[[], Sequence[Any]], pattern: tuple[bool, ...],
@@ -313,9 +319,10 @@ def _evaluated(evaluate: Callable[[], Sequence[Any]], pattern: tuple[bool, ...],
         values = tuple(evaluate())
     except Exception:  # the engine, which degrades where this raised, decides
         return (), "evaluator-raised"
-    if _undef_at(values) != pattern:
+    _, exact, undef_at = _read(values)
+    if undef_at != pattern:
         return values, "schedule-mismatch"
-    if not (tokens or _all_exact(values)):
+    if not (tokens or exact):
         return values, "inexact-value"
     return values, ""
 
@@ -353,15 +360,15 @@ def resident_run(
       evaluator leaves ``UNDEF`` elsewhere than the schedule) and
       ``"values-disagree"`` (at admission).
     """
-    tokens = all(x is DEFINED or x is UNDEF for x in inputs)
+    tokens, exact, undef_at = _read(inputs)
     entry = None
     if faults is not None and not faults.is_empty:
         why = "fault-plan"
-    elif not (tokens or _all_exact(inputs)):
+    elif not (tokens or exact):
         why = "inexact-input"
     else:
         why = ""
-        key = (program, params, _undef_at(inputs))
+        key = (program, params, undef_at)
         try:
             entry = _SCHEDULES.get(key)
         except TypeError:
@@ -381,7 +388,7 @@ def resident_run(
     result = _run_cooperative(program, inputs, params, faults)
     if any(stage.words_follow_block for stage in program.stages):
         return result, "shape-priced-stage"  # never admitted, so never hit
-    pattern = _undef_at(result.values)
+    pattern = _read(result.values)[2]
     values, why = _evaluated(evaluate, pattern, tokens)
     if not (why or tokens or defined_equal(values, result.values)):
         why = "values-disagree"

@@ -12,13 +12,15 @@ emission has no other global order to lean on).
 
 A flight recorder keeps the recent past, not the life of the manager:
 the log retains the latest :data:`RETAINED_EVENTS` records, while
-``len(bus)`` stays the number *emitted* — the bus's own ``seq``.
+``len(bus)`` stays the number *emitted* — the bus's own ``seq`` — and
+:meth:`EventBus.tally` the number of each kind, which the manager's job
+counters read.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import Counter, defaultdict, deque
 from typing import Any
 
 from repro.recovery.events import RecoveryLog
@@ -38,11 +40,19 @@ class EventBus:
         self.log.events = deque(self.log.events, maxlen=RETAINED_EVENTS)
         self._lock = threading.Lock()
         self._seq = 0
+        self._tally: defaultdict = defaultdict(int)
 
     def emit(self, event: str, **fields: Any) -> dict[str, Any]:
         with self._lock:
             self._seq += 1
+            self._tally[event, fields.get("status")] += 1
             return self.log.emit(event, seq=self._seq, **fields)
+
+    def tally(self) -> Counter:
+        """Events emitted, keyed ``(kind, status)``: the event's
+        ``status`` field, ``None`` where it has none."""
+        with self._lock:
+            return Counter(self._tally)
 
     def kinds(self) -> tuple[str, ...]:
         with self._lock:
@@ -56,10 +66,6 @@ class EventBus:
         """Flush the underlying log's JSON document to ``path``."""
         with self._lock:
             self.log.write(path)
-
-    def describe(self) -> str:
-        with self._lock:
-            return self.log.describe()
 
     def __len__(self) -> int:
         """Events emitted — not the (bounded) number retained."""

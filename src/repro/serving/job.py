@@ -138,49 +138,52 @@ class JobHandle:
     for a failed job and on the process substrate, whose runner returns
     values only.  Handles are thread-safe; one handle may be awaited
     from many threads.
+
+    A waiter takes and hands back one bare lock, held from birth until
+    the job's single terminal transition, so any number of them pass.
     """
 
     def __init__(self, job_id: str, tenant: str) -> None:
         self.job_id = job_id
         self.tenant = tenant
         self.state = PENDING
-        self._done = threading.Event()
+        self.error: BaseException | None = None
+        self.sim: SimResult | None = None
         self._values: tuple | None = None
-        self._sim: SimResult | None = None
-        self._error: BaseException | None = None
+        self._settled = threading.Lock()
+        self._settled.acquire()
 
     def done(self) -> bool:
-        return self._done.is_set()
-
-    @property
-    def error(self) -> BaseException | None:
-        return self._error
-
-    @property
-    def sim(self) -> SimResult | None:
-        return self._sim
+        return self.state in (DONE, FAILED)
 
     def result(self, timeout: float | None = None) -> tuple:
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"job {self.job_id} not done within {timeout}s")
-        if self._error is not None:
-            raise self._error
+        if not self.done():
+            if not self._settled.acquire(
+                    timeout=-1 if timeout is None else max(timeout, 0.0)):
+                raise TimeoutError(
+                    f"job {self.job_id} not done within {timeout}s")
+            self._settled.release()
+        if self.error is not None:
+            raise self.error
         assert self._values is not None
         return self._values
 
     # -- fulfilment (manager/worker side) ------------------------------------
 
     def _fulfill(self, values: tuple, sim: SimResult | None = None) -> None:
-        self._values = values
-        self._sim = sim
-        self.state = DONE
-        self._done.set()
+        self._settle(DONE, values=values, sim=sim)
 
     def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self.state = FAILED
-        self._done.set()
+        self._settle(FAILED, error=error)
+
+    def _settle(self, state: str, values=None, sim=None, error=None) -> None:
+        """The one terminal transition; a second is an accounting bug."""
+        if self.state is not PENDING:
+            raise AssertionError(
+                f"job {self.job_id} settled twice ({self.state}, then {state})")
+        self._values, self.sim, self.error = values, sim, error
+        self.state = state
+        self._settled.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"JobHandle({self.job_id!r}, tenant={self.tenant!r}, "

@@ -54,6 +54,17 @@ from repro.serving.quota import TenantQuotas
 
 __all__ = ["ServingConfig", "ServingManager", "SUBSTRATES"]
 
+#: job counter -> the ``(kind, status)`` of the events it counts
+COUNTED = {
+    "submitted": ("admit", None),
+    "completed": ("complete", "ok"),
+    "failed": ("complete", "failed"),
+    "rejected": ("reject", None),
+    "quarantined": ("quarantine", None),
+    "deadline_misses": ("deadline_miss", None),
+    "retries": ("retry", None),
+}
+
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -123,12 +134,8 @@ class ServingManager:
         self._lock = threading.Lock()
         self._closed = False
         self._abort = threading.Event()
-        self.counters = {
-            "submitted": 0, "completed": 0, "failed": 0, "rejected": 0,
-            "quarantined": 0, "deadline_misses": 0, "retries": 0,
-            "resident_hits": 0,
-        }
-        self._resident_bypasses: Counter = Counter()
+        #: resident-schedule outcomes but "miss": the counts with no event
+        self._schedules: Counter = Counter()
         self.workers = WorkerPool(self, self.config.workers)
         self.workers.start()
 
@@ -145,10 +152,9 @@ class ServingManager:
         :class:`QueueFullError`; on success the returned handle resolves
         to the per-rank value tuple (or a typed execution failure).
         """
-        with self._lock:
-            if self._closed:
-                raise ManagerClosedError(
-                    "manager is closed; no further jobs are accepted")
+        if self._closed:  # unlocked: ``queue.push`` is the guard
+            raise ManagerClosedError(
+                "manager is closed; no further jobs are accepted")
         budget = deadline if deadline is not None \
             else self.config.default_deadline
         deadline_at = (time.monotonic() + budget) if budget is not None \
@@ -159,24 +165,20 @@ class ServingManager:
         try:
             self.quotas.admit(tenant)
         except TenantQuotaError:
-            self._count("rejected")
             self.events.emit("reject", job=job.job_id, tenant=tenant,
                              reason="tenant_quota")
             raise
         try:
-            self.queue.push(job)
+            depth = self.queue.push(job)
         except (QueueFullError, ManagerClosedError) as exc:
             # closed: another thread ran close() after the check above
             reason = ("queue_full" if isinstance(exc, QueueFullError)
                       else "closed")
             self.quotas.release(tenant)
-            self._count("rejected")
             self.events.emit("reject", job=job.job_id, tenant=tenant,
                              reason=reason)
             raise
-        self._count("submitted")
-        self.events.emit("admit", job=job.job_id, tenant=tenant,
-                         depth=len(self.queue))
+        self.events.emit("admit", job=job.job_id, tenant=tenant, depth=depth)
         return job.handle
 
     # -- worker-side callbacks ----------------------------------------------
@@ -200,33 +202,25 @@ class ServingManager:
             with self._lock:
                 self.streak.clear()
 
-    def count_retry(self) -> None:
-        self._count("retries")
-
     def record_schedule(self, outcome: str) -> None:
         """Count one :func:`~repro.machine.run.resident_run` outcome: a
         hit, or the reason the engine ran without admitting a schedule
         (a ``"miss"`` is neither: completed - hits - bypasses)."""
-        if outcome == "hit":
-            self._count("resident_hits")
-        elif outcome != "miss":
+        if outcome != "miss":
             with self._lock:
-                self._resident_bypasses[outcome] += 1
+                self._schedules[outcome] += 1
 
     def complete_job(self, job: Job, values: tuple,
                      sim: SimResult | None = None) -> None:
         self.events.emit("complete", job=job.job_id, tenant=job.tenant,
                          status="ok", attempts=job.attempts)
-        self._count("completed")
         self._release(job)
         job.handle._fulfill(values, sim)
 
-    def fail_job(self, job: Job, error: BaseException,
-                 counter: str = "failed") -> None:
+    def fail_job(self, job: Job, error: BaseException) -> None:
         self.events.emit("complete", job=job.job_id, tenant=job.tenant,
                          status="failed", error=type(error).__name__,
                          attempts=job.attempts)
-        self._count(counter)
         self._release(job)
         job.handle._fail(error)
 
@@ -238,7 +232,6 @@ class ServingManager:
         self.fail_job(job, JobFailedError(job.job_id, cause))
 
     def deadline_miss(self, job: Job, detail: str = "") -> None:
-        self._count("deadline_misses")
         self.events.emit("deadline_miss", job=job.job_id, tenant=job.tenant,
                          budget=job.budget, attempts=job.attempts)
         self.fail_job(job, DeadlineExceededError(
@@ -246,21 +239,12 @@ class ServingManager:
 
     def quarantine_job(self, job: Job) -> None:
         crashes = self.crashes.counts[job.job_id]
-        self._count("quarantined")
         self.events.emit("quarantine", job=job.job_id, tenant=job.tenant,
                          crashes=crashes, forensics=list(job.forensics))
         self.fail_job(job, PoisonJobError(job.job_id, crashes, job.forensics))
 
     def aborting(self) -> bool:
         return self._abort.is_set()
-
-    def queue_closed(self) -> bool:
-        with self._lock:
-            return self._closed and len(self.queue) == 0
-
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self.counters[key] += 1
 
     # -- shutdown ------------------------------------------------------------
 
@@ -275,8 +259,8 @@ class ServingManager:
         """
         with self._lock:
             already = self._closed
-            # the queue closes before the flag shows: a worker that sees
-            # "closed and empty" and exits cannot be followed by a push
+            # the closed queue refuses any later push (a submit past the
+            # flag included) and lets idle workers' pop return None
             self.queue.close()
             self._closed = True
         if not already and not drain:
@@ -300,12 +284,13 @@ class ServingManager:
 
     def stats(self) -> dict:
         """Counters + live state, the ``serve`` CLI / bench payload."""
+        tally = self.events.tally()
         with self._lock:
-            counters = dict(self.counters)
-            bypasses = dict(sorted(self._resident_bypasses.items()))
+            bypasses = dict(self._schedules)
         return {
-            **counters,
-            "resident_bypasses": bypasses,
+            **{name: tally[kind] for name, kind in COUNTED.items()},
+            "resident_hits": bypasses.pop("hit", 0),
+            "resident_bypasses": dict(sorted(bypasses.items())),
             "queue_depth": len(self.queue),
             "inflight": self.quotas.snapshot(),
             "substrate": self.ladder.rung,

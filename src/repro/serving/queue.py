@@ -38,10 +38,10 @@ class FairQueue:
 
     # -- producer side -------------------------------------------------------
 
-    def push(self, job: Job) -> None:
-        """Enqueue ``job`` or raise :class:`QueueFullError` (typed, never
-        blocking: admission control decides *now*, the caller decides
-        whether to retry later).  A closed queue raises
+    def push(self, job: Job) -> int:
+        """Enqueue ``job`` and return the new depth, or raise a typed
+        :class:`QueueFullError` (never blocking: admission decides *now*,
+        the caller whether to retry later).  A closed queue raises
         :class:`ManagerClosedError`: the workers may already have seen
         "closed and empty" and gone, so a job parked now would never run.
         """
@@ -54,6 +54,7 @@ class FairQueue:
             self._fifos.setdefault(job.tenant, deque()).append(job)
             self._depth += 1
             self._cond.notify()
+            return self._depth
 
     def requeue(self, job: Job) -> None:
         """Put a retried job back at the *front* of its tenant's FIFO.
@@ -143,12 +144,3 @@ class FairQueue:
     def __len__(self) -> int:
         with self._cond:
             return self._depth
-
-    def depth_of(self, tenant: str) -> int:
-        with self._cond:
-            fifo = self._fifos.get(tenant)
-            return len(fifo) if fifo else 0
-
-    def tenants(self) -> tuple[str, ...]:
-        with self._cond:
-            return tuple(t for t, fifo in self._fifos.items() if fifo)

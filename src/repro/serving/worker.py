@@ -65,12 +65,7 @@ class WorkerPool:
 
     def _loop(self, worker_id: int) -> None:
         mgr = self.manager
-        while True:
-            job = mgr.queue.pop(timeout=0.1)
-            if job is None:
-                if mgr.queue_closed():
-                    return
-                continue
+        while (job := mgr.queue.pop()) is not None:  # None: closed and empty
             if mgr.aborting():
                 mgr.fail_job(job, ManagerClosedError(
                     f"job {job.job_id} cancelled: manager aborted"))
@@ -122,7 +117,6 @@ class WorkerPool:
                 mgr.record_incident("process", exc)
             for job in live:
                 job.no_batch = True
-                mgr.count_retry()
                 mgr.events.emit("retry", job=job.job_id, tenant=job.tenant,
                                 scope="batch", reason=type(exc).__name__)
                 mgr.queue.requeue(job)
@@ -187,7 +181,6 @@ class WorkerPool:
                 if budget is not None and budget <= wait:
                     return mgr.deadline_miss(
                         job, detail="budget exhausted by retry backoff")
-                mgr.count_retry()
                 mgr.events.emit("retry", job=job.job_id, tenant=job.tenant,
                                 crashes=crashes, backoff=round(wait, 4))
                 time.sleep(wait)

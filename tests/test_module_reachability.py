@@ -16,7 +16,10 @@ holds the fault verdict to one interpreter: no subclass re-homes its
 stores, and the process substrate opens them without the recovery runtime.
 The fifth holds escalation to one ladder: one backoff formula, one
 ``fallback`` emitter, the one platform check read in one place, and an
-``OSError`` caught around arena construction only.
+``OSError`` caught around arena construction only.  The sixth holds the
+served hand-off lean: a job handle waits on a bare lock, the job
+counters are a reading of the event bus, and a program hashes in one
+place.
 """
 
 from __future__ import annotations
@@ -320,3 +323,29 @@ def test_the_hand_written_counters_are_gone():
             if ident in gone:
                 found.add((name, ident))
     assert not found, sorted(found)
+
+
+# -- the served hand-off -------------------------------------------------------
+
+def test_a_job_handle_waits_on_a_bare_lock():
+    assert not _calls(ast.parse((ROOT / "serving" / "job.py").read_text()),
+                      "Event")
+
+
+def test_the_job_counters_are_a_reading_of_the_bus():
+    tree = ast.parse((ROOT / "serving" / "manager.py").read_text())
+    (cls,) = [node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "ServingManager"]
+    found = [ast.unparse(node) for node in ast.walk(cls)
+             if isinstance(node, ast.FunctionDef) and node.name == "_count"
+             or isinstance(node, ast.Attribute)
+             and node.attr in ("_count", "counters")]
+    assert not found, found
+
+
+def test_a_program_hashes_in_one_place():
+    defs = [(name, cls.name) for name, tree in _trees().items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "__hash__"]
+    assert defs == [("core/stages.py", "Program")], defs
