@@ -19,7 +19,7 @@ a *facet* the class owns — the methods and ``ClassVar``s :class:`Stage`
 lists: ``apply`` (the reference semantics, so a Program can be run
 directly as its own specification), ``pretty``, ``definition``, the
 model ``cost`` / ``rounds`` / ``formula`` behind :mod:`repro.core.cost`,
-the planner's ``token``, the ``mpi_text`` surface form and ``rebuild``
+the planner's ``token``, the ``mpi_call`` it is written as and ``rebuild``
 for the array backends.  Every driver is a generic walk that calls the
 facet; none tests for a class.  A class without a facet raises
 :class:`StageFacetError` naming both.  The two lowerings ``core`` may
@@ -61,6 +61,8 @@ from repro.semantics.balanced import reduce_balanced, allreduce_balanced, scan_b
 __all__ = [
     "Stage",
     "StageFacetError",
+    "MpiCall",
+    "stage_written_as",
     "MapStage",
     "MapIndexedStage",
     "Map2Stage",
@@ -92,12 +94,41 @@ class StageFacetError(TypeError):
 
 
 @dataclass(frozen=True)
+class MpiCall:
+    """How a stage class is written as text: the one declaration that
+    :meth:`Stage.mpi_text` prints and :mod:`repro.lang.parser` reads.
+
+    ``name (in, out[, counts][, op][, root])`` writes a fresh ``out``; an
+    ``in_place`` call, ``name (in[, ...])``, overwrites ``in``.  ``counts``
+    and ``op`` are the stage's fields of those names.  ``name=None`` is a
+    local map: ``out = label (in)``, or ``out = label (rank, in)``.
+    """
+
+    name: str | None = None
+    in_place: bool = False
+    rank: bool = False
+    counts: bool = False
+    op: bool = False
+    root: bool = False
+
+
+#: (call name, rank) -> its class, filled as each class is defined
+_WRITTEN: dict[tuple[str | None, bool], type] = {}
+
+
+def stage_written_as(name: str | None, rank: bool = False) -> "type[Stage] | None":
+    """The class whose ``mpi_call`` or ``NOT_WRITABLE`` word is ``name``."""
+    return _WRITTEN.get((name, rank))
+
+
+@dataclass(frozen=True)
 class Stage:
     """Base class of all program stages, and the list of their facets.
 
     A concrete stage class implements every method below (sharing them
-    through the small bases that follow where several classes agree);
-    each default raises :class:`StageFacetError`.
+    through the small bases that follow where several classes agree) and
+    declares its ``mpi_call`` or why it has none; each default raises
+    :class:`StageFacetError`.
     """
 
     #: Which rewrite rule created this stage ("" for user-written stages).
@@ -109,9 +140,22 @@ class Stage:
     #: (program, machine, which blocks are defined).
     words_follow_block: ClassVar[bool] = False
 
-    #: Whether the MPI surface form overwrites its source buffer instead
-    #: of writing a fresh variable (``MPI_Bcast``).
-    mpi_in_place: ClassVar[bool] = False
+    #: How the class is written as text; None for a class that declares
+    #: ``NOT_WRITABLE`` instead.
+    mpi_call: ClassVar[MpiCall | None] = None
+
+    #: The words a class that text cannot build prints as, each with the
+    #: reason: its own ``mpi_text`` prints it, the parser refuses it.
+    NOT_WRITABLE: ClassVar[dict[str, str]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        call = vars(cls).get("mpi_call")
+        keys = [(word, False) for word in vars(cls).get("NOT_WRITABLE", ())]
+        for key in keys + ([(call.name, call.rank)] if call else []):
+            if _WRITTEN.setdefault(key, cls) is not cls:
+                raise TypeError(f"{cls.__name__} and {_WRITTEN[key].__name__} "
+                                f"are both written as {key[0] or 'a map'}")
 
     @property
     def is_collective(self) -> bool:
@@ -158,8 +202,20 @@ class Stage:
 
     def mpi_text(self, src: str, dst: str) -> str:
         """The MPI-like surface statement reading ``src``, writing ``dst``
-        (``dst == src`` for an :attr:`mpi_in_place` stage)."""
-        raise StageFacetError(type(self), "mpi_text")
+        (``dst == src`` for an ``in_place`` call): :attr:`mpi_call` read out."""
+        call = self.mpi_call
+        if call is None:
+            raise StageFacetError(type(self), "mpi_text")
+        if call.name is None:
+            return f"{dst} = {self.label} ({'rank, ' if call.rank else ''}{src});"
+        args = [src] if call.in_place else [src, dst]
+        if call.counts:
+            args.append("counts" if self.counts is None else str(list(self.counts)))
+        if call.op:
+            args.append(self.op.name)
+        if call.root:
+            args.append("root")
+        return f"{call.name} ({', '.join(args)});"
 
     def rebuild(self, map_fn: Callable[["MapStage"], Callable],
                 binop_fn: Callable[[BinOp], BinOp]) -> "Stage | None":
@@ -217,6 +273,7 @@ class MapStage(_LocalMap):
     fn: Callable[[Any], Any]
     label: str = "f"
     ops_per_element: int = 0
+    mpi_call = MpiCall()
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.map_fn(self.fn, xs)
@@ -226,9 +283,6 @@ class MapStage(_LocalMap):
 
     def token(self) -> tuple:
         return ("map", self.ops_per_element)
-
-    def mpi_text(self, src: str, dst: str) -> str:
-        return f"{dst} = {self.label} ({src});"
 
     def rebuild(self, map_fn, binop_fn) -> Stage:
         return replace(self, fn=map_fn(self))
@@ -245,6 +299,7 @@ class MapIndexedStage(_LocalMap):
     fn: Callable[[int, Any], Any]
     label: str = "f"
     ops_per_element: int = 0
+    mpi_call = MpiCall(rank=True)
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.map_indexed(self.fn, xs)
@@ -254,9 +309,6 @@ class MapIndexedStage(_LocalMap):
 
     def token(self) -> tuple:
         return ("map#", self.ops_per_element)
-
-    def mpi_text(self, src: str, dst: str) -> str:
-        return f"{dst} = {self.label} (rank, {src});"
 
     def normal_form(self):
         fn = self.fn
@@ -276,6 +328,8 @@ class Map2Stage(_LocalMap):
     label: str = "f"
     indexed: bool = False
     ops_per_element: int = 0
+    NOT_WRITABLE = dict.fromkeys(
+        ("map2", "map2#"), "text cannot carry its distributed constant")
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         if self.indexed:
@@ -343,10 +397,8 @@ class _Fold(_Butterfly):
 
     op: BinOp
 
-    #: the stage's name in the paper's notation / as the MPI call
-    #: (``reduce`` writes its own call: it alone names a root)
+    #: the stage's name in the paper's notation
     kind: ClassVar[str]
-    mpi_call: ClassVar[str]
     #: operator applications per phase: a scan combines twice
     applications: ClassVar[int] = 1
 
@@ -359,9 +411,6 @@ class _Fold(_Butterfly):
     def token(self) -> tuple:
         return (self.kind, op_signature(self.op))
 
-    def mpi_text(self, src: str, dst: str) -> str:
-        return f"{self.mpi_call} ({src}, {dst}, {self.op.name});"
-
     def rebuild(self, map_fn, binop_fn) -> Stage:
         return replace(self, op=binop_fn(self.op))
 
@@ -371,7 +420,7 @@ class ScanStage(_Fold):
     """``scan (⊕)`` — MPI_Scan, inclusive prefix (eq. 7)."""
 
     kind: ClassVar[str] = "scan"
-    mpi_call: ClassVar[str] = "MPI_Scan"
+    mpi_call = MpiCall("MPI_Scan", op=True)
     applications: ClassVar[int] = 2
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
@@ -383,12 +432,10 @@ class ReduceStage(_Fold):
     """``reduce (⊕)`` — MPI_Reduce to the first processor (eq. 5)."""
 
     kind: ClassVar[str] = "reduce"
+    mpi_call = MpiCall("MPI_Reduce", op=True, root=True)
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.reduce_fn(self.op, xs)
-
-    def mpi_text(self, src: str, dst: str) -> str:
-        return f"MPI_Reduce ({src}, {dst}, {self.op.name}, root);"
 
 
 @dataclass(frozen=True)
@@ -396,7 +443,7 @@ class AllReduceStage(_Fold):
     """``allreduce (⊕)`` — MPI_Allreduce (eq. 6)."""
 
     kind: ClassVar[str] = "allreduce"
-    mpi_call: ClassVar[str] = "MPI_Allreduce"
+    mpi_call = MpiCall("MPI_Allreduce", op=True)
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.allreduce_fn(self.op, xs)
@@ -417,7 +464,7 @@ class _Movement(_Collective):
 class BcastStage(_Movement):
     """``bcast`` — MPI_Bcast from the first processor (eq. 8)."""
 
-    mpi_in_place: ClassVar[bool] = True
+    mpi_call = MpiCall("MPI_Bcast", in_place=True, root=True)
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.bcast_fn(xs)
@@ -433,9 +480,6 @@ class BcastStage(_Movement):
 
     def token(self) -> tuple:
         return ("bcast",)
-
-    def mpi_text(self, src: str, dst: str) -> str:
-        return f"MPI_Bcast ({src}, root);"
 
 
 def _ring_or_doubling_rounds(p: int) -> int:
@@ -455,6 +499,7 @@ class AllGatherStage(_Movement):
     """
 
     width: int = 1
+    mpi_call = MpiCall("MPI_Allgather")
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.allgather_fn(xs)
@@ -475,9 +520,6 @@ class AllGatherStage(_Movement):
     def token(self) -> tuple:
         return ("allgather", self.width)
 
-    def mpi_text(self, src: str, dst: str) -> str:
-        return f"MPI_Allgather ({src}, {dst});"
-
 
 @dataclass(frozen=True)
 class ReduceScatterStage(_Collective):
@@ -494,6 +536,7 @@ class ReduceScatterStage(_Collective):
     op: BinOp
     counts: tuple[int, ...] | None = None
     words_follow_block: ClassVar[bool] = True
+    mpi_call = MpiCall("MPI_Reduce_scatter", counts=True, op=True)
 
     def __post_init__(self) -> None:
         if self.counts is not None:
@@ -524,11 +567,6 @@ class ReduceScatterStage(_Collective):
     def token(self) -> tuple:
         return ("reduce_scatter", self.counts, op_signature(self.op))
 
-    def mpi_text(self, src: str, dst: str) -> str:
-        counts = "counts" if self.counts is None else list(self.counts)
-        return (f"MPI_Reduce_scatter ({src}, {dst}, {counts}, "
-                f"{self.op.name});")
-
     def rebuild(self, map_fn, binop_fn) -> Stage:
         return replace(self, op=binop_fn(self.op))
 
@@ -547,6 +585,7 @@ class AllGatherVStage(_Movement):
     counts: tuple[int, ...] | None = None
     width: int = 1
     words_follow_block: ClassVar[bool] = True
+    mpi_call = MpiCall("MPI_Allgatherv", counts=True)
 
     def __post_init__(self) -> None:
         if self.counts is not None:
@@ -570,10 +609,6 @@ class AllGatherVStage(_Movement):
     def token(self) -> tuple:
         return ("allgatherv", self.counts, self.width)
 
-    def mpi_text(self, src: str, dst: str) -> str:
-        counts = "counts" if self.counts is None else list(self.counts)
-        return f"MPI_Allgatherv ({src}, {dst}, {counts});"
-
 
 # ---------------------------------------------------------------------------
 # Rule-introduced collective stages (paper Section 3)
@@ -589,7 +624,6 @@ class _RootTree(_Movement):
     width: int = 1
 
     kind: ClassVar[str]
-    mpi_call: ClassVar[str]
 
     def pretty(self) -> str:
         return self.kind
@@ -602,9 +636,6 @@ class _RootTree(_Movement):
     def token(self) -> tuple:
         return (self.kind, self.width)
 
-    def mpi_text(self, src: str, dst: str) -> str:
-        return f"{self.mpi_call} ({src}, {dst}, root);"
-
 
 @dataclass(frozen=True)
 class ScatterStage(_RootTree):
@@ -614,7 +645,7 @@ class ScatterStage(_RootTree):
     """
 
     kind: ClassVar[str] = "scatter"
-    mpi_call: ClassVar[str] = "MPI_Scatter"
+    mpi_call = MpiCall("MPI_Scatter", root=True)
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.scatter_fn(xs)
@@ -625,7 +656,7 @@ class GatherStage(_RootTree):
     """``gather`` — MPI_Gather: rank-ordered list to the root, ``_`` elsewhere."""
 
     kind: ClassVar[str] = "gather"
-    mpi_call: ClassVar[str] = "MPI_Gather"
+    mpi_call = MpiCall("MPI_Gather", root=True)
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.gather_fn(xs)
@@ -637,6 +668,9 @@ class BalancedReduceStage(_Butterfly):
 
     tree_op: SRTreeOp
     to_all: bool = False
+    NOT_WRITABLE = dict.fromkeys(
+        ("MPI_Reduce_balanced", "MPI_Allreduce_balanced"),
+        "SR-Reduction builds its operator from a scan ; [all]reduce: write those")
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         if self.to_all:
@@ -666,6 +700,8 @@ class BalancedScanStage(_Butterfly):
     """``scan_balanced (op_ss)`` — SS-Scan's target (Fig 5)."""
 
     bfly_op: SSButterflyOp
+    NOT_WRITABLE = {"MPI_Scan_balanced":
+                    "SS-Scan builds its operator from a scan ; scan: write those"}
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return scan_balanced(self.bfly_op, xs)
@@ -704,6 +740,8 @@ class ComcastStage(_Butterfly):
 
     comcast_op: ComcastOp
     impl: str = "repeat"
+    NOT_WRITABLE = {"Comcast": "a Comcast rule builds its operator from a "
+                               "bcast ; scan ...: write those"}
 
     def __post_init__(self) -> None:
         if self.impl not in ("repeat", "doubling"):
@@ -760,6 +798,8 @@ class IterStage(Stage):
     iter_op: IterOp
     general: bool = False
     then_bcast: bool = False
+    NOT_WRITABLE = {"Iter": "a Local rule builds its operator from a "
+                            "bcast ; ... ; [all]reduce: write those"}
 
     @property
     def is_collective(self) -> bool:

@@ -10,9 +10,11 @@ notation"::
     v = g ( u );
     MPI_Bcast (v, count3, type, root, comm);
 
-This lexer tokenizes exactly that surface (plus our extensions:
-``MPI_Allreduce``); the parser ignores the ``count``/``type``/``root``/
-``comm`` arguments just as the paper's formalism does.
+This lexer tokenizes that surface and every statement a stage class
+declares (``repro.core.stages.MpiCall``) or prints: brackets for operator
+names and counts lists (``ew[add]``, ``op_sr2[mul,add]``, ``[2, 1, 0]``),
+a name ending in the paper's ``#`` (``map2#``), and a program's name read
+as all that stands between ``Program`` and ``(`` (``fuzz-int``, ``a;b``).
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ class LexError(ValueError):
     """Invalid character or malformed token, with position info."""
 
 
-TOKEN_KINDS = ("NAME", "NUMBER", "LPAREN", "RPAREN", "COMMA", "SEMI",
-               "COLON", "EQUALS", "EOF")
+TOKEN_KINDS = ("NAME", "NUMBER", "LPAREN", "RPAREN", "LBRACK", "RBRACK",
+               "COMMA", "SEMI", "COLON", "EQUALS", "EOF")
 
 _SINGLE = {
     "(": "LPAREN",
     ")": "RPAREN",
+    "[": "LBRACK",
+    "]": "RBRACK",
     ",": "COMMA",
     ";": "SEMI",
     ":": "COLON",
@@ -54,6 +58,7 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
     i, n = 0, len(source)
+    header = True  # until the first name: is it ``Program``?
     while i < n:
         ch = source[i]
         if ch == "\n":
@@ -82,6 +87,16 @@ def tokenize(source: str) -> list[Token]:
             text = source[start:i]
             tokens.append(Token("NAME", text, line, col))
             col += i - start
+            if header:
+                header = False
+                if len(tokens) == 1 and text.lower() == "program":
+                    end = source.find("(", i)  # the name is all up to "("
+                    name = source[i:end]
+                    if end > 0 and name.strip() and "\n" not in name:
+                        pad = len(name) - len(name.lstrip())
+                        tokens.append(Token("NAME", name.strip(), line, col + pad))
+                        col += end - i
+                        i = end
             continue
         if ch.isdigit():
             start = i
@@ -90,6 +105,14 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token("NUMBER", source[start:i], line, col))
             col += i - start
             continue
+        if ch == "#" and tokens:
+            last = tokens[-1]  # a "#" right after a name ends it: map2#
+            if (last.kind == "NAME" and not last.text.endswith("#")
+                    and (last.line, last.column + len(last.text)) == (line, col)):
+                tokens[-1] = last._replace(text=last.text + "#")
+                i += 1
+                col += 1
+                continue
         raise LexError(f"line {line}, column {col}: unexpected character {ch!r}")
     tokens.append(Token("EOF", "", line, col))
     return tokens

@@ -1,43 +1,38 @@
 """Parser for the mini MPI-like language: text → stage Program.
 
-Grammar (terminals in caps; the paper's ``count``/``type``/``root``/
-``comm`` arguments are accepted and discarded)::
+The grammar is what the stage classes' ``mpi_call`` declarations admit
+(:class:`repro.core.stages.MpiCall`; terminals in caps)::
 
-    program    := "Program" NAME "(" params ")" ";" statement*
-    params     := NAME [":" NAME] ("," NAME [":" NAME])*
-    statement  := local ";" | collective ";"
-    local      := NAME "=" NAME "(" NAME ")"
-    collective := ("MPI_Scan" | "MPI_Reduce" | "MPI_Allreduce")
-                     "(" NAME "," NAME ["," arg]* ")"
-                | "MPI_Bcast" "(" NAME ["," arg]* ")"
-    arg        := NAME | NUMBER
+    program   := "Program" NAME "(" params ")" ";" statement*
+    params    := NAME [":" NAME] ("," NAME [":" NAME])*
+    statement := NAME "=" NAME "(" ["rank" ","] NAME ")" ";"   -- map, map#
+               | CALL "(" NAME ["," NAME] ["," arg]* ")" ";"   -- in [, out]
+    arg       := name | NUMBER
+               | "[" [NUMBER ("," NUMBER)*] "]"       -- counts, after the buffers
+    name      := NAME ["[" name ("," name)* "]"]      -- op_br[ew[add]]
 
-The parser produces a declarative AST first (:class:`ProgramDecl`), then
-:func:`ProgramDecl.to_program` performs *dataflow validation* — each
-statement must consume the value produced by the previous one (the
-paper's x → y → z → u → v chain) — and resolves function/operator names
+After the buffers come, as declared, the ``counts`` (a list, or the word
+for the balanced partition) and the operator: the one argument named
+``op…``, else MPI's position after ``count`` and ``type`` — the paper's
+``MPI_Scan (y, z, count, type, op1, comm)`` is ``MPI_Scan (y, z, op1)``.
+Other arguments are discarded, as in the paper's formalism.  A word a
+``NOT_WRITABLE`` class prints as (``MPI_Reduce_balanced``, ``Comcast``,
+``Iter``, ``map2``) is a :class:`ParseError` naming the class and reason.
+
+:func:`ProgramDecl.to_program` then validates the dataflow — each
+statement consumes the value the previous one produced (the paper's
+x → y → z → u → v chain) — and resolves function and operator names
 through a user environment into a :class:`repro.core.stages.Program`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.operators import BinOp
 from repro.core.store import BoundedStore
-from repro.core.stages import (
-    AllGatherStage,
-    GatherStage,
-    ScatterStage,
-    AllReduceStage,
-    BcastStage,
-    MapStage,
-    Program,
-    ReduceStage,
-    ScanStage,
-    Stage,
-)
+from repro.core.stages import Program, Stage, stage_written_as
 from repro.lang.lexer import LexError, Token, tokenize
 
 __all__ = [
@@ -55,8 +50,9 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class LocalStmt:
-    """``out = fn (in)``"""
+    """``out = fn (in)`` or ``out = fn (rank, in)``: a map of class ``stage``"""
 
+    stage: type[Stage]
     out: str
     fn: str
     arg: str
@@ -65,27 +61,17 @@ class LocalStmt:
 
 @dataclass(frozen=True)
 class CollectiveStmt:
-    """``MPI_Xxx (in [, out] [, ignored args...])``"""
+    """``CALL (in [, out] [, counts] [, op] [, ignored args...])``"""
 
-    kind: str          # "scan" | "reduce" | "allreduce" | "bcast"
-    arg: str           # input variable
-    out: str           # output variable (== arg for bcast, in-place)
-    op: str | None     # operator name (None for bcast)
+    stage: type[Stage]              # the class that declares the call
+    arg: str                        # input variable
+    out: str                        # output variable (== arg when in place)
+    op: str | None                  # operator name, if the call takes one
+    counts: tuple[int, ...] | None  # segment lengths; None: balanced
     line: int
 
 
 Statement = LocalStmt | CollectiveStmt
-
-#: MPI call name → (our kind, has output variable, has operator)
-_COLLECTIVES = {
-    "MPI_Scan": ("scan", True, True),
-    "MPI_Reduce": ("reduce", True, True),
-    "MPI_Allreduce": ("allreduce", True, True),
-    "MPI_Bcast": ("bcast", False, False),
-    "MPI_Allgather": ("allgather", True, False),
-    "MPI_Scatter": ("scatter", True, False),
-    "MPI_Gather": ("gather", True, False),
-}
 
 
 @dataclass(frozen=True)
@@ -122,34 +108,36 @@ class ProgramDecl:
                     fn, ops = fn
                 if not callable(fn):
                     raise ParseError(f"line {stmt.line}: {stmt.fn!r} is not callable")
-                stages.append(MapStage(fn, label=stmt.fn, ops_per_element=ops))
-                current = stmt.out
+                stages.append(stmt.stage(fn, label=stmt.fn, ops_per_element=ops))
             else:
-                if stmt.kind == "bcast":
-                    stages.append(BcastStage())
-                elif stmt.kind == "allgather":
-                    stages.append(AllGatherStage())
-                elif stmt.kind == "scatter":
-                    stages.append(ScatterStage())
-                elif stmt.kind == "gather":
-                    stages.append(GatherStage())
-                else:
-                    op = env.get(stmt.op or "")
-                    if not isinstance(op, BinOp):
+                fields: dict[str, Any] = {}
+                if stmt.stage.mpi_call.counts:
+                    fields["counts"] = stmt.counts
+                if stmt.op is not None:
+                    fields["op"] = env.get(stmt.op)
+                    if not isinstance(fields["op"], BinOp):
                         raise ParseError(
                             f"line {stmt.line}: operator {stmt.op!r} is not a "
                             "BinOp in the environment"
                         )
-                    cls = {"scan": ScanStage, "reduce": ReduceStage,
-                           "allreduce": AllReduceStage}[stmt.kind]
-                    stages.append(cls(op))
-                current = stmt.out
+                stages.append(stmt.stage(**fields))
+            current = stmt.out
         if self.output_var is not None and current != self.output_var:
             raise ParseError(
                 f"program {self.name}: declared output {self.output_var!r} but "
                 f"the final value is {current!r}"
             )
         return Program(stages, name=self.name)
+
+
+def _refused(tok: Token, cls: type[Stage] | None) -> ParseError:
+    """Why ``tok`` is no call: an unknown word, or one that prints a
+    class text cannot build."""
+    if cls is None:
+        return ParseError(f"line {tok.line}, column {tok.column}: unknown "
+                          f"call {tok.text!r}")
+    return ParseError(f"line {tok.line}: {tok.text} is {cls.__name__}, which "
+                      f"text cannot build: {cls.NOT_WRITABLE[tok.text]}")
 
 
 class _Parser:
@@ -214,57 +202,85 @@ class _Parser:
 
     def _parse_statement(self) -> Statement:
         tok = self.expect("NAME")
-        if tok.text in _COLLECTIVES:
-            return self._parse_collective(tok)
-        # local statement: out = fn ( arg )
-        out = tok.text
-        self.expect("EQUALS")
-        fn = self.expect("NAME").text
+        if self.peek().kind == "EQUALS":
+            return self._parse_local(tok)
+        return self._parse_call(tok)
+
+    def _parse_local(self, out: Token) -> LocalStmt:
+        self.next()
+        fn = self.expect("NAME")
+        cls = stage_written_as(fn.text)
+        if cls is not None and fn.text in cls.NOT_WRITABLE:  # Iter, map2
+            raise _refused(fn, cls)
         self.expect("LPAREN")
         arg = self.expect("NAME").text
+        rank = arg == "rank" and self.peek().kind == "COMMA"
+        if rank:
+            self.next()
+            arg = self.expect("NAME").text
         self.expect("RPAREN")
         self.expect("SEMI")
-        return LocalStmt(out=out, fn=fn, arg=arg, line=tok.line)
+        return LocalStmt(stage_written_as(None, rank), out.text, fn.text, arg,
+                         out.line)
 
-    def _parse_collective(self, tok: Token) -> CollectiveStmt:
-        kind, has_out, has_op = _COLLECTIVES[tok.text]
+    def _parse_call(self, tok: Token) -> CollectiveStmt:
+        cls = stage_written_as(tok.text)
+        call = cls and cls.mpi_call
+        if call is None:
+            raise _refused(tok, cls)
+        buffers = 1 if call.in_place else 2
         self.expect("LPAREN")
         args: list[str] = []
-        while self.peek().kind != "RPAREN":
-            arg_tok = self.next()
-            if arg_tok.kind not in ("NAME", "NUMBER"):
+        counts = None
+        arg = self.next()
+        while arg.kind != "RPAREN":
+            if arg.kind in ("NAME", "NUMBER"):
+                args.append(arg.text if self.peek().kind != "LBRACK"
+                            else self._parse_name(arg, tok))
+            elif arg.kind == "LBRACK" and call.counts and len(args) == buffers:
+                counts = self._parse_counts()
+                args.append("counts")
+            else:
                 raise ParseError(
-                    f"line {arg_tok.line}: unexpected {arg_tok.text!r} in "
+                    f"line {arg.line}: unexpected {arg.text!r} in "
                     f"{tok.text} argument list"
                 )
-            args.append(arg_tok.text)
-            if self.peek().kind == "COMMA":
-                self.next()
-        self.expect("RPAREN")
+            arg = self.next()
+            if arg.kind == "COMMA":
+                arg = self.next()
         self.expect("SEMI")
 
-        if has_out:
-            if len(args) < 2:
-                raise ParseError(
-                    f"line {tok.line}: {tok.text} needs input and output buffers"
-                )
-            arg, out = args[0], args[1]
-            if not has_op:
-                return CollectiveStmt(kind=kind, arg=arg, out=out, op=None,
-                                      line=tok.line)
-            # remaining args: count, type, [op], [root], comm — find the op
-            # by convention: for Scan/Reduce/Allreduce the paper's position
-            # is after count & type, but we accept any remaining NAME that
-            # resolves later; take the *last-but-root/comm* heuristic off the
-            # table by requiring the operator to be named 'op*' or be the
-            # only extra NAME.
-            op = self._find_operator(args[2:], tok)
-            return CollectiveStmt(kind=kind, arg=arg, out=out, op=op, line=tok.line)
-        # bcast: in-place single buffer
-        if not args:
-            raise ParseError(f"line {tok.line}: {tok.text} needs a buffer")
-        return CollectiveStmt(kind=kind, arg=args[0], out=args[0], op=None,
-                              line=tok.line)
+        if len(args) < buffers:
+            needs = "a buffer" if call.in_place else "input and output buffers"
+            raise ParseError(f"line {tok.line}: {tok.text} needs {needs}")
+        # past the buffers and the counts slot (a list, or the word for the
+        # balanced partition)
+        extra = args[buffers + call.counts:]
+        op = self._find_operator(extra, tok) if call.op else None
+        return CollectiveStmt(cls, args[0], args[buffers - 1], op, counts,
+                              tok.line)
+
+    def _parse_counts(self) -> tuple[int, ...]:
+        """A counts list past its ``[``: one segment length per rank."""
+        counts = []
+        while self.peek().kind == "NUMBER":
+            counts.append(int(self.next().text))
+            if self.peek().kind == "COMMA":
+                self.next()
+        self.expect("RBRACK")
+        return tuple(counts)
+
+    def _parse_name(self, tok: Token, word: Token) -> str:
+        """``tok`` and the brackets after it: an operator's name, such as
+        ``op_br[ew[add]]`` or ``op_sr2[mul,add]``, is one argument."""
+        text, depth = tok.text, 0
+        while depth or self.peek().kind == "LBRACK":
+            part = self.next()
+            if part.kind == "EOF":
+                raise ParseError(f"line {tok.line}: unclosed '[' in {word.text}")
+            depth += (part.kind == "LBRACK") - (part.kind == "RBRACK")
+            text += part.text
+        return text
 
     @staticmethod
     def _find_operator(extra: Sequence[str], tok: Token) -> str:

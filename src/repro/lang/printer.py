@@ -1,11 +1,11 @@
 """Pretty-printer: stage Programs back to MPI-like surface text.
 
-Round-trips the stages the parser produces; rule-introduced stages print
-as the "new collective operations" the paper's conclusions describe
-(``MPI_Reduce_balanced``, ``MPI_Scan_balanced``, ``Comcast``, ``Iter``),
-annotated with the rule that created them.  Each statement is the stage
-class's own ``mpi_text`` facet; a class without one is a
-``StageFacetError``.
+Each statement is the stage class's ``mpi_text``: the call it declares
+(``mpi_call``), which :mod:`repro.lang.parser` reads back, or for a
+``NOT_WRITABLE`` class one of the "new collective operations" the paper's
+conclusions describe (``MPI_Reduce_balanced``, ``Comcast``, ``Iter``, ...).
+A stage a rule introduced is annotated with the rule's name; a class
+with neither form is a ``StageFacetError``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def to_mpi_text(program: Program) -> str:
     cur = 0
     for stage in program.stages:
         src = _var(cur)
-        if not stage.mpi_in_place:
+        if not (stage.mpi_call and stage.mpi_call.in_place):
             cur += 1
         comment = f"  // introduced by {stage.origin}" if stage.origin else ""
         lines.append(stage.mpi_text(src, _var(cur)) + comment)

@@ -70,6 +70,20 @@ class TestOptimizeCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_a_planner_only_call_is_refused_by_name(self, capsys, tmp_path):
+        from repro.core.stages import BalancedReduceStage
+
+        f = tmp_path / "balanced.mpi"
+        f.write_text("Program P (x: input);\n"
+                     "MPI_Reduce_balanced (x, y, op_sr[add]);\n")
+        code = main(["optimize", str(f)])
+        err = capsys.readouterr().err
+        assert code == 1
+        reason = BalancedReduceStage.NOT_WRITABLE["MPI_Reduce_balanced"]
+        assert err == (f"error: line 2: MPI_Reduce_balanced is "
+                       f"BalancedReduceStage, which text cannot build: "
+                       f"{reason}\n")
+
     def test_missing_file(self, capsys):
         code = main(["optimize", "/no/such/file.mpi"])
         assert code == 1

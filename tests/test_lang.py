@@ -4,22 +4,37 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import planner_corpus
+from test_stage_facets_golden import _vocabulary
 
-from repro.core.operators import ADD, MUL
-from repro.core.optimizer import optimize
+from repro.core import stages as stages_module
+from repro.core.operators import ADD, EW_ADD, EW_MAX, MAX, MIN, MUL
+from repro.core.optimizer import exhaustive_optimize, greedy_optimize, optimize
 from repro.core.cost import PARSYTEC_LIKE
+from repro.core.planner import beam_optimize
+from repro.core.rules import FULL_RULES
 from repro.core.stages import (
+    AllGatherVStage,
     AllReduceStage,
     BcastStage,
+    MapIndexedStage,
     MapStage,
     Program,
+    ReduceScatterStage,
     ReduceStage,
     ScanStage,
+    Stage,
+)
+from repro.testing.generator import (
+    INT_DOMAIN,
+    RULE_CASES,
+    generate_from_case,
+    generate_random,
 )
 from repro.lang import parser as parser_mod
 from repro.lang import (
@@ -66,6 +81,27 @@ class TestLexer:
     def test_invalid_character(self):
         with pytest.raises(LexError, match="line 1"):
             tokenize("a @ b")
+
+    def test_brackets_and_the_indexed_suffix(self):
+        toks = tokenize("op_sr2[mul,add] [2, 0] map2# h")
+        assert [t.kind for t in toks[:6]] == ["NAME", "LBRACK", "NAME",
+                                              "COMMA", "NAME", "RBRACK"]
+        assert [t.text for t in toks[6:-1]] == ["[", "2", ",", "0", "]",
+                                                "map2#", "h"]
+        for junk in ("x # y", "#x", "x##"):  # a name may end in one '#'
+            with pytest.raises(LexError, match="'#'"):
+                tokenize(junk)
+
+    @pytest.mark.parametrize("name", ["fuzz-int", "case-SR2-Reduction",
+                                      "fuzz-int;case-SS-Scan", "P"])
+    def test_a_program_name_is_all_before_its_parenthesis(self, name):
+        toks = tokenize(f"\nProgram  {name} (x: input);")
+        assert toks[1] == Token("NAME", name, 2, 10)
+        assert (toks[2].kind, toks[2].column) == ("LPAREN", 11 + len(name))
+        # only on the header's own line, and only after the first token
+        assert [t.text for t in tokenize("Program\nP (x)")][:2] == ["Program", "P"]
+        with pytest.raises(LexError, match="'-'"):
+            tokenize("x Program a-b (")
 
 
 @dataclass(frozen=True)
@@ -178,6 +214,14 @@ class TestLexerDifferential:
         assert Token._fields == ("kind", "text", "line", "column")
 
 
+def _shipped(writable: bool) -> list[type]:
+    """The stage classes of ``core.stages`` that declare a call (or not)."""
+    exported = map(stages_module.__dict__.get, stages_module.__all__)
+    return [cls for cls in exported if isinstance(cls, type)
+            and issubclass(cls, Stage) and cls is not Stage
+            and (cls.mpi_call is not None) == writable]
+
+
 class TestParser:
     def test_paper_example_structure(self):
         decl = parse_program(PAPER_SOURCE)
@@ -247,6 +291,44 @@ MPI_Scan (x, z, op1);
     def test_collective_requires_two_buffers(self):
         with pytest.raises(ParseError):
             parse_program("Program P (x);\nMPI_Scan (x);\n")
+
+    def test_counts_and_bracketed_operators(self):
+        src = ("Program P (x);\nMPI_Reduce_scatter (x, y, [2, 0, 1], ew[add]);\n"
+               "MPI_Allgatherv (y, z, counts);\ny2 = h (rank, z);\n"
+               "MPI_Reduce (y2, u, count, type, op_sr2[mul,add], root, comm);\n")
+        op = replace(ADD, name="op_sr2[mul,add]")
+        prog = parse_program(src).to_program(
+            {"ew[add]": EW_ADD, "h": (max, 2), "op_sr2[mul,add]": op})
+        assert list(prog.stages) == [
+            ReduceScatterStage(EW_ADD, (2, 0, 1)), AllGatherVStage(),
+            MapIndexedStage(max, "h", 2), ReduceStage(op)]
+        with pytest.raises(ParseError, match=r"unexpected '\[' in MPI_Scan"):
+            parse_program("Program P (x);\nMPI_Scan (x, y, [1], add);\n")
+        with pytest.raises(ParseError, match="unclosed"):
+            parse_program("Program P (x);\nMPI_Scan (x, y, ew[add);\n")
+        with pytest.raises(ParseError, match="unknown call 'MPI_Sum'"):
+            parse_program("Program P (x);\nMPI_Sum (x, y, add);\n")
+
+    @pytest.mark.parametrize("program", [
+        generate_random(random.Random(3), INT_DOMAIN).program,
+        generate_from_case(random.Random(5), RULE_CASES[0]).program,
+        generate_random(random.Random(3), INT_DOMAIN).program.then(
+            generate_from_case(random.Random(5), RULE_CASES[0]).program),
+    ], ids=lambda program: program.name)
+    def test_a_printed_name_reads_back(self, program):
+        """``fuzz-int``, ``case-SR2-Reduction`` and ``Program.then``'s
+        ``a;b`` are no identifiers; the header reads them all the same."""
+        assert parse_program(to_mpi_text(program)).name == program.name
+
+    @pytest.mark.parametrize("cls", _shipped(writable=False),
+                             ids=lambda cls: cls.__name__)
+    def test_a_class_text_cannot_build_is_refused_by_name(self, cls):
+        for word, reason in cls.NOT_WRITABLE.items():
+            for statement in (f"{word} (x, y, op);", f"y = {word} (x);"):
+                with pytest.raises(ParseError) as err:
+                    parse_program(f"Program P (x);\n{statement}\n")
+                assert f"line 2: {word} is {cls.__name__}" in str(err.value)
+                assert reason in str(err.value)
 
 
 def _numbered(k: int) -> str:
@@ -355,70 +437,124 @@ class TestPrinter:
         assert "MPI_Reduce_balanced" in to_mpi_text(prog)
 
 
+def _env_of(program: Program) -> dict:
+    """The names ``program`` prints: its map labels and operator names."""
+    env = {}
+    for stage in program.stages:
+        call = stage.mpi_call
+        if call is not None and call.name is None:
+            env[stage.label] = (stage.fn, stage.ops_per_element)
+        if call is not None and call.op:
+            env[stage.op.name] = stage.op
+    return env
+
+
+def _bare(program: Program) -> list:
+    return [stage.with_origin("") for stage in program.stages]
+
+
+def _reads_back(program: Program) -> bool:
+    """``program`` parses back from its text to equal stages (up to
+    ``origin``) under the same name, or — holding a class text cannot
+    build — is a ``ParseError`` naming the first such class.  True for
+    the former."""
+    text = to_mpi_text(program)
+    refused = [type(s) for s in program.stages if s.mpi_call is None]
+    if refused:
+        with pytest.raises(ParseError, match=refused[0].__name__):
+            parse_program(text)
+        return False
+    got = parse_program(text).to_program(_env_of(program))
+    assert got.name == program.name, text
+    assert _bare(got) == _bare(program), text
+    return True
+
+
+#: label -> (function, ops per element) of the drawn maps
+_MAPS = {"f": (abs, 0), "g": (max, 2), "h": (min, 3)}
+_FOLD_OPS = (ADD, MUL, MAX, MIN, EW_ADD, EW_MAX)
+_COUNTS = st.none() | st.lists(st.integers(0, 3), max_size=5).map(tuple)
+
+
+def _drawn(cls: type) -> st.SearchStrategy:
+    """Instances of ``cls`` varying in what its call declares it writes."""
+    call = cls.mpi_call
+    if call.name is None:
+        return st.sampled_from(sorted(_MAPS)).map(
+            lambda label: cls(_MAPS[label][0], label, _MAPS[label][1]))
+    drawn = {"op": st.sampled_from(_FOLD_OPS)} if call.op else {}
+    if call.counts:
+        drawn["counts"] = _COUNTS
+    return st.builds(cls, **drawn)
+
+
+_STAGES = st.lists(
+    st.tuples(st.one_of([_drawn(cls) for cls in _shipped(writable=True)]),
+              st.sampled_from(["", "Some-Rule"]))
+    .map(lambda pair: pair[0].with_origin(pair[1])),
+    min_size=1, max_size=6)
+
+
 class TestRoundTripProperty:
-    """Random stage programs survive print → parse → print."""
+    """Random programs of every writable class survive print → parse."""
 
-    from hypothesis import given, settings, strategies as st  # noqa: PLC0415
+    @given(_STAGES)
+    @example([ReduceScatterStage(EW_ADD), AllGatherVStage(),
+              ReduceScatterStage(EW_MAX, (2, 0, 1)), AllGatherVStage((0, 3)),
+              MapIndexedStage(max, "g", 2)])
+    @settings(max_examples=60, deadline=None)
+    def test_random_program_round_trips(self, stages):
+        assert _reads_back(Program(stages, name="RT"))
 
-    _OPS = {"add": None, "mul": None, "max": None, "min": None}
 
-    @staticmethod
-    def _env():
-        from repro.core.operators import ADD, MAX, MIN, MUL
+_PLANNERS = {
+    "greedy": lambda prog, params, rules: greedy_optimize(prog, params, rules),
+    "beam": lambda prog, params, rules: beam_optimize(prog, params, rules,
+                                                      width=4),
+    "exhaustive": lambda prog, params, rules: exhaustive_optimize(
+        prog, params, rules),
+}
 
-        return {"add": ADD, "mul": MUL, "max": MAX, "min": MIN,
-                "f": (lambda x: x, 0), "g": (lambda x: x, 0),
-                "h": (lambda x: x, 0)}
 
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_random_program_round_trips(self, data):
-        from hypothesis import strategies as st_
+class TestPrintedPlansReadBack:
+    """What the repo prints, it reads: ``parse ∘ print`` is the identity
+    (up to ``origin`` and the environment) on the planner corpus and on
+    every plan the three tiers make of it whose classes are writable."""
 
-        from repro.core.operators import ADD, MAX, MIN, MUL
-        from repro.core.stages import (
-            AllGatherStage,
-            AllReduceStage,
-            BcastStage,
-            GatherStage,
-            MapStage,
-            Program,
-            ReduceStage,
-            ScanStage,
-            ScatterStage,
-        )
+    def test_every_corpus_program_reads_back(self):
+        assert all(_reads_back(prog) for prog, _ in planner_corpus.programs())
 
-        ops = [ADD, MUL, MAX, MIN]
-        labels = iter(["f", "g", "h"])
-        stages = []
-        n = data.draw(st_.integers(1, 6))
-        for _ in range(n):
-            kind = data.draw(st_.sampled_from(
-                ["map", "scan", "reduce", "allreduce", "bcast",
-                 "allgather", "scatter", "gather"]))
-            if kind == "map":
-                try:
-                    stages.append(MapStage(lambda x: x, label=next(labels)))
-                except StopIteration:
-                    stages.append(BcastStage())
-            elif kind == "scan":
-                stages.append(ScanStage(data.draw(st_.sampled_from(ops))))
-            elif kind == "reduce":
-                stages.append(ReduceStage(data.draw(st_.sampled_from(ops))))
-            elif kind == "allreduce":
-                stages.append(AllReduceStage(data.draw(st_.sampled_from(ops))))
-            elif kind == "allgather":
-                stages.append(AllGatherStage())
-            elif kind == "scatter":
-                stages.append(ScatterStage())
-            elif kind == "gather":
-                stages.append(GatherStage())
-            else:
-                stages.append(BcastStage())
-        prog = Program(stages, name="RT")
+    @pytest.mark.parametrize("tier", sorted(_PLANNERS))
+    def test_every_plan_reads_back_or_names_its_class(self, tier):
+        outcomes = {}
+        for prog, rules in planner_corpus.programs():
+            for params in planner_corpus.PRESETS:
+                plan = _PLANNERS[tier](prog, params, rules).program
+                outcomes.setdefault(_reads_back(plan), []).append(plan)
+        assert len(outcomes[True]) > 400 and len(outcomes[False]) > 400
+        decomposed = [plan for plan in outcomes[True] if any(
+            isinstance(s, ReduceScatterStage) for s in plan.stages)]
+        assert decomposed, "no reduce_scatter ; allgatherv plan read back"
 
-        text = to_mpi_text(prog)
-        reparsed = parse_program(text).to_program(self._env())
-        assert reparsed.pretty() == prog.pretty()
-        # and printing again is a fixed point
-        assert to_mpi_text(reparsed) == text
+    def test_the_decomposed_allreduce_reads_back(self):
+        plan = optimize(Program([AllReduceStage(EW_ADD)], name="d"),
+                        planner_corpus.PRESETS[0], rules=FULL_RULES).program
+        assert [type(s) for s in plan.stages] == [ReduceScatterStage,
+                                                  AllGatherVStage]
+        assert _reads_back(plan)
+
+    def test_the_vocabulary_reads_back_or_names_its_class(self):
+        """Every shipped class, each variant.  ``width`` (words per
+        element, a cost annotation) is not written: the text is the same
+        at any width, and reads back at 1."""
+        def at_width_one(prog):
+            return Program([replace(s, width=1) if "width" in
+                            {f.name for f in fields(s)} else s for s in prog],
+                           name=prog.name)
+
+        reached = set()
+        for prog in _vocabulary():
+            assert to_mpi_text(at_width_one(prog)) == to_mpi_text(prog)
+            _reads_back(at_width_one(prog))
+            reached |= {type(s) for s in prog.stages}
+        assert reached == set(_shipped(True)) | set(_shipped(False))

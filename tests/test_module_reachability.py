@@ -19,7 +19,9 @@ The fifth holds escalation to one ladder: one backoff formula, one
 ``OSError`` caught around arena construction only.  The sixth holds the
 served hand-off lean: a job handle waits on a bare lock, the job
 counters are a reading of the event bus, and a program hashes in one
-place.
+place.  The seventh holds the surface language to one grammar: the
+parser reads the stage classes' call declarations, and only the classes
+text cannot build print by hand.
 """
 
 from __future__ import annotations
@@ -349,3 +351,46 @@ def test_a_program_hashes_in_one_place():
             for node in cls.body
             if isinstance(node, ast.FunctionDef) and node.name == "__hash__"]
     assert defs == [("core/stages.py", "Program")], defs
+
+
+# -- one grammar ---------------------------------------------------------------
+
+def _lang_trees() -> dict[str, ast.Module]:
+    return {name: tree for name, tree in _trees().items()
+            if name.startswith("lang/")}
+
+
+def test_the_language_names_no_stage_class():
+    """``lang/`` finds a class through its declared call, never by name."""
+    found = [(name, ident) for name, tree in _lang_trees().items()
+             for node in ast.walk(tree)
+             for ident in [node.id if isinstance(node, ast.Name)
+                           else node.attr if isinstance(node, ast.Attribute)
+                           else node.name if isinstance(node, ast.alias)
+                           else None]
+             if ident and ident.endswith("Stage") and ident != "Stage"]
+    assert not found, found
+
+
+def test_the_language_keeps_no_table_of_calls():
+    tables = [(name, ast.unparse(node)[:60])
+              for name, tree in _lang_trees().items()
+              for node in ast.walk(tree) if isinstance(node, ast.Dict)
+              and any(isinstance(key, ast.Constant) and isinstance(key.value, str)
+                      and key.value.startswith("MPI_") for key in node.keys)]
+    assert not tables, tables
+
+
+def test_only_the_unwritable_classes_print_by_hand():
+    """``Stage.mpi_text`` reads a class's ``mpi_call``; a class that
+    writes its own is one the parser refuses (``NOT_WRITABLE``)."""
+    refusing = {cls.name: any(isinstance(node, (ast.Assign, ast.AnnAssign))
+                              and "NOT_WRITABLE" in ast.unparse(node).split("=")[0]
+                              for node in cls.body)
+                for cls in ast.walk(_trees()["core/stages.py"])
+                if isinstance(cls, ast.ClassDef)
+                and any(isinstance(node, ast.FunctionDef)
+                        and node.name == "mpi_text" for node in cls.body)}
+    assert refusing.pop("Stage", None) is not None
+    by_hand = sorted(name for name, refuses in refusing.items() if not refuses)
+    assert not by_hand and len(refusing) == 5, (by_hand, sorted(refusing))

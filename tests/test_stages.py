@@ -38,6 +38,7 @@ from repro.core.stages import (
     Map2Stage,
     MapIndexedStage,
     MapStage,
+    MpiCall,
     Program,
     ReduceStage,
     ScanStage,
@@ -46,6 +47,7 @@ from repro.core.stages import (
 )
 from repro.jit import compiler as jit_compiler
 from repro.kernels.lowering import rebuild_stage, vectorize_program
+from repro.lang import ParseError, parse_program
 from repro.lang.printer import to_mpi_text
 from repro.machine import run as machine_run
 from repro.machine.run import simulate_program
@@ -267,8 +269,9 @@ PARAMS = MachineParams(p=4, ts=600.0, tw=2.0, m=3)
 
 
 def _stage_classes():
-    return [getattr(stages_module, name) for name in stages_module.__all__
-            if name not in ("Stage", "Program", "StageFacetError")]
+    exported = [getattr(stages_module, name) for name in stages_module.__all__]
+    return [cls for cls in exported if isinstance(cls, type)
+            and issubclass(cls, Stage) and cls is not Stage]
 
 
 @dataclass(frozen=True)
@@ -277,6 +280,7 @@ class SwapStage(Stage):
     file under ``src/`` has heard of."""
 
     is_collective: ClassVar[bool] = True
+    mpi_call = MpiCall("MPI_Sendrecv")
 
     def apply(self, xs):
         return [xs[i ^ 1] if i ^ 1 < len(xs) else xs[i]
@@ -293,9 +297,6 @@ class SwapStage(Stage):
 
     def token(self):
         return ("swap",)
-
-    def mpi_text(self, src, dst):
-        return f"MPI_Sendrecv ({src}, {dst}, rank ^ 1);"
 
     def rebuild(self, map_fn, binop_fn):
         return self
@@ -314,7 +315,7 @@ class TestFacets:
                     if not name.startswith("_")}
         assert declared == set(FACETS) | {
             "origin", "with_origin", "definition",
-            "words_follow_block", "mpi_in_place"}
+            "words_follow_block", "mpi_call", "NOT_WRITABLE"}
 
     @pytest.mark.parametrize("cls", _stage_classes(),
                              ids=lambda cls: cls.__name__)
@@ -322,8 +323,41 @@ class TestFacets:
         assert issubclass(cls, Stage)
         missing = {facet for facet in FACETS
                    if getattr(cls, facet) is getattr(Stage, facet)}
+        if cls.mpi_call is not None:
+            missing.discard("mpi_text")  # Stage.mpi_text reads the call
         refused = {"formula"} if cls.__name__ in NO_TABLE1_FORM else set()
         assert missing == refused
+
+    def test_every_stage_class_is_written_or_says_why_not(self):
+        """A class declares the call it is written as, or ``NOT_WRITABLE``
+        with the reason text cannot build it — not both, not neither."""
+        unsaid = [cls.__name__ for cls in _stage_classes()
+                  if (cls.mpi_call is None) != bool(cls.NOT_WRITABLE)]
+        assert not unsaid, f"neither a call nor NOT_WRITABLE (or both): {unsaid}"
+        for cls in _stage_classes():
+            assert all(reason for reason in cls.NOT_WRITABLE.values()), cls
+            if cls.mpi_text is not Stage.mpi_text:
+                assert cls.NOT_WRITABLE, cls  # only these print by hand
+
+    def test_two_classes_cannot_share_a_call(self):
+        with pytest.raises(TypeError, match="Twin and ScanStage are both "
+                                            "written as MPI_Scan"):
+            @dataclass(frozen=True)
+            class Twin(SwapStage):
+                mpi_call = MpiCall("MPI_Scan", op=True)
+        assert stages_module.stage_written_as("MPI_Scan") is ScanStage
+
+    def test_a_class_neither_written_nor_refused_fails_the_check(
+            self, monkeypatch):
+        @dataclass(frozen=True)
+        class Unsaid(SwapStage):
+            mpi_call = None
+
+        monkeypatch.setattr(stages_module, "Unsaid", Unsaid, raising=False)
+        monkeypatch.setattr(stages_module, "__all__",
+                            [*stages_module.__all__, "Unsaid"])
+        with pytest.raises(AssertionError, match="Unsaid"):
+            self.test_every_stage_class_is_written_or_says_why_not()
 
     def test_every_stage_class_has_an_entry_in_both_outer_tables(self):
         classes = set(_stage_classes())
@@ -426,12 +460,12 @@ class TestFacets:
             self, monkeypatch):
         @dataclass(frozen=True)
         class Mute(SwapStage):
-            mpi_text = Stage.mpi_text
+            mpi_call = None
 
         with pytest.raises(StageFacetError, match="Mute.*'mpi_text'"):
             to_mpi_text(Program([BcastStage(), Mute()]))
         assert "MPI_Bcast (x, root);" in to_mpi_text(Program([BcastStage()]))
-        monkeypatch.delattr(BcastStage, "mpi_text")
+        monkeypatch.setattr(BcastStage, "mpi_call", None)
         with pytest.raises(StageFacetError, match="BcastStage.*'mpi_text'"):
             to_mpi_text(Program([BcastStage()]))
 
@@ -441,13 +475,15 @@ class TestFacets:
         xs = [3, 0, 0, 0]
         want = [6, 3, 12, 9]
 
-        # costs, counts rounds, tokens, prints, rebuilds
+        # costs, counts rounds, tokens, prints and reads back, rebuilds
         assert stage_cost(swap, PARAMS) == 600.0 + 3 * 2.0
         assert stage_cost(swap, PARAMS.with_(round_penalty=5.0)) == 611.0
         assert stage_rounds(swap, PARAMS) == 1
         assert plan_signature(prog)[-1] == ("swap",)
-        assert to_mpi_text(prog).splitlines()[-1] == (
-            "MPI_Sendrecv (y, z, rank ^ 1);")
+        assert to_mpi_text(prog).splitlines()[-1] == "MPI_Sendrecv (y, z);"
+        assert parse_program(to_mpi_text(prog)).to_program({"add": ADD}) == prog
+        with pytest.raises(ParseError, match="unknown call 'MPI_Swap'"):
+            parse_program("Program toy (x);\nMPI_Swap (x, y);\n")
         assert rebuild_stage(swap, None, None) is swap
         assert vectorize_program(prog).stages[-1] is swap
         with pytest.raises(StageFacetError, match="SwapStage.*'formula'"):
