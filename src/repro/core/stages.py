@@ -171,7 +171,13 @@ class Stage:
         left-hand side of the rule that introduces it — or None for a
         stage that is primitive itself (every stage but ``comcast`` and
         ``iter``).  ``Program(stage.definition()).run`` and
-        ``stage.apply`` agree on every input."""
+        ``stage.apply`` agree bit for bit on int/bool leaves, where every
+        bracketing of a declared-associative operator gives one integer
+        (:meth:`Program.through_definitions` relies on it); on floats,
+        which round by combining order, they may differ in the last digit
+        (``iter (op_br[add])`` over ``0.1 …`` at p = 8: ``0.8`` against
+        ``0.7999999999999999``).  A non-``general`` ``iter`` off powers of
+        two raises in ``apply``; its definition does not."""
         return None
 
     def pretty(self) -> str:
@@ -876,6 +882,8 @@ class Program:
     cache, resident schedules, JIT compile cache): the value is kept
     beside it, and left out of a pickle since a ``str`` hashes per
     interpreter.  An unhashable program raises ``TypeError`` every time.
+    Its :meth:`through_definitions` reading is kept and dropped the same
+    way.
     """
 
     stages: tuple[Stage, ...]
@@ -892,7 +900,8 @@ class Program:
         return value
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_hash", "_defined")}
 
     def __iter__(self) -> Iterator[Stage]:
         return iter(self.stages)
@@ -909,6 +918,22 @@ class Program:
         for stage in self.stages:
             data = stage.apply(data)
         return data
+
+    def through_definitions(self) -> "Program":
+        """This program with every derived stage (comcast, iter) replaced
+        by its :meth:`Stage.definition` — the program itself when none
+        is.  Bit for bit :meth:`run` on int/bool leaves, and cheaper on
+        one thread (``comcast[repeat]`` walks a digit traversal per rank
+        where its definition runs one scan): the serving worker's exact
+        evaluator, and the pipeline the JIT's bounds proof reads."""
+        value = self.__dict__.get("_defined")
+        if value is None:
+            stages = tuple(d for s in self.stages
+                           for d in s.definition() or (s,))
+            value = (self if stages == self.stages
+                     else Program(stages, self.name))
+            self.__dict__["_defined"] = value
+        return value
 
     def then(self, other: "Program") -> "Program":
         """Sequential composition — how cross-program fusion points arise."""

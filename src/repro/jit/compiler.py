@@ -593,19 +593,21 @@ def _compile_step(step: PlanStep, params: MachineParams) -> CompiledStep:
         return CompiledStep(step, None, reason=str(exc))
 
 
-def proof_steps(stages: Sequence[Stage]) -> tuple[tuple[Callable, Any], ...]:
-    """What :func:`repro.jit.bounds.prove` reads for ``stages``: per
-    value-changing stage its table reading and its tape bound to interval
-    rows, slot widths threaded from the one-slot input blocks.
+def proof_steps(program: Program) -> tuple[tuple[Callable, Any], ...]:
+    """What :func:`repro.jit.bounds.prove` reads for ``program``: per
+    value-changing stage of its
+    :meth:`~repro.core.stages.Program.through_definitions` reading, its
+    table reading and its tape bound to interval rows, slot widths
+    threaded from the one-slot input blocks.
 
-    A stage with a :meth:`~repro.core.stages.Stage.definition` (comcast,
-    iter) is proven as that pipeline, which is what its compiled closure
+    So a stage with a definition (comcast, iter) is proven as that
+    pipeline, which is what its compiled closure
     executes — *not* what the engines' digit traversal computes
     (``b^(2^step)`` may leave the hull of the folds), so the proof
     licenses the closure and no raw engine form.  Raises
     :class:`JitUnsupported` where a stage or a row states no proof."""
     slots, steps = 1, []
-    for stage in (d for s in stages for d in s.definition() or (s,)):
+    for stage in program.through_definitions():
         entry = _JIT.get(type(stage))
         if entry is None or entry.tape is None:
             raise JitUnsupported("bounds-unproven")
@@ -623,7 +625,7 @@ def analyze_stages(stages: Sequence[Stage], input_iv: Interval, p: int) -> bool:
     """True iff no execution of ``stages`` over ``p`` int blocks whose
     values lie in ``input_iv`` can exceed ``MAX_SAFE_INT`` anywhere."""
     try:
-        return prove(proof_steps(stages), input_iv, p)
+        return prove(proof_steps(Program(stages)), input_iv, p)
     except JitUnsupported:
         return False
 
@@ -679,7 +681,7 @@ class CompiledProgram:
         #: the interval reading of the program's tapes, emitted once here —
         #: or why a stage or a row states no proof
         try:
-            self.proof, self.unprovable = proof_steps(plan.program.stages), ""
+            self.proof, self.unprovable = proof_steps(plan.program), ""
         except JitUnsupported as exc:
             self.proof, self.unprovable = (), str(exc)
         #: (input hull, p) -> prove(self.proof, hull, p), a pure function of
@@ -777,7 +779,7 @@ class CompiledProgram:
 
         token = swapped(lambda st: _token_map, lambda op: _token_op)
         raw = None
-        if all(st.definition() is None for st in stages):
+        if self.plan.program.through_definitions() is self.plan.program:
             try:
                 raw = swapped(lambda st: _raw_map_fn(st.label, st.fn),
                               _raw_binop_fn)

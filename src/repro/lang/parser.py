@@ -27,6 +27,7 @@ through a user environment into a :class:`repro.core.stages.Program`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -89,10 +90,20 @@ class ProgramDecl:
         ``env`` maps local-function names to unary callables (or
         ``(callable, ops_per_element)`` pairs) and operator names to
         :class:`BinOp` instances.
+
+        The last result is kept beside the declaration with the objects
+        its names resolved to (so their ids cannot be reused): the same
+        objects again, from any mapping, give the same Program.  A
+        resolution that raises is never kept.
         """
+        refs = tuple(env.get(s.fn) if isinstance(s, LocalStmt)
+                     else s.op and env.get(s.op) for s in self.statements)
+        last = self.__dict__.get("_resolved")
+        if last is not None and all(map(operator.is_, last[0], refs)):
+            return last[1]
         stages: list[Stage] = []
         current = self.input_var
-        for stmt in self.statements:
+        for stmt, ref in zip(self.statements, refs):
             if stmt.arg != current:
                 raise ParseError(
                     f"line {stmt.line}: statement consumes {stmt.arg!r} but the "
@@ -100,7 +111,7 @@ class ProgramDecl:
                     "chains in the paper's format)"
                 )
             if isinstance(stmt, LocalStmt):
-                fn = env.get(stmt.fn)
+                fn = ref
                 if fn is None:
                     raise ParseError(f"line {stmt.line}: unknown function {stmt.fn!r}")
                 ops = 0
@@ -114,7 +125,7 @@ class ProgramDecl:
                 if stmt.stage.mpi_call.counts:
                     fields["counts"] = stmt.counts
                 if stmt.op is not None:
-                    fields["op"] = env.get(stmt.op)
+                    fields["op"] = ref
                     if not isinstance(fields["op"], BinOp):
                         raise ParseError(
                             f"line {stmt.line}: operator {stmt.op!r} is not a "
@@ -127,7 +138,9 @@ class ProgramDecl:
                 f"program {self.name}: declared output {self.output_var!r} but "
                 f"the final value is {current!r}"
             )
-        return Program(stages, name=self.name)
+        program = Program(stages, name=self.name)
+        self.__dict__["_resolved"] = (refs, program)
+        return program
 
 
 def _refused(tok: Token, cls: type[Stage] | None) -> ParseError:
@@ -308,7 +321,8 @@ class _Parser:
 # A served front end sees the same texts again and again, and a
 # declaration depends on nothing but its text, so the latest 256 distinct
 # texts keep theirs.  A ProgramDecl is a frozen dataclass of strings and
-# tuples: every caller may share one.  A text that does not parse is
+# tuples, plus its last resolution, which answers only to the identical
+# objects: every caller may share one.  A text that does not parse is
 # never remembered, so it raises afresh.
 
 _PARSE_MEMO = BoundedStore(256)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 from dataclasses import dataclass, fields, replace
 
@@ -355,13 +356,58 @@ class TestParseMemo:
         assert cold is not first and cold == first
 
     def test_shared_declaration_resolves_per_environment(self):
+        """A declaration keeps its last resolution, keyed by the identity
+        of the objects its names resolve to."""
         decl = parse_program(PAPER_SOURCE)
-        a, b = decl.to_program(ENV), parse_program(PAPER_SOURCE).to_program(ENV)
-        assert a is not b and a == b and hash(a) == hash(b)
-        swapped = parse_program(PAPER_SOURCE).to_program(
-            {**ENV, "op1": ADD, "op2": MUL})
-        assert swapped != a
+        a = decl.to_program(ENV)
+        # the same objects give the identical Program, from any mapping
+        assert parse_program(PAPER_SOURCE).to_program(ENV) is a
+        assert decl.to_program(dict(ENV)) is a
+        # rebinding one name gives a new Program holding the new operator
+        swapped = decl.to_program({**ENV, "op1": ADD})
+        assert swapped is not a and swapped != a
         assert swapped.stages[1].op is ADD and a.stages[1].op is MUL
+        again = decl.to_program(ENV)
+        assert again == a and hash(again) == hash(a)
+        # an environment whose resolution raises is never remembered
+        for _ in range(2):
+            with pytest.raises(ParseError, match="not a BinOp"):
+                decl.to_program({**ENV, "op1": ADD.fn})
+        assert decl.to_program(ENV) is again
+        # a (fn, ops_per_element) pair is keyed by the pair object
+        fn, ops = ENV["f"]
+        pair = decl.to_program({**ENV, "f": (fn, ops)})
+        assert pair is not again and pair == again
+        assert decl.to_program({**ENV, "f": (fn, ops)}) is not pair
+
+    def test_resolution_stays_right_under_threads(self):
+        """Eight threads alternate two environments on one declaration,
+        switching every microsecond: each gets its own objects' Program."""
+        decl = parse_program(PAPER_SOURCE)
+        envs = (ENV, {**ENV, "op1": ADD})
+        errors = []
+
+        def work(tid):
+            try:
+                for k in range(400):
+                    env = envs[(tid + k) % 2]
+                    assert decl.to_program(env).stages[1].op is env["op1"]
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
 
     @pytest.mark.parametrize("bad", [
         "Prog P (x);",                          # parser error

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import random
+from collections import Counter
 
 import pytest
 
@@ -102,32 +103,53 @@ def _inputs(rng, generated, p, holes):
     return xs
 
 
-def test_differential_over_the_generated_corpus():
+def _differential(evaluator) -> Counter:
     """As written and as planned, p in {1, 2, 3, 4, 8}, int/list/seg
     blocks, some inputs ``UNDEF``: whatever the outcome, the result is a
     fresh engine run's; and once a schedule is admitted, other values
-    under the same definedness pattern are a hit that is still equal."""
-    outcomes: dict[str, int] = {}
+    under the same definedness pattern are a hit that is still equal.
+    ``evaluator(program)`` is the program whose ``run`` gives the values;
+    returns the outcome counts."""
+    outcomes = Counter()
     for rng, generated, program, params, holes in _corpus(range(120)):
         xs = _inputs(rng, generated, params.p, holes)
         try:
             ref = simulate_program(program, xs, params)
         except TypeError:
             continue  # an UNDEF the machine itself cannot degrade through
-        got, outcome = _served(program, xs, params)
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        run = evaluator(program).run
+        got, outcome = resident_run(program, xs, params, lambda: run(xs))
+        outcomes[outcome] += 1
         _same_run(got, ref)
         if outcome not in ("miss", "hit"):
             continue
         ys = _inputs(rng, generated, params.p, holes)
-        again, second = _served(program, ys, params)
+        again, second = resident_run(program, ys, params, lambda: run(ys))
         assert second == "hit", (program.pretty(), outcome, second)
         _same_run(again, simulate_program(program, ys, params))
     # the corpus reaches both sides of the store
-    assert outcomes.get("miss", 0) > 100
-    assert outcomes.get("evaluator-raised", 0) > 10
+    assert outcomes["miss"] > 100
+    assert outcomes["evaluator-raised"] > 10
     assert set(outcomes) <= {"miss", "hit", "evaluator-raised",
                              "schedule-mismatch"}
+    return outcomes
+
+
+def test_differential_over_the_generated_corpus():
+    """The reference semantics, ``Program.run``, as the evaluator."""
+    _differential(lambda program: program)
+
+
+def test_differential_through_the_definitions():
+    """The evaluator the serving worker passes, every derived stage read
+    through its definition: each result a fresh engine run's, and the
+    outcomes the reference semantics reach."""
+    by_run = _differential(lambda program: program)
+    clear_resident_schedules()
+    by_definitions = _differential(Program.through_definitions)
+    assert set(by_definitions) == set(by_run), (by_run, by_definitions)
+    print(f"Program.run {dict(by_run)}; through the definitions "
+          f"{dict(by_definitions)}")
 
 
 def test_a_hit_does_not_run_the_engine(monkeypatch):

@@ -13,7 +13,9 @@ cost:
 * a ``Program`` hashes once, and never carries that hash to another
   interpreter;
 * the number of lock acquisitions a cooperative job takes is gated —
-  the cause, not the clock.
+  the cause, not the clock;
+* so is what a repeated request rebuilds: no stage, no hash, no digit
+  traversal of a derived stage.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import sys
 import threading
 import time
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,15 +40,23 @@ import repro.serving.manager
 import repro.serving.queue
 import repro.serving.quota
 from repro.core.cost import MachineParams
+from repro.core.derived_ops import ComcastOp, IterOp, bs_comcast_op
 from repro.core.operators import ADD
+from repro.core.optimizer import optimize
+from repro.core.plancache import PlanCache
+from repro.core.rules import FULL_RULES
 from repro.core.stages import (
     AllGatherStage,
     BcastStage,
+    ComcastStage,
+    IterStage,
     Map2Stage,
     MapStage,
     Program,
     ScanStage,
+    Stage,
 )
+from repro.lang import parse_program
 from repro.machine.engine import SimResult, SimStats
 from repro.machine.run import clear_resident_schedules
 from repro.parallel.errors import WorkerCrashError
@@ -305,6 +316,18 @@ class TestProgramHash:
                       _picklable()):
             assert other == program and hash(other) == value
 
+    def test_the_definitions_reading_is_kept_and_not_pickled(self):
+        program = _picklable()
+        assert program.through_definitions() is program  # nothing derived
+        loaded = pickle.loads(pickle.dumps(program))
+        assert "_defined" not in loaded.__dict__ and loaded == program
+        derived = Program([ComcastStage(bs_comcast_op(ADD)),
+                           MapStage(abs, label="abs")], name="derived")
+        defined = derived.through_definitions()
+        assert derived.through_definitions() is defined
+        assert defined.name == "derived"
+        assert defined.pretty() == "bcast ; scan (add) ; map abs"
+
     def test_an_unhashable_program_raises_on_every_call(self):
         program = Program([Map2Stage(lambda x, y: x, other=([1], [2]))])
         for _ in range(3):
@@ -392,3 +415,75 @@ def test_a_served_job_takes_at_most_LOCKS_PER_JOB_lock_acquisitions(
     assert values[-1] == (JOBS - 1, JOBS, JOBS + 2, JOBS + 5)
     assert mgr.stats()["resident_hits"] == JOBS - 1
     assert per_job <= LOCKS_PER_JOB, per_job
+
+
+# -- a repeated request resolves by identity -------------------------------------
+
+#: two ``serve_hot``-shaped texts whose plans hold the derived stages:
+#: BS-Comcast makes ``bcast ; scan`` a comcast, BR-Local ``bcast ;
+#: reduce`` an iter
+REPEATED = ("Program C (x);\nMPI_Bcast (x);\nMPI_Scan (x, y, op1);\n",
+            "Program I (x);\nMPI_Bcast (x);\nMPI_Reduce (x, y, op1);\n")
+REPEATS = 50
+
+
+def test_a_repeated_request_builds_hashes_and_traverses_nothing(monkeypatch):
+    """After warm-up, ``parse_program`` → ``to_program`` → ``optimize(
+    cache=…)`` → ``submit`` → ``result`` of a repeated text constructs no
+    ``Stage``, computes no ``Program`` hash, and its resident hit runs no
+    ``ComcastOp.compute`` and no ``IterOp`` digit traversal — counted,
+    like the locks above: the cause, not the clock."""
+    clear_resident_schedules()
+    cache, env = PlanCache(), {"op1": ADD}
+    counts: Counter = Counter()
+
+    def request(mgr, text, j):
+        program = parse_program(text).to_program(env)
+        plan = optimize(program, PARAMS, rules=FULL_RULES, strategy="beam",
+                        cache=cache)
+        handle = mgr.submit(plan.program, [j, 1, 2, 3], PARAMS)
+        return plan.program, handle.result(timeout=30.0)
+
+    def counting_hash(program):
+        if "_hash" not in program.__dict__:
+            counts["Program hashes"] += 1
+        return real_hash(program)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def stage_classes(cls=Stage):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from stage_classes(sub)
+
+    real_hash = Program.__hash__
+    with ServingManager(ServingConfig(workers=1,
+                                      substrate="cooperative")) as mgr:
+        # plan, replay, admit, hit
+        planned = [request(mgr, text, 0)[0] for text in REPEATED * 2][2:]
+        assert [type(p.stages[0]) for p in planned] == [ComcastStage,
+                                                         IterStage]
+        hits = mgr.stats()["resident_hits"]
+        for cls in set(stage_classes()):  # a dataclass's own __init__
+            if "__init__" in vars(cls):
+                monkeypatch.setattr(cls, "__init__", counted(
+                    "Stage constructions", vars(cls)["__init__"]))
+        monkeypatch.setattr(Program, "__hash__", counting_hash)
+        for cls, name in ((ComcastOp, "compute"), (IterOp, "compute"),
+                          (IterOp, "compute_general")):
+            monkeypatch.setattr(cls, name, counted(
+                f"{cls.__name__}.{name}", getattr(cls, name)))
+        replies = [(program, j, request(mgr, text, j))
+                   for j in range(REPEATS)
+                   for text, program in zip(REPEATED, planned)]
+        seen = dict(counts)
+        monkeypatch.undo()
+        assert mgr.stats()["resident_hits"] - hits == len(replies)
+    assert seen == {}, seen
+    for program, j, (got, values) in replies:
+        assert got is program
+        assert values == tuple(program.run([j, 1, 2, 3]))
