@@ -882,8 +882,6 @@ class Program:
     cache, resident schedules, JIT compile cache): the value is kept
     beside it, and left out of a pickle since a ``str`` hashes per
     interpreter.  An unhashable program raises ``TypeError`` every time.
-    Its :meth:`through_definitions` reading is kept and dropped the same
-    way.
     """
 
     stages: tuple[Stage, ...]
@@ -921,19 +919,16 @@ class Program:
 
     def through_definitions(self) -> "Program":
         """This program with every derived stage (comcast, iter) replaced
-        by its :meth:`Stage.definition` — the program itself when none
-        is.  Bit for bit :meth:`run` on int/bool leaves, and cheaper on
-        one thread (``comcast[repeat]`` walks a digit traversal per rank
-        where its definition runs one scan): the serving worker's exact
-        evaluator, and the pipeline the JIT's bounds proof reads."""
+        by its :meth:`Stage.definition` (the program itself when none is),
+        kept beside it like the hash: the serving worker's evaluator and
+        the pipeline the JIT's bounds proof reads."""
         value = self.__dict__.get("_defined")
-        if value is None:
+        if value is None:  # () keeps "no derived stage" without a cycle
             stages = tuple(d for s in self.stages
                            for d in s.definition() or (s,))
-            value = (self if stages == self.stages
-                     else Program(stages, self.name))
+            value = () if stages == self.stages else Program(stages, self.name)
             self.__dict__["_defined"] = value
-        return value
+        return value or self
 
     def then(self, other: "Program") -> "Program":
         """Sequential composition — how cross-program fusion points arise."""

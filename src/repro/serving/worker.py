@@ -6,14 +6,12 @@ same-tenant, same-``(p, params)`` batch-mates and runs them in **one fork
 generation** through the shared :class:`~repro.parallel.backend.\
 ProcessJobRunner`; on ``"threaded"`` it executes jobs singly through
 :func:`~repro.machine.run.simulate_program`, and on ``"cooperative"``
-through :func:`~repro.machine.run.resident_run`, whose values come from
-the planned program read through its definitions
-(:meth:`~repro.core.stages.Program.through_definitions`: a comcast is its
-``bcast ; scan``) — exact on the int/bool leaves that run admits, where
-every bracketing of a declared-associative operator gives one integer.
-A repeated (program, machine, definedness) answers from its resident
-schedule, and every outcome lands in the manager's ``resident_hits`` /
-``resident_bypasses``.
+through :func:`~repro.machine.run.resident_run` with the planned
+program's :meth:`~repro.core.stages.Program.through_definitions` reading
+as the evaluator (exact on the int/bool leaves that run admits: see
+:meth:`~repro.core.stages.Stage.definition`) — a repeated (program,
+machine, definedness) answers from its resident schedule, and every
+outcome lands in the manager's ``resident_hits`` / ``resident_bypasses``.
 Either way the job's handle carries the ``SimResult``.
 
 Failure handling is the three-armed ladder of :mod:`repro.serving.\

@@ -108,8 +108,9 @@ def _differential(evaluator) -> Counter:
     blocks, some inputs ``UNDEF``: whatever the outcome, the result is a
     fresh engine run's; and once a schedule is admitted, other values
     under the same definedness pattern are a hit that is still equal.
-    ``evaluator(program)`` is the program whose ``run`` gives the values;
-    returns the outcome counts."""
+    ``evaluator(program)`` is the program whose ``run`` gives the values.
+    Both evaluators reach the same outcomes, count for count: the corpus
+    reaches both sides of the store."""
     outcomes = Counter()
     for rng, generated, program, params, holes in _corpus(range(120)):
         xs = _inputs(rng, generated, params.p, holes)
@@ -127,12 +128,7 @@ def _differential(evaluator) -> Counter:
         again, second = resident_run(program, ys, params, lambda: run(ys))
         assert second == "hit", (program.pretty(), outcome, second)
         _same_run(again, simulate_program(program, ys, params))
-    # the corpus reaches both sides of the store
-    assert outcomes["miss"] > 100
-    assert outcomes["evaluator-raised"] > 10
-    assert set(outcomes) <= {"miss", "hit", "evaluator-raised",
-                             "schedule-mismatch"}
-    return outcomes
+    assert outcomes == {"miss": 648, "hit": 248, "evaluator-raised": 300}
 
 
 def test_differential_over_the_generated_corpus():
@@ -142,14 +138,8 @@ def test_differential_over_the_generated_corpus():
 
 def test_differential_through_the_definitions():
     """The evaluator the serving worker passes, every derived stage read
-    through its definition: each result a fresh engine run's, and the
-    outcomes the reference semantics reach."""
-    by_run = _differential(lambda program: program)
-    clear_resident_schedules()
-    by_definitions = _differential(Program.through_definitions)
-    assert set(by_definitions) == set(by_run), (by_run, by_definitions)
-    print(f"Program.run {dict(by_run)}; through the definitions "
-          f"{dict(by_definitions)}")
+    through its definition."""
+    _differential(Program.through_definitions)
 
 
 def test_a_hit_does_not_run_the_engine(monkeypatch):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import os
 import pickle
 import subprocess
@@ -29,6 +30,7 @@ import sys
 import threading
 import time
 import types
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -327,6 +329,14 @@ class TestProgramHash:
         assert derived.through_definitions() is defined
         assert defined.name == "derived"
         assert defined.pretty() == "bcast ; scan (add) ; map abs"
+        gc.disable()  # freed by its count alone: the kept reading is no cycle
+        try:
+            program.through_definitions()
+            gone = weakref.ref(program)
+            del program
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_an_unhashable_program_raises_on_every_call(self):
         program = Program([Map2Stage(lambda x, y: x, other=([1], [2]))])

@@ -190,7 +190,9 @@ class TestDefinition:
     @staticmethod
     def _agree(stage, xs, exact):
         want = stage.apply(xs)
-        got = Program([stage]).through_definitions().run(xs)
+        defined = stage.definition()
+        assert defined is not None, stage.pretty()
+        got = Program(defined).run(xs)
         assert defined_equal(got, want), stage.pretty()
         assert [v is UNDEF for v in got] == [v is UNDEF for v in want]
         if exact:  # int/bool leaves: bit for bit, what the worker relies on
