@@ -180,10 +180,18 @@ def op_signature(op) -> tuple:
 #: :func:`distributes_over`.
 DISTRIBUTIVE_PAIRS: set[tuple[str, str]] = set()
 
+#: called whenever the registry gains a pair, so a memo of its answers
+#: (the search core's window-match memo) forgets a stale "no"
+_ON_DECLARE: list[Callable[[], None]] = []
+
 
 def declare_distributes(otimes: BinOp, oplus: BinOp) -> None:
     """Record that ``otimes`` distributes over ``oplus``."""
-    DISTRIBUTIVE_PAIRS.add((otimes.name, oplus.name))
+    pair = (otimes.name, oplus.name)
+    if pair not in DISTRIBUTIVE_PAIRS:
+        DISTRIBUTIVE_PAIRS.add(pair)
+        for forget in _ON_DECLARE:
+            forget()
 
 
 def distributes_over(otimes: BinOp, oplus: BinOp) -> bool:

@@ -28,7 +28,7 @@ from typing import Iterable
 from repro.core.cost import MachineParams
 from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
-from repro.core.search import _MATCH_CACHE, Node, Search
+from repro.core.search import _MATCH_CACHE, _STORES, Node, Search
 from repro.core.stages import Program
 
 __all__ = ["OptimizationResult", "optimize", "greedy_optimize",
@@ -68,12 +68,14 @@ class OptimizationResult:
 
 
 def clear_match_cache() -> None:
-    """Drop every memoized window match (tests; rule-registry mutation).
+    """Drop every memoized window match, kept rewrite and interned
+    statement stage (tests; rule-registry mutation).
 
-    The memo itself and its bound live with the search core
-    (:mod:`repro.core.search`).
+    The stores and their bounds live with the search core
+    (:mod:`repro.core.search`) and the parser (:mod:`repro.lang.parser`).
     """
-    _MATCH_CACHE.clear()
+    for store in _STORES:
+        store.clear()
 
 
 # Plan caches (repro.core.plancache) register a reset hook here at import

@@ -56,15 +56,16 @@ def _lossy_site_is_safe(stages: Sequence[Stage], end: int) -> bool:
     return end == len(stages) or isinstance(stages[end], BcastStage)
 
 
-def match_at(program: Program, rule: Rule, start: int) -> Match | None:
+def match_at(stages: Sequence[Stage], rule: Rule, start: int) -> Match | None:
     """Does ``rule`` fire on the window starting at stage ``start``?
 
     The one place that decides it — ``rule.match`` on the window plus the
     lossy-site safety flag; :func:`find_matches`, the search core
-    (:mod:`repro.core.search`) and trace replay all ask here.  ``None``
-    when the window runs off the program or the rule does not match.
+    (:mod:`repro.core.search`) and trace replay all ask here.  ``stages``
+    is any sequence of stages: a :class:`Program` or the search core's
+    stage tuple.  ``None`` when the window runs off the program or the
+    rule does not match.
     """
-    stages = program.stages
     end = start + rule.window
     if start < 0 or end > len(stages) or not rule.match(stages[start:end]):
         return None

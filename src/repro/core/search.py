@@ -12,7 +12,7 @@ beam search and exhaustive search (:mod:`repro.core.optimizer`,
 depends on:
 
 * **which rules match a window** — a bounded process-wide memo from the
-  window's stage renderings to the rules that match it (below).  A
+  window's signature tokens to the rules that match it (below).  A
   child's site list is its parent's with the untouched sites re-indexed;
   only windows that overlap the rewritten region, or end exactly where it
   starts, are looked at again (a lossy rule's ``safe`` flag reads the
@@ -24,11 +24,13 @@ depends on:
   left to right over the stage tuple exactly as
   :func:`~repro.core.cost.program_cost` does, so costs are bit-identical;
 * **a rewrite** — a function of the window and ``p``, kept once per
-  search and (rule, window stage objects): the first site that fires a
-  rule on a window hands :func:`~repro.core.rewrite.apply_match` that
-  window and nothing else, every later site over the same objects reuses
-  the inserted stage *objects* (siblings share them as they share the
-  untouched stages) with their tokens, renderings and costs;
+  process and (rule, window stage objects) in a bounded store (below):
+  the first site that fires a rule on a window hands
+  :func:`~repro.core.rewrite.apply_match` that window and nothing else,
+  every later site over the same objects — in this search or another —
+  reuses the inserted stage *objects* (siblings share them as they share
+  the untouched stages) with their tokens and renderings; their costs
+  are kept once per search;
 * **a program's children** — built once per node, in ``(rule order,
   start)`` order, whichever policy asks first, as stage tuples with
   spliced facts: a :class:`~repro.core.stages.Program` and a trace are
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.cost import MachineParams, stage_cost
-from repro.core.operators import op_signature
+from repro.core.operators import _ON_DECLARE, op_signature
 from repro.core.rewrite import (
     Match,
     _lossy_site_is_safe,
@@ -86,6 +88,12 @@ def _facts(stage: Stage) -> tuple[tuple, str]:
     return facts
 
 
+def _stage_facts(stages: tuple[Stage, ...]) -> tuple[tuple, tuple]:
+    """``(tokens, renderings)`` of ``stages``, stage by stage."""
+    facts = [_facts(stage) for stage in stages]
+    return tuple(f[0] for f in facts), tuple(f[1] for f in facts)
+
+
 def plan_signature(program: Program) -> tuple[tuple, ...]:
     """Canonical signature of ``program``: stage structure and operator
     identities only, independent of map labels and captured constants."""
@@ -97,20 +105,40 @@ def plan_signature(program: Program) -> tuple[tuple, ...]:
 # ---------------------------------------------------------------------------
 #
 # Whether a rule matches a window is purely syntactic/algebraic — it
-# depends on the window's stage shapes and operator names, which the
-# stage renderings capture, and on the rule set; never on the rest of the
+# depends on the window's stage classes and operators (name and declared
+# algebra), which the window's signature tokens carry, on the
+# distributivity registry and on the rule set; never on the rest of the
 # program or on the machine.  So one answer serves every program that
 # contains the window, in every search of the process: the memo maps
-# (rule set, renderings of a 1–3-stage window) to the positions, within
-# that rule set, of the rules that match it.  The rule set is identified
-# by its rows' serials in order — one string, hashed once — so a doctored
-# copy of a catalogue row never reads the catalogue row's answers.
+# (rule set, tokens of a 1–3-stage window) to the positions, within that
+# rule set, of the rules that match it (renderings print two algebras of
+# one name alike; declaring a distributive pair empties the memo).  The
+# rule set is identified by its rows' serials in order — one string,
+# hashed once — so a doctored copy of a catalogue row never reads the
+# catalogue row's answers.
 #
 # The memo is shared by every optimize() call in the process — including
 # the serving runtime's concurrent worker threads — under the one
 # discipline of :class:`~repro.core.store.BoundedStore`.
 
 _MATCH_CACHE = BoundedStore(4096)
+_ON_DECLARE.append(_MATCH_CACHE.clear)
+
+# ---------------------------------------------------------------------------
+# Rewrite store
+# ---------------------------------------------------------------------------
+#
+# A rewrite is a function of its window and of ``general`` (p is not a
+# power of two, for the Local rules), and stage objects are shared across
+# requests (the parser interns a statement's stage, this store an inserted
+# one), so one rewrite serves every search: (rule serial, general, ids of
+# the window's stages) -> (window, inserted stages, their tokens and
+# renderings).  The entry holds the window, so the ids stay its own.
+
+_REWRITES = BoundedStore(_MATCH_CACHE.bound)
+
+#: what ``clear_match_cache()`` empties; the parser adds its stages
+_STORES = [_MATCH_CACHE, _REWRITES]
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +198,37 @@ class Search:
         self.allow_lossy = allow_lossy
         self._ruleset = ",".join(str(r.serial) for r in self.rules)
         self._widths = sorted({rule.window for rule in self.rules})
+        self._general = not (params.p > 0 and params.p & (params.p - 1) == 0)
         #: (rule position, ids of the window's stages) -> (window, *facts
         #: of the inserted stages); the entry keeps the window alive, so
         #: the ids stay its own for as long as the search does
         self._rewrites: dict[tuple, tuple] = {}
-        tokens, renderings, costs = self._stage_facts(program.stages)
+        tokens, renderings = _stage_facts(program.stages)
+        costs = self._costs(program.stages)
         self.root = Node(program.stages, tokens, renderings, costs,
                          sum(costs), _program=program)
 
-    def _stage_facts(self, stages: tuple[Stage, ...]) -> tuple:
-        """``(tokens, renderings, costs)`` of ``stages``, stage by stage."""
-        facts = [_facts(stage) for stage in stages]
-        return (tuple(f[0] for f in facts), tuple(f[1] for f in facts),
-                tuple(stage_cost(stage, self.params) for stage in stages))
+    def _costs(self, stages: tuple[Stage, ...]) -> tuple:
+        """The model cost of each of ``stages`` on this machine."""
+        return tuple(stage_cost(stage, self.params) for stage in stages)
+
+    def _rewrite(self, rule: Rule, window: tuple[Stage, ...], start: int,
+                 safe: bool) -> tuple:
+        """``(window, inserted, tokens, renderings)``: ``rule`` fired on
+        ``window``, from ``_REWRITES`` or computed into it."""
+        key = (rule.serial, rule.requires_power_of_two and self._general,
+               *map(id, window))
+        entry = _REWRITES.get(key)
+        if entry is None:
+            # the rewrite sees its window and p, nothing else
+            _, step = apply_match(Program(window), Match(rule, 0, safe),
+                                  p=self.params.p,
+                                  force_unsafe=self.allow_lossy)
+            entry = (window, step.inserted, *_stage_facts(step.inserted))
+            _REWRITES.put(key, entry)
+        elif not rule.match(window):
+            raise ValueError(f"{rule.name} does not match at stage {start}")
+        return entry
 
     def _child(self, node: Node, i: int, start: int, safe: bool) -> Node:
         """``node`` with rule ``i`` fired on the window at ``start``."""
@@ -192,12 +238,8 @@ class Search:
         key = (i, *map(id, window))
         entry = self._rewrites.get(key)
         if entry is None:
-            # the rewrite sees its window and p, nothing else
-            _, step = apply_match(Program(window), Match(rule, 0, safe),
-                                  p=self.params.p,
-                                  force_unsafe=self.allow_lossy)
-            entry = self._rewrites[key] = (
-                window, step.inserted, *self._stage_facts(step.inserted))
+            entry = self._rewrite(rule, window, start, safe)
+            entry = self._rewrites[key] = (*entry, self._costs(entry[1]))
         elif not rule.match(window):
             raise ValueError(f"{rule.name} does not match at stage {start}")
         _, inserted, tokens, renderings, costs = entry
@@ -211,19 +253,19 @@ class Search:
     def _scan(self, node: Node, first: int, stop: int) -> list[tuple]:
         """``(rule position, start, safe)`` of every match whose window
         starts before ``stop`` and ends at or after ``first``."""
-        rules, stages, renderings = self.rules, node.stages, node.renderings
+        rules, stages, tokens = self.rules, node.stages, node.tokens
         sites = []
         for width in self._widths:
             for start in range(max(0, first - width),
                                min(stop, len(stages) - width + 1)):
                 end = start + width
-                key = (self._ruleset, renderings[start:end])
+                key = (self._ruleset, tokens[start:end])
                 found = _MATCH_CACHE.get(key)
                 if found is None:
                     found = tuple(
                         i for i, rule in enumerate(rules)
                         if rule.window == width
-                        and match_at(node.program, rule, start) is not None)
+                        and match_at(stages, rule, start) is not None)
                     _MATCH_CACHE.put(key, found)
                 for i in found:
                     sites.append((i, start, not rules[i].lossy_nonroot

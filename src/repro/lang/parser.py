@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.core.operators import BinOp
+from repro.core.search import _STORES
 from repro.core.store import BoundedStore
 from repro.core.stages import Program, Stage, stage_written_as
 from repro.lang.lexer import LexError, Token, tokenize
@@ -93,7 +94,9 @@ class ProgramDecl:
 
         The last result is kept beside the declaration with the objects
         its names resolved to (so their ids cannot be reused): the same
-        objects again, from any mapping, give the same Program.  A
+        objects again, from any mapping, give the same Program.  Each
+        statement's stage comes from the process-wide ``_STAGES``, so
+        equal statements of different texts are one stage object.  A
         resolution that raises is never kept.
         """
         refs = tuple(env.get(s.fn) if isinstance(s, LocalStmt)
@@ -110,28 +113,13 @@ class ProgramDecl:
                     f"current value is {current!r} (programs are straight-line "
                     "chains in the paper's format)"
                 )
-            if isinstance(stmt, LocalStmt):
-                fn = ref
-                if fn is None:
-                    raise ParseError(f"line {stmt.line}: unknown function {stmt.fn!r}")
-                ops = 0
-                if isinstance(fn, tuple):
-                    fn, ops = fn
-                if not callable(fn):
-                    raise ParseError(f"line {stmt.line}: {stmt.fn!r} is not callable")
-                stages.append(stmt.stage(fn, label=stmt.fn, ops_per_element=ops))
-            else:
-                fields: dict[str, Any] = {}
-                if stmt.stage.mpi_call.counts:
-                    fields["counts"] = stmt.counts
-                if stmt.op is not None:
-                    fields["op"] = ref
-                    if not isinstance(fields["op"], BinOp):
-                        raise ParseError(
-                            f"line {stmt.line}: operator {stmt.op!r} is not a "
-                            "BinOp in the environment"
-                        )
-                stages.append(stmt.stage(**fields))
+            key = (stmt.stage, stmt.fn if isinstance(stmt, LocalStmt)
+                   else stmt.counts, id(ref))
+            entry = _STAGES.get(key)
+            if entry is None:
+                entry = (ref, _stage_of(stmt, ref))
+                _STAGES.put(key, entry)
+            stages.append(entry[1])
             current = stmt.out
         if self.output_var is not None and current != self.output_var:
             raise ParseError(
@@ -141,6 +129,31 @@ class ProgramDecl:
         program = Program(stages, name=self.name)
         self.__dict__["_resolved"] = (refs, program)
         return program
+
+
+def _stage_of(stmt: Statement, ref: Any) -> Stage:
+    """The stage ``stmt`` writes, its name resolved to ``ref``."""
+    if isinstance(stmt, LocalStmt):
+        fn = ref
+        if fn is None:
+            raise ParseError(f"line {stmt.line}: unknown function {stmt.fn!r}")
+        ops = 0
+        if isinstance(fn, tuple):
+            fn, ops = fn
+        if not callable(fn):
+            raise ParseError(f"line {stmt.line}: {stmt.fn!r} is not callable")
+        return stmt.stage(fn, label=stmt.fn, ops_per_element=ops)
+    fields: dict[str, Any] = {}
+    if stmt.stage.mpi_call.counts:
+        fields["counts"] = stmt.counts
+    if stmt.op is not None:
+        fields["op"] = ref
+        if not isinstance(ref, BinOp):
+            raise ParseError(
+                f"line {stmt.line}: operator {stmt.op!r} is not a "
+                "BinOp in the environment"
+            )
+    return stmt.stage(**fields)
 
 
 def _refused(tok: Token, cls: type[Stage] | None) -> ParseError:
@@ -326,6 +339,15 @@ class _Parser:
 # never remembered, so it raises afresh.
 
 _PARSE_MEMO = BoundedStore(256)
+
+# Different texts repeat statements, and a statement's stage depends on
+# its class, label or counts and the object its name resolved to only: so
+# the latest 256 distinct ones are one stage object each, whose search
+# facts (token, rendering, rewrites) are computed once per process.  The
+# entry holds the object, so the id in its key stays its own.
+
+_STAGES = BoundedStore(_PARSE_MEMO.bound)
+_STORES.append(_STAGES)
 
 
 def parse_program(source: str) -> ProgramDecl:

@@ -20,6 +20,8 @@ from repro.core.cost import MachineParams
 from repro.core.operators import ADD, MUL
 from repro.core.optimizer import clear_match_cache, optimize
 from repro.core.plancache import PlanCache
+from repro.core.planner import trace_of
+from repro.core.rules import FULL_RULES
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
@@ -129,6 +131,74 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
 
     _hammer(work)
     assert max(sizes) <= 6
+    clear_match_cache()
+
+
+#: statement bodies of the re-parsed texts: shared statements, so the
+#: interned stages and the kept rewrites are shared across texts
+BODIES = [
+    "MPI_Scan (x, y, op_mul);\nMPI_Reduce (y, z, op_add);\n",
+    "MPI_Scan (x, y, op_add);\nMPI_Scan (y, z, op_add);\nMPI_Bcast (z);\n",
+    "MPI_Allreduce (x, y, op_add);\nMPI_Scan (y, z, op_mul);\n"
+    "MPI_Scan (z, u, op_add);\n",
+    "MPI_Bcast (x);\nMPI_Scan (x, y, op_mul);\nMPI_Scan (y, z, op_add);\n",
+]
+TEXT_ENV = {"op_add": ADD, "op_mul": MUL}
+#: with machines off the powers of two, where a Local rule's rewrite
+#: takes its general form
+TEXT_PARAMS = PARAMS + [MachineParams(p=p, ts=600.0, tw=2.0, m=1)
+                        for p in (3, 6)]
+
+
+def test_interned_stages_and_kept_rewrites_with_concurrent_clears(
+        monkeypatch):
+    """Threads plan texts parsed afresh for every request (a new name
+    each time, so every statement resolves through the interned-stage
+    store and every search through the process-wide rewrite store) while
+    another thread clears the stores.  Every plan equals the serial one
+    (trace, ``cost_after``), and no store outgrows its bound — squeezed
+    below the working set, so puts evict under contention too."""
+    from repro.core import search as search_mod
+    from repro.lang import parse_program
+
+    stores = search_mod._STORES
+    for k, store in enumerate(stores):
+        monkeypatch.setattr(store, "bound", 3 + k)
+    clear_match_cache()
+
+    def plan(name, k, params):
+        text = f"Program {name} (x);\n" + BODIES[k]
+        result = optimize(parse_program(text).to_program(TEXT_ENV), params,
+                          FULL_RULES, strategy="beam")
+        return trace_of(result), result.cost_after
+
+    expected = {(k, params): plan("serial", k, params)
+                for k in range(len(BODIES)) for params in TEXT_PARAMS}
+    stop = threading.Event()
+    oversized = []
+
+    def work(tid):
+        if tid == 0:
+            while not stop.is_set():
+                clear_match_cache()
+                oversized.extend(s for s in stores if len(s) > s.bound)
+            return
+        try:
+            n = 0
+            for _ in range(ROUNDS // 4):
+                for k in range(len(BODIES)):
+                    for params in TEXT_PARAMS:
+                        n += 1
+                        assert (plan(f"t{tid}_{n}", k, params)
+                                == expected[k, params])
+                        oversized.extend(
+                            s for s in stores if len(s) > s.bound)
+        finally:
+            if tid == 1:
+                stop.set()
+
+    _hammer(work)
+    assert not oversized
     clear_match_cache()
 
 

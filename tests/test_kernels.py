@@ -9,13 +9,33 @@ conformance oracle.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 
 from repro.core.cost import MachineParams
 from repro.core.derived_ops import sr2_op
-from repro.core.operators import ADD, AND, CONCAT, MAX, MIN, MUL, OR, XOR
-from repro.core.optimizer import clear_match_cache, optimize
+from repro.core import search as search_mod
+from repro.core.operators import (
+    ADD,
+    AND,
+    CONCAT,
+    DISTRIBUTIVE_PAIRS,
+    MAX,
+    MIN,
+    MUL,
+    OR,
+    XOR,
+    BinOp,
+    declare_distributes,
+)
+from repro.core.optimizer import (
+    clear_match_cache,
+    clear_planner_caches,
+    optimize,
+)
+from repro.core.rules import FULL_RULES
 from repro.core.rewrite import fuse_local_stages
 from repro.core.segmented import segmented_op
 from repro.core.stages import (
@@ -372,6 +392,47 @@ class TestMatchCache:
         assert len(opt_mod._MATCH_CACHE) == seam      # a third copy is not
         clear_match_cache()
         assert len(opt_mod._MATCH_CACHE) == 0
+
+    @pytest.mark.parametrize("commutative_first", [True, False])
+    def test_same_named_operators_of_another_algebra_stay_apart(
+            self, commutative_first):
+        """The memo keys on what ``rule.match`` reads (the window's
+        signature tokens), not on renderings: an ``add`` declared
+        non-commutative prints like ADD but never reads ADD's answers,
+        whichever of the two is planned first."""
+        nc = BinOp("add", operator.add, associative=True, commutative=False)
+        params = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
+        clear_planner_caches()
+        plans = {}
+        for op in (ADD, nc) if commutative_first else (nc, ADD):
+            result = optimize(Program([ScanStage(op), ScanStage(op)]),
+                              params, FULL_RULES, strategy="exhaustive")
+            plans[op.commutative] = (result.cost_after, [
+                step.rule.name for step in result.derivation.steps])
+        assert plans == {True: (1842.0, ["SS-Scan"]), False: (3624.0, [])}
+        clear_planner_caches()
+
+    def test_a_late_distributivity_declaration_is_seen(self):
+        """``distributes_over`` reads a registry by name: declaring a pair
+        after the memo kept a "no" for its window empties the memo."""
+        otimes = BinOp("late_times", operator.mul, commutative=True)
+        oplus = BinOp("late_plus", operator.add, commutative=True)
+        params = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
+        clear_planner_caches()
+
+        def rules_fired():
+            result = optimize(Program([ScanStage(otimes), ScanStage(oplus)]),
+                              params, FULL_RULES, strategy="exhaustive")
+            return [step.rule.name for step in result.derivation.steps]
+
+        assert rules_fired() == []
+        assert len(search_mod._MATCH_CACHE) > 0
+        declare_distributes(otimes, oplus)
+        try:
+            assert rules_fired() == ["SS2-Scan"]
+        finally:
+            DISTRIBUTIVE_PAIRS.discard((otimes.name, oplus.name))
+            clear_planner_caches()
 
     def test_cached_matches_independent_of_machine(self):
         # matches must not depend on p: optimize at several machine sizes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import threading
@@ -14,7 +15,7 @@ import planner_corpus
 from test_stage_facets_golden import _vocabulary
 
 from repro.core import stages as stages_module
-from repro.core.operators import ADD, EW_ADD, EW_MAX, MAX, MIN, MUL
+from repro.core.operators import ADD, EW_ADD, EW_MAX, MAX, MIN, MUL, BinOp
 from repro.core.optimizer import exhaustive_optimize, greedy_optimize, optimize
 from repro.core.cost import PARSYTEC_LIKE
 from repro.core.planner import beam_optimize
@@ -379,6 +380,72 @@ class TestParseMemo:
         pair = decl.to_program({**ENV, "f": (fn, ops)})
         assert pair is not again and pair == again
         assert decl.to_program({**ENV, "f": (fn, ops)}) is not pair
+
+    def test_equal_statements_of_different_texts_are_one_stage(self):
+        """Each statement's stage is interned process-wide, keyed by its
+        class, its label or counts, and the identity of the object its
+        name resolved to."""
+        parser_mod._STAGES.clear()
+        first = parse_program(PAPER_SOURCE).to_program(ENV)
+        renamed = PAPER_SOURCE.replace("Example", "Renamed")
+        second = parse_program(renamed).to_program(ENV)
+        assert second is not first and second.name == "Renamed"
+        assert all(a is b for a, b in zip(first.stages, second.stages))
+        # rebinding op2 to another operator named add: a stage holding the
+        # new operator, and a plan whose stages hold it
+        other = BinOp("add", ADD.fn, associative=True, commutative=False)
+        swapped = parse_program(renamed).to_program({**ENV, "op2": other})
+        assert swapped.stages[2].op is other and first.stages[2].op is ADD
+        assert swapped.stages[1] is first.stages[1]
+        optimize(first, PARSYTEC_LIKE, FULL_RULES)
+        plan = optimize(swapped, PARSYTEC_LIKE, FULL_RULES)
+
+        def reached(op):
+            yield op
+            for part in getattr(op, "parts", ()):
+                yield from reached(part)
+        held = [op for s in plan.program.stages if hasattr(s, "op")
+                for op in reached(s.op)]
+        assert any(op is other for op in held)
+        assert not any(op is ADD for op in held)
+
+    def test_a_map_pair_is_interned_by_the_pair_object(self):
+        parser_mod._STAGES.clear()
+        fn, ops = ENV["f"]
+        pair = (fn, ops)
+        a = parse_program(PAPER_SOURCE).to_program({**ENV, "f": pair})
+        b = parse_program(PAPER_SOURCE + " ").to_program({**ENV, "f": pair})
+        assert a.stages[0] is b.stages[0]
+        c = parse_program(PAPER_SOURCE).to_program({**ENV, "f": (fn, ops)})
+        assert c.stages[0] is not a.stages[0] and c.stages[0] == a.stages[0]
+        assert c.stages[1:] == a.stages[1:]
+
+    def test_a_fresh_object_never_hits_an_old_entry(self):
+        """An entry holds the object its key names.  A map's stage holds
+        the function, not the ``(fn, ops_per_element)`` pair it was keyed
+        by, so only the entry keeps the pair's id its own: after ``del``
+        and ``gc.collect()`` a fresh pair — where CPython would hand it a
+        freed pair's address — still gets a stage of its own."""
+        parser_mod._STAGES.clear()
+        text = "Program P (x);\ny = f (x);\n"
+        for k in range(50):
+            fn = (lambda k: lambda v: v + k)(k)
+            program = parse_program(text).to_program({"f": (fn, k)})
+            stage = program.stages[0]
+            assert stage.fn is fn and stage.ops_per_element == k
+            del fn, program, stage
+            gc.collect()
+
+    def test_a_resolution_that_raises_is_not_stored(self):
+        parser_mod._STAGES.clear()
+        text = "Program P (x);\ny = f (x);\nMPI_Scan (y, z, op1);\n"
+        for env, message in (({"f": 3, "op1": ADD}, "not callable"),
+                             ({"f": abs, "op1": ADD.fn}, "not a BinOp")):
+            for _ in range(2):
+                with pytest.raises(ParseError, match=message):
+                    parse_program(text).to_program(env)
+        # only the statement that resolved: ``y = f (x)`` over abs
+        assert [ref for ref, _ in parser_mod._STAGES.values()] == [abs]
 
     def test_resolution_stays_right_under_threads(self):
         """Eight threads alternate two environments on one declaration,

@@ -66,6 +66,7 @@ from repro.core.stages import (
     ScanStage,
 )
 from repro.lang import parse_program
+from repro.lang import parser as parser_mod
 
 GOLDEN = Path(__file__).parent / "data" / "planner_golden_v1.json"
 
@@ -237,10 +238,11 @@ NINE = (ScanStage(MUL), ReduceStage(ADD), BcastStage(), ScanStage(ADD),
         ScanStage(ADD))
 NINE_PARAMS = MachineParams(p=8, ts=5.0, tw=0.5, m=16)
 #: one beam search of it: 110 children from 12 distinct (rule, window
-#: objects); ``Program``s built: a window and its rewrite per distinct
-#: rewrite and the 4 of the returned plan's chain, plus, with the match
-#: memo cold, the 21 nodes ``match_at`` asked for their program
-NINE_CHILDREN, NINE_PROGRAMS_COLD, NINE_PROGRAMS_WARM = 110, 49, 28
+#: objects); ``Program``s built: cold (``clear_match_cache()`` emptied
+#: the match memo and the rewrite store), a window and its rewrite per
+#: distinct rewrite and the 4 of the returned plan's chain; warm (every
+#: rewrite kept process-wide), the chain's 4 alone
+NINE_CHILDREN, NINE_PROGRAMS_COLD, NINE_PROGRAMS_WARM = 110, 28, 4
 
 
 def _counting(monkeypatch, owner, name, key=lambda *args: None,
@@ -295,6 +297,66 @@ def test_a_search_builds_fewer_programs_than_children(monkeypatch):
         result = beam_optimize(program, NINE_PARAMS, FULL_RULES)
         assert (len(children), len(programs)) == (NINE_CHILDREN, built)
         assert len(result.derivation.steps) == 4
+    clear_match_cache()
+
+
+#: NINE as text, under a program name of the caller's
+NINE_TEXT = """Program {name} (x: input);
+MPI_Scan (x, a, op_mul);
+MPI_Reduce (a, b, op_add);
+MPI_Bcast (b);
+MPI_Scan (b, c, op_add);
+MPI_Scan (c, d, op_add);
+MPI_Allreduce (d, e, op_max);
+MPI_Bcast (e);
+MPI_Scan (e, f, op_mul);
+MPI_Scan (f, g, op_add);
+"""
+NINE_ENV = {"op_add": ADD, "op_mul": MUL, "op_max": MAX}
+
+
+def test_a_second_text_of_the_same_statements_builds_nothing_new(
+        monkeypatch):
+    """Counts causes, not the clock: after one beam search of a parsed
+    text, a second text of the same statements under another program name
+    (a new declaration, a new ``Program``) constructs no stage, rewrites
+    no window and builds only its plan's chain of ``Program``s — while
+    ``rule.match`` still runs for every child."""
+    clear_match_cache()
+    parser_mod._PARSE_MEMO.clear()
+    first = parse_program(NINE_TEXT.format(name="nine")).to_program(NINE_ENV)
+    assert _shape(first.stages) == _shape(NINE)
+    planned = beam_optimize(first, NINE_PARAMS, FULL_RULES)
+
+    def window_key(rule, stages, *_):
+        return (rule, *map(id, stages))
+
+    def child_key(search, node, i, start, _safe):
+        rule = search.rules[i]
+        return (rule, *map(id, node.stages[start:start + rule.window]))
+
+    constructed = []
+    for cls in {type(stage) for stage in NINE}:
+        _counting(monkeypatch, cls, "__init__", calls=constructed)
+    programs = _counting(monkeypatch, Program, "__init__")
+    decl = parse_program(NINE_TEXT.format(name="again"))
+    again = decl.to_program(NINE_ENV)
+    assert decl is not parse_program(NINE_TEXT.format(name="nine"))
+    assert again is not first and again.name == "again"
+    assert (len(constructed), len(programs)) == (0, 1)
+    assert _same_objects(again.stages, first.stages)
+
+    matched = _counting(monkeypatch, Rule, "match", window_key)
+    rewritten = _counting(monkeypatch, Rule, "rewrite")
+    children = _counting(monkeypatch, Search, "_child", child_key)
+    del programs[:]
+    result = beam_optimize(again, NINE_PARAMS, FULL_RULES)
+    assert rewritten == [] and len(children) == NINE_CHILDREN
+    assert not Counter(children) - Counter(matched)  # a match per child
+    assert len(programs) == len(result.derivation.steps) == 4
+    assert trace_of(result) == trace_of(planned)
+    assert result.cost_after == planned.cost_after
+    assert result.program.name == "again"
     clear_match_cache()
 
 
