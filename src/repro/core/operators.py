@@ -177,21 +177,13 @@ def op_signature(op) -> tuple:
 #: Pairs ``(otimes.name, oplus.name)`` such that otimes distributes over
 #: oplus, i.e. ``a ⊗ (b ⊕ c) = (a ⊗ b) ⊕ (a ⊗ c)`` and symmetrically on the
 #: right.  The ``*2`` rules consult this registry through
-#: :func:`distributes_over`.
+#: :func:`distributes_over`, at every match: nothing keeps its answers.
 DISTRIBUTIVE_PAIRS: set[tuple[str, str]] = set()
-
-#: called whenever the registry gains a pair, so a memo of its answers
-#: (the search core's window-match memo) forgets a stale "no"
-_ON_DECLARE: list[Callable[[], None]] = []
 
 
 def declare_distributes(otimes: BinOp, oplus: BinOp) -> None:
     """Record that ``otimes`` distributes over ``oplus``."""
-    pair = (otimes.name, oplus.name)
-    if pair not in DISTRIBUTIVE_PAIRS:
-        DISTRIBUTIVE_PAIRS.add(pair)
-        for forget in _ON_DECLARE:
-            forget()
+    DISTRIBUTIVE_PAIRS.add((otimes.name, oplus.name))
 
 
 def distributes_over(otimes: BinOp, oplus: BinOp) -> bool:

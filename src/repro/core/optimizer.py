@@ -28,7 +28,7 @@ from typing import Iterable
 from repro.core.cost import MachineParams
 from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
-from repro.core.search import _MATCH_CACHE, _STORES, Node, Search
+from repro.core.search import _STORES, Node, Search
 from repro.core.stages import Program
 
 __all__ = ["OptimizationResult", "optimize", "greedy_optimize",
@@ -68,12 +68,9 @@ class OptimizationResult:
 
 
 def clear_match_cache() -> None:
-    """Drop every memoized window match, kept rewrite and interned
-    statement stage (tests; rule-registry mutation).
-
-    The stores and their bounds live with the search core
-    (:mod:`repro.core.search`) and the parser (:mod:`repro.lang.parser`).
-    """
+    """Empty the stores a cold request shares (tests): the shape table and
+    the kept rewrites (:mod:`repro.core.search`), the interned stages and
+    the statement store (:mod:`repro.lang.parser`)."""
     for store in _STORES:
         store.clear()
 
@@ -91,13 +88,9 @@ def register_planner_cache_reset(reset) -> None:
 
 
 def clear_planner_caches() -> None:
-    """Reset *all* planner state: the match memo and every live plan cache.
-
-    ``clear_match_cache()`` alone only empties the window-match memo; plan
-    caches (:class:`repro.core.plancache.PlanCache`) keep replayable
-    traces and hit/miss counters in memory, which idempotence-style
-    tests must not leak between cases.  This clears both.
-    """
+    """Reset *all* planner state: ``clear_match_cache()``'s stores, every
+    live plan cache (traces and counters tests must not leak between
+    cases), the JIT compile cache and the resident schedules."""
     clear_match_cache()
     for reset in list(_PLANNER_CACHE_RESETS):
         reset()

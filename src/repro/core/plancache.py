@@ -30,7 +30,8 @@ Layers:
 
 Every live cache registers itself with the optimizer's
 ``clear_planner_caches`` hook, so test suites can reset planner state
-(match memo *and* plan caches) in one call.
+(the search core's and the parser's stores *and* plan caches) in one
+call.
 """
 
 from __future__ import annotations

@@ -59,12 +59,11 @@ def _lossy_site_is_safe(stages: Sequence[Stage], end: int) -> bool:
 def match_at(stages: Sequence[Stage], rule: Rule, start: int) -> Match | None:
     """Does ``rule`` fire on the window starting at stage ``start``?
 
-    The one place that decides it — ``rule.match`` on the window plus the
-    lossy-site safety flag; :func:`find_matches`, the search core
-    (:mod:`repro.core.search`) and trace replay all ask here.  ``stages``
-    is any sequence of stages: a :class:`Program` or the search core's
-    stage tuple.  ``None`` when the window runs off the program or the
-    rule does not match.
+    ``rule.match`` on the window plus the lossy-site safety flag, for
+    :func:`find_matches` and trace replay (the search core asks the same
+    of each rule a window's stage classes admit).  ``stages`` is a
+    :class:`Program` or a stage tuple; ``None`` when the window runs off
+    the program or the rule does not match.
     """
     end = start + rule.window
     if start < 0 or end > len(stages) or not rule.match(stages[start:end]):

@@ -11,31 +11,26 @@ beam search and exhaustive search (:mod:`repro.core.optimizer`,
 :meth:`~Search.children` — and it keys each fact by what the fact
 depends on:
 
-* **which rules match a window** — a bounded process-wide memo from the
-  window's signature tokens to the rules that match it (below).  A
-  child's site list is its parent's with the untouched sites re-indexed;
-  only windows that overlap the rewritten region, or end exactly where it
-  starts, are looked at again (a lossy rule's ``safe`` flag reads the
-  stage *after* its window);
+* **which rules match a window** — the candidates its stage classes
+  admit, from a process-wide shape table (below), each asked
+  ``rule.match`` on the window itself.  A child's site list is its
+  parent's with the untouched sites re-indexed; only windows that overlap
+  the rewritten region, or end exactly where it starts (a lossy rule's
+  ``safe`` flag reads the stage *after* its window), are scanned again;
 * **a stage's signature token and rendering** — memoised on the
   immutable stage object, so a child's signature is
   ``parent[:s] + tokens(inserted) + parent[s + w:]``;
-* **a stage's cost** — computed once per search and stage, and summed
-  left to right over the stage tuple exactly as
-  :func:`~repro.core.cost.program_cost` does, so costs are bit-identical;
+* **a stage's cost** — once per search and stage, summed left to right
+  as :func:`~repro.core.cost.program_cost` does, so costs are
+  bit-identical;
 * **a rewrite** — a function of the window and ``p``, kept once per
-  process and (rule, window stage objects) in a bounded store (below):
-  the first site that fires a rule on a window hands
-  :func:`~repro.core.rewrite.apply_match` that window and nothing else,
-  every later site over the same objects — in this search or another —
-  reuses the inserted stage *objects* (siblings share them as they share
-  the untouched stages) with their tokens and renderings; their costs
-  are kept once per search;
+  process and (rule, window stage objects) (below): a later site over the
+  same objects, in any search, reuses the inserted stage *objects* with
+  their tokens and renderings; their costs are kept once per search;
 * **a program's children** — built once per node, in ``(rule order,
-  start)`` order, whichever policy asks first, as stage tuples with
-  spliced facts: a :class:`~repro.core.stages.Program` and a trace are
-  derived for the nodes somebody reads them from, and site lists only
-  for programs that are actually expanded.
+  start)`` order, as stage tuples with spliced facts: a
+  :class:`~repro.core.stages.Program` and a trace are derived for the
+  nodes somebody reads them from.
 
 Every check of the rewrite engine stays: the safety test and
 ``rule.match`` run at every site, reused rewrite or not.
@@ -47,13 +42,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.cost import MachineParams, stage_cost
-from repro.core.operators import _ON_DECLARE, op_signature
-from repro.core.rewrite import (
-    Match,
-    _lossy_site_is_safe,
-    apply_match,
-    match_at,
-)
+from repro.core.operators import op_signature
+from repro.core.rewrite import Match, _lossy_site_is_safe, apply_match
 from repro.core.rules import Rule, RuleApplication
 from repro.core.stages import Program, Stage
 from repro.core.store import BoundedStore
@@ -65,16 +55,12 @@ __all__ = ["Search", "Node", "plan_signature", "op_signature"]
 # Per-stage facts: canonical signature token and rendering
 # ---------------------------------------------------------------------------
 #
-# Rule matching is purely syntactic/algebraic: it sees stage shapes and
-# operator identities (name + declared algebra), never map labels, map
-# callables, or Map2 captured constants.  The cost model additionally sees
-# ops_per_element, operator widths and op counts.  The canonical signature
-# captures exactly this observable set — nothing else — so renaming a map
-# ("map f" vs "map g" with the same per-element cost) or swapping the
-# captured coefficient list of a map2 cannot change it, while changing an
-# operator or a per-element op count must.  Each stage class states its
-# own token (``Stage.token``, with ``operators.op_signature`` for the
-# operator identities); a class without one is a ``StageFacetError``.
+# The canonical signature (the plan cache's key, the beam's duplicate
+# test) captures what rule matching and the cost model observe — stage
+# shapes, operator identities (name + declared algebra), per-element op
+# counts — and nothing else: renaming a map or swapping a map2's captured
+# constants cannot change it.  Each stage class states its own token
+# (``Stage.token``, with ``operators.op_signature`` for the operators).
 
 
 def _facts(stage: Stage) -> tuple[tuple, str]:
@@ -101,44 +87,30 @@ def plan_signature(program: Program) -> tuple[tuple, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Window-match memo
+# Shape table and rewrite store
 # ---------------------------------------------------------------------------
 #
-# Whether a rule matches a window is purely syntactic/algebraic — it
-# depends on the window's stage classes and operators (name and declared
-# algebra), which the window's signature tokens carry, on the
-# distributivity registry and on the rule set; never on the rest of the
-# program or on the machine.  So one answer serves every program that
-# contains the window, in every search of the process: the memo maps
-# (rule set, tokens of a 1–3-stage window) to the positions, within that
-# rule set, of the rules that match it (renderings print two algebras of
-# one name alike; declaring a distributive pair empties the memo).  The
-# rule set is identified by its rows' serials in order — one string,
-# hashed once — so a doctored copy of a catalogue row never reads the
-# catalogue row's answers.
-#
-# The memo is shared by every optimize() call in the process — including
-# the serving runtime's concurrent worker threads — under the one
-# discipline of :class:`~repro.core.store.BoundedStore`.
-
-_MATCH_CACHE = BoundedStore(4096)
-_ON_DECLARE.append(_MATCH_CACHE.clear)
-
-# ---------------------------------------------------------------------------
-# Rewrite store
-# ---------------------------------------------------------------------------
+# A rule is a stage class set per window position (the paper's ``lhs``)
+# plus a side condition over the window's operators.  Which rules admit a
+# window's classes depends on nothing else, so the shape table maps (rule
+# set, the window's stage classes) to their positions in the rule set; the
+# rule set is the string of its rows' serials, so a doctored copy of a
+# row never reads the catalogue row's answer.  The side condition is never
+# kept: ``rule.match`` runs on the window for every candidate.
 #
 # A rewrite is a function of its window and of ``general`` (p is not a
-# power of two, for the Local rules), and stage objects are shared across
-# requests (the parser interns a statement's stage, this store an inserted
-# one), so one rewrite serves every search: (rule serial, general, ids of
-# the window's stages) -> (window, inserted stages, their tokens and
-# renderings).  The entry holds the window, so the ids stay its own.
+# power of two, for the Local rules), and the stage objects are shared
+# across requests, so (rule serial, general, ids of the window's stages)
+# -> (window, inserted stages, their tokens and renderings) serves every
+# search; the entry holds the window, so the ids stay its own.  Both
+# stores serve every thread under the one discipline of
+# :class:`~repro.core.store.BoundedStore`.
 
-_REWRITES = BoundedStore(_MATCH_CACHE.bound)
+_REWRITES = BoundedStore(4096)
+_SHAPES = BoundedStore(_REWRITES.bound)
 
-#: what ``clear_match_cache()`` empties; the parser adds its stages
-_STORES = [_MATCH_CACHE, _REWRITES]
+#: what ``clear_match_cache()`` empties; the parser adds its stores
+_STORES = [_SHAPES, _REWRITES]
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +171,8 @@ class Search:
         self._ruleset = ",".join(str(r.serial) for r in self.rules)
         self._widths = sorted({rule.window for rule in self.rules})
         self._general = not (params.p > 0 and params.p & (params.p - 1) == 0)
-        #: (rule position, ids of the window's stages) -> (window, *facts
-        #: of the inserted stages); the entry keeps the window alive, so
-        #: the ids stay its own for as long as the search does
+        #: (rule position, ids of the window's stages) -> _rewrite's entry,
+        #: which holds the window, so the ids stay its own
         self._rewrites: dict[tuple, tuple] = {}
         tokens, renderings = _stage_facts(program.stages)
         costs = self._costs(program.stages)
@@ -212,10 +183,9 @@ class Search:
         """The model cost of each of ``stages`` on this machine."""
         return tuple(stage_cost(stage, self.params) for stage in stages)
 
-    def _rewrite(self, rule: Rule, window: tuple[Stage, ...], start: int,
+    def _rewrite(self, rule: Rule, window: tuple[Stage, ...],
                  safe: bool) -> tuple:
-        """``(window, inserted, tokens, renderings)``: ``rule`` fired on
-        ``window``, from ``_REWRITES`` or computed into it."""
+        """``rule`` fired on ``window``: ``_REWRITES``' entry and costs."""
         key = (rule.serial, rule.requires_power_of_two and self._general,
                *map(id, window))
         entry = _REWRITES.get(key)
@@ -226,22 +196,19 @@ class Search:
                                   force_unsafe=self.allow_lossy)
             entry = (window, step.inserted, *_stage_facts(step.inserted))
             _REWRITES.put(key, entry)
-        elif not rule.match(window):
-            raise ValueError(f"{rule.name} does not match at stage {start}")
-        return entry
+        return (*entry, self._costs(entry[1]))
 
     def _child(self, node: Node, i: int, start: int, safe: bool) -> Node:
         """``node`` with rule ``i`` fired on the window at ``start``."""
         rule = self.rules[i]
         end = start + rule.window
         window = node.stages[start:end]
+        if not rule.match(window):
+            raise ValueError(f"{rule.name} does not match at stage {start}")
         key = (i, *map(id, window))
         entry = self._rewrites.get(key)
         if entry is None:
-            entry = self._rewrite(rule, window, start, safe)
-            entry = self._rewrites[key] = (*entry, self._costs(entry[1]))
-        elif not rule.match(window):
-            raise ValueError(f"{rule.name} does not match at stage {start}")
+            entry = self._rewrites[key] = self._rewrite(rule, window, safe)
         _, inserted, tokens, renderings, costs = entry
         costs = node.costs[:start] + costs + node.costs[end:]
         return Node(node.stages[:start] + inserted + node.stages[end:],
@@ -253,23 +220,26 @@ class Search:
     def _scan(self, node: Node, first: int, stop: int) -> list[tuple]:
         """``(rule position, start, safe)`` of every match whose window
         starts before ``stop`` and ends at or after ``first``."""
-        rules, stages, tokens = self.rules, node.stages, node.tokens
+        rules, stages, ruleset = self.rules, node.stages, self._ruleset
         sites = []
         for width in self._widths:
             for start in range(max(0, first - width),
                                min(stop, len(stages) - width + 1)):
                 end = start + width
-                key = (self._ruleset, tokens[start:end])
-                found = _MATCH_CACHE.get(key)
-                if found is None:
-                    found = tuple(
+                window = stages[start:end]
+                key = (ruleset, *map(type, window))
+                candidates = _SHAPES.get(key)
+                if candidates is None:
+                    candidates = tuple(
                         i for i, rule in enumerate(rules)
                         if rule.window == width
-                        and match_at(stages, rule, start) is not None)
-                    _MATCH_CACHE.put(key, found)
-                for i in found:
-                    sites.append((i, start, not rules[i].lossy_nonroot
-                                  or _lossy_site_is_safe(stages, end)))
+                        and all(map(issubclass, key[1:], rule.lhs)))
+                    _SHAPES.put(key, candidates)
+                for i in candidates:
+                    rule = rules[i]
+                    if rule.match(window):
+                        sites.append((i, start, not rule.lossy_nonroot
+                                      or _lossy_site_is_safe(stages, end)))
         return sites
 
     def sites(self, node: Node) -> list[tuple[int, int, bool]]:

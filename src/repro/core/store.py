@@ -1,10 +1,10 @@
 """The bounded resident store the process-wide memos share.
 
-A served process keeps six facts by value — a text's declaration and a
-statement's stage (``lang.parser``), a window's matching rules and its
-rewrite (``core.search``), a program's compiled kernels
-(``jit.compiler``), a shape's simulated schedule (``machine.run``) —
-and every worker thread reads and fills
+A served process keeps seven facts by value — a text's declaration, a
+statement text's statement and a statement's stage (``lang.parser``), a
+window shape's candidate rules and a window's rewrite (``core.search``),
+a program's compiled kernels (``jit.compiler``), a shape's simulated
+schedule (``machine.run``) — and every worker thread reads and fills
 them at once, under one discipline: reads take no lock (one lookup, no
 re-ordering; two threads that miss on one key both compute, to equal
 entries) and :meth:`~BoundedStore.put` evicts first-in-first-out under a

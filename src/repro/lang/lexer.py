@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-__all__ = ["Token", "LexError", "tokenize", "TOKEN_KINDS"]
+__all__ = ["Token", "LexError", "tokenize", "lex"]
 
 
 class LexError(ValueError):
     """Invalid character or malformed token, with position info."""
 
-
-TOKEN_KINDS = ("NAME", "NUMBER", "LPAREN", "RPAREN", "LBRACK", "RBRACK",
-               "COMMA", "SEMI", "COLON", "EQUALS", "EOF")
 
 _SINGLE = {
     "(": "LPAREN",
@@ -55,10 +52,18 @@ class Token(NamedTuple):
 
 def tokenize(source: str) -> list[Token]:
     """Token stream for a program text; raises :class:`LexError` on junk."""
+    return lex(source)[0]
+
+
+def lex(source: str, i: int = 0, n: int | None = None, line: int = 1,
+        col: int = 1, semi: bool = False) -> tuple[list[Token], int]:
+    """``(tokens, stop)``: the tokens of ``source[i:n]`` read from
+    ``(line, col)`` and closed by EOF, and the offset reading stopped at
+    (with ``semi``: after the first ``;`` token).  Only a text's start may
+    open a program header (``Program`` and its name)."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    header = True  # until the first name: is it ``Program``?
+    n = len(source) if n is None else n
+    header = i == 0  # may the first token open a program header?
     while i < n:
         ch = source[i]
         if ch == "\n":
@@ -79,6 +84,8 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(kind, ch, line, col))
             i += 1
             col += 1
+            if semi and kind == "SEMI":
+                break
             continue
         if ch.isalpha() or ch == "_":
             start = i
@@ -87,16 +94,14 @@ def tokenize(source: str) -> list[Token]:
             text = source[start:i]
             tokens.append(Token("NAME", text, line, col))
             col += i - start
-            if header:
-                header = False
-                if len(tokens) == 1 and text.lower() == "program":
-                    end = source.find("(", i)  # the name is all up to "("
-                    name = source[i:end]
-                    if end > 0 and name.strip() and "\n" not in name:
-                        pad = len(name) - len(name.lstrip())
-                        tokens.append(Token("NAME", name.strip(), line, col + pad))
-                        col += end - i
-                        i = end
+            if header and len(tokens) == 1 and text.lower() == "program":
+                end = source.find("(", i)  # the name is all up to "("
+                name = source[i:end]
+                if end > 0 and name.strip() and "\n" not in name:
+                    pad = len(name) - len(name.lstrip())
+                    tokens.append(Token("NAME", name.strip(), line, col + pad))
+                    col += end - i
+                    i = end
             continue
         if ch.isdigit():
             start = i
@@ -115,4 +120,4 @@ def tokenize(source: str) -> list[Token]:
                 continue
         raise LexError(f"line {line}, column {col}: unexpected character {ch!r}")
     tokens.append(Token("EOF", "", line, col))
-    return tokens
+    return tokens, i

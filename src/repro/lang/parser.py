@@ -28,6 +28,7 @@ through a user environment into a :class:`repro.core.stages.Program`.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -35,7 +36,7 @@ from repro.core.operators import BinOp
 from repro.core.search import _STORES
 from repro.core.store import BoundedStore
 from repro.core.stages import Program, Stage, stage_written_as
-from repro.lang.lexer import LexError, Token, tokenize
+from repro.lang.lexer import LexError, Token, lex
 
 __all__ = [
     "ParseError",
@@ -58,7 +59,6 @@ class LocalStmt:
     out: str
     fn: str
     arg: str
-    line: int
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class CollectiveStmt:
     out: str                        # output variable (== arg when in place)
     op: str | None                  # operator name, if the call takes one
     counts: tuple[int, ...] | None  # segment lengths; None: balanced
-    line: int
 
 
 Statement = LocalStmt | CollectiveStmt
@@ -78,12 +77,14 @@ Statement = LocalStmt | CollectiveStmt
 
 @dataclass(frozen=True)
 class ProgramDecl:
-    """Parsed but unresolved program."""
+    """Parsed but unresolved program; ``lines`` holds each statement's
+    line (a statement object serves every text that writes it)."""
 
     name: str
     input_var: str
     output_var: str | None
     statements: tuple[Statement, ...]
+    lines: tuple[int, ...]
 
     def to_program(self, env: Mapping[str, Any]) -> Program:
         """Resolve names and validate dataflow into a stage Program.
@@ -94,10 +95,9 @@ class ProgramDecl:
 
         The last result is kept beside the declaration with the objects
         its names resolved to (so their ids cannot be reused): the same
-        objects again, from any mapping, give the same Program.  Each
-        statement's stage comes from the process-wide ``_STAGES``, so
-        equal statements of different texts are one stage object.  A
-        resolution that raises is never kept.
+        objects again, from any mapping, give the same Program, whose
+        stages come from ``_STAGES``.  A resolution that raises is never
+        kept.
         """
         refs = tuple(env.get(s.fn) if isinstance(s, LocalStmt)
                      else s.op and env.get(s.op) for s in self.statements)
@@ -106,10 +106,10 @@ class ProgramDecl:
             return last[1]
         stages: list[Stage] = []
         current = self.input_var
-        for stmt, ref in zip(self.statements, refs):
+        for stmt, ref, line in zip(self.statements, refs, self.lines):
             if stmt.arg != current:
                 raise ParseError(
-                    f"line {stmt.line}: statement consumes {stmt.arg!r} but the "
+                    f"line {line}: statement consumes {stmt.arg!r} but the "
                     f"current value is {current!r} (programs are straight-line "
                     "chains in the paper's format)"
                 )
@@ -117,7 +117,7 @@ class ProgramDecl:
                    else stmt.counts, id(ref))
             entry = _STAGES.get(key)
             if entry is None:
-                entry = (ref, _stage_of(stmt, ref))
+                entry = (ref, _stage_of(stmt, ref, line))
                 _STAGES.put(key, entry)
             stages.append(entry[1])
             current = stmt.out
@@ -131,17 +131,17 @@ class ProgramDecl:
         return program
 
 
-def _stage_of(stmt: Statement, ref: Any) -> Stage:
+def _stage_of(stmt: Statement, ref: Any, line: int) -> Stage:
     """The stage ``stmt`` writes, its name resolved to ``ref``."""
     if isinstance(stmt, LocalStmt):
         fn = ref
         if fn is None:
-            raise ParseError(f"line {stmt.line}: unknown function {stmt.fn!r}")
+            raise ParseError(f"line {line}: unknown function {stmt.fn!r}")
         ops = 0
         if isinstance(fn, tuple):
             fn, ops = fn
         if not callable(fn):
-            raise ParseError(f"line {stmt.line}: {stmt.fn!r} is not callable")
+            raise ParseError(f"line {line}: {stmt.fn!r} is not callable")
         return stmt.stage(fn, label=stmt.fn, ops_per_element=ops)
     fields: dict[str, Any] = {}
     if stmt.stage.mpi_call.counts:
@@ -150,7 +150,7 @@ def _stage_of(stmt: Statement, ref: Any) -> Stage:
         fields["op"] = ref
         if not isinstance(ref, BinOp):
             raise ParseError(
-                f"line {stmt.line}: operator {stmt.op!r} is not a "
+                f"line {line}: operator {stmt.op!r} is not a "
                 "BinOp in the environment"
             )
     return stmt.stage(**fields)
@@ -179,19 +179,17 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, kind: str) -> Token:
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(
-                f"line {tok.line}, column {tok.column}: expected {want}, "
-                f"got {tok.text!r}"
-            )
+        if tok.kind != kind:
+            raise ParseError(f"line {tok.line}, column {tok.column}: "
+                             f"expected {kind}, got {tok.text!r}")
         return tok
 
     # ------------------------------------------------------------------
 
-    def parse(self) -> ProgramDecl:
+    def header(self) -> tuple[str, str, str | None]:
+        """``Program NAME (params);``: the name, input and output."""
         header = self.expect("NAME")
         if header.text.lower() != "program":
             raise ParseError(f"line {header.line}: program must start with 'Program'")
@@ -200,10 +198,7 @@ class _Parser:
         input_var, output_var = self._parse_params()
         self.expect("RPAREN")
         self.expect("SEMI")
-        statements: list[Statement] = []
-        while self.peek().kind != "EOF":
-            statements.append(self._parse_statement())
-        return ProgramDecl(name, input_var, output_var, tuple(statements))
+        return name, input_var, output_var
 
     def _parse_params(self) -> tuple[str, str | None]:
         """``x: input, v: output`` (roles optional; first is input)."""
@@ -226,7 +221,7 @@ class _Parser:
             raise ParseError("program has no input parameter")
         return input_var, output_var
 
-    def _parse_statement(self) -> Statement:
+    def statement(self) -> Statement:
         tok = self.expect("NAME")
         if self.peek().kind == "EQUALS":
             return self._parse_local(tok)
@@ -246,8 +241,7 @@ class _Parser:
             arg = self.expect("NAME").text
         self.expect("RPAREN")
         self.expect("SEMI")
-        return LocalStmt(stage_written_as(None, rank), out.text, fn.text, arg,
-                         out.line)
+        return LocalStmt(stage_written_as(None, rank), out.text, fn.text, arg)
 
     def _parse_call(self, tok: Token) -> CollectiveStmt:
         cls = stage_written_as(tok.text)
@@ -283,8 +277,7 @@ class _Parser:
         # balanced partition)
         extra = args[buffers + call.counts:]
         op = self._find_operator(extra, tok) if call.op else None
-        return CollectiveStmt(cls, args[0], args[buffers - 1], op, counts,
-                              tok.line)
+        return CollectiveStmt(cls, args[0], args[buffers - 1], op, counts)
 
     def _parse_counts(self) -> tuple[int, ...]:
         """A counts list past its ``[``: one segment length per rank."""
@@ -333,21 +326,25 @@ class _Parser:
 
 # A served front end sees the same texts again and again, and a
 # declaration depends on nothing but its text, so the latest 256 distinct
-# texts keep theirs.  A ProgramDecl is a frozen dataclass of strings and
-# tuples, plus its last resolution, which answers only to the identical
-# objects: every caller may share one.  A text that does not parse is
-# never remembered, so it raises afresh.
+# texts keep theirs (``_PARSE_MEMO``; a ProgramDecl is frozen, and its last
+# resolution answers only to the identical objects: every caller may share
+# one).  Different texts repeat statement texts, and a statement depends
+# on its text alone, so the latest 256 distinct ones keep (statement, line
+# of its first token less the text's first line), or () for blanks and
+# comments (``_STATEMENTS``).  A statement's stage depends on its class,
+# label or counts and the object its name resolved to only, so the latest
+# 256 distinct ones are one stage object each, whose search facts are
+# computed once per process (``_STAGES``; the entry holds the object, so
+# the id in its key stays its own).  What does not parse or resolve is
+# never stored, so it raises afresh.
 
 _PARSE_MEMO = BoundedStore(256)
-
-# Different texts repeat statements, and a statement's stage depends on
-# its class, label or counts and the object its name resolved to only: so
-# the latest 256 distinct ones are one stage object each, whose search
-# facts (token, rendering, rewrites) are computed once per process.  The
-# entry holds the object, so the id in its key stays its own.
-
+_STATEMENTS = BoundedStore(_PARSE_MEMO.bound)
 _STAGES = BoundedStore(_PARSE_MEMO.bound)
-_STORES.append(_STAGES)
+_STORES.extend((_STAGES, _STATEMENTS))
+
+#: what a statement text ends at or skips: ``;``, brackets, comments
+_MARKS = re.compile(r"//[^\n]*|[;\[\]]")
 
 
 def parse_program(source: str) -> ProgramDecl:
@@ -357,12 +354,52 @@ def parse_program(source: str) -> ProgramDecl:
     ones) returns the declaration it produced then — the same object.
     """
     decl = _PARSE_MEMO.get(source)
-    if decl is not None:
-        return decl
-    try:
-        tokens = tokenize(source)
-    except LexError as exc:
-        raise ParseError(str(exc)) from exc
-    decl = _Parser(tokens).parse()
-    _PARSE_MEMO.put(source, decl)
+    if decl is None:
+        try:
+            decl = _read(source)
+        except LexError as exc:
+            raise ParseError(str(exc)) from exc
+        _PARSE_MEMO.put(source, decl)
     return decl
+
+
+def _read(source: str) -> ProgramDecl:
+    """The declaration of ``source``: the header lexed and parsed, each
+    statement text's from ``_STATEMENTS`` or from its own line and column;
+    a lexing error anywhere comes first, as if the text were lexed whole."""
+    tokens, at = lex(source, semi=True)
+    line, col = tokens[-1].line, tokens[-1].column
+    statements, lines = [], []
+    try:
+        head = _Parser(tokens).header()
+        while at < len(source):
+            stop = _statement_end(source, at)
+            text = source[at:stop]
+            entry = _STATEMENTS.get(text)
+            if entry is None:
+                tokens, _ = lex(source, at, stop, line, col)
+                entry = () if len(tokens) == 1 else (
+                    _Parser(tokens).statement(), tokens[0].line - line)
+                _STATEMENTS.put(text, entry)
+            if entry:
+                statements.append(entry[0])
+                lines.append(line + entry[1])
+            breaks = text.count("\n")
+            col = len(text) - text.rfind("\n") if breaks else col + len(text)
+            line, at = line + breaks, stop
+    except ParseError:  # the rest of the text, from where it failed
+        lex(source, at, line=line, col=col)
+        raise
+    return ProgramDecl(*head, tuple(statements), tuple(lines))
+
+
+def _statement_end(source: str, at: int) -> int:
+    """Where the statement text at ``at`` ends: after its ``;`` at bracket
+    depth 0 outside ``//`` comments, else at the end of the text."""
+    depth = 0
+    for mark in _MARKS.finditer(source, at):
+        ch = mark.group()
+        if ch == ";" and not depth:
+            return mark.end()
+        depth += (ch == "[") - (ch == "]")
+    return len(source)

@@ -1,11 +1,12 @@
 """Optimizer caches under thread contention: the serving-tier hammer.
 
 The serving worker pool calls ``optimize`` from many threads at once,
-which makes the process-global window-match memo and any shared
-:class:`PlanCache` instance concurrency hot spots.  OrderedDicts
+which makes the process-global stores of the search core and the parser
+(shape table, kept rewrites, interned stages, statement store) and any
+shared :class:`PlanCache` instance concurrency hot spots.  OrderedDicts
 corrupt silently under unlocked concurrent mutation (lost entries,
-``KeyError`` during ``move_to_end``, broken links), so both caches
-serialize mutations behind a lock (the match memo's hits only read).
+``KeyError`` during ``move_to_end``, broken links), so every store
+serializes mutations behind a lock (the stores' hits only read).
 These tests hammer each cache from 8 threads and assert nothing
 corrupts, no exception escapes, and the results stay bit-identical to
 single-threaded optimization.
@@ -77,8 +78,8 @@ def _hammer(work, threads=THREADS):
 
 def test_match_cache_hammer_is_bit_identical():
     """8 threads optimizing the same corpus concurrently produce the
-    exact plans (canonical rendering) single-threaded optimization does — the shared match
-    LRU never corrupts or cross-wires entries."""
+    exact plans (canonical rendering) single-threaded optimization does — the shared
+    shape table and rewrite store never corrupt or cross-wire entries."""
     clear_match_cache()
     expected = {(prog.name, params): optimize(prog, params).program.pretty()
                 for prog in PROGRAMS for params in PARAMS}
@@ -101,12 +102,14 @@ def test_match_cache_hammer_is_bit_identical():
 def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
     """clear_match_cache racing 8 optimizing threads: clears are a
     legal (if unhelpful) concurrent operation and must never corrupt
-    the memo or crash an optimize in flight.  The bound is squeezed
-    below the working set so inserts evict under contention too, and
-    the memo never outgrows it."""
+    the shape table or the rewrite store or crash an optimize in flight.
+    Both bounds are squeezed below the working set so inserts evict under
+    contention too, and neither store outgrows its bound."""
     from repro.core import search as search_mod
 
-    monkeypatch.setattr(search_mod._MATCH_CACHE, "bound", 6)
+    stores = (search_mod._SHAPES, search_mod._REWRITES)
+    for store in stores:
+        monkeypatch.setattr(store, "bound", 6)
     clear_match_cache()
     expected = {prog.name: optimize(prog, PARAMS[0]).program.pretty()
                 for prog in PROGRAMS}
@@ -117,14 +120,14 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
         if tid == 0:
             while not stop.is_set():
                 clear_match_cache()
-                sizes.append(len(search_mod._MATCH_CACHE))
+                sizes.extend(map(len, stores))
         else:
             try:
                 for _ in range(ROUNDS):
                     for prog in PROGRAMS:
                         res = optimize(prog, PARAMS[0])
                         assert res.program.pretty() == expected[prog.name]
-                        sizes.append(len(search_mod._MATCH_CACHE))
+                        sizes.extend(map(len, stores))
             finally:
                 if tid == 1:
                     stop.set()

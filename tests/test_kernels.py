@@ -361,45 +361,46 @@ class TestOracleBackend:
 
 
 # ---------------------------------------------------------------------------
-# Optimizer match cache
+# Optimizer shape table (the candidate rules of a window's stage classes)
 # ---------------------------------------------------------------------------
 
 
 class TestMatchCache:
     def test_repeated_optimization_hits_cache(self):
-        from repro.core import optimizer as opt_mod
         from repro.core import search as search_mod
 
+        shapes = search_mod._SHAPES
         clear_match_cache()
         prog = Program([ScanStage(MUL), ReduceStage(ADD)])
         params = MachineParams(p=8, ts=10.0, tw=1.0, m=16)
         first = optimize(prog, params)
-        populated = len(opt_mod._MATCH_CACHE)
-        assert 0 < populated <= search_mod._MATCH_CACHE.bound
-        # window matches do not depend on the machine: a second run over
-        # the same rewrite graph at other parameters adds no new entries
+        populated = len(shapes)
+        assert 0 < populated <= shapes.bound
+        # a window's candidate rules do not depend on the machine: a second
+        # run over the same rewrite graph at other parameters adds no new
+        # entries
         second = optimize(prog, MachineParams(p=16, ts=5.0, tw=2.0, m=8))
-        assert len(opt_mod._MATCH_CACHE) == populated
+        assert len(shapes) == populated
         assert first.program.pretty() == second.program.pretty()
         # ... and neither does another program made of the same windows
         optimize(Program([ScanStage(MUL), ReduceStage(ADD),
                           ScanStage(MUL), ReduceStage(ADD)]), params,
                  strategy="greedy")
-        assert len(opt_mod._MATCH_CACHE) > populated  # the seam is new,
-        seam = len(opt_mod._MATCH_CACHE)
+        assert len(shapes) > populated  # the seam is new,
+        seam = len(shapes)
         optimize(Program([ScanStage(MUL), ReduceStage(ADD)] * 3), params,
                  strategy="greedy")
-        assert len(opt_mod._MATCH_CACHE) == seam      # a third copy is not
+        assert len(shapes) == seam      # a third copy is not
         clear_match_cache()
-        assert len(opt_mod._MATCH_CACHE) == 0
+        assert all(len(store) == 0 for store in search_mod._STORES)
 
     @pytest.mark.parametrize("commutative_first", [True, False])
     def test_same_named_operators_of_another_algebra_stay_apart(
             self, commutative_first):
-        """The memo keys on what ``rule.match`` reads (the window's
-        signature tokens), not on renderings: an ``add`` declared
-        non-commutative prints like ADD but never reads ADD's answers,
-        whichever of the two is planned first."""
+        """A match is decided on the window itself, not on a key that
+        prints alike: an ``add`` declared non-commutative prints like ADD
+        but never takes ADD's rewrites, whichever of the two is planned
+        first."""
         nc = BinOp("add", operator.add, associative=True, commutative=False)
         params = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
         clear_planner_caches()
@@ -413,8 +414,9 @@ class TestMatchCache:
         clear_planner_caches()
 
     def test_a_late_distributivity_declaration_is_seen(self):
-        """``distributes_over`` reads a registry by name: declaring a pair
-        after the memo kept a "no" for its window empties the memo."""
+        """``distributes_over`` reads a registry by name, at every match:
+        a pair declared after a search saw its window is seen by the
+        next one, though the window's shape stays in the shape table."""
         otimes = BinOp("late_times", operator.mul, commutative=True)
         oplus = BinOp("late_plus", operator.add, commutative=True)
         params = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
@@ -426,7 +428,7 @@ class TestMatchCache:
             return [step.rule.name for step in result.derivation.steps]
 
         assert rules_fired() == []
-        assert len(search_mod._MATCH_CACHE) > 0
+        assert len(search_mod._SHAPES) > 0
         declare_distributes(otimes, oplus)
         try:
             assert rules_fired() == ["SS2-Scan"]

@@ -185,3 +185,26 @@ class TestOptimizerProperties:
         res = optimize(prog, params)
         xs = [5] * p
         assert defined_equal(prog.run(xs), res.program.run(xs))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "distributivity is recorded by operator name, so an operator named "
+    "'mul' inherits MUL's declaration over ADD and SR2-Reduction fires on "
+    "it (ROADMAP item 1)"))
+def test_a_same_named_operator_inherits_no_distributivity():
+    """``mymul`` is max under the name ``mul``, never declared to
+    distribute over addition; the plan must compute what the program as
+    written computes on the machine (72 = the sum of the prefix maxima),
+    where the SR2-Reduction plan computes 36."""
+    from repro.core.operators import BinOp
+    from repro.machine.run import simulate_program
+
+    mymul = BinOp("mul", max, associative=True, commutative=True)
+    prog = Program([ScanStage(mymul), AllReduceStage(ADD)])
+    params = MachineParams(p=8, ts=600, tw=2, m=1)
+    xs = [9, 1, 4, 1, 0, 0, 0, 0]
+    written = simulate_program(prog, xs, params).values[0]
+    planned = optimize(prog, params)
+    assert written == 72
+    assert "SR2-Reduction" not in planned.derivation.rules_used
+    assert simulate_program(planned.program, xs, params).values[0] == written

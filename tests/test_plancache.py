@@ -446,11 +446,16 @@ class TestClearPlannerCaches:
     in-memory state, so idempotence-style tests can't leak plans."""
 
     def test_clear_match_cache_leaves_plan_cache_state(self):
+        from repro.core import search as search_mod
+
         cache = PlanCache()
         prog, params = golden_program(), GOLDEN_PARAMS
         cache.put(prog, params, beam_optimize(prog, params, ALL_RULES))
+        assert len(search_mod._SHAPES) and len(search_mod._REWRITES)
         clear_match_cache()  # the old, too-narrow reset
-        assert len(cache._memory) == 1
+        # the search core's and the parser's stores are empty ...
+        assert all(len(store) == 0 for store in search_mod._STORES)
+        assert len(cache._memory) == 1  # ... the plan cache's are not
 
     def test_clear_planner_caches_resets_memory_and_counters(self):
         cache = PlanCache()

@@ -8,7 +8,9 @@
   site list it derived from the parent's equals ``find_matches`` from
   scratch (same rules, starts, ``safe`` flags, order), and the spliced
   signature, renderings and cost equal the ones recomputed from the
-  stages — with the window memo cold, warm, and squeezed to 8 entries.
+  stages — with the process-wide stores (shape table, kept rewrites,
+  interned stages, statement store) cold, warm, and squeezed to 8
+  entries each.
 * **Window-local rewrites**: every child the core builds — from a fresh
   rewrite or from one it kept — equals a fresh ``apply_match`` on its
   materialised parent, stage for stage, fact for fact and step for step;
@@ -121,14 +123,17 @@ def _check_expanded_nodes(program, params, rules) -> int:
 
 @pytest.mark.parametrize("memo", ["cold-then-warm", "squeezed"])
 def test_derived_sites_and_spliced_facts_equal_from_scratch(memo, monkeypatch):
+    stores = search_mod._STORES  # shapes, rewrites, stages, statements
     if memo == "squeezed":  # every search evicts: hits, misses and re-misses
-        monkeypatch.setattr(search_mod._MATCH_CACHE, "bound", 8)
+        for store in stores:
+            monkeypatch.setattr(store, "bound", 8)
     clear_match_cache()
+    parser_mod._PARSE_MEMO.clear()  # the texts read their statements
     corpus = _structure_corpus()
-    for _pass in range(2):  # the second pass answers from the memo
+    for _pass in range(2):  # the second pass answers from the stores
         expanded = sum(_check_expanded_nodes(*spec) for spec in corpus)
         assert expanded > 2 * len(corpus)  # children were expanded too
-        assert 0 < len(search_mod._MATCH_CACHE) <= search_mod._MATCH_CACHE.bound
+        assert all(0 < len(store) <= store.bound for store in stores)
     clear_match_cache()
 
 
@@ -275,7 +280,7 @@ def test_every_check_runs_at_every_site_and_a_rewrite_once(monkeypatch):
         children = search.children(node)
         keys = [(child.origin[4], *map(id, child.origin[2]))
                 for child in children]
-        # a match per child, at least: match_at on a memo miss matches too
+        # a match per child, at least: _child matches what it rewrites
         assert not Counter(keys) - Counter(matched[before:])
         built += keys
         for child in children:
@@ -319,9 +324,10 @@ def test_a_second_text_of_the_same_statements_builds_nothing_new(
         monkeypatch):
     """Counts causes, not the clock: after one beam search of a parsed
     text, a second text of the same statements under another program name
-    (a new declaration, a new ``Program``) constructs no stage, rewrites
-    no window and builds only its plan's chain of ``Program``s — while
-    ``rule.match`` still runs for every child."""
+    (a new declaration, a new ``Program``) lexes only its header (the
+    statement texts come from the statement store), constructs no stage,
+    rewrites no window and builds only its plan's chain of ``Program``s —
+    while ``rule.match`` still runs for every child."""
     clear_match_cache()
     parser_mod._PARSE_MEMO.clear()
     first = parse_program(NINE_TEXT.format(name="nine")).to_program(NINE_ENV)
@@ -339,7 +345,21 @@ def test_a_second_text_of_the_same_statements_builds_nothing_new(
     for cls in {type(stage) for stage in NINE}:
         _counting(monkeypatch, cls, "__init__", calls=constructed)
     programs = _counting(monkeypatch, Program, "__init__")
+    lexed = []
+    lex = parser_mod.lex
+
+    def counted_lex(*args, **kwargs):
+        tokens, stop = lex(*args, **kwargs)
+        lexed.extend(tokens)
+        return tokens, stop
+
+    monkeypatch.setattr(parser_mod, "lex", counted_lex)
     decl = parse_program(NINE_TEXT.format(name="again"))
+    header = NINE_TEXT.format(name="again").split("\n")[0]
+    assert [tok.text for tok in lexed[:-1]] == [
+        "Program", "again", "(", "x", ":", "input", ")", ";"]
+    assert lexed[-1].kind == "EOF"  # where the header ended
+    assert (lexed[-1].line, lexed[-1].column) == (1, len(header) + 1)
     again = decl.to_program(NINE_ENV)
     assert decl is not parse_program(NINE_TEXT.format(name="nine"))
     assert again is not first and again.name == "again"
