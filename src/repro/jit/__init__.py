@@ -1,15 +1,17 @@
-"""Whole-program JIT tier: fused plans as single compiled segment kernels.
+"""Whole-program JIT tier: fused plans as single register tapes.
 
 Where the vectorized tier (:mod:`repro.kernels`) executes an optimized
 pipeline stage by stage — per-stage dispatch, intermediate block
-materialization, per-combine overflow checks — this tier compiles the
-same fused :class:`~repro.kernels.evaluator.VectorPlan` down to one
-composed NumPy/ufunc callable per local segment:
+materialization, per-combine overflow checks — this tier unrolls each
+run of supported steps of the same fused
+:class:`~repro.kernels.evaluator.VectorPlan` over the ranks into one
+straight-line tape of raw ufunc calls, run as one chunk loop:
 
-* ``map pair ; reduce(op_sr2) ; map π₁`` runs as one chunked fold whose
-  pair leaves are views, whose combines are three raw ufunc writes into
-  cache-resident scratch, and whose π₁ projection means the dropped
-  slot is never materialized at all;
+* ``scan(mul) ; scan(add)`` writes only its reply's rows — the scan(mul)
+  prefixes live in cache-sized scratch — and ``map pair ;
+  reduce(op_sr2) ; map π₁`` is two raw ufunc calls per combine (the
+  pair leaf makes ``r1·s2`` and ``r1·r2`` one value), and the slot π₁
+  drops is never written;
 * overflow guards are hoisted to **one static range check per program**
   (:mod:`repro.jit.bounds`): exact interval propagation over the
   actual input hull proves raw int64 ufuncs can never wrap;

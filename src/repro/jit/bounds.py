@@ -29,6 +29,8 @@ never apply ``op`` to arbitrary values: every combine is
 
     C(1) = leaf interval,   C(k) = hull over a+b=k of  op#(C(a), C(b))
 
+(``a`` and ``b`` both range over ``1..k-1``: ``op`` need not commute)
+
 where ``op#`` is the interval extension of ``op``.  By induction any
 subset fold of ``k`` leaves lies in ``C(k)``, and every intermediate of
 any combine of an ``a``-fold with a ``b``-fold is recorded while
@@ -113,18 +115,19 @@ def fold_intervals(
 ) -> Optional[tuple[Interval, ...]]:
     """Hull over every subset fold of 1..p leaves (any combine tree).
 
-    ``C(k) = hull over a+b=k of op#(C(a), C(b))``; returns
-    ``hull(C(1)..C(p))`` — a sound interval for every value a scan,
-    reduce, or allreduce over ``p`` blocks can hold or pass through.
-    None for a leaf of another width than the tape's, or too wide a
-    machine.
+    ``C(k) = hull over a+b=k of op#(C(a), C(b))``, both operand orders
+    (a tape need not be commutative: the compiled left fold combines
+    ``C(k-1)`` with ``C(1)``); returns ``hull(C(1)..C(p))`` — a sound
+    interval for every value a scan, reduce, or allreduce over ``p``
+    blocks can hold or pass through.  None for a leaf of another width
+    than the tape's, or too wide a machine.
     """
     if p > _MAX_ANALYZED_P or len(leaf) != tape.slots:
         return None
     table: list[tuple[Interval, ...]] = [tuple(leaf)]
     for k in range(2, p + 1):
         acc: Optional[tuple[Interval, ...]] = None
-        for a in range(1, k // 2 + 1):
+        for a in range(1, k):
             combined = combine_intervals(ctx, tape, table[a - 1], table[k - a - 1])
             if acc is None:
                 acc = combined

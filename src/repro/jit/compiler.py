@@ -1,51 +1,53 @@
-"""The JIT compiler: fused vector plans -> composed raw-ufunc kernels.
+"""The JIT compiler: fused vector plans -> one register tape per run of steps.
 
 Input is the same :class:`~repro.kernels.evaluator.VectorPlan` the
-vectorized tier executes (``map pair ; reduce(op_sr2) ; map π₁``
-sandwiches grouped into fused-collective steps).  Each supported step is
-compiled to a closure that runs the *whole local segment* as one unit:
+vectorized tier executes.  Each maximal run of supported plan steps is
+unrolled over the ``p`` ranks into **one straight-line register tape**
+and run as one chunk loop:
 
-* the combine of a scan/reduce/allreduce is flattened to a **tape** of
-  raw ufunc instructions over flat value slots (an SR2 combine is three
-  ``np.add``/``np.multiply`` calls, not three checked kernels with two
-  bounds reductions each);
-* pre-adjustment maps (``pair``) are symbolic — a pair leaf is two
-  *views* of the same chunk, never a materialized tuple block;
-* post-projections (``π₁``) are applied to the tape's output refs, so
-  only the projected slot is ever written to the output array;
-* the per-rank fold loop runs **chunked** (`core.cost.pipeline_chunk_count`
-  sizes the chunks) through two ping-pong scratch-buffer sets, so every
-  intermediate stays in cache-resident scratch memory — no per-combine
-  allocation, no intermediate block materialization;
+* every stage reads the same per-op tapes the bounds proof reads
+  (:func:`emit_combine`: an SR2 combine is ``np.add``/``np.multiply``
+  calls on flat slots; :func:`emit_map`: ``pair`` / ``π₁`` only move
+  refs), one ``(ufunc, src, src|const, dst)`` instruction per call;
+* value numbering merges equal ``(ufunc, operands)`` pairs (a pair
+  leaf makes ``r1·s2`` and ``r1·r2`` one instruction) and only what the
+  reply needs is run, depth-first from it;
+* the reply's rows come from the block pool and are written by their
+  instructions; every other value — a ``scan(mul)`` before a
+  ``scan(add)`` included — lives in chunk-sized scratch reused by
+  liveness (`core.cost.pipeline_chunk_count` sizes the chunks), never in
+  a block-sized array;
 * overflow guards are gone entirely: :mod:`repro.jit.bounds` proves at
   run time (one min/max pass per input plus exact bigint interval
   propagation) that no intermediate can leave the int64-safe range.
 
-A ``comcast``/``iter`` stage has no kernel of its own: it compiles to the
-closures of the pipeline it is defined by
-(:meth:`~repro.core.stages.Stage.definition`, its rule's left-hand side).
+A ``comcast``/``iter`` stage has no tape of its own: it unrolls as the
+pipeline it is defined by (:meth:`~repro.core.stages.Stage.definition`,
+its rule's left-hand side).  A tape is unrolled once per block
+signature (``p``, slot widths, definedness) and kept on the program.
 
-Anything the compiler cannot prove or lower falls back *per step* to
-the checked kernelized ``PlanStep.run`` — bit-identical by construction
-— and every fallback bumps a reason counter in :mod:`repro.jit.stats`.
+What the compiler cannot prove or lower falls back *per step* to the
+checked kernelized ``PlanStep.run`` — bit-identical by construction —
+every fallback bumps a reason counter in :mod:`repro.jit.stats`, and
+the steps after it run on a tape again.
 
 The module also decides how the simulated engines run under
 ``jit=True`` (:func:`engine_lower`, :func:`run_engine_ladder`).  The
 machine model charges time by ``(p, m, ts, tw)`` and by which blocks are
 defined, never by what they hold, so the first rung computes the
-*values* with the step kernels above and lets the engine schedule the
-same kernelized stages on definedness tokens; below it sit the
-all-or-nothing swap of checked kernels for raw ones, the checked
-kernels, and the object-mode replay.  Every rung keeps each
-``op_count``/``ops_per_element`` annotation, so simulated time is
-identical — JIT changes wall-clock only.
+*values* on the tape and lets the engine schedule the same kernelized
+stages on definedness tokens; below it sit the all-or-nothing swap of
+checked kernels for raw ones, the checked kernels, and the object-mode
+replay.  Every rung keeps each ``op_count``/``ops_per_element``
+annotation, so simulated time is identical — JIT changes wall-clock only.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -194,8 +196,8 @@ def emit_map(label: str, slots: int) -> Tape:
 
 def bind(tape: Tape, reading: str) -> Tape:
     """``tape`` with every primitive name replaced by one reading of its
-    row: ``"raw"`` (the ufuncs :func:`_run_combine` / :func:`_run_map_tape`
-    call) or ``"interval"`` (what :mod:`repro.jit.bounds` interprets).
+    row: ``"raw"`` (the ufuncs a register tape and the raw rung call) or
+    ``"interval"`` (what :mod:`repro.jit.bounds` interprets).
     Raises :class:`JitUnsupported` naming the row that does not state it."""
 
     def read(name: str) -> Callable:
@@ -272,7 +274,7 @@ def _conform(blocks: Sequence[Any], n: int) -> Optional[list[list[np.ndarray]]]:
 
 
 # ---------------------------------------------------------------------------
-# Chunked fold/scan execution
+# Register tapes: a run of plan steps unrolled over the ranks
 # ---------------------------------------------------------------------------
 
 
@@ -287,17 +289,6 @@ def _chunk_slices(shape: tuple, params: MachineParams) -> list:
     chunks = max(1, min(chunks, n // _MIN_CHUNK))
     step = -(-n // chunks)
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-class _Scratch:
-    """A set of chunk-sized scratch buffers handed out as length-L views."""
-
-    def __init__(self, count: int, max_len: Optional[int], dtype) -> None:
-        shape = () if max_len is None else (max_len,)
-        self.bufs = [np.empty(shape, dtype) for _ in range(count)]
-
-    def views(self, length: Optional[int]) -> list[np.ndarray]:
-        return [b[...] if length is None else b[:length] for b in self.bufs]
 
 
 def _run_combine(
@@ -322,62 +313,181 @@ def _run_combine(
     return [res(r) for r in tape.out]
 
 
-# ---------------------------------------------------------------------------
-# Step compilation
-# ---------------------------------------------------------------------------
+def _copy(a: np.ndarray, out: np.ndarray) -> None:
+    np.copyto(out, a)
 
 
-@dataclass
-class CompiledStep:
-    """A plan step plus its compiled closure (None -> always kernelized).
-
-    The closure returns the output block list, or None when the runtime
-    blocks don't conform — the caller then runs the checked
-    ``plan_step.run`` instead (bit-identical, just slower).
-    """
-
-    plan_step: PlanStep
-    compiled: Optional[Callable[[list], Optional[list]]]
-    reason: str = ""
-    covered: int = 0
-    #: the closure is exact on int64 blocks only and declines the rest
-    ints_only: bool = False
+def _with_const(fn: Callable, const: Any) -> Callable:
+    return lambda a, out: fn(a, const, out=out)
 
 
-class _TapeMemo:
-    """One map label's raw tapes, memoised by the observed input arity."""
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.tapes: dict[int, Optional[Tape]] = {}
-
-    def apply(self, block: Any) -> Any:
-        """The label applied to one defined block (allocating), or None
-        when the label has no tape or the block does not conform."""
-        arity = len(block) if isinstance(block, tuple) else 1
-        if arity not in self.tapes:
-            try:
-                self.tapes[arity] = bind(emit_map(self.label, arity), "raw")
-            except JitUnsupported:
-                self.tapes[arity] = None
-        tape = self.tapes[arity]
-        row = _conform([block], arity) if tape is not None else None
-        if row is None:
-            return None
-        vals = _run_map_tape(tape, row[0])
-        return vals[0] if len(vals) == 1 else tuple(vals)
+def _signature(data: Sequence[Any]) -> tuple[tuple, list, list]:
+    """Per rank None (UNDEF), False (a block no tape reads) or ``(slots,
+    class)``, classes numbered by first ``(shape, dtype)`` seen; with the
+    classes and each rank's slot arrays."""
+    classes: dict[tuple, int] = {}
+    sig, slots = [], []
+    for b in data:
+        rows = None if b is UNDEF else _conform(
+            [b], len(b) if isinstance(b, tuple) else 1)
+        s = rows[0] if rows else None
+        slots.append(s)
+        sig.append((len(s), classes.setdefault((s[0].shape, s[0].dtype),
+                                               len(classes)))
+                   if s else None if b is UNDEF else False)
+    return tuple(sig), list(classes), slots
 
 
-def _compile_local(
-    step: PlanStep, pre: None, stage: MapStage, post: None, params: MachineParams,
-) -> CompiledStep:
-    memo = _TapeMemo(stage.label)
+#: a block on the tape: its object's identity (``("rank", r)``: rank r's
+#: input), a register per slot (None: not read) and each slot's identity
+_Blk = namedtuple("_Blk", "obj regs comps")
 
-    def run(data: list) -> Optional[list]:
-        out = [b if b is UNDEF else memo.apply(b) for b in data]
-        return None if any(v is None for v in out) else out
 
-    return CompiledStep(step, run, covered=len(step.stages))
+class _Unroller:
+    """Plan steps run symbolically over the ranks: one value-numbered
+    ``(ufunc, src, src|const, dst)`` instruction per distinct primitive
+    application, read off the :func:`emit_combine` / :func:`emit_map`
+    tapes the bounds proof reads.  Identities follow the step kernels'
+    (a bcast hands one object to every rank, a map keeps the arrays it
+    only moves, a fold writes a fresh row per slot), so a reply aliases
+    what a step-by-step run's did."""
+
+    def __init__(self, dtypes: Sequence[np.dtype]) -> None:
+        self.dtypes = dtypes
+        self.cls: list[int] = []  # register -> class of its arrays
+        self.inputs: dict[int, tuple[int, int]] = {}  # -> (rank, slot)
+        self.made: dict[int, tuple] = {}  # register -> its instruction
+        self.vn: dict[tuple, int] = {}
+
+    def take(self, rank: int, sig: Any) -> Any:
+        """Rank ``rank``'s input block, of :func:`_signature` ``sig``."""
+        if not sig:
+            return UNDEF if sig is None else _Blk(("rank", rank), None, None)
+        regs = tuple(range(len(self.cls), len(self.cls) + sig[0]))
+        self.cls += [sig[1]] * sig[0]
+        self.inputs.update((r, (rank, k)) for k, r in enumerate(regs))
+        return _Blk(("rank", rank), regs, regs)
+
+    def run(self, tape: Tape, **regs: Sequence[int]) -> list[int]:
+        """``tape`` (bound ``raw``) on registers: ``i=`` a map's slots,
+        ``a=`` / ``b=`` a combine's operands."""
+        regs["t"] = tmps = []
+        for fn, x, y, *_ in tape.instrs:
+            if isinstance(y, tuple):
+                y = regs[y[0]][y[1]]
+            elif y is not None:
+                y = ("c", type(y), y)
+            key = (fn, regs[x[0]][x[1]], y)
+            if key not in self.vn:
+                self.vn[key] = len(self.cls)
+                self.cls.append(self.cls[key[1]])
+                self.made[self.vn[key]] = (*key, self.vn[key])
+            tmps.append(self.vn[key])
+        return [regs[tag][k] for tag, k in tape.out]
+
+    def block(self, regs: Sequence[int], comps: Sequence = ()) -> _Blk:
+        comps = tuple(comps) or tuple(object() for _ in regs)
+        return _Blk(comps[0] if len(comps) == 1 else object(),
+                    tuple(regs), comps)
+
+    def map_block(self, label: str, blk: Any) -> Any:
+        """``label`` on one block (UNDEF passes)."""
+        if blk is UNDEF:
+            return UNDEF
+        if blk.regs is None:
+            raise JitUnsupported("runtime-shape")
+        tape = bind(emit_map(label, len(blk.regs)), "raw")
+        made: dict[int, object] = {}
+        return self.block(self.run(tape, i=blk.regs), [
+            blk.comps[k] if tag == "i" else made.setdefault(k, object())
+            for tag, k in tape.out])
+
+    def finish(self, blocks: list) -> Callable:
+        """``run(data, slots, classes, params)``, computing ``blocks`` in
+        one chunk loop: each reply row written by its own instruction
+        (else copied), only what the reply needs run, depth-first from
+        it, every other value in chunk scratch reused by liveness."""
+        rows, homes, copies, placed, objs, index = [], {}, [], {}, [], {}
+        for blk in blocks:
+            if blk is UNDEF or blk.obj in index:
+                continue
+            index[blk.obj] = len(objs)
+            if isinstance(blk.obj, tuple):  # a rank's input block, moved
+                objs.append(blk.obj[1])
+                continue
+            objs.append([])
+            for comp, reg in zip(blk.comps, blk.regs):
+                if comp not in placed and comp not in self.inputs:
+                    placed[comp] = ("row", len(rows))
+                    if reg in homes or reg in self.inputs:
+                        copies.append((reg, len(rows)))
+                    else:
+                        homes[reg] = len(rows)
+                    rows.append(self.cls[reg])
+                objs[-1].append(placed.get(comp, comp))
+        outs = [None if blk is UNDEF else index[blk.obj] for blk in blocks]
+
+        made, order, done = self.made, [], set()
+        stack = [r for r in [*homes, *(r for r, _ in copies)][::-1] if r in made]
+        while stack:
+            ins = made[stack[-1]]
+            args = [x for x in ins[1:3] if x in made and x not in done]
+            if args:
+                stack += args[::-1]
+            elif stack.pop() not in done:
+                done.add(ins[3])
+                order.append(ins)
+
+        ins_at = list(dict.fromkeys(x for x in itertools.chain(
+            (x for ins in order for x in ins[1:3]), (r for r, _ in copies),
+            *(o for o in objs if isinstance(o, list))) if x in self.inputs))
+        at = {None: None, **homes, **{x: len(rows) + k for k, x in enumerate(ins_at)}}
+        last = {x: t for t, ins in enumerate(order) for x in ins[1:3]}
+        free: dict[int, list[int]] = {}
+        scratch: list[int] = []  # class per scratch buffer
+        code = []
+        for t, (fn, a, b, d) in enumerate(order):
+            for x in {a, b}:
+                if last[x] == t and x in made and x not in homes:
+                    free.setdefault(self.cls[x], []).append(at[x])
+            if d not in homes:
+                pool = free.setdefault(self.cls[d], [])
+                if not pool:
+                    pool.append(len(rows) + len(ins_at) + len(scratch))
+                    scratch.append(self.cls[d])
+                at[d] = pool.pop()
+            if isinstance(b, tuple):
+                fn, b = _with_const(fn, b[2]), None
+            code.append((fn, at[a], at[b], at[d]))
+        code += [(_copy, at[r], None, row) for r, row in copies]
+        objs = [o if isinstance(o, int) else tuple(
+            x[1] if isinstance(x, tuple) else at[x] for x in o) for o in objs]
+        srcs = [self.inputs[x] for x in ins_at]
+
+        def run(data: list, slots: list, classes: list,
+                params: MachineParams) -> list:
+            arrays = [_BLOCKS.empty(*classes[c]) for c in rows]
+            arrays += [slots[r][k] for r, k in srcs]
+            # one class: chunked; blocks of unequal shapes: whole
+            slices = (_chunk_slices(classes[0][0], params)
+                      if len(classes) == 1 else [...])
+            n = None if slices[0] is ... else slices[0].stop
+            bufs = [np.empty(classes[c][0] if n is None else (n,),
+                             classes[c][1]) for c in scratch]
+            for sl in slices:
+                loc = sl if n is None else slice(0, sl.stop - sl.start)
+                v = [a[sl] for a in arrays] + [b[loc] for b in bufs]
+                for fn, a, b, d in code:
+                    if b is None:
+                        fn(v[a], out=v[d])
+                    else:
+                        fn(v[a], v[b], out=v[d])
+            reply = [data[o] if isinstance(o, int) else arrays[o[0]]
+                     if len(o) == 1 else tuple(arrays[j] for j in o)
+                     for o in objs]
+            return [UNDEF if k is None else reply[k] for k in outs]
+
+        return run
 
 
 def _split_sandwich(
@@ -393,204 +503,135 @@ def _split_sandwich(
     return pre, coll, post
 
 
-def _compile_bcast(
-    step: PlanStep, pre: Optional[MapStage], coll: Stage,
-    post: Optional[MapStage], params: MachineParams,
-) -> CompiledStep:
-    memos = [_TapeMemo(s.label) for s in (pre, post) if s is not None]
-
-    def run(data: list) -> Optional[list]:
-        if not data:
-            return None
-        root = data[0]
-        for memo in memos:
-            if root is UNDEF:
-                break
-            root = memo.apply(root)
-            if root is None:
-                return None
-        return [root] * len(data)
-
-    return CompiledStep(step, run, covered=len(step.stages))
+#: one plan step on the tape: the blocks before it -> the blocks after,
+#: raising :class:`JitUnsupported` where these blocks decline it
+Unroll = Callable[[_Unroller, list], list]
 
 
-def _compile_fold(
-    spread: Optional[Callable[[list, int], list]],
-    step: PlanStep, pre: Optional[MapStage], coll: Stage,
-    post: Optional[MapStage], params: MachineParams,
-) -> CompiledStep:
-    """Compile a fold of ``coll.op`` over the ranks (with optional pre/post
-    maps).  ``spread`` places the one folded block on ``p`` ranks (a
-    reduce, an allreduce); None keeps every prefix on its rank — a scan."""
-    tape = bind(emit_combine(coll.op), "raw")
-    pre_tape = bind(emit_map(pre.label, 1), "raw") if pre is not None else None
-    if pre_tape is not None and len(pre_tape.out) != tape.slots:
-        raise JitUnsupported(f"slot-shape:{pre.label}")
-    post_tape = (bind(emit_map(post.label, tape.slots), "raw")
-                 if post is not None else None)
-    n_in = 1 if pre_tape is not None else tape.slots
-    out_n = len(post_tape.out) if post_tape is not None else tape.slots
-    is_scan = spread is None
-    # a scan without a post map writes every combine straight into its
-    # output row (each tape output is a fresh instruction result), and
-    # the next combine reads that row back while it is cache-hot
-    direct = is_scan and post_tape is None
+def _bcast(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
+           label: str) -> Unroll:
+    def unroll(u: _Unroller, blocks: list) -> list:
+        if not blocks:
+            raise JitUnsupported("runtime-shape")
+        root = blocks[0]
+        for stage in (pre, post):
+            root = u.map_block(stage.label, root) if stage else root
+        return [root] * len(blocks)
 
-    def run(data: list) -> Optional[list]:
-        rows = _conform(data, n_in)
-        if not rows:
-            return None
-        p = len(rows)
-        ref = rows[0][0]
-        shape, dtype = ref.shape, ref.dtype
-        slices = _chunk_slices(shape, params)
-        max_len = None if slices[0] is ... else slices[0].stop - slices[0].start
-        outs = [
-            [_BLOCKS.empty(shape, dtype) for _ in range(out_n)]
-            for _ in range(p if is_scan else 1)
-        ]
-        pre_scratch = [
-            _Scratch(len(pre_tape.instrs), max_len, dtype) for _ in range(2)
-        ] if pre_tape is not None else None
-        cmb_scratch = [_Scratch(len(tape.instrs), max_len, dtype) for _ in range(2)]
-        post_scratch = (
-            _Scratch(len(post_tape.instrs), max_len, dtype)
-            if post_tape is not None
-            else None
-        )
-
-        for sl in slices:
-            length = None if sl is ... else sl.stop - sl.start
-
-            def leaf(i: int, parity: int) -> list[np.ndarray]:
-                views = [a[sl] for a in rows[i]]
-                if pre_tape is None:
-                    return views
-                return _run_map_tape(
-                    pre_tape, views, pre_scratch[parity].views(length)
-                )
-
-            def write(rank: int, slots: Sequence[np.ndarray]) -> None:
-                if post_tape is not None:
-                    slots = _run_map_tape(
-                        post_tape, slots, post_scratch.views(length)
-                    )
-                for j, a in enumerate(slots):
-                    outs[rank][j][sl] = a
-
-            acc = leaf(0, 0)
-            if is_scan:
-                write(0, acc)
-            for i in range(1, p):
-                rhs = leaf(i, i % 2)
-                tmps = cmb_scratch[i % 2].views(length)
-                if direct:
-                    for j, (_tag, dst) in enumerate(tape.out):
-                        tmps[dst] = outs[i][j][sl]
-                acc = _run_combine(tape, acc, rhs, tmps)
-                if is_scan and not direct:
-                    write(i, acc)
-            if not is_scan:
-                write(0, acc)
-
-        blocks = [s[0] if out_n == 1 else tuple(s) for s in outs]
-        return blocks if is_scan else spread(blocks, p)
-
-    return CompiledStep(step, run, covered=len(step.stages))
+    return unroll
 
 
-def _is_int64_block(block: Any) -> bool:
-    comps = block if isinstance(block, tuple) else (block,)
-    return all(isinstance(c, (np.ndarray, np.generic)) and c.dtype == np.int64
-               for c in comps)
+def _fold(spread: Optional[Callable[[Any, int], list]]) -> "_Jit":
+    """A left fold over the ranks, the sandwich's maps on each leaf and
+    result; ``spread`` places the folded block on ``p`` ranks (None: a
+    scan keeps every prefix)."""
+
+    def prepare(pre: Optional[MapStage], coll: Stage,
+                post: Optional[MapStage], label: str) -> Unroll:
+        tape = bind(emit_combine(coll.op), "raw")
+        pre_tape = bind(emit_map(pre.label, 1), "raw") if pre else None
+        if pre_tape is not None and len(pre_tape.out) != tape.slots:
+            raise JitUnsupported(f"slot-shape:{pre.label}")
+        post_tape = bind(emit_map(post.label, tape.slots), "raw") if post else None
+        n_in = 1 if pre_tape is not None else tape.slots
+
+        def unroll(u: _Unroller, blocks: list) -> list:
+            if (not blocks or any(b is UNDEF or b.regs is None
+                                  or len(b.regs) != n_in for b in blocks)
+                    or len({u.cls[r] for b in blocks for r in b.regs}) != 1):
+                raise JitUnsupported("runtime-shape")
+            leaves = [u.run(pre_tape, i=b.regs) if pre_tape else b.regs
+                      for b in blocks]
+            accs = list(itertools.accumulate(
+                leaves, lambda acc, leaf: u.run(tape, a=acc, b=leaf)))
+            outs = [u.block(u.run(post_tape, i=acc) if post_tape else acc)
+                    for acc in (accs if spread is None else accs[-1:])]
+            return outs if spread is None else spread(outs[0], len(blocks))
+
+        return unroll
+
+    return _Jit(prepare, lambda stage, slots: emit_combine(stage.op),
+                fold_intervals)
 
 
-def _compile_derived(
-    step: PlanStep, pre: Optional[MapStage], coll: Stage,
-    post: Optional[MapStage], params: MachineParams,
-) -> CompiledStep:
-    """Compile a comcast/iter stage as the composition of the closures its
-    definition compiles to (the pre map rides the bcast, the post map the
-    last fold) — no kernel and no tape of its own.
-
-    Exact where the definition's left folds and the stage's digit
-    traversal compute the same values: on int64 blocks proven
-    overflow-free (the caller's gate, as for every closure).  Floats
-    round by combining order, so the closure declines them itself."""
+def _derived(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
+             label: str) -> Unroll:
+    """A comcast/iter stage as the steps of its definition (the pre map
+    rides the bcast, the post map the last fold).  Exact where its left
+    folds and the stage's digit traversal agree: on int64 blocks proven
+    overflow-free.  Floats round by combining order: declined here."""
     groups = [[s] for s in coll.definition() or ()]
     if not groups:
-        raise JitUnsupported(f"uncompiled:{step.label}")
-    if pre is not None:
-        groups[0].insert(0, pre)
-    if post is not None:
-        groups[-1].append(post)
-    subs = [_compile_step(PlanStep("collective", tuple(g), step.label),
-                          params) for g in groups]
+        raise JitUnsupported(f"uncompiled:{label}")
+    groups[0][:0] = [pre] if pre else []
+    groups[-1] += [post] if post else []
+    subs = [_prepare(PlanStep("collective", tuple(g), label)) for g in groups]
     for sub in subs:
-        if sub.compiled is None:
+        if sub.unroll is None:
             raise JitUnsupported(sub.reason)
     # the doubling iteration exists for powers of two only: elsewhere the
-    # stage raises, and so must the checked step this closure defers to
+    # stage raises, and so must the checked step this one defers to
     pow2_only = isinstance(coll, IterStage) and not coll.general
 
-    def run(data: list) -> Optional[list]:
-        p = len(data)
-        if not p or not _is_int64_block(data[0]) or (pow2_only and p & (p - 1)):
-            return None
+    def unroll(u: _Unroller, blocks: list) -> list:
+        p = len(blocks)
+        root = blocks[0] if p else UNDEF
+        if (root is UNDEF or root.regs is None
+                or u.dtypes[u.cls[root.regs[0]]] != np.int64
+                or (pow2_only and p & (p - 1))):
+            raise JitUnsupported("runtime-shape")
         for sub in subs:
-            data = sub.compiled(data)
-            if data is None:
-                return None
-        return data
+            blocks = sub.unroll(u, blocks)
+        return blocks
 
-    return CompiledStep(step, run, covered=len(step.stages), ints_only=True)
+    return unroll
 
 
 @dataclass(frozen=True)
 class _Jit:
-    """How one stage class compiles and how it is proven.
+    """How one stage class unrolls and how it is proven.
 
-    ``compile(step, pre, stage, post, params)`` builds the step's closure
-    or raises :class:`JitUnsupported` with the reason to count.
-    ``tape(stage, slots)`` emits what the stage does to a block of
-    ``slots`` slots (None: it only moves blocks) and ``read`` is the
-    :mod:`repro.jit.bounds` reading of it; a class with neither is
-    proven as the pipeline it is defined by."""
+    ``unroll(pre, stage, post, label)`` returns the step's :data:`Unroll`
+    or raises :class:`JitUnsupported`, the reason to count.  ``tape(stage,
+    slots)`` emits what the stage does to a block (None: it only moves
+    blocks), ``read`` is its :mod:`repro.jit.bounds` reading; a class
+    with neither is proven as the pipeline it is defined by."""
 
-    compile: Callable[..., CompiledStep]
+    unroll: Callable[..., Unroll]
     tape: Optional[Callable[[Any, int], Any]] = None
     read: Optional[Callable] = None
-
-
-def _fold(spread: Optional[Callable[[list, int], list]]) -> _Jit:
-    return _Jit(partial(_compile_fold, spread),
-                lambda stage, slots: emit_combine(stage.op), fold_intervals)
 
 
 #: stage class -> its entry (the ``machine.run._MACHINE`` pattern); a
 #: class without one runs the checked kernels (``uncompiled:<stage>``)
 _JIT: dict[type, _Jit] = {
-    MapStage: _Jit(_compile_local,
+    MapStage: _Jit(lambda pre, stage, post, label: lambda u, blocks: [
+                       u.map_block(stage.label, b) for b in blocks],
                    lambda stage, slots: emit_map(stage.label, slots),
                    map_intervals),
-    BcastStage: _Jit(_compile_bcast, lambda stage, slots: None),
+    BcastStage: _Jit(_bcast, lambda stage, slots: None),
     ScanStage: _fold(None),
-    ReduceStage: _fold(lambda blocks, p: blocks + [UNDEF] * (p - 1)),
-    AllReduceStage: _fold(lambda blocks, p: blocks * p),  # one object, p ranks
-    ComcastStage: _Jit(_compile_derived),
-    IterStage: _Jit(_compile_derived),
+    ReduceStage: _fold(lambda blk, p: [blk] + [UNDEF] * (p - 1)),
+    AllReduceStage: _fold(lambda blk, p: [blk] * p),  # one object, p ranks
+    ComcastStage: _Jit(_derived),
+    IterStage: _Jit(_derived),
 }
 
+#: a plan step and its unrolling (None: always checked, for ``reason``);
+#: ``ints_only``: exact on int64 blocks only, declining the rest
+_Step = namedtuple("_Step", "plan_step unroll reason ints_only")
 
-def _compile_step(step: PlanStep, params: MachineParams) -> CompiledStep:
+
+def _prepare(step: PlanStep) -> _Step:
     pre, coll, post = _split_sandwich(step)
     entry = _JIT.get(type(coll))
-    if entry is None:
-        return CompiledStep(step, None, reason=f"uncompiled:{step.label}")
     try:
-        return entry.compile(step, pre, coll, post, params)
+        if entry is None:
+            raise JitUnsupported(f"uncompiled:{step.label}")
+        return _Step(step, entry.unroll(pre, coll, post, step.label), "",
+                     entry.unroll is _derived)
     except JitUnsupported as exc:
-        return CompiledStep(step, None, reason=str(exc))
+        return _Step(step, None, str(exc), False)
 
 
 def proof_steps(program: Program) -> tuple[tuple[Callable, Any], ...]:
@@ -601,10 +642,10 @@ def proof_steps(program: Program) -> tuple[tuple[Callable, Any], ...]:
     threaded from the one-slot input blocks.
 
     So a stage with a definition (comcast, iter) is proven as that
-    pipeline, which is what its compiled closure
+    pipeline, which is what its tape
     executes — *not* what the engines' digit traversal computes
     (``b^(2^step)`` may leave the hull of the folds), so the proof
-    licenses the closure and no raw engine form.  Raises
+    licenses the tape and no raw engine form.  Raises
     :class:`JitUnsupported` where a stage or a row states no proof."""
     slots, steps = 1, []
     for stage in program.through_definitions():
@@ -665,18 +706,17 @@ def _input_profile(vec: Sequence[Any]) -> tuple[str, tuple[int, int]]:
 
 
 class CompiledProgram:
-    """A vector plan with compiled closures for every supported step."""
+    """A vector plan whose supported steps run as register tapes."""
 
     def __init__(self, plan: VectorPlan, params: MachineParams) -> None:
         self.plan = plan
         self.params = params
-        self.steps = [_compile_step(s, params) for s in plan.steps]
-        self.fused_stages = sum(
-            s.covered for s in self.steps if s.compiled is not None
-        )
-        #: why the first kernelized-only step has no closure ("" = none)
+        self.steps = [_prepare(s) for s in plan.steps]
+        self.fused_stages = sum(len(s.plan_step.stages)
+                                for s in self.steps if s.unroll is not None)
+        #: why the first always-checked step does not unroll ("" = none)
         self.uncompiled = next(
-            (s.reason for s in self.steps if s.compiled is None), ""
+            (s.reason for s in self.steps if s.unroll is None), ""
         )
         #: the interval reading of the program's tapes, emitted once here —
         #: or why a stage or a row states no proof
@@ -687,6 +727,9 @@ class CompiledProgram:
         #: (input hull, p) -> prove(self.proof, hull, p), a pure function of
         #: the two: a repeated input skips the interval run
         self._verdicts = BoundedStore(64)
+        #: (first step, block signature) -> the register tape from there:
+        #: unrolled once per p, slot widths and definedness
+        self._tapes = BoundedStore(64)
 
     def proven_safe(
         self, profile: tuple[str, tuple[int, int]], p: int
@@ -709,7 +752,7 @@ class CompiledProgram:
     def pretty(self) -> str:
         lines = []
         for s in self.steps:
-            tag = "jit " if s.compiled is not None else "kern"
+            tag = "jit " if s.unroll is not None else "kern"
             lines.append(f"[{tag}] {s.plan_step.pretty()}")
         return "\n".join(lines)
 
@@ -723,43 +766,57 @@ class CompiledProgram:
         proven, why = self.proven_safe(profile, len(vec))
         if not proven:
             STATS.fallbacks[why] += 1
-        data = list(vec)
-        full = True
-        for st in self.steps:
-            out = None
-            if proven and st.compiled is not None:
-                out = st.compiled(data)
-                if out is None and st.ints_only and profile[0] != "int":
-                    STATS.fallbacks[f"{profile[0]}-blocks"] += 1
-                elif out is None:
-                    STATS.fallbacks["runtime-shape"] += 1
-            elif st.compiled is None:
-                STATS.fallbacks[st.reason] += 1
-            if out is None:
-                out = st.plan_step.run(data)
-                STATS.kernelized_steps += 1
-                full = False
-            else:
-                STATS.compiled_steps += 1
-            data = out
-        if full and self.steps:
-            STATS.full_jit_runs += 1
+        data, i, regime = list(vec), 0, profile[0]
+        full = bool(self.steps)
+        while True:
+            if proven:
+                data, covered = self._tape(i, data)
+                i += covered
+            if i == len(self.steps):
+                break
+            st = self.steps[i]
+            if st.reason or proven:  # never unrolls, or these blocks decline it
+                STATS.fallbacks[st.reason or (
+                    f"{regime}-blocks" if st.ints_only and regime != "int"
+                    else "runtime-shape")] += 1
+            data = st.plan_step.run(data)
+            STATS.kernelized_steps += 1
+            full = False
+            i += 1
+        STATS.full_jit_runs += full
         return data
 
     def run_compiled(self, vec: Sequence[Any]) -> Optional[list]:
-        """Every step through its closure, or None once one declines —
+        """Every step on register tapes, or None once one declines —
         for callers that have proven the run overflow-free and hold a
         lower rung to drop to (the engines' fused rung): no profiling, no
         checked fallback, never raises ``KernelFallback``."""
-        data: Optional[list] = list(vec)
-        for st in self.steps:
-            if st.compiled is None:
-                return None
-            data = st.compiled(data)
-            if data is None:
-                return None
-            STATS.compiled_steps += 1
-        return data
+        data, covered = self._tape(0, list(vec))
+        return data if covered == len(self.steps) else None
+
+    def _tape(self, start: int, data: list) -> tuple[list, int]:
+        """Run as many steps from ``start`` as ``data`` lets unroll, as
+        one chunk loop; the blocks after them and how many ran."""
+        sig, classes, slots = _signature(data)
+        key = (start, sig, tuple(dtype for _, dtype in classes))
+        tape = self._tapes.get(key)
+        if tape is None:
+            u, covered = _Unroller(key[2]), 0
+            blocks = [u.take(rank, s) for rank, s in enumerate(sig)]
+            for st in itertools.takewhile(lambda st: st.unroll,
+                                          self.steps[start:]):
+                try:
+                    blocks = st.unroll(u, blocks)
+                except JitUnsupported:
+                    break
+                covered += 1
+            tape = (covered, u.finish(blocks) if covered else None)
+            self._tapes.put(key, tape)
+        covered, run = tape
+        if covered:
+            STATS.compiled_steps += covered
+            data = run(data, slots, classes, self.params)
+        return data, covered
 
     @cached_property
     def engine_programs(self) -> tuple[Optional[Program], Program]:
@@ -842,6 +899,30 @@ def _as_scalar(a: np.ndarray) -> Any:
     return a[()] if isinstance(a, np.ndarray) and a.ndim == 0 else a
 
 
+class _TapeMemo:
+    """One map label's raw tapes, memoised by the observed input arity."""
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+        self.tapes: dict[int, Optional[Tape]] = {}
+
+    def apply(self, block: Any) -> Any:
+        """The label applied to one defined block (allocating), or None
+        when the label has no tape or the block does not conform."""
+        arity = len(block) if isinstance(block, tuple) else 1
+        if arity not in self.tapes:
+            try:
+                self.tapes[arity] = bind(emit_map(self.label, arity), "raw")
+            except JitUnsupported:
+                self.tapes[arity] = None
+        tape = self.tapes[arity]
+        row = _conform([block], arity) if tape is not None else None
+        if row is None:
+            return None
+        vals = _run_map_tape(tape, row[0])
+        return vals[0] if len(vals) == 1 else tuple(vals)
+
+
 def _raw_map_fn(label: str, checked_fn: Callable) -> Callable:
     """Per-block map: raw tape when the block conforms, else the checked
     kernelized fn (which itself falls back to object mode)."""
@@ -888,7 +969,7 @@ def _token_op(a: Any, b: Any) -> Any:
 class EngineLowering:
     """What a simulated engine is handed under ``jit=True``, and why.
 
-    ``rung`` is ``"fused"`` (values from the compiled step kernels while
+    ``rung`` is ``"fused"`` (values from the compiled register tapes while
     the engine schedules ``program`` on :data:`DEFINED` tokens), ``"raw"``
     (the engine carries the blocks through raw kernels) or ``"checked"``
     (through the overflow-checked kernels); ``why`` is the reason the
@@ -911,7 +992,7 @@ def engine_lower(
 
     The first rung whose conditions the program and these inputs meet:
 
-    * ``"fused"`` — every plan step has a compiled closure (a
+    * ``"fused"`` — every plan step unrolls onto a register tape (a
       map/scan/reduce/allreduce/bcast, or a comcast/iter stage through
       its definition) and every input is a defined, conforming int64
       array whose hull the bounds analysis proves overflow-free.  Then
@@ -923,7 +1004,7 @@ def engine_lower(
       A comcast/iter stage has none: its proof is of the definition.
     * ``"checked"`` — the plain kernelized program.
 
-    What only the run can tell — a non-empty fault plan, a closure
+    What only the run can tell — a non-empty fault plan, a step
     declining its runtime blocks — is settled by
     :func:`run_engine_ladder`, which then drops ``"fused"`` to ``below``.
 
@@ -963,7 +1044,7 @@ def engine_lower(
 def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:
     """Kernel values joined with a token run's schedule — or None, reason
     counted, where only the run can tell the fused rung does not apply:
-    a fault plan makes definedness depend on the schedule, a closure may
+    a fault plan makes definedness depend on the schedule, a step may
     decline its runtime blocks, and the token run must leave ``UNDEF``
     exactly where the kernels do.  An engine that keeps token schedules
     resident (``run.resident``, the cooperative one) answers without

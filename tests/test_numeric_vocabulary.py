@@ -222,6 +222,38 @@ def test_every_fold_tree_stays_inside_the_fold_hull(seed):
     assert all(abs(v) <= ctx.worst for w in writes for v in w.tolist())
 
 
+#: the shipped tapes that do not commute, and hulls that are negative or
+#: straddle zero (where ``op#(C(k-1), C(1))`` and ``op#(C(1), C(k-1))`` part)
+NONCOMMUTING = [sr2_op(*pair) for pair in SEMIRINGS] + [
+    product_op(sr2_op(MUL, ADD), ADD)]
+SIGNED_HULLS = ((-6, -5), (-3, -1), (-40, -7), (-3, 3), (-6, 2), (-1, 5))
+
+
+def _bracketings(ctx, tape, leaf, k: int) -> list:
+    """``op#`` over every bracketing of ``k`` leaves, one result each."""
+    if k == 1:
+        return [tuple(leaf)]
+    return [combine_intervals(ctx, tape, x, y) for a in range(1, k)
+            for x in _bracketings(ctx, tape, leaf, a)
+            for y in _bracketings(ctx, tape, leaf, k - a)]
+
+
+@pytest.mark.parametrize("hull", SIGNED_HULLS)
+@pytest.mark.parametrize("op", NONCOMMUTING, ids=lambda op: op.name)
+def test_every_bracketing_lies_inside_the_fold_hull(op, hull):
+    tape = bind(emit_combine(op), "interval")
+    leaf = [hull] * tape.slots  # a pair / triple leaf
+    for p in range(1, 6):
+        ctx = BoundsCtx()
+        got = fold_intervals(ctx, tape, leaf, p)
+        seen = Recorder()
+        for k in range(1, p + 1):
+            for tree in _bracketings(seen, tape, leaf, k):
+                for iv, out in zip(tree, got):
+                    assert out[0] <= iv[0] and iv[1] <= out[1], (p, k, tree, got)
+        assert all(max(-iv[0], iv[1]) <= ctx.worst for iv in seen.seen)
+
+
 def _map_case(seed: int):
     """``(rng, slots, tape)`` of a random fused label; the tape is None
     where the label does not fit the slots (``pi_1`` of a scalar)."""
