@@ -14,7 +14,8 @@ straight-line tape of raw ufunc calls, run as one chunk loop:
   drops is never written;
 * overflow guards are hoisted to **one static range check per program**
   (:mod:`repro.jit.bounds`): exact interval propagation over the
-  actual input hull proves raw int64 ufuncs can never wrap;
+  actual input hull, read in one pass per block, proves raw int64
+  ufuncs can never wrap;
 * chunk sizes come from the same :func:`core.cost.pipeline_chunk_count`
   model the communication layer uses.
 

@@ -40,6 +40,17 @@ the exponential blow-up of naive ``J -> op#(J, J)`` iteration — for
 ``mul`` on ``[1, 3]`` at ``p = 8`` the table tops out at ``3**8``, not
 ``3**128``.
 
+The input hull
+--------------
+The compiler reads each int64 input block once, with
+``np.bitwise_or.reduce``: when the OR is non-negative no element has the
+sign bit set and each element's bits are a subset of the OR's, so the
+block lies in ``[0, OR]``; otherwise it reads the block's exact
+``min``/``max``.  Every interval extension here is inclusion-monotone,
+so a proof of that possibly wider hull proves every hull inside it;
+where it does not prove, the compiler proves the exact ``min``/``max``
+hull instead, and every verdict is the exact hull's.
+
 Floats are trivially safe (raw and checked kernels are the same ufunc
 in the same association order); bools and mixed dtypes are never
 proven.  Intervals are exact Python bigints, so the analysis itself

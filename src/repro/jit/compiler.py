@@ -18,8 +18,9 @@ and run as one chunk loop:
   liveness (`core.cost.pipeline_chunk_count` sizes the chunks), never in
   a block-sized array;
 * overflow guards are gone entirely: :mod:`repro.jit.bounds` proves at
-  run time (one min/max pass per input plus exact bigint interval
-  propagation) that no intermediate can leave the int64-safe range.
+  run time (one bitwise-or pass per input block plus exact bigint
+  interval propagation) that no intermediate can leave the int64-safe
+  range.
 
 A ``comcast``/``iter`` stage has no tape of its own: it unrolls as the
 pipeline it is defined by (:meth:`~repro.core.stages.Stage.definition`,
@@ -676,14 +677,26 @@ def analyze_stages(stages: Sequence[Stage], input_iv: Interval, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _input_profile(vec: Sequence[Any]) -> tuple[str, tuple[int, int]]:
-    """(dtype regime, int interval hull) over all defined input arrays."""
+def _hull(a: np.ndarray, exact: bool = False) -> tuple[int, int]:
+    """One int64 block's hull in one pass: ``[0, OR]`` when no element
+    has the sign bit set (each element's bits are a subset of the OR's),
+    else — or when ``exact`` — its ``min``/``max``."""
+    if not exact:
+        top = int(np.bitwise_or.reduce(a, axis=None))
+        if top >= 0:
+            return 0, top
+    return int(a.min()), int(a.max())
+
+
+def _input_profile(vec: Sequence[Any]) -> tuple:
+    """(dtype regime, int hull[, exact hull thunk]) over all defined input
+    arrays: the regime reads every dtype and reduces nothing; the hull is
+    :func:`_hull`'s one pass per block — possibly wider than the exact
+    ``min``/``max`` hull, which the thunk reads."""
     kinds: set[str] = set()
-    lo, hi = 0, 0
-    seen_vals = False
+    ints = []
     for b in vec:
-        comps = b if isinstance(b, tuple) else (b,)
-        for a in comps:
+        for a in b if isinstance(b, tuple) else (b,):
             if not isinstance(a, (np.ndarray, np.generic)):
                 continue
             a = np.asarray(a)
@@ -691,18 +704,18 @@ def _input_profile(vec: Sequence[Any]) -> tuple[str, tuple[int, int]]:
                 return "other", (0, 0)
             kinds.add(a.dtype.kind)
             if a.dtype.kind == "i" and a.size:
-                alo, ahi = int(a.min()), int(a.max())
-                if seen_vals:
-                    lo, hi = min(lo, alo), max(hi, ahi)
-                else:
-                    lo, hi, seen_vals = alo, ahi, True
-    if not kinds:
-        return "empty", (0, 0)
-    if kinds == {"f"}:
-        return "float", (0, 0)
-    if kinds == {"i"}:
-        return "int", (lo, hi)
-    return "other", (0, 0)
+                ints.append(a)
+    if kinds != {"i"}:
+        return ("empty" if not kinds else "float" if kinds == {"f"}
+                else "other"), (0, 0)
+
+    def join(hulls: list) -> tuple[int, int]:
+        return (min((lo for lo, _ in hulls), default=0),
+                max((hi for _, hi in hulls), default=0))
+
+    hulls = [_hull(a) for a in ints]  # lo < 0: already min/max
+    return "int", join(hulls), lambda: join([
+        _hull(a, exact=True) if h[0] == 0 else h for a, h in zip(ints, hulls)])
 
 
 class CompiledProgram:
@@ -731,23 +744,26 @@ class CompiledProgram:
         #: unrolled once per p, slot widths and definedness
         self._tapes = BoundedStore(64)
 
-    def proven_safe(
-        self, profile: tuple[str, tuple[int, int]], p: int
-    ) -> tuple[bool, str]:
-        """One static range check per program: may every guard be dropped?"""
-        regime, iv = profile
+    def proven_safe(self, profile: tuple, p: int) -> tuple[bool, str]:
+        """One static range check per program: may every guard be dropped?
+        Proven on the profile's hull, else on its exact hull: a proof
+        of a hull holds for every hull inside it."""
+        regime, *hulls = profile
         if regime in ("float", "empty"):
             return True, ""
         if regime != "int":
             return False, "dtype-unproven"
         if self.unprovable:
             return False, self.unprovable
-        key = (iv, max(p, 1))
-        safe = self._verdicts.get(key)
-        if safe is None:
-            safe = prove(self.proof, *key)
-            self._verdicts.put(key, safe)
-        return (True, "") if safe else (False, "bounds-unproven")
+        for iv in hulls:
+            key = (iv() if callable(iv) else iv, max(p, 1))
+            safe = self._verdicts.get(key)
+            if safe is None:
+                safe = prove(self.proof, *key)
+                self._verdicts.put(key, safe)
+            if safe:
+                return True, ""
+        return False, "bounds-unproven"
 
     def pretty(self) -> str:
         lines = []

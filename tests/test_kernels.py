@@ -39,6 +39,7 @@ from repro.core.rules import FULL_RULES
 from repro.core.rewrite import fuse_local_stages
 from repro.core.segmented import segmented_op
 from repro.core.stages import (
+    AllReduceStage,
     BcastStage,
     MapStage,
     Program,
@@ -113,6 +114,28 @@ class TestRegistry:
         kernel = binop_kernel(op)
         got = devectorize_block(kernel(vectorize_block(a), vectorize_block(b)))
         assert defined_equal([got], [op(a, b)])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the kernel registry resolves a leaf operator by name, so an operator "
+    "named 'mul' computes with the mul kernel whatever its fn (ROADMAP "
+    "item 1)"))
+def test_a_same_named_operator_gets_no_kernel():
+    """``mymul`` is max under the name ``mul``: every backend must compute
+    max (4), where the kernelized ones compute the product (24)."""
+    from repro.jit import run_jit
+
+    mymul = BinOp("mul", max, associative=True, commutative=True)
+    prog = Program([AllReduceStage(mymul)])
+    params = MachineParams(p=4, ts=10.0, tw=1.0, m=1)
+    xs = [1, 2, 3, 4]
+    want = [4] * 4
+    assert prog.run(list(xs)) == want
+    assert list(simulate_program(prog, xs, params).values) == want
+    for backend in ({"vectorize": True}, {"jit": True}):
+        assert list(simulate_program(prog, xs, params, **backend).values) == want
+    assert list(run_vectorized(prog, list(xs))) == want
+    assert list(run_jit(prog, list(xs))) == want
 
 
 # ---------------------------------------------------------------------------

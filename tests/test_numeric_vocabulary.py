@@ -8,12 +8,15 @@ under ``repro.jit``, and the fallback contract is caught in one place.
 The soundness property runs the *same emitted tape* twice — bound to the
 rows' raw ufuncs on random blocks, and to their interval extensions on
 the blocks' hulls — and holds every write of the first to the interval
-the second recorded for that instruction.
+the second recorded for that instruction.  The hull properties hold the
+proof monotone in its input hull, and the verdict on the compiler's
+one-pass hull to the verdict on the exact min/max hull.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import random
 from pathlib import Path
 
@@ -22,11 +25,13 @@ import pytest
 
 from repro.core.derived_ops import sr2_op
 from repro.core.operators import ADD, MAX, MIN, MUL, product_op
+from repro.jit import CompiledProgram, compiled_program, engine_lower
 from repro.jit.bounds import (
     BoundsCtx,
     combine_intervals,
     fold_intervals,
     map_intervals,
+    prove,
 )
 from repro.jit.compiler import (
     JitUnsupported,
@@ -37,6 +42,7 @@ from repro.jit.compiler import (
     emit_map,
 )
 from repro.testing.generator import INT_DOMAIN, VEC_DOMAIN
+from test_register_tape import _decks
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -287,3 +293,111 @@ def test_the_property_reaches_every_shape():
     assert {op.kind for op in ops} >= {"", "ew", "sr2", "product"}
     tapes = [_map_case(seed)[2] for seed in range(60)]
     assert sum(bool(tape and tape.instrs) for tape in tapes) >= 5
+
+
+# ---------------------------------------------------------------------------
+# The input hull: read in one pass, proven as the exact min/max hull
+# ---------------------------------------------------------------------------
+
+#: the machine sizes the hull properties run at
+HULL_PS = (1, 2, 3, 5, 8, 16)
+
+
+_hull_decks = functools.cache(_decks)
+
+
+@functools.cache
+def _edge(name: str, p: int) -> int:
+    """The largest ``h`` whose hull ``(0, h)`` the deck's proof proves."""
+    proof, lo, hi = compiled_program(_hull_decks()[name]).proof, 0, 2 ** 63
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if prove(proof, (0, mid), p) else (lo, mid - 1)
+    return lo
+
+
+def _magnitude(rng: random.Random, edge: int) -> int:
+    """At the proven edge, small, or anywhere up to the int64 range."""
+    return rng.choice((max(0, edge + rng.randint(-2, 2)), rng.randint(0, 9),
+                       rng.randint(0, 2 ** rng.randint(0, 62))))
+
+
+@pytest.mark.parametrize("name", list(_hull_decks()))
+def test_the_proof_is_monotone_in_the_hull(name):
+    """``prove(H′)`` implies ``prove(H)`` for every ``H ⊆ H′``: what lets
+    the proof run on a one-pass hull wider than the exact one."""
+    rng, verdicts = random.Random(name), set()
+    proof = compiled_program(_hull_decks()[name]).proof
+    for p in HULL_PS:
+        edge = _edge(name, p)
+        for _ in range(30):
+            lo, hi = sorted(rng.choice((1, -1)) * _magnitude(rng, edge)
+                            for _ in "ab")
+            inner = sorted(rng.randint(lo, hi) for _ in "ab")
+            wide = prove(proof, (lo, hi), p)
+            verdicts.add(wide)
+            assert not wide or prove(proof, tuple(inner), p), (p, lo, hi, inner)
+    assert verdicts == {True, False}
+
+
+def _hull_blocks(kind: str, rng: random.Random, p: int, edge: int) -> list:
+    """``p`` int64 input blocks of one kind (up to 5 elements each)."""
+    def block(lo: int, hi: int, n: int = 5) -> np.ndarray:
+        return np.array([rng.randint(lo, hi) for _ in range(n)], dtype=np.int64)
+
+    top = edge + 1  # edge <= 2**62: an int64
+    if kind == "nonnegative":
+        return [block(0, _magnitude(rng, edge)) for _ in range(p)]
+    if kind == "negative":
+        return [block(-_magnitude(rng, edge) - 1, -1) for _ in range(p)]
+    if kind == "mixed":
+        m = _magnitude(rng, edge)
+        return [block(-m, m) for _ in range(p)]
+    if kind == "0d":
+        return [np.asarray(rng.choice((1, -1)) * rng.randint(0, top),
+                           dtype=np.int64) for _ in range(p)]
+    if kind == "empty":  # every block empty, or empty beside small ones
+        return [block(0, 3, rng.choice((0, 0, 3))) for _ in range(p)]
+    # at the edge: blocks holding edge (or edge + 1) beside edge's lowest
+    # unset bit, so the OR leaves the proven range (unless edge is all
+    # ones); and a small root beside a wide block on the last rank
+    bit = ~edge & top
+    xs = [np.array([bit if bit < edge else 1, rng.choice((edge, top))]
+                   + [rng.randint(0, edge) for _ in range(3)], dtype=np.int64)
+          for _ in range(p)]
+    if p > 1 and rng.random() < 0.5:
+        xs = [block(0, 2)] * (p - 1) + [np.array([1, top], dtype=np.int64)]
+    return xs
+
+
+def _exact_hull(xs: list) -> tuple[int, int]:
+    """The min/max hull of the non-empty blocks ((0, 0) when none is)."""
+    full = [x for x in xs if x.size]
+    return (min((int(x.min()) for x in full), default=0),
+            max((int(x.max()) for x in full), default=0))
+
+
+@pytest.mark.parametrize("kind", [
+    "nonnegative", "negative", "mixed", "0d", "empty", "edge"])
+def test_the_one_pass_verdict_is_the_exact_hulls(kind, monkeypatch):
+    """The verdict ``engine_lower`` reaches on its one-pass profile is the
+    one proven on the exact min/max hull of every rank's block, for
+    every deck."""
+    seen, proven_safe = [], CompiledProgram.proven_safe
+    monkeypatch.setattr(CompiledProgram, "proven_safe", lambda cp, profile, p:
+                        seen.append((profile, proven_safe(cp, profile, p)))
+                        or seen[-1][1])
+    rng, widened = random.Random(kind), 0
+    for name, prog in _hull_decks().items():
+        cp = compiled_program(prog)
+        for p in HULL_PS:
+            for _ in range(6):
+                xs = _hull_blocks(kind, rng, p, _edge(name, p))
+                want = proven_safe(cp, ("int", _exact_hull(xs)), p)
+                seen.clear()
+                engine_lower(prog, xs)
+                [(profile, got)] = seen
+                assert got == want, (name, p, xs)
+                widened += want[0] and not prove(cp.proof, profile[1], p)
+    # runs the one-pass hull does not prove, and the exact one does
+    assert widened or kind not in ("edge", "nonnegative")

@@ -317,6 +317,27 @@ class TestWork:
         assert all(np.array_equal(a, b) for a, b in zip(res.values, want)
                    if a is not UNDEF)
 
+    @pytest.mark.parametrize("name", ["sr2", "ss", "comcast", "allreduce"])
+    def test_the_hull_reads_each_input_once(self, name, monkeypatch):
+        # one bitwise-or pass per block, no min/max: the blocks hold 1..3
+        from repro.jit import compiler
+
+        prog = _exec_block_deck()[name]
+        xs = [np.random.default_rng(k).integers(1, 4, BLOCK).astype(np.int64)
+              for k in range(P)]
+        simulate_program(prog, xs, _params(P, BLOCK), jit=True)
+        reads: Counter = Counter()
+        hull = compiler._hull
+
+        def counted(a, exact=False):
+            reads["exact" if exact else "one-pass"] += 1
+            return hull(a, exact)
+
+        monkeypatch.setattr(compiler, "_hull", counted)
+        simulate_program(prog, xs, _params(P, BLOCK), jit=True)
+        assert reads == {"one-pass": P}
+        assert STATS.full_jit_runs == 2 and not STATS.fallbacks
+
     def test_sr2_runs_fourteen_raw_ufunc_calls_per_chunk(self):
         # per combine s1 + r1·x and r1·x: pair made both rhs slots one
         # block, so r1·s2 and r1·r2 are one instruction, not two
