@@ -68,9 +68,9 @@ class OptimizationResult:
 
 
 def clear_match_cache() -> None:
-    """Empty the stores a cold request shares (tests): the shape table and
-    the kept rewrites (:mod:`repro.core.search`), the interned stages and
-    the statement store (:mod:`repro.lang.parser`)."""
+    """Empty the stores a cold request shares (tests): the shape table,
+    the kept rewrites and the key pieces (:mod:`repro.core.search`), the
+    interned stages and the statement store (:mod:`repro.lang.parser`)."""
     for store in _STORES:
         store.clear()
 

@@ -39,7 +39,6 @@ the cost.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,7 +46,14 @@ from repro.core.cost import MachineParams
 from repro.core.optimizer import _COST, OptimizationResult, _descend
 from repro.core.rewrite import Derivation, _usable, apply_match, match_at
 from repro.core.rules import ALL_RULES, Rule, RuleApplication, rule_by_name
-from repro.core.search import Search, op_signature, plan_signature
+from repro.core.search import (
+    _KEY_PARTS,
+    Search,
+    _facts,
+    _json,
+    op_signature,
+    plan_signature,
+)
 from repro.core.stages import Program
 
 __all__ = [
@@ -100,16 +106,19 @@ def rules_signature(rules: Iterable[Rule]) -> tuple[str, ...]:
 def cache_key(program: Program, params: MachineParams,
               rules: Iterable[Rule] = ALL_RULES, strategy: str = "beam",
               allow_lossy: bool = False) -> str:
-    """Stable hex digest keying a plan-cache entry."""
-    doc = {
-        "signature": plan_signature(program),
-        "params": params_signature(params),
-        "rules": rules_signature(rules),
-        "strategy": strategy,
-        "allow_lossy": allow_lossy,
-    }
-    blob = json.dumps(doc, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """Stable hex digest keying a plan-cache entry: the sha256 of its JSON
+    document (keys sorted), joined from pieces encoded once.  The entry
+    of ``_KEY_PARTS`` holds the (frozen) params, so their id stays its own."""
+    rules = tuple(rules)
+    parts = _KEY_PARTS.get((id(params), rules))
+    if parts is None:
+        parts = (params, f'"params": {_json(params_signature(params))}, '
+                         f'"rules": {_json(rules_signature(rules))}')
+        _KEY_PARTS.put((id(params), rules), parts)
+    signature = ", ".join([_facts(stage)[2] for stage in program.stages])
+    blob = (f'{{"allow_lossy": {_json(allow_lossy)}, {parts[1]}, '
+            f'"signature": [{signature}], "strategy": {_json(strategy)}}}')
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

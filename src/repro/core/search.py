@@ -12,13 +12,14 @@ beam search and exhaustive search (:mod:`repro.core.optimizer`,
 depends on:
 
 * **which rules match a window** — the candidates its stage classes
-  admit, from a process-wide shape table (below), each asked
-  ``rule.match`` on the window itself.  A child's site list is its
-  parent's with the untouched sites re-indexed; only windows that overlap
-  the rewritten region, or end exactly where it starts (a lossy rule's
-  ``safe`` flag reads the stage *after* its window), are scanned again;
-* **a stage's signature token and rendering** — memoised on the
-  immutable stage object, so a child's signature is
+  (spliced like the tokens) admit, from a process-wide shape table
+  (below), each asked ``rule.match`` on the window itself.  A child's
+  site list is its parent's with the untouched sites re-indexed; only
+  windows that hold an inserted stage (or, for an empty right-hand side,
+  span the junction) are scanned, and a site ending where the rewrite
+  starts re-reads a lossy rule's ``safe`` flag (it reads the stage after);
+* **a stage's signature token, rendering and token JSON** — memoised on
+  the immutable stage object, so a child's signature is
   ``parent[:s] + tokens(inserted) + parent[s + w:]``;
 * **a stage's cost** — once per search and stage, summed left to right
   as :func:`~repro.core.cost.program_cost` does, so costs are
@@ -26,18 +27,20 @@ depends on:
 * **a rewrite** — a function of the window and ``p``, kept once per
   process and (rule, window stage objects) (below): a later site over the
   same objects, in any search, reuses the inserted stage *objects* with
-  their tokens and renderings; their costs are kept once per search;
+  their facts; their costs are kept once per search;
 * **a program's children** — built once per node, in ``(rule order,
   start)`` order, as stage tuples with spliced facts: a
-  :class:`~repro.core.stages.Program` and a trace are derived for the
-  nodes somebody reads them from.
+  :class:`~repro.core.stages.Program`, a trace and the renderings are
+  derived for the nodes somebody reads them from.
 
-Every check of the rewrite engine stays: the safety test and
-``rule.match`` run at every site, reused rewrite or not.
+Every check of the rewrite engine stays: the safety test runs at every
+site, and ``rule.match`` once per site and node — in the node's scan for
+a window it created, in ``_child`` for one it inherited.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -63,21 +66,27 @@ __all__ = ["Search", "Node", "plan_signature", "op_signature"]
 # (``Stage.token``, with ``operators.op_signature`` for the operators).
 
 
-def _facts(stage: Stage) -> tuple[tuple, str]:
-    """``(signature token, rendering)`` of a stage, computed once per
-    stage object (stages are frozen; the memo sits beside their fields
-    and is invisible to dataclass equality, ``repr`` and ``replace``)."""
+#: ``json.dumps(value, sort_keys=True, default=str)``, one encoder for all
+_json = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def _facts(stage: Stage) -> tuple[tuple, str, str]:
+    """``(signature token, rendering, token JSON)`` of a stage, computed
+    once per stage object (stages are frozen; the memo sits beside their
+    fields and is invisible to dataclass equality, ``repr`` and
+    ``replace``)."""
     facts = stage.__dict__.get("_search_facts")
     if facts is None:
-        facts = stage.__dict__["_search_facts"] = (stage.token(),
-                                                   stage.pretty())
+        token = stage.token()
+        facts = stage.__dict__["_search_facts"] = (
+            token, stage.pretty(), _json(token))
     return facts
 
 
 def _stage_facts(stages: tuple[Stage, ...]) -> tuple[tuple, tuple]:
-    """``(tokens, renderings)`` of ``stages``, stage by stage."""
-    facts = [_facts(stage) for stage in stages]
-    return tuple(f[0] for f in facts), tuple(f[1] for f in facts)
+    """``(tokens, classes)`` of ``stages``, stage by stage."""
+    return (tuple(_facts(stage)[0] for stage in stages),
+            tuple(map(type, stages)))
 
 
 def plan_signature(program: Program) -> tuple[tuple, ...]:
@@ -108,9 +117,12 @@ def plan_signature(program: Program) -> tuple[tuple, ...]:
 
 _REWRITES = BoundedStore(4096)
 _SHAPES = BoundedStore(_REWRITES.bound)
+#: (id of the params, rule rows) -> (params, the plan-cache key's params
+#: and rules members as JSON; :func:`repro.core.planner.cache_key`)
+_KEY_PARTS = BoundedStore(256)
 
 #: what ``clear_match_cache()`` empties; the parser adds its stores
-_STORES = [_SHAPES, _REWRITES]
+_STORES = [_SHAPES, _REWRITES, _KEY_PARTS]
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +135,15 @@ class Node:
     """One program of the rewrite graph with its per-stage facts.
 
     ``stages`` is the program's stage tuple, ``tokens`` the canonical
-    :func:`plan_signature`, ``renderings`` the per-stage ``pretty()``
-    strings, ``costs`` the per-stage model costs and ``cost`` their sum.
-    ``program`` and ``steps`` (the trace from the root) are derived from
-    ``origin`` when read.
+    :func:`plan_signature`, ``classes`` the stages' classes, ``costs``
+    the per-stage model costs and ``cost`` their sum.  ``renderings``
+    (the per-stage ``pretty()`` strings), ``program`` and ``steps`` (the
+    trace from the root) are derived when read.
     """
 
     stages: tuple[Stage, ...]
     tokens: tuple
-    renderings: tuple
+    classes: tuple
     costs: tuple
     cost: float
     #: the rewrite that made it: (parent, start, window, inserted, rule)
@@ -140,6 +152,15 @@ class Node:
     sites: list | None = None
     children: list | None = None
     _program: Program | None = None
+    _renderings: tuple | None = None
+
+    @property
+    def renderings(self) -> tuple:
+        """The per-stage ``pretty()`` strings, built on first read."""
+        if self._renderings is None:
+            self._renderings = tuple(_facts(stage)[1]
+                                     for stage in self.stages)
+        return self._renderings
 
     @property
     def program(self) -> Program:
@@ -174,10 +195,9 @@ class Search:
         #: (rule position, ids of the window's stages) -> _rewrite's entry,
         #: which holds the window, so the ids stay its own
         self._rewrites: dict[tuple, tuple] = {}
-        tokens, renderings = _stage_facts(program.stages)
         costs = self._costs(program.stages)
-        self.root = Node(program.stages, tokens, renderings, costs,
-                         sum(costs), _program=program)
+        self.root = Node(program.stages, *_stage_facts(program.stages),
+                         costs, sum(costs), _program=program)
 
     def _costs(self, stages: tuple[Stage, ...]) -> tuple:
         """The model cost of each of ``stages`` on this machine."""
@@ -203,31 +223,33 @@ class Search:
         rule = self.rules[i]
         end = start + rule.window
         window = node.stages[start:end]
-        if not rule.match(window):
+        # the node's own scan matched the windows it made (see sites)
+        origin = node.origin
+        scanned = origin is None or (start < origin[1] + len(origin[3])
+                                     and end > origin[1])
+        if not scanned and not rule.match(window):
             raise ValueError(f"{rule.name} does not match at stage {start}")
         key = (i, *map(id, window))
         entry = self._rewrites.get(key)
         if entry is None:
             entry = self._rewrites[key] = self._rewrite(rule, window, safe)
-        _, inserted, tokens, renderings, costs = entry
+        _, inserted, tokens, classes, costs = entry
         costs = node.costs[:start] + costs + node.costs[end:]
         return Node(node.stages[:start] + inserted + node.stages[end:],
                     node.tokens[:start] + tokens + node.tokens[end:],
-                    node.renderings[:start] + renderings
-                    + node.renderings[end:],
+                    node.classes[:start] + classes + node.classes[end:],
                     costs, sum(costs), (node, start, window, inserted, rule))
 
     def _scan(self, node: Node, first: int, stop: int) -> list[tuple]:
         """``(rule position, start, safe)`` of every match whose window
-        starts before ``stop`` and ends at or after ``first``."""
-        rules, stages, ruleset = self.rules, node.stages, self._ruleset
+        starts before ``stop`` and ends after ``first``."""
+        rules, stages, classes = self.rules, node.stages, node.classes
         sites = []
         for width in self._widths:
-            for start in range(max(0, first - width),
+            for start in range(max(0, first - width + 1),
                                min(stop, len(stages) - width + 1)):
                 end = start + width
-                window = stages[start:end]
-                key = (ruleset, *map(type, window))
+                key = (self._ruleset, *classes[start:end])
                 candidates = _SHAPES.get(key)
                 if candidates is None:
                     candidates = tuple(
@@ -235,6 +257,7 @@ class Search:
                         if rule.window == width
                         and all(map(issubclass, key[1:], rule.lhs)))
                     _SHAPES.put(key, candidates)
+                window = stages[start:end]
                 for i in candidates:
                     rule = rules[i]
                     if rule.match(window):
@@ -247,14 +270,20 @@ class Search:
         start, safe)``, in ``find_matches`` order."""
         if node.sites is None:
             if node.origin is None:
-                sites = self._scan(node, 0, len(node.renderings))
+                sites = self._scan(node, 0, len(node.stages))
             else:
                 parent, at, window, new, _ = node.origin
                 removed, inserted = len(window), len(new)
+                # new: the windows holding an inserted stage or the junction
                 sites = self._scan(node, at, at + inserted)
                 for i, start, safe in parent.sites:
-                    if start + self.rules[i].window < at:
+                    rule = self.rules[i]
+                    end = start + rule.window
+                    if end < at:
                         sites.append((i, start, safe))
+                    elif end == at:  # its lossy safe flag reads a new stage
+                        sites.append((i, start, not rule.lossy_nonroot or
+                                      _lossy_site_is_safe(node.stages, at)))
                     elif start >= at + removed:
                         sites.append((i, start + inserted - removed, safe))
             sites.sort()

@@ -1,15 +1,16 @@
 """The bounded resident store the process-wide memos share.
 
-A served process keeps seven facts by value — a text's declaration, a
+A served process keeps eight facts by value — a text's declaration, a
 statement text's statement and a statement's stage (``lang.parser``), a
-window shape's candidate rules and a window's rewrite (``core.search``),
-a program's compiled kernels (``jit.compiler``), a shape's simulated
-schedule (``machine.run``) — and every worker thread reads and fills
-them at once, under one discipline: reads take no lock (one lookup, no
-re-ordering; two threads that miss on one key both compute, to equal
-entries) and :meth:`~BoundedStore.put` evicts first-in-first-out under a
-lock that also covers ``clear``.  The store counts nothing; each owner
-records hits and misses in the dialect it already has.
+window shape's candidate rules, a window's rewrite and a request's
+plan-key pieces (``core.search``), a program's compiled kernels
+(``jit.compiler``), a shape's simulated schedule (``machine.run``) — and
+every worker thread reads and fills them at once, under one discipline:
+reads take no lock (one lookup, no re-ordering; two threads that miss on
+one key both compute, to equal entries) and :meth:`~BoundedStore.put`
+evicts first-in-first-out under a lock that also covers ``clear``.  The
+store counts nothing; each owner records hits and misses in the dialect
+it already has.
 """
 
 from __future__ import annotations

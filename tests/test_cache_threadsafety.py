@@ -2,11 +2,12 @@
 
 The serving worker pool calls ``optimize`` from many threads at once,
 which makes the process-global stores of the search core and the parser
-(shape table, kept rewrites, interned stages, statement store) and any
-shared :class:`PlanCache` instance concurrency hot spots.  OrderedDicts
-corrupt silently under unlocked concurrent mutation (lost entries,
-``KeyError`` during ``move_to_end``, broken links), so every store
-serializes mutations behind a lock (the stores' hits only read).
+(shape table, kept rewrites, key pieces, interned stages, statement
+store) and any shared :class:`PlanCache` instance concurrency hot
+spots.  OrderedDicts corrupt silently under unlocked concurrent mutation
+(lost entries, ``KeyError`` during ``move_to_end``, broken links), so
+every store serializes mutations behind a lock (the stores' hits only
+read).
 These tests hammer each cache from 8 threads and assert nothing
 corrupts, no exception escapes, and the results stay bit-identical to
 single-threaded optimization.
@@ -21,7 +22,7 @@ from repro.core.cost import MachineParams
 from repro.core.operators import ADD, MUL
 from repro.core.optimizer import clear_match_cache, optimize
 from repro.core.plancache import PlanCache
-from repro.core.planner import trace_of
+from repro.core.planner import cache_key, trace_of
 from repro.core.rules import FULL_RULES
 from repro.core.stages import (
     AllReduceStage,
@@ -159,8 +160,9 @@ def test_interned_stages_and_kept_rewrites_with_concurrent_clears(
     each time, so every statement resolves through the interned-stage
     store and every search through the process-wide rewrite store) while
     another thread clears the stores.  Every plan equals the serial one
-    (trace, ``cost_after``), and no store outgrows its bound — squeezed
-    below the working set, so puts evict under contention too."""
+    (trace, ``cost_after``, plan-cache key), and no store outgrows its
+    bound — squeezed below the working set, so puts evict under contention
+    too."""
     from repro.core import search as search_mod
     from repro.lang import parse_program
 
@@ -171,9 +173,10 @@ def test_interned_stages_and_kept_rewrites_with_concurrent_clears(
 
     def plan(name, k, params):
         text = f"Program {name} (x);\n" + BODIES[k]
-        result = optimize(parse_program(text).to_program(TEXT_ENV), params,
-                          FULL_RULES, strategy="beam")
-        return trace_of(result), result.cost_after
+        program = parse_program(text).to_program(TEXT_ENV)
+        result = optimize(program, params, FULL_RULES, strategy="beam")
+        key = cache_key(program, params, FULL_RULES, "beam", False)
+        return trace_of(result), result.cost_after, key
 
     expected = {(k, params): plan("serial", k, params)
                 for k in range(len(BODIES)) for params in TEXT_PARAMS}

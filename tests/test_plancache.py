@@ -9,11 +9,15 @@ plan stores.
 Key stability is the cacheability contract: renaming bound variables
 (map labels) and reordering commutative metadata (the rule set) must not
 change the canonical signature, while changing the machine parameters,
-strategy, or lossiness must.
+strategy, or lossiness must.  ``cache_key`` joins its document from
+pieces encoded once; :func:`json_cache_key` keeps the whole-document
+encoding as the oracle it must equal, key for key.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import pathlib
 
@@ -27,13 +31,20 @@ from repro.core.optimizer import (
     optimize,
 )
 from repro.core.plancache import PLANCACHE_JSON_VERSION, PlanCache, PlanRecord
-from repro.core.planner import beam_optimize, cache_key, plan_signature
-from repro.core.rules import ALL_RULES
+from repro.core.planner import (
+    beam_optimize,
+    cache_key,
+    params_signature,
+    plan_signature,
+    rules_signature,
+)
+from repro.core.rules import ALL_RULES, FULL_RULES
 from repro.core.stages import (
     BcastStage,
     Map2Stage,
     MapStage,
     Program,
+    ReduceStage,
     ScanStage,
 )
 
@@ -47,6 +58,21 @@ GOLDEN_PARAMS = MachineParams(p=4, ts=5.0, tw=0.5, m=1)
 def golden_program() -> Program:
     return Program([BcastStage(), ScanStage(ADD), ScanStage(ADD),
                     ScanStage(MAX)], name="golden")
+
+
+def json_cache_key(program, params, rules=ALL_RULES, strategy="beam",
+                   allow_lossy=False) -> str:
+    """The plan-cache key as the whole document through ``json.dumps``
+    and sha256: the oracle ``cache_key`` must equal byte for byte."""
+    doc = {
+        "signature": plan_signature(program),
+        "params": params_signature(params),
+        "rules": rules_signature(rules),
+        "strategy": strategy,
+        "allow_lossy": allow_lossy,
+    }
+    blob = json.dumps(doc, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 class TestRoundTrip:
@@ -438,6 +464,55 @@ class TestCacheKeyStability:
     def test_changing_an_operator_changes_the_signature(self):
         assert (plan_signature(Program([ScanStage(ADD)]))
                 != plan_signature(Program([ScanStage(MUL)])))
+
+    def test_the_joined_key_equals_the_whole_document_encoding(self):
+        """Over the planner corpus, every machine preset, every strategy
+        and both lossiness flags, with the key-piece store cold and warm:
+        the key joined from pre-encoded pieces is the oracle's."""
+        import planner_corpus
+
+        clear_match_cache()
+        requests = [(program, params, rules, strategy, allow_lossy)
+                    for program, rules in planner_corpus.programs()
+                    for params in planner_corpus.PRESETS
+                    for strategy in ("beam", "greedy", "exhaustive")
+                    for allow_lossy in (False, True)]
+        for _pass in range(2):
+            for request in requests:
+                assert cache_key(*request) == json_cache_key(*request)
+        # another round penalty, the rules as a list, an empty program
+        cheap = GOLDEN_PARAMS.with_(round_penalty=1.5)
+        for request in [(golden_program(), cheap, list(FULL_RULES)),
+                        (Program([]), GOLDEN_PARAMS, ALL_RULES)]:
+            assert cache_key(*request) == json_cache_key(*request)
+        clear_match_cache()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "rules_signature keys a rule set by its rows' names and replay_trace "
+    "resolves each step by name, so a rule set whose SR2-Reduction never "
+    "fires is served the catalogue's SR2 plan (ROADMAP items 1 and 3)"))
+def test_a_same_named_rule_set_gets_no_cached_plan():
+    """``never`` is ``FULL_RULES`` with an SR2-Reduction row whose side
+    condition never holds: planned on its own it fires nothing, so a
+    cached plan of the catalogue's rule set must not be served to it."""
+    never = tuple(dataclasses.replace(rule, when=lambda window: False)
+                  if rule.name == "SR2-Reduction" else rule
+                  for rule in FULL_RULES)
+    params = MachineParams(p=8, ts=600, tw=2, m=1)
+
+    def program():
+        return Program([ScanStage(MUL), ReduceStage(ADD)])
+
+    def rules_fired(rules, cache=None):
+        result = optimize(program(), params, rules, strategy="beam",
+                          cache=cache)
+        return [step.rule.name for step in result.derivation.steps]
+
+    assert rules_fired(never) == []
+    cache = PlanCache()
+    assert rules_fired(FULL_RULES, cache) == ["SR2-Reduction"]
+    assert rules_fired(never, cache) == []
 
 
 class TestClearPlannerCaches:

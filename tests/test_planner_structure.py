@@ -7,17 +7,22 @@
 * **Window-local facts**: for every program the search core expands, the
   site list it derived from the parent's equals ``find_matches`` from
   scratch (same rules, starts, ``safe`` flags, order), and the spliced
-  signature, renderings and cost equal the ones recomputed from the
-  stages — with the process-wide stores (shape table, kept rewrites,
-  interned stages, statement store) cold, warm, and squeezed to 8
-  entries each.
+  signature, classes, renderings, cost and plan-cache key equal the ones
+  recomputed from the stages — with the process-wide stores (shape
+  table, kept rewrites, key pieces, interned stages, statement store)
+  cold, warm, and squeezed to 8 entries each.  A child rescans only the
+  windows its rewrite created: an inherited lossy site re-reads the
+  stage after its window, and an empty right-hand side rescans the
+  junction.
 * **Window-local rewrites**: every child the core builds — from a fresh
   rewrite or from one it kept — equals a fresh ``apply_match`` on its
   materialised parent, stage for stage, fact for fact and step for step;
   sites over the same window objects share the inserted stage objects;
-  ``rule.match`` runs for every child, ``rule.rewrite`` once per (rule,
-  window objects); a search builds fewer ``Program``s than children; and
-  a returned plan holds no node of the search that found it.
+  ``rule.match`` runs once per site and node (in the node's scan for a
+  window it created, in ``_child`` for an inherited one), ``rule.rewrite``
+  once per (rule, window objects); a search builds fewer ``Program``s
+  than children; and a returned plan holds no node of the search that
+  found it.
 * **Termination** under rules that grow programs, ``match_at`` and the
   replay errors that rest on it.
 """
@@ -32,6 +37,7 @@ from pathlib import Path
 import pytest
 
 import planner_corpus
+from test_plancache import json_cache_key
 from test_planner_property import _specs
 
 from repro.core import search as search_mod
@@ -46,6 +52,7 @@ from repro.core.optimizer import (
 from repro.core.planner import (
     PlanReplayError,
     beam_optimize,
+    cache_key,
     plan_signature,
     replay_trace,
     trace_of,
@@ -111,9 +118,12 @@ def _check_expanded_nodes(program, params, rules) -> int:
         assert derived == scratch, node.program.pretty()
         assert node.tokens == tuple(s.token() for s in stages)
         assert node.tokens == plan_signature(node.program)
+        assert node.classes == tuple(map(type, stages))
         assert node.renderings == tuple(s.pretty() for s in stages)
         cost = program_cost(node.program, params)
         assert node.cost == cost and type(node.cost) is type(cost)
+        assert (cache_key(node.program, params, rules)
+                == json_cache_key(node.program, params, rules))
         for child in children:
             if child.tokens not in seen:
                 seen.add(child.tokens)
@@ -123,7 +133,8 @@ def _check_expanded_nodes(program, params, rules) -> int:
 
 @pytest.mark.parametrize("memo", ["cold-then-warm", "squeezed"])
 def test_derived_sites_and_spliced_facts_equal_from_scratch(memo, monkeypatch):
-    stores = search_mod._STORES  # shapes, rewrites, stages, statements
+    # shapes, rewrites, key pieces, stages, statements
+    stores = search_mod._STORES
     if memo == "squeezed":  # every search evicts: hits, misses and re-misses
         for store in stores:
             monkeypatch.setattr(store, "bound", 8)
@@ -135,6 +146,65 @@ def test_derived_sites_and_spliced_facts_equal_from_scratch(memo, monkeypatch):
         assert expanded > 2 * len(corpus)  # children were expanded too
         assert all(0 < len(store) <= store.bound for store in stores)
     clear_match_cache()
+
+
+def _sites_from_scratch(search, node) -> list[tuple]:
+    """``node``'s derived sites, checked against ``find_matches``."""
+    derived = [(search.rules[i], start, safe)
+               for i, start, safe in search.sites(node)]
+    assert derived == [(m.rule, m.start, m.safe)
+                       for m in find_matches(node.program, search.rules)]
+    return derived
+
+
+def _child_by(search, node, rule) -> Node:
+    [child] = [c for c in search.children(node) if c.origin[4] is rule]
+    return child
+
+
+SMALL_PARAMS = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
+
+
+def test_an_inherited_lossy_site_rereads_the_stage_after_it():
+    """SB-Bcast at 2 makes ``scan (mul) ; bcast`` one ``bcast``: BR-Local's
+    window at 0 is the parent's, object for object, but the stage after it
+    is new, and a broadcast there makes the lossy site safe."""
+    program = Program([BcastStage(), ReduceStage(ADD), ScanStage(MUL),
+                       BcastStage()])
+    search = Search(program, SMALL_PARAMS, FULL_RULES)
+    br_local, sb_bcast = rule_by_name("BR-Local"), rule_by_name("SB-Bcast")
+    assert _sites_from_scratch(search, search.root) == [
+        (br_local, 0, False), (sb_bcast, 2, True)]
+    child = _child_by(search, search.root, sb_bcast)
+    assert _same_objects(child.stages[:2], program.stages[:2])
+    assert (br_local, 0, True) in _sites_from_scratch(search, child)
+    grandchild = _child_by(search, child, br_local)  # built, and matched
+    assert grandchild.origin[1] == 0
+    assert _check_expanded_nodes(program, SMALL_PARAMS, FULL_RULES) > 2
+
+
+#: a row with an empty right-hand side (no shipped rule has one): it
+#: deletes a map, so the stages on either side of it meet
+DROP_MAP = Rule("Drop-Map", ((MapStage,),), lambda rule, window, general: (),
+                "nothing", "none", "never")
+
+
+def test_an_empty_right_hand_side_rescans_the_junction():
+    """Dropping the map of ``scan ; map ; scan ; reduce`` inserts no
+    stage, so no window holds an inserted stage; the two scans now meet,
+    and SS-Scan's window across the junction is new."""
+    program = Program([ScanStage(ADD), MapStage(lambda x: x, label="f",
+                                                ops_per_element=1),
+                       ScanStage(ADD), ReduceStage(ADD)])
+    rules = FULL_RULES + (DROP_MAP,)
+    search = Search(program, SMALL_PARAMS, rules)
+    ss_scan = rule_by_name("SS-Scan")
+    assert ss_scan not in [site[0] for site in
+                           _sites_from_scratch(search, search.root)]
+    child = _child_by(search, search.root, DROP_MAP)
+    assert child.renderings == ("scan (add)", "scan (add)", "reduce (add)")
+    assert (ss_scan, 0, True) in _sites_from_scratch(search, child)
+    assert _check_expanded_nodes(program, SMALL_PARAMS, rules) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +350,8 @@ def test_every_check_runs_at_every_site_and_a_rewrite_once(monkeypatch):
         children = search.children(node)
         keys = [(child.origin[4], *map(id, child.origin[2]))
                 for child in children]
-        # a match per child, at least: _child matches what it rewrites
+        # a match per child, at least: the node's scan matched a window
+        # the node created, _child one it inherited
         assert not Counter(keys) - Counter(matched[before:])
         built += keys
         for child in children:
@@ -302,6 +373,54 @@ def test_a_search_builds_fewer_programs_than_children(monkeypatch):
         result = beam_optimize(program, NINE_PARAMS, FULL_RULES)
         assert (len(children), len(programs)) == (NINE_CHILDREN, built)
         assert len(result.derivation.steps) == 4
+    clear_match_cache()
+
+
+#: one beam search of NINE, cold: shape-table lookups (one per window
+#: scanned) and ``Rule.match`` calls
+NINE_LOOKUPS, NINE_MATCHES = 326, 151
+
+
+def test_a_child_matches_only_the_windows_it_created(monkeypatch):
+    """Counts the work of one cold beam search of NINE.  A window is
+    matched once per node: by the node's scan when the node created it
+    (every window of the root; of a child, those holding a stage its
+    rewrite inserted), by ``_child`` when the node inherited it and
+    builds its child — and by ``apply_match`` on each rewrite the
+    process had not kept."""
+    clear_match_cache()
+    shapes, got = search_mod._SHAPES, []
+    get = shapes.get
+
+    def counted_get(key):
+        got.append(get(key))
+        return got[-1]
+    monkeypatch.setattr(shapes, "get", counted_get)
+    created = _counting(monkeypatch, shapes, "put",
+                        lambda key, candidates: candidates)
+    matched = _counting(monkeypatch, Rule, "match")
+    rewritten = _counting(monkeypatch, Rule, "rewrite")
+
+    def inherited(search, node, i, start, _safe):
+        if node.origin is None:
+            return False
+        _, at, _, inserted, _ = node.origin
+        end = start + search.rules[i].window
+        return not (start < at + len(inserted) and end > at)
+    children = _counting(monkeypatch, Search, "_child", inherited)
+    result = beam_optimize(Program(NINE, name="nine"), NINE_PARAMS,
+                           FULL_RULES)
+    assert (len(got), len(matched), len(children)) == (
+        NINE_LOOKUPS, NINE_MATCHES, NINE_CHILDREN)
+    # every candidate of every window scanned, each inherited site built,
+    # each rewrite made: no site matched twice at a node, none built unmatched
+    assert got.count(None) == len(created)
+    scanned = sum(len(candidates) for candidates in got + created
+                  if candidates is not None)
+    assert len(matched) == scanned + sum(children) + len(rewritten)
+    assert 0 < sum(children) < len(children) and rewritten
+    assert (result.programs_explored, result.pruned, result.levels) == (
+        97, 41, 5)
     clear_match_cache()
 
 
