@@ -21,13 +21,13 @@ from repro.apps import build_composed_pipeline
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD, MAX, MIN, MUL
 from repro.core.optimizer import (
-    clear_planner_caches,
     exhaustive_optimize,
     greedy_optimize,
     optimize,
 )
 from repro.core.plancache import PlanCache
 from repro.core.stages import BcastStage, Program, ReduceStage, ScanStage
+from repro.core.store import clear_caches
 
 MACHINES = {
     "low-latency": MachineParams(p=16, ts=5.0, tw=0.1, m=1024),
@@ -146,7 +146,7 @@ def test_plancache_cold_vs_warm(benchmark, tmp_path):
         def cold():
             # a cold request sees no planner state at all: drop the match
             # memo too, or remembered windows would flatter the cold numbers
-            clear_planner_caches()
+            clear_caches()
             return optimize(next(fresh), params, strategy="beam")
 
         cold_s = _median_seconds(cold, COLD_REPEATS)

@@ -28,12 +28,11 @@ from typing import Iterable
 from repro.core.cost import MachineParams
 from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
-from repro.core.search import _STORES, Node, Search
+from repro.core.search import Node, Search
 from repro.core.stages import Program
 
 __all__ = ["OptimizationResult", "optimize", "greedy_optimize",
-           "exhaustive_optimize", "clear_match_cache",
-           "clear_planner_caches", "register_planner_cache_reset"]
+           "exhaustive_optimize"]
 
 
 @dataclass(frozen=True)
@@ -65,35 +64,6 @@ class OptimizationResult:
             f"(speedup {self.speedup:.2f}x, {self.programs_explored} programs explored)",
         ]
         return "\n".join(lines)
-
-
-def clear_match_cache() -> None:
-    """Empty the stores a cold request shares (tests): the shape table,
-    the kept rewrites and the key pieces (:mod:`repro.core.search`), the
-    interned stages and the statement store (:mod:`repro.lang.parser`)."""
-    for store in _STORES:
-        store.clear()
-
-
-# Plan caches (repro.core.plancache) register a reset hook here at import
-# time, so this module never has to import them (no cycle) but
-# clear_planner_caches() can still reach every live cache.
-_PLANNER_CACHE_RESETS: list = []
-
-
-def register_planner_cache_reset(reset) -> None:
-    """Register a callable that drops one planner cache's in-memory state."""
-    if reset not in _PLANNER_CACHE_RESETS:
-        _PLANNER_CACHE_RESETS.append(reset)
-
-
-def clear_planner_caches() -> None:
-    """Reset *all* planner state: ``clear_match_cache()``'s stores, every
-    live plan cache (traces and counters tests must not leak between
-    cases), the JIT compile cache and the resident schedules."""
-    clear_match_cache()
-    for reset in list(_PLANNER_CACHE_RESETS):
-        reset()
 
 
 _COST = attrgetter("cost")

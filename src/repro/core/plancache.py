@@ -28,10 +28,9 @@ Layers:
   ``python -m repro plan`` serves from it.  Without a store path the LRU
   is all there is: an evicted plan is forgotten.
 
-Every live cache registers itself with the optimizer's
-``clear_planner_caches`` hook, so test suites can reset planner state
-(the search core's and the parser's stores *and* plan caches) in one
-call.
+Every cache lists itself with :func:`repro.core.store.resident`, so
+:func:`~repro.core.store.clear_caches` empties its memory tiers (the
+on-disk store stays) along with every other memo of the process.
 """
 
 from __future__ import annotations
@@ -40,13 +39,11 @@ import json
 import os
 import tempfile
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.core import optimizer as _optimizer
 from repro.core.cost import MachineParams, program_cost
 from repro.core.optimizer import OptimizationResult
 from repro.core.planner import (
@@ -58,22 +55,12 @@ from repro.core.planner import (
 from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
 from repro.core.stages import Program
+from repro.core.store import resident
 
 __all__ = ["PlanRecord", "PlanCache", "PLANCACHE_JSON_VERSION"]
 
 #: schema version of the on-disk store (bumped on incompatible change)
 PLANCACHE_JSON_VERSION = 1
-
-#: every live PlanCache, so clear_planner_caches() can reset them all
-_LIVE_CACHES: "weakref.WeakSet[PlanCache]" = weakref.WeakSet()
-
-
-def _reset_all_caches() -> None:
-    for cache in list(_LIVE_CACHES):
-        cache.reset_memory()
-
-
-_optimizer.register_planner_cache_reset(_reset_all_caches)
 
 
 @dataclass(frozen=True)
@@ -153,7 +140,7 @@ class PlanCache:
         self.replay_failures = 0
         if self.path is not None and self.path.exists():
             self._load()
-        _LIVE_CACHES.add(self)
+        resident(self)
 
     # -- persistence --------------------------------------------------------
 
@@ -269,7 +256,7 @@ class PlanCache:
                 return None
         try:
             final, steps = replay_trace(program, record.trace, p=params.p,
-                                        allow_lossy=allow_lossy)
+                                        allow_lossy=allow_lossy, rules=rules)
         except PlanReplayError:
             with self._lock:
                 self._evict_bad(key)
@@ -327,12 +314,10 @@ class PlanCache:
 
     # -- maintenance ---------------------------------------------------------
 
-    def reset_memory(self) -> None:
-        """Drop in-memory LRU state and counters (disk store untouched).
-
-        This is what :func:`repro.core.optimizer.clear_planner_caches`
-        calls, so optimizer tests cannot leak plan state between cases.
-        """
+    def clear(self, disk: bool = False) -> None:
+        """Drop the memory tiers and zero the counters; ``disk=True`` also
+        empties the on-disk store (:func:`~repro.core.store.clear_caches`
+        keeps it)."""
         with self._lock:
             self._memory.clear()
             self._resident.clear()
@@ -341,11 +326,6 @@ class PlanCache:
             self.misses = 0
             self.evictions = 0
             self.replay_failures = 0
-
-    def clear(self, disk: bool = False) -> None:
-        """Forget every cached plan (``disk=True`` also empties the store)."""
-        with self._lock:
-            self.reset_memory()
             if disk:
                 self._disk.clear()
                 if self.path is not None and self.path.exists():

@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 from repro.core.cost import MachineParams
 from repro.core.optimizer import _COST, OptimizationResult, _descend
 from repro.core.rewrite import Derivation, _usable, apply_match, match_at
-from repro.core.rules import ALL_RULES, Rule, RuleApplication, rule_by_name
+from repro.core.rules import ALL_RULES, FULL_RULES, Rule, RuleApplication
 from repro.core.search import (
     _KEY_PARTS,
     Search,
@@ -98,9 +98,12 @@ def rules_signature(rules: Iterable[Rule]) -> tuple[str, ...]:
 
     The rule *set* determines which plans exist; its iteration order is
     commutative metadata (it only breaks cost ties), so reordering must
-    not change a cache key.
+    not change a cache key.  A row is named by its name when it *is* the
+    catalogue's row of that name, else by name and ``serial``: a doctored
+    copy (``dataclasses.replace``) never shares the catalogue row's plans.
     """
-    return tuple(sorted(rule.name for rule in rules))
+    return tuple(sorted(rule.name if rule in FULL_RULES  # rows compare by id
+                        else f"{rule.name}#{rule.serial}" for rule in rules))
 
 
 def cache_key(program: Program, params: MachineParams,
@@ -141,8 +144,10 @@ def replay_trace(
     trace: Sequence[tuple[str, int]],
     p: int | None = None,
     allow_lossy: bool = False,
+    rules: Iterable[Rule] = FULL_RULES,
 ) -> tuple[Program, tuple[RuleApplication, ...]]:
-    """Re-apply a recorded trace step by step.
+    """Re-apply a recorded trace step by step, each step's rule the row
+    of that name among the request's ``rules``.
 
     Every step re-checks the rule's match at the recorded site through
     :func:`~repro.core.rewrite.match_at`, so a stale plan (wrong
@@ -150,13 +155,13 @@ def replay_trace(
     :class:`PlanReplayError` instead of silently producing a wrong
     program — the plan cache turns that into a miss.
     """
+    by_name = {rule.name: rule for rule in rules}
     current = program
     steps: list[RuleApplication] = []
     for rule_name, start in trace:
-        try:
-            rule = rule_by_name(str(rule_name))
-        except KeyError as exc:
-            raise PlanReplayError(str(exc)) from exc
+        rule = by_name.get(str(rule_name))
+        if rule is None:
+            raise PlanReplayError(f"unknown rule {rule_name!r}")
         site = match_at(current, rule, start)
         if site is None:
             raise PlanReplayError(

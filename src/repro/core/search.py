@@ -121,9 +121,6 @@ _SHAPES = BoundedStore(_REWRITES.bound)
 #: and rules members as JSON; :func:`repro.core.planner.cache_key`)
 _KEY_PARTS = BoundedStore(256)
 
-#: what ``clear_match_cache()`` empties; the parser adds its stores
-_STORES = [_SHAPES, _REWRITES, _KEY_PARTS]
-
 
 # ---------------------------------------------------------------------------
 # The rewrite graph

@@ -1,4 +1,5 @@
-"""The bounded resident store the process-wide memos share.
+"""The bounded resident store the process-wide memos share, and the one
+registry that reaches every memo.
 
 A served process keeps eight facts by value — a text's declaration, a
 statement text's statement and a statement's stage (``lang.parser``), a
@@ -11,15 +12,41 @@ one key both compute, to equal entries) and :meth:`~BoundedStore.put`
 evicts first-in-first-out under a lock that also covers ``clear``.  The
 store counts nothing; each owner records hits and misses in the dialect
 it already has.
+
+One registry, one clear: :class:`BoundedStore`, ``PlanCache`` and
+``BlockPool`` list themselves with :func:`resident` when built, held
+weakly (a compiled program's stores leave with it), and
+:func:`clear_caches` empties every memo alive.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Hashable
 
-__all__ = ["BoundedStore"]
+__all__ = ["BoundedStore", "resident", "clear_caches"]
+
+#: id -> every live memo (a dict subclass does not hash, so no WeakSet)
+_RESIDENT: "weakref.WeakValueDictionary[int, Any]" = weakref.WeakValueDictionary()
+_RESIDENT_LOCK = threading.Lock()
+
+
+def resident(memo: Any) -> None:
+    """List ``memo`` (anything with a ``clear()``) for :func:`clear_caches`."""
+    with _RESIDENT_LOCK:
+        _RESIDENT[id(memo)] = memo
+
+
+def clear_caches() -> None:
+    """Empty every memo alive: the planner's, the parser's, the JIT's and
+    the schedules' stores, every plan cache's memory tier (its on-disk
+    store stays) and the block pool's idle shelves."""
+    with _RESIDENT_LOCK:
+        memos = list(_RESIDENT.values())
+    for memo in memos:
+        memo.clear()
 
 
 class BoundedStore(OrderedDict):
@@ -30,6 +57,7 @@ class BoundedStore(OrderedDict):
         super().__init__()
         self.bound = bound
         self._lock = threading.Lock()
+        resident(self)
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or replace) ``key``, evicting the oldest entry first

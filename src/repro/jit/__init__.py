@@ -29,14 +29,12 @@ wall-clock only).
 Results are bit-identical to the vectorized tier by construction:
 anything unproven or unsupported falls back per step to the checked
 kernels, and :class:`KernelOverflow` still triggers the exact
-object-mode replay.  The compile cache participates in
-``clear_planner_caches()`` so stale kernels can never be served after
-registry or parameter changes.
+object-mode replay.  The compile cache, each compiled program's
+verdicts and tapes and the block pool are memos ``clear_caches()``
+empties; the cache key carries the registry version and parameters.
 """
 
 from __future__ import annotations
-
-from repro.core.optimizer import register_planner_cache_reset
 
 from .compiler import (
     CompiledProgram,
@@ -63,7 +61,3 @@ __all__ = [
     "JitStats",
     "reset_stats",
 ]
-
-# A stale compiled kernel must never outlive a planner/registry reset:
-# the same hook the plan cache uses (satellite bugfix for ISSUE 8).
-register_planner_cache_reset(clear_jit_cache)

@@ -862,7 +862,7 @@ class CompiledProgram:
 
 
 # ---------------------------------------------------------------------------
-# Compile cache (reset via clear_planner_caches)
+# Compile cache
 # ---------------------------------------------------------------------------
 
 _COMPILE_CACHE = BoundedStore(256)

@@ -4,8 +4,8 @@ One process-wide :class:`JitStats` instance (:data:`STATS`) counts
 compiles, cache hits, executed compiled vs. kernelized steps, and the
 *reason* for every fallback — the numbers ``python -m repro jit stats``
 prints.  Counters are plain ints/Counter: cheap enough to bump on the
-hot path, reset via :func:`reset_stats` (wired into
-``clear_planner_caches()`` together with the compile cache).
+hot path, reset via :func:`reset_stats` (``python -m repro jit clear``
+calls it; ``clear_caches()`` leaves these counters alone).
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.operators import BinOp
+from repro.core.store import resident
 from repro.semantics.functional import UNDEF
 
 __all__ = [
@@ -277,6 +278,7 @@ class BlockPool:
         self._shelves: dict[int, deque] = {}
         #: the byte sizes of the last draws
         self._recent: deque[int] = deque(maxlen=_POOL_WINDOW)
+        resident(self)
 
     def empty(self, shape: tuple, dtype: Any) -> np.ndarray:
         """An uninitialised ``shape`` array of ``dtype``; the caller must

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.core.operators import BinOp
-from repro.core.search import _STORES
 from repro.core.store import BoundedStore
 from repro.core.stages import Program, Stage, stage_written_as
 from repro.lang.lexer import LexError, Token, lex
@@ -341,7 +340,6 @@ class _Parser:
 _PARSE_MEMO = BoundedStore(256)
 _STATEMENTS = BoundedStore(_PARSE_MEMO.bound)
 _STAGES = BoundedStore(_PARSE_MEMO.bound)
-_STORES.extend((_STAGES, _STATEMENTS))
 
 #: what a statement text ends at or skips: ``;``, brackets, comments
 _MARKS = re.compile(r"//[^\n]*|[;\[\]]")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
-from repro.core.optimizer import register_planner_cache_reset
 from repro.core.store import BoundedStore
 from repro.faults import FaultPlan
 from repro.core.stages import (
@@ -62,7 +61,7 @@ from repro.semantics.functional import UNDEF, defined_equal
 
 __all__ = ["simulate_program", "execute_stage", "stage_breakdown", "StageTiming",
            "rank_program", "run_ranks",
-           "resident_run", "clear_resident_schedules", "DEFINED"]
+           "resident_run", "DEFINED"]
 
 
 def _map(ctx: RankContext, stage: MapStage, x: Any):
@@ -275,14 +274,6 @@ DEFINED = "<defined>"
 
 _SCHEDULES = BoundedStore(256)
 _EXACT_LEAVES = frozenset((int, bool))
-
-
-def clear_resident_schedules() -> None:
-    """Drop every resident schedule (``clear_planner_caches()`` does)."""
-    _SCHEDULES.clear()
-
-
-register_planner_cache_reset(clear_resident_schedules)
 
 
 def _exact(block: Any) -> bool:

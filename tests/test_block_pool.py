@@ -23,8 +23,8 @@ import pytest
 
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD, FADD, MUL
-from repro.core.optimizer import clear_planner_caches
 from repro.core.stages import AllReduceStage, Program, ScanStage
+from repro.core.store import clear_caches
 from repro.jit import STATS, JitStats, clear_jit_cache, reset_stats, run_jit
 from repro.jit.compiler import _BLOCKS
 from repro.kernels import run_vectorized
@@ -232,7 +232,7 @@ class TestRetention:
         for seed in range(runs):
             _simulate(SMALL, seed)
         assert STATS.pool_idle_bytes == P * SMALL * 8 < footprint
-        clear_planner_caches()
+        clear_caches()
         assert STATS.pool_idle_bytes == 0
         misses = STATS.pool_misses
         _BLOCKS.empty((SMALL,), np.int64)

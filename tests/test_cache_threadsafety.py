@@ -20,7 +20,7 @@ import threading
 
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD, MUL
-from repro.core.optimizer import clear_match_cache, optimize
+from repro.core.optimizer import optimize
 from repro.core.plancache import PlanCache
 from repro.core.planner import cache_key, trace_of
 from repro.core.rules import FULL_RULES
@@ -32,6 +32,7 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
 )
+from repro.core.store import clear_caches
 
 THREADS = 8
 ROUNDS = 40
@@ -81,7 +82,7 @@ def test_match_cache_hammer_is_bit_identical():
     """8 threads optimizing the same corpus concurrently produce the
     exact plans (canonical rendering) single-threaded optimization does — the shared
     shape table and rewrite store never corrupt or cross-wire entries."""
-    clear_match_cache()
+    clear_caches()
     expected = {(prog.name, params): optimize(prog, params).program.pretty()
                 for prog in PROGRAMS for params in PARAMS}
     results: dict[int, dict] = {}
@@ -101,7 +102,7 @@ def test_match_cache_hammer_is_bit_identical():
 
 
 def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
-    """clear_match_cache racing 8 optimizing threads: clears are a
+    """clear_caches racing 8 optimizing threads: clears are a
     legal (if unhelpful) concurrent operation and must never corrupt
     the shape table or the rewrite store or crash an optimize in flight.
     Both bounds are squeezed below the working set so inserts evict under
@@ -111,7 +112,7 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
     stores = (search_mod._SHAPES, search_mod._REWRITES)
     for store in stores:
         monkeypatch.setattr(store, "bound", 6)
-    clear_match_cache()
+    clear_caches()
     expected = {prog.name: optimize(prog, PARAMS[0]).program.pretty()
                 for prog in PROGRAMS}
     stop = threading.Event()
@@ -120,7 +121,7 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
     def work(tid):
         if tid == 0:
             while not stop.is_set():
-                clear_match_cache()
+                clear_caches()
                 sizes.extend(map(len, stores))
         else:
             try:
@@ -135,7 +136,7 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
 
     _hammer(work)
     assert max(sizes) <= 6
-    clear_match_cache()
+    clear_caches()
 
 
 #: statement bodies of the re-parsed texts: shared statements, so the
@@ -165,11 +166,13 @@ def test_interned_stages_and_kept_rewrites_with_concurrent_clears(
     too."""
     from repro.core import search as search_mod
     from repro.lang import parse_program
+    from repro.lang import parser as parser_mod
 
-    stores = search_mod._STORES
+    stores = (search_mod._SHAPES, search_mod._REWRITES, search_mod._KEY_PARTS,
+              parser_mod._STAGES, parser_mod._STATEMENTS)
     for k, store in enumerate(stores):
         monkeypatch.setattr(store, "bound", 3 + k)
-    clear_match_cache()
+    clear_caches()
 
     def plan(name, k, params):
         text = f"Program {name} (x);\n" + BODIES[k]
@@ -186,7 +189,7 @@ def test_interned_stages_and_kept_rewrites_with_concurrent_clears(
     def work(tid):
         if tid == 0:
             while not stop.is_set():
-                clear_match_cache()
+                clear_caches()
                 oversized.extend(s for s in stores if len(s) > s.bound)
             return
         try:
@@ -205,7 +208,7 @@ def test_interned_stages_and_kept_rewrites_with_concurrent_clears(
 
     _hammer(work)
     assert not oversized
-    clear_match_cache()
+    clear_caches()
 
 
 def test_plancache_hammer_counters_and_entries_consistent(tmp_path):
@@ -282,14 +285,10 @@ def test_resident_schedule_hammer_one_key_and_evictions(monkeypatch):
     import sys
 
     from repro.machine import run as machine_run
-    from repro.machine.run import (
-        clear_resident_schedules,
-        resident_run,
-        simulate_program,
-    )
+    from repro.machine.run import resident_run, simulate_program
 
     monkeypatch.setattr(machine_run._SCHEDULES, "bound", 4)
-    clear_resident_schedules()
+    clear_caches()
     prog = Program([ScanStage(ADD), ReduceStage(ADD), BcastStage()],
                    name="one-key")
     params = PARAMS[4]  # p = 8
@@ -324,7 +323,7 @@ def test_resident_schedule_hammer_one_key_and_evictions(monkeypatch):
         _hammer(work)
     finally:
         sys.setswitchinterval(old)
-        clear_resident_schedules()
+        clear_caches()
     assert max(sizes) <= 4
     assert sum(o.count("hit") for o in outcomes.values()) > 0
     assert outcomes[0].count("miss") > len(churn)  # the churn evicted
@@ -368,3 +367,108 @@ def test_compile_cache_hammer_hits_and_evictions(monkeypatch):
         sys.setswitchinterval(old)
         clear_jit_cache()
     assert max(sizes) <= 8
+
+
+# -- one registry --------------------------------------------------------------
+
+def _resident_sizes() -> dict[str, list[int]]:
+    """Entries held by every live memo ``gc`` finds, by kind."""
+    import gc
+
+    from repro.core.store import BoundedStore
+    from repro.kernels.blocks import BlockPool
+
+    sizes = {"store": [], "plan cache": [], "block pool": []}
+    for obj in gc.get_objects():
+        if isinstance(obj, BoundedStore):
+            sizes["store"].append(len(obj))
+        elif isinstance(obj, PlanCache):
+            sizes["plan cache"].append(len(obj._memory) + len(obj._resident))
+        elif isinstance(obj, BlockPool):
+            sizes["block pool"].append(sum(map(len, obj._shelves.values())))
+    return sizes
+
+
+def test_clear_caches_reaches_every_resident_memo():
+    """One request through each memo's owner — parse and ``to_program``,
+    a beam plan through a :class:`PlanCache`, ``compiled_program``,
+    ``simulate_program(jit=True)`` and a resident run — then
+    ``clear_caches()``: every store, plan-cache memory tier and block-pool
+    shelf alive is empty.  A memo that does not list itself fails here."""
+    import numpy as np
+
+    from repro.core import search as search_mod
+    from repro.jit import compiled_program
+    from repro.jit import compiler as jit_compiler
+    from repro.kernels.blocks import _POOL_FLOOR
+    from repro.lang import parse_program
+    from repro.lang import parser as parser_mod
+    from repro.machine import run as machine_run
+    from repro.machine.run import resident_run, simulate_program
+
+    clear_caches()
+    program = parse_program("Program reached (x);\n"
+                            + BODIES[0]).to_program(TEXT_ENV)
+    cache = PlanCache()
+    optimize(program, PARAMS[-1], FULL_RULES, strategy="beam", cache=cache)
+    optimize(program, PARAMS[-1], FULL_RULES, strategy="beam", cache=cache)
+    block = _POOL_FLOOR // 8
+    params = MachineParams(p=4, ts=10.0, tw=1.0, m=block)
+    simulate_program(program, [np.full(block, 2, np.int64)] * 4, params,
+                     jit=True)
+    compiled = compiled_program(program)  # the one the run compiled
+    resident_run(program, [1, 2, 3, 4], PARAMS[0],
+                 lambda: program.run([1, 2, 3, 4]))
+    for store in (parser_mod._PARSE_MEMO, parser_mod._STATEMENTS,
+                  parser_mod._STAGES, search_mod._SHAPES, search_mod._REWRITES,
+                  search_mod._KEY_PARTS, jit_compiler._COMPILE_CACHE,
+                  compiled._verdicts, compiled._tapes, machine_run._SCHEDULES):
+        assert len(store), "the request missed a memo"
+    assert cache.stats()["resident_entries"] == 1
+    filled = _resident_sizes()
+    assert all(map(any, filled.values())), filled
+
+    clear_caches()
+    left = {kind: [n for n in sizes if n]
+            for kind, sizes in _resident_sizes().items()}
+    assert not any(left.values()), left
+
+
+def test_memos_built_during_concurrent_clears():
+    """Threads compile fresh programs — each one builds two stores of its
+    own, and registers them — while another thread clears every memo:
+    no registration is lost to a clear's snapshot or breaks it."""
+    import sys
+
+    from repro.core.store import _RESIDENT
+    from repro.jit import compiled_program
+
+    clear_caches()
+    stop = threading.Event()
+    built = []
+
+    def work(tid):
+        if tid == 0:
+            while not stop.is_set():
+                clear_caches()
+            return
+        try:
+            for k in range(ROUNDS):
+                compiled = compiled_program(Program(
+                    [MapStage(lambda x: x + 1, label="inc"), ScanStage(ADD)],
+                    name=f"t{tid}_{k}"))
+                built.append(compiled)
+                assert id(compiled._tapes) in _RESIDENT
+                assert id(compiled._verdicts) in _RESIDENT
+        finally:
+            if tid == 1:
+                stop.set()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _hammer(work)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(built) == (THREADS - 1) * ROUNDS
+    clear_caches()

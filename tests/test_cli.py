@@ -306,12 +306,13 @@ class TestServeCommand:
         """Each job's simulated time, and one line of resident-schedule
         hits and bypasses from ``stats()``: 2 program shapes x 2 tenants
         x 3 rounds is 12 jobs, at most one miss a shape."""
-        from repro.machine.run import clear_resident_schedules, simulate_program
+        from repro.core.store import clear_caches
+        from repro.machine.run import simulate_program
         from repro.core.cost import MachineParams
         from repro.core.operators import ADD
         from repro.core.stages import Program, ScanStage
 
-        clear_resident_schedules()
+        clear_caches()
         code, out = run_cli(capsys, "serve", "demo", "--jobs", "6",
                             "--tenants", "2", "--workers", "1")
         assert code == 0

@@ -30,7 +30,7 @@ from repro.core.derived_ops import (
     sr2_op,
 )
 from repro.core.operators import ADD, CONCAT, FADD, FMUL, MAX, MIN, MUL, BinOp
-from repro.core.optimizer import clear_planner_caches, optimize
+from repro.core.optimizer import optimize
 from repro.core.rules import FULL_RULES
 from repro.core.rules.base import pair_stage, projection_stage
 from repro.core.rules.reduction import SR_REDUCTION
@@ -45,6 +45,7 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
 )
+from repro.core.store import clear_caches
 from repro.jit.compiler import analyze_stages
 from repro.jit import (
     STATS,
@@ -904,12 +905,12 @@ class TestCaches:
 
     def test_clear_planner_caches_resets_jit_cache(self):
         # satellite regression: the JIT compile cache participates in
-        # clear_planner_caches(), so a planner-level reset can never
+        # clear_caches(), so a planner-level reset can never
         # leave a stale compiled kernel behind
         prog = _sr2_program()
         compiled_program(prog)
         assert STATS.compiles == 1
-        clear_planner_caches()
+        clear_caches()
         compiled_program(prog)
         assert STATS.compiles == 2
         assert STATS.cache_hits == 0

@@ -30,11 +30,7 @@ from repro.core.operators import (
     BinOp,
     declare_distributes,
 )
-from repro.core.optimizer import (
-    clear_match_cache,
-    clear_planner_caches,
-    optimize,
-)
+from repro.core.optimizer import optimize
 from repro.core.rules import FULL_RULES
 from repro.core.rewrite import fuse_local_stages
 from repro.core.segmented import segmented_op
@@ -46,6 +42,7 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
 )
+from repro.core.store import clear_caches
 from repro.kernels import (
     KernelOverflow,
     KernelUnsupported,
@@ -393,7 +390,7 @@ class TestMatchCache:
         from repro.core import search as search_mod
 
         shapes = search_mod._SHAPES
-        clear_match_cache()
+        clear_caches()
         prog = Program([ScanStage(MUL), ReduceStage(ADD)])
         params = MachineParams(p=8, ts=10.0, tw=1.0, m=16)
         first = optimize(prog, params)
@@ -414,8 +411,9 @@ class TestMatchCache:
         optimize(Program([ScanStage(MUL), ReduceStage(ADD)] * 3), params,
                  strategy="greedy")
         assert len(shapes) == seam      # a third copy is not
-        clear_match_cache()
-        assert all(len(store) == 0 for store in search_mod._STORES)
+        clear_caches()
+        assert not any(map(len, (shapes, search_mod._REWRITES,
+                                 search_mod._KEY_PARTS)))
 
     @pytest.mark.parametrize("commutative_first", [True, False])
     def test_same_named_operators_of_another_algebra_stay_apart(
@@ -426,7 +424,7 @@ class TestMatchCache:
         first."""
         nc = BinOp("add", operator.add, associative=True, commutative=False)
         params = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
-        clear_planner_caches()
+        clear_caches()
         plans = {}
         for op in (ADD, nc) if commutative_first else (nc, ADD):
             result = optimize(Program([ScanStage(op), ScanStage(op)]),
@@ -434,7 +432,7 @@ class TestMatchCache:
             plans[op.commutative] = (result.cost_after, [
                 step.rule.name for step in result.derivation.steps])
         assert plans == {True: (1842.0, ["SS-Scan"]), False: (3624.0, [])}
-        clear_planner_caches()
+        clear_caches()
 
     def test_a_late_distributivity_declaration_is_seen(self):
         """``distributes_over`` reads a registry by name, at every match:
@@ -443,7 +441,7 @@ class TestMatchCache:
         otimes = BinOp("late_times", operator.mul, commutative=True)
         oplus = BinOp("late_plus", operator.add, commutative=True)
         params = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
-        clear_planner_caches()
+        clear_caches()
 
         def rules_fired():
             result = optimize(Program([ScanStage(otimes), ScanStage(oplus)]),
@@ -457,12 +455,12 @@ class TestMatchCache:
             assert rules_fired() == ["SS2-Scan"]
         finally:
             DISTRIBUTIVE_PAIRS.discard((otimes.name, oplus.name))
-            clear_planner_caches()
+            clear_caches()
 
     def test_cached_matches_independent_of_machine(self):
         # matches must not depend on p: optimize at several machine sizes
         # and check the derivations stay individually correct
-        clear_match_cache()
+        clear_caches()
         prog = Program([ScanStage(MUL), ReduceStage(ADD)])
         for p in (2, 3, 8):
             params = MachineParams(p=p, ts=10.0, tw=1.0, m=16)

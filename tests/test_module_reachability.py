@@ -13,7 +13,9 @@ path comes back most easily as an alias "for convenience".  The third
 holds the communication loops to one copy each: the two-level collectives
 and the blocking communicator are callers, not restatements.  The fourth
 holds the fault verdict to one interpreter: no subclass re-homes its
-stores, and the process substrate opens them without the recovery runtime.
+stores, and the process substrate opens them without the recovery runtime;
+the parser, the machine and the JIT list their memos with ``core.store``
+and import no planner module.
 The fifth holds escalation to one ladder: one backoff formula, one
 ``fallback`` emitter, the one platform check read in one place, and an
 ``OSError`` caught around arena construction only.  The sixth holds the
@@ -139,6 +141,15 @@ def _sources_and_prose() -> list[Path]:
     pytest.param(r"run_vectorized\(self", id="Program.run_vectorized"),
     pytest.param(r"run_jit\(self", id="Program.run_jit"),
     pytest.param(r"run_program\([^)]*mode=", id="run_program-mode"),
+    pytest.param(r"def clear_match_cache\b", id="clear_match_cache"),
+    pytest.param(r"def clear_planner_caches\b", id="clear_planner_caches"),
+    pytest.param(r"register_planner_cache_reset|_PLANNER_CACHE_RESETS",
+                 id="planner-cache-reset-hooks"),
+    pytest.param(r"_LIVE_CACHES|def _reset_all_caches|def reset_memory\b",
+                 id="plan-cache-live-set"),
+    pytest.param(r"def clear_resident_schedules\b",
+                 id="clear_resident_schedules"),
+    pytest.param(r"_STORES\b", id="search-store-list"),
 ])
 def test_deleted_doors_stay_deleted(pattern):
     hits = [str(path.relative_to(REPO)) for path in _sources_and_prose()
@@ -247,6 +258,18 @@ def test_the_process_substrate_does_not_import_recovery(walk):
                           if target.startswith("repro.recovery"))
              for name, path in modules.items()
              if name.startswith("repro.parallel")}
+    assert not any(found.values()), found
+
+
+def test_the_lower_layers_do_not_import_the_planner(walk):
+    """A memo lists itself with ``core.store``: the parser, the machine
+    and the JIT reach no planner module to register a reset."""
+    _seen, modules = walk
+    found = {name: sorted(target for target in _imports(name, path, modules)
+                          if target in ("repro.core.optimizer",
+                                        "repro.core.search"))
+             for name, path in modules.items()
+             if name.startswith(("repro.lang", "repro.machine", "repro.jit"))}
     assert not any(found.values()), found
 
 

@@ -25,11 +25,7 @@ import pytest
 
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD, MAX, MUL
-from repro.core.optimizer import (
-    clear_match_cache,
-    clear_planner_caches,
-    optimize,
-)
+from repro.core.optimizer import optimize
 from repro.core.plancache import PLANCACHE_JSON_VERSION, PlanCache, PlanRecord
 from repro.core.planner import (
     beam_optimize,
@@ -47,6 +43,7 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
 )
+from repro.core.store import clear_caches
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "plancache_v1.json"
 
@@ -317,7 +314,7 @@ class TestResidentTier:
     def test_clear_planner_caches_empties_the_tier(self):
         cache = PlanCache()
         self._warm(cache)
-        clear_planner_caches()
+        clear_caches()
         assert len(cache._resident) == 0
         stats = cache.stats()
         assert stats["resident_entries"] == stats["resident_hits"] == 0
@@ -471,7 +468,7 @@ class TestCacheKeyStability:
         the key joined from pre-encoded pieces is the oracle's."""
         import planner_corpus
 
-        clear_match_cache()
+        clear_caches()
         requests = [(program, params, rules, strategy, allow_lossy)
                     for program, rules in planner_corpus.programs()
                     for params in planner_corpus.PRESETS
@@ -485,13 +482,9 @@ class TestCacheKeyStability:
         for request in [(golden_program(), cheap, list(FULL_RULES)),
                         (Program([]), GOLDEN_PARAMS, ALL_RULES)]:
             assert cache_key(*request) == json_cache_key(*request)
-        clear_match_cache()
+        clear_caches()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "rules_signature keys a rule set by its rows' names and replay_trace "
-    "resolves each step by name, so a rule set whose SR2-Reduction never "
-    "fires is served the catalogue's SR2 plan (ROADMAP items 1 and 3)"))
 def test_a_same_named_rule_set_gets_no_cached_plan():
     """``never`` is ``FULL_RULES`` with an SR2-Reduction row whose side
     condition never holds: planned on its own it fires nothing, so a
@@ -516,9 +509,9 @@ def test_a_same_named_rule_set_gets_no_cached_plan():
 
 
 class TestClearPlannerCaches:
-    """Regression: clear_match_cache() alone must not be mistaken for a
-    full planner reset — clear_planner_caches() also drops plan-cache
-    in-memory state, so idempotence-style tests can't leak plans."""
+    """``clear_caches()`` is the one full reset: it also drops plan-cache
+    in-memory state, so idempotence-style tests can't leak plans, while
+    one store's own ``clear()`` stays that store's alone."""
 
     def test_clear_match_cache_leaves_plan_cache_state(self):
         from repro.core import search as search_mod
@@ -527,10 +520,9 @@ class TestClearPlannerCaches:
         prog, params = golden_program(), GOLDEN_PARAMS
         cache.put(prog, params, beam_optimize(prog, params, ALL_RULES))
         assert len(search_mod._SHAPES) and len(search_mod._REWRITES)
-        clear_match_cache()  # the old, too-narrow reset
-        # the search core's and the parser's stores are empty ...
-        assert all(len(store) == 0 for store in search_mod._STORES)
-        assert len(cache._memory) == 1  # ... the plan cache's are not
+        search_mod._SHAPES.clear()  # one store, not the registry
+        assert len(search_mod._SHAPES) == 0 < len(search_mod._REWRITES)
+        assert len(cache._memory) == 1  # the plan cache is untouched
 
     def test_clear_planner_caches_resets_memory_and_counters(self):
         cache = PlanCache()
@@ -540,7 +532,7 @@ class TestClearPlannerCaches:
         assert cache.get(Program([ScanStage(MUL)]), params) is None
         assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
 
-        clear_planner_caches()
+        clear_caches()
         stats = cache.stats()
         assert stats["memory_entries"] == 0
         assert stats["hits"] == stats["misses"] == 0
@@ -551,6 +543,6 @@ class TestClearPlannerCaches:
         cache = PlanCache(path=store)
         prog, params = golden_program(), GOLDEN_PARAMS
         cache.put(prog, params, beam_optimize(prog, params, ALL_RULES))
-        clear_planner_caches()
+        clear_caches()
         assert len(cache) == 1  # disk entries survive
         assert cache.get(prog, params) is not None  # re-warmed from disk

@@ -31,13 +31,13 @@ import pytest
 
 from repro.core.cost import MachineParams, program_cost
 from repro.core.optimizer import (
-    clear_planner_caches,
     exhaustive_optimize,
     greedy_optimize,
     optimize,
 )
 from repro.core.planner import BeamResult, beam_optimize, replay_trace, trace_of
 from repro.core.rules import ALL_RULES, FULL_RULES
+from repro.core.store import clear_caches
 from repro.semantics.functional import defined_equal
 from repro.testing.generator import (
     PLANNER_CASES,
@@ -82,7 +82,7 @@ def _specs():
 
 @pytest.fixture(scope="module")
 def corpus() -> list[Record]:
-    clear_planner_caches()
+    clear_caches()
     records = []
     for gp, params, rules, is_trap in _specs():
         greedy = greedy_optimize(gp.program, params, rules)

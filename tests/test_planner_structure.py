@@ -45,7 +45,6 @@ from repro.core.cost import MachineParams, program_cost, stage_cost
 from repro.core.operators import ADD, EW_ADD, MAX, MUL
 from repro.core.optimizer import (
     _result,
-    clear_match_cache,
     exhaustive_optimize,
     optimize,
 )
@@ -74,6 +73,7 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
 )
+from repro.core.store import clear_caches
 from repro.lang import parse_program
 from repro.lang import parser as parser_mod
 
@@ -84,7 +84,7 @@ MAX_EXPANSIONS = 60
 
 
 def test_golden_reproduced_byte_for_byte():
-    clear_match_cache()
+    clear_caches()
     want = GOLDEN.read_text().splitlines()
     got = planner_corpus.golden_text().splitlines()
     assert len(got) == len(want)
@@ -133,19 +133,18 @@ def _check_expanded_nodes(program, params, rules) -> int:
 
 @pytest.mark.parametrize("memo", ["cold-then-warm", "squeezed"])
 def test_derived_sites_and_spliced_facts_equal_from_scratch(memo, monkeypatch):
-    # shapes, rewrites, key pieces, stages, statements
-    stores = search_mod._STORES
+    stores = (search_mod._SHAPES, search_mod._REWRITES, search_mod._KEY_PARTS,
+              parser_mod._STAGES, parser_mod._STATEMENTS)
     if memo == "squeezed":  # every search evicts: hits, misses and re-misses
         for store in stores:
             monkeypatch.setattr(store, "bound", 8)
-    clear_match_cache()
-    parser_mod._PARSE_MEMO.clear()  # the texts read their statements
+    clear_caches()  # the texts read their statements afresh, too
     corpus = _structure_corpus()
     for _pass in range(2):  # the second pass answers from the stores
         expanded = sum(_check_expanded_nodes(*spec) for spec in corpus)
         assert expanded > 2 * len(corpus)  # children were expanded too
         assert all(0 < len(store) <= store.bound for store in stores)
-    clear_match_cache()
+    clear_caches()
 
 
 def _sites_from_scratch(search, node) -> list[tuple]:
@@ -295,7 +294,7 @@ def _walk_rewrites(program, params, rules) -> tuple[int, int]:
 
 
 def test_children_equal_a_fresh_rewrite_of_the_materialised_parent():
-    clear_match_cache()
+    clear_caches()
     built = distinct = 0
     for program, _rules in planner_corpus.programs():
         for params in planner_corpus.PRESETS:
@@ -303,7 +302,7 @@ def test_children_equal_a_fresh_rewrite_of_the_materialised_parent():
                 b, d = _walk_rewrites(program, params, rules)
                 built, distinct = built + b, distinct + d
     assert distinct < built  # kept rewrites were reused, and checked
-    clear_match_cache()
+    clear_caches()
 
 
 #: nine stages, four disjoint rule windows: a wide graph whose orders of
@@ -313,7 +312,7 @@ NINE = (ScanStage(MUL), ReduceStage(ADD), BcastStage(), ScanStage(ADD),
         ScanStage(ADD))
 NINE_PARAMS = MachineParams(p=8, ts=5.0, tw=0.5, m=16)
 #: one beam search of it: 110 children from 12 distinct (rule, window
-#: objects); ``Program``s built: cold (``clear_match_cache()`` emptied
+#: objects); ``Program``s built: cold (``clear_caches()`` emptied
 #: the match memo and the rewrite store), a window and its rewrite per
 #: distinct rewrite and the 4 of the returned plan's chain; warm (every
 #: rewrite kept process-wide), the chain's 4 alone
@@ -335,7 +334,7 @@ def _counting(monkeypatch, owner, name, key=lambda *args: None,
 
 
 def test_every_check_runs_at_every_site_and_a_rewrite_once(monkeypatch):
-    clear_match_cache()
+    clear_caches()
     # (rule, ids of the window's stages); rows are frozen, so the two
     # methods are wrapped on ``Rule`` itself and the key names the row
     def key(rule, stages, *_):
@@ -360,11 +359,11 @@ def test_every_check_runs_at_every_site_and_a_rewrite_once(monkeypatch):
                 queue.append(child)
     assert len(rewritten) == len(set(rewritten))  # once per (rule, window)
     assert set(rewritten) == set(built) and len(rewritten) < len(built)
-    clear_match_cache()
+    clear_caches()
 
 
 def test_a_search_builds_fewer_programs_than_children(monkeypatch):
-    clear_match_cache()
+    clear_caches()
     program = Program(NINE, name="nine")
     children = _counting(monkeypatch, Search, "_child")
     programs = _counting(monkeypatch, Program, "__init__")
@@ -373,7 +372,7 @@ def test_a_search_builds_fewer_programs_than_children(monkeypatch):
         result = beam_optimize(program, NINE_PARAMS, FULL_RULES)
         assert (len(children), len(programs)) == (NINE_CHILDREN, built)
         assert len(result.derivation.steps) == 4
-    clear_match_cache()
+    clear_caches()
 
 
 #: one beam search of NINE, cold: shape-table lookups (one per window
@@ -388,7 +387,7 @@ def test_a_child_matches_only_the_windows_it_created(monkeypatch):
     rewrite inserted), by ``_child`` when the node inherited it and
     builds its child — and by ``apply_match`` on each rewrite the
     process had not kept."""
-    clear_match_cache()
+    clear_caches()
     shapes, got = search_mod._SHAPES, []
     get = shapes.get
 
@@ -421,7 +420,7 @@ def test_a_child_matches_only_the_windows_it_created(monkeypatch):
     assert 0 < sum(children) < len(children) and rewritten
     assert (result.programs_explored, result.pruned, result.levels) == (
         97, 41, 5)
-    clear_match_cache()
+    clear_caches()
 
 
 #: NINE as text, under a program name of the caller's
@@ -447,7 +446,7 @@ def test_a_second_text_of_the_same_statements_builds_nothing_new(
     statement texts come from the statement store), constructs no stage,
     rewrites no window and builds only its plan's chain of ``Program``s —
     while ``rule.match`` still runs for every child."""
-    clear_match_cache()
+    clear_caches()
     parser_mod._PARSE_MEMO.clear()
     first = parse_program(NINE_TEXT.format(name="nine")).to_program(NINE_ENV)
     assert _shape(first.stages) == _shape(NINE)
@@ -496,7 +495,7 @@ def test_a_second_text_of_the_same_statements_builds_nothing_new(
     assert trace_of(result) == trace_of(planned)
     assert result.cost_after == planned.cost_after
     assert result.program.name == "again"
-    clear_match_cache()
+    clear_caches()
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "beam", "exhaustive"])

@@ -21,7 +21,7 @@ import pytest
 from repro.core import stages as stages_module
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD, EW_ADD, MUL
-from repro.core.optimizer import clear_planner_caches, optimize
+from repro.core.optimizer import optimize
 from repro.core.rules import FULL_RULES
 from repro.core.stages import (
     AllGatherVStage,
@@ -35,13 +35,13 @@ from repro.core.stages import (
     ScanStage,
     Stage,
 )
+from repro.core.store import clear_caches
 from repro.faults import FaultPlan, LinkFault
 from repro.jit import STATS, engine_lower, reset_stats
 from repro.machine import run as machine_run
 from repro.machine.primitives import RankContext
 from repro.machine.run import (
     DEFINED,
-    clear_resident_schedules,
     execute_stage,
     resident_run,
     simulate_program,
@@ -57,9 +57,9 @@ SCANRED = Program([ScanStage(ADD), MapStage(lambda x: x + 1, label="inc"),
 
 @pytest.fixture(autouse=True)
 def _empty_store():
-    clear_resident_schedules()
+    clear_caches()
     yield
-    clear_resident_schedules()
+    clear_caches()
 
 
 def _served(program, inputs, params=PARAMS, faults=None):
@@ -356,7 +356,7 @@ def test_token_runs_are_the_trivial_case():
 def test_clear_planner_caches_empties_the_store():
     assert _served(SCANRED, [1, 2, 3, 4])[1] == "miss"
     assert len(machine_run._SCHEDULES) == 1
-    clear_planner_caches()
+    clear_caches()
     assert len(machine_run._SCHEDULES) == 0
     assert _served(SCANRED, [1, 2, 3, 4])[1] == "miss"
 

@@ -27,9 +27,9 @@ from repro.core.rules import (
     NoTable1Form,
     Rule,
 )
-from repro.core.optimizer import clear_match_cache
 from repro.core.search import Search
 from repro.core.stages import Program
+from repro.core.store import clear_caches
 from repro.testing import RULE_CASES
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
@@ -150,7 +150,7 @@ class TestARowIsItsIdentity:
     def test_the_match_memo_tells_a_doctored_row_from_the_catalogues(self):
         """Same name, same position, a side condition that never holds:
         the memo warmed by the catalogue's row must not answer for it."""
-        clear_match_cache()
+        clear_caches()
         program = Program(SR2_REDUCTION.exemplar)
         params = MachineParams(p=8, ts=10.0, tw=1.0, m=4)
         real = Search(program, params, (SR2_REDUCTION,))
@@ -158,7 +158,7 @@ class TestARowIsItsIdentity:
         never = replace(SR2_REDUCTION, when=lambda window: False)
         doctored = Search(program, params, (never,))
         assert doctored.sites(doctored.root) == []
-        clear_match_cache()
+        clear_caches()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ import pytest
 from repro.core.cost import MachineParams
 from repro.core.operators import ADD
 from repro.core.stages import MapStage, Program, ReduceStage, ScanStage
-from repro.machine.run import clear_resident_schedules, simulate_program
+from repro.core.store import clear_caches
+from repro.machine.run import simulate_program
 from repro.parallel import backend, process_fallback_reason, shm
 from repro.recovery import Strikes, backoff
 from repro.serving import (
@@ -536,7 +537,7 @@ class TestServingManager:
         """``handle.sim`` is the unserved run's SimResult — on a miss, on
         a hit and on the threaded substrate — while ``result()`` is
         still the value tuple."""
-        clear_resident_schedules()
+        clear_caches()
         prog = Program([ScanStage(ADD), ReduceStage(ADD)], name="verdict")
         streams = [[r + j for r in range(P)] for j in range(3)]
         with ServingManager(_cfg(workers=1)) as coop, \
@@ -595,7 +596,7 @@ class TestServingManager:
 
     def test_resident_schedules_add_no_event(self):
         """A miss and a hit leave the same four-event trail a bypass does."""
-        clear_resident_schedules()
+        clear_caches()
         with ServingManager(_cfg(workers=1)) as mgr:
             handles = [mgr.submit(SCAN, xs, PARAMS) for xs in
                        ([1, 2, 3, 4], [5, 6, 7, 8], [1.0, 2.0, 3.0, 4.0])]

@@ -58,9 +58,9 @@ from repro.core.stages import (
     ScanStage,
     Stage,
 )
+from repro.core.store import clear_caches
 from repro.lang import parse_program
 from repro.machine.engine import SimResult, SimStats
-from repro.machine.run import clear_resident_schedules
 from repro.parallel.errors import WorkerCrashError
 from repro.serving import (
     JobHandle,
@@ -206,7 +206,7 @@ def _deck():
     reject, a queue-full reject, a crash retried then quarantined, a
     deadline miss, a deterministic failure, a resident miss and hit, and
     an inexact-input bypass."""
-    clear_resident_schedules()
+    clear_caches()
     gate = threading.Event()
 
     def wedge(x):
@@ -414,7 +414,7 @@ def test_a_served_job_takes_at_most_LOCKS_PER_JOB_lock_acquisitions(
     monkeypatch.setattr(WorkerPool, "start", lambda self: None)
     monkeypatch.setattr(WorkerPool, "join",
                         lambda self, timeout=None: self._loop(0) or True)
-    clear_resident_schedules()
+    clear_caches()
     mgr = ServingManager(ServingConfig(workers=1, queue_capacity=JOBS))
     tally[0] = 0
     handles = [mgr.submit(SCAN, [j, 1, 2, 3], PARAMS, tenant=f"t{j % 4}")
@@ -443,7 +443,7 @@ def test_a_repeated_request_builds_hashes_and_traverses_nothing(monkeypatch):
     ``Stage``, computes no ``Program`` hash, and its resident hit runs no
     ``ComcastOp.compute`` and no ``IterOp`` digit traversal — counted,
     like the locks above: the cause, not the clock."""
-    clear_resident_schedules()
+    clear_caches()
     cache, env = PlanCache(), {"op1": ADD}
     counts: Counter = Counter()
 
