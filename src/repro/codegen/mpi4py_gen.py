@@ -20,7 +20,10 @@ installed they run under ``mpiexec -n <p> python script.py``.
 
 The generator needs each operator's *source expression* — a Python
 lambda/function text for combining two values — supplied through an
-:class:`OpTable` (defaults cover the standard zoo).
+:class:`OpTable` keyed by operator object (defaults cover the standard
+zoo; ``op_sr2`` pairs, ``ew`` lifts and the ``bs`` comcast base are
+derived from their parts).  ``MPI.Op.Create`` is told the operator's own
+``commutative`` flag; an operator's name is only printed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.operators import ADD, AND, CONCAT, FADD, FMUL, MAX, MIN, MUL, OR, BinOp
 from repro.core.stages import (
     AllGatherStage,
     AllGatherVStage,
@@ -57,78 +61,53 @@ class CodegenError(ValueError):
 
 #: source expressions for the standard operator zoo
 _DEFAULT_OPS = {
-    "add": "lambda a, b: a + b",
-    "fadd": "lambda a, b: a + b",
-    "mul": "lambda a, b: a * b",
-    "fmul": "lambda a, b: a * b",
-    "max": "max",
-    "min": "min",
-    "concat": "lambda a, b: a + b",
-    "and": "lambda a, b: a and b",
-    "or": "lambda a, b: a or b",
+    ADD: "lambda a, b: a + b",
+    FADD: "lambda a, b: a + b",
+    MUL: "lambda a, b: a * b",
+    FMUL: "lambda a, b: a * b",
+    MAX: "max",
+    MIN: "min",
+    CONCAT: "lambda a, b: a + b",
+    AND: "lambda a, b: a and b",
+    OR: "lambda a, b: a or b",
 }
 
 
 @dataclass
 class OpTable:
-    """Maps operator names to Python source expressions.
-
-    ``commutative`` flags feed ``MPI.Op.Create``; unknown operators raise
+    """Maps operators (by value: a namesake of a catalogue operator has
+    no source) to Python source expressions; unknown operators raise
     :class:`CodegenError` with a hint to register them.
     """
 
-    sources: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_OPS))
-    commutative: dict[str, bool] = field(default_factory=dict)
+    sources: dict[BinOp, str] = field(default_factory=lambda: dict(_DEFAULT_OPS))
 
-    def register(self, name: str, source: str, commutative: bool = False) -> None:
-        self.sources[name] = source
-        self.commutative[name] = commutative
+    def register(self, op: BinOp, source: str) -> None:
+        self.sources[op] = source
 
-    def source_of(self, op) -> str:
-        if op.name in self.sources:
-            return self.sources[op.name]
-        derived = self._derive(op.name)
-        if derived is not None:
-            return derived
+    def source_of(self, op: BinOp) -> str:
+        """``op``'s registered source, or one composed from its parts:
+        ``op_sr2[ot,op]`` is ``(s1 ⊕ (r1 ⊗ s2), r1 ⊗ r2)`` on pairs, an
+        ``ew`` lift combines equal-length blocks element by element."""
+        source = self.sources.get(op)
+        if source is not None:
+            return source
+        if op.kind == "sr2":
+            times, plus = map(self.source_of, op.parts)
+            return (f"lambda a, b, _ot=({times}), _op=({plus}): "
+                    "(_op(a[0], _ot(a[1], b[0])), _ot(a[1], b[1]))")
+        if op.kind == "ew":
+            # preserve the block representation (arrays stay arrays so
+            # later local stages still see ndarray semantics)
+            return (f"lambda a, b, _bb=({self.source_of(op.parts[0])}): ("
+                    "__import__('numpy').array([_bb(_x, _y) "
+                    "for _x, _y in zip(a, b)]) "
+                    "if hasattr(a, 'dtype') or hasattr(b, 'dtype') "
+                    "else [_bb(_x, _y) for _x, _y in zip(a, b)])")
         raise CodegenError(
             f"no source expression registered for operator {op.name!r}; "
             "call OpTable.register(name, source)"
         )
-
-    def _derive(self, name: str) -> str | None:
-        """Synthesize sources for rule-derived operators.
-
-        ``op_sr2[ot,op]`` is mechanical given its base operators:
-        ``(s1 ⊕ (r1 ⊗ s2), r1 ⊗ r2)`` on pairs.
-        """
-        if name.startswith("op_sr2[") and name.endswith("]"):
-            inner = name[len("op_sr2[") : -1]
-            if "," in inner:
-                ot_name, op_name = inner.split(",", 1)
-                ot = self.sources.get(ot_name)
-                op = self.sources.get(op_name)
-                if ot and op:
-                    return (
-                        f"lambda a, b, _ot=({ot}), _op=({op}): "
-                        "(_op(a[0], _ot(a[1], b[0])), _ot(a[1], b[1]))"
-                    )
-        if name.startswith("ew[") and name.endswith("]"):
-            # elementwise lift: combine equal-length blocks element by
-            # element, preserving the block representation (arrays stay
-            # arrays so later local stages still see ndarray semantics)
-            base = self.sources.get(name[len("ew[") : -1])
-            if base:
-                return (
-                    f"lambda a, b, _bb=({base}): ("
-                    "__import__('numpy').array([_bb(_x, _y) "
-                    "for _x, _y in zip(a, b)]) "
-                    "if hasattr(a, 'dtype') or hasattr(b, 'dtype') "
-                    "else [_bb(_x, _y) for _x, _y in zip(a, b)])"
-                )
-        return None
-
-    def is_commutative(self, op) -> bool:
-        return self.commutative.get(op.name, op.commutative)
 
 
 def _header(program: Program, p_hint: int | None) -> list[str]:
@@ -162,23 +141,20 @@ def _header(program: Program, p_hint: int | None) -> list[str]:
     ]
 
 
-def _op_defs(program: Program, table: OpTable) -> tuple[list[str], dict[str, str]]:
+def _op_defs(program: Program, table: OpTable) -> tuple[list[str], dict[BinOp, str]]:
     """Emit one combine function + MPI.Op per distinct operator."""
     lines: list[str] = []
-    names: dict[str, str] = {}
-    idx = 0
+    names: dict[BinOp, str] = {}
     for stage in program.stages:
         op = getattr(stage, "op", None)
-        if op is None or op.name in names:
+        if op is None or op in names:
             continue
-        pyname = f"_op{idx}"
-        idx += 1
-        names[op.name] = pyname
+        pyname = names[op] = f"_op{len(names)}"
         lines += [
             f"_combine{pyname} = {table.source_of(op)}  # {op.name}",
             f"{pyname} = MPI.Op.Create(",
             f"    lambda a, b, dt, _c=_combine{pyname}: _c(a, b),",
-            f"    commute={table.is_commutative(op)},",
+            f"    commute={op.commutative},",
             ")",
             "",
         ]
@@ -221,7 +197,7 @@ def _reduce_scatter(stage, ops, table) -> list[str]:
               else "[len(x) // size + (1 if _i < len(x) % size else 0)"
                    " for _i in range(size)]")
     return [
-        f"x = comm.allreduce(x, op={ops[stage.op.name]})",
+        f"x = comm.allreduce(x, op={ops[stage.op]})",
         "# reduce_scatter: keep only this rank's segment",
         f"_counts = {counts}",
         "_off = sum(_counts[:rank])",
@@ -275,16 +251,16 @@ def _balanced(stage, ops, table) -> list[str]:
     )
 
 
-_MPI4PY: dict[type, Callable[[Any, dict[str, str], OpTable], list[str]]] = {
+_MPI4PY: dict[type, Callable[[Any, dict[BinOp, str], OpTable], list[str]]] = {
     MapStage: _map,
     MapIndexedStage: _map_indexed,
     Map2Stage: _map2,
     ScanStage: lambda stage, ops, table: [
-        f"x = comm.scan(x, op={ops[stage.op.name]})"],
+        f"x = comm.scan(x, op={ops[stage.op]})"],
     ReduceStage: lambda stage, ops, table: [
-        f"x = comm.reduce(x, op={ops[stage.op.name]}, root=0)"],
+        f"x = comm.reduce(x, op={ops[stage.op]}, root=0)"],
     AllReduceStage: lambda stage, ops, table: [
-        f"x = comm.allreduce(x, op={ops[stage.op.name]})"],
+        f"x = comm.allreduce(x, op={ops[stage.op]})"],
     BcastStage: lambda stage, ops, table: ["x = comm.bcast(x, root=0)"],
     AllGatherStage: lambda stage, ops, table: ["x = tuple(comm.allgather(x))"],
     ReduceScatterStage: _reduce_scatter,
@@ -300,7 +276,7 @@ _MPI4PY: dict[type, Callable[[Any, dict[str, str], OpTable], list[str]]] = {
 }
 
 
-def _lower_stage(stage, ops: dict[str, str], table: OpTable) -> list[str]:
+def _lower_stage(stage, ops: dict[BinOp, str], table: OpTable) -> list[str]:
     """The statements of the stage class's entry in the emitter table."""
     try:
         emit = _MPI4PY[type(stage)]
@@ -312,21 +288,17 @@ def _lower_stage(stage, ops: dict[str, str], table: OpTable) -> list[str]:
 
 
 def _comcast_base_sources(stage: ComcastStage, table: OpTable) -> dict[str, str]:
-    """Digit-function sources for the three comcast operator shapes."""
-    name = stage.comcast_op.name
-    # op_comp_bs[op] / op_comp_bss2[ot,op] / op_comp_bss[op]
-    inner = name[name.index("[") + 1 : -1]
-    if name.startswith("op_comp_bs["):
-        op_src = table.sources.get(inner)
-        if op_src is None:
-            raise CodegenError(f"no source for comcast base operator {inner!r}")
+    """Digit-function sources of a ``bs`` comcast (``op_comp_bs[op]``)."""
+    comcast = stage.comcast_op
+    if comcast.kind == "bs":
+        op_src = table.source_of(comcast.parts[0])
         return {
             "prepare": "(x, x)",
             "e": f"lambda s, _op={op_src}: (s[0], _op(s[1], s[1]))",
             "o": f"lambda s, _op={op_src}: (_op(s[0], s[1]), _op(s[1], s[1]))",
         }
     raise CodegenError(
-        f"comcast over {name!r} not supported by the mpi4py backend yet"
+        f"comcast over {comcast.name!r} not supported by the mpi4py backend yet"
     )
 
 

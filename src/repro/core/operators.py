@@ -22,8 +22,8 @@ reference semantics both call them through :meth:`BinOp.__call__`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "BinOp",
@@ -70,7 +70,8 @@ class BinOp:
     Parameters
     ----------
     name:
-        Human-readable name used in rule reports and pretty-printed programs.
+        Printed in rule reports and programs, and only printed: laws,
+        kernel rows and MPI sources are keyed by the operator itself.
     fn:
         The binary callable.  It must be associative for every collective
         operation in this library to be well defined; commutativity is
@@ -97,6 +98,9 @@ class BinOp:
         (:mod:`repro.kernels`) uses this to lower composed operators to
         whole-block array kernels without inspecting ``fn``.  Leaf
         operators leave both empty.
+    source:
+        The operator a kernelized or raw form was made from (set by
+        :meth:`with_fn` only); the form reads that operator's kernel row.
     """
 
     name: str
@@ -109,12 +113,18 @@ class BinOp:
     width: int = 1
     kind: str = field(default="", compare=False)
     parts: tuple = field(default=(), compare=False)
+    source: Optional["BinOp"] = field(default=None, compare=False)
 
     def __call__(self, a: Any, b: Any) -> Any:
         return self.fn(a, b)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BinOp({self.name})"
+
+    def with_fn(self, fn: Callable[[Any, Any], Any]) -> "BinOp":
+        """This operator computing with ``fn``: a kernelized or raw form
+        that keeps the laws and kernel row of the operator it came from."""
+        return replace(self, fn=fn, source=self.source or self)
 
     def fold(self, items: Sequence[Any]) -> Any:
         """Left fold of a non-empty sequence (or identity for empty)."""
@@ -156,15 +166,17 @@ def op_signature(op) -> tuple:
     For a :class:`BinOp` this is the name plus the algebraic/cost
     metadata rule matching and costing observe; composed operators
     (``kind``/``parts``) recurse so structurally equal compositions
-    agree.  Derived operators (``SRTreeOp`` etc.) are identified by class
-    and name.
+    agree.  A leaf outside :data:`STANDARD_OPS` also carries its ``fn``'s
+    identity, so a namesake never keys as the catalogue operator.  Derived
+    operators (``SRTreeOp`` etc.) are identified by class and name.
     """
     if isinstance(op, BinOp):
         sig = ("op", op.name, op.associative, op.commutative,
                op.op_count, op.width)
         if op.kind:
             return sig + (op.kind, tuple(op_signature(p) for p in op.parts))
-        return sig
+        base = op.source or op
+        return sig if base in _CATALOGUE else sig + (id(base.fn),)
     # derived non-BinOp operators (SRTreeOp, SSButterflyOp, ComcastOp, IterOp)
     name = getattr(op, "name", None)
     return ("derived", type(op).__name__, repr(op) if name is None else name)
@@ -174,21 +186,21 @@ def op_signature(op) -> tuple:
 # Distributivity registry
 # ---------------------------------------------------------------------------
 
-#: Pairs ``(otimes.name, oplus.name)`` such that otimes distributes over
+#: Pairs ``(otimes, oplus)`` of operators such that otimes distributes over
 #: oplus, i.e. ``a ⊗ (b ⊕ c) = (a ⊗ b) ⊕ (a ⊗ c)`` and symmetrically on the
 #: right.  The ``*2`` rules consult this registry through
 #: :func:`distributes_over`, at every match: nothing keeps its answers.
-DISTRIBUTIVE_PAIRS: set[tuple[str, str]] = set()
+DISTRIBUTIVE_PAIRS: set[tuple[BinOp, BinOp]] = set()
 
 
 def declare_distributes(otimes: BinOp, oplus: BinOp) -> None:
     """Record that ``otimes`` distributes over ``oplus``."""
-    DISTRIBUTIVE_PAIRS.add((otimes.name, oplus.name))
+    DISTRIBUTIVE_PAIRS.add((otimes, oplus))
 
 
 def distributes_over(otimes: BinOp, oplus: BinOp) -> bool:
     """Does ``otimes`` distribute over ``oplus`` (per the registry)?"""
-    return (otimes.name, oplus.name) in DISTRIBUTIVE_PAIRS
+    return (otimes, oplus) in DISTRIBUTIVE_PAIRS
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +370,7 @@ declare_distributes(MAX, MIN)
 STANDARD_OPS: tuple[BinOp, ...] = (
     ADD, MUL, MAX, MIN, CONCAT, AND, OR, XOR, FADD, FMUL, MATMUL2, MATADD2,
 )
+_CATALOGUE = frozenset(STANDARD_OPS)
 
 
 def product_op(left: BinOp, right: BinOp, name: str | None = None) -> BinOp:

@@ -104,13 +104,13 @@ def is_all(stage: Stage) -> bool:
 def distributive(window: Sequence[Stage]) -> bool:
     """⊗ distributes over ⊕, different operators (the ``*2`` rules)."""
     otimes, oplus = window[-2].op, window[-1].op
-    return otimes.name != oplus.name and distributes_over(otimes, oplus)
+    return otimes != oplus and distributes_over(otimes, oplus)
 
 
 def commutative(window: Sequence[Stage]) -> bool:
     """One commutative ⊕ in both folds (the same-operator rules)."""
     first, second = window[-2].op, window[-1].op
-    return first.name == second.name and first.commutative
+    return first == second and first.commutative
 
 
 class NoTable1Form(ValueError):

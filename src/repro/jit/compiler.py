@@ -75,7 +75,7 @@ from repro.kernels.blocks import (
 )
 from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan, run_lowered
 from repro.kernels.lowering import rebuild_stage, vectorize_program
-from repro.kernels.registry import map_rows, primitive, registry_version
+from repro.kernels.registry import Primitive, map_rows, primitive, registry_version
 from repro.machine.run import DEFINED
 from repro.semantics.functional import UNDEF
 
@@ -123,15 +123,16 @@ _OK_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 class Tape:
     """Straight-line primitive code over the ``slots`` flat slots of a block.
 
-    ``instrs`` carry a primitive's *name* first (:func:`bind` replaces it
-    with one reading of its row) and instruction ``j`` writes scratch
-    ``j``; ``out`` names the refs forming the result's slots.  The tape
-    of a combine ``op(acc, rhs)`` (:func:`emit_combine`) has instructions
-    ``(name, src_a, src_b, j)`` over ``("a", i)`` acc slots, ``("b", i)``
-    rhs slots and ``("t", j)`` earlier results.  The tape of a map label
-    (:func:`emit_map`) has ``(name, src, const)`` over ``("i", k)`` input
-    slots and ``("t", j)`` — replication (``pair``) and projection
-    (``π₁``) are pure ref manipulation, no data movement.
+    ``instrs`` carry a primitive's :class:`~repro.kernels.registry.Primitive`
+    row first (:func:`bind` replaces it with one reading of the row) and
+    instruction ``j`` writes scratch ``j``; ``out`` names the refs forming
+    the result's slots.  The tape of a combine ``op(acc, rhs)``
+    (:func:`emit_combine`) has instructions ``(row, src_a, src_b, j)``
+    over ``("a", i)`` acc slots, ``("b", i)`` rhs slots and ``("t", j)``
+    earlier results.  The tape of a map label (:func:`emit_map`) has
+    ``(row, src, const)`` over ``("i", k)`` input slots and ``("t", j)``
+    — replication (``pair``) and projection (``π₁``) are pure ref
+    manipulation, no data movement.
     """
 
     slots: int
@@ -142,14 +143,15 @@ class Tape:
 def emit_combine(op: BinOp) -> Tape:
     """Flatten ``op`` to a :class:`Tape` (or raise JitUnsupported).
 
-    The one walk over ``kind`` / ``parts`` under ``repro.jit``: a name
-    with a row is one instruction on one slot, and each argument's slots
-    are numbered in the order the walk reaches them."""
+    The one walk over ``kind`` / ``parts`` under ``repro.jit``: an
+    operator with a row is one instruction on one slot, and each
+    argument's slots are numbered in the order the walk reaches them."""
     instrs: list[tuple] = []
 
     def emit(op: BinOp, a: Any, b: Any) -> list:
-        if primitive(op.name) is not None:
-            instrs.append((op.name, next(a), next(b), len(instrs)))
+        row = primitive(op)
+        if row is not None:
+            instrs.append((row, next(a), next(b), len(instrs)))
             return [("t", len(instrs) - 1)]
         if op.kind == "ew":
             return emit(op.parts[0], a, b)
@@ -196,19 +198,19 @@ def emit_map(label: str, slots: int) -> Tape:
 
 
 def bind(tape: Tape, reading: str) -> Tape:
-    """``tape`` with every primitive name replaced by one reading of its
-    row: ``"raw"`` (the ufuncs a register tape and the raw rung call) or
+    """``tape`` with every primitive row replaced by one reading of it:
+    ``"raw"`` (the ufuncs a register tape and the raw rung call) or
     ``"interval"`` (what :mod:`repro.jit.bounds` interprets).
     Raises :class:`JitUnsupported` naming the row that does not state it."""
 
-    def read(name: str) -> Callable:
-        fn = getattr(primitive(name), reading, None)
+    def read(row: Primitive) -> Callable:
+        fn = getattr(row, reading)
         if fn is None:
-            raise JitUnsupported(f"no-{reading}:{name}")
+            raise JitUnsupported(f"no-{reading}:{row.name}")
         return fn
 
     return replace(tape, instrs=tuple(
-        (read(name), *rest) for name, *rest in tape.instrs))
+        (read(row), *rest) for row, *rest in tape.instrs))
 
 
 def _run_map_tape(
@@ -847,7 +849,7 @@ class CompiledProgram:
         def swapped(map_fn: Callable, op_fn: Callable) -> Program:
             return Program(
                 [rebuild_stage(st, map_fn,
-                               lambda op: replace(op, fn=op_fn(op)))
+                               lambda op: op.with_fn(op_fn(op)))
                  for st in stages], name=self.plan.program.name)
 
         token = swapped(lambda st: _token_map, lambda op: _token_op)

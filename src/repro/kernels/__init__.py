@@ -38,6 +38,7 @@ from repro.kernels.registry import (
     kernelize_binop,
     kernelize_map,
     map_kernel,
+    primitive,
     register_binop_kernel,
     register_map_kernel,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "kernelize_binop",
     "kernelize_map",
     "map_kernel",
+    "primitive",
     "register_binop_kernel",
     "register_map_kernel",
 ]

@@ -2,14 +2,16 @@
 
 Every numeric tier reads the same two tables:
 
-* ``primitives`` — a :class:`~repro.core.operators.BinOp` *name*
-  (``add``, ``mul``, ``max``, ...) to its :class:`Primitive` row: the
+* ``primitives`` — a :class:`~repro.core.operators.BinOp` *object*
+  (``ADD``, ``MUL``, ``MAX``, ...) to its :class:`Primitive` row: the
   overflow-**checked** whole-block kernel, the **raw** ufunc the JIT's
   tapes run once a program is proven safe, and the **interval**
-  extension that proof is made with.  Composed operators (``op_sr2``
-  pairs, componentwise products, ``ew`` lifts, segmented operators)
-  resolve *structurally* through ``kind``/``parts`` down to these names
-  — :func:`binop_kernel` for the checked reading,
+  extension that proof is made with.  A namesake of a catalogue
+  operator has no row; a kernelized or raw form (:meth:`BinOp.with_fn`)
+  reads the row of the operator it was made from.  Composed operators
+  (``op_sr2`` pairs, products, ``ew`` lifts, segmented operators)
+  resolve *structurally* through ``kind``/``parts`` down to these rows —
+  :func:`binop_kernel` for the checked reading,
   ``repro.jit.compiler.emit_combine`` for the tape the other two share.
 
 * ``maps`` — a ``MapStage`` *label* to its :class:`MapRow`: the checked
@@ -26,9 +28,9 @@ wrapping (callers then replay in object mode, where Python bigints are
 exact).
 
 ``register_binop_kernel`` / ``register_map_kernel`` replace a **whole**
-row: a bare kernel is a row with a checked reading only, so the name has
-no raw form and no proof — and the JIT declines it by name — until a
-full row states them (see ``docs/PERFORMANCE.md``).
+row: a bare kernel is a row with a checked reading only, so the operator
+has no raw form and no proof — and the JIT declines it, naming the row —
+until a full row states them (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.core.operators import BinOp
+from repro.core.operators import ADD, AND, FADD, FMUL, MAX, MIN, MUL, OR, XOR, BinOp
 from repro.kernels.blocks import (
     KernelUnsupported,
     checked_add,
@@ -71,18 +73,20 @@ Interval = tuple[int, int]
 
 @dataclass(frozen=True)
 class Primitive:
-    """One named numeric primitive.
+    """One numeric primitive.
 
     ``raw`` must agree bit for bit with ``checked`` on int64 and float64
     blocks wherever ``interval`` — the exact extension of the primitive
     to ``(lo, hi)`` bounds over Python ints — stays inside
     :data:`~repro.kernels.blocks.MAX_SAFE_INT`.  A row without them runs
-    checked on every tier.
+    checked on every tier.  ``name`` is printed in the JIT's decline
+    reasons (``no-raw:<name>``) and decides nothing.
     """
 
     checked: Callable[..., Any]
     raw: Optional[Callable[..., Any]] = None
     interval: Optional[Callable[..., Interval]] = None
+    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,9 @@ class MapRow:
 
     ``effect`` is ``("replicate", n)`` (one slot becomes ``n`` refs to
     it), ``("project",)`` (a tuple block keeps its first slot) or
-    ``("apply", name, const)`` (the :class:`Primitive` named ``name`` on
-    the slot and ``const``; unary when ``const`` is None).  None: the
-    label has a checked kernel only.
+    ``("apply", row, const)`` (the :class:`Primitive` ``row`` on the slot
+    and ``const``; unary when ``const`` is None).  None: the label has a
+    checked kernel only.
     """
 
     checked: MapKernel
@@ -130,31 +134,33 @@ def _imul(a: Interval, b: Interval) -> Interval:
     return (min(ps), max(ps))
 
 
-_ADD = Primitive(checked_add, np.add, lambda a, b: (a[0] + b[0], a[1] + b[1]))
-_MUL = Primitive(checked_mul, np.multiply, _imul)
+_ADD = Primitive(checked_add, np.add, lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                 "add")
+_MUL = Primitive(checked_mul, np.multiply, _imul, "mul")
+#: the one unary row: no operator has it, the ``neg`` map applies it
+_NEG = Primitive(checked_neg, np.negative, lambda a: (-a[1], -a[0]), "neg")
 
-#: name -> row.  ``fadd``/``fmul`` only ever see int intervals when a
-#: float op is (harmlessly) applied to ints; ``neg`` is the one unary row.
-_PRIMITIVES: dict[str, Primitive] = {
-    "add": _ADD,
-    "fadd": _ADD,
-    "mul": _MUL,
-    "fmul": _MUL,
-    "max": Primitive(np.maximum, np.maximum,
-                     lambda a, b: (max(a[0], b[0]), max(a[1], b[1]))),
-    "min": Primitive(np.minimum, np.minimum,
-                     lambda a, b: (min(a[0], b[0]), min(a[1], b[1]))),
-    "neg": Primitive(checked_neg, np.negative, lambda a: (-a[1], -a[0])),
-    "and": Primitive(_and_kernel),
-    "or": Primitive(_or_kernel),
-    "xor": Primitive(_xor_kernel),
+#: operator -> row.  ``FADD``/``FMUL`` only ever see int intervals when a
+#: float op is (harmlessly) applied to ints.
+_PRIMITIVES: dict[BinOp, Primitive] = {
+    ADD: _ADD,
+    FADD: _ADD,
+    MUL: _MUL,
+    FMUL: _MUL,
+    MAX: Primitive(np.maximum, np.maximum,
+                   lambda a, b: (max(a[0], b[0]), max(a[1], b[1])), "max"),
+    MIN: Primitive(np.minimum, np.minimum,
+                   lambda a, b: (min(a[0], b[0]), min(a[1], b[1])), "min"),
+    AND: Primitive(_and_kernel, name="and"),
+    OR: Primitive(_or_kernel, name="or"),
+    XOR: Primitive(_xor_kernel, name="xor"),
 }
 
 
-def _apply_row(name: str, const: int) -> MapRow:
-    """``x -> name(x, const)``, every reading taken from the primitive's row."""
-    checked, c = _PRIMITIVES[name].checked, np.int64(const)
-    return MapRow(lambda x: checked(x, c), ("apply", name, const))
+def _apply_row(row: Primitive, const: int) -> MapRow:
+    """``x -> row(x, const)``, every reading taken from the primitive's row."""
+    checked, c = row.checked, np.int64(const)
+    return MapRow(lambda x: checked(x, c), ("apply", row, const))
 
 
 def _replicate_row(n: int) -> MapRow:
@@ -169,9 +175,9 @@ def _pi1_kernel(t: Any) -> Any:
 
 #: MapStage label -> row
 _MAPS: dict[str, MapRow] = {
-    "inc": _apply_row("add", 1),
-    "dbl": _apply_row("mul", 2),
-    "neg": MapRow(checked_neg, ("apply", "neg", None)),
+    "inc": _apply_row(_ADD, 1),
+    "dbl": _apply_row(_MUL, 2),
+    "neg": MapRow(checked_neg, ("apply", _NEG, None)),
     "pair": _replicate_row(2),
     "triple": _replicate_row(3),
     "quadruple": _replicate_row(4),
@@ -179,9 +185,9 @@ _MAPS: dict[str, MapRow] = {
 }
 
 
-def primitive(name: str) -> Optional[Primitive]:
-    """The row registered under the operator name ``name``, or None."""
-    return _PRIMITIVES.get(name)
+def primitive(op: BinOp) -> Optional[Primitive]:
+    """The row of ``op`` (of its :attr:`~BinOp.source`), or None."""
+    return _PRIMITIVES.get(op.source or op)
 
 
 def map_rows(label: str) -> list[tuple[str, Optional[MapRow]]]:
@@ -189,12 +195,12 @@ def map_rows(label: str) -> list[tuple[str, Optional[MapRow]]]:
     return [(part, _MAPS.get(part)) for part in label.split(";")]
 
 
-def register_binop_kernel(name: str, kernel: Kernel | Primitive) -> None:
-    """Replace the row of the BinOp named ``name``: a full
-    :class:`Primitive`, or a bare array kernel (checked reading only)."""
+def register_binop_kernel(op: BinOp, kernel: Kernel | Primitive) -> None:
+    """Replace the row of ``op``: a full :class:`Primitive`, or a bare
+    array kernel (checked reading only); an unnamed row prints as ``op``."""
     global _REGISTRY_VERSION
-    _PRIMITIVES[name] = (kernel if isinstance(kernel, Primitive)
-                         else Primitive(kernel))
+    row = kernel if isinstance(kernel, Primitive) else Primitive(kernel)
+    _PRIMITIVES[op] = row if row.name else replace(row, name=op.name)
     _REGISTRY_VERSION += 1
 
 
@@ -227,10 +233,10 @@ def _lift_undef(kernel: Kernel) -> Kernel:
 def binop_kernel(op: BinOp) -> Kernel | None:
     """Resolve the whole-block kernel for ``op``, or None.
 
-    Name lookup first (base operators and user registrations), then the
+    Its own row first (base operators and user registrations), then the
     structural ``kind``/``parts`` metadata for composed operators.
     """
-    row = _PRIMITIVES.get(op.name)
+    row = primitive(op)
     if row is not None:
         return row.checked
 
@@ -309,7 +315,7 @@ def kernelize_binop(op: BinOp) -> BinOp:
             return kernel(a, b)
         return fn(a, b)
 
-    return replace(op, fn=dispatch)
+    return op.with_fn(dispatch)
 
 
 def map_kernel(label: str) -> MapKernel | None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.core.operators import BinOp
+from repro.core.operators import ADD, BinOp
 from repro.core.stages import MapStage, Program, ReduceStage, ScanStage
 
 __all__ = [
@@ -106,15 +106,13 @@ class ListHomomorphism:
 LENGTH = ListHomomorphism(
     name="length",
     prepare=lambda _x: 1,
-    combine=BinOp("add", lambda a, b: a + b, commutative=True,
-                  identity=0, has_identity=True),
+    combine=ADD,
 )
 
 SUM = ListHomomorphism(
     name="sum",
     prepare=lambda x: x,
-    combine=BinOp("add", lambda a, b: a + b, commutative=True,
-                  identity=0, has_identity=True),
+    combine=ADD,
 )
 
 

@@ -8,11 +8,14 @@ from repro.apps import build_example
 from repro.codegen import CodegenError, OpTable, generate_mpi4py
 from repro.codegen.simulated_backend import run_generated
 from repro.core.cost import MachineParams
-from repro.core.operators import ADD, BinOp, MUL
+from repro.core.derived_ops import bs_comcast_op
+from repro.core.operators import ADD, EW_ADD, BinOp
 from repro.core.rewrite import apply_match, find_matches
 from repro.core.stages import (
     AllGatherStage,
+    AllReduceStage,
     BcastStage,
+    ComcastStage,
     Program,
     ReduceStage,
     ScanStage,
@@ -36,13 +39,19 @@ class TestEmission:
         assert src.count("MPI.Op.Create") == 1  # same op, one MPI.Op
 
     def test_unknown_operator_needs_registration(self):
+        """A source is keyed by the operator: an unregistered one raises,
+        and so does max printed as ``mul`` (it is not MUL, whose source
+        would compute a product)."""
         weird = BinOp("weird", lambda a, b: a ^ b, commutative=True)
-        prog = Program([ScanStage(weird)])
-        with pytest.raises(CodegenError, match="weird"):
-            generate_mpi4py(prog)
-        table = OpTable()
-        table.register("weird", "lambda a, b: a ^ b", commutative=True)
-        compile(generate_mpi4py(prog, table), "<gen>", "exec")
+        for op in (weird, BinOp("mul", max)):
+            prog = Program([AllReduceStage(op)])
+            with pytest.raises(CodegenError, match=op.name):
+                generate_mpi4py(prog)
+            table = OpTable()
+            table.register(op, "lambda a, b: a ^ b")
+            src = generate_mpi4py(prog, table)
+            compile(src, "<gen>", "exec")
+            assert f"commute={op.commutative}," in src
 
     def test_comcast_lowering(self):
         prog = Program([BcastStage(), ScanStage(ADD)])
@@ -86,7 +95,7 @@ class TestExecutionOnSimulatedBackend:
         # the SR2 target uses op_sr2 on pairs: register its source
         table = OpTable()
         table.register(
-            res_opt.program.stages[2].op.name,
+            res_opt.program.stages[2].op,
             "lambda a, b: (a[0] + a[1] * b[0], a[1] * b[1])",
         )
         src_opt = generate_mpi4py(res_opt.program, table)
@@ -107,6 +116,15 @@ class TestExecutionOnSimulatedBackend:
         src = generate_mpi4py(fused)
         res = run_generated(src, [5] + [0] * 7, PARAMS)
         assert list(res.values) == [5 * (k + 1) for k in range(8)]
+
+    def test_comcast_over_an_elementwise_lift_executes(self):
+        """``op_comp_bs[ew[add]]`` takes its digit functions' source from
+        its base's parts, the ``ew`` lift of ADD's source."""
+        prog = Program([ComcastStage(bs_comcast_op(EW_ADD))])
+        src = generate_mpi4py(prog)
+        xs = [[1, 2, 3]] + [[0, 0, 0]] * 7
+        res = run_generated(src, xs, PARAMS)
+        assert defined_equal(list(res.values), prog.run(list(xs)))
 
     def test_reduce_returns_none_off_root(self):
         src = generate_mpi4py(Program([ReduceStage(ADD)]))

@@ -100,6 +100,37 @@ class TestBenchNumbers:
                 f"re-run `python -m repro bench summary`")
 
 
+class TestPerformanceDoc:
+    def test_the_registration_snippets_run(self, monkeypatch):
+        """The two ``python`` blocks of "A primitive is one row" in
+        ``docs/PERFORMANCE.md`` run as written, on a copy of the tables:
+        the bare rows decline by the printed name, the full ``GCD`` row
+        takes the fused rung, and ``inc3`` applies ADD's own row."""
+        import re
+
+        import numpy as np
+
+        from repro.core.operators import ADD
+        from repro.core.stages import Program, ScanStage
+        from repro.jit import engine_lower
+        from repro.kernels import registry
+
+        page = (ROOT / "docs" / "PERFORMANCE.md").read_text()
+        section = page.split("## A primitive is one row")[1].split("\n## ")[0]
+        bare, full = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+        for table in ("_PRIMITIVES", "_MAPS"):
+            monkeypatch.setattr(registry, table, dict(getattr(registry, table)))
+        ns: dict = {}
+        exec(bare, ns)
+        xs = [np.array([12, 18], dtype=np.int64), np.array([8, 27], dtype=np.int64)]
+        prog = Program([ScanStage(ns["GCD"])])
+        assert engine_lower(prog, xs).why == "no-raw:gcd"
+        exec(full, ns)
+        assert engine_lower(prog, xs).rung == "fused"
+        [(_, inc3)] = registry.map_rows("inc3")
+        assert inc3.effect == ("apply", registry.primitive(ADD), 3)
+
+
 class TestRulesPage:
     def test_rules_page_is_the_generated_catalogue(self):
         """``docs/RULES.md`` is ``python -m repro catalogue``, byte for

@@ -839,19 +839,20 @@ class TestCaches:
         compiled_program(prog)
         assert STATS.compiles == 1
         version = registry_version()
-        register_binop_kernel("add", primitive("add"))  # same row, new version
+        register_binop_kernel(ADD, primitive(ADD))  # same row, new version
         assert registry_version() == version + 1
         compiled_program(prog)
         assert STATS.compiles == 2  # stale entry not served
 
     def test_registration_replaces_the_whole_row(self):
-        """A kernel registered under a built-in name re-points every tier:
-        the name has no raw form and no proof until a full row states
-        them, so the JIT declines it — by name — rather than running
-        ``np.add`` under a name that no longer means addition.  (Before
-        the rows were one table, ``run_jit`` answered ``[12, 15]`` here
-        where ``run_vectorized`` answered ``[10, 10]``.)"""
-        add_row, ((_, inc_row),) = primitive("add"), map_rows("inc")
+        """A kernel registered for a catalogue operator re-points every
+        tier that reads the operator's row: the operator has no raw form
+        and no proof until a full row states them, so the JIT declines
+        it — naming the row — rather than running ``np.add`` for a row
+        that no longer means addition.  (Before the rows were one table,
+        ``run_jit`` answered ``[12, 15]`` here where ``run_vectorized``
+        answered ``[10, 10]``.)"""
+        add_row, ((_, inc_row),) = primitive(ADD), map_rows("inc")
 
         def saturating(a, b):
             return np.minimum(a + b, 10)
@@ -863,9 +864,9 @@ class TestCaches:
         params = MachineParams(p=3, ts=10.0, tw=1.0, m=2)
         plain = Program([MapStage(_inc, label="inc"), ScanStage(ADD)])
         cases = [
-            (lambda: register_binop_kernel("add", saturating),
-             lambda: register_binop_kernel("add", add_row),
-             Program([ScanStage(BinOp("add", saturating, commutative=True))]),
+            (lambda: register_binop_kernel(ADD, saturating),
+             lambda: register_binop_kernel(ADD, add_row),
+             Program([ScanStage(ADD.with_fn(saturating))]),
              "no-raw:add", [[4, 5], [8, 10], [10, 10]]),
             (lambda: register_map_kernel("inc", inc2),
              lambda: register_map_kernel("inc", inc_row),
@@ -887,21 +888,22 @@ class TestCaches:
                 assert dict(STATS.fallbacks) == {why: 1}
             finally:
                 restore()
-            # the original row back under the name: every reading returns
+            # the original row back: every reading returns
             assert engine_lower(plain, list(xs), params).rung == "fused"
             assert STATS.fallbacks == {why: 1}
-        # ``inc`` is add∘1 on its tape and keeps a checked kernel of its
-        # own: with ``add`` re-pointed it declines rather than follow
+        # ``inc`` is add∘1 on its tape, and its effect holds the add row
+        # itself: re-pointing ADD leaves ``inc`` its own row on every rung
         only_inc = Program([MapStage(_inc, label="inc")])
-        register_binop_kernel("add", saturating)
+        register_binop_kernel(ADD, saturating)
         try:
             for got in (run_vectorized(only_inc, list(xs), strict=True),
                         run_jit(only_inc, list(xs), strict=True)):
                 _assert_bitwise(only_inc.run(list(xs)), got)
-            low = engine_lower(only_inc, list(xs), params)
-            assert (low.rung, low.why) == ("checked", "no-interval:add")
+            reset_stats()
+            assert engine_lower(only_inc, list(xs), params).rung == "fused"
+            assert not STATS.fallbacks
         finally:
-            register_binop_kernel("add", add_row)
+            register_binop_kernel(ADD, add_row)
 
     def test_clear_planner_caches_resets_jit_cache(self):
         # satellite regression: the JIT compile cache participates in

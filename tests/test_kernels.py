@@ -113,10 +113,6 @@ class TestRegistry:
         assert defined_equal([got], [op(a, b)])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the kernel registry resolves a leaf operator by name, so an operator "
-    "named 'mul' computes with the mul kernel whatever its fn (ROADMAP "
-    "item 1)"))
 def test_a_same_named_operator_gets_no_kernel():
     """``mymul`` is max under the name ``mul``: every backend must compute
     max (4), where the kernelized ones compute the product (24)."""
@@ -129,6 +125,26 @@ def test_a_same_named_operator_gets_no_kernel():
     want = [4] * 4
     assert prog.run(list(xs)) == want
     assert list(simulate_program(prog, xs, params).values) == want
+    for backend in ({"vectorize": True}, {"jit": True}):
+        assert list(simulate_program(prog, xs, params, **backend).values) == want
+    assert list(run_vectorized(prog, list(xs))) == want
+    assert list(run_jit(prog, list(xs))) == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the kernel registry resolves a map by its label, so a map labelled "
+    "'dbl' computes with the dbl kernel whatever its fn (ROADMAP item 1 "
+    "(d))"))
+def test_a_same_labelled_map_gets_no_kernel():
+    """A square labelled ``dbl``: every backend must square (16 on the
+    last rank), where the kernelized ones double (8)."""
+    from repro.jit import run_jit
+
+    prog = Program([MapStage(lambda x: x * x, label="dbl")])
+    params = MachineParams(p=4, ts=10.0, tw=1.0, m=1)
+    xs = [1, 2, 3, 4]
+    want = [1, 4, 9, 16]
+    assert prog.run(list(xs)) == want
     for backend in ({"vectorize": True}, {"jit": True}):
         assert list(simulate_program(prog, xs, params, **backend).values) == want
     assert list(run_vectorized(prog, list(xs))) == want
@@ -435,9 +451,10 @@ class TestMatchCache:
         clear_caches()
 
     def test_a_late_distributivity_declaration_is_seen(self):
-        """``distributes_over`` reads a registry by name, at every match:
-        a pair declared after a search saw its window is seen by the
-        next one, though the window's shape stays in the shape table."""
+        """``distributes_over`` reads the registry of operator pairs at
+        every match: a pair declared after a search saw its window is
+        seen by the next one, though the window's shape stays in the
+        shape table."""
         otimes = BinOp("late_times", operator.mul, commutative=True)
         oplus = BinOp("late_plus", operator.add, commutative=True)
         params = MachineParams(p=8, ts=600.0, tw=2.0, m=1)
@@ -454,7 +471,7 @@ class TestMatchCache:
         try:
             assert rules_fired() == ["SS2-Scan"]
         finally:
-            DISTRIBUTIVE_PAIRS.discard((otimes.name, oplus.name))
+            DISTRIBUTIVE_PAIRS.discard((otimes, oplus))
             clear_caches()
 
     def test_cached_matches_independent_of_machine(self):

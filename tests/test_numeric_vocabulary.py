@@ -2,9 +2,10 @@
 that the interval reading bounds what the raw reading writes.
 
 The structure guards read the source with ``ast`` (docstrings excluded):
-the primitive names are keys of one table, the map-label vocabulary is
-spelled in one module, the walk over ``kind`` / ``parts`` is one function
-under ``repro.jit``, and the fallback contract is caught in one place.
+the catalogue operators are keys of one table and no operator's name
+decides a fact, the map-label vocabulary is spelled in one module, the
+walk over ``kind`` / ``parts`` is one function under ``repro.jit``, and
+the fallback contract is caught in one place.
 The soundness property runs the *same emitted tape* twice — bound to the
 rows' raw ufuncs on random blocks, and to their interval extensions on
 the blocks' hulls — and holds every write of the first to the interval
@@ -74,16 +75,57 @@ def _names(path: Path, *words: str) -> bool:
     return any(node.value in words for node in _literals(ast.parse(path.read_text())))
 
 
+#: the catalogue operators a kernel row belongs to
+CATALOGUE = {"ADD", "FADD", "MUL", "FMUL", "MAX", "MIN", "AND", "OR", "XOR"}
+
+#: where an operator's laws, kernel row and MPI source are decided
+DECIDING = ("core/rules", "core/operators.py", "kernels/registry.py", "jit",
+            "codegen")
+
+
+def _name_lookups(tree: ast.AST) -> list[str]:
+    """Every ``x.name`` compared (``==``, ``in``, ...) or used as a key:
+    a subscript, a dict literal's key, or the argument of ``.get(`` /
+    ``.add(`` / ``.pop(`` / ``.setdefault(`` / ``.discard(``, inside an
+    f-string too.  Printing a name (``f"{op.name}"``) is none of these."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            keys = [node.left, *node.comparators]
+        elif isinstance(node, ast.Subscript):
+            keys = [node.slice]
+        elif isinstance(node, ast.Dict):
+            keys = [k for k in node.keys if k is not None]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("get", "add", "pop", "setdefault",
+                                     "discard")):
+            keys = node.args[:1]
+        else:
+            continue
+        if any(isinstance(n, ast.Attribute) and n.attr == "name"
+               for key in keys for n in ast.walk(key)):
+            found.append(ast.unparse(node))
+    return found
+
+
 def test_one_module_holds_the_table_keyed_by_primitive_names():
     keyed = [path.name for path in _modules("kernels", "jit")
              if any(isinstance(node, ast.Dict)
-                    and any(isinstance(k, ast.Constant) and k.value == "fadd"
+                    and any(isinstance(k, ast.Name) and k.id in CATALOGUE
                             for k in node.keys)
                     for node in ast.walk(ast.parse(path.read_text())))]
     assert keyed == ["registry.py"]
-    # and nobody else spells a primitive's name at all
+    # and nobody else spells a primitive's (printed) name at all
     assert [p.name for p in _modules("kernels", "jit")
-            if _names(p, "fadd", "fmul")] == ["registry.py"]
+            if _names(p, "add", "mul", "max", "min", "neg")] == ["registry.py"]
+    # no operator's name is looked up or compared where its laws, row or
+    # source are decided (map labels wait for ROADMAP item 1 (d))
+    paths = [path for part in DECIDING
+             for path in ([SRC / part] if part.endswith(".py")
+                          else sorted((SRC / part).glob("*.py")))]
+    assert len(paths) > 5
+    assert {str(path.relative_to(SRC)): _name_lookups(ast.parse(path.read_text()))
+            for path in paths if _name_lookups(ast.parse(path.read_text()))} == {}
 
 
 def test_one_module_spells_the_map_label_vocabulary():

@@ -14,7 +14,7 @@ from repro.core.cost import (
     PARSYTEC_LIKE,
     program_cost,
 )
-from repro.core.operators import ADD, MUL
+from repro.core.operators import ADD, MUL, BinOp
 from repro.core.optimizer import exhaustive_optimize, greedy_optimize, optimize
 from repro.core.stages import (
     AllReduceStage,
@@ -187,24 +187,31 @@ class TestOptimizerProperties:
         assert defined_equal(prog.run(xs), res.program.run(xs))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "distributivity is recorded by operator name, so an operator named "
-    "'mul' inherits MUL's declaration over ADD and SR2-Reduction fires on "
-    "it (ROADMAP item 1)"))
-def test_a_same_named_operator_inherits_no_distributivity():
-    """``mymul`` is max under the name ``mul``, never declared to
-    distribute over addition; the plan must compute what the program as
-    written computes on the machine (72 = the sum of the prefix maxima),
-    where the SR2-Reduction plan computes 36."""
-    from repro.core.operators import BinOp
+#: max under MUL's and ADD's names: never declared to distribute over
+#: anything, and not the operator whose name it prints
+_MAX_AS_MUL = BinOp("mul", max, associative=True, commutative=True)
+_MAX_AS_ADD = BinOp("add", max, associative=True, commutative=True)
+
+
+@pytest.mark.parametrize("rule,stages", [
+    ("SR2-Reduction", (ScanStage(_MAX_AS_MUL), AllReduceStage(ADD))),
+    ("SR-Reduction", (ScanStage(ADD), AllReduceStage(_MAX_AS_ADD))),
+    ("SS-Scan", (ScanStage(_MAX_AS_ADD), ScanStage(ADD))),
+], ids=["distributive", "same-reduction", "same-scan"])
+def test_a_same_named_operator_inherits_no_distributivity(rule, stages):
+    """A law is a fact about the operator, not its name: max printed as
+    ``mul`` inherits no distributivity over ADD (the SR2 plan computes 36
+    where the program as written computes 72, the sum of the prefix
+    maxima), and max printed as ``add`` is not ADD, so no same-operator
+    rule fuses the two folds.  The plan computes what the program as
+    written computes on the machine."""
     from repro.machine.run import simulate_program
 
-    mymul = BinOp("mul", max, associative=True, commutative=True)
-    prog = Program([ScanStage(mymul), AllReduceStage(ADD)])
+    prog = Program(list(stages))
     params = MachineParams(p=8, ts=600, tw=2, m=1)
     xs = [9, 1, 4, 1, 0, 0, 0, 0]
-    written = simulate_program(prog, xs, params).values[0]
+    written = list(simulate_program(prog, xs, params).values)
     planned = optimize(prog, params)
-    assert written == 72
-    assert "SR2-Reduction" not in planned.derivation.rules_used
-    assert simulate_program(planned.program, xs, params).values[0] == written
+    assert written == prog.run(list(xs))
+    assert rule not in planned.derivation.rules_used
+    assert list(simulate_program(planned.program, xs, params).values) == written

@@ -24,7 +24,7 @@ import pathlib
 import pytest
 
 from repro.core.cost import MachineParams
-from repro.core.operators import ADD, MAX, MUL
+from repro.core.operators import ADD, MAX, MUL, BinOp
 from repro.core.optimizer import optimize
 from repro.core.plancache import PLANCACHE_JSON_VERSION, PlanCache, PlanRecord
 from repro.core.planner import (
@@ -36,6 +36,7 @@ from repro.core.planner import (
 )
 from repro.core.rules import ALL_RULES, FULL_RULES
 from repro.core.stages import (
+    AllReduceStage,
     BcastStage,
     Map2Stage,
     MapStage,
@@ -506,6 +507,24 @@ def test_a_same_named_rule_set_gets_no_cached_plan():
     cache = PlanCache()
     assert rules_fired(FULL_RULES, cache) == ["SR2-Reduction"]
     assert rules_fired(never, cache) == []
+
+
+def test_a_same_named_operator_keys_apart_from_the_catalogue_one():
+    """``impostor`` is max printed as ``mul``: its key is not MUL's, so
+    MUL's SR2 plan is not served to it, and its own plan (nothing fires)
+    does not overwrite MUL's under a shared key."""
+    impostor = BinOp("mul", max, associative=True, commutative=True)
+    params = MachineParams(p=8, ts=600, tw=2, m=1)
+    cache = PlanCache()
+
+    def rules_fired(times):
+        result = optimize(Program([ScanStage(times), AllReduceStage(ADD)]),
+                          params, FULL_RULES, strategy="beam", cache=cache)
+        return [step.rule.name for step in result.derivation.steps]
+
+    assert rules_fired(MUL) == ["SR2-Reduction"]
+    assert rules_fired(impostor) == []
+    assert rules_fired(MUL) == ["SR2-Reduction"]
 
 
 class TestClearPlannerCaches:

@@ -16,7 +16,11 @@ conformance harness, here pinned as a standalone tier-1 suite):
 * **the winning plan means the same thing**: the beam-optimized program
   agrees with the original under the reference (functional) semantics on
   randomized inputs, and the seeded traps additionally pass the full
-  multi-backend differential oracle.
+  multi-backend differential oracle;
+* **a name is not an operator**: random int programs with some operators
+  swapped for impostors (a catalogue operator's name and flags around
+  another catalogue function) plan and run, on every in-process backend,
+  to what the program as written computes.
 
 The whole corpus is optimized once in a module-scoped fixture; the
 individual tests assert different properties over the shared records.
@@ -25,7 +29,7 @@ individual tests assert different properties over the shared records.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -37,9 +41,11 @@ from repro.core.optimizer import (
 )
 from repro.core.planner import BeamResult, beam_optimize, replay_trace, trace_of
 from repro.core.rules import ALL_RULES, FULL_RULES
+from repro.core.stages import Program
 from repro.core.store import clear_caches
 from repro.semantics.functional import defined_equal
 from repro.testing.generator import (
+    INT_DOMAIN,
     PLANNER_CASES,
     GeneratedProgram,
     generate_planner_case,
@@ -211,6 +217,46 @@ class TestWinningPlanSemantics:
             mismatch = differential_check(optimized, xs, r.params.with_(p=n),
                                           backends)
             assert mismatch is None, mismatch.describe()
+
+
+#: every catalogue operator of the int domain around each other one's
+#: function: the same name and flags, another associative, commutative fn
+IMPOSTORS = {op: [replace(op, fn=other.fn) for other in INT_DOMAIN.ops
+                  if other is not op]
+             for op in INT_DOMAIN.ops}
+
+
+def _with_impostors(gp: GeneratedProgram, rng: random.Random) -> GeneratedProgram:
+    """``gp`` with each fold's catalogue operator swapped for an impostor
+    on a coin flip (a generator strategy kept out of ``DOMAINS``, so no
+    conformance golden sees it)."""
+    def swap(stage):
+        op = getattr(stage, "op", None)
+        if op in IMPOSTORS and rng.random() < 0.5:
+            return replace(stage, op=rng.choice(IMPOSTORS[op]))
+        return stage
+
+    return gp.with_program(Program([swap(st) for st in gp.program.stages],
+                                   name=gp.program.name), note="impostor")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_an_impostor_plans_and_runs_as_written(seed):
+    """The plan of a program holding impostors computes what the program
+    as written computes, on every in-process backend: no law, kernel row
+    or MPI source of the catalogue operator reaches its namesake."""
+    rng = random.Random(77_000 + seed)
+    gp = _with_impostors(generate_random(rng, INT_DOMAIN), rng)
+    params = sample_machine_params(rng)
+    params = params.with_(p=min(params.p, 8))
+    planned = gp.with_program(
+        beam_optimize(gp.program, params, FULL_RULES, width=BEAM_WIDTH).program)
+    xs = gp.inputs(rng, params.p)
+    assert defined_equal(planned.program.run(list(xs)),
+                         gp.program.run(list(xs)))
+    mismatch = differential_check(planned, xs, params, (
+        "functional", "machine", "threaded", "codegen", "vectorized", "jit"))
+    assert mismatch is None, mismatch.describe()
 
 
 class TestOptimizeDispatch:

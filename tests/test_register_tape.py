@@ -346,7 +346,7 @@ class TestWork:
         xs = [np.random.default_rng(k).integers(1, 4, BLOCK).astype(np.int64)
               for k in range(P)]
         calls: Counter = Counter()
-        rows = {name: primitive(name) for name in ("add", "mul")}
+        rows = {op: primitive(op) for op in (ADD, MUL)}
 
         def counted(name, raw):
             def fn(*args, **kwargs):
@@ -355,12 +355,12 @@ class TestWork:
             return fn
 
         try:
-            for name, row in rows.items():
-                register_binop_kernel(name, replace(row, raw=counted(name, row.raw)))
+            for op, row in rows.items():
+                register_binop_kernel(op, replace(row, raw=counted(row.name, row.raw)))
             got = compiled_program(prog).run(list(xs))
         finally:
-            for name, row in rows.items():
-                register_binop_kernel(name, row)
+            for op, row in rows.items():
+                register_binop_kernel(op, row)
         chunks = len(_chunk_slices((BLOCK,), DEFAULT_LOCAL_PARAMS))
         assert chunks > 1
         assert calls == {"mul": 7 * chunks, "add": 7 * chunks}

@@ -14,6 +14,12 @@ mpi4py script or its ``CodegenError`` message, and per stage the round
 counts, the ``repr`` of the model cost on six machines and the Table-1
 formula.  The file keeps one hash per facet and block of ``CHUNK``
 programs; today's facet methods must reproduce every one.
+
+The ``generate_mpi4py`` chunks 0, 1, 2, 4, 5, 14, 15 and 16 were
+rewritten once, deliberately, when ``OpTable`` came to key sources by
+operator: a ``bs`` comcast over an ``ew`` lift now takes its source from
+the lift's parts (programs 19, 73, 113, 141, 201, 257, 759), and two
+refusals name another cause (programs 709, 835).
 """
 
 from __future__ import annotations
