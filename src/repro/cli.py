@@ -68,6 +68,10 @@ Subcommands
     event log.  Long-running commands (``serve``, ``conformance
     --chaos``) shut down gracefully on SIGINT/SIGTERM: in-flight jobs
     drain, the event log is flushed, and the exit code is 130.
+``trace FILE``
+    Read a span file written by :func:`repro.obs.write_jsonl` and print,
+    per span name, the count, the total and self time, and the time of
+    the collections booked on it.
 
 Machine parameters are given as ``--p/--ts/--tw/--m``; operator names in
 program files resolve against a built-in environment (``add mul max min
@@ -325,6 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the job-lifecycle RecoveryLog JSON "
                            "(flushed even on SIGINT/SIGTERM)")
     _add_machine_args(p_sv)
+
+    p_tr = subs.add_parser("trace",
+                           help="per-span-name table of a span file")
+    p_tr.add_argument("file", help="JSON-lines span file (repro.obs)")
 
     return parser
 
@@ -942,6 +950,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_recover(args)
     if args.command == "serve":
         return _cmd_serve(args)
+    if args.command == "trace":
+        from repro.obs import Span, read_jsonl, table
+
+        print(table(Span.from_doc(doc) for doc in read_jsonl(args.file)))
+        return 0
     return 2  # pragma: no cover
 
 

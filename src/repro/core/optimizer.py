@@ -30,6 +30,7 @@ from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
 from repro.core.search import Node, Search
 from repro.core.stages import Program
+from repro.obs import span
 
 __all__ = ["OptimizationResult", "optimize", "greedy_optimize",
            "exhaustive_optimize"]
@@ -172,17 +173,18 @@ def optimize(
                         allow_lossy=allow_lossy)
         if hit is not None:
             return hit
-    if strategy == "exhaustive":
-        result = exhaustive_optimize(program, params, rules, allow_lossy)
-    elif strategy == "greedy":
-        result = greedy_optimize(program, params, rules, allow_lossy)
-    elif strategy == "beam":
-        from repro.core.planner import beam_optimize
+    with span("planner.search"):
+        if strategy == "exhaustive":
+            result = exhaustive_optimize(program, params, rules, allow_lossy)
+        elif strategy == "greedy":
+            result = greedy_optimize(program, params, rules, allow_lossy)
+        elif strategy == "beam":
+            from repro.core.planner import beam_optimize
 
-        result = beam_optimize(program, params, rules,
-                               allow_lossy=allow_lossy)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+            result = beam_optimize(program, params, rules,
+                                   allow_lossy=allow_lossy)
+        else:
+            raise ValueError(f"unknown strategy {strategy!r}")
     if cache is not None:
         cache.put(program, params, result, rules=rules, strategy=strategy,
                   allow_lossy=allow_lossy)

@@ -56,6 +56,7 @@ from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
 from repro.core.stages import Program
 from repro.core.store import resident
+from repro.obs import span
 
 __all__ = ["PlanRecord", "PlanCache", "PLANCACHE_JSON_VERSION"]
 
@@ -229,7 +230,17 @@ class PlanCache:
         (``derivation.initial == program``) while the LRU still holds the
         very record it was replayed from; both kinds count in ``hits``.
         """
-        rules = tuple(rules)
+        with span("plancache.miss") as traced:
+            hit = self._get(program, params, tuple(rules), strategy,
+                            allow_lossy)
+            if hit is not None:
+                traced.name = "plancache.hit"
+        return hit
+
+    def _get(self, program: Program, params: MachineParams,
+             rules: tuple[Rule, ...], strategy: str,
+             allow_lossy: bool) -> OptimizationResult | None:
+        """The body of :meth:`get`."""
         request = (program, params, rules, strategy, allow_lossy)
         with self._lock:
             try:
@@ -295,21 +306,22 @@ class PlanCache:
             rules: Iterable[Rule] = ALL_RULES, strategy: str = "beam",
             allow_lossy: bool = False) -> PlanRecord:
         """Store ``result``'s trace under this request's key (write-through)."""
-        key = self.key_for(program, params, rules, strategy, allow_lossy)
-        record = PlanRecord(
-            key=key,
-            program_pretty=program.pretty(),
-            strategy=strategy,
-            trace=trace_of(result),
-            cost_before=result.cost_before,
-            cost_after=result.cost_after,
-            programs_explored=result.programs_explored,
-        )
-        with self._lock:
-            self._remember(record)
-            if self.path is not None:
-                self._disk[key] = record
-                self._flush()
+        with span("plancache.put"):
+            key = self.key_for(program, params, rules, strategy, allow_lossy)
+            record = PlanRecord(
+                key=key,
+                program_pretty=program.pretty(),
+                strategy=strategy,
+                trace=trace_of(result),
+                cost_before=result.cost_before,
+                cost_after=result.cost_after,
+                programs_explored=result.programs_explored,
+            )
+            with self._lock:
+                self._remember(record)
+                if self.path is not None:
+                    self._disk[key] = record
+                    self._flush()
         return record
 
     # -- maintenance ---------------------------------------------------------

@@ -29,9 +29,15 @@ depends on:
   same objects, in any search, reuses the inserted stage *objects* with
   their facts; their costs are kept once per search;
 * **a program's children** — built once per node, in ``(rule order,
-  start)`` order, as stage tuples with spliced facts: a
-  :class:`~repro.core.stages.Program`, a trace and the renderings are
-  derived for the nodes somebody reads them from.
+  start)`` order, as stage tuples with spliced facts, and kept by the
+  search, not by the node: a :class:`~repro.core.stages.Program`, a trace
+  and the renderings are derived for the nodes somebody reads them from.
+
+The graph's only edges are a child's ``origin`` link to its parent, so
+the nodes form a tree of parent links with no reference cycle: when the
+caller drops the search (a selection policy returns), reference counting
+frees it and every node at once, and the cyclic collector has nothing to
+trace.
 
 Every check of the rewrite engine stays: the safety test runs at every
 site, and ``rule.match`` once per site and node — in the node's scan for
@@ -136,6 +142,10 @@ class Node:
     the per-stage model costs and ``cost`` their sum.  ``renderings``
     (the per-stage ``pretty()`` strings), ``program`` and ``steps`` (the
     trace from the root) are derived when read.
+
+    A node links to its parent (``origin``) and never to its children:
+    :class:`Search` keeps those, keyed by the node's identity, so a graph
+    is a tree of parent links that reference counting frees.
     """
 
     stages: tuple[Stage, ...]
@@ -145,9 +155,8 @@ class Node:
     cost: float
     #: the rewrite that made it: (parent, start, window, inserted, rule)
     origin: tuple | None = None
-    #: filled by Search.sites / Search.children on first use
+    #: filled by Search.sites on first use
     sites: list | None = None
-    children: list | None = None
     _program: Program | None = None
     _renderings: tuple | None = None
 
@@ -192,6 +201,8 @@ class Search:
         #: (rule position, ids of the window's stages) -> _rewrite's entry,
         #: which holds the window, so the ids stay its own
         self._rewrites: dict[tuple, tuple] = {}
+        #: node -> its children (``Node`` is ``eq=False``: keyed by identity)
+        self._children: dict[Node, list[Node]] = {}
         costs = self._costs(program.stages)
         self.root = Node(program.stages, *_stage_facts(program.stages),
                          costs, sum(costs), _program=program)
@@ -289,8 +300,10 @@ class Search:
 
     def children(self, node: Node) -> list[Node]:
         """One rewrite of ``node`` per usable site, in site order."""
-        if node.children is None:
-            node.children = [self._child(node, i, start, safe)
-                             for i, start, safe in self.sites(node)
-                             if safe or self.allow_lossy]
-        return node.children
+        children = self._children.get(node)
+        if children is None:
+            children = self._children[node] = [
+                self._child(node, i, start, safe)
+                for i, start, safe in self.sites(node)
+                if safe or self.allow_lossy]
+        return children

@@ -36,6 +36,7 @@ from repro.core.operators import BinOp
 from repro.core.store import BoundedStore
 from repro.core.stages import Program, Stage, stage_written_as
 from repro.lang.lexer import LexError, Token, lex
+from repro.obs import span
 
 __all__ = [
     "ParseError",
@@ -98,6 +99,11 @@ class ProgramDecl:
         stages come from ``_STAGES``.  A resolution that raises is never
         kept.
         """
+        with span("lang.to_program"):
+            return self._resolve(env)
+
+    def _resolve(self, env: Mapping[str, Any]) -> Program:
+        """The body of :meth:`to_program`."""
         refs = tuple(env.get(s.fn) if isinstance(s, LocalStmt)
                      else s.op and env.get(s.op) for s in self.statements)
         last = self.__dict__.get("_resolved")
@@ -351,13 +357,14 @@ def parse_program(source: str) -> ProgramDecl:
     A text parsed before (among the latest ``_PARSE_MEMO.bound`` distinct
     ones) returns the declaration it produced then — the same object.
     """
-    decl = _PARSE_MEMO.get(source)
-    if decl is None:
-        try:
-            decl = _read(source)
-        except LexError as exc:
-            raise ParseError(str(exc)) from exc
-        _PARSE_MEMO.put(source, decl)
+    with span("lang.parse"):
+        decl = _PARSE_MEMO.get(source)
+        if decl is None:
+            try:
+                decl = _read(source)
+            except LexError as exc:
+                raise ParseError(str(exc)) from exc
+            _PARSE_MEMO.put(source, decl)
     return decl
 
 

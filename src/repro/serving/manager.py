@@ -33,6 +33,7 @@ from typing import Any, Callable, Sequence
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
 from repro.machine.engine import SimResult
+from repro.obs import span
 from repro.parallel.backend import SUBSTRATES, Ladder, ProcessJobRunner
 from repro.parallel.shm import ArenaPool
 from repro.recovery.events import RecoveryLog
@@ -152,34 +153,37 @@ class ServingManager:
         :class:`QueueFullError`; on success the returned handle resolves
         to the per-rank value tuple (or a typed execution failure).
         """
-        if self._closed:  # unlocked: ``queue.push`` is the guard
-            raise ManagerClosedError(
-                "manager is closed; no further jobs are accepted")
-        budget = deadline if deadline is not None \
-            else self.config.default_deadline
-        deadline_at = (time.monotonic() + budget) if budget is not None \
-            else None
-        job = Job.create(program, inputs, params, tenant,
-                         deadline_at=deadline_at, budget=budget)
-        self.events.emit("submit", job=job.job_id, tenant=tenant, p=job.p)
-        try:
-            self.quotas.admit(tenant)
-        except TenantQuotaError:
-            self.events.emit("reject", job=job.job_id, tenant=tenant,
-                             reason="tenant_quota")
-            raise
-        try:
-            depth = self.queue.push(job)
-        except (QueueFullError, ManagerClosedError) as exc:
-            # closed: another thread ran close() after the check above
-            reason = ("queue_full" if isinstance(exc, QueueFullError)
-                      else "closed")
-            self.quotas.release(tenant)
-            self.events.emit("reject", job=job.job_id, tenant=tenant,
-                             reason=reason)
-            raise
-        self.events.emit("admit", job=job.job_id, tenant=tenant, depth=depth)
-        return job.handle
+        with span("serving.submit") as traced:
+            if self._closed:  # unlocked: ``queue.push`` is the guard
+                raise ManagerClosedError(
+                    "manager is closed; no further jobs are accepted")
+            budget = deadline if deadline is not None \
+                else self.config.default_deadline
+            deadline_at = (time.monotonic() + budget) \
+                if budget is not None else None
+            job = Job.create(program, inputs, params, tenant,
+                             deadline_at=deadline_at, budget=budget)
+            traced.request = job.job_id
+            self.events.emit("submit", job=job.job_id, tenant=tenant, p=job.p)
+            try:
+                self.quotas.admit(tenant)
+            except TenantQuotaError:
+                self.events.emit("reject", job=job.job_id, tenant=tenant,
+                                 reason="tenant_quota")
+                raise
+            try:
+                depth = self.queue.push(job)
+            except (QueueFullError, ManagerClosedError) as exc:
+                # closed: another thread ran close() after the check above
+                reason = ("queue_full" if isinstance(exc, QueueFullError)
+                          else "closed")
+                self.quotas.release(tenant)
+                self.events.emit("reject", job=job.job_id, tenant=tenant,
+                                 reason=reason)
+                raise
+            self.events.emit("admit", job=job.job_id, tenant=tenant,
+                             depth=depth)
+            return job.handle
 
     # -- worker-side callbacks ----------------------------------------------
 

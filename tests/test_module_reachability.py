@@ -20,8 +20,8 @@ The fifth holds escalation to one ladder: one backoff formula, one
 ``fallback`` emitter, the one platform check read in one place, and an
 ``OSError`` caught around arena construction only.  The sixth holds the
 served hand-off lean: a job handle waits on a bare lock, the job
-counters are a reading of the event bus, and a program hashes in one
-place.  The seventh holds the surface language to one grammar: the
+counters are a reading of the event bus, a program hashes in one
+place, and nothing tunes the collector.  The seventh holds the surface language to one grammar: the
 parser reads the stage classes' call declarations, and only the classes
 text cannot build print by hand.
 """
@@ -374,6 +374,21 @@ def test_a_program_hashes_in_one_place():
             for node in cls.body
             if isinstance(node, ast.FunctionDef) and node.name == "__hash__"]
     assert defs == [("core/stages.py", "Program")], defs
+
+
+def test_nothing_tunes_the_collector():
+    """A request is freed by reference counts: nothing under ``src/``
+    turns the collector off, freezes the heap or moves the thresholds,
+    which would hide garbage for the whole process instead of not
+    making it."""
+    tuning = {"disable", "freeze", "set_threshold"}
+    found = [(name, ast.unparse(node)) for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in tuning
+             and ast.unparse(node.value) == "gc"
+             or isinstance(node, ast.ImportFrom) and node.module == "gc"
+             and tuning & {alias.name for alias in node.names}]
+    assert not found, found
 
 
 # -- one grammar ---------------------------------------------------------------

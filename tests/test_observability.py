@@ -1,19 +1,54 @@
-"""Observability: probes, stage breakdown, markdown derivation reports."""
+"""Observability: probes, stage breakdown, markdown derivation reports,
+and the span recorder (``repro.obs``).
+
+* The recorder is the benchmark's moved into the library: for one span
+  tree it gives the same self times, the same per-name table and the
+  same JSON lines as ``benchmarks/e2e/trace.py``, apart from the
+  collector fields.
+* The process-wide tracer is off by default: a cold plan and a served
+  job record nothing and install no collector callback.
+* While a tracer is on, a collection is booked on the innermost open
+  span of the thread that ran it, and nowhere else; threads recording
+  at once each nest on their own stack.
+* A recorded span does not reference its tracer, so a dropped tracer and
+  its spans are freed by their reference counts.
+* ``python -m repro trace FILE`` prints the per-name table.
+"""
 
 from __future__ import annotations
 
+import gc
+import itertools
+import json
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
+from repro import obs
 from repro.analysis.derivation_doc import derivation_markdown
 from repro.apps import build_example
+from repro.cli import main
 from repro.core.cost import MachineParams, program_cost
-from repro.core.operators import ADD
+from repro.core.operators import ADD, MUL
 from repro.core.optimizer import optimize
-from repro.core.stages import BcastStage, Program, ScanStage
+from repro.core.plancache import PlanCache
+from repro.core.rules import FULL_RULES
+from repro.core.stages import BcastStage, Program, ReduceStage, ScanStage
+from repro.lang import parse_program
 from repro.machine.engine import run_spmd
 from repro.machine.run import StageTiming, stage_breakdown
+from repro.obs import trace as obs_trace
+from repro.serving import ServingConfig, ServingManager
+
+REPO = Path(__file__).resolve().parent.parent
+if str(REPO) not in sys.path:
+    sys.path.append(str(REPO))
+from benchmarks.e2e import trace as bench_trace  # noqa: E402
 
 PARAMS = MachineParams(p=8, ts=100.0, tw=2.0, m=16)
+SMALL = MachineParams(p=4, ts=10.0, tw=1.0, m=1)
 
 
 class TestProbe:
@@ -122,3 +157,213 @@ class TestCommGantt:
         sim = simulate_program(build_example(), list(range(1, 9)), PARAMS)
         with _pytest.raises(ValueError):
             comm_gantt(sim, width=5)
+
+
+# -- the span recorder (repro.obs) --------------------------------------------
+
+def _tree(module, monkeypatch) -> list:
+    """One span tree, recorded on a clock that ticks once per reading."""
+    ticks = itertools.count()
+    monkeypatch.setattr(module, "_now", lambda: float(next(ticks)))
+    tracer = module.Tracer(enabled=True)
+    root = tracer.open_request(7)
+    with tracer.resume(root):
+        with tracer.span("lang.parse"):
+            pass
+        with tracer.span("planner.search"):
+            with tracer.span("plancache.miss") as span:
+                span.name = "plancache.hit"
+            with tracer.span("plancache.put"):
+                pass
+    with tracer.span("outside"):
+        pass
+    with tracer.resume(root):
+        with tracer.span("serving.submit"):
+            pass
+    tracer.close(root)
+    tracer.enabled = False
+    return tracer.spans
+
+
+def test_the_moved_recorder_reads_as_the_benchmarks(monkeypatch, tmp_path):
+    ours = _tree(obs_trace, monkeypatch)
+    theirs = _tree(bench_trace, monkeypatch)
+    assert obs.self_times(ours) == bench_trace.self_times(theirs)
+    assert obs.by_name(ours) == bench_trace.by_name(theirs)
+    assert obs.write_jsonl(ours, tmp_path / "ours.jsonl") == \
+        bench_trace.write_jsonl(theirs, tmp_path / "theirs.jsonl") == len(ours)
+    docs = list(obs.read_jsonl(tmp_path / "ours.jsonl"))
+    assert [{k: v for k, v in doc.items() if not k.startswith("gc_")}
+            for doc in docs] == list(
+        bench_trace.read_jsonl(tmp_path / "theirs.jsonl"))
+    assert all(doc["gc_runs"] == 0 and doc["gc_us"] == 0.0 for doc in docs)
+    assert {doc["request"] for doc in docs} == {7, None}  # "outside": None
+    read = [obs.Span.from_doc(doc) for doc in docs]
+    assert obs.self_times(read) == obs.self_times(ours)
+
+
+def test_the_default_tracer_is_off_and_records_nothing():
+    tracer = obs.TRACER
+    assert not tracer.enabled
+    spans, callbacks = len(tracer.spans), list(gc.callbacks)
+    program = Program([ScanStage(MUL), ReduceStage(ADD)], name="cold")
+    cache = PlanCache()
+    assert optimize(program, SMALL, FULL_RULES, strategy="beam",
+                    cache=cache).cost_after <= \
+        optimize(program, SMALL, FULL_RULES, strategy="beam",
+                 cache=cache).cost_before
+    with ServingManager(ServingConfig(substrate="cooperative")) as mgr:
+        assert mgr.submit(program, [1, 2, 3, 4], SMALL).result(
+            timeout=60.0) == tuple(program.run([1, 2, 3, 4]))
+    assert len(tracer.spans) == spans
+    assert gc.callbacks == callbacks
+
+
+def test_the_seams_record_while_the_tracer_is_on():
+    tracer = obs.TRACER
+    callbacks = list(gc.callbacks)
+    first = len(tracer.spans)
+    tracer.enabled = True
+    try:
+        assert len(gc.callbacks) == len(callbacks) + 1
+        program = parse_program(
+            "Program Traced (x);\nMPI_Scan (x, y, mul);\n"
+            "MPI_Reduce (y, z, add);\n").to_program({"mul": MUL,
+                                                      "add": ADD})
+        cache = PlanCache()
+        for _ in range(2):
+            optimize(program, SMALL, FULL_RULES, strategy="beam",
+                     cache=cache)
+        with ServingManager(ServingConfig(substrate="cooperative")) as mgr:
+            handle = mgr.submit(program, [1, 2, 3, 4], SMALL)
+            handle.result(timeout=60.0)
+    finally:
+        tracer.enabled = False
+    assert gc.callbacks == callbacks
+    spans = tracer.spans[first:]
+    del tracer.spans[first:]
+    assert [s.name for s in spans] == [
+        "lang.parse", "lang.to_program", "plancache.miss", "planner.search",
+        "plancache.put", "plancache.hit", "serving.submit"]
+    assert spans[-1].request == handle.job_id
+
+
+def test_a_collection_is_booked_on_the_innermost_span_of_its_thread():
+    tracer = obs.Tracer(enabled=True)
+    gc.disable()  # only the explicit collections below run
+    try:
+        with tracer.span("outer"):
+            with tracer.span("x"):
+                gc.collect()
+            with tracer.span("y"):
+                pass
+        with tracer.span("main"):
+            worker = threading.Thread(target=lambda: _collect_in(tracer))
+            worker.start()
+            worker.join()
+    finally:
+        gc.enable()
+        tracer.enabled = False
+    runs = {s.name: s.gc_runs for s in tracer.spans}
+    assert runs == {"outer": 0, "x": runs["x"], "y": 0, "main": 0,
+                    "worker": runs["worker"]}
+    assert runs["x"] >= 1 and runs["worker"] >= 1
+    timed = {s.name for s in tracer.spans if s.gc_us > 0}
+    assert timed == {"x", "worker"}
+    worker_span = tracer.spans[-1]
+    assert worker_span.name == "worker" and worker_span.parent is None
+
+
+def test_threads_nest_spans_on_their_own_stacks():
+    """Many threads recording at once, switching every few bytecodes:
+    every id is drawn once and every parent is a span of the same
+    thread, opened around its child."""
+    tracer = obs.Tracer(enabled=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+
+    def record(k: int) -> None:
+        for _ in range(200):
+            with tracer.span(f"outer{k}"):
+                with tracer.span(f"inner{k}"):
+                    pass
+
+    workers = [threading.Thread(target=record, args=(k,)) for k in range(6)]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        tracer.enabled = False
+    assert not any(worker.is_alive() for worker in workers)
+    spans = {s.id: s for s in tracer.spans}
+    assert len(spans) == len(tracer.spans) == 6 * 200 * 2
+    for span in spans.values():
+        if span.name.startswith("outer"):
+            assert span.parent is None
+        else:
+            parent = spans[span.parent]
+            assert parent.name == "outer" + span.name[len("inner"):]
+            assert parent.start <= span.start <= span.end <= parent.end
+
+
+def _collect_in(tracer: obs.Tracer) -> None:
+    with tracer.span("worker"):
+        gc.collect()
+
+
+def test_a_tracer_and_its_spans_are_freed_by_their_counts():
+    tracer = obs.Tracer(enabled=True)
+    with tracer.span("a"):
+        with tracer.span("b"):
+            pass
+    tracer.enabled = False
+    gc.collect()
+    gc.disable()
+    try:
+        del tracer
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_trace_command_prints_the_table(tmp_path, capsys, monkeypatch):
+    spans = _tree(obs_trace, monkeypatch)
+    spans[3].gc_runs, spans[3].gc_us = 2, 1500.0
+    path = tmp_path / "spans.jsonl"
+    obs.write_jsonl(spans, path)
+    assert main(["trace", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["span", "count", "total_ms", "self_ms",
+                                "gc_runs", "gc_ms"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert set(rows) == {"request", "lang.parse", "planner.search",
+                         "plancache.hit", "plancache.put", "outside",
+                         "serving.submit"}
+    assert rows["request"][0] == "1" and rows["lang.parse"][0] == "1"
+    assert rows[spans[3].name][3:] == ["2", "1.500"]
+    # a tick is a second: the root runs 13 ticks and its children cover 7
+    assert rows["request"][1:3] == ["13000.000", "6000.000"]
+
+
+def test_the_trace_command_reads_a_benchmark_file(tmp_path, capsys,
+                                                  monkeypatch):
+    """A file without the collector fields still reads (as zero)."""
+    path = tmp_path / "bench.jsonl"
+    bench_trace.write_jsonl(_tree(bench_trace, monkeypatch), path)
+    assert "gc_runs" not in json.loads(path.read_text().splitlines()[0])
+    assert main(["trace", str(path)]) == 0
+    assert "planner.search" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("on", [False, True])
+def test_the_null_span_takes_a_rename_and_a_request(on):
+    tracer = obs.Tracer(enabled=on)
+    with tracer.span("plancache.miss") as span:
+        span.name = "plancache.hit"
+        span.request = "job-1"
+    tracer.enabled = False
+    assert [(s.name, s.request) for s in tracer.spans] == (
+        [("plancache.hit", "job-1")] if on else [])

@@ -22,7 +22,8 @@
   window it created, in ``_child`` for an inherited one), ``rule.rewrite``
   once per (rule, window objects); a search builds fewer ``Program``s
   than children; and a returned plan holds no node of the search that
-  found it.
+  found it, with the collector off: a cold search, a served resident hit
+  and a compiled run leave nothing for ``gc.collect()``.
 * **Termination** under rules that grow programs, ``match_at`` and the
   replay errors that rest on it.
 """
@@ -33,7 +34,9 @@ import gc
 import random
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
+import numpy as np
 import pytest
 
 import planner_corpus
@@ -48,6 +51,7 @@ from repro.core.optimizer import (
     exhaustive_optimize,
     optimize,
 )
+from repro.core.plancache import PlanCache
 from repro.core.planner import (
     PlanReplayError,
     beam_optimize,
@@ -76,6 +80,8 @@ from repro.core.stages import (
 from repro.core.store import clear_caches
 from repro.lang import parse_program
 from repro.lang import parser as parser_mod
+from repro.machine import simulate_program
+from repro.serving import ServingConfig, ServingManager
 
 GOLDEN = Path(__file__).parent / "data" / "planner_golden_v1.json"
 
@@ -498,16 +504,27 @@ def test_a_second_text_of_the_same_statements_builds_nothing_new(
     clear_caches()
 
 
+def _alive() -> int:
+    """Search objects alive, counted without a collection."""
+    return sum(isinstance(o, (Node, Search)) for o in gc.get_objects())
+
+
 @pytest.mark.parametrize("strategy", ["greedy", "beam", "exhaustive"])
 def test_a_returned_plan_holds_no_node_of_its_search(strategy):
-    def alive() -> int:
-        gc.collect()
-        return sum(isinstance(o, (Node, Search)) for o in gc.get_objects())
-
+    """With the collector off, the search and every node of it are gone
+    when ``optimize`` returns: the graph holds only parent links, so
+    reference counting frees it, and the collector finds nothing."""
     program = Program(NINE, name="nine")
-    before = alive()
-    result = optimize(program, NINE_PARAMS, FULL_RULES, strategy=strategy)
-    assert alive() == before  # the search and every node of it are gone
+    gc.collect()
+    gc.disable()
+    try:
+        before = _alive()
+        result = optimize(program, NINE_PARAMS, FULL_RULES,
+                          strategy=strategy, cache=PlanCache())
+        assert _alive() == before
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     final, steps = result.derivation.final, result.derivation.steps
     assert type(final) is Program and final.name == "nine"
     assert type(steps) is tuple and steps
@@ -515,6 +532,54 @@ def test_a_returned_plan_holds_no_node_of_its_search(strategy):
     replayed, _ = replay_trace(program, trace_of(result), p=NINE_PARAMS.p)
     assert _shape(replayed.stages) == _shape(final.stages)
     assert program_cost(final, NINE_PARAMS) == result.cost_after
+
+
+def _served_hit() -> Iterator[None]:
+    """Warm a cooperative manager's resident schedule, then serve hits."""
+    program = Program([ScanStage(ADD), ReduceStage(ADD)], name="served")
+    params = MachineParams(p=4, ts=10.0, tw=1.0, m=1)
+    with ServingManager(ServingConfig(substrate="cooperative")) as mgr:
+        for j in range(3):
+            mgr.submit(program, [j, 1, 2, 3], params).result(timeout=60.0)
+        yield
+        hits = mgr.stats()["resident_hits"]
+        for j in range(8):
+            values = mgr.submit(program, [j, 5, 6, 7],
+                                params).result(timeout=60.0)
+            assert values == tuple(program.run([j, 5, 6, 7]))
+        assert mgr.stats()["resident_hits"] - hits == 8
+        yield
+
+
+def _compiled_run() -> Iterator[None]:
+    """Compile a program, then run it compiled again."""
+    program = Program([ScanStage(MUL), ReduceStage(ADD)], name="compiled")
+    params = MachineParams(p=4, ts=10.0, tw=1.0, m=1024)
+    blocks = [np.arange(1024, dtype=np.int64) % (r + 3) for r in range(4)]
+    simulate_program(program, blocks, params, jit=True)
+    yield
+    for _ in range(3):
+        result = simulate_program(program, blocks, params, jit=True)
+        assert result.time > 0
+    yield
+
+
+@pytest.mark.parametrize("request_of", [_served_hit, _compiled_run],
+                         ids=["resident-hit", "compiled-run"])
+def test_a_request_leaves_no_cyclic_garbage(request_of):
+    """A served resident hit and a compiled run are freed by their
+    reference counts alone: with the collector off, a collection after
+    them finds nothing."""
+    steps = request_of()
+    next(steps)  # warmed up
+    gc.collect()
+    gc.disable()
+    try:
+        next(steps)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+        next(steps, None)
 
 
 def test_search_terminates_where_rules_grow_programs():
