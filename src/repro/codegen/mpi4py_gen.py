@@ -106,7 +106,7 @@ class OpTable:
                     "else [_bb(_x, _y) for _x, _y in zip(a, b)])")
         raise CodegenError(
             f"no source expression registered for operator {op.name!r}; "
-            "call OpTable.register(name, source)"
+            "call OpTable.register(op, source) with the operator object"
         )
 
 

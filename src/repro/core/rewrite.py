@@ -189,7 +189,8 @@ def _fuse_pair(first: Stage, second: Stage) -> Stage | None:
         return Map2Stage(fn, other=other, indexed=rank, **facts)
     if rank:
         return MapIndexedStage(lambda k, x: call(k, x, None), **facts)
-    return MapStage(lambda x: call(None, x, None), **facts)
+    return MapStage(lambda x: call(None, x, None),
+                    parts=first.parts + second.parts, **facts)
 
 
 def fuse_local_stages(program: Program) -> Program:

@@ -46,19 +46,12 @@ from repro.core.stages import (
     ScanStage,
     Stage,
 )
-from repro.semantics.functional import UNDEF, pair, quadruple
+from repro.semantics.functional import pair, quadruple, safe_pi1
 
 __all__ = ["Rule", "RuleApplication", "NoTable1Form", "SCAN", "REDUCE",
            "ALLREDUCE", "FOLD", "BCAST", "distributive", "commutative",
            "is_all", "pair_stage", "quadruple_stage", "projection_stage",
            "adjusted", "safe_pi1"]
-
-
-def safe_pi1(t):
-    """π₁ lifted over the undefined block (Local rules leave ``_`` behind)."""
-    if t is UNDEF:
-        return UNDEF
-    return t[0]
 
 
 def pair_stage(origin: str) -> MapStage:

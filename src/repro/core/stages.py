@@ -256,7 +256,7 @@ class _LocalMap(Stage):
                             Fraction(self.ops_per_element))
 
     def rebuild(self, map_fn, binop_fn) -> "Stage | None":
-        return None  # only a plain ``map`` has per-label array kernels
+        return None  # only a plain ``map`` has per-function array kernels
 
     def normal_form(self) -> tuple[Callable[[int, Any, Any], Any], bool,
                                    "tuple[Any, ...] | None"]:
@@ -279,7 +279,17 @@ class MapStage(_LocalMap):
     fn: Callable[[Any], Any]
     label: str = "f"
     ops_per_element: int = 0
+    #: ``(label, fn)`` of each map local-stage fusion joined into this
+    #: one, in order (``((label, fn),)`` for a map as written): what a
+    #: kernel row is read for, since a fused ``fn`` is a fresh closure and
+    #: a kernelized one a dispatcher — both keep the parts
+    parts: tuple[tuple[str, Callable[[Any], Any]], ...] = field(
+        default=(), kw_only=True, compare=False, repr=False)
     mpi_call = MpiCall()
+
+    def __post_init__(self) -> None:
+        if not self.parts:
+            object.__setattr__(self, "parts", ((self.label, self.fn),))
 
     def apply(self, xs: Sequence[Any]) -> list[Any]:
         return F.map_fn(self.fn, xs)

@@ -155,7 +155,7 @@ def fold_intervals(
 def map_intervals(
     ctx: BoundsCtx, tape: Any, slots: Sequence[Interval], p: int = 1
 ) -> tuple[Interval, ...]:
-    """A (possibly ``;``-fused) map label: ``tape`` (an ``emit_map`` tape bound
+    """A (possibly fused) map: ``tape`` (an ``emit_map`` tape bound
     to interval rows) run on the block's slot intervals.  A map is per
     block, so ``p`` is not consulted."""
     tmps: list[Interval] = []

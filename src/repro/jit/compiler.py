@@ -129,7 +129,7 @@ class Tape:
     the result's slots.  The tape of a combine ``op(acc, rhs)``
     (:func:`emit_combine`) has instructions ``(row, src_a, src_b, j)``
     over ``("a", i)`` acc slots, ``("b", i)`` rhs slots and ``("t", j)``
-    earlier results.  The tape of a map label (:func:`emit_map`) has
+    earlier results.  The tape of a map (:func:`emit_map`) has
     ``(row, src, const)`` over ``("i", k)`` input slots and ``("t", j)``
     — replication (``pair``) and projection (``π₁``) are pure ref
     manipulation, no data movement.
@@ -176,12 +176,13 @@ def emit_combine(op: BinOp) -> Tape:
     return Tape(slots=len(out), instrs=tuple(instrs), out=tuple(out))
 
 
-def emit_map(label: str, slots: int) -> Tape:
-    """The tape of ``label`` on blocks of ``slots`` slots: each fused
-    part's :class:`~repro.kernels.registry.MapRow` effect in turn."""
+def emit_map(parts: Sequence[tuple[str, Callable]], slots: int) -> Tape:
+    """The tape of a map's ``parts`` (a ``MapStage``'s) on blocks of
+    ``slots`` slots: each part's :class:`~repro.kernels.registry.MapRow`
+    effect in turn."""
     refs: list[tuple[str, int]] = [("i", k) for k in range(slots)]
     instrs: list[tuple] = []
-    for part, row in map_rows(label):
+    for part, row in map_rows(parts):
         if row is None or row.effect is None:
             raise JitUnsupported(f"no-tape:{part}")
         kind, *args = row.effect
@@ -393,13 +394,14 @@ class _Unroller:
         return _Blk(comps[0] if len(comps) == 1 else object(),
                     tuple(regs), comps)
 
-    def map_block(self, label: str, blk: Any) -> Any:
-        """``label`` on one block (UNDEF passes)."""
+    def map_block(self, parts: Sequence[tuple[str, Callable]],
+                  blk: Any) -> Any:
+        """The map of ``parts`` on one block (UNDEF passes)."""
         if blk is UNDEF:
             return UNDEF
         if blk.regs is None:
             raise JitUnsupported("runtime-shape")
-        tape = bind(emit_map(label, len(blk.regs)), "raw")
+        tape = bind(emit_map(parts, len(blk.regs)), "raw")
         made: dict[int, object] = {}
         return self.block(self.run(tape, i=blk.regs), [
             blk.comps[k] if tag == "i" else made.setdefault(k, object())
@@ -518,7 +520,7 @@ def _bcast(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
             raise JitUnsupported("runtime-shape")
         root = blocks[0]
         for stage in (pre, post):
-            root = u.map_block(stage.label, root) if stage else root
+            root = u.map_block(stage.parts, root) if stage else root
         return [root] * len(blocks)
 
     return unroll
@@ -532,10 +534,10 @@ def _fold(spread: Optional[Callable[[Any, int], list]]) -> "_Jit":
     def prepare(pre: Optional[MapStage], coll: Stage,
                 post: Optional[MapStage], label: str) -> Unroll:
         tape = bind(emit_combine(coll.op), "raw")
-        pre_tape = bind(emit_map(pre.label, 1), "raw") if pre else None
+        pre_tape = bind(emit_map(pre.parts, 1), "raw") if pre else None
         if pre_tape is not None and len(pre_tape.out) != tape.slots:
             raise JitUnsupported(f"slot-shape:{pre.label}")
-        post_tape = bind(emit_map(post.label, tape.slots), "raw") if post else None
+        post_tape = bind(emit_map(post.parts, tape.slots), "raw") if post else None
         n_in = 1 if pre_tape is not None else tape.slots
 
         def unroll(u: _Unroller, blocks: list) -> list:
@@ -609,8 +611,8 @@ class _Jit:
 #: class without one runs the checked kernels (``uncompiled:<stage>``)
 _JIT: dict[type, _Jit] = {
     MapStage: _Jit(lambda pre, stage, post, label: lambda u, blocks: [
-                       u.map_block(stage.label, b) for b in blocks],
-                   lambda stage, slots: emit_map(stage.label, slots),
+                       u.map_block(stage.parts, b) for b in blocks],
+                   lambda stage, slots: emit_map(stage.parts, slots),
                    map_intervals),
     BcastStage: _Jit(_bcast, lambda stage, slots: None),
     ScanStage: _fold(None),
@@ -856,7 +858,7 @@ class CompiledProgram:
         raw = None
         if self.plan.program.through_definitions() is self.plan.program:
             try:
-                raw = swapped(lambda st: _raw_map_fn(st.label, st.fn),
+                raw = swapped(lambda st: _raw_map_fn(st.parts, st.fn),
                               _raw_binop_fn)
             except JitUnsupported:
                 pass
@@ -918,19 +920,19 @@ def _as_scalar(a: np.ndarray) -> Any:
 
 
 class _TapeMemo:
-    """One map label's raw tapes, memoised by the observed input arity."""
+    """One map's raw tapes, memoised by the observed input arity."""
 
-    def __init__(self, label: str) -> None:
-        self.label = label
+    def __init__(self, parts: Sequence[tuple[str, Callable]]) -> None:
+        self.parts = parts
         self.tapes: dict[int, Optional[Tape]] = {}
 
     def apply(self, block: Any) -> Any:
-        """The label applied to one defined block (allocating), or None
-        when the label has no tape or the block does not conform."""
+        """The map applied to one defined block (allocating), or None
+        when the map has no tape or the block does not conform."""
         arity = len(block) if isinstance(block, tuple) else 1
         if arity not in self.tapes:
             try:
-                self.tapes[arity] = bind(emit_map(self.label, arity), "raw")
+                self.tapes[arity] = bind(emit_map(self.parts, arity), "raw")
             except JitUnsupported:
                 self.tapes[arity] = None
         tape = self.tapes[arity]
@@ -941,10 +943,11 @@ class _TapeMemo:
         return vals[0] if len(vals) == 1 else tuple(vals)
 
 
-def _raw_map_fn(label: str, checked_fn: Callable) -> Callable:
+def _raw_map_fn(parts: Sequence[tuple[str, Callable]],
+                checked_fn: Callable) -> Callable:
     """Per-block map: raw tape when the block conforms, else the checked
     kernelized fn (which itself falls back to object mode)."""
-    memo = _TapeMemo(label)
+    memo = _TapeMemo(parts)
 
     def fn(x: Any) -> Any:
         v = memo.apply(x) if is_vector_block(x) else None

@@ -92,7 +92,7 @@ def _edge_effect(stage: Stage, at: int) -> str:
     the rules' pre-adjustments replicate, their post-adjustment projects."""
     if not isinstance(stage, MapStage):
         return ""
-    _part, row = map_rows(stage.label)[at]
+    _part, row = map_rows(stage.parts)[at]
     return row.effect[0] if row is not None and row.effect else ""
 
 

@@ -9,8 +9,8 @@ rules emit into at most one local stage on each side), then rebuilds each
 stage around its array kernel (:func:`rebuild_stage`, the walk the JIT's
 raw and token engine forms reuse with other leaf functions):
 
-* ``map`` stages get a dispatching function composed from the per-label
-  kernels of their (fused) label;
+* ``map`` stages get a dispatching function composed from the kernel
+  rows of the functions their (fused) parts hold;
 * ``scan``/``reduce``/``allreduce`` get a kernelized operator — *required*:
   a base operator without a kernel (``concat``) makes the whole program
   unsupported rather than silently slow or wrong;
@@ -56,7 +56,7 @@ def rebuild_stage(
 def kernelize_stage(stage: Stage) -> Stage:
     """Rebuild one stage around array kernels (or raise KernelUnsupported)."""
     return rebuild_stage(
-        stage, lambda st: kernelize_map(st.fn, st.label), kernelize_binop)
+        stage, lambda st: kernelize_map(st.fn, st.parts), kernelize_binop)
 
 
 def vectorize_program(program: Program) -> Program:

@@ -14,10 +14,12 @@ Every numeric tier reads the same two tables:
   :func:`binop_kernel` for the checked reading,
   ``repro.jit.compiler.emit_combine`` for the tape the other two share.
 
-* ``maps`` — a ``MapStage`` *label* to its :class:`MapRow`: the checked
-  kernel and the label's *tape effect*.  Labels compose under local-stage
-  fusion (``"pair;inc"``), and so do the rows (:func:`map_rows` is the
-  one place a fused label is split).
+* ``maps`` — a map *function* to its :class:`MapRow`: the checked
+  kernel and the map's *tape effect*.  A ``MapStage`` keeps the
+  ``(label, fn)`` of every map local-stage fusion joined into it
+  (``parts``), and the rows compose the same way (:func:`map_rows` reads
+  one row per part).  A label is printed, never looked up: a map
+  labelled ``dbl`` that squares has no row.
 
 Kernelized operators/maps keep exact object-mode semantics: they
 *dispatch* on the block representation (array blocks take the kernel,
@@ -36,7 +38,7 @@ until a full row states them (see ``docs/PERFORMANCE.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +50,16 @@ from repro.kernels.blocks import (
     checked_neg,
     is_vector_block,
 )
-from repro.semantics.functional import UNDEF
+from repro.semantics.functional import (
+    UNDEF,
+    dbl,
+    inc,
+    neg,
+    pair,
+    quadruple,
+    safe_pi1,
+    triple,
+)
 
 __all__ = [
     "Primitive",
@@ -91,17 +102,19 @@ class Primitive:
 
 @dataclass(frozen=True)
 class MapRow:
-    """One map label: its checked kernel and what it does to a tape.
+    """One map function ``fn``: its checked kernel and what it does to a
+    tape.
 
     ``effect`` is ``("replicate", n)`` (one slot becomes ``n`` refs to
     it), ``("project",)`` (a tuple block keeps its first slot) or
     ``("apply", row, const)`` (the :class:`Primitive` ``row`` on the slot
-    and ``const``; unary when ``const`` is None).  None: the label has a
+    and ``const``; unary when ``const`` is None).  None: the map has a
     checked kernel only.
     """
 
     checked: MapKernel
     effect: Optional[tuple] = None
+    fn: Optional[Callable[[Any], Any]] = None
 
 
 #: bumped on every (re-)registration; compiled-kernel caches (the JIT
@@ -157,32 +170,26 @@ _PRIMITIVES: dict[BinOp, Primitive] = {
 }
 
 
-def _apply_row(row: Primitive, const: int) -> MapRow:
+def _apply_row(fn: MapKernel, row: Primitive, const: int) -> MapRow:
     """``x -> row(x, const)``, every reading taken from the primitive's row."""
     checked, c = row.checked, np.int64(const)
-    return MapRow(lambda x: checked(x, c), ("apply", row, const))
+    return MapRow(lambda x: checked(x, c), ("apply", row, const), fn)
 
 
-def _replicate_row(n: int) -> MapRow:
-    return MapRow(lambda x: (x,) * n, ("replicate", n))
+def _replicate_row(fn: MapKernel, n: int) -> MapRow:
+    return MapRow(lambda x: (x,) * n, ("replicate", n), fn)
 
 
-def _pi1_kernel(t: Any) -> Any:
-    if t is UNDEF:
-        return UNDEF
-    return t[0]
-
-
-#: MapStage label -> row
-_MAPS: dict[str, MapRow] = {
-    "inc": _apply_row(_ADD, 1),
-    "dbl": _apply_row(_MUL, 2),
-    "neg": MapRow(checked_neg, ("apply", _NEG, None)),
-    "pair": _replicate_row(2),
-    "triple": _replicate_row(3),
-    "quadruple": _replicate_row(4),
-    "pi_1": MapRow(_pi1_kernel, ("project",)),
-}
+#: map function -> row: the catalogue's functions, nothing else
+_MAPS: dict[MapKernel, MapRow] = {row.fn: row for row in (
+    _apply_row(inc, _ADD, 1),
+    _apply_row(dbl, _MUL, 2),
+    MapRow(checked_neg, ("apply", _NEG, None), neg),
+    _replicate_row(pair, 2),
+    _replicate_row(triple, 3),
+    _replicate_row(quadruple, 4),
+    MapRow(safe_pi1, ("project",), safe_pi1),
+)}
 
 
 def primitive(op: BinOp) -> Optional[Primitive]:
@@ -190,9 +197,11 @@ def primitive(op: BinOp) -> Optional[Primitive]:
     return _PRIMITIVES.get(op.source or op)
 
 
-def map_rows(label: str) -> list[tuple[str, Optional[MapRow]]]:
-    """``(part, row)`` for each part of a (possibly ``;``-fused) label."""
-    return [(part, _MAPS.get(part)) for part in label.split(";")]
+def map_rows(parts: Sequence[tuple[str, MapKernel]]
+             ) -> list[tuple[str, Optional[MapRow]]]:
+    """``(label, row)`` for each ``(label, fn)`` part of a map (a
+    ``MapStage``'s ``parts``): the row held for that very ``fn``, or None."""
+    return [(label, _MAPS.get(fn)) for label, fn in parts]
 
 
 def register_binop_kernel(op: BinOp, kernel: Kernel | Primitive) -> None:
@@ -204,13 +213,13 @@ def register_binop_kernel(op: BinOp, kernel: Kernel | Primitive) -> None:
     _REGISTRY_VERSION += 1
 
 
-def register_map_kernel(label: str, kernel: MapKernel | MapRow) -> None:
-    """Replace the row of the map label ``label``: a full :class:`MapRow`,
-    or a bare array kernel (no tape effect)."""
-    if ";" in label:
-        raise ValueError("register the unfused labels; fusion composes them")
+def register_map_kernel(fn: MapKernel, kernel: MapKernel | MapRow) -> None:
+    """Replace the row of the map function ``fn``: a full
+    :class:`MapRow`, or a bare array kernel (no tape effect).  A map
+    reads it when its function is ``fn`` itself, whatever its label."""
     global _REGISTRY_VERSION
-    _MAPS[label] = kernel if isinstance(kernel, MapRow) else MapRow(kernel)
+    row = kernel if isinstance(kernel, MapRow) else MapRow(kernel)
+    _MAPS[fn] = replace(row, fn=fn)
     _REGISTRY_VERSION += 1
 
 
@@ -318,9 +327,9 @@ def kernelize_binop(op: BinOp) -> BinOp:
     return op.with_fn(dispatch)
 
 
-def map_kernel(label: str) -> MapKernel | None:
-    """Resolve the kernel for a (possibly fused, ``;``-joined) map label."""
-    rows = [row for _part, row in map_rows(label)]
+def map_kernel(parts: Sequence[tuple[str, MapKernel]]) -> MapKernel | None:
+    """Resolve the kernel for a map's (possibly fused) ``parts``."""
+    rows = [row for _label, row in map_rows(parts)]
     if None in rows:
         return None
     kernels = [row.checked for row in rows]
@@ -335,10 +344,12 @@ def map_kernel(label: str) -> MapKernel | None:
     return fused
 
 
-def kernelize_map(fn: Callable[[Any], Any], label: str) -> Callable[[Any], Any]:
-    """A map function dispatching array blocks to the label's kernel."""
-    kernel = map_kernel(label)
+def kernelize_map(fn: Callable[[Any], Any],
+                  parts: Sequence[tuple[str, MapKernel]]) -> Callable[[Any], Any]:
+    """A map function dispatching array blocks to its parts' kernel."""
+    kernel = map_kernel(parts)
     if kernel is None:
+        label = ";".join(label for label, _fn in parts)
         raise KernelUnsupported(f"no kernel for map label {label!r}")
 
     def dispatch(x: Any) -> Any:

@@ -290,7 +290,11 @@ def _exact(block: Any) -> bool:
 
 def _read(blocks: Sequence[Any]) -> tuple[bool, bool, tuple[bool, ...]]:
     """One pass: are all blocks :data:`DEFINED` / ``UNDEF`` tokens, are
-    all ``UNDEF`` or :func:`_exact`, and where is ``UNDEF``."""
+    all ``UNDEF`` or :func:`_exact`, and where is ``UNDEF``.  A non-empty
+    flat list of Python ints and bools — every served input list and
+    every evaluated value tuple — is read from its types alone."""
+    if len(blocks) and _EXACT_LEAVES.issuperset(map(type, blocks)):
+        return False, True, (False,) * len(blocks)
     tokens = exact = True
     undef_at = []
     for x in blocks:

@@ -51,6 +51,9 @@ EVENT_KINDS = (
 #: serving vocabulary); used only for validation on read
 _V1_KINDS = EVENT_KINDS[:14]
 
+#: the kinds as one hashed lookup for :meth:`RecoveryLog.record`
+_KINDS = frozenset(EVENT_KINDS)
+
 
 class RecoveryLog:
     """Append-only list of supervision and job-lifecycle events.
@@ -65,9 +68,18 @@ class RecoveryLog:
         self.events: list[dict[str, Any]] = []
 
     def emit(self, event: str, **fields: Any) -> dict[str, Any]:
-        if event not in EVENT_KINDS:
+        return self.record(event, fields)
+
+    def record(self, event: str, fields: dict[str, Any],
+               seq: int | None = None) -> dict[str, Any]:
+        """Append and return the one record of an event: ``event``, then
+        ``seq`` when given (the serving bus numbers its events), then
+        ``fields`` in their order.  Every emitter builds its records
+        here, so an event costs one dict."""
+        if event not in _KINDS:
             raise ValueError(f"unknown recovery event kind {event!r}")
-        record = {"event": event, **fields}
+        record = ({"event": event, **fields} if seq is None
+                  else {"event": event, "seq": seq, **fields})
         self.events.append(record)
         return record
 

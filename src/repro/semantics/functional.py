@@ -51,6 +51,10 @@ __all__ = [
     "triple",
     "quadruple",
     "pi1",
+    "safe_pi1",
+    "inc",
+    "dbl",
+    "neg",
     "times_fn",
     "repeat_fn",
     "comcast_fn",
@@ -239,6 +243,34 @@ def quadruple(a: Any) -> tuple[Any, Any, Any, Any]:
 def pi1(t: Sequence[Any]) -> Any:
     """Paper eq. (12): first component of an arbitrary tuple."""
     return t[0]
+
+
+def safe_pi1(t: Any) -> Any:
+    """π₁ lifted over the undefined block (Local rules leave ``_`` behind)."""
+    if t is UNDEF:
+        return UNDEF
+    return t[0]
+
+
+# The catalogue maps: with ``pair`` / ``triple`` / ``quadruple`` /
+# ``safe_pi1`` the functions a kernel row is held for
+# (``repro.kernels.registry``) — a map computes with a row's kernel only
+# when its function is this very object.
+
+
+def inc(a: Any) -> Any:
+    """The catalogue map ``x + 1``."""
+    return a + 1
+
+
+def dbl(a: Any) -> Any:
+    """The catalogue map ``2 x``."""
+    return 2 * a
+
+
+def neg(a: Any) -> Any:
+    """The catalogue map ``-x``."""
+    return -a
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class EventBus:
         with self._lock:
             self._seq += 1
             self._tally[event, fields.get("status")] += 1
-            return self.log.emit(event, seq=self._seq, **fields)
+            return self.log.record(event, fields, self._seq)
 
     def tally(self) -> Counter:
         """Events emitted, keyed ``(kind, status)``: the event's

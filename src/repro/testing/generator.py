@@ -61,6 +61,7 @@ from repro.core.stages import (
     ScanStage,
     Stage,
 )
+from repro.semantics.functional import dbl, inc, neg
 
 __all__ = [
     "Domain",
@@ -117,15 +118,15 @@ def _vec_value(rng: random.Random):
                     dtype=np.int64)
 
 
+#: the int and vec domains' maps: the catalogue's functions, so each
+#: computes with its kernel row on the kernelized backends
+CATALOGUE_MAPS = {"inc": (inc, 1), "dbl": (dbl, 1), "neg": (neg, 1)}
+
 INT_DOMAIN = Domain(
     name="int",
     value_gen=_int_value,
     ops=(ADD, MUL, MAX, MIN),
-    maps={
-        "inc": (lambda x: x + 1, 1),
-        "dbl": (lambda x: 2 * x, 1),
-        "neg": (lambda x: -x, 1),
-    },
+    maps=CATALOGUE_MAPS,
 )
 
 LIST_DOMAIN = Domain(
@@ -151,13 +152,9 @@ VEC_DOMAIN = Domain(
     name="vec",
     value_gen=_vec_value,
     ops=(EW_ADD, EW_MAX),
-    # the int-domain labels are elementwise on ndarray blocks too, and
-    # their registered map kernels make vec programs kernel-lowerable
-    maps={
-        "inc": (lambda x: x + 1, 1),
-        "dbl": (lambda x: 2 * x, 1),
-        "neg": (lambda x: -x, 1),
-    },
+    # the catalogue maps are elementwise on ndarray blocks too, and
+    # their map kernels make vec programs kernel-lowerable
+    maps=CATALOGUE_MAPS,
 )
 
 DOMAINS: tuple[Domain, ...] = (INT_DOMAIN, LIST_DOMAIN, SEG_DOMAIN, VEC_DOMAIN)

@@ -45,6 +45,15 @@ from repro.core.stages import (
     ScanStage,
 )
 from repro.jit.bounds import BoundsCtx, fold_intervals
+from repro.semantics.functional import (
+    dbl,
+    inc,
+    neg,
+    pair,
+    quadruple,
+    safe_pi1,
+    triple,
+)
 from repro.testing.generator import (
     PLANNER_CASES,
     RULE_CASES,
@@ -75,8 +84,16 @@ HULLS = ((0, 0), (1, 1), (-3, 3), (0, 1), (-1, 0), (2, 7), (-2 ** 20, 2 ** 20),
          (1, BIG + 1), (-BIG - 1, 0))
 
 
+#: the catalogue maps by label
+MAPS = {"inc": inc, "dbl": dbl, "neg": neg, "pair": pair, "triple": triple,
+        "quadruple": quadruple, "pi_1": safe_pi1}
+
+
 def _map(label: str) -> MapStage:
-    return MapStage(lambda x: x, label=label)  # the proof reads the label only
+    """A map of the catalogue parts of the (``;``-fused) ``label``: the
+    proof reads each part's kernel row, never ``fn``."""
+    return MapStage(lambda x: x, label=label, parts=tuple(
+        (part, MAPS[part]) for part in label.split(";")))
 
 
 #: products the generator does not draw, under every replicating map

@@ -33,6 +33,7 @@ from repro.core.stages import (
     ScanStage,
 )
 from repro.core.store import clear_caches
+from repro.semantics.functional import inc
 
 THREADS = 8
 ROUNDS = 40
@@ -343,7 +344,7 @@ def test_compile_cache_hammer_hits_and_evictions(monkeypatch):
 
     monkeypatch.setattr(jit_compiler._COMPILE_CACHE, "bound", 8)
     clear_jit_cache()
-    programs = [Program([MapStage(lambda x: x + 1, label="inc")] * (k % 5)
+    programs = [Program([MapStage(inc, label="inc")] * (k % 5)
                         + [ScanStage(ADD if k % 2 else MUL)]
                         + [BcastStage()] * (k // 10), name=f"prog-{k}")
                 for k in range(40)]
@@ -455,7 +456,7 @@ def test_memos_built_during_concurrent_clears():
         try:
             for k in range(ROUNDS):
                 compiled = compiled_program(Program(
-                    [MapStage(lambda x: x + 1, label="inc"), ScanStage(ADD)],
+                    [MapStage(inc, label="inc"), ScanStage(ADD)],
                     name=f"t{tid}_{k}"))
                 built.append(compiled)
                 assert id(compiled._tapes) in _RESIDENT

@@ -18,7 +18,7 @@ from repro.core.operators import ADD, MUL
 from repro.core.rules import ALL_RULES
 from repro.core.rules.reduction import SR2_REDUCTION
 from repro.core.stages import BcastStage, MapStage, Program, ReduceStage, ScanStage
-from repro.semantics.functional import defined_equal
+from repro.semantics.functional import defined_equal, inc
 from repro.testing import (
     PAPER_RULES,
     RULE_CASES,
@@ -122,9 +122,9 @@ class TestBrokenRuleIsCaught:
 class TestShrinker:
     def test_shrinks_stages_and_machine(self):
         prog = Program([
-            MapStage(lambda x: x + 1, label="inc", ops_per_element=1),
+            MapStage(inc, label="inc", ops_per_element=1),
             ScanStage(ADD),
-            MapStage(lambda x: x + 1, label="inc", ops_per_element=1),
+            MapStage(inc, label="inc", ops_per_element=1),
             ReduceStage(MUL),
         ])
         xs = [3, -2, 1, 2, 0, 1, 2, 3]

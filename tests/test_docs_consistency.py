@@ -127,7 +127,7 @@ class TestPerformanceDoc:
         assert engine_lower(prog, xs).why == "no-raw:gcd"
         exec(full, ns)
         assert engine_lower(prog, xs).rung == "fused"
-        [(_, inc3)] = registry.map_rows("inc3")
+        [(_, inc3)] = registry.map_rows([("inc3", ns["inc3"])])
         assert inc3.effect == ("apply", registry.primitive(ADD), 3)
 
 

@@ -37,12 +37,12 @@ from repro.machine.engine import DeadlockError, run_spmd
 from repro.machine.run import simulate_program
 from repro.mpi import Comm, spmd_run
 from repro.mpi.threaded import ThreadedComm, threaded_spmd_run
-from repro.semantics.functional import UNDEF, defined_equal
+from repro.semantics.functional import UNDEF, defined_equal, inc
 
 PARAMS = MachineParams(p=8, ts=10.0, tw=1.0, m=4)
 
 MIXED = Program(
-    [MapStage(lambda x: x + 1, label="inc", ops_per_element=1),
+    [MapStage(inc, label="inc", ops_per_element=1),
      ScanStage(ADD), ReduceStage(ADD), BcastStage()],
     name="mixed",
 )

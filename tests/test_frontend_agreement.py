@@ -21,6 +21,7 @@ from repro.core.stages import (
     ScanStage,
 )
 from repro.machine import simulate_program
+from repro.semantics.functional import inc
 
 OPS = st.sampled_from([ADD, MUL, MAX])
 
@@ -36,7 +37,7 @@ def safe_programs(draw) -> Program:
             stages.append(BcastStage())
         open_reduce = False
         if kind == "map":
-            stages.append(MapStage(lambda x: x + 1, label="inc", ops_per_element=1))
+            stages.append(MapStage(inc, label="inc", ops_per_element=1))
         elif kind == "scan":
             stages.append(ScanStage(draw(OPS)))
         elif kind == "allreduce":

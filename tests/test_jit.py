@@ -69,7 +69,7 @@ from repro.kernels.registry import (
     registry_version,
 )
 from repro.machine.run import simulate_program
-from repro.semantics.functional import UNDEF, defined_equal
+from repro.semantics.functional import UNDEF, dbl, defined_equal, inc
 from repro.testing.chaos import run_chaos
 from repro.testing.generator import (
     EW_ADD,
@@ -86,13 +86,6 @@ from repro.testing.oracle import SKIPPED, differential_check, run_backend
 P = 8
 PARAMS = MachineParams(p=P, ts=10.0, tw=1.0, m=1024)
 
-
-def _inc(x):
-    return x + 1
-
-
-def _dbl(x):
-    return x * 2
 
 
 def _arrays(block: int = 1000, p: int = P, lo: int = 1, hi: int = 4,
@@ -139,7 +132,7 @@ class TestRunJitCorrectness:
         assert STATS.fused_stages >= 3  # pair + sr2-combine + pi_1
 
     def test_scan_chain_matches_vectorized(self):
-        prog = Program([MapStage(_inc, label="inc"), ScanStage(ADD),
+        prog = Program([MapStage(inc, label="inc"), ScanStage(ADD),
                         ReduceStage(ADD)])
         xs = _arrays(seed=1)
         vec = run_vectorized(prog, [a.copy() for a in xs], strict=True)
@@ -180,7 +173,7 @@ class TestRunJitCorrectness:
 
     def test_undef_propagates_through_post_map(self):
         # reduce leaves UNDEF off-root; the following map must keep it
-        prog = Program([ReduceStage(ADD), MapStage(_inc, label="inc")])
+        prog = Program([ReduceStage(ADD), MapStage(inc, label="inc")])
         xs = _arrays(seed=4)
         jit = run_jit(prog, [a.copy() for a in xs], strict=True)
         assert all(v is UNDEF for v in jit[1:])
@@ -188,7 +181,7 @@ class TestRunJitCorrectness:
         _assert_bitwise(vec, jit)
 
     def test_bcast_supported(self):
-        prog = Program([MapStage(_dbl, label="dbl"), BcastStage()])
+        prog = Program([MapStage(dbl, label="dbl"), BcastStage()])
         xs = _arrays(seed=5)
         jit = run_jit(prog, [a.copy() for a in xs], strict=True)
         vec = run_vectorized(prog, [a.copy() for a in xs], strict=True)
@@ -431,7 +424,7 @@ class TestEngineLadder:
         assert not STATS.fallbacks
 
     def test_undef_input_block_declines(self):
-        prog = Program([MapStage(_inc, label="inc"), ScanStage(ADD)])
+        prog = Program([MapStage(inc, label="inc"), ScanStage(ADD)])
         xs = _arrays(block=16, seed=22)
         xs[3] = UNDEF
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=16)
@@ -496,7 +489,7 @@ _DERIVED_SANDWICHES = [
              projection_stage("t")], name="pair;comcast;pi1"),
     Program([pair_stage("t"), ComcastStage(bs_comcast_op(_SR2), impl="doubling"),
              projection_stage("t"), ScanStage(ADD)], name="pair;doubling;pi1"),
-    Program([MapStage(_inc, label="inc"), pair_stage("t"),
+    Program([MapStage(inc, label="inc"), pair_stage("t"),
              IterStage(br_iter_op(_SR2), general=True, then_bcast=True),
              projection_stage("t")], name="pair;iter;bcast;pi1"),
     Program([pair_stage("t"), IterStage(br_iter_op(_SR2), general=True),
@@ -712,7 +705,7 @@ class TestDerivedStages:
         IterStage(bsr_iter_op(ADD), then_bcast=True),
     ], ids=lambda st: st.pretty())
     def test_bounds_are_the_definitions(self, stage):
-        around = ([MapStage(_dbl, label="dbl")], [ScanStage(ADD)])
+        around = ([MapStage(dbl, label="dbl")], [ScanStage(ADD)])
         derived = [*around[0], stage, *around[1]]
         spliced = [*around[0], *stage.definition(), *around[1]]
         verdicts = set()
@@ -852,26 +845,22 @@ class TestCaches:
         that no longer means addition.  (Before the rows were one table,
         ``run_jit`` answered ``[12, 15]`` here where ``run_vectorized``
         answered ``[10, 10]``.)"""
-        add_row, ((_, inc_row),) = primitive(ADD), map_rows("inc")
+        add_row, ((_, inc_row),) = primitive(ADD), map_rows([("inc", inc)])
 
         def saturating(a, b):
             return np.minimum(a + b, 10)
 
-        def inc2(x):
-            return x + 2
-
         xs = [np.array([4, 5], dtype=np.int64) for _ in range(3)]
         params = MachineParams(p=3, ts=10.0, tw=1.0, m=2)
-        plain = Program([MapStage(_inc, label="inc"), ScanStage(ADD)])
+        plain = Program([MapStage(inc, label="inc"), ScanStage(ADD)])
         cases = [
             (lambda: register_binop_kernel(ADD, saturating),
              lambda: register_binop_kernel(ADD, add_row),
              Program([ScanStage(ADD.with_fn(saturating))]),
              "no-raw:add", [[4, 5], [8, 10], [10, 10]]),
-            (lambda: register_map_kernel("inc", inc2),
-             lambda: register_map_kernel("inc", inc_row),
-             Program([MapStage(inc2, label="inc"), ScanStage(ADD)]),
-             "no-tape:inc", [[6, 7], [12, 14], [18, 21]]),
+            (lambda: register_map_kernel(inc, lambda x: x + 1),
+             lambda: register_map_kernel(inc, inc_row),
+             plain, "no-tape:inc", [[5, 6], [10, 12], [15, 18]]),
         ]
         for register, restore, prog, why, want in cases:
             register()
@@ -893,7 +882,7 @@ class TestCaches:
             assert STATS.fallbacks == {why: 1}
         # ``inc`` is add∘1 on its tape, and its effect holds the add row
         # itself: re-pointing ADD leaves ``inc`` its own row on every rung
-        only_inc = Program([MapStage(_inc, label="inc")])
+        only_inc = Program([MapStage(inc, label="inc")])
         register_binop_kernel(ADD, saturating)
         try:
             for got in (run_vectorized(only_inc, list(xs), strict=True),

@@ -63,17 +63,10 @@ from repro.kernels import (
     vectorize_program,
 )
 from repro.machine.run import simulate_program
-from repro.semantics.functional import UNDEF, defined_equal
+from repro.semantics.functional import UNDEF, dbl, defined_equal, inc
 
 INT_XS = [3, -1, 2, 0, 1, -2, 3, 1]
 
-
-def _inc(x):
-    return x + 1
-
-
-def _dbl(x):
-    return 2 * x
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +124,6 @@ def test_a_same_named_operator_gets_no_kernel():
     assert list(run_jit(prog, list(xs))) == want
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the kernel registry resolves a map by its label, so a map labelled "
-    "'dbl' computes with the dbl kernel whatever its fn (ROADMAP item 1 "
-    "(d))"))
 def test_a_same_labelled_map_gets_no_kernel():
     """A square labelled ``dbl``: every backend must square (16 on the
     last rank), where the kernelized ones double (8)."""
@@ -205,8 +194,8 @@ class TestBlocks:
 class TestRunVectorized:
     @pytest.mark.parametrize("stages", [
         [ScanStage(MUL), ReduceStage(ADD)],
-        [MapStage(_inc, label="inc"), ScanStage(ADD)],
-        [ScanStage(MAX), MapStage(_dbl, label="dbl"), ReduceStage(MIN)],
+        [MapStage(inc, label="inc"), ScanStage(ADD)],
+        [ScanStage(MAX), MapStage(dbl, label="dbl"), ReduceStage(MIN)],
         [ReduceStage(ADD), BcastStage()],
     ])
     def test_matches_object_mode(self, stages):
@@ -221,8 +210,8 @@ class TestRunVectorized:
     def test_undef_blocks_survive(self):
         # reduce leaves non-root blocks UNDEF; the following map must
         # propagate them through the vectorized path too
-        prog = Program([ReduceStage(ADD), MapStage(_inc, label="inc"),
-                        MapStage(_dbl, label="dbl")])
+        prog = Program([ReduceStage(ADD), MapStage(inc, label="inc"),
+                        MapStage(dbl, label="dbl")])
         got = run_vectorized(prog, INT_XS, strict=True)
         assert defined_equal(got, prog.run(list(INT_XS)))
         assert got[0] == (sum(INT_XS) + 1) * 2
@@ -266,7 +255,7 @@ class TestFusionAndPlan:
     def test_fused_origin_names_source_rule(self):
         params = MachineParams(p=8, ts=10.0, tw=1.0, m=16)
         opt = optimize(Program([ScanStage(MUL), ReduceStage(ADD),
-                                MapStage(_inc, label="inc")]), params).program
+                                MapStage(inc, label="inc")]), params).program
         fused = fuse_local_stages(opt)
         pi1_fused = [s for s in fused.stages
                      if not s.is_collective and "pi_1" in s.label]
@@ -274,8 +263,8 @@ class TestFusionAndPlan:
         assert "SR2-Reduction" in pi1_fused[0].origin
 
     def test_plain_maps_fuse_under_generic_origin(self):
-        prog = Program([MapStage(_inc, label="inc"),
-                        MapStage(_dbl, label="dbl")])
+        prog = Program([MapStage(inc, label="inc"),
+                        MapStage(dbl, label="dbl")])
         fused = fuse_local_stages(prog)
         assert len(fused.stages) == 1
         assert fused.stages[0].origin == "local-fusion"
@@ -294,7 +283,7 @@ class TestFusionAndPlan:
     def test_vectorized_program_still_runs_objects(self):
         # kernelized stages dispatch: plain Python blocks take the
         # original functions, so the lowered program is a drop-in
-        prog = Program([MapStage(_inc, label="inc"), ScanStage(ADD)])
+        prog = Program([MapStage(inc, label="inc"), ScanStage(ADD)])
         assert vectorize_program(prog).run(list(INT_XS)) == \
             prog.run(list(INT_XS))
 

@@ -42,6 +42,16 @@ from repro.jit.compiler import (
     emit_combine,
     emit_map,
 )
+from repro.kernels import registry
+from repro.semantics.functional import (
+    dbl,
+    inc,
+    neg,
+    pair,
+    quadruple,
+    safe_pi1,
+    triple,
+)
 from repro.testing.generator import INT_DOMAIN, VEC_DOMAIN
 from test_register_tape import _decks
 
@@ -84,10 +94,11 @@ DECIDING = ("core/rules", "core/operators.py", "kernels/registry.py", "jit",
 
 
 def _name_lookups(tree: ast.AST) -> list[str]:
-    """Every ``x.name`` compared (``==``, ``in``, ...) or used as a key:
-    a subscript, a dict literal's key, or the argument of ``.get(`` /
-    ``.add(`` / ``.pop(`` / ``.setdefault(`` / ``.discard(``, inside an
-    f-string too.  Printing a name (``f"{op.name}"``) is none of these."""
+    """Every ``x.name`` or ``x.label`` compared (``==``, ``in``, ...) or
+    used as a key: a subscript, a dict literal's key, or the argument of
+    ``.get(`` / ``.add(`` / ``.pop(`` / ``.setdefault(`` / ``.discard(``,
+    inside an f-string too.  Printing a name (``f"{op.name}"``) is none
+    of these."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
@@ -102,7 +113,7 @@ def _name_lookups(tree: ast.AST) -> list[str]:
             keys = node.args[:1]
         else:
             continue
-        if any(isinstance(n, ast.Attribute) and n.attr == "name"
+        if any(isinstance(n, ast.Attribute) and n.attr in ("name", "label")
                for key in keys for n in ast.walk(key)):
             found.append(ast.unparse(node))
     return found
@@ -118,8 +129,8 @@ def test_one_module_holds_the_table_keyed_by_primitive_names():
     # and nobody else spells a primitive's (printed) name at all
     assert [p.name for p in _modules("kernels", "jit")
             if _names(p, "add", "mul", "max", "min", "neg")] == ["registry.py"]
-    # no operator's name is looked up or compared where its laws, row or
-    # source are decided (map labels wait for ROADMAP item 1 (d))
+    # no operator's name and no map's label is looked up or compared
+    # where its laws, row or source are decided
     paths = [path for part in DECIDING
              for path in ([SRC / part] if part.endswith(".py")
                           else sorted((SRC / part).glob("*.py")))]
@@ -129,8 +140,13 @@ def test_one_module_holds_the_table_keyed_by_primitive_names():
 
 
 def test_one_module_spells_the_map_label_vocabulary():
+    """The map labels are text: the rows are keyed by the catalogue's map
+    functions, so no kernel or JIT module spells a label at all."""
     assert [p.name for p in _modules("kernels", "jit")
-            if _names(p, "quadruple", "pi_1")] == ["registry.py"]
+            if _names(p, "inc", "dbl", "quadruple", "pi_1")] == []
+    assert set(registry._MAPS) == {inc, dbl, neg, pair, triple, quadruple,
+                                   safe_pi1}
+    assert all(row.fn is fn for fn, row in registry._MAPS.items())
 
 
 def test_one_function_under_jit_walks_kind_and_parts():
@@ -181,7 +197,9 @@ def test_the_fallback_contract_is_caught_in_one_function():
 POOL = INT_DOMAIN.ops + VEC_DOMAIN.ops
 #: the (⊗, ⊕) pairs the rules build ``op_sr2`` from: ⊗ distributes over ⊕
 SEMIRINGS = ((MUL, ADD), (ADD, MAX), (ADD, MIN), (MIN, MAX), (MAX, MIN))
-LABELS = ("inc", "dbl", "neg", "pair", "triple", "quadruple", "pi_1")
+#: the catalogue maps, as ``MapStage.parts`` holds them
+MAPS = (("inc", inc), ("dbl", dbl), ("neg", neg), ("pair", pair),
+        ("triple", triple), ("quadruple", quadruple), ("pi_1", safe_pi1))
 
 
 class Recorder(BoundsCtx):
@@ -307,9 +325,9 @@ def _map_case(seed: int):
     where the label does not fit the slots (``pi_1`` of a scalar)."""
     rng = random.Random(2000 + seed)
     slots = rng.choice((1, 1, 2, 3))
-    label = ";".join(rng.choice(LABELS) for _ in range(rng.randint(1, 4)))
+    parts = [rng.choice(MAPS) for _ in range(rng.randint(1, 4))]
     try:
-        return rng, slots, emit_map(label, slots)
+        return rng, slots, emit_map(parts, slots)
     except JitUnsupported as exc:
         assert str(exc).startswith("slot-shape:")
         return rng, slots, None

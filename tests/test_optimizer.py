@@ -26,7 +26,7 @@ from repro.core.stages import (
     ReduceStage,
     ScanStage,
 )
-from repro.semantics.functional import defined_equal
+from repro.semantics.functional import defined_equal, inc
 
 
 class TestBasicOptimization:
@@ -45,7 +45,7 @@ class TestBasicOptimization:
         assert defined_equal(prog.run(xs), res.program.run(xs))
 
     def test_no_matches_returns_input(self):
-        prog = Program([MapStage(lambda x: x + 1, label="inc")])
+        prog = Program([MapStage(inc, label="inc")])
         res = optimize(prog, PARSYTEC_LIKE)
         assert res.program.stages == prog.stages
         assert res.cost_before == res.cost_after

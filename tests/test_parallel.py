@@ -23,6 +23,7 @@ from repro.machine.run import simulate_program
 from repro.mpi.threaded import threaded_spmd_run
 from repro.parallel import process_fallback_reason, process_spmd_run
 from repro.parallel.shm import SharedArena
+from repro.semantics.functional import dbl
 
 needs_processes = pytest.mark.skipif(
     process_fallback_reason(4) is not None,
@@ -303,7 +304,7 @@ class TestEngineSelection:
         from repro.core.stages import MapStage, Program, ReduceStage, ScanStage
 
         program = Program([
-            MapStage(lambda v: 2 * v, label="dbl", ops_per_element=1),
+            MapStage(dbl, label="dbl", ops_per_element=1),
             ScanStage(ADD),
             ReduceStage(ADD),
         ])

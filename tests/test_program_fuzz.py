@@ -27,7 +27,7 @@ from repro.core.stages import (
     ScanStage,
 )
 from repro.machine import simulate_program
-from repro.semantics.functional import UNDEF, defined_equal
+from repro.semantics.functional import UNDEF, defined_equal, inc
 
 # operators kept small-valued so products cannot explode
 OPS = st.sampled_from([ADD, MUL, MAX, MIN])
@@ -51,7 +51,7 @@ def random_programs(draw) -> Program:
             stages.append(BcastStage())
             open_reduce = False
         if kind == "map":
-            stages.append(MapStage(lambda x: x + 1, label="inc", ops_per_element=1))
+            stages.append(MapStage(inc, label="inc", ops_per_element=1))
         elif kind == "scan":
             stages.append(ScanStage(draw(OPS)))
         elif kind == "reduce":

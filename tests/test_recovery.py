@@ -44,7 +44,7 @@ from repro.recovery import (
     supervise,
 )
 from repro.recovery.events import EVENT_KINDS
-from repro.semantics.functional import UNDEF
+from repro.semantics.functional import UNDEF, inc
 
 # the id is the name the tier-1 floor list knows these cases by
 ENGINES = (pytest.param("cooperative", id="machine"), "threaded")
@@ -253,7 +253,7 @@ class TestEdgeCases:
 class TestVectorizedRecovery:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_vectorized_happy_path_bit_identical(self, engine):
-        prog = Program([MapStage(lambda x: x + 1, label="inc"),
+        prog = Program([MapStage(inc, label="inc"),
                         ScanStage(ADD), AllReduceStage(ADD)], name="vec")
         ref = simulate_program(prog, XS, PARAMS)
         res = supervise(prog, XS, PARAMS, engine=engine, vectorize=True)

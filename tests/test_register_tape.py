@@ -59,7 +59,7 @@ from repro.jit import STATS, clear_jit_cache, compiled_program, reset_stats, run
 from repro.jit.compiler import DEFAULT_LOCAL_PARAMS, _chunk_slices
 from repro.kernels.registry import primitive, register_binop_kernel
 from repro.machine.run import simulate_program
-from repro.semantics.functional import UNDEF
+from repro.semantics.functional import UNDEF, dbl, inc
 
 GOLDEN = Path(__file__).parent / "data" / "jit_tape_contract_v1.json"
 
@@ -68,14 +68,6 @@ P = 8
 BLOCK = 131_072
 PS = (1, 2, 3, 5, 8)
 KINDS = ("int", "0d", "float", "empty", "undef")
-
-
-def _inc(x):
-    return x + 1
-
-
-def _dbl(x):
-    return x * 2
 
 
 def _params(p: int, m: int) -> MachineParams:
@@ -97,23 +89,23 @@ def _exec_block_deck() -> dict[str, Program]:
 
 def _decks() -> dict[str, Program]:
     sr2 = sr2_op(MUL, ADD)
-    inc, dbl = MapStage(_inc, label="inc"), MapStage(_dbl, label="dbl")
+    inc_map, dbl_map = MapStage(inc, label="inc"), MapStage(dbl, label="dbl")
     decks = {f"exec_block:{name}": prog
              for name, prog in _exec_block_deck().items()}
     decks.update({
         "scan;reduce": Program([ScanStage(MUL), ReduceStage(ADD)]),
-        "inc;scan;reduce": Program([inc, ScanStage(ADD), ReduceStage(ADD)]),
+        "inc;scan;reduce": Program([inc_map, ScanStage(ADD), ReduceStage(ADD)]),
         "fscan;fallreduce": Program([ScanStage(FMUL), AllReduceStage(FADD)]),
-        "reduce;inc": Program([ReduceStage(ADD), inc]),
-        "dbl;bcast": Program([dbl, BcastStage()]),
+        "reduce;inc": Program([ReduceStage(ADD), inc_map]),
+        "dbl;bcast": Program([dbl_map, BcastStage()]),
         "reduce;bcast": Program([ReduceStage(ADD), BcastStage()]),
-        "inc;scan": Program([inc, ScanStage(ADD)]),
+        "inc;scan": Program([inc_map, ScanStage(ADD)]),
         "scan": Program([ScanStage(ADD)]),
         "bcast": Program([BcastStage()]),
         "scan;bcast": Program([ScanStage(ADD), BcastStage()]),
         "bcast;pair": Program([BcastStage(), pair_stage("t")]),
-        "bcast;inc": Program([BcastStage(), inc]),
-        "allreduce;inc": Program([AllReduceStage(ADD), inc]),
+        "bcast;inc": Program([BcastStage(), inc_map]),
+        "allreduce;inc": Program([AllReduceStage(ADD), inc_map]),
         "pair;scan(sr2)": Program([pair_stage("t"), ScanStage(sr2)]),
         "pair;scan(sr2);pi1": Program([pair_stage("t"), ScanStage(sr2),
                                        projection_stage("t")]),
@@ -128,7 +120,7 @@ def _decks() -> dict[str, Program]:
             pair_stage("t"), ComcastStage(bs_comcast_op(sr2), impl="doubling"),
             projection_stage("t"), ScanStage(ADD)]),
         "inc;pair;iter;bcast;pi1": Program([
-            inc, pair_stage("t"),
+            inc_map, pair_stage("t"),
             IterStage(br_iter_op(sr2), general=True, then_bcast=True),
             projection_stage("t")]),
         "pair;iter;pi1;bcast": Program([
@@ -223,8 +215,8 @@ FALLBACK_DECKS = {
         lambda: _inputs("int", P), P),
     "undef-after-a-reduce-then-two-tapes": (
         lambda: Program([ScanStage(ADD), ReduceStage(ADD),
-                         MapStage(_inc, label="inc"), ScanStage(MUL),
-                         BcastStage(), MapStage(_dbl, label="dbl")]),
+                         MapStage(inc, label="inc"), ScanStage(MUL),
+                         BcastStage(), MapStage(dbl, label="dbl")]),
         lambda: _inputs("int", P), P),
     "a-reduce-feeds-a-derived-root": (
         lambda: Program([ReduceStage(ADD), ComcastStage(bs_comcast_op(ADD))]),
@@ -243,10 +235,10 @@ FALLBACK_DECKS = {
         lambda: Program([IterStage(br_iter_op(ADD))]),
         lambda: _inputs("int", 3), 3),
     "runtime-shape-undef-input": (
-        lambda: Program([MapStage(_inc, label="inc"), ScanStage(ADD)]),
+        lambda: Program([MapStage(inc, label="inc"), ScanStage(ADD)]),
         lambda: _inputs("undef", P), P),
     "runtime-shape-unequal-blocks": (
-        lambda: Program([MapStage(_inc, label="inc"), ScanStage(ADD),
+        lambda: Program([MapStage(inc, label="inc"), ScanStage(ADD),
                          BcastStage()]),
         _mixed, 4),
     "uncompiled-balanced-stage": (

@@ -46,12 +46,12 @@ from repro.machine.run import (
     resident_run,
     simulate_program,
 )
-from repro.semantics.functional import UNDEF
+from repro.semantics.functional import UNDEF, inc
 from repro.testing.generator import DOMAINS, generate_random
 
 P = 4
 PARAMS = MachineParams(p=P, ts=600.0, tw=2.0, m=3)
-SCANRED = Program([ScanStage(ADD), MapStage(lambda x: x + 1, label="inc"),
+SCANRED = Program([ScanStage(ADD), MapStage(inc, label="inc"),
                    ReduceStage(ADD), BcastStage()], name="scan;inc;reduce;bcast")
 
 
@@ -161,7 +161,7 @@ def test_the_key_is_program_machine_and_definedness():
     assert _served(SCANRED, xs)[1] == "hit"
     other_machine = MachineParams(p=P, ts=5.0, tw=0.5, m=3)
     assert _served(SCANRED, xs, other_machine)[1] == "miss"
-    maps = Program([MapStage(lambda x: x + 1, label="inc"), BcastStage()])
+    maps = Program([MapStage(inc, label="inc"), BcastStage()])
     holed = [1, UNDEF, 3, 4]
     assert _served(maps, xs)[1] == "miss"
     assert _served(maps, holed)[1] == "miss"  # another pattern, another key

@@ -16,16 +16,19 @@ from repro.core.stages import (
     Program,
     ScanStage,
 )
+from repro.semantics.functional import dbl, inc
 
 
 class TestFusionPairs:
     def test_map_map(self):
-        prog = Program([MapStage(lambda x: x + 1, label="inc"),
-                        MapStage(lambda x: x * 2, label="dbl")])
+        prog = Program([MapStage(inc, label="inc"),
+                        MapStage(dbl, label="dbl")])
         fused = fuse_local_stages(prog)
         assert len(fused) == 1
         assert fused.run([1, 2]) == [4, 6]
         assert fused.stages[0].label == "inc;dbl"
+        # the kernel rows are read per part, by function
+        assert fused.stages[0].parts == (("inc", inc), ("dbl", dbl))
 
     def test_map_then_map_indexed(self):
         prog = Program([MapStage(lambda x: x + 1),

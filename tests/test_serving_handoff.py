@@ -15,7 +15,10 @@ cost:
 * the number of lock acquisitions a cooperative job takes is gated —
   the cause, not the clock;
 * so is what a repeated request rebuilds: no stage, no hash, no digit
-  traversal of a derived stage.
+  traversal of a derived stage;
+* and what a resident hit records: each of its four events is one dict,
+  built in one place, and its blocks are read in one pass that answers
+  as the per-block loop did.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.serving.events
 import repro.serving.job
@@ -61,7 +67,10 @@ from repro.core.stages import (
 from repro.core.store import clear_caches
 from repro.lang import parse_program
 from repro.machine.engine import SimResult, SimStats
+from repro.machine.run import DEFINED, _exact, _read
 from repro.parallel.errors import WorkerCrashError
+from repro.recovery.events import RecoveryLog
+from repro.semantics.functional import UNDEF
 from repro.serving import (
     JobHandle,
     ManagerClosedError,
@@ -71,6 +80,7 @@ from repro.serving import (
     ServingManager,
     TenantQuotaError,
 )
+from repro.serving.events import EventBus
 from repro.serving.job import DONE, FAILED, PENDING
 from repro.serving.manager import COUNTED
 from repro.serving.worker import WorkerPool
@@ -497,3 +507,90 @@ def test_a_repeated_request_builds_hashes_and_traverses_nothing(monkeypatch):
     for program, j, (got, values) in replies:
         assert got is program
         assert values == tuple(program.run([j, 1, 2, 3]))
+
+
+# -- a served hit records each event once --------------------------------------
+
+def _read_per_block(blocks):
+    """``machine.run._read`` as every block list took it before flat
+    int/bool lists were read from their set of types: one block at a
+    time."""
+    tokens = exact = True
+    undef_at = []
+    for x in blocks:
+        undef = x is UNDEF
+        undef_at.append(undef)
+        if not undef:
+            tokens = tokens and x is DEFINED
+            exact = exact and _exact(x)
+    return tokens, exact, tuple(undef_at)
+
+
+_LEAVES = st.one_of(
+    st.integers(), st.booleans(), st.just(UNDEF), st.just(DEFINED),
+    st.floats(), st.integers(-9, 9).map(np.int64),
+    st.floats(-9, 9).map(np.float64), st.booleans().map(np.bool_))
+_BLOCKS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3).map(tuple), st.lists(inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_BLOCKS, max_size=8),
+                 st.lists(st.integers() | st.booleans(), max_size=16)))
+def test_reading_blocks_in_one_pass_answers_as_the_per_block_loop(blocks):
+    """Empty, ints, bools, ``UNDEF``, ``DEFINED`` tokens, floats, NumPy
+    scalars and nested tuples and lists, as a list and as a tuple."""
+    for seq in (blocks, tuple(blocks)):
+        assert _read(seq) == _read_per_block(seq)
+
+
+def test_a_served_hit_builds_each_of_its_four_event_records_once(
+        monkeypatch):
+    """One cooperative resident hit enters ``RecoveryLog.record`` — the
+    one place an event's dict is built — exactly four times, and what the
+    log keeps is those four dicts: ``submit``, ``admit``, ``start`` and
+    ``complete``, numbered in turn.  Counted, like the locks above: the
+    cause, not the clock."""
+    clear_caches()
+    built: list[dict] = []
+    record = RecoveryLog.record
+
+    def counted(self, event, fields, seq=None):
+        built.append(record(self, event, fields, seq))
+        return built[-1]
+
+    with ServingManager(ServingConfig(workers=1,
+                                      substrate="cooperative")) as mgr:
+        assert mgr.submit(SCAN, [0, 1, 2, 3], PARAMS).result(30.0) == (
+            0, 1, 3, 6)  # the miss that admits the schedule
+        _until(lambda: len(mgr.events) == 4)
+        monkeypatch.setattr(RecoveryLog, "record", counted)
+        assert mgr.submit(SCAN, [4, 1, 2, 3], PARAMS).result(30.0) == (
+            4, 5, 7, 10)
+        _until(lambda: len(mgr.events) == 8)
+        monkeypatch.undo()
+        assert mgr.stats()["resident_hits"] == 1
+        kept = list(mgr.events.log.events)[4:]
+    assert len(built) == 4
+    assert all(got is want for got, want in zip(built, kept))
+    assert [(r["event"], r["seq"]) for r in built] == [
+        ("submit", 5), ("admit", 6), ("start", 7), ("complete", 8)]
+
+
+def test_an_unknown_kind_raises_and_a_record_keeps_its_key_order():
+    with pytest.raises(ValueError, match="unknown recovery event kind"):
+        RecoveryLog().emit("nope", job="job-1")
+    bus = EventBus()
+    with pytest.raises(ValueError, match="unknown recovery event kind"):
+        bus.emit("nope", job="job-1")
+    assert not bus.log.events
+    served = bus.emit("complete", job="job-1", tenant="t", status="ok",
+                      attempts=1)
+    assert list(served) == ["event", "seq", "job", "tenant", "status",
+                            "attempts"]
+    assert served["seq"] == len(bus) and bus.log.events[-1] is served
+    log = RecoveryLog()
+    supervised = log.emit("fault", stage=2, attempt=1)
+    assert list(supervised) == ["event", "stage", "attempt"]
+    assert log.events == [supervised]

@@ -19,7 +19,11 @@ The ``generate_mpi4py`` chunks 0, 1, 2, 4, 5, 14, 15 and 16 were
 rewritten once, deliberately, when ``OpTable`` came to key sources by
 operator: a ``bs`` comcast over an ``ew`` lift now takes its source from
 the lift's parts (programs 19, 73, 113, 141, 201, 257, 759), and two
-refusals name another cause (programs 709, 835).
+refusals name another cause (programs 709, 835).  Chunks 0–6 and 12–20
+were rewritten once more when the refusal came to name the object API
+(``call OpTable.register(op, source) with the operator object``): the
+155 programs over a segmented operator, which has no source, print it;
+with the old wording put back every chunk hashes as before.
 """
 
 from __future__ import annotations
