@@ -182,22 +182,6 @@ class PlanCache:
 
     # -- core API ------------------------------------------------------------
 
-    def key_for(self, program: Program, params: MachineParams,
-                rules: Iterable[Rule] = ALL_RULES, strategy: str = "beam",
-                allow_lossy: bool = False) -> str:
-        """``cache_key`` of this request.
-
-        The key of the latest request for a program is kept beside the
-        (immutable) program, so the ``put`` that follows a missed ``get``
-        in ``optimize(cache=...)`` does not derive it a second time.
-        """
-        request = (params, tuple(rules), strategy, allow_lossy)
-        last = program.__dict__.get("_plan_key")
-        if last is None or last[0] != request:
-            last = program.__dict__["_plan_key"] = (
-                request, cache_key(program, *request))
-        return last[1]
-
     def _record(self, key: str) -> PlanRecord | None:
         record = self._memory.get(key)
         if record is not None:
@@ -259,7 +243,7 @@ class PlanCache:
                     return result
                 # evicted, dropped as bad, rewritten or reset since
                 del self._resident[request]
-        key = self.key_for(program, params, rules, strategy, allow_lossy)
+        key = cache_key(program, params, rules, strategy, allow_lossy)
         with self._lock:
             record = self._record(key)
             if record is None:
@@ -307,7 +291,7 @@ class PlanCache:
             allow_lossy: bool = False) -> PlanRecord:
         """Store ``result``'s trace under this request's key (write-through)."""
         with span("plancache.put"):
-            key = self.key_for(program, params, rules, strategy, allow_lossy)
+            key = cache_key(program, params, rules, strategy, allow_lossy)
             record = PlanRecord(
                 key=key,
                 program_pretty=program.pretty(),

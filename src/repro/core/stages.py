@@ -890,8 +890,9 @@ class Program:
 
     A program is hashed once, for the three stores keyed on it (plan
     cache, resident schedules, JIT compile cache): the value is kept
-    beside it, and left out of a pickle since a ``str`` hashes per
-    interpreter.  An unhashable program raises ``TypeError`` every time.
+    beside it.  A pickle holds the fields alone — a ``str`` hashes per
+    interpreter, and nothing kept beside them is part of the value.  An
+    unhashable program raises ``TypeError`` every time.
     """
 
     stages: tuple[Stage, ...]
@@ -908,8 +909,7 @@ class Program:
         return value
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("_hash", "_defined")}
+        return {"stages": self.stages, "name": self.name}
 
     def __iter__(self) -> Iterator[Stage]:
         return iter(self.stages)

@@ -11,7 +11,8 @@ reads take no lock (one lookup, no re-ordering; two threads that miss on
 one key both compute, to equal entries) and :meth:`~BoundedStore.put`
 evicts first-in-first-out under a lock that also covers ``clear``.  The
 store counts nothing; each owner records hits and misses in the dialect
-it already has.
+it already has.  What each memo buys the workloads it serves is measured
+in ``docs/PERFORMANCE.md``, "What each memo buys".
 
 One registry, one clear: :class:`BoundedStore`, ``PlanCache`` and
 ``BlockPool`` list themselves with :func:`resident` when built, held

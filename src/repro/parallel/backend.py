@@ -61,7 +61,6 @@ keeps an event log, the one ``fallback`` event.
 
 from __future__ import annotations
 
-import functools
 import logging
 import multiprocessing
 import os
@@ -263,11 +262,8 @@ def _domain_keys(params: MachineParams, p: int) -> list:
                    for k in params.contention_domains(a, b)}, key=repr)
 
 
-@functools.lru_cache(maxsize=1024)
 def _decode(kind: int, partner: int, words: float):
-    """A pending action from its cells.  Memoised: every deadlock check
-    reads all ranks' cells under the cross-process lock, and a run posts
-    few distinct ``(kind, partner, words)``."""
+    """A pending action from its cells."""
     cls = _ACTIONS[kind]
     return Recv(partner) if cls is Recv else cls(partner, "<shm>", words)
 

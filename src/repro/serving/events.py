@@ -44,9 +44,12 @@ class EventBus:
 
     def emit(self, event: str, **fields: Any) -> dict[str, Any]:
         with self._lock:
+            # recorded first: a kind the log refuses is neither numbered
+            # nor counted
+            record = self.log.record(event, fields, self._seq + 1)
             self._seq += 1
             self._tally[event, fields.get("status")] += 1
-            return self.log.record(event, fields, self._seq)
+            return record
 
     def tally(self) -> Counter:
         """Events emitted, keyed ``(kind, status)``: the event's

@@ -130,6 +130,37 @@ class TestPerformanceDoc:
         [(_, inc3)] = registry.map_rows([("inc3", ns["inc3"])])
         assert inc3.effect == ("apply", registry.primitive(ADD), 3)
 
+    def test_every_memo_site_has_a_row(self):
+        """"What each memo buys" has one row per memo site under ``src/``
+        — a ``BoundedStore``, an ``lru_cache``, a ``cached_property``, a
+        ``__dict__`` stash, ``PlanCache`` and ``BlockPool`` — so a new memo
+        lands with its measurement.  A kept row names a site that is
+        there, a deleted row one that is gone."""
+        import re
+
+        src = ROOT / "src" / "repro"
+        sites = set()
+        for path in src.rglob("*.py"):
+            text = path.read_text()
+            names = (re.findall(r"(\w+) = BoundedStore\(", text)
+                     + re.findall(r'__dict__\["(_\w+)"\] =', text)
+                     + re.findall(r"@(?:functools\.)?(?:lru_cache|cache|"
+                                  r"cached_property)\b.*\n\s*def (\w+)", text)
+                     + re.findall(r"^class (PlanCache|BlockPool)\b", text,
+                                  re.MULTILINE))
+            sites.update((path.relative_to(src).as_posix(), name)
+                         for name in names)
+        page = (ROOT / "docs" / "PERFORMANCE.md").read_text()
+        section = page.split("\n# What each memo buys\n")[1].split("\n# ")[0]
+        rows = re.findall(r"^\| `(\w+)` \| `([\w/.]+)` \|.*\| (\w+)[^|]* \|$",
+                          section, re.MULTILINE)
+        kept = {(f, name) for name, f, verdict in rows if verdict == "kept"}
+        gone = {(f, name) for name, f, verdict in rows if verdict == "deleted"}
+        assert len(rows) == len(kept) + len(gone) == len(kept | gone)
+        assert sites - kept == set(), "memo sites with no row"
+        assert kept - sites == set(), "kept rows whose site is gone"
+        assert gone & sites == set(), "deleted rows whose site is back"
+
 
 class TestRulesPage:
     def test_rules_page_is_the_generated_catalogue(self):

@@ -159,19 +159,24 @@ class TestRoundTrip:
         assert cache.stats()["misses"] == 1
 
     def test_key_is_derived_once_per_missed_optimize(self, monkeypatch):
+        """A missed ``optimize(cache=)`` derives the same key for its
+        ``get`` and its ``put``, and the next ``get`` hits."""
         from repro.core import plancache as plancache_mod
 
-        calls = []
+        keys = []
         real = plancache_mod.cache_key
         monkeypatch.setattr(plancache_mod, "cache_key",
-                            lambda *a: calls.append(a) or real(*a))
+                            lambda *a: keys.append(real(*a)) or keys[-1])
         cache = PlanCache()
         prog = golden_program()
         optimize(prog, GOLDEN_PARAMS, rules=ALL_RULES, strategy="beam",
                  cache=cache)  # a miss: get, search, put
-        assert len(calls) == 1
+        assert len(keys) == 2 and keys[0] == keys[1]
+        assert [r.key for r in cache._memory.values()] == keys[:1]
+        assert cache.get(golden_program(), GOLDEN_PARAMS) is not None
+        assert cache.stats()["hits"] == 1
         other = GOLDEN_PARAMS.with_(ts=1.0)  # same program, another request
-        assert cache.key_for(prog, other) != cache.key_for(prog, GOLDEN_PARAMS)
+        assert cache_key(prog, other) != cache_key(prog, GOLDEN_PARAMS)
 
 
 class TestResidentTier:

@@ -297,6 +297,18 @@ class TestProgramHash:
         assert "_hash" not in loaded.__dict__
         assert loaded == program and hash(loaded) == value
 
+    def test_a_planned_program_pickles_its_fields_alone(self):
+        """Planning through a cache keeps facts beside the program; a
+        pickle of it still holds ``stages`` and ``name`` and nothing else."""
+        program = _picklable()
+        optimize(program, MachineParams(p=4, ts=10, tw=1, m=1),
+                 rules=FULL_RULES, cache=PlanCache())
+        hash(program)
+        program.through_definitions()
+        loaded = pickle.loads(pickle.dumps(program))
+        assert loaded.__dict__.keys() == {"stages", "name"}
+        assert loaded == program and hash(loaded) == hash(program)
+
     def test_a_pickle_hashes_like_a_fresh_program_under_another_seed(self):
         """A ``str`` hashes per interpreter: a program pickled under one
         ``PYTHONHASHSEED`` and loaded under another must hash like the
@@ -576,6 +588,17 @@ def test_a_served_hit_builds_each_of_its_four_event_records_once(
     assert all(got is want for got, want in zip(built, kept))
     assert [(r["event"], r["seq"]) for r in built] == [
         ("submit", 5), ("admit", 6), ("start", 7), ("complete", 8)]
+
+
+def test_a_refused_emit_is_neither_numbered_nor_counted():
+    bus = EventBus()
+    bus.emit("submit", job="job-1", tenant="t")
+    with pytest.raises(ValueError, match="unknown recovery event kind"):
+        bus.emit("nope", job="job-1")
+    assert len(bus) == 1
+    assert bus.tally() == {("submit", None): 1}
+    assert bus.emit("admit", job="job-1", tenant="t")["seq"] == 2
+    assert [r["seq"] for r in bus.log.events] == [1, 2]
 
 
 def test_an_unknown_kind_raises_and_a_record_keeps_its_key_order():
