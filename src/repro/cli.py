@@ -45,9 +45,8 @@ Subcommands
     would take for it, and why),
     ``clear`` drops the compile cache and resets the counters.
 ``bench summary``
-    Aggregate ``benchmarks/results/BENCH_*.json`` into top-level
-    ``BENCH_*.json`` files (host metadata stamped) and print the
-    headline table — the in-repo perf trajectory.
+    Print the headline table of ``benchmarks/results/BENCH_*.json`` —
+    the in-repo perf trajectory, kept in that one directory.
 ``faults demo``
     Deterministic walkthrough of the fault-injection layer: retry
     recovery, dead-link timeouts, crash degradation, engine agreement.
@@ -273,16 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="benchmark result tooling (summary)")
     p_bn.add_argument("action", choices=("summary",),
-                      help="'summary': aggregate benchmarks/results/"
-                           "BENCH_*.json into top-level BENCH_*.json files "
-                           "with host metadata and print the headline table")
+                      help="'summary': print the headline table of the "
+                           "BENCH_*.json files under --results")
     p_bn.add_argument("--results", default="benchmarks/results",
                       metavar="DIR",
                       help="where the per-bench JSON files live "
                            "(default benchmarks/results)")
-    p_bn.add_argument("--out", default=".", metavar="DIR",
-                      help="where to write the aggregated top-level "
-                           "BENCH_*.json files (default .)")
 
     p_fl = subs.add_parser("faults",
                            help="fault-injection layer utilities")
@@ -681,30 +676,20 @@ def _cmd_jit(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
-    import os
     import pathlib
-    import platform
 
     results = pathlib.Path(args.results)
-    out = pathlib.Path(args.out)
     files = sorted(results.glob("BENCH_*.json"))
     if not files:
         print(f"no BENCH_*.json files under {results}", file=sys.stderr)
         return 1
-    out.mkdir(parents=True, exist_ok=True)
-    host = {
-        "cpu_count": os.cpu_count(),
-        "machine": platform.machine(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
     rows = []
     skipped = 0
     for f in files:
-        # A malformed file — truncated by a crashed run, invalid JSON, or
-        # a schema surprise (series that isn't a list, host that isn't a
-        # dict) — must not abort the whole aggregation: note it loudly,
-        # skip it, keep going.
+        # A malformed file — truncated by a crashed run or invalid JSON —
+        # must not abort the whole table: note it loudly, skip it, keep
+        # going.  A schema surprise (series that isn't a list, host that
+        # isn't a dict) still gets its row.
         try:
             payload = json.loads(f.read_text())
         except (OSError, ValueError) as exc:
@@ -712,33 +697,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             skipped += 1
             continue
-        try:
-            if isinstance(payload, dict) and "host" not in payload:
-                payload = {"host": host, **payload}
-            (out / f.name).write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            headline = ""
-            if isinstance(payload, dict):
-                for key in ("speedup", "overhead", "hit_rate", "jobs_per_sec",
-                            "overhead_frac"):
-                    if key in payload:
-                        headline = f"{key}={payload[key]:.2f}" \
-                            if isinstance(payload[key], float) \
-                            else f"{key}={payload[key]}"
-                        break
-                series = payload.get("series")
-                n = len(series) if isinstance(series, (list, tuple)) else 0
-                host_info = payload.get("host")
-                cpu = (host_info.get("cpu_count")
-                       if isinstance(host_info, dict) else None)
-                detail = f"series={n} host_cpus={cpu}"
-            else:
-                detail = "-"
-        except (OSError, TypeError, ValueError) as exc:
-            print(f"skipping {f.name}: unusable payload ({exc})",
-                  file=sys.stderr)
-            skipped += 1
-            continue
+        headline, detail = "", "-"
+        if isinstance(payload, dict):
+            for key in ("speedup", "overhead", "hit_rate", "jobs_per_sec",
+                        "overhead_frac"):
+                if key in payload:
+                    headline = f"{key}={payload[key]:.2f}" \
+                        if isinstance(payload[key], float) \
+                        else f"{key}={payload[key]}"
+                    break
+            series = payload.get("series")
+            n = len(series) if isinstance(series, (list, tuple)) else 0
+            host_info = payload.get("host")
+            cpu = (host_info.get("cpu_count")
+                   if isinstance(host_info, dict) else None)
+            detail = f"series={n} host_cpus={cpu}"
         rows.append((f.name, headline, detail))
     if not rows:
         print(f"no usable BENCH_*.json files under {results} "
@@ -746,7 +719,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 1
     width = max(len(r[0]) for r in rows)
     suffix = f" ({skipped} skipped)" if skipped else ""
-    print(f"aggregated {len(rows)} benchmark file(s) -> {out}/{suffix}")
+    print(f"{len(rows)} benchmark file(s) under {results}/{suffix}")
     for name, headline, detail in rows:
         print(f"  {name:{width}}  {headline:16} {detail}")
     return 0

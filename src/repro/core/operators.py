@@ -99,7 +99,7 @@ class BinOp:
         whole-block array kernels without inspecting ``fn``.  Leaf
         operators leave both empty.
     source:
-        The operator a kernelized or raw form was made from (set by
+        The operator a kernelized or token form was made from (set by
         :meth:`with_fn` only); the form reads that operator's kernel row.
     """
 
@@ -122,7 +122,7 @@ class BinOp:
         return f"BinOp({self.name})"
 
     def with_fn(self, fn: Callable[[Any, Any], Any]) -> "BinOp":
-        """This operator computing with ``fn``: a kernelized or raw form
+        """This operator computing with ``fn``: a kernelized or token form
         that keeps the laws and kernel row of the operator it came from."""
         return replace(self, fn=fn, source=self.source or self)
 

@@ -33,7 +33,7 @@ so optimization reports can explain where every stage came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Sequence
 
@@ -156,6 +156,11 @@ class Stage:
             if _WRITTEN.setdefault(key, cls) is not cls:
                 raise TypeError(f"{cls.__name__} and {_WRITTEN[key].__name__} "
                                 f"are both written as {key[0] or 'a map'}")
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a memo kept beside them (the planner's
+        ``_search_facts``) is not pickled."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def is_collective(self) -> bool:

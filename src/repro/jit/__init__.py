@@ -22,8 +22,8 @@ straight-line tape of raw ufunc calls, run as one chunk loop:
 Entry points: :func:`run_jit` (the evaluator, and the seventh oracle
 backend) and :func:`engine_lower` / :func:`run_engine_ladder` (how
 ``simulate_program(..., jit=True)`` runs: fused kernels for the values
-plus a token run for the schedule, else the checked→raw kernel swap —
-simulated time is bit-identical to ``vectorize=True``; JIT changes
+plus a token run for the schedule, else the checked kernels — simulated
+time is bit-identical to ``vectorize=True``; JIT changes
 wall-clock only).
 
 Results are bit-identical to the vectorized tier by construction:

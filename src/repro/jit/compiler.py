@@ -37,9 +37,8 @@ The module also decides how the simulated engines run under
 machine model charges time by ``(p, m, ts, tw)`` and by which blocks are
 defined, never by what they hold, so the first rung computes the
 *values* on the tape and lets the engine schedule the same kernelized
-stages on definedness tokens; below it sit the all-or-nothing swap of
-checked kernels for raw ones, the checked kernels, and the object-mode
-replay.  Every rung keeps each ``op_count``/``ops_per_element``
+stages on definedness tokens; below it sit the checked kernels and the
+object-mode replay.  Every rung keeps each ``op_count``/``ops_per_element``
 annotation, so simulated time is identical — JIT changes wall-clock only.
 """
 
@@ -109,7 +108,7 @@ _MIN_CHUNK = 1024
 #: allocation on the compiled path (scratch is chunk-sized and reused)
 _BLOCKS = BlockPool(STATS)
 
-#: dtypes the raw tapes accept: the only ones where raw and checked
+#: dtypes the register tapes accept: the only ones where raw and checked
 #: kernels (and their scalar promotions) agree bit-for-bit
 _OK_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
@@ -200,7 +199,7 @@ def emit_map(parts: Sequence[tuple[str, Callable]], slots: int) -> Tape:
 
 def bind(tape: Tape, reading: str) -> Tape:
     """``tape`` with every primitive row replaced by one reading of it:
-    ``"raw"`` (the ufuncs a register tape and the raw rung call) or
+    ``"raw"`` (the ufuncs a register tape calls) or
     ``"interval"`` (what :mod:`repro.jit.bounds` interprets).
     Raises :class:`JitUnsupported` naming the row that does not state it."""
 
@@ -215,11 +214,14 @@ def bind(tape: Tape, reading: str) -> Tape:
 
 
 def _run_map_tape(
-    tape: Tape, slots: Sequence[np.ndarray], tmps: Optional[list] = None
+    tape: Tape, slots: Sequence[np.ndarray], tmps: list
 ) -> list[np.ndarray]:
-    """Apply ``tape``; instruction ``j`` writes ``tmps[j]`` (a chunk-sized
-    scratch view), or a fresh array when no scratch is given."""
-    tmps = [None] * len(tape.instrs) if tmps is None else tmps
+    """Apply ``tape``; instruction ``j`` writes ``tmps[j]`` (None: a fresh
+    array).
+
+    The reference interpreter of a map tape: the register tapes unroll
+    map tapes instead, so only the soundness property of
+    ``tests/test_numeric_vocabulary.py`` runs one through it."""
 
     def res(ref: tuple[str, int]) -> np.ndarray:
         return slots[ref[1]] if ref[0] == "i" else tmps[ref[1]]
@@ -302,7 +304,11 @@ def _run_combine(
     tmps: list,
 ) -> list[np.ndarray]:
     """One combine; instruction ``dst`` writes ``tmps[dst]`` (None: a
-    fresh array)."""
+    fresh array).
+
+    The reference interpreter of a combine tape, as :func:`_run_map_tape`
+    is of a map's: run by the soundness property of
+    ``tests/test_numeric_vocabulary.py``, not by the engines."""
 
     def res(ref: tuple[str, int]) -> np.ndarray:
         tag, i = ref
@@ -650,7 +656,7 @@ def proof_steps(program: Program) -> tuple[tuple[Callable, Any], ...]:
     pipeline, which is what its tape
     executes — *not* what the engines' digit traversal computes
     (``b^(2^step)`` may leave the hull of the folds), so the proof
-    licenses the tape and no raw engine form.  Raises
+    licenses the tape, never the engine carrying the blocks.  Raises
     :class:`JitUnsupported` where a stage or a row states no proof."""
     slots, steps = 1, []
     for stage in program.through_definitions():
@@ -839,30 +845,15 @@ class CompiledProgram:
         return data, covered
 
     @cached_property
-    def engine_programs(self) -> tuple[Optional[Program], Program]:
-        """``(raw, token)`` forms of the kernelized program for the engines:
-        the checked→raw kernel swap, and the same stages with every
-        function reduced to definedness bookkeeping.  ``raw`` is None
-        when an operator has no raw tape or a stage has a definition:
-        the bounds proof covers that pipeline, not the digit traversal
-        the engine would carry the blocks through."""
-        stages = self.plan.program.stages
-
-        def swapped(map_fn: Callable, op_fn: Callable) -> Program:
-            return Program(
-                [rebuild_stage(st, map_fn,
-                               lambda op: op.with_fn(op_fn(op)))
-                 for st in stages], name=self.plan.program.name)
-
-        token = swapped(lambda st: _token_map, lambda op: _token_op)
-        raw = None
-        if self.plan.program.through_definitions() is self.plan.program:
-            try:
-                raw = swapped(lambda st: _raw_map_fn(st.parts, st.fn),
-                              _raw_binop_fn)
-            except JitUnsupported:
-                pass
-        return raw, token
+    def token_program(self) -> Program:
+        """The kernelized program with every function reduced to
+        definedness bookkeeping: what the engine schedules on the fused
+        rung."""
+        return Program(
+            [rebuild_stage(st, lambda st: _token_map,
+                           lambda op: op.with_fn(_token_op))
+             for st in self.plan.program.stages],
+            name=self.plan.program.name)
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +864,7 @@ _COMPILE_CACHE = BoundedStore(256)
 
 
 def clear_jit_cache() -> None:
-    """Drop every compiled program (with its engine forms) and every
+    """Drop every compiled program (with its token program) and every
     idle block buffer."""
     _COMPILE_CACHE.clear()
     _BLOCKS.clear()
@@ -913,71 +904,6 @@ def compiled_program(
 # ---------------------------------------------------------------------------
 
 
-def _as_scalar(a: np.ndarray) -> Any:
-    """0-d results back to numpy scalars, matching the checked kernels'
-    representation exactly (message packing sees the same block types)."""
-    return a[()] if isinstance(a, np.ndarray) and a.ndim == 0 else a
-
-
-class _TapeMemo:
-    """One map's raw tapes, memoised by the observed input arity."""
-
-    def __init__(self, parts: Sequence[tuple[str, Callable]]) -> None:
-        self.parts = parts
-        self.tapes: dict[int, Optional[Tape]] = {}
-
-    def apply(self, block: Any) -> Any:
-        """The map applied to one defined block (allocating), or None
-        when the map has no tape or the block does not conform."""
-        arity = len(block) if isinstance(block, tuple) else 1
-        if arity not in self.tapes:
-            try:
-                self.tapes[arity] = bind(emit_map(self.parts, arity), "raw")
-            except JitUnsupported:
-                self.tapes[arity] = None
-        tape = self.tapes[arity]
-        row = _conform([block], arity) if tape is not None else None
-        if row is None:
-            return None
-        vals = _run_map_tape(tape, row[0])
-        return vals[0] if len(vals) == 1 else tuple(vals)
-
-
-def _raw_map_fn(parts: Sequence[tuple[str, Callable]],
-                checked_fn: Callable) -> Callable:
-    """Per-block map: raw tape when the block conforms, else the checked
-    kernelized fn (which itself falls back to object mode)."""
-    memo = _TapeMemo(parts)
-
-    def fn(x: Any) -> Any:
-        v = memo.apply(x) if is_vector_block(x) else None
-        if v is None:
-            return checked_fn(x)
-        if isinstance(v, tuple):
-            return tuple(_as_scalar(c) for c in v)
-        return _as_scalar(v)
-
-    return fn
-
-
-def _raw_binop_fn(op: BinOp) -> Callable:
-    """Whole-block raw combine; falls back to the checked op per call."""
-    tape = bind(emit_combine(op), "raw")  # JitUnsupported if not lowerable
-    checked_fn = op.fn
-
-    def fn(a: Any, b: Any) -> Any:
-        if not (is_vector_block(a) and is_vector_block(b)):
-            return checked_fn(a, b)
-        rows = _conform([a, b], tape.slots)
-        if rows is None:
-            return checked_fn(a, b)
-        vals = _run_combine(tape, rows[0], rows[1], [None] * len(tape.instrs))
-        out = [_as_scalar(v) for v in vals]
-        return out[0] if len(out) == 1 else tuple(out)
-
-    return fn
-
-
 def _token_map(x: Any) -> Any:
     return x
 
@@ -991,11 +917,11 @@ class EngineLowering:
     """What a simulated engine is handed under ``jit=True``, and why.
 
     ``rung`` is ``"fused"`` (values from the compiled register tapes while
-    the engine schedules ``program`` on :data:`DEFINED` tokens), ``"raw"``
-    (the engine carries the blocks through raw kernels) or ``"checked"``
-    (through the overflow-checked kernels); ``why`` is the reason the
-    fused rung was declined.  A fused lowering also holds the compiled
-    program and, in ``below``, the rung to drop to.
+    the engine schedules ``program`` on :data:`DEFINED` tokens) or
+    ``"checked"`` (the engine carries the blocks through the
+    overflow-checked kernels); ``why`` is the reason the fused rung was
+    declined.  A fused lowering also holds the compiled program and, in
+    ``below``, the checked rung to drop to.
     """
 
     rung: str
@@ -1020,10 +946,8 @@ def engine_lower(
       every combining order yields the same int64, so the kernels' left
       fold agrees bit for bit with the engine's butterfly or digit
       traversal and the engine need only schedule.
-    * ``"raw"`` — every stage has a raw form and the run is proven
-      overflow-free (floats included: the engine keeps its own order).
-      A comcast/iter stage has none: its proof is of the definition.
-    * ``"checked"`` — the plain kernelized program.
+    * ``"checked"`` — the plain kernelized program, carrying the blocks
+      in the engine's own combining order (float blocks round by it).
 
     What only the run can tell — a non-empty fault plan, a step
     declining its runtime blocks — is settled by
@@ -1038,28 +962,17 @@ def engine_lower(
     STATS.runs += 1
     vec = [vectorize_block(x) for x in inputs]  # may raise KernelUnsupported
     cp = compiled_program(program)  # may raise KernelUnsupported
-    vprog = cp.plan.program
-    raw, token = cp.engine_programs
+    low = EngineLowering("checked", "", cp.plan.program, vec)
     profile = _input_profile(vec)
-    proven, unproven = cp.proven_safe(profile, len(vec))
-    if proven and raw is not None:
-        low = EngineLowering("raw", "", raw, vec)
-    else:
-        low = EngineLowering("checked", "", vprog, vec)
-    if cp.uncompiled or unproven:
-        why = cp.uncompiled or unproven
-    elif profile[0] != "int":
-        why = f"{profile[0]}-blocks"
-    elif _conform(vec, 1) is None:
-        why = "nonconforming-input"
-    else:
-        why = ""
-        low = EngineLowering("fused", "", token, [DEFINED] * len(vec), cp, low)
+    why = (cp.uncompiled or cp.proven_safe(profile, len(vec))[1]
+           or (f"{profile[0]}-blocks" if profile[0] != "int" else "")
+           or ("nonconforming-input" if _conform(vec, 1) is None else ""))
     if why:
         STATS.fallbacks[why] += 1
-        low = replace(low, why=why)
-    STATS.full_jit_runs += low.rung != "checked"
-    return low
+        return replace(low, why=why)
+    STATS.full_jit_runs += 1
+    return EngineLowering("fused", "", cp.token_program, [DEFINED] * len(vec),
+                          cp, low)
 
 
 def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:

@@ -38,7 +38,7 @@ class JitStats:
     #: ``run_jit`` / ``engine_lower`` invocations
     runs: int = 0
     #: runs with no checked kernel: every ``run_jit`` step compiled, or an
-    #: engine run lowered to its fused or raw rung (at most one per run)
+    #: engine run lowered to its fused rung (at most one per run)
     full_jit_runs: int = 0
     #: plan steps executed through a compiled kernel
     compiled_steps: int = 0

@@ -7,7 +7,7 @@ It first runs the local-stage fusion pass (``map f; map g → map (g∘f)``,
 collapsing the ``map pair; collective; map π₁`` sandwiches the rewrite
 rules emit into at most one local stage on each side), then rebuilds each
 stage around its array kernel (:func:`rebuild_stage`, the walk the JIT's
-raw and token engine forms reuse with other leaf functions):
+token program reuses with other leaf functions):
 
 * ``map`` stages get a dispatching function composed from the kernel
   rows of the functions their (fused) parts hold;
@@ -43,7 +43,7 @@ def rebuild_stage(
     """``stage`` with its map function replaced by ``map_fn(stage)`` and
     every base operator by ``binop_fn(op)`` — the stage class's own
     ``rebuild`` facet, which the kernels (:func:`kernelize_stage`) and the
-    JIT's raw and token engine forms share.  Every cost annotation
+    JIT's token program share.  Every cost annotation
     (``ops_per_element``, ``op_count``, ``width``) is kept.  Raises
     :class:`KernelUnsupported` for a stage without an array form
     (``map#``/``map2``, a comcast/iter over a hand-made operator)."""

@@ -7,7 +7,7 @@ Every numeric tier reads the same two tables:
   overflow-**checked** whole-block kernel, the **raw** ufunc the JIT's
   tapes run once a program is proven safe, and the **interval**
   extension that proof is made with.  A namesake of a catalogue
-  operator has no row; a kernelized or raw form (:meth:`BinOp.with_fn`)
+  operator has no row; a kernelized or token form (:meth:`BinOp.with_fn`)
   reads the row of the operator it was made from.  Composed operators
   (``op_sr2`` pairs, products, ``ew`` lifts, segmented operators)
   resolve *structurally* through ``kind``/``parts`` down to these rows —

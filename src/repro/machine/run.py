@@ -171,9 +171,9 @@ def simulate_program(
     come from the fused whole-program kernels — the planner's
     ``comcast``/``iter`` stages included, compiled through the
     pipelines they are defined by — while the engine schedules the same
-    stages on definedness tokens; otherwise the checked kernels are
-    swapped for raw ones (not for ``comcast``/``iter``, which have no
-    raw form), and anything unproven runs the checked kernels.  Every cost annotation is preserved on every rung, so
+    stages on definedness tokens; otherwise — float blocks, an unproven
+    hull, a fault plan — the engine carries the blocks through the
+    checked kernels.  Every cost annotation is preserved on every rung, so
     simulated time, clocks and statistics are bit-identical to
     ``vectorize=True`` — JIT changes wall-clock only — and
     overflow/unsupported cases fall back exactly like ``vectorize=True``

@@ -96,8 +96,8 @@ def faulted_run(engine: str, program, xs: Sequence[Any],
     typed-error and agreement contracts are identical.  ``"jit"`` runs
     the cooperative engine on the JIT ladder
     (``simulate_program(..., jit=True)``; a non-empty plan declines the
-    fused rung, so the raw kernels carry the blocks): like the vectorized tier it
-    must produce the same typed errors, UNDEF holes, and exact clocks —
+    fused rung, so the checked kernels carry the blocks): like the
+    vectorized tier it must produce the same typed errors, UNDEF holes, and exact clocks —
     never wrong answers.
     """
     # "jit" is a tier of the cooperative engine, not an engine

@@ -392,25 +392,20 @@ class TestBenchSummaryCommand:
         (results / "BENCH_truncated.json").write_text('{"series": [{"m": 4')
         (results / "BENCH_badschema.json").write_text(
             '{"series": 7, "host": "not-a-dict"}')
-        out_dir = tmp_path / "out"
         code, out, err = self._run(
-            capsys, "bench", "summary",
-            "--results", str(results), "--out", str(out_dir))
+            capsys, "bench", "summary", "--results", str(results))
         assert code == 0
         assert "BENCH_good.json" in out and "speedup=2.00" in out
         # the malformed files are named loudly on stderr, not fatal
         assert "BENCH_truncated.json" in err
         assert "skipped" in out
-        assert (out_dir / "BENCH_good.json").exists()
-        assert not (out_dir / "BENCH_truncated.json").exists()
 
     def test_all_malformed_is_an_error(self, capsys, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
         (results / "BENCH_broken.json").write_text("{not json")
         code, out, err = self._run(
-            capsys, "bench", "summary",
-            "--results", str(results), "--out", str(tmp_path / "out"))
+            capsys, "bench", "summary", "--results", str(results))
         assert code == 1
         assert "BENCH_broken.json" in err
         assert "no usable" in err
@@ -419,6 +414,5 @@ class TestBenchSummaryCommand:
         results = tmp_path / "results"
         results.mkdir()
         code, out, err = self._run(
-            capsys, "bench", "summary",
-            "--results", str(results), "--out", str(tmp_path / "out"))
+            capsys, "bench", "summary", "--results", str(results))
         assert code == 1

@@ -386,7 +386,8 @@ class TestEngineLadder:
         assert not STATS.fallbacks
         assert STATS.full_jit_runs == STATS.runs == 2
         assert STATS.cache_hits + STATS.cache_misses == 2
-        # the contrast: float blocks keep the raw swap, which carries arrays
+        # the contrast: float blocks run the checked kernels, which carry
+        # the arrays
         seen.clear()
         fprog = Program([AllReduceStage(FADD)])
         simulate_program(fprog, [np.ones(4) for _ in range(P)], params, jit=True)
@@ -397,7 +398,8 @@ class TestEngineLadder:
         prog = Program([AllReduceStage(FADD)])
         xs = [np.array([v]) for v in (1e16, 1.0, -1e16, 1.0, 3.0, 1e-3, 7.0, 1.0)]
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=1)
-        assert engine_lower(prog, xs, params).rung == "raw"
+        low = engine_lower(prog, xs, params)
+        assert (low.rung, low.why) == ("checked", "float-blocks")
         for engine in ("cooperative", "threaded"):
             vec, jit = _both(prog, xs, params, engine)
             _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
@@ -429,7 +431,7 @@ class TestEngineLadder:
         xs[3] = UNDEF
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=16)
         low = engine_lower(prog, xs, params)
-        assert (low.rung, low.why) == ("raw", "nonconforming-input")
+        assert (low.rung, low.why) == ("checked", "nonconforming-input")
         vec, jit = _both(prog, xs, params)
         _assert_same_run(vec, jit)
         assert jit.values[3] is UNDEF
@@ -979,15 +981,14 @@ class TestStatsAndCli:
         (results / "BENCH_demo.json").write_text(json.dumps(
             {"series": [{"backend": "jit", "median_s": 0.1}],
              "speedup": 2.5}))
-        outdir = tmp_path / "out"
-        outdir.mkdir()
-        code = cli_main(["bench", "summary", "--results", str(results),
-                         "--out", str(outdir)])
+        code = cli_main(["bench", "summary", "--results", str(results)])
         out = capsys.readouterr().out
         assert code == 0
-        copied = json.loads((outdir / "BENCH_demo.json").read_text())
-        assert "host" in copied  # stamped during aggregation
-        assert "BENCH_demo.json" in out
+        assert "BENCH_demo.json" in out and "speedup=2.50" in out
+        # the table is printed, nothing is copied
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*")) == [
+            "results", "results/BENCH_demo.json"]
 
     def test_numba_flag_is_inert_without_numba(self, monkeypatch):
         # the numba path is gone; the variable is simply unread

@@ -150,6 +150,8 @@ def _sources_and_prose() -> list[Path]:
     pytest.param(r"def clear_resident_schedules\b",
                  id="clear_resident_schedules"),
     pytest.param(r"_STORES\b", id="search-store-list"),
+    pytest.param(r"_raw_binop_fn|_raw_map_fn|_TapeMemo", id="raw-engine-rung"),
+    pytest.param(r'EngineLowering\("raw"', id="raw-lowering"),
 ])
 def test_deleted_doors_stay_deleted(pattern):
     hits = [str(path.relative_to(REPO)) for path in _sources_and_prose()

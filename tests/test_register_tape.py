@@ -19,7 +19,9 @@ plan step) on ``PYTHONPATH``:
   design) of ``run_jit`` and of ``simulate_program(jit=True)`` on decks
   that decline a step at run time or never compile one.  Steps are
   counted as plan steps, and every reason where a step-by-step run
-  counted it.
+  counted it.  Its ``simulate`` records were rewritten where the engine
+  ladder lost its raw rung: a run that declines ``fused`` on its inputs
+  now lowers to ``checked``, so ``full_jit_runs`` reads 0 there.
 """
 
 from __future__ import annotations

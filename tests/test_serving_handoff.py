@@ -309,6 +309,21 @@ class TestProgramHash:
         assert loaded.__dict__.keys() == {"stages", "name"}
         assert loaded == program and hash(loaded) == hash(program)
 
+    def test_a_planned_stage_pickles_its_fields_alone(self):
+        """Planning keeps facts beside each stage it reads; a pickle of a
+        stage still holds its fields alone, the bytes of a fresh one."""
+        fresh = [pickle.dumps(stage) for stage in _picklable()]
+        program = _picklable()
+        optimize(program, MachineParams(p=4, ts=10, tw=1, m=1),
+                 rules=FULL_RULES, cache=PlanCache())
+        assert all("_search_facts" in stage.__dict__ for stage in program)
+        assert [pickle.dumps(stage) for stage in program] == fresh
+        for stage in program:
+            loaded = pickle.loads(pickle.dumps(stage))
+            assert loaded.__dict__.keys() == {
+                f.name for f in dataclasses.fields(stage)}
+            assert loaded == stage
+
     def test_a_pickle_hashes_like_a_fresh_program_under_another_seed(self):
         """A ``str`` hashes per interpreter: a program pickled under one
         ``PYTHONHASHSEED`` and loaded under another must hash like the
