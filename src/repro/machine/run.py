@@ -18,6 +18,7 @@ from typing import Any, Callable, Sequence
 from repro.core.cost import MachineParams
 from repro.core.store import BoundedStore
 from repro.faults import FaultPlan
+from repro.obs import span
 from repro.core.stages import (
     AllGatherStage,
     AllGatherVStage,
@@ -61,7 +62,7 @@ from repro.semantics.functional import UNDEF, defined_equal
 
 __all__ = ["simulate_program", "execute_stage", "stage_breakdown", "StageTiming",
            "rank_program", "run_ranks",
-           "resident_run", "DEFINED"]
+           "resident_run", "resident_schedule", "DEFINED"]
 
 
 def _map(ctx: RankContext, stage: MapStage, x: Any):
@@ -322,9 +323,36 @@ def _evaluated(evaluate: Callable[[], Sequence[Any]], pattern: tuple[bool, ...],
     return values, ""
 
 
+def resident_schedule(
+    program: Program, inputs: Sequence[Any], params: MachineParams,
+    faults: FaultPlan | None = None,
+) -> tuple[Any, SimResult | None, bool, str]:
+    """The lookup :func:`resident_run` makes, as ``(key, entry, tokens,
+    why)``: ``entry`` is the resident schedule of ``program`` on blocks
+    shaped like ``inputs`` (``None`` when there is none), ``why`` the
+    reason the store cannot vouch for such a run ("" when it can).  Hand
+    it to :func:`resident_run` as ``lookup`` and the run reads the
+    inputs and the store no second time."""
+    tokens, exact, undef_at = _read(inputs)
+    key = entry = None
+    if faults is not None and not faults.is_empty:
+        why = "fault-plan"
+    elif not (tokens or exact):
+        why = "inexact-input"
+    else:
+        why = ""
+        key = (program, params, undef_at)
+        try:
+            entry = _SCHEDULES.get(key)
+        except TypeError:
+            why = "unhashable-program"
+    return key, entry, tokens, why
+
+
 def resident_run(
     program: Program, inputs: Sequence[Any], params: MachineParams,
     evaluate: Callable[[], Sequence[Any]], faults: FaultPlan | None = None,
+    lookup: tuple[Any, SimResult | None, bool, str] | None = None,
 ) -> tuple[SimResult, str]:
     """A cooperative run of ``program`` whose values come from ``evaluate``.
 
@@ -354,20 +382,22 @@ def resident_run(
       its own exception, is the answer), ``"schedule-mismatch"`` (the
       evaluator leaves ``UNDEF`` elsewhere than the schedule) and
       ``"values-disagree"`` (at admission).
+
+    ``lookup`` is :func:`resident_schedule`'s answer for these arguments,
+    when the caller has already asked it.  The run is the
+    ``machine.resident`` span, whose ``outcome`` is the one returned.
     """
-    tokens, exact, undef_at = _read(inputs)
-    entry = None
-    if faults is not None and not faults.is_empty:
-        why = "fault-plan"
-    elif not (tokens or exact):
-        why = "inexact-input"
-    else:
-        why = ""
-        key = (program, params, undef_at)
-        try:
-            entry = _SCHEDULES.get(key)
-        except TypeError:
-            why = "unhashable-program"
+    with span("machine.resident") as traced:
+        result, outcome = _resident_run(
+            program, inputs, params, evaluate, faults,
+            lookup or resident_schedule(program, inputs, params, faults))
+        traced.outcome = outcome
+    return result, outcome
+
+
+def _resident_run(program, inputs, params, evaluate, faults, lookup):
+    """The body of :func:`resident_run`."""
+    key, entry, tokens, why = lookup
     if why:
         return _run_cooperative(program, inputs, params, faults), why
 

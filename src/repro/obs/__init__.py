@@ -5,8 +5,11 @@ the seams under ``src/`` record to, and it is off by default: while it
 is off, :func:`span` returns a shared no-op span and no collector
 callback is installed.  The seams are ``lang.parse``,
 ``lang.to_program``, ``plancache.hit`` / ``plancache.miss``,
-``plancache.put``, ``planner.search`` and ``serving.submit`` (whose
-``request`` is the job id).  Turn it on, run, and write the spans::
+``plancache.put``, ``planner.search``, ``serving.submit`` (whose
+``request`` is the job id) and ``machine.resident`` (whose ``outcome``
+is :func:`~repro.machine.run.resident_run`'s: ``hit``, ``miss`` or the
+reason it bypassed the resident schedules).  Turn it on, run, and write
+the spans::
 
     from repro import obs
     obs.TRACER.enabled = True

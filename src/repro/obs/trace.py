@@ -40,7 +40,7 @@ class Span:
     current span of the thread that made it."""
 
     __slots__ = ("id", "name", "start", "end", "parent", "request",
-                 "gc_runs", "gc_us", "_stack")
+                 "outcome", "gc_runs", "gc_us", "_stack")
 
     def __init__(self, sid: int, name: str, parent: int | None,
                  request: int | str | None, stack: list | None) -> None:
@@ -48,6 +48,8 @@ class Span:
         self.name = name
         self.parent = parent
         self.request = request
+        #: what the seam answered, where it answers one
+        self.outcome: str | None = None
         self.gc_runs = 0
         self.gc_us = 0.0
         #: the open-span stack of the thread that made the span
@@ -68,10 +70,13 @@ class Span:
         return (self.end if self.end is not None else self.start) - self.start
 
     def to_doc(self) -> dict:
-        return {"id": self.id, "name": self.name, "start": self.start,
-                "end": self.end, "parent": self.parent,
-                "request": self.request, "gc_runs": self.gc_runs,
-                "gc_us": self.gc_us}
+        doc = {"id": self.id, "name": self.name, "start": self.start,
+               "end": self.end, "parent": self.parent,
+               "request": self.request, "gc_runs": self.gc_runs,
+               "gc_us": self.gc_us}
+        if self.outcome is not None:
+            doc["outcome"] = self.outcome
+        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Span":
@@ -81,6 +86,7 @@ class Span:
         span.start, span.end = doc["start"], doc["end"]
         span.gc_runs = doc.get("gc_runs", 0)
         span.gc_us = doc.get("gc_us", 0.0)
+        span.outcome = doc.get("outcome")
         return span
 
 
@@ -103,9 +109,9 @@ class _Resumed:
 
 class _NullSpan:
     """What a disabled tracer hands out; callers may still rename it or
-    set its request."""
+    set its request or outcome."""
 
-    __slots__ = ("name", "request")
+    __slots__ = ("name", "request", "outcome")
 
     def __enter__(self) -> "_NullSpan":
         return self

@@ -24,7 +24,8 @@ persistent worker pool with
   cooperative substrate a repeated (program, machine, definedness)
   answers from its resident schedule
   (:func:`repro.machine.run.resident_run`) instead of re-running the
-  engine, every outcome counted in ``ServingManager.stats()``;
+  engine — on the submitting thread when the schedule is resident at
+  admission — every outcome counted in ``ServingManager.stats()``;
 * **one flight recorder** — every lifecycle event lands in the shared
   :class:`~repro.recovery.events.RecoveryLog` vocabulary (schema v2).
 

@@ -9,6 +9,16 @@ then parks the job on the fair queue and returns a
 pooled-arena process runner or the in-process engines, running the
 deadline/retry/quarantine ladder per job.
 
+A job whose answer is already resident is not queued.  On the
+``cooperative`` rung, exact inputs whose (program, machine, definedness)
+schedule :func:`~repro.machine.run.resident_schedule` finds are answered
+on the submitting thread, through the workers' own
+:meth:`~repro.serving.worker.WorkerPool.run_single`: the same events,
+quota, deadline and abort checks, with ``start``'s ``worker`` naming
+that thread and ``admit``'s ``depth`` 0.  ``submit`` then returns a
+settled handle.  Anything else queues; the worker's miss admits the
+schedule, so the next repeat is answered inline.
+
 The substrate is a rung of the engines' one
 :class:`~repro.parallel.backend.Ladder` (``process → threaded →
 cooperative``), guarded the way ``RecoveryPolicy.process_fallback_after``
@@ -33,6 +43,7 @@ from typing import Any, Callable, Sequence
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
 from repro.machine.engine import SimResult
+from repro.machine.run import resident_schedule
 from repro.obs import span
 from repro.parallel.backend import SUBSTRATES, Ladder, ProcessJobRunner
 from repro.parallel.shm import ArenaPool
@@ -151,10 +162,13 @@ class ServingManager:
         job's whole life (queueing, every attempt, every backoff).
         Raises :class:`ManagerClosedError`, :class:`TenantQuotaError` or
         :class:`QueueFullError`; on success the returned handle resolves
-        to the per-rank value tuple (or a typed execution failure).
+        to the per-rank value tuple (or a typed execution failure), and a
+        resident hit's handle is settled before ``submit`` returns.
         """
         with span("serving.submit") as traced:
-            if self._closed:  # unlocked: ``queue.push`` is the guard
+            # unlocked: a queued job's guard is ``queue.push``; a job
+            # answered inline past this check was admitted before close()
+            if self._closed:
                 raise ManagerClosedError(
                     "manager is closed; no further jobs are accepted")
             budget = deadline if deadline is not None \
@@ -171,6 +185,17 @@ class ServingManager:
                 self.events.emit("reject", job=job.job_id, tenant=tenant,
                                  reason="tenant_quota")
                 raise
+            # ``substrate_for(job)`` without its platform gate, which
+            # only the process rung takes and a worker's pop should log
+            if self.ladder.rung == "cooperative":
+                lookup = resident_schedule(program, job.inputs, params)
+                if lookup[1] is not None:  # the resident entry
+                    self.events.emit("admit", job=job.job_id, tenant=tenant,
+                                     depth=0)
+                    self.workers.run_single(
+                        job, threading.current_thread().name, "cooperative",
+                        lookup)
+                    return job.handle
             try:
                 depth = self.queue.push(job)
             except (QueueFullError, ManagerClosedError) as exc:

@@ -1,6 +1,9 @@
 """The serving worker pool: dispatch, batching, and the retry ladder.
 
-Each worker is one daemon thread looping pop → execute → fulfil.  On the
+Each worker is one daemon thread looping pop → execute → fulfil over the
+jobs the manager queued.  A resident hit is never queued:
+``ServingManager.submit`` answers it on the submitting thread through
+:meth:`WorkerPool.run_single`, the workers' own single-job path.  On the
 ``"process"`` substrate a worker greedily extends its job into a batch of
 same-tenant, same-``(p, params)`` batch-mates and runs them in **one fork
 generation** through the shared :class:`~repro.parallel.backend.\
@@ -80,7 +83,7 @@ class WorkerPool:
             if len(batch) > 1:
                 self._run_batch(batch, worker_id)
             else:
-                self._run_single(job, worker_id, substrate)
+                self.run_single(job, worker_id, substrate)
 
     # -- batched process execution -------------------------------------------
 
@@ -96,7 +99,7 @@ class WorkerPool:
         if not live:
             return
         if len(live) == 1:
-            return self._run_single(live[0], worker_id, "process")
+            return self.run_single(live[0], worker_id, "process")
         deadlines = [j.deadline_at for j in live if j.deadline_at is not None]
         deadline_at = min(deadlines) if deadlines else None
         for job in live:
@@ -133,7 +136,12 @@ class WorkerPool:
 
     # -- single-job execution (the retry ladder) -----------------------------
 
-    def _run_single(self, job: Job, worker_id: int, substrate: str) -> None:
+    def run_single(self, job: Job, worker: int | str, substrate: str,
+                   lookup: tuple | None = None) -> None:
+        """Run ``job`` alone to a settled handle.  ``worker`` is what its
+        ``start`` events name; ``lookup`` is the job's
+        :func:`~repro.machine.run.resident_schedule` when the caller
+        already asked it."""
         mgr = self.manager
         policy = mgr.config.retry
         while True:
@@ -145,7 +153,7 @@ class WorkerPool:
                 return mgr.deadline_miss(job)
             job.attempts += 1
             mgr.events.emit("start", job=job.job_id, tenant=job.tenant,
-                            worker=worker_id, substrate=substrate,
+                            worker=worker, substrate=substrate,
                             attempt=job.attempts)
             sim = None
             try:
@@ -161,7 +169,7 @@ class WorkerPool:
                     evaluate = job.program.through_definitions().run
                     sim, outcome = resident_run(
                         job.program, job.inputs, job.params,
-                        lambda: evaluate(job.inputs))
+                        lambda: evaluate(job.inputs), lookup=lookup)
                     mgr.record_schedule(outcome)
                     values = sim.values
                 else:

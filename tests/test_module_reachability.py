@@ -54,7 +54,7 @@ UNREACHED = {
     "repro.semantics.equivalence":
         "randomized equivalence helper of two test files; belongs in testing/",
     "repro.analysis.calibration":
-        "(ts, tw) fit on the simulator; ROADMAP item 5 points it at the real "
+        "(ts, tw) fit on the simulator; ROADMAP item 8 points it at the real "
         "substrates or deletes it",
     "repro.apps.vectorops":
         "elementwise vector app; its own test and two wall-clock benches",

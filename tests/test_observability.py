@@ -36,6 +36,7 @@ from repro.core.optimizer import optimize
 from repro.core.plancache import PlanCache
 from repro.core.rules import FULL_RULES
 from repro.core.stages import BcastStage, Program, ReduceStage, ScanStage
+from repro.core.store import clear_caches
 from repro.lang import parse_program
 from repro.machine.engine import run_spmd
 from repro.machine.run import StageTiming, stage_breakdown
@@ -244,8 +245,39 @@ def test_the_seams_record_while_the_tracer_is_on():
     del tracer.spans[first:]
     assert [s.name for s in spans] == [
         "lang.parse", "lang.to_program", "plancache.miss", "planner.search",
-        "plancache.put", "plancache.hit", "serving.submit"]
-    assert spans[-1].request == handle.job_id
+        "plancache.put", "plancache.hit", "serving.submit",
+        "machine.resident"]
+    assert spans[-2].request == handle.job_id
+    assert spans[-1].outcome == "miss"  # on the worker: no parent here
+
+
+def test_an_inline_hit_reads_from_its_spans(tmp_path):
+    """One queued miss and one resident hit: from the written spans alone,
+    the miss's ``machine.resident`` ran on the worker (no parent) and the
+    hit's inside its own ``serving.submit``."""
+    clear_caches()
+    program = Program([ScanStage(ADD)], name="inline")
+    tracer = obs.TRACER
+    first = len(tracer.spans)
+    tracer.enabled = True
+    try:
+        with ServingManager(ServingConfig(substrate="cooperative")) as mgr:
+            miss = mgr.submit(program, [1, 2, 3, 4], SMALL)
+            miss.result(timeout=60.0)
+            hit = mgr.submit(program, [5, 6, 7, 8], SMALL)
+            assert hit.done()
+    finally:
+        tracer.enabled = False
+    path = tmp_path / "spans.jsonl"
+    obs.write_jsonl(tracer.spans[first:], path)
+    del tracer.spans[first:]
+    docs = list(obs.read_jsonl(path))
+    submits = {d["request"]: d["id"] for d in docs
+               if d["name"] == "serving.submit"}
+    resident = [d for d in docs if d["name"] == "machine.resident"]
+    assert [(d["outcome"], d["parent"], d["request"]) for d in resident] == [
+        ("miss", None, None), ("hit", submits[hit.job_id], hit.job_id)]
+    assert "outcome" not in docs[0]  # a seam that answers nothing
 
 
 def test_a_collection_is_booked_on_the_innermost_span_of_its_thread():

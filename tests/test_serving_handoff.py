@@ -13,7 +13,10 @@ cost:
 * a ``Program`` hashes once, and never carries that hash to another
   interpreter;
 * the number of lock acquisitions a cooperative job takes is gated —
-  the cause, not the clock;
+  the cause, not the clock — queued and answered inline alike;
+* a resident hit is answered inside ``submit`` as the worker would
+  answer it, fails an expired deadline typed, and races ``close()``
+  without a lost or doubled completion;
 * so is what a repeated request rebuilds: no stage, no hash, no digit
   traversal of a derived stage;
 * and what a resident hit records: each of its four events is one dict,
@@ -72,6 +75,7 @@ from repro.parallel.errors import WorkerCrashError
 from repro.recovery.events import RecoveryLog
 from repro.semantics.functional import UNDEF
 from repro.serving import (
+    DeadlineExceededError,
     JobHandle,
     ManagerClosedError,
     QueueFullError,
@@ -178,6 +182,7 @@ def test_idle_workers_leave_the_moment_the_queue_closes():
 
 
 def test_an_abort_fails_every_queued_job_typed():
+    clear_caches()  # a resident SCAN would be answered inline, not queued
     gate = threading.Event()
 
     def wedge(x):
@@ -190,6 +195,7 @@ def test_an_abort_fails_every_queued_job_typed():
                    for _ in range(2)]
         _until(lambda: len(mgr.events.of_kind("start")) == 2)
         queued = [mgr.submit(SCAN, [1] * P, PARAMS) for _ in range(5)]
+        assert len(mgr.queue) == 5
     finally:
         threading.Timer(0.05, gate.set).start()
         assert mgr.close(drain=False, timeout=30.0)
@@ -439,11 +445,10 @@ def _counting_threading(tally: list[int]) -> types.SimpleNamespace:
     return shim
 
 
-def test_a_served_job_takes_at_most_LOCKS_PER_JOB_lock_acquisitions(
-        monkeypatch):
-    """1 000 cooperative jobs, submitted, served and read on this one
-    thread (the pool's loop runs inside ``close``), every lock the
-    serving modules create counting its acquisitions."""
+def _one_thread_counting(monkeypatch) -> list[int]:
+    """Every lock the serving modules create counts its acquisitions in
+    the returned tally, and the pool's loop runs inside ``close`` on the
+    calling thread; the caches start empty."""
     tally = [0]
     shim = _counting_threading(tally)
     for module in LOCKING_MODULES:
@@ -452,6 +457,15 @@ def test_a_served_job_takes_at_most_LOCKS_PER_JOB_lock_acquisitions(
     monkeypatch.setattr(WorkerPool, "join",
                         lambda self, timeout=None: self._loop(0) or True)
     clear_caches()
+    return tally
+
+
+def test_a_served_job_takes_at_most_LOCKS_PER_JOB_lock_acquisitions(
+        monkeypatch):
+    """1 000 cooperative jobs, submitted, served and read on this one
+    thread (the pool's loop runs inside ``close``), every lock the
+    serving modules create counting its acquisitions."""
+    tally = _one_thread_counting(monkeypatch)
     mgr = ServingManager(ServingConfig(workers=1, queue_capacity=JOBS))
     tally[0] = 0
     handles = [mgr.submit(SCAN, [j, 1, 2, 3], PARAMS, tenant=f"t{j % 4}")
@@ -462,6 +476,161 @@ def test_a_served_job_takes_at_most_LOCKS_PER_JOB_lock_acquisitions(
     assert values[-1] == (JOBS - 1, JOBS, JOBS + 2, JOBS + 5)
     assert mgr.stats()["resident_hits"] == JOBS - 1
     assert per_job <= LOCKS_PER_JOB, per_job
+
+
+#: lock acquisitions one resident hit answered on the submitting thread
+#: takes: four events, quota admit and release, the resident-schedule
+#: count and the handle's birth — no queue push, no pop
+LOCKS_PER_INLINE_HIT = 8
+
+
+def test_a_resident_hit_takes_at_most_LOCKS_PER_INLINE_HIT_lock_acquisitions(
+        monkeypatch):
+    """The drive above, with the schedule admitted by one served job
+    first: the 1 000 hits are answered inside ``submit``, on this thread."""
+    tally = _one_thread_counting(monkeypatch)
+    mgr = ServingManager(ServingConfig(workers=1, queue_capacity=JOBS))
+    first = mgr.submit(SCAN, [0, 1, 2, 3], PARAMS)
+    mgr.workers.run_single(mgr.queue.pop(), 0, "cooperative")  # the miss
+    assert first.result() == (0, 1, 3, 6)
+    tally[0] = 0
+    handles = [mgr.submit(SCAN, [j, 1, 2, 3], PARAMS, tenant=f"t{j % 4}")
+               for j in range(JOBS)]
+    per_job = tally[0] / JOBS
+    assert all(handle.done() for handle in handles)
+    assert len(mgr.queue) == 0
+    assert mgr.close(drain=True)
+    assert handles[-1].result() == (JOBS - 1, JOBS, JOBS + 2, JOBS + 5)
+    assert mgr.stats()["resident_hits"] == JOBS
+    assert per_job <= LOCKS_PER_INLINE_HIT, per_job
+
+
+# -- a resident hit is answered on the caller's thread ----------------------------
+
+def _events_of(mgr, handle) -> list[dict]:
+    """The events of ``handle``'s job, once it completed."""
+    _until(lambda: any(e["job"] == handle.job_id
+                       for e in mgr.events.of_kind("complete")))
+    return [e for e in mgr.events.log.events
+            if e.get("job") == handle.job_id]
+
+
+def test_an_inline_hit_is_the_queued_hit(monkeypatch):
+    """The same miss then hit through two managers, the second made to
+    queue its hit (its admission lookup finds nothing): the hit's events
+    (kinds, order and fields but the worker, the depth and the numbering),
+    values, ``SimResult`` and every counter agree."""
+    runs = []
+    for inline in (True, False):
+        clear_caches()
+        with monkeypatch.context() as patch:
+            if not inline:
+                patch.setattr(repro.serving.manager, "resident_schedule",
+                              lambda *args: (None, None, False, "queued"))
+            with ServingManager(ServingConfig(workers=1)) as mgr:
+                _events_of(mgr, mgr.submit(SCAN, [0, 1, 2, 3], PARAMS))
+                handle = mgr.submit(SCAN, [4, 1, 2, 3], PARAMS)
+                assert handle.done() is inline  # settled inside submit
+                runs.append((handle, _events_of(mgr, handle), mgr.stats()))
+    (hit, events, stats), (queued, queued_events, queued_stats) = runs
+    assert hit.result() == queued.result() == (4, 5, 7, 10)
+    assert hit.sim == queued.sim
+    assert stats == queued_stats and stats["resident_hits"] == 1
+    assert [e["event"] for e in events] == [e["event"] for e in
+                                            queued_events] == [
+        "submit", "admit", "start", "complete"]
+    assert events[2]["worker"] == threading.current_thread().name
+    assert events[1]["depth"] == 0 and queued_events[1]["depth"] == 1
+    assert queued_events[2]["worker"] == 0
+
+    def fields(event):
+        return {k: v for k, v in event.items()
+                if k not in ("seq", "job", "worker", "depth")}
+    assert [fields(e) for e in events] == [fields(e) for e in queued_events]
+
+
+def test_an_expired_deadline_on_a_hit_fails_typed():
+    clear_caches()
+    with ServingManager(ServingConfig(workers=1)) as mgr:
+        _events_of(mgr, mgr.submit(SCAN, [0, 1, 2, 3], PARAMS))
+        handle = mgr.submit(SCAN, [4, 1, 2, 3], PARAMS, deadline=0.0)
+        assert handle.done()
+        with pytest.raises(DeadlineExceededError):
+            handle.result(timeout=0.0)
+        trail = [e["event"] for e in mgr.events.log.events
+                 if e.get("job") == handle.job_id]
+        assert trail == ["submit", "admit", "deadline_miss", "complete"]
+        assert handle.sim is None
+        stats = mgr.stats()
+    assert stats["deadline_misses"] == 1 and stats["resident_hits"] == 0
+    assert stats["inflight"] == {}
+
+
+def _race_close(drain: bool) -> None:
+    """One client thread submits resident hits while this one closes the
+    manager."""
+    clear_caches()
+    mgr = ServingManager(ServingConfig(workers=1))
+    _events_of(mgr, mgr.submit(SCAN, [0, 1, 2, 3], PARAMS))
+    returned, closed = threading.Event(), threading.Event()
+    handles, errors = [], []
+
+    def client():
+        j = 0
+        while True:
+            after = closed.is_set()
+            j += 1
+            try:
+                handle = mgr.submit(SCAN, [j, 1, 2, 3], PARAMS)
+            except ManagerClosedError:
+                if after:
+                    return
+                continue
+            except BaseException as exc:  # reported below, not lost
+                errors.append(exc)
+                return
+            if after:
+                errors.append(f"{handle.job_id} admitted after close()")
+                return
+            if not handle.done():
+                errors.append(f"{handle.job_id} returned unsettled")
+            handles.append((j, handle))
+            returned.set()
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    assert returned.wait(30.0)
+    assert mgr.close(drain=drain, timeout=30.0)
+    closed.set()
+    thread.join(30.0)
+    assert not thread.is_alive()
+    assert errors == []
+    completes = Counter(e["job"] for e in mgr.events.of_kind("complete"))
+    assert all(completes[h.job_id] == 1 for _, h in handles)
+    stats = mgr.stats()
+    assert stats["completed"] + stats["failed"] == stats["submitted"] == \
+        len(handles) + 1
+    assert mgr.quotas.snapshot() == {}
+    for j, handle in handles:
+        if handle.error is None:
+            assert handle.result() == (j, j + 1, j + 3, j + 6)
+        else:  # passed the open check, then met the abort
+            assert not drain and isinstance(handle.error, ManagerClosedError)
+
+
+@pytest.mark.parametrize("drain", [True, False])
+def test_close_racing_inline_submits_settles_every_handle_once(drain):
+    """Every ``submit`` raises ``ManagerClosedError`` or returns a settled
+    handle, each handle completes once, the quotas empty, and a
+    ``submit`` begun after ``close()`` returned is refused, even for a
+    resident key: no ``queue.push`` stands guard on the inline path."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            _race_close(drain)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- a repeated request resolves by identity -------------------------------------
