@@ -40,9 +40,10 @@ Subcommands
     kernel-dispatch counters (with a program file, compiles and
     demo-runs it first — as written and as the planner would serve it,
     ``optimize(rules=FULL_RULES, strategy="beam")`` at the given
-    machine — showing for each which steps run as raw fused kernels
-    and which rung of the engine ladder ``simulate_program(jit=True)``
-    would take for it, and why),
+    machine — showing for each which steps run as raw fused kernels,
+    which rung of the engine ladder ``simulate_program(jit=True)``
+    would take for it, and why, and whether a served hit on int blocks
+    computes with the exact tier's generated function or why not),
     ``clear`` drops the compile cache and resets the counters.
 ``bench summary``
     Print the headline table of ``benchmarks/results/BENCH_*.json`` —
@@ -258,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="'stats': print compile-cache and dispatch "
                            "counters (with FILE: compile + demo-run the "
                            "program first, as written and as planned, "
-                           "show each compiled plan and the engine rung "
-                           "jit=True would take); "
+                           "show each compiled plan, the engine rung "
+                           "jit=True would take and the exact tier's "
+                           "verdict on int blocks); "
                            "'clear': drop compiled kernels and reset "
                            "counters")
     p_jt.add_argument("file", nargs="?", default=None,
@@ -629,7 +631,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_jit(args: argparse.Namespace) -> int:
     from repro.jit import STATS, clear_jit_cache, compiled_program, \
-        engine_lower, reset_stats, run_jit
+        engine_lower, exact_verdict, reset_stats, run_jit
     from repro.kernels import KernelUnsupported
 
     if args.action == "clear":
@@ -650,6 +652,7 @@ def _cmd_jit(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(0)
         xs = [rng.integers(0, 4, params.m).astype(np.int64)
               for _ in range(params.p)]
+        scalars = [int(x[0]) if x.size else 0 for x in xs]
         print(f"demo run: p={params.p}, block={params.m} int64")
         planned = optimize(program, params, rules=FULL_RULES,
                            strategy="beam").program
@@ -669,6 +672,10 @@ def _cmd_jit(args: argparse.Namespace) -> int:
             print(f"engine rung under jit=True: {low.rung}"
                   + (f" (declined the fused rung: {low.why})"
                      if low.why else ""))
+            verdict = exact_verdict(prog, scalars)
+            print(f"exact tier on {params.p} int blocks (a served hit): "
+                  + ("covered" if verdict == "exact"
+                     else f"declined: {verdict}"))
         print()
     print(STATS.describe())
     return 0

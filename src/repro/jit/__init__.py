@@ -20,11 +20,14 @@ straight-line tape of raw ufunc calls, run as one chunk loop:
   model the communication layer uses.
 
 Entry points: :func:`run_jit` (the evaluator, and the seventh oracle
-backend) and :func:`engine_lower` / :func:`run_engine_ladder` (how
+backend), :func:`engine_lower` / :func:`run_engine_ladder` (how
 ``simulate_program(..., jit=True)`` runs: fused kernels for the values
 plus a token run for the schedule, else the checked kernels — simulated
 time is bit-identical to ``vectorize=True``; JIT changes
-wall-clock only).
+wall-clock only) and :func:`exact_evaluator` (how a served resident hit
+computes its values: the same unrolling over Python int / bool blocks,
+emitted as one generated function, checked against the spec at the
+first hit; :func:`exact_verdict` reads its verdict).
 
 Results are bit-identical to the vectorized tier by construction:
 anything unproven or unsupported falls back per step to the checked
@@ -42,6 +45,8 @@ from .compiler import (
     clear_jit_cache,
     compiled_program,
     engine_lower,
+    exact_evaluator,
+    exact_verdict,
     run_engine_ladder,
 )
 from .errors import JitUnsupported
@@ -53,6 +58,8 @@ __all__ = [
     "engine_lower",
     "run_engine_ladder",
     "EngineLowering",
+    "exact_evaluator",
+    "exact_verdict",
     "compiled_program",
     "CompiledProgram",
     "JitUnsupported",

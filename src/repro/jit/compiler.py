@@ -27,6 +27,12 @@ pipeline it is defined by (:meth:`~repro.core.stages.Stage.definition`,
 its rule's left-hand side).  A tape is unrolled once per block
 signature (``p``, slot widths, definedness) and kept on the program.
 
+The same unrolling over Python int / bool blocks, bound to the rows'
+``exact`` templates, is emitted as one generated Python function
+(:meth:`CompiledProgram.exact_tape`): what a served resident hit
+computes its values with (:func:`exact_evaluator`), once it has agreed
+with the spec.
+
 What the compiler cannot prove or lower falls back *per step* to the
 checked kernelized ``PlanStep.run`` — bit-identical by construction —
 every fallback bumps a reason counter in :mod:`repro.jit.stats`, and
@@ -56,6 +62,8 @@ from repro.core.cost import MachineParams, pipeline_chunk_count
 from repro.core.operators import BinOp
 from repro.core.stages import (
     AllReduceStage,
+    BalancedReduceStage,
+    BalancedScanStage,
     BcastStage,
     ComcastStage,
     IterStage,
@@ -68,6 +76,7 @@ from repro.core.stages import (
 from repro.core.store import BoundedStore
 from repro.kernels.blocks import (
     BlockPool,
+    KernelUnsupported,
     devectorize_block,
     is_vector_block,
     vectorize_block,
@@ -76,6 +85,7 @@ from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan, run_lowere
 from repro.kernels.lowering import rebuild_stage, vectorize_program
 from repro.kernels.registry import Primitive, map_rows, primitive, registry_version
 from repro.machine.run import DEFINED
+from repro.obs import span
 from repro.semantics.functional import UNDEF
 
 from .bounds import Interval, fold_intervals, map_intervals, prove
@@ -92,6 +102,9 @@ __all__ = [
     "compiled_program",
     "EngineLowering",
     "engine_lower",
+    "ExactTape",
+    "exact_evaluator",
+    "exact_verdict",
     "run_engine_ladder",
     "clear_jit_cache",
     "DEFAULT_LOCAL_PARAMS",
@@ -139,12 +152,16 @@ class Tape:
     out: tuple[tuple[str, int], ...]
 
 
-def emit_combine(op: BinOp) -> Tape:
+def emit_combine(op: BinOp, exact: bool = False) -> Tape:
     """Flatten ``op`` to a :class:`Tape` (or raise JitUnsupported).
 
     The one walk over ``kind`` / ``parts`` under ``repro.jit``: an
     operator with a row is one instruction on one slot, and each
-    argument's slots are numbered in the order the walk reaches them."""
+    argument's slots are numbered in the order the walk reaches them.
+    ``exact``: the slots are a Python block's own components, which an
+    ``op_sr2`` or a product of rows reads as the walk does; an ``ew``
+    lift (whose ``fn`` reads a block as a list) and a product of
+    compositions (which nests its tuples) decline."""
     instrs: list[tuple] = []
 
     def emit(op: BinOp, a: Any, b: Any) -> list:
@@ -152,16 +169,17 @@ def emit_combine(op: BinOp) -> Tape:
         if row is not None:
             instrs.append((row, next(a), next(b), len(instrs)))
             return [("t", len(instrs) - 1)]
-        if op.kind == "ew":
+        if op.kind == "ew" and not exact:
             return emit(op.parts[0], a, b)
         if op.kind == "sr2":
             otimes, oplus = op.parts
             s1, r1, s2, r2 = next(a), next(a), next(b), next(b)
             return [scalar(oplus, s1, scalar(otimes, r1, s2)),
                     scalar(otimes, r1, r2)]
-        if op.kind == "product":
+        if op.kind == "product" and not (
+                exact and None in map(primitive, op.parts)):
             return [ref for part in op.parts for ref in emit(part, a, b)]
-        raise JitUnsupported(f"no-raw:{op.name}")
+        raise JitUnsupported(f"no-{'exact' if exact else 'raw'}:{op.name}")
 
     def scalar(op: BinOp, x: tuple, y: tuple) -> tuple:
         (ref,) = emit(op, iter((x,)), iter((y,)))
@@ -199,8 +217,9 @@ def emit_map(parts: Sequence[tuple[str, Callable]], slots: int) -> Tape:
 
 def bind(tape: Tape, reading: str) -> Tape:
     """``tape`` with every primitive row replaced by one reading of it:
-    ``"raw"`` (the ufuncs a register tape calls) or
-    ``"interval"`` (what :mod:`repro.jit.bounds` interprets).
+    ``"raw"`` (the ufuncs a register tape calls), ``"interval"`` (what
+    :mod:`repro.jit.bounds` interprets) or ``"exact"`` (the source
+    templates a served hit's generated function is written from).
     Raises :class:`JitUnsupported` naming the row that does not state it."""
 
     def read(row: Primitive) -> Callable:
@@ -360,10 +379,18 @@ class _Unroller:
     tapes the bounds proof reads.  Identities follow the step kernels'
     (a bcast hands one object to every rank, a map keeps the arrays it
     only moves, a fold writes a fresh row per slot), so a reply aliases
-    what a step-by-step run's did."""
+    what a step-by-step run's did.
 
-    def __init__(self, dtypes: Sequence[np.dtype]) -> None:
+    ``dtypes`` None unrolls *exact* blocks instead — Python int / bool
+    leaves (one register) and flat tuples of them (one register per
+    component) — on the rows' ``exact`` templates, for :meth:`exact`.
+    There a tuple component may be ``UNDEF`` (a balanced butterfly's
+    ``missing``); an application that meets one declines, since only
+    the spec's lifted combines propagate it."""
+
+    def __init__(self, dtypes: Optional[Sequence[np.dtype]]) -> None:
         self.dtypes = dtypes
+        self.reading = "raw" if dtypes is not None else "exact"
         self.cls: list[int] = []  # register -> class of its arrays
         self.inputs: dict[int, tuple[int, int]] = {}  # -> (rank, slot)
         self.made: dict[int, tuple] = {}  # register -> its instruction
@@ -379,21 +406,30 @@ class _Unroller:
         return _Blk(("rank", rank), regs, regs)
 
     def run(self, tape: Tape, **regs: Sequence[int]) -> list[int]:
-        """``tape`` (bound ``raw``) on registers: ``i=`` a map's slots,
-        ``a=`` / ``b=`` a combine's operands."""
+        """``tape`` (bound to this unroller's reading) on registers:
+        ``i=`` a map's slots, ``a=`` / ``b=`` a combine's operands."""
         regs["t"] = tmps = []
         for fn, x, y, *_ in tape.instrs:
             if isinstance(y, tuple):
                 y = regs[y[0]][y[1]]
             elif y is not None:
                 y = ("c", type(y), y)
-            key = (fn, regs[x[0]][x[1]], y)
-            if key not in self.vn:
-                self.vn[key] = len(self.cls)
-                self.cls.append(self.cls[key[1]])
-                self.made[self.vn[key]] = (*key, self.vn[key])
-            tmps.append(self.vn[key])
+            tmps.append(self.apply(fn, regs[x[0]][x[1]], y))
         return [regs[tag][k] for tag, k in tape.out]
+
+    def apply(self, fn: Any, a: int, b: Any) -> int:
+        """The register of ``fn(a, b)`` (``b``: a register, a
+        ``("c", type, value)`` constant or None), one instruction per
+        distinct application."""
+        if a is UNDEF or b is UNDEF:
+            raise JitUnsupported("runtime-shape")
+        key = (fn, a, b)
+        reg = self.vn.get(key)
+        if reg is None:
+            reg = self.vn[key] = len(self.cls)
+            self.cls.append(self.cls[a])
+            self.made[reg] = (*key, reg)
+        return reg
 
     def block(self, regs: Sequence[int], comps: Sequence = ()) -> _Blk:
         comps = tuple(comps) or tuple(object() for _ in regs)
@@ -402,14 +438,21 @@ class _Unroller:
 
     def map_block(self, parts: Sequence[tuple[str, Callable]],
                   blk: Any) -> Any:
-        """The map of ``parts`` on one block (UNDEF passes)."""
+        """The map of ``parts`` on one block (UNDEF passes).  On exact
+        blocks a projection onto an ``UNDEF`` component is ``UNDEF``, as
+        ``safe_pi1`` is; a fused map that would go on from one declines
+        (the spec's stages, fused or not, disagree there)."""
         if blk is UNDEF:
             return UNDEF
-        if blk.regs is None:
+        if blk.regs is None or (self.dtypes is None and len(parts) > 1
+                                and UNDEF in blk.regs):
             raise JitUnsupported("runtime-shape")
-        tape = bind(emit_map(parts, len(blk.regs)), "raw")
+        tape = bind(emit_map(parts, len(blk.regs)), self.reading)
+        regs = self.run(tape, i=blk.regs)
+        if regs == [UNDEF]:
+            return UNDEF
         made: dict[int, object] = {}
-        return self.block(self.run(tape, i=blk.regs), [
+        return self.block(regs, [
             blk.comps[k] if tag == "i" else made.setdefault(k, object())
             for tag, k in tape.out])
 
@@ -500,6 +543,69 @@ class _Unroller:
 
         return run
 
+    def exact(self, sig: tuple, blocks: list) -> tuple[Callable, str]:
+        """``blocks``, unrolled from inputs of :func:`_exact_signature`
+        ``sig``, as one generated Python function of the input list and
+        its source.  Each register is a local, each instruction its row's
+        ``exact`` template, and only what the reply needs is computed,
+        in register order (an operand is always an earlier register).
+        Constants, ``UNDEF`` and ``bool`` are bound through the
+        function's namespace, so the source holds register and constant
+        names and the rows' templates — nothing a program, an operator
+        or a label says."""
+        consts: dict[tuple, str] = {}
+
+        def ref(x: Any) -> str:
+            if x is UNDEF:
+                return "U"
+            if isinstance(x, tuple):  # ("c", type, value)
+                return consts.setdefault(x, f"c{len(consts)}")
+            return f"r{x}"
+
+        need, stack = set(), [r for b in blocks if b is not UNDEF
+                              for r in b.regs if r is not UNDEF]
+        while stack:
+            r = stack.pop()
+            if r not in need:
+                need.add(r)
+                stack += [x for x in self.made.get(r, ())[1:3]
+                          if isinstance(x, int)]
+        slot = {at: r for r, at in self.inputs.items() if r in need}
+
+        def target(rank: int, n: int) -> str:
+            """The unpacking target of rank ``rank``'s input (``_``:
+            nothing of it is read)."""
+            names = [ref(slot[rank, k]) if (rank, k) in slot else "_"
+                     for k in range(n)]
+            if names.count("_") == n:
+                return "_"
+            return names[0] if n == 1 else f"({', '.join(names)})"
+
+        lines = ["def tape(xs):"]
+        if slot:
+            lines.append("    " + ", ".join(
+                target(rank, n) for rank, n in enumerate(sig)) + ", = xs")
+        for r in sorted(need & self.made.keys()):
+            fn, a, b, _ = self.made[r]
+            lines.append(f"    r{r} = " + fn.format(
+                a=ref(a), b=None if b is None else ref(b)))
+        reply, tuples = [], {}
+        for blk in blocks:
+            if blk is UNDEF or len(blk.regs) == 1:
+                reply.append(ref(blk if blk is UNDEF else blk.regs[0]))
+                continue
+            if blk.obj not in tuples:
+                tuples[blk.obj] = f"t{len(tuples)}"
+                lines.append(f"    {tuples[blk.obj]} = "
+                             f"({', '.join(map(ref, blk.regs))})")
+            reply.append(tuples[blk.obj])
+        lines.append(f"    return [{', '.join(reply)}]")
+        source = "\n".join(lines) + "\n"
+        space = {"__builtins__": {}, "bool": bool, "U": UNDEF,
+                 **{name: key[2] for key, name in consts.items()}}
+        exec(compile(source, "<exact tape>", "exec"), space)
+        return space["tape"], source
+
 
 def _split_sandwich(
     step: PlanStep,
@@ -520,7 +626,7 @@ Unroll = Callable[[_Unroller, list], list]
 
 
 def _bcast(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
-           label: str) -> Unroll:
+           label: str, reading: str) -> Unroll:
     def unroll(u: _Unroller, blocks: list) -> list:
         if not blocks:
             raise JitUnsupported("runtime-shape")
@@ -538,17 +644,19 @@ def _fold(spread: Optional[Callable[[Any, int], list]]) -> "_Jit":
     scan keeps every prefix)."""
 
     def prepare(pre: Optional[MapStage], coll: Stage,
-                post: Optional[MapStage], label: str) -> Unroll:
-        tape = bind(emit_combine(coll.op), "raw")
-        pre_tape = bind(emit_map(pre.parts, 1), "raw") if pre else None
+                post: Optional[MapStage], label: str, reading: str) -> Unroll:
+        tape = bind(emit_combine(coll.op, reading == "exact"), reading)
+        pre_tape = bind(emit_map(pre.parts, 1), reading) if pre else None
         if pre_tape is not None and len(pre_tape.out) != tape.slots:
             raise JitUnsupported(f"slot-shape:{pre.label}")
-        post_tape = bind(emit_map(post.parts, tape.slots), "raw") if post else None
+        post_tape = (bind(emit_map(post.parts, tape.slots), reading)
+                     if post else None)
         n_in = 1 if pre_tape is not None else tape.slots
 
         def unroll(u: _Unroller, blocks: list) -> list:
             if (not blocks or any(b is UNDEF or b.regs is None
-                                  or len(b.regs) != n_in for b in blocks)
+                                  or len(b.regs) != n_in or UNDEF in b.regs
+                                  for b in blocks)
                     or len({u.cls[r] for b in blocks for r in b.regs}) != 1):
                 raise JitUnsupported("runtime-shape")
             leaves = [u.run(pre_tape, i=b.regs) if pre_tape else b.regs
@@ -566,17 +674,20 @@ def _fold(spread: Optional[Callable[[Any, int], list]]) -> "_Jit":
 
 
 def _derived(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
-             label: str) -> Unroll:
+             label: str, reading: str) -> Unroll:
     """A comcast/iter stage as the steps of its definition (the pre map
     rides the bcast, the post map the last fold).  Exact where its left
     folds and the stage's digit traversal agree: on int64 blocks proven
-    overflow-free.  Floats round by combining order: declined here."""
+    overflow-free, and on Python ints and bools, where the definition is
+    what the served evaluator computes.  Floats round by combining order:
+    declined here."""
     groups = [[s] for s in coll.definition() or ()]
     if not groups:
         raise JitUnsupported(f"uncompiled:{label}")
     groups[0][:0] = [pre] if pre else []
     groups[-1] += [post] if post else []
-    subs = [_prepare(PlanStep("collective", tuple(g), label)) for g in groups]
+    subs = [_prepare(PlanStep("collective", tuple(g), label), reading)
+            for g in groups]
     for sub in subs:
         if sub.unroll is None:
             raise JitUnsupported(sub.reason)
@@ -588,7 +699,8 @@ def _derived(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
         p = len(blocks)
         root = blocks[0] if p else UNDEF
         if (root is UNDEF or root.regs is None
-                or u.dtypes[u.cls[root.regs[0]]] != np.int64
+                or (u.dtypes is not None
+                    and u.dtypes[u.cls[root.regs[0]]] != np.int64)
                 or (pow2_only and p & (p - 1))):
             raise JitUnsupported("runtime-shape")
         for sub in subs:
@@ -598,15 +710,54 @@ def _derived(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
     return unroll
 
 
+def _balanced(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
+              label: str, reading: str) -> Unroll:
+    """``[all]reduce_balanced`` / ``scan_balanced`` (Figures 4-5) on
+    exact blocks: the stage's own schema (its ``apply``) run on
+    registers, its operator rebuilt to emit one instruction per
+    application, so the tree and butterfly make the spec's applications
+    in the spec's bracketing, and ``missing``'s ``UNDEF`` propagates
+    through the lifted combine as on values.  Array blocks run the
+    checked kernels."""
+    ops: list[BinOp] = []
+    coll.rebuild(None, lambda op: ops.append(op) or op)
+    (op,) = ops
+    row = primitive(op)
+    if row is None or row.exact is None:
+        raise JitUnsupported(f"no-exact:{op.name}")
+
+    def unroll(u: _Unroller, blocks: list) -> list:
+        if pre is not None:
+            blocks = [u.map_block(pre.parts, b) for b in blocks]
+        emit = coll.rebuild(None, lambda op: op.with_fn(
+            lambda a, b: u.apply(row.exact, a, b)))
+        try:
+            states = emit.apply([
+                b if b is UNDEF else b.regs[0] if len(b.regs) == 1
+                else tuple(b.regs) for b in blocks])
+        except (TypeError, ValueError):  # a state of the wrong shape
+            raise JitUnsupported("runtime-shape") from None
+        made: dict[int, Any] = {}
+        out = [s if s is UNDEF else made.setdefault(id(s), u.block(
+            s if isinstance(s, tuple) else (s,))) for s in states]
+        if post is not None:
+            out = [u.map_block(post.parts, b) for b in out]
+        return out
+
+    return unroll
+
+
 @dataclass(frozen=True)
 class _Jit:
     """How one stage class unrolls and how it is proven.
 
-    ``unroll(pre, stage, post, label)`` returns the step's :data:`Unroll`
-    or raises :class:`JitUnsupported`, the reason to count.  ``tape(stage,
-    slots)`` emits what the stage does to a block (None: it only moves
-    blocks), ``read`` is its :mod:`repro.jit.bounds` reading; a class
-    with neither is proven as the pipeline it is defined by."""
+    ``unroll(pre, stage, post, label, reading)`` returns the step's
+    :data:`Unroll` on blocks of ``reading`` (``"raw"``: arrays,
+    ``"exact"``: Python scalars) or raises :class:`JitUnsupported`, the
+    reason to count.  ``tape(stage, slots)`` emits what the stage does to
+    a block (None: it only moves blocks), ``read`` is its
+    :mod:`repro.jit.bounds` reading; a class with neither is proven as
+    the pipeline it is defined by."""
 
     unroll: Callable[..., Unroll]
     tape: Optional[Callable[[Any, int], Any]] = None
@@ -616,7 +767,7 @@ class _Jit:
 #: stage class -> its entry (the ``machine.run._MACHINE`` pattern); a
 #: class without one runs the checked kernels (``uncompiled:<stage>``)
 _JIT: dict[type, _Jit] = {
-    MapStage: _Jit(lambda pre, stage, post, label: lambda u, blocks: [
+    MapStage: _Jit(lambda pre, stage, post, label, reading: lambda u, blocks: [
                        u.map_block(stage.parts, b) for b in blocks],
                    lambda stage, slots: emit_map(stage.parts, slots),
                    map_intervals),
@@ -628,19 +779,29 @@ _JIT: dict[type, _Jit] = {
     IterStage: _Jit(_derived),
 }
 
+#: stage classes only exact blocks unroll: a balanced tree or butterfly
+#: has no tape or bounds reading, so array blocks run its checked kernels
+#: (``uncompiled:<stage>``)
+_EXACT_ONLY: dict[type, Callable[..., Unroll]] = {
+    BalancedReduceStage: _balanced,
+    BalancedScanStage: _balanced,
+}
+
 #: a plan step and its unrolling (None: always checked, for ``reason``);
 #: ``ints_only``: exact on int64 blocks only, declining the rest
 _Step = namedtuple("_Step", "plan_step unroll reason ints_only")
 
 
-def _prepare(step: PlanStep) -> _Step:
+def _prepare(step: PlanStep, reading: str = "raw") -> _Step:
     pre, coll, post = _split_sandwich(step)
     entry = _JIT.get(type(coll))
+    unroll = (entry.unroll if entry is not None else _EXACT_ONLY.get(
+        type(coll)) if reading == "exact" else None)
     try:
-        if entry is None:
+        if unroll is None:
             raise JitUnsupported(f"uncompiled:{step.label}")
-        return _Step(step, entry.unroll(pre, coll, post, step.label), "",
-                     entry.unroll is _derived)
+        return _Step(step, unroll(pre, coll, post, step.label, reading), "",
+                     unroll is _derived)
     except JitUnsupported as exc:
         return _Step(step, None, str(exc), False)
 
@@ -844,6 +1005,25 @@ class CompiledProgram:
             data = run(data, slots, classes, self.params)
         return data, covered
 
+    def exact_tape(self, sig: tuple) -> "ExactTape":
+        """Every step unrolled over exact blocks of
+        :func:`_exact_signature` ``sig`` and emitted as one generated
+        function (:meth:`_Unroller.exact`), or why a step declines them.
+        Built, not kept: :func:`exact_evaluator` keeps it in ``_tapes``
+        once it has agreed with the spec."""
+        u = _Unroller(None)
+        blocks = [u.take(rank, (n, 0) if n else None)
+                  for rank, n in enumerate(sig)]
+        try:
+            for step in self.plan.steps:
+                st = _prepare(step, "exact")
+                if st.unroll is None:
+                    raise JitUnsupported(st.reason)
+                blocks = st.unroll(u, blocks)
+        except JitUnsupported as exc:
+            return ExactTape(None, "", str(exc))
+        return ExactTape(*u.exact(sig, blocks), "")
+
     @cached_property
     def token_program(self) -> Program:
         """The kernelized program with every function reduced to
@@ -854,6 +1034,137 @@ class CompiledProgram:
                            lambda op: op.with_fn(_token_op))
              for st in self.plan.program.stages],
             name=self.plan.program.name)
+
+
+#: a program's exact tape for one block signature: the generated function
+#: (None: declined), its source, and why it was declined ("" = kept)
+ExactTape = namedtuple("ExactTape", "run source why")
+
+#: a block's arity on the exact tape, by its type (a tuple's is its length)
+_ARITY = {int: 1, bool: 1, type(UNDEF): 0}
+_LEAVES = frozenset((int, bool))
+
+
+def _exact_signature(blocks: Sequence[Any]) -> Optional[tuple]:
+    """Per rank 0 (``UNDEF``), 1 (a Python int or bool) or ``n`` ≥ 2 (a
+    flat tuple of ``n`` of them): the blocks an exact tape takes.  None
+    when some block is anything else.  A flat list of ints and bools —
+    every served input list — is read from its types alone."""
+    if _LEAVES.issuperset(map(type, blocks)):
+        return (1,) * len(blocks)
+    out = []
+    for b in blocks:
+        n = _ARITY.get(type(b))
+        if n is None:
+            if (type(b) is not tuple or len(b) < 2
+                    or not _LEAVES.issuperset(map(type, b))):
+                return None
+            n = len(b)
+        out.append(n)
+    return tuple(out)
+
+
+def _identical(x: Any, y: Any) -> bool:
+    """Equal in value and type, with ``UNDEF`` in the same places, down
+    every list and tuple."""
+    if type(x) is not type(y):
+        return False
+    if type(x) in (list, tuple):
+        return len(x) == len(y) and all(map(_identical, x, y))
+    return x == y
+
+
+def _agrees(run: Callable, inputs: Sequence[Any], values: list) -> bool:
+    """Does ``run(inputs)`` give ``values``, :func:`_identical`ly?  A
+    template a registration got wrong may raise: that is a no."""
+    try:
+        return _identical(run(inputs), values)
+    except Exception:
+        return False
+
+
+def _exact_entry(program: Program, inputs: Sequence[Any]) -> tuple:
+    """``(compiled program, _tapes key, kept ExactTape or None)`` for
+    ``program`` on ``inputs``, or ``(None, None, why)`` where no tape can
+    be looked up — counted in ``STATS.exact``."""
+    sig = _exact_signature(inputs)
+    if sig is None:
+        why = "inexact-input"
+    else:
+        try:
+            cp = compiled_program(program)
+        except KernelUnsupported:
+            why = "unsupported-program"
+        else:
+            key = ("exact", sig)
+            return cp, key, cp._tapes.get(key)
+    STATS.exact[why] += 1
+    return None, None, why
+
+
+def _first_hit(cp: CompiledProgram, key: tuple, program: Program,
+               inputs: Sequence[Any]) -> list:
+    """The spec's values on ``inputs``, with the exact tape of ``key``
+    built beside them (the ``jit.lower`` span), kept and its verdict
+    counted in ``STATS.exact``: as built when its values are
+    :func:`_identical` to the spec's, else declined (``exact-disagree``,
+    or ``evaluator-raised`` when the spec raises, which is raised on)."""
+    with span("jit.lower") as traced:
+        tape = cp.exact_tape(key[1])
+        try:
+            values = program.through_definitions().run(inputs)
+        except Exception:
+            tape = ExactTape(None, tape.source, tape.why or "evaluator-raised")
+            raise
+        else:
+            if tape.run is not None and not _agrees(tape.run, inputs, values):
+                tape = ExactTape(None, tape.source, "exact-disagree")
+        finally:
+            cp._tapes.put(key, tape)
+            traced.outcome = tape.why or "exact"
+            STATS.exact[traced.outcome] += 1
+    return values
+
+
+def exact_evaluator(program: Program, inputs: Sequence[Any],
+                    hit: bool) -> Callable[[], list]:
+    """How a cooperative served job computes its values: the ``evaluate``
+    thunk :func:`~repro.machine.run.resident_run` calls.
+
+    On a resident hit (``hit``) of exact blocks it is the program's exact
+    tape for the blocks' signature, kept in its compiled program's
+    ``_tapes``: one generated function, no ``BinOp`` frame.  The first
+    hit of a signature builds the tape (:func:`_first_hit`) and runs the
+    spec, so a miss never builds one.  Everything else — a miss (the
+    engine runs then anyway), inexact blocks, a program without kernels,
+    a declined tape — computes with ``program.through_definitions().run``
+    as before."""
+    if hit:
+        cp, key, tape = _exact_entry(program, inputs)
+        if cp is not None:
+            if tape is None:
+                return lambda: _first_hit(cp, key, program, inputs)
+            if tape.run is not None:
+                run = tape.run
+                return lambda: run(inputs)
+    return lambda: program.through_definitions().run(inputs)
+
+
+def exact_verdict(program: Program, inputs: Sequence[Any]) -> str:
+    """``"exact"`` when a served hit of ``program`` on blocks shaped like
+    ``inputs`` computes with its exact tape, else the reason it does not;
+    the tape is built, checked on ``inputs`` and kept here (its verdict
+    counted) if no hit has built it yet."""
+    cp, key, kept = _exact_entry(program, inputs)
+    if cp is None:
+        return kept  # why no tape could be looked up
+    if kept is None:
+        try:
+            _first_hit(cp, key, program, inputs)
+        except Exception:  # the spec raised: the tape keeps the reason
+            pass
+        kept = cp._tapes.get(key)
+    return kept.why or "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -876,9 +1187,10 @@ def compiled_program(
     """Compile (or fetch from cache) the JIT plan for ``program``.
 
     Raises :class:`~repro.kernels.blocks.KernelUnsupported` when the
-    program cannot even be kernelized — the static skip.  The cache key
-    includes the chunking params and the kernel-registry version, so a
-    stale compile can never be served after either changes.
+    program cannot even be kernelized — the static skip, which the cache
+    keeps as it keeps a compile.  The cache key includes the chunking
+    params and the kernel-registry version, so a stale compile (or skip)
+    can never be served after either changes.
     """
     params = params if params is not None else DEFAULT_LOCAL_PARAMS
     key = (program, params, registry_version())
@@ -888,9 +1200,16 @@ def compiled_program(
         hit = key = None
     if hit is not None:
         STATS.cache_hits += 1
+        if isinstance(hit, KernelUnsupported):  # the kept static skip
+            raise type(hit)(*hit.args)
         return hit
     STATS.cache_misses += 1
-    plan = build_plan(program)  # may raise KernelUnsupported
+    try:
+        plan = build_plan(program)
+    except KernelUnsupported as exc:
+        if key is not None:  # kept without its traceback's frames
+            _COMPILE_CACHE.put(key, type(exc)(*exc.args))
+        raise
     cp = CompiledProgram(plan, params)
     STATS.compiles += 1
     STATS.fused_stages += cp.fused_stages
@@ -958,15 +1277,22 @@ def engine_lower(
     :data:`DEFAULT_LOCAL_PARAMS`.  Raises
     :class:`~repro.kernels.blocks.KernelUnsupported` when not even
     kernelizable (callers fall back to object mode).
+
+    The lowering is the ``jit.lower`` span, whose ``outcome`` is
+    ``fused`` or the reason the fused rung was declined
+    (``unsupported`` when not even kernelizable).
     """
     STATS.runs += 1
-    vec = [vectorize_block(x) for x in inputs]  # may raise KernelUnsupported
-    cp = compiled_program(program)  # may raise KernelUnsupported
-    low = EngineLowering("checked", "", cp.plan.program, vec)
-    profile = _input_profile(vec)
-    why = (cp.uncompiled or cp.proven_safe(profile, len(vec))[1]
-           or (f"{profile[0]}-blocks" if profile[0] != "int" else "")
-           or ("nonconforming-input" if _conform(vec, 1) is None else ""))
+    with span("jit.lower") as traced:
+        traced.outcome = "unsupported"
+        vec = [vectorize_block(x) for x in inputs]  # may raise KernelUnsupported
+        cp = compiled_program(program)  # may raise KernelUnsupported
+        low = EngineLowering("checked", "", cp.plan.program, vec)
+        profile = _input_profile(vec)
+        why = (cp.uncompiled or cp.proven_safe(profile, len(vec))[1]
+               or (f"{profile[0]}-blocks" if profile[0] != "int" else "")
+               or ("nonconforming-input" if _conform(vec, 1) is None else ""))
+        traced.outcome = why or "fused"
     if why:
         STATS.fallbacks[why] += 1
         return replace(low, why=why)

@@ -55,6 +55,11 @@ class JitStats:
     #: reason -> count for every fallback decision (static and dynamic),
     #: including each rung of the engine ladder that was declined
     fallbacks: Counter = field(default_factory=Counter)
+    #: the exact tier's verdicts: one per exact tape built (``exact``, or
+    #: the reason it declined) and one per served hit that could look no
+    #: tape up (``inexact-input``, ``unsupported-program``); not in
+    #: :meth:`snapshot`, which is the array tier's
+    exact: Counter = field(default_factory=Counter)
 
     def snapshot(self) -> dict[str, Any]:
         snap: dict[str, Any] = {key: getattr(self, key)
@@ -72,12 +77,16 @@ class JitStats:
                 lines.append(f"    {reason:24}: {count}")
         else:
             lines.append("  fallback reasons  : (none)")
+        lines.append("  exact verdicts    :" + ("" if self.exact else " (none)"))
+        for verdict, count in sorted(self.exact.items()):
+            lines.append(f"    {verdict:24}: {count}")
         return "\n".join(lines)
 
     def reset(self) -> None:
         for key in _COUNTERS:
             setattr(self, key, 0)
         self.fallbacks.clear()
+        self.exact.clear()
 
 
 STATS = JitStats()

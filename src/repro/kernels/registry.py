@@ -1,12 +1,13 @@
-"""Kernel registry: one row per numeric primitive, three readings of it.
+"""Kernel registry: one row per numeric primitive, four readings of it.
 
 Every numeric tier reads the same two tables:
 
 * ``primitives`` — a :class:`~repro.core.operators.BinOp` *object*
   (``ADD``, ``MUL``, ``MAX``, ...) to its :class:`Primitive` row: the
   overflow-**checked** whole-block kernel, the **raw** ufunc the JIT's
-  tapes run once a program is proven safe, and the **interval**
-  extension that proof is made with.  A namesake of a catalogue
+  tapes run once a program is proven safe, the **interval** extension
+  that proof is made with, and the **exact** source template a served
+  hit's generated function computes Python ints and bools with.  A namesake of a catalogue
   operator has no row; a kernelized or token form (:meth:`BinOp.with_fn`)
   reads the row of the operator it was made from.  Composed operators
   (``op_sr2`` pairs, products, ``ew`` lifts, segmented operators)
@@ -31,8 +32,9 @@ exact).
 
 ``register_binop_kernel`` / ``register_map_kernel`` replace a **whole**
 row: a bare kernel is a row with a checked reading only, so the operator
-has no raw form and no proof — and the JIT declines it, naming the row —
-until a full row states them (see ``docs/PERFORMANCE.md``).
+has no raw form, no proof and no exact template — and the JIT declines
+it, naming the row — until a full row states them (see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -90,14 +92,20 @@ class Primitive:
     blocks wherever ``interval`` — the exact extension of the primitive
     to ``(lo, hi)`` bounds over Python ints — stays inside
     :data:`~repro.kernels.blocks.MAX_SAFE_INT`.  A row without them runs
-    checked on every tier.  ``name`` is printed in the JIT's decline
-    reasons (``no-raw:<name>``) and decides nothing.
+    checked on every tier.  ``exact`` is the operator's ``fn`` stated as
+    a Python expression over ``{a}`` and ``{b}`` (``{a}`` alone for a
+    unary row): on every pair of Python ints and bools it must give what
+    ``fn`` gives, in value and type (``max(True, 1) is True``), and it
+    reads each operand by name only, so an operand may be read twice.
+    ``name`` is printed in the JIT's decline reasons (``no-raw:<name>``,
+    ``no-exact:<name>``) and decides nothing.
     """
 
     checked: Callable[..., Any]
     raw: Optional[Callable[..., Any]] = None
     interval: Optional[Callable[..., Interval]] = None
     name: str = ""
+    exact: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -148,10 +156,11 @@ def _imul(a: Interval, b: Interval) -> Interval:
 
 
 _ADD = Primitive(checked_add, np.add, lambda a, b: (a[0] + b[0], a[1] + b[1]),
-                 "add")
-_MUL = Primitive(checked_mul, np.multiply, _imul, "mul")
+                 "add", "({a} + {b})")
+_MUL = Primitive(checked_mul, np.multiply, _imul, "mul", "({a} * {b})")
 #: the one unary row: no operator has it, the ``neg`` map applies it
-_NEG = Primitive(checked_neg, np.negative, lambda a: (-a[1], -a[0]), "neg")
+_NEG = Primitive(checked_neg, np.negative, lambda a: (-a[1], -a[0]), "neg",
+                 "(-{a})")
 
 #: operator -> row.  ``FADD``/``FMUL`` only ever see int intervals when a
 #: float op is (harmlessly) applied to ints.
@@ -160,13 +169,17 @@ _PRIMITIVES: dict[BinOp, Primitive] = {
     FADD: _ADD,
     MUL: _MUL,
     FMUL: _MUL,
+    # ``max`` / ``min`` keep their first argument on a tie, and ``and`` /
+    # ``or`` return an operand: the templates say so without the names
     MAX: Primitive(np.maximum, np.maximum,
-                   lambda a, b: (max(a[0], b[0]), max(a[1], b[1])), "max"),
+                   lambda a, b: (max(a[0], b[0]), max(a[1], b[1])), "max",
+                   "({b} if {b} > {a} else {a})"),
     MIN: Primitive(np.minimum, np.minimum,
-                   lambda a, b: (min(a[0], b[0]), min(a[1], b[1])), "min"),
-    AND: Primitive(_and_kernel, name="and"),
-    OR: Primitive(_or_kernel, name="or"),
-    XOR: Primitive(_xor_kernel, name="xor"),
+                   lambda a, b: (min(a[0], b[0]), min(a[1], b[1])), "min",
+                   "({b} if {b} < {a} else {a})"),
+    AND: Primitive(_and_kernel, name="and", exact="({b} if {a} else {a})"),
+    OR: Primitive(_or_kernel, name="or", exact="({a} if {a} else {b})"),
+    XOR: Primitive(_xor_kernel, name="xor", exact="(bool({a}) ^ bool({b}))"),
 }
 
 

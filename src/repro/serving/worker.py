@@ -9,9 +9,12 @@ same-tenant, same-``(p, params)`` batch-mates and runs them in **one fork
 generation** through the shared :class:`~repro.parallel.backend.\
 ProcessJobRunner`; on ``"threaded"`` it executes jobs singly through
 :func:`~repro.machine.run.simulate_program`, and on ``"cooperative"``
-through :func:`~repro.machine.run.resident_run` with the planned
-program's :meth:`~repro.core.stages.Program.through_definitions` reading
-as the evaluator (exact on the int/bool leaves that run admits: see
+through :func:`~repro.machine.run.resident_run` with
+:func:`~repro.jit.exact_evaluator` as the evaluator: on a resident hit
+of int/bool blocks the program's exact tape, one generated function,
+and otherwise the planned program's
+:meth:`~repro.core.stages.Program.through_definitions` reading (exact
+on the int/bool leaves that run admits: see
 :meth:`~repro.core.stages.Stage.definition`) — a repeated (program,
 machine, definedness) answers from its resident schedule, and every
 outcome lands in the manager's ``resident_hits`` / ``resident_bypasses``.
@@ -33,7 +36,8 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.machine.run import resident_run, simulate_program
+from repro.jit import exact_evaluator
+from repro.machine.run import resident_run, resident_schedule, simulate_program
 from repro.parallel.errors import ProcessIncidentError, WorkerDeadlineError
 from repro.recovery.health import backoff
 from repro.serving.deadline import remaining_budget
@@ -166,10 +170,13 @@ class WorkerPool:
                         return mgr.queue.requeue(job)
                     values = done[0]
                 elif substrate == "cooperative":
-                    evaluate = job.program.through_definitions().run
+                    lookup = lookup or resident_schedule(
+                        job.program, job.inputs, job.params)
                     sim, outcome = resident_run(
                         job.program, job.inputs, job.params,
-                        lambda: evaluate(job.inputs), lookup=lookup)
+                        exact_evaluator(job.program, job.inputs,
+                                        lookup[1] is not None),
+                        lookup=lookup)
                     mgr.record_schedule(outcome)
                     values = sim.values
                 else:

@@ -961,6 +961,25 @@ class TestStatsAndCli:
         assert "scan_balanced" in out
         assert ("engine rung under jit=True: checked (declined the fused "
                 "rung: uncompiled:scan_balanced (op_ss[add]))") in out
+        # ... which the exact tier unrolls by its butterfly schema
+        assert out.count(
+            "exact tier on 8 int blocks (a served hit): covered") == 2
+
+    def test_cli_jit_stats_prints_the_exact_tiers_verdict(self, capsys,
+                                                          tmp_path):
+        f = tmp_path / "prog.mpi"
+        f.write_text("Program P (x);\nMPI_Bcast (x);\nMPI_Scan (x, y, add);\n")
+        assert cli_main(["jit", "stats", str(f), "--p", "8", "--m", "64"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(
+            "exact tier on 8 int blocks (a served hit): covered") == 2
+        assert "exact verdicts" in out
+        f.write_text("Program P (x);\nMPI_Scan (x, y, add);\n"
+                     "MPI_Allgather (y, z);\n")
+        assert cli_main(["jit", "stats", str(f), "--p", "4", "--m", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("exact tier on 4 int blocks (a served hit): "
+                         "declined: uncompiled:allgather") == 2
 
     def test_cli_jit_clear(self, capsys):
         code = cli_main(["jit", "clear"])

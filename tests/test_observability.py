@@ -24,6 +24,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -39,7 +40,7 @@ from repro.core.stages import BcastStage, Program, ReduceStage, ScanStage
 from repro.core.store import clear_caches
 from repro.lang import parse_program
 from repro.machine.engine import run_spmd
-from repro.machine.run import StageTiming, stage_breakdown
+from repro.machine.run import StageTiming, simulate_program, stage_breakdown
 from repro.obs import trace as obs_trace
 from repro.serving import ServingConfig, ServingManager
 
@@ -278,6 +279,40 @@ def test_an_inline_hit_reads_from_its_spans(tmp_path):
     assert [(d["outcome"], d["parent"], d["request"]) for d in resident] == [
         ("miss", None, None), ("hit", submits[hit.job_id], hit.job_id)]
     assert "outcome" not in docs[0]  # a seam that answers nothing
+
+
+def test_the_jit_lower_seam_reads_from_its_spans(tmp_path):
+    """A served hit's exact tape and an array run's engine lowering, from
+    the written spans alone: the first hit builds the tape inside its own
+    ``machine.resident`` (outcome ``exact``), the next hit builds nothing,
+    and ``simulate_program(jit=True)`` on int64 blocks lowers to the
+    fused rung (outcome ``fused``)."""
+    clear_caches()
+    program = Program([ScanStage(MUL), ReduceStage(ADD)], name="lowered")
+    tracer = obs.TRACER
+    first = len(tracer.spans)
+    tracer.enabled = True
+    try:
+        with ServingManager(ServingConfig(substrate="cooperative")) as mgr:
+            mgr.submit(program, [1, 2, 3, 4], SMALL).result(timeout=60.0)
+            hits = [mgr.submit(program, [j, 3, 4, 5], SMALL)
+                    for j in (1, 2)]
+            assert [h.result(timeout=60.0)[0] for h in hits] == [76, 152]
+        simulate_program(program, [np.arange(8, dtype=np.int64)] * 4, SMALL,
+                         jit=True)
+    finally:
+        tracer.enabled = False
+    path = tmp_path / "spans.jsonl"
+    obs.write_jsonl(tracer.spans[first:], path)
+    del tracer.spans[first:]
+    docs = list(obs.read_jsonl(path))
+    by_id = {d["id"]: d for d in docs}
+    lowered = [d for d in docs if d["name"] == "jit.lower"]
+    assert [d["outcome"] for d in lowered] == ["exact", "fused"]
+    resident = by_id[lowered[0]["parent"]]
+    assert (resident["name"], resident["outcome"], resident["request"]) == (
+        "machine.resident", "hit", hits[0].job_id)
+    assert lowered[1]["request"] is None
 
 
 def test_a_collection_is_booked_on_the_innermost_span_of_its_thread():

@@ -644,11 +644,12 @@ REPEATS = 50
 
 
 def test_a_repeated_request_builds_hashes_and_traverses_nothing(monkeypatch):
-    """After warm-up, ``parse_program`` → ``to_program`` → ``optimize(
-    cache=…)`` → ``submit`` → ``result`` of a repeated text constructs no
-    ``Stage``, computes no ``Program`` hash, and its resident hit runs no
-    ``ComcastOp.compute`` and no ``IterOp`` digit traversal — counted,
-    like the locks above: the cause, not the clock."""
+    """After warm-up (up to each program's first resident hit, which
+    builds its exact tape), ``parse_program`` → ``to_program`` →
+    ``optimize(cache=…)`` → ``submit`` → ``result`` of a repeated text
+    constructs no ``Stage``, computes no ``Program`` hash, and its
+    resident hit runs no ``ComcastOp.compute`` and no ``IterOp`` digit
+    traversal — counted, like the locks above: the cause, not the clock."""
     clear_caches()
     cache, env = PlanCache(), {"op1": ADD}
     counts: Counter = Counter()
@@ -679,8 +680,9 @@ def test_a_repeated_request_builds_hashes_and_traverses_nothing(monkeypatch):
     real_hash = Program.__hash__
     with ServingManager(ServingConfig(workers=1,
                                       substrate="cooperative")) as mgr:
-        # plan, replay, admit, hit
-        planned = [request(mgr, text, 0)[0] for text in REPEATED * 2][2:]
+        # plan, replay and admit, then the first hit, which builds the
+        # program's exact tape
+        planned = [request(mgr, text, 0)[0] for text in REPEATED * 3][4:]
         assert [type(p.stages[0]) for p in planned] == [ComcastStage,
                                                          IterStage]
         hits = mgr.stats()["resident_hits"]
