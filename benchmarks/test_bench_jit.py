@@ -10,8 +10,8 @@ reduce(op_sr2) ; map π₁``), so the comparison isolates per-combine
 checking overhead, not the rewrite and not the substrate.
 
 A second assertion pins the simulated-time contract: ``jit=True`` on
-the machine engine must report exactly the same clock as
-``vectorize=True`` (JIT changes wall-clock only, never the cost model).
+the machine engine must report exactly the same clock as the
+object-mode run (JIT changes wall-clock only, never the cost model).
 
 A third is a gate, not a headline — *never ship a modelled loser*: on
 the four ``exec_block`` deck shapes (p = 8, 131 072-element int64
@@ -206,15 +206,14 @@ def test_jit_benchmark_pipeline_agrees_across_backends():
 
 
 def test_jit_identical_simulated_time():
-    """jit=True reports the exact simulated clock of vectorize=True."""
+    """jit=True reports the exact simulated clock of the object-mode run."""
     prog = _optimized(CHECK_BLOCK)
     xs = _inputs(CHECK_BLOCK, seed=2)
     params = MachineParams(p=P, ts=10.0, tw=1.0, m=CHECK_BLOCK)
-    vec = simulate_program(prog, [a.copy() for a in xs], params,
-                           vectorize=True)
+    obj = simulate_program(prog, [a.copy() for a in xs], params)
     jit = simulate_program(prog, [a.copy() for a in xs], params, jit=True)
-    assert jit.time == vec.time
-    for v, j in zip(vec.values, jit.values):
+    assert jit.time == obj.time
+    for v, j in zip(obj.values, jit.values):
         assert np.array_equal(np.asarray(v), np.asarray(j))
 
 

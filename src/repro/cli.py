@@ -640,6 +640,7 @@ def _cmd_jit(args: argparse.Namespace) -> int:
         print("cleared the JIT compile cache and stats")
         return 0
 
+    failed = False
     if args.file is not None:
         import numpy as np
 
@@ -656,9 +657,9 @@ def _cmd_jit(args: argparse.Namespace) -> int:
         print(f"demo run: p={params.p}, block={params.m} int64")
         planned = optimize(program, params, rules=FULL_RULES,
                            strategy="beam").program
-        for title, prog in (("as written", program),
-                            ("as planned (FULL_RULES, beam)", planned)):
-            print(f"\n{title}: {prog.pretty()}")
+        for form, how, prog in (("as written", "", program),
+                                ("as planned", " (FULL_RULES, beam)", planned)):
+            print(f"\n{form}{how}: {prog.pretty()}")
             try:
                 cp = compiled_program(prog)
             except KernelUnsupported as exc:
@@ -667,7 +668,13 @@ def _cmd_jit(args: argparse.Namespace) -> int:
             print("compiled plan ('jit' steps run raw fused kernels, "
                   "'kern' steps the checked fallback):")
             print(cp.pretty())
-            run_jit(prog, xs)
+            try:  # the demo blocks may be ones the program cannot run on
+                run_jit(prog, xs)
+            except Exception as exc:
+                print(f"error: {form}: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                failed = True
+                continue
             low = engine_lower(prog, xs, params)
             print(f"engine rung under jit=True: {low.rung}"
                   + (f" (declined the fused rung: {low.why})"
@@ -678,7 +685,7 @@ def _cmd_jit(args: argparse.Namespace) -> int:
                      else f"declined: {verdict}"))
         print()
     print(STATS.describe())
-    return 0
+    return int(failed)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -23,8 +23,8 @@ Entry points: :func:`run_jit` (the evaluator, and the seventh oracle
 backend), :func:`engine_lower` / :func:`run_engine_ladder` (how
 ``simulate_program(..., jit=True)`` runs: fused kernels for the values
 plus a token run for the schedule, else the checked kernels — simulated
-time is bit-identical to ``vectorize=True``; JIT changes
-wall-clock only) and :func:`exact_evaluator` (how a served resident hit
+time is bit-identical to the object-mode run; JIT changes wall-clock
+only) and :func:`exact_evaluator` (how a served resident hit
 computes its values: the same unrolling over Python int / bool blocks,
 emitted as one generated function, checked against the spec at the
 first hit; :func:`exact_verdict` reads its verdict).

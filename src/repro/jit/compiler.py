@@ -82,9 +82,9 @@ from repro.kernels.blocks import (
     vectorize_block,
 )
 from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan, run_lowered
-from repro.kernels.lowering import rebuild_stage, vectorize_program
+from repro.kernels.lowering import rebuild_stage
 from repro.kernels.registry import Primitive, map_rows, primitive, registry_version
-from repro.machine.run import DEFINED
+from repro.machine.run import DEFINED, rank_program, resident_run, run_ranks
 from repro.obs import span
 from repro.semantics.functional import UNDEF
 
@@ -1301,14 +1301,15 @@ def engine_lower(
                           cp, low)
 
 
-def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:
+def _run_fused(engine: str, low: EngineLowering, params: MachineParams,
+               faults: Any) -> Any:
     """Kernel values joined with a token run's schedule — or None, reason
     counted, where only the run can tell the fused rung does not apply:
     a fault plan makes definedness depend on the schedule, a step may
     decline its runtime blocks, and the token run must leave ``UNDEF``
-    exactly where the kernels do.  An engine that keeps token schedules
-    resident (``run.resident``, the cooperative one) answers without
-    running; any other runs the tokens itself."""
+    exactly where the kernels do.  The cooperative engine keeps token
+    schedules resident (:func:`~repro.machine.run.resident_run`) and
+    answers without running; any other runs the tokens itself."""
     if faults is not None and not faults.is_empty:
         why = "fault-plan"
     else:
@@ -1317,13 +1318,14 @@ def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:
             why = "runtime-shape"
         else:
             values = tuple(map(devectorize_block, values))
-            resident = getattr(run, "resident", None)
-            if resident is not None:
-                result, why = resident(low.program, low.inputs, lambda: values)
+            if engine == "cooperative":
+                result, why = resident_run(low.program, low.inputs, params,
+                                           lambda: values, faults=faults)
                 if why in ("hit", "miss"):
                     return result
             else:
-                result = run(low.program, low.inputs)
+                result = run_ranks(engine, rank_program(low.program.stages),
+                                   low.inputs, params, faults=faults)
                 if all((t is UNDEF) == (v is UNDEF)
                        for t, v in zip(result.values, values)):
                     return replace(result, values=values)
@@ -1333,39 +1335,34 @@ def _run_fused(run: Callable, low: EngineLowering, faults: Any) -> Any:
 
 
 def run_engine_ladder(
-    run: Callable[[Program, Sequence[Any]], Any],
+    engine: str,
     program: Program,
     inputs: Sequence[Any],
-    params: Optional[MachineParams],
+    params: MachineParams,
     faults: Any,
-    jit: bool,
 ) -> Any:
-    """The kernel ladder every engine shares (``vectorize=`` / ``jit=``).
+    """The kernel ladder every engine shares (``simulate_program(jit=True)``).
 
-    ``run(program, inputs)`` is the engine's plain run of exactly what
-    it is given; an engine that keeps resident schedules also offers
-    ``run.resident(program, inputs, evaluate)`` →
-    :func:`~repro.machine.run.resident_run`'s ``(result, outcome)``,
-    which the fused rung takes for its token run.  Returns the engine's
+    Lowers with :func:`engine_lower` and runs the rung it picks on
+    ``engine`` (:func:`~repro.machine.run.run_ranks`): the fused rung's
+    token run, or the checked kernels, dropped to when the fused rung
+    declines at run time.  Returns the engine's
     :class:`~repro.machine.engine.SimResult` with object-mode values, or
     None when no kernel rung applies — not kernelizable, or a checked
     kernel met an int64 overflow — and the caller must run ``program``
     itself in object mode.
     """
-    def lower() -> EngineLowering:
-        if jit:
-            return engine_lower(program, inputs, params)
-        return EngineLowering("checked", "", vectorize_program(program),
-                              [vectorize_block(x) for x in inputs])
-
     def descend(low: EngineLowering) -> Any:
         if low.below is not None:
-            result = _run_fused(run, low, faults)
+            result = _run_fused(engine, low, params, faults)
             if result is not None:
                 return result
             low = low.below
-        result = run(low.program, low.inputs)
+        result = run_ranks(engine, rank_program(low.program.stages),
+                           low.inputs, params, faults=faults)
         return replace(result,
                        values=tuple(map(devectorize_block, result.values)))
 
-    return run_lowered({"unsupported": lower}, descend, lambda: None)
+    return run_lowered(
+        {"unsupported": lambda: engine_lower(program, inputs, params)},
+        descend, lambda: None)

@@ -1,8 +1,9 @@
 """Program lowering: fuse local stages, then kernelize every stage.
 
 :func:`vectorize_program` is the whole-program entry point used by the
-vectorized evaluator (:mod:`repro.kernels.evaluator`), the machine engine
-(``simulate_program(..., vectorize=True)``) and the threaded MPI backend.
+vectorized evaluator (:mod:`repro.kernels.evaluator`), the engine
+ladder's checked rung (``simulate_program(..., jit=True)``) and the
+threaded MPI backend.
 It first runs the local-stage fusion pass (``map f; map g → map (g∘f)``,
 collapsing the ``map pair; collective; map π₁`` sandwiches the rewrite
 rules emit into at most one local stage on each side), then rebuilds each

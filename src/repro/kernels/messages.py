@@ -3,7 +3,7 @@
 The rewrite rules make collectives exchange *tuple states* — the ``(s, r)``
 pairs of ``op_sr2``, the triples/quadruples of the Comcast operators.  In
 object mode those are tuples of scalars and the cost of boxing is already
-paid; in vectorized mode they are tuples of same-shape arrays, and sending
+paid; on the kernels' checked rung they are tuples of same-shape arrays, and sending
 them as a Python tuple means the transport handles k separate buffers per
 message.  :func:`pack_block` stacks such a tuple into **one** contiguous
 ``(k, *shape)`` buffer, and :func:`unpack_block` returns views into it —

@@ -147,8 +147,8 @@ def execute_stage(ctx: RankContext, stage: Stage, x: Any):
 
 def simulate_program(
     program: Program, inputs: Sequence[Any], params: MachineParams,
-    faults: FaultPlan | None = None, vectorize: bool = False,
-    jit: bool = False, engine: str = "cooperative",
+    faults: FaultPlan | None = None, jit: bool = False,
+    engine: str = "cooperative",
 ) -> SimResult:
     """Simulate ``program`` on ``len(inputs)`` processors.
 
@@ -157,28 +157,22 @@ def simulate_program(
     ``faults`` (optional) injects a deterministic fault plan; see
     ``docs/FAULTS.md``.
 
-    ``vectorize=True`` runs each rank's local stages as whole-block NumPy
-    kernels (:mod:`repro.kernels`): local stages are fused, operators are
-    lowered, and block values travel as arrays.  Simulated time is
-    unchanged (the cost model charges the same abstract operations);
-    results are devectorized, so they compare equal to the object-mode
-    run.  Programs or inputs without a kernel lowering — and runs hitting
-    a checked integer overflow — automatically fall back to the exact
-    object-mode simulation.
-
-    ``jit=True`` lets :func:`repro.jit.engine_lower` pick the cheapest
-    exact way to run: on defined int64 blocks it proves overflow-free
-    (the static range check hoisted out of every combine) the values
-    come from the fused whole-program kernels — the planner's
-    ``comcast``/``iter`` stages included, compiled through the
+    ``jit=True`` runs the engine ladder (:func:`repro.jit.run_engine_ladder`),
+    which picks the cheapest exact way to run: on defined int64 blocks it
+    proves overflow-free (the static range check hoisted out of every
+    combine) the values come from the fused whole-program kernels — the
+    planner's ``comcast``/``iter`` stages included, compiled through the
     pipelines they are defined by — while the engine schedules the same
     stages on definedness tokens; otherwise — float blocks, an unproven
     hull, a fault plan — the engine carries the blocks through the
-    checked kernels.  Every cost annotation is preserved on every rung, so
-    simulated time, clocks and statistics are bit-identical to
-    ``vectorize=True`` — JIT changes wall-clock only — and
-    overflow/unsupported cases fall back exactly like ``vectorize=True``
-    (the ladder is tabulated in ``docs/PERFORMANCE.md``).
+    checked kernels (:mod:`repro.kernels`: local stages fused, operators
+    lowered, block values travelling as arrays).  Every cost annotation
+    is preserved on every rung, so simulated time, clocks and statistics
+    are bit-identical to the object-mode run — JIT changes wall-clock
+    only — and results are devectorized.  Programs or inputs without a
+    kernel lowering, and runs hitting a checked integer overflow, fall
+    back to the exact object-mode simulation (the ladder is tabulated in
+    ``docs/PERFORMANCE.md``).
 
     ``engine`` selects the execution machinery (:data:`ENGINES`).  All
     three run the same collective algorithms over one rendezvous kernel
@@ -198,25 +192,17 @@ def simulate_program(
       notice where the platform cannot support it.  Keeps neither
       ``events`` nor ``timeline`` (its counters are shared-memory cells).
 
-    ``vectorize`` / ``jit`` take the same ladder
-    (:func:`repro.jit.run_engine_ladder`) on every engine.
+    ``jit`` takes the same ladder on every engine.
     """
-    def run(prog: Program, xs: Sequence[Any]) -> SimResult:
-        return run_ranks(engine, rank_program(prog.stages), xs, params,
-                         faults=faults)
-
-    if jit or vectorize:
+    if jit:
         from repro.jit import run_engine_ladder
 
-        if engine == "cooperative":
-            # what the fused rung takes in place of a token run of its own
-            run.resident = lambda prog, xs, evaluate: resident_run(
-                prog, xs, params, evaluate, faults=faults)
-        result = run_engine_ladder(run, program, inputs, params, faults, jit)
+        result = run_engine_ladder(engine, program, inputs, params, faults)
         if result is not None:
             return result
         # no kernel rung applies: the exact object-mode run below
-    return run(program, inputs)
+    return run_ranks(engine, rank_program(program.stages), inputs, params,
+                     faults=faults)
 
 
 def rank_program(stages: Sequence[Stage], probe: bool = False):

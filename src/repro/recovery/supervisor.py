@@ -34,7 +34,6 @@ policy.  Never a hang, never defined-but-wrong.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -59,7 +58,7 @@ Link = tuple[int, int]
 class RecoveryResult:
     """Outcome of one supervised run (successful by construction)."""
 
-    #: final per-rank values (devectorized when ``vectorize=True``)
+    #: final per-rank values
     values: tuple[Any, ...]
     #: simulated makespan including checkpoint/backoff/reroute overheads
     time: float
@@ -88,7 +87,6 @@ def supervise(
     faults: FaultPlan | None = None,
     policy: RecoveryPolicy | None = None,
     engine: str = "cooperative",
-    vectorize: bool = False,
     log: RecoveryLog | None = None,
     spawn_hook=None,
     hb_timeout: float | None = None,
@@ -99,11 +97,8 @@ def supervise(
     (:data:`repro.machine.ENGINES`: ``"cooperative"``, ``"threaded"``
     blocking, or ``"process"`` — one real OS process per rank); all
     produce the same values and the same recovery decisions for the same
-    plan.  ``vectorize=True`` runs local stages
-    as NumPy block kernels with checkpoints taken over the packed arrays
-    (restored bit-identically); programs the kernels cannot lower fall
-    back to object mode, and resilience replanning is skipped in
-    vectorized mode (the lowered program is not rewritten mid-run).
+    plan.  Blocks may be NumPy arrays; checkpoints are taken over them
+    and restored bit-identically.
 
     Process-engine only: ``spawn_hook(procs, meta)`` is invoked after
     each attempt's children start (the chaos harness SIGKILLs real ranks
@@ -116,36 +111,28 @@ def supervise(
         log = RecoveryLog()
     policy = (policy or RecoveryPolicy()).resolved(params)
 
-    mark = len(log.events)
+    p = len(inputs)
+    if p == 0:
+        raise ValueError("cannot supervise an empty machine")
+    from repro.parallel.backend import Ladder, ProcessStageRunner, open_arena
 
-    def attempt(prog: Program, xs: Sequence[Any], replan: bool) -> RecoveryResult:
-        return _supervise(prog, xs, params, faults, policy, engine, log,
-                          allow_replan=replan, spawn_hook=spawn_hook,
-                          hb_timeout=hb_timeout)
-
-    def object_mode() -> RecoveryResult:
-        del log.events[mark:]  # what a kernel attempt logged before it fell back
-        return attempt(program, inputs, True)
-
-    if not vectorize:
-        return object_mode()
-    from repro.kernels import (
-        devectorize_block,
-        run_lowered,
-        vectorize_block,
-        vectorize_program,
-    )
-
-    def kernels(vprog: Program, vinputs: list) -> RecoveryResult:
-        result = attempt(vprog, vinputs, False)
-        values = tuple(devectorize_block(v) for v in result.values)
-        return dataclasses.replace(
-            result, values=values, digest=digest_state(values))
-
-    return run_lowered(
-        {"unsupported-program": lambda: vectorize_program(program),
-         "unsupported-input": lambda: [vectorize_block(x) for x in inputs]},
-        kernels, object_mode)
+    # Process engine: one shared arena for the run, a fresh epoch per
+    # attempt.  Where the backend cannot run, the ladder steps down loudly
+    # — a "fallback" event — and the run goes on threaded, same values,
+    # same recovery decisions.
+    ladder = Ladder(engine, log)
+    runner = None
+    if ladder.gate(p, stage=-1) == "process":
+        arena = open_arena(ladder, p, params, stage=-1)
+        if arena is not None:
+            runner = ProcessStageRunner(arena, params, hb_timeout=hb_timeout,
+                                        spawn_hook=spawn_hook)
+    try:
+        return _supervise_loop(program, inputs, params, faults, policy,
+                               ladder, log, runner)
+    finally:
+        if runner is not None:
+            runner.close()
 
 
 def _run_stage(engine: str, stage: Stage, blocks: Sequence[Any],
@@ -193,39 +180,10 @@ def _replan(stages: list[Stage], i: int, params: MachineParams,
     return stages[:i] + list(new_suffix.stages)
 
 
-def _supervise(program: Program, inputs: Sequence[Any], params: MachineParams,
-               faults: FaultPlan | None, policy: RecoveryPolicy, engine: str,
-               log: RecoveryLog, allow_replan: bool,
-               spawn_hook=None, hb_timeout: float | None = None
-               ) -> RecoveryResult:
-    p = len(inputs)
-    if p == 0:
-        raise ValueError("cannot supervise an empty machine")
-    from repro.parallel.backend import Ladder, ProcessStageRunner, open_arena
-
-    # Process engine: one shared arena for the run, a fresh epoch per
-    # attempt.  Where the backend cannot run, the ladder steps down loudly
-    # — a "fallback" event — and the run goes on threaded, same values,
-    # same recovery decisions.
-    ladder = Ladder(engine, log)
-    runner = None
-    if ladder.gate(p, stage=-1) == "process":
-        arena = open_arena(ladder, p, params, stage=-1)
-        if arena is not None:
-            runner = ProcessStageRunner(arena, params, hb_timeout=hb_timeout,
-                                        spawn_hook=spawn_hook)
-    try:
-        return _supervise_loop(program, inputs, params, faults, policy,
-                               ladder, log, allow_replan, runner)
-    finally:
-        if runner is not None:
-            runner.close()
-
-
 def _supervise_loop(program: Program, inputs: Sequence[Any],
                     params: MachineParams, faults: FaultPlan | None,
                     policy: RecoveryPolicy, ladder, log: RecoveryLog,
-                    allow_replan: bool, runner) -> RecoveryResult:
+                    runner) -> RecoveryResult:
     from repro.parallel.errors import ProcessIncidentError, WorkerCrashError
 
     p = len(inputs)
@@ -360,7 +318,7 @@ def _supervise_loop(program: Program, inputs: Sequence[Any],
             log.emit("shrink", stage=i, dead=host, adopted_by=adopted_by,
                      virtual_ranks=moved, survivors=len(survivors))
 
-        if quarantined_now and allow_replan and policy.prefer_fused_on_quarantine:
+        if quarantined_now and policy.prefer_fused_on_quarantine:
             stages = _replan(stages, i, params, policy, log)
 
         # process engine last resort: a stage that keeps producing real

@@ -204,7 +204,7 @@ class TestEnginesAgree:
         blocks = [np.arange(n, dtype=np.int64) * (r + 1) for r in range(p)]
         params = MachineParams(p=p, ts=50, tw=2, m=n)
         a = simulate_program(prog, blocks, params)
-        v = simulate_program(prog, blocks, params, vectorize=True)
+        v = simulate_program(prog, blocks, params, jit=True)
         assert [list(np.asarray(x)) for x in a.values] == \
                [list(np.asarray(x)) for x in v.values]
         assert a.time == v.time
@@ -217,7 +217,7 @@ class TestEnginesAgree:
         params = MachineParams(p=p, ts=50, tw=2, m=n)
         a = simulate_program(prog, blocks, params)
         b = simulate_program(prog, blocks, params, engine="threaded",
-                             vectorize=True)
+                             jit=True)
         assert [list(np.asarray(x)) for x in a.values] == \
                [list(np.asarray(x)) for x in b.values]
 

@@ -5,7 +5,7 @@ bit-identical to ``run_vectorized`` — raw fused segment kernels where
 the hoisted static range check proves the run overflow-free, checked
 kernels everywhere else, exact object-mode replay on overflow — and
 ``simulate_program(..., jit=True)`` reports the exact simulated clock
-of ``vectorize=True`` (JIT changes wall-clock only, never results or
+of the object-mode run (JIT changes wall-clock only, never results or
 the cost model).
 """
 
@@ -254,23 +254,24 @@ class TestEngines:
         prog = _sr2_program(block=256)
         xs = _arrays(block=256, seed=8)
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=256)
-        vec = simulate_program(prog, [a.copy() for a in xs], params,
-                               vectorize=True)
+        obj = simulate_program(prog, [a.copy() for a in xs], params)
+        vec = run_vectorized(prog, [a.copy() for a in xs])
         jit = simulate_program(prog, [a.copy() for a in xs], params,
                                jit=True)
-        assert jit.time == vec.time
-        _assert_bitwise(vec.values, jit.values)
+        assert jit.time == obj.time
+        _assert_bitwise(vec, jit.values)
 
     def test_threaded_identical_time_and_values(self):
         prog = _sr2_program(block=256)
         xs = _arrays(block=256, seed=9)
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=256)
-        vec = simulate_program(prog, [a.copy() for a in xs], params,
-                               vectorize=True, engine="threaded")
+        obj = simulate_program(prog, [a.copy() for a in xs], params,
+                               engine="threaded")
+        vec = run_vectorized(prog, [a.copy() for a in xs])
         jit = simulate_program(prog, [a.copy() for a in xs], params,
                                jit=True, engine="threaded")
-        assert jit.time == vec.time
-        _assert_bitwise(vec.values, jit.values)
+        assert jit.time == obj.time
+        _assert_bitwise(vec, jit.values)
 
     def test_engine_jit_matches_object_mode(self):
         prog = _sr2_program(block=64)
@@ -325,13 +326,13 @@ def _assert_same_run(a, b, ordered_events=True):
 
 
 def _both(prog, xs, params, engine="cooperative", faults=None):
-    """The same run under ``vectorize=True`` and under ``jit=True``."""
+    """The same run in object mode and under ``jit=True``."""
     def run(**mode):
         return simulate_program(prog, [x.copy() if isinstance(x, np.ndarray)
                                        else x for x in xs],
                                 params, faults=faults, engine=engine, **mode)
 
-    return run(vectorize=True), run(jit=True)
+    return run(), run(jit=True)
 
 
 _REDUCE_BCAST = Program([ReduceStage(ADD), BcastStage()], name="reduce;bcast")
@@ -359,8 +360,11 @@ class TestEngineLadder:
         for prog, value_gen in cases:
             xs = [value_gen(rng) for _ in range(p)]
             fused += engine_lower(prog, xs, params).rung == "fused"
-            vec, jit = _both(prog, xs, params, engine)
-            _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+            obj, jit = _both(prog, xs, params, engine)
+            # object mode keeps a 0-d array where the kernel rungs
+            # devectorize: the values' reference is the checked reading
+            ref = replace(obj, values=tuple(run_vectorized(prog, xs)))
+            _assert_same_run(ref, jit, ordered_events=engine == "cooperative")
         assert fused >= len(cases) // 2  # the rung under test was taken
         assert "schedule-mismatch" not in STATS.fallbacks
         assert "runtime-shape" not in STATS.fallbacks
@@ -401,8 +405,8 @@ class TestEngineLadder:
         low = engine_lower(prog, xs, params)
         assert (low.rung, low.why) == ("checked", "float-blocks")
         for engine in ("cooperative", "threaded"):
-            vec, jit = _both(prog, xs, params, engine)
-            _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+            obj, jit = _both(prog, xs, params, engine)
+            _assert_same_run(obj, jit, ordered_events=engine == "cooperative")
         fold = run_jit(prog, [a.copy() for a in xs], strict=True)
         assert not np.array_equal(fold[0], jit.values[0])
         assert STATS.fallbacks["float-blocks"] == 3
@@ -413,16 +417,16 @@ class TestEngineLadder:
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=64)
         plan = FaultPlan(crashes=(RankCrash(rank=5, at_clock=0.0),),
                          jitter=0.5, seed=3)
-        vec, jit = _both(prog, _arrays(block=64, seed=21), params, engine,
+        obj, jit = _both(prog, _arrays(block=64, seed=21), params, engine,
                          faults=plan)
-        assert jit.faults is not None and jit.faults == vec.faults
-        _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        assert jit.faults is not None and jit.faults == obj.faults
+        _assert_same_run(obj, jit, ordered_events=engine == "cooperative")
         assert STATS.fallbacks == {"fault-plan": 1}
         # an empty plan is no plan
         reset_stats()
-        vec, jit = _both(prog, _arrays(block=64, seed=21), params, engine,
+        obj, jit = _both(prog, _arrays(block=64, seed=21), params, engine,
                          faults=FaultPlan())
-        _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        _assert_same_run(obj, jit, ordered_events=engine == "cooperative")
         assert not STATS.fallbacks
 
     def test_undef_input_block_declines(self):
@@ -432,8 +436,8 @@ class TestEngineLadder:
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=16)
         low = engine_lower(prog, xs, params)
         assert (low.rung, low.why) == ("checked", "nonconforming-input")
-        vec, jit = _both(prog, xs, params)
-        _assert_same_run(vec, jit)
+        obj, jit = _both(prog, xs, params)
+        _assert_same_run(obj, jit)
         assert jit.values[3] is UNDEF
 
     def test_unproven_hull_runs_checked_kernels(self):
@@ -444,8 +448,8 @@ class TestEngineLadder:
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=8)
         low = engine_lower(prog, xs, params)
         assert (low.rung, low.why) == ("checked", "bounds-unproven")
-        vec, jit = _both(prog, xs, params)
-        _assert_same_run(vec, jit)
+        obj, jit = _both(prog, xs, params)
+        _assert_same_run(obj, jit)
         assert jit.values[0][5] == 2 ** 40
 
     def test_overflow_replays_in_object_mode(self):
@@ -453,8 +457,8 @@ class TestEngineLadder:
         prog = Program([AllReduceStage(MUL)])
         xs = [2 ** 20] * P
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=1)
-        vec, jit = _both(prog, xs, params)
-        _assert_same_run(vec, jit)
+        obj, jit = _both(prog, xs, params)
+        _assert_same_run(obj, jit)
         assert jit.values == (2 ** 160,) * P
         assert STATS.fallbacks["bounds-unproven"] == 1
         assert STATS.full_jit_runs == 0
@@ -555,8 +559,7 @@ class TestDerivedStages:
             xs = [value_gen(rng) for _ in range(p)]
             on_fused = engine_lower(prog, xs, params).rung == "fused"
             fused += on_fused
-            vec = simulate_program(prog, xs, params, vectorize=True,
-                                   engine=engine)
+            obj = simulate_program(prog, xs, params, engine=engine)
             with monkeypatch.context() as patch:
                 patch.setattr(BinOp, "__call__", spy)
                 arrays_seen.clear()
@@ -564,7 +567,7 @@ class TestDerivedStages:
                                        engine=engine)
                 if on_fused:  # the engine ran on tokens only
                     assert not arrays_seen, prog.pretty()
-            _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+            _assert_same_run(obj, jit, ordered_events=engine == "cooperative")
             assert defined_equal(jit.values, prog.run(xs)), prog.pretty()
         assert fused >= len(cases) * 2 // 3  # the rung under test was taken
         assert "schedule-mismatch" not in STATS.fallbacks
@@ -589,8 +592,8 @@ class TestDerivedStages:
         xs = _arrays(seed=40)
         low = engine_lower(prog, xs, params)
         assert (low.rung, low.why, low.below.rung) == ("fused", "", "checked")
-        vec, jit = _both(prog, xs, params)
-        _assert_same_run(vec, jit)
+        obj, jit = _both(prog, xs, params)
+        _assert_same_run(obj, jit)
         assert not STATS.fallbacks
         assert STATS.full_jit_runs == STATS.runs == 2
 
@@ -603,8 +606,8 @@ class TestDerivedStages:
             run_jit(prog, xs, strict=True)
         # the engines compute the general form there, under every mode
         params = MachineParams(p=3, ts=10.0, tw=1.0, m=8)
-        vec, jit = _both(prog, xs, params)
-        _assert_same_run(vec, jit)
+        obj, jit = _both(prog, xs, params)
+        _assert_same_run(obj, jit)
         assert np.array_equal(jit.values[0], xs[0] * 3)
 
     @pytest.mark.parametrize("stage", [
@@ -621,8 +624,8 @@ class TestDerivedStages:
         assert (low.rung, low.why) == ("checked", "float-blocks")
         assert STATS.full_jit_runs == 0
         for engine in ("cooperative", "threaded"):
-            vec, jit = _both(prog, xs, params, engine)
-            _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+            obj, jit = _both(prog, xs, params, engine)
+            _assert_same_run(obj, jit, ordered_events=engine == "cooperative")
         reset_stats()
         _assert_bitwise(run_jit(prog, xs, strict=True),
                         run_vectorized(prog, xs, strict=True))
@@ -645,13 +648,13 @@ class TestDerivedStages:
         plan = FaultPlan(crashes=(RankCrash(rank=5, at_clock=0.0),),
                          jitter=0.5, seed=3)
         xs = _arrays(block=64, lo=0, hi=2, seed=42)
-        vec, jit = _both(prog, xs, params, engine, faults=plan)
-        assert jit.faults is not None and jit.faults == vec.faults
-        _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        obj, jit = _both(prog, xs, params, engine, faults=plan)
+        assert jit.faults is not None and jit.faults == obj.faults
+        _assert_same_run(obj, jit, ordered_events=engine == "cooperative")
         assert STATS.fallbacks == {"fault-plan": 1}
         reset_stats()
-        vec, jit = _both(prog, xs, params, engine, faults=FaultPlan())
-        _assert_same_run(vec, jit, ordered_events=engine == "cooperative")
+        obj, jit = _both(prog, xs, params, engine, faults=FaultPlan())
+        _assert_same_run(obj, jit, ordered_events=engine == "cooperative")
         assert not STATS.fallbacks
 
     def test_unproven_hull_runs_checked_kernels(self):
@@ -663,16 +666,16 @@ class TestDerivedStages:
         low = engine_lower(prog, xs, params)
         assert (low.rung, low.why) == ("checked", "bounds-unproven")
         assert STATS.full_jit_runs == 0
-        vec, jit = _both(prog, xs, params)
-        _assert_same_run(vec, jit)
+        obj, jit = _both(prog, xs, params)
+        _assert_same_run(obj, jit)
         assert jit.values[7][5] == 2 ** 56
 
     def test_overflow_replays_in_object_mode(self):
         prog = Program([IterStage(br_iter_op(MUL), then_bcast=True)])
         xs = [2 ** 20] * P
         params = MachineParams(p=P, ts=10.0, tw=1.0, m=1)
-        vec, jit = _both(prog, xs, params)
-        _assert_same_run(vec, jit)
+        obj, jit = _both(prog, xs, params)
+        _assert_same_run(obj, jit)
         assert jit.values == (2 ** 160,) * P
         assert STATS.fallbacks["bounds-unproven"] == 1
         assert STATS.full_jit_runs == 0
@@ -694,8 +697,8 @@ class TestDerivedStages:
         xs = _arrays(block=64, seed=43)
         low = engine_lower(prog, xs, params)
         assert (low.rung, low.why) == ("checked", why)
-        vec, jit = _both(prog, xs, params)
-        _assert_same_run(vec, jit)
+        obj, jit = _both(prog, xs, params)
+        _assert_same_run(obj, jit)
         assert STATS.full_jit_runs == 0
 
     @pytest.mark.parametrize("stage", [
@@ -939,6 +942,23 @@ class TestStatsAndCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "[jit ]" in out
+        assert "full jit runs" in out
+
+    def test_cli_jit_stats_reports_a_failing_demo_run(self, capsys, tmp_path):
+        # the scan reads the reduce's UNDEF off the root: the demo run of
+        # each form raises, and each says so on one line
+        f = tmp_path / "prog.mpi"
+        f.write_text("Program RS (x);\n"
+                     "MPI_Reduce (x, y, add);\n"
+                     "MPI_Scan (y, z, add);\n")
+        code = cli_main(["jit", "stats", str(f), "--p", "4", "--m", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {form}: TypeError: unsupported operand type(s) for +: "
+            "'int' and 'Undefined'" for form in ("as written", "as planned")]
+        assert "Traceback" not in out + err
+        assert "engine rung" not in out and "exact tier" not in out
         assert "full jit runs" in out
 
     def test_cli_jit_stats_shows_the_program_as_written_and_as_planned(

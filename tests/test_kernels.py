@@ -118,7 +118,7 @@ def test_a_same_named_operator_gets_no_kernel():
     want = [4] * 4
     assert prog.run(list(xs)) == want
     assert list(simulate_program(prog, xs, params).values) == want
-    for backend in ({"vectorize": True}, {"jit": True}):
+    for backend in ({"jit": True}, {"jit": True, "engine": "threaded"}):
         assert list(simulate_program(prog, xs, params, **backend).values) == want
     assert list(run_vectorized(prog, list(xs))) == want
     assert list(run_jit(prog, list(xs))) == want
@@ -134,7 +134,7 @@ def test_a_same_labelled_map_gets_no_kernel():
     xs = [1, 2, 3, 4]
     want = [1, 4, 9, 16]
     assert prog.run(list(xs)) == want
-    for backend in ({"vectorize": True}, {"jit": True}):
+    for backend in ({"jit": True}, {"jit": True, "engine": "threaded"}):
         assert list(simulate_program(prog, xs, params, **backend).values) == want
     assert list(run_vectorized(prog, list(xs))) == want
     assert list(run_jit(prog, list(xs))) == want
@@ -307,14 +307,14 @@ class TestEngines:
     def test_machine_engine_vectorized_parity(self):
         prog, params = self._opt()
         base = simulate_program(prog, INT_XS, params)
-        vec = simulate_program(prog, INT_XS, params, vectorize=True)
+        vec = simulate_program(prog, INT_XS, params, jit=True)
         assert defined_equal(vec.values, base.values)
         assert vec.time == base.time  # same abstract cost charged
 
     def test_threaded_engine_vectorized_parity(self):
         prog, params = self._opt()
         base = simulate_program(prog, INT_XS, params, engine="threaded")
-        vec = simulate_program(prog, INT_XS, params, vectorize=True,
+        vec = simulate_program(prog, INT_XS, params, jit=True,
                                engine="threaded")
         assert defined_equal(vec.values, base.values)
         assert vec.time == base.time
@@ -324,7 +324,7 @@ class TestEngines:
         xs = [(1,), (2,), (3,), (4,)]
         params = MachineParams(p=4, ts=1.0, tw=1.0, m=1)
         base = simulate_program(prog, xs, params)
-        vec = simulate_program(prog, xs, params, vectorize=True)
+        vec = simulate_program(prog, xs, params, jit=True)
         assert vec.values == base.values
 
     def test_pack_roundtrip(self):

@@ -152,6 +152,9 @@ def _sources_and_prose() -> list[Path]:
     pytest.param(r"_STORES\b", id="search-store-list"),
     pytest.param(r"_raw_binop_fn|_raw_map_fn|_TapeMemo", id="raw-engine-rung"),
     pytest.param(r'EngineLowering\("raw"', id="raw-lowering"),
+    pytest.param(r"\bvectorize=", id="vectorize-knob"),
+    pytest.param(r'\.resident\s*=|getattr\(run, "resident"',
+                 id="ladder-resident-callback"),
 ])
 def test_deleted_doors_stay_deleted(pattern):
     hits = [str(path.relative_to(REPO)) for path in _sources_and_prose()

@@ -322,16 +322,37 @@ class TestEngineSelection:
             simulate_program(Program([ScanStage(ADD)]), [1, 2], PARAMS4,
                              engine="quantum")
 
-    def test_vectorized_process_run(self):
+    def test_vectorized_process_run(self, monkeypatch):
+        # float blocks decline the fused rung, so the checked kernels carry
+        # the SR2 pairs between ranks as packed arrays
+        from repro.core.optimizer import optimize
         from repro.core.stages import Program, ReduceStage, ScanStage
+        import repro.mpi.threaded as threaded
+        from repro.jit import engine_lower
+        from repro.semantics.functional import UNDEF
 
-        program = Program([ScanStage(MUL), ReduceStage(ADD)])
-        inputs = [1, 2, 1, 2]
-        rc = simulate_program(program, inputs, PARAMS4)
-        rp = simulate_program(program, inputs, PARAMS4, vectorize=True,
-                              engine="process")
-        assert rc.values == rp.values
-        assert rc.stats.clocks == rp.stats.clocks
+        params = MachineParams(p=4, ts=2.0, tw=0.5, m=8)
+        result = optimize(Program([ScanStage(MUL), ReduceStage(ADD)]), params)
+        assert "SR2-Reduction" in result.derivation.rules_used
+        program = result.program
+        rng = np.random.default_rng(5)
+        inputs = [rng.uniform(0.5, 1.5, 8) for _ in range(4)]
+        assert engine_lower(program, inputs, params).rung == "checked"
+        rc = simulate_program(program, inputs, params)
+        packed, pack = [], threaded.pack_block
+
+        def spy(payload):
+            packed.append(pack(payload))
+            return packed[-1]
+
+        monkeypatch.setattr(threaded, "pack_block", spy)
+        for engine in ("process", "threaded"):
+            rp = simulate_program(program, inputs, params, jit=True,
+                                  engine=engine)
+            for c, v in zip(rc.values, rp.values):
+                assert (c is UNDEF and v is UNDEF) or np.array_equal(c, v)
+            assert rc.stats.clocks == rp.stats.clocks
+        assert any(b is not None for b in packed)  # the threaded ranks' pairs
 
     def test_hierarchical_contention_domains(self):
         # Under NIC contention, WHICH inter-node pair pays the busy-domain

@@ -372,7 +372,7 @@ def test_the_store_is_bounded_first_in_first_out(monkeypatch):
 
 
 def test_simulate_program_itself_carries_real_payloads():
-    """No ``jit``/``vectorize``: the machine algorithms run on the blocks
+    """Without ``jit``: the machine algorithms run on the blocks
     on every call, resident schedule or not."""
     calls = []
 
