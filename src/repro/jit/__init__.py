@@ -33,8 +33,10 @@ Results are bit-identical to the vectorized tier by construction:
 anything unproven or unsupported falls back per step to the checked
 kernels, and :class:`KernelOverflow` still triggers the exact
 object-mode replay.  The compile cache, each compiled program's
-verdicts and tapes and the block pool are memos ``clear_caches()``
-empties; the cache key carries the registry version and parameters.
+verdicts and tapes, the served exact tapes and the block pool are memos
+``clear_caches()`` empties; the compile cache's key carries the
+registry version and parameters, and an exact tape records the version
+it was built under.
 """
 
 from __future__ import annotations

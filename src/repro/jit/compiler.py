@@ -84,7 +84,7 @@ from repro.kernels.blocks import (
 from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan, run_lowered
 from repro.kernels.lowering import rebuild_stage
 from repro.kernels.registry import Primitive, map_rows, primitive, registry_version
-from repro.machine.run import DEFINED, rank_program, resident_run, run_ranks
+from repro.machine.run import DEFINED, _read, rank_program, resident_run, run_ranks
 from repro.obs import span
 from repro.semantics.functional import UNDEF
 
@@ -1009,9 +1009,9 @@ class CompiledProgram:
         """Every step unrolled over exact blocks of
         :func:`_exact_signature` ``sig`` and emitted as one generated
         function (:meth:`_Unroller.exact`), or why a step declines them.
-        Built, not kept: :func:`exact_evaluator` keeps it in ``_tapes``
-        once it has agreed with the spec."""
-        u = _Unroller(None)
+        Built, not kept: :func:`exact_evaluator` keeps it in
+        ``_EXACT_TAPES`` once it has agreed with the spec."""
+        version, u = registry_version(), _Unroller(None)
         blocks = [u.take(rank, (n, 0) if n else None)
                   for rank, n in enumerate(sig)]
         try:
@@ -1021,8 +1021,8 @@ class CompiledProgram:
                     raise JitUnsupported(st.reason)
                 blocks = st.unroll(u, blocks)
         except JitUnsupported as exc:
-            return ExactTape(None, "", str(exc))
-        return ExactTape(*u.exact(sig, blocks), "")
+            return ExactTape(None, "", str(exc), version)
+        return ExactTape(*u.exact(sig, blocks), "", version)
 
     @cached_property
     def token_program(self) -> Program:
@@ -1037,31 +1037,21 @@ class CompiledProgram:
 
 
 #: a program's exact tape for one block signature: the generated function
-#: (None: declined), its source, and why it was declined ("" = kept)
-ExactTape = namedtuple("ExactTape", "run source why")
+#: (None: declined), its source, why it was declined ("" = kept) and the
+#: :func:`~repro.kernels.registry.registry_version` it was built under
+ExactTape = namedtuple("ExactTape", "run source why version")
 
-#: a block's arity on the exact tape, by its type (a tuple's is its length)
-_ARITY = {int: 1, bool: 1, type(UNDEF): 0}
-_LEAVES = frozenset((int, bool))
+#: (program, exact block signature) -> its ExactTape, as the first hit of
+#: that signature checked it against the spec: what a served hit looks up
+_EXACT_TAPES = BoundedStore(256)
 
 
 def _exact_signature(blocks: Sequence[Any]) -> Optional[tuple]:
     """Per rank 0 (``UNDEF``), 1 (a Python int or bool) or ``n`` ≥ 2 (a
     flat tuple of ``n`` of them): the blocks an exact tape takes.  None
-    when some block is anything else.  A flat list of ints and bools —
-    every served input list — is read from its types alone."""
-    if _LEAVES.issuperset(map(type, blocks)):
-        return (1,) * len(blocks)
-    out = []
-    for b in blocks:
-        n = _ARITY.get(type(b))
-        if n is None:
-            if (type(b) is not tuple or len(b) < 2
-                    or not _LEAVES.issuperset(map(type, b))):
-                return None
-            n = len(b)
-        out.append(n)
-    return tuple(out)
+    when some block is anything else.  A served hit has it from the
+    schedule lookup's one read of its inputs."""
+    return _read(blocks, signed=True)[3]
 
 
 def _identical(x: Any, y: Any) -> bool:
@@ -1083,70 +1073,79 @@ def _agrees(run: Callable, inputs: Sequence[Any], values: list) -> bool:
         return False
 
 
-def _exact_entry(program: Program, inputs: Sequence[Any]) -> tuple:
-    """``(compiled program, _tapes key, kept ExactTape or None)`` for
-    ``program`` on ``inputs``, or ``(None, None, why)`` where no tape can
-    be looked up — counted in ``STATS.exact``."""
-    sig = _exact_signature(inputs)
+def _exact_entry(program: Program, sig: Optional[tuple]) -> tuple:
+    """``(compiled program, kept ExactTape, why)`` for ``program`` on
+    blocks of exact signature ``sig``: the tape ``_EXACT_TAPES`` keeps
+    under the current kernel registry (no compiled program is looked
+    up), else the compiled program to build it with, else why no tape
+    can be looked up — counted in ``STATS.exact``."""
     if sig is None:
         why = "inexact-input"
     else:
         try:
-            cp = compiled_program(program)
-        except KernelUnsupported:
-            why = "unsupported-program"
+            tape = _EXACT_TAPES.get((program, sig))
+        except TypeError:  # an unhashable program is never a resident hit
+            why = "unhashable-program"
         else:
-            key = ("exact", sig)
-            return cp, key, cp._tapes.get(key)
+            if tape is not None and tape.version == registry_version():
+                return None, tape, ""
+            try:
+                return compiled_program(program), None, ""
+            except KernelUnsupported:
+                why = "unsupported-program"
     STATS.exact[why] += 1
     return None, None, why
 
 
-def _first_hit(cp: CompiledProgram, key: tuple, program: Program,
+def _first_hit(cp: CompiledProgram, program: Program, sig: tuple,
                inputs: Sequence[Any]) -> list:
-    """The spec's values on ``inputs``, with the exact tape of ``key``
-    built beside them (the ``jit.lower`` span), kept and its verdict
-    counted in ``STATS.exact``: as built when its values are
-    :func:`_identical` to the spec's, else declined (``exact-disagree``,
-    or ``evaluator-raised`` when the spec raises, which is raised on)."""
+    """The spec's values on ``inputs``, with the exact tape of ``sig``
+    built beside them (the ``jit.lower`` span), kept in
+    ``_EXACT_TAPES`` and its verdict counted in ``STATS.exact``: as built
+    when its values are :func:`_identical` to the spec's, else declined
+    (``exact-disagree``, or ``evaluator-raised`` when the spec raises,
+    which is raised on)."""
     with span("jit.lower") as traced:
-        tape = cp.exact_tape(key[1])
+        tape = cp.exact_tape(sig)
         try:
             values = program.through_definitions().run(inputs)
         except Exception:
-            tape = ExactTape(None, tape.source, tape.why or "evaluator-raised")
+            tape = tape._replace(run=None, why=tape.why or "evaluator-raised")
             raise
         else:
             if tape.run is not None and not _agrees(tape.run, inputs, values):
-                tape = ExactTape(None, tape.source, "exact-disagree")
+                tape = tape._replace(run=None, why="exact-disagree")
         finally:
-            cp._tapes.put(key, tape)
+            _EXACT_TAPES.put((program, sig), tape)
             traced.outcome = tape.why or "exact"
             STATS.exact[traced.outcome] += 1
     return values
 
 
-def exact_evaluator(program: Program, inputs: Sequence[Any],
-                    hit: bool) -> Callable[[], list]:
+def exact_evaluator(program: Program, inputs: Sequence[Any], hit: bool,
+                    sig: Optional[tuple] = None) -> Callable[[], list]:
     """How a cooperative served job computes its values: the ``evaluate``
     thunk :func:`~repro.machine.run.resident_run` calls.
 
     On a resident hit (``hit``) of exact blocks it is the program's exact
-    tape for the blocks' signature, kept in its compiled program's
-    ``_tapes``: one generated function, no ``BinOp`` frame.  The first
-    hit of a signature builds the tape (:func:`_first_hit`) and runs the
-    spec, so a miss never builds one.  Everything else — a miss (the
-    engine runs then anyway), inexact blocks, a program without kernels,
-    a declined tape — computes with ``program.through_definitions().run``
-    as before."""
+    tape for the blocks' signature ``sig`` (read here when the caller
+    passes none; :func:`~repro.machine.run.resident_schedule` has read
+    it), kept in ``_EXACT_TAPES``: one store lookup, one generated
+    function, no ``BinOp`` frame.  The first hit of a signature — or the
+    first after the kernel registry changed — builds the tape
+    (:func:`_first_hit`) and runs the spec, so a miss never builds one.
+    Everything else — a miss (the engine runs then anyway), inexact
+    blocks, a program without kernels, a declined tape — computes with
+    ``program.through_definitions().run`` as before."""
     if hit:
-        cp, key, tape = _exact_entry(program, inputs)
+        if sig is None:
+            sig = _exact_signature(inputs)
+        cp, tape, _ = _exact_entry(program, sig)
         if cp is not None:
-            if tape is None:
-                return lambda: _first_hit(cp, key, program, inputs)
-            if tape.run is not None:
-                run = tape.run
-                return lambda: run(inputs)
+            return lambda: _first_hit(cp, program, sig, inputs)
+        if tape is not None and tape.run is not None:
+            run = tape.run
+            return lambda: run(inputs)
     return lambda: program.through_definitions().run(inputs)
 
 
@@ -1155,16 +1154,15 @@ def exact_verdict(program: Program, inputs: Sequence[Any]) -> str:
     ``inputs`` computes with its exact tape, else the reason it does not;
     the tape is built, checked on ``inputs`` and kept here (its verdict
     counted) if no hit has built it yet."""
-    cp, key, kept = _exact_entry(program, inputs)
-    if cp is None:
-        return kept  # why no tape could be looked up
-    if kept is None:
+    sig = _exact_signature(inputs)
+    cp, kept, why = _exact_entry(program, sig)
+    if cp is not None:
         try:
-            _first_hit(cp, key, program, inputs)
+            _first_hit(cp, program, sig, inputs)
         except Exception:  # the spec raised: the tape keeps the reason
             pass
-        kept = cp._tapes.get(key)
-    return kept.why or "exact"
+        kept = _EXACT_TAPES.get((program, sig))
+    return why or kept.why or "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -1175,9 +1173,10 @@ _COMPILE_CACHE = BoundedStore(256)
 
 
 def clear_jit_cache() -> None:
-    """Drop every compiled program (with its token program) and every
-    idle block buffer."""
+    """Drop every compiled program (with its token program), every
+    exact tape and every idle block buffer."""
     _COMPILE_CACHE.clear()
+    _EXACT_TAPES.clear()
     _BLOCKS.clear()
 
 

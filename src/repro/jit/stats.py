@@ -57,7 +57,8 @@ class JitStats:
     fallbacks: Counter = field(default_factory=Counter)
     #: the exact tier's verdicts: one per exact tape built (``exact``, or
     #: the reason it declined) and one per served hit that could look no
-    #: tape up (``inexact-input``, ``unsupported-program``); not in
+    #: tape up (``inexact-input``, ``unsupported-program``,
+    #: ``unhashable-program``); not in
     #: :meth:`snapshot`, which is the array tier's
     exact: Counter = field(default_factory=Counter)
 

@@ -93,22 +93,26 @@ class ProgramDecl:
         ``(callable, ops_per_element)`` pairs) and operator names to
         :class:`BinOp` instances.
 
-        The last result is kept beside the declaration with the objects
-        its names resolved to (so their ids cannot be reused): the same
-        objects again, from any mapping, give the same Program, whose
-        stages come from ``_STAGES``.  A resolution that raises is never
-        kept.
+        The last result is kept beside the declaration with the names its
+        statements look up and the objects they resolved to (so their ids
+        cannot be reused): the same objects again, from any mapping, give
+        the same Program, whose stages come from ``_STAGES``.  A
+        resolution that raises is never kept.
         """
         with span("lang.to_program"):
             return self._resolve(env)
 
     def _resolve(self, env: Mapping[str, Any]) -> Program:
         """The body of :meth:`to_program`."""
-        refs = tuple(env.get(s.fn) if isinstance(s, LocalStmt)
-                     else s.op and env.get(s.op) for s in self.statements)
         last = self.__dict__.get("_resolved")
-        if last is not None and all(map(operator.is_, last[0], refs)):
-            return last[1]
+        if last is not None:
+            names, kept, program = last
+            if all(map(operator.is_, kept, map(env.get, names))):
+                return program
+        else:  # a call without an operator looks up None and never reads it
+            names = tuple(s.fn if isinstance(s, LocalStmt) else s.op
+                          for s in self.statements)
+        refs = tuple(map(env.get, names))
         stages: list[Stage] = []
         current = self.input_var
         for stmt, ref, line in zip(self.statements, refs, self.lines):
@@ -132,7 +136,7 @@ class ProgramDecl:
                 f"the final value is {current!r}"
             )
         program = Program(stages, name=self.name)
-        self.__dict__["_resolved"] = (refs, program)
+        self.__dict__["_resolved"] = (names, refs, program)
         return program
 
 

@@ -261,6 +261,9 @@ DEFINED = "<defined>"
 
 _SCHEDULES = BoundedStore(256)
 _EXACT_LEAVES = frozenset((int, bool))
+#: a block's width on an exact tape, by its type (a flat tuple's is its
+#: length)
+_ARITY = {int: 1, bool: 1, type(UNDEF): 0}
 
 
 def _exact(block: Any) -> bool:
@@ -275,13 +278,28 @@ def _exact(block: Any) -> bool:
     return False
 
 
-def _read(blocks: Sequence[Any]) -> tuple[bool, bool, tuple[bool, ...]]:
+def _arity(block: Any) -> int | None:
+    """0 for ``UNDEF``, 1 for a Python int or bool, ``n`` for a flat
+    tuple of ``n`` ≥ 2 of them; None for any other block."""
+    n = _ARITY.get(type(block))
+    if (n is None and type(block) is tuple and len(block) > 1
+            and _EXACT_LEAVES.issuperset(map(type, block))):
+        return len(block)
+    return n
+
+
+def _read(blocks: Sequence[Any], signed: bool = False) -> tuple[
+        bool, bool, tuple[bool, ...], tuple[int, ...] | None]:
     """One pass: are all blocks :data:`DEFINED` / ``UNDEF`` tokens, are
-    all ``UNDEF`` or :func:`_exact`, and where is ``UNDEF``.  A non-empty
-    flat list of Python ints and bools — every served input list and
-    every evaluated value tuple — is read from its types alone."""
+    all ``UNDEF`` or :func:`_exact`, where is ``UNDEF`` and, when
+    ``signed``, the blocks' exact signature: each block's
+    :func:`_arity`, what an exact tape takes (None when not ``signed``
+    or when some block has none).  A non-empty flat list of Python ints
+    and bools — every served input list and every evaluated value list
+    without ``UNDEF`` — is read from its types alone."""
     if len(blocks) and _EXACT_LEAVES.issuperset(map(type, blocks)):
-        return False, True, (False,) * len(blocks)
+        n = len(blocks)
+        return False, True, (False,) * n, (1,) * n if signed else None
     tokens = exact = True
     undef_at = []
     for x in blocks:
@@ -290,7 +308,8 @@ def _read(blocks: Sequence[Any]) -> tuple[bool, bool, tuple[bool, ...]]:
         if not undef:
             tokens = tokens and x is DEFINED
             exact = exact and _exact(x)
-    return tokens, exact, tuple(undef_at)
+    sig = tuple(map(_arity, blocks)) if signed and exact else (None,)
+    return tokens, exact, tuple(undef_at), None if None in sig else sig
 
 
 def _evaluated(evaluate: Callable[[], Sequence[Any]], pattern: tuple[bool, ...],
@@ -301,7 +320,7 @@ def _evaluated(evaluate: Callable[[], Sequence[Any]], pattern: tuple[bool, ...],
         values = tuple(evaluate())
     except Exception:  # the engine, which degrades where this raised, decides
         return (), "evaluator-raised"
-    _, exact, undef_at = _read(values)
+    _, exact, undef_at, _ = _read(values)
     if undef_at != pattern:
         return values, "schedule-mismatch"
     if not (tokens or exact):
@@ -312,14 +331,16 @@ def _evaluated(evaluate: Callable[[], Sequence[Any]], pattern: tuple[bool, ...],
 def resident_schedule(
     program: Program, inputs: Sequence[Any], params: MachineParams,
     faults: FaultPlan | None = None,
-) -> tuple[Any, SimResult | None, bool, str]:
+) -> tuple[Any, SimResult | None, bool, str, tuple[int, ...] | None]:
     """The lookup :func:`resident_run` makes, as ``(key, entry, tokens,
-    why)``: ``entry`` is the resident schedule of ``program`` on blocks
-    shaped like ``inputs`` (``None`` when there is none), ``why`` the
-    reason the store cannot vouch for such a run ("" when it can).  Hand
-    it to :func:`resident_run` as ``lookup`` and the run reads the
-    inputs and the store no second time."""
-    tokens, exact, undef_at = _read(inputs)
+    why, sig)``: ``entry`` is the resident schedule of ``program`` on
+    blocks shaped like ``inputs`` (``None`` when there is none), ``why``
+    the reason the store cannot vouch for such a run ("" when it can),
+    ``sig`` the inputs' exact signature (see :func:`_read`).  Hand it to
+    :func:`resident_run` as ``lookup`` and the run reads the inputs and
+    the store no second time; a hit's evaluator finds its exact tape by
+    ``sig``."""
+    tokens, exact, undef_at, sig = _read(inputs, signed=True)
     key = entry = None
     if faults is not None and not faults.is_empty:
         why = "fault-plan"
@@ -332,13 +353,14 @@ def resident_schedule(
             entry = _SCHEDULES.get(key)
         except TypeError:
             why = "unhashable-program"
-    return key, entry, tokens, why
+    return key, entry, tokens, why, sig
 
 
 def resident_run(
     program: Program, inputs: Sequence[Any], params: MachineParams,
     evaluate: Callable[[], Sequence[Any]], faults: FaultPlan | None = None,
-    lookup: tuple[Any, SimResult | None, bool, str] | None = None,
+    lookup: tuple[Any, SimResult | None, bool, str, tuple[int, ...] | None]
+    | None = None,
 ) -> tuple[SimResult, str]:
     """A cooperative run of ``program`` whose values come from ``evaluate``.
 
@@ -383,7 +405,7 @@ def resident_run(
 
 def _resident_run(program, inputs, params, evaluate, faults, lookup):
     """The body of :func:`resident_run`."""
-    key, entry, tokens, why = lookup
+    key, entry, tokens, why, _ = lookup
     if why:
         return _run_cooperative(program, inputs, params, faults), why
 

@@ -175,7 +175,7 @@ class WorkerPool:
                     sim, outcome = resident_run(
                         job.program, job.inputs, job.params,
                         exact_evaluator(job.program, job.inputs,
-                                        lookup[1] is not None),
+                                        lookup[1] is not None, lookup[4]),
                         lookup=lookup)
                     mgr.record_schedule(outcome)
                     values = sim.values

@@ -393,7 +393,8 @@ def _resident_sizes() -> dict[str, list[int]]:
 def test_clear_caches_reaches_every_resident_memo():
     """One request through each memo's owner — parse and ``to_program``,
     a beam plan through a :class:`PlanCache`, ``compiled_program``,
-    ``simulate_program(jit=True)`` and a resident run — then
+    ``simulate_program(jit=True)``, a resident run and an exact tape
+    built as a served hit builds it — then
     ``clear_caches()``: every store, plan-cache memory tier and block-pool
     shelf alive is empty.  A memo that does not list itself fails here."""
     import numpy as np
@@ -420,10 +421,12 @@ def test_clear_caches_reaches_every_resident_memo():
     compiled = compiled_program(program)  # the one the run compiled
     resident_run(program, [1, 2, 3, 4], PARAMS[0],
                  lambda: program.run([1, 2, 3, 4]))
+    jit_compiler.exact_verdict(program, [1, 2, 3, 4])
     for store in (parser_mod._PARSE_MEMO, parser_mod._STATEMENTS,
                   parser_mod._STAGES, search_mod._SHAPES, search_mod._REWRITES,
                   search_mod._KEY_PARTS, jit_compiler._COMPILE_CACHE,
-                  compiled._verdicts, compiled._tapes, machine_run._SCHEDULES):
+                  compiled._verdicts, compiled._tapes,
+                  jit_compiler._EXACT_TAPES, machine_run._SCHEDULES):
         assert len(store), "the request missed a memo"
     assert cache.stats()["resident_entries"] == 1
     filled = _resident_sizes()

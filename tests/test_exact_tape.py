@@ -42,7 +42,7 @@ from repro.core.stages import (
 )
 from repro.core.store import clear_caches
 from repro.jit import STATS, compiled_program, exact_evaluator, exact_verdict
-from repro.jit.compiler import _exact_signature, _identical
+from repro.jit.compiler import _EXACT_TAPES, _exact_signature, _identical
 from repro.kernels import KernelUnsupported
 from repro.kernels.registry import _MAPS, _PRIMITIVES, map_rows
 from repro.semantics.functional import UNDEF, dbl, inc, neg
@@ -233,7 +233,7 @@ def test_a_served_hit_of_a_covered_program_calls_no_binop(monkeypatch):
         xs = [j % 3 + 1] * 7 + [j % 2]
         assert values == tuple(SERVED.run(xs))
         assert _identical(list(values), plan.through_definitions().run(xs))
-    tape = compiled_program(plan)._tapes.get(("exact", (1,) * 8))
+    tape = _EXACT_TAPES.get((plan, (1,) * 8))
     assert tape.why == "" and STATS.exact["exact"] >= 1
 
 
@@ -241,11 +241,11 @@ def test_a_miss_builds_nothing_and_the_first_hit_keeps_the_tape():
     clear_caches()
     program = Program([ScanStage(MUL), ReduceStage(ADD)])
     cp = compiled_program(program)
-    key = ("exact", (1, 1, 1))
+    key = (program, (1, 1, 1))
     exact_evaluator(program, [1, 2, 3], hit=False)()
-    assert cp._tapes.get(key) is None
+    assert _EXACT_TAPES.get(key) is None
     assert exact_evaluator(program, [1, 2, 3], hit=True)() == [9, UNDEF, UNDEF]
-    tape = cp._tapes.get(key)
+    tape = _EXACT_TAPES.get(key)
     assert tape.why == "" and tape.run([2, 2, 2]) == [14, UNDEF, UNDEF]
     assert exact_evaluator(program, [2, 2, 2], hit=True)() == [14, UNDEF, UNDEF]
 

@@ -842,6 +842,45 @@ class TestCaches:
         compiled_program(prog)
         assert STATS.compiles == 2  # stale entry not served
 
+    def test_a_registry_change_rebuilds_a_served_exact_tape(self, monkeypatch):
+        """The served twin of the test above: the exact tape a resident
+        hit built under one kernel registry is not served after a
+        registration; the next hit builds it again and checks it against
+        the spec again, a second verdict."""
+        from repro.jit import compiler
+        from repro.serving import ServingConfig, ServingManager
+
+        checks = []
+
+        def counting(run, inputs, values):
+            checks.append(list(inputs))
+            return agrees(run, inputs, values)
+
+        agrees = compiler._agrees
+        monkeypatch.setattr(compiler, "_agrees", counting)
+        clear_caches()
+        prog = Program([ScanStage(ADD)])
+        params = MachineParams(p=4, ts=10.0, tw=1.0, m=1)
+        key = (prog, (1,) * 4)
+        with ServingManager(ServingConfig(workers=1,
+                                          substrate="cooperative")) as mgr:
+            for j in range(3):  # the miss, the hit that builds, a hit
+                assert mgr.submit(prog, [j, 1, 2, 3], params).result(30.0) \
+                    == (j, j + 1, j + 3, j + 6)
+            built = compiler._EXACT_TAPES.get(key)
+            assert checks == [[1, 1, 2, 3]] and STATS.exact == {"exact": 1}
+            version = registry_version()
+            register_binop_kernel(ADD, primitive(ADD))  # same row, new version
+            for j in range(3, 5):  # the hit that rebuilds, a hit
+                assert mgr.submit(prog, [j, 1, 2, 3], params).result(30.0) \
+                    == (j, j + 1, j + 3, j + 6)
+            rebuilt = compiler._EXACT_TAPES.get(key)
+            assert mgr.stats()["resident_hits"] == 4
+        assert built.why == rebuilt.why == "" and rebuilt is not built
+        assert (built.version, rebuilt.version) == (version, version + 1)
+        assert checks == [[1, 1, 2, 3], [3, 1, 2, 3]]
+        assert STATS.exact == {"exact": 2} and STATS.compiles == 2
+
     def test_registration_replaces_the_whole_row(self):
         """A kernel registered for a catalogue operator re-points every
         tier that reads the operator's row: the operator has no raw form

@@ -18,7 +18,8 @@ cost:
   answer it, fails an expired deadline typed, and races ``close()``
   without a lost or doubled completion;
 * so is what a repeated request rebuilds: no stage, no hash, no digit
-  traversal of a derived stage;
+  traversal of a derived stage, no compiled-program lookup and no
+  second read of its inputs for the exact tape;
 * and what a resident hit records: each of its four events is one dict,
   built in one place, and its blocks are read in one pass that answers
   as the per-block loop did.
@@ -68,6 +69,7 @@ from repro.core.stages import (
     Stage,
 )
 from repro.core.store import clear_caches
+from repro.jit import compiler as jit_compiler
 from repro.lang import parse_program
 from repro.machine.engine import SimResult, SimStats
 from repro.machine.run import DEFINED, _exact, _read
@@ -649,7 +651,9 @@ def test_a_repeated_request_builds_hashes_and_traverses_nothing(monkeypatch):
     ``optimize(cache=…)`` → ``submit`` → ``result`` of a repeated text
     constructs no ``Stage``, computes no ``Program`` hash, and its
     resident hit runs no ``ComcastOp.compute`` and no ``IterOp`` digit
-    traversal — counted, like the locks above: the cause, not the clock."""
+    traversal, looks up no compiled program and reads no exact
+    signature apart from its schedule lookup — counted, like the locks
+    above: the cause, not the clock."""
     clear_caches()
     cache, env = PlanCache(), {"op1": ADD}
     counts: Counter = Counter()
@@ -692,15 +696,19 @@ def test_a_repeated_request_builds_hashes_and_traverses_nothing(monkeypatch):
                     "Stage constructions", vars(cls)["__init__"]))
         monkeypatch.setattr(Program, "__hash__", counting_hash)
         for cls, name in ((ComcastOp, "compute"), (IterOp, "compute"),
-                          (IterOp, "compute_general")):
+                          (IterOp, "compute_general"),
+                          (jit_compiler, "compiled_program"),
+                          (jit_compiler, "_exact_signature")):
             monkeypatch.setattr(cls, name, counted(
                 f"{cls.__name__}.{name}", getattr(cls, name)))
+        tapes = len(jit_compiler._EXACT_TAPES)
         replies = [(program, j, request(mgr, text, j))
                    for j in range(REPEATS)
                    for text, program in zip(REPEATED, planned)]
         seen = dict(counts)
         monkeypatch.undo()
         assert mgr.stats()["resident_hits"] - hits == len(replies)
+        assert len(jit_compiler._EXACT_TAPES) == tapes == len(planned)
     assert seen == {}, seen
     for program, j, (got, values) in replies:
         assert got is program
@@ -712,16 +720,26 @@ def test_a_repeated_request_builds_hashes_and_traverses_nothing(monkeypatch):
 def _read_per_block(blocks):
     """``machine.run._read`` as every block list took it before flat
     int/bool lists were read from their set of types: one block at a
-    time."""
+    time, the exact signature as the exact tier derived it on its own
+    (0 for ``UNDEF``, 1 for an int or bool, ``n`` for a flat tuple of
+    ``n`` ≥ 2 of them; None when any block is something else)."""
     tokens = exact = True
-    undef_at = []
+    undef_at, sig = [], []
     for x in blocks:
         undef = x is UNDEF
         undef_at.append(undef)
         if not undef:
             tokens = tokens and x is DEFINED
             exact = exact and _exact(x)
-    return tokens, exact, tuple(undef_at)
+        if undef or type(x) in (int, bool):
+            sig.append(0 if undef else 1)
+        elif (type(x) is tuple and len(x) >= 2
+              and all(type(v) in (int, bool) for v in x)):
+            sig.append(len(x))
+        else:
+            sig.append(None)
+    return (tokens, exact, tuple(undef_at),
+            None if None in sig else tuple(sig))
 
 
 _LEAVES = st.one_of(
@@ -735,12 +753,16 @@ _BLOCKS = st.recursive(_LEAVES, lambda inner: st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.lists(_BLOCKS, max_size=8),
-                 st.lists(st.integers() | st.booleans(), max_size=16)))
+                 st.lists(st.integers() | st.booleans(), max_size=16),
+                 st.lists(st.integers() | st.booleans() | st.just(UNDEF),
+                          max_size=16)))
 def test_reading_blocks_in_one_pass_answers_as_the_per_block_loop(blocks):
     """Empty, ints, bools, ``UNDEF``, ``DEFINED`` tokens, floats, NumPy
-    scalars and nested tuples and lists, as a list and as a tuple."""
+    scalars and nested tuples and lists, as a list and as a tuple —
+    the exact signature included when it is asked for."""
     for seq in (blocks, tuple(blocks)):
-        assert _read(seq) == _read_per_block(seq)
+        assert _read(seq, signed=True) == _read_per_block(seq)
+        assert _read(seq) == _read_per_block(seq)[:3] + (None,)
 
 
 def test_a_served_hit_builds_each_of_its_four_event_records_once(
