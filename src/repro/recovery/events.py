@@ -1,45 +1,29 @@
 """Structured recovery event log.
 
-Every supervision decision — checkpoint taken, fault observed, state
-restored, link quarantined, schedule re-planned, topology shrunk,
-recovery exhausted — is appended to a :class:`RecoveryLog` as one flat
-JSON-serializable dict.  The log is deterministic for a given
-``(program, inputs, params, plan, policy, engine)`` tuple, which makes
-it diffable across runs and engines, and it is what the CI chaos job
-uploads as an artifact (schema documented in ``docs/FAULTS.md``).
-
-Since schema version 2, the same log carries the **job lifecycle** of
-the multi-tenant serving runtime (:mod:`repro.serving`): a job is
-submitted, admitted (or rejected with typed backpressure), started on a
-worker, retried after an incident, quarantined as a poison job, and
-completed — the supervision vocabulary and the serving vocabulary share
-one event stream, so a serving incident's recovery trail (``child_exit``
-→ ``retry`` → ``respawn`` → ``complete``) reads as one story.
-:meth:`RecoveryLog.from_json` reads both v1 and v2 documents.
+Every supervision decision — checkpoint, fault, restore, quarantine,
+replan, shrink, unrecoverable — is one flat JSON-serializable dict in a
+:class:`RecoveryLog`, deterministic for a given ``(program, inputs,
+params, plan, policy, engine)``, so logs diff across runs and engines
+(schema in ``docs/FAULTS.md``).  Schema v2 adds the serving job
+lifecycle to the same stream: an incident's trail (``child_exit`` →
+``retry`` → ``respawn`` → ``complete``) reads as one story.  The serving
+bus (:mod:`repro.serving.events`) renders a job's lifecycle events when
+read, their ``seq`` numbers dense and ordered once its emitters return.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable
 
-__all__ = ["RecoveryLog", "RECOVERYLOG_JSON_VERSION"]
+__all__ = ["RecoveryLog", "RECOVERYLOG_JSON_VERSION", "check_kind"]
 
-#: schema version written by :meth:`RecoveryLog.to_json`; v1 (PR 4-7,
-#: supervision events only) is still readable via :meth:`from_json`
+#: schema version :meth:`RecoveryLog.to_json` writes (v1 is still read)
 RECOVERYLOG_JSON_VERSION = 2
 
-#: event kinds a supervisor may emit, in the order they typically appear;
-#: the second row is the real-process incident vocabulary (``engine=
-#: "process"`` only): a heartbeat frozen past the watchdog interval, a
-#: child that exited without its result handshake, an arena generation
-#: bump before an attempt, a respawn of a crashed rank from checkpoint,
-#: and the loud last-resort degradation to the threaded engine.
-#: The third row is the serving job lifecycle (schema v2): submission,
-#: admission-control verdicts, dispatch retries after worker incidents,
-#: and deadline misses.  ``start``/``quarantine``/``complete``/
-#: ``fallback`` are shared with the supervision vocabulary — the fields
-#: disambiguate (``job=``/``tenant=`` vs ``link=``/``stage=``).
+#: event kinds: supervision, the process engine's incidents, the serving
+#: lifecycle (v2); a shared kind's fields tell it apart (``job=`` vs
+#: ``stage=``)
 EVENT_KINDS = (
     "start", "checkpoint", "fault", "restore", "quarantine",
     "replan", "shrink", "complete", "unrecoverable",
@@ -47,39 +31,35 @@ EVENT_KINDS = (
     "submit", "admit", "reject", "retry", "deadline_miss",
 )
 
-#: the subset of kinds a v1 document may contain (everything before the
-#: serving vocabulary); used only for validation on read
+#: the kinds a v1 document may contain, checked on read
 _V1_KINDS = EVENT_KINDS[:14]
 
-#: the kinds as one hashed lookup for :meth:`RecoveryLog.record`
+#: the kinds as one hashed lookup for :func:`check_kind`
 _KINDS = frozenset(EVENT_KINDS)
 
 
+def check_kind(event: str) -> str:
+    """``event``, a kind of the vocabulary; ``ValueError`` for any other."""
+    if event not in _KINDS:
+        raise ValueError(f"unknown recovery event kind {event!r}")
+    return event
+
+
 class RecoveryLog:
-    """Append-only list of supervision and job-lifecycle events.
+    """Append-only list of supervision and job-lifecycle events: dicts
+    of ``{"event": kind}`` and the kind's fields.  ``clock`` fields are
+    simulated time, never wall time (serving events carry none), so a
+    log is reproducible bit-for-bit."""
 
-    Each event is a dict with at least ``{"event": kind}``; extra fields
-    depend on the kind.  ``clock`` fields are simulated time, never wall
-    time, so supervision logs are reproducible bit-for-bit (serving
-    events carry no clocks at all for the same reason).
-    """
-
-    def __init__(self) -> None:
-        self.events: list[dict[str, Any]] = []
+    def __init__(self, events: Iterable[dict[str, Any]] = ()) -> None:
+        self.events: list[dict[str, Any]] = list(events)
 
     def emit(self, event: str, **fields: Any) -> dict[str, Any]:
         return self.record(event, fields)
 
-    def record(self, event: str, fields: dict[str, Any],
-               seq: int | None = None) -> dict[str, Any]:
-        """Append and return the one record of an event: ``event``, then
-        ``seq`` when given (the serving bus numbers its events), then
-        ``fields`` in their order.  Every emitter builds its records
-        here, so an event costs one dict."""
-        if event not in _KINDS:
-            raise ValueError(f"unknown recovery event kind {event!r}")
-        record = ({"event": event, **fields} if seq is None
-                  else {"event": event, "seq": seq, **fields})
+    def record(self, event: str, fields: dict[str, Any]) -> dict[str, Any]:
+        """Append and return an event's one dict: ``event``, ``fields``."""
+        record = {"event": check_kind(event), **fields}
         self.events.append(record)
         return record
 
@@ -91,20 +71,14 @@ class RecoveryLog:
         return [e for e in self.events if e["event"] == event]
 
     def to_json(self, indent: int | None = 2) -> str:
-        # list(): the serving bus keeps a bounded deque in ``events``
         return json.dumps({"version": RECOVERYLOG_JSON_VERSION,
-                           "events": list(self.events)},
+                           "events": self.events},
                           indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RecoveryLog":
-        """Parse a serialized log; reads both v1 and v2 documents.
-
-        v1 logs (written before the serving runtime existed) carry only
-        the supervision vocabulary; they load unchanged — the v2 kinds
-        are a strict superset.  Unknown versions and unknown kinds are
-        rejected loudly, never skipped.
-        """
+        """Parse a v1 (supervision kinds only) or v2 document; unknown
+        versions and kinds are rejected loudly, never skipped."""
         doc = json.loads(text)
         if not isinstance(doc, dict) or "events" not in doc:
             raise ValueError("not a RecoveryLog document (no 'events')")
@@ -112,14 +86,11 @@ class RecoveryLog:
         if version not in (1, RECOVERYLOG_JSON_VERSION):
             raise ValueError(f"unsupported RecoveryLog version {version}")
         allowed = _V1_KINDS if version == 1 else EVENT_KINDS
-        log = cls()
-        for record in doc["events"]:
-            kind = record.get("event")
+        for kind in (record.get("event") for record in doc["events"]):
             if kind not in allowed:
                 raise ValueError(
                     f"unknown v{version} recovery event kind {kind!r}")
-            log.events.append(dict(record))
-        return log
+        return cls(map(dict, doc["events"]))
 
     def write(self, path) -> None:
         """Write the JSON document to ``path`` (str or Path)."""

@@ -199,7 +199,8 @@ class Job:
     attempt (the manager's ``crashes`` strikes count them); ``no_batch``
     marks a job that must run in its own fork generation (set after a
     batch incident, so the poison job among the batch-mates identifies
-    itself).
+    itself).  ``life`` is the job's lifecycle record for the event bus,
+    ``(job_id, tenant, p)``.
     """
 
     job_id: str
@@ -213,6 +214,10 @@ class Job:
     attempts: int = 0
     no_batch: bool = False
     forensics: list[str] = field(default_factory=list)
+    life: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.life = (self.job_id, self.tenant, self.p)
 
     @property
     def p(self) -> int:

@@ -47,10 +47,9 @@ from repro.machine.run import resident_schedule
 from repro.obs import span
 from repro.parallel.backend import SUBSTRATES, Ladder, ProcessJobRunner
 from repro.parallel.shm import ArenaPool
-from repro.recovery.events import RecoveryLog
 from repro.recovery.health import Strikes
 from repro.serving.deadline import RetryPolicy
-from repro.serving.events import EventBus
+from repro.serving.events import ADMIT, COMPLETE, SUBMIT, EventBus
 from repro.serving.job import (
     DeadlineExceededError,
     Job,
@@ -124,12 +123,11 @@ class ServingManager:
     concurrently.
     """
 
-    def __init__(self, config: ServingConfig | None = None,
-                 log: RecoveryLog | None = None) -> None:
+    def __init__(self, config: ServingConfig | None = None) -> None:
         from repro.serving.worker import WorkerPool
 
         self.config = config or ServingConfig()
-        self.events = EventBus(log)
+        self.events = EventBus()
         self.queue = FairQueue(self.config.queue_capacity)
         self.quotas = TenantQuotas(self.config.tenant_quota,
                                    self.config.tenant_limits)
@@ -178,7 +176,7 @@ class ServingManager:
             job = Job.create(program, inputs, params, tenant,
                              deadline_at=deadline_at, budget=budget)
             traced.request = job.job_id
-            self.events.emit("submit", job=job.job_id, tenant=tenant, p=job.p)
+            self.events.mark(SUBMIT, job.life)
             try:
                 self.quotas.admit(tenant)
             except TenantQuotaError:
@@ -190,8 +188,7 @@ class ServingManager:
             if self.ladder.rung == "cooperative":
                 lookup = resident_schedule(program, job.inputs, params)
                 if lookup[1] is not None:  # the resident entry
-                    self.events.emit("admit", job=job.job_id, tenant=tenant,
-                                     depth=0)
+                    self.events.mark(ADMIT, job.life, 0)
                     self.workers.run_single(
                         job, threading.current_thread().name, "cooperative",
                         lookup)
@@ -206,8 +203,7 @@ class ServingManager:
                 self.events.emit("reject", job=job.job_id, tenant=tenant,
                                  reason=reason)
                 raise
-            self.events.emit("admit", job=job.job_id, tenant=tenant,
-                             depth=depth)
+            self.events.mark(ADMIT, job.life, depth)
             return job.handle
 
     # -- worker-side callbacks ----------------------------------------------
@@ -241,8 +237,7 @@ class ServingManager:
 
     def complete_job(self, job: Job, values: tuple,
                      sim: SimResult | None = None) -> None:
-        self.events.emit("complete", job=job.job_id, tenant=job.tenant,
-                         status="ok", attempts=job.attempts)
+        self.events.mark(COMPLETE, job.life, "ok", job.attempts)
         self._release(job)
         job.handle._fulfill(values, sim)
 

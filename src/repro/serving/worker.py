@@ -41,6 +41,7 @@ from repro.machine.run import resident_run, resident_schedule, simulate_program
 from repro.parallel.errors import ProcessIncidentError, WorkerDeadlineError
 from repro.recovery.health import backoff
 from repro.serving.deadline import remaining_budget
+from repro.serving.events import START
 from repro.serving.job import Job, ManagerClosedError
 
 __all__ = ["WorkerPool"]
@@ -156,9 +157,7 @@ class WorkerPool:
             if budget is not None and budget <= 0:
                 return mgr.deadline_miss(job)
             job.attempts += 1
-            mgr.events.emit("start", job=job.job_id, tenant=job.tenant,
-                            worker=worker, substrate=substrate,
-                            attempt=job.attempts)
+            mgr.events.mark(START, job.life, worker, substrate, job.attempts)
             sim = None
             try:
                 if substrate == "process":

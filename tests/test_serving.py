@@ -251,6 +251,78 @@ def test_eventbus_sequences_are_gapless_under_contention():
     assert bus.tally() == {("submit", None): 1600, ("complete", "ok"): 1600}
 
 
+def test_a_reader_beside_the_emitters_sees_whole_events_and_a_growing_len():
+    """Eight threads emit hit lifecycles — the four marks, under no lock —
+    while a reader loops over ``of_kind("complete")``, ``tally()`` and
+    ``len(bus)``.  No read raises, every rendered event has all of its
+    fields and ``len`` never goes down; once the emitters have returned
+    the ``seq`` numbers are dense and the tally exact (the bus's ``seq``
+    contract, by hammering)."""
+    import sys
+
+    from repro.serving.events import ADMIT, COMPLETE, START, SUBMIT
+
+    bus = EventBus()
+    done, ready = threading.Event(), threading.Barrier(9)
+    lens: list[int] = []
+    failures: list[BaseException] = []
+
+    def lifecycles(worker):
+        ready.wait(30.0)
+        for j in range(400):
+            life = (f"job-{worker}-{j}", "t", P)
+            bus.mark(SUBMIT, life)
+            bus.mark(ADMIT, life, j % 3)
+            bus.mark(START, life, worker, "cooperative", 1)
+            bus.mark(COMPLETE, life, "ok", 1)
+
+    def reader():
+        ready.wait(30.0)
+        try:
+            while not done.is_set():
+                completes = bus.of_kind("complete")
+                for event in completes:
+                    assert list(event) == ["event", "seq", "job", "tenant",
+                                           "status", "attempts"], event
+                    assert event["status"] == "ok" and event["attempts"] == 1
+                seqs = [event["seq"] for event in completes]
+                assert seqs == sorted(set(seqs)) and (not seqs or seqs[0] > 0)
+                assert sum(bus.tally().values()) <= 12800
+                lens.append(len(bus))
+        except BaseException as exc:  # surfaced on the test's thread
+            failures.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        watcher = threading.Thread(target=reader)
+        watcher.start()
+        threads = [threading.Thread(target=lifecycles, args=(w,))
+                   for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        done.set()
+        watcher.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads + [watcher])
+    assert failures == []
+    assert lens and lens == sorted(lens)
+    events = bus.log.events
+    assert [e["seq"] for e in events] == list(range(1, 12801))
+    fields = {"submit": ["p"], "admit": ["depth"],
+              "start": ["worker", "substrate", "attempt"],
+              "complete": ["status", "attempts"]}
+    for event in events:
+        assert list(event) == ["event", "seq", "job", "tenant",
+                               *fields[event["event"]]]
+    assert len(bus) == 12800
+    assert bus.tally() == {("submit", None): 3200, ("admit", None): 3200,
+                           ("start", None): 3200, ("complete", "ok"): 3200}
+
+
 # -- the substrate ladder ------------------------------------------------------
 
 class _Incident(RuntimeError):
@@ -361,6 +433,13 @@ def test_a_refused_arena_reruns_the_job_on_threaded(monkeypatch):
 
 
 # -- end-to-end on the cooperative substrate ----------------------------------
+
+def _until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
 
 def _cfg(**kw):
     kw.setdefault("workers", 2)
@@ -633,6 +712,48 @@ class TestServingManager:
             "complete", 4 * jobs, handles[-1].job_id)
         assert [e["seq"] for e in retained] == list(
             range(4 * jobs - len(retained) + 1, 4 * jobs + 1))
+
+    def test_a_lifecycle_outlives_the_retained_window(self, monkeypatch):
+        """One job waits in the queue while 40 inline hits push its
+        ``submit`` and ``admit`` out of a 64-event window; once it runs,
+        its ``complete`` still renders, numbered last, and every count
+        has it; the window is one dense run of ``seq`` numbers ending at
+        ``len(bus)``."""
+        import repro.serving.events
+
+        monkeypatch.setattr(repro.serving.events, "RETAINED_EVENTS", 64)
+        clear_caches()
+        gate = threading.Event()
+
+        def wedge(x):
+            gate.wait(30.0)
+            return x
+
+        with ServingManager(_cfg(workers=1)) as mgr:
+            mgr.submit(SCAN, [0, 1, 2, 3], PARAMS).result(timeout=30.0)
+            wedged = mgr.submit(Program([MapStage(wedge)], name="wedge"),
+                                [1, 2, 3, 4], PARAMS)
+            _until(lambda: len(mgr.events.of_kind("start")) == 2)
+            held = mgr.submit(SCAN, [0.5] * P, PARAMS)  # inexact: queued
+            hits = [mgr.submit(SCAN, [j, 1, 2, 3], PARAMS)
+                    for j in range(40)]
+            assert all(h.done() for h in hits) and not held.done()
+            assert not [e for e in mgr.events.log.events
+                        if e["job"] == held.job_id]
+            gate.set()
+            assert held.result(timeout=30.0) == (0.5, 1.0, 1.5, 2.0)
+            assert wedged.result(timeout=30.0) == (1, 2, 3, 4)
+            stats = mgr.stats()
+            retained = mgr.events.log.events
+        assert stats["completed"] == stats["submitted"] == 43
+        assert stats["events"] == len(mgr.events) == 4 * 43
+        assert [e["seq"] for e in retained] == list(
+            range(len(mgr.events) - 63, len(mgr.events) + 1))
+        assert retained[-1] == {"event": "complete", "seq": len(mgr.events),
+                                "job": held.job_id, "tenant": "default",
+                                "status": "ok", "attempts": 1}
+        assert [e["event"] for e in retained
+                if e["job"] == held.job_id] == ["start", "complete"]
 
     def test_describe_and_stats_shape(self):
         with ServingManager(_cfg()) as mgr:

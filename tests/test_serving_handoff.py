@@ -20,9 +20,13 @@ cost:
 * so is what a repeated request rebuilds: no stage, no hash, no digit
   traversal of a derived stage, no compiled-program lookup and no
   second read of its inputs for the exact tape;
-* and what a resident hit records: each of its four events is one dict,
-  built in one place, and its blocks are read in one pass that answers
-  as the per-block loop did.
+* and what a resident hit records: no event dict at all — its four
+  events are marks on one lifecycle record, rendered when read — and its
+  blocks are read in one pass that answers as the per-block loop did;
+* and the bus's ``seq`` contract: a lifecycle that outlives the retained
+  window still renders and counts, and a reader running beside the
+  emitters never raises, never sees half an event and never sees
+  ``len`` go down.
 """
 
 from __future__ import annotations
@@ -93,7 +97,8 @@ from repro.serving.worker import WorkerPool
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: every serving module that creates a lock
+#: every serving module that creates a lock, and the event bus, which
+#: creates none but reads ``threading``: a lock it made would be counted
 LOCKING_MODULES = (repro.serving.events, repro.serving.job,
                    repro.serving.manager, repro.serving.queue,
                    repro.serving.quota)
@@ -394,11 +399,11 @@ class TestProgramHash:
 # -- the lock gate ----------------------------------------------------------------
 
 #: lock acquisitions one cooperative job takes from ``submit`` to its
-#: reply on the single-threaded drive below: four events, quota admit and
-#: release, queue push and pop, the resident-schedule count and the
-#: handle's birth (a live worker thread adds its pop's and the client's
-#: blocking waits)
-LOCKS_PER_JOB = 10
+#: reply on the single-threaded drive below: quota admit and release,
+#: queue push and pop, the resident-schedule count and the handle's birth
+#: — its four events take none (a live worker thread adds its pop's and
+#: the client's blocking waits)
+LOCKS_PER_JOB = 6
 JOBS = 1_000
 
 
@@ -481,9 +486,9 @@ def test_a_served_job_takes_at_most_LOCKS_PER_JOB_lock_acquisitions(
 
 
 #: lock acquisitions one resident hit answered on the submitting thread
-#: takes: four events, quota admit and release, the resident-schedule
-#: count and the handle's birth — no queue push, no pop
-LOCKS_PER_INLINE_HIT = 8
+#: takes: quota admit and release, the resident-schedule count and the
+#: handle's birth — no queue push, no pop, and none for its four events
+LOCKS_PER_INLINE_HIT = 4
 
 
 def test_a_resident_hit_takes_at_most_LOCKS_PER_INLINE_HIT_lock_acquisitions(
@@ -765,36 +770,40 @@ def test_reading_blocks_in_one_pass_answers_as_the_per_block_loop(blocks):
         assert _read(seq) == _read_per_block(seq)[:3] + (None,)
 
 
-def test_a_served_hit_builds_each_of_its_four_event_records_once(
+def test_a_served_hit_builds_no_event_record_and_renders_its_four_when_read(
         monkeypatch):
-    """One cooperative resident hit enters ``RecoveryLog.record`` — the
-    one place an event's dict is built — exactly four times, and what the
-    log keeps is those four dicts: ``submit``, ``admit``, ``start`` and
-    ``complete``, numbered in turn.  Counted, like the locks above: the
-    cause, not the clock."""
+    """One cooperative resident hit never enters ``RecoveryLog.record``
+    or ``EventBus.emit`` — the places an event's dict is built: its four
+    events are marks on its lifecycle record — and one read renders them,
+    ``submit``, ``admit``, ``start`` and ``complete``, numbered in turn.
+    Counted, like the locks above: the cause, not the clock."""
     clear_caches()
-    built: list[dict] = []
-    record = RecoveryLog.record
+    built: list[str] = []
+    record, emit = RecoveryLog.record, EventBus.emit
 
-    def counted(self, event, fields, seq=None):
-        built.append(record(self, event, fields, seq))
-        return built[-1]
+    def recorded(self, event, fields):
+        built.append(event)
+        return record(self, event, fields)
+
+    def emitted(self, event, **fields):
+        built.append(event)
+        return emit(self, event, **fields)
 
     with ServingManager(ServingConfig(workers=1,
                                       substrate="cooperative")) as mgr:
         assert mgr.submit(SCAN, [0, 1, 2, 3], PARAMS).result(30.0) == (
             0, 1, 3, 6)  # the miss that admits the schedule
         _until(lambda: len(mgr.events) == 4)
-        monkeypatch.setattr(RecoveryLog, "record", counted)
+        monkeypatch.setattr(RecoveryLog, "record", recorded)
+        monkeypatch.setattr(EventBus, "emit", emitted)
         assert mgr.submit(SCAN, [4, 1, 2, 3], PARAMS).result(30.0) == (
             4, 5, 7, 10)
         _until(lambda: len(mgr.events) == 8)
         monkeypatch.undo()
         assert mgr.stats()["resident_hits"] == 1
         kept = list(mgr.events.log.events)[4:]
-    assert len(built) == 4
-    assert all(got is want for got, want in zip(built, kept))
-    assert [(r["event"], r["seq"]) for r in built] == [
+    assert built == []
+    assert [(r["event"], r["seq"]) for r in kept] == [
         ("submit", 5), ("admit", 6), ("start", 7), ("complete", 8)]
 
 
