@@ -12,22 +12,25 @@ beam search and exhaustive search (:mod:`repro.core.optimizer`,
 depends on:
 
 * **which rules match a window** — the candidates its stage classes
-  (spliced like the tokens) admit, from a process-wide shape table
-  (below), each asked ``rule.match`` on the window itself.  A child's
-  site list is its parent's with the untouched sites re-indexed; only
-  windows that hold an inserted stage (or, for an empty right-hand side,
-  span the junction) are scanned, and a site ending where the rewrite
-  starts re-reads a lossy rule's ``safe`` flag (it reads the stage after);
+  (spliced like the tokens) admit, from its rule set's shape table,
+  found once per search (below), each asked ``rule.match`` on the window
+  itself; a window the table names no candidate for is not sliced.  A
+  child's site list is its parent's with the untouched sites re-indexed;
+  only windows that hold an inserted stage (or, for an empty right-hand
+  side, span the junction) are scanned, and a site ending where the
+  rewrite starts re-reads a lossy rule's ``safe`` flag (it reads the
+  stage after);
 * **a stage's signature token, rendering and token JSON** — memoised on
   the immutable stage object, so a child's signature is
   ``parent[:s] + tokens(inserted) + parent[s + w:]``;
-* **a stage's cost** — once per search and stage, summed left to right
-  as :func:`~repro.core.cost.program_cost` does, so costs are
+* **a stage's cost** — kept on the immutable stage object per machine
+  object (below), summed left to right as
+  :func:`~repro.core.cost.program_cost` does, so costs are
   bit-identical;
 * **a rewrite** — a function of the window and ``p``, kept once per
   process and (rule, window stage objects) (below): a later site over the
   same objects, in any search, reuses the inserted stage *objects* with
-  their facts; their costs are kept once per search;
+  their facts, costs included;
 * **a program's children** — built once per node, in ``(rule order,
   start)`` order, as stage tuples with spliced facts, and kept by the
   search, not by the node: a :class:`~repro.core.stages.Program`, a trace
@@ -47,6 +50,7 @@ a window it created, in ``_child`` for one it inherited.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -102,16 +106,19 @@ def plan_signature(program: Program) -> tuple[tuple, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Shape table and rewrite store
+# Shape tables, rewrite store and cost stash
 # ---------------------------------------------------------------------------
 #
 # A rule is a stage class set per window position (the paper's ``lhs``)
 # plus a side condition over the window's operators.  Which rules admit a
-# window's classes depends on nothing else, so the shape table maps (rule
-# set, the window's stage classes) to their positions in the rule set; the
-# rule set is the string of its rows' serials, so a doctored copy of a
-# row never reads the catalogue row's answer.  The side condition is never
-# kept: ``rule.match`` runs on the window for every candidate.
+# window's classes depends on nothing else, so ``_SHAPES`` maps a rule set
+# (the tuple of its rows, which compare by identity; the key holds them,
+# so a doctored copy of a row never reads the catalogue row's answer) to
+# its sorted window widths and its shape table: the window's stage
+# classes -> their positions in the rule set.  A search finds its entry
+# once; each table holds at most ``_REWRITES.bound`` shapes.  The side
+# condition is never kept: ``rule.match`` runs on the window for every
+# candidate.
 #
 # A rewrite is a function of its window and of ``general`` (p is not a
 # power of two, for the Local rules), and the stage objects are shared
@@ -120,12 +127,41 @@ def plan_signature(program: Program) -> tuple[tuple, ...]:
 # search; the entry holds the window, so the ids stay its own.  Both
 # stores serve every thread under the one discipline of
 # :class:`~repro.core.store.BoundedStore`.
+#
+# A stage's cost is a function of the stage and the machine, and both are
+# frozen, so it is kept on the stage object, as its signature facts are,
+# keyed by the machine object's identity: a process-wide (stage, machine)
+# store would keep the stages it evicts from the other stores alive.
 
 _REWRITES = BoundedStore(4096)
-_SHAPES = BoundedStore(_REWRITES.bound)
+#: rule rows -> (their sorted window widths, their shape table)
+_SHAPES = BoundedStore(64)
 #: (id of the params, rule rows) -> (params, the plan-cache key's params
 #: and rules members as JSON; :func:`repro.core.planner.cache_key`)
 _KEY_PARTS = BoundedStore(256)
+#: serialises the writers of the stages' ``_search_costs`` stashes
+_COSTS_LOCK = threading.Lock()
+#: the stash of a stage never costed (never written)
+_NO_COSTS: dict = {}
+
+
+def _cost(stage: Stage, params: MachineParams) -> float:
+    """``stage_cost(stage, params)``, kept on the stage object: its
+    ``_search_costs`` stash maps the id of each machine it was costed on
+    to ``(machine, cost)`` — the entry holds the machine, so the id stays
+    its own — and keeps at most ``_KEY_PARTS.bound`` machines, dropping
+    the oldest first.  :meth:`Search._costs` reads the stash; this fills
+    it."""
+    cost = stage_cost(stage, params)
+    with _COSTS_LOCK:  # readers take none; writers evict one at a time
+        stash = stage.__dict__.get("_search_costs")
+        if stash is None:
+            stash = stage.__dict__["_search_costs"] = {}
+        key = id(params)
+        if key not in stash and len(stash) >= _KEY_PARTS.bound:
+            del stash[next(iter(stash))]
+        stash[key] = (params, cost)
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +231,13 @@ class Search:
         self.params = params
         self.rules = tuple(rules)
         self.allow_lossy = allow_lossy
-        self._ruleset = ",".join(str(r.serial) for r in self.rules)
-        self._widths = sorted({rule.window for rule in self.rules})
+        entry = _SHAPES.get(self.rules)
+        if entry is None:
+            entry = (sorted({rule.window for rule in self.rules}),
+                     BoundedStore(_REWRITES.bound))
+            _SHAPES.put(self.rules, entry)
+        #: the window widths and shape table of this rule set
+        self._widths, self._shapes = entry
         self._general = not (params.p > 0 and params.p & (params.p - 1) == 0)
         #: (rule position, ids of the window's stages) -> _rewrite's entry,
         #: which holds the window, so the ids stay its own
@@ -208,8 +249,14 @@ class Search:
                          costs, sum(costs), _program=program)
 
     def _costs(self, stages: tuple[Stage, ...]) -> tuple:
-        """The model cost of each of ``stages`` on this machine."""
-        return tuple(stage_cost(stage, self.params) for stage in stages)
+        """The model cost of each of ``stages`` on this machine, read
+        from the stage's stash (:func:`_cost` fills it)."""
+        params, key = self.params, id(self.params)
+        costs = []
+        for stage in stages:
+            entry = stage.__dict__.get("_search_costs", _NO_COSTS).get(key)
+            costs.append(_cost(stage, params) if entry is None else entry[1])
+        return tuple(costs)
 
     def _rewrite(self, rule: Rule, window: tuple[Stage, ...],
                  safe: bool) -> tuple:
@@ -252,19 +299,21 @@ class Search:
         """``(rule position, start, safe)`` of every match whose window
         starts before ``stop`` and ends after ``first``."""
         rules, stages, classes = self.rules, node.stages, node.classes
-        sites = []
+        shapes, sites = self._shapes, []
         for width in self._widths:
             for start in range(max(0, first - width + 1),
                                min(stop, len(stages) - width + 1)):
                 end = start + width
-                key = (self._ruleset, *classes[start:end])
-                candidates = _SHAPES.get(key)
+                shape = classes[start:end]
+                candidates = shapes.get(shape)
                 if candidates is None:
                     candidates = tuple(
                         i for i, rule in enumerate(rules)
                         if rule.window == width
-                        and all(map(issubclass, key[1:], rule.lhs)))
-                    _SHAPES.put(key, candidates)
+                        and all(map(issubclass, shape, rule.lhs)))
+                    shapes.put(shape, candidates)
+                if not candidates:
+                    continue
                 window = stages[start:end]
                 for i in candidates:
                     rule = rules[i]

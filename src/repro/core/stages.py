@@ -159,7 +159,7 @@ class Stage:
 
     def __getstate__(self) -> dict:
         """The fields alone: a memo kept beside them (the planner's
-        ``_search_facts``) is not pickled."""
+        ``_search_facts`` and ``_search_costs``) is not pickled."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property

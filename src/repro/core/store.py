@@ -3,10 +3,10 @@ registry that reaches every memo.
 
 A served process keeps nine facts by value — a text's declaration, a
 statement text's statement and a statement's stage (``lang.parser``), a
-window shape's candidate rules, a window's rewrite and a request's
-plan-key pieces (``core.search``), a program's compiled kernels and its
-exact tape for one block signature (``jit.compiler``), a shape's
-simulated schedule (``machine.run``) — and
+rule set's window shapes with their candidate rules, a window's rewrite
+and a request's plan-key pieces (``core.search``), a program's compiled
+kernels and its exact tape for one block signature (``jit.compiler``), a
+shape's simulated schedule (``machine.run``) — and
 every worker thread reads and fills them at once, under one discipline:
 reads take no lock (one lookup, no re-ordering; two threads that miss on
 one key both compute, to equal entries) and :meth:`~BoundedStore.put`

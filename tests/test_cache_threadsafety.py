@@ -2,9 +2,9 @@
 
 The serving worker pool calls ``optimize`` from many threads at once,
 which makes the process-global stores of the search core and the parser
-(shape table, kept rewrites, key pieces, interned stages, statement
-store) and any shared :class:`PlanCache` instance concurrency hot
-spots.  OrderedDicts corrupt silently under unlocked concurrent mutation
+(shape tables, kept rewrites, key pieces, interned stages, statement
+store, the stages' cost stashes) and any shared :class:`PlanCache`
+instance concurrency hot spots.  OrderedDicts corrupt silently under unlocked concurrent mutation
 (lost entries, ``KeyError`` during ``move_to_end``, broken links), so
 every store serializes mutations behind a lock (the stores' hits only
 read).
@@ -23,7 +23,7 @@ from repro.core.operators import ADD, MUL
 from repro.core.optimizer import optimize
 from repro.core.plancache import PlanCache
 from repro.core.planner import cache_key, trace_of
-from repro.core.rules import FULL_RULES
+from repro.core.rules import ALL_RULES, FULL_RULES
 from repro.core.stages import (
     AllReduceStage,
     BcastStage,
@@ -48,6 +48,15 @@ PROGRAMS = [
              AllReduceStage(MUL)], name="map-allred"),
     Program([ScanStage(ADD), ScanStage(MUL)], name="scan-scan"),
 ]
+
+
+def _shape_table_size(rules) -> list[int]:
+    """The size of ``rules``' shape table, if a search has made it (read
+    without a lock, as a search reads it)."""
+    from repro.core import search as search_mod
+
+    entry = search_mod._SHAPES.get(tuple(rules))
+    return [] if entry is None else [len(entry[1])]
 
 
 def _fresh(prog):
@@ -105,9 +114,10 @@ def test_match_cache_hammer_is_bit_identical():
 def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
     """clear_caches racing 8 optimizing threads: clears are a
     legal (if unhelpful) concurrent operation and must never corrupt
-    the shape table or the rewrite store or crash an optimize in flight.
-    Both bounds are squeezed below the working set so inserts evict under
-    contention too, and neither store outgrows its bound."""
+    the shape tables or the rewrite store or crash an optimize in flight.
+    Both bounds are squeezed below the working set (a rule set's shape
+    table takes the rewrite store's) so inserts evict under contention
+    too, and neither store nor the shape table outgrows its bound."""
     from repro.core import search as search_mod
 
     stores = (search_mod._SHAPES, search_mod._REWRITES)
@@ -124,6 +134,7 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
             while not stop.is_set():
                 clear_caches()
                 sizes.extend(map(len, stores))
+                sizes.extend(_shape_table_size(ALL_RULES))
         else:
             try:
                 for _ in range(ROUNDS):
@@ -131,6 +142,7 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
                         res = optimize(prog, PARAMS[0])
                         assert res.program.pretty() == expected[prog.name]
                         sizes.extend(map(len, stores))
+                        sizes.extend(_shape_table_size(ALL_RULES))
             finally:
                 if tid == 1:
                     stop.set()
@@ -138,6 +150,41 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
     _hammer(work)
     assert max(sizes) <= 6
     clear_caches()
+
+
+def test_cost_stash_hammer_keeps_its_bound_and_its_costs():
+    """8 threads cost one stage object, each on 100 machine objects of its
+    own, under a shortened switch interval: every search's cost is
+    ``stage_cost`` bit for bit, no eviction raises, and the stage keeps
+    exactly ``_KEY_PARTS.bound`` machines (800 were costed)."""
+    import sys
+
+    from repro.core import search as search_mod
+    from repro.core.cost import stage_cost
+    from repro.core.search import Search
+
+    stage = ScanStage(ADD)
+    machines = [[MachineParams(p=8, ts=float(100 * tid + k), tw=0.5, m=1)
+                 for k in range(100)] for tid in range(THREADS)]
+    wrong = []
+
+    def work(tid):
+        for params in machines[tid]:
+            search = Search(Program([stage]), params, FULL_RULES)
+            if search.root.costs != (stage_cost(stage, params),):
+                wrong.append(params)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(work)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not wrong
+    stash = stage.__dict__["_search_costs"]
+    assert len(stash) == search_mod._KEY_PARTS.bound
+    assert all(cost == stage_cost(stage, params)
+               for params, cost in stash.values())
 
 
 #: statement bodies of the re-parsed texts: shared statements, so the
@@ -203,6 +250,9 @@ def test_interned_stages_and_kept_rewrites_with_concurrent_clears(
                                 == expected[k, params])
                         oversized.extend(
                             s for s in stores if len(s) > s.bound)
+                        oversized.extend(  # the table takes _REWRITES'
+                            n for n in _shape_table_size(FULL_RULES)
+                            if n > search_mod._REWRITES.bound)
         finally:
             if tid == 1:
                 stop.set()
@@ -422,8 +472,10 @@ def test_clear_caches_reaches_every_resident_memo():
     resident_run(program, [1, 2, 3, 4], PARAMS[0],
                  lambda: program.run([1, 2, 3, 4]))
     jit_compiler.exact_verdict(program, [1, 2, 3, 4])
+    [(_, shapes)] = search_mod._SHAPES.values()  # FULL_RULES' shape table
     for store in (parser_mod._PARSE_MEMO, parser_mod._STATEMENTS,
-                  parser_mod._STAGES, search_mod._SHAPES, search_mod._REWRITES,
+                  parser_mod._STAGES, search_mod._SHAPES, shapes,
+                  search_mod._REWRITES,
                   search_mod._KEY_PARTS, jit_compiler._COMPILE_CACHE,
                   compiled._verdicts, compiled._tapes,
                   jit_compiler._EXACT_TAPES, machine_run._SCHEDULES):

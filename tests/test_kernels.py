@@ -31,7 +31,7 @@ from repro.core.operators import (
     declare_distributes,
 )
 from repro.core.optimizer import optimize
-from repro.core.rules import FULL_RULES
+from repro.core.rules import ALL_RULES, FULL_RULES
 from repro.core.rewrite import fuse_local_stages
 from repro.core.segmented import segmented_op
 from repro.core.stages import (
@@ -394,11 +394,12 @@ class TestMatchCache:
     def test_repeated_optimization_hits_cache(self):
         from repro.core import search as search_mod
 
-        shapes = search_mod._SHAPES
         clear_caches()
         prog = Program([ScanStage(MUL), ReduceStage(ADD)])
         params = MachineParams(p=8, ts=10.0, tw=1.0, m=16)
         first = optimize(prog, params)
+        # one rule set, one shape table: every search below reads it
+        [(_, shapes)] = search_mod._SHAPES.values()
         populated = len(shapes)
         assert 0 < populated <= shapes.bound
         # a window's candidate rules do not depend on the machine: a second
@@ -416,8 +417,10 @@ class TestMatchCache:
         optimize(Program([ScanStage(MUL), ReduceStage(ADD)] * 3), params,
                  strategy="greedy")
         assert len(shapes) == seam      # a third copy is not
+        assert search_mod._SHAPES.get(tuple(ALL_RULES))[1] is shapes
         clear_caches()
-        assert not any(map(len, (shapes, search_mod._REWRITES,
+        assert not any(map(len, (shapes, search_mod._SHAPES,
+                                 search_mod._REWRITES,
                                  search_mod._KEY_PARTS)))
 
     @pytest.mark.parametrize("commutative_first", [True, False])
@@ -455,7 +458,7 @@ class TestMatchCache:
             return [step.rule.name for step in result.derivation.steps]
 
         assert rules_fired() == []
-        assert len(search_mod._SHAPES) > 0
+        assert len(search_mod._SHAPES.get(tuple(FULL_RULES))[1]) > 0
         declare_distributes(otimes, oplus)
         try:
             assert rules_fired() == ["SS2-Scan"]

@@ -30,6 +30,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 from collections import Counter
@@ -142,14 +143,18 @@ def test_derived_sites_and_spliced_facts_equal_from_scratch(memo, monkeypatch):
     stores = (search_mod._SHAPES, search_mod._REWRITES, search_mod._KEY_PARTS,
               parser_mod._STAGES, parser_mod._STATEMENTS)
     if memo == "squeezed":  # every search evicts: hits, misses and re-misses
-        for store in stores:
+        for store in stores:  # a rule set's shape table takes _REWRITES'
             monkeypatch.setattr(store, "bound", 8)
     clear_caches()  # the texts read their statements afresh, too
     corpus = _structure_corpus()
     for _pass in range(2):  # the second pass answers from the stores
         expanded = sum(_check_expanded_nodes(*spec) for spec in corpus)
         assert expanded > 2 * len(corpus)  # children were expanded too
-        assert all(0 < len(store) <= store.bound for store in stores)
+        tables = [table for _, table in search_mod._SHAPES.values()]
+        assert all(table.bound == search_mod._REWRITES.bound
+                   for table in tables)
+        assert all(0 < len(store) <= store.bound
+                   for store in (*stores, *tables))
     clear_caches()
 
 
@@ -381,8 +386,8 @@ def test_a_search_builds_fewer_programs_than_children(monkeypatch):
     clear_caches()
 
 
-#: one beam search of NINE, cold: shape-table lookups (one per window
-#: scanned) and ``Rule.match`` calls
+#: one beam search of NINE, cold: lookups in the rule set's shape table
+#: (one per window scanned) and ``Rule.match`` calls
 NINE_LOOKUPS, NINE_MATCHES = 326, 151
 
 
@@ -394,8 +399,11 @@ def test_a_child_matches_only_the_windows_it_created(monkeypatch):
     builds its child — and by ``apply_match`` on each rewrite the
     process had not kept."""
     clear_caches()
-    shapes, got = search_mod._SHAPES, []
-    get = shapes.get
+    # the shape table every search under FULL_RULES reads; this search
+    # makes it and expands nothing
+    Search(Program(NINE), NINE_PARAMS, FULL_RULES)
+    [(_, shapes)] = search_mod._SHAPES.values()
+    got, get = [], shapes.get
 
     def counted_get(key):
         got.append(get(key))
@@ -427,6 +435,50 @@ def test_a_child_matches_only_the_windows_it_created(monkeypatch):
     assert (result.programs_explored, result.pruned, result.levels) == (
         97, 41, 5)
     clear_caches()
+
+
+def test_a_stage_keeps_its_cost_per_machine_object(monkeypatch):
+    """A stage's cost is kept on the stage, keyed by the machine object:
+    a second search of the same stage objects on the same machine object
+    costs none of them, while a re-plan at a round penalty (what
+    ``recovery.supervise`` plans with) and a search on an equal-valued
+    machine object of its own each cost every stage again, bit for bit
+    ``stage_cost``.  A stage keeps at most ``_KEY_PARTS.bound`` machines,
+    the oldest dropped first."""
+    costed = _counting(monkeypatch, search_mod, "stage_cost",
+                       lambda stage, params: (stage, params))
+    stages = tuple(dataclasses.replace(stage) for stage in NINE)  # uncosted
+    first = Search(Program(stages), NINE_PARAMS, FULL_RULES)
+    assert len(costed) == len(stages)
+    del costed[:]
+    again = Search(Program(stages), NINE_PARAMS, FULL_RULES)
+    assert costed == [] and again.root.costs == first.root.costs
+    penalised = NINE_PARAMS.with_(round_penalty=5.0)
+    equal = dataclasses.replace(NINE_PARAMS)
+    assert equal == NINE_PARAMS and equal is not NINE_PARAMS
+    roots = {}
+    for params in (penalised, equal):
+        del costed[:]
+        roots[params] = root = Search(Program(stages), params, FULL_RULES).root
+        assert len(costed) == len(stages)
+        assert all(stage is mine and machine is params for (stage, machine),
+                   mine in zip(costed, stages))
+        fresh = tuple(stage_cost(stage, params) for stage in stages)
+        assert root.costs == fresh
+        assert list(map(type, root.costs)) == list(map(type, fresh))
+    assert roots[equal].cost == first.root.cost < roots[penalised].cost
+
+    stage = dataclasses.replace(NINE[0])
+    machines = [MachineParams(p=8, ts=float(k), tw=0.5, m=16)
+                for k in range(300)]
+    for params in machines:
+        Search(Program([stage]), params, FULL_RULES)
+    stash = stage.__dict__["_search_costs"]
+    assert len(stash) == search_mod._KEY_PARTS.bound == 256
+    kept = [machine for machine, _ in stash.values()]
+    assert all(a is b for a, b in zip(kept, machines[-256:]))
+    assert all(cost == stage_cost(stage, machine)
+               for machine, cost in stash.values())
 
 
 #: NINE as text, under a program name of the caller's
