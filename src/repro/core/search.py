@@ -24,7 +24,7 @@ depends on:
   the immutable stage object, so a child's signature is
   ``parent[:s] + tokens(inserted) + parent[s + w:]``;
 * **a stage's cost** — kept on the immutable stage object per machine
-  object (below), summed left to right as
+  value (below), summed left to right as
   :func:`~repro.core.cost.program_cost` does, so costs are
   bit-identical;
 * **a rewrite** — a function of the window and ``p``, kept once per
@@ -50,8 +50,7 @@ a window it created, in ``_child`` for one it inherited.
 from __future__ import annotations
 
 import json
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from repro.core.cost import MachineParams, stage_cost
@@ -129,9 +128,14 @@ def plan_signature(program: Program) -> tuple[tuple, ...]:
 # :class:`~repro.core.store.BoundedStore`.
 #
 # A stage's cost is a function of the stage and the machine, and both are
-# frozen, so it is kept on the stage object, as its signature facts are,
-# keyed by the machine object's identity: a process-wide (stage, machine)
-# store would keep the stages it evicts from the other stores alive.
+# frozen, so it is kept on the stage object, as its signature facts are:
+# its ``_search_costs`` stash maps a machine's value (:func:`_machine_key`)
+# to the cost, so every object that carries one machine reads one entry.
+# It holds at most ``_STASH_MACHINES`` machines (one past the bound
+# starts it afresh: a clear, unlike evicting the oldest, needs no lock)
+# and dies with the stage.  A process-wide (stage, machine) store would
+# keep the stages it evicts from the other stores alive, and a
+# ``BoundedStore`` per stage weighs four times a dict.
 
 _REWRITES = BoundedStore(4096)
 #: rule rows -> (their sorted window widths, their shape table)
@@ -139,29 +143,14 @@ _SHAPES = BoundedStore(64)
 #: (id of the params, rule rows) -> (params, the plan-cache key's params
 #: and rules members as JSON; :func:`repro.core.planner.cache_key`)
 _KEY_PARTS = BoundedStore(256)
-#: serialises the writers of the stages' ``_search_costs`` stashes
-_COSTS_LOCK = threading.Lock()
-#: the stash of a stage never costed (never written)
-_NO_COSTS: dict = {}
+#: the machines a stage's cost stash keeps
+_STASH_MACHINES = 32
 
 
-def _cost(stage: Stage, params: MachineParams) -> float:
-    """``stage_cost(stage, params)``, kept on the stage object: its
-    ``_search_costs`` stash maps the id of each machine it was costed on
-    to ``(machine, cost)`` — the entry holds the machine, so the id stays
-    its own — and keeps at most ``_KEY_PARTS.bound`` machines, dropping
-    the oldest first.  :meth:`Search._costs` reads the stash; this fills
-    it."""
-    cost = stage_cost(stage, params)
-    with _COSTS_LOCK:  # readers take none; writers evict one at a time
-        stash = stage.__dict__.get("_search_costs")
-        if stash is None:
-            stash = stage.__dict__["_search_costs"] = {}
-        key = id(params)
-        if key not in stash and len(stash) >= _KEY_PARTS.bound:
-            del stash[next(iter(stash))]
-        stash[key] = (params, cost)
-    return cost
+def _machine_key(params: MachineParams) -> tuple:
+    """The machine's value as its dataclass equality reads it — its class
+    and its fields — in a tuple, which hashes without a Python call."""
+    return (type(params), *[getattr(params, f.name) for f in fields(params)])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +228,8 @@ class Search:
         #: the window widths and shape table of this rule set
         self._widths, self._shapes = entry
         self._general = not (params.p > 0 and params.p & (params.p - 1) == 0)
+        #: the key of this machine in the stages' cost stashes
+        self._machine = _machine_key(params)
         #: (rule position, ids of the window's stages) -> _rewrite's entry,
         #: which holds the window, so the ids stay its own
         self._rewrites: dict[tuple, tuple] = {}
@@ -249,13 +240,20 @@ class Search:
                          costs, sum(costs), _program=program)
 
     def _costs(self, stages: tuple[Stage, ...]) -> tuple:
-        """The model cost of each of ``stages`` on this machine, read
-        from the stage's stash (:func:`_cost` fills it)."""
-        params, key = self.params, id(self.params)
-        costs = []
+        """The model cost of each of ``stages`` on this machine, read from
+        the stage's cost stash and filled there on a miss."""
+        machine, costs = self._machine, []
         for stage in stages:
-            entry = stage.__dict__.get("_search_costs", _NO_COSTS).get(key)
-            costs.append(_cost(stage, params) if entry is None else entry[1])
+            stash = stage.__dict__.get("_search_costs")
+            if stash is None:  # racing threads may each make one; one stays
+                stash = stage.__dict__["_search_costs"] = {}
+            cost = stash.get(machine)
+            if cost is None:
+                cost = stage_cost(stage, self.params)
+                if len(stash) >= _STASH_MACHINES:
+                    stash.clear()
+                stash[machine] = cost
+            costs.append(cost)
         return tuple(costs)
 
     def _rewrite(self, rule: Rule, window: tuple[Stage, ...],

@@ -153,10 +153,12 @@ def test_match_cache_hammer_with_concurrent_clears(monkeypatch):
 
 
 def test_cost_stash_hammer_keeps_its_bound_and_its_costs():
-    """8 threads cost one stage object, each on 100 machine objects of its
-    own, under a shortened switch interval: every search's cost is
-    ``stage_cost`` bit for bit, no eviction raises, and the stage keeps
-    exactly ``_KEY_PARTS.bound`` machines (800 were costed)."""
+    """8 threads cost one stage object, each on 100 machines of its own,
+    each machine brought by two equal-valued objects, under a shortened
+    switch interval: every search's cost is ``stage_cost`` bit for bit,
+    no eviction raises, and the stage keeps at most ``_STASH_MACHINES``
+    machines (800 were costed)."""
+    import dataclasses
     import sys
 
     from repro.core import search as search_mod
@@ -170,9 +172,10 @@ def test_cost_stash_hammer_keeps_its_bound_and_its_costs():
 
     def work(tid):
         for params in machines[tid]:
-            search = Search(Program([stage]), params, FULL_RULES)
-            if search.root.costs != (stage_cost(stage, params),):
-                wrong.append(params)
+            for copy in (params, dataclasses.replace(params)):
+                search = Search(Program([stage]), copy, FULL_RULES)
+                if search.root.costs != (stage_cost(stage, params),):
+                    wrong.append(params)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -182,9 +185,10 @@ def test_cost_stash_hammer_keeps_its_bound_and_its_costs():
         sys.setswitchinterval(switch)
     assert not wrong
     stash = stage.__dict__["_search_costs"]
-    assert len(stash) == search_mod._KEY_PARTS.bound
-    assert all(cost == stage_cost(stage, params)
-               for params, cost in stash.values())
+    assert 0 < len(stash) <= search_mod._STASH_MACHINES
+    costed = {search_mod._machine_key(params): stage_cost(stage, params)
+              for mine in machines for params in mine}
+    assert all(cost == costed[key] for key, cost in stash.items())
 
 
 #: statement bodies of the re-parsed texts: shared statements, so the

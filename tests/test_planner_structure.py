@@ -145,6 +145,8 @@ def test_derived_sites_and_spliced_facts_equal_from_scratch(memo, monkeypatch):
     if memo == "squeezed":  # every search evicts: hits, misses and re-misses
         for store in stores:  # a rule set's shape table takes _REWRITES'
             monkeypatch.setattr(store, "bound", 8)
+        # a stage costed on a second machine forgets the first
+        monkeypatch.setattr(search_mod, "_STASH_MACHINES", 1)
     clear_caches()  # the texts read their statements afresh, too
     corpus = _structure_corpus()
     for _pass in range(2):  # the second pass answers from the stores
@@ -437,27 +439,33 @@ def test_a_child_matches_only_the_windows_it_created(monkeypatch):
     clear_caches()
 
 
-def test_a_stage_keeps_its_cost_per_machine_object(monkeypatch):
-    """A stage's cost is kept on the stage, keyed by the machine object:
-    a second search of the same stage objects on the same machine object
-    costs none of them, while a re-plan at a round penalty (what
-    ``recovery.supervise`` plans with) and a search on an equal-valued
-    machine object of its own each cost every stage again, bit for bit
-    ``stage_cost``.  A stage keeps at most ``_KEY_PARTS.bound`` machines,
-    the oldest dropped first."""
+def test_a_stage_keeps_its_cost_per_machine_value(monkeypatch):
+    """A stage's cost is kept on the stage, keyed by the machine's value:
+    a second search of the same stage objects on the same machine object,
+    or on an equal-valued machine object of its own (what a front end
+    that builds its params per request brings), costs none of them, while
+    a re-plan at a round penalty (what ``recovery.supervise`` plans with)
+    and a machine of another class with the same fields each cost every
+    stage again, bit for bit ``stage_cost``.  A stage keeps at most
+    ``_STASH_MACHINES`` machines: a machine past the bound starts the
+    stash afresh."""
+    from repro.machine.topologies import RingParams
+
     costed = _counting(monkeypatch, search_mod, "stage_cost",
                        lambda stage, params: (stage, params))
     stages = tuple(dataclasses.replace(stage) for stage in NINE)  # uncosted
     first = Search(Program(stages), NINE_PARAMS, FULL_RULES)
     assert len(costed) == len(stages)
-    del costed[:]
-    again = Search(Program(stages), NINE_PARAMS, FULL_RULES)
-    assert costed == [] and again.root.costs == first.root.costs
-    penalised = NINE_PARAMS.with_(round_penalty=5.0)
     equal = dataclasses.replace(NINE_PARAMS)
     assert equal == NINE_PARAMS and equal is not NINE_PARAMS
+    for params in (NINE_PARAMS, equal):
+        del costed[:]
+        again = Search(Program(stages), params, FULL_RULES)
+        assert costed == [] and again.root.costs == first.root.costs
+    penalised = NINE_PARAMS.with_(round_penalty=5.0)
+    ring = RingParams(**dataclasses.asdict(NINE_PARAMS))
     roots = {}
-    for params in (penalised, equal):
+    for params in (penalised, ring):
         del costed[:]
         roots[params] = root = Search(Program(stages), params, FULL_RULES).root
         assert len(costed) == len(stages)
@@ -466,19 +474,20 @@ def test_a_stage_keeps_its_cost_per_machine_object(monkeypatch):
         fresh = tuple(stage_cost(stage, params) for stage in stages)
         assert root.costs == fresh
         assert list(map(type, root.costs)) == list(map(type, fresh))
-    assert roots[equal].cost == first.root.cost < roots[penalised].cost
+    assert first.root.cost < roots[penalised].cost
 
+    bound = search_mod._STASH_MACHINES
     stage = dataclasses.replace(NINE[0])
     machines = [MachineParams(p=8, ts=float(k), tw=0.5, m=16)
-                for k in range(300)]
+                for k in range(bound + 12)]
     for params in machines:
         Search(Program([stage]), params, FULL_RULES)
     stash = stage.__dict__["_search_costs"]
-    assert len(stash) == search_mod._KEY_PARTS.bound == 256
-    kept = [machine for machine, _ in stash.values()]
-    assert all(a is b for a, b in zip(kept, machines[-256:]))
-    assert all(cost == stage_cost(stage, machine)
-               for machine, cost in stash.values())
+    newest = machines[bound:]  # the first of them found the stash full
+    assert list(stash) == [search_mod._machine_key(params)
+                           for params in newest]
+    assert list(stash.values()) == [stage_cost(stage, params)
+                                    for params in newest]
 
 
 #: NINE as text, under a program name of the caller's
