@@ -243,7 +243,7 @@ def _iter(stage, ops, table) -> list[str]:
     )
 
 
-def _balanced(stage, ops, table) -> list[str]:
+def _balanced_runtime(stage, ops, table) -> list[str]:
     raise CodegenError(
         f"{stage.pretty()} needs the balanced collective runtime, which "
         "plain MPI does not provide; generate code from the pre-rule "
@@ -269,8 +269,8 @@ _MPI4PY: dict[type, Callable[[Any, dict[BinOp, str], OpTable], list[str]]] = {
     GatherStage: lambda stage, ops, table: [
         "x = comm.gather(x, root=0)",
         "x = None if x is None else tuple(x)"],
-    BalancedReduceStage: _balanced,
-    BalancedScanStage: _balanced,
+    BalancedReduceStage: _balanced_runtime,
+    BalancedScanStage: _balanced_runtime,
     ComcastStage: _comcast,
     IterStage: _iter,
 }

@@ -168,7 +168,10 @@ def op_signature(op) -> tuple:
     (``kind``/``parts``) recurse so structurally equal compositions
     agree.  A leaf outside :data:`STANDARD_OPS` also carries its ``fn``'s
     identity, so a namesake never keys as the catalogue operator.  Derived
-    operators (``SRTreeOp`` etc.) are identified by class and name.
+    operators (``SRTreeOp`` etc.) are identified by class and name, the
+    ``op_count`` and width the cost model charges, and the signatures of
+    the operators they are built from — a name does not say what a
+    component costs.
     """
     if isinstance(op, BinOp):
         sig = ("op", op.name, op.associative, op.commutative,
@@ -179,7 +182,11 @@ def op_signature(op) -> tuple:
         return sig if base in _CATALOGUE else sig + (id(base.fn),)
     # derived non-BinOp operators (SRTreeOp, SSButterflyOp, ComcastOp, IterOp)
     name = getattr(op, "name", None)
-    return ("derived", type(op).__name__, repr(op) if name is None else name)
+    parts = getattr(op, "parts", None) or (getattr(op, "op", None),)
+    return ("derived", type(op).__name__, repr(op) if name is None else name,
+            getattr(op, "op_count", None),
+            getattr(op, "comm_width", getattr(op, "state_width", None)),
+            tuple(op_signature(p) for p in parts if p is not None))
 
 
 # ---------------------------------------------------------------------------

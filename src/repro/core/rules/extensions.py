@@ -33,22 +33,22 @@ __all__ = ["RB_ALLREDUCE", "AB_ALLREDUCE", "SB_BCAST", "BB_BCAST",
            "EXTENSION_RULES"]
 
 
-def _allreduce(rule, window, general):
+def _to_allreduce(rule, window, general):
     return (AllReduceStage(window[0].op, origin=rule.name),)
 
 
-def _bcast(rule, window, general):
+def _to_bcast(rule, window, general):
     return (BcastStage(origin=rule.name),)
 
 
 RB_ALLREDUCE = Rule(
-    "RB-Allreduce", (REDUCE, BCAST), _allreduce,
+    "RB-Allreduce", (REDUCE, BCAST), _to_allreduce,
     "allreduce (⊕)",
     "⊕ associative (no extra condition)", "always", units=(ADD,))
 
 #: a dead broadcast
 AB_ALLREDUCE = Rule(
-    "AB-Allreduce", (ALLREDUCE, BCAST), _allreduce,
+    "AB-Allreduce", (ALLREDUCE, BCAST), _to_allreduce,
     "allreduce (⊕)",
     "none (the value is already replicated)", "always", units=(ADD,))
 
@@ -56,13 +56,13 @@ AB_ALLREDUCE = Rule(
 #: sense as the Local rules, but the broadcast itself redefines every
 #: block, so the rewrite is a strict equality
 SB_BCAST = Rule(
-    "SB-Bcast", (SCAN, BCAST), _bcast,
+    "SB-Bcast", (SCAN, BCAST), _to_bcast,
     "bcast",
     "none (inclusive scan fixes processor 0's block)", "always", units=(ADD,))
 
 #: idempotence
 BB_BCAST = Rule(
-    "BB-Bcast", (BCAST, BCAST), _bcast,
+    "BB-Bcast", (BCAST, BCAST), _to_bcast,
     "bcast",
     "none", "always")
 

@@ -2,10 +2,10 @@
 
 Input is the same :class:`~repro.kernels.evaluator.VectorPlan` the
 vectorized tier executes.  Each maximal run of supported plan steps is
-unrolled over the ``p`` ranks into **one straight-line register tape**
+traced over the ``p`` ranks into **one straight-line register tape**
 and run as one chunk loop:
 
-* every stage reads the same per-op tapes the bounds proof reads
+* every operator runs the same tape the bounds proof reads
   (:func:`emit_combine`: an SR2 combine is ``np.add``/``np.multiply``
   calls on flat slots; :func:`emit_map`: ``pair`` / ``π₁`` only move
   refs), one ``(ufunc, src, src|const, dst)`` instruction per call;
@@ -22,12 +22,14 @@ and run as one chunk loop:
   interval propagation) that no intermediate can leave the int64-safe
   range.
 
-A ``comcast``/``iter`` stage has no tape of its own: it unrolls as the
-pipeline it is defined by (:meth:`~repro.core.stages.Stage.definition`,
-its rule's left-hand side).  A tape is unrolled once per block
-signature (``p``, slot widths, definedness) and kept on the program.
+The compiler traces the spec (:func:`_trace`): a step's stages — a
+``comcast``/``iter`` as the pipeline it is defined by — run by their own
+``apply``, their operators rebuilt to run their tapes on registers, so
+the tape makes the spec's applications in the spec's bracketing.  A
+tape is traced once per block signature (``p``, slot widths,
+definedness) and kept on the program.
 
-The same unrolling over Python int / bool blocks, bound to the rows'
+The same trace over Python int / bool blocks, bound to the rows'
 ``exact`` templates, is emitted as one generated Python function
 (:meth:`CompiledProgram.exact_tape`): what a served resident hit
 computes its values with (:func:`exact_evaluator`), once it has agreed
@@ -40,16 +42,16 @@ the steps after it run on a tape again.
 
 The module also decides how the simulated engines run under
 ``jit=True`` (:func:`engine_lower`, :func:`run_engine_ladder`).  The
-machine model charges time by ``(p, m, ts, tw)`` and by which blocks are
-defined, never by what they hold, so the first rung computes the
-*values* on the tape and lets the engine schedule the same kernelized
-stages on definedness tokens; below it sit the checked kernels and the
-object-mode replay.  Every rung keeps each ``op_count``/``ops_per_element``
-annotation, so simulated time is identical — JIT changes wall-clock only.
+machine model charges time by which blocks are defined, never by what
+they hold, so the first rung computes the *values* on the tape and lets
+the engine schedule the same kernelized stages on definedness tokens;
+below it sit the checked kernels and the object-mode replay.  Every rung
+keeps each cost annotation: JIT changes wall-clock only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -62,8 +64,6 @@ from repro.core.cost import MachineParams, pipeline_chunk_count
 from repro.core.operators import BinOp
 from repro.core.stages import (
     AllReduceStage,
-    BalancedReduceStage,
-    BalancedScanStage,
     BcastStage,
     ComcastStage,
     IterStage,
@@ -78,7 +78,6 @@ from repro.kernels.blocks import (
     BlockPool,
     KernelUnsupported,
     devectorize_block,
-    is_vector_block,
     vectorize_block,
 )
 from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan, run_lowered
@@ -232,27 +231,8 @@ def bind(tape: Tape, reading: str) -> Tape:
         (read(row), *rest) for row, *rest in tape.instrs))
 
 
-def _run_map_tape(
-    tape: Tape, slots: Sequence[np.ndarray], tmps: list
-) -> list[np.ndarray]:
-    """Apply ``tape``; instruction ``j`` writes ``tmps[j]`` (None: a fresh
-    array).
-
-    The reference interpreter of a map tape: the register tapes unroll
-    map tapes instead, so only the soundness property of
-    ``tests/test_numeric_vocabulary.py`` runs one through it."""
-
-    def res(ref: tuple[str, int]) -> np.ndarray:
-        return slots[ref[1]] if ref[0] == "i" else tmps[ref[1]]
-
-    for j, (u, src, const) in enumerate(tape.instrs):
-        args = (res(src),) if const is None else (res(src), const)
-        tmps[j] = u(*args, out=tmps[j])
-    return [res(r) for r in tape.out]
-
-
 # ---------------------------------------------------------------------------
-# Runtime block conformance
+# Register tapes: a run of plan steps traced over the ranks
 # ---------------------------------------------------------------------------
 
 
@@ -277,32 +257,6 @@ def _block_slots(block: Any, n: int) -> Optional[list[np.ndarray]]:
     return out
 
 
-def _conform(blocks: Sequence[Any], n: int) -> Optional[list[list[np.ndarray]]]:
-    """Slot arrays per rank iff *all* blocks are defined, same-shaped
-    1-D/0-D arrays of one raw-safe dtype.  None -> kernelized fallback."""
-    rows: list[list[np.ndarray]] = []
-    shape: Optional[tuple] = None
-    dtype = None
-    for b in blocks:
-        slots = _block_slots(b, n)
-        if slots is None:
-            return None
-        for a in slots:
-            if a.ndim > 1 or a.dtype not in _OK_DTYPES:
-                return None
-            if shape is None:
-                shape, dtype = a.shape, a.dtype
-            elif a.shape != shape or a.dtype != dtype:
-                return None
-        rows.append(slots)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Register tapes: a run of plan steps unrolled over the ranks
-# ---------------------------------------------------------------------------
-
-
 def _chunk_slices(shape: tuple, params: MachineParams) -> list:
     """Chunk index ranges (``...`` = the whole 0-d array)."""
     if len(shape) == 0:
@@ -316,32 +270,6 @@ def _chunk_slices(shape: tuple, params: MachineParams) -> list:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _run_combine(
-    tape: Tape,
-    acc: Sequence[np.ndarray],
-    rhs: Sequence[np.ndarray],
-    tmps: list,
-) -> list[np.ndarray]:
-    """One combine; instruction ``dst`` writes ``tmps[dst]`` (None: a
-    fresh array).
-
-    The reference interpreter of a combine tape, as :func:`_run_map_tape`
-    is of a map's: run by the soundness property of
-    ``tests/test_numeric_vocabulary.py``, not by the engines."""
-
-    def res(ref: tuple[str, int]) -> np.ndarray:
-        tag, i = ref
-        if tag == "a":
-            return acc[i]
-        if tag == "b":
-            return rhs[i]
-        return tmps[i]
-
-    for u, sa, sb, dst in tape.instrs:
-        tmps[dst] = u(res(sa), res(sb), out=tmps[dst])
-    return [res(r) for r in tape.out]
-
-
 def _copy(a: np.ndarray, out: np.ndarray) -> None:
     np.copyto(out, a)
 
@@ -352,14 +280,18 @@ def _with_const(fn: Callable, const: Any) -> Callable:
 
 def _signature(data: Sequence[Any]) -> tuple[tuple, list, list]:
     """Per rank None (UNDEF), False (a block no tape reads) or ``(slots,
-    class)``, classes numbered by first ``(shape, dtype)`` seen; with the
-    classes and each rank's slot arrays."""
+    class)`` — a block whose slots are same-shaped 1-D/0-D arrays of one
+    raw-safe dtype — classes numbered by first ``(shape, dtype)`` seen;
+    with the classes and each rank's slot arrays."""
     classes: dict[tuple, int] = {}
     sig, slots = [], []
     for b in data:
-        rows = None if b is UNDEF else _conform(
-            [b], len(b) if isinstance(b, tuple) else 1)
-        s = rows[0] if rows else None
+        s = None if b is UNDEF else _block_slots(
+            b, len(b) if isinstance(b, tuple) else 1)
+        if s and (s[0].ndim > 1 or s[0].dtype not in _OK_DTYPES or len(s) > 1
+                  and any(a.shape != s[0].shape or a.dtype != s[0].dtype
+                          for a in s)):
+            s = None
         slots.append(s)
         sig.append((len(s), classes.setdefault((s[0].shape, s[0].dtype),
                                                len(classes)))
@@ -367,13 +299,24 @@ def _signature(data: Sequence[Any]) -> tuple[tuple, list, list]:
     return tuple(sig), list(classes), slots
 
 
-#: a block on the tape: its object's identity (``("rank", r)``: rank r's
-#: input), a register per slot (None: not read) and each slot's identity
-_Blk = namedtuple("_Blk", "obj regs comps")
+@dataclass(eq=False, slots=True)
+class _Blk:
+    """A block on the tape: its object's identity (``("rank", r)``: rank
+    r's input), a register per slot (None: not read) and each slot's
+    identity.  It indexes as its slots, one-slot blocks (or ``UNDEF``), so
+    a stage's ``apply`` takes it apart as it takes a tuple apart."""
+
+    obj: Any
+    regs: Optional[tuple]
+    comps: Any
+
+    def __getitem__(self, k: int) -> Any:
+        reg, comp = self.regs[k], self.comps[k]
+        return UNDEF if reg is UNDEF else _Blk(comp, (reg,), (comp,))
 
 
 class _Unroller:
-    """Plan steps run symbolically over the ranks: one value-numbered
+    """Stages run symbolically over the ranks: one value-numbered
     ``(ufunc, src, src|const, dst)`` instruction per distinct primitive
     application, read off the :func:`emit_combine` / :func:`emit_map`
     tapes the bounds proof reads.  Identities follow the step kernels'
@@ -382,11 +325,10 @@ class _Unroller:
     what a step-by-step run's did.
 
     ``dtypes`` None unrolls *exact* blocks instead — Python int / bool
-    leaves (one register) and flat tuples of them (one register per
-    component) — on the rows' ``exact`` templates, for :meth:`exact`.
-    There a tuple component may be ``UNDEF`` (a balanced butterfly's
-    ``missing``); an application that meets one declines, since only
-    the spec's lifted combines propagate it."""
+    leaves (one register) and flat tuples of them — on the rows' ``exact``
+    templates, for :meth:`exact`.  There a slot may be ``UNDEF`` (a
+    balanced butterfly's ``missing``); an application that meets one
+    declines, since only the spec's lifted combines propagate it."""
 
     def __init__(self, dtypes: Optional[Sequence[np.dtype]]) -> None:
         self.dtypes = dtypes
@@ -455,6 +397,32 @@ class _Unroller:
         return self.block(regs, [
             blk.comps[k] if tag == "i" else made.setdefault(k, object())
             for tag, k in tape.out])
+
+    def combine(self, tape: Tape, a: Any, b: Any) -> _Blk:
+        """``tape`` (an operator's) on two blocks, as a fresh block."""
+        if a is UNDEF or b is UNDEF:
+            raise JitUnsupported("runtime-shape")
+        return self.block(self.run(tape, a=a.regs, b=b.regs))
+
+    def settle(self, out: list, given: list, fresh: bool, label: str) -> list:
+        """A stage's ``apply`` result as blocks, one per object: a block it
+        was ``given`` anew where the stage is ``fresh`` (has an operator),
+        a state's tuple of one-slot blocks as one block, anything else (a
+        tuple of given blocks is a gathered list) ``uncompiled:<label>``."""
+        ids, made = {id(b) for b in given}, {}
+        for x in out:
+            if x is UNDEF or id(x) in made:
+                continue
+            if isinstance(x, _Blk):
+                made[id(x)] = self.block(x.regs) if fresh and id(x) in ids else x
+            elif isinstance(x, tuple) and all(
+                    c is UNDEF or isinstance(c, _Blk) and len(c.regs) == 1
+                    and id(c) not in ids for c in x):
+                made[id(x)] = self.block([c if c is UNDEF else c.regs[0]
+                                          for c in x])
+            else:
+                raise JitUnsupported(f"uncompiled:{label}")
+        return [x if x is UNDEF else made[id(x)] for x in out]
 
     def finish(self, blocks: list) -> Callable:
         """``run(data, slots, classes, params)``, computing ``blocks`` in
@@ -607,184 +575,25 @@ class _Unroller:
         return space["tape"], source
 
 
-def _split_sandwich(
-    step: PlanStep,
-) -> tuple[Optional[MapStage], Stage, Optional[MapStage]]:
-    stages = list(step.stages)
-    pre = post = None
-    if len(stages) > 1 and isinstance(stages[0], MapStage):
-        pre = stages.pop(0)
-    if len(stages) > 1 and isinstance(stages[-1], MapStage):
-        post = stages.pop()
-    (coll,) = stages
-    return pre, coll, post
+#: how the bounds proof reads a stage class: ``tape(stage, slots)`` (None: it
+#: only moves blocks) and ``read``, its :mod:`repro.jit.bounds` reading; a
+#: class with neither is proven (and traced) as the pipeline it is defined by
+_Jit = namedtuple("_Jit", "tape read", defaults=(None, None))
 
+_FOLD = _Jit(lambda stage, slots: emit_combine(stage.op), fold_intervals)
 
-#: one plan step on the tape: the blocks before it -> the blocks after,
-#: raising :class:`JitUnsupported` where these blocks decline it
-Unroll = Callable[[_Unroller, list], list]
-
-
-def _bcast(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
-           label: str, reading: str) -> Unroll:
-    def unroll(u: _Unroller, blocks: list) -> list:
-        if not blocks:
-            raise JitUnsupported("runtime-shape")
-        root = blocks[0]
-        for stage in (pre, post):
-            root = u.map_block(stage.parts, root) if stage else root
-        return [root] * len(blocks)
-
-    return unroll
-
-
-def _fold(spread: Optional[Callable[[Any, int], list]]) -> "_Jit":
-    """A left fold over the ranks, the sandwich's maps on each leaf and
-    result; ``spread`` places the folded block on ``p`` ranks (None: a
-    scan keeps every prefix)."""
-
-    def prepare(pre: Optional[MapStage], coll: Stage,
-                post: Optional[MapStage], label: str, reading: str) -> Unroll:
-        tape = bind(emit_combine(coll.op, reading == "exact"), reading)
-        pre_tape = bind(emit_map(pre.parts, 1), reading) if pre else None
-        if pre_tape is not None and len(pre_tape.out) != tape.slots:
-            raise JitUnsupported(f"slot-shape:{pre.label}")
-        post_tape = (bind(emit_map(post.parts, tape.slots), reading)
-                     if post else None)
-        n_in = 1 if pre_tape is not None else tape.slots
-
-        def unroll(u: _Unroller, blocks: list) -> list:
-            if (not blocks or any(b is UNDEF or b.regs is None
-                                  or len(b.regs) != n_in or UNDEF in b.regs
-                                  for b in blocks)
-                    or len({u.cls[r] for b in blocks for r in b.regs}) != 1):
-                raise JitUnsupported("runtime-shape")
-            leaves = [u.run(pre_tape, i=b.regs) if pre_tape else b.regs
-                      for b in blocks]
-            accs = list(itertools.accumulate(
-                leaves, lambda acc, leaf: u.run(tape, a=acc, b=leaf)))
-            outs = [u.block(u.run(post_tape, i=acc) if post_tape else acc)
-                    for acc in (accs if spread is None else accs[-1:])]
-            return outs if spread is None else spread(outs[0], len(blocks))
-
-        return unroll
-
-    return _Jit(prepare, lambda stage, slots: emit_combine(stage.op),
-                fold_intervals)
-
-
-def _derived(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
-             label: str, reading: str) -> Unroll:
-    """A comcast/iter stage as the steps of its definition (the pre map
-    rides the bcast, the post map the last fold).  Exact where its left
-    folds and the stage's digit traversal agree: on int64 blocks proven
-    overflow-free, and on Python ints and bools, where the definition is
-    what the served evaluator computes.  Floats round by combining order:
-    declined here."""
-    groups = [[s] for s in coll.definition() or ()]
-    if not groups:
-        raise JitUnsupported(f"uncompiled:{label}")
-    groups[0][:0] = [pre] if pre else []
-    groups[-1] += [post] if post else []
-    subs = [_prepare(PlanStep("collective", tuple(g), label), reading)
-            for g in groups]
-    for sub in subs:
-        if sub.unroll is None:
-            raise JitUnsupported(sub.reason)
-    # the doubling iteration exists for powers of two only: elsewhere the
-    # stage raises, and so must the checked step this one defers to
-    pow2_only = isinstance(coll, IterStage) and not coll.general
-
-    def unroll(u: _Unroller, blocks: list) -> list:
-        p = len(blocks)
-        root = blocks[0] if p else UNDEF
-        if (root is UNDEF or root.regs is None
-                or (u.dtypes is not None
-                    and u.dtypes[u.cls[root.regs[0]]] != np.int64)
-                or (pow2_only and p & (p - 1))):
-            raise JitUnsupported("runtime-shape")
-        for sub in subs:
-            blocks = sub.unroll(u, blocks)
-        return blocks
-
-    return unroll
-
-
-def _balanced(pre: Optional[MapStage], coll: Stage, post: Optional[MapStage],
-              label: str, reading: str) -> Unroll:
-    """``[all]reduce_balanced`` / ``scan_balanced`` (Figures 4-5) on
-    exact blocks: the stage's own schema (its ``apply``) run on
-    registers, its operator rebuilt to emit one instruction per
-    application, so the tree and butterfly make the spec's applications
-    in the spec's bracketing, and ``missing``'s ``UNDEF`` propagates
-    through the lifted combine as on values.  Array blocks run the
-    checked kernels."""
-    ops: list[BinOp] = []
-    coll.rebuild(None, lambda op: ops.append(op) or op)
-    (op,) = ops
-    row = primitive(op)
-    if row is None or row.exact is None:
-        raise JitUnsupported(f"no-exact:{op.name}")
-
-    def unroll(u: _Unroller, blocks: list) -> list:
-        if pre is not None:
-            blocks = [u.map_block(pre.parts, b) for b in blocks]
-        emit = coll.rebuild(None, lambda op: op.with_fn(
-            lambda a, b: u.apply(row.exact, a, b)))
-        try:
-            states = emit.apply([
-                b if b is UNDEF else b.regs[0] if len(b.regs) == 1
-                else tuple(b.regs) for b in blocks])
-        except (TypeError, ValueError):  # a state of the wrong shape
-            raise JitUnsupported("runtime-shape") from None
-        made: dict[int, Any] = {}
-        out = [s if s is UNDEF else made.setdefault(id(s), u.block(
-            s if isinstance(s, tuple) else (s,))) for s in states]
-        if post is not None:
-            out = [u.map_block(post.parts, b) for b in out]
-        return out
-
-    return unroll
-
-
-@dataclass(frozen=True)
-class _Jit:
-    """How one stage class unrolls and how it is proven.
-
-    ``unroll(pre, stage, post, label, reading)`` returns the step's
-    :data:`Unroll` on blocks of ``reading`` (``"raw"``: arrays,
-    ``"exact"``: Python scalars) or raises :class:`JitUnsupported`, the
-    reason to count.  ``tape(stage, slots)`` emits what the stage does to
-    a block (None: it only moves blocks), ``read`` is its
-    :mod:`repro.jit.bounds` reading; a class with neither is proven as
-    the pipeline it is defined by."""
-
-    unroll: Callable[..., Unroll]
-    tape: Optional[Callable[[Any, int], Any]] = None
-    read: Optional[Callable] = None
-
-
-#: stage class -> its entry (the ``machine.run._MACHINE`` pattern); a
-#: class without one runs the checked kernels (``uncompiled:<stage>``)
+#: stage class -> its proof row (the ``machine.run._MACHINE`` pattern): the
+#: classes the ``raw`` reading traces; a class without one runs the checked
+#: kernels on arrays (``uncompiled:<stage>``)
 _JIT: dict[type, _Jit] = {
-    MapStage: _Jit(lambda pre, stage, post, label, reading: lambda u, blocks: [
-                       u.map_block(stage.parts, b) for b in blocks],
-                   lambda stage, slots: emit_map(stage.parts, slots),
+    MapStage: _Jit(lambda stage, slots: emit_map(stage.parts, slots),
                    map_intervals),
-    BcastStage: _Jit(_bcast, lambda stage, slots: None),
-    ScanStage: _fold(None),
-    ReduceStage: _fold(lambda blk, p: [blk] + [UNDEF] * (p - 1)),
-    AllReduceStage: _fold(lambda blk, p: [blk] * p),  # one object, p ranks
-    ComcastStage: _Jit(_derived),
-    IterStage: _Jit(_derived),
-}
-
-#: stage classes only exact blocks unroll: a balanced tree or butterfly
-#: has no tape or bounds reading, so array blocks run its checked kernels
-#: (``uncompiled:<stage>``)
-_EXACT_ONLY: dict[type, Callable[..., Unroll]] = {
-    BalancedReduceStage: _balanced,
-    BalancedScanStage: _balanced,
+    BcastStage: _Jit(lambda stage, slots: None),
+    ScanStage: _FOLD,
+    ReduceStage: _FOLD,
+    AllReduceStage: _FOLD,
+    ComcastStage: _Jit(),
+    IterStage: _Jit(),
 }
 
 #: a plan step and its unrolling (None: always checked, for ``reason``);
@@ -792,18 +601,64 @@ _EXACT_ONLY: dict[type, Callable[..., Unroll]] = {
 _Step = namedtuple("_Step", "plan_step unroll reason ints_only")
 
 
-def _prepare(step: PlanStep, reading: str = "raw") -> _Step:
-    pre, coll, post = _split_sandwich(step)
-    entry = _JIT.get(type(coll))
-    unroll = (entry.unroll if entry is not None else _EXACT_ONLY.get(
-        type(coll)) if reading == "exact" else None)
+def _trace(step: PlanStep, reading: str = "raw") -> _Step:
+    """``step`` with its unrolling over blocks of ``reading`` (raising
+    :class:`JitUnsupported` where they decline it): its stages through
+    their definitions, rebuilt so maps run :meth:`_Unroller.map_block`
+    and operators :meth:`_Unroller.combine` on their tapes, run by their
+    own ``apply``.  Checked beside the spec: a fold's blocks are its
+    operator's operands, also where it applies none (one rank); a
+    derived step's ``raw`` reading is int64-only (its folds agree with
+    the stage's digit traversal there alone); a non-``general`` iter
+    runs at powers of two only.  ``uncompiled:<label>``: a stage without
+    a proof row on ``raw``, without ``rebuild`` on ``exact``, or reading
+    its blocks' lengths (``words_follow_block``)."""
+    stages = Program(step.stages).through_definitions().stages
+    exact = reading == "exact"
+    tapes: list[list[Tape]] = []  # per stage, its operators' tapes
+
+    def emit(op: BinOp) -> BinOp:
+        tapes[-1].append(bind(emit_combine(op, exact), reading))
+        return op
+
     try:
-        if unroll is None:
-            raise JitUnsupported(f"uncompiled:{step.label}")
-        return _Step(step, unroll(pre, coll, post, step.label, reading), "",
-                     unroll is _derived)
+        for stage in stages:
+            tapes.append([])
+            row = _JIT.get(type(stage))
+            if (stage.words_follow_block
+                    or not exact and (row is None or row.tape is None)
+                    or stage.rebuild(lambda st: None, emit) is None):
+                raise JitUnsupported(f"uncompiled:{step.label}")
     except JitUnsupported as exc:
         return _Step(step, None, str(exc), False)
+    ints_only = not exact and len(stages) > len(step.stages)
+    pow2_only = any(isinstance(s, IterStage) and not s.general
+                    for s in step.stages)
+
+    def unroll(u: _Unroller, blocks: list) -> list:
+        root = blocks[0] if blocks else UNDEF
+        if (pow2_only and len(blocks) & (len(blocks) - 1)) or (
+                ints_only and root is not UNDEF and root.regs
+                and u.dtypes[u.cls[root.regs[0]]] != np.int64):
+            raise JitUnsupported("runtime-shape")
+        for stage, made in zip(stages, tapes):
+            if _JIT.get(type(stage)) is _FOLD and not (blocks and all(
+                    b is not UNDEF and b.regs and len(b.regs) == made[0].slots
+                    and UNDEF not in b.regs for b in blocks) and len(
+                        {u.cls[r] for b in blocks for r in b.regs}) == 1):
+                raise JitUnsupported("runtime-shape")
+            ops = iter(made)
+            rebuilt = stage.rebuild(
+                lambda st: functools.partial(u.map_block, st.parts),
+                lambda op: op.with_fn(functools.partial(u.combine, next(ops))))
+            try:
+                out = rebuilt.apply(blocks)
+            except (TypeError, ValueError):  # a block of the wrong shape
+                raise JitUnsupported("runtime-shape") from None
+            blocks = u.settle(out, blocks, bool(made), step.label)
+        return blocks
+
+    return _Step(step, unroll, "", ints_only)
 
 
 def proof_steps(program: Program) -> tuple[tuple[Callable, Any], ...]:
@@ -895,7 +750,7 @@ class CompiledProgram:
     def __init__(self, plan: VectorPlan, params: MachineParams) -> None:
         self.plan = plan
         self.params = params
-        self.steps = [_prepare(s) for s in plan.steps]
+        self.steps = [_trace(s) for s in plan.steps]
         self.fused_stages = sum(len(s.plan_step.stages)
                                 for s in self.steps if s.unroll is not None)
         #: why the first always-checked step does not unroll ("" = none)
@@ -1016,7 +871,7 @@ class CompiledProgram:
                   for rank, n in enumerate(sig)]
         try:
             for step in self.plan.steps:
-                st = _prepare(step, "exact")
+                st = _trace(step, "exact")
                 if st.unroll is None:
                     raise JitUnsupported(st.reason)
                 blocks = st.unroll(u, blocks)
@@ -1253,32 +1108,26 @@ class EngineLowering:
 def engine_lower(
     program: Program, inputs: Sequence[Any], params: Optional[MachineParams] = None
 ) -> EngineLowering:
-    """Decide how a simulated engine runs ``program`` under ``jit=True``.
+    """Decide how a simulated engine runs ``program`` under ``jit=True``:
+    the first rung whose conditions the program and these inputs meet.
 
-    The first rung whose conditions the program and these inputs meet:
-
-    * ``"fused"`` — every plan step unrolls onto a register tape (a
-      map/scan/reduce/allreduce/bcast, or a comcast/iter stage through
-      its definition) and every input is a defined, conforming int64
-      array whose hull the bounds analysis proves overflow-free.  Then
-      every combining order yields the same int64, so the kernels' left
-      fold agrees bit for bit with the engine's butterfly or digit
-      traversal and the engine need only schedule.
+    * ``"fused"`` — every plan step is traced onto a register tape and
+      every input is a defined, conforming int64 array whose hull the
+      bounds analysis proves overflow-free.  Then every combining order
+      yields the same int64, so the tape's left folds agree bit for bit
+      with the engine's butterfly or digit traversal and the engine need
+      only schedule.
     * ``"checked"`` — the plain kernelized program, carrying the blocks
       in the engine's own combining order (float blocks round by it).
 
     What only the run can tell — a non-empty fault plan, a step
     declining its runtime blocks — is settled by
     :func:`run_engine_ladder`, which then drops ``"fused"`` to ``below``.
-
-    ``params`` is the machine model, which says nothing about ufunc
-    dispatch: it is not consulted, and the kernels chunk by
-    :data:`DEFAULT_LOCAL_PARAMS`.  Raises
+    ``params`` is not consulted (the kernels chunk by
+    :data:`DEFAULT_LOCAL_PARAMS`).  Raises
     :class:`~repro.kernels.blocks.KernelUnsupported` when not even
-    kernelizable (callers fall back to object mode).
-
-    The lowering is the ``jit.lower`` span, whose ``outcome`` is
-    ``fused`` or the reason the fused rung was declined
+    kernelizable.  The lowering is the ``jit.lower`` span, whose
+    ``outcome`` is ``fused`` or the reason the fused rung was declined
     (``unsupported`` when not even kernelizable).
     """
     STATS.runs += 1
@@ -1290,7 +1139,8 @@ def engine_lower(
         profile = _input_profile(vec)
         why = (cp.uncompiled or cp.proven_safe(profile, len(vec))[1]
                or (f"{profile[0]}-blocks" if profile[0] != "int" else "")
-               or ("nonconforming-input" if _conform(vec, 1) is None else ""))
+               or ("nonconforming-input"
+                   if set(_signature(vec)[0]) != {(1, 0)} else ""))
         traced.outcome = why or "fused"
     if why:
         STATS.fallbacks[why] += 1

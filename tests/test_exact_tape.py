@@ -25,6 +25,7 @@ import itertools
 import random
 import re
 import tokenize
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -147,6 +148,11 @@ def test_every_exemplar_side_is_the_spec_or_declines(rule):
 UNIT_SETS = [(ADD, MAX), (ADD, MIN), (MIN, MAX), (AND, OR), (AND, XOR),
              (MUL, MUL), (MAX, MAX), (OR, OR)]
 
+#: per unit set, how many of its (rule, p, side, input kind) runs the exact
+#: tape covers: a run lost to a decline fails, as does one gained unseen
+COVERED = {"add-max": 416, "add-min": 412, "min-max": 408, "and-or": 409,
+           "and-xor": 417, "mul-mul": 416, "max-max": 411, "or-or": 418}
+
 
 @pytest.mark.parametrize("units", UNIT_SETS,
                          ids=lambda u: "-".join(op.name for op in u))
@@ -163,7 +169,7 @@ def test_the_exemplars_over_other_operators(units):
             for side in sides:
                 for kind in ("int", "bool", "undef"):
                     covered += _served(side, _inputs(kind, p, rng)) == "exact"
-    assert covered
+    assert covered == COVERED["-".join(op.name for op in units)]
 
 
 # -- (c) generated programs --------------------------------------------------------
@@ -183,8 +189,9 @@ def test_generated_programs_are_the_spec_or_decline():
             else:
                 xs = _inputs(rng.choice(("int", "bool", "undef")), p, rng)
             verdicts.append(_served(program, xs))
-    assert verdicts.count("exact") > len(verdicts) // 2
-    assert any(v.startswith("no-exact:seg") for v in verdicts)
+    assert Counter(verdicts) == {
+        "exact": 220, "runtime-shape": 84, "unsupported-program": 62,
+        "no-exact:seg[max]": 20, "no-exact:seg[add]": 14}
 
 
 def test_a_seg_program_declines_by_its_operator():

@@ -155,6 +155,8 @@ def _sources_and_prose() -> list[Path]:
     pytest.param(r"\bvectorize=", id="vectorize-knob"),
     pytest.param(r'\.resident\s*=|getattr\(run, "resident"',
                  id="ladder-resident-callback"),
+    pytest.param(r"\b_(fold|derived|balanced|bcast|split_sandwich)\(|_EXACT_ONLY",
+                 id="per-class-unrollers"),
 ])
 def test_deleted_doors_stay_deleted(pattern):
     hits = [str(path.relative_to(REPO)) for path in _sources_and_prose()

@@ -34,14 +34,7 @@ from repro.jit.bounds import (
     map_intervals,
     prove,
 )
-from repro.jit.compiler import (
-    JitUnsupported,
-    _run_combine,
-    _run_map_tape,
-    bind,
-    emit_combine,
-    emit_map,
-)
+from repro.jit.compiler import JitUnsupported, bind, emit_combine, emit_map
 from repro.kernels import registry
 from repro.semantics.functional import (
     dbl,
@@ -56,6 +49,32 @@ from repro.testing.generator import INT_DOMAIN, VEC_DOMAIN
 from test_register_tape import _decks
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _run_combine(tape, acc, rhs, tmps: list) -> list:
+    """The reference interpreter of a combine tape: instruction ``dst``
+    writes ``tmps[dst]`` (None: a fresh array)."""
+
+    def res(ref):
+        tag, i = ref
+        return acc[i] if tag == "a" else rhs[i] if tag == "b" else tmps[i]
+
+    for u, sa, sb, dst in tape.instrs:
+        tmps[dst] = u(res(sa), res(sb), out=tmps[dst])
+    return [res(r) for r in tape.out]
+
+
+def _run_map_tape(tape, slots, tmps: list) -> list:
+    """The reference interpreter of a map tape: instruction ``j`` writes
+    ``tmps[j]`` (None: a fresh array)."""
+
+    def res(ref):
+        return slots[ref[1]] if ref[0] == "i" else tmps[ref[1]]
+
+    for j, (u, src, const) in enumerate(tape.instrs):
+        args = (res(src),) if const is None else (res(src), const)
+        tmps[j] = u(*args, out=tmps[j])
+    return [res(r) for r in tape.out]
 
 
 # ---------------------------------------------------------------------------

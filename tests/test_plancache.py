@@ -23,7 +23,8 @@ import pathlib
 
 import pytest
 
-from repro.core.cost import MachineParams
+from repro.core.cost import MachineParams, stage_cost
+from repro.core.derived_ops import SRTreeOp
 from repro.core.operators import ADD, MAX, MUL, BinOp
 from repro.core.optimizer import optimize
 from repro.core.plancache import PLANCACHE_JSON_VERSION, PlanCache, PlanRecord
@@ -37,6 +38,7 @@ from repro.core.planner import (
 from repro.core.rules import ALL_RULES, FULL_RULES
 from repro.core.stages import (
     AllReduceStage,
+    BalancedReduceStage,
     BcastStage,
     Map2Stage,
     MapStage,
@@ -530,6 +532,21 @@ def test_a_same_named_operator_keys_apart_from_the_catalogue_one():
     assert rules_fired(MUL) == ["SR2-Reduction"]
     assert rules_fired(impostor) == []
     assert rules_fired(MUL) == ["SR2-Reduction"]
+
+
+def test_a_derived_operator_keys_by_what_its_components_cost():
+    """Two balanced trees over same-named base operators of different
+    ``op_count`` cost differently, so their tokens and cache keys differ:
+    a plan cached for one is never served for the other."""
+    cheap = BalancedReduceStage(SRTreeOp(ADD))
+    dear = BalancedReduceStage(SRTreeOp(dataclasses.replace(ADD, op_count=5)))
+    params = MachineParams(p=8, ts=10.0, tw=1.0, m=64)
+    assert cheap.tree_op.name == dear.tree_op.name
+    assert (stage_cost(cheap, params), stage_cost(dear, params)) == (1182, 4254)
+    assert cheap.token() != dear.token()
+    assert cache_key(Program([cheap]), params) != \
+        cache_key(Program([dear]), params)
+    assert cheap.token() == BalancedReduceStage(SRTreeOp(ADD)).token()
 
 
 class TestClearPlannerCaches:

@@ -332,11 +332,20 @@ class TestWork:
         assert reads == {"one-pass": P}
         assert STATS.full_jit_runs == 2 and not STATS.fallbacks
 
-    def test_sr2_runs_fourteen_raw_ufunc_calls_per_chunk(self):
+    @pytest.mark.parametrize("name,plan,per_chunk", [
         # per combine s1 + r1·x and r1·x: pair made both rhs slots one
         # block, so r1·s2 and r1·r2 are one instruction, not two
-        prog = _exec_block_deck()["sr2"]
-        assert prog.pretty() == "map pair ; reduce (op_sr2[mul,add]) ; map pi_1"
+        pytest.param("sr2", "map pair ; reduce (op_sr2[mul,add]) ; map pi_1",
+                     {"mul": 7, "add": 7}, id="sr2"),
+        pytest.param("ss", "scan (mul) ; scan (add)",
+                     {"mul": 7, "add": 7}, id="ss"),
+        pytest.param("comcast", "comcast[repeat] (op_comp_bs[add])",
+                     {"add": 7}, id="comcast"),
+        pytest.param("allreduce", "allreduce (add)", {"add": 7},
+                     id="allreduce")])
+    def test_raw_ufunc_calls_per_chunk(self, name, plan, per_chunk):
+        prog = _exec_block_deck()[name]
+        assert prog.pretty() == plan
         xs = [np.random.default_rng(k).integers(1, 4, BLOCK).astype(np.int64)
               for k in range(P)]
         calls: Counter = Counter()
@@ -357,10 +366,11 @@ class TestWork:
                 register_binop_kernel(op, row)
         chunks = len(_chunk_slices((BLOCK,), DEFAULT_LOCAL_PARAMS))
         assert chunks > 1
-        assert calls == {"mul": 7 * chunks, "add": 7 * chunks}
+        assert calls == {k: n * chunks for k, n in per_chunk.items()}
         assert STATS.kernelized_steps == 0
         want = compiled_program(prog).run(list(xs))
-        assert np.array_equal(got[0], want[0])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)
+                   if a is not UNDEF)
 
 
 @pytest.mark.parametrize("name", list(_decks()))

@@ -14,6 +14,13 @@ non-distributive pairs, commutative and non-commutative operators
 (``concat``, the segmented transformer), elementwise and scalar ones,
 matching and mismatching ``counts``, and a map that no rule admits.
 
+Regenerated once, deliberately, when a derived operator's signature
+came to carry its ``op_count``, its width and its components'
+signatures: only the ``token()`` of a comcast, iter or balanced stage
+changed (every changed line holds a ``derived`` signature), and with
+the old class-and-name signature put back the file reproduces byte for
+byte.
+
 Regenerate (deliberately, with the reason in the commit)::
 
     PYTHONPATH=src python tests/test_rule_rows_golden.py

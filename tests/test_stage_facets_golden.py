@@ -23,7 +23,12 @@ refusals name another cause (programs 709, 835).  Chunks 0–6 and 12–20
 were rewritten once more when the refusal came to name the object API
 (``call OpTable.register(op, source) with the operator object``): the
 155 programs over a segmented operator, which has no source, print it;
-with the old wording put back every chunk hashes as before.
+with the old wording put back every chunk hashes as before.  Every
+``plan_signature`` chunk was rewritten once, deliberately, when a derived
+operator's signature came to carry its ``op_count``, its width and its
+components' signatures (two balanced trees over same-named base
+operators of different cost had shared a token): with the old
+class-and-name signature put back every chunk hashes as before.
 """
 
 from __future__ import annotations

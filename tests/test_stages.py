@@ -283,8 +283,10 @@ FACETS = ("is_collective", "apply", "pretty", "cost", "rounds", "formula",
 NO_TABLE1_FORM = {"AllGatherStage", "AllGatherVStage", "ReduceScatterStage",
                   "ScatterStage", "GatherStage"}
 
-#: the stage classes the JIT neither compiles nor proves, said out loud:
-#: a run through one takes the checked kernels (``uncompiled:<stage>``)
+#: the stage classes without a row in the JIT's proof table, said out
+#: loud: the bounds proof cannot read them and the raw trace declines
+#: them, so a run on arrays takes the checked kernels
+#: (``uncompiled:<stage>``)
 JIT_UNCOMPILED = {"MapIndexedStage", "Map2Stage", "AllGatherStage",
                   "AllGatherVStage", "ReduceScatterStage", "ScatterStage",
                   "GatherStage", "BalancedReduceStage", "BalancedScanStage"}
@@ -402,8 +404,10 @@ class TestFacets:
             self.test_every_stage_class_has_an_entry_in_both_outer_tables()
 
     def test_every_stage_class_is_compiled_or_listed_uncompiled(self):
-        """The JIT's class table is the proof's too: a stage class in
-        neither list would be skipped by both without a word."""
+        """The proof table is what remains of the JIT's class table: the
+        bounds proof reads it and the raw trace runs only its classes, so
+        a stage class in neither list would be skipped by both without a
+        word."""
         classes = set(_stage_classes())
         compiled = set(jit_compiler._JIT)
         missing = [cls.__name__ for cls in classes - compiled
@@ -412,8 +416,9 @@ class TestFacets:
         assert compiled <= classes
         assert not {cls.__name__ for cls in compiled} & JIT_UNCOMPILED
         for cls, entry in jit_compiler._JIT.items():
-            # a reading comes with a tape; a class with neither has a
-            # definition to be proven by
+            # a row is a tape and its reading, a movement's tape alone, or
+            # neither for a class traced and proven as its definition
+            assert set(entry._fields) == {"tape", "read"}, cls
             assert entry.read is None or entry.tape is not None, cls
             assert entry.tape is not None or cls.definition \
                 is not Stage.definition, cls
