@@ -30,7 +30,7 @@ from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
 from repro.core.search import Node, Search
 from repro.core.stages import Program
-from repro.obs import span
+from repro.obs import TRACER
 
 __all__ = ["OptimizationResult", "optimize", "greedy_optimize",
            "exhaustive_optimize"]
@@ -173,19 +173,26 @@ def optimize(
                         allow_lossy=allow_lossy)
         if hit is not None:
             return hit
-    with span("planner.search"):
-        if strategy == "exhaustive":
-            result = exhaustive_optimize(program, params, rules, allow_lossy)
-        elif strategy == "greedy":
-            result = greedy_optimize(program, params, rules, allow_lossy)
-        elif strategy == "beam":
-            from repro.core.planner import beam_optimize
-
-            result = beam_optimize(program, params, rules,
-                                   allow_lossy=allow_lossy)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+    if TRACER.enabled:
+        with TRACER.span("planner.search"):
+            result = _search(program, params, rules, strategy, allow_lossy)
+    else:
+        result = _search(program, params, rules, strategy, allow_lossy)
     if cache is not None:
         cache.put(program, params, result, rules=rules, strategy=strategy,
                   allow_lossy=allow_lossy)
     return result
+
+
+def _search(program: Program, params: MachineParams, rules: Iterable[Rule],
+            strategy: str, allow_lossy: bool) -> OptimizationResult:
+    """The strategy dispatch of :func:`optimize`."""
+    if strategy == "exhaustive":
+        return exhaustive_optimize(program, params, rules, allow_lossy)
+    if strategy == "greedy":
+        return greedy_optimize(program, params, rules, allow_lossy)
+    if strategy == "beam":
+        from repro.core.planner import beam_optimize
+
+        return beam_optimize(program, params, rules, allow_lossy=allow_lossy)
+    raise ValueError(f"unknown strategy {strategy!r}")

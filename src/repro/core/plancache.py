@@ -56,7 +56,7 @@ from repro.core.rewrite import Derivation
 from repro.core.rules import ALL_RULES, Rule
 from repro.core.stages import Program
 from repro.core.store import resident
-from repro.obs import span
+from repro.obs import TRACER
 
 __all__ = ["PlanRecord", "PlanCache", "PLANCACHE_JSON_VERSION"]
 
@@ -131,9 +131,11 @@ class PlanCache:
         self._memory: "OrderedDict[str, PlanRecord]" = OrderedDict()
         #: mirror of the on-disk store; stays empty when there is no path
         self._disk: dict[str, PlanRecord] = {}
-        #: request value -> (key, the record replayed, the checked plan);
-        #: an entry is served only while ``_memory[key] is record``
-        self._resident: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: the hash of a request value -> (that value, key, the record
+        #: replayed, the checked plan): keyed by the int, a hit hashes
+        #: its request once; an entry is served only to an equal request
+        #: and while ``_memory[key] is record``
+        self._resident: "OrderedDict[int, tuple]" = OrderedDict()
         self.hits = 0
         self.resident_hits = 0
         self.misses = 0
@@ -214,35 +216,41 @@ class PlanCache:
         (``derivation.initial == program``) while the LRU still holds the
         very record it was replayed from; both kinds count in ``hits``.
         """
-        with span("plancache.miss") as traced:
-            hit = self._get(program, params, tuple(rules), strategy,
-                            allow_lossy)
-            if hit is not None:
-                traced.name = "plancache.hit"
-        return hit
+        if TRACER.enabled:
+            with TRACER.span("plancache.miss") as traced:
+                hit = self._get(program, params, tuple(rules), strategy,
+                                allow_lossy)
+                if hit is not None:
+                    traced.name = "plancache.hit"
+            return hit
+        return self._get(program, params, tuple(rules), strategy,
+                         allow_lossy)
 
     def _get(self, program: Program, params: MachineParams,
              rules: tuple[Rule, ...], strategy: str,
              allow_lossy: bool) -> OptimizationResult | None:
         """The body of :meth:`get`."""
         request = (program, params, rules, strategy, allow_lossy)
-        with self._lock:
-            try:
-                entry = self._resident.get(request)
-            except TypeError:
-                # captured list or array blocks do not hash: such a
-                # program replays on every hit
-                request = entry = None
-            if entry is not None:
-                key, record, result = entry
-                if self._memory.get(key) is record:
-                    self._memory.move_to_end(key)
-                    self._resident.move_to_end(request)
-                    self.hits += 1
-                    self.resident_hits += 1
-                    return result
-                # evicted, dropped as bad, rewritten or reset since
-                del self._resident[request]
+        try:
+            slot = hash(request)
+        except TypeError:
+            # captured list or array blocks do not hash: such a program
+            # replays on every hit
+            slot = None
+        else:
+            with self._lock:
+                entry = self._resident.get(slot)
+                if entry is not None:
+                    kept, key, record, result = entry
+                    if kept == request and self._memory.get(key) is record:
+                        self._memory.move_to_end(key)
+                        self._resident.move_to_end(slot)
+                        self.hits += 1
+                        self.resident_hits += 1
+                        return result
+                    # another request of this hash, or the record was
+                    # evicted, dropped as bad, rewritten or reset since
+                    del self._resident[slot]
         key = cache_key(program, params, rules, strategy, allow_lossy)
         with self._lock:
             record = self._record(key)
@@ -273,8 +281,8 @@ class PlanCache:
         )
         with self._lock:
             self.hits += 1
-            if request is not None:
-                self._resident[request] = (key, record, result)
+            if slot is not None:
+                self._resident[slot] = (request, key, record, result)
                 while len(self._resident) > self.capacity:
                     self._resident.popitem(last=False)
         return result
@@ -290,22 +298,32 @@ class PlanCache:
             rules: Iterable[Rule] = ALL_RULES, strategy: str = "beam",
             allow_lossy: bool = False) -> PlanRecord:
         """Store ``result``'s trace under this request's key (write-through)."""
-        with span("plancache.put"):
-            key = cache_key(program, params, rules, strategy, allow_lossy)
-            record = PlanRecord(
-                key=key,
-                program_pretty=program.pretty(),
-                strategy=strategy,
-                trace=trace_of(result),
-                cost_before=result.cost_before,
-                cost_after=result.cost_after,
-                programs_explored=result.programs_explored,
-            )
-            with self._lock:
-                self._remember(record)
-                if self.path is not None:
-                    self._disk[key] = record
-                    self._flush()
+        if TRACER.enabled:
+            with TRACER.span("plancache.put"):
+                return self._put(program, params, result, rules, strategy,
+                                 allow_lossy)
+        return self._put(program, params, result, rules, strategy,
+                         allow_lossy)
+
+    def _put(self, program: Program, params: MachineParams,
+             result: OptimizationResult, rules: Iterable[Rule],
+             strategy: str, allow_lossy: bool) -> PlanRecord:
+        """The body of :meth:`put`."""
+        key = cache_key(program, params, rules, strategy, allow_lossy)
+        record = PlanRecord(
+            key=key,
+            program_pretty=program.pretty(),
+            strategy=strategy,
+            trace=trace_of(result),
+            cost_before=result.cost_before,
+            cost_after=result.cost_after,
+            programs_explored=result.programs_explored,
+        )
+        with self._lock:
+            self._remember(record)
+            if self.path is not None:
+                self._disk[key] = record
+                self._flush()
         return record
 
     # -- maintenance ---------------------------------------------------------
@@ -347,7 +365,7 @@ class PlanCache:
                 "memory_entries": len(self._memory),
                 "resident_entries": sum(
                     self._memory.get(key) is record
-                    for key, record, _ in self._resident.values()),
+                    for _, key, record, _ in self._resident.values()),
                 "disk_entries": len(self._disk),
                 "capacity": self.capacity,
                 "path": str(self.path) if self.path is not None else None,

@@ -84,7 +84,7 @@ from repro.kernels.evaluator import PlanStep, VectorPlan, build_plan, run_lowere
 from repro.kernels.lowering import rebuild_stage
 from repro.kernels.registry import Primitive, map_rows, primitive, registry_version
 from repro.machine.run import DEFINED, _read, rank_program, resident_run, run_ranks
-from repro.obs import span
+from repro.obs import TRACER
 from repro.semantics.functional import UNDEF
 
 from .bounds import Interval, fold_intervals, map_intervals, prove
@@ -960,20 +960,30 @@ def _first_hit(cp: CompiledProgram, program: Program, sig: tuple,
     when its values are :func:`_identical` to the spec's, else declined
     (``exact-disagree``, or ``evaluator-raised`` when the spec raises,
     which is raised on)."""
-    with span("jit.lower") as traced:
-        tape = cp.exact_tape(sig)
-        try:
-            values = program.through_definitions().run(inputs)
-        except Exception:
-            tape = tape._replace(run=None, why=tape.why or "evaluator-raised")
-            raise
-        else:
-            if tape.run is not None and not _agrees(tape.run, inputs, values):
-                tape = tape._replace(run=None, why="exact-disagree")
-        finally:
-            _EXACT_TAPES.put((program, sig), tape)
-            traced.outcome = tape.why or "exact"
-            STATS.exact[traced.outcome] += 1
+    if TRACER.enabled:
+        with TRACER.span("jit.lower") as traced:
+            return _build_exact(cp, program, sig, inputs, traced)
+    return _build_exact(cp, program, sig, inputs, None)
+
+
+def _build_exact(cp: CompiledProgram, program: Program, sig: tuple,
+                 inputs: Sequence[Any], traced: Any) -> list:
+    """The body of :func:`_first_hit`; ``traced`` is its span, if any."""
+    tape = cp.exact_tape(sig)
+    try:
+        values = program.through_definitions().run(inputs)
+    except Exception:
+        tape = tape._replace(run=None, why=tape.why or "evaluator-raised")
+        raise
+    else:
+        if tape.run is not None and not _agrees(tape.run, inputs, values):
+            tape = tape._replace(run=None, why="exact-disagree")
+    finally:
+        _EXACT_TAPES.put((program, sig), tape)
+        outcome = tape.why or "exact"
+        STATS.exact[outcome] += 1
+        if traced is not None:
+            traced.outcome = outcome
     return values
 
 
@@ -1131,23 +1141,36 @@ def engine_lower(
     (``unsupported`` when not even kernelizable).
     """
     STATS.runs += 1
-    with span("jit.lower") as traced:
-        traced.outcome = "unsupported"
-        vec = [vectorize_block(x) for x in inputs]  # may raise KernelUnsupported
-        cp = compiled_program(program)  # may raise KernelUnsupported
-        low = EngineLowering("checked", "", cp.plan.program, vec)
-        profile = _input_profile(vec)
-        why = (cp.uncompiled or cp.proven_safe(profile, len(vec))[1]
-               or (f"{profile[0]}-blocks" if profile[0] != "int" else "")
-               or ("nonconforming-input"
-                   if set(_signature(vec)[0]) != {(1, 0)} else ""))
-        traced.outcome = why or "fused"
+    if TRACER.enabled:
+        with TRACER.span("jit.lower") as traced:
+            traced.outcome = "unsupported"
+            cp, low, why = _lower(program, inputs)
+            traced.outcome = why or "fused"
+    else:
+        cp, low, why = _lower(program, inputs)
     if why:
         STATS.fallbacks[why] += 1
         return replace(low, why=why)
     STATS.full_jit_runs += 1
-    return EngineLowering("fused", "", cp.token_program, [DEFINED] * len(vec),
-                          cp, low)
+    return EngineLowering("fused", "", cp.token_program,
+                          [DEFINED] * len(low.inputs), cp, low)
+
+
+def _lower(program: Program, inputs: Sequence[Any]
+           ) -> tuple[CompiledProgram, EngineLowering, str]:
+    """The body of :func:`engine_lower`: the compiled program, its
+    checked rung and why the fused one declines ("" when it does not);
+    raises :class:`~repro.kernels.blocks.KernelUnsupported` when not
+    even kernelizable."""
+    vec = [vectorize_block(x) for x in inputs]  # may raise KernelUnsupported
+    cp = compiled_program(program)  # may raise KernelUnsupported
+    low = EngineLowering("checked", "", cp.plan.program, vec)
+    profile = _input_profile(vec)
+    why = (cp.uncompiled or cp.proven_safe(profile, len(vec))[1]
+           or (f"{profile[0]}-blocks" if profile[0] != "int" else "")
+           or ("nonconforming-input"
+               if set(_signature(vec)[0]) != {(1, 0)} else ""))
+    return cp, low, why
 
 
 def _run_fused(engine: str, low: EngineLowering, params: MachineParams,

@@ -36,7 +36,7 @@ from repro.core.operators import BinOp
 from repro.core.store import BoundedStore
 from repro.core.stages import Program, Stage, stage_written_as
 from repro.lang.lexer import LexError, Token, lex
-from repro.obs import span
+from repro.obs import TRACER
 
 __all__ = [
     "ParseError",
@@ -99,8 +99,10 @@ class ProgramDecl:
         the same Program, whose stages come from ``_STAGES``.  A
         resolution that raises is never kept.
         """
-        with span("lang.to_program"):
-            return self._resolve(env)
+        if TRACER.enabled:
+            with TRACER.span("lang.to_program"):
+                return self._resolve(env)
+        return self._resolve(env)
 
     def _resolve(self, env: Mapping[str, Any]) -> Program:
         """The body of :meth:`to_program`."""
@@ -361,14 +363,21 @@ def parse_program(source: str) -> ProgramDecl:
     A text parsed before (among the latest ``_PARSE_MEMO.bound`` distinct
     ones) returns the declaration it produced then — the same object.
     """
-    with span("lang.parse"):
-        decl = _PARSE_MEMO.get(source)
-        if decl is None:
-            try:
-                decl = _read(source)
-            except LexError as exc:
-                raise ParseError(str(exc)) from exc
-            _PARSE_MEMO.put(source, decl)
+    if TRACER.enabled:
+        with TRACER.span("lang.parse"):
+            return _parse(source)
+    return _parse(source)
+
+
+def _parse(source: str) -> ProgramDecl:
+    """The body of :func:`parse_program`."""
+    decl = _PARSE_MEMO.get(source)
+    if decl is None:
+        try:
+            decl = _read(source)
+        except LexError as exc:
+            raise ParseError(str(exc)) from exc
+        _PARSE_MEMO.put(source, decl)
     return decl
 
 

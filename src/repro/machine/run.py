@@ -13,12 +13,13 @@ the two pillars the paper's Table 1 stands on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.store import BoundedStore
 from repro.faults import FaultPlan
-from repro.obs import span
+from repro.obs import TRACER
 from repro.core.stages import (
     AllGatherStage,
     AllGatherVStage,
@@ -62,7 +63,8 @@ from repro.semantics.functional import UNDEF, defined_equal
 
 __all__ = ["simulate_program", "execute_stage", "stage_breakdown", "StageTiming",
            "rank_program", "run_ranks",
-           "resident_run", "resident_schedule", "DEFINED"]
+           "resident_run", "resident_answer", "resident_schedule",
+           "DEFINED"]
 
 
 def _map(ctx: RankContext, stage: MapStage, x: Any):
@@ -392,46 +394,75 @@ def resident_run(
       ``"values-disagree"`` (at admission).
 
     ``lookup`` is :func:`resident_schedule`'s answer for these arguments,
-    when the caller has already asked it.  The run is the
-    ``machine.resident`` span, whose ``outcome`` is the one returned.
+    when the caller has already asked it.  The run is
+    :func:`resident_answer`'s.
     """
-    with span("machine.resident") as traced:
-        result, outcome = _resident_run(
-            program, inputs, params, evaluate, faults,
-            lookup or resident_schedule(program, inputs, params, faults))
-        traced.outcome = outcome
-    return result, outcome
+    _, result, outcome = resident_answer(program, inputs, params, evaluate,
+                                         faults, lookup)
+    return (result() if outcome == "hit" else result), outcome
 
 
-def _resident_run(program, inputs, params, evaluate, faults, lookup):
-    """The body of :func:`resident_run`."""
-    key, entry, tokens, why, _ = lookup
+def resident_answer(
+    program: Program, inputs: Sequence[Any], params: MachineParams,
+    evaluate: Callable[[], Sequence[Any]], faults: FaultPlan | None = None,
+    lookup: tuple[Any, SimResult | None, bool, str, tuple[int, ...] | None]
+    | None = None,
+) -> tuple[tuple, SimResult | Callable[[], SimResult], str]:
+    """:func:`resident_run` for a caller that reads the values and may
+    never read the result: ``(values, result, outcome)``, where a hit's
+    ``result`` is a function that builds its :class:`SimResult` (a
+    served hit's handle calls it when ``.sim`` is first read).  The run
+    is the ``machine.resident`` span, whose ``outcome`` is the one
+    returned.
+    """
+    if TRACER.enabled:
+        with TRACER.span("machine.resident") as traced:
+            answer = _resident_answer(program, inputs, params, evaluate,
+                                      faults, lookup)
+            traced.outcome = answer[2]
+        return answer
+    return _resident_answer(program, inputs, params, evaluate, faults, lookup)
+
+
+def _hit_result(values: tuple, entry: SimResult) -> SimResult:
+    """A hit's result: ``values`` on a fresh copy of the resident
+    entry's time and statistics, in lists where the entry keeps tuples."""
+    stats = entry.stats
+    return SimResult(values, entry.time, SimStats(
+        stats.messages, stats.words, stats.compute_ops, stats.clocks,
+        list(stats.timeline), list(stats.events)))
+
+
+def _resident_answer(program, inputs, params, evaluate, faults, lookup):
+    """The body of :func:`resident_answer`."""
+    key, entry, tokens, why, _ = (
+        lookup or resident_schedule(program, inputs, params, faults))
     if why:
-        return _run_cooperative(program, inputs, params, faults), why
+        result = _run_cooperative(program, inputs, params, faults)
+        return result.values, result, why
 
     if entry is not None:
         values, why = _evaluated(evaluate, entry.values, tokens)
         if why:
-            return _run_cooperative(program, inputs, params, faults), why
-        stats = entry.stats
-        return SimResult(values, entry.time, SimStats(
-            stats.messages, stats.words, stats.compute_ops, stats.clocks,
-            list(stats.timeline), list(stats.events))), "hit"
+            result = _run_cooperative(program, inputs, params, faults)
+            return result.values, result, why
+        return values, partial(_hit_result, values, entry), "hit"
 
     result = _run_cooperative(program, inputs, params, faults)
     if any(stage.words_follow_block for stage in program.stages):
-        return result, "shape-priced-stage"  # never admitted, so never hit
+        # never admitted, so never hit
+        return result.values, result, "shape-priced-stage"
     pattern = _read(result.values)[2]
     values, why = _evaluated(evaluate, pattern, tokens)
     if not (why or tokens or defined_equal(values, result.values)):
         why = "values-disagree"
     if why:
-        return result, why
+        return result.values, result, why
     stats = result.stats
     entry = SimResult(pattern, result.time, replace(
         stats, timeline=tuple(stats.timeline), events=tuple(stats.events)))
     _SCHEDULES.put(key, entry)
-    return replace(result, values=values), "miss"
+    return values, replace(result, values=values), "miss"
 
 
 @dataclass(frozen=True)

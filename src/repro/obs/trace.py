@@ -129,7 +129,8 @@ class Tracer:
     ``enabled`` may be flipped between phases of a run; while it is off
     every method returns a shared no-op and no collector callback is
     installed, so the untraced phases run the same code without
-    recording.
+    recording.  It is a plain attribute, so a seam's test of it is one
+    attribute read; assigning it installs or removes the callback.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -137,24 +138,17 @@ class Tracer:
         self._ids = itertools.count()
         self._local = threading.local()
         self._gc_start = 0.0
-        self._enabled = False
         self.enabled = enabled
 
-    @property
-    def enabled(self) -> bool:
-        """Whether spans are recorded (and the collector callback is in)."""
-        return self._enabled
-
-    @enabled.setter
-    def enabled(self, on: bool) -> None:
-        on = bool(on)
-        if on == self._enabled:
-            return
-        if on:
-            gc.callbacks.append(self._on_gc)
-        else:  # a bound method equals every other binding of it
-            gc.callbacks.remove(self._on_gc)
-        self._enabled = on
+    def __setattr__(self, name: str, value) -> None:
+        if name == "enabled":
+            value = bool(value)
+            if value != self.__dict__.get("enabled", False):
+                if value:
+                    gc.callbacks.append(self._on_gc)
+                else:  # a bound method equals every other binding of it
+                    gc.callbacks.remove(self._on_gc)
+        object.__setattr__(self, name, value)
 
     def _stack(self) -> list[Span]:
         """The calling thread's open spans, innermost last."""
@@ -177,7 +171,7 @@ class Tracer:
 
     def span(self, name: str):
         """A span under the thread's current ambient parent (``with`` it)."""
-        if not self._enabled:
+        if not self.enabled:
             return _NULL_SPAN
         stack = self._stack()
         parent = stack[-1] if stack else None
@@ -190,7 +184,7 @@ class Tracer:
     def open_request(self, request: int | str):
         """Start a request's root span; it stays open until
         :meth:`close`.  Returns ``None`` while disabled."""
-        if not self._enabled:
+        if not self.enabled:
             return None
         span = Span(next(self._ids), "request", None, request, self._stack())
         self.spans.append(span)

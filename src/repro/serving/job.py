@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
@@ -136,8 +136,9 @@ class JobHandle:
     :class:`~repro.machine.engine.SimResult` — the model's verdict:
     ``time``, ``stats.clocks`` / ``messages`` / ``words`` — or ``None``
     for a failed job and on the process substrate, whose runner returns
-    values only.  Handles are thread-safe; one handle may be awaited
-    from many threads.
+    values only.  A resident hit's is built the first time it is read,
+    once.  Handles are thread-safe; one handle may be awaited from many
+    threads.
 
     A waiter takes and hands back one bare lock, held from birth until
     the job's single terminal transition, so any number of them pass.
@@ -148,10 +149,18 @@ class JobHandle:
         self.tenant = tenant
         self.state = PENDING
         self.error: BaseException | None = None
-        self.sim: SimResult | None = None
+        self._sim: SimResult | Callable[[], SimResult] | None = None
         self._values: tuple | None = None
         self._settled = threading.Lock()
         self._settled.acquire()
+
+    @property
+    def sim(self) -> SimResult | None:
+        sim = self._sim
+        if callable(sim):  # a resident hit's: built on the first read
+            # racing first readers may each build one; all return the first
+            sim = self._sim = self.__dict__.setdefault("_built", sim())
+        return sim
 
     def done(self) -> bool:
         return self.state in (DONE, FAILED)
@@ -170,7 +179,11 @@ class JobHandle:
 
     # -- fulfilment (manager/worker side) ------------------------------------
 
-    def _fulfill(self, values: tuple, sim: SimResult | None = None) -> None:
+    def _fulfill(self, values: tuple,
+                 sim: SimResult | Callable[[], SimResult] | None = None
+                 ) -> None:
+        """Settle with ``values``; ``sim`` is the result, or a function
+        that builds it when :attr:`sim` is first read."""
         self._settle(DONE, values=values, sim=sim)
 
     def _fail(self, error: BaseException) -> None:
@@ -181,7 +194,7 @@ class JobHandle:
         if self.state is not PENDING:
             raise AssertionError(
                 f"job {self.job_id} settled twice ({self.state}, then {state})")
-        self._values, self.sim, self.error = values, sim, error
+        self._values, self._sim, self.error = values, sim, error
         self.state = state
         self._settled.release()
 

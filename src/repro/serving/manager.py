@@ -36,15 +36,16 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.core.cost import MachineParams
 from repro.core.stages import Program
 from repro.machine.engine import SimResult
 from repro.machine.run import resident_schedule
-from repro.obs import span
+from repro.obs import TRACER
 from repro.parallel.backend import SUBSTRATES, Ladder, ProcessJobRunner
 from repro.parallel.shm import ArenaPool
 from repro.recovery.health import Strikes
@@ -144,8 +145,10 @@ class ServingManager:
         self._lock = threading.Lock()
         self._closed = False
         self._abort = threading.Event()
-        #: resident-schedule outcomes but "miss": the counts with no event
-        self._schedules: Counter = Counter()
+        #: resident-schedule outcomes but "miss", the counts with no
+        #: event: thread ident -> its counts, one writer each (as the
+        #: bus's tally)
+        self._schedules = defaultdict(partial(defaultdict, int))
         self.workers = WorkerPool(self, self.config.workers)
         self.workers.start()
 
@@ -163,48 +166,58 @@ class ServingManager:
         to the per-rank value tuple (or a typed execution failure), and a
         resident hit's handle is settled before ``submit`` returns.
         """
-        with span("serving.submit") as traced:
-            # unlocked: a queued job's guard is ``queue.push``; a job
-            # answered inline past this check was admitted before close()
-            if self._closed:
-                raise ManagerClosedError(
-                    "manager is closed; no further jobs are accepted")
-            budget = deadline if deadline is not None \
-                else self.config.default_deadline
-            deadline_at = (time.monotonic() + budget) \
-                if budget is not None else None
-            job = Job.create(program, inputs, params, tenant,
-                             deadline_at=deadline_at, budget=budget)
+        if TRACER.enabled:
+            with TRACER.span("serving.submit") as traced:
+                return self._submit(program, inputs, params, tenant,
+                                    deadline, traced)
+        return self._submit(program, inputs, params, tenant, deadline, None)
+
+    def _submit(self, program: Program, inputs: Sequence[Any],
+                params: MachineParams, tenant: str, deadline: float | None,
+                traced: Any) -> JobHandle:
+        """The body of :meth:`submit`; ``traced`` is its span, if any."""
+        # unlocked: a queued job's guard is ``queue.push``; a job
+        # answered inline past this check was admitted before close()
+        if self._closed:
+            raise ManagerClosedError(
+                "manager is closed; no further jobs are accepted")
+        budget = deadline if deadline is not None \
+            else self.config.default_deadline
+        deadline_at = (time.monotonic() + budget) \
+            if budget is not None else None
+        job = Job.create(program, inputs, params, tenant,
+                         deadline_at=deadline_at, budget=budget)
+        if traced is not None:  # first: the spans under it take its request
             traced.request = job.job_id
-            self.events.mark(SUBMIT, job.life)
-            try:
-                self.quotas.admit(tenant)
-            except TenantQuotaError:
-                self.events.emit("reject", job=job.job_id, tenant=tenant,
-                                 reason="tenant_quota")
-                raise
-            # ``substrate_for(job)`` without its platform gate, which
-            # only the process rung takes and a worker's pop should log
-            if self.ladder.rung == "cooperative":
-                lookup = resident_schedule(program, job.inputs, params)
-                if lookup[1] is not None:  # the resident entry
-                    self.events.mark(ADMIT, job.life, 0)
-                    self.workers.run_single(
-                        job, threading.current_thread().name, "cooperative",
-                        lookup)
-                    return job.handle
-            try:
-                depth = self.queue.push(job)
-            except (QueueFullError, ManagerClosedError) as exc:
-                # closed: another thread ran close() after the check above
-                reason = ("queue_full" if isinstance(exc, QueueFullError)
-                          else "closed")
-                self.quotas.release(tenant)
-                self.events.emit("reject", job=job.job_id, tenant=tenant,
-                                 reason=reason)
-                raise
-            self.events.mark(ADMIT, job.life, depth)
-            return job.handle
+        self.events.mark(SUBMIT, job.life)
+        try:
+            self.quotas.admit(tenant)
+        except TenantQuotaError:
+            self.events.emit("reject", job=job.job_id, tenant=tenant,
+                             reason="tenant_quota")
+            raise
+        # ``substrate_for(job)`` without its platform gate, which
+        # only the process rung takes and a worker's pop should log
+        if self.ladder.rung == "cooperative":
+            lookup = resident_schedule(program, job.inputs, params)
+            if lookup[1] is not None:  # the resident entry
+                self.events.mark(ADMIT, job.life, 0)
+                self.workers.run_single(
+                    job, threading.current_thread().name, "cooperative",
+                    lookup)
+                return job.handle
+        try:
+            depth = self.queue.push(job)
+        except (QueueFullError, ManagerClosedError) as exc:
+            # closed: another thread ran close() after the check above
+            reason = ("queue_full" if isinstance(exc, QueueFullError)
+                      else "closed")
+            self.quotas.release(tenant)
+            self.events.emit("reject", job=job.job_id, tenant=tenant,
+                             reason=reason)
+            raise
+        self.events.mark(ADMIT, job.life, depth)
+        return job.handle
 
     # -- worker-side callbacks ----------------------------------------------
 
@@ -232,11 +245,11 @@ class ServingManager:
         hit, or the reason the engine ran without admitting a schedule
         (a ``"miss"`` is neither: completed - hits - bypasses)."""
         if outcome != "miss":
-            with self._lock:
-                self._schedules[outcome] += 1
+            self._schedules[threading.get_ident()][outcome] += 1
 
     def complete_job(self, job: Job, values: tuple,
-                     sim: SimResult | None = None) -> None:
+                     sim: SimResult | Callable[[], SimResult] | None = None
+                     ) -> None:
         self.events.mark(COMPLETE, job.life, "ok", job.attempts)
         self._release(job)
         job.handle._fulfill(values, sim)
@@ -309,8 +322,9 @@ class ServingManager:
     def stats(self) -> dict:
         """Counters + live state, the ``serve`` CLI / bench payload."""
         tally = self.events.tally()
-        with self._lock:
-            bypasses = dict(self._schedules)
+        bypasses: Counter = Counter()
+        for shard in list(self._schedules.values()):
+            bypasses.update(dict(shard))  # a copy: its thread may add a key
         return {
             **{name: tally[kind] for name, kind in COUNTED.items()},
             "resident_hits": bypasses.pop("hit", 0),

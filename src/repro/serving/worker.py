@@ -9,7 +9,7 @@ same-tenant, same-``(p, params)`` batch-mates and runs them in **one fork
 generation** through the shared :class:`~repro.parallel.backend.\
 ProcessJobRunner`; on ``"threaded"`` it executes jobs singly through
 :func:`~repro.machine.run.simulate_program`, and on ``"cooperative"``
-through :func:`~repro.machine.run.resident_run` with
+through :func:`~repro.machine.run.resident_answer` with
 :func:`~repro.jit.exact_evaluator` as the evaluator: on a resident hit
 of int/bool blocks the program's exact tape, one generated function,
 and otherwise the planned program's
@@ -18,7 +18,8 @@ on the int/bool leaves that run admits: see
 :meth:`~repro.core.stages.Stage.definition`) — a repeated (program,
 machine, definedness) answers from its resident schedule, and every
 outcome lands in the manager's ``resident_hits`` / ``resident_bypasses``.
-Either way the job's handle carries the ``SimResult``.
+Either way the job's handle carries the ``SimResult``; a hit's is built
+when ``handle.sim`` is first read.
 
 Failure handling is the three-armed ladder of :mod:`repro.serving.\
 deadline`, with one batching wrinkle: when a *batch* attempt dies (an
@@ -37,7 +38,7 @@ import threading
 import time
 
 from repro.jit import exact_evaluator
-from repro.machine.run import resident_run, resident_schedule, simulate_program
+from repro.machine.run import resident_answer, resident_schedule, simulate_program
 from repro.parallel.errors import ProcessIncidentError, WorkerDeadlineError
 from repro.recovery.health import backoff
 from repro.serving.deadline import remaining_budget
@@ -171,13 +172,12 @@ class WorkerPool:
                 elif substrate == "cooperative":
                     lookup = lookup or resident_schedule(
                         job.program, job.inputs, job.params)
-                    sim, outcome = resident_run(
+                    values, sim, outcome = resident_answer(
                         job.program, job.inputs, job.params,
                         exact_evaluator(job.program, job.inputs,
                                         lookup[1] is not None, lookup[4]),
                         lookup=lookup)
                     mgr.record_schedule(outcome)
-                    values = sim.values
                 else:
                     sim = simulate_program(job.program, list(job.inputs),
                                            job.params, engine=substrate)

@@ -157,6 +157,10 @@ def _sources_and_prose() -> list[Path]:
                  id="ladder-resident-callback"),
     pytest.param(r"\b_(fold|derived|balanced|bcast|split_sandwich)\(|_EXACT_ONLY",
                  id="per-class-unrollers"),
+    # a seam has one form: ``if TRACER.enabled:`` and, right under it,
+    # ``with TRACER.span(...)``; the untraced call runs the bare body
+    pytest.param(r"(?m)^(?!\s*if TRACER\.enabled:$).*\n\s*with [\w.]*span\(",
+                 id="seam-outside-the-one-form"),
 ])
 def test_deleted_doors_stay_deleted(pattern):
     hits = [str(path.relative_to(REPO)) for path in _sources_and_prose()

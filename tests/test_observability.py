@@ -6,7 +6,8 @@ and the span recorder (``repro.obs``).
   same JSON lines as ``benchmarks/e2e/trace.py``, apart from the
   collector fields.
 * The process-wide tracer is off by default: a cold plan and a served
-  job record nothing and install no collector callback.
+  job record nothing and install no collector callback, and no seam
+  even asks the tracer for a span.
 * While a tracer is on, a collection is booked on the innermost open
   span of the thread that ran it, and nowhere else; threads recording
   at once each nest on their own stack.
@@ -219,6 +220,44 @@ def test_the_default_tracer_is_off_and_records_nothing():
             timeout=60.0) == tuple(program.run([1, 2, 3, 4]))
     assert len(tracer.spans) == spans
     assert gc.callbacks == callbacks
+
+
+def test_an_untraced_request_opens_no_span():
+    """While the tracer is off every seam runs its bare body: a cold
+    ``optimize(cache=)``, a served miss, first hit and hit, and a
+    ``simulate_program(jit=True)`` call ``Tracer.span`` 0 times."""
+    assert not obs.TRACER.enabled
+    calls = []
+
+    def profile(frame, event, arg):  # sees a bound method taken earlier too
+        if event == "call" and frame.f_code is obs_trace.Tracer.span.__code__:
+            calls.append(frame.f_locals["name"])
+
+    clear_caches()
+    threading.setprofile(profile)  # the serving worker's thread
+    sys.setprofile(profile)
+    try:
+        program = parse_program(
+            "Program Untraced (x);\nMPI_Scan (x, y, mul);\n"
+            "MPI_Reduce (y, z, add);\n").to_program({"mul": MUL, "add": ADD})
+        cache = PlanCache()
+        plan = optimize(program, SMALL, FULL_RULES, strategy="beam",
+                        cache=cache)
+        assert cache.misses == 1
+        with ServingManager(ServingConfig(substrate="cooperative")) as mgr:
+            mgr.submit(plan.program, [1, 2, 3, 4], SMALL).result(timeout=60.0)
+            hits = [mgr.submit(plan.program, [j, 3, 4, 5], SMALL)
+                    for j in (1, 2)]
+            assert all(h.done() for h in hits)
+            assert mgr.stats()["resident_hits"] == 2
+        simulate_program(program, [np.arange(8, dtype=np.int64)] * 4, SMALL,
+                         jit=True)
+        assert calls == []
+        obs.TRACER.span("x")  # the profile counts
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert calls == ["x"]
 
 
 def test_the_seams_record_while_the_tracer_is_on():

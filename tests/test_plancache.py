@@ -319,6 +319,38 @@ class TestResidentTier:
         assert cache.get(golden_program(), GOLDEN_PARAMS) is not None
         assert cache.get(others[0], GOLDEN_PARAMS) is None
 
+    def test_requests_of_one_hash_never_share_a_plan(self, monkeypatch):
+        """The tier is keyed by a request's hash: a request whose hash
+        another holds takes the slot over by replay and is never served
+        the other's plan."""
+        monkeypatch.setattr(Program, "__hash__", lambda self: 0)
+        cache = PlanCache()
+        calls = self._spy(monkeypatch)
+        golden, other = golden_program, (
+            lambda: Program([ScanStage(MUL), ScanStage(ADD)]))
+        assert hash((golden(), GOLDEN_PARAMS)) == hash((other(),
+                                                        GOLDEN_PARAMS))
+        for build in (golden, other):
+            cache.put(build(), GOLDEN_PARAMS,
+                      beam_optimize(build(), GOLDEN_PARAMS, ALL_RULES))
+        plans = {build: beam_optimize(build(), GOLDEN_PARAMS,
+                                      ALL_RULES).program.pretty()
+                 for build in (golden, other)}
+        # (request, replayed, then hits / resident_hits): the slot holds
+        # whichever request last replayed
+        for build, replayed, hits, resident in [
+                (golden, 1, 1, 0), (golden, 1, 2, 1),
+                (other, 2, 3, 1), (other, 2, 4, 2),
+                (golden, 3, 5, 2), (golden, 3, 6, 3)]:
+            hit = cache.get(build(), GOLDEN_PARAMS)
+            assert hit.derivation.initial == build()
+            assert hit.program.pretty() == plans[build]
+            assert calls["replay_trace"] == replayed
+            stats = cache.stats()
+            assert (stats["hits"], stats["resident_hits"]) == (hits, resident)
+            assert len(cache._resident) == stats["resident_entries"] == 1
+        assert cache.stats()["misses"] == 0
+
     def test_clear_planner_caches_empties_the_tier(self):
         cache = PlanCache()
         self._warm(cache)

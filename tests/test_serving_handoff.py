@@ -23,6 +23,9 @@ cost:
 * and what a resident hit records: no event dict at all — its four
   events are marks on one lifecycle record, rendered when read — and its
   blocks are read in one pass that answers as the per-block loop did;
+* and what it builds: its ``SimResult`` only when ``handle.sim`` is
+  read, once, and its count on the reading thread's own shard, exact
+  under eight threads beside a ``stats()`` reader;
 * and the bus's ``seq`` contract: a lifecycle that outlives the retained
   window still renders and counts, and a reader running beside the
   emitters never raises, never sees half an event and never sees
@@ -76,7 +79,7 @@ from repro.core.store import clear_caches
 from repro.jit import compiler as jit_compiler
 from repro.lang import parse_program
 from repro.machine.engine import SimResult, SimStats
-from repro.machine.run import DEFINED, _exact, _read
+from repro.machine.run import DEFINED, _exact, _read, simulate_program
 from repro.parallel.errors import WorkerCrashError
 from repro.recovery.events import RecoveryLog
 from repro.semantics.functional import UNDEF
@@ -400,10 +403,10 @@ class TestProgramHash:
 
 #: lock acquisitions one cooperative job takes from ``submit`` to its
 #: reply on the single-threaded drive below: quota admit and release,
-#: queue push and pop, the resident-schedule count and the handle's birth
-#: — its four events take none (a live worker thread adds its pop's and
-#: the client's blocking waits)
-LOCKS_PER_JOB = 6
+#: queue push and pop and the handle's birth — its four events and its
+#: resident-schedule count take none (a live worker thread adds its pop's
+#: and the client's blocking waits)
+LOCKS_PER_JOB = 5
 JOBS = 1_000
 
 
@@ -486,9 +489,9 @@ def test_a_served_job_takes_at_most_LOCKS_PER_JOB_lock_acquisitions(
 
 
 #: lock acquisitions one resident hit answered on the submitting thread
-#: takes: quota admit and release, the resident-schedule count and the
-#: handle's birth — no queue push, no pop, and none for its four events
-LOCKS_PER_INLINE_HIT = 4
+#: takes: quota admit and release and the handle's birth — no queue push,
+#: no pop, and none for its four events or its resident-schedule count
+LOCKS_PER_INLINE_HIT = 3
 
 
 def test_a_resident_hit_takes_at_most_LOCKS_PER_INLINE_HIT_lock_acquisitions(
@@ -554,6 +557,100 @@ def test_an_inline_hit_is_the_queued_hit(monkeypatch):
         return {k: v for k, v in event.items()
                 if k not in ("seq", "job", "worker", "depth")}
     assert [fields(e) for e in events] == [fields(e) for e in queued_events]
+
+
+def test_a_hit_builds_its_sim_result_when_read(monkeypatch):
+    """A resident hit constructs no ``SimStats`` until ``.sim`` is read;
+    then one, with lists where the resident entry keeps tuples, equal to
+    the unserved run's, and a second read returns the same object."""
+    clear_caches()
+    built = []
+    init = SimStats.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with ServingManager(ServingConfig(workers=1)) as mgr:
+        _events_of(mgr, mgr.submit(SCAN, [0, 1, 2, 3], PARAMS))
+        monkeypatch.setattr(SimStats, "__init__", counted)
+        hit = mgr.submit(SCAN, [4, 1, 2, 3], PARAMS)
+        assert hit.done() and hit.result() == (4, 5, 7, 10)
+        assert mgr.stats()["resident_hits"] == 1
+        assert built == []
+        sim = hit.sim
+        assert len(built) == 1 and sim.stats is built[0]
+        assert hit.sim is sim and len(built) == 1
+    monkeypatch.undo()
+    assert type(sim.stats.timeline) is list and type(sim.stats.events) is list
+    assert sim == simulate_program(SCAN, [4, 1, 2, 3], PARAMS)
+
+
+def test_inline_hits_count_exactly_beside_a_stats_reader():
+    """Eight threads released together by a barrier each plan and serve
+    inline hits while a ninth reads ``stats()`` throughout: the manager's
+    ``resident_hits`` and the plan cache's ``hits`` / ``resident_hits``
+    count every hit once, and no reading goes down."""
+    clear_caches()
+    threads, rounds = 8, 200
+    cache = PlanCache()
+    program = parse_program(
+        "Program Hammer (x);\nMPI_Scan (x, y, add);\n").to_program(
+        {"add": ADD})
+    barrier, done = threading.Barrier(threads + 1), threading.Event()
+    errors, readings = [], []
+    with ServingManager(ServingConfig(workers=1)) as mgr:
+        plan = optimize(program, PARAMS, FULL_RULES, strategy="beam",
+                        cache=cache)  # the miss
+        optimize(program, PARAMS, FULL_RULES, strategy="beam",
+                 cache=cache)  # the replay that makes it resident
+        _events_of(mgr, mgr.submit(plan.program, [0, 1, 2, 3], PARAMS))
+        assert (cache.hits, cache.resident_hits) == (1, 0)
+
+        def client(k: int) -> None:
+            try:
+                barrier.wait()
+                for j in range(rounds):
+                    got = optimize(program, PARAMS, FULL_RULES,
+                                   strategy="beam", cache=cache)
+                    handle = mgr.submit(got.program, [k, j, 2, 3], PARAMS,
+                                        tenant=f"t{k}")
+                    assert handle.done(), "not answered inline"
+                    assert handle.result() == (k, k + j, k + j + 2,
+                                               k + j + 5)
+            except BaseException as exc:  # reported below, not lost
+                errors.append(exc)
+
+        def reader() -> None:
+            barrier.wait()
+            while not done.is_set():
+                readings.append((mgr.stats()["resident_hits"],
+                                 cache.stats()["hits"]))
+
+        workers = [threading.Thread(target=client, args=(k,))
+                   for k in range(threads)]
+        watcher = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads every few bytecodes
+        try:
+            for thread in [*workers, watcher]:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120.0)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        watcher.join(timeout=60.0)
+        assert not any(t.is_alive() for t in [*workers, watcher])
+        assert not errors, errors[0]
+        stats = mgr.stats()
+    hits = threads * rounds
+    assert stats["resident_hits"] == hits
+    assert stats["resident_bypasses"] == {}
+    assert (cache.hits, cache.resident_hits) == (1 + hits, hits)
+    assert readings and all(
+        x <= y for a, b in zip(readings, readings[1:])
+        for x, y in zip(a, b)), "a count went down"
 
 
 def test_an_expired_deadline_on_a_hit_fails_typed():
