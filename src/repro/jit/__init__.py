@@ -16,8 +16,8 @@ straight-line tape of raw ufunc calls, run as one chunk loop:
   (:mod:`repro.jit.bounds`): exact interval propagation over the
   actual input hull, read in one pass per block, proves raw int64
   ufuncs can never wrap;
-* chunk sizes come from the same :func:`core.cost.pipeline_chunk_count`
-  model the communication layer uses.
+* chunk sizes come from the cost model's pipelining crossover,
+  :func:`core.cost.pipeline_chunk_count`.
 
 Entry points: :func:`run_jit` (the evaluator, and the seventh oracle
 backend), :func:`engine_lower` / :func:`run_engine_ladder` (how

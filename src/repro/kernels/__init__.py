@@ -4,8 +4,10 @@ Lowers the library's operators — semiring BinOps and the composed
 pair-operators the rewrite rules build — into whole-block NumPy kernels,
 with a program-level local-stage fusion pass and exact fallback to object
 mode wherever a kernel does not exist or an integer combine would lose
-precision.  See ``docs/PERFORMANCE.md`` for the architecture and for how
-to register kernels for user-defined operators.
+precision.  A tuple state (the ``op_sr2`` pairs, the comcast triples)
+stays a tuple of arrays: the engines move it as they move any value.
+See ``docs/PERFORMANCE.md`` for the architecture and for how to register
+kernels for user-defined operators.
 """
 
 from repro.kernels.blocks import (
@@ -29,7 +31,6 @@ from repro.kernels.evaluator import (
     run_vectorized,
 )
 from repro.kernels.lowering import kernelize_stage, vectorize_program
-from repro.kernels.messages import PackedBlock, pack_block, unpack_block
 from repro.kernels.registry import (
     MapRow,
     Primitive,
@@ -62,9 +63,6 @@ __all__ = [
     "run_vectorized",
     "kernelize_stage",
     "vectorize_program",
-    "PackedBlock",
-    "pack_block",
-    "unpack_block",
     "Primitive",
     "MapRow",
     "binop_kernel",

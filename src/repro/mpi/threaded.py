@@ -35,7 +35,6 @@ degraded results and the fault summary are identical across engines
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import threading
 from typing import Any, Callable, Sequence
@@ -48,8 +47,7 @@ from repro.faults import (
     PeerDeadError,
     RankCrashedError,
 )
-from repro.kernels.messages import PackedBlock, pack_block, unpack_block
-from repro.machine.primitives import RankContext, Send, SendRecv
+from repro.machine.primitives import RankContext
 from repro.machine.rendezvous import (
     Rendezvous,
     SimResult,
@@ -110,20 +108,6 @@ class _ThreadContext(RankContext):
         super().__init__(rank, size, rdv.params)
         self._rdv = rdv
 
-    def _run(self, action):
-        # Vectorized tuple states (op_sr2 pairs, comcast triples, ...) are
-        # flattened into one contiguous buffer per message instead of a
-        # tuple of separately-handled arrays; object-mode payloads are
-        # never tuples of same-shape arrays, so they pass through intact.
-        if isinstance(action, (Send, SendRecv)):
-            packed = pack_block(action.payload)
-            if packed is not None:
-                action = dataclasses.replace(action, payload=packed)
-        result = self._rdv.execute(self.rank, action)
-        if isinstance(result, PackedBlock):
-            return unpack_block(result)
-        return result
-
     def drive(self, gen) -> Any:
         """Run a generator collective, executing each action blockingly.
 
@@ -138,7 +122,10 @@ class _ThreadContext(RankContext):
             action = next(gen)
             while True:
                 try:
-                    result = self._run(action)
+                    # a payload, tuple states included, passes by
+                    # reference here as on the cooperative engine; the
+                    # process rendezvous moves it through its rings
+                    result = self._rdv.execute(self.rank, action)
                 except (PeerDeadError, FaultTimeoutError) as exc:
                     action = gen.throw(exc)
                     continue

@@ -17,8 +17,7 @@ posts second; completion times are the kernel's ``max(clocks) + ts +
 words*tw`` (including the contention-domain serialization of
 hierarchical machines, via a pre-enumerated shared domain table).
 Payload bytes then stream outside the lock through the
-sender's outbox ring, chunked per the Lowery & Langou crossover
-(:func:`repro.core.cost.pipeline_chunk_count`) so a large transfer's
+sender's outbox ring, one arena slot per chunk, so a large transfer's
 sender-side writes overlap the receiver-side reads.
 
 **Fault injection runs on real processes.**  The parent's fault
@@ -47,7 +46,7 @@ One fork generation — fresh lock/events, fault-cell seeding, fork,
 :func:`_run_generation`, shared by the
 plain run, the recovery supervisor's :class:`ProcessStageRunner` (which
 bumps the epoch per attempt) and the serving tier's
-:class:`ProcessJobRunner` (which pools arenas and batches jobs).
+:class:`ProcessJobRunner` (which batches jobs into one generation).
 
 Graceful degradation, never a crash: platforms without ``fork`` or
 ``multiprocessing.shared_memory``, single-core hosts (where real
@@ -69,7 +68,7 @@ import threading
 import time
 from typing import Any, Callable, Sequence
 
-from repro.core.cost import MachineParams, pipeline_chunk_count
+from repro.core.cost import MachineParams
 from repro.faults import FaultState, RankCrashedError
 from repro.machine.primitives import Recv, Send, SendRecv, comm_partner
 from repro.machine.rendezvous import (
@@ -112,8 +111,6 @@ log = logging.getLogger("repro.parallel")
 #: ``arena.kind`` codes of a pending action (0: the rank is not waiting)
 _KINDS = {Send: 1, Recv: 2, SendRecv: 3}
 _ACTIONS = {code: cls for cls, code in _KINDS.items()}
-_MIN_CHUNK_BYTES = 4096
-_WORD_BYTES = 8.0
 
 #: a planned (fault-schedule) crash: parent maps this exit to UNDEF
 _EXIT_CRASHED = 77
@@ -228,20 +225,18 @@ class Ladder:
         return rung
 
 
-def open_arena(ladder: Ladder, p: int, params: MachineParams, pool=None,
+def open_arena(ladder: Ladder, p: int, params: MachineParams,
                slot_bytes: int = DEFAULT_SLOT_BYTES,
                slots: int = DEFAULT_SLOTS, **where) -> SharedArena | None:
-    """A shared arena for a ``p``-rank run on ``params`` (from ``pool``
-    when given), or ``None`` once ``/dev/shm`` refused one and ``ladder``
-    stepped below the process engine.
+    """A shared arena for a ``p``-rank run on ``params``, or ``None``
+    once ``/dev/shm`` refused one and ``ladder`` stepped below the
+    process engine.
 
     The process substrate's one ``OSError`` catch: any other — a
     :class:`~repro.faults.FaultTimeoutError` is one — belongs to the run.
     """
     n_domains = len(_domain_keys(params, p))
     try:
-        if pool is not None:
-            return pool.acquire(p, n_domains)
         return SharedArena(p, n_domains=n_domains, slot_bytes=slot_bytes,
                            slots=slots)
     except OSError as exc:
@@ -373,7 +368,6 @@ class _ProcessRendezvous(Rendezvous):
         a.xfer_base[dst] = int(a.wseq[src])
         a.in_kind[dst] = a.meta_kind[src]
         a.in_nbytes[dst] = a.meta_nbytes[src]
-        a.in_k[dst] = a.meta_k[src]
         a.in_ndim[dst] = a.meta_ndim[src]
         a.in_shape[dst, :] = a.meta_shape[src, :]
         a.in_dtype[dst, :] = a.meta_dtype[src, :]
@@ -413,21 +407,6 @@ class _ProcessRendezvous(Rendezvous):
 
     # -- payload movement (lock NOT held) ----------------------------------
 
-    def _chunk_bytes(self, nbytes: int) -> int:
-        """Wire chunk size for an ``nbytes`` transfer (both sides agree).
-
-        The chunk *count* comes from the machine parameters via the
-        Lowery & Langou crossover (sender write + receiver read form a
-        two-stage pipeline); the byte size is then clamped to the arena's
-        physical slot size and a protocol-overhead floor.
-        """
-        if nbytes <= _MIN_CHUNK_BYTES:
-            return _MIN_CHUNK_BYTES
-        chunks = pipeline_chunk_count(self.params, nbytes / _WORD_BYTES,
-                                      depth=2)
-        per = -(-nbytes // chunks)
-        return max(_MIN_CHUNK_BYTES, min(per, self.arena.slot_bytes))
-
     def _transfer(self, rank: int, staged) -> Any:
         a = self.arena
         out_dst = int(a.xfer_out[rank])
@@ -437,19 +416,17 @@ class _ProcessRendezvous(Rendezvous):
         in_nbytes = 0
         if out_dst >= 0:
             nbytes, buffers = staged
-            writer = a.write_stream(rank, buffers, nbytes,
-                                    self._chunk_bytes(nbytes))
+            writer = a.write_stream(rank, buffers, nbytes)
         if in_src >= 0:
             in_kind = int(a.in_kind[rank])
             in_nbytes = int(a.in_nbytes[rank])
-            in_k = int(a.in_k[rank])
             ndim = int(a.in_ndim[rank])
             shape = tuple(int(s) for s in a.in_shape[rank, :ndim])
             dtype = bytes(a.in_dtype[rank]).rstrip(b"\x00").decode("ascii")
             dest_obj, dest_view = _payload.alloc_destination(
-                in_kind, in_nbytes, in_k, shape, dtype)
+                in_kind, in_nbytes, shape, dtype)
             reader = a.read_stream(in_src, int(a.xfer_base[rank]), dest_view,
-                                   in_nbytes, self._chunk_bytes(in_nbytes))
+                                   in_nbytes)
         try:
             if writer is not None and reader is not None:
                 duplex(writer, reader, tick=self._tick)
@@ -548,18 +525,17 @@ def _child_main(rdv: _ProcessRendezvous, program, inputs, rank: int,
     finally:
         rdv.finish(rank)
     try:
-        wk, nbytes, k, ndim, shape, dtype, buffers = \
+        wk, nbytes, ndim, shape, dtype, buffers = \
             _payload.encode_payload(result)
     except Exception as exc:  # unpicklable result/exception
         state = 2
-        wk, nbytes, k, ndim, shape, dtype, buffers = _payload.encode_payload(
+        wk, nbytes, ndim, shape, dtype, buffers = _payload.encode_payload(
             RuntimeError(f"rank {rank} result not transportable: {exc!r}"))
     with rdv.lock:
-        _payload.stage_meta(arena, rank, wk, nbytes, k, ndim, shape, dtype)
+        _payload.stage_meta(arena, rank, wk, nbytes, ndim, shape, dtype)
         arena.result_base[rank] = int(arena.wseq[rank])
         arena.result_state[rank] = state
-    arena.write_stream(rank, buffers, nbytes,
-                       rdv._chunk_bytes(nbytes)).run(tick=rdv._tick)
+    arena.write_stream(rank, buffers, nbytes).run(tick=rdv._tick)
 
 
 def _kill_all(procs) -> None:
@@ -586,14 +562,13 @@ def _read_result(rdv: _ProcessRendezvous, rank: int, proc,
     state = int(a.result_state[rank])
     in_kind = int(a.meta_kind[rank])
     in_nbytes = int(a.meta_nbytes[rank])
-    in_k = int(a.meta_k[rank])
     ndim = int(a.meta_ndim[rank])
     shape = tuple(int(s) for s in a.meta_shape[rank, :ndim])
     dtype = bytes(a.meta_dtype[rank]).rstrip(b"\x00").decode("ascii")
     dest_obj, dest_view = _payload.alloc_destination(
-        in_kind, in_nbytes, in_k, shape, dtype)
+        in_kind, in_nbytes, shape, dtype)
     reader = a.read_stream(rank, int(a.result_base[rank]), dest_view,
-                           in_nbytes, rdv._chunk_bytes(in_nbytes))
+                           in_nbytes)
     dead_seen = False
 
     def tick() -> None:
@@ -908,25 +883,19 @@ class ProcessStageRunner:
 
 
 class ProcessJobRunner:
-    """Serving-side process substrate: pooled arenas, batched jobs.
+    """Serving-side process substrate: batched jobs on fresh arenas.
 
     The multi-tenant serving runtime (:mod:`repro.serving`) runs every
-    job of its ``"process"`` substrate through one of these.  Two costs
-    dominate small-job serving on real processes — shared-memory segment
-    creation and forking — and the runner amortizes both:
+    job of its ``"process"`` substrate through one of these.  Forking
+    dominates small-job serving on real processes, and ``run_jobs``
+    amortizes it: a whole list of jobs sharing ``(p, params)`` runs in
+    **one fork generation** — every rank process drives the jobs
+    back-to-back over the same rendezvous, so the fork is paid once per
+    batch, not once per job.  Each call opens its own arena with
+    :func:`open_arena` and closes it when the batch ends, so no state —
+    and no tenant's data — outlives the batch that wrote it.
 
-    * **arena reuse** — segments come from a shared
-      :class:`~repro.parallel.shm.ArenaPool`; each :meth:`run_jobs` call
-      acquires a compatible arena in a *fresh epoch* (stragglers of a
-      previous job's killed attempt self-destruct the moment a tick
-      observes the bump, so no state — and no tenant's data — ever leaks
-      between jobs) and releases it afterwards;
-    * **batching** — ``run_jobs`` executes a whole list of jobs sharing
-      ``(p, params)`` in **one fork generation**: every rank process
-      drives the jobs back-to-back over the same rendezvous, so the fork
-      cost is paid once per batch, not once per job.
-
-    Robustness mirrors the supervised stage runner: the PR 7 heartbeat
+    Robustness mirrors the supervised stage runner: the heartbeat
     watchdog and epoch fencing guard every batch; a SIGKILLed or hung
     child surfaces as a typed :class:`~repro.parallel.errors.\
 ProcessIncidentError` (after the remaining children of the attempt are
@@ -937,9 +906,8 @@ WorkerDeadlineError`.  On any failure the whole batch is abandoned — the
     a poison job from its batch-mates.
     """
 
-    def __init__(self, pool, ladder: Ladder, hb_timeout: float | None = None,
+    def __init__(self, ladder: Ladder, hb_timeout: float | None = None,
                  spawn_hook: Callable[[list, dict], None] | None = None) -> None:
-        self.pool = pool
         self.ladder = ladder
         self.hb_timeout = hb_timeout
         self.spawn_hook = spawn_hook
@@ -971,7 +939,7 @@ WorkerDeadlineError`.  On any failure the whole batch is abandoned — the
 
         binputs = [tuple(inputs[rank] for _prog, inputs in entries)
                    for rank in range(p)]
-        arena = open_arena(self.ladder, p, params, pool=self.pool)
+        arena = open_arena(self.ladder, p, params)
         if arena is None:
             return None
         try:
@@ -984,4 +952,4 @@ WorkerDeadlineError`.  On any failure the whole batch is abandoned — the
             return [tuple(values[rank][j] for rank in range(p))
                     for j in range(len(entries))]
         finally:
-            self.pool.release(arena)
+            arena.close()

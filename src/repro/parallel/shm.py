@@ -8,21 +8,21 @@ One :class:`SharedArena` holds everything the rank processes share:
   matcher (:mod:`repro.parallel.backend`) mutates under one lock;
 * one fixed-size **outbox ring** per rank through which all payload bytes
   move.  A ring is ``slots`` fixed-size chunk slots addressed by two
-  monotonic sequence numbers (``wseq``/``rseq``); the sender copies (or,
-  for arrays, streams directly out of the source buffer — no intermediate
-  serialization) chunk ``i`` into slot ``i % slots`` once the reader has
-  drained slot ``i - slots``, so arbitrarily large messages flow through
-  a bounded arena with the sender's writes overlapping the receiver's
-  reads — the wall-clock realization of the Lowery & Langou chunk
-  pipeline whose chunk count :func:`repro.core.cost.pipeline_chunk_count`
-  picks from the machine parameters;
+  monotonic sequence numbers (``wseq``/``rseq``), and a chunk is one
+  slot: the sender copies (or, for arrays, streams directly out of the
+  source buffer — no intermediate serialization) chunk ``i`` into slot
+  ``i % slots`` once the reader has drained slot ``i - slots``, so
+  arbitrarily large messages flow through a bounded arena with the
+  sender's writes overlapping the receiver's reads;
 * a per-rank **fail cell** where the rendezvous parks a pickled exception
   for a blocked rank it is waking with bad news (deadlock, dead peer).
 
 Everything is created by the parent *before* forking, so the children
 inherit the mappings (and the NumPy views over them) directly — there is
 no name-based re-attach, no pickling of any program state, and the parent
-remains the single owner responsible for ``close()``/``unlink()``.
+remains the single owner responsible for ``close()``/``unlink()``.  An
+arena lives for one run, one supervised run, or one serving batch; a
+segment's create and unlink cost little beside the fork they serve.
 
 Synchronization of the rings is by bounded spinning with exponential
 micro-sleeps on the sequence counters (plain int64 stores; the x86 total
@@ -51,7 +51,6 @@ see :meth:`SharedArena.fault_cell`.
 from __future__ import annotations
 
 import pickle
-import threading
 import time
 from multiprocessing import shared_memory
 
@@ -59,7 +58,7 @@ import numpy as np
 
 from repro.faults.state import cell_layout
 
-__all__ = ["SharedArena", "ArenaPool", "RingTimeout",
+__all__ = ["SharedArena", "RingTimeout",
            "DEFAULT_SLOT_BYTES", "DEFAULT_SLOTS"]
 
 #: default chunk-slot size (bytes); one ring is ``slots * slot_bytes``
@@ -123,7 +122,6 @@ class SharedArena:
             # -- outbox metadata (payload descriptor) ----------------------
             ("meta_kind", i64, p),   # payload.Kind of the staged message
             ("meta_nbytes", i64, p),
-            ("meta_k", i64, p),
             ("meta_ndim", i64, p),
             ("meta_shape", i64, (p, 8)),
             ("meta_dtype", np.dtype(np.uint8), (p, 16)),
@@ -133,7 +131,6 @@ class SharedArena:
             # receiver's incoming slot at match time so it stays stable)
             ("in_kind", i64, p),
             ("in_nbytes", i64, p),
-            ("in_k", i64, p),
             ("in_ndim", i64, p),
             ("in_shape", i64, (p, 8)),
             ("in_dtype", np.dtype(np.uint8), (p, 16)),
@@ -217,9 +214,9 @@ class SharedArena:
         self.xfer_out[:] = -1
         self.xfer_in[:] = -1
         self.xfer_base[:] = 0
-        for name in ("meta_kind", "meta_nbytes", "meta_k", "meta_ndim",
-                     "meta_shape", "meta_dtype", "in_kind", "in_nbytes",
-                     "in_k", "in_ndim", "in_shape", "in_dtype"):
+        for name in ("meta_kind", "meta_nbytes", "meta_ndim", "meta_shape",
+                     "meta_dtype", "in_kind", "in_nbytes", "in_ndim",
+                     "in_shape", "in_dtype"):
             getattr(self, name)[:] = 0
         self.wseq[:] = 0
         self.rseq[:] = 0
@@ -281,31 +278,23 @@ class SharedArena:
 
     # -- ring streaming ------------------------------------------------------
 
-    def chunk_layout(self, nbytes: int, chunk_bytes: int) -> tuple[int, int]:
-        """(chunk size, chunk count) actually used on the wire."""
-        chunk = max(1, min(int(chunk_bytes), self.slot_bytes))
-        count = max(1, -(-nbytes // chunk)) if nbytes else 1
-        return chunk, count
-
-    def write_stream(self, rank: int, buffers, nbytes: int,
-                     chunk_bytes: int) -> "_Writer":
+    def write_stream(self, rank: int, buffers, nbytes: int) -> "_Writer":
         """An incremental writer streaming ``buffers`` into my outbox."""
-        return _Writer(self, rank, buffers, nbytes, chunk_bytes)
+        return _Writer(self, rank, buffers, nbytes)
 
-    def read_stream(self, src: int, base: int, dest: memoryview, nbytes: int,
-                    chunk_bytes: int) -> "_Reader":
+    def read_stream(self, src: int, base: int, dest: memoryview,
+                    nbytes: int) -> "_Reader":
         """An incremental reader draining ``src``'s outbox into ``dest``."""
-        return _Reader(self, src, base, dest, nbytes, chunk_bytes)
+        return _Reader(self, src, base, dest, nbytes)
 
 
 class _Writer:
-    """Chunk-at-a-time producer onto one rank's outbox ring."""
+    """Slot-at-a-time producer onto one rank's outbox ring."""
 
-    def __init__(self, arena: SharedArena, rank: int, buffers, nbytes: int,
-                 chunk_bytes: int) -> None:
+    def __init__(self, arena: SharedArena, rank: int, buffers,
+                 nbytes: int) -> None:
         self.arena = arena
         self.rank = rank
-        self.chunk, self.count = arena.chunk_layout(nbytes, chunk_bytes)
         self.nbytes = nbytes
         # flatten the source buffers into one virtual byte sequence
         self._bufs = [np.frombuffer(b, dtype=np.uint8) for b in buffers]
@@ -323,7 +312,7 @@ class _Writer:
         a, r = self.arena, self.rank
         seq = int(a.wseq[r])
         slot = a._ring_views[r][(seq % a.slots) * a.slot_bytes:]
-        want = min(self.chunk, self.nbytes - self._sent)
+        want = min(a.slot_bytes, self.nbytes - self._sent)
         filled = 0
         while filled < want:
             src = self._bufs[self._buf_idx]
@@ -347,13 +336,12 @@ class _Writer:
 
 
 class _Reader:
-    """Chunk-at-a-time consumer of one rank's outbox ring."""
+    """Slot-at-a-time consumer of one rank's outbox ring."""
 
     def __init__(self, arena: SharedArena, src: int, base: int,
-                 dest: memoryview, nbytes: int, chunk_bytes: int) -> None:
+                 dest: memoryview, nbytes: int) -> None:
         self.arena = arena
         self.src = src
-        self.chunk, self.count = arena.chunk_layout(nbytes, chunk_bytes)
         self.nbytes = nbytes
         self._dest = np.frombuffer(dest, dtype=np.uint8) if nbytes else None
         self._next = base
@@ -370,7 +358,7 @@ class _Reader:
     def step(self) -> None:
         a, s = self.arena, self.src
         slot = a._ring_views[s][(self._next % a.slots) * a.slot_bytes:]
-        take = min(self.chunk, self.nbytes - self._got)
+        take = min(a.slot_bytes, self.nbytes - self._got)
         self._dest[self._got: self._got + take] = slot[:take]
         self._got += take
         a.rseq[s] = self._next + 1  # free the slot for the writer
@@ -382,97 +370,6 @@ class _Reader:
         while not self.done:
             _spin(self.ready, f"rank {self.src} outbox empty", tick=tick)
             self.step()
-
-
-class ArenaPool:
-    """Reuse :class:`SharedArena` segments across serving jobs.
-
-    Creating a shared-memory segment is a syscall-heavy operation (shm
-    create + map + unlink on close); a serving worker running thousands
-    of small jobs must not pay it per job.  The pool keeps closed-over
-    arenas keyed by their physical signature ``(p, n_domains, slot_bytes,
-    slots)``: :meth:`acquire` hands back a compatible arena (after
-    :meth:`SharedArena.reset_for_epoch`, so stragglers of the previous
-    job's generation self-destruct and no state leaks between jobs or
-    tenants) or creates one; :meth:`release` returns it for the next job.
-
-    ``n_domains`` participates in the key via a *capacity* match — an
-    arena allocated for ``d`` contention domains serves any job needing
-    ``<= d`` (the rendezvous indexes only the first ``d'`` entries and
-    ``reset_for_epoch`` zeroes them all), so machines with differing
-    hierarchical shapes still share segments.
-
-    Thread-safe: serving workers may share one pool.  ``max_idle`` bounds
-    how many arenas idle per key (excess ones are closed eagerly —
-    shared-memory is a bounded host resource).
-    """
-
-    def __init__(self, max_idle: int = 2,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES,
-                 slots: int = DEFAULT_SLOTS) -> None:
-        self.max_idle = max(1, int(max_idle))
-        self.slot_bytes = int(slot_bytes)
-        self.slots = int(slots)
-        self._lock = threading.Lock()
-        self._idle: dict[tuple[int, int], list[SharedArena]] = {}
-        self._closed = False
-        self.created = 0
-        self.reused = 0
-
-    def _key(self, p: int, n_domains: int) -> tuple[int, int]:
-        # round the domain capacity up to a small set of size classes so
-        # near-miss machines share arenas instead of fragmenting the pool
-        cap = 1
-        while cap < max(n_domains, 1):
-            cap *= 2
-        return (p, cap)
-
-    def acquire(self, p: int, n_domains: int = 0) -> SharedArena:
-        """A fresh-epoch arena for a ``p``-rank job (reused when possible)."""
-        key = self._key(p, n_domains)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("arena pool is closed")
-            idle = self._idle.get(key)
-            if idle:
-                arena = idle.pop()
-                self.reused += 1
-                arena.reset_for_epoch()
-                return arena
-        arena = SharedArena(p, n_domains=key[1], slot_bytes=self.slot_bytes,
-                            slots=self.slots)
-        arena._pool_key = key
-        with self._lock:
-            self.created += 1
-        return arena
-
-    def release(self, arena: SharedArena) -> None:
-        """Return ``arena`` to the pool (closed if the pool is full/closed)."""
-        key = getattr(arena, "_pool_key", None)
-        with self._lock:
-            if not self._closed and key is not None:
-                idle = self._idle.setdefault(key, [])
-                if len(idle) < self.max_idle:
-                    idle.append(arena)
-                    return
-        arena.close()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "created": self.created,
-                "reused": self.reused,
-                "idle": sum(len(v) for v in self._idle.values()),
-            }
-
-    def close(self) -> None:
-        """Unlink every pooled segment (idempotent; pool unusable after)."""
-        with self._lock:
-            self._closed = True
-            arenas = [a for idle in self._idle.values() for a in idle]
-            self._idle.clear()
-        for arena in arenas:
-            arena.close()
 
 
 def duplex(writer: _Writer, reader: _Reader, tick=None) -> None:

@@ -10,10 +10,8 @@ persistent worker pool with
 * **admission control** — a bounded fair queue and per-tenant quotas,
   every refusal a typed error (:class:`QueueFullError`,
   :class:`TenantQuotaError`), never a silent drop;
-* **amortized process execution** — shared-memory arenas reused across
-  jobs (:class:`~repro.parallel.shm.ArenaPool`) and same-shape jobs
-  batched into one fork generation
-  (:class:`~repro.parallel.backend.ProcessJobRunner`);
+* **amortized process execution** — same-shape jobs batched into one
+  fork generation (:class:`~repro.parallel.backend.ProcessJobRunner`);
 * **the full robustness ladder** — per-job wall-clock deadlines enforced
   by killing the attempt, capped-exponential-backoff retries after
   worker incidents, poison-job quarantine with forensics, and the

@@ -6,7 +6,7 @@ tenant under quota, queue under capacity, each violation a typed error —
 then parks the job on the fair queue and returns a
 :class:`~repro.serving.job.JobHandle`.  A pool of worker threads
 (:class:`~repro.serving.worker.WorkerPool`) drains the queue through the
-pooled-arena process runner or the in-process engines, running the
+batching process runner or the in-process engines, running the
 deadline/retry/quarantine ladder per job.
 
 A job whose answer is already resident is not queued.  On the
@@ -47,7 +47,6 @@ from repro.machine.engine import SimResult
 from repro.machine.run import resident_schedule
 from repro.obs import TRACER
 from repro.parallel.backend import SUBSTRATES, Ladder, ProcessJobRunner
-from repro.parallel.shm import ArenaPool
 from repro.recovery.health import Strikes
 from repro.serving.deadline import RetryPolicy
 from repro.serving.events import ADMIT, COMPLETE, SUBMIT, EventBus
@@ -103,7 +102,6 @@ class ServingConfig:
     batch_max: int = 16
     demote_after: int = 3
     hb_timeout: float | None = None
-    max_idle_arenas: int = 2
     spawn_hook: Callable[[list, dict], None] | None = None
 
     def __post_init__(self) -> None:
@@ -138,8 +136,7 @@ class ServingManager:
         #: crashes (a job is struck only by the one worker running it)
         self.streak = Strikes(self.config.demote_after)
         self.crashes = Strikes(self.config.retry.quarantine_after)
-        self.pool = ArenaPool(max_idle=self.config.max_idle_arenas)
-        self.runner = ProcessJobRunner(self.pool, self.ladder,
+        self.runner = ProcessJobRunner(self.ladder,
                                        hb_timeout=self.config.hb_timeout,
                                        spawn_hook=self.config.spawn_hook)
         self._lock = threading.Lock()
@@ -306,10 +303,7 @@ class ServingManager:
                 self.fail_job(job, ManagerClosedError(
                     f"job {job.job_id} cancelled: manager closed "
                     f"without drain"))
-        done = self.workers.join(timeout)
-        if done:
-            self.pool.close()
-        return done
+        return self.workers.join(timeout)
 
     def __enter__(self) -> "ServingManager":
         return self
@@ -333,7 +327,6 @@ class ServingManager:
             "inflight": self.quotas.snapshot(),
             "substrate": self.ladder.rung,
             "demotions": self.ladder.demotions,
-            "arena_pool": self.pool.stats(),
             "events": len(self.events),
         }
 
@@ -345,7 +338,6 @@ class ServingManager:
                 f"{s['deadline_misses']} deadline misses, "
                 f"{s['retries']} retries\n"
                 f"  substrate={s['substrate']} (demotions={s['demotions']}) "
-                f"queue_depth={s['queue_depth']} "
-                f"arenas={s['arena_pool']}\n"
+                f"queue_depth={s['queue_depth']}\n"
                 f"  resident schedules: hits={s['resident_hits']} "
                 f"bypasses={s['resident_bypasses']}")

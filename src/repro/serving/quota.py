@@ -15,7 +15,6 @@ attempts keep holding the slot they were admitted under.
 from __future__ import annotations
 
 import threading
-from collections import Counter
 
 from repro.serving.job import TenantQuotaError
 
@@ -34,7 +33,7 @@ class TenantQuotas:
         self.default_limit = default_limit
         self.limits = dict(limits or {})
         self._lock = threading.Lock()
-        self._inflight: Counter = Counter()
+        self._inflight: dict[str, int] = {}
 
     def limit_of(self, tenant: str) -> int | None:
         return self.limits.get(tenant, self.default_limit)
@@ -43,7 +42,7 @@ class TenantQuotas:
         """Charge one in-flight slot or raise :class:`TenantQuotaError`."""
         limit = self.limit_of(tenant)
         with self._lock:
-            held = self._inflight[tenant]
+            held = self._inflight.get(tenant, 0)
             if limit is not None and held >= limit:
                 raise TenantQuotaError(tenant, held, limit)
             self._inflight[tenant] = held + 1
@@ -51,19 +50,19 @@ class TenantQuotas:
     def release(self, tenant: str) -> None:
         """Return the slot when its job reaches a terminal state."""
         with self._lock:
-            held = self._inflight[tenant]
+            held = self._inflight.get(tenant, 0)
             if held <= 0:  # pragma: no cover - accounting bug guard
                 raise AssertionError(
                     f"quota release without admit for tenant {tenant!r}")
             if held == 1:
-                del self._inflight[tenant]
+                self._inflight.pop(tenant)
             else:
                 self._inflight[tenant] = held - 1
 
     def inflight(self, tenant: str | None = None) -> int:
         with self._lock:
             if tenant is not None:
-                return self._inflight[tenant]
+                return self._inflight.get(tenant, 0)
             return sum(self._inflight.values())
 
     def snapshot(self) -> dict[str, int]:

@@ -29,7 +29,6 @@ from repro.jit import STATS, JitStats, clear_jit_cache, reset_stats, run_jit
 from repro.jit.compiler import _BLOCKS
 from repro.kernels import run_vectorized
 from repro.kernels.blocks import _POOL_FLOOR, _POOL_WINDOW, BlockPool
-from repro.kernels.messages import pack_block
 from repro.machine.run import simulate_program
 from repro.parallel import process_fallback_reason
 
@@ -138,16 +137,6 @@ class TestLifetime:
         gc.collect()
         pool.empty((SMALL,), np.int64)
         assert pool._stats.pool_hits == 1
-
-    def test_pooled_components_still_pack(self):
-        # kernels.messages looks at ``.base`` to spot an unpacked block;
-        # a pooled block's base is its mapping
-        pool = BlockPool(JitStats())
-        parts = tuple(pool.empty((SMALL,), np.int64) for _ in range(2))
-        for i, part in enumerate(parts):
-            part[:] = i
-        packed = pack_block(parts)
-        assert np.array_equal(packed.buffer, np.stack(parts))
 
 
 class TestEngines:

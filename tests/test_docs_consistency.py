@@ -155,6 +155,33 @@ class TestPerformanceDoc:
         assert kept - sites == set(), "kept rows whose site is gone"
         assert gone & sites == set(), "deleted rows whose site is back"
 
+    def test_every_mechanism_has_a_row(self):
+        """"What each mechanism buys" has one row per runtime speed
+        mechanism — kept rows name a site under ``src/`` that is there,
+        deleted rows one that is gone."""
+        import re
+
+        src = ROOT / "src" / "repro"
+        sites = set()
+        for path in src.rglob("*.py"):
+            names = re.findall(
+                r"^\s*(?:class (ArenaPool|PackedBlock|ProcessStageRunner)\b"
+                r"|def (_run_batch|_chunk_bytes|duplex)\()",
+                path.read_text(), re.MULTILINE)
+            sites.update((path.relative_to(src).as_posix(), a or b)
+                         for a, b in names)
+        page = (ROOT / "docs" / "PERFORMANCE.md").read_text()
+        section = page.split("\n# What each mechanism buys\n")[1] \
+            .split("\n# ")[0]
+        rows = re.findall(r"^\| `(\w+)` \| `([\w/.]+)` \|.*\| (\w+) \|$",
+                          section, re.MULTILINE)
+        kept = {(f, name) for name, f, verdict in rows if verdict == "kept"}
+        gone = {(f, name) for name, f, verdict in rows if verdict == "deleted"}
+        assert len(rows) == len(kept) + len(gone) == len(kept | gone) == 6
+        assert sites - kept == set(), "mechanism sites with no row"
+        assert kept - sites == set(), "kept rows whose site is gone"
+        assert gone & sites == set(), "deleted rows whose site is back"
+
 
 class TestRulesPage:
     def test_rules_page_is_the_generated_catalogue(self):

@@ -47,7 +47,6 @@ from repro.kernels import (
     KernelOverflow,
     KernelUnsupported,
     MAX_SAFE_INT,
-    PackedBlock,
     binop_kernel,
     build_plan,
     checked_add,
@@ -56,9 +55,7 @@ from repro.kernels import (
     elementwise,
     has_binop_kernel,
     kernelize_binop,
-    pack_block,
     run_vectorized,
-    unpack_block,
     vectorize_block,
     vectorize_program,
 )
@@ -326,23 +323,6 @@ class TestEngines:
         base = simulate_program(prog, xs, params)
         vec = simulate_program(prog, xs, params, jit=True)
         assert vec.values == base.values
-
-    def test_pack_roundtrip(self):
-        payload = (np.arange(4, dtype=np.int64), np.ones(4, dtype=np.int64))
-        packed = pack_block(payload)
-        assert isinstance(packed, PackedBlock)
-        assert packed.components == 2
-        out = unpack_block(packed)
-        assert all(np.array_equal(a, b) for a, b in zip(out, payload))
-
-    @pytest.mark.parametrize("payload", [
-        3, (1, 2), (np.arange(3),), UNDEF, [np.arange(3), np.arange(3)],
-        (np.arange(3), np.arange(4)),                        # shape mismatch
-        (np.arange(3), np.arange(3, dtype=np.float64)),      # dtype mismatch
-        (np.arange(3), UNDEF),                               # partial state
-    ])
-    def test_pack_leaves_non_uniform_payloads_alone(self, payload):
-        assert pack_block(payload) is None
 
 
 # ---------------------------------------------------------------------------

@@ -136,34 +136,45 @@ def _sources_and_prose() -> list[Path]:
             REPO / "README.md", REPO / "DESIGN.md"]
 
 
-@pytest.mark.parametrize("pattern", [
-    pytest.param(r"rabenseifner", id="second-halving-doubling-kernel"),
-    pytest.param(r"run_vectorized\(self", id="Program.run_vectorized"),
-    pytest.param(r"run_jit\(self", id="Program.run_jit"),
-    pytest.param(r"run_program\([^)]*mode=", id="run_program-mode"),
-    pytest.param(r"def clear_match_cache\b", id="clear_match_cache"),
-    pytest.param(r"def clear_planner_caches\b", id="clear_planner_caches"),
-    pytest.param(r"register_planner_cache_reset|_PLANNER_CACHE_RESETS",
+@pytest.mark.parametrize(("pattern", "under"), [
+    pytest.param(r"rabenseifner", None, id="second-halving-doubling-kernel"),
+    pytest.param(r"run_vectorized\(self", None, id="Program.run_vectorized"),
+    pytest.param(r"run_jit\(self", None, id="Program.run_jit"),
+    pytest.param(r"run_program\([^)]*mode=", None, id="run_program-mode"),
+    pytest.param(r"def clear_match_cache\b", None, id="clear_match_cache"),
+    pytest.param(r"def clear_planner_caches\b",
+                 None, id="clear_planner_caches"),
+    pytest.param(r"register_planner_cache_reset|_PLANNER_CACHE_RESETS", None,
                  id="planner-cache-reset-hooks"),
     pytest.param(r"_LIVE_CACHES|def _reset_all_caches|def reset_memory\b",
-                 id="plan-cache-live-set"),
-    pytest.param(r"def clear_resident_schedules\b",
+                 None, id="plan-cache-live-set"),
+    pytest.param(r"def clear_resident_schedules\b", None,
                  id="clear_resident_schedules"),
-    pytest.param(r"_STORES\b", id="search-store-list"),
-    pytest.param(r"_raw_binop_fn|_raw_map_fn|_TapeMemo", id="raw-engine-rung"),
-    pytest.param(r'EngineLowering\("raw"', id="raw-lowering"),
-    pytest.param(r"\bvectorize=", id="vectorize-knob"),
-    pytest.param(r'\.resident\s*=|getattr\(run, "resident"',
+    pytest.param(r"_STORES\b", None, id="search-store-list"),
+    pytest.param(r"_raw_binop_fn|_raw_map_fn|_TapeMemo",
+                 None, id="raw-engine-rung"),
+    pytest.param(r'EngineLowering\("raw"', None, id="raw-lowering"),
+    pytest.param(r"\bvectorize=", None, id="vectorize-knob"),
+    pytest.param(r'\.resident\s*=|getattr\(run, "resident"', None,
                  id="ladder-resident-callback"),
     pytest.param(r"\b_(fold|derived|balanced|bcast|split_sandwich)\(|_EXACT_ONLY",
-                 id="per-class-unrollers"),
+                 None, id="per-class-unrollers"),
     # a seam has one form: ``if TRACER.enabled:`` and, right under it,
     # ``with TRACER.span(...)``; the untraced call runs the bare body
     pytest.param(r"(?m)^(?!\s*if TRACER\.enabled:$).*\n\s*with [\w.]*span\(",
-                 id="seam-outside-the-one-form"),
+                 None, id="seam-outside-the-one-form"),
+    # transport mechanisms that did not pay; docs/PERFORMANCE.md keeps
+    # their rows in "What each mechanism buys", so these read src/ only
+    pytest.param(r"PackedBlock|pack_block|\bPACKED\b", "src",
+                 id="packed-block"),
+    pytest.param(r"ArenaPool|max_idle_arenas", "src", id="arena-pool"),
+    pytest.param(r"pipeline_chunk_count", "src/repro/parallel",
+                 id="model-sized-ring-chunk"),
 ])
-def test_deleted_doors_stay_deleted(pattern):
-    hits = [str(path.relative_to(REPO)) for path in _sources_and_prose()
+def test_deleted_doors_stay_deleted(pattern, under):
+    paths = (sorted((REPO / under).rglob("*.py")) if under
+             else _sources_and_prose())
+    hits = [str(path.relative_to(REPO)) for path in paths
             if re.search(pattern, path.read_text())]
     assert not hits, f"/{pattern}/ is back in {hits}"
 
@@ -341,7 +352,7 @@ def test_oserror_is_caught_around_arena_construction_only():
     (_, node), = guarded
     calls = {ast.unparse(call.func) for stmt in node.body
              for call in ast.walk(stmt) if isinstance(call, ast.Call)}
-    assert calls == {"SharedArena", "pool.acquire"}, calls
+    assert calls == {"SharedArena"}, calls
 
 
 def test_the_hand_written_counters_are_gone():

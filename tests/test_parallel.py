@@ -137,9 +137,9 @@ class TestPayloadKinds:
         for a, b in zip(rp.values, rt.values):
             assert a.shape == b.shape == (0,)
 
-    def test_tuple_state_travels_packed(self):
-        # op_sr2-style pair states: tuples of same-shape arrays travel as
-        # one contiguous PackedBlock stream and unpack to views
+    def test_tuple_state_of_arrays_crosses_intact(self):
+        # op_sr2-style pair states: a tuple of same-shape arrays crosses
+        # the process boundary as one pickle and compares equal
         pair = BinOp("pair", lambda a, b: (a[0] + b[0], a[1] * b[1]),
                      commutative=True)
 
@@ -185,6 +185,70 @@ class TestPayloadKinds:
 
         rp, _rt = both(program, [UNDEF, 1, UNDEF, 2], PARAMS4)
         assert rp.values[0] == (True, False, True, False)
+
+
+class TestTransportPassThrough:
+    """The threaded transport hands every payload over by reference."""
+
+    def test_single_array_payload_same_object_no_copy(self):
+        """A contiguous single-array send crosses the threaded transport
+        without a copy and arrives as the same object."""
+        payload = np.arange(100, dtype=np.int64)
+        received = {}
+
+        def program(comm, x):
+            if comm.rank == 0:
+                comm.send(payload, dest=1, words=100)
+                return None
+            got = comm.recv(0)
+            received["obj"] = got
+            return got
+
+        result = threaded_spmd_run(program, [None, None],
+                                   MachineParams(p=2, ts=1, tw=0, m=1))
+        assert received["obj"] is payload  # same object end to end
+        assert result.values[1] is payload
+
+    def test_tuple_of_arrays_arrives_as_the_same_object(self):
+        """A tuple state of same-shape arrays is neither stacked nor
+        rebuilt: the receiver holds the sender's tuple and its arrays."""
+        payload = (np.arange(8.0), np.ones(8))
+
+        def program(comm, x):
+            if comm.rank == 0:
+                comm.send(payload, dest=1, words=16)
+                return None
+            return comm.recv(0)
+
+        result = threaded_spmd_run(program, [None, None],
+                                   MachineParams(p=2, ts=1, tw=0, m=1))
+        got = result.values[1]
+        assert got is payload
+        assert got[0] is payload[0] and got[1] is payload[1]
+
+    def test_object_mode_payloads_untouched(self):
+        def program(comm, x):
+            return comm.allgather(x)
+
+        values = [(1, 2), "s", None, 4.5]
+        result = threaded_spmd_run(program, values,
+                                   MachineParams(p=4, ts=1, tw=0, m=1))
+        assert all(tuple(v) == tuple(values) for v in result.values)
+
+    def test_tuple_state_roundtrip_values(self):
+        pair = BinOp("pair", lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                     commutative=True)
+
+        def program(comm, x):
+            return comm.allreduce(x, op=pair)
+
+        inputs = [(np.full(8, float(r)), np.full(8, 1.0)) for r in range(4)]
+        result = threaded_spmd_run(program, inputs,
+                                   MachineParams(p=4, ts=1, tw=0, m=1))
+        want0 = np.full(8, 0.0 + 1 + 2 + 3)
+        for v0, v1 in result.values:
+            assert np.array_equal(v0, want0)
+            assert np.array_equal(v1, np.full(8, 4.0))
 
 
 @needs_processes
@@ -322,12 +386,11 @@ class TestEngineSelection:
             simulate_program(Program([ScanStage(ADD)]), [1, 2], PARAMS4,
                              engine="quantum")
 
-    def test_vectorized_process_run(self, monkeypatch):
+    def test_vectorized_process_run(self):
         # float blocks decline the fused rung, so the checked kernels carry
-        # the SR2 pairs between ranks as packed arrays
+        # the SR2 pairs between ranks as tuples of arrays
         from repro.core.optimizer import optimize
         from repro.core.stages import Program, ReduceStage, ScanStage
-        import repro.mpi.threaded as threaded
         from repro.jit import engine_lower
         from repro.semantics.functional import UNDEF
 
@@ -339,20 +402,12 @@ class TestEngineSelection:
         inputs = [rng.uniform(0.5, 1.5, 8) for _ in range(4)]
         assert engine_lower(program, inputs, params).rung == "checked"
         rc = simulate_program(program, inputs, params)
-        packed, pack = [], threaded.pack_block
-
-        def spy(payload):
-            packed.append(pack(payload))
-            return packed[-1]
-
-        monkeypatch.setattr(threaded, "pack_block", spy)
         for engine in ("process", "threaded"):
             rp = simulate_program(program, inputs, params, jit=True,
                                   engine=engine)
             for c, v in zip(rc.values, rp.values):
                 assert (c is UNDEF and v is UNDEF) or np.array_equal(c, v)
             assert rc.stats.clocks == rp.stats.clocks
-        assert any(b is not None for b in packed)  # the threaded ranks' pairs
 
     def test_hierarchical_contention_domains(self):
         # Under NIC contention, WHICH inter-node pair pays the busy-domain
@@ -399,9 +454,9 @@ class TestArenaAndChunks:
         arena = SharedArena(1, slot_bytes=1 << 12, slots=4)
         try:
             src = np.arange(5000, dtype=np.uint8).astype(np.uint8)
-            writer = arena.write_stream(0, [src], src.nbytes, 1 << 12)
+            writer = arena.write_stream(0, [src], src.nbytes)
             dest = np.empty(src.nbytes, dtype=np.uint8)
-            reader = arena.read_stream(0, 0, dest.data, src.nbytes, 1 << 12)
+            reader = arena.read_stream(0, 0, dest.data, src.nbytes)
             while not (writer.done and reader.done):
                 if not writer.done and writer.ready():
                     writer.step()

@@ -21,7 +21,7 @@ from repro.core.operators import ADD
 from repro.core.stages import MapStage, Program, ReduceStage, ScanStage
 from repro.core.store import clear_caches
 from repro.machine.run import simulate_program
-from repro.parallel import backend, process_fallback_reason, shm
+from repro.parallel import backend, process_fallback_reason
 from repro.recovery import Strikes, backoff
 from repro.serving import (
     DeadlineExceededError,
@@ -419,7 +419,7 @@ def test_a_refused_arena_reruns_the_job_on_threaded(monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(backend, "process_fallback_reason", lambda p: None)
-    monkeypatch.setattr(shm, "SharedArena", no_space)
+    monkeypatch.setattr(backend, "SharedArena", no_space)
     xs = [1, 2, 3, 4]
     ref = simulate_program(SCAN, xs, PARAMS, engine="threaded")
     with ServingManager(_cfg(workers=1, substrate="process")) as mgr:
@@ -768,7 +768,6 @@ class TestServingManager:
             "submitted", "completed", "failed", "rejected",
             "quarantined", "deadline_misses", "retries",
             "resident_hits", "resident_bypasses"}
-        assert "arena_pool" in stats
         assert "cooperative" in text
         assert "resident schedules: hits=0 bypasses={'inexact-input': 1}" \
             in text

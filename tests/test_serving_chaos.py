@@ -108,8 +108,8 @@ def _refs(jobs):
 
 
 def test_batched_process_stream_is_bit_identical_and_amortized():
-    """Same-tenant same-shape jobs share fork generations and pooled
-    arenas — and still come back bit-identical to unserved runs."""
+    """Same-tenant same-shape jobs share fork generations — and still
+    come back bit-identical to unserved runs."""
     jobs = [(SCAN if j % 2 else SCANRED,
              [float(r + j) for r in range(P)]) for j in range(32)]
     expected = _refs(jobs)
@@ -119,10 +119,8 @@ def test_batched_process_stream_is_bit_identical_and_amortized():
         handles = [mgr.submit(prog, inputs, PARAMS, tenant="batch")
                    for prog, inputs in jobs]
         got = [h.result(timeout=120.0) for h in handles]
-        pool = mgr.stats()["arena_pool"]
         batched = [e for e in mgr.events.of_kind("start") if "batch" in e]
     assert got == expected
-    assert pool["reused"] > 0, pool
     assert batched, "no fork generation ever carried more than one job"
 
 
