@@ -79,7 +79,7 @@ def _encode(value: Any, h) -> None:
         for v in value:
             _encode(v, h)
     elif isinstance(value, np.generic):
-        # NumPy scalar (e.g. an int64 plucked from a packed block):
+        # NumPy scalar (e.g. an int64 indexed out of a block):
         # hash as the 0-d array it is equivalent to
         _encode(np.asarray(value), h)
     else:
